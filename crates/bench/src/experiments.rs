@@ -1148,20 +1148,20 @@ fn e16_client(
 
     let mut conn = std::net::TcpStream::connect(addr).expect("connect");
     conn.set_nodelay(true).ok();
+    // The product client's send path: frames coalesce in the sender and
+    // are flushed before every read, so a round trip is still timed
+    // from the flush that releases the probe.
+    let mut out = dp_server::FrameSender::new();
     protocol::write_preamble(&mut conn).unwrap();
     protocol::read_preamble(&mut conn).unwrap();
-    protocol::write_frame(
-        &mut conn,
-        &Frame::Hello(Hello {
-            session: format!("e16-{id}"),
-            spec: dp_core::SessionSpec::default().encode(),
-            checkpoint_every: 0,
-            names,
-        }),
-    )
-    .unwrap();
-    use std::io::Write as _;
-    conn.flush().unwrap();
+    let hello = Frame::Hello(Hello {
+        session: format!("e16-{id}"),
+        spec: dp_core::SessionSpec::default().encode(),
+        checkpoint_every: 0,
+        names,
+    });
+    out.send(&mut conn, &hello).unwrap();
+    out.flush(&mut conn).unwrap();
     assert!(matches!(
         protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap(),
         Some(Frame::HelloAck { .. })
@@ -1174,7 +1174,7 @@ fn e16_client(
     for ev in events {
         for frame in chunker.push(*ev) {
             let was_chunk = matches!(frame, Frame::Chunk { .. });
-            protocol::write_frame(&mut conn, &frame).unwrap();
+            out.send(&mut conn, &frame).unwrap();
             if was_chunk {
                 chunks += 1;
                 if chunks.is_multiple_of(sync_every) {
@@ -1183,8 +1183,8 @@ fn e16_client(
                     // decodes the Sync and acks its watermark.
                     nonce += 1;
                     let t0 = std::time::Instant::now();
-                    protocol::write_frame(&mut conn, &Frame::Sync { nonce }).unwrap();
-                    conn.flush().unwrap();
+                    out.send(&mut conn, &Frame::Sync { nonce }).unwrap();
+                    out.flush(&mut conn).unwrap();
                     match protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap() {
                         Some(Frame::SyncAck { nonce: n, .. }) => assert_eq!(n, nonce),
                         other => panic!("wanted SyncAck, got {other:?}"),
@@ -1195,10 +1195,10 @@ fn e16_client(
         }
     }
     if let Some(frame) = chunker.flush() {
-        protocol::write_frame(&mut conn, &frame).unwrap();
+        out.send(&mut conn, &frame).unwrap();
     }
-    protocol::write_frame(&mut conn, &Frame::Finish).unwrap();
-    conn.flush().unwrap();
+    out.send(&mut conn, &Frame::Finish).unwrap();
+    out.flush(&mut conn).unwrap();
     match protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap() {
         Some(Frame::Report { .. }) => {}
         other => panic!("wanted Report, got {other:?}"),
@@ -1543,32 +1543,33 @@ fn e19_client(
     query_interval: Option<Duration>,
 ) -> (Vec<Duration>, Option<String>) {
     use dp_types::protocol::{self, query_kind, Frame, Hello, MAX_FRAME_BYTES};
-    use std::io::Write as _;
 
     let mut conn = std::net::TcpStream::connect(addr).expect("connect");
     conn.set_nodelay(true).ok();
+    // Same buffered sender as the product client and E16.
+    let mut out = dp_server::FrameSender::new();
     protocol::write_preamble(&mut conn).unwrap();
     protocol::read_preamble(&mut conn).unwrap();
-    protocol::write_frame(
-        &mut conn,
-        &Frame::Hello(Hello {
-            session: format!("e19-{label}"),
-            spec: dp_core::SessionSpec::default().encode(),
-            checkpoint_every: 0,
-            names,
-        }),
-    )
-    .unwrap();
-    conn.flush().unwrap();
+    let hello = Frame::Hello(Hello {
+        session: format!("e19-{label}"),
+        spec: dp_core::SessionSpec::default().encode(),
+        checkpoint_every: 0,
+        names,
+    });
+    out.send(&mut conn, &hello).unwrap();
+    out.flush(&mut conn).unwrap();
     assert!(matches!(
         protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap(),
         Some(Frame::HelloAck { .. })
     ));
 
-    let query = |conn: &mut std::net::TcpStream, id: u64| -> (Duration, String) {
+    let query = |out: &mut dp_server::FrameSender,
+                 conn: &mut std::net::TcpStream,
+                 id: u64|
+     -> (Duration, String) {
         let t0 = std::time::Instant::now();
-        protocol::write_frame(conn, &Frame::Query { id, kind: query_kind::ALL }).unwrap();
-        conn.flush().unwrap();
+        out.send(conn, &Frame::Query { id, kind: query_kind::ALL }).unwrap();
+        out.flush(conn).unwrap();
         match protocol::read_frame(conn, MAX_FRAME_BYTES).unwrap() {
             Some(Frame::QueryResult { id: got, json, .. }) => {
                 assert_eq!(got, id);
@@ -1586,12 +1587,12 @@ fn e19_client(
     for ev in events {
         for frame in chunker.push(*ev) {
             let was_chunk = matches!(frame, Frame::Chunk { .. });
-            protocol::write_frame(&mut conn, &frame).unwrap();
+            out.send(&mut conn, &frame).unwrap();
             if was_chunk {
                 if let Some(interval) = query_interval {
                     if last_query.elapsed() >= interval {
                         next_id += 1;
-                        let (rtt, json) = query(&mut conn, next_id);
+                        let (rtt, json) = query(&mut out, &mut conn, next_id);
                         rtts.push(rtt);
                         last_json = Some(json);
                         last_query = std::time::Instant::now();
@@ -1601,16 +1602,16 @@ fn e19_client(
         }
     }
     if let Some(frame) = chunker.flush() {
-        protocol::write_frame(&mut conn, &frame).unwrap();
+        out.send(&mut conn, &frame).unwrap();
     }
     if query_interval.is_some() {
         next_id += 1;
-        let (rtt, json) = query(&mut conn, next_id);
+        let (rtt, json) = query(&mut out, &mut conn, next_id);
         rtts.push(rtt);
         last_json = Some(json);
     }
-    protocol::write_frame(&mut conn, &Frame::Finish).unwrap();
-    conn.flush().unwrap();
+    out.send(&mut conn, &Frame::Finish).unwrap();
+    out.flush(&mut conn).unwrap();
     match protocol::read_frame(&mut conn, MAX_FRAME_BYTES).unwrap() {
         Some(Frame::Report { .. }) => {}
         other => panic!("wanted Report, got {other:?}"),

@@ -581,7 +581,9 @@ mod tests {
         target.apply_delta(delta);
     }
 
-    fn snapshot(s: &DepStore) -> (Vec<(Dependence, EdgeVal)>, Vec<(LoopId, LoopRecord)>) {
+    type Snapshot = (Vec<(Dependence, EdgeVal)>, Vec<(LoopId, LoopRecord)>);
+
+    fn snapshot(s: &DepStore) -> Snapshot {
         (
             s.dependences().map(|(d, v)| (d, v.clone())).collect(),
             s.loops().map(|(id, r)| (*id, r.clone())).collect(),

@@ -300,10 +300,21 @@ impl<S: Read + Write> Write for ChaosStream<S> {
             return Ok(0);
         }
         let mut cap = buf.len();
-        let pre_left = match self.state {
-            WireState::Preamble(left) => left,
-            _ => 0,
+        // Preamble bytes still owed, and bytes to the end of the unit in
+        // progress (preamble, frame header, frame body).
+        let (pre_left, unit_left) = match self.state {
+            WireState::Preamble(left) => (left, left),
+            WireState::Header => (0, 5 - self.cur.len()),
+            WireState::Body { remaining } => (0, remaining),
         };
+        // A sender may coalesce hundreds of frames into one write. Under
+        // an active plan each inner write stops at the end of the unit in
+        // progress, so every fault below lands on the exact frame it
+        // names however the bytes were batched, and a duplicate follows
+        // its original directly.
+        if self.plan.is_active() {
+            cap = cap.min(unit_left);
+        }
         // A frame-offset reset arms once the boundary frame completed:
         // that frame is delivered intact, the next write dies. The
         // preamble is handshake, not a frame — it always goes through
@@ -411,6 +422,37 @@ mod tests {
             }
             assert_eq!(got as u64, k, "exactly k complete frames survive");
         }
+    }
+
+    #[test]
+    fn faults_land_on_the_same_frames_under_one_coalesced_write() {
+        let frames = [chunk(0, 4), Frame::Sync { nonce: 9 }, chunk(4, 4), chunk(8, 4)];
+        let mut wire = Vec::new();
+        protocol::write_preamble(&mut wire).unwrap();
+        for f in &frames {
+            f.encode_into(&mut wire).unwrap();
+        }
+        let delivered = |plan: NetFaultPlan| {
+            let mut s = ChaosStream::new(Cursor::new(Vec::new()), plan);
+            let run = s.write_all(&wire);
+            let bytes = s.into_inner().into_inner();
+            let mut r = &bytes[..];
+            protocol::read_preamble(&mut r).unwrap();
+            let mut got = Vec::new();
+            while let Ok(Some(f)) = protocol::read_frame(&mut r, MAX_FRAME_BYTES) {
+                got.push(f);
+            }
+            (got, run)
+        };
+        for k in 0..=frames.len() {
+            let (got, run) = delivered(NetFaultPlan::new().with_reset_at_frames(k as u64));
+            assert_eq!(got, frames[..k], "exactly {k} frames survive a cut at frame {k}");
+            assert_eq!(run.is_err(), k < frames.len(), "k={k}");
+        }
+        let (got, run) = delivered(NetFaultPlan::new().with_dup_every(2));
+        run.unwrap();
+        let [a, b, c, d] = frames.clone();
+        assert_eq!(got, [a, b.clone(), b, c, d.clone(), d], "a duplicate follows its original");
     }
 
     #[test]

@@ -10,8 +10,10 @@ use dp_analysis::incremental::json_string;
 use dp_analysis::OnlineAnalysis;
 use dp_core::{report, CheckpointStore, ProfileResult, ProfileSession, SessionSpec};
 use dp_metrics::SessionMetrics;
-use dp_types::protocol::{error_code, query_kind, Frame, Hello};
-use dp_types::{Interner, TraceEvent};
+use dp_types::protocol::{
+    error_code, query_kind, ChunkView, Frame, Hello, ProtocolError, ACCESS_WIRE_BYTES, TAG_CHUNK,
+};
+use dp_types::{Interner, MemAccess, TraceEvent};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -21,6 +23,8 @@ use std::path::{Path, PathBuf};
 pub enum SessionError {
     /// The `Hello` frame's engine spec did not decode.
     BadSpec(dp_types::WireError),
+    /// A frame's payload did not decode.
+    Malformed(ProtocolError),
     /// A frame arrived that the session's state does not allow (a
     /// second `Hello`, events after `Finish`, ...).
     OutOfOrder(&'static str),
@@ -32,6 +36,7 @@ impl fmt::Display for SessionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SessionError::BadSpec(e) => write!(f, "session spec is malformed: {e}"),
+            SessionError::Malformed(e) => write!(f, "{e}"),
             SessionError::OutOfOrder(what) => write!(f, "frame out of protocol order: {what}"),
             SessionError::Io(e) => write!(f, "session checkpoint I/O failed: {e}"),
         }
@@ -156,10 +161,7 @@ impl SessionEngine {
     /// Handles one post-`Hello` frame, returning the reply frames to
     /// send (possibly none).
     pub fn handle(&mut self, frame: Frame) -> Result<Vec<Frame>, SessionError> {
-        if self.finished {
-            return Err(SessionError::OutOfOrder("frame after Finish"));
-        }
-        self.metrics.frames += 1;
+        self.admit_frame()?;
         match frame {
             Frame::Hello(_) => Err(SessionError::OutOfOrder("second Hello on one connection")),
             Frame::HelloAck { .. }
@@ -172,21 +174,7 @@ impl SessionEngine {
             }
             Frame::Error { .. } => Err(SessionError::OutOfOrder("Error frame sent by client")),
             Frame::Chunk { base, accesses } => {
-                self.metrics.chunks += 1;
-                self.metrics.bytes_in +=
-                    (accesses.len() * dp_types::protocol::ACCESS_WIRE_BYTES) as u64;
-                if base > self.events_fed {
-                    return Err(SessionError::OutOfOrder("chunk beyond the stream watermark"));
-                }
-                // Everything below the watermark was already profiled
-                // (resend overlap after a reconnect, or a duplicated
-                // frame): skip it exactly, feed only the new suffix.
-                let skip = (self.events_fed - base).min(accesses.len() as u64) as usize;
-                self.metrics.events_skipped_on_resume += skip as u64;
-                for a in accesses.into_iter().skip(skip) {
-                    self.feed(TraceEvent::Access(a))?;
-                }
-                Ok(Vec::new())
+                self.feed_chunk(base, accesses.len(), accesses.into_iter())
             }
             Frame::LoopEvent { seq, ev } => {
                 if seq > self.events_fed {
@@ -225,6 +213,53 @@ impl SessionEngine {
                 Ok(vec![Frame::Report { text }])
             }
         }
+    }
+
+    /// [`SessionEngine::handle`] for a frame still on the wire: the
+    /// checksum-verified `(tag, payload)` a
+    /// [`FrameReader`](dp_types::protocol::FrameReader) hands out. A
+    /// `Chunk` is fed straight from the borrowed payload, validated whole
+    /// first so a malformed one feeds nothing; every other frame is
+    /// decoded and handled as usual.
+    pub fn handle_wire(&mut self, tag: u8, payload: &[u8]) -> Result<Vec<Frame>, SessionError> {
+        if tag != TAG_CHUNK {
+            return self.handle(Frame::decode(tag, payload).map_err(SessionError::Malformed)?);
+        }
+        let chunk = ChunkView::parse(payload).map_err(|e| SessionError::Malformed(e.into()))?;
+        self.admit_frame()?;
+        self.feed_chunk(chunk.base(), chunk.len(), chunk.accesses())
+    }
+
+    fn admit_frame(&mut self) -> Result<(), SessionError> {
+        if self.finished {
+            return Err(SessionError::OutOfOrder("frame after Finish"));
+        }
+        self.metrics.frames += 1;
+        Ok(())
+    }
+
+    /// Feeds the part of a chunk of `len` accesses starting at stream
+    /// position `base` that lies at or past the watermark.
+    fn feed_chunk(
+        &mut self,
+        base: u64,
+        len: usize,
+        accesses: impl Iterator<Item = MemAccess>,
+    ) -> Result<Vec<Frame>, SessionError> {
+        self.metrics.chunks += 1;
+        self.metrics.bytes_in += (len * ACCESS_WIRE_BYTES) as u64;
+        if base > self.events_fed {
+            return Err(SessionError::OutOfOrder("chunk beyond the stream watermark"));
+        }
+        // Everything below the watermark was already profiled (resend
+        // overlap after a reconnect, or a duplicated frame): skip it
+        // exactly, feed only the new suffix.
+        let skip = (self.events_fed - base).min(len as u64) as usize;
+        self.metrics.events_skipped_on_resume += skip as u64;
+        for a in accesses.skip(skip) {
+            self.feed(TraceEvent::Access(a))?;
+        }
+        Ok(Vec::new())
     }
 
     fn feed(&mut self, ev: TraceEvent) -> Result<(), SessionError> {
@@ -482,6 +517,35 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, SessionError::OutOfOrder(_)));
+    }
+
+    #[test]
+    fn malformed_wire_chunk_feeds_nothing() {
+        let (mut s, _) = SessionEngine::open(&hello("atomic", 0), 1, None, 0).unwrap();
+        let payload_of = |base: u64, range: std::ops::Range<u64>| {
+            let mut wire = Vec::new();
+            Frame::Chunk { base, accesses: accesses(range) }.encode_into(&mut wire).unwrap();
+            wire[5..wire.len() - 1].to_vec()
+        };
+        s.handle_wire(TAG_CHUNK, &payload_of(0, 0..10)).unwrap();
+        assert_eq!(s.position(), 10);
+
+        // Nine good accesses, then one whose kind byte is neither read
+        // nor write: the chunk is rejected whole.
+        let mut bad = payload_of(10, 10..20);
+        let last_kind = bad.len() - ACCESS_WIRE_BYTES;
+        bad[last_kind] = 2;
+        let err = s.handle_wire(TAG_CHUNK, &bad).unwrap_err();
+        assert!(matches!(err, SessionError::Malformed(_)), "{err}");
+        assert_eq!(s.position(), 10, "no access of a rejected chunk is fed");
+        assert_eq!(s.metrics().events, 10);
+
+        // The wire entrance and the frame entrance are one feed body: the
+        // same overlap is skipped, the same suffix fed.
+        s.handle_wire(TAG_CHUNK, &payload_of(5, 5..20)).unwrap();
+        assert_eq!((s.position(), s.metrics().events_skipped_on_resume), (20, 5));
+        s.handle(Frame::Chunk { base: 15, accesses: accesses(15..30) }).unwrap();
+        assert_eq!((s.position(), s.metrics().events_skipped_on_resume), (30, 10));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   in `HelloAck` so the client skips what was already profiled.
 //! - **Graceful shutdown** — a SIGINT/SIGTERM sets a process-wide flag
 //!   ([`shutdown`]); the accept loop and every connection thread
-//!   observe it between frames, write a final emergency checkpoint per
+//!   observe it on every read tick, write a final emergency checkpoint per
 //!   in-flight session, and notify clients with `Error{SHUTDOWN}`.
 //! - **Backpressure** — frames are bounded (`max_frame_bytes`) and the
 //!   server reads a connection only as fast as its engine consumes, so
@@ -53,8 +53,8 @@ pub mod shutdown;
 
 pub use chaos::{ChaosStream, NetFaultPlan};
 pub use client::{
-    backoff_delay_ms, push_events, push_with_retry, ClientError, PushOptions, PushOutcome,
-    RetryOutcome, RetryPolicy,
+    backoff_delay_ms, push_events, push_with_retry, ClientError, FrameSender, PushOptions,
+    PushOutcome, RetryOutcome, RetryPolicy,
 };
 pub use engine::{SessionEngine, SessionError};
 pub use server::{Server, ServerConfig};

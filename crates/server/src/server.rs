@@ -2,10 +2,10 @@
 //! global session cap, and shutdown/disconnect handling.
 
 use crate::chaos::{ChaosStream, NetFaultPlan};
-use crate::engine::SessionEngine;
+use crate::engine::{SessionEngine, SessionError};
 use crate::shutdown;
 use dp_types::protocol::{
-    self, error_code, Frame, ProtocolError, MAX_FRAME_BYTES, PROTOCOL_MAGIC, PROTOCOL_VERSION,
+    self, error_code, Frame, FrameReader, ProtocolError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
@@ -86,52 +86,38 @@ impl<S: Conn> Conn for ChaosStream<S> {
     }
 }
 
-/// Retries transient read outcomes (timeout, EINTR) so `read_exact`
-/// mid-frame never tears a frame apart on a read-timeout tick.
-struct Retry<'a, S: Conn>(&'a mut S);
-
-impl<S: Conn> Read for Retry<'_, S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match self.0.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
-                other => return other,
-            }
-        }
-    }
-}
-
-/// Outcome of polling for the next frame's first byte.
-enum Poll {
-    Byte(u8),
+/// Why [`wait_for_bytes`] returned.
+enum Wait {
+    /// The reader holds new bytes.
+    Data,
     Eof,
     Shutdown,
     /// The idle deadline passed with no traffic (hibernation trigger).
     Idle,
 }
 
-fn poll_byte<S: Conn>(
+/// Blocks until one `read` brings bytes into `reader`, waking on every
+/// read-timeout tick to observe the stop flag and the idle deadline. A
+/// partial frame already buffered stays buffered across ticks, so a
+/// peer that stalls mid-frame neither tears the frame nor pins the
+/// thread: on `Shutdown`/`Idle` the caller drops it with the reader.
+fn wait_for_bytes<S: Conn>(
+    reader: &mut FrameReader,
     s: &mut S,
     stop: &AtomicBool,
-    idle_deadline: Option<Instant>,
-) -> Result<Poll, ProtocolError> {
-    let mut b = [0u8; 1];
+    idle_after: Option<Duration>,
+) -> io::Result<Wait> {
+    let idle_deadline = idle_after.map(|d| Instant::now() + d);
     loop {
         if stop.load(Ordering::SeqCst) {
-            return Ok(Poll::Shutdown);
+            return Ok(Wait::Shutdown);
         }
         if idle_deadline.is_some_and(|d| Instant::now() >= d) {
-            return Ok(Poll::Idle);
+            return Ok(Wait::Idle);
         }
-        match s.read(&mut b) {
-            Ok(0) => return Ok(Poll::Eof),
-            Ok(_) => return Ok(Poll::Byte(b[0])),
+        match reader.fill(s) {
+            Ok(0) => return Ok(Wait::Eof),
+            Ok(_) => return Ok(Wait::Data),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -139,7 +125,26 @@ fn poll_byte<S: Conn>(
                         | io::ErrorKind::TimedOut
                         | io::ErrorKind::Interrupted
                 ) => {}
-            Err(e) => return Err(e.into()),
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Runs one parse `step` of the handshake against `reader`, reading
+/// more bytes whenever it asks for them. `Ok(None)` means the connection
+/// ended (or the server is stopping) first.
+fn read_step<T, S: Conn>(
+    reader: &mut FrameReader,
+    s: &mut S,
+    stop: &AtomicBool,
+    mut step: impl FnMut(&mut FrameReader) -> Result<Option<T>, ProtocolError>,
+) -> Result<Option<T>, ProtocolError> {
+    loop {
+        if let Some(v) = step(reader)? {
+            return Ok(Some(v));
+        }
+        if !matches!(wait_for_bytes(reader, s, stop, None), Ok(Wait::Data)) {
+            return Ok(None);
         }
     }
 }
@@ -317,17 +322,28 @@ fn dispatch_conn<S: Conn>(s: S, shared: &Shared, stop: &AtomicBool) {
     }
 }
 
+/// Sends `frames` as one write.
 fn send(s: &mut impl Write, frames: &[Frame]) -> Result<(), ProtocolError> {
+    let mut buf = Vec::new();
     for f in frames {
-        protocol::write_frame(s, f)?;
+        f.encode_into(&mut buf)?;
     }
+    s.write_all(&buf)?;
     s.flush()?;
     Ok(())
+}
+
+fn send_error(s: &mut impl Write, code: u16, message: String) {
+    let _ = send(s, &[Frame::Error { code, message }]);
 }
 
 /// Drives one connection to completion. Every exit path below either
 /// completed the session (`Finish` handled) or wrote its emergency
 /// checkpoint first.
+///
+/// The connection is read ahead — one `read` brings in as many frames as
+/// the peer had in flight — but acted on frame by frame: every buffered
+/// frame is handled, and its replies sent, before the next `read`.
 fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     let _ = s.set_read_timeout_ms(Some(shared.cfg.poll_interval_ms.max(1)));
     // Preamble, both directions: we announce first (so clients can
@@ -335,47 +351,28 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     if protocol::write_preamble(&mut s).is_err() || s.flush().is_err() {
         return;
     }
-    match poll_byte(&mut s, stop, None) {
-        Ok(Poll::Byte(first)) => {
-            let mut rest = [0u8; 4];
-            if Retry(&mut s).read_exact(&mut rest).is_err() {
-                return;
-            }
-            let ok = first == PROTOCOL_MAGIC[0]
-                && rest[..3] == PROTOCOL_MAGIC[1..]
-                && rest[3] == PROTOCOL_VERSION;
-            if !ok {
-                let _ = send(
-                    &mut s,
-                    &[Frame::Error {
-                        code: error_code::BAD_FRAME,
-                        message: format!(
-                            "bad preamble (expected DPSV v{})",
-                            dp_types::protocol::PROTOCOL_VERSION
-                        ),
-                    }],
-                );
-                return;
-            }
+    let mut reader = FrameReader::new(shared.cfg.max_frame_bytes);
+    match read_step(&mut reader, &mut s, stop, |r| Ok(r.preamble()?.then_some(()))) {
+        Ok(Some(())) => {}
+        Ok(None) => return,
+        Err(_) => {
+            let message = format!("bad preamble (expected DPSV v{PROTOCOL_VERSION})");
+            send_error(&mut s, error_code::BAD_FRAME, message);
+            return;
         }
-        _ => return,
     }
 
     // First frame must be Hello; the session slot is claimed before the
     // engine is built so the cap bounds real engine memory.
-    let hello = match read_one(&mut s, shared, stop) {
-        Some(Frame::Hello(h)) => h,
-        Some(_) => {
-            let _ = send(
-                &mut s,
-                &[Frame::Error {
-                    code: error_code::BAD_FRAME,
-                    message: "first frame must be Hello".into(),
-                }],
-            );
+    let hello = match read_step(&mut reader, &mut s, stop, |r| {
+        r.next_frame()?.map(|(tag, payload)| Frame::decode(tag, payload)).transpose()
+    }) {
+        Ok(Some(Frame::Hello(h))) => h,
+        Ok(Some(_)) => {
+            send_error(&mut s, error_code::BAD_FRAME, "first frame must be Hello".into());
             return;
         }
-        None => return,
+        _ => return,
     };
     let claimed = shared
         .active
@@ -424,13 +421,52 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
         engine.position()
     );
 
+    // A durable session idling past the hibernation deadline is
+    // checkpointed and evicted so its slot can serve live traffic.
+    let idle_after = (shared.cfg.hibernate_after_ms > 0 && engine.durable())
+        .then(|| Duration::from_millis(shared.cfg.hibernate_after_ms));
     loop {
-        // A durable session idling past the hibernation deadline is
-        // checkpointed and evicted so its slot can serve live traffic.
-        let idle_deadline = (shared.cfg.hibernate_after_ms > 0 && engine.durable())
-            .then(|| Instant::now() + Duration::from_millis(shared.cfg.hibernate_after_ms));
-        match poll_byte(&mut s, stop, idle_deadline) {
-            Ok(Poll::Idle) => {
+        loop {
+            let handled = match reader.next_frame() {
+                Ok(Some((tag, payload))) => engine.handle_wire(tag, payload),
+                Ok(None) => break,
+                Err(e) => Err(SessionError::Malformed(e)),
+            };
+            match handled {
+                Ok(replies) => {
+                    let done = engine.finished();
+                    if !replies.is_empty() && send(&mut s, &replies).is_err() && !done {
+                        checkpoint_on_exit(&mut engine, "client lost mid-reply");
+                        return;
+                    }
+                    if done {
+                        eprintln!(
+                            "session {} '{}' finished ({} events)",
+                            engine.session_id(),
+                            engine.name(),
+                            engine.metrics().events
+                        );
+                        return;
+                    }
+                }
+                Err(e) => {
+                    let why = match e {
+                        SessionError::Malformed(_) => "malformed frame",
+                        _ => "protocol misuse",
+                    };
+                    checkpoint_on_exit(&mut engine, why);
+                    let _ = send(&mut s, &[e.to_frame()]);
+                    return;
+                }
+            }
+        }
+        // The buffer ends on a frame boundary or inside a frame; either
+        // way the engine stands at the last whole frame, which is where
+        // every exit below checkpoints it. A partial trailing frame is
+        // dropped with the reader and resent from the acked watermark.
+        match wait_for_bytes(&mut reader, &mut s, stop, idle_after) {
+            Ok(Wait::Data) => {}
+            Ok(Wait::Idle) => {
                 match engine.hibernate() {
                     Ok(()) => {
                         eprintln!(
@@ -439,96 +475,34 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
                             engine.name(),
                             engine.position()
                         );
-                        let _ = send(
-                            &mut s,
-                            &[Frame::Error {
-                                code: error_code::HIBERNATED,
-                                message: format!(
-                                    "session hibernated after {}ms idle; reconnect to resume",
-                                    shared.cfg.hibernate_after_ms
-                                ),
-                            }],
+                        let message = format!(
+                            "session hibernated after {}ms idle; reconnect to resume",
+                            shared.cfg.hibernate_after_ms
                         );
+                        send_error(&mut s, error_code::HIBERNATED, message);
                     }
                     Err(e) => {
                         checkpoint_on_exit(&mut engine, "hibernate failed");
-                        let _ = send(
-                            &mut s,
-                            &[Frame::Error { code: error_code::ENGINE, message: e.to_string() }],
-                        );
+                        send_error(&mut s, error_code::ENGINE, e.to_string());
                     }
                 }
                 return;
             }
-            Ok(Poll::Shutdown) => {
+            Ok(Wait::Shutdown) => {
                 checkpoint_on_exit(&mut engine, "shutdown");
-                let _ = send(
-                    &mut s,
-                    &[Frame::Error {
-                        code: error_code::SHUTDOWN,
-                        message: "server shutting down; session checkpointed".into(),
-                    }],
-                );
+                let message = "server shutting down; session checkpointed".into();
+                send_error(&mut s, error_code::SHUTDOWN, message);
                 return;
             }
-            Ok(Poll::Eof) => {
+            Ok(Wait::Eof) => {
                 checkpoint_on_exit(&mut engine, "client disconnected");
                 return;
-            }
-            Ok(Poll::Byte(tag)) => {
-                let frame = match protocol::resume_frame(
-                    &mut Retry(&mut s),
-                    tag,
-                    shared.cfg.max_frame_bytes,
-                ) {
-                    Ok(f) => f,
-                    Err(e) => {
-                        checkpoint_on_exit(&mut engine, "malformed frame");
-                        let _ = send(
-                            &mut s,
-                            &[Frame::Error { code: error_code::BAD_FRAME, message: e.to_string() }],
-                        );
-                        return;
-                    }
-                };
-                match engine.handle(frame) {
-                    Ok(replies) => {
-                        let done = engine.finished();
-                        if send(&mut s, &replies).is_err() && !done {
-                            checkpoint_on_exit(&mut engine, "client lost mid-reply");
-                            return;
-                        }
-                        if done {
-                            eprintln!(
-                                "session {} '{}' finished ({} events)",
-                                engine.session_id(),
-                                engine.name(),
-                                engine.metrics().events
-                            );
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        checkpoint_on_exit(&mut engine, "protocol misuse");
-                        let _ = send(&mut s, &[e.to_frame()]);
-                        return;
-                    }
-                }
             }
             Err(_) => {
                 checkpoint_on_exit(&mut engine, "read error");
                 return;
             }
         }
-    }
-}
-
-fn read_one<S: Conn>(s: &mut S, shared: &Shared, stop: &AtomicBool) -> Option<Frame> {
-    match poll_byte(s, stop, None) {
-        Ok(Poll::Byte(tag)) => {
-            protocol::resume_frame(&mut Retry(s), tag, shared.cfg.max_frame_bytes).ok()
-        }
-        _ => None,
     }
 }
 

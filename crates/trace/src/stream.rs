@@ -58,7 +58,8 @@ impl FrameChunker {
     /// Accepts one event. Returns the frames that became ready: zero or
     /// one `Chunk` flush, followed by the event's own frame when it is
     /// not an access.
-    pub fn push(&mut self, ev: TraceEvent) -> Vec<Frame> {
+    #[inline]
+    pub fn push(&mut self, ev: TraceEvent) -> ReadyFrames {
         match ev {
             TraceEvent::Access(a) => {
                 if self.pending.is_empty() {
@@ -66,20 +67,14 @@ impl FrameChunker {
                 }
                 self.pending.push(a);
                 self.pos += 1;
-                if self.pending.len() >= self.capacity {
-                    vec![self.take_chunk().expect("pending chunk is non-empty")]
-                } else {
-                    Vec::new()
-                }
+                let full = self.pending.len() >= self.capacity;
+                ReadyFrames { chunk: if full { self.take_pending() } else { None }, event: None }
             }
             other => {
-                let mut out = Vec::with_capacity(2);
-                if let Some(chunk) = self.take_chunk() {
-                    out.push(chunk);
-                }
-                out.push(Frame::LoopEvent { seq: self.pos, ev: other });
+                let chunk = self.take_pending();
+                let event = Some((self.pos, other));
                 self.pos += 1;
-                out
+                ReadyFrames { chunk, event }
             }
         }
     }
@@ -87,7 +82,7 @@ impl FrameChunker {
     /// Flushes any buffered accesses (call at end of stream, or before a
     /// `Sync`/`Finish`).
     pub fn flush(&mut self) -> Option<Frame> {
-        self.take_chunk()
+        self.take_pending().map(|(base, accesses)| Frame::Chunk { base, accesses })
     }
 
     /// Accesses currently buffered.
@@ -95,15 +90,35 @@ impl FrameChunker {
         self.pending.len()
     }
 
-    fn take_chunk(&mut self) -> Option<Frame> {
+    /// The buffered accesses and the stream index of the first, if any.
+    fn take_pending(&mut self) -> Option<(u64, Vec<MemAccess>)> {
         if self.pending.is_empty() {
             None
         } else {
-            Some(Frame::Chunk {
-                base: self.chunk_base,
-                accesses: std::mem::take(&mut self.pending),
-            })
+            Some((self.chunk_base, std::mem::take(&mut self.pending)))
         }
+    }
+}
+
+/// The zero to two frames one [`FrameChunker::push`] made ready, in wire
+/// order. Held inline — and small: just the parts of the `Chunk` and
+/// `LoopEvent` frames it will yield — so pushing an event allocates
+/// nothing and the common "no frame yet" answer is two empty options.
+#[derive(Debug)]
+pub struct ReadyFrames {
+    chunk: Option<(u64, Vec<MemAccess>)>,
+    event: Option<(u64, TraceEvent)>,
+}
+
+impl Iterator for ReadyFrames {
+    type Item = Frame;
+
+    #[inline]
+    fn next(&mut self) -> Option<Frame> {
+        if let Some((base, accesses)) = self.chunk.take() {
+            return Some(Frame::Chunk { base, accesses });
+        }
+        self.event.take().map(|(seq, ev)| Frame::LoopEvent { seq, ev })
     }
 }
 

@@ -63,7 +63,7 @@
 use crate::access::MemAccess;
 use crate::event::TraceEvent;
 use crate::loc::SourceLoc;
-use crate::wire::{read_section, write_section, ByteReader, ByteWriter, WireError};
+use crate::wire::{xor_fold, ByteReader, ByteWriter, WireError};
 use crate::AccessKind;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -83,7 +83,9 @@ pub const MAX_FRAME_BYTES: usize = 4 << 20;
 
 const TAG_HELLO: u8 = 1;
 const TAG_HELLO_ACK: u8 = 2;
-const TAG_CHUNK: u8 = 3;
+/// Wire tag of [`Frame::Chunk`] — public so a receiver can route a raw
+/// `(tag, payload)` pair to [`ChunkView`] without building a [`Frame`].
+pub const TAG_CHUNK: u8 = 3;
 const TAG_LOOP_EVENT: u8 = 4;
 const TAG_SYNC: u8 = 5;
 const TAG_FINISH: u8 = 6;
@@ -308,20 +310,63 @@ fn put_access(w: &mut ByteWriter, a: &MemAccess) {
     w.u16(a.thread);
 }
 
-fn get_access(r: &mut ByteReader<'_>) -> Result<MemAccess, WireError> {
-    let kind = match r.u8()? {
-        0 => AccessKind::Read,
-        1 => AccessKind::Write,
-        _ => return Err(WireError::Invalid("access kind byte must be 0 or 1")),
-    };
-    Ok(MemAccess {
-        addr: r.u64()?,
-        ts: r.u64()?,
-        loc: SourceLoc::unpack(r.u32()?),
-        var: r.u32()?,
-        thread: r.u16()?,
-        kind,
-    })
+/// A `Chunk` payload validated in place: the access count matches the
+/// payload size and every kind byte is 0 or 1, so [`ChunkView::accesses`]
+/// decodes straight from the borrowed bytes and cannot fail part-way —
+/// a receiver either feeds the whole chunk or rejects it untouched.
+#[derive(Debug, Clone, Copy)]
+pub struct ChunkView<'a> {
+    base: u64,
+    body: &'a [u8],
+}
+
+impl<'a> ChunkView<'a> {
+    /// Validates a `Chunk` frame's payload without copying it.
+    pub fn parse(payload: &'a [u8]) -> Result<Self, WireError> {
+        let mut r = ByteReader::new(payload);
+        let base = r.u64()?;
+        let n = r.u32()? as usize;
+        let body = r.take(r.remaining())?;
+        if n.checked_mul(ACCESS_WIRE_BYTES) != Some(body.len()) {
+            return Err(WireError::Invalid("access count does not match payload size"));
+        }
+        if body.chunks_exact(ACCESS_WIRE_BYTES).any(|a| a[0] > 1) {
+            return Err(WireError::Invalid("access kind byte must be 0 or 1"));
+        }
+        Ok(ChunkView { base, body })
+    }
+
+    /// Absolute stream index of the first access.
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// Number of accesses in the chunk.
+    pub fn len(&self) -> usize {
+        self.body.len() / ACCESS_WIRE_BYTES
+    }
+
+    /// True for a chunk carrying no accesses.
+    pub fn is_empty(&self) -> bool {
+        self.body.is_empty()
+    }
+
+    /// The accesses, decoded one at a time from the borrowed payload.
+    pub fn accesses(&self) -> impl Iterator<Item = MemAccess> + 'a {
+        self.body.chunks_exact(ACCESS_WIRE_BYTES).map(|a| {
+            let a: &[u8; ACCESS_WIRE_BYTES] = a.try_into().expect("chunks_exact yields 27 bytes");
+            let le64 = |at: usize| u64::from_le_bytes(a[at..at + 8].try_into().expect("8 bytes"));
+            let le32 = |at: usize| u32::from_le_bytes(a[at..at + 4].try_into().expect("4 bytes"));
+            MemAccess {
+                kind: if a[0] == 0 { AccessKind::Read } else { AccessKind::Write },
+                addr: le64(1),
+                ts: le64(9),
+                loc: SourceLoc::unpack(le32(17)),
+                var: le32(21),
+                thread: u16::from_le_bytes([a[25], a[26]]),
+            }
+        })
+    }
 }
 
 // LoopEvent sub-tags (accesses travel in Chunk frames, never here).
@@ -437,10 +482,35 @@ impl Frame {
         }
     }
 
-    /// Encodes the payload (everything between the length prefix and the
-    /// checksum). Fails only for a [`Frame::LoopEvent`] holding an access.
-    pub fn encode_payload(&self) -> Result<Vec<u8>, WireError> {
-        let mut w = ByteWriter::new();
+    /// Appends the frame's wire form — `tag | len | payload | checksum` —
+    /// to `out` in place: the length is patched once the payload is
+    /// written and the checksum folded over the bytes just appended, so
+    /// encoding into a buffer with spare capacity allocates nothing.
+    /// Fails only for a [`Frame::LoopEvent`] holding an access, leaving
+    /// `out` as it was.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+        let start = out.len();
+        if let Frame::Chunk { accesses, .. } = self {
+            // header + base + count + accesses + checksum, in one growth
+            out.reserve(FRAME_OVERHEAD_BYTES + 8 + 4 + accesses.len() * ACCESS_WIRE_BYTES);
+        }
+        let mut w = ByteWriter::from_bytes(std::mem::take(out));
+        w.u8(self.tag());
+        w.u32(0);
+        let written = self.put_payload(&mut w);
+        *out = w.into_bytes();
+        if let Err(e) = written {
+            out.truncate(start);
+            return Err(e);
+        }
+        let payload_at = start + FRAME_HEADER_BYTES;
+        let len = (out.len() - payload_at) as u32;
+        out[start + 1..payload_at].copy_from_slice(&len.to_le_bytes());
+        out.push(xor_fold(self.tag(), &out[payload_at..]));
+        Ok(())
+    }
+
+    fn put_payload(&self, w: &mut ByteWriter) -> Result<(), WireError> {
         match self {
             Frame::Hello(h) => {
                 w.blob(h.session.as_bytes());
@@ -459,12 +529,12 @@ impl Frame {
                 w.u64(*base);
                 w.u32(accesses.len() as u32);
                 for a in accesses {
-                    put_access(&mut w, a);
+                    put_access(w, a);
                 }
             }
             Frame::LoopEvent { seq, ev } => {
                 w.u64(*seq);
-                put_event(&mut w, ev)?;
+                put_event(w, ev)?;
             }
             Frame::Sync { nonce } => w.u64(*nonce),
             Frame::Finish | Frame::StatsRequest => {}
@@ -489,7 +559,7 @@ impl Frame {
                 w.blob(json.as_bytes());
             }
         }
-        Ok(w.into_bytes())
+        Ok(())
     }
 
     /// Decodes a frame from its tag and payload. Every malformation is a
@@ -517,16 +587,11 @@ impl Frame {
             }
             TAG_HELLO_ACK => Frame::HelloAck { session_id: r.u64()?, resume_from: r.u64()? },
             TAG_CHUNK => {
-                let base = r.u64()?;
-                let n = r.u32()? as usize;
-                if n.saturating_mul(ACCESS_WIRE_BYTES) > r.remaining() {
-                    return Err(WireError::Invalid("access count exceeds payload size").into());
-                }
-                let mut accesses = Vec::with_capacity(n);
-                for _ in 0..n {
-                    accesses.push(get_access(&mut r)?);
-                }
-                Frame::Chunk { base, accesses }
+                let chunk = ChunkView::parse(payload)?;
+                return Ok(Frame::Chunk {
+                    base: chunk.base(),
+                    accesses: chunk.accesses().collect(),
+                });
             }
             TAG_LOOP_EVENT => Frame::LoopEvent { seq: r.u64()?, ev: get_event(&mut r)? },
             TAG_SYNC => Frame::Sync { nonce: r.u64()? },
@@ -553,22 +618,30 @@ impl Frame {
 /// Bytes one access occupies inside a `Chunk` payload.
 pub const ACCESS_WIRE_BYTES: usize = 1 + 8 + 8 + 4 + 4 + 2;
 
+/// Bytes before a frame's payload: tag + length prefix.
+const FRAME_HEADER_BYTES: usize = 1 + 4;
+/// Bytes a frame adds around its payload: header + checksum.
+const FRAME_OVERHEAD_BYTES: usize = FRAME_HEADER_BYTES + 1;
+
 /// Writes the connection preamble (`DPSV` + version).
 pub fn write_preamble(w: &mut impl Write) -> io::Result<()> {
     w.write_all(&PROTOCOL_MAGIC)?;
     w.write_all(&[PROTOCOL_VERSION])
 }
 
+/// EOF inside a preamble or frame is a torn stream, not an I/O failure.
+fn eof_is_torn(e: io::Error) -> ProtocolError {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        ProtocolError::Wire(WireError::Truncated)
+    } else {
+        ProtocolError::Io(e)
+    }
+}
+
 /// Reads and validates the peer's preamble.
 pub fn read_preamble(r: &mut impl Read) -> Result<(), ProtocolError> {
     let mut hdr = [0u8; 5];
-    r.read_exact(&mut hdr).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ProtocolError::Wire(WireError::Truncated)
-        } else {
-            ProtocolError::Io(e)
-        }
-    })?;
+    r.read_exact(&mut hdr).map_err(eof_is_torn)?;
     if hdr[..4] != PROTOCOL_MAGIC {
         return Err(ProtocolError::BadMagic);
     }
@@ -578,71 +651,169 @@ pub fn read_preamble(r: &mut impl Read) -> Result<(), ProtocolError> {
     Ok(())
 }
 
-/// Writes one frame (section framing + checksum) to the stream.
+/// Writes one frame to the stream: [`Frame::encode_into`] a scratch
+/// buffer, one `write_all`.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), ProtocolError> {
-    let payload = frame.encode_payload()?;
-    let mut out = ByteWriter::new();
-    write_section(&mut out, frame.tag(), &payload);
-    w.write_all(&out.into_bytes())?;
+    let mut buf = Vec::with_capacity(64);
+    frame.encode_into(&mut buf)?;
+    w.write_all(&buf)?;
     Ok(())
 }
 
-/// Reads one frame from the stream, bounding the payload at `max_bytes`.
+/// The reader's effective payload bound for a configured `max_bytes`.
+fn payload_bound(max_bytes: usize) -> usize {
+    MAX_FRAME_BYTES.min(max_bytes.max(1))
+}
+
+/// Checks a frame's trailing checksum byte against its tag and payload —
+/// the same fold, and the same typed error, as a damaged checkpoint
+/// section ([`crate::wire::read_section`]).
+fn verify_checksum(tag: u8, payload: &[u8], sum: u8) -> Result<(), WireError> {
+    if xor_fold(tag, payload) == sum {
+        Ok(())
+    } else {
+        Err(WireError::Checksum { offset: 0 })
+    }
+}
+
+/// Reads exactly one frame from the stream, bounding the payload at
+/// `max_bytes`, and consumes nothing past it — for the low-rate reply
+/// path, where the next bytes may belong to someone else. A receiver of
+/// a frame *stream* reads ahead with a [`FrameReader`] instead.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream (EOF at a frame
 /// boundary); EOF inside a frame is a typed
 /// [`WireError::Truncated`] — the network analogue of the trace
 /// format's torn-record classification.
 pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> Result<Option<Frame>, ProtocolError> {
-    let mut head = [0u8; 5];
+    let mut head = [0u8; FRAME_HEADER_BYTES];
     match r.read_exact(&mut head[..1]) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e.into()),
     }
-    read_mid_frame(r, &mut head, max_bytes).map(Some)
-}
-
-/// Reads the remainder of a frame whose tag byte was already consumed —
-/// for servers that poll the first byte with a read timeout (to observe
-/// a shutdown flag between frames) and then finish the frame blocking.
-pub fn resume_frame(r: &mut impl Read, tag: u8, max_bytes: usize) -> Result<Frame, ProtocolError> {
-    let mut head = [0u8; 5];
-    head[0] = tag;
-    read_mid_frame(r, &mut head, max_bytes)
-}
-
-fn read_mid_frame(
-    r: &mut impl Read,
-    head: &mut [u8; 5],
-    max_bytes: usize,
-) -> Result<Frame, ProtocolError> {
-    let eof_is_torn = |e: io::Error| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            ProtocolError::Wire(WireError::Truncated)
-        } else {
-            ProtocolError::Io(e)
-        }
-    };
     r.read_exact(&mut head[1..]).map_err(eof_is_torn)?;
     let tag = head[0];
-    let len = u32::from_le_bytes(head[1..].try_into().unwrap()) as usize;
-    let max = MAX_FRAME_BYTES.min(max_bytes.max(1));
+    let len = u32::from_le_bytes(head[1..].try_into().expect("four length bytes")) as usize;
+    let max = payload_bound(max_bytes);
     if len > max {
         return Err(ProtocolError::FrameTooLarge { len, max });
     }
     let mut body = vec![0u8; len + 1]; // payload + checksum byte
     r.read_exact(&mut body).map_err(eof_is_torn)?;
-    // Re-assemble the section and run it through the shared validator so
-    // frame and checkpoint-section corruption take the same code path.
-    let mut section = ByteWriter::new();
-    section.u8(tag);
-    section.u32(len as u32);
-    section.bytes(&body);
-    let bytes = section.into_bytes();
-    let mut reader = ByteReader::new(&bytes);
-    let (tag, payload) = read_section(&mut reader)?;
-    Frame::decode(tag, payload)
+    let (payload, sum) = body.split_at(len);
+    verify_checksum(tag, payload, sum[0])?;
+    Frame::decode(tag, payload).map(Some)
+}
+
+/// Initial size of a [`FrameReader`]'s buffer: what one `read` can bring
+/// in. Several full 512-access chunks, or ~900 two-access ones.
+const READ_AHEAD_BYTES: usize = 64 << 10;
+
+/// The receiving end of a frame stream: one read-ahead buffer, filled
+/// with one `read` per [`fill`](FrameReader::fill), handing out whole
+/// checksum-verified frames as slices borrowed from it.
+///
+/// Reading and parsing are separate calls so the owner decides when to
+/// block: drain [`next_frame`](FrameReader::next_frame) until it returns
+/// `None`, then `fill`. A transport error — including a read timeout —
+/// comes back from `fill` with every buffered byte kept, so a frame that
+/// arrives in pieces across timeouts is never torn.
+#[derive(Debug)]
+pub struct FrameReader {
+    buf: Vec<u8>,
+    /// First unconsumed byte.
+    start: usize,
+    /// One past the last byte read.
+    end: usize,
+    /// Bytes from `start` the next parse step needs; `fill` makes room
+    /// for them, growing the buffer only past its initial size for a
+    /// single frame larger than that.
+    need: usize,
+    max: usize,
+}
+
+impl FrameReader {
+    /// A reader rejecting frames whose payload exceeds `max_frame_bytes`
+    /// (itself capped at [`MAX_FRAME_BYTES`]).
+    pub fn new(max_frame_bytes: usize) -> Self {
+        FrameReader {
+            buf: vec![0; READ_AHEAD_BYTES],
+            start: 0,
+            end: 0,
+            need: FRAME_HEADER_BYTES,
+            max: payload_bound(max_frame_bytes),
+        }
+    }
+
+    /// Bytes read but not yet handed out (a partial frame, after
+    /// [`next_frame`](FrameReader::next_frame) returned `None`).
+    pub fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Issues one `read` into the buffer's free space and returns its
+    /// result: `Ok(0)` is end-of-stream, an error leaves the buffer as it
+    /// was. Call only after the parse step returned "need more bytes".
+    pub fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.start + self.need > self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.need > self.buf.len() {
+            self.buf.resize(self.need, 0);
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Consumes the connection preamble once its five bytes are
+    /// buffered. `Ok(false)` means more bytes are needed.
+    pub fn preamble(&mut self) -> Result<bool, ProtocolError> {
+        let avail = &self.buf[self.start..self.end];
+        if avail.len() < PROTOCOL_MAGIC.len() + 1 {
+            self.need = PROTOCOL_MAGIC.len() + 1;
+            return Ok(false);
+        }
+        read_preamble(&mut &avail[..])?;
+        self.start += PROTOCOL_MAGIC.len() + 1;
+        self.need = FRAME_HEADER_BYTES;
+        Ok(true)
+    }
+
+    /// Hands out the next whole frame as `(tag, payload)`, checksum
+    /// verified; `Ok(None)` means the buffer ends inside the frame (or is
+    /// empty) and wants a [`fill`](FrameReader::fill). An oversized
+    /// length prefix is rejected as soon as the header is in, before any
+    /// room is made for the payload.
+    pub fn next_frame(&mut self) -> Result<Option<(u8, &[u8])>, ProtocolError> {
+        let avail = &self.buf[self.start..self.end];
+        if avail.len() < FRAME_HEADER_BYTES {
+            self.need = FRAME_HEADER_BYTES;
+            return Ok(None);
+        }
+        let tag = avail[0];
+        let len = u32::from_le_bytes(avail[1..FRAME_HEADER_BYTES].try_into().expect("four bytes"))
+            as usize;
+        if len > self.max {
+            return Err(ProtocolError::FrameTooLarge { len, max: self.max });
+        }
+        let total = len + FRAME_OVERHEAD_BYTES;
+        if avail.len() < total {
+            self.need = total;
+            return Ok(None);
+        }
+        let payload = &avail[FRAME_HEADER_BYTES..total - 1];
+        verify_checksum(tag, payload, avail[total - 1])?;
+        self.start += total;
+        self.need = FRAME_HEADER_BYTES;
+        Ok(Some((tag, payload)))
+    }
 }
 
 #[cfg(test)]
@@ -777,25 +948,65 @@ mod tests {
     }
 
     #[test]
+    fn reader_compacts_and_grows_only_for_a_single_large_frame() {
+        let chunk = |base: u64, n: u64| Frame::Chunk {
+            base,
+            accesses: (0..n).map(|i| MemAccess::read(8 * i, i, loc(1, 1), 0, 0)).collect(),
+        };
+        // ~27 KB frames straddle the 64 KiB buffer's end (compaction); the
+        // ~108 KB one exceeds it (growth); the Sync after it must survive.
+        let mut frames: Vec<Frame> = (0..10).map(|i| chunk(i * 1000, 1000)).collect();
+        frames.push(chunk(10_000, 4000));
+        frames.push(Frame::Sync { nonce: 1 });
+        let mut wire = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut wire).unwrap();
+        }
+        let mut src = &wire[..];
+        let mut reader = FrameReader::new(MAX_FRAME_BYTES);
+        let mut got = Vec::new();
+        loop {
+            while let Some((tag, payload)) = reader.next_frame().unwrap() {
+                got.push(Frame::decode(tag, payload).unwrap());
+            }
+            if reader.fill(&mut src).unwrap() == 0 {
+                break;
+            }
+        }
+        assert_eq!(got, frames);
+        assert_eq!(reader.buffered(), 0);
+
+        // The payload bound is checked as soon as the header is in.
+        let mut small = FrameReader::new(1024);
+        small.fill(&mut &wire[..]).unwrap();
+        assert!(matches!(
+            small.next_frame(),
+            Err(ProtocolError::FrameTooLarge { len: 27_012, max: 1024 })
+        ));
+    }
+
+    #[test]
     fn access_in_loop_event_is_rejected() {
         let f = Frame::LoopEvent {
             seq: 0,
             ev: TraceEvent::Access(MemAccess::read(8, 1, loc(1, 1), 0, 0)),
         };
-        assert!(f.encode_payload().is_err());
+        let mut out = vec![0xAA];
+        assert!(f.encode_into(&mut out).is_err());
+        assert_eq!(out, [0xAA], "a rejected frame leaves the buffer as it was");
     }
 
     #[test]
     fn unknown_tag_is_typed() {
         let mut out = ByteWriter::new();
-        write_section(&mut out, 200, b"whatever");
+        crate::wire::write_section(&mut out, 200, b"whatever");
         let got = read_frame(&mut &out.into_bytes()[..], MAX_FRAME_BYTES);
         assert!(matches!(got, Err(ProtocolError::UnknownFrame { tag: 200 })), "{got:?}");
     }
 
     #[test]
     fn trailing_payload_bytes_are_rejected() {
-        let mut payload = Frame::Sync { nonce: 3 }.encode_payload().unwrap();
+        let mut payload = 3u64.to_le_bytes().to_vec();
         payload.push(0);
         assert!(matches!(
             Frame::decode(TAG_SYNC, &payload),

@@ -62,6 +62,12 @@ impl ByteWriter {
         ByteWriter { buf: Vec::new() }
     }
 
+    /// A writer that appends to `buf` — with [`ByteWriter::into_bytes`],
+    /// the way to encode into a caller's reused buffer without copying.
+    pub fn from_bytes(buf: Vec<u8>) -> Self {
+        ByteWriter { buf }
+    }
+
     /// Appends one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);

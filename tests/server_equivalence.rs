@@ -199,3 +199,157 @@ fn at_capacity_is_a_typed_refusal() {
     STOP.store(true, Ordering::SeqCst);
     handle.join().unwrap();
 }
+
+/// A small stream with a loop event in the middle, its name table, and
+/// the report an offline serial session renders for it.
+fn two_chunk_stream(spec: &SessionSpec) -> (Vec<TraceEvent>, Vec<String>, String) {
+    use depprof::types::{loc::loc, MemAccess};
+    let access = |i: u64| {
+        let addr = 0x100 + (i % 7) * 8;
+        TraceEvent::Access(if i.is_multiple_of(3) {
+            MemAccess::write(addr, i + 1, loc(1, 4), 1, 0)
+        } else {
+            MemAccess::read(addr, i + 1, loc(1, 5), 1, 0)
+        })
+    };
+    let mut events: Vec<TraceEvent> = (0..40).map(access).collect();
+    events.push(TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 3), thread: 0, ts: 41 });
+    events.extend((41..80).map(access));
+    let names = vec!["*".to_string(), "x".to_string()];
+    let mut interner = Interner::new();
+    for n in &names {
+        interner.intern(n);
+    }
+    let expected = report::render(&offline(spec, &events), &interner, false);
+    (events, names, expected)
+}
+
+/// The server reads ahead but acts frame by frame: a whole session
+/// arriving in one write — preamble, `Hello`, `Chunk`, `LoopEvent`,
+/// `Sync`, `Chunk`, `Finish` in one TCP segment — is handled
+/// completely, the replies come back in order, and the report is the
+/// offline one byte for byte.
+#[test]
+fn one_segment_holding_a_whole_session_is_handled_in_order() {
+    use depprof::types::protocol::{self, MAX_FRAME_BYTES};
+    use std::io::Write;
+    static STOP: AtomicBool = AtomicBool::new(false);
+
+    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run(&STOP).unwrap());
+
+    let spec = SessionSpec { slots: 1 << 12, ..SessionSpec::default() };
+    let (events, names, expected) = two_chunk_stream(&spec);
+    let mut segment = Vec::new();
+    protocol::write_preamble(&mut segment).unwrap();
+    let hello =
+        Hello { session: "one-seg".into(), spec: spec.encode(), checkpoint_every: 0, names };
+    let mut chunker = FrameChunker::new(512);
+    let mut frames = vec![Frame::Hello(hello)];
+    for ev in &events[..41] {
+        frames.extend(chunker.push(*ev));
+    }
+    frames.push(Frame::Sync { nonce: 77 });
+    for ev in &events[41..] {
+        frames.extend(chunker.push(*ev));
+    }
+    frames.extend(chunker.flush());
+    frames.push(Frame::Finish);
+    let kinds: Vec<u8> = frames.iter().map(Frame::tag).collect();
+    assert_eq!(kinds, [1, 3, 4, 5, 3, 6], "Hello Chunk LoopEvent Sync Chunk Finish");
+    for f in &frames {
+        f.encode_into(&mut segment).unwrap();
+    }
+
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    conn.write_all(&segment).unwrap();
+    protocol::read_preamble(&mut conn).unwrap();
+    let reply = || protocol::read_frame(&mut &conn, MAX_FRAME_BYTES).unwrap();
+    assert!(matches!(reply(), Some(Frame::HelloAck { resume_from: 0, .. })));
+    assert_eq!(reply(), Some(Frame::SyncAck { nonce: 77, position: 41 }));
+    assert_eq!(reply(), Some(Frame::Report { text: expected }));
+    assert_eq!(reply(), None, "the server closes after the report");
+
+    STOP.store(true, Ordering::SeqCst);
+    handle.join().unwrap();
+}
+
+/// A client that sends half a frame and goes silent must not pin its
+/// connection thread: on shutdown the session is checkpointed at the
+/// last whole frame, the partial one is dropped, and `Server::run`
+/// returns.
+#[test]
+fn client_stalled_mid_frame_does_not_hang_shutdown() {
+    use depprof::core::CheckpointStore;
+    use depprof::types::protocol::{self, MAX_FRAME_BYTES};
+    use std::io::Write;
+    use std::time::Duration;
+    static STOP: AtomicBool = AtomicBool::new(false);
+
+    let dir = std::env::temp_dir().join(format!("dpsv-stall-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig {
+        checkpoint_dir: Some(dir.clone()),
+        poll_interval_ms: 5,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind_tcp("127.0.0.1:0", cfg).unwrap();
+    let addr = server.local_addr().unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        server.run(&STOP).unwrap();
+        let _ = done_tx.send(());
+    });
+
+    let spec = SessionSpec { slots: 1 << 12, ..SessionSpec::default() };
+    let (events, names, _) = two_chunk_stream(&spec);
+    let mut chunker = FrameChunker::new(512);
+    let mut frames: Vec<Frame> = events.iter().flat_map(|ev| chunker.push(*ev)).collect();
+    frames.extend(chunker.flush());
+    let [first, loop_event, ..] = &frames[..] else { panic!("chunk, loop event, chunk") };
+    let Frame::Chunk { accesses, .. } = first else { panic!("stream starts with a chunk") };
+    let first_len = accesses.len() as u64;
+
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    let mut out = Vec::new();
+    protocol::write_preamble(&mut out).unwrap();
+    // An interval longer than the stream: durable, but every checkpoint
+    // written is an emergency one.
+    let hello =
+        Hello { session: "stall".into(), spec: spec.encode(), checkpoint_every: 1000, names };
+    Frame::Hello(hello).encode_into(&mut out).unwrap();
+    first.encode_into(&mut out).unwrap();
+    // The Sync's ack proves the chunk was consumed before anything below.
+    Frame::Sync { nonce: 1 }.encode_into(&mut out).unwrap();
+    conn.write_all(&out).unwrap();
+    protocol::read_preamble(&mut conn).unwrap();
+    let reply = || protocol::read_frame(&mut &conn, MAX_FRAME_BYTES).unwrap();
+    assert!(matches!(reply(), Some(Frame::HelloAck { .. })));
+    assert_eq!(reply(), Some(Frame::SyncAck { nonce: 1, position: first_len }));
+
+    // Seven bytes of the next frame — its header and two of payload —
+    // then silence.
+    let mut next = Vec::new();
+    loop_event.encode_into(&mut next).unwrap();
+    (&conn).write_all(&next[..7]).unwrap();
+    // Not needed to pass: it lets the server take the bytes in, the state
+    // in which a handler that finishes frames with blocking reads hangs.
+    std::thread::sleep(Duration::from_millis(50));
+
+    STOP.store(true, Ordering::SeqCst);
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("Server::run must return while a client sits mid-frame");
+    handle.join().unwrap();
+    assert!(matches!(
+        reply(),
+        Some(Frame::Error { code: depprof::types::protocol::error_code::SHUTDOWN, .. })
+    ));
+
+    let checkpoint = CheckpointStore::open(dir.join("stall")).load_latest().unwrap();
+    assert_eq!(checkpoint.records_read, first_len, "checkpointed at the last whole frame");
+    let _ = std::fs::remove_dir_all(&dir);
+}

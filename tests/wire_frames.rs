@@ -10,9 +10,10 @@
 //! code path.
 
 use depprof::core::checkpoint::CheckpointData;
-use depprof::types::protocol::{self, Frame, Hello, ProtocolError, MAX_FRAME_BYTES};
+use depprof::types::protocol::{self, Frame, FrameReader, Hello, ProtocolError, MAX_FRAME_BYTES};
 use depprof::types::{loc::loc, AccessKind, MemAccess, TraceEvent};
 use proptest::prelude::*;
+use std::io::{self, Read};
 
 // ---------------------------------------------------------------------
 // Strategies
@@ -86,6 +87,189 @@ fn encode_frame(f: &Frame) -> Vec<u8> {
     buf
 }
 
+// ---------------------------------------------------------------------
+// Two readers, one answer
+// ---------------------------------------------------------------------
+
+/// A transport that delivers `data` the way a socket with a read timeout
+/// may: in pieces of seeded random size, with a timeout (`WouldBlock`)
+/// possible before any byte. `piece` bounds the piece size; 0 disables
+/// fragmenting and timeouts.
+struct Fragmented<'a> {
+    data: &'a [u8],
+    piece: usize,
+    rng: u64,
+}
+
+impl Read for Fragmented<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let mut want = buf.len();
+        if self.piece > 0 {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            if self.rng.is_multiple_of(3) {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            want = want.min((self.rng >> 8) as usize % self.piece + 1);
+        }
+        let n = want.min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// What a reader made of a byte stream: the frames it yielded, then how
+/// the stream ended (`None` = clean end at a frame boundary).
+type Outcome = (Vec<Frame>, Option<String>);
+
+fn read_by_frame(mut bytes: &[u8], max: usize) -> Outcome {
+    let mut frames = Vec::new();
+    loop {
+        match protocol::read_frame(&mut bytes, max) {
+            Ok(Some(f)) => frames.push(f),
+            Ok(None) => return (frames, None),
+            Err(e) => return (frames, Some(format!("{e:?}"))),
+        }
+    }
+}
+
+/// Drives a [`FrameReader`] the way the connection handler does: drain
+/// every buffered frame, then one `fill`; a timeout goes round again.
+fn read_ahead(src: &mut impl Read, max: usize) -> Outcome {
+    let mut reader = FrameReader::new(max);
+    let mut frames = Vec::new();
+    loop {
+        loop {
+            match reader.next_frame().and_then(|f| match f {
+                Some((tag, payload)) => Frame::decode(tag, payload).map(Some),
+                None => Ok(None),
+            }) {
+                Ok(Some(f)) => frames.push(f),
+                Ok(None) => break,
+                Err(e) => return (frames, Some(format!("{e:?}"))),
+            }
+        }
+        match reader.fill(src) {
+            Ok(0) if reader.buffered() == 0 => return (frames, None),
+            Ok(0) => {
+                let torn = ProtocolError::Wire(depprof::types::WireError::Truncated);
+                return (frames, Some(format!("{torn:?}")));
+            }
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+            Err(e) => return (frames, Some(format!("{e:?}"))),
+        }
+    }
+}
+
+/// Reads `bytes` frame by frame with `read_frame`, and with a
+/// `FrameReader` fed whole, byte by byte, and in random short reads with
+/// timeouts between them. All four must yield the same frames and end
+/// the same way — same error, after the same frame. Returns that answer.
+fn read_all_ways(bytes: &[u8], max: usize) -> Outcome {
+    let expect = read_by_frame(bytes, max);
+    let seed = bytes.iter().fold(0x9e37_79b9_7f4a_7c15u64, |h, b| h.rotate_left(5) ^ u64::from(*b));
+    for piece in [0, 1, 24] {
+        let got = read_ahead(&mut Fragmented { data: bytes, piece, rng: seed | 1 }, max);
+        assert_eq!(
+            got, expect,
+            "FrameReader fed in pieces of <= {piece} disagrees with read_frame"
+        );
+    }
+    expect
+}
+
+/// `write_frame`'s output for one frame of every kind, recorded at the
+/// commit before `encode_into` existed: the wire format is pinned, not
+/// merely self-consistent.
+#[test]
+fn encoding_matches_the_recorded_wire_bytes() {
+    let golden: Vec<(Frame, &str)> = vec![
+        (
+            Frame::Hello(Hello {
+                session: "s1".into(),
+                spec: vec![1, 2, 3],
+                checkpoint_every: 1000,
+                names: vec!["*".into(), "alpha".into()],
+            }),
+            "012700000002000000733103000000010203e80300000000000002000000010000002a05000000616c706861f1",
+        ),
+        (Frame::HelloAck { session_id: 42, resume_from: 12_345 }, "02100000002a00000000000000393000000000000021"),
+        (
+            Frame::Chunk {
+                base: 1_000_000,
+                accesses: vec![
+                    MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 1),
+                    MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 2),
+                ],
+            },
+            "034200000040420f00000000000200000001efbeadde0000000003000000000000003c00000207000000010000efbeadde0000000004000000000000003d00000207000000020008",
+        ),
+        (Frame::Chunk { base: 5, accesses: vec![] }, "030c00000005000000000000000000000006"),
+        (
+            Frame::LoopEvent {
+                seq: 11,
+                ev: TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
+            },
+            "041b0000000b0000000000000002030000000a0000010000010000000000000004",
+        ),
+        (
+            Frame::LoopEvent {
+                seq: 12,
+                ev: TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 },
+            },
+            "041f0000000c00000000000000030300000009000000000000000000020000000000000003",
+        ),
+        (
+            Frame::LoopEvent {
+                seq: 13,
+                ev: TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 10, thread: 0, ts: 3 },
+            },
+            "04230000000d000000000000000403000000140000010a000000000000000000030000000000000012",
+        ),
+        (
+            Frame::LoopEvent { seq: 14, ev: TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 } },
+            "04170000000e000000000000000505000000010004000000000000000f",
+        ),
+        (
+            Frame::LoopEvent { seq: 15, ev: TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 } },
+            "04170000000f000000000000000605000000010005000000000000000c",
+        ),
+        (
+            Frame::LoopEvent {
+                seq: 16,
+                ev: TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 },
+            },
+            "0423000000100000000000000007000100000000000040000000000000000000060000000000000054",
+        ),
+        (Frame::Sync { nonce: 7 }, "0508000000070000000000000002"),
+        (Frame::Finish, "060000000006"),
+        (Frame::StatsRequest, "070000000007"),
+        (Frame::Stats { json: "{\"events\":1}".into() }, "08100000000c0000007b226576656e7473223a317d16"),
+        (Frame::Report { text: "BGN loop".into() }, "090c0000000800000042474e206c6f6f7076"),
+        (Frame::Error { code: 2, message: "bad".into() }, "0a090000000200030000006261646c"),
+        (Frame::SyncAck { nonce: 7, position: 1_000_002 }, "0b10000000070000000000000042420f000000000003"),
+        (Frame::Busy { retry_after_ms: 250 }, "0c08000000fa00000000000000f6"),
+        (Frame::Query { id: 9, kind: 0 }, "0d0900000009000000000000000004"),
+        (Frame::QueryResult { id: 9, kind: 1, json: "{}".into() }, "0e0f000000090000000000000001020000007b7d02"),
+    ];
+    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    // One shared buffer: every frame is appended after the ones before.
+    let mut stream = Vec::new();
+    let mut expect = String::new();
+    for (frame, want) in &golden {
+        assert_eq!(hex(&encode_frame(frame)), *want, "write_frame({frame:?})");
+        frame.encode_into(&mut stream).expect("well-formed frame encodes");
+        expect.push_str(want);
+        assert_eq!(hex(&stream), expect, "encode_into appended {frame:?}");
+    }
+    let (frames, end) = read_all_ways(&stream, MAX_FRAME_BYTES);
+    assert_eq!(frames, golden.into_iter().map(|(f, _)| f).collect::<Vec<_>>());
+    assert_eq!(end, None);
+}
+
 fn arb_checkpoint() -> impl Strategy<Value = CheckpointData> {
     (
         1u64..1 << 20,
@@ -132,10 +316,7 @@ proptest! {
     #[test]
     fn frames_roundtrip(f in arb_frame()) {
         let buf = encode_frame(&f);
-        let back = protocol::read_frame(&mut buf.as_slice(), MAX_FRAME_BYTES)
-            .expect("well-formed frame decodes")
-            .expect("non-empty stream");
-        prop_assert_eq!(back, f);
+        prop_assert_eq!(read_all_ways(&buf, MAX_FRAME_BYTES), (vec![f], None));
     }
 
     /// A stream cut anywhere strictly inside a frame is a typed error;
@@ -144,11 +325,12 @@ proptest! {
     fn truncated_frames_are_typed((f, raw) in (arb_frame(), any::<u64>())) {
         let buf = encode_frame(&f);
         let cut = (raw as usize) % buf.len();
-        let r = protocol::read_frame(&mut &buf[..cut], MAX_FRAME_BYTES);
+        let (frames, end) = read_all_ways(&buf[..cut], MAX_FRAME_BYTES);
+        prop_assert!(frames.is_empty(), "cut at {cut}/{} yielded {frames:?}", buf.len());
         if cut == 0 {
-            prop_assert!(matches!(r, Ok(None)), "empty stream is a clean EOF: {r:?}");
+            prop_assert!(end.is_none(), "empty stream is a clean EOF: {end:?}");
         } else {
-            prop_assert!(r.is_err(), "cut at {cut}/{} must be typed, got {r:?}", buf.len());
+            prop_assert!(end.is_some(), "cut at {cut}/{} must be a typed error", buf.len());
         }
     }
 
@@ -157,21 +339,18 @@ proptest! {
     /// payload that no longer decodes. Flips inside the length prefix
     /// must still parse without panicking (typed error or, in the
     /// astronomically rare folding coincidence, a different frame) —
-    /// `read_frame` itself running to completion is the property.
+    /// the readers running to completion, in agreement, is the property.
     #[test]
     fn bit_flips_are_caught_or_typed((f, raw, bit) in (arb_frame(), any::<u64>(), 0u8..8)) {
         let mut buf = encode_frame(&f);
         let pos = (raw as usize) % buf.len();
         buf[pos] ^= 1 << bit;
-        let r = protocol::read_frame(&mut buf.as_slice(), MAX_FRAME_BYTES);
+        let (frames, end) = read_all_ways(&buf, MAX_FRAME_BYTES);
         if !len_field_positions(&buf, 0).contains(&pos) {
-            match r {
-                Err(_) => {}
-                Ok(decoded) => prop_assert!(
-                    false,
-                    "flip at byte {pos} bit {bit} went undetected: {decoded:?}"
-                ),
-            }
+            prop_assert!(
+                frames.is_empty() && end.is_some(),
+                "flip at byte {pos} bit {bit} went undetected: {frames:?}"
+            );
         }
     }
 
@@ -184,11 +363,8 @@ proptest! {
         // No payload follows: if the bound check were missing, the
         // parser would try to read (and first allocate) `len` bytes.
         let max = 64 * 1024;
-        let r = protocol::read_frame(&mut buf.as_slice(), max);
-        prop_assert!(
-            matches!(r, Err(ProtocolError::FrameTooLarge { len: l, max: m }) if l == len as usize && m == max),
-            "got {r:?}"
-        );
+        let want = ProtocolError::FrameTooLarge { len: len as usize, max };
+        prop_assert_eq!(read_all_ways(&buf, max), (vec![], Some(format!("{want:?}"))));
     }
 
     /// Unknown frame tags (15+ — v2 tops out at QueryResult = 14) are a
@@ -198,11 +374,32 @@ proptest! {
         let mut w = depprof::types::ByteWriter::new();
         depprof::types::write_section(&mut w, tag, &payload);
         let buf = w.into_bytes();
-        let r = protocol::read_frame(&mut buf.as_slice(), MAX_FRAME_BYTES);
-        prop_assert!(
-            matches!(r, Err(ProtocolError::UnknownFrame { tag: t }) if t == tag),
-            "got {r:?}"
-        );
+        let want = ProtocolError::UnknownFrame { tag };
+        prop_assert_eq!(read_all_ways(&buf, MAX_FRAME_BYTES), (vec![], Some(format!("{want:?}"))));
+    }
+
+    /// A stream of frames reads the same however it is delivered, and a
+    /// stream damaged anywhere — cut short, or one bit flipped — yields
+    /// the same good frames and then the same typed error from both
+    /// readers (`read_all_ways` holds them to each other).
+    #[test]
+    fn frame_streams_read_the_same_however_delivered(
+        (frames, raw, bit) in (prop::collection::vec(arb_frame(), 1..8), any::<u64>(), 0u8..8)
+    ) {
+        let mut buf = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut buf).expect("well-formed frame encodes");
+        }
+        prop_assert_eq!(read_all_ways(&buf, MAX_FRAME_BYTES), (frames.clone(), None));
+
+        let cut = (raw as usize) % buf.len();
+        let (got, end) = read_all_ways(&buf[..cut], MAX_FRAME_BYTES);
+        prop_assert!(frames.starts_with(&got), "a cut stream yields a prefix");
+        let on_boundary = got.iter().map(|f| encode_frame(f).len()).sum::<usize>() == cut;
+        prop_assert_eq!(end.is_none(), on_boundary, "cut at {}: {:?}", cut, end);
+
+        buf[cut] ^= 1 << bit;
+        read_all_ways(&buf, MAX_FRAME_BYTES);
     }
 }
 

@@ -125,7 +125,7 @@ pub fn privatization_candidates(
         if !d.edge.flags.contains(DepFlags::LOOP_CARRIED) {
             continue;
         }
-        for &l in &val.carriers {
+        for &l in val.carriers {
             let e = per.entry((l, d.edge.var)).or_default();
             match d.edge.dtype {
                 DepType::War => e.0 += val.count,

@@ -443,11 +443,14 @@ impl MtProfiler {
         for f in &stats.worker_failures {
             self.observer.on_worker_failure(f.worker);
         }
+        // The run's footprint, index included (see `SequentialProfiler::finish`).
+        let store_mem = global.memory_usage();
+        global.seal();
         let memory = MemoryReport {
             signatures: sig_mem,
             queues: self.shared.queues.iter().map(|q| q.memory_usage()).sum(),
             chunks: self.shared.pool.memory_usage(),
-            dep_store: global.memory_usage(),
+            dep_store: store_mem,
             stats_maps: 0,
         };
         let workers = self.shared.queues.len();

@@ -1222,11 +1222,14 @@ where
             self.cfg.observer.on_worker_failure(f.worker);
         }
         let entry = std::mem::size_of::<(Address, u64)>() + 1;
+        // The run's footprint, index included (see `SequentialProfiler::finish`).
+        let store_mem = global.memory_usage();
+        global.seal();
         let memory = MemoryReport {
             signatures: sig_mem,
             queues: self.senders.iter().map(|s| s.memory_usage()).sum(),
             chunks: self.pool.memory_usage(),
-            dep_store: global.memory_usage(),
+            dep_store: store_mem,
             stats_maps: self.counts.capacity() * entry + self.rules.capacity() * entry,
         };
         let metrics = self.snapshot(feed_nanos, drain_timer.elapsed_nanos(), gauges);
@@ -1836,9 +1839,11 @@ mod tests {
         assert!(!r.degraded());
         let want_edges: Mirror = r
             .deps
-            .sinks()
-            .flat_map(|(sink, m)| {
-                m.iter().map(|(k, v)| ((*sink, *k), (v.count, v.flags, v.carriers.clone())))
+            .dependences()
+            .map(|(d, v)| {
+                let e = d.edge;
+                let key = (e.dtype, e.source_loc, e.source_thread, e.var);
+                ((d.sink, key), (v.count, v.flags, v.carriers.iter().copied().collect()))
             })
             .collect();
         let want_loops: LoopMirror = r

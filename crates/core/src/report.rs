@@ -17,7 +17,7 @@
 
 use crate::result::ProfileResult;
 use crate::store::EdgeKey;
-use dp_types::{DepType, Interner, SourceLoc, ThreadId};
+use dp_types::{DepEdge, DepType, Interner, SourceLoc, ThreadId};
 use std::fmt::Write as _;
 
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
@@ -37,14 +37,17 @@ pub fn render(result: &ProfileResult, interner: &Interner, show_threads: bool) -
         rows.push((rec.end, RowKind::End(rec.total_iters), String::new()));
     }
 
-    for (sink, edges) in result.deps.sinks() {
-        let mut line = String::new();
-        for (&(dtype, source_loc, source_thread, var), val) in edges {
-            line.push(' ');
-            fmt_edge(&mut line, dtype, source_loc, source_thread, var, interner, show_threads);
-            let _ = val;
+    // Dependences arrive in `(sink, key)` order: one row per run of
+    // equal sinks.
+    let mut sink = None;
+    for (d, _) in result.deps.dependences() {
+        if sink != Some(d.sink) {
+            sink = Some(d.sink);
+            rows.push((d.sink.loc, RowKind::Nom(d.sink.thread), String::new()));
         }
-        rows.push((sink.loc, RowKind::Nom(sink.thread), line));
+        let line = &mut rows.last_mut().expect("the sink's row was just pushed").2;
+        line.push(' ');
+        fmt_edge(line, &d.edge, interner, show_threads);
     }
 
     rows.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
@@ -70,20 +73,13 @@ pub fn render(result: &ProfileResult, interner: &Interner, show_threads: bool) -
     out
 }
 
-fn fmt_edge(
-    out: &mut String,
-    dtype: DepType,
-    source_loc: SourceLoc,
-    source_thread: ThreadId,
-    var: u32,
-    interner: &Interner,
-    show_threads: bool,
-) {
+fn fmt_edge(out: &mut String, edge: &DepEdge, interner: &Interner, show_threads: bool) {
+    let DepEdge { dtype, source_loc, source_thread, .. } = *edge;
     if dtype == DepType::Init {
         out.push_str("{INIT *}");
         return;
     }
-    let name = interner.get(var).unwrap_or("?");
+    let name = interner.get(edge.var).unwrap_or("?");
     if show_threads {
         let _ = write!(out, "{{{dtype} {source_loc}|{source_thread}|{name}}}");
     } else {

@@ -110,7 +110,7 @@ impl<S: AccessStore> SequentialProfiler<S> {
     /// ledger. Returns `Unsupported` for access stores that cannot
     /// serialize themselves (shadow memory, hash history).
     pub fn checkpoint_data(
-        &self,
+        &mut self,
         generation: u64,
         records_read: u64,
         config: Vec<u8>,
@@ -148,17 +148,21 @@ impl<S: AccessStore> SequentialProfiler<S> {
     pub fn finish(self) -> ProfileResult {
         let mem_all = self.algo.memory_usage();
         let gauges = self.algo.sig_gauges();
-        let (store, exec_tree, counters, sig_mem) = self.algo.finish();
+        let (mut store, exec_tree, counters, sig_mem) = self.algo.finish();
         let mut stats = ProfileStats::default();
         stats.absorb(counters);
         stats.deps_built = store.deps_built();
         stats.deps_merged = store.merged_len();
+        // Read before sealing, which drops the index: the report is of
+        // the run's footprint, not the result's.
+        let store_mem = store.memory_usage();
+        store.seal();
         let memory = MemoryReport {
             signatures: sig_mem,
             queues: 0,
             chunks: 0,
-            dep_store: store.memory_usage() + exec_tree.memory_usage(),
-            stats_maps: mem_all.saturating_sub(sig_mem + store.memory_usage()),
+            dep_store: store_mem + exec_tree.memory_usage(),
+            stats_maps: mem_all.saturating_sub(sig_mem + store_mem),
         };
         // The in-line engine has no queues: every event is "pushed" and
         // "consumed" at the same program point, so the conservation law
@@ -282,7 +286,7 @@ mod tests {
 
     #[test]
     fn serial_checkpoint_unsupported_store_is_an_error() {
-        let p = SequentialProfiler::with_stores(
+        let mut p = SequentialProfiler::with_stores(
             dp_sig::ShadowMemory::new(),
             dp_sig::ShadowMemory::new(),
         );

@@ -6,17 +6,21 @@
 //! benchmarks from 6.1 GB to 53 KB, corresponding to an average reduction
 //! by a factor of 10⁵." (Section III-B)
 //!
-//! The store is keyed by sink (aggregation as in Figure 1) and merges
-//! edges by `(type, source, variable)`, accumulating a count, OR-ing
-//! qualifier flags and collecting the set of loops the dependence was
-//! observed carried for. `deps_built` counts every pre-merge record, so
-//! the merge factor of experiment E9 is `deps_built / merged_len`.
+//! The store merges at insertion: an edge is identified by its sink
+//! (aggregation as in Figure 1) and `(type, source, variable)`, and each
+//! occurrence adds to its count, ORs its qualifier flags and joins the
+//! set of loops the dependence was observed carried for. `deps_built`
+//! counts every pre-merge record, so the merge factor of experiment E9 is
+//! `deps_built / merged_len`.
 
 use dp_types::{
-    ByteReader, ByteWriter, DepEdge, DepFlags, DepType, Dependence, LoopId, SinkKey, SourceLoc,
-    ThreadId, VarId, WireError,
+    ByteReader, ByteWriter, DepEdge, DepFlags, DepType, Dependence, FxHashMap, LoopId, SinkKey,
+    SourceLoc, ThreadId, VarId, WireError,
 };
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Dependence types by [`dtype_code`].
+const DTYPES: [DepType; 4] = [DepType::Raw, DepType::War, DepType::Waw, DepType::Init];
 
 fn dtype_code(d: DepType) -> u8 {
     match d {
@@ -28,13 +32,7 @@ fn dtype_code(d: DepType) -> u8 {
 }
 
 fn dtype_from(code: u8) -> Result<DepType, WireError> {
-    Ok(match code {
-        0 => DepType::Raw,
-        1 => DepType::War,
-        2 => DepType::Waw,
-        3 => DepType::Init,
-        _ => return Err(WireError::Invalid("unknown dependence type code")),
-    })
+    DTYPES.get(code as usize).copied().ok_or(WireError::Invalid("unknown dependence type code"))
 }
 
 /// Merge key of an edge under one sink.
@@ -94,27 +92,33 @@ impl AnalysisDelta {
     }
 }
 
-/// Dirty-set bookkeeping for delta tracking: for every edge (or loop)
-/// touched since the last drain, the pre-touch counters, so the drain can
-/// ship exact movement without cloning the whole store.
-#[derive(Debug, Clone, Default)]
+/// Dirty-list bookkeeping for delta tracking: which edges (and loops)
+/// were touched since the last drain, with their pre-touch counters, so
+/// the drain ships exact movement without cloning the store.
+#[derive(Debug, Clone)]
 struct DeltaTrack {
-    /// `(sink, key) -> count` before the first touch of this interval
-    /// (0 for edges born inside the interval).
-    edges: BTreeMap<(SinkKey, EdgeKey), u64>,
+    /// Set by [`DepStore::enable_delta`], cleared by the first drain:
+    /// that drain ships every edge at a zero baseline, so nothing is
+    /// listed (and no dirty bit set) while it is pending.
+    catch_up: bool,
+    /// `(arena index, count before the first touch of this interval)` of
+    /// every record whose [`DIRTY`] bit is set, in touch order.
+    dirty: Vec<(u32, u64)>,
     /// `loop -> (instances, total_iters)` before the first touch.
     loops: BTreeMap<LoopId, (u64, u64)>,
 }
 
-/// Merged payload of one distinct dependence edge.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EdgeVal {
+/// Merged payload of one distinct dependence edge, as
+/// [`DepStore::dependences`] lends it out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgeVal<'a> {
     /// Dynamic occurrences merged into this record.
     pub count: u64,
     /// Union of qualifier flags over all occurrences.
     pub flags: DepFlags,
-    /// Loops for which at least one occurrence was loop-carried.
-    pub carriers: BTreeSet<LoopId>,
+    /// Loops for which at least one occurrence was loop-carried,
+    /// ascending and duplicate-free.
+    pub carriers: &'a [LoopId],
 }
 
 /// Aggregated runtime record of one static loop (drives the `BGN`/`END`
@@ -132,13 +136,163 @@ pub struct LoopRecord {
     pub total_iters: u64,
 }
 
-/// Duplicate-free dependence storage with deterministic iteration order.
+/// `EdgeRec::state`: `carrier` holds the first carrier the edge was seen
+/// with.
+const HAS_CARRIER: u8 = 1;
+/// `EdgeRec::state`: the edge has two or more carriers; all of them
+/// (the first included) are in [`DepStore::spill`].
+const SPILLED: u8 = 1 << 1;
+/// `EdgeRec::state`: the record is on [`DeltaTrack::dirty`].
+const DIRTY: u8 = 1 << 2;
+
+/// Free slot of [`DepStore::index`].
+const EMPTY: u32 = u32::MAX;
+
+/// The `(sink, edge)` identity of a record, packed so that the derived
+/// order is the `(SinkKey, EdgeKey)` order of the report and the
+/// checkpoint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct Ident {
+    /// `sink loc:32 | sink thread:16 | type:8`.
+    sink: u64,
+    /// `source loc:32 | source thread:16`.
+    source: u64,
+    var: VarId,
+}
+
+/// One distinct dependence edge: identity, merged payload and state
+/// bits in 32 bytes, so two records share a cache line and none
+/// straddles one.
+#[derive(Debug, Clone, Copy)]
+struct EdgeRec {
+    count: u64,
+    /// [`SourceLoc::pack`] of the sink location.
+    sink_loc: u32,
+    /// [`SourceLoc::pack`] of the source location.
+    source_loc: u32,
+    var: VarId,
+    /// First carrier seen; meaningful under [`HAS_CARRIER`].
+    carrier: LoopId,
+    sink_thread: ThreadId,
+    source_thread: ThreadId,
+    /// [`dtype_code`] of the dependence type.
+    dtype: u8,
+    /// [`DepFlags::bits`].
+    flags: u8,
+    state: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<EdgeRec>() == 32);
+
+/// Packs a location for a record. The packed form orders like
+/// [`SourceLoc`] itself only while the line fits its 24 bits — the same
+/// limit the signature slots, the checkpoint and [`SourceLoc::new`] hold.
+#[inline]
+fn pack(loc: SourceLoc) -> u32 {
+    debug_assert!(loc.line <= dp_types::loc::MAX_LINE, "line {} exceeds 24 bits", loc.line);
+    loc.pack()
+}
+
+impl EdgeRec {
+    /// A record with the given identity and nothing merged into it yet.
+    #[inline]
+    fn new(sink: SinkKey, (dtype, source_loc, source_thread, var): EdgeKey) -> Self {
+        EdgeRec {
+            count: 0,
+            sink_loc: pack(sink.loc),
+            source_loc: pack(source_loc),
+            var,
+            carrier: 0,
+            sink_thread: sink.thread,
+            source_thread,
+            dtype: dtype_code(dtype),
+            flags: 0,
+            state: 0,
+        }
+    }
+
+    /// This record's identity with nothing merged into it.
+    #[inline]
+    fn blank(&self) -> Self {
+        EdgeRec { count: 0, carrier: 0, flags: 0, state: 0, ..*self }
+    }
+
+    #[inline]
+    fn same_edge(&self, o: &EdgeRec) -> bool {
+        self.sink_loc == o.sink_loc
+            && self.source_loc == o.source_loc
+            && self.var == o.var
+            && self.sink_thread == o.sink_thread
+            && self.source_thread == o.source_thread
+            && self.dtype == o.dtype
+    }
+
+    #[inline]
+    fn same_sink(&self, o: &EdgeRec) -> bool {
+        self.sink_loc == o.sink_loc && self.sink_thread == o.sink_thread
+    }
+
+    #[inline]
+    fn ident(&self) -> Ident {
+        Ident {
+            sink: (self.sink_loc as u64) << 24 | (self.sink_thread as u64) << 8 | self.dtype as u64,
+            source: (self.source_loc as u64) << 16 | self.source_thread as u64,
+            var: self.var,
+        }
+    }
+
+    /// Hash of the identity: one folded 64×64→128 multiply over the two
+    /// words that hold everything but the type, which picks one of four
+    /// scattered offsets from there.
+    #[inline]
+    fn hash(&self) -> usize {
+        let a = (self.sink_loc as u64) << 32 | self.source_loc as u64;
+        let b =
+            (self.var as u64) << 32 | (self.sink_thread as u64) << 16 | self.source_thread as u64;
+        let p = ((a ^ 0x9e37_79b9_7f4a_7c15) as u128) * ((b ^ 0xd1b5_4a32_d192_ed03) as u128);
+        let t = (self.dtype as u64).wrapping_mul(0x8cb9_2ba7_2f3d_8dd7);
+        ((p as u64) ^ ((p >> 64) as u64) ^ t) as usize
+    }
+
+    #[inline]
+    fn sink(&self) -> SinkKey {
+        SinkKey { loc: SourceLoc::unpack(self.sink_loc), thread: self.sink_thread }
+    }
+
+    #[inline]
+    fn key(&self) -> EdgeKey {
+        let dtype = DTYPES[self.dtype as usize];
+        (dtype, SourceLoc::unpack(self.source_loc), self.source_thread, self.var)
+    }
+}
+
+/// Index slots needed to hold `n` records at load ≤ 5/8.
+fn index_cap(n: usize) -> usize {
+    (n * 8).div_ceil(5).next_power_of_two().max(8)
+}
+
+/// Duplicate-free dependence storage: one arena of 32-byte edge records
+/// and one open-addressed index over it (see DESIGN.md, "Dependence
+/// store"). [`DepStore::add`] is one hash, one probe and one record
+/// update; `(sink, key)` order exists only where it is consumed — the
+/// readers walk the arena once [`DepStore::seal`] has sorted it, and sort
+/// a permutation when it has not.
 #[derive(Debug, Clone, Default)]
 pub struct DepStore {
-    deps: BTreeMap<SinkKey, BTreeMap<EdgeKey, EdgeVal>>,
+    arena: Vec<EdgeRec>,
+    /// Arena positions hashed by [`EdgeRec::hash`], linear probing,
+    /// power-of-two length. Empty while nothing has been inserted since
+    /// the last [`DepStore::seal`]; rebuilt by the next insert.
+    index: Vec<u32>,
+    /// Length of the arena's leading run known to lie in `(sink, key)`
+    /// order; the whole arena, once sealed or while records happen to
+    /// arrive in order.
+    sorted_len: usize,
+    /// Full ascending carrier lists of the [`SPILLED`] records. Keyed by
+    /// identity, not position, so sealing leaves it alone.
+    spill: FxHashMap<Ident, Vec<LoopId>>,
     loops: BTreeMap<LoopId, LoopRecord>,
     deps_built: u64,
-    distinct: u64,
     /// `Some` once delta tracking is enabled ([`DepStore::enable_delta`]).
     delta: Option<DeltaTrack>,
 }
@@ -151,6 +305,7 @@ impl DepStore {
 
     /// Records one dynamic dependence occurrence.
     #[allow(clippy::too_many_arguments)] // mirrors the paper's record fields
+    #[inline]
     pub fn add(
         &mut self,
         sink: SinkKey,
@@ -162,23 +317,120 @@ impl DepStore {
         carrier: Option<LoopId>,
     ) {
         self.deps_built += 1;
-        let key = (dtype, source_loc, source_thread, var);
-        let entry = self.deps.entry(sink).or_default().entry(key).or_insert_with(|| {
-            self.distinct += 1;
-            EdgeVal::default()
-        });
-        if let Some(track) = self.delta.as_mut() {
-            track.edges.entry((sink, key)).or_insert(entry.count);
+        let i = self.slot(EdgeRec::new(sink, (dtype, source_loc, source_thread, var)));
+        self.bump(i, 1, flags, carrier.as_slice());
+    }
+
+    /// Position of the record with `probe`'s identity, appending it
+    /// (count 0) when the store has none.
+    #[inline]
+    fn slot(&mut self, probe: EdgeRec) -> usize {
+        if self.index.is_empty() {
+            self.reindex(index_cap(self.arena.len() + 1));
         }
-        entry.count += 1;
-        entry.flags |= flags;
-        if let Some(l) = carrier {
-            entry.carriers.insert(l);
+        let mask = self.index.len() - 1;
+        let mut at = probe.hash() & mask;
+        loop {
+            let i = self.index[at];
+            if i == EMPTY {
+                return self.append(at, probe);
+            }
+            if self.arena[i as usize].same_edge(&probe) {
+                return i as usize;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Appends `rec` and enters it into the index at free slot `at`.
+    /// The arena grows by a quarter, not by doubling: it is the bulk of
+    /// the store and its slack is counted in
+    /// [`DepStore::memory_usage`].
+    #[cold]
+    fn append(&mut self, at: usize, rec: EdgeRec) -> usize {
+        let i = self.arena.len();
+        assert!(i < EMPTY as usize, "dependence store is limited to u32::MAX - 1 edges");
+        if i == self.sorted_len && self.arena.last().is_none_or(|last| last.ident() < rec.ident()) {
+            self.sorted_len += 1;
+        }
+        if i == self.arena.capacity() {
+            self.arena.reserve_exact((i / 4).max(4));
+        }
+        self.arena.push(rec);
+        if (i + 1) * 8 > self.index.len() * 5 {
+            self.reindex(self.index.len() * 2);
+        } else {
+            self.index[at] = i as u32;
+        }
+        i
+    }
+
+    /// Rebuilds the index over the whole arena with `cap` slots.
+    fn reindex(&mut self, cap: usize) {
+        let mask = cap - 1;
+        let mut index = vec![EMPTY; cap];
+        for (i, rec) in self.arena.iter().enumerate() {
+            let mut at = rec.hash() & mask;
+            while index[at] != EMPTY {
+                at = (at + 1) & mask;
+            }
+            index[at] = i as u32;
+        }
+        self.index = index;
+    }
+
+    /// Merges `count` occurrences into record `i` — the one rule
+    /// [`add`](DepStore::add), [`merge`](DepStore::merge) and
+    /// [`apply_delta`](DepStore::apply_delta) share: counts add, flags
+    /// OR, carriers union.
+    #[inline]
+    fn bump(&mut self, i: usize, count: u64, flags: DepFlags, carriers: &[LoopId]) {
+        let rec = &mut self.arena[i];
+        if let Some(track) = self.delta.as_mut() {
+            if !track.catch_up && rec.state & DIRTY == 0 {
+                rec.state |= DIRTY;
+                track.dirty.push((i as u32, rec.count));
+            }
+        }
+        rec.count += count;
+        rec.flags |= flags.bits();
+        for &l in carriers {
+            if rec.state & HAS_CARRIER == 0 {
+                rec.state |= HAS_CARRIER;
+                rec.carrier = l;
+            } else if rec.carrier != l {
+                Self::spill_carrier(&mut self.spill, rec, l);
+            }
+        }
+    }
+
+    /// Adds `l` to a record whose first carrier is another loop.
+    #[cold]
+    fn spill_carrier(spill: &mut FxHashMap<Ident, Vec<LoopId>>, rec: &mut EdgeRec, l: LoopId) {
+        let all = spill.entry(rec.ident()).or_insert_with(|| vec![rec.carrier]);
+        if let Err(at) = all.binary_search(&l) {
+            all.insert(at, l);
+        }
+        rec.state |= SPILLED;
+    }
+
+    /// The carriers of `rec`, ascending.
+    fn carriers<'a>(&'a self, rec: &'a EdgeRec) -> &'a [LoopId] {
+        if rec.state & SPILLED != 0 {
+            &self.spill[&rec.ident()]
+        } else if rec.state & HAS_CARRIER != 0 {
+            std::slice::from_ref(&rec.carrier)
+        } else {
+            &[]
         }
     }
 
     /// Records a finished loop instance.
     pub fn record_loop(&mut self, id: LoopId, begin: SourceLoc, end: SourceLoc, iters: u64) {
+        self.bump_loop(id, begin, end, 1, iters);
+    }
+
+    fn bump_loop(&mut self, id: LoopId, begin: SourceLoc, end: SourceLoc, inst: u64, iters: u64) {
         let r = self.loops.entry(id).or_insert_with(|| LoopRecord {
             begin,
             end,
@@ -188,30 +440,25 @@ impl DepStore {
         if let Some(track) = self.delta.as_mut() {
             track.loops.entry(id).or_insert((r.instances, r.total_iters));
         }
-        r.instances += 1;
+        r.instances += inst;
         r.total_iters += iters;
     }
 
-    /// Turns on delta tracking. Everything already in the store is seeded
-    /// into the dirty set at a zero baseline, so the first
-    /// [`DepStore::take_delta`] ships the *full* current state — the
+    /// Turns on delta tracking. The first [`DepStore::take_delta`] after
+    /// it ships the *full* current state at a zero baseline — the
     /// catch-up that lets online analysis be enabled lazily mid-session
-    /// (or after a checkpoint rehydration) without missing history.
+    /// (or after a checkpoint rehydration) without missing history — so
+    /// enabling costs nothing per edge.
     /// Idempotent: enabling twice does not reset in-flight baselines.
     pub fn enable_delta(&mut self) {
         if self.delta.is_some() {
             return;
         }
-        let mut track = DeltaTrack::default();
-        for (sink, edges) in &self.deps {
-            for key in edges.keys() {
-                track.edges.insert((*sink, *key), 0);
-            }
-        }
-        for id in self.loops.keys() {
-            track.loops.insert(*id, (0, 0));
-        }
-        self.delta = Some(track);
+        self.delta = Some(DeltaTrack {
+            catch_up: true,
+            dirty: Vec::new(),
+            loops: self.loops.keys().map(|id| (*id, (0, 0))).collect(),
+        });
     }
 
     /// True once [`DepStore::enable_delta`] has run.
@@ -219,7 +466,7 @@ impl DepStore {
         self.delta.is_some()
     }
 
-    /// Drains the dirty set into an [`AnalysisDelta`] describing every
+    /// Drains the dirty list into an [`AnalysisDelta`] describing every
     /// edge and loop touched since the previous drain (or since
     /// [`DepStore::enable_delta`]). Returns an empty delta when tracking
     /// is off or nothing moved.
@@ -227,19 +474,25 @@ impl DepStore {
         let Some(track) = self.delta.as_mut() else {
             return AnalysisDelta::default();
         };
-        let dirty_edges = std::mem::take(&mut track.edges);
         let dirty_loops = std::mem::take(&mut track.loops);
+        let mut dirty = std::mem::take(&mut track.dirty);
+        if std::mem::take(&mut track.catch_up) {
+            let all = self.order().unwrap_or_else(|| (0..self.arena.len() as u32).collect());
+            dirty = all.into_iter().map(|i| (i, 0)).collect();
+        } else {
+            dirty.sort_unstable_by_key(|&(i, _)| self.arena[i as usize].ident());
+        }
         let mut out = AnalysisDelta::default();
-        for ((sink, key), baseline) in dirty_edges {
-            let Some(val) = self.deps.get(&sink).and_then(|m| m.get(&key)) else {
-                continue;
-            };
+        out.edges.reserve_exact(dirty.len());
+        for (i, baseline) in dirty {
+            self.arena[i as usize].state &= !DIRTY;
+            let rec = &self.arena[i as usize];
             out.edges.push(DeltaEdge {
-                sink,
-                key,
-                count_delta: val.count - baseline,
-                flags: val.flags,
-                carriers: val.carriers.clone(),
+                sink: rec.sink(),
+                key: rec.key(),
+                count_delta: rec.count - baseline,
+                flags: DepFlags::from_bits_truncate(rec.flags),
+                carriers: self.carriers(rec).iter().copied().collect(),
             });
         }
         for (id, (base_inst, base_iters)) in dirty_loops {
@@ -263,12 +516,57 @@ impl DepStore {
 
     /// Number of distinct (merged) dependences.
     pub fn merged_len(&self) -> u64 {
-        self.distinct
+        self.arena.len() as u64
     }
 
-    /// Sinks in deterministic order.
-    pub fn sinks(&self) -> impl Iterator<Item = (&SinkKey, &BTreeMap<EdgeKey, EdgeVal>)> {
-        self.deps.iter()
+    /// True when the arena lies in `(sink, key)` order.
+    fn is_sorted(&self) -> bool {
+        self.sorted_len == self.arena.len()
+    }
+
+    /// Sorts the arena into `(sink, key)` order, so that every reader
+    /// walks it as it lies. Engines call this when they finish and
+    /// before they write a checkpoint. The records move, so the index is
+    /// dropped (the next insert rebuilds it) and the dirty list follows
+    /// them by identity.
+    pub fn seal(&mut self) {
+        if !self.is_sorted() {
+            let dirty = self.delta.as_mut().map_or(&mut [][..], |t| &mut t.dirty[..]);
+            let listed: Vec<Ident> =
+                dirty.iter().map(|&(i, _)| self.arena[i as usize].ident()).collect();
+            if self.sorted_len * 2 >= self.arena.len() {
+                // Sealed before (the last checkpoint) and grown a little
+                // since: the run-detecting sort merges the tail in.
+                self.arena.sort_by_key(EdgeRec::ident);
+            } else {
+                self.arena.sort_unstable_by_key(EdgeRec::ident);
+            }
+            for ((i, _), id) in dirty.iter_mut().zip(listed) {
+                let at = self.arena.binary_search_by_key(&id, EdgeRec::ident);
+                *i = at.expect("a listed record is in the arena") as u32;
+            }
+            self.sorted_len = self.arena.len();
+            self.index = Vec::new();
+        }
+    }
+
+    /// The permutation that reads the arena in `(sink, key)` order, or
+    /// `None` when it already lies in that order.
+    fn order(&self) -> Option<Vec<u32>> {
+        (!self.is_sorted()).then(|| {
+            // Sorted beside their keys: a sort that fetches each key
+            // through the arena misses the cache on every comparison.
+            let mut keyed: Vec<(Ident, u32)> =
+                self.arena.iter().zip(0..).map(|(rec, i)| (rec.ident(), i)).collect();
+            keyed.sort_unstable();
+            keyed.into_iter().map(|(_, i)| i).collect()
+        })
+    }
+
+    /// The records in `(sink, key)` order.
+    fn in_order(&self) -> impl Iterator<Item = &EdgeRec> + '_ {
+        let order = self.order();
+        (0..self.arena.len()).map(move |n| &self.arena[order.as_ref().map_or(n, |o| o[n] as usize)])
     }
 
     /// Loop records in deterministic order.
@@ -282,25 +580,26 @@ impl DepStore {
     }
 
     /// Flattens into [`Dependence`] values (the unit the accuracy
-    /// evaluation compares).
-    pub fn dependences(&self) -> impl Iterator<Item = (Dependence, &EdgeVal)> {
-        self.deps.iter().flat_map(|(sink, edges)| {
-            edges.iter().map(move |(&(dtype, source_loc, source_thread, var), val)| {
-                (
-                    Dependence {
-                        sink: *sink,
-                        edge: DepEdge {
-                            dtype,
-                            source_loc,
-                            source_thread,
-                            var,
-                            carrier: val.carriers.iter().next().copied(),
-                            flags: val.flags,
-                        },
+    /// evaluation compares), in `(sink, key)` order.
+    pub fn dependences(&self) -> impl Iterator<Item = (Dependence, EdgeVal<'_>)> + '_ {
+        self.in_order().map(move |rec| {
+            let (dtype, source_loc, source_thread, var) = rec.key();
+            let flags = DepFlags::from_bits_truncate(rec.flags);
+            let carriers = self.carriers(rec);
+            (
+                Dependence {
+                    sink: rec.sink(),
+                    edge: DepEdge {
+                        dtype,
+                        source_loc,
+                        source_thread,
+                        var,
+                        carrier: carriers.first().copied(),
+                        flags,
                     },
-                    val,
-                )
-            })
+                },
+                EdgeVal { count: rec.count, flags, carriers },
+            )
         })
     }
 
@@ -309,33 +608,13 @@ impl DepStore {
     /// a global map. This step incurs only minor overhead since the local
     /// maps are free of duplicates").
     pub fn merge(&mut self, other: DepStore) {
-        for (sink, edges) in other.deps {
-            let dst = self.deps.entry(sink).or_default();
-            for (k, v) in edges {
-                let e = dst.entry(k).or_insert_with(|| {
-                    self.distinct += 1;
-                    EdgeVal::default()
-                });
-                if let Some(track) = self.delta.as_mut() {
-                    track.edges.entry((sink, k)).or_insert(e.count);
-                }
-                e.count += v.count;
-                e.flags |= v.flags;
-                e.carriers.extend(v.carriers);
-            }
+        for rec in &other.arena {
+            let i = self.slot(rec.blank());
+            let flags = DepFlags::from_bits_truncate(rec.flags);
+            self.bump(i, rec.count, flags, other.carriers(rec));
         }
         for (id, r) in other.loops {
-            let dst = self.loops.entry(id).or_insert_with(|| LoopRecord {
-                begin: r.begin,
-                end: r.end,
-                instances: 0,
-                total_iters: 0,
-            });
-            if let Some(track) = self.delta.as_mut() {
-                track.loops.entry(id).or_insert((dst.instances, dst.total_iters));
-            }
-            dst.instances += r.instances;
-            dst.total_iters += r.total_iters;
+            self.bump_loop(id, r.begin, r.end, r.instances, r.total_iters);
         }
         self.deps_built += other.deps_built;
     }
@@ -347,56 +626,43 @@ impl DepStore {
     /// analysis subsystem: a mirror store fed only by deltas is a valid
     /// input for any non-incremental pass.
     pub fn apply_delta(&mut self, delta: &AnalysisDelta) {
+        let mut carriers: Vec<LoopId> = Vec::new();
         for e in &delta.edges {
-            let dst = self.deps.entry(e.sink).or_default();
-            let entry = dst.entry(e.key).or_insert_with(|| {
-                self.distinct += 1;
-                EdgeVal::default()
-            });
-            if let Some(track) = self.delta.as_mut() {
-                track.edges.entry((e.sink, e.key)).or_insert(entry.count);
-            }
-            entry.count += e.count_delta;
-            entry.flags |= e.flags;
-            entry.carriers.extend(e.carriers.iter().copied());
+            let i = self.slot(EdgeRec::new(e.sink, e.key));
+            carriers.clear();
+            carriers.extend(&e.carriers);
+            self.bump(i, e.count_delta, e.flags, &carriers);
             self.deps_built += e.count_delta;
         }
         for l in &delta.loops {
-            let dst = self.loops.entry(l.id).or_insert_with(|| LoopRecord {
-                begin: l.begin,
-                end: l.end,
-                instances: 0,
-                total_iters: 0,
-            });
-            if let Some(track) = self.delta.as_mut() {
-                track.loops.entry(l.id).or_insert((dst.instances, dst.total_iters));
-            }
-            dst.instances += l.instances_delta;
-            dst.total_iters += l.iters_delta;
+            self.bump_loop(l.id, l.begin, l.end, l.instances_delta, l.iters_delta);
         }
     }
 
     /// Serializes the complete store — merged dependences, loop records
-    /// and the pre-merge counters — for a checkpoint. BTreeMap iteration
-    /// makes the byte stream deterministic: identical stores serialize to
-    /// identical bytes.
+    /// and the pre-merge counters — for a checkpoint. The edges go out in
+    /// `(sink, key)` order, grouped by sink, so identical stores
+    /// serialize to identical bytes.
     pub fn save(&self, out: &mut ByteWriter) {
+        let recs: Vec<&EdgeRec> = self.in_order().collect();
+        let by_sink = || recs.chunk_by(|a, b| a.same_sink(b));
         out.u64(self.deps_built);
-        out.u64(self.distinct);
-        out.u64(self.deps.len() as u64);
-        for (sink, edges) in &self.deps {
-            out.u32(sink.loc.pack());
-            out.u16(sink.thread);
+        out.u64(recs.len() as u64);
+        out.u64(by_sink().count() as u64);
+        for edges in by_sink() {
+            out.u32(edges[0].sink_loc);
+            out.u16(edges[0].sink_thread);
             out.u64(edges.len() as u64);
-            for (&(dtype, source_loc, source_thread, var), v) in edges {
-                out.u8(dtype_code(dtype));
-                out.u32(source_loc.pack());
-                out.u16(source_thread);
-                out.u32(var);
-                out.u64(v.count);
-                out.u8(v.flags.bits());
-                out.u32(v.carriers.len() as u32);
-                for l in &v.carriers {
+            for rec in edges {
+                out.u8(rec.dtype);
+                out.u32(rec.source_loc);
+                out.u16(rec.source_thread);
+                out.u32(rec.var);
+                out.u64(rec.count);
+                out.u8(rec.flags);
+                let carriers = self.carriers(rec);
+                out.u32(carriers.len() as u32);
+                for l in carriers {
                     out.u32(*l);
                 }
             }
@@ -411,41 +677,48 @@ impl DepStore {
         }
     }
 
-    /// Rebuilds a store previously produced by [`DepStore::save`].
+    /// Rebuilds a store previously produced by [`DepStore::save`]. Only
+    /// what `save` can have written is accepted: edges in strictly
+    /// ascending `(sink, key)` order (so none repeats), carriers
+    /// strictly ascending, and a header that counts the edges present.
     pub fn load(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = ByteReader::new(bytes);
-        let deps_built = r.u64()?;
+        let mut s = DepStore { deps_built: r.u64()?, ..DepStore::default() };
         let distinct = r.u64()?;
         let nsinks = r.u64()?;
-        let mut deps = BTreeMap::new();
+        let mut carriers: Vec<LoopId> = Vec::new();
         for _ in 0..nsinks {
             let sink = SinkKey { loc: SourceLoc::unpack(r.u32()?), thread: r.u16()? };
             let nedges = r.u64()?;
-            let mut edges = BTreeMap::new();
             for _ in 0..nedges {
                 let dtype = dtype_from(r.u8()?)?;
                 let source_loc = SourceLoc::unpack(r.u32()?);
-                let source_thread = r.u16()?;
-                let var = r.u32()?;
+                let (source_thread, var) = (r.u16()?, r.u32()?);
+                let edges = s.arena.len();
+                let i = s.slot(EdgeRec::new(sink, (dtype, source_loc, source_thread, var)));
+                if s.arena.len() == edges || !s.is_sorted() {
+                    return Err(WireError::Invalid("dependence edges repeat or are out of order"));
+                }
                 let count = r.u64()?;
                 let flags = DepFlags::from_bits_truncate(r.u8()?);
-                let ncarriers = r.u32()?;
-                let mut carriers = BTreeSet::new();
-                for _ in 0..ncarriers {
-                    carriers.insert(r.u32()?);
+                carriers.clear();
+                for _ in 0..r.u32()? {
+                    let l = r.u32()?;
+                    if carriers.last().is_some_and(|&last| last >= l) {
+                        return Err(WireError::Invalid("carriers repeat or are out of order"));
+                    }
+                    carriers.push(l);
                 }
-                edges.insert(
-                    (dtype, source_loc, source_thread, var),
-                    EdgeVal { count, flags, carriers },
-                );
+                s.bump(i, count, flags, &carriers);
             }
-            deps.insert(sink, edges);
+        }
+        if s.merged_len() != distinct {
+            return Err(WireError::Invalid("dependence count disagrees with the edges present"));
         }
         let nloops = r.u64()?;
-        let mut loops = BTreeMap::new();
         for _ in 0..nloops {
             let id = r.u32()?;
-            loops.insert(
+            s.loops.insert(
                 id,
                 LoopRecord {
                     begin: SourceLoc::unpack(r.u32()?),
@@ -458,17 +731,25 @@ impl DepStore {
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after dependence store"));
         }
-        Ok(DepStore { deps, loops, deps_built, distinct, delta: None })
+        Ok(s)
     }
 
-    /// Approximate heap footprint for the memory accounting.
+    /// Heap footprint for the memory accounting: what the arena, the
+    /// index, the spill map and the dirty list have *allocated* (their
+    /// capacities), plus the per-loop maps at a B-tree node's share per
+    /// entry.
     pub fn memory_usage(&self) -> usize {
         use std::mem::size_of;
-        let per_sink = size_of::<SinkKey>() + size_of::<BTreeMap<EdgeKey, EdgeVal>>() + 32;
-        let per_edge = size_of::<EdgeKey>() + size_of::<EdgeVal>() + 32;
-        self.deps.len() * per_sink
-            + self.distinct as usize * per_edge
+        let spilled: usize = self.spill.values().map(|v| v.capacity() * size_of::<LoopId>()).sum();
+        let (dirty, dirty_loops) =
+            self.delta.as_ref().map_or((0, 0), |t| (t.dirty.capacity(), t.loops.len()));
+        self.arena.capacity() * size_of::<EdgeRec>()
+            + self.index.capacity() * size_of::<u32>()
+            + self.spill.capacity() * (size_of::<(Ident, Vec<LoopId>)>() + 1)
+            + spilled
+            + dirty * size_of::<(u32, u64)>()
             + self.loops.len() * (size_of::<LoopRecord>() + 16)
+            + dirty_loops * (size_of::<(LoopId, (u64, u64))>() + 16)
     }
 }
 
@@ -489,8 +770,7 @@ mod tests {
         }
         assert_eq!(s.deps_built(), 1000);
         assert_eq!(s.merged_len(), 1);
-        let (_, edges) = s.sinks().next().unwrap();
-        assert_eq!(edges.values().next().unwrap().count, 1000);
+        assert_eq!(s.dependences().next().unwrap().1.count, 1000);
     }
 
     #[test]
@@ -501,7 +781,8 @@ mod tests {
         s.add(sink(63), DepType::War, loc(1, 59), 0, 4, DepFlags::empty(), None);
         s.add(sink(64), DepType::Raw, loc(1, 59), 0, 4, DepFlags::empty(), None);
         assert_eq!(s.merged_len(), 4);
-        assert_eq!(s.sinks().count(), 2);
+        let sinks: BTreeSet<SinkKey> = s.dependences().map(|(d, _)| d.sink).collect();
+        assert_eq!(sinks.len(), 2);
     }
 
     #[test]
@@ -510,10 +791,10 @@ mod tests {
         s.add(sink(5), DepType::Raw, loc(1, 5), 0, 1, DepFlags::INTRA_ITERATION, None);
         s.add(sink(5), DepType::Raw, loc(1, 5), 0, 1, DepFlags::LOOP_CARRIED, Some(3));
         s.add(sink(5), DepType::Raw, loc(1, 5), 0, 1, DepFlags::LOOP_CARRIED, Some(7));
-        let (_, edges) = s.sinks().next().unwrap();
-        let v = edges.values().next().unwrap();
+        let (d, v) = s.dependences().next().unwrap();
         assert!(v.flags.contains(DepFlags::LOOP_CARRIED | DepFlags::INTRA_ITERATION));
-        assert_eq!(v.carriers.iter().copied().collect::<Vec<_>>(), vec![3, 7]);
+        assert_eq!(v.carriers, [3, 7]);
+        assert_eq!(d.edge.carrier, Some(3));
         assert_eq!(v.count, 3);
     }
 
@@ -532,8 +813,7 @@ mod tests {
         let r = a.loop_record(0).unwrap();
         assert_eq!(r.instances, 2);
         assert_eq!(r.total_iters, 200);
-        let (_, edges) = a.sinks().next().unwrap();
-        let v = edges.values().next().unwrap();
+        let (_, v) = a.dependences().next().unwrap();
         assert_eq!(v.count, 2);
         assert!(v.flags.contains(DepFlags::LOOP_CARRIED));
     }
@@ -553,10 +833,7 @@ mod tests {
         let t = DepStore::load(&bytes).unwrap();
         assert_eq!(t.deps_built(), s.deps_built());
         assert_eq!(t.merged_len(), s.merged_len());
-        assert_eq!(
-            t.dependences().map(|(d, v)| (d, v.clone())).collect::<Vec<_>>(),
-            s.dependences().map(|(d, v)| (d, v.clone())).collect::<Vec<_>>()
-        );
+        assert_eq!(t.dependences().collect::<Vec<_>>(), s.dependences().collect::<Vec<_>>());
         assert_eq!(t.loop_record(3), s.loop_record(3));
         assert_eq!(t.loop_record(7), s.loop_record(7));
         let mut again = ByteWriter::new();
@@ -574,6 +851,106 @@ mod tests {
         assert!(DepStore::load(&bytes).is_err());
     }
 
+    /// A two-edge store under one sink, saved.
+    fn two_edge_blob() -> Vec<u8> {
+        let mut s = DepStore::new();
+        s.add(sink(7), DepType::Raw, loc(1, 3), 0, 1, DepFlags::empty(), None);
+        s.add(sink(7), DepType::Raw, loc(1, 4), 0, 1, DepFlags::empty(), None);
+        let mut out = ByteWriter::new();
+        s.save(&mut out);
+        out.into_bytes()
+    }
+
+    #[test]
+    fn load_rejects_a_header_that_miscounts_the_edges() {
+        let mut bytes = two_edge_blob();
+        assert!(DepStore::load(&bytes).is_ok());
+        assert_eq!(bytes[8..16], 2u64.to_le_bytes(), "the distinct-edge count");
+        bytes[8] = 3;
+        assert!(DepStore::load(&bytes).is_err());
+    }
+
+    #[test]
+    fn load_rejects_a_repeated_edge() {
+        let mut bytes = two_edge_blob();
+        // Header 24 bytes, sink 14; each carrier-less edge is 24 bytes
+        // and starts type:1, source loc:4.
+        let (first, second) = (38, 62);
+        assert_eq!(bytes[second + 1], 4, "the second edge's source line");
+        bytes.copy_within(first..first + 24, second);
+        assert!(DepStore::load(&bytes).is_err());
+    }
+
+    #[test]
+    fn memory_usage_counts_what_is_allocated() {
+        assert!(DepStore::new().memory_usage() < 256);
+        let mut s = DepStore::new();
+        for n in 0..100_000u32 {
+            let at = SinkKey { loc: loc(1, n % 400 + 1), thread: 0 };
+            s.add(at, DepType::Raw, loc(1, n / 400 + 1), 0, 1, DepFlags::empty(), None);
+        }
+        assert_eq!(s.merged_len(), 100_000);
+        let allocated = s.arena.capacity() * 32 + s.index.len() * 4;
+        assert_eq!(s.memory_usage(), allocated);
+        assert!(s.memory_usage() <= 64 * 100_000, "{} bytes", s.memory_usage());
+        // Carrier lists and the dirty list are counted once they exist.
+        let before = s.memory_usage();
+        s.enable_delta();
+        s.take_delta();
+        s.add(sink(1), DepType::Raw, loc(1, 1), 0, 1, DepFlags::empty(), Some(1));
+        s.add(sink(1), DepType::Raw, loc(1, 1), 0, 1, DepFlags::empty(), Some(2));
+        assert!(s.memory_usage() > before);
+    }
+
+    #[test]
+    fn probes_stay_short_on_a_grid_of_lines() {
+        // Real keys are low-entropy: a few hundred lines of one file on
+        // either end. The index must still scatter them.
+        let mut s = DepStore::new();
+        for n in 0..90_000u32 {
+            let at = SinkKey { loc: loc(1, n % 300 + 1), thread: 0 };
+            s.add(at, DepType::Raw, loc(1, n / 300 + 1), 0, 7, DepFlags::empty(), None);
+        }
+        let mask = s.index.len() - 1;
+        let displaced: usize = (0..s.index.len())
+            .filter(|&at| s.index[at] != EMPTY)
+            .map(|at| at.wrapping_sub(s.arena[s.index[at] as usize].hash()) & mask)
+            .sum();
+        // Linear probing at load ≤ 5/8 displaces under one slot on average.
+        assert!(
+            displaced < s.arena.len() * 3 / 2,
+            "{displaced} slots over {} edges",
+            s.arena.len()
+        );
+    }
+
+    #[test]
+    fn sealing_sorts_in_place_and_keeps_everything_reachable() {
+        let mut s = DepStore::new();
+        s.enable_delta();
+        s.take_delta();
+        for line in (1..=40).rev() {
+            s.add(sink(line), DepType::Raw, loc(1, 1), 0, 1, DepFlags::empty(), Some(line % 3));
+            s.add(sink(line), DepType::Raw, loc(1, 1), 0, 1, DepFlags::empty(), Some(5));
+        }
+        let before: Vec<_> =
+            s.dependences().map(|(d, v)| (d, v.count, v.carriers.to_vec())).collect();
+        s.seal();
+        assert!(s.is_sorted() && s.index.is_empty());
+        let after: Vec<_> =
+            s.dependences().map(|(d, v)| (d, v.count, v.carriers.to_vec())).collect();
+        assert_eq!(before, after);
+        // The dirty list followed the records; an add after sealing finds
+        // its edge again instead of duplicating it.
+        s.add(sink(40), DepType::Raw, loc(1, 1), 0, 1, DepFlags::empty(), None);
+        assert_eq!(s.merged_len(), 40);
+        let d = s.take_delta();
+        assert_eq!(d.edges.len(), 40);
+        assert_eq!(d.edges.iter().map(|e| e.count_delta).sum::<u64>(), 81);
+        assert_eq!(d.edges[39].sink, sink(40));
+        assert_eq!(d.edges[39].count_delta, 3);
+    }
+
     /// Folds a delta into a plain store using the merge rules (counts
     /// add, flags OR, carriers union) — the reference consumer the
     /// online-analysis subsystem mirrors.
@@ -581,13 +958,10 @@ mod tests {
         target.apply_delta(delta);
     }
 
-    type Snapshot = (Vec<(Dependence, EdgeVal)>, Vec<(LoopId, LoopRecord)>);
+    type Snapshot<'a> = (Vec<(Dependence, EdgeVal<'a>)>, Vec<(LoopId, LoopRecord)>);
 
-    fn snapshot(s: &DepStore) -> Snapshot {
-        (
-            s.dependences().map(|(d, v)| (d, v.clone())).collect(),
-            s.loops().map(|(id, r)| (*id, r.clone())).collect(),
-        )
+    fn snapshot(s: &DepStore) -> Snapshot<'_> {
+        (s.dependences().collect(), s.loops().map(|(id, r)| (*id, r.clone())).collect())
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Server-wide policy knobs.
@@ -33,7 +33,9 @@ pub struct ServerConfig {
     pub max_frame_bytes: usize,
     /// How often blocked reads wake up to observe the shutdown flag.
     pub poll_interval_ms: u64,
-    /// The reconnect-delay hint handed to refused clients in `Busy`.
+    /// The reconnect-delay hint handed to refused clients in `Busy`; also
+    /// how long a `Hello` waits for a dying connection to release its
+    /// session name before it is refused.
     pub busy_retry_ms: u64,
     /// Hibernate a durable session whose connection has been idle this
     /// long: checkpoint it, evict the engine, free the slot (0 = never).
@@ -169,6 +171,7 @@ struct NameLease<'a> {
 impl Drop for NameLease<'_> {
     fn drop(&mut self) {
         self.shared.live_names.lock().expect("name registry poisoned").remove(&self.name);
+        self.shared.name_released.notify_all();
     }
 }
 
@@ -183,8 +186,10 @@ struct Shared {
     /// the dead connection's thread has noticed the EOF and written its
     /// emergency checkpoint; admitting it would put two engines on one
     /// checkpoint store and lose the resume watermark. The second
-    /// `Hello` is refused with `Busy` until the name is released.
+    /// `Hello` waits for the name's release ([`Shared::claim_name`]).
     live_names: Mutex<HashSet<String>>,
+    /// Signalled whenever a [`NameLease`] is dropped.
+    name_released: Condvar,
 }
 
 impl Shared {
@@ -195,7 +200,32 @@ impl Shared {
             next_id: AtomicU64::new(1),
             hellos: Mutex::new(HashMap::new()),
             live_names: Mutex::new(HashSet::new()),
+            name_released: Condvar::new(),
         })
+    }
+
+    /// Claims `session` for a new engine. While a dying connection still
+    /// holds the name, waits for its lease to be released — a handoff,
+    /// not a retry clock — for at most `busy_retry_ms`, waking every
+    /// poll interval to observe `stop`. `None` means the name is still
+    /// taken and the caller answers `Busy`.
+    fn claim_name<'a>(&'a self, session: &str, stop: &AtomicBool) -> Option<NameLease<'a>> {
+        let deadline = Instant::now() + Duration::from_millis(self.cfg.busy_retry_ms);
+        let tick = Duration::from_millis(self.cfg.poll_interval_ms.max(1));
+        let mut live = self.live_names.lock().expect("name registry poisoned");
+        while live.contains(session) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            live = self
+                .name_released
+                .wait_timeout(live, left.min(tick))
+                .expect("name registry poisoned")
+                .0;
+        }
+        live.insert(session.to_string());
+        Some(NameLease { shared: self, name: session.to_string() })
     }
 
     /// Registers one more `Hello` for `session`, returning how many
@@ -390,12 +420,12 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     let _slot = SessionSlot(Arc::clone(&shared.active));
     // One engine per name: a reconnect that beats the dead connection's
     // teardown would race it over the session's checkpoint store, so it
-    // waits its turn behind the same typed backpressure as capacity.
-    if !shared.live_names.lock().expect("name registry poisoned").insert(hello.session.clone()) {
+    // waits for that teardown, and past the wait falls back on the same
+    // typed backpressure as capacity.
+    let Some(_name) = shared.claim_name(&hello.session, stop) else {
         let _ = send(&mut s, &[Frame::Busy { retry_after_ms: shared.cfg.busy_retry_ms }]);
         return;
-    }
-    let _name = NameLease { shared, name: hello.session.clone() };
+    };
     let session_id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     let (mut engine, ack) = match SessionEngine::open(
         &hello,
@@ -522,5 +552,47 @@ fn checkpoint_on_exit(engine: &mut SessionEngine, why: &str) {
             engine.session_id(),
             engine.name()
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    fn shared(busy_retry_ms: u64) -> Arc<Shared> {
+        Shared::new(ServerConfig { busy_retry_ms, ..ServerConfig::default() })
+    }
+
+    #[test]
+    fn a_hello_waits_for_the_name_to_be_released() {
+        let shared = shared(60_000);
+        let stop = AtomicBool::new(false);
+        let held = shared.claim_name("s", &stop).expect("a free name is claimed at once");
+        let (about_to_claim, claiming) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                about_to_claim.send(()).expect("the test is listening");
+                shared.claim_name("s", &stop).is_some()
+            });
+            claiming.recv().expect("the waiter runs");
+            drop(held);
+            assert!(waiter.join().expect("the waiter returns"), "handed over, not refused");
+        });
+        assert!(shared.claim_name("s", &stop).is_some(), "and released again by the waiter");
+    }
+
+    #[test]
+    fn the_wait_is_bounded_and_honours_stop() {
+        let stop = AtomicBool::new(false);
+        let brief = shared(20);
+        let _held = brief.claim_name("s", &stop).expect("free");
+        assert!(brief.claim_name("s", &stop).is_none(), "Busy after busy_retry_ms");
+        assert!(brief.claim_name("other", &stop).is_some(), "other names are not held up");
+
+        let patient = shared(60_000);
+        let _held = patient.claim_name("s", &stop).expect("free");
+        stop.store(true, Ordering::SeqCst);
+        assert!(patient.claim_name("s", &stop).is_none(), "a stopping server does not wait");
     }
 }

@@ -169,8 +169,8 @@ proptest! {
         let a = depprof::core::report::render(&r1, &interner, false);
         let b = depprof::core::report::render(&r2, &interner, false);
         prop_assert_eq!(&a, &b);
-        for (sink, _) in r1.deps.sinks() {
-            prop_assert!(a.contains(&sink.loc.to_string()));
+        for (d, _) in r1.deps.dependences() {
+            prop_assert!(a.contains(&d.sink.loc.to_string()));
         }
     }
 

@@ -99,6 +99,12 @@ fn gauge_fpr_pct(m: usize, occupied: usize) -> f64 {
     dp_sig::predicted_fpr(m, n) * 100.0
 }
 
+/// How many events ahead of the one being retired the signature slots are
+/// prefetched: far enough to cover a miss into a slot array of tens of
+/// MiB, near enough that the lines are still in L1 when retired. Chosen
+/// by the sweep recorded in DESIGN.md "Lookahead feed".
+pub(crate) const LOOKAHEAD: usize = 8;
+
 #[inline]
 fn coarsen(loc: SourceLoc, shift: u8) -> SourceLoc {
     if shift == 0 {
@@ -147,7 +153,36 @@ impl<S: AccessStore> AlgoState<S> {
         self.counters
     }
 
-    /// Processes one event.
+    /// Processes a run of events strictly in order, touching the signature
+    /// slots of event `i + 8` (`LOOKAHEAD`) while it retires event `i`, so the
+    /// slot array's cache miss overlaps the work on the events before it.
+    /// Same state afterwards as [`AlgoState::on_event`] on each in turn.
+    pub fn on_chunk(&mut self, evs: &[TraceEvent]) {
+        for ev in evs.iter().take(LOOKAHEAD) {
+            self.prefetch(ev);
+        }
+        for (i, ev) in evs.iter().enumerate() {
+            if let Some(ahead) = evs.get(i + LOOKAHEAD) {
+                self.prefetch(ahead);
+            }
+            self.on_event(ev);
+        }
+    }
+
+    /// Starts loading the signature slots `ev` will probe, if it is an
+    /// access; a hint only (see [`AccessStore::prefetch`]).
+    #[inline]
+    pub(crate) fn prefetch(&self, ev: &TraceEvent) {
+        if let TraceEvent::Access(a) = ev {
+            self.sig_write.prefetch(a.addr);
+            self.sig_read.prefetch(a.addr);
+        }
+    }
+
+    /// Processes one event, immediately: when this returns, every reader
+    /// of the state (`store`, gauges, checkpoints) sees the event. The
+    /// lookahead lives in [`AlgoState::on_chunk`] and in the callers that
+    /// buffer, never here.
     pub fn on_event(&mut self, ev: &TraceEvent) {
         self.counters.events += 1;
         match *ev {

@@ -34,6 +34,7 @@ pub mod algo;
 pub mod checkpoint;
 pub mod config;
 pub mod exectree;
+mod hot;
 pub mod loops;
 pub mod mt;
 pub mod parallel;

@@ -162,7 +162,6 @@ pub struct MtThreadTracer {
 
 impl MtThreadTracer {
     fn append(&mut self, wid: usize, ev: TraceEvent) {
-        self.shared.metrics.pushed.inc();
         self.pending[wid].push(ev);
         if self.pending[wid].is_full() {
             self.flush(wid);
@@ -175,6 +174,8 @@ impl MtThreadTracer {
         }
         let chunk = std::mem::replace(&mut self.pending[wid], self.shared.pool.acquire());
         let len = chunk.len() as u64;
+        // Once per chunk: every target thread shares this counter's line.
+        self.shared.metrics.pushed.add(len);
         let drop_after = self.shared.drop_after();
         match self.shared.deliver(wid, WorkerMsg::Events(chunk), drop_after) {
             Ok(()) => {
@@ -613,9 +614,7 @@ fn run_mt_worker<S: AccessStore>(
                 // still accounted as consumed rather than in-flight.
                 shared.metrics.consumed[wid].add(chunk.len() as u64);
                 shared.metrics.consumed_chunks[wid].inc();
-                for ev in chunk.events() {
-                    algo.on_event(ev);
-                }
+                algo.on_chunk(chunk.events());
                 shared.pool.release(chunk);
                 chunks_done += 1;
                 backoff.reset();

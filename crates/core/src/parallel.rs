@@ -20,7 +20,9 @@
 //!
 //! ## Hot-address redistribution (Section IV-A)
 //!
-//! The router counts accesses per address; every
+//! The router keeps a bounded summary of the hottest addresses (a fixed
+//! table of `(address, count)` buckets — exact until two
+//! counted addresses share a bucket, lower bounds after); every
 //! [`ProfilerConfig::redistribute_every`] chunks it checks whether the
 //! `top_k` hottest addresses are spread evenly over the workers. If not,
 //! it reassigns them round-robin by heat and *migrates the signature
@@ -64,6 +66,7 @@
 use crate::algo::{AlgoCounters, AlgoOptions, AlgoState};
 use crate::checkpoint::{CheckpointData, CheckpointError};
 use crate::config::{OverflowPolicy, ProfilerConfig, TransportKind};
+use crate::hot::HotTable;
 use crate::result::{FailureCause, MemoryReport, ProfileResult, ProfileStats, WorkerFailure};
 use crate::store::DepStore;
 use dp_metrics::{
@@ -217,9 +220,11 @@ struct Inflight {
 /// columns disjoint. All counters are `dp-metrics` primitives — relaxed
 /// atomics with the `metrics` feature, zero-sized no-ops without it.
 pub(crate) struct EngineMetrics {
-    /// Events appended to a pending chunk, plus migration buffers dropped
-    /// before ever reaching a chunk (those count `pushed` and `dropped`
-    /// at the same instant).
+    /// Events in every chunk flushed towards a queue (counted once per
+    /// chunk, not per event: the counter is a cache line every producer
+    /// shares), plus migration buffers dropped before ever reaching a
+    /// chunk (those count `pushed` and `dropped` at the same instant).
+    /// Readers flush the pending chunks first.
     pub(crate) pushed: Counter,
     /// Event copies diverted away from a dead owner at routing time.
     pub(crate) rerouted: Counter,
@@ -329,7 +334,8 @@ pub struct ParallelProfiler<S: AccessStore + 'static, X: Transport<WorkerMsg>> {
     /// Started at construction; splits feed from drain in the snapshot.
     timer: Stopwatch,
     pending: Vec<Chunk>,
-    counts: FxHashMap<Address, u64>,
+    /// Section IV-A access statistics, in bounded memory.
+    hot: HotTable,
     rules: FxHashMap<Address, usize>,
     inflight: FxHashMap<Address, Inflight>,
     chunks_pushed: u64,
@@ -485,7 +491,7 @@ where
             metrics,
             timer: Stopwatch::start(),
             pending,
-            counts: FxHashMap::default(),
+            hot: HotTable::new(),
             rules: FxHashMap::default(),
             inflight: FxHashMap::default(),
             chunks_pushed: 0,
@@ -614,7 +620,6 @@ where
     /// enqueue/drop/consume taps exclude it downstream.
     #[inline]
     fn append_routed(&mut self, wid: usize, ev: TraceEvent, diverted: bool) {
-        self.metrics.pushed.inc();
         self.pending[wid].push(ev);
         if diverted {
             self.metrics.rerouted.inc();
@@ -630,6 +635,7 @@ where
             return;
         }
         let chunk = std::mem::replace(&mut self.pending[wid], self.pool.acquire());
+        self.metrics.pushed.add(chunk.len() as u64);
         // Rerouted copies were already accounted at routing time.
         let unmarked = (chunk.len() - chunk.rerouted()) as u64;
         match self.deliver(wid, WorkerMsg::Events(chunk), self.event_drop_after()) {
@@ -785,14 +791,7 @@ where
         self.in_rebalance = true;
         let k = self.cfg.top_k;
         let w = self.senders.len();
-        // Select the k hottest addresses, ties broken by address so the
-        // choice is independent of hash-map iteration order: a resumed
-        // run rebuilds `counts` from the checkpoint with a different
-        // internal layout and must still pick the same addresses the
-        // uninterrupted run does.
-        let mut top: Vec<(Address, u64)> = self.counts.iter().map(|(&a, &c)| (a, c)).collect();
-        top.sort_unstable_by_key(|&(a, c)| (std::cmp::Reverse(c), a));
-        top.truncate(k);
+        let top = self.hot.top(k);
         // Check balance: how many of the top-k does each worker own?
         let mut load = vec![0usize; w];
         for &(a, _) in &top {
@@ -938,8 +937,10 @@ where
         })
     }
 
-    /// Serializes the router's statistics and rules, hash maps sorted by
-    /// address so identical states produce identical bytes.
+    /// Serializes the router's statistics and rules, both sorted by
+    /// address so identical states produce identical bytes. The layout is
+    /// the one written when the statistics were a count per address: any
+    /// number of `(addr, count)` pairs.
     fn save_router(&self) -> Vec<u8> {
         let mut out = ByteWriter::new();
         out.u64(self.chunks_pushed);
@@ -951,7 +952,7 @@ where
         for d in &self.dropped {
             out.u64(*d);
         }
-        let mut counts: Vec<(Address, u64)> = self.counts.iter().map(|(&a, &c)| (a, c)).collect();
+        let mut counts: Vec<(Address, u64)> = self.hot.entries().collect();
         counts.sort_unstable_by_key(|&(a, _)| a);
         out.u64(counts.len() as u64);
         for (a, c) in counts {
@@ -982,13 +983,17 @@ where
         for d in self.dropped.iter_mut() {
             *d = r.u64()?;
         }
+        // Folded in file order, which is address order. A blob this build
+        // wrote holds at most one address per bucket and reloads to the
+        // table that wrote it; an older blob with a count per address
+        // folds to what the table keeps of those counts.
         let nc = r.u64()?;
-        let mut counts = FxHashMap::default();
+        let mut hot = HotTable::new();
         for _ in 0..nc {
             let a = r.u64()?;
-            counts.insert(a, r.u64()?);
+            hot.add(a, r.u64()?);
         }
-        self.counts = counts;
+        self.hot = hot;
         let nr = r.u64()?;
         let mut rules = FxHashMap::default();
         for _ in 0..nr {
@@ -1230,7 +1235,7 @@ where
             queues: self.senders.iter().map(|s| s.memory_usage()).sum(),
             chunks: self.pool.memory_usage(),
             dep_store: store_mem,
-            stats_maps: self.counts.capacity() * entry + self.rules.capacity() * entry,
+            stats_maps: self.hot.memory_usage() + self.rules.capacity() * entry,
         };
         let metrics = self.snapshot(feed_nanos, drain_timer.elapsed_nanos(), gauges);
         self.cfg.observer.on_finish(&metrics);
@@ -1301,10 +1306,12 @@ where
         };
         // Top-k hottest addresses from the Section IV-A statistics, count
         // descending with the address as deterministic tie-break.
-        let mut hot_addresses: Vec<HotAddress> =
-            self.counts.iter().map(|(&addr, &count)| HotAddress { addr, count }).collect();
-        hot_addresses.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.addr.cmp(&b.addr)));
-        hot_addresses.truncate(self.cfg.top_k);
+        let hot_addresses: Vec<HotAddress> = self
+            .hot
+            .top(self.cfg.top_k)
+            .into_iter()
+            .map(|(addr, count)| HotAddress { addr, count })
+            .collect();
         MetricsSnapshot {
             enabled: true,
             workers: w,
@@ -1340,7 +1347,7 @@ where
             TraceEvent::Access(a) => {
                 // Access statistics, updated on every access (Section
                 // IV-A: "updated every time a memory access occurs").
-                *self.counts.entry(a.addr).or_insert(0) += 1;
+                self.hot.add(a.addr, 1);
                 if let Some(inf) = self.inflight.get_mut(&a.addr) {
                     inf.buffered.push(ev);
                     self.poll_responses();
@@ -1528,9 +1535,7 @@ fn run_worker<S: AccessStore, R: TransportReceiver<WorkerMsg>>(
                 // mid-chunk panic) with rerouted marks excluded.
                 ctx.metrics.consumed[wid].add((chunk.len() - chunk.rerouted()) as u64);
                 ctx.metrics.consumed_chunks[wid].inc();
-                for ev in chunk.events() {
-                    algo.on_event(ev);
-                }
+                algo.on_chunk(chunk.events());
                 ctx.pool.release(chunk);
                 chunks_done += 1;
                 backoff.reset();

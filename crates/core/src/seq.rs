@@ -5,7 +5,7 @@
 //! [`PerfectSignature`] as the accuracy baseline
 //! of Table I.
 
-use crate::algo::{AlgoOptions, AlgoState};
+use crate::algo::{AlgoOptions, AlgoState, LOOKAHEAD};
 use crate::checkpoint::{CheckpointData, CheckpointError};
 use crate::config::{ProfilerConfig, TransportKind};
 use crate::parallel::AnyParallelProfiler;
@@ -31,11 +31,57 @@ pub fn offload_sequential<S: AccessStore + 'static>(
     AnyParallelProfiler::new(cfg, make_store)
 }
 
-/// In-line profiler; implement's the trace substrate's `Tracer` contract
-/// via a blanket impl in downstream crates (it only needs
-/// [`SequentialProfiler::on_event`]).
+/// The last `LOOKAHEAD` events fed one at a time, oldest at `head`: a
+/// caller that holds no chunk still gets its signature slots prefetched
+/// that many events before they are probed.
+struct DelayLine {
+    slots: [TraceEvent; LOOKAHEAD],
+    head: usize,
+    len: usize,
+}
+
+impl DelayLine {
+    fn new() -> Self {
+        // Filler never read: `len` says which slots hold events.
+        DelayLine {
+            slots: [TraceEvent::CallEnd { func: 0, thread: 0, ts: 0 }; LOOKAHEAD],
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == LOOKAHEAD
+    }
+
+    /// The oldest event, read where it lies: retiring from a copy would
+    /// make the engine's field loads wait on the copy's stores.
+    fn oldest(&self) -> Option<&TraceEvent> {
+        (self.len > 0).then(|| &self.slots[self.head])
+    }
+
+    fn drop_oldest(&mut self) {
+        self.head = (self.head + 1) % LOOKAHEAD;
+        self.len -= 1;
+    }
+
+    fn push(&mut self, ev: TraceEvent) {
+        debug_assert!(!self.is_full());
+        self.slots[(self.head + self.len) % LOOKAHEAD] = ev;
+        self.len += 1;
+    }
+}
+
+/// In-line profiler; implements the trace substrate's `Tracer` contract.
+///
+/// Events fed one at a time pass through a short delay line: each is
+/// prefetched on arrival and retired, strictly in order, once eight
+/// (`LOOKAHEAD`) later events have arrived. Every method that reads or
+/// moves engine state retires the line first, so no caller can observe
+/// the delay.
 pub struct SequentialProfiler<S: AccessStore> {
     algo: AlgoState<S>,
+    delayed: DelayLine,
 }
 
 impl SequentialProfiler<Signature<ExtendedSlot>> {
@@ -44,26 +90,14 @@ impl SequentialProfiler<Signature<ExtendedSlot>> {
     /// the paper sizes each signature at the stated slot count; we follow
     /// that, so memory is `2 × nslots × slot`).
     pub fn with_signature(nslots: usize) -> Self {
-        SequentialProfiler {
-            algo: AlgoState::new(
-                Signature::new(nslots),
-                Signature::new(nslots),
-                AlgoOptions::default(),
-            ),
-        }
+        Self::with_stores(Signature::new(nslots), Signature::new(nslots))
     }
 }
 
 impl SequentialProfiler<PerfectSignature> {
     /// Exact baseline engine ("perfect signature", Section VI-A).
     pub fn perfect() -> Self {
-        SequentialProfiler {
-            algo: AlgoState::new(
-                PerfectSignature::new(),
-                PerfectSignature::new(),
-                AlgoOptions::default(),
-            ),
-        }
+        Self::with_stores(PerfectSignature::new(), PerfectSignature::new())
     }
 }
 
@@ -71,19 +105,43 @@ impl<S: AccessStore> SequentialProfiler<S> {
     /// Engine over custom stores (shadow memory, hash history, compact
     /// slots — the baselines of Sections III-B/VI).
     pub fn with_stores(read: S, write: S) -> Self {
-        SequentialProfiler { algo: AlgoState::new(read, write, AlgoOptions::default()) }
+        Self::with_options(read, write, AlgoOptions::default())
     }
 
     /// Engine with explicit [`AlgoOptions`] (e.g. the set-based profiling
     /// mode of Section VI-B1 via `section_shift`).
     pub fn with_options(read: S, write: S, opts: AlgoOptions) -> Self {
-        SequentialProfiler { algo: AlgoState::new(read, write, opts) }
+        SequentialProfiler { algo: AlgoState::new(read, write, opts), delayed: DelayLine::new() }
     }
 
-    /// Processes one instrumentation event.
+    /// Takes one instrumentation event: prefetches its slots now, retires
+    /// the event that arrived eight (`LOOKAHEAD`) events ago.
     #[inline]
     pub fn on_event(&mut self, ev: &TraceEvent) {
-        self.algo.on_event(ev);
+        self.algo.prefetch(ev);
+        if self.delayed.is_full() {
+            self.retire_oldest();
+        }
+        self.delayed.push(*ev);
+    }
+
+    /// Takes a run of events the caller already holds, looking ahead
+    /// inside the run (see [`AlgoState::on_chunk`]).
+    pub fn on_chunk(&mut self, evs: &[TraceEvent]) {
+        self.retire_delayed();
+        self.algo.on_chunk(evs);
+    }
+
+    fn retire_oldest(&mut self) -> bool {
+        let Some(oldest) = self.delayed.oldest() else { return false };
+        self.algo.on_event(oldest);
+        self.delayed.drop_oldest();
+        true
+    }
+
+    /// Retires every event still in the delay line, in order.
+    fn retire_delayed(&mut self) {
+        while self.retire_oldest() {}
     }
 
     /// Turns on online analysis: the in-line store starts tracking
@@ -91,6 +149,7 @@ impl<S: AccessStore> SequentialProfiler<S> {
     /// [`DepStore::enable_delta`](crate::store::DepStore::enable_delta)).
     /// Idempotent; a late enable catches up by seeding full history.
     pub fn enable_online(&mut self) {
+        self.retire_delayed();
         self.algo.store.enable_delta();
     }
 
@@ -102,6 +161,7 @@ impl<S: AccessStore> SequentialProfiler<S> {
     /// Drains the movement since the previous drain (empty when online
     /// analysis is off or nothing moved).
     pub fn take_delta(&mut self) -> crate::store::AnalysisDelta {
+        self.retire_delayed();
         self.algo.store.take_delta()
     }
 
@@ -115,6 +175,7 @@ impl<S: AccessStore> SequentialProfiler<S> {
         records_read: u64,
         config: Vec<u8>,
     ) -> Result<CheckpointData, CheckpointError> {
+        self.retire_delayed();
         let mut out = dp_types::wire::ByteWriter::new();
         if !self.algo.save_state(&mut out) {
             return Err(CheckpointError::Unsupported(
@@ -145,7 +206,8 @@ impl<S: AccessStore> SequentialProfiler<S> {
     }
 
     /// Finishes the run.
-    pub fn finish(self) -> ProfileResult {
+    pub fn finish(mut self) -> ProfileResult {
+        self.retire_delayed();
         let mem_all = self.algo.memory_usage();
         let gauges = self.algo.sig_gauges();
         let (mut store, exec_tree, counters, sig_mem) = self.algo.finish();
@@ -198,7 +260,7 @@ impl<S: AccessStore> SequentialProfiler<S> {
 impl<S: AccessStore> dp_types::Tracer for SequentialProfiler<S> {
     #[inline]
     fn event(&mut self, ev: TraceEvent) {
-        self.algo.on_event(&ev);
+        self.on_event(&ev);
     }
 }
 

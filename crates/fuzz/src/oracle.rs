@@ -1,7 +1,7 @@
 //! The differential oracle: one program, every engine, one verdict.
 //!
 //! For a sequential program the oracle records its trace once and feeds
-//! the identical event stream to ten legs:
+//! the identical event stream to thirteen legs:
 //!
 //! 1. serial in-line engine (the reference),
 //! 2. parallel pipeline, SPSC transport,
@@ -19,7 +19,10 @@
 //!     its incremental analysis state (serial engine) — the *final*
 //!     snapshot must equal the post-hoc loop/comm/race passes over the
 //!     finished profile,
-//! 12. the same online-analysis equivalence over the parallel pipeline.
+//! 12. the same online-analysis equivalence over the parallel pipeline,
+//! 13. serial engine fed in chunks of seeded random length (empty and
+//!     one-event chunks included), so the lookahead feed is held to the
+//!     per-event one.
 //!
 //! All legs must produce the same dependence multiset, and the serial
 //! result must additionally show zero false positives and zero false
@@ -204,6 +207,23 @@ pub fn offline(spec: &SessionSpec, events: &[TraceEvent]) -> ProfileResult {
     let mut session = spec.build();
     for ev in events {
         session.on_event(*ev);
+    }
+    session.finish()
+}
+
+/// Replays events through a fresh engine built from `spec` in chunks of
+/// seeded random length, 0 to 40 events each.
+pub fn offline_chunked(spec: &SessionSpec, events: &[TraceEvent], seed: u64) -> ProfileResult {
+    let mut session = spec.build();
+    let mut x = seed | 1;
+    let mut rest = events;
+    while !rest.is_empty() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let (now, later) = rest.split_at((x % 41).min(rest.len() as u64) as usize);
+        session.on_chunk(now);
+        rest = later;
     }
     session.finish()
 }
@@ -489,6 +509,12 @@ pub fn check_program(prog: &Program, cfg: &OracleConfig) -> Result<OracleOutcome
     let want = dep_map(&reference);
     let mut legs = 1usize;
 
+    // Varies per program, so chunk lengths and (below) the flaky
+    // transport's cut land differently across a campaign.
+    let leg_seed = (events.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    expect_equal("serial-chunked", &want, &offline_chunked(&serial_spec, &events, leg_seed))?;
+    legs += 1;
+
     // Parallel transports. The SPSC leg is where a hand-injected
     // corruption lands, so the harness can prove divergences are caught.
     let spsc_events: Vec<TraceEvent> = match &cfg.corruption {
@@ -520,20 +546,17 @@ pub fn check_program(prog: &Program, cfg: &OracleConfig) -> Result<OracleOutcome
     legs += 1;
 
     // Flaky transport: seeded mid-stream disconnect + reconnect with
-    // resend overlap, every frame delivered twice. The seed varies per
-    // program so the cut lands at different frame offsets across a
-    // campaign.
-    let flaky_seed = (events.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    // resend overlap, every frame delivered twice.
     expect_equal(
         "flaky-served-serial",
         &want,
-        &flaky_served(&serial_spec, &events, names.clone(), flaky_seed),
+        &flaky_served(&serial_spec, &events, names.clone(), leg_seed),
     )?;
     legs += 1;
     expect_equal(
         "flaky-served-par",
         &want,
-        &flaky_served(&par_spec(TransportKind::Spsc), &events, names, flaky_seed ^ 0xdead_beef),
+        &flaky_served(&par_spec(TransportKind::Spsc), &events, names, leg_seed ^ 0xdead_beef),
     )?;
     legs += 1;
 
@@ -649,7 +672,7 @@ mod tests {
             let out = check_program(&prog, &cfg).unwrap_or_else(|d| {
                 panic!("seed {seed}: {d}\n{}", dp_trace::fuzz::print_program(&prog))
             });
-            assert!(out.legs >= 12, "seed {seed} ran only {} legs", out.legs);
+            assert!(out.legs >= 13, "seed {seed} ran only {} legs", out.legs);
         }
     }
 

@@ -317,8 +317,14 @@ pub struct ServiceMetrics {
     pub events_skipped_on_resume: u64,
 }
 
-/// One entry of the hot-address top-K (the router-side counts that drive
-/// Section IV-A redistribution).
+/// One entry of the hot-address top-K (the router-side statistics that
+/// drive Section IV-A redistribution).
+///
+/// The router keeps these in a fixed-size table, one address per bucket:
+/// `count` is the address's exact access count until another counted
+/// address shares its bucket, and a lower bound after (each access of
+/// the other address wears it down by one). An address holding the
+/// majority of its bucket's accesses is always present.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HotAddress {
     /// The memory address.

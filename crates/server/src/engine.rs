@@ -85,6 +85,9 @@ pub struct SessionEngine {
     /// first `Query` frame — sessions that never query carry no delta
     /// tracking and pay nothing for the subsystem.
     online: Option<OnlineAnalysis>,
+    /// The un-skipped suffix of the chunk being fed, decoded once so the
+    /// engine sees it as one slice; kept for its allocation.
+    suffix: Vec<TraceEvent>,
     finished: bool,
 }
 
@@ -152,6 +155,7 @@ impl SessionEngine {
                 ..SessionMetrics::default()
             },
             online: None,
+            suffix: Vec::new(),
             finished: false,
         };
         let ack = Frame::HelloAck { session_id, resume_from: engine.events_fed };
@@ -184,7 +188,7 @@ impl SessionEngine {
                     self.metrics.events_skipped_on_resume += 1;
                     return Ok(Vec::new());
                 }
-                self.feed(ev)?;
+                self.feed(std::slice::from_ref(&ev))?;
                 Ok(Vec::new())
             }
             Frame::Sync { nonce } => {
@@ -256,19 +260,32 @@ impl SessionEngine {
         // exactly, feed only the new suffix.
         let skip = (self.events_fed - base).min(len as u64) as usize;
         self.metrics.events_skipped_on_resume += skip as u64;
-        for a in accesses.skip(skip) {
-            self.feed(TraceEvent::Access(a))?;
-        }
-        Ok(Vec::new())
+        let mut suffix = std::mem::take(&mut self.suffix);
+        suffix.clear();
+        suffix.extend(accesses.skip(skip).map(TraceEvent::Access));
+        let fed = self.feed(&suffix);
+        self.suffix = suffix;
+        fed.map(|()| Vec::new())
     }
 
-    fn feed(&mut self, ev: TraceEvent) -> Result<(), SessionError> {
-        let session = self.session.as_mut().expect("unfinished session has an engine");
-        session.on_event(ev);
-        self.metrics.events += 1;
-        self.events_fed += 1;
-        if self.checkpoint_every > 0 && self.events_fed.is_multiple_of(self.checkpoint_every) {
-            self.write_checkpoint()?;
+    /// Feeds `evs` to the engine whole, cut only where a periodic
+    /// checkpoint falls due, so checkpoints land on exact multiples of
+    /// `checkpoint_every` however the stream was framed.
+    fn feed(&mut self, mut evs: &[TraceEvent]) -> Result<(), SessionError> {
+        while !evs.is_empty() {
+            let until_due = match self.checkpoint_every {
+                0 => u64::MAX,
+                every => every - self.events_fed % every,
+            };
+            let (now, later) = evs.split_at(until_due.min(evs.len() as u64) as usize);
+            let session = self.session.as_mut().expect("unfinished session has an engine");
+            session.on_chunk(now);
+            self.metrics.events += now.len() as u64;
+            self.events_fed += now.len() as u64;
+            if self.checkpoint_every > 0 && self.events_fed.is_multiple_of(self.checkpoint_every) {
+                self.write_checkpoint()?;
+            }
+            evs = later;
         }
         Ok(())
     }

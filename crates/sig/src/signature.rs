@@ -118,6 +118,20 @@ impl<S: Slot> AccessStore for Signature<S> {
     }
 
     #[inline]
+    fn prefetch(&self, addr: Address) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let slot: *const S = &self.slots[self.hash.index(addr)];
+            // SAFETY: `_mm_prefetch` is a hint that never faults and is part
+            // of the x86_64 baseline (SSE); the pointer is a live slot's.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(slot.cast::<i8>()) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = addr;
+    }
+
+    #[inline]
     fn remove(&mut self, addr: Address) {
         let idx = self.hash.index(addr);
         if !self.slots[idx].is_empty() {

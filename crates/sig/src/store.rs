@@ -26,6 +26,14 @@ pub trait AccessStore: Send {
     /// Insertion: records `entry` as the latest access to `addr`.
     fn put(&mut self, addr: Address, entry: SigEntry);
 
+    /// Hint that `addr` is about to be looked up: a store whose lookup is
+    /// one dependent cache miss starts that miss early. Never changes
+    /// what any other method returns. Default: nothing.
+    #[inline]
+    fn prefetch(&self, addr: Address) {
+        let _ = addr;
+    }
+
     /// Removal, for variable-lifetime analysis: forget `addr`. On an
     /// approximate store this clears the slot `addr` hashes to, which may
     /// also forget a colliding address — the accepted cost of the

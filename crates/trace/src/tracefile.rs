@@ -23,7 +23,7 @@
 use crate::tracer::Tracer;
 use dp_types::{AccessKind, Interner, MemAccess, SourceLoc, TraceEvent};
 use std::fmt;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
 const MAGIC: &[u8; 4] = b"DPTR";
 const VERSION: u8 = 2;
@@ -37,21 +37,24 @@ const TAG_CALL_BEGIN: u8 = 5;
 const TAG_CALL_END: u8 = 6;
 const TAG_DEALLOC: u8 = 7;
 
-/// Payload size (fields only, excluding tag and checksum) of each record
-/// kind; `None` for tags the format does not define.
-fn payload_len(tag: u8) -> Option<usize> {
-    Some(match tag {
-        TAG_READ | TAG_WRITE => 8 + 8 + 4 + 4 + 2,
-        TAG_LOOP_BEGIN => 4 + 4 + 2 + 8,
-        TAG_LOOP_ITER => 4 + 8 + 2 + 8,
-        TAG_LOOP_END => 4 + 4 + 8 + 2 + 8,
-        TAG_CALL_BEGIN | TAG_CALL_END => 4 + 2 + 8,
-        TAG_DEALLOC => 8 + 8 + 2 + 8,
-        _ => return None,
-    })
+/// Whole size of a record — tag byte, fixed-width fields, checksum byte —
+/// indexed by tag; tags past the end are not defined by the format.
+const RECORD_LEN: [u8; 8] = [
+    2 + 8 + 8 + 4 + 4 + 2, // TAG_READ
+    2 + 8 + 8 + 4 + 4 + 2, // TAG_WRITE
+    2 + 4 + 4 + 2 + 8,     // TAG_LOOP_BEGIN
+    2 + 4 + 8 + 2 + 8,     // TAG_LOOP_ITER
+    2 + 4 + 4 + 8 + 2 + 8, // TAG_LOOP_END
+    2 + 4 + 2 + 8,         // TAG_CALL_BEGIN
+    2 + 4 + 2 + 8,         // TAG_CALL_END
+    2 + 8 + 8 + 2 + 8,     // TAG_DEALLOC
+];
+
+fn record_len(tag: u8) -> Option<usize> {
+    RECORD_LEN.get(tag as usize).map(|&n| n as usize)
 }
 
-const MAX_PAYLOAD: usize = 26;
+const MAX_RECORD: usize = 28;
 
 // The per-record checksum is the same XOR fold the checkpoint container
 // uses (one shared definition in `dp_types::wire`), so a trace record
@@ -178,7 +181,7 @@ impl<W: Write> TraceWriter<W> {
             out.write_all(&(name.len() as u32).to_le_bytes())?;
             out.write_all(name)?;
         }
-        Ok(TraceWriter { out, rec: Vec::with_capacity(1 + MAX_PAYLOAD), events: 0, error: None })
+        Ok(TraceWriter { out, rec: Vec::with_capacity(MAX_RECORD), events: 0, error: None })
     }
 
     /// Events written so far.
@@ -317,11 +320,14 @@ impl<R: Read> TraceReader<R> {
             offset += 4 + len as u64;
             let name = String::from_utf8(buf)
                 .map_err(|_| TraceFileError::BadNameTable("name is not valid UTF-8"))?;
-            let got = interner.intern(&name);
-            if got != id && id != 0 {
-                // id 0 is the pre-interned "*"; other collisions mean the
-                // table was malformed but interning is still usable.
-                continue;
+            // Records name their variable by position in this table. A
+            // repeated name would intern to its first position and shift
+            // every later variable down by one; only the recorder's own
+            // leading "*" is expected to be there already.
+            let known = interner.len();
+            interner.intern(&name);
+            if interner.len() == known && !(id == 0 && name == "*") {
+                return Err(TraceFileError::BadNameTable("duplicate name"));
             }
         }
         Ok(TraceReader { input, interner, offset, records: 0, done: false })
@@ -349,93 +355,140 @@ impl<R: Read> TraceReader<R> {
 
     fn read_event(&mut self) -> Result<Option<TraceEvent>, TraceFileError> {
         let rec_off = self.offset;
-        let mut tag = [0u8; 1];
-        match self.input.read_exact(&mut tag) {
-            // EOF at a record boundary is the one legitimate way for a
-            // trace to end.
-            Ok(()) => self.offset += 1,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e.into()),
-        }
-        let tag = tag[0];
-        let len = payload_len(tag).ok_or(TraceFileError::UnknownTag { tag, offset: rec_off })?;
-        let mut buf = [0u8; MAX_PAYLOAD + 1];
-        let body = &mut buf[..len + 1]; // payload + checksum byte
-        match self.input.read_exact(body) {
-            Ok(()) => self.offset += body.len() as u64,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(TraceFileError::TornRecord {
-                    offset: rec_off,
-                    records_read: self.records,
-                })
+        let unknown = |tag| TraceFileError::UnknownTag { tag, offset: rec_off };
+        // A record lying whole in the read-ahead buffer is decoded where it
+        // lies; one that straddles a refill (or follows one) is assembled
+        // in `scratch` by two exact reads, which is also where EOF is told
+        // apart: at a record boundary the trace ends, inside one it is torn.
+        let mut scratch = [0u8; MAX_RECORD];
+        let buffered = self.input.buffer();
+        let whole = match buffered.first() {
+            Some(&tag) => {
+                Some(record_len(tag).ok_or_else(|| unknown(tag))?).filter(|&n| n <= buffered.len())
             }
-            Err(e) => return Err(e.into()),
-        }
-        let (body, ck) = (&buf[..len], buf[len]);
-        if xor_fold(tag, body) != ck {
-            return Err(TraceFileError::Checksum { offset: rec_off, records_read: self.records });
-        }
-        let mut pos = 0usize;
-        macro_rules! get {
-            ($ty:ty) => {{
-                const N: usize = std::mem::size_of::<$ty>();
-                let v = <$ty>::from_le_bytes(body[pos..pos + N].try_into().unwrap());
-                pos += N;
-                v
-            }};
-        }
-        let ev = match tag {
-            t @ (TAG_READ | TAG_WRITE) => {
-                let addr = get!(u64);
-                let ts = get!(u64);
-                let loc = SourceLoc::unpack(get!(u32));
-                let var = get!(u32);
-                let thread = get!(u16);
-                TraceEvent::Access(MemAccess {
-                    addr,
-                    ts,
-                    loc,
-                    var,
-                    thread,
-                    kind: if t == TAG_WRITE { AccessKind::Write } else { AccessKind::Read },
-                })
-            }
-            TAG_LOOP_BEGIN => TraceEvent::LoopBegin {
-                loop_id: get!(u32),
-                loc: SourceLoc::unpack(get!(u32)),
-                thread: get!(u16),
-                ts: get!(u64),
-            },
-            TAG_LOOP_ITER => TraceEvent::LoopIter {
-                loop_id: get!(u32),
-                iter: get!(u64),
-                thread: get!(u16),
-                ts: get!(u64),
-            },
-            TAG_LOOP_END => TraceEvent::LoopEnd {
-                loop_id: get!(u32),
-                loc: SourceLoc::unpack(get!(u32)),
-                iters: get!(u64),
-                thread: get!(u16),
-                ts: get!(u64),
-            },
-            TAG_CALL_BEGIN => {
-                TraceEvent::CallBegin { func: get!(u32), thread: get!(u16), ts: get!(u64) }
-            }
-            TAG_CALL_END => {
-                TraceEvent::CallEnd { func: get!(u32), thread: get!(u16), ts: get!(u64) }
-            }
-            TAG_DEALLOC => TraceEvent::Dealloc {
-                base: get!(u64),
-                len: get!(u64),
-                thread: get!(u16),
-                ts: get!(u64),
-            },
-            _ => unreachable!("payload_len admitted the tag"),
+            None => None,
         };
-        debug_assert_eq!(pos, len);
+        let (ev, n, in_place) = match whole {
+            Some(n) => (decode_record(&buffered[..n]), n, true),
+            None => {
+                match self.input.read_exact(&mut scratch[..1]) {
+                    Ok(()) => {}
+                    Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+                    Err(e) => return Err(e.into()),
+                }
+                let tag = scratch[0];
+                let n = record_len(tag).ok_or_else(|| unknown(tag))?;
+                match self.input.read_exact(&mut scratch[1..n]) {
+                    Ok(()) => {}
+                    Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                        return Err(TraceFileError::TornRecord {
+                            offset: rec_off,
+                            records_read: self.records,
+                        })
+                    }
+                    Err(e) => return Err(e.into()),
+                }
+                (decode_record(&scratch[..n]), n, false)
+            }
+        };
+        let ev =
+            ev.ok_or(TraceFileError::Checksum { offset: rec_off, records_read: self.records })?;
+        if in_place {
+            self.input.consume(n);
+        }
+        self.offset += n as u64;
         Ok(Some(ev))
     }
+}
+
+/// Verifies and decodes one whole record — tag, payload, checksum byte,
+/// exactly as long as its tag says. `None` when the checksum does not
+/// match. Each arm works on a fixed-size array, so the checksum folds
+/// word-wise and every field is one load at a constant offset.
+#[inline]
+fn decode_record(rec: &[u8]) -> Option<TraceEvent> {
+    /// The checksum byte closes the XOR of the whole record to zero.
+    /// Every record length is a multiple of four, so the fold — what
+    /// [`xor_fold`] computes a byte at a time — runs over whole words.
+    #[inline(always)]
+    fn sound<const N: usize>(rec: &[u8]) -> Option<&[u8; N]> {
+        const { assert!(N.is_multiple_of(4)) };
+        let rec: &[u8; N] = rec.try_into().expect("record length follows from its tag");
+        let mut x = 0u32;
+        for word in rec.chunks_exact(4) {
+            x ^= u32::from_le_bytes(word.try_into().expect("chunks_exact(4)"));
+        }
+        x ^= x >> 16;
+        x ^= x >> 8;
+        (x as u8 == 0).then_some(rec)
+    }
+    macro_rules! get {
+        ($rec:ident, $at:expr, $ty:ty) => {
+            <$ty>::from_le_bytes(
+                $rec[$at..$at + std::mem::size_of::<$ty>()].try_into().expect("constant range"),
+            )
+        };
+    }
+    Some(match rec[0] {
+        t @ (TAG_READ | TAG_WRITE) => {
+            let r = sound::<28>(rec)?;
+            TraceEvent::Access(MemAccess {
+                addr: get!(r, 1, u64),
+                ts: get!(r, 9, u64),
+                loc: SourceLoc::unpack(get!(r, 17, u32)),
+                var: get!(r, 21, u32),
+                thread: get!(r, 25, u16),
+                kind: if t == TAG_WRITE { AccessKind::Write } else { AccessKind::Read },
+            })
+        }
+        TAG_LOOP_BEGIN => {
+            let r = sound::<20>(rec)?;
+            TraceEvent::LoopBegin {
+                loop_id: get!(r, 1, u32),
+                loc: SourceLoc::unpack(get!(r, 5, u32)),
+                thread: get!(r, 9, u16),
+                ts: get!(r, 11, u64),
+            }
+        }
+        TAG_LOOP_ITER => {
+            let r = sound::<24>(rec)?;
+            TraceEvent::LoopIter {
+                loop_id: get!(r, 1, u32),
+                iter: get!(r, 5, u64),
+                thread: get!(r, 13, u16),
+                ts: get!(r, 15, u64),
+            }
+        }
+        TAG_LOOP_END => {
+            let r = sound::<28>(rec)?;
+            TraceEvent::LoopEnd {
+                loop_id: get!(r, 1, u32),
+                loc: SourceLoc::unpack(get!(r, 5, u32)),
+                iters: get!(r, 9, u64),
+                thread: get!(r, 17, u16),
+                ts: get!(r, 19, u64),
+            }
+        }
+        t @ (TAG_CALL_BEGIN | TAG_CALL_END) => {
+            let r = sound::<16>(rec)?;
+            let (func, thread, ts) = (get!(r, 1, u32), get!(r, 5, u16), get!(r, 7, u64));
+            if t == TAG_CALL_BEGIN {
+                TraceEvent::CallBegin { func, thread, ts }
+            } else {
+                TraceEvent::CallEnd { func, thread, ts }
+            }
+        }
+        TAG_DEALLOC => {
+            let r = sound::<28>(rec)?;
+            TraceEvent::Dealloc {
+                base: get!(r, 1, u64),
+                len: get!(r, 9, u64),
+                thread: get!(r, 17, u16),
+                ts: get!(r, 19, u64),
+            }
+        }
+        _ => unreachable!("record_len admitted the tag"),
+    })
 }
 
 impl<R: Read> Iterator for TraceReader<R> {
@@ -531,6 +584,29 @@ mod tests {
         assert!(matches!(
             TraceReader::new(&full[..7]),
             Err(TraceFileError::BadNameTable("truncated name table"))
+        ));
+    }
+
+    #[test]
+    fn duplicate_name_in_table_is_typed() {
+        let table = |names: &[&str]| {
+            let mut bytes = b"DPTR\x02".to_vec();
+            bytes.extend((names.len() as u32).to_le_bytes());
+            for n in names {
+                bytes.extend((n.len() as u32).to_le_bytes());
+                bytes.extend(n.as_bytes());
+            }
+            bytes
+        };
+        let good = table(&["*", "a", "b"]);
+        assert_eq!(TraceReader::new(&good[..]).unwrap().interner().resolve(2), "b");
+        assert!(matches!(
+            TraceReader::new(&table(&["*", "a", "a", "b"])[..]),
+            Err(TraceFileError::BadNameTable("duplicate name"))
+        ));
+        assert!(matches!(
+            TraceReader::new(&table(&["*", "a", "*"])[..]),
+            Err(TraceFileError::BadNameTable("duplicate name"))
         ));
     }
 
@@ -649,6 +725,116 @@ mod tests {
             items[2],
             Err(TraceFileError::Checksum { records_read: 2, offset }) if offset == third as u64
         ));
+    }
+
+    /// Hands out 1–7 bytes per call, so the read-ahead buffer almost
+    /// never holds a whole record and nearly every one is assembled by
+    /// the exact-read path.
+    struct Dribble<'a> {
+        data: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let n = (self.calls % 7 + 1).min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every record kind in rotation, long enough to cross the reader's
+    /// 8 KiB buffer three times; returns the events and each record's
+    /// byte offset in the recording.
+    fn long_recording() -> (Vec<TraceEvent>, Vec<usize>, Vec<u8>) {
+        let evs: Vec<TraceEvent> = (0..1200u64)
+            .map(|i| {
+                let mut ev = sample_events()[(i % 8) as usize];
+                if let TraceEvent::Access(a) = &mut ev {
+                    a.addr = 0x1000 + i * 8;
+                    a.ts = i;
+                }
+                ev
+            })
+            .collect();
+        let mut at = record(&[]).len();
+        let offsets = evs
+            .iter()
+            .map(|ev| {
+                let start = at;
+                at += match ev {
+                    TraceEvent::Access(_)
+                    | TraceEvent::LoopEnd { .. }
+                    | TraceEvent::Dealloc { .. } => 28,
+                    TraceEvent::LoopIter { .. } => 24,
+                    TraceEvent::LoopBegin { .. } => 20,
+                    TraceEvent::CallBegin { .. } | TraceEvent::CallEnd { .. } => 16,
+                };
+                start
+            })
+            .collect();
+        let bytes = record(&evs);
+        assert_eq!(bytes.len(), at);
+        assert!(at > 3 * 8192);
+        (evs, offsets, bytes)
+    }
+
+    #[test]
+    fn dribbled_and_whole_reads_decode_the_same_events() {
+        let (evs, _, bytes) = long_recording();
+        let whole: Vec<TraceEvent> =
+            TraceReader::new(&bytes[..]).unwrap().map(Result::unwrap).collect();
+        let mut r = TraceReader::new(Dribble { data: &bytes, calls: 0 }).unwrap();
+        let dribbled: Vec<TraceEvent> = (&mut r).map(Result::unwrap).collect();
+        assert_eq!(whole, evs);
+        assert_eq!(dribbled, evs);
+        assert_eq!(r.records_read(), evs.len() as u64);
+    }
+
+    #[test]
+    fn damage_reports_the_same_place_on_either_side_of_a_refill() {
+        let (_, offsets, clean) = long_recording();
+        let last_error = |bytes: &[u8], dribble: bool| {
+            let items: Vec<_> = if dribble {
+                TraceReader::new(Dribble { data: bytes, calls: 0 }).unwrap().collect()
+            } else {
+                TraceReader::new(bytes).unwrap().collect()
+            };
+            let ok = items.iter().filter(|i| i.is_ok()).count();
+            assert_eq!(ok + 1, items.len(), "exactly one error, and it ends the iteration");
+            (ok, format!("{:?}", items.last().unwrap().as_ref().unwrap_err()))
+        };
+        // The last record wholly before the first refill edge, the one
+        // lying across it, and the first wholly after it.
+        let across = offsets.iter().rposition(|&o| o < 8192).unwrap();
+        assert!(offsets[across + 1] > 8192, "no record straddles the edge");
+        for victim in [across - 1, across, across + 1] {
+            let at = offsets[victim];
+            let mut flipped = clean.clone();
+            flipped[at + 3] ^= 0x20;
+            let mut retagged = clean.clone();
+            retagged[at] = 0x77;
+            // Cut two bytes short of the record's end: for the straddling
+            // record that is past the edge, so its head is buffered and
+            // its tail is not.
+            let torn = &clean[..offsets[victim + 1] - 2];
+            let damaged: [(&[u8], String); 3] = [
+                (&flipped, format!("Checksum {{ offset: {at}, records_read: {victim} }}")),
+                (&retagged, format!("UnknownTag {{ tag: 119, offset: {at} }}")),
+                (torn, format!("TornRecord {{ offset: {at}, records_read: {victim} }}")),
+            ];
+            for (bytes, want) in damaged {
+                for dribble in [false, true] {
+                    assert_eq!(
+                        last_error(bytes, dribble),
+                        (victim, want.clone()),
+                        "record {victim} at byte {at}, dribble {dribble}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

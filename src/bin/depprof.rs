@@ -1152,7 +1152,7 @@ fn run_fuzz_cmd(args: &Args) {
     let start = Instant::now();
     let report = depprof::fuzz::run_fuzz(&opts, &mut |line| eprintln!("{line}"));
     eprintln!(
-        "fuzz: {} seeds ({} sequential x 12 legs, {} multi-threaded), {} accesses, \
+        "fuzz: {} seeds ({} sequential x 13 legs, {} multi-threaded), {} accesses, \
          {} webscale streams, {:.1}s",
         report.seeds,
         report.sequential,

@@ -163,6 +163,87 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Router statistics across versions: the blob layout outlives the map.
+// ---------------------------------------------------------------------
+
+/// The `router` section of a checkpoint written by the build before the
+/// router's per-address count map became a bounded table (3 workers,
+/// chunks of 8, `redistribute_every` 2, `top_k` 4; 153 accesses over nine
+/// addresses): 21 chunks pushed, one redistribution, nine `(addr, count)`
+/// pairs in address order, four rules. `0xf368` and `0x24978` share a
+/// table bucket with `0x2000`, `0xf370` with `0x2008`.
+const PARENT_ROUTER_BLOB: &str = "\
+    1500000000000000010000000000000000000000000000000000000000000000\
+    0000000000000000030000000000000000000000000000000000000000000000\
+    0000000009000000000000000020000000000000280000000000000008200000\
+    0000000005000000000000001020000000000000020000000000000018200000\
+    00000000210000000000000030200000000000001d0000000000000048200000\
+    00000000150000000000000068f3000000000000090000000000000070f30000\
+    000000000b000000000000007849020000000000030000000000000004000000\
+    0000000000200000000000000000000008200000000000000100000018200000\
+    0000000002000000302000000000000000000000";
+
+fn unhex(s: &str) -> Vec<u8> {
+    let digits: Vec<u8> = s.bytes().filter(u8::is_ascii_hexdigit).collect();
+    digits
+        .chunks(2)
+        .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+        .collect()
+}
+
+/// The `(addr, count)` pairs of a router blob (layout: five `u64`
+/// scalars, a `u32`-counted `u64` drop vector, then the counted pairs).
+fn router_counts(blob: &[u8]) -> Vec<(u64, u64)> {
+    let u64_at = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+    let drops = u32::from_le_bytes(blob[40..44].try_into().unwrap()) as usize;
+    let at = 44 + drops * 8;
+    (0..u64_at(at) as usize).map(|i| (u64_at(at + 8 + i * 16), u64_at(at + 16 + i * 16))).collect()
+}
+
+#[test]
+fn router_blob_of_the_previous_build_loads_and_new_blobs_are_a_fixed_point() {
+    let mut c = par_cfg(TransportKind::Spsc).with_redistribution(true);
+    c.redistribute_every = 2;
+    c.top_k = 4;
+    let slots = c.slots_per_worker();
+    let mk = move || Signature::<ExtendedSlot>::new(slots);
+    let reload = |router: Vec<u8>| {
+        let mut fresh: AnyParallelProfiler<Signature<ExtendedSlot>> =
+            AnyParallelProfiler::new(c.clone(), mk);
+        let mut data = fresh.checkpoint_data(1, 0, Vec::new()).unwrap();
+        drop(fresh.finish());
+        data.router = router;
+        let mut resumed = AnyParallelProfiler::resume(c.clone(), mk, &data).unwrap();
+        let again = resumed.checkpoint_data(2, 0, Vec::new()).unwrap().router;
+        (again, resumed.finish())
+    };
+
+    let old = unhex(PARENT_ROUTER_BLOB);
+    assert_eq!(router_counts(&old).len(), 9);
+    let (folded, r) = reload(old.clone());
+    // Scalars and rules carry over untouched.
+    assert_eq!((r.stats.chunks_pushed, r.stats.redistributions), (21, 1));
+    assert_eq!(r.stats.redistributed_addrs, 4);
+    // Counts fold in address order: sole tenants keep theirs, a shared
+    // bucket keeps its majority's margin (40 − 9 − 3; 11 − 5).
+    assert_eq!(
+        router_counts(&folded),
+        vec![(0x2000, 28), (0x2010, 2), (0x2018, 33), (0x2030, 29), (0x2048, 21), (0xf370, 6)]
+    );
+    let pairs_at = 44 + 3 * 8;
+    assert_eq!(folded[..pairs_at], old[..pairs_at], "scalars and drop vector");
+    assert_eq!(folded[folded.len() - 60..], old[old.len() - 60..], "rules");
+    if r.metrics.enabled {
+        let hot: Vec<(u64, u64)> =
+            r.metrics.hot_addresses.iter().map(|h| (h.addr, h.count)).collect();
+        assert_eq!(hot, vec![(0x2018, 33), (0x2030, 29), (0x2000, 28), (0x2048, 21)]);
+    }
+    // What this build writes, it reloads to the same bytes.
+    let (again, _) = reload(folded.clone());
+    assert_eq!(again, folded);
+}
+
+// ---------------------------------------------------------------------
 // CLI-level recovery: a real process killed mid-run, resumed from disk.
 // ---------------------------------------------------------------------
 

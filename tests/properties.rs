@@ -2,7 +2,8 @@
 
 use depprof::core::parallel::{AnyParallelProfiler, LockFreeProfiler};
 use depprof::core::{
-    ParallelProfiler, ProfileResult, ProfilerConfig, SequentialProfiler, TransportKind,
+    AlgoOptions, AlgoState, ParallelProfiler, ProfileResult, ProfileStats, ProfilerConfig,
+    SequentialProfiler, SessionSpec, SigGauges, TransportKind,
 };
 use depprof::sig::{ExtendedSlot, PerfectSignature, Signature};
 use depprof::types::{loc::loc, AccessKind, DepType, MemAccess, TraceEvent};
@@ -45,6 +46,137 @@ fn arb_stream(max_len: usize) -> impl Strategy<Value = Vec<TraceEvent>> {
         }
         evs
     })
+}
+
+/// A random well-nested stream of all seven event kinds: accesses over a
+/// small address set, loops with iteration boundaries, calls, and
+/// deallocations; every frame still open at the end is closed.
+fn arb_structured_stream(max_len: usize) -> impl Strategy<Value = Vec<TraceEvent>> {
+    enum Frame {
+        Loop { id: u32, iters: u64 },
+        Call(u32),
+    }
+    let step = (0u8..12, 0u64..48, any::<bool>(), 1u32..50);
+    prop::collection::vec(step, 1..max_len).prop_map(|steps| {
+        let mut ts = 0u64;
+        let mut open: Vec<Frame> = Vec::new();
+        let mut evs = Vec::with_capacity(steps.len() + 4);
+        let close = |frame: Frame, ts: u64| match frame {
+            Frame::Loop { id, iters } => {
+                TraceEvent::LoopEnd { loop_id: id, loc: loc(1, 90 + id), iters, thread: 0, ts }
+            }
+            Frame::Call(func) => TraceEvent::CallEnd { func, thread: 0, ts },
+        };
+        for (op, slot, flag, line) in steps {
+            ts += 1;
+            let room = open.len() < 3;
+            let ev = match op {
+                7 if room => {
+                    let id = (slot % 5) as u32;
+                    open.push(Frame::Loop { id, iters: 0 });
+                    TraceEvent::LoopBegin { loop_id: id, loc: loc(1, 80 + id), thread: 0, ts }
+                }
+                8 if matches!(open.last(), Some(Frame::Loop { .. })) => {
+                    let Some(Frame::Loop { id, iters }) = open.last_mut() else { unreachable!() };
+                    *iters += 1;
+                    TraceEvent::LoopIter { loop_id: *id, iter: *iters - 1, thread: 0, ts }
+                }
+                9 if !open.is_empty() => close(open.pop().expect("not empty"), ts),
+                10 if room => {
+                    open.push(Frame::Call(slot as u32 % 4));
+                    TraceEvent::CallBegin { func: slot as u32 % 4, thread: 0, ts }
+                }
+                11 => TraceEvent::Dealloc { base: 0x1000 + (slot % 6) * 64, len: 8, thread: 0, ts },
+                _ => TraceEvent::Access(MemAccess {
+                    addr: 0x1000 + slot * 8,
+                    ts,
+                    loc: loc(1, line),
+                    var: 1,
+                    thread: 0,
+                    kind: if flag { AccessKind::Write } else { AccessKind::Read },
+                }),
+            };
+            evs.push(ev);
+        }
+        while let Some(frame) = open.pop() {
+            ts += 1;
+            evs.push(close(frame, ts));
+        }
+        evs
+    })
+}
+
+/// Everything a feed path leaves behind that a user can see: the sealed
+/// dependence store's bytes, the counters, the signature gauges and the
+/// rendered report.
+#[derive(PartialEq)]
+struct Outcome {
+    store: Vec<u8>,
+    counters: [u64; 8],
+    gauges: SigGauges,
+    report: String,
+}
+
+impl std::fmt::Debug for Outcome {
+    /// The store as its length and a digest: a failure should show which
+    /// field moved, not a page of bytes.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let digest = self.store.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        write!(
+            f,
+            "store {} bytes #{digest:016x}, counters {:?}, {:?}\n{}",
+            self.store.len(),
+            self.counters,
+            self.gauges,
+            self.report
+        )
+    }
+}
+
+fn outcome(result: ProfileResult, gauges: SigGauges) -> Outcome {
+    let mut w = depprof::types::ByteWriter::new();
+    result.deps.save(&mut w);
+    let s = &result.stats;
+    Outcome {
+        store: w.into_bytes(),
+        counters: [
+            s.events,
+            s.accesses,
+            s.reads,
+            s.writes,
+            s.reversed,
+            s.lifetime_removals,
+            s.deps_built,
+            s.deps_merged,
+        ],
+        gauges,
+        report: depprof::core::report::render(&result, &depprof::types::Interner::new(), false),
+    }
+}
+
+/// Few enough slots that the 48 addresses collide and evict.
+const TIGHT_SLOTS: usize = 64;
+
+fn tight_algo() -> AlgoState<Signature<ExtendedSlot>> {
+    AlgoState::new(Signature::new(TIGHT_SLOTS), Signature::new(TIGHT_SLOTS), AlgoOptions::default())
+}
+
+fn algo_outcome(algo: AlgoState<Signature<ExtendedSlot>>) -> Outcome {
+    let gauges = algo.sig_gauges();
+    let (mut deps, exec_tree, counters, _) = algo.finish();
+    deps.seal();
+    let mut stats = ProfileStats::default();
+    stats.absorb(counters);
+    stats.deps_built = deps.deps_built();
+    stats.deps_merged = deps.merged_len();
+    outcome(ProfileResult { deps, exec_tree, stats, ..ProfileResult::default() }, gauges)
+}
+
+fn engine_outcome(result: ProfileResult) -> Outcome {
+    let gauges = result.metrics.signatures.clone();
+    outcome(result, gauges)
 }
 
 fn run_serial_perfect(evs: &[TraceEvent]) -> ProfileResult {
@@ -102,6 +234,60 @@ proptest! {
             prop_assert_eq!(&expected, &ident_counts(&par), "transport {:?}", kind);
             prop_assert_eq!(serial.stats.deps_built, par.stats.deps_built);
         }
+    }
+
+    /// Lookahead never shows: the immediate per-event engine, the chunked
+    /// engine over any split (empty and one-event chunks included), the
+    /// serial profiler's delay line, and a session checkpointed with
+    /// events still in the delay line and resumed, all leave the same
+    /// store bytes, counters, gauges and report.
+    #[test]
+    fn every_feed_path_leaves_the_same_state(
+        evs in arb_structured_stream(300),
+        splits in prop::collection::vec(0usize..12, 1..24),
+        raw_cut in 0usize..1_000_000,
+    ) {
+        let mut immediate = tight_algo();
+        for ev in &evs {
+            immediate.on_event(ev);
+        }
+        let want = algo_outcome(immediate);
+
+        let mut chunked = tight_algo();
+        let mut rest = &evs[..];
+        for len in splits.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (now, later) = rest.split_at((*len).min(rest.len()));
+            chunked.on_chunk(now);
+            rest = later;
+        }
+        prop_assert_eq!(&algo_outcome(chunked), &want, "on_chunk over splits {:?}", splits);
+
+        let mut delayed = SequentialProfiler::with_signature(TIGHT_SLOTS);
+        for ev in &evs {
+            delayed.on_event(ev);
+        }
+        let delayed = delayed.finish();
+        if !delayed.metrics.enabled {
+            return Ok(()); // no gauges in the result without the metrics feature
+        }
+        prop_assert_eq!(&engine_outcome(delayed), &want, "per-event delay line");
+
+        let spec = SessionSpec { slots: TIGHT_SLOTS, ..SessionSpec::default() };
+        let cut = raw_cut % (evs.len() + 1);
+        let mut first = spec.build();
+        for ev in &evs[..cut] {
+            first.on_event(*ev);
+        }
+        let data = first.checkpoint_data(1, cut as u64, spec.encode()).unwrap();
+        drop(first);
+        let mut resumed = spec.resume(&data).unwrap();
+        for ev in &evs[cut..] {
+            resumed.on_event(*ev);
+        }
+        prop_assert_eq!(&engine_outcome(resumed.finish()), &want, "resumed at {}", cut);
     }
 
     /// deps_built always equals the sum of merged record counts.

@@ -3,8 +3,7 @@
 //! interpreter cost is excluded and the numbers isolate the profiler).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dp_core::parallel::{LockBasedProfiler, LockFreeProfiler, SpscProfiler};
-use dp_core::{ParallelProfiler, ProfilerConfig, SequentialProfiler};
+use dp_core::{ParallelProfiler, ProfilerConfig, SequentialProfiler, TransportKind};
 use dp_sig::{ExtendedSlot, PerfectSignature, Signature};
 use dp_trace::workloads::{synth, Scale};
 use dp_trace::{CollectTracer, Interp};
@@ -45,42 +44,25 @@ fn bench_engines(c: &mut Criterion) {
             black_box(p.finish().stats.deps_merged)
         });
     });
-    g.bench_function("parallel_lockfree_4w", |b| {
-        b.iter(|| {
-            let cfg = ProfilerConfig::default().with_workers(4).with_slots(1 << 17);
-            let slots = cfg.slots_per_worker();
-            let mut p: LockFreeProfiler<Signature<ExtendedSlot>> =
-                ParallelProfiler::new(cfg, move || Signature::new(slots));
-            for e in &evs {
-                p.event(*e);
-            }
-            black_box(p.finish().stats.deps_merged)
+    for (name, kind) in [
+        ("parallel_lockfree_4w", TransportKind::Mpmc),
+        ("parallel_spsc_4w", TransportKind::Spsc),
+        ("parallel_lockbased_4w", TransportKind::Lock),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let cfg = ProfilerConfig::default().with_workers(4).with_slots(1 << 17);
+                let slots = cfg.slots_per_worker();
+                let mut p = ParallelProfiler::new(cfg.with_transport(kind), move || {
+                    Signature::<ExtendedSlot>::new(slots)
+                });
+                for e in &evs {
+                    p.event(*e);
+                }
+                black_box(p.finish().stats.deps_merged)
+            });
         });
-    });
-    g.bench_function("parallel_spsc_4w", |b| {
-        b.iter(|| {
-            let cfg = ProfilerConfig::default().with_workers(4).with_slots(1 << 17);
-            let slots = cfg.slots_per_worker();
-            let mut p: SpscProfiler<Signature<ExtendedSlot>> =
-                ParallelProfiler::new(cfg, move || Signature::new(slots));
-            for e in &evs {
-                p.event(*e);
-            }
-            black_box(p.finish().stats.deps_merged)
-        });
-    });
-    g.bench_function("parallel_lockbased_4w", |b| {
-        b.iter(|| {
-            let cfg = ProfilerConfig::default().with_workers(4).with_slots(1 << 17);
-            let slots = cfg.slots_per_worker();
-            let mut p: LockBasedProfiler<Signature<ExtendedSlot>> =
-                ParallelProfiler::new(cfg, move || Signature::new(slots));
-            for e in &evs {
-                p.event(*e);
-            }
-            black_box(p.finish().stats.deps_merged)
-        });
-    });
+    }
     g.finish();
 }
 

@@ -14,10 +14,8 @@ use crate::fmt::{mb, times, Table};
 use crate::measure::{slowdown, time, Timed};
 use crate::result::MetricRow;
 use crate::scenario::{ScenarioCtx, ScenarioOutput};
-use dp_core::parallel::{LockBasedProfiler, LockFreeProfiler};
 use dp_core::{
-    AnyParallelProfiler, DefaultSig, MtProfiler, ParallelProfiler, ProfileResult, ProfilerConfig,
-    SequentialProfiler, TransportKind,
+    MtProfiler, ParallelProfiler, ProfileResult, ProfilerConfig, SequentialProfiler, TransportKind,
 };
 use dp_sig::{predicted_fpr, AccessStore, ExtendedSlot, HashHistory, ShadowMemory, Signature};
 use dp_trace::workloads::{
@@ -114,34 +112,19 @@ fn serial_sig(w: &Workload, slots: usize) -> Timed<ProfileResult> {
 }
 
 fn parallel_lockfree(w: &Workload, cfg: ProfilerConfig) -> Timed<ProfileResult> {
-    let vm = Interp::new(&w.program);
-    let slots = cfg.slots_per_worker();
-    let mut prof: LockFreeProfiler<DefaultSig> =
-        ParallelProfiler::new(cfg, move || Signature::<ExtendedSlot>::new(slots));
-    let t = time(|| {
-        vm.run_seq(&mut prof);
-    });
-    Timed { value: prof.finish(), elapsed: t.elapsed }
+    parallel_with(w, cfg, TransportKind::Mpmc)
 }
 
 fn parallel_lockbased(w: &Workload, cfg: ProfilerConfig) -> Timed<ProfileResult> {
-    let vm = Interp::new(&w.program);
-    let slots = cfg.slots_per_worker();
-    let mut prof: LockBasedProfiler<DefaultSig> =
-        ParallelProfiler::new(cfg, move || Signature::<ExtendedSlot>::new(slots));
-    let t = time(|| {
-        vm.run_seq(&mut prof);
-    });
-    Timed { value: prof.finish(), elapsed: t.elapsed }
+    parallel_with(w, cfg, TransportKind::Lock)
 }
 
 fn parallel_with(w: &Workload, cfg: ProfilerConfig, kind: TransportKind) -> Timed<ProfileResult> {
     let vm = Interp::new(&w.program);
     let slots = cfg.slots_per_worker();
-    let mut prof: AnyParallelProfiler<DefaultSig> =
-        AnyParallelProfiler::new(cfg.with_transport(kind), move || {
-            Signature::<ExtendedSlot>::new(slots)
-        });
+    let mut prof = ParallelProfiler::new(cfg.with_transport(kind), move || {
+        Signature::<ExtendedSlot>::new(slots)
+    });
     let t = time(|| {
         vm.run_seq(&mut prof);
     });

@@ -51,14 +51,14 @@ impl OverflowPolicy {
 /// differ only in synchronization cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// Single-producer single-consumer rings — the fast path for
-    /// sequential targets, where only the instrumented program's thread
-    /// produces. The profiler built on this is `!Sync`, so the
+    /// Single-producer single-consumer rings — the default: only the
+    /// instrumented program's thread feeds the pipeline, and
+    /// [`ParallelProfiler`](crate::ParallelProfiler) is `!Sync`, so the
     /// single-producer contract is compiler-enforced.
-    Spsc,
-    /// Lock-free MPMC queues (the paper's main configuration; required
-    /// when more than one target thread produces).
     #[default]
+    Spsc,
+    /// Lock-free MPMC queues (the paper's main configuration, and what
+    /// the multi-threaded-target engine always uses, whatever this says).
     Mpmc,
     /// Mutex-protected queues — the lock-based comparator of Figure 5.
     Lock,
@@ -162,6 +162,16 @@ impl ProfilerConfig {
         self.total_slots.div_ceil(self.workers.max(1)).max(1)
     }
 
+    /// How long one delivery may stay blocked on a full queue before the
+    /// message is given back: never under [`OverflowPolicy::Block`], the
+    /// stall deadline under [`OverflowPolicy::Drop`].
+    pub(crate) fn drop_after(&self) -> Option<std::time::Duration> {
+        match self.overflow {
+            OverflowPolicy::Block => None,
+            OverflowPolicy::Drop => Some(std::time::Duration::from_millis(self.stall_deadline_ms)),
+        }
+    }
+
     /// Builder-style setter for the worker count.
     pub fn with_workers(mut self, w: usize) -> Self {
         self.workers = w.max(1);
@@ -250,9 +260,9 @@ mod tests {
         assert_eq!(cfg.chunk_capacity, 1);
         assert!(!cfg.redistribution);
         assert!(!cfg.track_carried);
-        assert_eq!(cfg.transport, TransportKind::Mpmc);
-        let cfg = cfg.with_transport(TransportKind::Spsc);
         assert_eq!(cfg.transport, TransportKind::Spsc);
+        let cfg = cfg.with_transport(TransportKind::Lock);
+        assert_eq!(cfg.transport, TransportKind::Lock);
     }
 
     #[test]

@@ -12,15 +12,18 @@
 //!   (Section IV, Figure 2): the profiled program's thread routes accesses
 //!   into per-worker queues by `addr % W`; workers keep private signatures
 //!   and duplicate-free dependence maps; hot-address statistics trigger
-//!   redistribution. Generic over the per-worker transport
-//!   ([`TransportKind`]): the SPSC fast path for sequential targets,
-//!   the lock-free MPMC build ([`dp_queue::MpmcQueue`]) and the
-//!   lock-based comparator ([`dp_queue::LockQueue`]) of Figure 5 share
-//!   every other line of code.
+//!   redistribution. One type, whose per-worker transport
+//!   ([`TransportKind`]) is chosen at construction: the SPSC fast path
+//!   (the default), the lock-free MPMC build ([`dp_queue::MpmcQueue`])
+//!   and the lock-based comparator ([`dp_queue::LockQueue`]) of Figure 5
+//!   share every other line of code.
 //! - [`mt`] — the multi-threaded-target engine (Section V): one tracer per
 //!   target thread, flush-on-unlock for the access/push atomicity of
 //!   Figure 4, and timestamp-reversal detection flagging potential data
 //!   races.
+//! - [`workers`] — what the two pipelines share behind their queues: the
+//!   supervised worker threads, their messages and message loop, the
+//!   conservation ledger and the end-of-run harvest.
 //! - [`store`] — the merged dependence store (identical dependences are
 //!   counted, not duplicated — the 10⁵× output reduction of Section
 //!   III-B).
@@ -44,6 +47,7 @@ pub mod seq;
 pub mod session;
 pub mod store;
 pub mod watchdog;
+pub mod workers;
 
 pub use algo::{AlgoOptions, AlgoState};
 pub use checkpoint::{
@@ -53,9 +57,10 @@ pub use checkpoint::{
 pub use config::{OverflowPolicy, ProfilerConfig, TransportKind};
 pub use exectree::{ExecNode, ExecNodeKind, ExecTree};
 pub use mt::MtProfiler;
-pub use parallel::{AnyParallelProfiler, ParallelProfiler, SpscProfiler, WorkerMsg};
+pub use parallel::ParallelProfiler;
 pub use result::{FailureCause, MemoryReport, ProfileResult, ProfileStats, WorkerFailure};
 pub use watchdog::Watchdog;
+pub use workers::WorkerMsg;
 // Re-exported so downstream code can script faults without depending on
 // dp-queue directly.
 pub use dp_queue::{FaultPlan, WorkerFault};
@@ -65,7 +70,7 @@ pub use dp_metrics::{
     CheckpointMetrics, Conservation, MetricsSnapshot, ObserverHandle, PipelineObserver,
     SessionMetrics, SigGauges,
 };
-pub use seq::{offload_sequential, SequentialProfiler};
+pub use seq::SequentialProfiler;
 pub use session::{ProfileSession, SessionSpec};
 pub use store::{AnalysisDelta, DeltaEdge, DeltaLoop, DepStore, EdgeVal, LoopRecord};
 

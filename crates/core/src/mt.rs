@@ -22,78 +22,47 @@
 //!   `LoopBegin`/`LoopEnd`, routed by `loop_id` so each loop is tracked by
 //!   exactly one worker.
 //!
-//! The failure model matches the sequential pipeline (see
-//! [`parallel`](crate::parallel)): workers run under `catch_unwind` and
-//! flag themselves dead, producers fail fast on dead workers (dropping and
-//! counting instead of spinning forever), and `finish()` salvages every
-//! surviving worker's results within the drain deadline. Unlike the
-//! sequential router, dead-worker traffic is *not* diverted to survivors:
-//! with many producers there is no single point that could preserve
-//! per-address order across the switch, so dropping-and-accounting is the
-//! honest choice.
+//! Behind the queues it is the same supervised worker pool as the
+//! sequential pipeline's (see [`workers`](crate::workers)): one worker
+//! loop, one failure model, one end-of-run harvest. What stays here is
+//! what many producers change: per-thread tracers, a `deliver` that any
+//! thread may call (a timed-out producer marks the worker `stalled` so the
+//! others fail fast), and no diversion of a dead worker's traffic to
+//! survivors — with many producers there is no single point that could
+//! preserve per-address order across the switch, so dropping-and-accounting
+//! is the honest choice.
 
 use crate::algo::{AlgoOptions, AlgoState};
-use crate::config::{OverflowPolicy, ProfilerConfig};
-use crate::parallel::{panic_message, EngineMetrics, WorkerMsg};
-use crate::result::{FailureCause, MemoryReport, ProfileResult, ProfileStats, WorkerFailure};
-use crate::store::DepStore;
-use dp_metrics::{
-    ChunkStats, Conservation, MetricsSnapshot, ObserverHandle, PhaseTimings, SigGauges, Stopwatch,
-    WorkerMetrics,
-};
-use dp_queue::{Backoff, ChannelTap, Chunk, ChunkPool, MpmcQueue};
+use crate::checkpoint::{CheckpointData, CheckpointError};
+use crate::config::ProfilerConfig;
+use crate::result::ProfileResult;
+use crate::workers::{WorkerCtx, WorkerMsg, Workers};
+use dp_queue::{Backoff, Chunk, MeteredSender, MpmcQueue, Shared, TransportSender};
 use dp_sig::AccessStore;
 use dp_types::{ThreadId, TraceEvent, Tracer, TracerFactory};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-type WorkerResult =
-    (DepStore, crate::exectree::ExecTree, crate::algo::AlgoCounters, usize, SigGauges);
-
-/// How a supervised MT worker thread ended.
-enum MtExit {
-    Finished(Box<WorkerResult>),
-    Panicked { payload: String },
-}
-
 struct MtShared {
-    queues: Vec<MpmcQueue<WorkerMsg>>,
-    pool: Arc<ChunkPool>,
+    /// MPMC whatever [`ProfilerConfig::transport`] says: every target
+    /// thread pushes.
+    senders: Vec<MeteredSender<Arc<MpmcQueue<WorkerMsg>>>>,
+    ctx: Arc<WorkerCtx>,
     chunks_pushed: AtomicU64,
-    /// `dead[w]`: worker `w` panicked (set by the worker itself).
-    dead: Vec<AtomicBool>,
     /// `stalled[w]`: a producer timed out delivering to `w` under
-    /// [`OverflowPolicy::Drop`]; later producers fail fast until a push
+    /// [`OverflowPolicy::Drop`](crate::config::OverflowPolicy); later producers fail fast until a push
     /// succeeds again.
     stalled: Vec<AtomicBool>,
     /// Events dropped per destination worker (dead or stalled).
     dropped: Vec<AtomicU64>,
-    overflow: OverflowPolicy,
-    stall_deadline_ms: u64,
-    /// Conservation ledger (same law as the sequential pipeline, with
-    /// `rerouted` pinned to zero — MT never diverts dead-worker traffic).
-    metrics: EngineMetrics,
-    /// Per-queue traffic taps. MT queues are raw [`MpmcQueue`]s shared by
-    /// many producers, so the taps are fed inline here instead of through
-    /// the `MeteredSender`/`MeteredReceiver` decorators.
-    taps: Vec<ChannelTap>,
-    /// Checkpoint reply slots: worker `w` deposits `Some(state)` when it
-    /// handles [`WorkerMsg::Checkpoint`]. The inner option is `None`
-    /// when the worker's access store does not support checkpointing.
-    ckpt_replies: Mutex<Vec<Option<Option<Vec<u8>>>>>,
+    /// Checkpoint replies that missed their window: counted, never fatal.
+    spurious_replies: AtomicU64,
+    /// [`ProfilerConfig::drop_after`], for event chunks.
+    drop_after: Option<Duration>,
 }
 
 impl MtShared {
-    fn drop_after(&self) -> Option<Duration> {
-        match self.overflow {
-            OverflowPolicy::Block => None,
-            OverflowPolicy::Drop => Some(Duration::from_millis(self.stall_deadline_ms)),
-        }
-    }
-
     /// Delivers `msg` to `wid`, spinning with backoff while the queue is
     /// full; gives the message back when the worker is dead, or — with
     /// `drop_after` set — full past the deadline (the worker is then
@@ -108,23 +77,19 @@ impl MtShared {
         let mut deadline: Option<Instant> = None;
         let mut waited_since: Option<Instant> = None;
         loop {
-            if self.dead[wid].load(Ordering::Acquire) {
+            if self.ctx.is_dead(wid) {
                 return Err(msg);
             }
-            match self.queues[wid].push(msg) {
+            match self.senders[wid].push(msg) {
                 Ok(()) => {
                     self.stalled[wid].store(false, Ordering::Relaxed);
-                    let tap = &self.taps[wid];
-                    let n = tap.pushes.inc();
-                    tap.high_water.record(n.saturating_sub(tap.pops.get()));
                     if let Some(since) = waited_since {
-                        self.metrics.stall[wid].add(since.elapsed().as_nanos() as u64);
+                        self.ctx.metrics.stall[wid].add(since.elapsed().as_nanos() as u64);
                     }
                     return Ok(());
                 }
                 Err(back) => {
                     msg = back;
-                    self.taps[wid].push_fulls.inc();
                     waited_since.get_or_insert_with(Instant::now);
                     if let Some(limit) = drop_after {
                         if self.stalled[wid].load(Ordering::Acquire) {
@@ -142,12 +107,11 @@ impl MtShared {
         }
     }
 
-    /// Drop accounting for an undeliverable message.
-    fn account_drop(&self, wid: usize, msg: WorkerMsg) {
-        if let WorkerMsg::Events(chunk) = msg {
-            self.dropped[wid].fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            self.metrics.dropped[wid].add(chunk.len() as u64);
-            self.pool.release(chunk);
+    /// Replies nobody is waiting for any more (a worker that answered a
+    /// `Checkpoint` after its deadline): counted and dropped.
+    fn count_stray_replies(&self) {
+        while self.ctx.resp.pop().is_some() {
+            self.spurious_replies.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -172,37 +136,40 @@ impl MtThreadTracer {
         if self.pending[wid].is_empty() {
             return;
         }
-        let chunk = std::mem::replace(&mut self.pending[wid], self.shared.pool.acquire());
+        let sh = &*self.shared;
+        let chunk = std::mem::replace(&mut self.pending[wid], sh.ctx.pool.acquire());
         let len = chunk.len() as u64;
         // Once per chunk: every target thread shares this counter's line.
-        self.shared.metrics.pushed.add(len);
-        let drop_after = self.shared.drop_after();
-        match self.shared.deliver(wid, WorkerMsg::Events(chunk), drop_after) {
+        sh.ctx.metrics.pushed.add(len);
+        match sh.deliver(wid, WorkerMsg::Events(chunk), sh.drop_after) {
             Ok(()) => {
-                self.shared.chunks_pushed.fetch_add(1, Ordering::Relaxed);
-                self.shared.metrics.enqueued[wid].add(len);
+                sh.chunks_pushed.fetch_add(1, Ordering::Relaxed);
+                sh.ctx.metrics.enqueued[wid].add(len);
             }
-            Err(msg) => self.shared.account_drop(wid, msg),
+            Err(WorkerMsg::Events(chunk)) => {
+                sh.dropped[wid].fetch_add(len, Ordering::Relaxed);
+                sh.ctx.metrics.dropped[wid].add(len);
+                sh.ctx.pool.release(chunk);
+            }
+            Err(_) => unreachable!("deliver returns the message it was given"),
         }
     }
 }
 
 impl Tracer for MtThreadTracer {
     fn event(&mut self, ev: TraceEvent) {
-        let w = self.pending.len() as u64;
         match ev {
             // Formula 1 with the 8-byte alignment shifted out (see
             // `ParallelProfiler::owner`).
-            TraceEvent::Access(a) => self.append(((a.addr >> 3) % w) as usize, ev),
+            TraceEvent::Access(a) => {
+                self.append(((a.addr >> 3) % self.pending.len() as u64) as usize, ev)
+            }
             // Structural events (loop records + execution tree) all go to
             // worker 0 so per-thread nesting stays coherent.
             TraceEvent::LoopBegin { .. }
             | TraceEvent::LoopEnd { .. }
             | TraceEvent::CallBegin { .. }
-            | TraceEvent::CallEnd { .. } => {
-                let _ = w;
-                self.append(0, ev);
-            }
+            | TraceEvent::CallEnd { .. } => self.append(0, ev),
             // Iteration boundaries are only needed for carried
             // classification, which is off for multi-threaded targets.
             TraceEvent::LoopIter { .. } => {}
@@ -227,10 +194,7 @@ impl Tracer for MtThreadTracer {
 /// [`TracerFactory`] of `Interp::run_mt`, then call [`MtProfiler::finish`].
 pub struct MtProfiler {
     shared: Arc<MtShared>,
-    handles: Mutex<Vec<JoinHandle<MtExit>>>,
-    drain_deadline_ms: u64,
-    observer: ObserverHandle,
-    timer: Stopwatch,
+    workers: Workers,
 }
 
 impl MtProfiler {
@@ -249,52 +213,37 @@ impl MtProfiler {
         make_store: impl Fn() -> S,
     ) -> Self {
         let w = cfg.workers.max(1);
-        let pool = ChunkPool::new(w * cfg.queue_chunks * 4, cfg.chunk_capacity);
+        let opts = |wid| AlgoOptions {
+            track_carried: false,
+            check_reversal: true,
+            // Structural events are routed to worker 0 only.
+            record_loops: wid == 0,
+            section_shift: 0,
+        };
+        let algos = (0..w).map(|wid| AlgoState::new(make_store(), make_store(), opts(wid)));
+        let (senders, workers) = Workers::spawn(
+            &Shared::<MpmcQueue<WorkerMsg>>::default(),
+            &cfg,
+            w * cfg.queue_chunks * 4,
+            algos.collect(),
+        );
         let shared = Arc::new(MtShared {
-            queues: (0..w).map(|_| MpmcQueue::new(cfg.queue_chunks)).collect(),
-            pool,
+            senders,
+            ctx: workers.ctx.clone(),
             chunks_pushed: AtomicU64::new(0),
-            dead: (0..w).map(|_| AtomicBool::new(false)).collect(),
             stalled: (0..w).map(|_| AtomicBool::new(false)).collect(),
             dropped: (0..w).map(|_| AtomicU64::new(0)).collect(),
-            overflow: cfg.overflow,
-            stall_deadline_ms: cfg.stall_deadline_ms,
-            metrics: EngineMetrics::new(w),
-            taps: (0..w).map(|_| ChannelTap::default()).collect(),
-            ckpt_replies: Mutex::new((0..w).map(|_| None).collect()),
+            spurious_replies: AtomicU64::new(0),
+            drop_after: cfg.drop_after(),
         });
-        let mut handles = Vec::with_capacity(w);
-        for wid in 0..w {
-            let algo = AlgoState::new(
-                make_store(),
-                make_store(),
-                AlgoOptions {
-                    track_carried: false,
-                    check_reversal: true,
-                    // Structural events are routed to worker 0 only.
-                    record_loops: wid == 0,
-                    section_shift: 0,
-                },
-            );
-            let sh = shared.clone();
-            let plan = cfg.fault_plan.clone();
-            handles.push(std::thread::spawn(move || mt_worker(sh, wid, algo, plan)));
-        }
-        MtProfiler {
-            shared,
-            handles: Mutex::new(handles),
-            drain_deadline_ms: cfg.drain_deadline_ms,
-            observer: cfg.observer,
-            timer: Stopwatch::start(),
-        }
+        MtProfiler { shared, workers }
     }
 
     /// Monotone progress value for a run watchdog: events pushed by the
     /// target threads plus events consumed by the workers. Constant 0
     /// when the `metrics` feature is off.
     pub fn heartbeat(&self) -> u64 {
-        let m = &self.shared.metrics;
-        m.pushed.get() + m.consumed.iter().map(dp_metrics::Counter::get).sum::<u64>()
+        self.shared.ctx.metrics.heartbeat()
     }
 
     /// Captures a checkpoint of every worker's extraction state plus the
@@ -313,41 +262,18 @@ impl MtProfiler {
         generation: u64,
         records_read: u64,
         config: Vec<u8>,
-    ) -> Result<crate::checkpoint::CheckpointData, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{CheckpointData, CheckpointError};
-        let w = self.shared.queues.len();
-        let drain = Duration::from_millis(self.drain_deadline_ms.max(1));
-        {
-            let mut slots = self.shared.ckpt_replies.lock();
-            slots.clear();
-            slots.resize(w, None);
-        }
-        for wid in 0..w {
-            if self.shared.deliver(wid, WorkerMsg::Checkpoint, Some(drain)).is_err() {
+    ) -> Result<CheckpointData, CheckpointError> {
+        let sh = &*self.shared;
+        // An answer to an earlier barrier must not pass for one to this.
+        sh.count_stray_replies();
+        for wid in 0..sh.senders.len() {
+            if sh.deliver(wid, WorkerMsg::Checkpoint, Some(self.workers.drain())).is_err() {
                 return Err(CheckpointError::WorkerUnavailable(wid));
             }
         }
-        let deadline = Instant::now() + drain;
-        let mut workers = Vec::with_capacity(w);
-        for wid in 0..w {
-            loop {
-                if let Some(reply) = self.shared.ckpt_replies.lock()[wid].take() {
-                    match reply {
-                        Some(bytes) => workers.push(bytes),
-                        None => {
-                            return Err(CheckpointError::Unsupported(
-                                "the worker access store does not support checkpointing",
-                            ))
-                        }
-                    }
-                    break;
-                }
-                if self.shared.dead[wid].load(Ordering::Acquire) || Instant::now() >= deadline {
-                    return Err(CheckpointError::WorkerUnavailable(wid));
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        }
+        let workers = self.workers.checkpoint_states(|_| {
+            sh.spurious_replies.fetch_add(1, Ordering::Relaxed);
+        })?;
         Ok(CheckpointData {
             generation,
             records_read,
@@ -355,7 +281,7 @@ impl MtProfiler {
             // The MT router is distributed across target threads: no
             // central statistics to capture.
             router: Vec::new(),
-            ledger: self.shared.metrics.save(),
+            ledger: sh.ctx.metrics.save(),
             workers,
         })
     }
@@ -364,179 +290,22 @@ impl MtProfiler {
     /// salvaging survivors and bounding every wait by the drain deadline
     /// when a worker was lost. Call only after the target program has
     /// fully finished (all target threads joined).
-    pub fn finish(self) -> ProfileResult {
-        let feed_nanos = self.timer.elapsed_nanos();
-        let drain_timer = Stopwatch::start();
-        let w = self.shared.queues.len();
-        let drain = Duration::from_millis(self.drain_deadline_ms.max(1));
-        let shutdown_ok: Vec<bool> = (0..w)
-            .map(|wid| self.shared.deliver(wid, WorkerMsg::Shutdown, Some(drain)).is_ok())
+    pub fn finish(mut self) -> ProfileResult {
+        self.workers.begin_drain();
+        let sh = &*self.shared;
+        let drain = self.workers.drain();
+        let shutdown_ok: Vec<bool> = (0..sh.senders.len())
+            .map(|wid| sh.deliver(wid, WorkerMsg::Shutdown, Some(drain)).is_ok())
             .collect();
-        let mut stats = ProfileStats::default();
-        let mut global = DepStore::new();
-        let mut exec_tree = crate::exectree::ExecTree::new();
-        let mut sig_mem = 0usize;
-        let mut per_worker_events = Vec::new();
-        let mut failures: Vec<WorkerFailure> = Vec::new();
-        let mut gauges = SigGauges::default();
-        let grace = Duration::from_millis(self.drain_deadline_ms.clamp(50, 500));
-        for (wid, h) in self.handles.into_inner().into_iter().enumerate() {
-            let wait = if shutdown_ok[wid] { drain } else { grace };
-            let end = Instant::now() + wait;
-            while !h.is_finished() && Instant::now() < end {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            if !h.is_finished() {
-                // Unresponsive past the deadline: detach instead of
-                // hanging finish() forever.
-                failures.push(WorkerFailure {
-                    worker: wid,
-                    workers: w,
-                    cause: FailureCause::Unresponsive,
-                });
-                per_worker_events.push(0);
-                continue;
-            }
-            let exit = match h.join() {
-                Ok(e) => e,
-                Err(p) => MtExit::Panicked { payload: panic_message(&*p) },
-            };
-            match exit {
-                MtExit::Finished(res) => {
-                    let (store, tree, counters, mem, g) = *res;
-                    if !shutdown_ok[wid] {
-                        failures.push(WorkerFailure {
-                            worker: wid,
-                            workers: w,
-                            cause: FailureCause::Unresponsive,
-                        });
-                    }
-                    gauges.occupied_slots += g.occupied_slots;
-                    gauges.total_slots += g.total_slots;
-                    gauges.evictions += g.evictions;
-                    gauges.est_fpr_pct = gauges.est_fpr_pct.max(g.est_fpr_pct);
-                    stats.absorb(counters);
-                    sig_mem += mem;
-                    per_worker_events.push(counters.accesses);
-                    global.merge(store);
-                    exec_tree.merge(&tree);
-                }
-                MtExit::Panicked { payload } => {
-                    failures.push(WorkerFailure {
-                        worker: wid,
-                        workers: w,
-                        cause: FailureCause::Panic(payload),
-                    });
-                    per_worker_events.push(0);
-                }
-            }
-        }
-        stats.deps_built = global.deps_built();
-        stats.deps_merged = global.merged_len();
-        stats.chunks_pushed = self.shared.chunks_pushed.load(Ordering::Relaxed);
-        let dropped: Vec<u64> =
-            self.shared.dropped.iter().map(|d| d.load(Ordering::Relaxed)).collect();
-        stats.dropped_events = dropped.iter().sum();
-        if stats.dropped_events > 0 {
-            stats.dropped_per_worker = dropped;
-        }
-        stats.worker_failures = failures;
-        for f in &stats.worker_failures {
-            self.observer.on_worker_failure(f.worker);
-        }
-        // The run's footprint, index included (see `SequentialProfiler::finish`).
-        let store_mem = global.memory_usage();
-        global.seal();
-        let memory = MemoryReport {
-            signatures: sig_mem,
-            queues: self.shared.queues.iter().map(|q| q.memory_usage()).sum(),
-            chunks: self.shared.pool.memory_usage(),
-            dep_store: store_mem,
-            stats_maps: 0,
-        };
-        let workers = self.shared.queues.len();
-        let metrics = if dp_metrics::ENABLED {
-            let m = &self.shared.metrics;
-            let mut conservation = Conservation { pushed: m.pushed.get(), ..Default::default() };
-            let mut per_worker = Vec::with_capacity(w);
-            let mut stall_total = 0u64;
-            let mut chunks_consumed = 0u64;
-            for wid in 0..w {
-                // Read `enqueued` first and clamp `consumed` to it: a
-                // worker abandoned as unresponsive may still be draining
-                // its queue concurrently with this snapshot, and the clamp
-                // keeps the consumed/in-flight split internally consistent
-                // (the producer-side counters are exact by construction).
-                let enqueued = m.enqueued[wid].get();
-                let consumed = m.consumed[wid].get().min(enqueued);
-                let in_flight = enqueued - consumed;
-                let dropped = m.dropped[wid].get();
-                let stall = m.stall[wid].get();
-                conservation.consumed += consumed;
-                conservation.dropped += dropped;
-                conservation.in_flight_at_shutdown += in_flight;
-                stall_total += stall;
-                chunks_consumed += m.consumed_chunks[wid].get();
-                per_worker.push(WorkerMetrics {
-                    worker: wid,
-                    enqueued,
-                    consumed,
-                    dropped,
-                    in_flight,
-                    consumed_chunks: m.consumed_chunks[wid].get(),
-                    stall_nanos: stall,
-                });
-            }
-            let drain_nanos = drain_timer.elapsed_nanos();
-            MetricsSnapshot {
-                enabled: true,
-                workers: w,
-                // The chaos seed is a run-level fact the CLI stamps on
-                // the snapshot; engines report 0.
-                chaos_seed: 0,
-                conservation,
-                chunks: ChunkStats {
-                    pushed: self.shared.chunks_pushed.load(Ordering::Relaxed),
-                    consumed: chunks_consumed,
-                    queue_highwater: self
-                        .shared
-                        .taps
-                        .iter()
-                        .map(|t| t.high_water.get())
-                        .max()
-                        .unwrap_or(0),
-                    push_retries: self.shared.taps.iter().map(|t| t.push_fulls.get()).sum(),
-                    empty_pops: self.shared.taps.iter().map(|t| t.empty_pops.get()).sum(),
-                },
-                stall_nanos: stall_total,
-                signatures: gauges,
-                // Checkpoint accounting is owned by the driver that owns
-                // the checkpoint store, not by the engine.
-                checkpoints: Default::default(),
-                service: Default::default(),
-                // The MT router is distributed across target threads, so
-                // there is no central hot-address table to report.
-                hot_addresses: Vec::new(),
-                per_worker,
-                timings: PhaseTimings {
-                    feed_nanos,
-                    drain_nanos,
-                    total_nanos: feed_nanos + drain_nanos,
-                },
-            }
-        } else {
-            MetricsSnapshot::default()
-        };
-        self.observer.on_finish(&metrics);
-        ProfileResult {
-            deps: global,
-            exec_tree,
-            stats,
-            memory,
-            workers,
-            per_worker_events,
-            metrics,
-        }
+        let dropped = sh.dropped.iter().map(|d| d.load(Ordering::Relaxed)).collect();
+        // The MT router is distributed across target threads, so there is
+        // no central hot-address table to report.
+        let chunks_pushed = sh.chunks_pushed.load(Ordering::Relaxed);
+        let mut r = self.workers.finish(&shutdown_ok, chunks_pushed, dropped, Vec::new());
+        sh.count_stray_replies();
+        r.stats.spurious_replies = sh.spurious_replies.load(Ordering::Relaxed);
+        r.memory.queues = sh.senders.iter().map(|s| s.memory_usage()).sum();
+        r
     }
 }
 
@@ -544,99 +313,16 @@ impl TracerFactory for MtProfiler {
     type Tracer = MtThreadTracer;
 
     fn tracer(&self, _tid: ThreadId) -> MtThreadTracer {
-        let w = self.shared.queues.len();
+        let sh = &self.shared;
         MtThreadTracer {
-            shared: self.shared.clone(),
-            pending: (0..w).map(|_| self.shared.pool.acquire()).collect(),
+            shared: sh.clone(),
+            pending: (0..sh.senders.len()).map(|_| sh.ctx.pool.acquire()).collect(),
         }
     }
 
     fn join(&self, _tid: ThreadId, mut tracer: MtThreadTracer) {
         tracer.sync_point();
     }
-}
-
-/// Injected panic hook for the MT engine (panic-only: stalls and reply
-/// drops are sequential-pipeline concepts).
-#[cfg(feature = "fault-inject")]
-fn mt_fault_panic(wid: usize, chunks_done: u64, plan: &dp_queue::FaultPlan) {
-    if let Some(f) = plan.panic_worker {
-        if f.worker == wid && chunks_done >= f.after_chunks {
-            panic!("injected fault: mt worker {wid} panicked after {} chunks", f.after_chunks);
-        }
-    }
-}
-
-#[cfg(not(feature = "fault-inject"))]
-#[inline(always)]
-fn mt_fault_panic(_: usize, _: u64, _: &dp_queue::FaultPlan) {}
-
-fn mt_worker<S: AccessStore>(
-    shared: Arc<MtShared>,
-    wid: usize,
-    algo: AlgoState<S>,
-    plan: dp_queue::FaultPlan,
-) -> MtExit {
-    let sh = shared.clone();
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        run_mt_worker(sh, wid, algo, plan)
-    }));
-    match out {
-        Ok(res) => MtExit::Finished(Box::new(res)),
-        Err(payload) => {
-            // Flag death before the thread exits so producers fail fast.
-            shared.dead[wid].store(true, Ordering::Release);
-            MtExit::Panicked { payload: panic_message(&*payload) }
-        }
-    }
-}
-
-fn run_mt_worker<S: AccessStore>(
-    shared: Arc<MtShared>,
-    wid: usize,
-    mut algo: AlgoState<S>,
-    plan: dp_queue::FaultPlan,
-) -> WorkerResult {
-    let mut backoff = Backoff::new();
-    let mut chunks_done = 0u64;
-    loop {
-        mt_fault_panic(wid, chunks_done, &plan);
-        let msg = shared.queues[wid].pop();
-        if msg.is_some() {
-            shared.taps[wid].pops.inc();
-        } else {
-            shared.taps[wid].empty_pops.inc();
-        }
-        match msg {
-            Some(WorkerMsg::Events(chunk)) => {
-                // Consumed means *off the queue*: counted before
-                // processing, so events lost to a mid-chunk panic are
-                // still accounted as consumed rather than in-flight.
-                shared.metrics.consumed[wid].add(chunk.len() as u64);
-                shared.metrics.consumed_chunks[wid].inc();
-                algo.on_chunk(chunk.events());
-                shared.pool.release(chunk);
-                chunks_done += 1;
-                backoff.reset();
-            }
-            Some(WorkerMsg::Inject { addr, read, write }) => algo.inject(addr, read, write),
-            Some(WorkerMsg::Extract { .. })
-            | Some(WorkerMsg::EnableDelta)
-            | Some(WorkerMsg::DeltaFlush) => { /* not used in MT mode */ }
-            Some(WorkerMsg::Checkpoint) => {
-                // Queue FIFO order guarantees everything flushed before
-                // the barrier is already folded into `algo`.
-                let mut out = dp_types::wire::ByteWriter::new();
-                let state = algo.save_state(&mut out).then(|| out.into_bytes());
-                shared.ckpt_replies.lock()[wid] = Some(state);
-            }
-            Some(WorkerMsg::Shutdown) => break,
-            None => backoff.snooze(),
-        }
-    }
-    let gauges = algo.sig_gauges();
-    let (store, tree, counters, mem) = algo.finish();
-    (store, tree, counters, mem, gauges)
 }
 
 #[cfg(test)]
@@ -729,10 +415,88 @@ mod tests {
         assert!(r.deps.dependences().any(|(d, _)| d.edge.dtype == DepType::Raw));
     }
 
+    /// The checkpoint comes back over the reply queue the pipeline uses,
+    /// each blob restores into a fresh state and saves to the same bytes,
+    /// and an answer that missed its barrier's deadline — arriving before
+    /// the next barrier, or before `finish` — is counted, not mistaken for
+    /// a current one and not fatal.
+    #[test]
+    fn mt_checkpoint_round_trips_and_counts_late_replies() {
+        use crate::workers::Reply;
+        let late = || Reply::CheckpointState { worker: 0, state: Some(vec![0xEE]) };
+        let prof = MtProfiler::new(cfg(2).with_slots(1 << 10).with_drain_deadline_ms(2000));
+        let mut t1 = prof.tracer(1);
+        for i in 0..6u64 {
+            t1.event(acc(AccessKind::Write, 0x80 + i * 8, 2 * i + 1, 5, 1));
+            t1.event(acc(AccessKind::Read, 0x80 + i * 8, 2 * i + 2, 6, 1));
+        }
+        t1.sync_point();
+        assert!(prof.shared.ctx.resp.push(late()).is_ok());
+        let data = prof.checkpoint_data(3, 12, Vec::new()).unwrap();
+        assert_eq!(data.workers.len(), 2);
+        for blob in &data.workers {
+            assert_ne!(blob, &[0xEE], "a stale reply passed for this barrier's");
+            let sig = || dp_sig::Signature::<dp_sig::ExtendedSlot>::new(1 << 9);
+            let opts = AlgoOptions {
+                track_carried: false,
+                check_reversal: true,
+                record_loops: false,
+                section_shift: 0,
+            };
+            let mut algo = AlgoState::new(sig(), sig(), opts);
+            algo.restore_state(blob).unwrap();
+            let mut again = dp_types::ByteWriter::new();
+            assert!(algo.save_state(&mut again));
+            assert_eq!(&again.into_bytes(), blob);
+        }
+        assert!(prof.shared.ctx.resp.push(late()).is_ok());
+        prof.join(1, t1);
+        let r = prof.finish();
+        assert!(!r.degraded(), "{:?}", r.stats);
+        assert_eq!(r.stats.spurious_replies, 2);
+        assert_eq!(r.stats.accesses, 12);
+    }
+
+    /// The shared worker loop makes the stall hook reachable from MT: a
+    /// worker that stops consuming is abandoned after the drain deadline,
+    /// wakes, and hands over what it had — an `Unresponsive` record with
+    /// its partial results salvaged, not a hang.
+    #[cfg(feature = "fault-inject")]
+    #[test]
+    fn mt_stalled_worker_is_salvaged_as_unresponsive() {
+        use crate::result::FailureCause;
+        use dp_queue::FaultPlan;
+        let c =
+            cfg(2).with_fault_plan(FaultPlan::none().with_stall(1, 1)).with_drain_deadline_ms(300);
+        let prof = MtProfiler::new(c);
+        let mut t1 = prof.tracer(1);
+        t1.event(acc(AccessKind::Write, 0x80, 1, 5, 1)); // worker 0
+        t1.event(acc(AccessKind::Read, 0x80, 2, 6, 1)); // worker 0
+        t1.event(acc(AccessKind::Write, 0x88, 3, 7, 1)); // worker 1, consumed
+        t1.sync_point();
+        t1.event(acc(AccessKind::Read, 0x88, 4, 8, 1)); // worker 1, stalled by now
+        prof.join(1, t1);
+        let started = Instant::now();
+        let r = prof.finish();
+        assert!(started.elapsed() < Duration::from_secs(2), "finish must not wait out a stall");
+        let failed: Vec<_> = r.stats.worker_failures.iter().map(|f| (f.worker, &f.cause)).collect();
+        assert_eq!(failed, [(1, &FailureCause::Unresponsive)]);
+        // Salvaged: the stalled worker's one consumed access is in the
+        // totals, the one behind the stall is in flight, none vanished.
+        assert_eq!(r.per_worker_events, [2, 1]);
+        assert!(r.deps.dependences().any(|(d, _)| d.edge.dtype == DepType::Raw));
+        if dp_metrics::ENABLED {
+            let c = r.metrics.conservation;
+            assert_eq!(c.in_flight_at_shutdown, 1);
+            assert_eq!(c.pushed, c.consumed + c.dropped + c.rerouted + c.in_flight_at_shutdown);
+        }
+    }
+
     /// A panicking MT worker degrades the run; survivors are salvaged.
     #[cfg(feature = "fault-inject")]
     #[test]
     fn mt_worker_panic_degrades_instead_of_aborting() {
+        use crate::result::FailureCause;
         use dp_queue::FaultPlan;
         let c =
             cfg(2).with_fault_plan(FaultPlan::none().with_panic(1, 0)).with_drain_deadline_ms(500);

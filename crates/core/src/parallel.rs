@@ -36,163 +36,50 @@
 //!
 //! ## Failure model
 //!
-//! Profiling must never take the target down with it. Worker loops run
-//! under `catch_unwind`; a panicking worker flags itself dead before its
-//! thread exits, and the router fails fast on dead workers instead of
-//! spinning on a queue nobody will drain. `finish()` is a supervisor: it
-//! salvages every surviving worker's dependence map, bounds all waits by
-//! [`ProfilerConfig::drain_deadline_ms`], and reports losses precisely —
-//! per-worker dropped-event counts, cancelled migrations and
-//! [`WorkerFailure`] records — in [`ProfileStats`], so a degraded profile
-//! says exactly *what* is missing (the dead worker's residue class under
-//! Formula 1) rather than failing silently. Under
-//! [`OverflowPolicy::Drop`] a stalled-but-alive worker is handled the
+//! The workers are the supervised pool of [`workers`](crate::workers): a
+//! panicking worker flags itself dead, and the router fails fast on dead
+//! workers instead of spinning on a queue nobody will drain — a surviving
+//! worker adopts the dead one's traffic. `finish()` completes or cancels
+//! what is in flight and reports losses precisely — per-worker
+//! dropped-event counts, cancelled migrations and
+//! [`WorkerFailure`](crate::result::WorkerFailure) records — in
+//! [`ProfileStats`](crate::result::ProfileStats). Under
+//! [`OverflowPolicy::Drop`](crate::config::OverflowPolicy) a stalled-but-alive worker is handled the
 //! same way: once its queue has been continuously full past the stall
 //! deadline, events destined for it are dropped *and counted* instead of
 //! blocking the target forever. This mirrors the paper's own philosophy
 //! of graceful degradation (signatures trade accuracy for memory,
 //! Formula 2) — here the trade is completeness for termination.
 //!
-//! The engine is generic over the per-worker [`Transport`]: the SPSC
-//! fast path ([`dp_queue::SpscTransport`] — sound here because a
-//! sequential target has exactly one producing thread), the lock-free
-//! MPMC build ([`dp_queue::MpmcQueue`] via [`Shared`]) and the
-//! lock-based comparator of Figure 5 ([`dp_queue::LockQueue`] via
-//! [`Shared`]); everything else is shared, so measured differences are
-//! attributable to the transport alone. Fault-injection tests swap in
+//! ## Transport
+//!
+//! The per-worker channel is chosen once, at construction, from
+//! [`ProfilerConfig::transport`]: the SPSC fast path
+//! ([`dp_queue::SpscTransport`], the default — a sequential target has
+//! exactly one producing thread), the lock-free MPMC build
+//! ([`dp_queue::MpmcQueue`]) or the lock-based comparator of Figure 5
+//! ([`dp_queue::LockQueue`]). The router holds each sending end as a
+//! boxed [`TransportSender`] and pays the indirect call once per chunk;
+//! everything else is shared, so measured differences are attributable to
+//! the transport alone. Fault-injection tests hand in a
 //! [`dp_queue::FailingTransport`] through
 //! [`ParallelProfiler::with_transport`].
 
-use crate::algo::{AlgoCounters, AlgoOptions, AlgoState};
+use crate::algo::{AlgoOptions, AlgoState};
 use crate::checkpoint::{CheckpointData, CheckpointError};
-use crate::config::{OverflowPolicy, ProfilerConfig, TransportKind};
+use crate::config::{ProfilerConfig, TransportKind};
 use crate::hot::HotTable;
-use crate::result::{FailureCause, MemoryReport, ProfileResult, ProfileStats, WorkerFailure};
-use crate::store::DepStore;
-use dp_metrics::{
-    ChunkStats, Conservation, Counter, HotAddress, MetricsSnapshot, PhaseTimings, SigGauges,
-    Stopwatch, WorkerMetrics,
-};
+use crate::result::ProfileResult;
+use crate::store::AnalysisDelta;
+use crate::workers::{Reply, WorkerMsg, Workers};
+use dp_metrics::HotAddress;
 use dp_queue::{
-    Backoff, ChannelTap, Chunk, ChunkPool, FaultPlan, MeteredReceiver, MeteredSender, MpmcQueue,
-    Shared, SpscTransport, Transport, TransportReceiver, TransportSender,
+    Backoff, Chunk, LockQueue, MpmcQueue, Shared, SpscTransport, Transport, TransportSender,
 };
-use dp_sig::{AccessStore, SigEntry};
+use dp_sig::AccessStore;
 use dp_types::{Address, ByteReader, ByteWriter, FxHashMap, TraceEvent, Tracer, WireError};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
-
-/// Messages flowing through a worker's queue.
-pub enum WorkerMsg {
-    /// A chunk of trace events.
-    Events(Chunk),
-    /// Redistribution: extract and return the signature state of `addr`.
-    Extract {
-        /// Address being migrated away from this worker.
-        addr: Address,
-    },
-    /// Redistribution: adopt the signature state of `addr`.
-    Inject {
-        /// Address being migrated to this worker.
-        addr: Address,
-        /// Read-signature entry, if any.
-        read: Option<SigEntry>,
-        /// Write-signature entry, if any.
-        write: Option<SigEntry>,
-    },
-    /// Quiesce barrier: serialize the worker's complete extraction
-    /// state and reply on the response queue. Queue FIFO order
-    /// guarantees the worker has consumed every event routed before
-    /// this message when it replies, so the blob captures a consistent
-    /// cut of the run.
-    Checkpoint,
-    /// Online analysis: start tracking dependence-map movement
-    /// ([`DepStore::enable_delta`]) in this worker's store.
-    EnableDelta,
-    /// Online analysis: drain the worker's dirty set and reply with an
-    /// [`AnalysisDelta`] on the response queue. FIFO order makes the
-    /// delta cover exactly the events routed before this message.
-    DeltaFlush,
-    /// Drain and exit.
-    Shutdown,
-}
-
-/// Worker→router responses (redistribution replies bounded by `top_k`,
-/// checkpoint replies bounded by the worker count).
-enum RouterMsg {
-    Extracted {
-        addr: Address,
-        read: Option<SigEntry>,
-        write: Option<SigEntry>,
-    },
-    /// Reply to [`WorkerMsg::Checkpoint`]; `state` is `None` when the
-    /// worker's access store does not support checkpointing.
-    CheckpointState {
-        worker: usize,
-        state: Option<Vec<u8>>,
-    },
-    /// Reply to [`WorkerMsg::DeltaFlush`]. A reply that misses its
-    /// collect window is parked in `pending_deltas` rather than dropped:
-    /// the worker already drained its dirty set, so losing the reply
-    /// would lose the movement for good.
-    Delta {
-        worker: usize,
-        delta: crate::store::AnalysisDelta,
-    },
-}
-
-struct WorkerOutput {
-    store: DepStore,
-    exec_tree: crate::exectree::ExecTree,
-    counters: AlgoCounters,
-    sig_mem: usize,
-    gauges: SigGauges,
-}
-
-/// How a supervised worker thread ended.
-enum WorkerExit {
-    /// Clean exit (or an abandoned stall that woke up): results salvaged.
-    Finished(Box<WorkerOutput>),
-    /// The worker panicked; `catch_unwind` contained it and the payload
-    /// is preserved for the [`WorkerFailure`] record.
-    Panicked { payload: String },
-}
-
-/// Router↔worker supervision flags, shared by `Arc`.
-struct Supervision {
-    /// `dead[w]`: worker `w` panicked. Set by the worker itself on the
-    /// way out (before its thread exits), read by the router to fail
-    /// fast instead of blocking on a queue nobody will drain.
-    dead: Vec<AtomicBool>,
-    /// `abandon[w]`: the supervisor gave up on worker `w`. A stalled
-    /// worker that is still responsive to this flag (the injected-stall
-    /// hook is) exits so its partial results can be salvaged.
-    abandon: Vec<AtomicBool>,
-}
-
-impl Supervision {
-    fn new(workers: usize) -> Self {
-        Supervision {
-            dead: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-            abandon: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-}
-
-/// Runtime state of the fault-injection script: the plan plus the shared
-/// counter that makes "drop the *n*-th Extracted reply" global across
-/// workers. Always present (so [`ProfilerConfig`] needs no feature gate);
-/// every hook that consults it compiles to nothing without the
-/// `fault-inject` feature.
-// Fields are only read by the `fault-inject` hooks; the struct is kept
-// unconditionally so call sites don't need feature gates.
-#[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
-struct FaultRt {
-    plan: FaultPlan,
-    extract_replies: AtomicU64,
-}
 
 struct Inflight {
     /// Worker the state is being extracted from.
@@ -204,135 +91,34 @@ struct Inflight {
     buffered: Vec<TraceEvent>,
 }
 
-/// The event-conservation ledger, shared by the router and every worker.
-///
-/// The invariant the counters are built to prove (and the metrics test
-/// suite checks across every transport and chaos seed):
-///
-/// ```text
-/// pushed == consumed + dropped + rerouted + in_flight_at_shutdown
-/// ```
-///
-/// where `in_flight[w] = enqueued[w] − consumed[w]`. Rerouted copies are
-/// a *terminal* disposition: they are counted once at routing time and
-/// marked in their chunk ([`Chunk::mark_rerouted`]), and every downstream
-/// tap (enqueue, drop, consume) excludes the marks, keeping the law's
-/// columns disjoint. All counters are `dp-metrics` primitives — relaxed
-/// atomics with the `metrics` feature, zero-sized no-ops without it.
-pub(crate) struct EngineMetrics {
-    /// Events in every chunk flushed towards a queue (counted once per
-    /// chunk, not per event: the counter is a cache line every producer
-    /// shares), plus migration buffers dropped before ever reaching a
-    /// chunk (those count `pushed` and `dropped` at the same instant).
-    /// Readers flush the pending chunks first.
-    pub(crate) pushed: Counter,
-    /// Event copies diverted away from a dead owner at routing time.
-    pub(crate) rerouted: Counter,
-    /// Per worker: events inside successfully enqueued chunks, rerouted
-    /// marks excluded.
-    pub(crate) enqueued: Vec<Counter>,
-    /// Per worker: events dropped at the flush tap or from migration
-    /// buffers, rerouted marks excluded.
-    pub(crate) dropped: Vec<Counter>,
-    /// Per worker: events popped off the queue (counted at pop, before
-    /// processing — "consumed" means *removed from the queue*), rerouted
-    /// marks excluded.
-    pub(crate) consumed: Vec<Counter>,
-    /// Per worker: event chunks popped off the queue.
-    pub(crate) consumed_chunks: Vec<Counter>,
-    /// Per worker: nanoseconds the router spent blocked on the worker's
-    /// continuously-full queue.
-    pub(crate) stall: Vec<Counter>,
-}
-
-impl EngineMetrics {
-    pub(crate) fn new(workers: usize) -> Self {
-        let col = |_| Counter::new();
-        EngineMetrics {
-            pushed: Counter::new(),
-            rerouted: Counter::new(),
-            enqueued: (0..workers).map(col).collect(),
-            dropped: (0..workers).map(col).collect(),
-            consumed: (0..workers).map(col).collect(),
-            consumed_chunks: (0..workers).map(col).collect(),
-            stall: (0..workers).map(col).collect(),
-        }
-    }
-
-    /// Serializes the ledger for a checkpoint. With the `metrics`
-    /// feature off the counters are no-ops and the blob records zeros —
-    /// the snapshot is all-zero in that build anyway.
-    pub(crate) fn save(&self) -> Vec<u8> {
-        let mut out = ByteWriter::new();
-        out.u64(self.pushed.get());
-        out.u64(self.rerouted.get());
-        out.u32(self.enqueued.len() as u32);
-        for wid in 0..self.enqueued.len() {
-            out.u64(self.enqueued[wid].get());
-            out.u64(self.dropped[wid].get());
-            out.u64(self.consumed[wid].get());
-            out.u64(self.consumed_chunks[wid].get());
-            out.u64(self.stall[wid].get());
-        }
-        out.into_bytes()
-    }
-
-    /// Restores a checkpointed ledger into this (fresh) engine's zeroed
-    /// counters via `add`, preserving the conservation law across the
-    /// resume. `&self` suffices: counters are interior-mutable.
-    pub(crate) fn restore(&self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut r = ByteReader::new(bytes);
-        self.pushed.add(r.u64()?);
-        self.rerouted.add(r.u64()?);
-        let nw = r.u32()? as usize;
-        if nw != self.enqueued.len() {
-            return Err(WireError::Invalid("ledger worker count differs from checkpoint"));
-        }
-        for wid in 0..nw {
-            self.enqueued[wid].add(r.u64()?);
-            self.dropped[wid].add(r.u64()?);
-            self.consumed[wid].add(r.u64()?);
-            self.consumed_chunks[wid].add(r.u64()?);
-            self.stall[wid].add(r.u64()?);
-        }
-        if !r.is_done() {
-            return Err(WireError::Invalid("trailing bytes after ledger state"));
-        }
-        Ok(())
-    }
-}
-
-/// Everything a worker thread shares with the router, bundled so the
-/// spawn path hands over one value.
-struct WorkerCtx {
-    pool: Arc<ChunkPool>,
-    resp: Arc<MpmcQueue<RouterMsg>>,
-    sup: Arc<Supervision>,
-    fault: Arc<FaultRt>,
-    metrics: Arc<EngineMetrics>,
-}
-
 /// The parallel profiler. Implements [`Tracer`], so the instrumented
 /// program pushes events into it directly; call
 /// [`ParallelProfiler::finish`] afterwards.
 ///
-/// Generic over the per-worker [`Transport`]. With [`SpscTransport`] the
-/// senders are `!Sync`, which makes the whole profiler `!Sync`: the
-/// compiler enforces the single-producer contract the SPSC fast path
-/// relies on.
-pub struct ParallelProfiler<S: AccessStore + 'static, X: Transport<WorkerMsg>> {
-    senders: Vec<MeteredSender<X::Sender>>,
-    pool: Arc<ChunkPool>,
-    resp: Arc<MpmcQueue<RouterMsg>>,
-    handles: Vec<JoinHandle<WorkerExit>>,
-    sup: Arc<Supervision>,
-    /// Per-worker channel taps (push/pop/depth counters shared with the
-    /// metered endpoints).
-    taps: Vec<Arc<ChannelTap>>,
-    /// The conservation ledger shared with the workers.
-    metrics: Arc<EngineMetrics>,
-    /// Started at construction; splits feed from drain in the snapshot.
-    timer: Stopwatch,
+/// One type for every transport and access store: both are chosen when
+/// the workers are spawned and live behind the queues. The boxed senders
+/// are `Send` but not `Sync`, so the profiler can move to another thread
+/// but never be fed from two — the single-producer contract the SPSC fast
+/// path relies on is compiler-enforced, whatever the transport:
+///
+/// ```
+/// use dp_core::{ParallelProfiler, ProfilerConfig};
+/// let p = ParallelProfiler::new(ProfilerConfig::default(), dp_sig::PerfectSignature::new);
+/// std::thread::scope(|s| {
+///     s.spawn(move || p.heartbeat());
+/// });
+/// ```
+///
+/// ```compile_fail,E0277
+/// use dp_core::{ParallelProfiler, ProfilerConfig};
+/// let p = ParallelProfiler::new(ProfilerConfig::default(), dp_sig::PerfectSignature::new);
+/// std::thread::scope(|s| {
+///     s.spawn(|| p.heartbeat());
+/// });
+/// ```
+pub struct ParallelProfiler {
+    senders: Vec<Box<dyn TransportSender<WorkerMsg>>>,
+    workers: Workers,
     pending: Vec<Chunk>,
     /// Section IV-A access statistics, in bounded memory.
     hot: HotTable,
@@ -354,143 +140,102 @@ pub struct ParallelProfiler<S: AccessStore + 'static, X: Transport<WorkerMsg>> {
     online: bool,
     /// Delta replies that arrived outside a collect window; handed to
     /// the next [`ParallelProfiler::collect_deltas`] caller.
-    pending_deltas: Vec<crate::store::AnalysisDelta>,
+    pending_deltas: Vec<AnalysisDelta>,
     cfg: ProfilerConfig,
-    _store: std::marker::PhantomData<S>,
 }
 
-impl<S, X> ParallelProfiler<S, X>
-where
-    S: AccessStore + 'static,
-    X: Transport<WorkerMsg>,
-{
-    /// Starts `cfg.workers` worker threads, building each worker's two
-    /// signatures with `make_store` (called twice per worker).
-    pub fn new(cfg: ProfilerConfig, make_store: impl Fn() -> S) -> Self
-    where
-        X: Default,
-    {
-        Self::with_transport(X::default(), cfg, make_store)
+/// One extraction state per worker, each with two stores from
+/// `make_store`.
+fn worker_algos<S: AccessStore>(
+    cfg: &ProfilerConfig,
+    make_store: impl Fn() -> S,
+) -> Vec<AlgoState<S>> {
+    let opts = |wid| AlgoOptions {
+        track_carried: cfg.track_carried,
+        check_reversal: false,
+        // Loop events are broadcast; only worker 0 records them, so
+        // iteration counts stay exact.
+        record_loops: wid == 0,
+        section_shift: 0,
+    };
+    (0..cfg.workers.max(1))
+        .map(|wid| AlgoState::new(make_store(), make_store(), opts(wid)))
+        .collect()
+}
+
+impl ParallelProfiler {
+    /// Starts `cfg.workers` worker threads over the transport named by
+    /// `cfg.transport`, building each worker's two signatures with
+    /// `make_store` (called twice per worker).
+    pub fn new<S: AccessStore + 'static>(cfg: ProfilerConfig, make_store: impl Fn() -> S) -> Self {
+        let algos = worker_algos(&cfg, make_store);
+        Self::spawn(cfg, algos)
     }
 
     /// Like [`ParallelProfiler::new`], but over an explicit transport
-    /// instance — the entry point for fault-injection tests, which pass a
-    /// [`dp_queue::FailingTransport`] carrying a seeded chaos plan.
-    pub fn with_transport(transport: X, cfg: ProfilerConfig, make_store: impl Fn() -> S) -> Self {
-        match Self::spawn(transport, cfg, make_store, None) {
-            Ok(p) => p,
-            // The error paths all require a checkpoint to restore from.
-            Err(_) => unreachable!("spawn without worker states is infallible"),
-        }
+    /// instance (`cfg.transport` is ignored) — the entry point for
+    /// fault-injection tests, which pass a [`dp_queue::FailingTransport`]
+    /// carrying a seeded chaos plan.
+    pub fn with_transport<S: AccessStore + 'static, X: Transport<WorkerMsg>>(
+        transport: X,
+        cfg: ProfilerConfig,
+        make_store: impl Fn() -> S,
+    ) -> Self {
+        let algos = worker_algos(&cfg, make_store);
+        Self::spawn_over(&transport, cfg, algos)
     }
 
     /// Rebuilds a profiler from a checkpoint: every worker's signatures,
     /// dependence map and loop stacks are restored *before* its thread
-    /// starts, then the router's statistics, rules and conservation
-    /// ledger are restored, so feeding the remaining trace records
-    /// produces exactly what an uninterrupted run would.
+    /// starts (a restore failure leaves no thread behind), then the
+    /// router's statistics, rules and conservation ledger are restored,
+    /// so feeding the remaining trace records produces exactly what an
+    /// uninterrupted run would.
     ///
     /// `cfg` must describe the same engine shape the checkpoint was
     /// written under (worker count, store dimensions, chunking).
-    pub fn resume(
-        cfg: ProfilerConfig,
-        make_store: impl Fn() -> S,
-        data: &CheckpointData,
-    ) -> Result<Self, CheckpointError>
-    where
-        X: Default,
-    {
-        Self::resume_with_transport(X::default(), cfg, make_store, data)
-    }
-
-    /// [`ParallelProfiler::resume`] over an explicit transport instance.
-    pub fn resume_with_transport(
-        transport: X,
+    pub fn resume<S: AccessStore + 'static>(
         cfg: ProfilerConfig,
         make_store: impl Fn() -> S,
         data: &CheckpointData,
     ) -> Result<Self, CheckpointError> {
-        let mut p = Self::spawn(transport, cfg, make_store, Some(&data.workers))?;
+        let mut algos = worker_algos(&cfg, make_store);
+        if data.workers.len() != algos.len() {
+            return Err(WireError::Invalid("worker count differs from checkpoint").into());
+        }
+        for (algo, state) in algos.iter_mut().zip(&data.workers) {
+            algo.restore_state(state)?;
+        }
+        let mut p = Self::spawn(cfg, algos);
         p.restore_router(&data.router)?;
-        p.metrics.restore(&data.ledger)?;
+        p.workers.ctx.metrics.restore(&data.ledger)?;
         Ok(p)
     }
 
-    /// Shared constructor body. With `worker_states` set, each worker's
-    /// extraction state is restored before its thread spawns — errors
-    /// surface synchronously and no thread is left running.
-    fn spawn(
-        transport: X,
+    /// The one place the transport is chosen.
+    fn spawn<S: AccessStore + 'static>(cfg: ProfilerConfig, algos: Vec<AlgoState<S>>) -> Self {
+        match cfg.transport {
+            TransportKind::Spsc => Self::spawn_over(&SpscTransport, cfg, algos),
+            TransportKind::Mpmc => {
+                Self::spawn_over(&Shared::<MpmcQueue<WorkerMsg>>::default(), cfg, algos)
+            }
+            TransportKind::Lock => {
+                Self::spawn_over(&Shared::<LockQueue<WorkerMsg>>::default(), cfg, algos)
+            }
+        }
+    }
+
+    fn spawn_over<S: AccessStore + 'static, X: Transport<WorkerMsg>>(
+        transport: &X,
         cfg: ProfilerConfig,
-        make_store: impl Fn() -> S,
-        worker_states: Option<&[Vec<u8>]>,
-    ) -> Result<Self, CheckpointError> {
-        let w = cfg.workers.max(1);
-        if let Some(states) = worker_states {
-            if states.len() != w {
-                return Err(CheckpointError::Wire(WireError::Invalid(
-                    "worker count differs from checkpoint",
-                )));
-            }
-        }
-        // Build (and, on resume, restore) every worker's state before
-        // spawning any thread: a restore failure must not leave threads
-        // behind.
-        let mut algos = Vec::with_capacity(w);
-        for wid in 0..w {
-            let mut algo = AlgoState::new(
-                make_store(),
-                make_store(),
-                AlgoOptions {
-                    track_carried: cfg.track_carried,
-                    check_reversal: false,
-                    // Loop events are broadcast; only worker 0 records
-                    // them, so iteration counts stay exact.
-                    record_loops: wid == 0,
-                    section_shift: 0,
-                },
-            );
-            if let Some(states) = worker_states {
-                algo.restore_state(&states[wid])?;
-            }
-            algos.push(algo);
-        }
-        let pool = ChunkPool::new(w * cfg.queue_chunks * 2, cfg.chunk_capacity);
-        let resp = Arc::new(MpmcQueue::new((cfg.top_k * 4).max(64).max(w)));
-        let sup = Arc::new(Supervision::new(w));
-        let fault =
-            Arc::new(FaultRt { plan: cfg.fault_plan.clone(), extract_replies: AtomicU64::new(0) });
-        let metrics = Arc::new(EngineMetrics::new(w));
-        let mut senders = Vec::with_capacity(w);
-        let mut taps = Vec::with_capacity(w);
-        let mut handles = Vec::with_capacity(w);
-        for (wid, algo) in algos.into_iter().enumerate() {
-            let (tx, rx) = transport.channel(wid, cfg.queue_chunks);
-            let tap = ChannelTap::shared();
-            let tx = MeteredSender::new(tx, tap.clone());
-            let rx = MeteredReceiver::new(rx, tap.clone());
-            taps.push(tap);
-            let ctx = WorkerCtx {
-                pool: pool.clone(),
-                resp: resp.clone(),
-                sup: sup.clone(),
-                fault: fault.clone(),
-                metrics: metrics.clone(),
-            };
-            handles.push(std::thread::spawn(move || worker_loop(wid, rx, algo, ctx)));
-            senders.push(tx);
-        }
-        let pending = (0..w).map(|_| pool.acquire()).collect();
-        Ok(ParallelProfiler {
-            senders,
-            pool,
-            resp,
-            handles,
-            sup,
-            taps,
-            metrics,
-            timer: Stopwatch::start(),
-            pending,
+        algos: Vec<AlgoState<S>>,
+    ) -> Self {
+        let w = algos.len();
+        let (senders, workers) = Workers::spawn(transport, &cfg, w * cfg.queue_chunks * 2, algos);
+        ParallelProfiler {
+            senders: senders.into_iter().map(|tx| Box::new(tx) as _).collect(),
+            pending: (0..w).map(|_| workers.ctx.pool.acquire()).collect(),
+            workers,
             hot: HotTable::new(),
             rules: FxHashMap::default(),
             inflight: FxHashMap::default(),
@@ -506,8 +251,7 @@ where
             online: false,
             pending_deltas: Vec::new(),
             cfg,
-            _store: std::marker::PhantomData,
-        })
+        }
     }
 
     #[inline]
@@ -523,7 +267,7 @@ where
 
     #[inline]
     fn is_dead(&self, wid: usize) -> bool {
-        self.sup.dead[wid].load(Ordering::Acquire)
+        self.workers.ctx.is_dead(wid)
     }
 
     /// First live worker cyclically after `wid` (exclusive), if any.
@@ -554,22 +298,13 @@ where
         }
     }
 
-    /// How long a single delivery may stay blocked on a full queue. The
-    /// deadline is measured from when the queue *became* continuously
-    /// full (`full_since`), so after one paid deadline subsequent sends
-    /// to a still-stalled worker fail immediately.
-    fn event_drop_after(&self) -> Option<Duration> {
-        match self.cfg.overflow {
-            OverflowPolicy::Block => None,
-            OverflowPolicy::Drop => Some(Duration::from_millis(self.cfg.stall_deadline_ms)),
-        }
-    }
-
     /// Delivers `msg` to `wid`, spinning with backoff while the queue is
     /// full. Gives the message back instead of blocking forever when the
     /// worker is dead (flagged or observed via a closed endpoint), or —
     /// with `drop_after` set — when the queue has been continuously full
-    /// for that long.
+    /// for that long: the deadline runs from when the queue *became* full
+    /// (`full_since`), so after one paid deadline further sends to a
+    /// still-stalled worker fail at once.
     fn deliver(
         &mut self,
         wid: usize,
@@ -587,14 +322,14 @@ where
                         // The queue had been continuously full: the wait
                         // just ended, charge it to this worker's stall
                         // account.
-                        self.metrics.stall[wid].add(since.elapsed().as_nanos() as u64);
+                        self.workers.ctx.metrics.stall[wid].add(since.elapsed().as_nanos() as u64);
                     }
                     return Ok(());
                 }
                 Err(back) => {
                     msg = back;
                     if self.senders[wid].is_closed() {
-                        self.sup.dead[wid].store(true, Ordering::Release);
+                        self.workers.ctx.dead[wid].store(true, Ordering::Release);
                         return Err(msg);
                     }
                     let now = Instant::now();
@@ -622,7 +357,7 @@ where
     fn append_routed(&mut self, wid: usize, ev: TraceEvent, diverted: bool) {
         self.pending[wid].push(ev);
         if diverted {
-            self.metrics.rerouted.inc();
+            self.workers.ctx.metrics.rerouted.inc();
             self.pending[wid].mark_rerouted();
         }
         if self.pending[wid].is_full() {
@@ -634,21 +369,21 @@ where
         if self.pending[wid].is_empty() {
             return;
         }
-        let chunk = std::mem::replace(&mut self.pending[wid], self.pool.acquire());
-        self.metrics.pushed.add(chunk.len() as u64);
+        let chunk = std::mem::replace(&mut self.pending[wid], self.workers.ctx.pool.acquire());
+        self.workers.ctx.metrics.pushed.add(chunk.len() as u64);
         // Rerouted copies were already accounted at routing time.
         let unmarked = (chunk.len() - chunk.rerouted()) as u64;
-        match self.deliver(wid, WorkerMsg::Events(chunk), self.event_drop_after()) {
+        match self.deliver(wid, WorkerMsg::Events(chunk), self.cfg.drop_after()) {
             Ok(()) => {
                 self.chunks_pushed += 1;
-                self.metrics.enqueued[wid].add(unmarked);
+                self.workers.ctx.metrics.enqueued[wid].add(unmarked);
             }
             Err(WorkerMsg::Events(chunk)) => {
                 // Dead or stalled worker: account for every lost event so
                 // the degraded profile quantifies exactly what is missing.
                 self.dropped[wid] += chunk.len() as u64;
-                self.metrics.dropped[wid].add(unmarked);
-                self.pool.release(chunk);
+                self.workers.ctx.metrics.dropped[wid].add(unmarked);
+                self.workers.ctx.pool.release(chunk);
             }
             Err(_) => unreachable!("deliver returns the message it was given"),
         }
@@ -689,8 +424,8 @@ where
             // ledger counts them pushed and dropped at the same instant.
             None => {
                 self.dropped[target] += buffered.len() as u64;
-                self.metrics.pushed.add(buffered.len() as u64);
-                self.metrics.dropped[target].add(buffered.len() as u64);
+                self.workers.ctx.metrics.pushed.add(buffered.len() as u64);
+                self.workers.ctx.metrics.dropped[target].add(buffered.len() as u64);
             }
         }
     }
@@ -704,26 +439,12 @@ where
         }
         self.in_poll = true;
         self.resolve_dead_migrations();
-        while let Some(msg) = self.resp.pop() {
-            let (addr, read, write) = match msg {
-                RouterMsg::Extracted { addr, read, write } => (addr, read, write),
-                // A delta reply outside `collect_deltas`' window (a
-                // worker that answered after the deadline): the worker
-                // already drained its dirty set, so park the movement
-                // for the next collection instead of losing it.
-                RouterMsg::Delta { delta, .. } => {
-                    if !delta.is_empty() {
-                        self.pending_deltas.push(delta);
-                    }
-                    continue;
-                }
-                // A checkpoint reply outside `checkpoint_data`'s collect
-                // loop (e.g. from a worker that answered after the
-                // deadline): counted and dropped, never fatal.
-                RouterMsg::CheckpointState { .. } => {
-                    self.spurious_replies += 1;
-                    continue;
-                }
+        while let Some(msg) = self.workers.ctx.resp.pop() {
+            // Replies that missed `collect_deltas`' or `checkpoint_data`'s
+            // window (a worker that answered after the deadline).
+            let Reply::Extracted { addr, read, write } = msg else {
+                self.stray_reply(msg);
+                continue;
             };
             // A reply with no pending migration (its migration was
             // cancelled after the source was presumed dead, and the reply
@@ -746,14 +467,14 @@ where
                         self.dropped[inf.target] += inf.buffered.len() as u64;
                         // Never chunked: pushed and dropped at once, as in
                         // replay_buffered's all-dead arm.
-                        self.metrics.pushed.add(inf.buffered.len() as u64);
-                        self.metrics.dropped[inf.target].add(inf.buffered.len() as u64);
+                        self.workers.ctx.metrics.pushed.add(inf.buffered.len() as u64);
+                        self.workers.ctx.metrics.dropped[inf.target].add(inf.buffered.len() as u64);
                         continue;
                     }
                 }
             }
             if self
-                .deliver(target, WorkerMsg::Inject { addr, read, write }, self.event_drop_after())
+                .deliver(target, WorkerMsg::Inject { addr, read, write }, self.cfg.drop_after())
                 .is_err()
             {
                 // Stalled target: the extracted state is lost; the
@@ -776,7 +497,7 @@ where
         let stuck: Vec<Address> = self
             .inflight
             .iter()
-            .filter(|(_, inf)| self.sup.dead[inf.source].load(Ordering::Acquire))
+            .filter(|(_, inf)| self.is_dead(inf.source))
             .map(|(&a, _)| a)
             .collect();
         for addr in stuck {
@@ -821,7 +542,7 @@ where
             let prev = self.rules.insert(addr, desired);
             self.inflight
                 .insert(addr, Inflight { source: old, target: desired, buffered: Vec::new() });
-            match self.deliver(old, WorkerMsg::Extract { addr }, self.event_drop_after()) {
+            match self.deliver(old, WorkerMsg::Extract { addr }, self.cfg.drop_after()) {
                 Ok(()) => moved += 1,
                 Err(_) => {
                     // Unreachable source: cancel the migration and restore
@@ -840,6 +561,30 @@ where
             self.cfg.observer.on_redistribution(moved);
         }
         self.in_rebalance = false;
+    }
+
+    /// Gives in-flight migrations until `deadline` to complete, so their
+    /// buffered accesses reach a worker before a barrier goes out. Polls
+    /// at least once, which also clears replies that missed their window.
+    fn settle_migrations(&mut self, deadline: Instant) {
+        loop {
+            self.poll_responses();
+            if self.inflight.is_empty() || Instant::now() >= deadline {
+                return;
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// A reply nobody is waiting for: a late delta is parked for the next
+    /// collection (the worker already drained its dirty set); anything
+    /// else is counted and dropped, never fatal.
+    fn stray_reply(&mut self, msg: Reply) {
+        match msg {
+            Reply::Delta { delta, .. } if !delta.is_empty() => self.pending_deltas.push(delta),
+            Reply::Delta { .. } => {}
+            Reply::Extracted { .. } | Reply::CheckpointState { .. } => self.spurious_replies += 1,
+        }
     }
 
     /// Quiesces the pipeline at a chunk barrier and captures a complete,
@@ -862,77 +607,30 @@ where
         records_read: u64,
         config: Vec<u8>,
     ) -> Result<CheckpointData, CheckpointError> {
-        let drain = Duration::from_millis(self.cfg.drain_deadline_ms.max(1));
-        let deadline = Instant::now() + drain;
-        while !self.inflight.is_empty() && Instant::now() < deadline {
-            self.poll_responses();
-            if self.inflight.is_empty() {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        if !self.inflight.is_empty() {
-            // A migration source never replied: its signature state is
-            // in limbo and no consistent cut exists.
-            let wid = self.inflight.values().next().map(|i| i.source).unwrap_or(0);
-            return Err(CheckpointError::WorkerUnavailable(wid));
+        let drain = self.workers.drain();
+        self.settle_migrations(Instant::now() + drain);
+        // A migration source that never replied leaves its signature
+        // state in limbo: no consistent cut exists.
+        if let Some(inf) = self.inflight.values().next() {
+            return Err(CheckpointError::WorkerUnavailable(inf.source));
         }
         self.flush_all();
-        let w = self.senders.len();
-        for wid in 0..w {
+        for wid in 0..self.senders.len() {
             if self.deliver(wid, WorkerMsg::Checkpoint, Some(drain)).is_err() {
                 return Err(CheckpointError::WorkerUnavailable(wid));
             }
         }
-        let mut states: Vec<Option<Vec<u8>>> = (0..w).map(|_| None).collect();
-        let mut replied = vec![false; w];
-        let mut got = 0usize;
-        let deadline = Instant::now() + drain;
-        while got < w {
-            match self.resp.pop() {
-                Some(RouterMsg::CheckpointState { worker, state }) => {
-                    if worker < w && !replied[worker] {
-                        replied[worker] = true;
-                        states[worker] = state;
-                        got += 1;
-                    } else {
-                        self.spurious_replies += 1;
-                    }
-                }
-                // `inflight` is empty, so any Extracted reply here is by
-                // definition spurious (a cancelled migration's late
-                // answer).
-                Some(RouterMsg::Extracted { .. }) => self.spurious_replies += 1,
-                // A late delta reply: park the movement, never drop it.
-                Some(RouterMsg::Delta { delta, .. }) => {
-                    if !delta.is_empty() {
-                        self.pending_deltas.push(delta);
-                    }
-                }
-                None => {
-                    if let Some(wid) = (0..w).find(|&wid| !replied[wid] && self.is_dead(wid)) {
-                        return Err(CheckpointError::WorkerUnavailable(wid));
-                    }
-                    if Instant::now() >= deadline {
-                        let wid = replied.iter().position(|r| !r).unwrap_or(0);
-                        return Err(CheckpointError::WorkerUnavailable(wid));
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        }
-        let mut workers = Vec::with_capacity(w);
-        for st in states {
-            workers.push(st.ok_or(CheckpointError::Unsupported(
-                "the worker access store does not support checkpointing",
-            ))?);
-        }
+        // `inflight` is empty, so every other reply here is a stray.
+        let mut strays = Vec::new();
+        let states = self.workers.checkpoint_states(|msg| strays.push(msg));
+        strays.into_iter().for_each(|msg| self.stray_reply(msg));
+        let workers = states?;
         Ok(CheckpointData {
             generation,
             records_read,
             config,
             router: self.save_router(),
-            ledger: self.metrics.save(),
+            ledger: self.workers.ctx.metrics.save(),
             workers,
         })
     }
@@ -1012,8 +710,9 @@ where
     }
 
     /// Turns on online analysis: every live worker starts tracking
-    /// dependence-map movement ([`DepStore::enable_delta`]). The
-    /// worker-side enable seeds its full current state at a zero
+    /// dependence-map movement
+    /// ([`DepStore::enable_delta`](crate::store::DepStore::enable_delta)).
+    /// The worker-side enable seeds its full current state at a zero
     /// baseline, so the first [`ParallelProfiler::collect_deltas`] ships
     /// complete history no matter how late this is called. Idempotent.
     pub fn enable_online(&mut self) {
@@ -1025,7 +724,7 @@ where
             if !self.is_dead(wid) {
                 // A dead or stalled worker just misses the enable; its
                 // dependences surface when its store merges at finish.
-                let _ = self.deliver(wid, WorkerMsg::EnableDelta, self.event_drop_after());
+                let _ = self.deliver(wid, WorkerMsg::EnableDelta, self.cfg.drop_after());
             }
         }
     }
@@ -1043,22 +742,15 @@ where
     /// With a quiet pipeline (every fed event consumed, as at the final
     /// query of a session) the folded deltas reproduce the workers'
     /// stores exactly.
-    pub fn collect_deltas(&mut self) -> Vec<crate::store::AnalysisDelta> {
-        let mut out = std::mem::take(&mut self.pending_deltas);
+    pub fn collect_deltas(&mut self) -> Vec<AnalysisDelta> {
         if !self.online {
-            return out;
+            return std::mem::take(&mut self.pending_deltas);
         }
-        let drain = Duration::from_millis(self.cfg.drain_deadline_ms.max(1));
+        let drain = self.workers.drain();
         // Complete in-flight migrations first so buffered accesses reach
         // their worker before the flush barrier.
-        let deadline = Instant::now() + drain;
-        while !self.inflight.is_empty() && Instant::now() < deadline {
-            self.poll_responses();
-            if self.inflight.is_empty() {
-                break;
-            }
-            std::thread::yield_now();
-        }
+        self.settle_migrations(Instant::now() + drain);
+        let mut out = std::mem::take(&mut self.pending_deltas);
         self.flush_all();
         let w = self.senders.len();
         let mut expect = vec![false; w];
@@ -1071,8 +763,8 @@ where
         }
         let deadline = Instant::now() + drain;
         while waiting > 0 {
-            match self.resp.pop() {
-                Some(RouterMsg::Delta { worker, delta }) => {
+            match self.workers.ctx.resp.pop() {
+                Some(Reply::Delta { worker, delta }) => {
                     if worker < w && expect[worker] {
                         expect[worker] = false;
                         waiting -= 1;
@@ -1084,12 +776,10 @@ where
                         out.push(delta);
                     }
                 }
-                Some(RouterMsg::Extracted { .. }) | Some(RouterMsg::CheckpointState { .. }) => {
-                    self.spurious_replies += 1;
-                }
+                Some(_) => self.spurious_replies += 1,
                 None => {
                     for (wid, e) in expect.iter_mut().enumerate() {
-                        if *e && self.sup.dead[wid].load(Ordering::Acquire) {
+                        if *e && self.workers.ctx.is_dead(wid) {
                             *e = false;
                             waiting -= 1;
                         }
@@ -1111,237 +801,50 @@ where
     /// feature is off — callers then track feed-side progress
     /// themselves.
     pub fn heartbeat(&self) -> u64 {
-        self.metrics.pushed.get() + self.metrics.consumed.iter().map(Counter::get).sum::<u64>()
+        self.workers.ctx.metrics.heartbeat()
     }
 
     /// Completes migrations, drains the pipeline, joins the workers and
     /// merges their results. Every wait is bounded by
     /// [`ProfilerConfig::drain_deadline_ms`]: a dead or unresponsive
-    /// worker degrades the profile (see [`ProfileStats::degraded`])
+    /// worker degrades the profile (see
+    /// [`ProfileStats::degraded`](crate::result::ProfileStats::degraded))
     /// instead of hanging or aborting the caller.
     pub fn finish(mut self) -> ProfileResult {
-        // Feed phase ends here; everything below is the drain.
-        let feed_nanos = self.timer.elapsed_nanos();
-        let drain_timer = Stopwatch::start();
-        let drain = Duration::from_millis(self.cfg.drain_deadline_ms.max(1));
-        let deadline = Instant::now() + drain;
-        while !self.inflight.is_empty() && Instant::now() < deadline {
-            self.poll_responses();
-            if self.inflight.is_empty() {
-                break;
-            }
-            std::thread::yield_now();
-        }
+        self.workers.begin_drain();
+        let drain = self.workers.drain();
+        self.settle_migrations(Instant::now() + drain);
         // Migrations still pending past the deadline (a dropped reply, a
         // stalled source) are cancelled: the buffered accesses reach the
         // target with fresh state rather than being lost in limbo.
-        if !self.inflight.is_empty() {
-            let addrs: Vec<Address> = self.inflight.keys().copied().collect();
-            for addr in addrs {
-                let inf = self.inflight.remove(&addr).expect("keys from the same map");
-                self.cancelled_migrations += 1;
-                self.replay_buffered(inf.target, inf.buffered);
-            }
+        for (_, inf) in std::mem::take(&mut self.inflight) {
+            self.cancelled_migrations += 1;
+            self.replay_buffered(inf.target, inf.buffered);
         }
         self.flush_all();
-        let w = self.senders.len();
-        let mut shutdown_ok = vec![false; w];
-        for (wid, ok) in shutdown_ok.iter_mut().enumerate() {
-            // Shutdown delivery is always bounded: nothing but a stalled
-            // worker can keep its queue full for the whole drain deadline
-            // once the producer has stopped feeding it.
-            match self.deliver(wid, WorkerMsg::Shutdown, Some(drain)) {
-                Ok(()) => *ok = true,
-                Err(_) => self.sup.abandon[wid].store(true, Ordering::Release),
-            }
-        }
-        let mut stats = ProfileStats::default();
-        let mut global = DepStore::new();
-        let mut exec_tree = crate::exectree::ExecTree::new();
-        let mut sig_mem = 0usize;
-        let mut per_worker_events = Vec::with_capacity(w);
-        let mut failures: Vec<WorkerFailure> = Vec::new();
-        let mut gauges = SigGauges::default();
-        let grace = Duration::from_millis(self.cfg.drain_deadline_ms.clamp(50, 500));
-        let handles = std::mem::take(&mut self.handles);
-        for (wid, h) in handles.into_iter().enumerate() {
-            let wait = if shutdown_ok[wid] { drain } else { grace };
-            let (exit, abandoned) = join_within(h, &self.sup.abandon[wid], wait, grace);
-            let healthy = shutdown_ok[wid] && !abandoned;
-            match exit {
-                Some(WorkerExit::Finished(out)) => {
-                    if !healthy {
-                        // Partial results salvaged from a worker that had
-                        // to be abandoned (e.g. an injected stall).
-                        failures.push(WorkerFailure {
-                            worker: wid,
-                            workers: w,
-                            cause: FailureCause::Unresponsive,
-                        });
-                    }
-                    stats.absorb(out.counters);
-                    sig_mem += out.sig_mem;
-                    per_worker_events.push(out.counters.accesses);
-                    gauges.occupied_slots += out.gauges.occupied_slots;
-                    gauges.total_slots += out.gauges.total_slots;
-                    gauges.evictions += out.gauges.evictions;
-                    // The worst worker's predicted FPR bounds the run's.
-                    gauges.est_fpr_pct = gauges.est_fpr_pct.max(out.gauges.est_fpr_pct);
-                    global.merge(out.store);
-                    exec_tree.merge(&out.exec_tree);
-                }
-                Some(WorkerExit::Panicked { payload }) => {
-                    failures.push(WorkerFailure {
-                        worker: wid,
-                        workers: w,
-                        cause: FailureCause::Panic(payload),
-                    });
-                    per_worker_events.push(0);
-                }
-                None => {
-                    // Never exited within the deadline; the thread is
-                    // detached rather than blocking finish() forever.
-                    failures.push(WorkerFailure {
-                        worker: wid,
-                        workers: w,
-                        cause: FailureCause::Unresponsive,
-                    });
-                    per_worker_events.push(0);
-                }
-            }
-        }
-        stats.deps_built = global.deps_built();
-        stats.deps_merged = global.merged_len();
-        stats.chunks_pushed = self.chunks_pushed;
-        stats.redistributions = self.redistributions;
-        stats.redistributed_addrs = self.rules.len() as u64;
-        stats.dropped_events = self.dropped.iter().sum();
-        if stats.dropped_events > 0 {
-            stats.dropped_per_worker = self.dropped.clone();
-        }
-        stats.rerouted_events = self.rerouted_events;
-        stats.cancelled_migrations = self.cancelled_migrations;
-        stats.spurious_replies = self.spurious_replies;
-        stats.worker_failures = failures;
-        for f in &stats.worker_failures {
-            self.cfg.observer.on_worker_failure(f.worker);
-        }
-        let entry = std::mem::size_of::<(Address, u64)>() + 1;
-        // The run's footprint, index included (see `SequentialProfiler::finish`).
-        let store_mem = global.memory_usage();
-        global.seal();
-        let memory = MemoryReport {
-            signatures: sig_mem,
-            queues: self.senders.iter().map(|s| s.memory_usage()).sum(),
-            chunks: self.pool.memory_usage(),
-            dep_store: store_mem,
-            stats_maps: self.hot.memory_usage() + self.rules.capacity() * entry,
-        };
-        let metrics = self.snapshot(feed_nanos, drain_timer.elapsed_nanos(), gauges);
-        self.cfg.observer.on_finish(&metrics);
-        ProfileResult {
-            deps: global,
-            exec_tree,
-            stats,
-            memory,
-            workers: self.senders.len(),
-            per_worker_events,
-            metrics,
-        }
-    }
-
-    /// Assembles the final [`MetricsSnapshot`] from the ledger, the
-    /// channel taps and the router's hot-address statistics. Returns the
-    /// all-zero default when the `metrics` feature is off.
-    fn snapshot(
-        &self,
-        feed_nanos: u64,
-        drain_nanos: u64,
-        signatures: SigGauges,
-    ) -> MetricsSnapshot {
-        if !dp_metrics::ENABLED {
-            return MetricsSnapshot::default();
-        }
-        let w = self.senders.len();
-        let m = &self.metrics;
-        let mut conservation = Conservation {
-            pushed: m.pushed.get(),
-            rerouted: m.rerouted.get(),
-            ..Conservation::default()
-        };
-        let mut per_worker = Vec::with_capacity(w);
-        let mut stall_total = 0u64;
-        let mut chunks_consumed = 0u64;
-        for wid in 0..w {
-            let enqueued = m.enqueued[wid].get();
-            // An abandoned-but-running worker may still be consuming while
-            // we snapshot; clamping to `enqueued` (read first) keeps the
-            // split between consumed and in-flight internally consistent.
-            let consumed = m.consumed[wid].get().min(enqueued);
-            let dropped = m.dropped[wid].get();
-            let in_flight = enqueued - consumed;
-            let stall_nanos = m.stall[wid].get();
-            let consumed_chunks = m.consumed_chunks[wid].get();
-            conservation.consumed += consumed;
-            conservation.dropped += dropped;
-            conservation.in_flight_at_shutdown += in_flight;
-            stall_total += stall_nanos;
-            chunks_consumed += consumed_chunks;
-            per_worker.push(WorkerMetrics {
-                worker: wid,
-                enqueued,
-                consumed,
-                dropped,
-                in_flight,
-                consumed_chunks,
-                stall_nanos,
-            });
-        }
-        let chunks = ChunkStats {
-            pushed: self.chunks_pushed,
-            consumed: chunks_consumed,
-            queue_highwater: self.taps.iter().map(|t| t.high_water.get()).max().unwrap_or(0),
-            push_retries: self.taps.iter().map(|t| t.push_fulls.get()).sum(),
-            empty_pops: self.taps.iter().map(|t| t.empty_pops.get()).sum(),
-        };
+        let shutdown_ok: Vec<bool> = (0..self.senders.len())
+            .map(|wid| self.deliver(wid, WorkerMsg::Shutdown, Some(drain)).is_ok())
+            .collect();
         // Top-k hottest addresses from the Section IV-A statistics, count
         // descending with the address as deterministic tie-break.
-        let hot_addresses: Vec<HotAddress> = self
-            .hot
-            .top(self.cfg.top_k)
-            .into_iter()
+        let hot_addresses = (self.hot.top(self.cfg.top_k).into_iter())
             .map(|(addr, count)| HotAddress { addr, count })
             .collect();
-        MetricsSnapshot {
-            enabled: true,
-            workers: w,
-            // The chaos seed is a run-level fact the CLI stamps on the
-            // snapshot; engines report 0.
-            chaos_seed: 0,
-            conservation,
-            chunks,
-            stall_nanos: stall_total,
-            signatures,
-            // Engines only produce checkpoint blobs on demand; the driver
-            // that owns the checkpoint store fills these in afterwards.
-            checkpoints: Default::default(),
-            service: Default::default(),
-            hot_addresses,
-            per_worker,
-            timings: PhaseTimings {
-                feed_nanos,
-                drain_nanos,
-                total_nanos: feed_nanos + drain_nanos,
-            },
-        }
+        let mut r =
+            self.workers.finish(&shutdown_ok, self.chunks_pushed, self.dropped, hot_addresses);
+        r.stats.redistributions = self.redistributions;
+        r.stats.redistributed_addrs = self.rules.len() as u64;
+        r.stats.rerouted_events = self.rerouted_events;
+        r.stats.cancelled_migrations = self.cancelled_migrations;
+        r.stats.spurious_replies = self.spurious_replies;
+        let entry = std::mem::size_of::<(Address, u64)>() + 1;
+        r.memory.queues = self.senders.iter().map(|s| s.memory_usage()).sum();
+        r.memory.stats_maps = self.hot.memory_usage() + self.rules.capacity() * entry;
+        r
     }
 }
 
-impl<S, X> Tracer for ParallelProfiler<S, X>
-where
-    S: AccessStore + 'static,
-    X: Transport<WorkerMsg>,
-{
+impl Tracer for ParallelProfiler {
     fn event(&mut self, ev: TraceEvent) {
         match ev {
             TraceEvent::Access(a) => {
@@ -1397,347 +900,6 @@ where
     }
 }
 
-/// Waits for a worker thread to end, escalating rather than blocking:
-/// poll for `wait`, then raise the abandon flag and poll for `grace`
-/// more, then give up and leave the thread detached. Returns the exit
-/// (None if the thread never finished) and whether it was abandoned.
-fn join_within(
-    h: JoinHandle<WorkerExit>,
-    abandon: &AtomicBool,
-    wait: Duration,
-    grace: Duration,
-) -> (Option<WorkerExit>, bool) {
-    let mut abandoned = abandon.load(Ordering::Acquire);
-    let end = Instant::now() + wait;
-    while !h.is_finished() && Instant::now() < end {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    if !h.is_finished() && !abandoned {
-        abandon.store(true, Ordering::Release);
-        abandoned = true;
-        let end = Instant::now() + grace;
-        while !h.is_finished() && Instant::now() < end {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-    if h.is_finished() {
-        let exit = match h.join() {
-            Ok(e) => e,
-            // A panic that somehow escaped the worker's catch_unwind.
-            Err(p) => WorkerExit::Panicked { payload: panic_message(&*p) },
-        };
-        (Some(exit), abandoned)
-    } else {
-        (None, abandoned)
-    }
-}
-
-/// Best-effort stringification of a panic payload.
-pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Injected panic/stall hook, called at the top of every worker-loop
-/// iteration. Returns true when an (injected) stalled worker has been
-/// abandoned and should exit so its partial results can be salvaged.
-#[cfg(feature = "fault-inject")]
-fn fault_pause_or_panic(
-    wid: usize,
-    chunks_done: u64,
-    fault: &FaultRt,
-    abandon: &AtomicBool,
-) -> bool {
-    if let Some(f) = fault.plan.panic_worker {
-        if f.worker == wid && chunks_done >= f.after_chunks {
-            panic!("injected fault: worker {wid} panicked after {} chunks", f.after_chunks);
-        }
-    }
-    if let Some(f) = fault.plan.stall_worker {
-        if f.worker == wid && chunks_done >= f.after_chunks {
-            // Stop consuming; stay alive until the supervisor gives up on
-            // us, then exit without draining (a stalled worker's queued
-            // events are part of what the degraded run lost).
-            while !abandon.load(Ordering::Acquire) {
-                std::thread::park_timeout(Duration::from_millis(1));
-            }
-            return true;
-        }
-    }
-    false
-}
-
-#[cfg(not(feature = "fault-inject"))]
-#[inline(always)]
-fn fault_pause_or_panic(_: usize, _: u64, _: &FaultRt, _: &AtomicBool) -> bool {
-    false
-}
-
-/// Injected reply-loss hook: true when this `Extracted` reply is the one
-/// the plan says to swallow.
-#[cfg(feature = "fault-inject")]
-fn fault_drop_reply(fault: &FaultRt) -> bool {
-    match fault.plan.drop_nth_extract_reply {
-        Some(n) => fault.extract_replies.fetch_add(1, Ordering::Relaxed) == n,
-        None => false,
-    }
-}
-
-#[cfg(not(feature = "fault-inject"))]
-#[inline(always)]
-fn fault_drop_reply(_: &FaultRt) -> bool {
-    false
-}
-
-/// Supervised entry point of a worker thread: contains panics (flagging
-/// `dead[wid]` before the thread exits so the router fails fast) and
-/// reports the exit kind to the supervisor in `finish()`.
-fn worker_loop<S: AccessStore, R: TransportReceiver<WorkerMsg>>(
-    wid: usize,
-    q: R,
-    algo: AlgoState<S>,
-    ctx: WorkerCtx,
-) -> WorkerExit {
-    let sup = ctx.sup.clone();
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        run_worker(wid, q, algo, &ctx)
-    }));
-    match out {
-        Ok(out) => WorkerExit::Finished(Box::new(out)),
-        Err(payload) => {
-            sup.dead[wid].store(true, Ordering::Release);
-            WorkerExit::Panicked { payload: panic_message(&*payload) }
-        }
-    }
-}
-
-fn run_worker<S: AccessStore, R: TransportReceiver<WorkerMsg>>(
-    wid: usize,
-    q: R,
-    mut algo: AlgoState<S>,
-    ctx: &WorkerCtx,
-) -> WorkerOutput {
-    let mut backoff = Backoff::new();
-    let mut chunks_done = 0u64;
-    loop {
-        if fault_pause_or_panic(wid, chunks_done, &ctx.fault, &ctx.sup.abandon[wid]) {
-            break;
-        }
-        match q.pop() {
-            Some(WorkerMsg::Events(chunk)) => {
-                // Consumed means *off the queue*: count at pop (the
-                // counters live in the shared ledger, so they survive a
-                // mid-chunk panic) with rerouted marks excluded.
-                ctx.metrics.consumed[wid].add((chunk.len() - chunk.rerouted()) as u64);
-                ctx.metrics.consumed_chunks[wid].inc();
-                algo.on_chunk(chunk.events());
-                ctx.pool.release(chunk);
-                chunks_done += 1;
-                backoff.reset();
-            }
-            Some(WorkerMsg::Extract { addr }) => {
-                let (read, write) = algo.extract(addr);
-                if !fault_drop_reply(&ctx.fault) {
-                    let mut msg = RouterMsg::Extracted { addr, read, write };
-                    loop {
-                        match ctx.resp.push(msg) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                msg = back;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            }
-            Some(WorkerMsg::Inject { addr, read, write }) => {
-                algo.inject(addr, read, write);
-            }
-            Some(WorkerMsg::Checkpoint) => {
-                let mut out = ByteWriter::new();
-                let state = algo.save_state(&mut out).then(|| out.into_bytes());
-                let mut msg = RouterMsg::CheckpointState { worker: wid, state };
-                loop {
-                    match ctx.resp.push(msg) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            msg = back;
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            }
-            Some(WorkerMsg::EnableDelta) => {
-                algo.store.enable_delta();
-            }
-            Some(WorkerMsg::DeltaFlush) => {
-                let mut msg = RouterMsg::Delta { worker: wid, delta: algo.store.take_delta() };
-                loop {
-                    match ctx.resp.push(msg) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            msg = back;
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            }
-            Some(WorkerMsg::Shutdown) => break,
-            None => backoff.snooze(),
-        }
-    }
-    let gauges = algo.sig_gauges();
-    let (store, exec_tree, counters, sig_mem) = algo.finish();
-    WorkerOutput { store, exec_tree, counters, sig_mem, gauges }
-}
-
-/// The lock-free build (the paper's main configuration).
-pub type LockFreeProfiler<S> = ParallelProfiler<S, Shared<MpmcQueue<WorkerMsg>>>;
-/// The lock-based comparator build (Figure 5).
-pub type LockBasedProfiler<S> = ParallelProfiler<S, Shared<dp_queue::LockQueue<WorkerMsg>>>;
-/// The SPSC fast-path build for sequential targets (one producing
-/// thread; the `!Sync` senders make misuse a compile error).
-pub type SpscProfiler<S> = ParallelProfiler<S, SpscTransport>;
-
-/// A parallel profiler whose transport is chosen at runtime from
-/// [`ProfilerConfig::transport`] ([`TransportKind`]). All variants share
-/// the same engine code and produce bit-identical dependence sets; only
-/// the per-worker channel implementation differs.
-pub enum AnyParallelProfiler<S: AccessStore + 'static> {
-    /// SPSC fast path ([`TransportKind::Spsc`]).
-    Spsc(SpscProfiler<S>),
-    /// Lock-free MPMC ([`TransportKind::Mpmc`]).
-    Mpmc(LockFreeProfiler<S>),
-    /// Lock-based comparator ([`TransportKind::Lock`]).
-    Lock(LockBasedProfiler<S>),
-}
-
-impl<S: AccessStore + 'static> AnyParallelProfiler<S> {
-    /// Starts the pipeline over the transport named by `cfg.transport`.
-    pub fn new(cfg: ProfilerConfig, make_store: impl Fn() -> S) -> Self {
-        match cfg.transport {
-            TransportKind::Spsc => Self::Spsc(ParallelProfiler::new(cfg, make_store)),
-            TransportKind::Mpmc => Self::Mpmc(ParallelProfiler::new(cfg, make_store)),
-            TransportKind::Lock => Self::Lock(ParallelProfiler::new(cfg, make_store)),
-        }
-    }
-
-    /// Rebuilds the pipeline from a checkpoint over the transport named
-    /// by `cfg.transport` (see [`ParallelProfiler::resume`]). The
-    /// configuration must match the one the checkpoint was taken under;
-    /// a worker-count mismatch is rejected.
-    pub fn resume(
-        cfg: ProfilerConfig,
-        make_store: impl Fn() -> S,
-        data: &CheckpointData,
-    ) -> Result<Self, CheckpointError> {
-        Ok(match cfg.transport {
-            TransportKind::Spsc => Self::Spsc(ParallelProfiler::resume(cfg, make_store, data)?),
-            TransportKind::Mpmc => Self::Mpmc(ParallelProfiler::resume(cfg, make_store, data)?),
-            TransportKind::Lock => Self::Lock(ParallelProfiler::resume(cfg, make_store, data)?),
-        })
-    }
-
-    /// Quiesces the pipeline and captures a consistent checkpoint (see
-    /// [`ParallelProfiler::checkpoint_data`]).
-    pub fn checkpoint_data(
-        &mut self,
-        generation: u64,
-        records_read: u64,
-        config: Vec<u8>,
-    ) -> Result<CheckpointData, CheckpointError> {
-        match self {
-            Self::Spsc(p) => p.checkpoint_data(generation, records_read, config),
-            Self::Mpmc(p) => p.checkpoint_data(generation, records_read, config),
-            Self::Lock(p) => p.checkpoint_data(generation, records_read, config),
-        }
-    }
-
-    /// Turns on online analysis in every live worker (see
-    /// [`ParallelProfiler::enable_online`]).
-    pub fn enable_online(&mut self) {
-        match self {
-            Self::Spsc(p) => p.enable_online(),
-            Self::Mpmc(p) => p.enable_online(),
-            Self::Lock(p) => p.enable_online(),
-        }
-    }
-
-    /// True once online analysis has been enabled.
-    pub fn online_enabled(&self) -> bool {
-        match self {
-            Self::Spsc(p) => p.online_enabled(),
-            Self::Mpmc(p) => p.online_enabled(),
-            Self::Lock(p) => p.online_enabled(),
-        }
-    }
-
-    /// Drains the workers' dependence-map movement (see
-    /// [`ParallelProfiler::collect_deltas`]).
-    pub fn collect_deltas(&mut self) -> Vec<crate::store::AnalysisDelta> {
-        match self {
-            Self::Spsc(p) => p.collect_deltas(),
-            Self::Mpmc(p) => p.collect_deltas(),
-            Self::Lock(p) => p.collect_deltas(),
-        }
-    }
-
-    /// Monotone progress value for the run watchdog (see
-    /// [`ParallelProfiler::heartbeat`]).
-    pub fn heartbeat(&self) -> u64 {
-        match self {
-            Self::Spsc(p) => p.heartbeat(),
-            Self::Mpmc(p) => p.heartbeat(),
-            Self::Lock(p) => p.heartbeat(),
-        }
-    }
-
-    /// Short name of the active transport ("spsc", "lock-free",
-    /// "lock-based").
-    pub fn transport_kind(&self) -> &'static str {
-        match self {
-            Self::Spsc(_) => <SpscTransport as Transport<WorkerMsg>>::kind(),
-            Self::Mpmc(_) => <Shared<MpmcQueue<WorkerMsg>> as Transport<WorkerMsg>>::kind(),
-            Self::Lock(_) => {
-                <Shared<dp_queue::LockQueue<WorkerMsg>> as Transport<WorkerMsg>>::kind()
-            }
-        }
-    }
-
-    /// Completes migrations, drains the pipeline, joins the workers and
-    /// merges their results.
-    pub fn finish(self) -> ProfileResult {
-        match self {
-            Self::Spsc(p) => p.finish(),
-            Self::Mpmc(p) => p.finish(),
-            Self::Lock(p) => p.finish(),
-        }
-    }
-}
-
-impl<S: AccessStore + 'static> Tracer for AnyParallelProfiler<S> {
-    fn event(&mut self, ev: TraceEvent) {
-        match self {
-            Self::Spsc(p) => p.event(ev),
-            Self::Mpmc(p) => p.event(ev),
-            Self::Lock(p) => p.event(ev),
-        }
-    }
-
-    fn sync_point(&mut self) {
-        match self {
-            Self::Spsc(p) => p.sync_point(),
-            Self::Mpmc(p) => p.sync_point(),
-            Self::Lock(p) => p.sync_point(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1757,8 +919,10 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_semantics() {
-        let mut p: LockFreeProfiler<PerfectSignature> =
-            ParallelProfiler::new(cfg(4), PerfectSignature::new);
+        let mut p = ParallelProfiler::new(
+            cfg(4).with_transport(TransportKind::Mpmc),
+            PerfectSignature::new,
+        );
         let mut ts = 0;
         let mut next = || {
             ts += 1;
@@ -1808,8 +972,10 @@ mod tests {
                 }
             }
         };
-        let mut p: LockFreeProfiler<PerfectSignature> =
-            ParallelProfiler::new(cfg(4), PerfectSignature::new);
+        let mut p = ParallelProfiler::new(
+            cfg(4).with_transport(TransportKind::Mpmc),
+            PerfectSignature::new,
+        );
         let mut ts = 0u64;
         let mut next = || {
             ts += 1;
@@ -1860,116 +1026,66 @@ mod tests {
         assert_eq!(loops, want_loops);
     }
 
-    #[test]
-    fn lock_based_build_equivalent() {
-        let mut p: LockBasedProfiler<PerfectSignature> =
-            ParallelProfiler::new(cfg(3), PerfectSignature::new);
-        for i in 0..32u64 {
-            p.event(acc(AccessKind::Write, i * 8, i * 2 + 1, 1));
-            p.event(acc(AccessKind::Read, i * 8, i * 2 + 2, 2));
-        }
-        let r = p.finish();
-        assert_eq!(r.stats.deps_merged, 2);
-    }
+    const TRANSPORTS: [TransportKind; 3] =
+        [TransportKind::Spsc, TransportKind::Mpmc, TransportKind::Lock];
 
     #[test]
-    fn spsc_build_equivalent() {
-        let mut p: SpscProfiler<PerfectSignature> =
-            ParallelProfiler::new(cfg(3), PerfectSignature::new);
-        for i in 0..32u64 {
-            p.event(acc(AccessKind::Write, i * 8, i * 2 + 1, 1));
-            p.event(acc(AccessKind::Read, i * 8, i * 2 + 2, 2));
-        }
-        let r = p.finish();
-        assert_eq!(r.stats.deps_merged, 2);
-        assert_eq!(r.stats.accesses, 64);
-    }
-
-    #[test]
-    fn spsc_redistribution_migrates_state_correctly() {
-        let mut c = cfg(4).with_redistribution(true);
-        c.redistribute_every = 2;
-        c.top_k = 4;
-        let mut p: SpscProfiler<PerfectSignature> = ParallelProfiler::new(c, PerfectSignature::new);
-        let addrs = [0x100u64, 0x200, 0x300, 0x400];
-        let mut ts = 0u64;
-        for round in 0..2000u64 {
-            for (k, &a) in addrs.iter().enumerate() {
-                ts += 1;
-                if round == 0 {
-                    p.event(acc(AccessKind::Write, a, ts, 10 + k as u32));
-                } else {
-                    p.event(acc(AccessKind::Read, a, ts, 20 + k as u32));
-                }
-            }
-        }
-        let r = p.finish();
-        assert!(r.stats.redistributions > 0, "redistribution never triggered");
-        assert_eq!(r.stats.deps_merged, 8, "{:?}", r.stats);
-        for (d, v) in r.deps.dependences() {
-            if d.edge.dtype == DepType::Raw {
-                assert_eq!(d.edge.source_loc.line, d.sink.loc.line - 10);
-                assert_eq!(v.count, 1999);
-            }
-        }
-    }
-
-    #[test]
-    fn any_profiler_dispatches_all_transports() {
-        for kind in [TransportKind::Spsc, TransportKind::Mpmc, TransportKind::Lock] {
-            let c = cfg(2).with_transport(kind);
-            let mut p: AnyParallelProfiler<PerfectSignature> =
-                AnyParallelProfiler::new(c, PerfectSignature::new);
-            assert_eq!(p.transport_kind(), kind.name());
-            for i in 0..16u64 {
+    fn every_transport_builds_the_same_profile() {
+        assert_eq!(cfg(3).transport, TransportKind::Spsc, "the default is single-producer");
+        for kind in TRANSPORTS {
+            let mut p = ParallelProfiler::new(cfg(3).with_transport(kind), PerfectSignature::new);
+            for i in 0..32u64 {
                 p.event(acc(AccessKind::Write, i * 8, i * 2 + 1, 1));
                 p.event(acc(AccessKind::Read, i * 8, i * 2 + 2, 2));
             }
             let r = p.finish();
             assert_eq!(r.stats.deps_merged, 2, "transport {kind:?}");
+            assert_eq!(r.stats.accesses, 64, "transport {kind:?}");
         }
     }
 
     #[test]
     fn redistribution_migrates_state_correctly() {
-        let mut c = cfg(4).with_redistribution(true);
-        c.redistribute_every = 2; // aggressive for the test
-        c.top_k = 4;
-        let mut p: LockFreeProfiler<PerfectSignature> =
-            ParallelProfiler::new(c, PerfectSignature::new);
-        // Hammer four addresses that all map to worker 0 (addr % 4 == 0),
-        // forcing redistribution; dependences must stay exact.
-        let addrs = [0x100u64, 0x200, 0x300, 0x400];
-        let mut ts = 0u64;
-        for round in 0..2000u64 {
-            for (k, &a) in addrs.iter().enumerate() {
-                ts += 1;
-                let line = 10 + k as u32;
-                if round == 0 {
-                    p.event(acc(AccessKind::Write, a, ts, line));
-                } else {
-                    p.event(acc(AccessKind::Read, a, ts, 20 + k as u32));
+        for kind in TRANSPORTS {
+            let mut c = cfg(4).with_redistribution(true).with_transport(kind);
+            c.redistribute_every = 2; // aggressive for the test
+            c.top_k = 4;
+            let mut p = ParallelProfiler::new(c, PerfectSignature::new);
+            // Hammer four addresses that all map to worker 0 (addr % 4 == 0),
+            // forcing redistribution; dependences must stay exact.
+            let addrs = [0x100u64, 0x200, 0x300, 0x400];
+            let mut ts = 0u64;
+            for round in 0..2000u64 {
+                for (k, &a) in addrs.iter().enumerate() {
+                    ts += 1;
+                    if round == 0 {
+                        p.event(acc(AccessKind::Write, a, ts, 10 + k as u32));
+                    } else {
+                        p.event(acc(AccessKind::Read, a, ts, 20 + k as u32));
+                    }
                 }
             }
-        }
-        let r = p.finish();
-        assert!(r.stats.redistributions > 0, "redistribution never triggered");
-        assert!(r.stats.redistributed_addrs > 0);
-        // Exactly 4 INIT + 4 RAW records; every RAW sourced at its write
-        // line (state migration preserved the signature entries).
-        assert_eq!(r.stats.deps_merged, 8, "{:?}", r.stats);
-        for (d, v) in r.deps.dependences() {
-            if d.edge.dtype == DepType::Raw {
-                assert_eq!(d.edge.source_loc.line, d.sink.loc.line - 10);
-                assert_eq!(v.count, 1999);
+            let r = p.finish();
+            assert!(r.stats.redistributions > 0, "redistribution never triggered");
+            assert!(r.stats.redistributed_addrs > 0);
+            // Exactly 4 INIT + 4 RAW records; every RAW sourced at its write
+            // line (state migration preserved the signature entries).
+            assert_eq!(r.stats.deps_merged, 8, "{kind:?}: {:?}", r.stats);
+            for (d, v) in r.deps.dependences() {
+                if d.edge.dtype == DepType::Raw {
+                    assert_eq!(d.edge.source_loc.line, d.sink.loc.line - 10);
+                    assert_eq!(v.count, 1999);
+                }
             }
         }
     }
 
     #[test]
     fn dealloc_broadcast_forgets_everywhere() {
-        let mut p: LockFreeProfiler<PerfectSignature> =
-            ParallelProfiler::new(cfg(4), PerfectSignature::new);
+        let mut p = ParallelProfiler::new(
+            cfg(4).with_transport(TransportKind::Mpmc),
+            PerfectSignature::new,
+        );
         for i in 0..16u64 {
             p.event(acc(AccessKind::Write, 0x100 + i * 8, i + 1, 1));
         }
@@ -1987,8 +1103,10 @@ mod tests {
 
     #[test]
     fn loop_events_reach_all_workers_for_carried_detection() {
-        let mut p: LockFreeProfiler<PerfectSignature> =
-            ParallelProfiler::new(cfg(2), PerfectSignature::new);
+        let mut p = ParallelProfiler::new(
+            cfg(2).with_transport(TransportKind::Mpmc),
+            PerfectSignature::new,
+        );
         p.event(TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 1), thread: 0, ts: 1 });
         // accumulator on addr 0x8 (worker 1): read+write each iteration
         for it in 0..3u64 {
@@ -2012,10 +1130,12 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn worker_panic_degrades_instead_of_aborting() {
+        use crate::result::FailureCause;
+        use dp_queue::FaultPlan;
         let c =
             cfg(4).with_fault_plan(FaultPlan::none().with_panic(2, 0)).with_drain_deadline_ms(500);
-        let mut p: LockFreeProfiler<PerfectSignature> =
-            ParallelProfiler::new(c, PerfectSignature::new);
+        let mut p =
+            ParallelProfiler::new(c.with_transport(TransportKind::Mpmc), PerfectSignature::new);
         // Worker k owns addresses with (addr >> 3) % 4 == k; give each
         // worker its own address and a W→R pair on distinct lines.
         for k in 0..4u64 {
@@ -2049,11 +1169,10 @@ mod tests {
     #[cfg(feature = "fault-inject")]
     #[test]
     fn chaotic_transport_profile_is_exact() {
-        use dp_queue::FailingTransport;
+        use dp_queue::{FailingTransport, FaultPlan};
         let plan = FaultPlan::none().with_seed(42).with_spurious(20, 20);
         let transport = FailingTransport::new(SpscTransport, plan);
-        let mut p: ParallelProfiler<PerfectSignature, _> =
-            ParallelProfiler::with_transport(transport, cfg(3), PerfectSignature::new);
+        let mut p = ParallelProfiler::with_transport(transport, cfg(3), PerfectSignature::new);
         for i in 0..64u64 {
             p.event(acc(AccessKind::Write, i * 8, i * 2 + 1, 1));
             p.event(acc(AccessKind::Read, i * 8, i * 2 + 2, 2));
@@ -2092,20 +1211,18 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_matches_uninterrupted() {
-        for kind in [TransportKind::Spsc, TransportKind::Mpmc, TransportKind::Lock] {
+        for kind in TRANSPORTS {
             let evs = ckpt_stream(200);
             let cut = 77;
             let c = cfg(3).with_transport(kind);
-            let mut reference: AnyParallelProfiler<PerfectSignature> =
-                AnyParallelProfiler::new(c.clone(), PerfectSignature::new);
+            let mut reference = ParallelProfiler::new(c.clone(), PerfectSignature::new);
             for ev in &evs {
                 reference.event(*ev);
             }
             let r_ref = reference.finish();
             assert!(!r_ref.degraded());
             // Interrupted run: prefix → checkpoint → resume → suffix.
-            let mut first: AnyParallelProfiler<PerfectSignature> =
-                AnyParallelProfiler::new(c.clone(), PerfectSignature::new);
+            let mut first = ParallelProfiler::new(c.clone(), PerfectSignature::new);
             for ev in &evs[..cut] {
                 first.event(*ev);
             }
@@ -2114,7 +1231,7 @@ mod tests {
             assert_eq!(data.workers.len(), 3);
             drop(first.finish()); // the interrupted engine dies here
             let mut resumed =
-                AnyParallelProfiler::resume(c.clone(), PerfectSignature::new, &data).unwrap();
+                ParallelProfiler::resume(c.clone(), PerfectSignature::new, &data).unwrap();
             for ev in &evs[cut..] {
                 resumed.event(*ev);
             }
@@ -2157,23 +1274,31 @@ mod tests {
                 evs.push(acc(kind, a, ts, if round == 0 { 10 } else { 20 } + k as u32));
             }
         }
-        let mut reference: LockFreeProfiler<PerfectSignature> =
-            ParallelProfiler::new(c.clone(), PerfectSignature::new);
+        let mut reference = ParallelProfiler::new(
+            c.clone().with_transport(TransportKind::Mpmc),
+            PerfectSignature::new,
+        );
         for ev in &evs {
             reference.event(*ev);
         }
         let r_ref = reference.finish();
         assert!(r_ref.stats.redistributions > 0, "redistribution never triggered");
         let cut = 999;
-        let mut first: LockFreeProfiler<PerfectSignature> =
-            ParallelProfiler::new(c.clone(), PerfectSignature::new);
+        let mut first = ParallelProfiler::new(
+            c.clone().with_transport(TransportKind::Mpmc),
+            PerfectSignature::new,
+        );
         for ev in &evs[..cut] {
             first.event(*ev);
         }
         let data = first.checkpoint_data(1, cut as u64, Vec::new()).unwrap();
         drop(first.finish());
-        let mut resumed: LockFreeProfiler<PerfectSignature> =
-            ParallelProfiler::resume(c, PerfectSignature::new, &data).unwrap();
+        let mut resumed = ParallelProfiler::resume(
+            c.with_transport(TransportKind::Mpmc),
+            PerfectSignature::new,
+            &data,
+        )
+        .unwrap();
         for ev in &evs[cut..] {
             resumed.event(*ev);
         }
@@ -2184,12 +1309,14 @@ mod tests {
 
     #[test]
     fn resume_rejects_mismatched_worker_count() {
-        let mut p: SpscProfiler<PerfectSignature> =
-            ParallelProfiler::new(cfg(3), PerfectSignature::new);
+        let mut p = ParallelProfiler::new(
+            cfg(3).with_transport(TransportKind::Spsc),
+            PerfectSignature::new,
+        );
         p.event(acc(AccessKind::Write, 0x8, 1, 1));
         let data = p.checkpoint_data(0, 1, Vec::new()).unwrap();
         drop(p.finish());
-        let err = SpscProfiler::<PerfectSignature>::resume(cfg(2), PerfectSignature::new, &data)
+        let err = ParallelProfiler::resume(cfg(2), PerfectSignature::new, &data)
             .err()
             .expect("worker-count mismatch must be rejected");
         assert!(matches!(err, CheckpointError::Wire(_)), "{err}");
@@ -2197,8 +1324,10 @@ mod tests {
 
     #[test]
     fn heartbeat_advances_with_traffic() {
-        let mut p: SpscProfiler<PerfectSignature> =
-            ParallelProfiler::new(cfg(2), PerfectSignature::new);
+        let mut p = ParallelProfiler::new(
+            cfg(2).with_transport(TransportKind::Spsc),
+            PerfectSignature::new,
+        );
         let before = p.heartbeat();
         for i in 0..64u64 {
             p.event(acc(AccessKind::Write, i * 8, i + 1, 1));

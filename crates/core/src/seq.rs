@@ -7,29 +7,9 @@
 
 use crate::algo::{AlgoOptions, AlgoState, LOOKAHEAD};
 use crate::checkpoint::{CheckpointData, CheckpointError};
-use crate::config::{ProfilerConfig, TransportKind};
-use crate::parallel::AnyParallelProfiler;
 use crate::result::{MemoryReport, ProfileResult, ProfileStats};
 use dp_sig::{AccessStore, ExtendedSlot, PerfectSignature, Signature};
 use dp_types::TraceEvent;
-
-/// Builds the parallel offload engine for a *sequential* target.
-///
-/// A sequential target has exactly one producing thread — the one running
-/// the instrumented program — so every [`TransportKind`] is sound here,
-/// including the SPSC fast path that the multi-threaded-target engine
-/// must never use. When `cfg.transport` was left at its default this
-/// helper upgrades it to [`TransportKind::Spsc`]; an explicit choice
-/// (e.g. the Figure 5 lock-based comparator) is honored as-is.
-pub fn offload_sequential<S: AccessStore + 'static>(
-    mut cfg: ProfilerConfig,
-    make_store: impl Fn() -> S,
-) -> AnyParallelProfiler<S> {
-    if cfg.transport == TransportKind::default() {
-        cfg.transport = TransportKind::Spsc;
-    }
-    AnyParallelProfiler::new(cfg, make_store)
-}
 
 /// The last `LOOKAHEAD` events fed one at a time, oldest at `head`: a
 /// caller that holds no chunk still gets its signature slots prefetched
@@ -283,25 +263,6 @@ mod tests {
             .any(|(d, _)| d.edge.dtype == DepType::Raw && d.sink.loc.line == 2));
         assert_eq!(r.workers, 0);
         assert!(r.memory.total() > 0);
-    }
-
-    #[test]
-    fn offload_upgrades_default_transport_to_spsc() {
-        use dp_types::Tracer;
-        let mut p =
-            offload_sequential(ProfilerConfig::default().with_workers(2), PerfectSignature::new);
-        assert_eq!(p.transport_kind(), "spsc");
-        p.event(TraceEvent::Access(MemAccess::write(0x8, 1, loc(1, 1), 1, 0)));
-        p.event(TraceEvent::Access(MemAccess::read(0x8, 2, loc(1, 2), 1, 0)));
-        let r = p.finish();
-        assert_eq!(r.stats.deps_merged, 2);
-        // An explicit choice is honored as-is.
-        let p = offload_sequential(
-            ProfilerConfig::default().with_workers(2).with_transport(TransportKind::Lock),
-            PerfectSignature::new,
-        );
-        assert_eq!(p.transport_kind(), "lock-based");
-        p.finish();
     }
 
     #[test]

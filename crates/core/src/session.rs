@@ -12,7 +12,7 @@
 
 use crate::checkpoint::{CheckpointData, CheckpointError};
 use crate::config::{OverflowPolicy, ProfilerConfig, TransportKind};
-use crate::parallel::AnyParallelProfiler;
+use crate::parallel::ParallelProfiler;
 use crate::result::ProfileResult;
 use crate::seq::SequentialProfiler;
 use crate::DefaultSig;
@@ -52,6 +52,14 @@ impl Default for SessionSpec {
     }
 }
 
+/// Most workers a decoded spec may ask for: a spec arrives from outside
+/// the process (a `Hello` frame, a checkpoint), and each worker is a
+/// thread.
+const MAX_SPEC_WORKERS: usize = 256;
+/// Most signature slots a decoded spec may ask for (4 GiB of 16-byte
+/// slots; the paper's 10⁸ total fits): the slots are allocated up front.
+const MAX_SPEC_SLOTS: u64 = 1 << 28;
+
 impl SessionSpec {
     /// Serializes the spec (for a `Hello` frame or a checkpoint CONFIG
     /// blob).
@@ -70,7 +78,8 @@ impl SessionSpec {
         w.into_bytes()
     }
 
-    /// Decodes a spec, rejecting unknown codes and trailing bytes.
+    /// Decodes a spec, rejecting unknown codes, trailing bytes and sizes
+    /// no engine should be built at.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = ByteReader::new(bytes);
         let parallel = r.u8()? != 0;
@@ -87,13 +96,17 @@ impl SessionSpec {
         };
         let redistribution = r.u8()? != 0;
         let workers = r.u32()? as usize;
-        let slots = r.u64()? as usize;
+        let slots = r.u64()?;
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after session spec"));
         }
         if slots == 0 || (parallel && workers == 0) {
             return Err(WireError::Invalid("session spec with zero slots or workers"));
         }
+        if workers > MAX_SPEC_WORKERS || slots > MAX_SPEC_SLOTS {
+            return Err(WireError::Invalid("session spec asks for too many workers or slots"));
+        }
+        let slots = slots as usize;
         Ok(SessionSpec { parallel, transport, overflow, redistribution, workers, slots })
     }
 
@@ -109,28 +122,36 @@ impl SessionSpec {
 
     /// Builds a fresh engine for this spec.
     pub fn build(&self) -> ProfileSession {
-        if self.parallel {
-            let cfg = self.config();
-            let slots = cfg.slots_per_worker();
-            ProfileSession::Parallel(AnyParallelProfiler::new(cfg, move || {
-                dp_sig::Signature::new(slots)
-            }))
-        } else {
-            ProfileSession::Serial(SequentialProfiler::with_signature(self.slots))
-        }
+        self.open(self.config(), None).expect("only restoring a checkpoint can fail")
     }
 
     /// Rebuilds an engine from a checkpoint taken by an engine of the
     /// same spec, restoring its full extraction state.
     pub fn resume(&self, data: &CheckpointData) -> Result<ProfileSession, CheckpointError> {
+        self.open(self.config(), Some(data))
+    }
+
+    /// Builds this spec's engine — fresh, or restored from `data` — with
+    /// the pipeline running under `cfg`: [`SessionSpec::config`], plus
+    /// whatever a caller layers on that a spec does not carry (fault
+    /// plan, deadlines, observer).
+    pub fn open(
+        &self,
+        cfg: ProfilerConfig,
+        data: Option<&CheckpointData>,
+    ) -> Result<ProfileSession, CheckpointError> {
         if self.parallel {
-            let cfg = self.config();
             let slots = cfg.slots_per_worker();
-            let p = AnyParallelProfiler::resume(cfg, move || dp_sig::Signature::new(slots), data)?;
-            Ok(ProfileSession::Parallel(p))
+            let make = move || DefaultSig::new(slots);
+            Ok(ProfileSession::Parallel(match data {
+                Some(d) => ParallelProfiler::resume(cfg, make, d)?,
+                None => ParallelProfiler::new(cfg, make),
+            }))
         } else {
             let mut p = SequentialProfiler::with_signature(self.slots);
-            p.restore(data)?;
+            if let Some(d) = data {
+                p.restore(d)?;
+            }
             Ok(ProfileSession::Serial(p))
         }
     }
@@ -144,7 +165,7 @@ pub enum ProfileSession {
     /// The in-line serial profiler.
     Serial(SequentialProfiler<DefaultSig>),
     /// The parallel offload pipeline.
-    Parallel(AnyParallelProfiler<DefaultSig>),
+    Parallel(ParallelProfiler),
 }
 
 impl ProfileSession {
@@ -270,6 +291,13 @@ mod tests {
         let mut bad = bytes.clone();
         bad[1] = 9;
         assert!(SessionSpec::decode(&bad).is_err(), "bad transport code");
+        // Sizes from outside are bounded before anything is allocated.
+        let ok = SessionSpec { workers: 256, slots: 1 << 28, ..spec };
+        assert_eq!(SessionSpec::decode(&ok.encode()).unwrap(), ok);
+        let huge = SessionSpec { slots: 1 << 40, ..spec };
+        assert!(SessionSpec::decode(&huge.encode()).is_err(), "16 TiB of slots");
+        let many = SessionSpec { workers: u32::MAX as usize, parallel: false, ..spec };
+        assert!(SessionSpec::decode(&many.encode()).is_err(), "4 billion threads");
     }
 
     #[test]

@@ -1,0 +1,708 @@
+//! The supervised worker threads every pipeline runs on.
+//!
+//! Section V's engine for multi-threaded targets is Section IV's pipeline
+//! with multi-producer queues and a timestamp check, so the two share
+//! everything behind the queues: the messages ([`WorkerMsg`] in, `Reply`
+//! out), the worker loop under its one `catch_unwind`, the supervision
+//! flags, the fault hooks, the conservation ledger (`EngineMetrics`),
+//! and the end of a run — join every worker within the drain deadline,
+//! salvage what the survivors hold, merge it, and assemble the
+//! [`MetricsSnapshot`]. [`parallel`](crate::parallel) and
+//! [`mt`](crate::mt) differ only in who produces and how a message is
+//! delivered.
+//!
+//! ## Failure model
+//!
+//! Profiling must never take the target down with it. A panicking worker
+//! is contained, flags itself dead before its thread exits, and producers
+//! fail fast on dead workers instead of spinning on a queue nobody will
+//! drain. `Workers::finish` is a supervisor: it bounds every wait by
+//! [`ProfilerConfig::drain_deadline_ms`] and reports each lost worker as
+//! a [`WorkerFailure`], so a degraded profile says exactly *what* is
+//! missing (the worker's residue class under Formula 1).
+
+use crate::algo::{AlgoCounters, AlgoState};
+use crate::checkpoint::CheckpointError;
+use crate::config::ProfilerConfig;
+use crate::exectree::ExecTree;
+use crate::result::{FailureCause, MemoryReport, ProfileResult, ProfileStats, WorkerFailure};
+use crate::store::{AnalysisDelta, DepStore};
+use dp_metrics::{
+    ChunkStats, Conservation, Counter, HotAddress, MetricsSnapshot, ObserverHandle, PhaseTimings,
+    SigGauges, Stopwatch, WorkerMetrics,
+};
+use dp_queue::{
+    Backoff, ChannelTap, Chunk, ChunkPool, FaultPlan, MeteredReceiver, MeteredSender, MpmcQueue,
+    Transport, TransportReceiver,
+};
+use dp_sig::{AccessStore, SigEntry};
+use dp_types::{Address, ByteReader, ByteWriter, WireError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// Messages flowing through a worker's queue.
+pub enum WorkerMsg {
+    /// A chunk of trace events.
+    Events(Chunk),
+    /// Redistribution: extract and return the signature state of `addr`.
+    Extract {
+        /// Address being migrated away from this worker.
+        addr: Address,
+    },
+    /// Redistribution: adopt the signature state of `addr`.
+    Inject {
+        /// Address being migrated to this worker.
+        addr: Address,
+        /// Read-signature entry, if any.
+        read: Option<SigEntry>,
+        /// Write-signature entry, if any.
+        write: Option<SigEntry>,
+    },
+    /// Quiesce barrier: serialize the worker's complete extraction
+    /// state and reply on the response queue. Queue FIFO order
+    /// guarantees the worker has consumed every event routed before
+    /// this message when it replies, so the blob captures a consistent
+    /// cut of the run.
+    Checkpoint,
+    /// Online analysis: start tracking dependence-map movement
+    /// ([`DepStore::enable_delta`]) in this worker's store.
+    EnableDelta,
+    /// Online analysis: drain the worker's dirty set and reply with an
+    /// [`AnalysisDelta`] on the response queue. FIFO order makes the
+    /// delta cover exactly the events routed before this message.
+    DeltaFlush,
+    /// Drain and exit.
+    Shutdown,
+}
+
+/// Worker→producer responses, all on one bounded queue (redistribution
+/// replies bounded by `top_k`, the others by the worker count).
+pub(crate) enum Reply {
+    Extracted {
+        addr: Address,
+        read: Option<SigEntry>,
+        write: Option<SigEntry>,
+    },
+    /// Reply to [`WorkerMsg::Checkpoint`]; `state` is `None` when the
+    /// worker's access store does not support checkpointing.
+    CheckpointState {
+        worker: usize,
+        state: Option<Vec<u8>>,
+    },
+    /// Reply to [`WorkerMsg::DeltaFlush`]. The worker has already drained
+    /// its dirty set, so a receiver outside its collect window parks the
+    /// delta instead of dropping it.
+    Delta {
+        worker: usize,
+        delta: AnalysisDelta,
+    },
+}
+
+struct WorkerOutput {
+    store: DepStore,
+    exec_tree: ExecTree,
+    counters: AlgoCounters,
+    sig_mem: usize,
+    gauges: SigGauges,
+}
+
+/// How a supervised worker thread ended.
+enum WorkerExit {
+    /// Clean exit (or an abandoned stall that woke up): results salvaged.
+    Finished(Box<WorkerOutput>),
+    /// The worker panicked; the payload is kept for the [`WorkerFailure`].
+    Panicked(String),
+}
+
+/// The event-conservation ledger, shared by the producers and every
+/// worker.
+///
+/// The invariant the counters are built to prove (and the metrics test
+/// suite checks across every transport and chaos seed):
+///
+/// ```text
+/// pushed == consumed + dropped + rerouted + in_flight_at_shutdown
+/// ```
+///
+/// where `in_flight[w] = enqueued[w] − consumed[w]`. Rerouted copies are
+/// a *terminal* disposition: they are counted once at routing time and
+/// marked in their chunk ([`Chunk::mark_rerouted`]), and every downstream
+/// tap (enqueue, drop, consume) excludes the marks, keeping the law's
+/// columns disjoint (the MT engine never diverts, so its `rerouted` stays
+/// zero). All counters are `dp-metrics` primitives — relaxed atomics with
+/// the `metrics` feature, zero-sized no-ops without it.
+pub(crate) struct EngineMetrics {
+    /// Events in every chunk flushed towards a queue (counted once per
+    /// chunk, not per event: the counter is a cache line every producer
+    /// shares), plus migration buffers dropped before ever reaching a
+    /// chunk (those count `pushed` and `dropped` at the same instant).
+    /// Readers flush the pending chunks first.
+    pub(crate) pushed: Counter,
+    /// Event copies diverted away from a dead owner at routing time.
+    pub(crate) rerouted: Counter,
+    /// Per worker: events inside successfully enqueued chunks, rerouted
+    /// marks excluded.
+    pub(crate) enqueued: Vec<Counter>,
+    /// Per worker: events dropped at the flush tap or from migration
+    /// buffers, rerouted marks excluded.
+    pub(crate) dropped: Vec<Counter>,
+    /// Per worker: events popped off the queue (counted at pop, before
+    /// processing — "consumed" means *removed from the queue*), rerouted
+    /// marks excluded.
+    pub(crate) consumed: Vec<Counter>,
+    /// Per worker: event chunks popped off the queue.
+    pub(crate) consumed_chunks: Vec<Counter>,
+    /// Per worker: nanoseconds a producer spent blocked on the worker's
+    /// continuously-full queue.
+    pub(crate) stall: Vec<Counter>,
+}
+
+impl EngineMetrics {
+    fn new(workers: usize) -> Self {
+        let col = |_| Counter::new();
+        EngineMetrics {
+            pushed: Counter::new(),
+            rerouted: Counter::new(),
+            enqueued: (0..workers).map(col).collect(),
+            dropped: (0..workers).map(col).collect(),
+            consumed: (0..workers).map(col).collect(),
+            consumed_chunks: (0..workers).map(col).collect(),
+            stall: (0..workers).map(col).collect(),
+        }
+    }
+
+    /// Monotone progress value for a run watchdog: events pushed plus
+    /// events consumed, so progress on either side of the queues moves
+    /// it. Constant 0 when the `metrics` feature is off.
+    pub(crate) fn heartbeat(&self) -> u64 {
+        self.pushed.get() + self.consumed.iter().map(Counter::get).sum::<u64>()
+    }
+
+    /// Serializes the ledger for a checkpoint. With the `metrics`
+    /// feature off the counters are no-ops and the blob records zeros —
+    /// the snapshot is all-zero in that build anyway.
+    pub(crate) fn save(&self) -> Vec<u8> {
+        let mut out = ByteWriter::new();
+        out.u64(self.pushed.get());
+        out.u64(self.rerouted.get());
+        out.u32(self.enqueued.len() as u32);
+        for wid in 0..self.enqueued.len() {
+            out.u64(self.enqueued[wid].get());
+            out.u64(self.dropped[wid].get());
+            out.u64(self.consumed[wid].get());
+            out.u64(self.consumed_chunks[wid].get());
+            out.u64(self.stall[wid].get());
+        }
+        out.into_bytes()
+    }
+
+    /// Restores a checkpointed ledger into this (fresh) engine's zeroed
+    /// counters via `add`, preserving the conservation law across the
+    /// resume. `&self` suffices: counters are interior-mutable.
+    pub(crate) fn restore(&self, bytes: &[u8]) -> Result<(), WireError> {
+        let mut r = ByteReader::new(bytes);
+        self.pushed.add(r.u64()?);
+        self.rerouted.add(r.u64()?);
+        let nw = r.u32()? as usize;
+        if nw != self.enqueued.len() {
+            return Err(WireError::Invalid("ledger worker count differs from checkpoint"));
+        }
+        for wid in 0..nw {
+            self.enqueued[wid].add(r.u64()?);
+            self.dropped[wid].add(r.u64()?);
+            self.consumed[wid].add(r.u64()?);
+            self.consumed_chunks[wid].add(r.u64()?);
+            self.stall[wid].add(r.u64()?);
+        }
+        if !r.is_done() {
+            return Err(WireError::Invalid("trailing bytes after ledger state"));
+        }
+        Ok(())
+    }
+}
+
+/// Everything the worker threads share with their producers.
+pub(crate) struct WorkerCtx {
+    pub(crate) pool: Arc<ChunkPool>,
+    pub(crate) resp: MpmcQueue<Reply>,
+    /// `dead[w]`: worker `w` panicked. Set by the worker itself on the
+    /// way out (before its thread exits), read by producers to fail fast
+    /// instead of blocking on a queue nobody will drain.
+    pub(crate) dead: Vec<AtomicBool>,
+    /// `abandon[w]`: the supervisor gave up on worker `w`. A stalled
+    /// worker that is still responsive to this flag (the injected-stall
+    /// hook is) exits so its partial results can be salvaged.
+    abandon: Vec<AtomicBool>,
+    pub(crate) metrics: EngineMetrics,
+    /// The fault-injection script, and the counter that makes "drop the
+    /// *n*-th Extracted reply" global across workers. Read only by the
+    /// `fault-inject` hooks; kept unconditionally so nothing else needs a
+    /// feature gate.
+    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
+    plan: FaultPlan,
+    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
+    extract_replies: AtomicU64,
+}
+
+impl WorkerCtx {
+    #[inline]
+    pub(crate) fn is_dead(&self, wid: usize) -> bool {
+        self.dead[wid].load(Ordering::Acquire)
+    }
+}
+
+/// The worker threads of one engine, owned by its supervisor.
+pub(crate) struct Workers {
+    pub(crate) ctx: Arc<WorkerCtx>,
+    /// Per-worker channel taps (push/pop/depth counters shared with the
+    /// metered endpoints).
+    taps: Vec<Arc<ChannelTap>>,
+    handles: Vec<JoinHandle<WorkerExit>>,
+    drain_deadline_ms: u64,
+    observer: ObserverHandle,
+    /// Started at spawn, restarted by [`Workers::begin_drain`].
+    timer: Stopwatch,
+    feed_nanos: u64,
+}
+
+impl Workers {
+    /// Starts one supervised worker thread per element of `algos`, each
+    /// behind its own metered channel of `transport`, and returns the
+    /// sending ends. Every worker state is built (and, on resume,
+    /// restored) by the caller before any thread exists.
+    pub(crate) fn spawn<S: AccessStore + 'static, X: Transport<WorkerMsg>>(
+        transport: &X,
+        cfg: &ProfilerConfig,
+        pool_chunks: usize,
+        algos: Vec<AlgoState<S>>,
+    ) -> (Vec<MeteredSender<X::Sender>>, Workers) {
+        let w = algos.len();
+        let flags = || (0..w).map(|_| AtomicBool::new(false)).collect();
+        let ctx = Arc::new(WorkerCtx {
+            pool: ChunkPool::new(pool_chunks, cfg.chunk_capacity),
+            resp: MpmcQueue::new((cfg.top_k * 4).max(64).max(w)),
+            dead: flags(),
+            abandon: flags(),
+            metrics: EngineMetrics::new(w),
+            plan: cfg.fault_plan.clone(),
+            extract_replies: AtomicU64::new(0),
+        });
+        let mut senders = Vec::with_capacity(w);
+        let mut taps = Vec::with_capacity(w);
+        let mut handles = Vec::with_capacity(w);
+        for (wid, algo) in algos.into_iter().enumerate() {
+            let (tx, rx) = transport.channel(wid, cfg.queue_chunks);
+            let tap = ChannelTap::shared();
+            senders.push(MeteredSender::new(tx, tap.clone()));
+            let rx = MeteredReceiver::new(rx, tap.clone());
+            taps.push(tap);
+            let ctx = ctx.clone();
+            handles.push(std::thread::spawn(move || worker_entry(wid, rx, algo, &ctx)));
+        }
+        let workers = Workers {
+            ctx,
+            taps,
+            handles,
+            drain_deadline_ms: cfg.drain_deadline_ms,
+            observer: cfg.observer.clone(),
+            timer: Stopwatch::start(),
+            feed_nanos: 0,
+        };
+        (senders, workers)
+    }
+
+    /// The bound on every supervisor wait.
+    pub(crate) fn drain(&self) -> Duration {
+        Duration::from_millis(self.drain_deadline_ms.max(1))
+    }
+
+    /// Waits, bounded by the drain deadline, for every worker's answer to
+    /// a [`WorkerMsg::Checkpoint`] the caller has just delivered to each.
+    /// Other replies, and checkpoint replies nobody is waiting for, go to
+    /// `other`. A dead or silent worker yields
+    /// [`CheckpointError::WorkerUnavailable`] rather than a checkpoint
+    /// that silently lies about the run.
+    pub(crate) fn checkpoint_states(
+        &self,
+        mut other: impl FnMut(Reply),
+    ) -> Result<Vec<Vec<u8>>, CheckpointError> {
+        let w = self.handles.len();
+        let mut states: Vec<Option<Option<Vec<u8>>>> = vec![None; w];
+        let mut got = 0usize;
+        let deadline = Instant::now() + self.drain();
+        while got < w {
+            match self.ctx.resp.pop() {
+                Some(Reply::CheckpointState { worker, state })
+                    if worker < w && states[worker].is_none() =>
+                {
+                    states[worker] = Some(state);
+                    got += 1;
+                }
+                Some(msg) => other(msg),
+                None => {
+                    let silent = |wid: &usize| states[*wid].is_none();
+                    if let Some(wid) = (0..w).find(|wid| silent(wid) && self.ctx.is_dead(*wid)) {
+                        return Err(CheckpointError::WorkerUnavailable(wid));
+                    }
+                    if Instant::now() >= deadline {
+                        let wid = (0..w).find(silent).unwrap_or(0);
+                        return Err(CheckpointError::WorkerUnavailable(wid));
+                    }
+                    std::thread::yield_now();
+                }
+            }
+        }
+        states
+            .into_iter()
+            .map(|st| {
+                st.flatten().ok_or(CheckpointError::Unsupported(
+                    "the worker access store does not support checkpointing",
+                ))
+            })
+            .collect()
+    }
+
+    /// Ends the feed phase: everything timed from here on is the drain.
+    pub(crate) fn begin_drain(&mut self) {
+        self.feed_nanos = self.timer.elapsed_nanos();
+        self.timer = Stopwatch::start();
+    }
+
+    /// The end of a run, after the caller has tried to deliver
+    /// [`WorkerMsg::Shutdown`] to every worker (`shutdown_ok[w]`): joins
+    /// each worker within the drain deadline, abandons the ones that do
+    /// not come, merges what the survivors hold and assembles the result.
+    /// A dead or unresponsive worker degrades the profile (see
+    /// [`ProfileStats::degraded`]) instead of hanging or aborting the
+    /// caller. Left for the caller: its own statistics, and the queue and
+    /// statistics-map bytes of the memory report.
+    pub(crate) fn finish(
+        mut self,
+        shutdown_ok: &[bool],
+        chunks_pushed: u64,
+        dropped: Vec<u64>,
+        hot_addresses: Vec<HotAddress>,
+    ) -> ProfileResult {
+        let w = self.handles.len();
+        let drain = self.drain();
+        let grace = Duration::from_millis(self.drain_deadline_ms.clamp(50, 500));
+        for (wid, ok) in shutdown_ok.iter().enumerate() {
+            if !ok {
+                self.ctx.abandon[wid].store(true, Ordering::Release);
+            }
+        }
+        let mut stats = ProfileStats::default();
+        let mut deps = DepStore::new();
+        let mut exec_tree = ExecTree::new();
+        let mut sig_mem = 0usize;
+        let mut per_worker_events = Vec::with_capacity(w);
+        let mut gauges = SigGauges::default();
+        for (wid, h) in std::mem::take(&mut self.handles).into_iter().enumerate() {
+            // Shutdown delivery was itself bounded: nothing but a stalled
+            // worker keeps its queue full for a whole drain deadline once
+            // the producers have stopped, so such a worker gets only the
+            // grace period.
+            let wait = if shutdown_ok[wid] { drain } else { grace };
+            let (exit, abandoned) = join_within(h, &self.ctx.abandon[wid], wait, grace);
+            let mut fail = |cause| {
+                stats.worker_failures.push(WorkerFailure { worker: wid, workers: w, cause })
+            };
+            match exit {
+                Some(WorkerExit::Finished(out)) => {
+                    if !shutdown_ok[wid] || abandoned {
+                        // Partial results salvaged from a worker that had
+                        // to be abandoned (e.g. an injected stall).
+                        fail(FailureCause::Unresponsive);
+                    }
+                    stats.absorb(out.counters);
+                    sig_mem += out.sig_mem;
+                    per_worker_events.push(out.counters.accesses);
+                    gauges.occupied_slots += out.gauges.occupied_slots;
+                    gauges.total_slots += out.gauges.total_slots;
+                    gauges.evictions += out.gauges.evictions;
+                    // The worst worker's predicted FPR bounds the run's.
+                    gauges.est_fpr_pct = gauges.est_fpr_pct.max(out.gauges.est_fpr_pct);
+                    deps.merge(out.store);
+                    exec_tree.merge(&out.exec_tree);
+                }
+                Some(WorkerExit::Panicked(payload)) => {
+                    fail(FailureCause::Panic(payload));
+                    per_worker_events.push(0);
+                }
+                // Never exited within the deadline; the thread is detached
+                // rather than blocking the caller forever.
+                None => {
+                    fail(FailureCause::Unresponsive);
+                    per_worker_events.push(0);
+                }
+            }
+        }
+        for f in &stats.worker_failures {
+            self.observer.on_worker_failure(f.worker);
+        }
+        stats.deps_built = deps.deps_built();
+        stats.deps_merged = deps.merged_len();
+        stats.chunks_pushed = chunks_pushed;
+        stats.dropped_events = dropped.iter().sum();
+        if stats.dropped_events > 0 {
+            stats.dropped_per_worker = dropped;
+        }
+        // The run's footprint, index included (see `SequentialProfiler::finish`).
+        let dep_store = deps.memory_usage();
+        deps.seal();
+        let memory = MemoryReport {
+            signatures: sig_mem,
+            chunks: self.ctx.pool.memory_usage(),
+            dep_store,
+            ..MemoryReport::default()
+        };
+        let metrics = self.snapshot(gauges, chunks_pushed, hot_addresses);
+        self.observer.on_finish(&metrics);
+        ProfileResult { deps, exec_tree, stats, memory, workers: w, per_worker_events, metrics }
+    }
+
+    /// Assembles the final [`MetricsSnapshot`] from the ledger and the
+    /// channel taps. The all-zero default when the `metrics` feature is
+    /// off.
+    fn snapshot(
+        &self,
+        signatures: SigGauges,
+        chunks_pushed: u64,
+        hot_addresses: Vec<HotAddress>,
+    ) -> MetricsSnapshot {
+        if !dp_metrics::ENABLED {
+            return MetricsSnapshot::default();
+        }
+        let m = &self.ctx.metrics;
+        let w = m.enqueued.len();
+        let mut conservation = Conservation {
+            pushed: m.pushed.get(),
+            rerouted: m.rerouted.get(),
+            ..Conservation::default()
+        };
+        let mut per_worker = Vec::with_capacity(w);
+        let mut stall_total = 0u64;
+        let mut chunks_consumed = 0u64;
+        for wid in 0..w {
+            let enqueued = m.enqueued[wid].get();
+            // An abandoned-but-running worker may still be consuming while
+            // we snapshot; clamping to `enqueued` (read first) keeps the
+            // split between consumed and in-flight internally consistent.
+            let consumed = m.consumed[wid].get().min(enqueued);
+            let dropped = m.dropped[wid].get();
+            let in_flight = enqueued - consumed;
+            let stall_nanos = m.stall[wid].get();
+            let consumed_chunks = m.consumed_chunks[wid].get();
+            conservation.consumed += consumed;
+            conservation.dropped += dropped;
+            conservation.in_flight_at_shutdown += in_flight;
+            stall_total += stall_nanos;
+            chunks_consumed += consumed_chunks;
+            per_worker.push(WorkerMetrics {
+                worker: wid,
+                enqueued,
+                consumed,
+                dropped,
+                in_flight,
+                consumed_chunks,
+                stall_nanos,
+            });
+        }
+        let chunks = ChunkStats {
+            pushed: chunks_pushed,
+            consumed: chunks_consumed,
+            queue_highwater: self.taps.iter().map(|t| t.high_water.get()).max().unwrap_or(0),
+            push_retries: self.taps.iter().map(|t| t.push_fulls.get()).sum(),
+            empty_pops: self.taps.iter().map(|t| t.empty_pops.get()).sum(),
+        };
+        let drain_nanos = self.timer.elapsed_nanos();
+        MetricsSnapshot {
+            enabled: true,
+            workers: w,
+            // The chaos seed is a run-level fact the CLI stamps on the
+            // snapshot; engines report 0.
+            chaos_seed: 0,
+            conservation,
+            chunks,
+            stall_nanos: stall_total,
+            signatures,
+            // Engines only produce checkpoint blobs on demand; the driver
+            // that owns the checkpoint store fills these in afterwards.
+            checkpoints: Default::default(),
+            service: Default::default(),
+            hot_addresses,
+            per_worker,
+            timings: PhaseTimings {
+                feed_nanos: self.feed_nanos,
+                drain_nanos,
+                total_nanos: self.feed_nanos + drain_nanos,
+            },
+        }
+    }
+}
+
+/// Waits for a worker thread to end, escalating rather than blocking:
+/// poll for `wait`, then raise the abandon flag and poll for `grace`
+/// more, then give up and leave the thread detached. Returns the exit
+/// (None if the thread never finished) and whether it was abandoned.
+fn join_within(
+    h: JoinHandle<WorkerExit>,
+    abandon: &AtomicBool,
+    wait: Duration,
+    grace: Duration,
+) -> (Option<WorkerExit>, bool) {
+    let mut abandoned = abandon.load(Ordering::Acquire);
+    let end = Instant::now() + wait;
+    while !h.is_finished() && Instant::now() < end {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    if !h.is_finished() && !abandoned {
+        abandon.store(true, Ordering::Release);
+        abandoned = true;
+        let end = Instant::now() + grace;
+        while !h.is_finished() && Instant::now() < end {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    if !h.is_finished() {
+        return (None, abandoned);
+    }
+    // `Err` is a panic that somehow escaped the worker's catch_unwind.
+    let exit = h.join().unwrap_or_else(|p| WorkerExit::Panicked(panic_message(&*p)));
+    (Some(exit), abandoned)
+}
+
+/// Best-effort stringification of a panic payload.
+fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Injected panic/stall hook, called at the top of every worker-loop
+/// iteration. Returns true when an (injected) stalled worker has been
+/// abandoned and should exit so its partial results can be salvaged.
+#[cfg(feature = "fault-inject")]
+fn fault_pause_or_panic(wid: usize, chunks_done: u64, ctx: &WorkerCtx) -> bool {
+    if let Some(f) = ctx.plan.panic_worker {
+        if f.worker == wid && chunks_done >= f.after_chunks {
+            panic!("injected fault: worker {wid} panicked after {} chunks", f.after_chunks);
+        }
+    }
+    if let Some(f) = ctx.plan.stall_worker {
+        if f.worker == wid && chunks_done >= f.after_chunks {
+            // Stop consuming; stay alive until the supervisor gives up on
+            // us, then exit without draining (a stalled worker's queued
+            // events are part of what the degraded run lost).
+            while !ctx.abandon[wid].load(Ordering::Acquire) {
+                std::thread::park_timeout(Duration::from_millis(1));
+            }
+            return true;
+        }
+    }
+    false
+}
+
+#[cfg(not(feature = "fault-inject"))]
+#[inline(always)]
+fn fault_pause_or_panic(_: usize, _: u64, _: &WorkerCtx) -> bool {
+    false
+}
+
+/// Injected reply-loss hook: true when this `Extracted` reply is the one
+/// the plan says to swallow.
+#[cfg(feature = "fault-inject")]
+fn fault_drop_reply(ctx: &WorkerCtx) -> bool {
+    match ctx.plan.drop_nth_extract_reply {
+        Some(n) => ctx.extract_replies.fetch_add(1, Ordering::Relaxed) == n,
+        None => false,
+    }
+}
+
+#[cfg(not(feature = "fault-inject"))]
+#[inline(always)]
+fn fault_drop_reply(_: &WorkerCtx) -> bool {
+    false
+}
+
+/// Supervised entry point of a worker thread: contains panics (flagging
+/// `dead[wid]` before the thread exits so producers fail fast) and
+/// reports the exit kind to the supervisor in [`Workers::finish`].
+fn worker_entry<S: AccessStore, R: TransportReceiver<WorkerMsg>>(
+    wid: usize,
+    q: R,
+    algo: AlgoState<S>,
+    ctx: &WorkerCtx,
+) -> WorkerExit {
+    let run = std::panic::AssertUnwindSafe(move || run_worker(wid, q, algo, ctx));
+    match std::panic::catch_unwind(run) {
+        Ok(out) => WorkerExit::Finished(Box::new(out)),
+        Err(payload) => {
+            ctx.dead[wid].store(true, Ordering::Release);
+            WorkerExit::Panicked(panic_message(&*payload))
+        }
+    }
+}
+
+fn run_worker<S: AccessStore, R: TransportReceiver<WorkerMsg>>(
+    wid: usize,
+    q: R,
+    mut algo: AlgoState<S>,
+    ctx: &WorkerCtx,
+) -> WorkerOutput {
+    // The response queue is sized for every reply that can be in flight;
+    // a full one means the producer is mid-poll, so yield and retry.
+    let reply = |mut msg: Reply| {
+        while let Err(back) = ctx.resp.push(msg) {
+            msg = back;
+            std::thread::yield_now();
+        }
+    };
+    let mut backoff = Backoff::new();
+    let mut chunks_done = 0u64;
+    loop {
+        if fault_pause_or_panic(wid, chunks_done, ctx) {
+            break;
+        }
+        match q.pop() {
+            Some(WorkerMsg::Events(chunk)) => {
+                // Consumed means *off the queue*: count at pop (the
+                // counters live in the shared ledger, so they survive a
+                // mid-chunk panic) with rerouted marks excluded.
+                ctx.metrics.consumed[wid].add((chunk.len() - chunk.rerouted()) as u64);
+                ctx.metrics.consumed_chunks[wid].inc();
+                algo.on_chunk(chunk.events());
+                ctx.pool.release(chunk);
+                chunks_done += 1;
+                backoff.reset();
+            }
+            Some(WorkerMsg::Extract { addr }) => {
+                let (read, write) = algo.extract(addr);
+                if !fault_drop_reply(ctx) {
+                    reply(Reply::Extracted { addr, read, write });
+                }
+            }
+            Some(WorkerMsg::Inject { addr, read, write }) => algo.inject(addr, read, write),
+            Some(WorkerMsg::Checkpoint) => {
+                let mut out = ByteWriter::new();
+                let state = algo.save_state(&mut out).then(|| out.into_bytes());
+                reply(Reply::CheckpointState { worker: wid, state });
+            }
+            Some(WorkerMsg::EnableDelta) => algo.store.enable_delta(),
+            Some(WorkerMsg::DeltaFlush) => {
+                reply(Reply::Delta { worker: wid, delta: algo.store.take_delta() });
+            }
+            Some(WorkerMsg::Shutdown) => break,
+            None => backoff.snooze(),
+        }
+    }
+    let gauges = algo.sig_gauges();
+    let (store, exec_tree, counters, sig_mem) = algo.finish();
+    WorkerOutput { store, exec_tree, counters, sig_mem, gauges }
+}

@@ -98,6 +98,15 @@ impl Chunk {
 /// pool is bounded, so a burst allocates and the excess is dropped on
 /// `release` — bounding both allocation traffic and idle memory. The
 /// allocation counter feeds the memory accounting of Figures 7/8.
+///
+/// What is bounded is retention, not reuse: the free list may report
+/// empty while a preempted `release` holds a slot it has not published
+/// yet, and each such miss allocates. So with `t` threads each holding at
+/// most one chunk, at most `pool_cap + t` chunks are ever live
+/// ([`ChunkPool::high_water`]), and once every chunk is released at most
+/// `pool_cap` remain (`pool_cap` as the free list rounds it, to a power of
+/// two) — how few of those were fresh allocations depends on the
+/// schedule.
 pub struct ChunkPool {
     free: MpmcQueue<Chunk>,
     chunk_cap: usize,
@@ -205,9 +214,11 @@ mod tests {
 
     #[test]
     fn pool_concurrent_use() {
-        let pool = ChunkPool::new(32, 8);
+        const POOL_CAP: usize = 32;
+        const PRODUCERS: usize = 4;
+        let pool = ChunkPool::new(POOL_CAP, 8);
         std::thread::scope(|s| {
-            for _ in 0..4 {
+            for _ in 0..PRODUCERS {
                 let pool = pool.clone();
                 s.spawn(move || {
                     for i in 0..1000 {
@@ -218,6 +229,9 @@ mod tests {
                 });
             }
         });
-        assert!(pool.high_water() <= 8, "4 threads × ≤2 in flight");
+        // Not "≤ 2 per thread": a pop that misses a not-yet-published
+        // release allocates, however many chunks are idle.
+        assert!(pool.high_water() <= POOL_CAP + PRODUCERS, "{}", pool.high_water());
+        assert!(pool.allocated.load(Ordering::Relaxed) <= POOL_CAP, "all released");
     }
 }

@@ -659,6 +659,16 @@ mod tests {
         let mut h = hello("x", 0);
         h.spec = vec![9, 9];
         assert!(matches!(SessionEngine::open(&h, 1, None, 0), Err(SessionError::BadSpec(_))));
+        // A well-formed spec sized to take the server down is refused
+        // before any engine is built.
+        for spec in [
+            SessionSpec { slots: 1 << 40, ..SessionSpec::default() },
+            SessionSpec { workers: u32::MAX as usize, parallel: true, ..SessionSpec::default() },
+        ] {
+            h.spec = spec.encode();
+            let refused = SessionEngine::open(&h, 1, None, 0);
+            assert!(matches!(refused, Err(SessionError::BadSpec(_))), "{spec:?}");
+        }
         let (mut s, _) = SessionEngine::open(&hello("x", 0), 1, None, 0).unwrap();
         let err = s.handle(Frame::Hello(hello("x", 0))).unwrap_err();
         assert!(matches!(err, SessionError::OutOfOrder(_)));

@@ -6,8 +6,7 @@
 //! cargo run --release --example parallel_pipeline [program]
 //! ```
 
-use depprof::core::parallel::{LockBasedProfiler, LockFreeProfiler};
-use depprof::core::{DefaultSig, ParallelProfiler, SequentialProfiler};
+use depprof::core::{ParallelProfiler, SequentialProfiler};
 use depprof::prelude::*;
 use depprof::sig::ExtendedSlot;
 use depprof::trace::workloads::{starbench_suite, Scale};
@@ -48,8 +47,10 @@ fn main() {
     let cfg = ProfilerConfig::default().with_workers(8).with_slots(total_slots);
     let slots = cfg.slots_per_worker();
     let vm = Interp::new(&w.program);
-    let mut free: LockFreeProfiler<DefaultSig> =
-        ParallelProfiler::new(cfg.clone(), move || Signature::<ExtendedSlot>::new(slots));
+    let mut free =
+        ParallelProfiler::new(cfg.clone().with_transport(TransportKind::Mpmc), move || {
+            Signature::<ExtendedSlot>::new(slots)
+        });
     let t0 = Instant::now();
     vm.run_seq(&mut free);
     let ft = t0.elapsed();
@@ -65,8 +66,9 @@ fn main() {
 
     // Lock-based comparator, 8 workers.
     let vm = Interp::new(&w.program);
-    let mut locked: LockBasedProfiler<DefaultSig> =
-        ParallelProfiler::new(cfg, move || Signature::<ExtendedSlot>::new(slots));
+    let mut locked = ParallelProfiler::new(cfg.with_transport(TransportKind::Lock), move || {
+        Signature::<ExtendedSlot>::new(slots)
+    });
     let t0 = Instant::now();
     vm.run_seq(&mut locked);
     let lt = t0.elapsed();

@@ -88,9 +88,8 @@
 
 use depprof::analysis::{degradation, Framework, LoopMeta};
 use depprof::core::{
-    report, AnyParallelProfiler, CheckpointMetrics, CheckpointStore, OverflowPolicy, ProfileResult,
-    ProfileSession, ProfilerConfig, SequentialProfiler, SessionSpec, TransportKind, Watchdog,
-    WorkerFault,
+    report, CheckpointMetrics, CheckpointStore, OverflowPolicy, ProfileResult, ProfileSession,
+    ProfilerConfig, SessionSpec, TransportKind, Watchdog, WorkerFault,
 };
 use depprof::server::{
     install_signal_handlers, push_with_retry, shutdown_flag, ChaosStream, ClientError,
@@ -856,46 +855,36 @@ fn run_replay(args: &Args) {
     // overflow policy) are runtime test levers, deliberately NOT part of
     // the persisted ReplayConfig — a resumed run is healthy by default.
     let chaos_seed = depprof::queue::chaos_seeds(&[0])[0];
-    let mut engine = if rc.parallel {
-        let mut cfg = ProfilerConfig::default()
-            .with_workers(rc.workers)
-            .with_slots(rc.slots)
-            .with_transport(rc.transport)
-            .with_redistribution(!rc.no_redistribution);
-        if let Some(p) = args.overflow {
-            cfg = cfg.with_overflow(p);
+    let spec = SessionSpec {
+        parallel: rc.parallel,
+        transport: rc.transport,
+        overflow: args.overflow.unwrap_or_default(),
+        redistribution: !rc.no_redistribution,
+        workers: rc.workers,
+        slots: rc.slots,
+    };
+    let mut cfg = spec.config();
+    if let Some(f) = args.inject_stall {
+        cfg = cfg.with_fault_plan(
+            depprof::core::FaultPlan::none()
+                .with_seed(chaos_seed)
+                .with_stall(f.worker, f.after_chunks),
+        );
+    }
+    if let Some(ms) = args.stall_deadline_ms {
+        cfg = cfg.with_stall_deadline_ms(ms);
+    }
+    let mut engine = match spec.open(cfg, resume_data.as_ref()) {
+        Ok(engine) => engine,
+        Err(e) => {
+            let what = if rc.parallel {
+                "resume the parallel pipeline"
+            } else {
+                "restore the serial engine"
+            };
+            eprintln!("cannot {what}: {e}");
+            std::process::exit(EXIT_CORRUPT);
         }
-        if let Some(f) = args.inject_stall {
-            cfg = cfg.with_fault_plan(
-                depprof::core::FaultPlan::none()
-                    .with_seed(chaos_seed)
-                    .with_stall(f.worker, f.after_chunks),
-            );
-        }
-        if let Some(ms) = args.stall_deadline_ms {
-            cfg = cfg.with_stall_deadline_ms(ms);
-        }
-        let slots = cfg.slots_per_worker();
-        let make = move || depprof::sig::Signature::new(slots);
-        match &resume_data {
-            Some(d) => match AnyParallelProfiler::resume(cfg, make, d) {
-                Ok(p) => ProfileSession::Parallel(p),
-                Err(e) => {
-                    eprintln!("cannot resume the parallel pipeline: {e}");
-                    std::process::exit(EXIT_CORRUPT);
-                }
-            },
-            None => ProfileSession::Parallel(AnyParallelProfiler::new(cfg, make)),
-        }
-    } else {
-        let mut p = SequentialProfiler::with_signature(rc.slots);
-        if let Some(d) = &resume_data {
-            if let Err(e) = p.restore(d) {
-                eprintln!("cannot restore the serial engine: {e}");
-                std::process::exit(EXIT_CORRUPT);
-            }
-        }
-        ProfileSession::Serial(p)
     };
 
     // A checkpoint store is needed for periodic checkpoints and for the
@@ -943,6 +932,40 @@ fn run_replay(args: &Args) {
     // the feed loop observes at the next record boundary.
     install_signal_handlers();
 
+    // Quiesce → write → report, for all three reasons a replay checkpoints.
+    // `reason` prefixes an emergency checkpoint's messages; the periodic
+    // checkpoint passes none and speaks only when it fails. `None` also
+    // when checkpointing is off.
+    let checkpoint =
+        |engine: &mut ProfileSession, generation: u64, records_read: u64, reason: &str| {
+            let store = store.as_ref()?;
+            let periodic = reason.is_empty();
+            let data = match engine.checkpoint_data(generation, records_read, rc.encode()) {
+                Ok(data) => data,
+                Err(e) if periodic => {
+                    eprintln!("WARNING: checkpoint skipped: {e}");
+                    return None;
+                }
+                Err(e) => {
+                    eprintln!("{reason}cannot quiesce for emergency checkpoint: {e}");
+                    return None;
+                }
+            };
+            match store.write(&data) {
+                Ok(st) if periodic => return Some(st),
+                Ok(st) => eprintln!(
+                    "{reason}emergency checkpoint generation {} ({} bytes) written to '{}'{}",
+                    st.generation,
+                    st.bytes,
+                    store.dir().display(),
+                    if reason.starts_with("signal") { "; resume with --resume" } else { "" }
+                ),
+                Err(e) if periodic => eprintln!("WARNING: checkpoint write failed: {e}"),
+                Err(e) => eprintln!("{reason}emergency checkpoint failed: {e}"),
+            }
+            None
+        };
+
     let mut fed: u64 = 0;
     while let Some(rec) = reader.next() {
         let ev = match rec {
@@ -955,65 +978,29 @@ fn run_replay(args: &Args) {
         engine.on_event(ev);
         fed += 1;
         if shutdown_flag().load(Ordering::SeqCst) {
-            if let Some(store) = &store {
-                match engine.checkpoint_data(generation, reader.records_read(), rc.encode()) {
-                    Ok(data) => match store.write(&data) {
-                        Ok(st) => eprintln!(
-                            "signal: emergency checkpoint generation {} ({} bytes) written \
-                             to '{}'; resume with --resume",
-                            st.generation,
-                            st.bytes,
-                            store.dir().display()
-                        ),
-                        Err(e) => eprintln!("signal: emergency checkpoint failed: {e}"),
-                    },
-                    Err(e) => eprintln!("signal: cannot quiesce for emergency checkpoint: {e}"),
-                }
-            } else {
+            if store.is_none() {
                 eprintln!("signal: terminating (checkpointing is off, nothing to save)");
             }
+            checkpoint(&mut engine, generation, reader.records_read(), "signal: ");
             std::process::exit(EXIT_SIGNAL);
         }
         if let Some(p) = &wd_progress {
             p.store(fed + engine.heartbeat(), Ordering::Relaxed);
         }
         if watchdog.as_ref().is_some_and(|w| w.fired()) {
-            if let Some(store) = &store {
-                match engine.checkpoint_data(generation, reader.records_read(), rc.encode()) {
-                    Ok(data) => match store.write(&data) {
-                        Ok(st) => eprintln!(
-                            "watchdog: stalled; emergency checkpoint generation {} \
-                             ({} bytes) written to '{}'",
-                            st.generation,
-                            st.bytes,
-                            store.dir().display()
-                        ),
-                        Err(e) => eprintln!("watchdog: stalled; emergency checkpoint failed: {e}"),
-                    },
-                    Err(e) => {
-                        eprintln!("watchdog: stalled; cannot quiesce for emergency checkpoint: {e}")
-                    }
-                }
-            } else {
+            if store.is_none() {
                 eprintln!("watchdog: stalled (checkpointing is off, nothing to save)");
             }
+            checkpoint(&mut engine, generation, reader.records_read(), "watchdog: stalled; ");
             std::process::exit(EXIT_WATCHDOG);
         }
         if rc.checkpoint_every > 0 && fed.is_multiple_of(rc.checkpoint_every) {
-            if let Some(store) = &store {
-                let t0 = Instant::now();
-                match engine.checkpoint_data(generation, reader.records_read(), rc.encode()) {
-                    Ok(data) => match store.write(&data) {
-                        Ok(st) => {
-                            ck.generations += 1;
-                            ck.last_bytes = st.bytes;
-                            ck.write_nanos += t0.elapsed().as_nanos() as u64;
-                            generation += 1;
-                        }
-                        Err(e) => eprintln!("WARNING: checkpoint write failed: {e}"),
-                    },
-                    Err(e) => eprintln!("WARNING: checkpoint skipped: {e}"),
-                }
+            let t0 = Instant::now();
+            if let Some(st) = checkpoint(&mut engine, generation, reader.records_read(), "") {
+                ck.generations += 1;
+                ck.last_bytes = st.bytes;
+                ck.write_nanos += t0.elapsed().as_nanos() as u64;
+                generation += 1;
             }
         }
         // The kill point sits at a record boundary *after* any checkpoint

@@ -56,7 +56,7 @@ pub use dp_sig as sig;
 pub use dp_trace as trace;
 pub use dp_types as types;
 
-use dp_core::{MtProfiler, ProfileResult, ProfilerConfig, SequentialProfiler, TransportKind};
+use dp_core::{MtProfiler, ProfileResult, ProfilerConfig, SequentialProfiler};
 use dp_trace::{Interp, Program};
 
 /// Commonly used items, one `use` away.
@@ -98,22 +98,15 @@ pub fn profile_sequential_perfect(program: &Program) -> ProfileResult {
 
 /// Profiles a sequential MiniVM program with the parallel pipeline
 /// (Section IV) over the transport named by [`ProfilerConfig::transport`]
-/// — SPSC fast path, lock-free MPMC, or the lock-based comparator. All
+/// — SPSC fast path (the default: a sequential target has a single
+/// producing thread), lock-free MPMC, or the lock-based comparator. All
 /// three produce bit-identical dependence sets.
 pub fn profile_parallel(program: &Program, cfg: ProfilerConfig) -> ProfileResult {
     let vm = Interp::new(program);
     let slots = cfg.slots_per_worker();
-    let mut prof: dp_core::AnyParallelProfiler<dp_sig::Signature<dp_sig::ExtendedSlot>> =
-        dp_core::AnyParallelProfiler::new(cfg, move || dp_sig::Signature::new(slots));
+    let mut prof = dp_core::ParallelProfiler::new(cfg, move || dp_core::DefaultSig::new(slots));
     vm.run_seq(&mut prof);
     prof.finish()
-}
-
-/// Profiles a sequential MiniVM program with the SPSC fast-path pipeline
-/// — the lowest-overhead transport, sound exactly because a sequential
-/// target has a single producing thread.
-pub fn profile_parallel_spsc(program: &Program, cfg: ProfilerConfig) -> ProfileResult {
-    profile_parallel(program, cfg.with_transport(TransportKind::Spsc))
 }
 
 /// Profiles a multi-threaded MiniVM program (Section V). Dependence
@@ -128,6 +121,7 @@ pub fn profile_mt(program: &Program, cfg: ProfilerConfig) -> ProfileResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dp_core::TransportKind;
     use dp_trace::builder::{c, ProgramBuilder};
 
     fn demo_program() -> Program {
@@ -161,7 +155,7 @@ mod tests {
     fn facade_spsc_matches_other_transports() {
         let p = demo_program();
         let cfg = || ProfilerConfig::default().with_workers(2).with_slots(1 << 14);
-        let spsc = profile_parallel_spsc(&p, cfg());
+        let spsc = profile_parallel(&p, cfg());
         let mpmc = profile_parallel(&p, cfg().with_transport(TransportKind::Mpmc));
         let lock = profile_parallel(&p, cfg().with_transport(TransportKind::Lock));
         let sets: Vec<Vec<_>> = [&spsc, &mpmc, &lock]

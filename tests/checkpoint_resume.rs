@@ -9,7 +9,7 @@
 //! torn-checkpoint case where the newest generation was half-written.
 
 use depprof::core::{
-    AnyParallelProfiler, ProfileResult, ProfilerConfig, SequentialProfiler, TransportKind,
+    ParallelProfiler, ProfileResult, ProfilerConfig, SequentialProfiler, TransportKind,
 };
 use depprof::sig::{ExtendedSlot, Signature};
 use depprof::types::{loc::loc, AccessKind, MemAccess, TraceEvent, Tracer};
@@ -100,23 +100,21 @@ proptest! {
             let slots = c.slots_per_worker();
             let mk = move || Signature::<ExtendedSlot>::new(slots);
 
-            let mut reference: AnyParallelProfiler<Signature<ExtendedSlot>> =
-                AnyParallelProfiler::new(c.clone(), mk);
+            let mut reference = ParallelProfiler::new(c.clone(), mk);
             for ev in &evs {
                 reference.event(*ev);
             }
             let r_ref = reference.finish();
             prop_assert!(!r_ref.degraded());
 
-            let mut first: AnyParallelProfiler<Signature<ExtendedSlot>> =
-                AnyParallelProfiler::new(c.clone(), mk);
+            let mut first = ParallelProfiler::new(c.clone(), mk);
             for ev in &evs[..cut] {
                 first.event(*ev);
             }
             let data = first.checkpoint_data(1, cut as u64, Vec::new()).unwrap();
             drop(first.finish()); // the "killed" engine dies here
 
-            let mut resumed = AnyParallelProfiler::resume(c, mk, &data).unwrap();
+            let mut resumed = ParallelProfiler::resume(c, mk, &data).unwrap();
             for ev in &evs[cut..] {
                 resumed.event(*ev);
             }
@@ -208,12 +206,11 @@ fn router_blob_of_the_previous_build_loads_and_new_blobs_are_a_fixed_point() {
     let slots = c.slots_per_worker();
     let mk = move || Signature::<ExtendedSlot>::new(slots);
     let reload = |router: Vec<u8>| {
-        let mut fresh: AnyParallelProfiler<Signature<ExtendedSlot>> =
-            AnyParallelProfiler::new(c.clone(), mk);
+        let mut fresh = ParallelProfiler::new(c.clone(), mk);
         let mut data = fresh.checkpoint_data(1, 0, Vec::new()).unwrap();
         drop(fresh.finish());
         data.router = router;
-        let mut resumed = AnyParallelProfiler::resume(c.clone(), mk, &data).unwrap();
+        let mut resumed = ParallelProfiler::resume(c.clone(), mk, &data).unwrap();
         let again = resumed.checkpoint_data(2, 0, Vec::new()).unwrap().router;
         (again, resumed.finish())
     };

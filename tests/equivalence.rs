@@ -6,8 +6,9 @@
 //! All engines here use the exact (perfect-signature) store so any
 //! discrepancy is a pipeline bug, not a hash collision.
 
-use depprof::core::parallel::{LockBasedProfiler, LockFreeProfiler};
-use depprof::core::{ParallelProfiler, ProfileResult, ProfilerConfig, SequentialProfiler};
+use depprof::core::{
+    ParallelProfiler, ProfileResult, ProfilerConfig, SequentialProfiler, TransportKind,
+};
 use depprof::sig::PerfectSignature;
 use depprof::trace::workloads::{nas_suite, starbench_suite, synth, Scale};
 use depprof::trace::Interp;
@@ -45,8 +46,8 @@ fn serial(program: &depprof::trace::Program) -> ProfileResult {
 fn lockfree(program: &depprof::trace::Program, workers: usize) -> ProfileResult {
     let vm = Interp::new(program);
     let cfg = ProfilerConfig::default().with_workers(workers).with_chunk_capacity(64);
-    let mut p: LockFreeProfiler<PerfectSignature> =
-        ParallelProfiler::new(cfg, PerfectSignature::new);
+    let mut p =
+        ParallelProfiler::new(cfg.with_transport(TransportKind::Mpmc), PerfectSignature::new);
     vm.run_seq(&mut p);
     p.finish()
 }
@@ -54,8 +55,8 @@ fn lockfree(program: &depprof::trace::Program, workers: usize) -> ProfileResult 
 fn lockbased(program: &depprof::trace::Program, workers: usize) -> ProfileResult {
     let vm = Interp::new(program);
     let cfg = ProfilerConfig::default().with_workers(workers).with_chunk_capacity(64);
-    let mut p: LockBasedProfiler<PerfectSignature> =
-        ParallelProfiler::new(cfg, PerfectSignature::new);
+    let mut p =
+        ParallelProfiler::new(cfg.with_transport(TransportKind::Lock), PerfectSignature::new);
     vm.run_seq(&mut p);
     p.finish()
 }
@@ -98,8 +99,8 @@ fn redistribution_does_not_change_dependences() {
     let vm = Interp::new(&w.program);
     let mut cfg = ProfilerConfig::default().with_workers(4).with_chunk_capacity(32);
     cfg.redistribute_every = 20; // force many redistribution rounds
-    let mut p: LockFreeProfiler<PerfectSignature> =
-        ParallelProfiler::new(cfg, PerfectSignature::new);
+    let mut p =
+        ParallelProfiler::new(cfg.with_transport(TransportKind::Mpmc), PerfectSignature::new);
     vm.run_seq(&mut p);
     let r = p.finish();
     assert!(r.stats.redistributions > 0, "test wants redistribution to actually happen");

@@ -10,10 +10,9 @@
 
 use std::time::Instant;
 
-use depprof::core::parallel::{AnyParallelProfiler, ParallelProfiler};
 use depprof::core::{
-    FailureCause, FaultPlan, OverflowPolicy, ProfileResult, ProfilerConfig, SequentialProfiler,
-    SpscProfiler, TransportKind,
+    FailureCause, FaultPlan, OverflowPolicy, ParallelProfiler, ProfileResult, ProfilerConfig,
+    SequentialProfiler, TransportKind,
 };
 use depprof::queue::{FailingTransport, SpscTransport};
 use depprof::sig::PerfectSignature;
@@ -86,7 +85,8 @@ fn worker_panic_preserves_all_surviving_workers_dependences() {
         .with_chunk_capacity(4)
         .with_redistribution(false)
         .with_fault_plan(FaultPlan::none().with_panic(2, 0));
-    let mut p: SpscProfiler<PerfectSignature> = ParallelProfiler::new(cfg, PerfectSignature::new);
+    let mut p =
+        ParallelProfiler::new(cfg.with_transport(TransportKind::Spsc), PerfectSignature::new);
     for e in &evs {
         p.event(*e);
     }
@@ -138,7 +138,8 @@ fn drop_overflow_under_stalled_worker_counts_exactly() {
     cfg.queue_chunks = QUEUE_CHUNKS;
 
     let started = Instant::now();
-    let mut p: SpscProfiler<PerfectSignature> = ParallelProfiler::new(cfg, PerfectSignature::new);
+    let mut p =
+        ParallelProfiler::new(cfg.with_transport(TransportKind::Spsc), PerfectSignature::new);
     for j in 0..N {
         // (0x1000 + 16j) >> 3 is even: every event is owned by worker 0.
         p.event(TraceEvent::Access(MemAccess::write(
@@ -210,8 +211,7 @@ fn every_transport_equals_serial_with_inert_fault_plan() {
             .with_chunk_capacity(8)
             .with_transport(kind)
             .with_fault_plan(FaultPlan::none());
-        let mut p: AnyParallelProfiler<PerfectSignature> =
-            AnyParallelProfiler::new(cfg, PerfectSignature::new);
+        let mut p = ParallelProfiler::new(cfg, PerfectSignature::new);
         for e in &evs {
             p.event(*e);
         }
@@ -236,8 +236,7 @@ fn chaotic_transport_stays_exact_across_seeds() {
         let plan = FaultPlan::none().with_seed(seed).with_spurious(25, 25);
         let transport = FailingTransport::new(SpscTransport, plan);
         let cfg = ProfilerConfig::default().with_workers(3).with_chunk_capacity(8);
-        let mut p: ParallelProfiler<PerfectSignature, _> =
-            ParallelProfiler::with_transport(transport, cfg, PerfectSignature::new);
+        let mut p = ParallelProfiler::with_transport(transport, cfg, PerfectSignature::new);
         for e in &evs {
             p.event(*e);
         }

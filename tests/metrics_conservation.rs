@@ -19,7 +19,7 @@
 //! with metrics compiled out the snapshot is all-zero and the suite
 //! degenerates to a crash test of the same fault matrix.
 
-use depprof::core::parallel::{AnyParallelProfiler, ParallelProfiler};
+use depprof::core::ParallelProfiler;
 use depprof::core::{
     FaultPlan, MetricsSnapshot, OverflowPolicy, ProfileResult, ProfilerConfig, TransportKind,
 };
@@ -130,8 +130,7 @@ proptest! {
     ) {
         for kind in [TransportKind::Spsc, TransportKind::Mpmc, TransportKind::Lock] {
             let cfg = cfg_for(plan, workers).with_transport(kind);
-            let mut p: AnyParallelProfiler<PerfectSignature> =
-                AnyParallelProfiler::new(cfg, PerfectSignature::new);
+            let mut p = ParallelProfiler::new(cfg, PerfectSignature::new);
             for e in &evs {
                 p.event(*e);
             }
@@ -177,8 +176,7 @@ fn conservation_holds_under_chaotic_transport_seeds() {
             .with_chunk_capacity(8)
             .with_redistribution(false);
         cfg.queue_chunks = 4;
-        let mut p: ParallelProfiler<PerfectSignature, _> =
-            ParallelProfiler::with_transport(transport, cfg, PerfectSignature::new);
+        let mut p = ParallelProfiler::with_transport(transport, cfg, PerfectSignature::new);
         for e in &evs {
             p.event(*e);
         }
@@ -331,8 +329,7 @@ fn panic_losses_are_attributed_not_silent() {
         .with_fault_plan(FaultPlan::none().with_panic(2, 0))
         .with_drain_deadline_ms(500)
         .with_transport(TransportKind::Mpmc);
-    let mut p: AnyParallelProfiler<PerfectSignature> =
-        AnyParallelProfiler::new(cfg, PerfectSignature::new);
+    let mut p = ParallelProfiler::new(cfg, PerfectSignature::new);
     // Feed a first slice, then give the supervisor time to notice the
     // (immediate) death of worker 2, so the rest of its residue class is
     // *diverted* rather than enqueued to a corpse.

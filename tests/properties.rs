@@ -1,6 +1,5 @@
 //! Property-based tests (proptest) on the profiler's core invariants.
 
-use depprof::core::parallel::{AnyParallelProfiler, LockFreeProfiler};
 use depprof::core::{
     AlgoOptions, AlgoState, ParallelProfiler, ProfileResult, ProfileStats, ProfilerConfig,
     SequentialProfiler, SessionSpec, SigGauges, TransportKind,
@@ -200,8 +199,7 @@ proptest! {
     fn parallel_equals_serial(evs in arb_stream(400), workers in 1usize..6) {
         let serial = run_serial_perfect(&evs);
         let cfg = ProfilerConfig::default().with_workers(workers).with_chunk_capacity(16);
-        let mut par: LockFreeProfiler<PerfectSignature> =
-            ParallelProfiler::new(cfg, PerfectSignature::new);
+        let mut par = ParallelProfiler::new(cfg.with_transport(TransportKind::Mpmc), PerfectSignature::new);
         for e in &evs {
             use depprof::types::Tracer;
             par.event(*e);
@@ -224,8 +222,7 @@ proptest! {
                 .with_workers(workers)
                 .with_chunk_capacity(16)
                 .with_transport(kind);
-            let mut par: AnyParallelProfiler<PerfectSignature> =
-                AnyParallelProfiler::new(cfg, PerfectSignature::new);
+            let mut par = ParallelProfiler::new(cfg, PerfectSignature::new);
             for e in &evs {
                 use depprof::types::Tracer;
                 par.event(*e);

@@ -64,6 +64,21 @@ fn served_report_is_byte_identical_to_replay() {
     assert!(rep.status.success(), "{}", String::from_utf8_lossy(&rep.stderr));
 
     let (mut serve, addr) = start_serve(&dir, &[]);
+    // A `Hello` sized to take the whole server down (16 TiB of slots) is
+    // answered with an `Error` frame; the push below is the proof that
+    // the server still accepts the next session.
+    {
+        use depprof::core::SessionSpec;
+        use depprof::types::protocol::{self, Frame, Hello};
+        let spec = SessionSpec { slots: 1 << 40, ..SessionSpec::default() }.encode();
+        let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+        protocol::write_preamble(&mut conn).unwrap();
+        let hello = Hello { session: "huge".into(), spec, ..Hello::default() };
+        protocol::write_frame(&mut conn, &Frame::Hello(hello)).unwrap();
+        protocol::read_preamble(&mut conn).unwrap();
+        let reply = protocol::read_frame(&mut conn, protocol::MAX_FRAME_BYTES).unwrap();
+        assert!(matches!(reply, Some(Frame::Error { .. })), "{reply:?}");
+    }
     let served = dir.join("served.txt");
     let push = depprof(&[
         "push",

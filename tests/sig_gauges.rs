@@ -128,15 +128,16 @@ fn tiny_signature_reports_strictly_more_evictions_and_higher_fpr() {
 /// snapshot alongside the conservation counters.
 #[test]
 fn parallel_snapshot_carries_aggregated_gauges() {
-    use depprof::core::parallel::AnyParallelProfiler;
+    use depprof::core::ParallelProfiler;
     use depprof::core::{ProfilerConfig, TransportKind};
     let evs = kmeans_events();
     let cfg = ProfilerConfig::default()
         .with_workers(4)
         .with_slots(1 << 16)
         .with_transport(TransportKind::Spsc);
-    let mut p: AnyParallelProfiler<Signature<ExtendedSlot>> =
-        AnyParallelProfiler::new(cfg.clone(), move || Signature::new(cfg.slots_per_worker()));
+    let mut p = ParallelProfiler::new(cfg.clone(), move || {
+        Signature::<ExtendedSlot>::new(cfg.slots_per_worker())
+    });
     for e in &evs {
         p.event(*e);
     }

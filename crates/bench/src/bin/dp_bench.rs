@@ -1,287 +1,47 @@
-//! `dp-bench` — the recipe-driven benchmark CLI.
+//! `dp-bench` — the experiment runner's CLI.
 //!
 //! ```text
 //! dp-bench list
-//! dp-bench run <recipe> [--quick] [--format text|json|markdown] [--out FILE]
-//! dp-bench run-all [--quick] [--format ...] [--out-dir DIR]
-//! dp-bench diff <baseline.json> <new.json>
-//! dp-bench gate --baseline FILE [--current FILE] [--threshold-pct X] [--out FILE]
+//! dp-bench run <id> [--quick]
+//! dp-bench run-all [--quick]
 //! ```
 //!
-//! `<recipe>` is a recipe name (looked up in the recipes directory,
-//! `--recipes-dir`, default `crates/bench/recipes/` with a fallback to
-//! the directory baked in at compile time) or a path to a `.toml` file.
-//!
-//! Exit codes: `0` success / gate pass, `1` gate regression, `2` usage
-//! or runtime error, `3` baseline schema error (unversioned or
-//! incompatible `schema_version`).
+//! Exit codes: `0` success, `1` a scenario's correctness check failed,
+//! `2` usage or I/O error.
 
-use dp_bench::gate;
-use dp_bench::recipe::Recipe;
-use dp_bench::report::{render_diff, Format, Reporter};
-use dp_bench::result::{BenchResult, ResultError};
-use dp_bench::runner::{describe_registry, Runner};
-use std::path::{Path, PathBuf};
+use dp_bench::runner::{exit_code, run};
+use dp_bench::scenario::{find, Scenario, REGISTRY};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: dp-bench <list|run|run-all|diff|gate> [options]
-  list                             show registered scenarios and recipes
-  run <recipe>                     execute one recipe
-  run-all                          execute every recipe in the recipes dir
-  diff <base.json> <new.json>      compare two result files
-  gate --baseline FILE             re-run the baseline's recipe and compare
+const USAGE: &str = "usage: dp-bench <list|run|run-all> [--quick]
+  list        show the registered scenarios and their scales
+  run <id>    run one scenario
+  run-all     run every scenario in experiment order
 options:
-  --quick                 apply the recipe's [quick] overrides
-  --recipes-dir DIR       recipe directory (default crates/bench/recipes)
-  --format F              text|json|markdown (run/run-all, default text)
-  --out FILE              also write the result JSON here (run/gate)
-  --out-dir DIR           write BENCH_<recipe>.json per recipe (run-all)
-  --current FILE          gate against this result instead of re-running
-  --threshold-pct X       allowed events/sec regression in percent (default 50)";
+  --quick     run at the scenario's quick scale (CI smoke size)";
 
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
     eprintln!("dp-bench: {msg}");
     ExitCode::from(2)
 }
 
-struct Opts {
-    positional: Vec<String>,
-    quick: bool,
-    recipes_dir: Option<String>,
-    format: Format,
-    out: Option<String>,
-    out_dir: Option<String>,
-    baseline: Option<String>,
-    current: Option<String>,
-    threshold_pct: f64,
-}
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut o = Opts {
-        positional: Vec::new(),
-        quick: false,
-        recipes_dir: None,
-        format: Format::Text,
-        out: None,
-        out_dir: None,
-        baseline: None,
-        current: None,
-        threshold_pct: 50.0,
-    };
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i).cloned().ok_or_else(|| format!("{flag} needs an argument"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => o.quick = true,
-            "--recipes-dir" => o.recipes_dir = Some(value(&mut i, "--recipes-dir")?),
-            "--format" => o.format = value(&mut i, "--format")?.parse()?,
-            "--out" => o.out = Some(value(&mut i, "--out")?),
-            "--out-dir" => o.out_dir = Some(value(&mut i, "--out-dir")?),
-            "--baseline" => o.baseline = Some(value(&mut i, "--baseline")?),
-            "--current" => o.current = Some(value(&mut i, "--current")?),
-            "--threshold-pct" => {
-                let v = value(&mut i, "--threshold-pct")?;
-                o.threshold_pct =
-                    v.parse().map_err(|_| format!("--threshold-pct: not a number: '{v}'"))?;
-            }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
-            pos => o.positional.push(pos.to_string()),
-        }
-        i += 1;
-    }
-    Ok(o)
-}
-
-/// The recipes directory: `--recipes-dir`, else `crates/bench/recipes`
-/// relative to the working directory (the repo-root invocation CI uses),
-/// else the copy next to this crate's sources.
-fn recipes_dir(opt: &Option<String>) -> PathBuf {
-    if let Some(d) = opt {
-        return PathBuf::from(d);
-    }
-    let from_root = PathBuf::from("crates/bench/recipes");
-    if from_root.is_dir() {
-        return from_root;
-    }
-    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/recipes"))
-}
-
-/// Resolves a recipe argument: a `.toml` path, or a name matched against
-/// recipe names (and file stems) in the recipes directory.
-fn resolve_recipe(arg: &str, dir: &Path) -> Result<Recipe, String> {
-    let as_path = Path::new(arg);
-    // Only a file can be a recipe path: a bare name like `fuzz` must fall
-    // through to name lookup even when a same-named directory exists.
-    if as_path.extension().is_some_and(|e| e == "toml") || as_path.is_file() {
-        return Recipe::load(as_path).map_err(|e| format!("{arg}: {e}"));
-    }
-    let all = Recipe::load_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    for (path, r) in &all {
-        if r.name == arg || path.file_stem().is_some_and(|s| s == arg) {
-            return Ok(r.clone());
-        }
-    }
-    Err(format!(
-        "no recipe '{arg}' in {} (known: {})",
-        dir.display(),
-        all.iter().map(|(_, r)| r.name.as_str()).collect::<Vec<_>>().join(", ")
-    ))
-}
-
-fn write_out(path: &str, result: &BenchResult) -> Result<(), String> {
-    dp_types::wire::atomic_write(Path::new(path), result.to_json().as_bytes())
-        .map_err(|e| format!("writing {path}: {e}"))
-}
-
-fn cmd_list(opts: &Opts) -> ExitCode {
-    println!("registered scenarios:");
-    for (id, exp, title) in describe_registry() {
-        println!("  {id:<16} {exp:<5} {title}");
-    }
-    let dir = recipes_dir(&opts.recipes_dir);
-    match Recipe::load_dir(&dir) {
-        Ok(recipes) => {
-            println!("\nrecipes in {}:", dir.display());
-            for (path, r) in recipes {
-                println!(
-                    "  {:<18} scenario={:<16} scale={:<6} quick-scale={:<6} ({})",
-                    r.name,
-                    r.scenario,
-                    r.scale,
-                    r.effective_scale(true),
-                    path.file_name().unwrap_or_default().to_string_lossy()
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(format!("{}: {e}", dir.display())),
-    }
-}
-
-fn cmd_run(opts: &Opts) -> ExitCode {
-    let Some(arg) = opts.positional.first() else {
-        return fail("run needs a recipe name or path");
-    };
-    let recipe = match resolve_recipe(arg, &recipes_dir(&opts.recipes_dir)) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    let outcome = match Runner::new(opts.quick).run(&recipe) {
-        Ok(o) => o,
-        Err(e) => return fail(e),
-    };
-    println!("{}", Reporter::new(opts.format).render(&outcome.result, &outcome.text));
-    if let Some(path) = &opts.out {
-        if let Err(e) = write_out(path, &outcome.result) {
-            return fail(e);
-        }
+fn list() -> ExitCode {
+    for s in REGISTRY {
+        println!(
+            "{:<16} {:<5} scale={:<5} quick={:<5} {}",
+            s.id, s.exp, s.scale, s.quick_scale, s.title
+        );
     }
     ExitCode::SUCCESS
 }
 
-fn cmd_run_all(opts: &Opts) -> ExitCode {
-    let dir = recipes_dir(&opts.recipes_dir);
-    let recipes = match Recipe::load_dir(&dir) {
-        Ok(r) if !r.is_empty() => r,
-        Ok(_) => return fail(format!("no recipes in {}", dir.display())),
-        Err(e) => return fail(format!("{}: {e}", dir.display())),
-    };
-    let runner = Runner::new(opts.quick);
-    let reporter = Reporter::new(opts.format);
-    for (_, recipe) in &recipes {
-        let outcome = match runner.run(recipe) {
-            Ok(o) => o,
-            Err(e) => return fail(format!("recipe '{}': {e}", recipe.name)),
-        };
-        eprintln!("{}", reporter.summary_line(&outcome.result));
-        println!("{}", reporter.render(&outcome.result, &outcome.text));
-        if let Some(d) = &opts.out_dir {
-            if let Err(e) = std::fs::create_dir_all(d).map_err(|e| e.to_string()).and_then(|()| {
-                write_out(&format!("{d}/BENCH_{}.json", recipe.name), &outcome.result)
-            }) {
-                return fail(e);
+fn run_scenarios(scenarios: &[Scenario], quick: bool) -> ExitCode {
+    match run(scenarios, quick, &mut std::io::stdout().lock()) {
+        Ok(failed) => {
+            if !failed.is_empty() {
+                eprintln!("dp-bench: {} check(s) failed", failed.len());
             }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_diff(opts: &Opts) -> ExitCode {
-    let [base, new] = &opts.positional[..] else {
-        return fail("diff needs two result files");
-    };
-    match (BenchResult::load(Path::new(base)), BenchResult::load(Path::new(new))) {
-        (Ok(b), Ok(n)) => {
-            println!("{}", render_diff(&b, &n));
-            ExitCode::SUCCESS
-        }
-        (Err(e), _) => fail(format!("{base}: {e}")),
-        (_, Err(e)) => fail(format!("{new}: {e}")),
-    }
-}
-
-fn cmd_gate(opts: &Opts) -> ExitCode {
-    let Some(baseline_path) = &opts.baseline else {
-        return fail("gate needs --baseline FILE");
-    };
-    let baseline = match BenchResult::load(Path::new(baseline_path)) {
-        Ok(b) => b,
-        Err(e @ (ResultError::Unversioned | ResultError::SchemaVersion(_))) => {
-            eprintln!("dp-bench: {baseline_path}: {e}");
-            return ExitCode::from(3);
-        }
-        Err(e) => return fail(format!("{baseline_path}: {e}")),
-    };
-    // The recipe also carries the per-row budgets, so it is resolved
-    // even when `--current` skips the re-run; a missing recipe file is
-    // only fatal when a fresh run needs it.
-    let recipe = resolve_recipe(&baseline.recipe, &recipes_dir(&opts.recipes_dir));
-    let current = match &opts.current {
-        Some(path) => match BenchResult::load(Path::new(path)) {
-            Ok(c) => c,
-            Err(e) => return fail(format!("{path}: {e}")),
-        },
-        None => {
-            // Re-run the baseline's recipe in quick mode (the gate's
-            // whole point: fresh numbers on this rev).
-            let recipe = match &recipe {
-                Ok(r) => r,
-                Err(e) => return fail(e),
-            };
-            match Runner::new(true).run(recipe) {
-                Ok(o) => o.result,
-                Err(e) => return fail(e),
-            }
-        }
-    };
-    if let Some(path) = &opts.out {
-        if let Err(e) = write_out(path, &current) {
-            return fail(e);
-        }
-    }
-    let row_reports = match &recipe {
-        Ok(r) => gate::check_rows(&r.row_gates(), &current),
-        Err(e) => {
-            eprintln!("dp-bench: note: row gates skipped ({e})");
-            Vec::new()
-        }
-    };
-    match gate::compare(&baseline, &current, opts.threshold_pct) {
-        Ok(report) => {
-            println!("{report}");
-            let mut rows_pass = true;
-            for rr in &row_reports {
-                println!("{rr}");
-                rows_pass &= rr.pass;
-            }
-            if report.pass && rows_pass {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
+            ExitCode::from(exit_code(&failed))
         }
         Err(e) => fail(e),
     }
@@ -289,27 +49,20 @@ fn cmd_gate(opts: &Opts) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().map(String::as_str) else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let opts = match parse_opts(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("dp-bench: {e}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    match cmd {
-        "list" => cmd_list(&opts),
-        "run" => cmd_run(&opts),
-        "run-all" => cmd_run_all(&opts),
-        "diff" => cmd_diff(&opts),
-        "gate" => cmd_gate(&opts),
-        "help" | "--help" | "-h" => {
+    let quick = args.iter().any(|a| a == "--quick");
+    let positional: Vec<&str> =
+        args.iter().map(String::as_str).filter(|a| *a != "--quick").collect();
+    match positional[..] {
+        ["help" | "--help" | "-h"] => {
             println!("{USAGE}");
             ExitCode::SUCCESS
         }
-        other => fail(format!("unknown subcommand '{other}'\n{USAGE}")),
+        ["list"] => list(),
+        ["run", id] => match find(id) {
+            Some(s) => run_scenarios(std::slice::from_ref(s), quick),
+            None => fail(format!("no scenario '{id}' (see 'dp-bench list')")),
+        },
+        ["run-all"] => run_scenarios(REGISTRY, quick),
+        _ => fail(USAGE),
     }
 }

@@ -1,35 +1,23 @@
-//! `dp-bench` — recipe-driven benchmark harness.
+//! `dp-bench` — the paper's experiment runner.
 //!
-//! The harness is split the way the ROADMAP's CI direction asks for:
+//! It reproduces the paper's tables and figures (E1–E15) plus the chaos
+//! sweep (E18) as text tables; EXPERIMENTS.md records and interprets
+//! them. Every *cost* number — ns/event, bytes/address, served-path
+//! latency — comes from depbench (`benchmark/`) instead.
 //!
-//! * [`recipe`] — declarative TOML recipes (`crates/bench/recipes/`)
-//!   naming a scenario, workload, scale, matrix, and quick overrides;
-//! * [`scenario`] — the [`scenario::Scenario`] trait and the E1–E16
-//!   registry; the measurement code itself lives in [`experiments`];
-//! * [`runner`] — executes recipes (warmup, repetitions, best-of
-//!   merging, git-rev stamping) into versioned results;
-//! * [`result`] — the `BenchResult` v1 JSON schema every `BENCH_*.json`
-//!   artifact uses;
-//! * [`report`] — text/JSON/markdown rendering and `diff`;
-//! * [`gate`] — the CI regression gate comparing fresh runs against
-//!   committed baselines.
+//! * [`scenario`] — the registry: one `const` table of experiments with
+//!   their full and `--quick` scales;
+//! * [`experiments`] — the measurement code, one function per entry;
+//! * [`runner`] — runs scenarios and maps failed checks to the exit code.
 //!
 //! The `dp-bench` binary (`src/bin/dp_bench.rs`) wires these into
-//! `run`/`run-all`/`list`/`diff`/`gate` subcommands. Criterion
-//! microbenchmarks live under `benches/`; [`fmt`] and [`measure`] hold
-//! the helpers both share.
+//! `list` / `run <id>` / `run-all`. Criterion microbenchmarks live under
+//! `benches/`; [`fmt`] and [`measure`] hold the table and timing helpers.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod fmt;
-pub mod gate;
-pub mod json;
 pub mod measure;
-pub mod recipe;
-pub mod report;
-pub mod result;
 pub mod runner;
 pub mod scenario;
-
-pub use measure::{time, Timed};

@@ -18,22 +18,6 @@ pub fn time<T>(f: impl FnOnce() -> T) -> Timed<T> {
     Timed { value, elapsed: start.elapsed() }
 }
 
-/// Runs `f` `n` times and returns the *minimum* duration (robust against
-/// scheduler noise on the shared CI machine) along with the last value.
-pub fn time_best_of<T>(n: usize, mut f: impl FnMut() -> T) -> Timed<T> {
-    assert!(n >= 1);
-    let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..n {
-        let t = time(&mut f);
-        if t.elapsed < best {
-            best = t.elapsed;
-        }
-        last = Some(t.value);
-    }
-    Timed { value: last.unwrap(), elapsed: best }
-}
-
 /// Slowdown of `measured` relative to `baseline` (the paper's ×-factors).
 pub fn slowdown(measured: Duration, baseline: Duration) -> f64 {
     let b = baseline.as_secs_f64();
@@ -52,17 +36,6 @@ mod tests {
     fn time_measures() {
         let t = time(|| 21 * 2);
         assert_eq!(t.value, 42);
-    }
-
-    #[test]
-    fn best_of_returns_min() {
-        let mut calls = 0;
-        let t = time_best_of(3, || {
-            calls += 1;
-            calls
-        });
-        assert_eq!(calls, 3);
-        assert_eq!(t.value, 3);
     }
 
     #[test]

@@ -1,210 +1,25 @@
-//! The [`Runner`]: executes a recipe against its registered scenario and
-//! folds the output into a versioned [`BenchResult`].
-//!
-//! The runner owns everything that is *not* measurement: warmup runs,
-//! repetitions, best-of merging of timing fields, git-revision stamping,
-//! and serialization. Scenarios stay pure measurement functions.
+//! Runs scenarios and turns their failed checks into the exit code.
 
-use crate::recipe::Recipe;
-use crate::result::{BenchResult, MetricRow, SCHEMA_VERSION};
-use crate::scenario::{self, ScenarioCtx, ScenarioOutput};
-use std::fmt;
+use crate::scenario::Scenario;
+use std::io::{self, Write};
 
-/// Typed runner failure.
-#[derive(Debug)]
-pub enum RunnerError {
-    /// The recipe names a scenario that is not in the registry.
-    UnknownScenario(String),
-}
-
-impl fmt::Display for RunnerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunnerError::UnknownScenario(id) => {
-                write!(f, "recipe names unknown scenario '{id}' (see 'dp-bench list')")
-            }
+/// Runs `scenarios` in order in full or quick mode, writing each one's
+/// tables and then a line per failed check to `out`. Returns every
+/// failed check, prefixed with its scenario's id.
+pub fn run(scenarios: &[Scenario], quick: bool, out: &mut impl Write) -> io::Result<Vec<String>> {
+    let mut failed = Vec::new();
+    for s in scenarios {
+        let output = (s.run)(&s.config(quick));
+        writeln!(out, "{}", output.text)?;
+        for check in output.failed {
+            writeln!(out, "FAILED check ({} {}): {check}", s.exp, s.id)?;
+            failed.push(format!("{}: {check}", s.id));
         }
     }
+    Ok(failed)
 }
 
-impl std::error::Error for RunnerError {}
-
-/// What one recipe execution produced: the structured result plus the
-/// last repetition's rendered text.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// The versioned result (timing fields merged best-of across
-    /// repetitions).
-    pub result: BenchResult,
-    /// Human-readable table(s) from the final repetition.
-    pub text: String,
-}
-
-/// Executes recipes.
-#[derive(Debug, Clone, Default)]
-pub struct Runner {
-    /// Run recipes with quick overrides applied.
-    pub quick: bool,
-}
-
-impl Runner {
-    /// A runner in full or quick mode.
-    pub fn new(quick: bool) -> Runner {
-        Runner { quick }
-    }
-
-    /// Executes one recipe: warmup runs (discarded), then
-    /// `effective_repetitions` measured runs merged best-of on timing
-    /// fields. Non-timing fields must agree across repetitions by
-    /// construction (same seed, same scale); the merge keeps the last
-    /// repetition's values for them.
-    pub fn run(&self, recipe: &Recipe) -> Result<RunOutcome, RunnerError> {
-        let scn = scenario::find(&recipe.scenario)
-            .ok_or_else(|| RunnerError::UnknownScenario(recipe.scenario.clone()))?;
-        let ctx = ScenarioCtx::from_recipe(recipe, self.quick);
-        for _ in 0..recipe.warmup {
-            let _ = scn.run(&ctx);
-        }
-        let reps = recipe.effective_repetitions(self.quick);
-        let mut merged: Option<ScenarioOutput> = None;
-        for _ in 0..reps {
-            let out = scn.run(&ctx);
-            merged = Some(match merged {
-                None => out,
-                Some(prev) => merge_outputs(prev, out),
-            });
-        }
-        let out = merged.unwrap_or_default();
-        let result = BenchResult {
-            schema_version: SCHEMA_VERSION,
-            recipe: recipe.name.clone(),
-            scenario: scn.id().to_string(),
-            git_rev: git_rev(),
-            seed: recipe.seed,
-            scale: ctx.scale,
-            quick: self.quick,
-            rows: out.rows,
-            summary_events_per_sec: out.summary_events_per_sec,
-        };
-        Ok(RunOutcome { result, text: out.text })
-    }
-
-    /// Runs every recipe in order, propagating the first hard failure.
-    pub fn run_all<'a>(
-        &self,
-        recipes: impl IntoIterator<Item = &'a Recipe>,
-    ) -> Result<Vec<RunOutcome>, RunnerError> {
-        recipes.into_iter().map(|r| self.run(r)).collect()
-    }
-}
-
-/// Folds a later repetition into the accumulated output: keeps the new
-/// text and non-timing fields, takes the best (min wall / max rate / min
-/// RTT) of timing fields per row label.
-fn merge_outputs(prev: ScenarioOutput, mut next: ScenarioOutput) -> ScenarioOutput {
-    for row in &mut next.rows {
-        if let Some(old) = prev.rows.iter().find(|r| r.label == row.label) {
-            merge_row(row, old);
-        }
-    }
-    next.summary_events_per_sec = match (prev.summary_events_per_sec, next.summary_events_per_sec) {
-        (Some(a), Some(b)) => Some(a.max(b)),
-        (a, b) => b.or(a),
-    };
-    next
-}
-
-fn merge_row(row: &mut MetricRow, old: &MetricRow) {
-    row.wall_ms = min_opt(row.wall_ms, old.wall_ms);
-    row.events_per_sec = max_opt(row.events_per_sec, old.events_per_sec);
-    row.rtt_p50_us = min_opt(row.rtt_p50_us, old.rtt_p50_us);
-    row.rtt_p99_us = min_opt(row.rtt_p99_us, old.rtt_p99_us);
-}
-
-fn min_opt(a: Option<f64>, b: Option<f64>) -> Option<f64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, y) => x.or(y),
-    }
-}
-
-fn max_opt(a: Option<f64>, b: Option<f64>) -> Option<f64> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.max(y)),
-        (x, y) => x.or(y),
-    }
-}
-
-/// `git rev-parse --short HEAD`, or `"unknown"` outside a work tree.
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Lists scenarios that exist in the registry (for `dp-bench list`).
-pub fn describe_registry() -> Vec<(&'static str, &'static str, &'static str)> {
-    scenario::registry().iter().map(|s| (s.id(), s.experiment(), s.title())).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn quick_recipe(scenario: &str) -> Recipe {
-        Recipe::from_toml_str(&format!(
-            "name = \"t-{scenario}\"\nscenario = \"{scenario}\"\nworkload = \"mixed\"\n\
-             scale = 0.02\nrepetitions = 2\n"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn unknown_scenario_is_typed() {
-        let mut r = quick_recipe("merge");
-        r.scenario = "does-not-exist".into();
-        let err = Runner::new(true).run(&r).unwrap_err();
-        assert!(matches!(err, RunnerError::UnknownScenario(_)));
-        assert!(err.to_string().contains("does-not-exist"));
-    }
-
-    #[test]
-    fn run_produces_versioned_result() {
-        let out = Runner::new(true).run(&quick_recipe("merge")).unwrap();
-        assert_eq!(out.result.schema_version, SCHEMA_VERSION);
-        assert_eq!(out.result.scenario, "merge");
-        assert!(!out.result.rows.is_empty());
-        assert!(out.text.contains("merge factor") || out.text.contains("Merging"));
-        // Round-trips through the schema (timing floats are rounded to
-        // 6 decimals on write, so compare the serialized forms).
-        let parsed = BenchResult::from_json(&out.result.to_json()).unwrap();
-        assert_eq!(parsed.to_json(), out.result.to_json());
-        assert_eq!(parsed.non_timing_fingerprint(), out.result.non_timing_fingerprint());
-    }
-
-    #[test]
-    fn merge_keeps_best_timing() {
-        let mk = |wall: f64, rate: f64| ScenarioOutput {
-            text: "t".into(),
-            rows: vec![MetricRow {
-                label: "x".into(),
-                wall_ms: Some(wall),
-                events_per_sec: Some(rate),
-                events: Some(10),
-                ..Default::default()
-            }],
-            summary_events_per_sec: Some(rate),
-        };
-        let merged = merge_outputs(mk(5.0, 200.0), mk(8.0, 125.0));
-        assert_eq!(merged.rows[0].wall_ms, Some(5.0));
-        assert_eq!(merged.rows[0].events_per_sec, Some(200.0));
-        assert_eq!(merged.summary_events_per_sec, Some(200.0));
-        assert_eq!(merged.rows[0].events, Some(10));
-    }
+/// The `dp-bench` exit code for a finished run: `1` if any check failed.
+pub fn exit_code(failed: &[String]) -> u8 {
+    u8::from(!failed.is_empty())
 }

@@ -1,173 +1,193 @@
-//! The [`Scenario`] trait and the E1–E16 registry.
+//! The experiment registry: one `const` table, in DESIGN.md's
+//! experiment-index order.
 //!
-//! Each experiment of the paper (plus the transport/server experiments
-//! added by later PRs) is a registered [`Scenario`] implementation. A
-//! scenario receives a [`ScenarioCtx`] — the recipe with quick overrides
-//! already applied — and returns a [`ScenarioOutput`]: the rendered
-//! human-readable table plus structured [`MetricRow`]s that the
-//! [`crate::runner::Runner`] folds into a `BenchResult`.
-//!
-//! Adding an experiment means implementing the trait, adding one line to
-//! [`registry`], and dropping a recipe TOML under `crates/bench/recipes/`
-//! — no CLI wiring.
+//! Adding an experiment means writing its function in
+//! [`crate::experiments`] and adding one entry to [`REGISTRY`] — no CLI
+//! wiring, no files beside the sources.
 
-use crate::recipe::Recipe;
-use crate::result::MetricRow;
-use dp_core::TransportKind;
+use crate::experiments::{self as exp, ExpConfig, Output};
 
-/// The resolved execution context a scenario runs under.
-#[derive(Debug, Clone)]
-pub struct ScenarioCtx {
-    /// Recipe name (for labels/diagnostics).
-    pub recipe: String,
-    /// Effective workload scale.
-    pub scale: f64,
-    /// Quick mode (smaller workload subsets where scenarios support it).
-    pub quick: bool,
-    /// Deterministic seed.
-    pub seed: u64,
-    /// Worker counts from the matrix (first entry is the primary).
-    pub workers: Vec<usize>,
-    /// Transports from the matrix.
-    pub transports: Vec<TransportKind>,
-    /// Client counts from the matrix (server scenarios).
-    pub clients: Vec<usize>,
-}
-
-impl ScenarioCtx {
-    /// Builds the context from a recipe, applying quick overrides.
-    pub fn from_recipe(recipe: &Recipe, quick: bool) -> ScenarioCtx {
-        let transports = recipe
-            .matrix
-            .transports
-            .iter()
-            .map(|t| match t.as_str() {
-                "spsc" => TransportKind::Spsc,
-                "mpmc" => TransportKind::Mpmc,
-                // `Recipe::validate` already rejected anything else.
-                _ => TransportKind::Lock,
-            })
-            .collect();
-        ScenarioCtx {
-            recipe: recipe.name.clone(),
-            scale: recipe.effective_scale(quick),
-            quick,
-            seed: recipe.seed,
-            workers: recipe.matrix.workers.clone(),
-            transports,
-            clients: recipe.effective_clients(quick),
-        }
-    }
-
-    /// The primary worker count (first matrix entry).
-    pub fn primary_workers(&self) -> usize {
-        self.workers.first().copied().unwrap_or(4)
-    }
-}
-
-/// What a scenario run produced.
-#[derive(Debug, Clone, Default)]
-pub struct ScenarioOutput {
-    /// Rendered table(s) for humans, as the legacy experiment binary
-    /// printed them.
-    pub text: String,
-    /// Structured rows for the result schema.
-    pub rows: Vec<MetricRow>,
-    /// Headline events/sec the gate compares (None for accuracy-only
-    /// scenarios).
-    pub summary_events_per_sec: Option<f64>,
-}
-
-/// A registered benchmark scenario.
-pub trait Scenario: Sync {
-    /// Stable scenario id recipes reference (e.g. `"spsc"`).
-    fn id(&self) -> &'static str;
+/// A registered experiment.
+#[derive(Debug, Clone, Copy)]
+pub struct Scenario {
+    /// Stable id `dp-bench run` takes (e.g. `"spsc"`).
+    pub id: &'static str,
     /// The experiment number in DESIGN.md's index (e.g. `"E15"`).
-    fn experiment(&self) -> &'static str;
+    pub exp: &'static str,
     /// One-line human description.
-    fn title(&self) -> &'static str;
-    /// Executes the scenario under the given context.
-    fn run(&self, ctx: &ScenarioCtx) -> ScenarioOutput;
+    pub title: &'static str,
+    /// Workload scale of a full run.
+    pub scale: f64,
+    /// Workload scale under `--quick`.
+    pub quick_scale: f64,
+    /// The measurement function.
+    pub run: fn(&ExpConfig) -> Output,
 }
 
-macro_rules! scenarios {
-    ($($strukt:ident { id: $id:literal, exp: $exp:literal, title: $title:literal, run: $f:path }),+ $(,)?) => {
-        $(
-            struct $strukt;
-            impl Scenario for $strukt {
-                fn id(&self) -> &'static str { $id }
-                fn experiment(&self) -> &'static str { $exp }
-                fn title(&self) -> &'static str { $title }
-                fn run(&self, ctx: &ScenarioCtx) -> ScenarioOutput { $f(ctx) }
-            }
-        )+
-        /// Every registered scenario, in experiment order.
-        pub fn registry() -> &'static [&'static dyn Scenario] {
-            &[$(&$strukt),+]
-        }
-    };
+impl Scenario {
+    /// The configuration this scenario runs under in full or quick mode.
+    pub fn config(&self, quick: bool) -> ExpConfig {
+        ExpConfig { scale: if quick { self.quick_scale } else { self.scale }, quick }
+    }
 }
 
-use crate::experiments as exp;
-
-scenarios! {
-    Table1 { id: "table1", exp: "E1", title: "Table I: dependence FPR/FNR vs signature size", run: exp::table1 },
-    Formula2 { id: "formula2", exp: "E2", title: "Formula 2: predicted vs measured accuracy over load factor", run: exp::formula2 },
-    Fig5 { id: "fig5", exp: "E3", title: "Figure 5: profiling slowdown, sequential targets", run: exp::fig5 },
-    Fig6 { id: "fig6", exp: "E4", title: "Figure 6: profiling slowdown, parallel Starbench", run: exp::fig6 },
-    Fig7 { id: "fig7", exp: "E5", title: "Figure 7: profiler memory, sequential targets", run: exp::fig7 },
-    Fig8 { id: "fig8", exp: "E6", title: "Figure 8: profiler memory, parallel targets", run: exp::fig8 },
-    Table2 { id: "table2", exp: "E7", title: "Table II: parallelizable-loop detection in NAS", run: exp::table2 },
-    Fig9 { id: "fig9", exp: "E8", title: "Figure 9: communication pattern of water-spatial", run: exp::fig9 },
-    CommSuite { id: "comm-suite", exp: "E8b", title: "Communication topologies: ring/grid/all-to-all/broadcast", run: exp::comm_suite },
-    Merge { id: "merge", exp: "E9", title: "Output-size reduction by merging identical dependences", run: exp::merge },
-    AblateHash { id: "ablate-hash", exp: "E10", title: "Store ablation: signature vs hash table vs shadow memory", run: exp::ablate_hash },
-    Races { id: "races", exp: "E12", title: "Race detection: timestamp reversals, racy vs locked", run: exp::races },
-    AblateChunk { id: "ablate-chunk", exp: "E13a", title: "Chunk-size sweep", run: exp::ablate_chunk },
-    AblateRedist { id: "ablate-redist", exp: "E13b", title: "Redistribution on/off on a skewed workload", run: exp::ablate_redist },
-    AblateSlots { id: "ablate-slots", exp: "E13c", title: "Compact vs extended slot layout", run: exp::ablate_slots },
-    AblateSections { id: "ablate-sections", exp: "E13d", title: "Set-based (section-level) profiling ablation", run: exp::ablate_sections },
-    AblateSd3 { id: "ablate-sd3", exp: "E14", title: "Signature vs SD3-style stride compression", run: exp::ablate_sd3 },
-    Spsc { id: "spsc", exp: "E15", title: "SPSC vs MPMC vs lock-based transport comparison", run: exp::spsc },
-    Server { id: "server", exp: "E16", title: "Server throughput and Sync RTT vs client count", run: exp::server_throughput },
-    FuzzCampaign { id: "fuzz", exp: "E17", title: "Differential fuzzing: all engine legs agree on seeded MiniVM programs", run: exp::fuzz_campaign },
-    ChaosGoodput { id: "chaos", exp: "E18", title: "Chaos goodput: retry/resume client vs seeded network faults", run: exp::chaos_goodput },
-    OnlineAnalysis { id: "online-analysis", exp: "E19", title: "Online analysis: live query latency and feed-throughput overhead", run: exp::online_analysis },
-}
+/// Every registered scenario, in experiment order.
+pub const REGISTRY: &[Scenario] = &[
+    Scenario {
+        id: "table1",
+        exp: "E1",
+        title: "Table I: dependence FPR/FNR vs signature size",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::table1,
+    },
+    Scenario {
+        id: "formula2",
+        exp: "E2",
+        title: "Formula 2: predicted vs measured accuracy over load factor",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::formula2,
+    },
+    Scenario {
+        id: "fig5",
+        exp: "E3",
+        title: "Figure 5: profiling slowdown, sequential targets",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::fig5,
+    },
+    Scenario {
+        id: "fig6",
+        exp: "E4",
+        title: "Figure 6: profiling slowdown, parallel Starbench",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::fig6,
+    },
+    Scenario {
+        id: "fig7",
+        exp: "E5",
+        title: "Figure 7: profiler memory, sequential targets",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::fig7,
+    },
+    Scenario {
+        id: "fig8",
+        exp: "E6",
+        title: "Figure 8: profiler memory, parallel targets",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::fig8,
+    },
+    Scenario {
+        id: "table2",
+        exp: "E7",
+        title: "Table II: parallelizable-loop detection in NAS",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::table2,
+    },
+    Scenario {
+        id: "fig9",
+        exp: "E8",
+        title: "Figure 9: communication pattern of water-spatial",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::fig9,
+    },
+    Scenario {
+        id: "comm-suite",
+        exp: "E8b",
+        title: "Communication topologies: ring/grid/all-to-all/broadcast",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::comm_suite,
+    },
+    Scenario {
+        id: "merge",
+        exp: "E9",
+        title: "Output-size reduction by merging identical dependences",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::merge,
+    },
+    Scenario {
+        id: "ablate-hash",
+        exp: "E10",
+        title: "Store ablation: signature vs hash table vs shadow memory",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::ablate_hash,
+    },
+    Scenario {
+        id: "races",
+        exp: "E12",
+        title: "Race detection: timestamp reversals, racy vs locked",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::races,
+    },
+    Scenario {
+        id: "ablate-chunk",
+        exp: "E13a",
+        title: "Chunk-size sweep",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::ablate_chunk,
+    },
+    Scenario {
+        id: "ablate-redist",
+        exp: "E13b",
+        title: "Redistribution on/off on a skewed workload",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::ablate_redist,
+    },
+    Scenario {
+        id: "ablate-slots",
+        exp: "E13c",
+        title: "Compact vs extended slot layout",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::ablate_slots,
+    },
+    Scenario {
+        id: "ablate-sections",
+        exp: "E13d",
+        title: "Set-based (section-level) profiling ablation",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::ablate_sections,
+    },
+    Scenario {
+        id: "ablate-sd3",
+        exp: "E14",
+        title: "Signature vs SD3-style stride compression",
+        scale: 0.25,
+        quick_scale: 0.02,
+        run: exp::ablate_sd3,
+    },
+    Scenario {
+        id: "spsc",
+        exp: "E15",
+        title: "SPSC vs MPMC vs lock-based transport comparison",
+        scale: 0.25,
+        quick_scale: 0.03,
+        run: exp::spsc,
+    },
+    Scenario {
+        id: "chaos",
+        exp: "E18",
+        title: "Chaos goodput: retry/resume client vs seeded network faults",
+        scale: 0.25,
+        quick_scale: 0.05,
+        run: exp::chaos_goodput,
+    },
+];
 
 /// Looks up a scenario by id.
-pub fn find(id: &str) -> Option<&'static dyn Scenario> {
-    registry().iter().copied().find(|s| s.id() == id)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_ids_unique_and_findable() {
-        let reg = registry();
-        assert!(reg.len() >= 19);
-        for s in reg {
-            assert_eq!(find(s.id()).unwrap().experiment(), s.experiment());
-        }
-        let mut ids: Vec<_> = reg.iter().map(|s| s.id()).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), reg.len(), "duplicate scenario id");
-    }
-
-    #[test]
-    fn ctx_applies_quick_overrides() {
-        let mut r = crate::recipe::Recipe::from_toml_str(
-            "name = \"x\"\nscenario = \"spsc\"\nworkload = \"mixed\"\nscale = 0.5\n",
-        )
-        .unwrap();
-        r.quick.scale = Some(0.01);
-        let full = ScenarioCtx::from_recipe(&r, false);
-        let quick = ScenarioCtx::from_recipe(&r, true);
-        assert_eq!(full.scale, 0.5);
-        assert_eq!(quick.scale, 0.01);
-        assert_eq!(full.primary_workers(), 4);
-    }
+pub fn find(id: &str) -> Option<&'static Scenario> {
+    REGISTRY.iter().find(|s| s.id == id)
 }

@@ -1,137 +1,84 @@
-//! Harness-level integration tests: recipes dir ↔ registry coverage,
-//! runner determinism, and the regression gate on synthetic baselines.
+//! Runner-level integration tests: registry hygiene, determinism of a
+//! pure-replay experiment, failed checks → exit code, and `run-all`
+//! coverage of the registry.
 
-use dp_bench::gate;
-use dp_bench::recipe::Recipe;
-use dp_bench::result::{BenchResult, MetricRow, ResultError, SCHEMA_VERSION};
-use dp_bench::runner::Runner;
-use dp_bench::scenario;
-use std::path::Path;
-
-fn recipes_dir() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("recipes")
-}
+use dp_bench::experiments::Output;
+use dp_bench::runner::{exit_code, run};
+use dp_bench::scenario::{find, Scenario, REGISTRY};
+use std::collections::BTreeSet;
+use std::process::Command;
 
 #[test]
-fn every_committed_recipe_parses_and_names_a_registered_scenario() {
-    let recipes = Recipe::load_dir(&recipes_dir()).expect("recipes dir loads");
-    assert!(recipes.len() >= 19, "expected all experiment recipes, got {}", recipes.len());
-    for (path, r) in &recipes {
-        assert!(
-            scenario::find(&r.scenario).is_some(),
-            "{}: scenario '{}' is not registered",
-            path.display(),
-            r.scenario
-        );
+fn registry_ids_and_experiment_numbers_are_unique_and_quick_scales_small() {
+    let ids: BTreeSet<_> = REGISTRY.iter().map(|s| s.id).collect();
+    let exps: BTreeSet<_> = REGISTRY.iter().map(|s| s.exp).collect();
+    assert_eq!(ids.len(), REGISTRY.len(), "duplicate scenario id");
+    assert_eq!(exps.len(), REGISTRY.len(), "duplicate experiment number");
+    for s in REGISTRY {
+        assert_eq!(find(s.id).unwrap().exp, s.exp);
         // Quick scale must be small enough for CI smoke runs.
-        assert!(r.effective_scale(true) <= 0.05, "{}: quick scale too large", path.display());
-        // Round-trips through canonical TOML.
-        assert_eq!(&Recipe::from_toml_str(&r.to_toml()).unwrap(), r, "{}", path.display());
+        assert!(s.quick_scale <= 0.05, "{}: quick scale too large", s.id);
+        assert!(s.quick_scale <= s.scale, "{}: quick scale above the full scale", s.id);
     }
-}
-
-#[test]
-fn every_registered_scenario_has_a_recipe() {
-    let recipes = Recipe::load_dir(&recipes_dir()).expect("recipes dir loads");
-    for s in scenario::registry() {
-        assert!(
-            recipes.iter().any(|(_, r)| r.scenario == s.id()),
-            "scenario '{}' ({}) has no recipe under crates/bench/recipes/",
-            s.id(),
-            s.experiment()
-        );
-    }
-    // Recipe names are unique (they name result artifacts).
-    let mut names: Vec<&str> = recipes.iter().map(|(_, r)| r.name.as_str()).collect();
-    names.sort_unstable();
-    let before = names.len();
-    names.dedup();
-    assert_eq!(before, names.len(), "duplicate recipe name");
 }
 
 #[test]
 fn runner_is_deterministic_on_non_timing_fields() {
-    // table2 is pure replay analysis: same recipe + seed must reproduce
-    // every non-timing field bit-for-bit.
-    let recipe = Recipe::from_toml_str(
-        "name = \"det\"\nscenario = \"table2\"\nworkload = \"nas\"\nscale = 0.02\n",
-    )
-    .unwrap();
-    let runner = Runner::new(true);
-    let a = runner.run(&recipe).unwrap().result;
-    let b = runner.run(&recipe).unwrap().result;
-    assert_eq!(a.non_timing_fingerprint(), b.non_timing_fingerprint());
-    assert!(!a.rows.is_empty());
-}
-
-fn synthetic(recipe: &str, rate: f64) -> BenchResult {
-    BenchResult {
-        schema_version: SCHEMA_VERSION,
-        recipe: recipe.into(),
-        scenario: "spsc".into(),
-        git_rev: "test0000".into(),
-        seed: 42,
-        scale: 0.03,
-        quick: true,
-        rows: vec![MetricRow {
-            label: "bt/spsc".into(),
-            events: Some(10_000),
-            events_per_sec: Some(rate),
-            ..Default::default()
-        }],
-        summary_events_per_sec: Some(rate),
-    }
+    // table2 is pure replay analysis and prints no timing: two runs must
+    // produce the same bytes.
+    let table2 = std::slice::from_ref(find("table2").unwrap());
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    assert!(run(table2, true, &mut a).unwrap().is_empty());
+    assert!(run(table2, true, &mut b).unwrap().is_empty());
+    assert!(!a.is_empty());
+    assert_eq!(String::from_utf8(a).unwrap(), String::from_utf8(b).unwrap());
 }
 
 #[test]
-fn gate_passes_within_threshold_and_fails_beyond() {
-    let baseline = synthetic("spsc", 1_000_000.0);
-    let slightly_slower = synthetic("spsc", 800_000.0);
-    let much_slower = synthetic("spsc", 300_000.0);
-    let ok = gate::compare(&baseline, &slightly_slower, 50.0).unwrap();
-    assert!(ok.pass, "{ok}");
-    let bad = gate::compare(&baseline, &much_slower, 50.0).unwrap();
-    assert!(!bad.pass, "{bad}");
-    // An inflated baseline (the acceptance-criteria probe) must fail.
-    let inflated = synthetic("spsc", 100_000_000.0);
-    let fresh = synthetic("spsc", 1_000_000.0);
-    assert!(!gate::compare(&inflated, &fresh, 50.0).unwrap().pass);
+fn failed_check_is_returned_printed_and_exits_1() {
+    let scenarios = [
+        Scenario {
+            id: "holds",
+            exp: "T1",
+            title: "a scenario whose checks hold",
+            scale: 0.25,
+            quick_scale: 0.02,
+            run: |_| Output::passed("fine".into()),
+        },
+        Scenario {
+            id: "diverges",
+            exp: "T2",
+            title: "a scenario with a failing check",
+            scale: 0.25,
+            quick_scale: 0.02,
+            run: |cfg| Output {
+                text: format!("table at scale {}", cfg.scale),
+                failed: vec!["identical_deps on BT".into()],
+            },
+        },
+    ];
+    let mut out = Vec::new();
+    let failed = run(&scenarios, true, &mut out).unwrap();
+    assert_eq!(failed, ["diverges: identical_deps on BT"]);
+    assert_eq!(exit_code(&failed), 1);
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        "fine\ntable at scale 0.02\nFAILED check (T2 diverges): identical_deps on BT\n"
+    );
+    assert_eq!(exit_code(&[]), 0);
 }
 
 #[test]
-fn unversioned_baseline_is_a_typed_error() {
-    // The pre-v1 artifact shape the old flag-soup binary wrote.
-    let legacy = r#"{
-      "experiment": "spsc-transport-comparison",
-      "quick": true,
-      "workloads": [{"name": "BT", "transports": []}]
-    }"#;
-    match BenchResult::from_json(legacy) {
-        Err(ResultError::Unversioned) => {}
-        other => panic!("wanted ResultError::Unversioned, got {other:?}"),
-    }
-}
-
-#[test]
-fn committed_baselines_are_versioned_and_gateable() {
-    // The repo-root baselines the CI gate runs against.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for name in ["BENCH_spsc.json", "BENCH_server.json"] {
-        let path = root.join(name);
-        let baseline =
-            BenchResult::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(baseline.schema_version, SCHEMA_VERSION);
-        assert!(
-            baseline.summary_events_per_sec.is_some(),
-            "{name}: no summary events/sec to gate on"
-        );
-        assert!(
-            Recipe::load_dir(&recipes_dir())
-                .unwrap()
-                .iter()
-                .any(|(_, r)| r.name == baseline.recipe),
-            "{name}: baseline recipe '{}' has no committed recipe file",
-            baseline.recipe
-        );
+fn run_all_quick_covers_every_registered_scenario_and_exits_0() {
+    let out = Command::new(env!("CARGO_BIN_EXE_dp-bench"))
+        .args(["run-all", "--quick"])
+        .output()
+        .expect("dp-bench runs");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(!stdout.contains("FAILED check"), "{stdout}");
+    // Every experiment's heading carries its number.
+    for s in REGISTRY {
+        assert!(stdout.contains(&format!("({})", s.exp)), "{} ({}) did not run", s.id, s.exp);
     }
 }

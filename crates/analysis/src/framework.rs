@@ -16,7 +16,7 @@
 use crate::graph::DepGraph;
 use crate::looptable::LoopTable;
 use crate::parallelism::LoopMeta;
-use dp_core::{AnalysisDelta, ProfileResult};
+use dp_core::ProfileResult;
 use dp_types::Interner;
 
 /// Everything a plugin may inspect, built once per framework run.
@@ -46,29 +46,10 @@ pub trait Analysis {
     fn run(&mut self, ctx: &AnalysisContext<'_>) -> String;
 }
 
-/// An analysis that can keep pace with a *running* profile: instead of
-/// one post-hoc pass over the finished result, it folds
-/// [`AnalysisDelta`]s as chunks merge and can report at any moment.
-///
-/// Passes opt in one by one — an existing [`Analysis`] that has not
-/// been rewritten incrementally still participates in live reporting
-/// through [`builtin::Posthoc`], which mirrors the deltas into a
-/// [`DepStore`](dp_core::DepStore) and re-runs the pass post-hoc on
-/// each report.
-pub trait IncrementalAnalysis {
-    /// Short name shown in the combined report.
-    fn name(&self) -> &str;
-    /// Folds one drained delta into the analysis state.
-    fn fold(&mut self, delta: &AnalysisDelta);
-    /// Renders the current state as a report fragment.
-    fn live_report(&mut self, interner: &Interner) -> String;
-}
-
 /// Builds the shared representations and runs plugins.
 #[derive(Default)]
 pub struct Framework {
     plugins: Vec<Box<dyn Analysis>>,
-    incremental: Vec<Box<dyn IncrementalAnalysis>>,
 }
 
 impl Framework {
@@ -91,49 +72,9 @@ impl Framework {
         f
     }
 
-    /// A framework preloaded with the live (incremental) twins of the
-    /// paper's application analyses: loop classification, communication
-    /// patterns and race hints, each folding deltas instead of
-    /// re-scanning the merged map.
-    pub fn with_builtin_live() -> Self {
-        let mut f = Self::new();
-        f.register_incremental(Box::new(builtin::LiveParallelism::default()));
-        f.register_incremental(Box::new(builtin::LiveComm::default()));
-        f.register_incremental(Box::new(builtin::LiveRaces::default()));
-        f
-    }
-
     /// Registers a plugin.
     pub fn register(&mut self, plugin: Box<dyn Analysis>) {
         self.plugins.push(plugin);
-    }
-
-    /// Registers an incremental plugin for live reporting.
-    pub fn register_incremental(&mut self, plugin: Box<dyn IncrementalAnalysis>) {
-        self.incremental.push(plugin);
-    }
-
-    /// Number of registered incremental plugins.
-    pub fn incremental_len(&self) -> usize {
-        self.incremental.len()
-    }
-
-    /// Folds a drained delta into every incremental plugin.
-    pub fn fold(&mut self, delta: &AnalysisDelta) {
-        for p in &mut self.incremental {
-            p.fold(delta);
-        }
-    }
-
-    /// Renders the current live state of every incremental plugin,
-    /// returning `(name, report)` pairs. Unlike [`Framework::run`] this
-    /// needs no finished [`ProfileResult`] — it answers from folded
-    /// state mid-profile.
-    pub fn live_reports(&mut self, interner: &Interner) -> Vec<(String, String)> {
-        self.incremental
-            .iter_mut()
-            .map(|p| (p.name().to_owned(), p.live_report(interner)))
-            .collect()
     }
 
     /// Number of registered plugins.
@@ -271,158 +212,6 @@ pub mod builtin {
             })
         }
     }
-
-    /// Live twin of [`ParallelismPlugin`]: folds deltas into an
-    /// [`OnlineAnalysis`](crate::incremental::OnlineAnalysis) and
-    /// renders the current loop verdicts.
-    #[derive(Default)]
-    pub struct LiveParallelism {
-        online: crate::incremental::OnlineAnalysis,
-    }
-
-    impl IncrementalAnalysis for LiveParallelism {
-        fn name(&self) -> &str {
-            "live-parallelism"
-        }
-
-        fn fold(&mut self, delta: &AnalysisDelta) {
-            self.online.fold(delta);
-        }
-
-        fn live_report(&mut self, _interner: &Interner) -> String {
-            let report = self.online.report();
-            if report.loops.is_empty() {
-                return "no loops observed yet".into();
-            }
-            report
-                .loops
-                .iter()
-                .map(|l| {
-                    format!(
-                        "{}: {} (instances={}, iters={}, blockers={})",
-                        l.name,
-                        crate::incremental::class_name(l.class),
-                        l.instances,
-                        l.iterations,
-                        l.blockers.len()
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        }
-    }
-
-    /// Live twin of [`CommPlugin`], sized by the threads actually seen
-    /// communicating rather than a declared target count.
-    #[derive(Default)]
-    pub struct LiveComm {
-        online: crate::incremental::OnlineAnalysis,
-    }
-
-    impl IncrementalAnalysis for LiveComm {
-        fn name(&self) -> &str {
-            "live-communication"
-        }
-
-        fn fold(&mut self, delta: &AnalysisDelta) {
-            self.online.fold(delta);
-        }
-
-        fn live_report(&mut self, _interner: &Interner) -> String {
-            let report = self.online.report();
-            if report.comm.dim() == 0 {
-                return "no cross-thread communication yet".into();
-            }
-            format!("total volume {}\n{}", report.comm.total(), report.comm.render_ascii())
-        }
-    }
-
-    /// Live twin of [`RacePlugin`].
-    #[derive(Default)]
-    pub struct LiveRaces {
-        online: crate::incremental::OnlineAnalysis,
-    }
-
-    impl IncrementalAnalysis for LiveRaces {
-        fn name(&self) -> &str {
-            "live-races"
-        }
-
-        fn fold(&mut self, delta: &AnalysisDelta) {
-            self.online.fold(delta);
-        }
-
-        fn live_report(&mut self, interner: &Interner) -> String {
-            let report = self.online.report();
-            if report.races.is_empty() {
-                return "no reversal-flagged dependences".into();
-            }
-            report
-                .races
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{:?} {} (t{}) <- {} (t{}) on '{}'",
-                        r.dtype,
-                        r.sink.0,
-                        r.sink.1,
-                        r.source.0,
-                        r.source.1,
-                        interner.get(r.var).unwrap_or("?")
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
-        }
-    }
-
-    /// Post-hoc fallback: adapts any non-incremental [`Analysis`] to the
-    /// [`IncrementalAnalysis`] interface by mirroring the deltas into a
-    /// dependence store and re-running the pass over the reconstruction
-    /// on every report. Correct for any pass (the mirror equals the
-    /// merged store), at the cost of a full re-run per report — rewrite
-    /// hot passes incrementally, wrap the rest.
-    pub struct Posthoc<A: Analysis> {
-        inner: A,
-        mirror: dp_core::DepStore,
-        nthreads: usize,
-    }
-
-    impl<A: Analysis> Posthoc<A> {
-        /// Wraps `inner`; `nthreads` is the target thread count its
-        /// context will report.
-        pub fn new(inner: A, nthreads: usize) -> Self {
-            Posthoc { inner, mirror: dp_core::DepStore::new(), nthreads }
-        }
-    }
-
-    impl<A: Analysis> IncrementalAnalysis for Posthoc<A> {
-        fn name(&self) -> &str {
-            self.inner.name()
-        }
-
-        fn fold(&mut self, delta: &AnalysisDelta) {
-            self.mirror.apply_delta(delta);
-        }
-
-        fn live_report(&mut self, interner: &Interner) -> String {
-            let result = ProfileResult { deps: self.mirror.clone(), ..Default::default() };
-            let metas = crate::incremental::observed_loop_metas(&result);
-            let graph = DepGraph::build(&result);
-            let loop_table = LoopTable::build(&result, &metas);
-            let ctx = AnalysisContext {
-                result: &result,
-                interner,
-                loops: &metas,
-                func_names: &[],
-                graph: &graph,
-                loop_table: &loop_table,
-                nthreads: self.nthreads,
-            };
-            self.inner.run(&ctx)
-        }
-    }
-
     /// Dependence-graph shape summary (Kremlin-style critical-path proxy).
     pub struct GraphSummaryPlugin;
 
@@ -484,47 +273,5 @@ mod tests {
         f.register(Box::new(CountDeps));
         let out = f.run(&r, &interner, &[], &[], 0);
         assert_eq!(out[0].1, "2"); // INIT + RAW
-    }
-
-    #[test]
-    fn live_plugins_fold_and_report() {
-        let mut p = SequentialProfiler::perfect();
-        p.event(TraceEvent::LoopBegin { loop_id: 4, loc: loc(1, 1), thread: 0, ts: 1 });
-        p.event(TraceEvent::LoopIter { loop_id: 4, iter: 0, thread: 0, ts: 2 });
-        p.event(TraceEvent::Access(MemAccess::write(0x8, 3, loc(1, 2), 1, 0)));
-        p.event(TraceEvent::LoopEnd { loop_id: 4, loc: loc(1, 3), iters: 1, thread: 0, ts: 9 });
-        p.event(TraceEvent::Access(MemAccess::write(0x80, 10, loc(2, 1), 2, 1)));
-        p.event(TraceEvent::Access(MemAccess::read(0x80, 11, loc(2, 2), 2, 2)));
-        let r = p.finish();
-        let interner = Interner::new();
-        let mut f = Framework::with_builtin_live();
-        assert_eq!(f.incremental_len(), 3);
-        let before = f.live_reports(&interner);
-        assert!(before.iter().any(|(_, rep)| rep.contains("no loops observed yet")));
-        f.fold(&crate::incremental::full_delta(&r));
-        let after = f.live_reports(&interner);
-        let names: Vec<_> = after.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["live-parallelism", "live-communication", "live-races"]);
-        assert!(after[0].1.contains("loop#4: DOALL"), "{}", after[0].1);
-        assert!(after[1].1.contains("total volume 1"), "{}", after[1].1);
-        assert!(after[2].1.contains("no reversal-flagged dependences"), "{}", after[2].1);
-    }
-
-    #[test]
-    fn posthoc_fallback_matches_direct_run() {
-        // A pass that has not been rewritten incrementally still answers
-        // live queries through the delta-mirror fallback, and its answer
-        // matches a direct post-hoc run over the finished result.
-        let r = tiny_result();
-        let interner = Interner::new();
-        let mut f = Framework::new();
-        f.register_incremental(Box::new(builtin::Posthoc::new(builtin::GraphSummaryPlugin, 0)));
-        f.fold(&crate::incremental::full_delta(&r));
-        let live = f.live_reports(&interner);
-        let mut direct = Framework::new();
-        direct.register(Box::new(builtin::GraphSummaryPlugin));
-        let posthoc = direct.run(&r, &interner, &[], &[], 0);
-        assert_eq!(live[0].1, posthoc[0].1);
-        assert!(live[0].1.contains("dependence edges"), "{}", live[0].1);
     }
 }

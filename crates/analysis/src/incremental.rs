@@ -407,8 +407,8 @@ pub fn posthoc_report(result: &ProfileResult) -> OnlineReport {
 }
 
 /// Builds the full catch-up delta of a finished store: everything it
-/// holds, as one delta (used by tests and the post-hoc fallback path
-/// of [`crate::framework::IncrementalAnalysis`] consumers).
+/// holds, as one delta (tests and depbench fold a finished result
+/// through it in one step).
 pub fn full_delta(result: &ProfileResult) -> AnalysisDelta {
     let mut mirror = dp_core::DepStore::new();
     mirror.enable_delta();

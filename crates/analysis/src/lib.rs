@@ -35,7 +35,7 @@ pub mod unions;
 
 pub use accuracy::{compare, degradation, Accuracy, Degradation};
 pub use comm::{communication_matrix, CommMatrix};
-pub use framework::{Analysis, AnalysisContext, Framework, IncrementalAnalysis};
+pub use framework::{Analysis, AnalysisContext, Framework};
 pub use graph::DepGraph;
 pub use incremental::{
     observed_comm_dim, observed_loop_metas, posthoc_report, OnlineAnalysis, OnlineLoopRow,

@@ -30,7 +30,7 @@ use dp_metrics::SigGauges;
 use dp_sig::{AccessStore, SigEntry};
 use dp_types::{
     AccessKind, ByteReader, ByteWriter, DepFlags, DepType, LoopId, MemAccess, SinkKey, SourceLoc,
-    ThreadId, Timestamp, TraceEvent, WireError,
+    TraceEvent, WireError,
 };
 
 /// Counters every engine reports (merged into
@@ -437,16 +437,6 @@ impl<S: AccessStore> AlgoState<S> {
     /// write source, if any (test hook).
     pub fn last_write(&self, addr: u64) -> Option<SourceLoc> {
         self.sig_write.get(addr).map(|e| e.loc)
-    }
-
-    /// Thread of the last write to `addr`, if tracked (test hook).
-    pub fn last_write_thread(&self, addr: u64) -> Option<ThreadId> {
-        self.sig_write.get(addr).map(|e| e.thread)
-    }
-
-    /// Timestamp of the last write to `addr`, if tracked (test hook).
-    pub fn last_write_ts(&self, addr: u64) -> Option<Timestamp> {
-        self.sig_write.get(addr).map(|e| e.ts)
     }
 }
 

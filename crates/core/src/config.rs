@@ -1,6 +1,5 @@
 //! Profiler configuration.
 
-use dp_metrics::ObserverHandle;
 use dp_queue::FaultPlan;
 
 /// What the router does when a worker's queue has been continuously full
@@ -20,11 +19,11 @@ pub enum OverflowPolicy {
     /// a permanently stalled worker hangs the producer. This is the
     /// paper's behaviour and the default.
     #[default]
-    Block,
+    Block = 0,
     /// After the queue has been continuously full for the stall
     /// deadline, drop events destined to the stalled worker and count
     /// them. The profile is marked degraded but the run terminates.
-    Drop,
+    Drop = 1,
 }
 
 impl OverflowPolicy {
@@ -44,6 +43,16 @@ impl OverflowPolicy {
             _ => None,
         }
     }
+
+    /// The byte this policy is stored as in a session spec.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`OverflowPolicy::code`]; `None` for an unknown byte.
+    pub fn from_code(code: u8) -> Option<OverflowPolicy> {
+        [OverflowPolicy::Block, OverflowPolicy::Drop].into_iter().find(|p| p.code() == code)
+    }
 }
 
 /// Which per-worker channel implementation the parallel pipeline routes
@@ -56,12 +65,12 @@ pub enum TransportKind {
     /// [`ParallelProfiler`](crate::ParallelProfiler) is `!Sync`, so the
     /// single-producer contract is compiler-enforced.
     #[default]
-    Spsc,
+    Spsc = 0,
     /// Lock-free MPMC queues (the paper's main configuration, and what
     /// the multi-threaded-target engine always uses, whatever this says).
-    Mpmc,
+    Mpmc = 1,
     /// Mutex-protected queues — the lock-based comparator of Figure 5.
-    Lock,
+    Lock = 2,
 }
 
 impl TransportKind {
@@ -84,6 +93,19 @@ impl TransportKind {
             _ => None,
         }
     }
+
+    /// The byte this transport is stored as in a session spec and in a
+    /// replay checkpoint's CONFIG section.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`TransportKind::code`]; `None` for an unknown byte.
+    pub fn from_code(code: u8) -> Option<TransportKind> {
+        [TransportKind::Spsc, TransportKind::Mpmc, TransportKind::Lock]
+            .into_iter()
+            .find(|k| k.code() == code)
+    }
 }
 
 /// Tunables shared by all engines. Defaults follow the paper's evaluation
@@ -101,9 +123,6 @@ pub struct ProfilerConfig {
     pub chunk_capacity: usize,
     /// Chunks each worker queue can buffer before the producer backs off.
     pub queue_chunks: usize,
-    /// Enable loop-carried classification (requires timestamped slots;
-    /// duplicates loop events to all workers in the parallel engine).
-    pub track_carried: bool,
     /// Enable hot-address redistribution (Section IV-A).
     pub redistribution: bool,
     /// Redistribution check interval in chunks ("we check whether
@@ -130,9 +149,6 @@ pub struct ProfilerConfig {
     /// [`FaultPlan::none()`] — the default — injects nothing and the
     /// hooks compile out unless the `fault-inject` feature is on).
     pub fault_plan: FaultPlan,
-    /// Observer notified of redistribution rounds, worker failures and
-    /// the final metrics snapshot. Defaults to no observer.
-    pub observer: ObserverHandle,
 }
 
 impl Default for ProfilerConfig {
@@ -142,7 +158,6 @@ impl Default for ProfilerConfig {
             workers: 8,
             chunk_capacity: 1024,
             queue_chunks: 32,
-            track_carried: true,
             redistribution: true,
             redistribute_every: 50_000,
             top_k: 10,
@@ -151,7 +166,6 @@ impl Default for ProfilerConfig {
             stall_deadline_ms: 100,
             drain_deadline_ms: 2_000,
             fault_plan: FaultPlan::none(),
-            observer: ObserverHandle::none(),
         }
     }
 }
@@ -196,12 +210,6 @@ impl ProfilerConfig {
         self
     }
 
-    /// Builder-style toggle for loop-carried tracking.
-    pub fn with_carried(mut self, on: bool) -> Self {
-        self.track_carried = on;
-        self
-    }
-
     /// Builder-style setter for the transport.
     pub fn with_transport(mut self, t: TransportKind) -> Self {
         self.transport = t;
@@ -231,12 +239,6 @@ impl ProfilerConfig {
         self.fault_plan = plan;
         self
     }
-
-    /// Builder-style setter for the pipeline observer.
-    pub fn with_observer(mut self, observer: ObserverHandle) -> Self {
-        self.observer = observer;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -254,12 +256,10 @@ mod tests {
         let cfg = ProfilerConfig::default()
             .with_workers(0)
             .with_chunk_capacity(0)
-            .with_redistribution(false)
-            .with_carried(false);
+            .with_redistribution(false);
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.chunk_capacity, 1);
         assert!(!cfg.redistribution);
-        assert!(!cfg.track_carried);
         assert_eq!(cfg.transport, TransportKind::Spsc);
         let cfg = cfg.with_transport(TransportKind::Lock);
         assert_eq!(cfg.transport, TransportKind::Lock);
@@ -267,10 +267,12 @@ mod tests {
 
     #[test]
     fn overflow_names_round_trip() {
-        for p in [OverflowPolicy::Block, OverflowPolicy::Drop] {
+        for (code, p) in [OverflowPolicy::Block, OverflowPolicy::Drop].into_iter().enumerate() {
             assert_eq!(OverflowPolicy::parse(p.name()), Some(p));
+            assert_eq!((p.code(), OverflowPolicy::from_code(p.code())), (code as u8, Some(p)));
         }
         assert_eq!(OverflowPolicy::parse("bogus"), None);
+        assert_eq!(OverflowPolicy::from_code(2), None);
         assert_eq!(ProfilerConfig::default().overflow, OverflowPolicy::Block);
         assert!(ProfilerConfig::default().fault_plan.is_none());
         let cfg = ProfilerConfig::default()
@@ -284,9 +286,12 @@ mod tests {
 
     #[test]
     fn transport_names_round_trip() {
-        for k in [TransportKind::Spsc, TransportKind::Mpmc, TransportKind::Lock] {
+        let kinds = [TransportKind::Spsc, TransportKind::Mpmc, TransportKind::Lock];
+        for (code, k) in kinds.into_iter().enumerate() {
             assert_eq!(TransportKind::parse(k.name()), Some(k));
+            assert_eq!((k.code(), TransportKind::from_code(k.code())), (code as u8, Some(k)));
         }
+        assert_eq!(TransportKind::from_code(3), None);
         assert_eq!(TransportKind::parse("mpmc"), Some(TransportKind::Mpmc));
         assert_eq!(TransportKind::parse("lockq"), Some(TransportKind::Lock));
         assert_eq!(TransportKind::parse("bogus"), None);

@@ -64,12 +64,9 @@ pub use workers::WorkerMsg;
 // Re-exported so downstream code can script faults without depending on
 // dp-queue directly.
 pub use dp_queue::{FaultPlan, WorkerFault};
-// Re-exported so downstream code can read snapshots and install
-// observers without depending on dp-metrics directly.
-pub use dp_metrics::{
-    CheckpointMetrics, Conservation, MetricsSnapshot, ObserverHandle, PipelineObserver,
-    SessionMetrics, SigGauges,
-};
+// Re-exported so downstream code can read snapshots without depending
+// on dp-metrics directly.
+pub use dp_metrics::{CheckpointMetrics, Conservation, MetricsSnapshot, SessionMetrics, SigGauges};
 pub use seq::SequentialProfiler;
 pub use session::{ProfileSession, SessionSpec};
 pub use store::{AnalysisDelta, DeltaEdge, DeltaLoop, DepStore, EdgeVal, LoopRecord};
@@ -77,8 +74,3 @@ pub use store::{AnalysisDelta, DeltaEdge, DeltaLoop, DepStore, EdgeVal, LoopReco
 /// Convenience alias: the default signature store (extended slots: source
 /// location + thread + timestamp).
 pub type DefaultSig = dp_sig::Signature<dp_sig::ExtendedSlot>;
-
-/// Convenience alias: compact 4-byte-slot signature (the layout whose
-/// memory numbers the paper reports; no thread/timestamp, so loop-carried
-/// classification and race detection are unavailable).
-pub type CompactSig = dp_sig::Signature<dp_sig::CompactSlot>;

@@ -151,7 +151,7 @@ fn worker_algos<S: AccessStore>(
     make_store: impl Fn() -> S,
 ) -> Vec<AlgoState<S>> {
     let opts = |wid| AlgoOptions {
-        track_carried: cfg.track_carried,
+        track_carried: true,
         check_reversal: false,
         // Loop events are broadcast; only worker 0 records them, so
         // iteration counts stay exact.
@@ -558,7 +558,6 @@ impl ParallelProfiler {
         }
         if moved > 0 {
             self.redistributions += 1;
-            self.cfg.observer.on_redistribution(moved);
         }
         self.in_rebalance = false;
     }
@@ -862,17 +861,12 @@ impl Tracer for ParallelProfiler {
             TraceEvent::LoopBegin { .. }
             | TraceEvent::LoopIter { .. }
             | TraceEvent::LoopEnd { .. } => {
-                if self.cfg.track_carried {
-                    // Loop context is needed by every worker for carried
-                    // classification.
-                    for wid in 0..self.pending.len() {
-                        if !self.is_dead(wid) {
-                            self.append(wid, ev);
-                        }
+                // Loop context is needed by every worker for carried
+                // classification.
+                for wid in 0..self.pending.len() {
+                    if !self.is_dead(wid) {
+                        self.append(wid, ev);
                     }
-                } else {
-                    let wid = if self.is_dead(0) { self.next_live(0).unwrap_or(0) } else { 0 };
-                    self.append(wid, ev);
                 }
             }
             TraceEvent::CallBegin { .. } | TraceEvent::CallEnd { .. } => {

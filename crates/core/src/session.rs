@@ -66,12 +66,8 @@ impl SessionSpec {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.u8(self.parallel as u8);
-        w.u8(match self.transport {
-            TransportKind::Spsc => 0,
-            TransportKind::Mpmc => 1,
-            TransportKind::Lock => 2,
-        });
-        w.u8(matches!(self.overflow, OverflowPolicy::Drop) as u8);
+        w.u8(self.transport.code());
+        w.u8(self.overflow.code());
         w.u8(self.redistribution as u8);
         w.u32(self.workers as u32);
         w.u64(self.slots as u64);
@@ -83,17 +79,10 @@ impl SessionSpec {
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = ByteReader::new(bytes);
         let parallel = r.u8()? != 0;
-        let transport = match r.u8()? {
-            0 => TransportKind::Spsc,
-            1 => TransportKind::Mpmc,
-            2 => TransportKind::Lock,
-            _ => return Err(WireError::Invalid("unknown transport code in session spec")),
-        };
-        let overflow = match r.u8()? {
-            0 => OverflowPolicy::Block,
-            1 => OverflowPolicy::Drop,
-            _ => return Err(WireError::Invalid("unknown overflow code in session spec")),
-        };
+        let transport = TransportKind::from_code(r.u8()?)
+            .ok_or(WireError::Invalid("unknown transport code in session spec"))?;
+        let overflow = OverflowPolicy::from_code(r.u8()?)
+            .ok_or(WireError::Invalid("unknown overflow code in session spec"))?;
         let redistribution = r.u8()? != 0;
         let workers = r.u32()? as usize;
         let slots = r.u64()?;
@@ -134,7 +123,7 @@ impl SessionSpec {
     /// Builds this spec's engine — fresh, or restored from `data` — with
     /// the pipeline running under `cfg`: [`SessionSpec::config`], plus
     /// whatever a caller layers on that a spec does not carry (fault
-    /// plan, deadlines, observer).
+    /// plan, deadlines).
     pub fn open(
         &self,
         cfg: ProfilerConfig,
@@ -280,6 +269,10 @@ mod tests {
         };
         let bytes = spec.encode();
         assert_eq!(SessionSpec::decode(&bytes).unwrap(), spec);
+        // A wire format (the DPSV `Hello` spec): these bytes must not change.
+        let golden =
+            SessionSpec { transport: TransportKind::Lock, workers: 5, slots: 65536, ..spec };
+        assert_eq!(golden.encode(), [1, 2, 1, 0, 5, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]);
         assert_eq!(
             SessionSpec::decode(&SessionSpec::default().encode()).unwrap(),
             SessionSpec::default()

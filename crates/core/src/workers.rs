@@ -28,8 +28,8 @@ use crate::exectree::ExecTree;
 use crate::result::{FailureCause, MemoryReport, ProfileResult, ProfileStats, WorkerFailure};
 use crate::store::{AnalysisDelta, DepStore};
 use dp_metrics::{
-    ChunkStats, Conservation, Counter, HotAddress, MetricsSnapshot, ObserverHandle, PhaseTimings,
-    SigGauges, Stopwatch, WorkerMetrics,
+    ChunkStats, Conservation, Counter, HotAddress, MetricsSnapshot, PhaseTimings, SigGauges,
+    Stopwatch, WorkerMetrics,
 };
 use dp_queue::{
     Backoff, ChannelTap, Chunk, ChunkPool, FaultPlan, MeteredReceiver, MeteredSender, MpmcQueue,
@@ -261,7 +261,6 @@ pub(crate) struct Workers {
     taps: Vec<Arc<ChannelTap>>,
     handles: Vec<JoinHandle<WorkerExit>>,
     drain_deadline_ms: u64,
-    observer: ObserverHandle,
     /// Started at spawn, restarted by [`Workers::begin_drain`].
     timer: Stopwatch,
     feed_nanos: u64,
@@ -306,7 +305,6 @@ impl Workers {
             taps,
             handles,
             drain_deadline_ms: cfg.drain_deadline_ms,
-            observer: cfg.observer.clone(),
             timer: Stopwatch::start(),
             feed_nanos: 0,
         };
@@ -439,9 +437,6 @@ impl Workers {
                 }
             }
         }
-        for f in &stats.worker_failures {
-            self.observer.on_worker_failure(f.worker);
-        }
         stats.deps_built = deps.deps_built();
         stats.deps_merged = deps.merged_len();
         stats.chunks_pushed = chunks_pushed;
@@ -459,7 +454,6 @@ impl Workers {
             ..MemoryReport::default()
         };
         let metrics = self.snapshot(gauges, chunks_pushed, hot_addresses);
-        self.observer.on_finish(&metrics);
         ProfileResult { deps, exec_tree, stats, memory, workers: w, per_worker_events, metrics }
     }
 

@@ -15,9 +15,6 @@
 //!   event-conservation ledger ([`Conservation`]), chunk/queue stats,
 //!   signature gauges, hot-address top-K, per-worker rows and per-phase
 //!   timings, with stable-order JSON and text export.
-//! - [`PipelineObserver`] / [`ObserverHandle`] — a subscription hook so
-//!   benches and tests can watch redistribution, worker failures and the
-//!   final snapshot without parsing CLI output.
 //!
 //! The core invariant the engines maintain (and the test suite proves) is
 //! the conservation law: every event pushed into the pipeline is accounted
@@ -30,7 +27,6 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// True when the crate was built with the `enabled` feature — i.e. when
 /// the primitives below actually count. [`MetricsSnapshot::enabled`]
@@ -622,87 +618,6 @@ impl SessionMetrics {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Observer hook.
-// ---------------------------------------------------------------------------
-
-/// Subscription hook into pipeline events, for benches and tests that
-/// want live visibility without parsing exported output. All methods
-/// default to no-ops; implement only what you watch. Called from the
-/// router thread (never from workers), so implementations need `Sync`
-/// only because the profiler itself may be moved across threads.
-pub trait PipelineObserver: Send + Sync {
-    /// A Section IV-A redistribution moved `moved` hot addresses to new
-    /// owners.
-    fn on_redistribution(&self, moved: usize) {
-        let _ = moved;
-    }
-
-    /// Worker `worker` was declared failed (panicked or unresponsive).
-    fn on_worker_failure(&self, worker: usize) {
-        let _ = worker;
-    }
-
-    /// The run finished; `snapshot` is the final metrics picture (also
-    /// attached to the returned `ProfileResult`).
-    fn on_finish(&self, snapshot: &MetricsSnapshot) {
-        let _ = snapshot;
-    }
-}
-
-/// An optional, shareable [`PipelineObserver`] — the form carried by the
-/// profiler configuration. The default is "no observer"; every dispatch
-/// through an empty handle is a branch on a `None`.
-#[derive(Clone, Default)]
-pub struct ObserverHandle(Option<Arc<dyn PipelineObserver>>);
-
-impl ObserverHandle {
-    /// Wraps an observer.
-    pub fn new(observer: Arc<dyn PipelineObserver>) -> Self {
-        ObserverHandle(Some(observer))
-    }
-
-    /// The empty handle (no observer subscribed).
-    pub fn none() -> Self {
-        ObserverHandle(None)
-    }
-
-    /// True when an observer is subscribed.
-    pub fn is_set(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Forwards [`PipelineObserver::on_redistribution`].
-    #[inline]
-    pub fn on_redistribution(&self, moved: usize) {
-        if let Some(o) = &self.0 {
-            o.on_redistribution(moved);
-        }
-    }
-
-    /// Forwards [`PipelineObserver::on_worker_failure`].
-    #[inline]
-    pub fn on_worker_failure(&self, worker: usize) {
-        if let Some(o) = &self.0 {
-            o.on_worker_failure(worker);
-        }
-    }
-
-    /// Forwards [`PipelineObserver::on_finish`].
-    #[inline]
-    pub fn on_finish(&self, snapshot: &MetricsSnapshot) {
-        if let Some(o) = &self.0 {
-            o.on_finish(snapshot);
-        }
-    }
-}
-
-impl std::fmt::Debug for ObserverHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() { "ObserverHandle(set)" } else { "ObserverHandle(none)" })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -864,28 +779,5 @@ mod tests {
         assert!(snap.to_text().contains("LAW VIOLATED"));
         snap.conservation.consumed = 5;
         assert!(snap.to_text().contains("law holds"));
-    }
-
-    #[test]
-    fn observer_handle_dispatches() {
-        #[derive(Default)]
-        struct Probe(std::sync::atomic::AtomicUsize);
-        impl PipelineObserver for Probe {
-            fn on_worker_failure(&self, _worker: usize) {
-                self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            }
-        }
-        let probe = Arc::new(Probe::default());
-        let h = ObserverHandle::new(probe.clone());
-        assert!(h.is_set());
-        assert_eq!(format!("{h:?}"), "ObserverHandle(set)");
-        h.on_worker_failure(1);
-        h.on_redistribution(3); // default no-op must not panic
-        h.on_finish(&MetricsSnapshot::default());
-        assert_eq!(probe.0.load(std::sync::atomic::Ordering::SeqCst), 1);
-        let empty = ObserverHandle::none();
-        assert!(!empty.is_set());
-        assert_eq!(format!("{empty:?}"), "ObserverHandle(none)");
-        empty.on_finish(&MetricsSnapshot::default());
     }
 }

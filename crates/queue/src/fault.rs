@@ -16,10 +16,11 @@
 //!   first migration reply"). The profiling engines consult the plan at
 //!   well-defined points in their worker loops; with [`FaultPlan::none`]
 //!   (the default) every hook is a branch on a `None`.
-//! - [`FailingTransport`] — a [`Transport`] decorator that injects
-//!   *queue-level* chaos: seeded spurious push failures (the channel
-//!   claims to be full when it is not) and spurious empty pops (the
-//!   channel claims to be empty when it is not). Both are pure
+//! - [`FailingTransport`] — a [`Transport`](crate::traits::Transport)
+//!   decorator that injects *queue-level* chaos: seeded spurious push
+//!   failures (the channel claims to be full when it is not) and
+//!   spurious empty pops (the channel claims to be empty when it is
+//!   not). Both are pure
 //!   performance faults — no message is ever lost or reordered — so a
 //!   correct engine must produce bit-identical dependence sets through
 //!   any seed, which is exactly what the chaos suite asserts.

@@ -3,7 +3,6 @@
 
 use crate::chaos::{ChaosStream, NetFaultPlan};
 use crate::engine::{SessionEngine, SessionError};
-use crate::shutdown;
 use dp_types::protocol::{
     self, error_code, Frame, FrameReader, ProtocolError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
@@ -276,15 +275,11 @@ impl Server {
         self.tcp.as_ref().and_then(|l| l.local_addr().ok())
     }
 
-    /// Sessions currently active.
-    pub fn active_sessions(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
-    }
-
     /// Runs the accept loop until `stop` becomes true, then joins every
     /// connection thread (each of which writes its session's emergency
     /// checkpoint before exiting). Pass
-    /// [`shutdown::shutdown_flag()`] to tie the loop to SIGINT/SIGTERM.
+    /// [`shutdown_flag()`](crate::shutdown::shutdown_flag) to tie the
+    /// loop to SIGINT/SIGTERM.
     pub fn run(&self, stop: &'static AtomicBool) -> io::Result<()> {
         let mut threads = Vec::new();
         let poll = Duration::from_millis(self.shared.cfg.poll_interval_ms.max(1));
@@ -333,12 +328,6 @@ impl Server {
             let _ = t.join();
         }
         Ok(())
-    }
-
-    /// Installs the signal handlers and runs until SIGINT/SIGTERM.
-    pub fn run_until_signalled(&self) -> io::Result<()> {
-        shutdown::install_signal_handlers();
-        self.run(shutdown::shutdown_flag())
     }
 }
 

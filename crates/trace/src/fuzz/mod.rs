@@ -13,7 +13,7 @@
 //! - [`text`] — a printable/parsable corpus format. Failing programs are
 //!   committed as *programs*, not as seeds, so a corpus repro keeps
 //!   reproducing the original bug even after the generator itself evolves.
-//! - [`minimize`] — a predicate-driven shrinker that reduces a failing
+//! - [`minimize()`] — a predicate-driven shrinker that reduces a failing
 //!   program to a minimal statement count while the predicate (usually
 //!   "the differential oracle still diverges") keeps holding.
 //!

@@ -19,7 +19,7 @@
 //! frame    := tag:u8 len:u32 payload[len] checksum:u8
 //! ```
 //!
-//! with the checksum being [`xor_fold`](crate::wire::xor_fold) over tag
+//! with the checksum being [`xor_fold`] over tag
 //! and payload. Sharing the framing unit means a torn, bit-flipped or
 //! truncated frame corrupts — and is detected — exactly like a damaged
 //! checkpoint section, and one property-test suite covers both.

@@ -75,3 +75,167 @@ fn recording_parallel_targets_is_refused() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("not supported"));
 }
+
+/// One verb's line of `depprof --help`, parsed back.
+struct Synopsis {
+    verb: String,
+    takes_positional: bool,
+    /// `(flag, metavariable)` pairs.
+    flags: Vec<(String, String)>,
+}
+
+fn help_synopses() -> Vec<Synopsis> {
+    let out = depprof(&["--help"]);
+    let help = String::from_utf8(out.stderr).unwrap();
+    let mut verbs: Vec<Synopsis> = Vec::new();
+    for line in help.lines().skip(1).take_while(|l| l.starts_with("  ")) {
+        let mut rest = line.trim_start();
+        if let Some(synopsis) = rest.strip_prefix("depprof ") {
+            let (verb, after) = synopsis.split_once(' ').unwrap_or((synopsis, ""));
+            let takes_positional = after.split("[--").next().unwrap().contains('<');
+            verbs.push(Synopsis { verb: verb.to_owned(), takes_positional, flags: Vec::new() });
+            rest = after;
+        }
+        for group in rest.split("[--").skip(1) {
+            let group = format!("--{}", group.trim_end().strip_suffix(']').unwrap());
+            let split = group.find([' ', '[']).unwrap_or(group.len());
+            let (flag, metavar) = group.split_at(split);
+            verbs
+                .last_mut()
+                .unwrap()
+                .flags
+                .push((flag.to_owned(), metavar.trim_start().to_owned()));
+        }
+    }
+    verbs
+}
+
+/// A value the flag accepts, spelled the way its metavariable says.
+fn sample(flag: &str, metavar: &str) -> Vec<String> {
+    let value = match metavar {
+        "" => return vec![flag.to_owned()],
+        "[=MS]" => return vec![format!("{flag}=5")],
+        "N" | "MS" => "3",
+        "F" => "0.5",
+        "W@N" => "1@2",
+        "SPEC" => "seed=1",
+        "HOST:PORT" => "127.0.0.1:1",
+        "PATH" | "DIR" | "NAME" => "x",
+        alternatives => alternatives.split('|').next().unwrap(),
+    };
+    vec![flag.to_owned(), value.to_owned()]
+}
+
+#[test]
+fn help_and_bare_run_are_usage_with_the_exit_code_legend() {
+    for args in [&["--help"][..], &["-h"], &[]] {
+        let out = depprof(args);
+        assert_eq!(out.status.code(), Some(2));
+        assert!(out.stdout.is_empty());
+        let text = String::from_utf8_lossy(&out.stderr);
+        assert!(text.starts_with("usage:\n  depprof list\n"), "{text}");
+        assert!(text.contains("exit codes: 0 ok, 2 usage, 3 missing input"), "{text}");
+        assert!(text.contains("8 server busy"), "{text}");
+    }
+    let verbs: Vec<String> = help_synopses().into_iter().map(|s| s.verb).collect();
+    assert_eq!(verbs, ["list", "profile", "record", "replay", "serve", "push", "fuzz"]);
+}
+
+#[test]
+fn each_verb_takes_the_flags_help_lists_for_it_and_no_others() {
+    let verbs = help_synopses();
+    let mut all: Vec<&(String, String)> = verbs.iter().flat_map(|s| &s.flags).collect();
+    all.sort();
+    all.dedup_by_key(|(flag, _)| flag);
+    assert!(all.len() > 40, "help lists only {} flags", all.len());
+    for Synopsis { verb, takes_positional, flags } in &verbs {
+        let base: Vec<String> = [verb.as_str()]
+            .into_iter()
+            .chain(takes_positional.then_some("x"))
+            .map(str::to_owned)
+            .collect();
+        // A parse stops at the first bad flag, so reaching the bogus one
+        // at the end means every listed flag before it was taken — and
+        // the verb itself never runs.
+        let mut argv = base.clone();
+        argv.extend(flags.iter().flat_map(|(f, m)| sample(f, m)));
+        argv.push("--bogus".into());
+        let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+        let out = depprof(&argv);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
+        assert!(err.starts_with("error: unknown flag '--bogus'"), "{argv:?}: {err}");
+
+        for (flag, metavar) in all.iter().filter(|(f, _)| !flags.iter().any(|(own, _)| own == f)) {
+            let mut argv = base.clone();
+            argv.extend(sample(flag, metavar));
+            let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+            let out = depprof(&argv);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
+            assert!(
+                err.starts_with(&format!("error: unknown flag '{}", argv[base.len()])),
+                "{err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn readme_command_line_matches_help() {
+    let readme =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md")).unwrap();
+    let help = String::from_utf8(depprof(&["--help"]).stderr).unwrap();
+    assert!(readme.contains(help.trim_end()), "README.md's synopsis is not `depprof --help`'s");
+    // Flags of cargo, dp-bench and depbench that the README also spells.
+    let foreign = "--all-targets --bin --check --example --manifest-path --no-default-features \
+                   --offline --release --smoke --workspace";
+    let mut known: Vec<String> =
+        help_synopses().into_iter().flat_map(|s| s.flags).map(|(flag, _)| flag).collect();
+    known.push("--help".into());
+    for word in readme.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+        let is_flag = word.strip_prefix("--").is_some_and(|w| w.starts_with(char::is_alphabetic));
+        if is_flag && !foreign.split(' ').any(|f| f == word) {
+            assert!(known.iter().any(|k| k == word), "README.md spells {word}; --help does not");
+        }
+    }
+}
+
+#[test]
+fn zero_for_a_count_is_a_usage_error() {
+    // `--slots 0` must not reach the signature's "at least one slot"
+    // assertion, nor `--workers 0` be quietly rounded up to one.
+    for argv in [
+        &["profile", "EP", "--slots", "0"][..],
+        &["replay", "t.dptr", "--slots", "0"],
+        &["profile", "EP", "--workers", "0"],
+        &["push", "t.dptr", "--chunk-events", "0"],
+        &["push", "t.dptr", "--retries", "0"],
+        &["serve", "--max-sessions", "0"],
+        &["fuzz", "--seeds", "0"],
+    ] {
+        let out = depprof(argv);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
+        assert!(err.contains("not a positive integer: '0'"), "{argv:?}: {err}");
+    }
+}
+
+#[test]
+fn flags_the_verb_never_reads_are_rejected() {
+    // Accepting `replay --out` would drop it: the report goes to stdout
+    // or `--report-out`.
+    for argv in [
+        &["replay", "t.dptr", "--out", "report.txt"][..],
+        &["replay", "t.dptr", "--in", "report.txt"],
+        &["list", "--bogus"],
+    ] {
+        let out = depprof(argv);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {err}");
+        assert!(
+            err.starts_with(&format!("error: unknown flag '{}'", argv[argv.len().min(3) - 1])),
+            "{err}"
+        );
+    }
+}

@@ -441,10 +441,11 @@ pub fn fig7(cfg: &ExpConfig) -> Output {
         t.row(&[label.to_string(), mb(sums[0] / n), mb(sums[1] / n), mb(sums[2] / n)]);
     }
     // The crossover demonstration: shadow memory grows with the target's
-    // address footprint while the signature total stays fixed — the core
-    // space argument of Section III-B, visible only once footprints
-    // exceed the signature budget.
-    let mut sweep = Table::new(&["target footprint (addrs)", "shadow MB", "signature MB (fixed)"]);
+    // address footprint while the signature follows it only up to its
+    // slot count and is flat after — the core space argument of Section
+    // III-B, visible only once footprints exceed the signature budget.
+    let mut sweep =
+        Table::new(&["target footprint (addrs)", "shadow MB", "signature MB (bounded)"]);
     for n in [100_000u64, 1_000_000, 4_000_000] {
         let w = synth::uniform(n, n / 4);
         let events = record_events(&w);

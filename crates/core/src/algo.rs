@@ -417,7 +417,8 @@ impl<S: AccessStore> AlgoState<S> {
     }
 
     /// Observability gauges over both signatures: occupied slots, fixed
-    /// slot capacity (0 for exact stores), cumulative evictions and an
+    /// slot capacity (0 for exact stores), cumulative evictions, bytes
+    /// held now and an
     /// occupancy-based false-positive-rate estimate (Formula 2 inverted:
     /// the observed occupancy pins down the effective insert count, which
     /// [`dp_sig::predicted_fpr`] turns back into a rate). Must be read
@@ -429,6 +430,7 @@ impl<S: AccessStore> AlgoState<S> {
             occupied_slots: (self.sig_read.occupied() + self.sig_write.occupied()) as u64,
             total_slots: (self.sig_read.slot_capacity() + self.sig_write.slot_capacity()) as u64,
             evictions: self.sig_read.evictions() + self.sig_write.evictions(),
+            bytes: (self.sig_read.bytes_held() + self.sig_write.bytes_held()) as u64,
             est_fpr_pct: est_read.max(est_write),
         }
     }

@@ -317,17 +317,33 @@ mod tests {
         assert!(matches!(err, CheckpointError::Unsupported(_)), "{err}");
     }
 
+    /// Signature memory follows occupancy up to the paper's figure — two
+    /// arrays of `nslots` 16-byte slots — and stops there: never more
+    /// than that plus the directories and one region in transit each.
     #[test]
-    fn signature_engine_has_fixed_signature_memory() {
-        let p1 = SequentialProfiler::with_signature(1 << 12);
-        let r1 = p1.finish();
-        let mut p2 = SequentialProfiler::with_signature(1 << 12);
-        for i in 0..10_000u64 {
-            p2.on_event(&TraceEvent::Access(MemAccess::write(i * 8, i + 1, loc(1, 1), 1, 0)));
-        }
-        let r2 = p2.finish();
-        assert_eq!(r1.memory.signatures, r2.memory.signatures);
-        // 2 signatures × 4096 slots × 16 B ≈ 128 KiB
-        assert!(r2.memory.signatures >= 2 * 4096 * 16);
+    fn signature_engine_has_bounded_signature_memory() {
+        const SLOTS: usize = 3 << 12;
+        let arrays = 2 * SLOTS * 16;
+        let run = |addrs: u64| {
+            let mut p = SequentialProfiler::with_signature(SLOTS);
+            for i in 0..addrs {
+                p.on_event(&TraceEvent::Access(MemAccess::write(
+                    i * 8,
+                    2 * i + 1,
+                    loc(1, 1),
+                    1,
+                    0,
+                )));
+                p.on_event(&TraceEvent::Access(MemAccess::read(i * 8, 2 * i + 2, loc(1, 2), 1, 0)));
+            }
+            p.finish().memory.signatures
+        };
+        let untouched = run(0);
+        assert!(untouched < arrays / 100, "{untouched} bytes for two empty signatures");
+        let (few, some, saturated) = (run(100), run(1_500), run(200_000));
+        assert!(untouched < few && few < some && some < saturated);
+        assert!(some < arrays / 2, "{some} bytes at an eighth full");
+        let slack = 2 * ((1 << 12) * 16 + 1024);
+        assert!((arrays..arrays + slack).contains(&saturated), "{saturated}");
     }
 }

@@ -420,6 +420,7 @@ impl Workers {
                     gauges.occupied_slots += out.gauges.occupied_slots;
                     gauges.total_slots += out.gauges.total_slots;
                     gauges.evictions += out.gauges.evictions;
+                    gauges.bytes += out.gauges.bytes;
                     // The worst worker's predicted FPR bounds the run's.
                     gauges.est_fpr_pct = gauges.est_fpr_pct.max(out.gauges.est_fpr_pct);
                     deps.merge(out.store);

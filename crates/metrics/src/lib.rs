@@ -270,6 +270,10 @@ pub struct SigGauges {
     /// overwrites in a signature, re-inserts of an existing key in exact
     /// stores.
     pub evictions: u64,
+    /// Bytes the stores hold at this moment (for a signature: directory,
+    /// sparse tables and dense regions — what `--slots` bounds, not what
+    /// it names).
+    pub bytes: u64,
     /// Formula 2 estimate of the false-positive rate implied by the
     /// current occupancy, in percent (0 for exact stores).
     pub est_fpr_pct: f64,
@@ -427,6 +431,7 @@ impl MetricsSnapshot {
         let _ = writeln!(s, "    \"occupied_slots\": {},", g.occupied_slots);
         let _ = writeln!(s, "    \"total_slots\": {},", g.total_slots);
         let _ = writeln!(s, "    \"evictions\": {},", g.evictions);
+        let _ = writeln!(s, "    \"bytes\": {},", g.bytes);
         let _ = writeln!(s, "    \"est_fpr_pct\": {:.6}", g.est_fpr_pct);
         s.push_str("  },\n");
         let p = &self.checkpoints;
@@ -506,8 +511,8 @@ impl MetricsSnapshot {
         let g = &self.signatures;
         let _ = writeln!(
             s,
-            "signatures: occupied={}/{} evictions={} est_fpr={:.4}%",
-            g.occupied_slots, g.total_slots, g.evictions, g.est_fpr_pct
+            "signatures: occupied={}/{} evictions={} bytes={} est_fpr={:.4}%",
+            g.occupied_slots, g.total_slots, g.evictions, g.bytes, g.est_fpr_pct
         );
         let p = &self.checkpoints;
         if p.generations > 0 || p.resumed_from > 0 {

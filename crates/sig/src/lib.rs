@@ -7,11 +7,14 @@
 //! searches on every access. A *signature* — a concept borrowed from
 //! transactional-memory conflict detection — trades a controlled amount of
 //! accuracy for bounded, tunable memory: a fixed-length slot array indexed
-//! by a single hash of the address.
+//! by a single hash of the address. The length fixes the accuracy and
+//! bounds the memory; what is allocated follows what the array holds
+//! (see [`signature`]).
 //!
 //! This crate provides:
 //!
-//! - [`Signature`] — the fixed-size, single-hash signature with
+//! - [`Signature`] — the fixed-length, single-hash signature, stored
+//!   region by region (sparse until a region fills), with
 //!   [`CompactSlot`] (4 B/slot, matching the paper's evaluation
 //!   configuration) and [`ExtendedSlot`] (16 B/slot; adds the thread id and
 //!   timestamp needed for multi-threaded targets and loop-carried

@@ -29,11 +29,6 @@ impl PerfectSignature {
             evictions: 0,
         }
     }
-
-    /// Extracts (returns and removes) the entry for `addr`.
-    pub fn take(&mut self, addr: Address) -> Option<SigEntry> {
-        self.map.remove(&addr)
-    }
 }
 
 impl AccessStore for PerfectSignature {
@@ -139,14 +134,12 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_take() {
+    fn remove_forgets_the_address() {
         let mut p = PerfectSignature::new();
-        p.put(0x8, e(1));
-        assert_eq!(p.take(0x8).unwrap().loc.line, 1);
-        assert_eq!(p.get(0x8), None);
         p.put(0x8, e(2));
         p.remove(0x8);
         assert_eq!(p.get(0x8), None);
+        assert_eq!(p.occupied(), 0);
     }
 
     #[test]

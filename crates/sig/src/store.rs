@@ -63,8 +63,17 @@ pub trait AccessStore: Send {
     }
 
     /// Bytes of memory attributable to this store, for the accounting
-    /// behind Figures 7/8.
+    /// behind Figures 7/8: computed from what is allocated, never from a
+    /// configured capacity. A store whose allocation can fall again
+    /// ([`Signature`](crate::Signature)) reports its high-water mark.
     fn memory_usage(&self) -> usize;
+
+    /// Bytes allocated at this moment (the `sig.bytes` gauge). Differs
+    /// from [`AccessStore::memory_usage`] only for a store that reports
+    /// a high-water mark there.
+    fn bytes_held(&self) -> usize {
+        self.memory_usage()
+    }
 
     /// Serializes the store's complete state into `out` for a crash-safe
     /// checkpoint, returning `true` on success. The default says the

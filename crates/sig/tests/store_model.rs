@@ -1,14 +1,18 @@
 //! Model-based property tests for the access stores: the *exact* stores
-//! must agree with a hash-map model on arbitrary operation sequences, and
-//! the approximate stores must satisfy their documented contracts.
+//! must agree with a hash-map model on arbitrary operation sequences, the
+//! approximate stores must satisfy their documented contracts, and the
+//! regioned [`Signature`] must be indistinguishable from the flat slot
+//! array it is specified by.
 
+use dp_sig::signature::REGION_SLOTS;
 use dp_sig::{
-    AccessStore, ExtendedSlot, HashHistory, PerfectSignature, ShadowMemory, SigEntry, Signature,
-    StrideStore,
+    AccessStore, CompactSlot, ExtendedSlot, HashHistory, PerfectSignature, ShadowMemory, SigEntry,
+    SigHash, Signature, Slot, StrideStore,
 };
 use dp_types::loc::loc;
+use dp_types::ByteWriter;
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -119,5 +123,328 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The regioned signature against the flat array it replaced.
+// ---------------------------------------------------------------------
+
+/// The signature as the paper draws it and as it was stored before the
+/// regions: one `Vec` of slots indexed by the hash. The oracle.
+struct Flat<S> {
+    slots: Vec<S>,
+    hash: SigHash,
+    occupied: usize,
+    evictions: u64,
+}
+
+impl<S: Slot> Flat<S> {
+    fn new(n: usize) -> Self {
+        Flat { slots: vec![S::EMPTY; n], hash: SigHash::new(n), occupied: 0, evictions: 0 }
+    }
+
+    fn get(&self, addr: u64) -> Option<SigEntry> {
+        self.slots[self.hash.index(addr)].decode()
+    }
+
+    fn put(&mut self, addr: u64, entry: SigEntry) {
+        let slot = &mut self.slots[self.hash.index(addr)];
+        if slot.is_empty() {
+            self.occupied += 1;
+        } else {
+            self.evictions += 1;
+        }
+        *slot = S::encode(entry);
+    }
+
+    fn remove(&mut self, addr: u64) {
+        let slot = &mut self.slots[self.hash.index(addr)];
+        if !slot.is_empty() {
+            *slot = S::EMPTY;
+            self.occupied -= 1;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(S::EMPTY);
+        self.occupied = 0;
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        let mut out = ByteWriter::new();
+        out.u64(self.slots.len() as u64);
+        out.u64(self.evictions);
+        out.u64(self.occupied as u64);
+        for (idx, e) in self.slots.iter().enumerate().filter_map(|(i, s)| Some((i, s.decode()?))) {
+            out.u64(idx as u64);
+            out.u32(e.loc.pack());
+            out.u16(e.thread);
+            out.u64(e.ts);
+        }
+        out.into_bytes()
+    }
+}
+
+/// Entries a full region's sparse table holds before the next one turns
+/// the region dense (1 024 cells at three quarters, for both layouts).
+const SPARSE_LIMIT: usize = 768;
+
+/// Addresses of one signature size, sorted into its regions so that a
+/// run can leave every kind of region behind: of each four consecutive
+/// regions the first is offered enough addresses to go dense, the second
+/// addresses for exactly [`SPARSE_LIMIT`] distinct slots plus one `tip`
+/// for a slot beyond them, the third a few, the fourth none.
+struct Pool {
+    nslots: usize,
+    regions: Vec<Vec<u64>>,
+    tips: Vec<Option<u64>>,
+}
+
+impl Pool {
+    fn new(nslots: usize) -> Pool {
+        let hash = SigHash::new(nslots);
+        let count = nslots.div_ceil(REGION_SLOTS);
+        let mut regions = vec![Vec::new(); count];
+        let mut tips = vec![None; count];
+        let mut slots: Vec<HashSet<usize>> = vec![HashSet::new(); count];
+        for addr in (0..3000 * count as u64).map(|i| 0x7f00_0000 + i * 8) {
+            let idx = hash.index(addr);
+            let r = idx / REGION_SLOTS;
+            let seen = slots[r].contains(&idx);
+            let quota = [usize::MAX, SPARSE_LIMIT, 40, 0][r % 4];
+            if seen || slots[r].len() < quota {
+                slots[r].insert(idx);
+                regions[r].push(addr);
+            } else if r % 4 == 1 {
+                tips[r].get_or_insert(addr);
+            }
+        }
+        Pool { nslots, regions, tips }
+    }
+
+    fn addr(&self, region: usize, nth: usize) -> Option<u64> {
+        let addrs = &self.regions[region % self.regions.len()];
+        (!addrs.is_empty()).then(|| addrs[nth % addrs.len()])
+    }
+}
+
+/// Slot counts under test: single slots, a short only region, one full
+/// region, a one-slot last region, a short last region, many regions.
+const SIZES: [usize; 7] = [1, 3, 128, 4096, 4097, 100_000, 1 << 20];
+
+fn pools() -> &'static [Pool] {
+    static POOLS: std::sync::OnceLock<Vec<Pool>> = std::sync::OnceLock::new();
+    POOLS.get_or_init(|| SIZES.iter().map(|&n| Pool::new(n)).collect())
+}
+
+#[derive(Debug, Clone, Copy)]
+enum SigOp {
+    Put {
+        region: usize,
+        nth: usize,
+        line: u32,
+    },
+    /// Puts the first `per_mille` thousandths of a region's addresses.
+    Fill {
+        region: usize,
+        per_mille: usize,
+    },
+    /// Puts the one address that takes a region filled to the limit over it.
+    Tip {
+        region: usize,
+    },
+    Remove {
+        region: usize,
+        nth: usize,
+    },
+    /// Removes every `stride`-th of a region's addresses.
+    Thin {
+        region: usize,
+        stride: usize,
+    },
+    Get {
+        region: usize,
+        nth: usize,
+    },
+    Clear,
+    /// `save_state`, then `restore_state` into a fresh signature.
+    Reload,
+}
+
+fn sig_ops() -> impl Strategy<Value = Vec<SigOp>> {
+    let region = || 0usize..8;
+    let nth = || 0usize..4000;
+    prop::collection::vec(
+        prop_oneof![
+            8 => (region(), nth(), 1u32..5000)
+                .prop_map(|(region, nth, line)| SigOp::Put { region, nth, line }),
+            3 => (region(), prop_oneof![2 => 0usize..1001, 1 => Just(1000usize)])
+                .prop_map(|(region, per_mille)| SigOp::Fill { region, per_mille }),
+            2 => region().prop_map(|region| SigOp::Tip { region }),
+            4 => (region(), nth()).prop_map(|(region, nth)| SigOp::Remove { region, nth }),
+            1 => (region(), 1usize..7).prop_map(|(region, stride)| SigOp::Thin { region, stride }),
+            6 => (region(), nth()).prop_map(|(region, nth)| SigOp::Get { region, nth }),
+            1 => Just(SigOp::Clear),
+            1 => Just(SigOp::Reload),
+        ],
+        1..48,
+    )
+}
+
+fn save<S: Slot>(sig: &Signature<S>) -> Vec<u8> {
+    let mut out = ByteWriter::new();
+    assert!(sig.save_state(&mut out));
+    out.into_bytes()
+}
+
+fn check_against_flat<S: Slot>(pool: &Pool, ops: &[SigOp]) -> Result<(), TestCaseError> {
+    let n = pool.nslots;
+    let mut sig = Signature::<S>::new(n);
+    let mut flat = Flat::<S>::new(n);
+    let mut ts = 0u64;
+    let mut entry = |line: u32| {
+        ts += 1;
+        SigEntry::new(loc((ts % 3) as u8 + 1, line), (ts % 5) as u16, ts)
+    };
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            SigOp::Put { region, nth, line } => {
+                if let Some(addr) = pool.addr(region, nth) {
+                    let e = entry(line);
+                    sig.put(addr, e);
+                    flat.put(addr, e);
+                }
+            }
+            SigOp::Fill { region, per_mille } => {
+                let addrs = &pool.regions[region % pool.regions.len()];
+                for &addr in &addrs[..addrs.len() * per_mille / 1000] {
+                    let e = entry(7);
+                    sig.put(addr, e);
+                    flat.put(addr, e);
+                }
+            }
+            SigOp::Tip { region } => {
+                if let Some(addr) = pool.tips[region % pool.tips.len()] {
+                    let e = entry(9);
+                    sig.put(addr, e);
+                    flat.put(addr, e);
+                }
+            }
+            SigOp::Remove { region, nth } => {
+                if let Some(addr) = pool.addr(region, nth) {
+                    sig.remove(addr);
+                    flat.remove(addr);
+                }
+            }
+            SigOp::Thin { region, stride } => {
+                let addrs = &pool.regions[region % pool.regions.len()];
+                for &addr in addrs.iter().step_by(stride) {
+                    sig.remove(addr);
+                    flat.remove(addr);
+                }
+            }
+            SigOp::Get { region, nth } => {
+                if let Some(addr) = pool.addr(region, nth) {
+                    prop_assert_eq!(sig.get(addr), flat.get(addr), "n={} step {}", n, step);
+                }
+            }
+            SigOp::Clear => {
+                sig.clear();
+                flat.clear();
+            }
+            SigOp::Reload => {
+                let bytes = save(&sig);
+                sig = Signature::new(n);
+                sig.restore_state(&bytes).expect("own bytes restore");
+            }
+        }
+        prop_assert_eq!(sig.occupied(), flat.occupied, "n={} after step {}: {:?}", n, step, op);
+        prop_assert_eq!(sig.evictions(), flat.evictions, "n={} after step {}: {:?}", n, step, op);
+        if step % 8 == 7 || step + 1 == ops.len() {
+            prop_assert!(save(&sig) == flat.save_state(), "n={} after step {}: {:?}", n, step, op);
+            for region in 0..pool.regions.len().min(8) {
+                for nth in (0..4000).step_by(97) {
+                    if let Some(addr) = pool.addr(region, nth) {
+                        prop_assert_eq!(sig.get(addr), flat.get(addr));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(56))]
+
+    /// Whatever mix of vacant, sparse, full-to-the-limit and dense regions
+    /// a run leaves behind, every answer, both counters and the
+    /// checkpoint bytes are those of the flat array.
+    #[test]
+    fn regioned_signature_equals_flat_array(size in 0usize..SIZES.len(), ops in sig_ops()) {
+        check_against_flat::<ExtendedSlot>(&pools()[size], &ops)?;
+        check_against_flat::<CompactSlot>(&pools()[size], &ops)?;
+    }
+}
+
+/// The deterministic walk the random one might miss: a region filled to
+/// exactly the limit, tipped over, and emptied again, checked at each
+/// stage — beside a dense, a sparse and a vacant neighbour.
+#[test]
+fn region_at_the_conversion_threshold_equals_flat_array() {
+    let limit = [SigOp::Fill { region: 1, per_mille: 1000 }];
+    let around = [
+        SigOp::Fill { region: 0, per_mille: 1000 },
+        SigOp::Fill { region: 2, per_mille: 1000 },
+        SigOp::Fill { region: 1, per_mille: 1000 },
+        SigOp::Reload,
+        SigOp::Tip { region: 1 },
+        SigOp::Reload,
+        SigOp::Thin { region: 1, stride: 1 },
+        SigOp::Thin { region: 0, stride: 2 },
+        SigOp::Fill { region: 1, per_mille: 500 },
+    ];
+    for pool in pools().iter().filter(|p| p.nslots >= 2 * REGION_SLOTS) {
+        let tip = pool.tips[1].expect("region 1 is offered a slot past the limit");
+        let mut sig = Signature::<ExtendedSlot>::new(pool.nslots);
+        let vacant = sig.bytes_held();
+        for &addr in &pool.regions[1] {
+            sig.put(addr, SigEntry::new(loc(1, 1), 0, 0));
+        }
+        assert_eq!(sig.occupied(), SPARSE_LIMIT);
+        let table = sig.bytes_held() - vacant;
+        assert_eq!(table, 1024 * 18, "n={}: at the limit the region is still a table", pool.nslots);
+        sig.put(tip, SigEntry::new(loc(1, 1), 0, 0));
+        assert_eq!(sig.bytes_held() - vacant, REGION_SLOTS * 16, "and one more makes it dense");
+        for ops in [&limit[..], &around[..]] {
+            check_against_flat::<ExtendedSlot>(pool, ops).unwrap();
+            check_against_flat::<CompactSlot>(pool, ops).unwrap();
+        }
+    }
+}
+
+/// An entry whose location packs to zero encodes as the vacant slot; the
+/// flat array counted such a put and stored nothing, and so does this.
+#[test]
+fn put_of_a_vacant_encoding_equals_flat_array() {
+    for n in [64usize, REGION_SLOTS] {
+        let mut sig = Signature::<ExtendedSlot>::new(n);
+        let mut flat = Flat::<ExtendedSlot>::new(n);
+        let nothing = SigEntry::new(loc(0, 0), 3, 9);
+        let steps: [(u64, SigEntry); 5] = [
+            (0x10, nothing),
+            (0x18, SigEntry::new(loc(1, 5), 0, 1)),
+            (0x18, nothing),
+            (0x18, SigEntry::new(loc(1, 6), 0, 2)),
+            (0x10, nothing),
+        ];
+        for (addr, e) in steps {
+            sig.put(addr, e);
+            flat.put(addr, e);
+            assert_eq!(sig.get(addr), flat.get(addr));
+            assert_eq!((sig.occupied(), sig.evictions()), (flat.occupied, flat.evictions));
+        }
+        assert!(save(&sig) == flat.save_state());
     }
 }

@@ -161,6 +161,54 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Signature storage across versions: same report, whatever held the slots.
+// ---------------------------------------------------------------------
+
+/// Length and FNV-1a hash of the report the build before the signature
+/// was stored region by region rendered for `rgbyuv` (scale 0.05; 3 150
+/// addresses) profiled serially with 16 000 slots: three full regions
+/// and a short one, which the write signature ends with dense, dense,
+/// dense and sparse, and the read signature with all four sparse.
+const PARENT_RGBYUV_REPORT: (usize, u64) = (6615, 9_368_868_851_919_359_545);
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+#[test]
+fn checkpoint_written_mid_run_resumes_to_the_parents_report() {
+    use depprof::trace::workloads::{starbench_suite, Scale};
+    const SLOTS: usize = 16_000;
+    let rgbyuv = starbench_suite(Scale(0.05))
+        .into_iter()
+        .find(|w| w.meta.name == "rgbyuv")
+        .expect("rgbyuv workload");
+    let mut collected = depprof::trace::CollectTracer::new();
+    depprof::trace::Interp::new(&rgbyuv.program).run_seq(&mut collected);
+    let evs = collected.events;
+    let report = |p: SequentialProfiler<Signature<ExtendedSlot>>| {
+        depprof::core::report::render(&p.finish(), &rgbyuv.program.interner, false)
+    };
+
+    let mut whole = SequentialProfiler::with_signature(SLOTS);
+    evs.iter().for_each(|ev| whole.on_event(ev));
+    let uninterrupted = report(whole);
+    assert_eq!((uninterrupted.len(), fnv1a(&uninterrupted)), PARENT_RGBYUV_REPORT);
+
+    for cut in [evs.len() / 50, evs.len() / 2] {
+        let mut first = SequentialProfiler::with_signature(SLOTS);
+        evs[..cut].iter().for_each(|ev| first.on_event(ev));
+        let data = first.checkpoint_data(1, cut as u64, Vec::new()).unwrap();
+        drop(first);
+        let mut resumed = SequentialProfiler::with_signature(SLOTS);
+        resumed.restore(&data).unwrap();
+        evs[cut..].iter().for_each(|ev| resumed.on_event(ev));
+        assert!(report(resumed) == uninterrupted, "cut at {cut} of {}", evs.len());
+    }
+}
+
+// ---------------------------------------------------------------------
 // Router statistics across versions: the blob layout outlives the map.
 // ---------------------------------------------------------------------
 

@@ -152,3 +152,41 @@ fn parallel_snapshot_carries_aggregated_gauges() {
     assert!(g.occupied_slots <= g.total_slots);
     assert!(g.est_fpr_pct >= 0.0 && g.est_fpr_pct <= 100.0);
 }
+
+/// `bytes` is what the signatures hold now: next to nothing before the
+/// first access, more with every new address while regions are sparse,
+/// and at saturation the two slot arrays — the ceiling `--slots` names —
+/// plus their directories, with no trace of the regions' earlier tables.
+#[test]
+fn bytes_rise_with_occupancy_to_the_dense_ceiling() {
+    use depprof::sig::AccessStore;
+    use depprof::types::{loc::loc, MemAccess};
+    const SLOTS: usize = 5_000; // one full region and a short one
+    let gauges_after = |addrs: u64| {
+        let mut p = SequentialProfiler::with_signature(SLOTS);
+        for i in 0..addrs {
+            let (addr, ts) = (0x4000 + i * 8, 2 * i + 1);
+            p.on_event(&TraceEvent::Access(MemAccess::write(addr, ts, loc(1, 1), 1, 0)));
+            p.on_event(&TraceEvent::Access(MemAccess::read(addr, ts + 1, loc(1, 2), 1, 0)));
+        }
+        p.finish().metrics
+    };
+    let empty = gauges_after(0);
+    if !empty.enabled {
+        return;
+    }
+    let directories = 2 * Signature::<ExtendedSlot>::new(SLOTS).bytes_held() as u64;
+    assert_eq!(empty.signatures.bytes, directories);
+    assert!(directories < 2 * 16 * SLOTS as u64 / 100);
+
+    let mut last = empty.signatures;
+    for addrs in [50, 200, 600, 2_000, 40_000] {
+        let g = gauges_after(addrs).signatures;
+        assert!(g.occupied_slots > last.occupied_slots, "{addrs} addresses: {g:?}");
+        // Every region is dense from 2 000 addresses on: the ceiling.
+        assert!(g.bytes > last.bytes || addrs > 2_000, "{addrs} addresses: {g:?} after {last:?}");
+        last = g;
+    }
+    assert_eq!(last.occupied_slots, 2 * SLOTS as u64, "40 000 addresses saturate 5 000 slots");
+    assert_eq!(last.bytes, 2 * 16 * SLOTS as u64 + directories);
+}

@@ -5,12 +5,12 @@
 //! representations, including dynamic execution tree, call tree,
 //! dependence graph, loop table". This module is the dependence-graph
 //! representation: nodes are statements (source location + thread), edges
-//! are the merged dependences, and the usual graph queries — neighbours,
-//! reachability over true dependences, Graphviz export — come built in.
+//! are the merged dependences, and the graph queries something reads —
+//! successors, RAW depth, Graphviz export — come built in.
 
 use dp_core::ProfileResult;
-use dp_types::{DepFlags, DepType, SinkKey, ThreadId};
-use dp_types::{FxHashMap, FxHashSet, SourceLoc};
+use dp_types::{DepFlags, DepType, SinkKey};
+use dp_types::{FxHashMap, FxHashSet};
 use std::collections::BTreeSet;
 
 /// A statement node: location + target thread.
@@ -37,7 +37,6 @@ pub struct GraphEdge {
 pub struct DepGraph {
     edges: Vec<GraphEdge>,
     out: FxHashMap<Node, Vec<usize>>,
-    inc: FxHashMap<Node, Vec<usize>>,
     nodes: BTreeSet<Node>,
 }
 
@@ -61,46 +60,15 @@ impl DepGraph {
                 carried: d.edge.flags.contains(DepFlags::LOOP_CARRIED),
             });
             g.out.entry(from).or_default().push(idx);
-            g.inc.entry(to).or_default().push(idx);
             g.nodes.insert(from);
             g.nodes.insert(to);
         }
         g
     }
 
-    /// All nodes, ordered.
-    pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.iter()
-    }
-
-    /// All edges.
-    pub fn edges(&self) -> &[GraphEdge] {
-        &self.edges
-    }
-
     /// Outgoing edges of `n` (statements that depend on `n`).
     pub fn successors(&self, n: Node) -> impl Iterator<Item = &GraphEdge> {
         self.out.get(&n).into_iter().flatten().map(move |&i| &self.edges[i])
-    }
-
-    /// Incoming edges of `n` (statements `n` depends on).
-    pub fn predecessors(&self, n: Node) -> impl Iterator<Item = &GraphEdge> {
-        self.inc.get(&n).into_iter().flatten().map(move |&i| &self.edges[i])
-    }
-
-    /// Statements reachable from `n` through RAW edges only — the
-    /// dataflow cone of influence of the statement.
-    pub fn raw_reachable(&self, n: Node) -> FxHashSet<Node> {
-        let mut seen: FxHashSet<Node> = FxHashSet::default();
-        let mut stack = vec![n];
-        while let Some(cur) = stack.pop() {
-            for e in self.successors(cur) {
-                if e.dtype == DepType::Raw && seen.insert(e.to) {
-                    stack.push(e.to);
-                }
-            }
-        }
-        seen
     }
 
     /// Length (in edges) of the longest acyclic RAW chain — a crude
@@ -171,16 +139,15 @@ impl DepGraph {
     }
 }
 
-/// Convenience: build a node.
-pub fn node(loc: SourceLoc, thread: ThreadId) -> Node {
-    SinkKey { loc, thread }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dp_core::SequentialProfiler;
-    use dp_types::{loc::loc, MemAccess, TraceEvent, Tracer};
+    use dp_types::{loc::loc, MemAccess, SourceLoc, TraceEvent, Tracer};
+
+    fn node(loc: SourceLoc, thread: u16) -> Node {
+        SinkKey { loc, thread }
+    }
 
     /// chain: line1 writes A, line2 reads A writes B, line3 reads B.
     fn chain_result() -> ProfileResult {
@@ -203,17 +170,6 @@ mod tests {
         let succ: Vec<_> = g.successors(n1).collect();
         assert_eq!(succ.len(), 1);
         assert_eq!(succ[0].to, node(loc(1, 2), 0));
-        assert_eq!(g.predecessors(node(loc(1, 3), 0)).count(), 1);
-    }
-
-    #[test]
-    fn raw_reachability_transitive() {
-        let r = chain_result();
-        let g = DepGraph::build(&r);
-        let cone = g.raw_reachable(node(loc(1, 1), 0));
-        assert!(cone.contains(&node(loc(1, 2), 0)));
-        assert!(cone.contains(&node(loc(1, 3), 0)));
-        assert_eq!(cone.len(), 2);
     }
 
     #[test]

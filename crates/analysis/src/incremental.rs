@@ -152,6 +152,7 @@ impl OnlineAnalysis {
                 OnlineLoopRow {
                     id,
                     name: format!("loop#{id}"),
+                    omp: false,
                     class,
                     instances: st.instances,
                     iterations: st.iterations,
@@ -204,9 +205,12 @@ fn class_rank(class: LoopClass) -> u8 {
 pub struct OnlineLoopRow {
     /// Static loop id.
     pub id: LoopId,
-    /// Synthetic name (`loop#<id>`); sessions carry no static loop
-    /// table, so ids are the stable handle.
+    /// The loop's name in the program's static loop table; sessions
+    /// carry no such table and use the synthetic `loop#<id>`.
     pub name: String,
+    /// Ground truth: annotated parallel in the OpenMP version (always
+    /// `false` where no static loop table is known).
+    pub omp: bool,
     /// Dependence-test verdict.
     pub class: LoopClass,
     /// Dynamic instances observed.
@@ -217,10 +221,12 @@ pub struct OnlineLoopRow {
     pub blockers: Vec<(SourceLoc, SourceLoc, VarId)>,
 }
 
-/// A full live-analysis snapshot: loop classification, communication
-/// matrix and race hints. Two reports over the same dependence
-/// evidence compare equal ([`PartialEq`]), which is how the
-/// incremental == post-hoc bar is enforced everywhere.
+/// The analysis report: loop classification, communication matrix and
+/// race hints, built live ([`OnlineAnalysis::report`]) or from a finished
+/// profile ([`report_for`]). Two reports over the same dependence
+/// evidence compare equal ([`PartialEq`]), which is how the incremental
+/// == post-hoc bar is enforced everywhere. [`to_json`](Self::to_json)
+/// renders it for the wire, [`to_text`](Self::to_text) for a terminal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OnlineReport {
     /// One row per observed loop, in id order.
@@ -238,8 +244,6 @@ impl OnlineReport {
     /// `interner` where possible (`var<N>` fallback). Hand-rolled —
     /// the output is small and the repo carries no JSON dependency.
     pub fn to_json(&self, interner: &Interner, loops: bool, comm: bool, races: bool) -> String {
-        let var_name =
-            |v: VarId| interner.get(v).map(str::to_owned).unwrap_or_else(|| format!("var{v}"));
         let mut parts: Vec<String> = Vec::new();
         if loops {
             let rows: Vec<String> = self
@@ -254,7 +258,7 @@ impl OnlineReport {
                                 "{{\"sink\":{},\"source\":{},\"var\":{}}}",
                                 json_string(&sink.to_string()),
                                 json_string(&src.to_string()),
-                                json_string(&var_name(var))
+                                json_string(&var_name(interner, var))
                             )
                         })
                         .collect();
@@ -296,8 +300,8 @@ impl OnlineReport {
                     format!(
                         "{{\"dtype\":{},\"var\":{},\"sink\":{},\"sink_thread\":{},\
                          \"source\":{},\"source_thread\":{},\"occurrences\":{}}}",
-                        json_string(dtype_name(r.dtype)),
-                        json_string(&var_name(r.var)),
+                        json_string(&r.dtype.to_string()),
+                        json_string(&var_name(interner, r.var)),
                         json_string(&r.sink.0.to_string()),
                         r.sink.1,
                         json_string(&r.source.0.to_string()),
@@ -310,6 +314,80 @@ impl OnlineReport {
         }
         format!("{{{}}}", parts.join(","))
     }
+
+    /// Renders the report for a terminal as three named sections: the
+    /// loop table with each loop's first blocker (variables resolved
+    /// like the dependence report does, `var<N>` for a foreign id), the
+    /// Figure 9 heatmap, and one line per race hint. A report built
+    /// with a zero-dimension matrix is a sequential target's.
+    pub fn to_text(&self, interner: &Interner) -> Vec<(&'static str, String)> {
+        let count = |class| self.loops.iter().filter(|r| r.class == class).count();
+        let mut loops = format!(
+            "{}/{} loops parallelizable, {} reduction candidates\n\
+             {:<24} {:>5} {:>11} {:>10} {:>10}  blocker\n",
+            count(LoopClass::Doall),
+            self.loops.len(),
+            count(LoopClass::Reduction),
+            "loop",
+            "OMP",
+            "class",
+            "instances",
+            "avg iters"
+        );
+        for r in &self.loops {
+            let avg_iters =
+                if r.instances == 0 { 0.0 } else { r.iterations as f64 / r.instances as f64 };
+            let blocker = r
+                .blockers
+                .first()
+                .map(|&(sink, src, var)| format!("{}: {src} -> {sink}", var_name(interner, var)))
+                .unwrap_or_default();
+            loops.push_str(&format!(
+                "{:<24} {:>5} {:>11} {:>10} {:>10.1}  {}\n",
+                r.name,
+                if r.omp { "yes" } else { "no" },
+                class_name(r.class),
+                r.instances,
+                avg_iters,
+                blocker
+            ));
+        }
+        let comm = if self.comm.dim() == 0 {
+            "sequential target: no cross-thread communication".into()
+        } else {
+            format!("total volume {}\n{}", self.comm.total(), self.comm.render_ascii())
+        };
+        let races = if self.races.is_empty() {
+            "no reversal-flagged dependences".into()
+        } else {
+            let lines: Vec<String> = self
+                .races
+                .iter()
+                .map(|r| {
+                    format!(
+                        "{:?} {} (t{}) <- {} (t{}) on '{}'",
+                        r.dtype,
+                        r.sink.0,
+                        r.sink.1,
+                        r.source.0,
+                        r.source.1,
+                        interner.get(r.var).unwrap_or("?")
+                    )
+                })
+                .collect();
+            lines.join("\n")
+        };
+        vec![
+            ("parallelism-discovery", loops),
+            ("communication-pattern", comm),
+            ("race-hints", races),
+        ]
+    }
+}
+
+/// A variable's name, `var<N>` for an id the interner never produced.
+fn var_name(interner: &Interner, v: VarId) -> String {
+    interner.get(v).map(str::to_owned).unwrap_or_else(|| format!("var{v}"))
 }
 
 /// Stable class names used in reports and JSON (the loop-table
@@ -320,15 +398,6 @@ pub fn class_name(class: LoopClass) -> &'static str {
         LoopClass::Reduction => "reduction",
         LoopClass::Sequential => "sequential",
         LoopClass::NotExecuted => "not-run",
-    }
-}
-
-fn dtype_name(d: DepType) -> &'static str {
-    match d {
-        DepType::Raw => "RAW",
-        DepType::War => "WAR",
-        DepType::Waw => "WAW",
-        DepType::Init => "INIT",
     }
 }
 
@@ -377,15 +446,13 @@ pub fn observed_comm_dim(result: &ProfileResult) -> usize {
         .unwrap_or(0)
 }
 
-/// The post-hoc twin of [`OnlineAnalysis::report`]: runs the real
-/// passes ([`classify_loops`], [`communication_matrix`],
-/// [`find_races`]) over a finished result and shapes their output into
-/// an [`OnlineReport`]. The equivalence bar everywhere is
-/// `online.report() == posthoc_report(&final_result)`.
-pub fn posthoc_report(result: &ProfileResult) -> OnlineReport {
-    let metas = observed_loop_metas(result);
-    let verdicts = classify_loops(result, &metas);
-    let loops = verdicts
+/// Runs the post-hoc passes ([`classify_loops`],
+/// [`communication_matrix`], [`find_races`]) over a finished result and
+/// joins each verdict with its loop record — the one place that does.
+/// `metas` names the loops to report (a program's static loop table, or
+/// [`observed_loop_metas`]); `comm_dim` sizes the matrix.
+pub fn report_for(result: &ProfileResult, metas: &[LoopMeta], comm_dim: usize) -> OnlineReport {
+    let loops = classify_loops(result, metas)
         .into_iter()
         .map(|v| {
             let rec = result.deps.loop_record(v.meta.id);
@@ -394,6 +461,7 @@ pub fn posthoc_report(result: &ProfileResult) -> OnlineReport {
             OnlineLoopRow {
                 id: v.meta.id,
                 name: v.meta.name,
+                omp: v.meta.omp,
                 class: v.class,
                 instances: rec.map_or(0, |r| r.instances),
                 iterations: v.iterations,
@@ -401,9 +469,14 @@ pub fn posthoc_report(result: &ProfileResult) -> OnlineReport {
             }
         })
         .collect();
-    let comm = communication_matrix(result, observed_comm_dim(result));
-    let races = find_races(result);
-    OnlineReport { loops, comm, races }
+    OnlineReport { loops, comm: communication_matrix(result, comm_dim), races: find_races(result) }
+}
+
+/// The post-hoc twin of [`OnlineAnalysis::report`]: [`report_for`] over
+/// what the profile alone shows. The equivalence bar everywhere is
+/// `online.report() == posthoc_report(&final_result)`.
+pub fn posthoc_report(result: &ProfileResult) -> OnlineReport {
+    report_for(result, &observed_loop_metas(result), observed_comm_dim(result))
 }
 
 /// Builds the full catch-up delta of a finished store: everything it
@@ -600,6 +673,87 @@ mod tests {
         let report = fold_result(&r).report();
         assert_eq!(report.comm.dim(), 0);
         assert_eq!(report, posthoc_report(&r));
+    }
+
+    fn result_with_loop() -> ProfileResult {
+        let mut p = SequentialProfiler::perfect();
+        p.event(TraceEvent::LoopBegin { loop_id: 0, loc: loc(1, 1), thread: 0, ts: 1 });
+        for it in 0..4u64 {
+            p.event(TraceEvent::LoopIter { loop_id: 0, iter: it, thread: 0, ts: 2 + it * 10 });
+            let a = 0x100 + it * 8;
+            p.event(TraceEvent::Access(MemAccess::write(a, 3 + it * 10, loc(1, 2), 1, 0)));
+        }
+        p.event(TraceEvent::LoopEnd { loop_id: 0, loc: loc(1, 3), iters: 4, thread: 0, ts: 99 });
+        p.finish()
+    }
+
+    fn meta() -> Vec<LoopMeta> {
+        vec![
+            LoopMeta { id: 0, name: "init".into(), omp: true },
+            LoopMeta { id: 7, name: "ghost".into(), omp: false },
+        ]
+    }
+
+    #[test]
+    fn table_rows_join_stats_and_verdicts() {
+        let r = result_with_loop();
+        let t = report_for(&r, &meta(), 0);
+        assert_eq!(t.loops.len(), 2);
+        assert_eq!((t.loops[0].instances, t.loops[0].iterations), (1, 4));
+        assert!(t.loops[0].omp && !t.loops[1].omp);
+        assert_eq!(t.loops[0].class, LoopClass::Doall);
+        assert_eq!(t.loops[1].class, LoopClass::NotExecuted);
+        let loops = &t.to_text(&Interner::new())[0].1;
+        assert!(loops.starts_with("1/2 loops parallelizable, 0 reduction candidates\n"), "{loops}");
+        assert!(loops.contains("       4.0  "), "avg iters column:\n{loops}");
+    }
+
+    #[test]
+    fn render_mentions_loops() {
+        let r = result_with_loop();
+        let s = &report_for(&r, &meta(), 0).to_text(&Interner::new())[0].1;
+        assert!(s.contains("init"));
+        assert!(s.contains("DOALL"));
+        assert!(s.contains("not-run"));
+    }
+
+    #[test]
+    fn render_resolves_blocker_variable_names() {
+        let mut interner = Interner::new();
+        let acc = interner.intern("acc");
+        let mut p = SequentialProfiler::perfect();
+        p.event(TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 5), thread: 0, ts: 1 });
+        for it in 0..3u64 {
+            let t = 10 + it * 10;
+            p.event(TraceEvent::LoopIter { loop_id: 1, iter: it, thread: 0, ts: t });
+            p.event(TraceEvent::Access(MemAccess::read(0x900, t + 1, loc(1, 6), acc, 0)));
+            p.event(TraceEvent::Access(MemAccess::write(0x900, t + 2, loc(1, 6), acc, 0)));
+        }
+        p.event(TraceEvent::LoopEnd { loop_id: 1, loc: loc(1, 7), iters: 3, thread: 0, ts: 99 });
+        let r = p.finish();
+        let t = report_for(&r, &[LoopMeta { id: 1, name: "sum".into(), omp: true }], 0);
+        let s = &t.to_text(&interner)[0].1;
+        assert!(s.contains("acc: 1:6 -> 1:6"), "blocker must name the variable:\n{s}");
+        // A foreign id (not in this interner) falls back to var<N>.
+        let s2 = &t.to_text(&Interner::new())[0].1;
+        assert!(s2.contains(&format!("var{acc}: 1:6 -> 1:6")), "{s2}");
+    }
+
+    #[test]
+    fn text_names_the_matrix_and_the_races() {
+        let r = mixed_profile();
+        let text = report_for(&r, &[], 3).to_text(&Interner::new());
+        let names: Vec<_> = text.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, ["parallelism-discovery", "communication-pattern", "race-hints"]);
+        assert!(text[1].1.starts_with("total volume 5\nprod\\cons   0  1  2\n"), "{}", text[1].1);
+        assert_eq!(text[2].1, "no reversal-flagged dependences");
+        let sink = SinkKey { loc: loc(3, 9), thread: 2 };
+        let mut store = DepStore::new();
+        store.add(sink, DepType::War, loc(3, 1), 1, 7, DepFlags::REVERSED, None);
+        let racy = ProfileResult { deps: store, ..Default::default() };
+        let text = posthoc_report(&racy).to_text(&Interner::new());
+        assert_eq!(text[1].1, "sequential target: no cross-thread communication");
+        assert_eq!(text[2].1, "War 3:9 (t2) <- 3:1 (t1) on '?'");
     }
 
     #[test]

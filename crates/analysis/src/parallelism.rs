@@ -144,23 +144,6 @@ pub fn privatization_candidates(
         .collect()
 }
 
-/// Table II row for one program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Table2Row {
-    /// `# OMP`: loops annotated parallel in the OpenMP version.
-    pub omp: usize,
-    /// `# identified`: annotated loops the dependence test accepts.
-    pub identified: usize,
-}
-
-/// Computes the Table II row: of the OMP-annotated loops, how many are
-/// identified (DOALL) by the dependence evidence in `result`.
-pub fn table2_row(result: &ProfileResult, loops: &[LoopMeta]) -> Table2Row {
-    let verdicts = classify_loops(result, loops);
-    let omp: Vec<_> = verdicts.iter().filter(|v| v.meta.omp).collect();
-    Table2Row { omp: omp.len(), identified: omp.iter().filter(|v| v.identified()).count() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,18 +240,6 @@ mod tests {
         let r = profile(&evs);
         let v = classify_loops(&r, &[meta(2, false)]);
         assert_eq!(v[0].class, LoopClass::Sequential);
-    }
-
-    #[test]
-    fn table2_row_counts_only_omp_loops() {
-        let mut evs = doall_events();
-        evs.extend(reduction_events());
-        evs.extend(recurrence_events());
-        let r = profile(&evs);
-        let metas = [meta(0, true), meta(1, true), meta(2, false)];
-        let row = table2_row(&r, &metas);
-        assert_eq!(row.omp, 2);
-        assert_eq!(row.identified, 1);
     }
 
     #[test]

@@ -411,11 +411,6 @@ impl<S: AccessStore> AlgoState<S> {
         Ok(())
     }
 
-    /// Read-side signature occupancy (diagnostics).
-    pub fn occupancy(&self) -> (usize, usize) {
-        (self.sig_read.occupied(), self.sig_write.occupied())
-    }
-
     /// Observability gauges over both signatures: occupied slots, fixed
     /// slot capacity (0 for exact stores), cumulative evictions, bytes
     /// held now and an
@@ -433,12 +428,6 @@ impl<S: AccessStore> AlgoState<S> {
             bytes: (self.sig_read.bytes_held() + self.sig_write.bytes_held()) as u64,
             est_fpr_pct: est_read.max(est_write),
         }
-    }
-
-    /// The sink location a dependence on `addr` would currently use as its
-    /// write source, if any (test hook).
-    pub fn last_write(&self, addr: u64) -> Option<SourceLoc> {
-        self.sig_write.get(addr).map(|e| e.loc)
     }
 }
 
@@ -743,7 +732,7 @@ mod tests {
         let bytes = out.into_bytes();
         let mut b = mk();
         b.restore_state(&bytes).unwrap();
-        assert_eq!(a.occupancy(), b.occupancy());
+        assert_eq!(a.sig_gauges().occupied_slots, b.sig_gauges().occupied_slots);
         assert_eq!(a.counters(), b.counters());
         // Identical state re-serializes to identical bytes.
         let mut again = ByteWriter::new();
@@ -763,7 +752,7 @@ mod tests {
         let (r, w) = a.extract(0x8);
         assert_eq!(r.unwrap().loc.line, 11);
         assert_eq!(w.unwrap().loc.line, 10);
-        assert_eq!(a.last_write(0x8), None);
+        assert_eq!(a.extract(0x8), (None, None), "extraction empties both signatures");
         let mut b = perfect();
         b.inject(0x8, r, w);
         b.on_event(&acc(AccessKind::Read, 0x8, 3, 12));

@@ -74,13 +74,6 @@ pub struct FaultPlan {
     /// [`FailingTransport`]: percentage (0–100) of pops that spuriously
     /// report "empty".
     pub spurious_recv_empty_pct: u8,
-    /// Kill the whole process (`abort`, no unwinding, no destructors —
-    /// the honest simulation of SIGKILL/OOM) after the feed loop has
-    /// consumed this many trace records. The hook lives in the *driver*,
-    /// not the engines: the CLI checks the plan between records, so the
-    /// kill lands at a deterministic record index and the
-    /// checkpoint/resume suite can cut a run at any point it likes.
-    pub kill_after_records: Option<u64>,
 }
 
 impl FaultPlan {
@@ -96,7 +89,6 @@ impl FaultPlan {
             && self.drop_nth_extract_reply.is_none()
             && self.spurious_send_fail_pct == 0
             && self.spurious_recv_empty_pct == 0
-            && self.kill_after_records.is_none()
     }
 
     /// Builder: set the seed.
@@ -127,13 +119,6 @@ impl FaultPlan {
     pub fn with_spurious(mut self, send_fail_pct: u8, recv_empty_pct: u8) -> Self {
         self.spurious_send_fail_pct = send_fail_pct.min(100);
         self.spurious_recv_empty_pct = recv_empty_pct.min(100);
-        self
-    }
-
-    /// Builder: kill the process after `n` trace records (see
-    /// [`FaultPlan::kill_after_records`]).
-    pub fn with_kill(mut self, after_records: u64) -> Self {
-        self.kill_after_records = Some(after_records);
         self
     }
 }
@@ -292,7 +277,6 @@ mod tests {
         assert!(!FaultPlan::none().with_stall(0, 0).is_none());
         assert!(!FaultPlan::none().with_dropped_reply(0).is_none());
         assert!(!FaultPlan::none().with_spurious(10, 0).is_none());
-        assert!(!FaultPlan::none().with_kill(100).is_none());
         // The seed alone schedules nothing.
         assert!(FaultPlan::none().with_seed(42).is_none());
     }

@@ -36,11 +36,6 @@ impl HashHistory {
     fn bucket(&self, addr: Address) -> usize {
         (self.state.hash_one(addr) as usize) % self.buckets.len()
     }
-
-    /// Longest chain length (diagnostic for the slowdown analysis).
-    pub fn max_chain(&self) -> usize {
-        self.buckets.iter().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 impl AccessStore for HashHistory {
@@ -114,7 +109,6 @@ mod tests {
             assert_eq!(h.get(i * 8).unwrap().loc.line, i as u32 + 1);
         }
         assert_eq!(h.occupied(), 256);
-        assert!(h.max_chain() >= 32);
     }
 
     #[test]

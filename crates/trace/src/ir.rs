@@ -212,14 +212,6 @@ impl Program {
         self.arrays.iter().map(|a| a.len).sum::<u64>() + self.scalars.len() as u64
     }
 
-    /// The address of `arr[idx]`.
-    #[inline]
-    pub fn elem_addr(&self, arr: ArrayId, idx: u64) -> Address {
-        let a = &self.arrays[arr as usize];
-        debug_assert!(idx < a.len);
-        a.base + idx * 8
-    }
-
     /// Loops annotated parallel in the OpenMP ground truth.
     pub fn omp_loops(&self) -> impl Iterator<Item = &LoopInfo> {
         self.loops.iter().filter(|l| l.omp)

@@ -21,37 +21,18 @@
 //! (EOF mid-record) from a clean EOF at a record boundary.
 
 use crate::tracer::Tracer;
-use dp_types::{AccessKind, Interner, MemAccess, SourceLoc, TraceEvent};
+use dp_types::event::BODY_LEN;
+use dp_types::{Interner, TraceEvent};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
 const MAGIC: &[u8; 4] = b"DPTR";
 const VERSION: u8 = 2;
 
-const TAG_READ: u8 = 0;
-const TAG_WRITE: u8 = 1;
-const TAG_LOOP_BEGIN: u8 = 2;
-const TAG_LOOP_ITER: u8 = 3;
-const TAG_LOOP_END: u8 = 4;
-const TAG_CALL_BEGIN: u8 = 5;
-const TAG_CALL_END: u8 = 6;
-const TAG_DEALLOC: u8 = 7;
-
-/// Whole size of a record — tag byte, fixed-width fields, checksum byte —
-/// indexed by tag; tags past the end are not defined by the format.
-const RECORD_LEN: [u8; 8] = [
-    2 + 8 + 8 + 4 + 4 + 2, // TAG_READ
-    2 + 8 + 8 + 4 + 4 + 2, // TAG_WRITE
-    2 + 4 + 4 + 2 + 8,     // TAG_LOOP_BEGIN
-    2 + 4 + 8 + 2 + 8,     // TAG_LOOP_ITER
-    2 + 4 + 4 + 8 + 2 + 8, // TAG_LOOP_END
-    2 + 4 + 2 + 8,         // TAG_CALL_BEGIN
-    2 + 4 + 2 + 8,         // TAG_CALL_END
-    2 + 8 + 8 + 2 + 8,     // TAG_DEALLOC
-];
-
+/// Whole size of a record: the event body `dp_types::event` lays out
+/// (tag byte, fixed-width fields) and the checksum byte after it.
 fn record_len(tag: u8) -> Option<usize> {
-    RECORD_LEN.get(tag as usize).map(|&n| n as usize)
+    BODY_LEN.get(tag as usize).map(|&n| n as usize + 1)
 }
 
 const MAX_RECORD: usize = 28;
@@ -203,57 +184,7 @@ impl<W: Write> TraceWriter<W> {
         // byte covers exactly the bytes written.
         let r = &mut self.rec;
         r.clear();
-        match *ev {
-            TraceEvent::Access(a) => {
-                r.push(if a.kind.is_write() { TAG_WRITE } else { TAG_READ });
-                r.extend_from_slice(&a.addr.to_le_bytes());
-                r.extend_from_slice(&a.ts.to_le_bytes());
-                r.extend_from_slice(&a.loc.pack().to_le_bytes());
-                r.extend_from_slice(&a.var.to_le_bytes());
-                r.extend_from_slice(&a.thread.to_le_bytes());
-            }
-            TraceEvent::LoopBegin { loop_id, loc, thread, ts } => {
-                r.push(TAG_LOOP_BEGIN);
-                r.extend_from_slice(&loop_id.to_le_bytes());
-                r.extend_from_slice(&loc.pack().to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::LoopIter { loop_id, iter, thread, ts } => {
-                r.push(TAG_LOOP_ITER);
-                r.extend_from_slice(&loop_id.to_le_bytes());
-                r.extend_from_slice(&iter.to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::LoopEnd { loop_id, loc, iters, thread, ts } => {
-                r.push(TAG_LOOP_END);
-                r.extend_from_slice(&loop_id.to_le_bytes());
-                r.extend_from_slice(&loc.pack().to_le_bytes());
-                r.extend_from_slice(&iters.to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::CallBegin { func, thread, ts } => {
-                r.push(TAG_CALL_BEGIN);
-                r.extend_from_slice(&func.to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::CallEnd { func, thread, ts } => {
-                r.push(TAG_CALL_END);
-                r.extend_from_slice(&func.to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::Dealloc { base, len, thread, ts } => {
-                r.push(TAG_DEALLOC);
-                r.extend_from_slice(&base.to_le_bytes());
-                r.extend_from_slice(&len.to_le_bytes());
-                r.extend_from_slice(&thread.to_le_bytes());
-                r.extend_from_slice(&ts.to_le_bytes());
-            }
-        }
+        ev.encode_into(r);
         let ck = xor_fold(r[0], &r[1..]);
         r.push(ck);
         self.out.write_all(r)?;
@@ -401,17 +332,17 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-/// Verifies and decodes one whole record — tag, payload, checksum byte,
+/// Verifies and decodes one whole record — event body, checksum byte,
 /// exactly as long as its tag says. `None` when the checksum does not
-/// match. Each arm works on a fixed-size array, so the checksum folds
-/// word-wise and every field is one load at a constant offset.
+/// match.
 #[inline]
 fn decode_record(rec: &[u8]) -> Option<TraceEvent> {
     /// The checksum byte closes the XOR of the whole record to zero.
     /// Every record length is a multiple of four, so the fold — what
-    /// [`xor_fold`] computes a byte at a time — runs over whole words.
+    /// [`xor_fold`] computes a byte at a time — runs over the whole words
+    /// of a fixed-size array.
     #[inline(always)]
-    fn sound<const N: usize>(rec: &[u8]) -> Option<&[u8; N]> {
+    fn sound<const N: usize>(rec: &[u8]) -> bool {
         const { assert!(N.is_multiple_of(4)) };
         let rec: &[u8; N] = rec.try_into().expect("record length follows from its tag");
         let mut x = 0u32;
@@ -420,75 +351,16 @@ fn decode_record(rec: &[u8]) -> Option<TraceEvent> {
         }
         x ^= x >> 16;
         x ^= x >> 8;
-        (x as u8 == 0).then_some(rec)
+        x as u8 == 0
     }
-    macro_rules! get {
-        ($rec:ident, $at:expr, $ty:ty) => {
-            <$ty>::from_le_bytes(
-                $rec[$at..$at + std::mem::size_of::<$ty>()].try_into().expect("constant range"),
-            )
-        };
-    }
-    Some(match rec[0] {
-        t @ (TAG_READ | TAG_WRITE) => {
-            let r = sound::<28>(rec)?;
-            TraceEvent::Access(MemAccess {
-                addr: get!(r, 1, u64),
-                ts: get!(r, 9, u64),
-                loc: SourceLoc::unpack(get!(r, 17, u32)),
-                var: get!(r, 21, u32),
-                thread: get!(r, 25, u16),
-                kind: if t == TAG_WRITE { AccessKind::Write } else { AccessKind::Read },
-            })
-        }
-        TAG_LOOP_BEGIN => {
-            let r = sound::<20>(rec)?;
-            TraceEvent::LoopBegin {
-                loop_id: get!(r, 1, u32),
-                loc: SourceLoc::unpack(get!(r, 5, u32)),
-                thread: get!(r, 9, u16),
-                ts: get!(r, 11, u64),
-            }
-        }
-        TAG_LOOP_ITER => {
-            let r = sound::<24>(rec)?;
-            TraceEvent::LoopIter {
-                loop_id: get!(r, 1, u32),
-                iter: get!(r, 5, u64),
-                thread: get!(r, 13, u16),
-                ts: get!(r, 15, u64),
-            }
-        }
-        TAG_LOOP_END => {
-            let r = sound::<28>(rec)?;
-            TraceEvent::LoopEnd {
-                loop_id: get!(r, 1, u32),
-                loc: SourceLoc::unpack(get!(r, 5, u32)),
-                iters: get!(r, 9, u64),
-                thread: get!(r, 17, u16),
-                ts: get!(r, 19, u64),
-            }
-        }
-        t @ (TAG_CALL_BEGIN | TAG_CALL_END) => {
-            let r = sound::<16>(rec)?;
-            let (func, thread, ts) = (get!(r, 1, u32), get!(r, 5, u16), get!(r, 7, u64));
-            if t == TAG_CALL_BEGIN {
-                TraceEvent::CallBegin { func, thread, ts }
-            } else {
-                TraceEvent::CallEnd { func, thread, ts }
-            }
-        }
-        TAG_DEALLOC => {
-            let r = sound::<28>(rec)?;
-            TraceEvent::Dealloc {
-                base: get!(r, 1, u64),
-                len: get!(r, 9, u64),
-                thread: get!(r, 17, u16),
-                ts: get!(r, 19, u64),
-            }
-        }
-        _ => unreachable!("record_len admitted the tag"),
-    })
+    let closes = match rec.len() {
+        16 => sound::<16>(rec),
+        20 => sound::<20>(rec),
+        24 => sound::<24>(rec),
+        28 => sound::<28>(rec),
+        n => unreachable!("no record is {n} bytes long"),
+    };
+    closes.then(|| TraceEvent::decode(&rec[..rec.len() - 1]).expect("record_len admitted the tag"))
 }
 
 impl<R: Read> Iterator for TraceReader<R> {
@@ -521,7 +393,7 @@ mod tests {
     use crate::builder::{c, ProgramBuilder};
     use crate::interp::Interp;
     use crate::tracer::CollectTracer;
-    use dp_types::loc::loc;
+    use dp_types::{loc::loc, MemAccess};
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -764,14 +636,9 @@ mod tests {
             .iter()
             .map(|ev| {
                 let start = at;
-                at += match ev {
-                    TraceEvent::Access(_)
-                    | TraceEvent::LoopEnd { .. }
-                    | TraceEvent::Dealloc { .. } => 28,
-                    TraceEvent::LoopIter { .. } => 24,
-                    TraceEvent::LoopBegin { .. } => 20,
-                    TraceEvent::CallBegin { .. } | TraceEvent::CallEnd { .. } => 16,
-                };
+                let mut body = Vec::new();
+                ev.encode_into(&mut body);
+                at += body.len() + 1;
                 start
             })
             .collect();

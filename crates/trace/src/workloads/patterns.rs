@@ -18,7 +18,7 @@
 //! test" is exactly the `# OMP` − `# identified` difference of Table II.
 
 use crate::builder::{c, imod, FuncBuilder};
-use crate::ir::{ArrayId, Expr, ScalarId};
+use crate::ir::{ArrayId, ScalarId};
 use dp_types::LoopId;
 
 /// `A[i] = expr(i)` — pure initialization, trivially parallel.
@@ -144,23 +144,6 @@ pub fn histogram(
 pub fn recurrence(f: &mut FuncBuilder<'_>, name: &str, a: ArrayId, n: i64) -> LoopId {
     f.for_loop(name, false, c(1), c(n), |f, i| {
         let v = f.ld(a, i.clone() - c(1)) + c(1);
-        f.store(a, i, v);
-    })
-}
-
-/// A parallel-range version of a loop body: iterates `lo..hi` given as
-/// expressions (used by the pthread workload variants, where each thread
-/// covers `[tid*n/T, (tid+1)*n/T)`).
-pub fn range_elementwise(
-    f: &mut FuncBuilder<'_>,
-    name: &str,
-    omp: bool,
-    a: ArrayId,
-    lo: Expr,
-    hi: Expr,
-) -> LoopId {
-    f.for_loop(name, omp, lo, hi, |f, i| {
-        let v = f.ld(a, i.clone()) + c(7);
         f.store(a, i, v);
     })
 }

@@ -71,10 +71,6 @@ impl Interner {
     }
 }
 
-/// The id of the `"*"` placeholder variable, valid for every
-/// [`Interner`] (it is pre-assigned in [`Interner::new`]).
-pub const VAR_STAR: VarId = 0;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,7 +78,7 @@ mod tests {
     #[test]
     fn star_is_zero() {
         let i = Interner::new();
-        assert_eq!(i.resolve(VAR_STAR), "*");
+        assert_eq!(i.resolve(0), "*");
     }
 
     #[test]

@@ -61,10 +61,9 @@
 //! the checkpoint container uses for its CONFIG section.
 
 use crate::access::MemAccess;
-use crate::event::TraceEvent;
-use crate::loc::SourceLoc;
+pub use crate::event::ACCESS_WIRE_BYTES;
+use crate::event::{self, TraceEvent};
 use crate::wire::{xor_fold, ByteReader, ByteWriter, WireError};
-use crate::AccessKind;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -301,15 +300,6 @@ pub enum Frame {
     },
 }
 
-fn put_access(w: &mut ByteWriter, a: &MemAccess) {
-    w.u8(a.kind.is_write() as u8);
-    w.u64(a.addr);
-    w.u64(a.ts);
-    w.u32(a.loc.pack());
-    w.u32(a.var);
-    w.u16(a.thread);
-}
-
 /// A `Chunk` payload validated in place: the access count matches the
 /// payload size and every kind byte is 0 or 1, so [`ChunkView::accesses`]
 /// decodes straight from the borrowed bytes and cannot fail part-way —
@@ -353,108 +343,10 @@ impl<'a> ChunkView<'a> {
 
     /// The accesses, decoded one at a time from the borrowed payload.
     pub fn accesses(&self) -> impl Iterator<Item = MemAccess> + 'a {
-        self.body.chunks_exact(ACCESS_WIRE_BYTES).map(|a| {
-            let a: &[u8; ACCESS_WIRE_BYTES] = a.try_into().expect("chunks_exact yields 27 bytes");
-            let le64 = |at: usize| u64::from_le_bytes(a[at..at + 8].try_into().expect("8 bytes"));
-            let le32 = |at: usize| u32::from_le_bytes(a[at..at + 4].try_into().expect("4 bytes"));
-            MemAccess {
-                kind: if a[0] == 0 { AccessKind::Read } else { AccessKind::Write },
-                addr: le64(1),
-                ts: le64(9),
-                loc: SourceLoc::unpack(le32(17)),
-                var: le32(21),
-                thread: u16::from_le_bytes([a[25], a[26]]),
-            }
-        })
+        self.body
+            .chunks_exact(ACCESS_WIRE_BYTES)
+            .map(|a| event::decode_access(a.try_into().expect("chunks_exact yields 27 bytes")))
     }
-}
-
-// LoopEvent sub-tags (accesses travel in Chunk frames, never here).
-const EV_LOOP_BEGIN: u8 = 2;
-const EV_LOOP_ITER: u8 = 3;
-const EV_LOOP_END: u8 = 4;
-const EV_CALL_BEGIN: u8 = 5;
-const EV_CALL_END: u8 = 6;
-const EV_DEALLOC: u8 = 7;
-
-fn put_event(w: &mut ByteWriter, ev: &TraceEvent) -> Result<(), WireError> {
-    match *ev {
-        TraceEvent::Access(_) => {
-            return Err(WireError::Invalid("accesses travel in Chunk frames, not LoopEvent"))
-        }
-        TraceEvent::LoopBegin { loop_id, loc, thread, ts } => {
-            w.u8(EV_LOOP_BEGIN);
-            w.u32(loop_id);
-            w.u32(loc.pack());
-            w.u16(thread);
-            w.u64(ts);
-        }
-        TraceEvent::LoopIter { loop_id, iter, thread, ts } => {
-            w.u8(EV_LOOP_ITER);
-            w.u32(loop_id);
-            w.u64(iter);
-            w.u16(thread);
-            w.u64(ts);
-        }
-        TraceEvent::LoopEnd { loop_id, loc, iters, thread, ts } => {
-            w.u8(EV_LOOP_END);
-            w.u32(loop_id);
-            w.u32(loc.pack());
-            w.u64(iters);
-            w.u16(thread);
-            w.u64(ts);
-        }
-        TraceEvent::CallBegin { func, thread, ts } => {
-            w.u8(EV_CALL_BEGIN);
-            w.u32(func);
-            w.u16(thread);
-            w.u64(ts);
-        }
-        TraceEvent::CallEnd { func, thread, ts } => {
-            w.u8(EV_CALL_END);
-            w.u32(func);
-            w.u16(thread);
-            w.u64(ts);
-        }
-        TraceEvent::Dealloc { base, len, thread, ts } => {
-            w.u8(EV_DEALLOC);
-            w.u64(base);
-            w.u64(len);
-            w.u16(thread);
-            w.u64(ts);
-        }
-    }
-    Ok(())
-}
-
-fn get_event(r: &mut ByteReader<'_>) -> Result<TraceEvent, WireError> {
-    Ok(match r.u8()? {
-        EV_LOOP_BEGIN => TraceEvent::LoopBegin {
-            loop_id: r.u32()?,
-            loc: SourceLoc::unpack(r.u32()?),
-            thread: r.u16()?,
-            ts: r.u64()?,
-        },
-        EV_LOOP_ITER => TraceEvent::LoopIter {
-            loop_id: r.u32()?,
-            iter: r.u64()?,
-            thread: r.u16()?,
-            ts: r.u64()?,
-        },
-        EV_LOOP_END => TraceEvent::LoopEnd {
-            loop_id: r.u32()?,
-            loc: SourceLoc::unpack(r.u32()?),
-            iters: r.u64()?,
-            thread: r.u16()?,
-            ts: r.u64()?,
-        },
-        EV_CALL_BEGIN => TraceEvent::CallBegin { func: r.u32()?, thread: r.u16()?, ts: r.u64()? },
-        EV_CALL_END => TraceEvent::CallEnd { func: r.u32()?, thread: r.u16()?, ts: r.u64()? },
-        EV_DEALLOC => {
-            TraceEvent::Dealloc { base: r.u64()?, len: r.u64()?, thread: r.u16()?, ts: r.u64()? }
-        }
-        _ => return Err(WireError::Invalid("unknown LoopEvent sub-tag")),
-    })
 }
 
 fn get_string(r: &mut ByteReader<'_>) -> Result<String, WireError> {
@@ -529,12 +421,17 @@ impl Frame {
                 w.u64(*base);
                 w.u32(accesses.len() as u32);
                 for a in accesses {
-                    put_access(w, a);
+                    event::encode_access(a, w.buf());
                 }
             }
             Frame::LoopEvent { seq, ev } => {
+                if ev.as_access().is_some() {
+                    return Err(WireError::Invalid(
+                        "accesses travel in Chunk frames, not LoopEvent",
+                    ));
+                }
                 w.u64(*seq);
-                put_event(w, ev)?;
+                ev.encode_into(w.buf());
             }
             Frame::Sync { nonce } => w.u64(*nonce),
             Frame::Finish | Frame::StatsRequest => {}
@@ -593,7 +490,17 @@ impl Frame {
                     accesses: chunk.accesses().collect(),
                 });
             }
-            TAG_LOOP_EVENT => Frame::LoopEvent { seq: r.u64()?, ev: get_event(&mut r)? },
+            TAG_LOOP_EVENT => {
+                let seq = r.u64()?;
+                // Any event body but an access (tags 0 and 1).
+                let tag = r.clone().u8()?;
+                let n = match event::BODY_LEN.get(tag as usize) {
+                    Some(&n) if tag > 1 => n as usize,
+                    _ => return Err(WireError::Invalid("unknown LoopEvent sub-tag").into()),
+                };
+                let ev = TraceEvent::decode(r.take(n)?).expect("length follows from the tag");
+                Frame::LoopEvent { seq, ev }
+            }
             TAG_SYNC => Frame::Sync { nonce: r.u64()? },
             TAG_FINISH => Frame::Finish,
             TAG_STATS_REQUEST => Frame::StatsRequest,
@@ -614,9 +521,6 @@ impl Frame {
         Ok(frame)
     }
 }
-
-/// Bytes one access occupies inside a `Chunk` payload.
-pub const ACCESS_WIRE_BYTES: usize = 1 + 8 + 8 + 4 + 4 + 2;
 
 /// Bytes before a frame's payload: tag + length prefix.
 const FRAME_HEADER_BYTES: usize = 1 + 4;

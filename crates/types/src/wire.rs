@@ -99,6 +99,11 @@ impl ByteWriter {
         self.bytes(v);
     }
 
+    /// The buffer itself, for an encoder that appends to a `Vec<u8>`.
+    pub fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -118,7 +123,7 @@ impl ByteWriter {
 /// Cursor-style little-endian decoder over a byte slice. Every read is
 /// bounds-checked and fails typed ([`WireError::Truncated`]) instead of
 /// panicking, so torn checkpoint files decode into errors, not aborts.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,

@@ -6,12 +6,13 @@
 //! ```
 //!
 //! Profiles the chosen NAS benchmark (default: CG), classifies every loop
-//! from the dependence evidence, and compares against the OpenMP ground
-//! truth. CG is the interesting one: its seven dot-product reductions are
+//! from the dependence evidence, compares against the OpenMP ground
+//! truth, and lists the variables privatization would free. CG is the
+//! interesting one: its seven dot-product reductions are
 //! OpenMP-parallelizable (via `reduction` clauses) but must *not* be
 //! identified by a pure dependence test.
 
-use depprof::analysis::{classify_loops, LoopClass, LoopMeta};
+use depprof::analysis::{privatization_candidates, report_for, LoopClass, LoopMeta};
 use depprof::trace::workloads::{nas_suite, Scale};
 
 fn main() {
@@ -35,42 +36,13 @@ fn main() {
         .iter()
         .map(|l| LoopMeta { id: l.id, name: l.name.clone(), omp: l.omp })
         .collect();
-    let verdicts = classify_loops(&result, &metas);
-
-    println!("{:<22} {:>6} {:>12} {:>10}  blockers", "loop", "OMP?", "class", "iters");
-    println!("{}", "-".repeat(70));
-    let mut identified = 0;
-    let mut omp = 0;
-    for v in &verdicts {
-        let class = match v.class {
-            LoopClass::Doall => "DOALL",
-            LoopClass::Reduction => "reduction",
-            LoopClass::Sequential => "sequential",
-            LoopClass::NotExecuted => "(not run)",
-        };
-        if v.meta.omp {
-            omp += 1;
-            if v.identified() {
-                identified += 1;
-            }
-        }
-        let blockers = if v.blockers.is_empty() {
-            String::new()
-        } else {
-            let (sink, src, var) = v.blockers[0];
-            format!("{}: {} -> {}", w.program.interner.resolve(var), src, sink)
-        };
-        println!(
-            "{:<22} {:>6} {:>12} {:>10}  {}",
-            v.meta.name,
-            if v.meta.omp { "yes" } else { "no" },
-            class,
-            v.iterations,
-            blockers
-        );
-    }
+    // The loop table: every loop's verdict joined with its runtime record.
+    let report = report_for(&result, &metas, 0);
+    println!("{}", report.to_text(&w.program.interner)[0].1);
+    let omp = report.loops.iter().filter(|l| l.omp).count();
+    let identified = report.loops.iter().filter(|l| l.omp && l.class == LoopClass::Doall).count();
     println!(
-        "\n{identified} of {omp} OpenMP-annotated loops identified as parallelizable \
+        "{identified} of {omp} OpenMP-annotated loops identified as parallelizable \
          (paper's Table II row for {}: {})",
         w.meta.name,
         match w.meta.name.as_str() {
@@ -85,4 +57,21 @@ fn main() {
             _ => "?",
         }
     );
+    // Privatization advice on top of the loop verdicts.
+    let privs = privatization_candidates(&result, &metas);
+    if privs.is_empty() {
+        println!("\nprivatization: none needed");
+    } else {
+        println!("\nprivatization:");
+        for p in privs {
+            let lname =
+                metas.iter().find(|m| m.id == p.loop_id).map(|m| m.name.as_str()).unwrap_or("?");
+            println!(
+                "  loop {lname}: privatize '{}' (carried WAR x{}, WAW x{})",
+                w.program.interner.get(p.var).unwrap_or("?"),
+                p.war,
+                p.waw
+            );
+        }
+    }
 }

@@ -52,7 +52,7 @@
 
 mod flags;
 
-use depprof::analysis::{degradation, Framework, LoopMeta};
+use depprof::analysis::{degradation, text_sections, LoopMeta};
 use depprof::core::{
     report, CheckpointMetrics, CheckpointStore, FaultPlan, ProfileResult, ProfileSession,
     ProfilerConfig, SessionSpec, TransportKind, Watchdog,
@@ -755,7 +755,7 @@ fn run_profile(args: &Args) -> Cli {
                 .iter()
                 .map(|l| LoopMeta { id: l.id, name: l.name.clone(), omp: l.omp })
                 .collect();
-            let fragments = Framework::with_builtin().run(
+            let fragments = text_sections(
                 &result,
                 &w.program.interner,
                 &metas,

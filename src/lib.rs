@@ -63,8 +63,7 @@ use dp_trace::{Interp, Program};
 pub mod prelude {
     pub use dp_analysis::{
         classify_loops, communication_matrix, compare, find_races, privatization_candidates,
-        schedule_waves, section_dag, union_runs, DepGraph, Framework, LoopMeta, LoopTable,
-        SectionMeta,
+        DepGraph, LoopMeta,
     };
     pub use dp_core::{
         DepStore, MtProfiler, ProfileResult, ProfilerConfig, SequentialProfiler, TransportKind,

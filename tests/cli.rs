@@ -25,14 +25,37 @@ fn profile_report_has_figure1_shape() {
     assert!(text.contains("{INIT *}"), "{text}");
 }
 
+/// `--analyze` stdout as the commit before the plugin layer was removed
+/// printed it: the five sections are pinned byte for byte on two
+/// deterministic (sequential) workloads.
 #[test]
-fn analyze_runs_framework() {
-    let out = depprof(&["profile", "FT", "--scale", "0.02", "--analyze"]);
-    assert!(out.status.success());
+fn analyze_output_matches_the_recorded_bytes() {
+    for (workload, golden) in [
+        ("FT", include_str!("golden/analyze_FT.txt")),
+        ("CG", include_str!("golden/analyze_CG.txt")),
+    ] {
+        let out = depprof(&["profile", workload, "--scale", "0.02", "--analyze"]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), golden, "{workload}");
+    }
+}
+
+/// An MT target's counts depend on the interleaving; its section names,
+/// their order and the matrix dimension (8 workers + main + 1) do not.
+#[test]
+fn analyze_of_an_mt_target_has_the_five_sections_in_order() {
+    let out = depprof(&["profile", "water-spatial", "--scale", "0.02", "--analyze"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("parallelism-discovery"));
-    assert!(text.contains("execution-tree"));
-    assert!(text.contains("reduction"), "{text}");
+    let sections: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("== ").and_then(|l| l.strip_suffix(" ==")))
+        .collect();
+    let want =
+        "parallelism-discovery communication-pattern race-hints graph-summary execution-tree";
+    assert_eq!(sections.join(" "), want, "{text}");
+    let header = text.lines().find(|l| l.starts_with("prod\\cons")).expect("matrix header");
+    assert_eq!(header.split_whitespace().count() - 1, 10, "{header}");
 }
 
 #[test]

@@ -2,11 +2,11 @@
 //!
 //! Each test drives a recovery path of the fault-tolerant pipeline with a
 //! seeded, reproducible fault script: a worker panic mid-run, a stalled
-//! worker under the `drop` overflow policy, torn/corrupted trace files,
-//! and a transport that injects spurious failures. The invariants are the
-//! ones DESIGN.md's failure model promises: no fault ever aborts the
-//! process, losses are counted exactly, and a fault plan that never fires
-//! changes nothing.
+//! worker under the `drop` overflow policy, a lost migration reply,
+//! torn/corrupted trace files, and a transport that injects spurious
+//! failures. The invariants are the ones DESIGN.md's failure model
+//! promises: no fault ever aborts the process, losses are counted
+//! exactly, and a fault plan that never fires changes nothing.
 
 use std::time::Instant;
 
@@ -161,6 +161,56 @@ fn drop_overflow_under_stalled_worker_counts_exactly() {
     assert!(matches!(r.stats.worker_failures[0].cause, FailureCause::Unresponsive));
     // 50ms stall deadline + 300ms drain deadline, generously bounded.
     assert!(elapsed.as_secs() < 5, "blocked for {elapsed:?} despite drop policy");
+}
+
+/// A migration whose `Extracted` reply is lost is cancelled at the drain
+/// deadline and its buffered accesses are replayed to the target, so no
+/// event is lost and every dependence the serial engine finds is found —
+/// only occurrence counts can differ, by the one pair that straddled the
+/// lost signature state.
+#[test]
+fn lost_migration_reply_is_cancelled_at_the_drain_deadline() {
+    // Four hot addresses, all owned by worker 0: the first rebalance
+    // moves three of them, and worker 0 swallows its first reply.
+    let evs: Vec<TraceEvent> = (0..1600u64)
+        .map(|i| {
+            let j = i / 2 % 4;
+            TraceEvent::Access(if i % 2 == 0 {
+                MemAccess::write(addr_of(0, j), i, loc(1, 1000 + j as u32), 1, 0)
+            } else {
+                MemAccess::read(addr_of(0, j), i, loc(1, 2000 + j as u32), 1, 0)
+            })
+        })
+        .collect();
+    let serial = run_serial(&evs);
+
+    let mut cfg = ProfilerConfig::default()
+        .with_workers(WORKERS)
+        .with_chunk_capacity(4)
+        .with_redistribution(true)
+        .with_drain_deadline_ms(100)
+        .with_fault_plan(FaultPlan::none().with_dropped_reply(0));
+    cfg.redistribute_every = 2;
+    cfg.top_k = 4;
+    let mut p = ParallelProfiler::new(cfg, PerfectSignature::new);
+    for e in &evs {
+        p.event(*e);
+    }
+    let r = p.finish();
+
+    assert_eq!(r.stats.redistributions, 1);
+    assert_eq!(r.stats.cancelled_migrations, 1);
+    assert!(!r.degraded(), "a lost reply kills no worker");
+    let set = |r: &ProfileResult| {
+        let mut v: Vec<_> =
+            r.deps.dependences().map(|(d, _)| format!("{:?}", d.identity())).collect();
+        v.sort();
+        v
+    };
+    assert_eq!(set(&r), set(&serial));
+    let c = &r.metrics.conservation;
+    assert!(c.holds(), "{c:?}");
+    assert_eq!((c.pushed - c.consumed, c.dropped), (0, 0), "{c:?}");
 }
 
 /// ISSUE scenario: a truncated or corrupted trace is rejected with the

@@ -1,7 +1,7 @@
-//! End-to-end tests of the Section VIII analysis framework and the
-//! machine-readable exports, on real workloads.
+//! End-to-end tests of the analysis report and the machine-readable
+//! exports, on real workloads.
 
-use depprof::analysis::{stability, union_runs, DepGraph, Framework, LoopMeta, LoopTable};
+use depprof::analysis::{report_for, text_sections, DepGraph, LoopClass, LoopMeta};
 use depprof::core::report;
 use depprof::trace::workloads::{nas_suite, starbench_suite, Scale};
 
@@ -13,12 +13,12 @@ fn metas(p: &depprof::trace::Program) -> Vec<LoopMeta> {
 fn framework_over_cg_reports_reductions() {
     let w = &nas_suite(Scale(0.05))[5]; // CG
     let r = depprof::profile_sequential(&w.program, 1 << 20);
-    let mut fw = Framework::with_builtin();
-    let reports = fw.run(&r, &w.program.interner, &metas(&w.program), &w.program.func_names, 0);
-    let par = &reports.iter().find(|(n, _)| n == "parallelism-discovery").unwrap().1;
+    let reports =
+        text_sections(&r, &w.program.interner, &metas(&w.program), &w.program.func_names, 0);
+    let par = &reports.iter().find(|(n, _)| *n == "parallelism-discovery").unwrap().1;
     assert!(par.contains("7 reduction candidates"), "{par}");
     assert!(par.contains("dot_rho"));
-    let comm = &reports.iter().find(|(n, _)| n == "communication-pattern").unwrap().1;
+    let comm = &reports.iter().find(|(n, _)| *n == "communication-pattern").unwrap().1;
     assert!(comm.contains("sequential target"));
 }
 
@@ -26,15 +26,14 @@ fn framework_over_cg_reports_reductions() {
 fn loop_table_matches_table2_for_ft() {
     let w = &nas_suite(Scale(0.05))[7]; // FT: 8 OMP, 7 identifiable
     let r = depprof::profile_sequential(&w.program, 1 << 20);
-    let t = LoopTable::build(&r, &metas(&w.program));
-    let id: Vec<_> = t
-        .parallelizable()
-        .filter(|row| row.verdict.meta.omp)
-        .map(|row| row.verdict.meta.name.clone())
-        .collect();
+    let t = report_for(&r, &metas(&w.program), 0);
+    let named = |class| {
+        let of_class = t.loops.iter().filter(move |row| row.class == class);
+        of_class.map(|row| (row.omp, row.name.as_str())).collect::<Vec<_>>()
+    };
+    let id: Vec<_> = named(LoopClass::Doall).into_iter().filter(|&(omp, _)| omp).collect();
     assert_eq!(id.len(), 7, "{id:?}");
-    let red: Vec<_> = t.reduction_candidates().map(|row| row.verdict.meta.name.clone()).collect();
-    assert_eq!(red, ["checksum"]);
+    assert_eq!(named(LoopClass::Reduction), [(true, "checksum")]);
 }
 
 #[test]
@@ -59,47 +58,4 @@ fn csv_export_has_one_row_per_merged_dep() {
     let rows = csv.lines().count() - 1; // minus header
     assert_eq!(rows as u64, r.stats.deps_merged);
     assert!(csv.lines().skip(1).all(|l| l.split(',').count() == 9));
-}
-
-#[test]
-fn union_of_scales_models_input_sensitivity() {
-    // "running the target program with changing inputs and computing the
-    // union of all collected dependences" (Section I). Larger inputs of
-    // IS reach histogram buckets the small input misses; the union must
-    // be a superset of every run and eventually stabilize.
-    let runs: Vec<_> = [0.02, 0.04, 0.04, 0.06]
-        .iter()
-        .map(|&s| {
-            let w = &nas_suite(Scale(s))[3]; // IS: data-dependent accesses
-            depprof::profile_sequential_perfect(&w.program)
-        })
-        .collect();
-    let counts: Vec<u64> = runs.iter().map(|r| r.stats.deps_merged).collect();
-    let curve = stability(&runs);
-    assert!(curve[0].2 > 0);
-    assert!(curve.last().unwrap().1 >= *counts.iter().max().unwrap());
-    let u = union_runs(runs);
-    assert!(u.stats.deps_merged >= *counts.iter().max().unwrap());
-    assert_eq!(u.stats.deps_merged, curve.last().unwrap().1);
-}
-
-#[test]
-fn scheduling_finds_task_parallelism_in_cg() {
-    use depprof::analysis::{max_wave_width, schedule_waves, section_dag, SectionMeta};
-    let w = &nas_suite(Scale(0.05))[5]; // CG
-    let r = depprof::profile_sequential_perfect(&w.program);
-    let sections: Vec<SectionMeta> = w
-        .program
-        .loops
-        .iter()
-        .map(|l| SectionMeta { id: l.id, name: l.name.clone(), begin: l.begin, end: l.end })
-        .collect();
-    let dag = section_dag(&r, &sections);
-    let waves = schedule_waves(&dag);
-    // CG's init loops touch disjoint arrays: the first wave must contain
-    // several independent sections (task parallelism a runtime scheduler
-    // could exploit — the paper's third motivating use case).
-    assert!(max_wave_width(&waves) >= 3, "waves: {waves:?}");
-    // And the dataflow chain spmv -> dot products forces >1 wave.
-    assert!(waves.len() >= 2, "waves: {waves:?}");
 }

@@ -1,6 +1,7 @@
 //! Robustness property tests for the two on-the-wire framings that
 //! share `wire::{write_section, read_section}`: the DPSV network frame
-//! protocol and the DPCK checkpoint container.
+//! protocol and the DPCK checkpoint container — and the pin on the one
+//! event byte layout the DPSV frames share with the DPTR trace file.
 //!
 //! The contract under test: **malformed bytes produce typed errors,
 //! never a panic, a hang, or an unbounded allocation.** Truncations,
@@ -10,8 +11,9 @@
 //! code path.
 
 use depprof::core::checkpoint::CheckpointData;
+use depprof::trace::{TraceReader, TraceWriter};
 use depprof::types::protocol::{self, Frame, FrameReader, Hello, ProtocolError, MAX_FRAME_BYTES};
-use depprof::types::{loc::loc, AccessKind, MemAccess, TraceEvent};
+use depprof::types::{loc::loc, AccessKind, Interner, MemAccess, TraceEvent, Tracer};
 use proptest::prelude::*;
 use std::io::{self, Read};
 
@@ -270,6 +272,68 @@ fn encoding_matches_the_recorded_wire_bytes() {
     assert_eq!(end, None);
 }
 
+// ---------------------------------------------------------------------
+// DPTR: the same event bytes, a checksum byte after each
+// ---------------------------------------------------------------------
+
+fn record_trace(names: &Interner, events: &[TraceEvent]) -> Vec<u8> {
+    let mut w = TraceWriter::with_names(Vec::new(), names).expect("in-memory sink");
+    for ev in events {
+        w.event(*ev);
+    }
+    w.finish().expect("in-memory sink")
+}
+
+/// A recording of a two-name header and one record of every kind, as the
+/// commit before the event layout moved into `dp_types::event` wrote it.
+#[test]
+fn trace_file_matches_the_recorded_bytes() {
+    let golden = "445054520202000000010000002a05000000616c706861\
+        00efbeadde0000000004000000000000003d0000020100000002001a\
+        01efbeadde0000000003000000000000003c0000020100000001001e\
+        02030000000a000001000001000000000000000b\
+        03030000000900000000000000000002000000000000000b\
+        0403000000140000010a00000000000000000003000000000000001b\
+        05050000000100040000000000000005\
+        06050000000100050000000000000007\
+        07000100000000000040000000000000000000060000000000000040";
+    let bytes: Vec<u8> = (0..golden.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&golden[i..i + 2], 16).expect("hex"))
+        .collect();
+    let reader = TraceReader::new(&bytes[..]).expect("golden header");
+    let names = reader.interner().clone();
+    assert_eq!((names.len(), names.resolve(1)), (2, "alpha"));
+    let events: Vec<TraceEvent> = reader.map(|ev| ev.expect("golden record")).collect();
+    assert_eq!(
+        events,
+        [
+            TraceEvent::Access(MemAccess::read(0xdead_beef, 4, loc(2, 61), 1, 2)),
+            TraceEvent::Access(MemAccess::write(0xdead_beef, 3, loc(2, 60), 1, 1)),
+            TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
+            TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 },
+            TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 10, thread: 0, ts: 3 },
+            TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 },
+            TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 },
+            TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 },
+        ]
+    );
+    assert_eq!(record_trace(&names, &events), bytes);
+}
+
+fn arb_event() -> impl Strategy<Value = TraceEvent> {
+    let fields = (any::<u32>(), 1u32..1 << 20, any::<u64>(), any::<u16>(), any::<u64>());
+    (0u8..7, arb_access(), fields).prop_map(|(kind, a, (id, line, n, thread, ts))| match kind {
+        0 => TraceEvent::Access(a),
+        1 => TraceEvent::LoopBegin { loop_id: id, loc: loc(1, line), thread, ts },
+        2 => TraceEvent::LoopIter { loop_id: id, iter: n, thread, ts },
+        3 => TraceEvent::LoopEnd { loop_id: id, loc: loc(2, line), iters: n, thread, ts },
+        4 => TraceEvent::CallBegin { func: id, thread, ts },
+        5 => TraceEvent::CallEnd { func: id, thread, ts },
+        _ => TraceEvent::Dealloc { base: n, len: u64::from(id), thread, ts },
+    })
+}
+
 fn arb_checkpoint() -> impl Strategy<Value = CheckpointData> {
     (
         1u64..1 << 20,
@@ -321,6 +385,25 @@ proptest! {
 
     /// A stream cut anywhere strictly inside a frame is a typed error;
     /// cut before the frame starts it is a clean end-of-stream.
+    /// What the shared layout rests on: a DPTR record is the event's
+    /// DPSV body (a `Chunk` access past `base` and the count, a
+    /// `LoopEvent` body past `seq`) followed by the XOR of its bytes.
+    #[test]
+    fn a_trace_record_is_the_frame_body_and_its_checksum(ev in arb_event()) {
+        let header = record_trace(&Interner::new(), &[]).len();
+        let record = record_trace(&Interner::new(), &[ev])[header..].to_vec();
+        let frame = encode_frame(&match ev {
+            TraceEvent::Access(a) => Frame::Chunk { base: 0, accesses: vec![a] },
+            ev => Frame::LoopEvent { seq: 0, ev },
+        });
+        // tag, length prefix, then base + count or seq; checksum last.
+        let prefix = 1 + 4 + if ev.as_access().is_some() { 8 + 4 } else { 8 };
+        let body = &frame[prefix..frame.len() - 1];
+        let (last, rest) = record.split_last().expect("a record is never empty");
+        prop_assert_eq!(rest, body);
+        prop_assert_eq!(*last, body.iter().fold(0, |x, b| x ^ b));
+    }
+
     #[test]
     fn truncated_frames_are_typed((f, raw) in (arb_frame(), any::<u64>())) {
         let buf = encode_frame(&f);

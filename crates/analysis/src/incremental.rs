@@ -17,6 +17,11 @@
 //!   [`DepStore::merge`](dp_core::DepStore::merge) combines worker
 //!   maps, so deltas from different workers and different intervals
 //!   fold in any order.
+//! - **A delta holds what the passes read, and nothing else.** An edge
+//!   enters the deltas, whole count first, once it has a carrier
+//!   ([`classify_loops`], [`observed_loop_metas`]), carries `REVERSED`
+//!   ([`find_races`]) or is a cross-thread RAW ([`communication_matrix`],
+//!   [`observed_comm_dim`]); a new kind of reader widens that predicate.
 //! - **Monotone demotion.** Dependence evidence only accumulates: a
 //!   loop's blocker set only grows, so its verdict can only be demoted
 //!   (DOALL → reduction → sequential), never promoted. The fold
@@ -56,9 +61,10 @@ struct IncLoop {
 /// the paper's 10⁵ merge factor), not to the event stream.
 #[derive(Debug, Clone, Default)]
 pub struct OnlineAnalysis {
-    /// Mirror of the merged map: cumulative count and flag union per
-    /// edge. Carrier sets are not mirrored — they are consumed into
-    /// the per-loop blocker sets at fold time.
+    /// Mirror of the part of the merged map the deltas carry:
+    /// cumulative count and flag union per edge. Carrier sets are not
+    /// mirrored — they are consumed into the per-loop blocker sets at
+    /// fold time.
     totals: BTreeMap<TotalKey, (u64, DepFlags)>,
     /// Per-loop state, keyed by every loop id seen as a record or a
     /// carrier.
@@ -72,6 +78,7 @@ pub struct OnlineAnalysis {
     deltas_folded: u64,
     /// Last reported class rank per loop, for the monotone-demotion
     /// assertion.
+    #[cfg(debug_assertions)]
     prev_rank: BTreeMap<LoopId, u8>,
 }
 
@@ -127,12 +134,7 @@ impl OnlineAnalysis {
             .loops
             .iter()
             .map(|(&id, st)| {
-                let mut all_self = true;
-                for &(sink, src, _) in &st.blockers {
-                    if sink != src {
-                        all_self = false;
-                    }
-                }
+                let all_self = st.blockers.iter().all(|&(sink, src, _)| sink == src);
                 let class = if !st.executed {
                     LoopClass::NotExecuted
                 } else if st.blockers.is_empty() {
@@ -142,9 +144,10 @@ impl OnlineAnalysis {
                 } else {
                     LoopClass::Sequential
                 };
-                let rank = class_rank(class);
-                if let Some(&prev) = self.prev_rank.get(&id) {
-                    debug_assert!(
+                #[cfg(debug_assertions)]
+                if let Some(prev) = self.prev_rank.insert(id, class_rank(class)) {
+                    let rank = class_rank(class);
+                    assert!(
                         rank <= prev || prev == class_rank(LoopClass::NotExecuted),
                         "loop {id} promoted {prev} -> {rank}: verdicts must only demote"
                     );
@@ -160,9 +163,6 @@ impl OnlineAnalysis {
                 }
             })
             .collect::<Vec<_>>();
-        for row in &loops {
-            self.prev_rank.insert(row.id, class_rank(row.class));
-        }
         let dim = self.max_comm_thread.map_or(0, |m| m as usize + 1);
         let mut comm = CommMatrix::zero(dim);
         for (&(p, c), &count) in &self.comm {
@@ -190,6 +190,7 @@ impl OnlineAnalysis {
 
 /// Demotion ranking: higher is better, and a loop's rank never
 /// increases once it has executed.
+#[cfg(any(debug_assertions, test))]
 fn class_rank(class: LoopClass) -> u8 {
     match class {
         LoopClass::Doall => 3,
@@ -479,13 +480,12 @@ pub fn posthoc_report(result: &ProfileResult) -> OnlineReport {
     report_for(result, &observed_loop_metas(result), observed_comm_dim(result))
 }
 
-/// Builds the full catch-up delta of a finished store: everything it
-/// holds, as one delta (tests and depbench fold a finished result
-/// through it in one step).
+/// Builds the catch-up delta of a finished store: every loop record
+/// and every edge an analysis reads, as one delta (tests and depbench
+/// fold a finished result through it in one step).
 pub fn full_delta(result: &ProfileResult) -> AnalysisDelta {
-    let mut mirror = dp_core::DepStore::new();
+    let mut mirror = result.deps.clone();
     mirror.enable_delta();
-    mirror.merge(result.deps.clone());
     mirror.take_delta()
 }
 

@@ -127,7 +127,7 @@ impl<S: AccessStore> SequentialProfiler<S> {
     /// Turns on online analysis: the in-line store starts tracking
     /// dependence-map movement (see
     /// [`DepStore::enable_delta`](crate::store::DepStore::enable_delta)).
-    /// Idempotent; a late enable catches up by seeding full history.
+    /// Idempotent; a late enable catches up on the first drain.
     pub fn enable_online(&mut self) {
         self.retire_delayed();
         self.algo.store.enable_delta();

@@ -200,7 +200,7 @@ impl ProfileSession {
     /// Turns on online analysis: the engine's dependence stores start
     /// tracking movement so [`ProfileSession::collect_deltas`] can feed
     /// the live analysis state. Idempotent; a late enable catches up by
-    /// shipping full history on the first collection.
+    /// shipping every edge an analysis reads on the first collection.
     pub fn enable_online(&mut self) {
         match self {
             ProfileSession::Serial(p) => p.enable_online(),

@@ -39,7 +39,7 @@ fn dtype_from(code: u8) -> Result<DepType, WireError> {
 pub type EdgeKey = (DepType, SourceLoc, ThreadId, VarId);
 
 /// One touched edge inside an [`AnalysisDelta`]: the edge's identity, the
-/// occurrences added since the last drain, and the edge's *cumulative*
+/// occurrences not yet shipped, and the edge's *cumulative*
 /// flag union and carrier set (shipping the full sets makes applying a
 /// delta idempotent — OR-ing and union-ing them again changes nothing).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +48,8 @@ pub struct DeltaEdge {
     pub sink: SinkKey,
     /// Merge key under the sink.
     pub key: EdgeKey,
-    /// Occurrences merged into the edge since the previous drain.
+    /// Occurrences not shipped before: those since the previous drain,
+    /// or all of them the first time the edge ships.
     pub count_delta: u64,
     /// Union of qualifier flags over *all* occurrences so far.
     pub flags: DepFlags,
@@ -71,14 +72,14 @@ pub struct DeltaLoop {
     pub iters_delta: u64,
 }
 
-/// What changed in a [`DepStore`] since the last drain — the unit the
-/// online-analysis subsystem folds into its live loop/communication/race
-/// state. Deltas from different stores (the parallel engine's per-worker
-/// maps) compose by applying each in turn: counts add, flags OR, carrier
-/// sets union — exactly the [`DepStore::merge`] rules.
+/// What changed since the last drain in the part of a [`DepStore`] the
+/// analyses read ([`DepStore::take_delta`]) — the unit the online-analysis
+/// subsystem folds into its live state. Deltas from different stores (the
+/// parallel engine's per-worker maps) compose by applying each in turn:
+/// counts add, flags OR, carrier sets union — the [`DepStore::merge`] rules.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnalysisDelta {
-    /// Edges touched since the last drain, in deterministic
+    /// Relevant edges touched since the last drain, in deterministic
     /// `(sink, key)` order.
     pub edges: Vec<DeltaEdge>,
     /// Loop records touched since the last drain, in id order.
@@ -92,17 +93,18 @@ impl AnalysisDelta {
     }
 }
 
-/// Dirty-list bookkeeping for delta tracking: which edges (and loops)
-/// were touched since the last drain, with their pre-touch counters, so
-/// the drain ships exact movement without cloning the store.
+/// Dirty-list bookkeeping for delta tracking: which relevant edges (and
+/// loops) were touched since the last drain, with the counters already
+/// shipped, so the drain ships exact movement without cloning the store.
 #[derive(Debug, Clone)]
 struct DeltaTrack {
     /// Set by [`DepStore::enable_delta`], cleared by the first drain:
-    /// that drain ships every edge at a zero baseline, so nothing is
-    /// listed (and no dirty bit set) while it is pending.
+    /// that drain ships every relevant edge at a zero baseline, so
+    /// nothing is listed (and no dirty bit set) while it is pending.
     catch_up: bool,
-    /// `(arena index, count before the first touch of this interval)` of
-    /// every record whose [`DIRTY`] bit is set, in touch order.
+    /// `(arena index, count already shipped)` of every record whose
+    /// [`DIRTY`] bit is set, in touch order: the count before the first
+    /// touch of this interval, or 0 when that touch made it relevant.
     dirty: Vec<(u32, u64)>,
     /// `loop -> (instances, total_iters)` before the first touch.
     loops: BTreeMap<LoopId, (u64, u64)>,
@@ -230,6 +232,16 @@ impl EdgeRec {
     #[inline]
     fn same_sink(&self, o: &EdgeRec) -> bool {
         self.sink_loc == o.sink_loc && self.sink_thread == o.sink_thread
+    }
+
+    /// True when an analysis reads this edge ([`DepStore::take_delta`]).
+    /// Flags only OR, carriers only join and the identity is fixed, so
+    /// an edge that is relevant once stays relevant.
+    #[inline]
+    fn relevant(&self) -> bool {
+        self.state & HAS_CARRIER != 0
+            || self.flags & DepFlags::REVERSED.bits() != 0
+            || (self.dtype == dtype_code(DepType::Raw) && self.sink_thread != self.source_thread)
     }
 
     #[inline]
@@ -381,15 +393,18 @@ impl DepStore {
 
     /// Merges `count` occurrences into record `i` — the one rule
     /// [`add`](DepStore::add), [`merge`](DepStore::merge) and
-    /// [`apply_delta`](DepStore::apply_delta) share: counts add, flags
-    /// OR, carriers union.
+    /// [`load`](DepStore::load) share: counts add, flags OR, carriers
+    /// union. Delta tracking lists a record only if the bump leaves it relevant.
     #[inline]
     fn bump(&mut self, i: usize, count: u64, flags: DepFlags, carriers: &[LoopId]) {
         let rec = &mut self.arena[i];
         if let Some(track) = self.delta.as_mut() {
             if !track.catch_up && rec.state & DIRTY == 0 {
-                rec.state |= DIRTY;
-                track.dirty.push((i as u32, rec.count));
+                let shipped = rec.relevant();
+                if shipped || flags.contains(DepFlags::REVERSED) || !carriers.is_empty() {
+                    rec.state |= DIRTY;
+                    track.dirty.push((i as u32, if shipped { rec.count } else { 0 }));
+                }
             }
         }
         rec.count += count;
@@ -445,10 +460,10 @@ impl DepStore {
     }
 
     /// Turns on delta tracking. The first [`DepStore::take_delta`] after
-    /// it ships the *full* current state at a zero baseline — the
-    /// catch-up that lets online analysis be enabled lazily mid-session
-    /// (or after a checkpoint rehydration) without missing history — so
-    /// enabling costs nothing per edge.
+    /// it ships every relevant edge the store holds at a zero baseline —
+    /// the catch-up that lets online analysis be enabled lazily
+    /// mid-session (or after a checkpoint rehydration) without missing
+    /// history — so enabling costs nothing per edge.
     /// Idempotent: enabling twice does not reset in-flight baselines.
     pub fn enable_delta(&mut self) {
         if self.delta.is_some() {
@@ -467,24 +482,29 @@ impl DepStore {
     }
 
     /// Drains the dirty list into an [`AnalysisDelta`] describing every
-    /// edge and loop touched since the previous drain (or since
-    /// [`DepStore::enable_delta`]). Returns an empty delta when tracking
-    /// is off or nothing moved.
+    /// loop and every *relevant* edge touched since the previous drain
+    /// (or since [`DepStore::enable_delta`]). An edge is relevant when it
+    /// has a carrier, carries `REVERSED` or is a cross-thread RAW — what
+    /// loop classification, race hints and the communication matrix
+    /// read; any other edge stays out of every delta, and one that turns
+    /// relevant late ships its whole count then. Returns an empty delta
+    /// when tracking is off or nothing relevant moved.
     pub fn take_delta(&mut self) -> AnalysisDelta {
         let Some(track) = self.delta.as_mut() else {
             return AnalysisDelta::default();
         };
         let dirty_loops = std::mem::take(&mut track.loops);
-        let mut dirty = std::mem::take(&mut track.dirty);
-        if std::mem::take(&mut track.catch_up) {
-            let all = self.order().unwrap_or_else(|| (0..self.arena.len() as u32).collect());
-            dirty = all.into_iter().map(|i| (i, 0)).collect();
+        let dirty = std::mem::take(&mut track.dirty);
+        let mut keyed: Vec<(Ident, u32, u64)> = if std::mem::take(&mut track.catch_up) {
+            let relevant = self.arena.iter().zip(0..).filter(|(rec, _)| rec.relevant());
+            relevant.map(|(rec, i)| (rec.ident(), i, 0)).collect()
         } else {
-            dirty.sort_unstable_by_key(|&(i, _)| self.arena[i as usize].ident());
-        }
+            dirty.iter().map(|&(i, base)| (self.arena[i as usize].ident(), i, base)).collect()
+        };
+        keyed.sort_unstable();
         let mut out = AnalysisDelta::default();
-        out.edges.reserve_exact(dirty.len());
-        for (i, baseline) in dirty {
+        out.edges.reserve_exact(keyed.len());
+        for (_, i, baseline) in keyed {
             self.arena[i as usize].state &= !DIRTY;
             let rec = &self.arena[i as usize];
             out.edges.push(DeltaEdge {
@@ -617,26 +637,6 @@ impl DepStore {
             self.bump_loop(id, r.begin, r.end, r.instances, r.total_iters);
         }
         self.deps_built += other.deps_built;
-    }
-
-    /// Applies an [`AnalysisDelta`] drained from another store: counts
-    /// add, flags OR, carriers union — the [`merge`](DepStore::merge)
-    /// rules, so replaying every delta of a session reconstructs the
-    /// merged store. This is the post-hoc fallback path of the online
-    /// analysis subsystem: a mirror store fed only by deltas is a valid
-    /// input for any non-incremental pass.
-    pub fn apply_delta(&mut self, delta: &AnalysisDelta) {
-        let mut carriers: Vec<LoopId> = Vec::new();
-        for e in &delta.edges {
-            let i = self.slot(EdgeRec::new(e.sink, e.key));
-            carriers.clear();
-            carriers.extend(&e.carriers);
-            self.bump(i, e.count_delta, e.flags, &carriers);
-            self.deps_built += e.count_delta;
-        }
-        for l in &delta.loops {
-            self.bump_loop(l.id, l.begin, l.end, l.instances_delta, l.iters_delta);
-        }
     }
 
     /// Serializes the complete store — merged dependences, loop records
@@ -955,13 +955,33 @@ mod tests {
     /// add, flags OR, carriers union) — the reference consumer the
     /// online-analysis subsystem mirrors.
     fn fold(target: &mut DepStore, delta: &AnalysisDelta) {
-        target.apply_delta(delta);
+        for e in &delta.edges {
+            let i = target.slot(EdgeRec::new(e.sink, e.key));
+            let carriers: Vec<LoopId> = e.carriers.iter().copied().collect();
+            target.bump(i, e.count_delta, e.flags, &carriers);
+        }
+        for l in &delta.loops {
+            target.bump_loop(l.id, l.begin, l.end, l.instances_delta, l.iters_delta);
+        }
     }
 
     type Snapshot<'a> = (Vec<(Dependence, EdgeVal<'a>)>, Vec<(LoopId, LoopRecord)>);
 
     fn snapshot(s: &DepStore) -> Snapshot<'_> {
         (s.dependences().collect(), s.loops().map(|(id, r)| (*id, r.clone())).collect())
+    }
+
+    /// The sub-store the deltas promise to reconstruct: every loop record
+    /// and the edges some analysis reads, the predicate spelled on the
+    /// public view rather than on the record bits.
+    fn relevant(s: &DepStore) -> Snapshot<'_> {
+        let (mut edges, loops) = snapshot(s);
+        edges.retain(|(d, v)| {
+            !v.carriers.is_empty()
+                || v.flags.contains(DepFlags::REVERSED)
+                || (d.edge.dtype == DepType::Raw && d.edge.source_thread != d.sink.thread)
+        });
+        (edges, loops)
     }
 
     #[test]
@@ -995,20 +1015,52 @@ mod tests {
         let mut s = DepStore::new();
         s.add(sink(1), DepType::Raw, loc(1, 1), 0, 7, DepFlags::LOOP_CARRIED, Some(2));
         s.add(sink(1), DepType::Raw, loc(1, 1), 0, 7, DepFlags::empty(), None);
+        // Read by no analysis: in the store, in no delta.
+        s.add(sink(3), DepType::Waw, loc(1, 3), 0, 7, DepFlags::INTRA_ITERATION, None);
         s.record_loop(2, loc(1, 1), loc(1, 9), 4);
-        s.enable_delta(); // late enable: history must still be shipped
-        s.add(sink(2), DepType::War, loc(1, 5), 1, 8, DepFlags::empty(), None);
+        s.enable_delta(); // late enable: relevant history must still be shipped
+        s.add(sink(2), DepType::Raw, loc(1, 5), 1, 8, DepFlags::empty(), None);
         let mut mirror = DepStore::new();
         fold(&mut mirror, &s.take_delta());
-        assert_eq!(snapshot(&mirror), snapshot(&s));
+        assert_eq!(snapshot(&mirror), relevant(&s));
+        assert_eq!((mirror.merged_len(), s.merged_len()), (2, 3));
         // enable_delta is idempotent: re-enabling keeps pending baselines.
-        s.add(sink(2), DepType::War, loc(1, 5), 1, 8, DepFlags::empty(), None);
+        s.add(sink(2), DepType::Raw, loc(1, 5), 1, 8, DepFlags::empty(), None);
+        s.add(sink(3), DepType::Waw, loc(1, 3), 0, 7, DepFlags::empty(), None);
         s.enable_delta();
         let d = s.take_delta();
         assert_eq!(d.edges.len(), 1);
         assert_eq!(d.edges[0].count_delta, 1);
         fold(&mut mirror, &d);
-        assert_eq!(snapshot(&mirror), snapshot(&s));
+        assert_eq!(snapshot(&mirror), relevant(&s));
+    }
+
+    #[test]
+    fn irrelevant_edges_never_reach_the_dirty_list() {
+        let listed = |s: &DepStore| s.delta.as_ref().expect("tracking is on").dirty.capacity();
+        let mut s = DepStore::new();
+        let busy = |s: &mut DepStore| {
+            for n in 0..1000u32 {
+                let flags = DepFlags::from_bits_truncate(n as u8 & 3); // never REVERSED
+                let (dtype, source) = (DTYPES[n as usize % 4], loc(1, n % 7 + 1));
+                s.add(sink(n % 50 + 1), dtype, source, 0, 1, flags, None);
+            }
+        };
+        busy(&mut s);
+        s.enable_delta();
+        assert!(s.take_delta().is_empty(), "a catch-up over irrelevant edges ships nothing");
+        busy(&mut s);
+        s.seal();
+        busy(&mut s);
+        assert_eq!(listed(&s), 0, "the dirty list never allocated");
+        assert!(s.take_delta().is_empty());
+        // One occurrence with a carrier: the edge ships whole, the rest stay out.
+        s.add(sink(1), DepType::Raw, loc(1, 1), 0, 1, DepFlags::LOOP_CARRIED, Some(4));
+        let d = s.take_delta();
+        let whole = s.dependences().find(|(_, v)| !v.carriers.is_empty()).expect("the edge").1;
+        assert_eq!(d.edges.len(), 1);
+        assert_eq!(d.edges[0].count_delta, whole.count);
+        assert!(whole.count > 1 && (s.merged_len() as usize) > d.edges.len());
     }
 
     #[test]
@@ -1026,7 +1078,8 @@ mod tests {
         other.record_loop(9, loc(1, 1), loc(1, 3), 6);
         s.merge(other);
         fold(&mut mirror, &s.take_delta());
-        assert_eq!(snapshot(&mirror), snapshot(&s));
+        assert_eq!(snapshot(&mirror), relevant(&s));
+        assert_eq!(mirror.merged_len(), s.merged_len(), "the merge made every edge relevant");
     }
 
     #[test]

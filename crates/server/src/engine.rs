@@ -293,9 +293,9 @@ impl SessionEngine {
     /// Answers a `Query` frame from incremental state. The first query
     /// of a session (or of a rehydrated incarnation — delta tracking is
     /// not persisted) enables delta tracking on the engine; the
-    /// catch-up delta then ships the full history, so late enabling
-    /// loses nothing. Unknown selector values answer like
-    /// [`query_kind::ALL`], echoing the kind byte.
+    /// catch-up delta then ships every edge the analyses read, however
+    /// old, so late enabling loses nothing. Unknown selector values
+    /// answer like [`query_kind::ALL`], echoing the kind byte.
     fn answer_query(&mut self, kind: u8) -> String {
         let session = self.session.as_mut().expect("unfinished session has an engine");
         if !session.online_enabled() {

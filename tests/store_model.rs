@@ -2,16 +2,25 @@
 //! replaced.
 //!
 //! [`oracle::DepStore`] is the nested-`BTreeMap` store of the commit
-//! before the flat table, kept verbatim (its sorted order, its delta
-//! baselines and its `save` bytes came for free from the maps). Random
-//! interleavings of every mutating operation run against both; after
-//! each step the two must hold the same edges in the same order, write
-//! the same checkpoint bytes and drain the same deltas. One checkpoint
-//! blob written by that commit is pinned as hex, so checkpoints taken
-//! before the flat table still resume after it.
+//! before the flat table (its sorted order, its delta baselines and its
+//! `save` bytes came for free from the maps), taught since only which
+//! edges a delta carries: [`oracle::relevant`], the predicate spelled on
+//! the maps' own values. Random interleavings of every mutating
+//! operation run against both; after each step the two must hold the
+//! same edges in the same order, write the same checkpoint bytes and
+//! drain the same deltas, and the drained deltas must fold back into
+//! exactly the relevant part of the store. One checkpoint blob written
+//! by that commit is pinned as hex, so checkpoints taken before the flat
+//! table still resume after it.
+//!
+//! A second property folds the deltas of random sequences — edges that
+//! turn relevant late, late enables, drains during a pending catch-up,
+//! two worker stores — into an `OnlineAnalysis` and holds its report
+//! equal to the post-hoc passes' over the finished store.
 
+use depprof::analysis::{posthoc_report, OnlineAnalysis, OnlineReport};
 use depprof::core::store::EdgeKey;
-use depprof::core::{AnalysisDelta, DeltaEdge, DeltaLoop, DepStore, LoopRecord};
+use depprof::core::{AnalysisDelta, DeltaEdge, DeltaLoop, DepStore, LoopRecord, ProfileResult};
 use depprof::types::{
     loc::loc, ByteWriter, DepFlags, DepType, LoopId, SinkKey, SourceLoc, ThreadId, VarId,
 };
@@ -45,13 +54,25 @@ mod oracle {
         })
     }
 
-    /// Dirty-set bookkeeping for delta tracking: for every edge (or loop)
-    /// touched since the last drain, the pre-touch counters, so the drain can
-    /// ship exact movement without cloning the whole store.
+    /// True when an analysis reads the edge: it has a carrier (loop
+    /// classification), carries `REVERSED` (race hints) or is a
+    /// cross-thread RAW (communication matrix). Only such edges enter a
+    /// delta.
+    pub fn relevant(sink: &SinkKey, key: &EdgeKey, val: &EdgeVal) -> bool {
+        !val.carriers.is_empty()
+            || val.flags.contains(DepFlags::REVERSED)
+            || (key.0 == DepType::Raw && key.2 != sink.thread)
+    }
+
+    /// Dirty-set bookkeeping for delta tracking: for every relevant edge
+    /// (or loop) touched since the last drain, the counters already
+    /// shipped, so the drain can ship exact movement without cloning the
+    /// whole store.
     #[derive(Debug, Clone, Default)]
     struct DeltaTrack {
         /// `(sink, key) -> count` before the first touch of this interval
-        /// (0 for edges born inside the interval).
+        /// (0 for edges that touch made relevant: nothing of them shipped
+        /// before).
         edges: BTreeMap<(SinkKey, EdgeKey), u64>,
         /// `loop -> (instances, total_iters)` before the first touch.
         loops: BTreeMap<LoopId, (u64, u64)>,
@@ -103,13 +124,14 @@ mod oracle {
                 self.distinct += 1;
                 EdgeVal::default()
             });
-            if let Some(track) = self.delta.as_mut() {
-                track.edges.entry((sink, key)).or_insert(entry.count);
-            }
+            let shipped = if relevant(&sink, &key, entry) { entry.count } else { 0 };
             entry.count += 1;
             entry.flags |= flags;
             if let Some(l) = carrier {
                 entry.carriers.insert(l);
+            }
+            if let Some(track) = self.delta.as_mut().filter(|_| relevant(&sink, &key, entry)) {
+                track.edges.entry((sink, key)).or_insert(shipped);
             }
         }
 
@@ -128,11 +150,11 @@ mod oracle {
             r.total_iters += iters;
         }
 
-        /// Turns on delta tracking. Everything already in the store is seeded
-        /// into the dirty set at a zero baseline, so the first
-        /// [`DepStore::take_delta`] ships the *full* current state — the
-        /// catch-up that lets online analysis be enabled lazily mid-session
-        /// (or after a checkpoint rehydration) without missing history.
+        /// Turns on delta tracking. Every relevant edge already in the store
+        /// is seeded into the dirty set at a zero baseline, so the first
+        /// [`DepStore::take_delta`] ships all of them — the catch-up that
+        /// lets online analysis be enabled lazily mid-session (or after a
+        /// checkpoint rehydration) without missing history.
         /// Idempotent: enabling twice does not reset in-flight baselines.
         pub fn enable_delta(&mut self) {
             if self.delta.is_some() {
@@ -140,7 +162,7 @@ mod oracle {
             }
             let mut track = DeltaTrack::default();
             for (sink, edges) in &self.deps {
-                for key in edges.keys() {
+                for (key, _) in edges.iter().filter(|(key, val)| relevant(sink, key, val)) {
                     track.edges.insert((*sink, *key), 0);
                 }
             }
@@ -252,12 +274,13 @@ mod oracle {
                         self.distinct += 1;
                         EdgeVal::default()
                     });
-                    if let Some(track) = self.delta.as_mut() {
-                        track.edges.entry((sink, k)).or_insert(e.count);
-                    }
+                    let shipped = if relevant(&sink, &k, e) { e.count } else { 0 };
                     e.count += v.count;
                     e.flags |= v.flags;
                     e.carriers.extend(v.carriers);
+                    if let Some(track) = self.delta.as_mut().filter(|_| relevant(&sink, &k, e)) {
+                        track.edges.entry((sink, k)).or_insert(shipped);
+                    }
                 }
             }
             for (id, r) in other.loops {
@@ -279,9 +302,8 @@ mod oracle {
         /// Applies an [`AnalysisDelta`] drained from another store: counts
         /// add, flags OR, carriers union — the [`merge`](DepStore::merge)
         /// rules, so replaying every delta of a session reconstructs the
-        /// merged store. This is the post-hoc fallback path of the online
-        /// analysis subsystem: a mirror store fed only by deltas is a valid
-        /// input for any non-incremental pass.
+        /// relevant part of the merged store. Only this model has it: the
+        /// product folds deltas into `OnlineAnalysis`, never into a store.
         pub fn apply_delta(&mut self, delta: &AnalysisDelta) {
             for e in &delta.edges {
                 let dst = self.deps.entry(e.sink).or_default();
@@ -289,9 +311,6 @@ mod oracle {
                     self.distinct += 1;
                     EdgeVal::default()
                 });
-                if let Some(track) = self.delta.as_mut() {
-                    track.edges.entry((e.sink, e.key)).or_insert(entry.count);
-                }
                 entry.count += e.count_delta;
                 entry.flags |= e.flags;
                 entry.carriers.extend(e.carriers.iter().copied());
@@ -304,9 +323,6 @@ mod oracle {
                     instances: 0,
                     total_iters: 0,
                 });
-                if let Some(track) = self.delta.as_mut() {
-                    track.loops.entry(l.id).or_insert((dst.instances, dst.total_iters));
-                }
                 dst.instances += l.instances_delta;
                 dst.total_iters += l.iters_delta;
             }
@@ -505,20 +521,19 @@ fn oracle_contents(s: &oracle::DepStore) -> Contents {
     )
 }
 
-/// The store under test and the oracle, driven in lockstep, each with
-/// the mirror its drained deltas are folded into.
+/// The store under test and the oracle, driven in lockstep, and the
+/// mirror the drained deltas are folded into.
 #[derive(Default)]
 struct Pair {
     new: DepStore,
     old: oracle::DepStore,
-    mirror: DepStore,
-    old_mirror: oracle::DepStore,
+    mirror: oracle::DepStore,
 }
 
 impl Pair {
     fn add(new: &mut DepStore, old: &mut oracle::DepStore, occ: &Occurrence) {
         let &(sink, (dtype, source_loc, source_thread, var), flags, carrier) = occ;
-        new.add(sink, dtype, source_loc, source_thread, var, flags, carrier);
+        add(new, occ);
         old.add(sink, dtype, source_loc, source_thread, var, flags, carrier);
     }
 
@@ -553,10 +568,16 @@ impl Pair {
                 let ids: Vec<_> = delta.edges.iter().map(|e| (e.sink, e.key)).collect();
                 assert!(ids.windows(2).all(|w| w[0] < w[1]), "edges in (sink, key) order");
                 self.mirror.apply_delta(&delta);
-                self.old_mirror.apply_delta(&delta);
                 if self.new.delta_enabled() {
-                    assert_eq!(contents(&self.mirror), contents(&self.new), "deltas fold back");
-                    assert_eq!(contents(&self.mirror), oracle_contents(&self.old_mirror));
+                    let (mut edges, loops, ..) = contents(&self.new);
+                    edges.retain(|(sink, key, _, flags, carriers)| {
+                        !carriers.is_empty()
+                            || flags.contains(DepFlags::REVERSED)
+                            || (key.0 == DepType::Raw && key.2 != sink.thread)
+                    });
+                    let (folded, folded_loops, ..) = oracle_contents(&self.mirror);
+                    assert_eq!(folded, edges, "deltas fold back into the relevant sub-store");
+                    assert_eq!(folded_loops, loops);
                 }
             }
             Op::Seal => self.new.seal(),
@@ -565,9 +586,8 @@ impl Pair {
                 self.new = DepStore::load(&bytes).expect("own checkpoint loads");
                 self.old = oracle::DepStore::load(&bytes).expect("the oracle reads it too");
                 // Tracking is not persisted: a later enable ships the
-                // whole store again, so the mirrors start over.
-                self.mirror = DepStore::new();
-                self.old_mirror = oracle::DepStore::new();
+                // relevant part of the store again, so the mirror starts over.
+                self.mirror = oracle::DepStore::new();
             }
         }
     }
@@ -595,6 +615,187 @@ proptest! {
         pair.apply(&Op::TakeDelta);
         pair.check();
     }
+}
+
+/// One step of a session as the engines drive their stores; the flag
+/// picks the worker store in the two-worker legs.
+#[derive(Debug, Clone)]
+enum Step {
+    Add(Occurrence, bool),
+    RecordLoop(LoopId, u64, bool),
+    Merge(Vec<Occurrence>, bool),
+    Seal(bool),
+    Enable,
+    Drain,
+}
+
+/// Occurrences as Algorithm 1 builds them — `LOOP_CARRIED` exactly when
+/// there is a carrier — over few enough identities that most edges
+/// collect many occurrences, and with carriers (1 in 6) and `REVERSED`
+/// (1 in 8) rare enough that an edge usually turns relevant late, if at
+/// all. Threads differ on either end, so some RAWs are cross-thread.
+fn arb_engine_occurrence() -> impl Strategy<Value = Occurrence> {
+    let end = || (1u32..4, 0u16..2);
+    (end(), end(), 0usize..4, (0u32..2, 0u8..8), 0u32..18).prop_map(
+        |((sl, st), (l, t), dtype, (var, reversed), carrier)| {
+            let carrier = (carrier < 3).then_some(carrier);
+            let mut flags = match carrier {
+                Some(_) => DepFlags::LOOP_CARRIED,
+                None if l % 2 == 0 => DepFlags::INTRA_ITERATION,
+                None => DepFlags::empty(),
+            };
+            if reversed == 0 {
+                flags |= DepFlags::REVERSED;
+            }
+            (
+                SinkKey { loc: loc(1, sl), thread: st },
+                (DTYPES[dtype], loc(1, l), t, var),
+                flags,
+                carrier,
+            )
+        },
+    )
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    let step = prop_oneof![
+        16 => (arb_engine_occurrence(), any::<bool>()).prop_map(|(occ, w)| Step::Add(occ, w)),
+        2 => (0u32..4, 0u64..9, any::<bool>()).prop_map(|(id, n, w)| Step::RecordLoop(id, n, w)),
+        1 => (prop::collection::vec(arb_engine_occurrence(), 0..8), any::<bool>())
+            .prop_map(|(occ, w)| Step::Merge(occ, w)),
+        1 => any::<bool>().prop_map(Step::Seal),
+        1 => Just(Step::Enable),
+        2 => Just(Step::Drain),
+    ];
+    prop::collection::vec(step, 1..160)
+}
+
+fn add(store: &mut DepStore, occ: &Occurrence) {
+    let &(sink, (dtype, source_loc, source_thread, var), flags, carrier) = occ;
+    store.add(sink, dtype, source_loc, source_thread, var, flags, carrier);
+}
+
+/// Runs `steps` over `workers` stores, folding every drained delta into
+/// one [`OnlineAnalysis`] as a session does, and returns its last report
+/// beside the post-hoc passes' over the merged stores. Tracking starts at
+/// the first [`Step::Enable`] (`early`: before the first step), so the
+/// drains before it ship nothing and the one after it is the catch-up.
+///
+/// An edge some occurrence flags `REVERSED` keeps to worker 0. Race
+/// hints read its *count*, and a store that holds the edge but never saw
+/// the reversal has no reason to ship its share; the engines that run
+/// online never set the flag (only `MtProfiler` checks reversal), so no
+/// session splits such an edge over stores (DESIGN.md, "Online analysis").
+fn folded_and_posthoc(steps: &[Step], workers: usize, early: bool) -> (OnlineReport, OnlineReport) {
+    let occurrences = steps.iter().flat_map(|step| match step {
+        Step::Add(occ, _) => std::slice::from_ref(occ),
+        Step::Merge(occs, _) => occs,
+        _ => &[],
+    });
+    let racy: Vec<(SinkKey, EdgeKey)> = occurrences
+        .filter(|occ| occ.2.contains(DepFlags::REVERSED))
+        .map(|occ| (occ.0, occ.1))
+        .collect();
+    let worker = |w: bool, occ: Option<&Occurrence>| match occ {
+        Some(occ) if racy.contains(&(occ.0, occ.1)) => 0,
+        _ => w as usize % workers,
+    };
+    let mut stores = vec![DepStore::new(); workers];
+    let mut online = OnlineAnalysis::new();
+    let mut drain = |stores: &mut [DepStore]| {
+        for store in stores {
+            online.fold(&store.take_delta());
+        }
+    };
+    if early {
+        stores.iter_mut().for_each(DepStore::enable_delta);
+    }
+    for step in steps {
+        match step {
+            Step::Add(occ, w) => add(&mut stores[worker(*w, Some(occ))], occ),
+            Step::RecordLoop(id, iters, w) => {
+                let (begin, end) = loop_ends(*id);
+                stores[worker(*w, None)].record_loop(*id, begin, end, *iters);
+            }
+            Step::Merge(occs, w) => {
+                // One store per destination, so a racy edge still lands whole.
+                let mut parts = vec![DepStore::new(); workers];
+                for occ in occs {
+                    add(&mut parts[worker(*w, Some(occ))], occ);
+                }
+                for (store, part) in stores.iter_mut().zip(parts) {
+                    store.merge(part);
+                }
+            }
+            Step::Seal(w) => stores[worker(*w, None)].seal(),
+            Step::Enable => stores.iter_mut().for_each(DepStore::enable_delta),
+            Step::Drain => drain(&mut stores),
+        }
+    }
+    stores.iter_mut().for_each(DepStore::enable_delta);
+    drain(&mut stores);
+    let mut deps = DepStore::new();
+    for store in stores {
+        deps.merge(store);
+    }
+    deps.seal();
+    (online.report(), posthoc_report(&ProfileResult { deps, ..Default::default() }))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Deltas hold only the edges an analysis reads, and still the folded
+    /// report — race occurrences, communication cells, blockers, loop
+    /// rows — is the post-hoc passes' over the finished store: with
+    /// tracking on from the start or enabled late, on one store or split
+    /// over two workers.
+    #[test]
+    fn folded_deltas_answer_like_the_posthoc_passes(steps in arb_steps()) {
+        for workers in [1, 2] {
+            for early in [true, false] {
+                let (folded, posthoc) = folded_and_posthoc(&steps, workers, early);
+                prop_assert_eq!(folded, posthoc, "{} workers, early enable: {}", workers, early);
+            }
+        }
+    }
+}
+
+/// The late arrivals by name, with the numbers a reader can check: many
+/// unshipped occurrences, then the one that makes the edge relevant.
+#[test]
+fn an_edge_that_turns_relevant_late_ships_every_occurrence() {
+    let sink = SinkKey { loc: loc(1, 3), thread: 0 };
+    let plain = |key: EdgeKey| Step::Add((sink, key, DepFlags::INTRA_ITERATION, None), false);
+    let (raced, carried) = ((DepType::War, loc(1, 2), 0, 1), (DepType::Raw, loc(1, 1), 0, 1));
+    let mut steps = vec![Step::RecordLoop(2, 30, false)];
+    steps.extend((0..30).flat_map(|_| [plain(raced), plain(carried)]));
+    // Tracking goes on over 60 occurrences of two edges nothing reads,
+    // and a drain ships nothing of them.
+    steps.extend([Step::Enable, Step::Drain]);
+    steps.extend((0..10).flat_map(|_| [plain(raced), plain(carried)]));
+    steps.push(Step::Drain);
+    // The 41st occurrence of each is the first an analysis cares about;
+    // a seal moves the records before the drain.
+    steps.push(Step::Add((sink, raced, DepFlags::REVERSED, None), false));
+    steps.push(Step::Add((sink, carried, DepFlags::LOOP_CARRIED, Some(2)), false));
+    steps.extend([Step::Seal(false), Step::Drain, plain(raced), Step::Drain]);
+    for early in [true, false] {
+        let (folded, posthoc) = folded_and_posthoc(&steps, 1, early);
+        assert_eq!(folded, posthoc);
+        assert_eq!(folded.races.len(), 1);
+        assert_eq!(folded.races[0].occurrences, 42);
+        assert_eq!(folded.loops[0].blockers, [(loc(1, 3), loc(1, 1), 1)]);
+    }
+    // Enabled with the relevant occurrences already in, just before the
+    // last occurrence and the last drain: the catch-up is still pending
+    // when that one arrives, and ships all 42 once.
+    let at = steps.iter().position(|s| matches!(s, Step::Enable)).expect("an enable");
+    let enable = steps.remove(at);
+    steps.insert(steps.len() - 2, enable);
+    let (folded, posthoc) = folded_and_posthoc(&steps, 1, false);
+    assert_eq!(folded, posthoc);
+    assert_eq!(folded.races[0].occurrences, 42);
 }
 
 /// The store of the golden blob: edges added out of order, carried by

@@ -7,9 +7,6 @@
 //! so repeated entries of the same construct merge into one node with a
 //! count, keeping the tree finite regardless of run length. Per-thread
 //! roots give parallel targets one tree per target thread.
-//!
-//! The *call tree* is this tree restricted to function nodes
-//! ([`ExecTree::call_tree`]).
 
 use dp_types::{ByteReader, ByteWriter, LoopId, ThreadId, WireError};
 use std::collections::BTreeMap;
@@ -139,31 +136,6 @@ impl ExecTree {
         }
     }
 
-    /// The call tree: the execution tree with loop nodes spliced out
-    /// (children of a loop attach to the nearest enclosing call).
-    pub fn call_tree(&self) -> BTreeMap<ThreadId, ExecNode> {
-        fn splice(node: &ExecNode, out: &mut ExecNode) {
-            for (k, v) in &node.children {
-                match k {
-                    ExecNodeKind::Call(_) => {
-                        let child = out.children.entry(*k).or_default();
-                        child.count += v.count;
-                        splice(v, child);
-                    }
-                    ExecNodeKind::Loop(_) => splice(v, out),
-                }
-            }
-        }
-        self.roots
-            .iter()
-            .map(|(t, r)| {
-                let mut out = ExecNode { count: r.count.max(1), children: BTreeMap::new() };
-                splice(r, &mut out);
-                (*t, out)
-            })
-            .collect()
-    }
-
     /// Plain-text rendering with `names(kind) -> label`.
     pub fn render(&self, mut names: impl FnMut(ExecNodeKind) -> String) -> String {
         fn walk(
@@ -276,22 +248,6 @@ mod tests {
         t.enter(1, ExecNodeKind::Call(0));
         t.enter(2, ExecNodeKind::Call(0));
         assert_eq!(t.roots().count(), 2);
-    }
-
-    #[test]
-    fn call_tree_splices_loops() {
-        let mut t = ExecTree::new();
-        t.enter(0, ExecNodeKind::Call(7));
-        t.enter(0, ExecNodeKind::Loop(1));
-        t.enter(0, ExecNodeKind::Call(8));
-        t.exit(0, ExecNodeKind::Call(8));
-        t.exit(0, ExecNodeKind::Loop(1));
-        t.exit(0, ExecNodeKind::Call(7));
-        let ct = t.call_tree();
-        let root = &ct[&0];
-        let f7 = &root.children[&ExecNodeKind::Call(7)];
-        assert!(f7.children.contains_key(&ExecNodeKind::Call(8)), "loop spliced out");
-        assert_eq!(f7.children.len(), 1);
     }
 
     #[test]

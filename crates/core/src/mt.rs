@@ -110,9 +110,7 @@ impl MtShared {
     /// Replies nobody is waiting for any more (a worker that answered a
     /// `Checkpoint` after its deadline): counted and dropped.
     fn count_stray_replies(&self) {
-        while self.ctx.resp.pop().is_some() {
-            self.spurious_replies.fetch_add(1, Ordering::Relaxed);
-        }
+        self.spurious_replies.fetch_add(self.ctx.stale_replies().len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -271,9 +269,8 @@ impl MtProfiler {
                 return Err(CheckpointError::WorkerUnavailable(wid));
             }
         }
-        let workers = self.workers.checkpoint_states(|_| {
-            sh.spurious_replies.fetch_add(1, Ordering::Relaxed);
-        })?;
+        let (workers, strays) = self.workers.checkpoint_states();
+        sh.spurious_replies.fetch_add(strays.len() as u64, Ordering::Relaxed);
         Ok(CheckpointData {
             generation,
             records_read,
@@ -282,7 +279,7 @@ impl MtProfiler {
             // central statistics to capture.
             router: Vec::new(),
             ledger: sh.ctx.metrics.save(),
-            workers,
+            workers: workers?,
         })
     }
 

@@ -26,21 +26,28 @@
 //! [`ProfilerConfig::redistribute_every`] chunks it checks whether the
 //! `top_k` hottest addresses are spread evenly over the workers. If not,
 //! it reassigns them round-robin by heat and *migrates the signature
-//! state*: the old owner receives an `Extract` message (positioned after
-//! all of the address's earlier accesses — queue FIFO guarantees this),
-//! replies with the slot contents on a response queue, and the router
-//! forwards an `Inject` to the new owner before any buffered or subsequent
-//! access of that address reaches it. The address's accesses are buffered
-//! at the router while the migration is in flight, so per-address temporal
-//! order is preserved across the move.
+//! state*, one address at a time and each in one step: the old owner
+//! receives an `Extract` message (positioned after all of the address's
+//! earlier accesses — queue FIFO guarantees this), the rule that names
+//! the new owner goes in, the router waits for the slot contents on the
+//! response queue and forwards them in an `Inject` to the new owner. The
+//! router routes nothing while it waits, so every later access of the
+//! address queues up behind the `Inject` and per-address temporal order
+//! holds across the move with nothing in flight once the check returns.
+//! Rounds are rare (the paper: "costly, at most 20×/run"), which is what
+//! lets the wait be synchronous.
 //!
 //! ## Failure model
 //!
 //! The workers are the supervised pool of [`workers`](crate::workers): a
 //! panicking worker flags itself dead, and the router fails fast on dead
 //! workers instead of spinning on a queue nobody will drain — a surviving
-//! worker adopts the dead one's traffic. `finish()` completes or cancels
-//! what is in flight and reports losses precisely — per-worker
+//! worker adopts the dead one's traffic. A migration whose source cannot
+//! be asked is cancelled with the rule left alone; one whose answer never
+//! comes (the source died, or stayed silent past
+//! [`ProfilerConfig::drain_deadline_ms`]) or cannot be handed on is
+//! cancelled with the rule in place, and the address starts afresh at its
+//! new owner. `finish()` reports losses precisely — per-worker
 //! dropped-event counts, cancelled migrations and
 //! [`WorkerFailure`](crate::result::WorkerFailure) records — in
 //! [`ProfileStats`](crate::result::ProfileStats). Under
@@ -81,16 +88,6 @@ use dp_types::{Address, ByteReader, ByteWriter, FxHashMap, TraceEvent, Tracer, W
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-struct Inflight {
-    /// Worker the state is being extracted from.
-    source: usize,
-    /// Worker the state is migrating to.
-    target: usize,
-    /// Accesses of the migrating address, buffered until the `Inject`
-    /// has been sent so per-address temporal order survives the move.
-    buffered: Vec<TraceEvent>,
-}
-
 /// The parallel profiler. Implements [`Tracer`], so the instrumented
 /// program pushes events into it directly; call
 /// [`ParallelProfiler::finish`] afterwards.
@@ -123,8 +120,9 @@ pub struct ParallelProfiler {
     /// Section IV-A access statistics, in bounded memory.
     hot: HotTable,
     rules: FxHashMap<Address, usize>,
-    inflight: FxHashMap<Address, Inflight>,
     chunks_pushed: u64,
+    /// The `chunks_pushed` at which the next balance check falls due.
+    balance_due: u64,
     redistributions: u64,
     /// Router-side drop accounting, per destination worker.
     dropped: Vec<u64>,
@@ -134,8 +132,6 @@ pub struct ParallelProfiler {
     rerouted_events: u64,
     cancelled_migrations: u64,
     spurious_replies: u64,
-    in_rebalance: bool,
-    in_poll: bool,
     /// Online analysis enabled (workers track dependence-map movement).
     online: bool,
     /// Delta replies that arrived outside a collect window; handed to
@@ -238,16 +234,14 @@ impl ParallelProfiler {
             workers,
             hot: HotTable::new(),
             rules: FxHashMap::default(),
-            inflight: FxHashMap::default(),
             chunks_pushed: 0,
+            balance_due: cfg.redistribute_every,
             redistributions: 0,
             dropped: vec![0; w],
             full_since: vec![None; w],
             rerouted_events: 0,
             cancelled_migrations: 0,
             spurious_replies: 0,
-            in_rebalance: false,
-            in_poll: false,
             online: false,
             pending_deltas: Vec::new(),
             cfg,
@@ -352,7 +346,9 @@ impl ParallelProfiler {
 
     /// [`Self::append`] with the routing verdict: a diverted copy is
     /// counted rerouted once, here, and marked in its chunk so the
-    /// enqueue/drop/consume taps exclude it downstream.
+    /// enqueue/drop/consume taps exclude it downstream. A filled chunk is
+    /// flushed, and the balance check runs here once it falls due — the
+    /// one trigger, which no flush inside a round can re-enter.
     #[inline]
     fn append_routed(&mut self, wid: usize, ev: TraceEvent, diverted: bool) {
         self.pending[wid].push(ev);
@@ -362,7 +358,17 @@ impl ParallelProfiler {
         }
         if self.pending[wid].is_full() {
             self.flush(wid);
+            if self.cfg.redistribution && self.chunks_pushed >= self.balance_due {
+                self.maybe_redistribute();
+                self.balance_due = self.next_balance();
+            }
         }
+    }
+
+    /// The next multiple of `redistribute_every` above `chunks_pushed`.
+    fn next_balance(&self) -> u64 {
+        let every = self.cfg.redistribute_every.max(1);
+        (self.chunks_pushed / every + 1) * every
     }
 
     fn flush(&mut self, wid: usize) {
@@ -387,20 +393,6 @@ impl ParallelProfiler {
             }
             Err(_) => unreachable!("deliver returns the message it was given"),
         }
-        if !self.inflight.is_empty() {
-            self.poll_responses();
-        }
-        // Never start a redistribution while a migration's buffered
-        // events are being drained (`in_poll`): a nested Extract issued
-        // between two halves of the buffered stream would capture the
-        // signature state mid-replay and orphan the remainder.
-        if self.cfg.redistribution
-            && !self.in_rebalance
-            && !self.in_poll
-            && self.chunks_pushed.is_multiple_of(self.cfg.redistribute_every)
-        {
-            self.maybe_redistribute();
-        }
     }
 
     fn flush_all(&mut self) {
@@ -409,110 +401,10 @@ impl ParallelProfiler {
         }
     }
 
-    /// Delivers a migration's buffered accesses to `target` (diverted if
-    /// the target died), after the `Inject` — per-address order preserved.
-    fn replay_buffered(&mut self, target: usize, buffered: Vec<TraceEvent>) {
-        let dest = if self.is_dead(target) { self.next_live(target) } else { Some(target) };
-        match dest {
-            Some(t) => {
-                for ev in buffered {
-                    self.append(t, ev);
-                }
-            }
-            // Every worker is dead: the buffer is lost, but accounted.
-            // These events never reached a chunk, so the conservation
-            // ledger counts them pushed and dropped at the same instant.
-            None => {
-                self.dropped[target] += buffered.len() as u64;
-                self.workers.ctx.metrics.pushed.add(buffered.len() as u64);
-                self.workers.ctx.metrics.dropped[target].add(buffered.len() as u64);
-            }
-        }
-    }
-
-    fn poll_responses(&mut self) {
-        // Non-reentrant: appends below can flush, and flushing polls. The
-        // outer invocation keeps draining, so skipping the nested call
-        // loses nothing.
-        if self.in_poll {
-            return;
-        }
-        self.in_poll = true;
-        self.resolve_dead_migrations();
-        while let Some(msg) = self.workers.ctx.resp.pop() {
-            // Replies that missed `collect_deltas`' or `checkpoint_data`'s
-            // window (a worker that answered after the deadline).
-            let Reply::Extracted { addr, read, write } = msg else {
-                self.stray_reply(msg);
-                continue;
-            };
-            // A reply with no pending migration (its migration was
-            // cancelled after the source was presumed dead, and the reply
-            // arrived anyway) is counted and ignored — it must not kill
-            // the router.
-            let Some(inf) = self.inflight.remove(&addr) else {
-                self.spurious_replies += 1;
-                continue;
-            };
-            let mut target = inf.target;
-            if self.is_dead(target) {
-                match self.next_live(target) {
-                    Some(f) => {
-                        // Divert the migration to a surviving worker.
-                        self.rules.insert(addr, f);
-                        target = f;
-                    }
-                    None => {
-                        self.cancelled_migrations += 1;
-                        self.dropped[inf.target] += inf.buffered.len() as u64;
-                        // Never chunked: pushed and dropped at once, as in
-                        // replay_buffered's all-dead arm.
-                        self.workers.ctx.metrics.pushed.add(inf.buffered.len() as u64);
-                        self.workers.ctx.metrics.dropped[inf.target].add(inf.buffered.len() as u64);
-                        continue;
-                    }
-                }
-            }
-            if self
-                .deliver(target, WorkerMsg::Inject { addr, read, write }, self.cfg.drop_after())
-                .is_err()
-            {
-                // Stalled target: the extracted state is lost; the
-                // buffered suffix still goes through normal (accounted)
-                // delivery below.
-                self.cancelled_migrations += 1;
-            }
-            self.replay_buffered(target, inf.buffered);
-        }
-        self.in_poll = false;
-    }
-
-    /// Cancels migrations whose source died before replying: the reply
-    /// will never come, so the buffered accesses are released to the
-    /// target with fresh state instead of being held forever.
-    fn resolve_dead_migrations(&mut self) {
-        if self.inflight.is_empty() {
-            return;
-        }
-        let stuck: Vec<Address> = self
-            .inflight
-            .iter()
-            .filter(|(_, inf)| self.is_dead(inf.source))
-            .map(|(&a, _)| a)
-            .collect();
-        for addr in stuck {
-            let inf = self.inflight.remove(&addr).expect("collected from the same map");
-            self.cancelled_migrations += 1;
-            self.replay_buffered(inf.target, inf.buffered);
-        }
-    }
-
     /// Section IV-A: keep the `top_k` hottest addresses evenly spread.
     fn maybe_redistribute(&mut self) {
-        self.in_rebalance = true;
-        let k = self.cfg.top_k;
         let w = self.senders.len();
-        let top = self.hot.top(k);
+        let top = self.hot.top(self.cfg.top_k);
         // Check balance: how many of the top-k does each worker own?
         let mut load = vec![0usize; w];
         for &(a, _) in &top {
@@ -520,80 +412,81 @@ impl ParallelProfiler {
         }
         let ideal = top.len().div_ceil(w);
         if load.iter().all(|&l| l <= ideal) {
-            self.in_rebalance = false;
             return; // already even
         }
         // Reassign round-robin by heat and migrate owners that change.
-        let mut moved = 0usize;
+        let mut moved = false;
         for (rank, &(addr, _)) in top.iter().enumerate() {
-            let desired = rank % w;
-            let old = self.owner(addr);
+            let (old, new) = (self.owner(addr), rank % w);
             // A migration needs both endpoints alive: a dead source has
             // no state to extract, a dead target nothing to inject into.
-            if old == desired
-                || self.inflight.contains_key(&addr)
-                || self.is_dead(old)
-                || self.is_dead(desired)
-            {
-                continue;
-            }
-            // Order: everything routed so far must precede Extract.
-            self.flush(old);
-            let prev = self.rules.insert(addr, desired);
-            self.inflight
-                .insert(addr, Inflight { source: old, target: desired, buffered: Vec::new() });
-            match self.deliver(old, WorkerMsg::Extract { addr }, self.cfg.drop_after()) {
-                Ok(()) => moved += 1,
-                Err(_) => {
-                    // Unreachable source: cancel the migration and restore
-                    // the previous routing.
-                    self.inflight.remove(&addr);
-                    match prev {
-                        Some(p) => self.rules.insert(addr, p),
-                        None => self.rules.remove(&addr),
-                    };
-                    self.cancelled_migrations += 1;
-                }
+            if old != new && !self.is_dead(old) && !self.is_dead(new) {
+                moved |= self.migrate(addr, old, new);
             }
         }
-        if moved > 0 {
-            self.redistributions += 1;
-        }
-        self.in_rebalance = false;
+        self.redistributions += moved as u64;
     }
 
-    /// Gives in-flight migrations until `deadline` to complete, so their
-    /// buffered accesses reach a worker before a barrier goes out. Polls
-    /// at least once, which also clears replies that missed their window.
-    fn settle_migrations(&mut self, deadline: Instant) {
-        loop {
-            self.poll_responses();
-            if self.inflight.is_empty() || Instant::now() >= deadline {
-                return;
-            }
-            std::thread::yield_now();
+    /// Moves `addr` from `old` to `new` in one step; the router routes
+    /// nothing meanwhile, so nothing is in flight on return. True once
+    /// `old` has been asked for the state: it gives the state up whether
+    /// or not its answer arrives, so from then on `new` owns the address
+    /// and a missing answer only means it starts there afresh.
+    fn migrate(&mut self, addr: Address, old: usize, new: usize) -> bool {
+        // An answer to a cancelled move must not pass for one to this.
+        self.dispose_strays(self.workers.ctx.stale_replies());
+        // Order: everything routed so far must precede Extract.
+        self.flush(old);
+        if self.deliver(old, WorkerMsg::Extract { addr }, self.cfg.drop_after()).is_err() {
+            self.cancelled_migrations += 1;
+            return false;
         }
+        self.rules.insert(addr, new);
+        let mut expect = vec![false; self.senders.len()];
+        expect[old] = true;
+        let mut state = None;
+        let strays = self.workers.await_replies(&mut expect, |msg| match msg {
+            Reply::Extracted { addr: a, read, write } if a == addr => {
+                state = Some((read, write));
+                Ok(old)
+            }
+            other => Err(other),
+        });
+        self.dispose_strays(strays);
+        // No answer (a dead or silent source, a lost reply) or no way to
+        // hand it on (the target died or stalled meanwhile): cancelled.
+        let injected = match state {
+            Some((read, write)) => self
+                .deliver(new, WorkerMsg::Inject { addr, read, write }, self.cfg.drop_after())
+                .is_ok(),
+            None => false,
+        };
+        self.cancelled_migrations += !injected as u64;
+        true
     }
 
-    /// A reply nobody is waiting for: a late delta is parked for the next
+    /// Replies nobody is waiting for: a late delta is parked for the next
     /// collection (the worker already drained its dirty set); anything
     /// else is counted and dropped, never fatal.
-    fn stray_reply(&mut self, msg: Reply) {
-        match msg {
-            Reply::Delta { delta, .. } if !delta.is_empty() => self.pending_deltas.push(delta),
-            Reply::Delta { .. } => {}
-            Reply::Extracted { .. } | Reply::CheckpointState { .. } => self.spurious_replies += 1,
+    fn dispose_strays(&mut self, msgs: Vec<Reply>) {
+        for msg in msgs {
+            match msg {
+                Reply::Delta { delta, .. } if !delta.is_empty() => self.pending_deltas.push(delta),
+                Reply::Delta { .. } => {}
+                Reply::Extracted { .. } | Reply::CheckpointState { .. } => {
+                    self.spurious_replies += 1
+                }
+            }
         }
     }
 
     /// Quiesces the pipeline at a chunk barrier and captures a complete,
-    /// consistent checkpoint: in-flight migrations are completed first
-    /// (a checkpoint must not capture signature state mid-move), pending
-    /// chunks are flushed, then every worker serializes its extraction
-    /// state after consuming everything routed before the barrier (queue
-    /// FIFO order guarantees the cut is consistent). The caller supplies
-    /// the trace position and an opaque configuration blob, and writes
-    /// the result through a
+    /// consistent checkpoint: pending chunks are flushed, then every
+    /// worker serializes its extraction state after consuming everything
+    /// routed before the barrier (queue FIFO order guarantees the cut is
+    /// consistent; a migration is one router step, so none is ever under
+    /// way here). The caller supplies the trace position and an opaque
+    /// configuration blob, and writes the result through a
     /// [`CheckpointStore`](crate::checkpoint::CheckpointStore).
     ///
     /// Every wait is bounded by [`ProfilerConfig::drain_deadline_ms`]; a
@@ -606,31 +499,26 @@ impl ParallelProfiler {
         records_read: u64,
         config: Vec<u8>,
     ) -> Result<CheckpointData, CheckpointError> {
-        let drain = self.workers.drain();
-        self.settle_migrations(Instant::now() + drain);
-        // A migration source that never replied leaves its signature
-        // state in limbo: no consistent cut exists.
-        if let Some(inf) = self.inflight.values().next() {
-            return Err(CheckpointError::WorkerUnavailable(inf.source));
-        }
+        // An answer to an earlier barrier must not pass for one to this.
+        self.dispose_strays(self.workers.ctx.stale_replies());
         self.flush_all();
+        // As `restore_router` will: this run and one resumed from the cut
+        // hold their next balance check at the same chunk.
+        self.balance_due = self.next_balance();
         for wid in 0..self.senders.len() {
-            if self.deliver(wid, WorkerMsg::Checkpoint, Some(drain)).is_err() {
+            if self.deliver(wid, WorkerMsg::Checkpoint, Some(self.workers.drain())).is_err() {
                 return Err(CheckpointError::WorkerUnavailable(wid));
             }
         }
-        // `inflight` is empty, so every other reply here is a stray.
-        let mut strays = Vec::new();
-        let states = self.workers.checkpoint_states(|msg| strays.push(msg));
-        strays.into_iter().for_each(|msg| self.stray_reply(msg));
-        let workers = states?;
+        let (states, strays) = self.workers.checkpoint_states();
+        self.dispose_strays(strays);
         Ok(CheckpointData {
             generation,
             records_read,
             config,
             router: self.save_router(),
             ledger: self.workers.ctx.metrics.save(),
-            workers,
+            workers: states?,
         })
     }
 
@@ -705,6 +593,7 @@ impl ParallelProfiler {
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after router state"));
         }
+        self.balance_due = self.next_balance();
         Ok(())
     }
 
@@ -736,60 +625,33 @@ impl ParallelProfiler {
     /// Flushes pending chunks and drains every live worker's dirty set
     /// into [`AnalysisDelta`]s (plus any parked late replies). Best
     /// effort under chaos: a worker that stays silent past the drain
-    /// deadline is skipped — its movement is parked by `poll_responses`
+    /// deadline is skipped — its movement is parked by `dispose_strays`
     /// when the reply finally lands, so nothing is lost, merely late.
     /// With a quiet pipeline (every fed event consumed, as at the final
     /// query of a session) the folded deltas reproduce what the
     /// analyses read of the workers' stores exactly.
     pub fn collect_deltas(&mut self) -> Vec<AnalysisDelta> {
-        if !self.online {
-            return std::mem::take(&mut self.pending_deltas);
-        }
-        let drain = self.workers.drain();
-        // Complete in-flight migrations first so buffered accesses reach
-        // their worker before the flush barrier.
-        self.settle_migrations(Instant::now() + drain);
         let mut out = std::mem::take(&mut self.pending_deltas);
+        if !self.online {
+            return out;
+        }
         self.flush_all();
-        let w = self.senders.len();
-        let mut expect = vec![false; w];
-        let mut waiting = 0usize;
-        for (wid, e) in expect.iter_mut().enumerate() {
-            if !self.is_dead(wid) && self.deliver(wid, WorkerMsg::DeltaFlush, Some(drain)).is_ok() {
-                *e = true;
-                waiting += 1;
-            }
-        }
-        let deadline = Instant::now() + drain;
-        while waiting > 0 {
-            match self.workers.ctx.resp.pop() {
-                Some(Reply::Delta { worker, delta }) => {
-                    if worker < w && expect[worker] {
-                        expect[worker] = false;
-                        waiting -= 1;
-                    }
-                    // Replies from an earlier window count too: deltas
-                    // compose in any order (counts add, flags OR,
-                    // carriers union).
-                    if !delta.is_empty() {
-                        out.push(delta);
-                    }
+        let drain = self.workers.drain();
+        let mut expect: Vec<bool> = (0..self.senders.len())
+            .map(|wid| self.deliver(wid, WorkerMsg::DeltaFlush, Some(drain)).is_ok())
+            .collect();
+        // Replies from an earlier window count too: deltas compose in any
+        // order (counts add, flags OR, carriers union).
+        let strays = self.workers.await_replies(&mut expect, |msg| match msg {
+            Reply::Delta { worker, delta } => {
+                if !delta.is_empty() {
+                    out.push(delta);
                 }
-                Some(_) => self.spurious_replies += 1,
-                None => {
-                    for (wid, e) in expect.iter_mut().enumerate() {
-                        if *e && self.workers.ctx.is_dead(wid) {
-                            *e = false;
-                            waiting -= 1;
-                        }
-                    }
-                    if Instant::now() >= deadline {
-                        break; // slow worker: answer goes stale, not lost
-                    }
-                    std::thread::yield_now();
-                }
+                Ok(worker)
             }
-        }
+            other => Err(other),
+        });
+        self.dispose_strays(strays);
         out
     }
 
@@ -803,23 +665,15 @@ impl ParallelProfiler {
         self.workers.ctx.metrics.heartbeat()
     }
 
-    /// Completes migrations, drains the pipeline, joins the workers and
-    /// merges their results. Every wait is bounded by
-    /// [`ProfilerConfig::drain_deadline_ms`]: a dead or unresponsive
-    /// worker degrades the profile (see
+    /// Drains the pipeline, joins the workers and merges their results.
+    /// Every wait is bounded by [`ProfilerConfig::drain_deadline_ms`]: a
+    /// dead or unresponsive worker degrades the profile (see
     /// [`ProfileStats::degraded`](crate::result::ProfileStats::degraded))
     /// instead of hanging or aborting the caller.
     pub fn finish(mut self) -> ProfileResult {
         self.workers.begin_drain();
         let drain = self.workers.drain();
-        self.settle_migrations(Instant::now() + drain);
-        // Migrations still pending past the deadline (a dropped reply, a
-        // stalled source) are cancelled: the buffered accesses reach the
-        // target with fresh state rather than being lost in limbo.
-        for (_, inf) in std::mem::take(&mut self.inflight) {
-            self.cancelled_migrations += 1;
-            self.replay_buffered(inf.target, inf.buffered);
-        }
+        self.dispose_strays(self.workers.ctx.stale_replies());
         self.flush_all();
         let shutdown_ok: Vec<bool> = (0..self.senders.len())
             .map(|wid| self.deliver(wid, WorkerMsg::Shutdown, Some(drain)).is_ok())
@@ -850,13 +704,8 @@ impl Tracer for ParallelProfiler {
                 // Access statistics, updated on every access (Section
                 // IV-A: "updated every time a memory access occurs").
                 self.hot.add(a.addr, 1);
-                if let Some(inf) = self.inflight.get_mut(&a.addr) {
-                    inf.buffered.push(ev);
-                    self.poll_responses();
-                } else {
-                    let (wid, diverted) = self.route(a.addr);
-                    self.append_routed(wid, ev, diverted);
-                }
+                let (wid, diverted) = self.route(a.addr);
+                self.append_routed(wid, ev, diverted);
             }
             TraceEvent::LoopBegin { .. }
             | TraceEvent::LoopIter { .. }
@@ -898,7 +747,10 @@ impl Tracer for ParallelProfiler {
 mod tests {
     use super::*;
     use dp_sig::PerfectSignature;
-    use dp_types::{loc::loc, AccessKind, DepType, MemAccess};
+    use dp_types::{
+        loc::loc, AccessKind, DepFlags, DepType, LoopId, MemAccess, SinkKey, SourceLoc,
+    };
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn cfg(workers: usize) -> ProfilerConfig {
         ProfilerConfig::default()
@@ -940,32 +792,58 @@ mod tests {
         assert_eq!(raw.0.edge.source_loc.line, 10);
     }
 
+    type Mirror = BTreeMap<(SinkKey, crate::store::EdgeKey), (u64, DepFlags, BTreeSet<LoopId>)>;
+    type LoopMirror = BTreeMap<LoopId, (SourceLoc, SourceLoc, u64, u64)>;
+
+    /// Folds deltas the way an online analysis does: counts add, flags
+    /// OR, carriers union.
+    fn fold(edges: &mut Mirror, loops: &mut LoopMirror, deltas: Vec<AnalysisDelta>) {
+        for d in deltas {
+            for e in d.edges {
+                let v =
+                    edges.entry((e.sink, e.key)).or_insert((0, DepFlags::empty(), BTreeSet::new()));
+                v.0 += e.count_delta;
+                v.1 |= e.flags;
+                v.2.extend(e.carriers);
+            }
+            for l in d.loops {
+                let r = loops.entry(l.id).or_insert((l.begin, l.end, 0, 0));
+                r.2 += l.instances_delta;
+                r.3 += l.iters_delta;
+            }
+        }
+    }
+
+    /// What the deltas must rebuild: the edges of the merged store an
+    /// analysis reads, and every loop record. (Counts add up across
+    /// workers in these tests because every address shows each of its
+    /// edges the same way wherever it is owned, so all workers agree on
+    /// which edges are relevant.)
+    fn relevant(r: &ProfileResult) -> (Mirror, LoopMirror) {
+        let edges = r
+            .deps
+            .dependences()
+            .filter(|(d, v)| {
+                !v.carriers.is_empty()
+                    || v.flags.contains(DepFlags::REVERSED)
+                    || (d.edge.dtype == DepType::Raw && d.edge.source_thread != d.sink.thread)
+            })
+            .map(|(d, v)| {
+                let e = d.edge;
+                let key = (e.dtype, e.source_loc, e.source_thread, e.var);
+                ((d.sink, key), (v.count, v.flags, v.carriers.iter().copied().collect()))
+            })
+            .collect();
+        let loops = r
+            .deps
+            .loops()
+            .map(|(id, rec)| (*id, (rec.begin, rec.end, rec.instances, rec.total_iters)))
+            .collect();
+        (edges, loops)
+    }
+
     #[test]
     fn online_deltas_reconstruct_final_store() {
-        use crate::store::AnalysisDelta;
-        use dp_types::{DepFlags, LoopId, SinkKey, SourceLoc};
-        use std::collections::{BTreeMap, BTreeSet};
-        type Mirror = BTreeMap<(SinkKey, crate::store::EdgeKey), (u64, DepFlags, BTreeSet<LoopId>)>;
-        type LoopMirror = BTreeMap<LoopId, (SourceLoc, SourceLoc, u64, u64)>;
-        let fold = |edges: &mut Mirror, loops: &mut LoopMirror, deltas: Vec<AnalysisDelta>| {
-            for d in deltas {
-                for e in d.edges {
-                    let v = edges.entry((e.sink, e.key)).or_insert((
-                        0,
-                        DepFlags::empty(),
-                        BTreeSet::new(),
-                    ));
-                    v.0 += e.count_delta;
-                    v.1 |= e.flags;
-                    v.2.extend(e.carriers);
-                }
-                for l in d.loops {
-                    let r = loops.entry(l.id).or_insert((l.begin, l.end, 0, 0));
-                    r.2 += l.instances_delta;
-                    r.3 += l.iters_delta;
-                }
-            }
-        };
         let mut p = ParallelProfiler::new(
             cfg(4).with_transport(TransportKind::Mpmc),
             PerfectSignature::new,
@@ -1003,29 +881,8 @@ mod tests {
         let r = p.finish();
         assert!(!r.degraded());
         // The deltas carry the edges an analysis reads, so they rebuild
-        // that part of the merged store and every loop record. (Counts
-        // add up across workers here because every address of this
-        // stream shows each edge the same way, so all workers agree on
-        // which edges are relevant.)
-        let want_edges: Mirror = r
-            .deps
-            .dependences()
-            .filter(|(d, v)| {
-                !v.carriers.is_empty()
-                    || v.flags.contains(DepFlags::REVERSED)
-                    || (d.edge.dtype == DepType::Raw && d.edge.source_thread != d.sink.thread)
-            })
-            .map(|(d, v)| {
-                let e = d.edge;
-                let key = (e.dtype, e.source_loc, e.source_thread, e.var);
-                ((d.sink, key), (v.count, v.flags, v.carriers.iter().copied().collect()))
-            })
-            .collect();
-        let want_loops: LoopMirror = r
-            .deps
-            .loops()
-            .map(|(id, rec)| (*id, (rec.begin, rec.end, rec.instances, rec.total_iters)))
-            .collect();
+        // that part of the merged store and every loop record.
+        let (want_edges, want_loops) = relevant(&r);
         assert_eq!(edges, want_edges, "folded deltas must equal the relevant merged store");
         assert!(!edges.is_empty() && (edges.len() as u64) < r.deps.merged_len());
         assert_eq!(loops, want_loops);
@@ -1082,6 +939,62 @@ mod tests {
                     assert_eq!(v.count, 1999);
                 }
             }
+        }
+    }
+
+    /// Collections between and after balance rounds: each round's
+    /// `Extracted` answers are taken by the round itself, so none can
+    /// land in a collection's wait window, and an edge counted partly at
+    /// the old owner and partly at the new folds to its merged count.
+    #[test]
+    fn online_deltas_survive_redistribution() {
+        for kind in TRANSPORTS {
+            let mut c = cfg(4).with_redistribution(true).with_transport(kind);
+            c.redistribute_every = 2;
+            c.top_k = 4;
+            let mut p = ParallelProfiler::new(c, PerfectSignature::new);
+            let mut serial = crate::seq::SequentialProfiler::perfect();
+            let (mut edges, mut loops) = (Mirror::new(), LoopMirror::new());
+            let mut ts = 0u64;
+            let mut feed = |p: &mut ParallelProfiler, ev: TraceEvent| {
+                p.event(ev);
+                serial.on_event(&ev);
+            };
+            feed(&mut p, TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 5), thread: 0, ts });
+            // Two hot sets, each all on worker 0; the second overtakes the
+            // first, so the balance check moves addresses twice.
+            for i in 0..450u64 {
+                ts += 1;
+                feed(&mut p, TraceEvent::LoopIter { loop_id: 3, iter: i, thread: 0, ts });
+                let base = if i < 150 { 0x100 } else { 0x1100 };
+                for k in 0..4u64 {
+                    ts += 2;
+                    feed(&mut p, acc(AccessKind::Read, base + k * 0x100, ts - 1, 20 + k as u32));
+                    feed(&mut p, acc(AccessKind::Write, base + k * 0x100, ts, 10 + k as u32));
+                }
+                if i == 60 {
+                    assert!(p.redistributions > 0, "{kind:?}: enable after the first round");
+                    p.enable_online();
+                }
+                if i >= 60 && i % 45 == 0 {
+                    fold(&mut edges, &mut loops, p.collect_deltas());
+                }
+            }
+            feed(
+                &mut p,
+                TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 9), iters: 450, thread: 0, ts },
+            );
+            fold(&mut edges, &mut loops, p.collect_deltas());
+            assert!(p.collect_deltas().iter().all(AnalysisDelta::is_empty));
+            let r = p.finish();
+            assert!(!r.degraded(), "{kind:?}: {:?}", r.stats);
+            assert!(r.stats.redistributions >= 2, "{kind:?}: {:?}", r.stats);
+            assert_eq!((r.stats.cancelled_migrations, r.stats.spurious_replies), (0, 0));
+            let (want_edges, want_loops) = relevant(&r);
+            assert_eq!(edges, want_edges, "{kind:?}");
+            assert!(!edges.is_empty());
+            assert_eq!(loops, want_loops, "{kind:?}");
+            assert_eq!(owned_deps(&r), owned_deps(&serial.finish()), "{kind:?}");
         }
     }
 

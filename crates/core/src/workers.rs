@@ -136,17 +136,15 @@ enum WorkerExit {
 pub(crate) struct EngineMetrics {
     /// Events in every chunk flushed towards a queue (counted once per
     /// chunk, not per event: the counter is a cache line every producer
-    /// shares), plus migration buffers dropped before ever reaching a
-    /// chunk (those count `pushed` and `dropped` at the same instant).
-    /// Readers flush the pending chunks first.
+    /// shares). Readers flush the pending chunks first.
     pub(crate) pushed: Counter,
     /// Event copies diverted away from a dead owner at routing time.
     pub(crate) rerouted: Counter,
     /// Per worker: events inside successfully enqueued chunks, rerouted
     /// marks excluded.
     pub(crate) enqueued: Vec<Counter>,
-    /// Per worker: events dropped at the flush tap or from migration
-    /// buffers, rerouted marks excluded.
+    /// Per worker: events dropped at the flush tap, rerouted marks
+    /// excluded.
     pub(crate) dropped: Vec<Counter>,
     /// Per worker: events popped off the queue (counted at pop, before
     /// processing — "consumed" means *removed from the queue*), rerouted
@@ -251,6 +249,12 @@ impl WorkerCtx {
     pub(crate) fn is_dead(&self, wid: usize) -> bool {
         self.dead[wid].load(Ordering::Acquire)
     }
+
+    /// Empties the reply queue of answers that missed their window, so
+    /// that none can pass for an answer to the next request.
+    pub(crate) fn stale_replies(&self) -> Vec<Reply> {
+        std::iter::from_fn(|| self.resp.pop()).collect()
+    }
 }
 
 /// The worker threads of one engine, owned by its supervisor.
@@ -316,50 +320,60 @@ impl Workers {
         Duration::from_millis(self.drain_deadline_ms.max(1))
     }
 
-    /// Waits, bounded by the drain deadline, for every worker's answer to
-    /// a [`WorkerMsg::Checkpoint`] the caller has just delivered to each.
-    /// Other replies, and checkpoint replies nobody is waiting for, go to
-    /// `other`. A dead or silent worker yields
-    /// [`CheckpointError::WorkerUnavailable`] rather than a checkpoint
-    /// that silently lies about the run.
-    pub(crate) fn checkpoint_states(
+    /// The one reply wait: pops the response queue until every worker
+    /// flagged in `expect` has answered or flagged itself dead (flags
+    /// cleared as they do), or the drain deadline passes. `claim` names
+    /// the worker a reply answers for and keeps its payload, or hands the
+    /// reply back; those come back as strays for the caller to dispose of.
+    pub(crate) fn await_replies(
         &self,
-        mut other: impl FnMut(Reply),
-    ) -> Result<Vec<Vec<u8>>, CheckpointError> {
-        let w = self.handles.len();
-        let mut states: Vec<Option<Option<Vec<u8>>>> = vec![None; w];
-        let mut got = 0usize;
+        expect: &mut [bool],
+        mut claim: impl FnMut(Reply) -> Result<usize, Reply>,
+    ) -> Vec<Reply> {
+        let mut strays = Vec::new();
         let deadline = Instant::now() + self.drain();
-        while got < w {
-            match self.ctx.resp.pop() {
-                Some(Reply::CheckpointState { worker, state })
-                    if worker < w && states[worker].is_none() =>
-                {
-                    states[worker] = Some(state);
-                    got += 1;
-                }
-                Some(msg) => other(msg),
+        while expect.contains(&true) {
+            match self.ctx.resp.pop().map(&mut claim) {
+                Some(Ok(worker)) => expect[worker] = false,
+                Some(Err(msg)) => strays.push(msg),
                 None => {
-                    let silent = |wid: &usize| states[*wid].is_none();
-                    if let Some(wid) = (0..w).find(|wid| silent(wid) && self.ctx.is_dead(*wid)) {
-                        return Err(CheckpointError::WorkerUnavailable(wid));
+                    for (wid, e) in expect.iter_mut().enumerate() {
+                        *e &= !self.ctx.is_dead(wid);
                     }
                     if Instant::now() >= deadline {
-                        let wid = (0..w).find(silent).unwrap_or(0);
-                        return Err(CheckpointError::WorkerUnavailable(wid));
+                        break; // slow worker: its answer goes stale, not lost
                     }
                     std::thread::yield_now();
                 }
             }
         }
-        states
-            .into_iter()
-            .map(|st| {
-                st.flatten().ok_or(CheckpointError::Unsupported(
-                    "the worker access store does not support checkpointing",
-                ))
+        strays
+    }
+
+    /// Every worker's answer to a [`WorkerMsg::Checkpoint`] the caller has
+    /// just delivered to each, and the strays met while waiting. A dead
+    /// or silent worker yields [`CheckpointError::WorkerUnavailable`]
+    /// rather than a checkpoint that silently lies about the run.
+    pub(crate) fn checkpoint_states(&self) -> (Result<Vec<Vec<u8>>, CheckpointError>, Vec<Reply>) {
+        let w = self.handles.len();
+        let mut states: Vec<Option<Option<Vec<u8>>>> = vec![None; w];
+        let strays = self.await_replies(&mut vec![true; w], |msg| match msg {
+            Reply::CheckpointState { worker, state } if worker < w && states[worker].is_none() => {
+                states[worker] = Some(state);
+                Ok(worker)
+            }
+            other => Err(other),
+        });
+        let states = (states.into_iter().enumerate())
+            .map(|(wid, st)| {
+                st.ok_or(CheckpointError::WorkerUnavailable(wid))?.ok_or(
+                    CheckpointError::Unsupported(
+                        "the worker access store does not support checkpointing",
+                    ),
+                )
             })
-            .collect()
+            .collect();
+        (states, strays)
     }
 
     /// Ends the feed phase: everything timed from here on is the drain.

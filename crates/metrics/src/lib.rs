@@ -217,8 +217,8 @@ impl Stopwatch {
 /// the law.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Conservation {
-    /// Events handed to the pipeline (every copy: broadcasts and replayed
-    /// migration buffers count once per destination).
+    /// Events handed to the pipeline (every copy: a broadcast counts
+    /// once per destination).
     pub pushed: u64,
     /// Events popped and analyzed by worker threads.
     pub consumed: u64,

@@ -47,47 +47,6 @@ impl Backoff {
     }
 }
 
-/// A [`Backoff`] with a hard deadline: the waiting side of bounded
-/// backpressure. A producer facing a full queue cannot distinguish "the
-/// worker is briefly behind" from "the worker is stalled or dead"; the
-/// deadline converts the second case from an unbounded hang into an
-/// explicit, accountable decision (drop the message, re-route it, abandon
-/// the worker).
-#[derive(Debug)]
-pub struct DeadlineBackoff {
-    backoff: Backoff,
-    deadline: std::time::Instant,
-}
-
-impl DeadlineBackoff {
-    /// A backoff that reports expiry once `timeout` has elapsed.
-    pub fn new(timeout: std::time::Duration) -> Self {
-        DeadlineBackoff { backoff: Backoff::new(), deadline: std::time::Instant::now() + timeout }
-    }
-
-    /// Waits one escalation step. Returns `false` once the deadline has
-    /// passed (without waiting further); the caller must then stop
-    /// retrying and resolve the contention another way.
-    pub fn snooze(&mut self) -> bool {
-        if self.expired() {
-            return false;
-        }
-        self.backoff.snooze();
-        true
-    }
-
-    /// True once the deadline has passed.
-    pub fn expired(&self) -> bool {
-        std::time::Instant::now() >= self.deadline
-    }
-
-    /// Restarts the escalation (progress was made) without moving the
-    /// deadline.
-    pub fn reset(&mut self) {
-        self.backoff.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,25 +61,5 @@ mod tests {
         assert!(b.is_completed());
         b.reset();
         assert!(!b.is_completed());
-    }
-
-    #[test]
-    fn deadline_backoff_expires() {
-        let mut b = DeadlineBackoff::new(std::time::Duration::from_millis(10));
-        assert!(!b.expired());
-        assert!(b.snooze());
-        let start = std::time::Instant::now();
-        while b.snooze() {
-            assert!(start.elapsed() < std::time::Duration::from_secs(5), "deadline never fired");
-        }
-        assert!(b.expired());
-        assert!(!b.snooze(), "an expired backoff must keep refusing");
-    }
-
-    #[test]
-    fn deadline_backoff_zero_timeout_is_immediately_expired() {
-        let mut b = DeadlineBackoff::new(std::time::Duration::ZERO);
-        assert!(b.expired());
-        assert!(!b.snooze());
     }
 }

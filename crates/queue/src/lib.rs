@@ -24,9 +24,7 @@
 //! - [`WorkerQueue`] — the trait the profiling engines are generic over,
 //!   so the lock-free and lock-based pipelines share all other code.
 //! - [`Backoff`] — bounded exponential spin/yield backoff for the
-//!   producer-full and consumer-empty paths; [`DeadlineBackoff`] bounds
-//!   the wait itself, turning an unbounded hang on a stalled worker into
-//!   an accountable decision.
+//!   producer-full and consumer-empty paths.
 //! - [`FaultPlan`] / [`fault`] — deterministic fault injection (worker
 //!   panics, stalls, dropped migration replies, seeded transport chaos)
 //!   so every recovery path is exercised by reproducible tests.
@@ -47,7 +45,7 @@ pub mod mpmc;
 pub mod spsc;
 pub mod traits;
 
-pub use backoff::{Backoff, DeadlineBackoff};
+pub use backoff::Backoff;
 pub use chunk::{Chunk, ChunkPool};
 #[cfg(feature = "fault-inject")]
 pub use fault::FailingTransport;

@@ -22,7 +22,7 @@
 //!   ([`shutdown`]); the accept loop and every connection thread
 //!   observe it on every read tick, write a final emergency checkpoint per
 //!   in-flight session, and notify clients with `Error{SHUTDOWN}`.
-//! - **Backpressure** — frames are bounded (`max_frame_bytes`) and the
+//! - **Backpressure** — frames are bounded (`MAX_FRAME_BYTES`) and the
 //!   server reads a connection only as fast as its engine consumes, so
 //!   a `Block`-policy session exerts natural TCP backpressure while a
 //!   `Drop`-policy session sheds load inside the engine with the PR 2

@@ -28,8 +28,6 @@ pub struct ServerConfig {
     /// Default checkpoint interval (events) for sessions whose `Hello`
     /// leaves it at 0. 0 = only emergency checkpoints.
     pub checkpoint_every: u64,
-    /// Per-frame payload bound — the connection's bounded read buffer.
-    pub max_frame_bytes: usize,
     /// How often blocked reads wake up to observe the shutdown flag.
     pub poll_interval_ms: u64,
     /// The reconnect-delay hint handed to refused clients in `Busy`; also
@@ -52,7 +50,6 @@ impl Default for ServerConfig {
             max_sessions: 16,
             checkpoint_dir: None,
             checkpoint_every: 0,
-            max_frame_bytes: MAX_FRAME_BYTES,
             poll_interval_ms: 50,
             busy_retry_ms: 200,
             hibernate_after_ms: 0,
@@ -370,7 +367,7 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     if protocol::write_preamble(&mut s).is_err() || s.flush().is_err() {
         return;
     }
-    let mut reader = FrameReader::new(shared.cfg.max_frame_bytes);
+    let mut reader = FrameReader::new(MAX_FRAME_BYTES);
     match read_step(&mut reader, &mut s, stop, |r| Ok(r.preamble()?.then_some(()))) {
         Ok(Some(())) => {}
         Ok(None) => return,

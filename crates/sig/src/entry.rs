@@ -38,8 +38,6 @@ pub trait Slot: Copy + Send + 'static {
     /// this to decide if loop-carried classification and timestamp-reversal
     /// (race) detection are meaningful.
     const HAS_TS: bool;
-    /// Whether this layout preserves the accessing thread.
-    const HAS_THREAD: bool;
     /// The vacant slot.
     const EMPTY: Self;
 
@@ -59,7 +57,6 @@ pub struct CompactSlot(u32);
 
 impl Slot for CompactSlot {
     const HAS_TS: bool = false;
-    const HAS_THREAD: bool = false;
     const EMPTY: Self = CompactSlot(0);
 
     #[inline]
@@ -96,7 +93,6 @@ pub struct ExtendedSlot {
 
 impl Slot for ExtendedSlot {
     const HAS_TS: bool = true;
-    const HAS_THREAD: bool = true;
     const EMPTY: Self = ExtendedSlot { loc: 0, thread: 0, _pad: 0, ts: 0 };
 
     #[inline]

@@ -39,9 +39,7 @@ impl HashHistory {
 }
 
 impl AccessStore for HashHistory {
-    const APPROXIMATE: bool = false;
     const HAS_TS: bool = true;
-    const HAS_THREAD: bool = true;
 
     fn get(&self, addr: Address) -> Option<SigEntry> {
         let b = &self.buckets[self.bucket(addr)];

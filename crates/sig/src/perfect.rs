@@ -32,9 +32,7 @@ impl PerfectSignature {
 }
 
 impl AccessStore for PerfectSignature {
-    const APPROXIMATE: bool = false;
     const HAS_TS: bool = true;
-    const HAS_THREAD: bool = true;
 
     #[inline]
     fn get(&self, addr: Address) -> Option<SigEntry> {

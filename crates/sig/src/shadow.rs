@@ -64,9 +64,7 @@ impl ShadowMemory {
 }
 
 impl AccessStore for ShadowMemory {
-    const APPROXIMATE: bool = false;
     const HAS_TS: bool = true;
-    const HAS_THREAD: bool = true;
 
     fn get(&self, addr: Address) -> Option<SigEntry> {
         let (pg, off) = Self::split(addr);

@@ -312,9 +312,7 @@ impl<S: Slot> Signature<S> {
 }
 
 impl<S: Slot> AccessStore for Signature<S> {
-    const APPROXIMATE: bool = true;
     const HAS_TS: bool = S::HAS_TS;
-    const HAS_THREAD: bool = S::HAS_THREAD;
 
     #[inline]
     fn get(&self, addr: Address) -> Option<SigEntry> {

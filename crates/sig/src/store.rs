@@ -11,14 +11,9 @@ use dp_types::{Address, ByteWriter, WireError};
 /// ([`PerfectSignature`](crate::PerfectSignature),
 /// [`ShadowMemory`](crate::ShadowMemory), [`HashHistory`](crate::HashHistory)).
 pub trait AccessStore: Send {
-    /// Whether lookups can return an entry written for a *different*
-    /// (colliding) address. Exact stores return `false`.
-    const APPROXIMATE: bool;
     /// Whether entries preserve timestamps (see
     /// [`Slot::HAS_TS`](crate::Slot::HAS_TS)).
     const HAS_TS: bool;
-    /// Whether entries preserve thread ids.
-    const HAS_THREAD: bool;
 
     /// The membership check: the last recorded entry for `addr`, if any.
     fn get(&self, addr: Address) -> Option<SigEntry>;

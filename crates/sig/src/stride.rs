@@ -117,9 +117,7 @@ impl StrideStore {
 }
 
 impl AccessStore for StrideStore {
-    const APPROXIMATE: bool = true;
     const HAS_TS: bool = false;
-    const HAS_THREAD: bool = false;
 
     fn get(&self, addr: Address) -> Option<SigEntry> {
         if self.removed.contains(&addr) {

@@ -2,13 +2,14 @@
 //!
 //! Each test drives a recovery path of the fault-tolerant pipeline with a
 //! seeded, reproducible fault script: a worker panic mid-run, a stalled
-//! worker under the `drop` overflow policy, a lost migration reply,
+//! worker under the `drop` overflow policy, a lost migration reply, a
+//! migration whose source or target died,
 //! torn/corrupted trace files, and a transport that injects spurious
 //! failures. The invariants are the ones DESIGN.md's failure model
 //! promises: no fault ever aborts the process, losses are counted
 //! exactly, and a fault plan that never fires changes nothing.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use depprof::core::{
     FailureCause, FaultPlan, OverflowPolicy, ParallelProfiler, ProfileResult, ProfilerConfig,
@@ -21,6 +22,10 @@ use depprof::trace::{TraceReader, TraceWriter};
 use depprof::types::{loc::loc, MemAccess, TraceEvent, Tracer};
 
 const WORKERS: usize = 4;
+
+/// Drain deadline of the tests that lose a worker mid-migration: far above
+/// what the run takes, so a run shorter than this waited out no deadline.
+const DRAIN: Duration = Duration::from_secs(5);
 
 /// Address owned by worker `k` (Formula 1: `(addr >> 3) % W`): `0x1000`
 /// is `%W`-aligned, so `0x1000 + (k + W*j) * 8` routes to `k`.
@@ -163,16 +168,11 @@ fn drop_overflow_under_stalled_worker_counts_exactly() {
     assert!(elapsed.as_secs() < 5, "blocked for {elapsed:?} despite drop policy");
 }
 
-/// A migration whose `Extracted` reply is lost is cancelled at the drain
-/// deadline and its buffered accesses are replayed to the target, so no
-/// event is lost and every dependence the serial engine finds is found —
-/// only occurrence counts can differ, by the one pair that straddled the
-/// lost signature state.
-#[test]
-fn lost_migration_reply_is_cancelled_at_the_drain_deadline() {
-    // Four hot addresses, all owned by worker 0: the first rebalance
-    // moves three of them, and worker 0 swallows its first reply.
-    let evs: Vec<TraceEvent> = (0..1600u64)
+/// `n` accesses, write then read, cycling over four addresses that all
+/// belong to worker 0: the first balance check finds the whole top-4 on
+/// one worker and moves three of them.
+fn hot_stream(n: u64) -> Vec<TraceEvent> {
+    (0..n)
         .map(|i| {
             let j = i / 2 % 4;
             TraceEvent::Access(if i % 2 == 0 {
@@ -181,17 +181,37 @@ fn lost_migration_reply_is_cancelled_at_the_drain_deadline() {
                 MemAccess::read(addr_of(0, j), i, loc(1, 2000 + j as u32), 1, 0)
             })
         })
-        .collect();
-    let serial = run_serial(&evs);
+        .collect()
+}
 
+/// The pipeline every migration-fault test runs: four workers, chunks of
+/// four, a balance check every two chunks over the top four addresses.
+fn migrating_cfg(drain: Duration, plan: FaultPlan) -> ProfilerConfig {
     let mut cfg = ProfilerConfig::default()
         .with_workers(WORKERS)
         .with_chunk_capacity(4)
         .with_redistribution(true)
-        .with_drain_deadline_ms(100)
-        .with_fault_plan(FaultPlan::none().with_dropped_reply(0));
+        .with_drain_deadline_ms(drain.as_millis() as u64)
+        .with_fault_plan(plan);
     cfg.redistribute_every = 2;
     cfg.top_k = 4;
+    cfg
+}
+
+/// A migration whose `Extracted` reply is lost is cancelled inside its
+/// round, once the wait has run out the drain deadline: the address
+/// starts afresh at its new owner and every later access is routed
+/// there, so no event is lost and every dependence the serial engine
+/// finds is found — only occurrence counts can differ, by the one pair
+/// that straddled the lost signature state.
+#[test]
+fn lost_migration_reply_is_cancelled_inside_the_round() {
+    // Four hot addresses, all owned by worker 0: the first rebalance
+    // moves three of them, and worker 0 swallows its first reply.
+    let evs = hot_stream(1600);
+    let serial = run_serial(&evs);
+
+    let cfg = migrating_cfg(Duration::from_millis(100), FaultPlan::none().with_dropped_reply(0));
     let mut p = ParallelProfiler::new(cfg, PerfectSignature::new);
     for e in &evs {
         p.event(*e);
@@ -211,6 +231,93 @@ fn lost_migration_reply_is_cancelled_at_the_drain_deadline() {
     let c = &r.metrics.conservation;
     assert!(c.holds(), "{c:?}");
     assert_eq!((c.pushed - c.consumed, c.dropped), (0, 0), "{c:?}");
+}
+
+/// What a run that lost worker `dead` still owes: it ended well inside
+/// the drain deadline, the failure is on record, every event is accounted
+/// for worker by worker with the losses charged to the dead worker alone,
+/// and each dependence whose sink line belongs to a survivor (lines encode
+/// their owner as `(line % 1000) / 10`) matches the serial engine's,
+/// count included.
+fn assert_degraded_exactly(r: &ProfileResult, serial: &ProfileResult, dead: usize, took: Duration) {
+    assert!(took < DRAIN, "took {took:?}: some wait ran out its deadline");
+    let failed: Vec<usize> = r.stats.worker_failures.iter().map(|f| f.worker).collect();
+    assert_eq!(failed, [dead]);
+    assert!(matches!(r.stats.worker_failures[0].cause, FailureCause::Panic(_)));
+    let c = &r.metrics.conservation;
+    assert!(c.holds(), "{c:?}");
+    let mut lost = 0;
+    for w in &r.metrics.per_worker {
+        assert_eq!(w.enqueued, w.consumed + w.in_flight, "{w:?}");
+        assert!(w.worker == dead || (w.dropped, w.in_flight) == (0, 0), "{w:?}");
+        lost += w.dropped + w.in_flight;
+    }
+    assert_eq!(c.pushed - c.consumed, lost + c.rerouted, "{c:?}");
+    let got = idents(r);
+    let mut surviving = 0;
+    for (d, e) in serial.deps.dependences() {
+        if (d.sink.loc.line as usize % 1000) / 10 != dead {
+            surviving += 1;
+            let ident = (format!("{:?}", d.identity()), e.count);
+            assert!(got.contains(&ident), "surviving-worker dependence missing: {ident:?}");
+        }
+    }
+    assert!(surviving > 0, "the filter must leave dependences to check");
+}
+
+/// Hot traffic on worker 0, then every worker's own addresses, then more
+/// hot traffic — so a fault in the first round has survivors to check.
+fn hot_and_per_worker_stream() -> Vec<TraceEvent> {
+    let mut evs = hot_stream(400);
+    evs.extend(per_worker_stream());
+    evs.extend(hot_stream(400));
+    evs
+}
+
+/// The source dies around its `Extract`: worker 0 panics once it has
+/// consumed the two chunks that make the first balance check fall due, so
+/// it never answers. Whether the router finds it dead before asking (no
+/// migration is tried), while asking, or while waiting for the answer
+/// (one is cancelled, the wait ended by the dead flag rather than the
+/// deadline), the round returns at once and the survivors lose nothing.
+#[test]
+fn migration_source_dying_at_its_extract_ends_the_round_at_once() {
+    let evs = hot_and_per_worker_stream();
+    let serial = run_serial(&evs);
+    let plan = FaultPlan::none().with_panic(0, 2);
+    let mut p = ParallelProfiler::new(migrating_cfg(DRAIN, plan), PerfectSignature::new);
+    let started = Instant::now();
+    for e in &evs {
+        p.event(*e);
+    }
+    let r = p.finish();
+    assert_degraded_exactly(&r, &serial, 0, started.elapsed());
+    // A dead source is asked at most once, and never again afterwards.
+    assert!(r.stats.cancelled_migrations <= 1, "{:?}", r.stats);
+    assert!(r.stats.redistributions <= r.stats.cancelled_migrations, "{:?}", r.stats);
+}
+
+/// The target is dead when a round falls due (a refused checkpoint is the
+/// proof that the router knows): nothing is moved to it, the other hot
+/// addresses migrate with their state, and what worker 1 owned is
+/// diverted — so every survivor's dependences, the migrated addresses'
+/// included, are exact.
+#[test]
+fn migration_round_skips_a_dead_target() {
+    let evs = hot_and_per_worker_stream();
+    let serial = run_serial(&evs);
+    let plan = FaultPlan::none().with_panic(1, 0);
+    let mut p = ParallelProfiler::new(migrating_cfg(DRAIN, plan), PerfectSignature::new);
+    let started = Instant::now();
+    assert!(p.checkpoint_data(0, 0, Vec::new()).is_err(), "worker 1 dies before its first pop");
+    for e in &evs {
+        p.event(*e);
+    }
+    let r = p.finish();
+    assert_degraded_exactly(&r, &serial, 1, started.elapsed());
+    assert!(r.stats.redistributions > 0, "{:?}", r.stats);
+    assert_eq!(r.stats.cancelled_migrations, 0, "{:?}", r.stats);
+    assert!(r.stats.rerouted_events > 0, "{:?}", r.stats);
 }
 
 /// ISSUE scenario: a truncated or corrupted trace is rejected with the

@@ -21,13 +21,17 @@
 //!
 //! The state is generic over [`AccessStore`], so the same function is the
 //! serial profiler, each parallel worker, the perfect-signature baseline
-//! and the shadow-memory/hash-table comparators.
+//! and the shadow-memory/hash-table comparators. `sig_read[index]` and
+//! `sig_write[index]` share the one hash, so the two signatures are held
+//! as one [`PairStore`] and an access is one probe of it
+//! ([`PairStore::record`]): both entries come back, and the side the
+//! access writes is stored in place.
 
 use crate::exectree::{ExecNodeKind, ExecTree};
 use crate::loops::{CarrierInfo, LoopTracker};
 use crate::store::DepStore;
 use dp_metrics::SigGauges;
-use dp_sig::{AccessStore, SigEntry};
+use dp_sig::{AccessStore, PairStore, Side, SigEntry};
 use dp_types::{
     AccessKind, ByteReader, ByteWriter, DepFlags, DepType, LoopId, MemAccess, SinkKey, SourceLoc,
     TraceEvent, WireError,
@@ -99,7 +103,7 @@ fn gauge_fpr_pct(m: usize, occupied: usize) -> f64 {
     dp_sig::predicted_fpr(m, n) * 100.0
 }
 
-/// How many events ahead of the one being retired the signature slots are
+/// How many events ahead of the one being retired the signature cell is
 /// prefetched: far enough to cover a miss into a slot array of tens of
 /// MiB, near enough that the lines are still in L1 when retired. Chosen
 /// by the sweep recorded in DESIGN.md "Lookahead feed".
@@ -114,11 +118,11 @@ fn coarsen(loc: SourceLoc, shift: u8) -> SourceLoc {
     }
 }
 
-/// Dependence-extraction state: one read signature, one write signature,
-/// a loop tracker and the local (duplicate-free) dependence map.
+/// Dependence-extraction state: the read and the write signature (as one
+/// pair store), a loop tracker and the local (duplicate-free) dependence
+/// map.
 pub struct AlgoState<S: AccessStore> {
-    sig_read: S,
-    sig_write: S,
+    sigs: S::Pair,
     /// The local dependence map ("thread-local map" in Figure 2).
     pub store: DepStore,
     /// The local dynamic execution tree (Section VIII representation).
@@ -132,11 +136,11 @@ pub struct AlgoState<S: AccessStore> {
 }
 
 impl<S: AccessStore> AlgoState<S> {
-    /// Creates the state from the two signatures.
+    /// Creates the state from the two signatures, joined into one pair
+    /// store ([`AccessStore::pair`]).
     pub fn new(sig_read: S, sig_write: S, opts: AlgoOptions) -> Self {
         AlgoState {
-            sig_read,
-            sig_write,
+            sigs: S::pair(sig_read, sig_write),
             store: DepStore::new(),
             exec_tree: ExecTree::new(),
             loops: LoopTracker::new(),
@@ -154,7 +158,7 @@ impl<S: AccessStore> AlgoState<S> {
     }
 
     /// Processes a run of events strictly in order, touching the signature
-    /// slots of event `i + 8` (`LOOKAHEAD`) while it retires event `i`, so the
+    /// cell of event `i + 8` (`LOOKAHEAD`) while it retires event `i`, so the
     /// slot array's cache miss overlaps the work on the events before it.
     /// Same state afterwards as [`AlgoState::on_event`] on each in turn.
     pub fn on_chunk(&mut self, evs: &[TraceEvent]) {
@@ -169,13 +173,12 @@ impl<S: AccessStore> AlgoState<S> {
         }
     }
 
-    /// Starts loading the signature slots `ev` will probe, if it is an
-    /// access; a hint only (see [`AccessStore::prefetch`]).
+    /// Starts loading the signature cell `ev` will probe, if it is an
+    /// access; a hint only (see [`PairStore::prefetch`]).
     #[inline]
     pub(crate) fn prefetch(&self, ev: &TraceEvent) {
         if let TraceEvent::Access(a) = ev {
-            self.sig_write.prefetch(a.addr);
-            self.sig_read.prefetch(a.addr);
+            self.sigs.prefetch(a.addr);
         }
     }
 
@@ -220,8 +223,7 @@ impl<S: AccessStore> AlgoState<S> {
             }
             TraceEvent::Dealloc { base, len, .. } => {
                 for i in 0..len {
-                    self.sig_read.remove(base + i * 8);
-                    self.sig_write.remove(base + i * 8);
+                    self.sigs.remove(base + i * 8);
                 }
                 self.counters.lifetime_removals += len;
             }
@@ -235,7 +237,8 @@ impl<S: AccessStore> AlgoState<S> {
         match a.kind {
             AccessKind::Write => {
                 self.counters.writes += 1;
-                match self.sig_write.get(a.addr) {
+                let last = self.sigs.record(Side::Write, a.addr, entry);
+                match last.write {
                     None => {
                         // First write: INIT record (printed as {INIT *}).
                         let loc = coarsen(a.loc, self.section_shift);
@@ -250,20 +253,18 @@ impl<S: AccessStore> AlgoState<S> {
                         );
                     }
                     Some(w) => {
-                        if let Some(r) = self.sig_read.get(a.addr) {
+                        if let Some(r) = last.read {
                             self.build(DepType::War, a, &r);
                         }
                         self.build(DepType::Waw, a, &w);
                     }
                 }
-                self.sig_write.put(a.addr, entry);
             }
             AccessKind::Read => {
                 self.counters.reads += 1;
-                if let Some(w) = self.sig_write.get(a.addr) {
+                if let Some(w) = self.sigs.record(Side::Read, a.addr, entry).write {
                     self.build(DepType::Raw, a, &w);
                 }
-                self.sig_read.put(a.addr, entry);
             }
         }
     }
@@ -302,45 +303,37 @@ impl<S: AccessStore> AlgoState<S> {
     /// Extracts the signature state of `addr` (redistribution: the old
     /// owner's slots migrate to the new owner, Section IV-A).
     pub fn extract(&mut self, addr: u64) -> (Option<SigEntry>, Option<SigEntry>) {
-        let r = self.sig_read.get(addr);
-        if r.is_some() {
-            self.sig_read.remove(addr);
-        }
-        let w = self.sig_write.get(addr);
-        if w.is_some() {
-            self.sig_write.remove(addr);
-        }
+        let [r, w] = self.sigs.get(addr);
+        self.sigs.remove(addr);
         (r, w)
     }
 
     /// Injects migrated signature state (target side of redistribution).
     pub fn inject(&mut self, addr: u64, read: Option<SigEntry>, write: Option<SigEntry>) {
-        if let Some(r) = read {
-            self.sig_read.put(addr, r);
-        }
-        if let Some(w) = write {
-            self.sig_write.put(addr, w);
+        for (side, entry) in Side::BOTH.into_iter().zip([read, write]) {
+            if let Some(e) = entry {
+                self.sigs.put(side, addr, e);
+            }
         }
     }
 
-    /// Bytes held by the two signatures plus trackers.
+    /// Bytes held by the signatures plus trackers.
     pub fn memory_usage(&self) -> usize {
-        self.sig_read.memory_usage()
-            + self.sig_write.memory_usage()
-            + self.loops.memory_usage()
-            + self.store.memory_usage()
+        self.sigs.memory_usage() + self.loops.memory_usage() + self.store.memory_usage()
     }
 
     /// Consumes the state, returning the local store, execution tree,
     /// counters and signature memory.
     pub fn finish(self) -> (DepStore, ExecTree, AlgoCounters, usize) {
-        let sig_mem = self.sig_read.memory_usage() + self.sig_write.memory_usage();
+        let sig_mem = self.sigs.memory_usage();
         (self.store, self.exec_tree, self.counters, sig_mem)
     }
 
-    /// Serializes the complete extraction state — both signatures, the
-    /// local dependence map, the execution tree, the loop stacks and the
-    /// counters — for a crash-safe checkpoint. Returns `false` without
+    /// Serializes the complete extraction state — both signatures (the
+    /// read half's blob, then the write half's, each what its own
+    /// signature would have written), the local dependence map, the
+    /// execution tree, the loop stacks and the counters — for a
+    /// crash-safe checkpoint. Returns `false` without
     /// writing anything useful when the access store does not support
     /// checkpointing (see [`AccessStore::save_state`]).
     ///
@@ -352,16 +345,15 @@ impl<S: AccessStore> AlgoState<S> {
     /// Seals the local dependence map first, so its edges are written as
     /// they lie and the next checkpoint sorts only what was added since.
     pub fn save_state(&mut self, out: &mut ByteWriter) -> bool {
-        let mut sig_r = ByteWriter::new();
-        if !self.sig_read.save_state(&mut sig_r) {
-            return false;
+        let mut halves = [ByteWriter::new(), ByteWriter::new()];
+        for (side, half) in Side::BOTH.into_iter().zip(&mut halves) {
+            if !self.sigs.save_state(side, half) {
+                return false;
+            }
         }
-        let mut sig_w = ByteWriter::new();
-        if !self.sig_write.save_state(&mut sig_w) {
-            return false;
+        for half in halves {
+            out.blob(&half.into_bytes());
         }
-        out.blob(&sig_r.into_bytes());
-        out.blob(&sig_w.into_bytes());
         self.store.seal();
         let mut b = ByteWriter::new();
         self.store.save(&mut b);
@@ -402,8 +394,7 @@ impl<S: AccessStore> AlgoState<S> {
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after algorithm state"));
         }
-        self.sig_read.restore_state(sig_r)?;
-        self.sig_write.restore_state(sig_w)?;
+        self.sigs.restore_state(sig_r, sig_w)?;
         self.store = store;
         self.exec_tree = exec_tree;
         self.loops = loops;
@@ -419,14 +410,14 @@ impl<S: AccessStore> AlgoState<S> {
     /// [`dp_sig::predicted_fpr`] turns back into a rate). Must be read
     /// before [`AlgoState::finish`] consumes the state.
     pub fn sig_gauges(&self) -> SigGauges {
-        let est_read = gauge_fpr_pct(self.sig_read.slot_capacity(), self.sig_read.occupied());
-        let est_write = gauge_fpr_pct(self.sig_write.slot_capacity(), self.sig_write.occupied());
+        let m = self.sigs.slot_capacity();
+        let occupied = Side::BOTH.map(|side| self.sigs.occupied(side));
         SigGauges {
-            occupied_slots: (self.sig_read.occupied() + self.sig_write.occupied()) as u64,
-            total_slots: (self.sig_read.slot_capacity() + self.sig_write.slot_capacity()) as u64,
-            evictions: self.sig_read.evictions() + self.sig_write.evictions(),
-            bytes: (self.sig_read.bytes_held() + self.sig_write.bytes_held()) as u64,
-            est_fpr_pct: est_read.max(est_write),
+            occupied_slots: occupied.iter().sum::<usize>() as u64,
+            total_slots: 2 * m as u64,
+            evictions: Side::BOTH.map(|side| self.sigs.evictions(side)).iter().sum(),
+            bytes: self.sigs.bytes_held() as u64,
+            est_fpr_pct: occupied.map(|n| gauge_fpr_pct(m, n)).into_iter().fold(0.0, f64::max),
         }
     }
 }

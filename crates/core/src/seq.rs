@@ -12,7 +12,7 @@ use dp_sig::{AccessStore, ExtendedSlot, PerfectSignature, Signature};
 use dp_types::TraceEvent;
 
 /// The last `LOOKAHEAD` events fed one at a time, oldest at `head`: a
-/// caller that holds no chunk still gets its signature slots prefetched
+/// caller that holds no chunk still gets its signature cell prefetched
 /// that many events before they are probed.
 struct DelayLine {
     slots: [TraceEvent; LOOKAHEAD],
@@ -65,10 +65,11 @@ pub struct SequentialProfiler<S: AccessStore> {
 }
 
 impl SequentialProfiler<Signature<ExtendedSlot>> {
-    /// Default engine: extended-slot signature with `nslots` total slots
-    /// (split evenly between the read and write signatures is *not* done —
-    /// the paper sizes each signature at the stated slot count; we follow
-    /// that, so memory is `2 × nslots × slot`).
+    /// Default engine: extended-slot read and write signatures of
+    /// `nslots` slots each (not split between the two — the paper sizes
+    /// each signature at the stated slot count), held as one table of
+    /// `nslots` read/write slot pairs ([`SigPair`](dp_sig::SigPair)) under
+    /// their one hash, so memory is at most `nslots × 2 × slot`.
     pub fn with_signature(nslots: usize) -> Self {
         Self::with_stores(Signature::new(nslots), Signature::new(nslots))
     }
@@ -94,7 +95,7 @@ impl<S: AccessStore> SequentialProfiler<S> {
         SequentialProfiler { algo: AlgoState::new(read, write, opts), delayed: DelayLine::new() }
     }
 
-    /// Takes one instrumentation event: prefetches its slots now, retires
+    /// Takes one instrumentation event: prefetches its cell now, retires
     /// the event that arrived eight (`LOOKAHEAD`) events ago.
     #[inline]
     pub fn on_event(&mut self, ev: &TraceEvent) {

@@ -13,7 +13,7 @@
 //! chain nodes. It is exact (never confuses addresses).
 
 use crate::entry::SigEntry;
-use crate::store::AccessStore;
+use crate::store::{AccessStore, Halves};
 use dp_types::Address;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -40,6 +40,12 @@ impl HashHistory {
 
 impl AccessStore for HashHistory {
     const HAS_TS: bool = true;
+
+    type Pair = Halves<Self>;
+
+    fn pair(read: Self, write: Self) -> Halves<Self> {
+        Halves::new(read, write)
+    }
 
     fn get(&self, addr: Address) -> Option<SigEntry> {
         let b = &self.buckets[self.bucket(addr)];

@@ -18,9 +18,11 @@
 //!   [`CompactSlot`] (4 B/slot, matching the paper's evaluation
 //!   configuration) and [`ExtendedSlot`] (16 B/slot; adds the thread id and
 //!   timestamp needed for multi-threaded targets and loop-carried
-//!   classification) layouts;
+//!   classification) layouts, and its pair form [`SigPair`] — the read and
+//!   the write signature as one table of `{read, write}` slot pairs;
 //! - [`PerfectSignature`] — the exact baseline used to quantify false
-//!   positive/negative rates (Section VI-A);
+//!   positive/negative rates (Section VI-A), with its pair form
+//!   [`PerfectPair`];
 //! - [`ShadowMemory`] — the classical two-level shadow-memory baseline;
 //! - [`HashHistory`] — the "hash table" baseline the paper measures as
 //!   1.5–3.7× slower than signatures;
@@ -29,7 +31,10 @@
 //! - [`predicted_fpr`] — Formula 2, the analytical false-positive model.
 //!
 //! All stores implement [`AccessStore`], so every profiling engine in
-//! `dp-core` is generic over the tracking policy.
+//! `dp-core` is generic over the tracking policy; an engine probes the
+//! read and the write store of an address together through their
+//! [`PairStore`] ([`Halves`] for the stores without a pair form of their
+//! own).
 
 #![warn(missing_docs)]
 
@@ -47,8 +52,8 @@ pub use entry::{CompactSlot, ExtendedSlot, SigEntry, Slot};
 pub use fpr::{predicted_fpr, recommended_slots};
 pub use hash::SigHash;
 pub use hashhist::HashHistory;
-pub use perfect::PerfectSignature;
+pub use perfect::{PerfectPair, PerfectSignature};
 pub use shadow::ShadowMemory;
-pub use signature::Signature;
-pub use store::AccessStore;
+pub use signature::{SigPair, Signature};
+pub use store::{AccessStore, Halves, Last, PairStore, Side};
 pub use stride::StrideStore;

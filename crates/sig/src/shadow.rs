@@ -11,7 +11,7 @@
 //! report.
 
 use crate::entry::SigEntry;
-use crate::store::AccessStore;
+use crate::store::{AccessStore, Halves};
 use dp_types::{Address, FxHashMap, SourceLoc, ThreadId, Timestamp};
 
 /// log2 of granules per page.
@@ -65,6 +65,12 @@ impl ShadowMemory {
 
 impl AccessStore for ShadowMemory {
     const HAS_TS: bool = true;
+
+    type Pair = Halves<Self>;
+
+    fn pair(read: Self, write: Self) -> Halves<Self> {
+        Halves::new(read, write)
+    }
 
     fn get(&self, addr: Address) -> Option<SigEntry> {
         let (pg, off) = Self::split(addr);

@@ -22,7 +22,7 @@
 //! recent toucher of that address). Experiment E14 quantifies both sides.
 
 use crate::entry::SigEntry;
-use crate::store::AccessStore;
+use crate::store::{AccessStore, Halves};
 use dp_types::{Address, FxHashMap, FxHashSet, SourceLoc, ThreadId, Timestamp};
 
 const BUCKET_SHIFT: u32 = 12; // 4 KiB spatial buckets
@@ -118,6 +118,12 @@ impl StrideStore {
 
 impl AccessStore for StrideStore {
     const HAS_TS: bool = false;
+
+    type Pair = Halves<Self>;
+
+    fn pair(read: Self, write: Self) -> Halves<Self> {
+        Halves::new(read, write)
+    }
 
     fn get(&self, addr: Address) -> Option<SigEntry> {
         if self.removed.contains(&addr) {

@@ -1,13 +1,14 @@
 //! Model-based property tests for the access stores: the *exact* stores
 //! must agree with a hash-map model on arbitrary operation sequences, the
-//! approximate stores must satisfy their documented contracts, and the
+//! approximate stores must satisfy their documented contracts, the
 //! regioned [`Signature`] must be indistinguishable from the flat slot
-//! array it is specified by.
+//! array it is specified by, and its pair form [`SigPair`] from two such
+//! arrays under one hash.
 
 use dp_sig::signature::REGION_SLOTS;
 use dp_sig::{
-    AccessStore, CompactSlot, ExtendedSlot, HashHistory, PerfectSignature, ShadowMemory, SigEntry,
-    SigHash, Signature, Slot, StrideStore,
+    AccessStore, CompactSlot, ExtendedSlot, HashHistory, Last, PairStore, PerfectSignature,
+    ShadowMemory, Side, SigEntry, SigHash, SigPair, Signature, Slot, StrideStore,
 };
 use dp_types::loc::loc;
 use dp_types::ByteWriter;
@@ -446,5 +447,243 @@ fn put_of_a_vacant_encoding_equals_flat_array() {
             assert_eq!((sig.occupied(), sig.evictions()), (flat.occupied, flat.evictions));
         }
         assert!(save(&sig) == flat.save_state());
+    }
+}
+
+// ---------------------------------------------------------------------
+// The pair form against two flat arrays under the one hash.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy)]
+enum PairOp {
+    /// A per-side put.
+    Put {
+        region: usize,
+        nth: usize,
+        line: u32,
+        write: bool,
+    },
+    /// Algorithm 1's probe: both entries back, then the store.
+    Record {
+        region: usize,
+        nth: usize,
+        line: u32,
+        write: bool,
+    },
+    /// Records the first `per_mille` thousandths of a region's addresses,
+    /// on both sides where the region takes both.
+    Fill {
+        region: usize,
+        per_mille: usize,
+    },
+    /// Records the one address that takes a region filled on both sides
+    /// to the pair limit over it.
+    Tip {
+        region: usize,
+        write: bool,
+    },
+    Remove {
+        region: usize,
+        nth: usize,
+    },
+    Thin {
+        region: usize,
+        stride: usize,
+    },
+    /// Both entries, nothing stored.
+    Get {
+        region: usize,
+        nth: usize,
+    },
+    Clear,
+    /// Both halves' `save_state`, restored into a fresh pair.
+    Reload,
+}
+
+fn pair_ops() -> impl Strategy<Value = Vec<PairOp>> {
+    // Regions 0–3 take reads and writes, 4–7 reads only, 8–11 writes only.
+    let region = || 0usize..12;
+    let nth = || 0usize..4000;
+    let put = (region(), nth(), 1u32..5000, any::<bool>());
+    prop::collection::vec(
+        prop_oneof![
+            4 => put.prop_map(|(region, nth, line, write)| PairOp::Put { region, nth, line, write }),
+            6 => (region(), nth(), 1u32..5000, any::<bool>())
+                .prop_map(|(region, nth, line, write)| PairOp::Record { region, nth, line, write }),
+            3 => (region(), prop_oneof![2 => 0usize..1001, 1 => Just(1000usize)])
+                .prop_map(|(region, per_mille)| PairOp::Fill { region, per_mille }),
+            2 => (region(), any::<bool>()).prop_map(|(region, write)| PairOp::Tip { region, write }),
+            4 => (region(), nth()).prop_map(|(region, nth)| PairOp::Remove { region, nth }),
+            1 => (region(), 1usize..7).prop_map(|(region, stride)| PairOp::Thin { region, stride }),
+            4 => (region(), nth()).prop_map(|(region, nth)| PairOp::Get { region, nth }),
+            1 => Just(PairOp::Clear),
+            1 => Just(PairOp::Reload),
+        ],
+        1..48,
+    )
+}
+
+/// The sides region `region` of the ops takes: the one asked for, or the
+/// only one a read-only or write-only region has.
+fn sides_of(region: usize, write: bool) -> Side {
+    match (region / 4, write) {
+        (1, _) | (0, false) => Side::Read,
+        _ => Side::Write,
+    }
+}
+
+/// The two flat arrays Algorithm 1 probed before the fusion.
+struct FlatPair<S>([Flat<S>; 2]);
+
+impl<S: Slot> FlatPair<S> {
+    fn record(&mut self, side: Side, addr: u64, entry: SigEntry) -> Last {
+        let [read, write] = &self.0;
+        let last = Last {
+            write: write.get(addr),
+            read: if side == Side::Write { read.get(addr) } else { None },
+        };
+        self.0[side as usize].put(addr, entry);
+        last
+    }
+}
+
+fn save_half<S: Slot>(pair: &SigPair<S>, side: Side) -> Vec<u8> {
+    let mut out = ByteWriter::new();
+    assert!(pair.save_state(side, &mut out));
+    out.into_bytes()
+}
+
+fn check_pair_against_flat<S: Slot>(pool: &Pool, ops: &[PairOp]) -> Result<(), TestCaseError> {
+    let n = pool.nslots;
+    let mut pair = SigPair::<S>::new(n);
+    let mut flat = FlatPair([Flat::<S>::new(n), Flat::<S>::new(n)]);
+    let mut ts = 0u64;
+    let mut entry = |line: u32| {
+        ts += 1;
+        SigEntry::new(loc((ts % 3) as u8 + 1, line), (ts % 5) as u16, ts)
+    };
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            PairOp::Put { region, nth, line, write } => {
+                if let Some(addr) = pool.addr(region, nth) {
+                    let (side, e) = (sides_of(region, write), entry(line));
+                    pair.put(side, addr, e);
+                    flat.0[side as usize].put(addr, e);
+                }
+            }
+            PairOp::Record { region, nth, line, write } => {
+                if let Some(addr) = pool.addr(region, nth) {
+                    let (side, e) = (sides_of(region, write), entry(line));
+                    let got = pair.record(side, addr, e);
+                    prop_assert_eq!(got, flat.record(side, addr, e), "n={} step {}", n, step);
+                }
+            }
+            PairOp::Fill { region, per_mille } => {
+                let addrs = &pool.regions[region % pool.regions.len()];
+                for &addr in &addrs[..addrs.len() * per_mille / 1000] {
+                    for write in [true, false] {
+                        let (side, e) = (sides_of(region, write), entry(7));
+                        prop_assert_eq!(pair.record(side, addr, e), flat.record(side, addr, e));
+                    }
+                }
+            }
+            PairOp::Tip { region, write } => {
+                if let Some(addr) = pool.tips[region % pool.tips.len()] {
+                    let (side, e) = (sides_of(region, write), entry(9));
+                    prop_assert_eq!(pair.record(side, addr, e), flat.record(side, addr, e));
+                }
+            }
+            PairOp::Remove { region, nth } => {
+                if let Some(addr) = pool.addr(region, nth) {
+                    pair.remove(addr);
+                    flat.0.iter_mut().for_each(|half| half.remove(addr));
+                }
+            }
+            PairOp::Thin { region, stride } => {
+                let addrs = &pool.regions[region % pool.regions.len()];
+                for &addr in addrs.iter().step_by(stride) {
+                    pair.remove(addr);
+                    flat.0.iter_mut().for_each(|half| half.remove(addr));
+                }
+            }
+            PairOp::Get { region, nth } => {
+                if let Some(addr) = pool.addr(region, nth) {
+                    let want = flat.0.each_ref().map(|half| half.get(addr));
+                    prop_assert_eq!(pair.get(addr), want, "n={} step {}", n, step);
+                }
+            }
+            PairOp::Clear => {
+                pair.clear();
+                flat.0.iter_mut().for_each(Flat::clear);
+            }
+            PairOp::Reload => {
+                let [read, write] = Side::BOTH.map(|side| save_half(&pair, side));
+                pair = SigPair::new(n);
+                pair.restore_state(&read, &write).expect("own bytes restore");
+            }
+        }
+        for side in Side::BOTH {
+            let half = &flat.0[side as usize];
+            let (occupied, evictions) = (pair.occupied(side), pair.evictions(side));
+            prop_assert_eq!(occupied, half.occupied, "n={} after step {}: {:?}", n, step, op);
+            prop_assert_eq!(evictions, half.evictions, "n={} after step {}: {:?}", n, step, op);
+            if step % 8 == 7 || step + 1 == ops.len() {
+                let same = save_half(&pair, side) == half.save_state();
+                prop_assert!(same, "{:?} half, n={} after step {}: {:?}", side, n, step, op);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(56))]
+
+    /// The pair is two flat arrays under one hash: whatever mix of
+    /// vacant, sparse, at-the-limit, dense, read-only and write-only
+    /// regions a run leaves, every probe result, each side's counters and
+    /// each half's checkpoint bytes are the arrays'.
+    #[test]
+    fn signature_pair_equals_two_flat_arrays(size in 0usize..SIZES.len(), ops in pair_ops()) {
+        check_pair_against_flat::<ExtendedSlot>(&pools()[size], &ops)?;
+        check_pair_against_flat::<CompactSlot>(&pools()[size], &ops)?;
+    }
+}
+
+/// The deterministic walk: a region filled on both sides to exactly the
+/// pair limit (1 536 entries — still a table), tipped over into the dense
+/// array, reloaded and emptied again, beside dense, sparse, read-only and
+/// write-only neighbours.
+#[test]
+fn pair_region_at_the_conversion_threshold_equals_two_flat_arrays() {
+    let walk = [
+        PairOp::Fill { region: 0, per_mille: 1000 },
+        PairOp::Fill { region: 2, per_mille: 1000 },
+        PairOp::Fill { region: 1, per_mille: 1000 },
+        PairOp::Reload,
+        PairOp::Tip { region: 1, write: false },
+        PairOp::Reload,
+        PairOp::Fill { region: 4, per_mille: 1000 },
+        PairOp::Fill { region: 9, per_mille: 1000 },
+        PairOp::Thin { region: 1, stride: 1 },
+        PairOp::Fill { region: 1, per_mille: 500 },
+        PairOp::Reload,
+    ];
+    for pool in pools().iter().filter(|p| p.nslots >= 2 * REGION_SLOTS) {
+        let tip = pool.tips[1].expect("region 1 is offered a slot past the limit");
+        let mut pair = SigPair::<ExtendedSlot>::new(pool.nslots);
+        let vacant = pair.bytes_held();
+        for &addr in &pool.regions[1] {
+            for side in Side::BOTH {
+                pair.record(side, addr, SigEntry::new(loc(1, 1), 0, 0));
+            }
+        }
+        assert_eq!(pair.occupied(Side::Read) + pair.occupied(Side::Write), 2 * SPARSE_LIMIT);
+        let n = pool.nslots;
+        assert_eq!(pair.bytes_held() - vacant, 2048 * 18, "n={n}: at the limit, still a table");
+        pair.record(Side::Read, tip, SigEntry::new(loc(1, 1), 0, 0));
+        assert_eq!(pair.bytes_held() - vacant, REGION_SLOTS * 32, "and one more makes it dense");
+        check_pair_against_flat::<ExtendedSlot>(pool, &walk).unwrap();
+        check_pair_against_flat::<CompactSlot>(pool, &walk).unwrap();
     }
 }

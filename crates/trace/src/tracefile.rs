@@ -68,8 +68,10 @@ pub enum TraceFileError {
         /// Byte offset of the record.
         offset: u64,
     },
-    /// A record's checksum byte does not match its contents — the file
-    /// was corrupted in place; the offset is where the record starts.
+    /// A record's checksum byte does not match its contents, or its body
+    /// does not decode (a `Dealloc` range past the end of the address
+    /// space) — the file was corrupted in place or written by something
+    /// else; the offset is where the record starts.
     Checksum {
         /// Byte offset of the record.
         offset: u64,
@@ -334,7 +336,7 @@ impl<R: Read> TraceReader<R> {
 
 /// Verifies and decodes one whole record — event body, checksum byte,
 /// exactly as long as its tag says. `None` when the checksum does not
-/// match.
+/// match or the body does not decode (see [`TraceEvent::decode`]).
 #[inline]
 fn decode_record(rec: &[u8]) -> Option<TraceEvent> {
     /// The checksum byte closes the XOR of the whole record to zero.
@@ -360,7 +362,7 @@ fn decode_record(rec: &[u8]) -> Option<TraceEvent> {
         28 => sound::<28>(rec),
         n => unreachable!("no record is {n} bytes long"),
     };
-    closes.then(|| TraceEvent::decode(&rec[..rec.len() - 1]).expect("record_len admitted the tag"))
+    closes.then(|| TraceEvent::decode(&rec[..rec.len() - 1])).flatten()
 }
 
 impl<R: Read> Iterator for TraceReader<R> {
@@ -545,6 +547,31 @@ mod tests {
             "{:?}",
             items[0]
         );
+    }
+
+    /// A record whose checksum closes but whose `Dealloc` range runs past
+    /// the end of the address space is refused like a corrupted one, with
+    /// the clean prefix counted — an engine never sees the range.
+    #[test]
+    fn dealloc_past_the_address_space_is_refused_like_a_corrupt_record() {
+        let mut evs = sample_events();
+        let header = record(&[]).len();
+        // LoopBegin (20 B) + LoopIter (24 B) precede the third record.
+        let third = header + 20 + 24;
+        evs.insert(2, TraceEvent::Dealloc { base: u64::MAX - 7, len: 1, thread: 0, ts: 3 });
+        let items: Vec<_> = TraceReader::new(&record(&evs)[..]).unwrap().collect();
+        assert_eq!(items.len(), 3);
+        assert!(
+            matches!(
+                items[2],
+                Err(TraceFileError::Checksum { records_read: 2, offset }) if offset == third as u64
+            ),
+            "{:?}",
+            items[2]
+        );
+        evs[2] = TraceEvent::Dealloc { base: u64::MAX - 15, len: 1, thread: 0, ts: 3 };
+        let items: Vec<_> = TraceReader::new(&record(&evs)[..]).unwrap().collect();
+        assert!(items.iter().all(Result::is_ok), "a range that ends at the top decodes");
     }
 
     #[test]

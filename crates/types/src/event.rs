@@ -237,7 +237,8 @@ impl TraceEvent {
     }
 
     /// Reads one wire body. `None` unless `body` starts with a defined
-    /// tag and is exactly as long as [`BODY_LEN`] says for it. Each arm
+    /// tag and is exactly as long as [`BODY_LEN`] says for it, and — for a
+    /// `Dealloc` — `base + 8·len` fits in a `u64`. Each arm
     /// works on a fixed-size array, so every field is one load at a
     /// constant offset.
     #[inline]
@@ -283,12 +284,10 @@ impl TraceEvent {
             }
             TAG_DEALLOC => {
                 let b: &[u8; 27] = body.try_into().ok()?;
-                TraceEvent::Dealloc {
-                    base: get!(b, 1, u64),
-                    len: get!(b, 9, u64),
-                    thread: get!(b, 17, u16),
-                    ts: get!(b, 19, u64),
-                }
+                let (base, len) = (get!(b, 1, u64), get!(b, 9, u64));
+                // Algorithm 1 clears `base + 8·i` for every `i < len`.
+                len.checked_mul(8).and_then(|bytes| base.checked_add(bytes))?;
+                TraceEvent::Dealloc { base, len, thread: get!(b, 17, u16), ts: get!(b, 19, u64) }
             }
             _ => return None,
         })
@@ -347,5 +346,20 @@ mod tests {
         }
         assert_eq!(TraceEvent::decode(&[8; 27]), None);
         assert_eq!(TraceEvent::decode(&[]), None);
+    }
+
+    #[test]
+    fn dealloc_range_past_the_address_space_does_not_decode() {
+        let body = |base: u64, len: u64| {
+            let mut out = Vec::new();
+            TraceEvent::Dealloc { base, len, thread: 0, ts: 1 }.encode_into(&mut out);
+            out
+        };
+        let top = u64::MAX - 7;
+        assert!(TraceEvent::decode(&body(top - 8, 1)).is_some(), "ends at the last word");
+        assert_eq!(TraceEvent::decode(&body(top, 1)), None, "one word past it");
+        assert_eq!(TraceEvent::decode(&body(0x100, u64::MAX / 8 + 1)), None, "8·len overflows");
+        assert_eq!(TraceEvent::decode(&body(0x100, u64::MAX / 8 - 0x1f)), None);
+        assert!(TraceEvent::decode(&body(0x100, u64::MAX / 8 - 0x20)).is_some());
     }
 }

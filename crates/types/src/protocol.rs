@@ -498,7 +498,8 @@ impl Frame {
                     Some(&n) if tag > 1 => n as usize,
                     _ => return Err(WireError::Invalid("unknown LoopEvent sub-tag").into()),
                 };
-                let ev = TraceEvent::decode(r.take(n)?).expect("length follows from the tag");
+                let ev = TraceEvent::decode(r.take(n)?)
+                    .ok_or(WireError::Invalid("LoopEvent body does not decode"))?;
                 Frame::LoopEvent { seq, ev }
             }
             TAG_SYNC => Frame::Sync { nonce: r.u64()? },
@@ -898,6 +899,33 @@ mod tests {
         let mut out = vec![0xAA];
         assert!(f.encode_into(&mut out).is_err());
         assert_eq!(out, [0xAA], "a rejected frame leaves the buffer as it was");
+    }
+
+    /// A `Dealloc` whose range runs past the end of the address space is
+    /// refused like any other malformed event body, never handed to an
+    /// engine that would wrap around while clearing it.
+    #[test]
+    fn dealloc_past_the_address_space_is_a_malformed_body() {
+        let wire = |ev: TraceEvent| {
+            let mut out = Vec::new();
+            Frame::LoopEvent { seq: 3, ev }.encode_into(&mut out).unwrap();
+            out
+        };
+        let dealloc = |base, len| TraceEvent::Dealloc { base, len, thread: 0, ts: 9 };
+        let fits = wire(dealloc(u64::MAX - 15, 1));
+        assert!(read_frame(&mut &fits[..], MAX_FRAME_BYTES).is_ok());
+        let mut unknown_sub_tag = fits.clone();
+        unknown_sub_tag[FRAME_HEADER_BYTES + 8] = 0x77;
+        let payload_len = unknown_sub_tag.len() - FRAME_OVERHEAD_BYTES;
+        let at = unknown_sub_tag.len() - 1;
+        unknown_sub_tag[at] =
+            xor_fold(TAG_LOOP_EVENT, &unknown_sub_tag[FRAME_HEADER_BYTES..][..payload_len]);
+        for bad in
+            [wire(dealloc(u64::MAX - 7, 1)), wire(dealloc(0x100, u64::MAX / 8)), unknown_sub_tag]
+        {
+            let got = read_frame(&mut &bad[..], MAX_FRAME_BYTES);
+            assert!(matches!(got, Err(ProtocolError::Wire(WireError::Invalid(_)))), "{got:?}");
+        }
     }
 
     #[test]

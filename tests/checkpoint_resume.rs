@@ -208,6 +208,81 @@ fn checkpoint_written_mid_run_resumes_to_the_parents_report() {
     }
 }
 
+/// Slots per signature of the engine behind `golden/algo_two_tables.bin`:
+/// one full region and a short last one.
+const PINNED_SLOTS: usize = 4096 + 200;
+
+/// A fixed run for [`PINNED_SLOTS`]: writes over 1 400 addresses (enough
+/// to take the write half of region 0 from sparse to dense), reads over
+/// the first 600 of them (its read half stays sparse), inside a loop, with
+/// a three-word dealloc after every 97th access.
+fn pinned_stream() -> Vec<TraceEvent> {
+    let mut evs = vec![TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 1), thread: 0, ts: 0 }];
+    let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+    for i in 1..=6_000u64 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let write = x % 5 < 3;
+        let addr = 0x5000_0000 + (x >> 20) % if write { 1_400 } else { 600 } * 8;
+        let ts = 2 * i;
+        if i % 40 == 0 {
+            evs.push(TraceEvent::LoopIter { loop_id: 3, iter: i / 40, thread: 0, ts: ts - 1 });
+        }
+        let kind = if write { AccessKind::Write } else { AccessKind::Read };
+        let line = 2 + ((x >> 50) % 30) as u32;
+        evs.push(TraceEvent::Access(MemAccess {
+            addr,
+            ts,
+            loc: loc(1, line),
+            var: 1,
+            thread: 0,
+            kind,
+        }));
+        if i % 97 == 0 {
+            evs.push(TraceEvent::Dealloc { base: addr, len: 3, thread: 0, ts });
+        }
+    }
+    evs
+}
+
+/// `golden/algo_two_tables.bin` is the `AlgoState::save_state` blob the
+/// engine with two separate signatures (the commit before the fused
+/// read/write table) wrote for [`pinned_stream`]: the read-half blob,
+/// then the write-half blob, then the rest. The fused engine writes the
+/// same bytes for the same stream, loads the blob and re-saves it byte
+/// for byte.
+#[test]
+fn engine_checkpoint_of_the_two_table_engine_loads_and_resaves() {
+    use depprof::core::{AlgoOptions, AlgoState};
+    use depprof::types::ByteWriter;
+    let new = || {
+        let sig = || Signature::<ExtendedSlot>::new(PINNED_SLOTS);
+        AlgoState::new(sig(), sig(), AlgoOptions::default())
+    };
+    let save = |algo: &mut AlgoState<Signature<ExtendedSlot>>| {
+        let mut out = ByteWriter::new();
+        assert!(algo.save_state(&mut out));
+        out.into_bytes()
+    };
+    let parent = include_bytes!("golden/algo_two_tables.bin");
+    let mut ran = new();
+    ran.on_chunk(&pinned_stream());
+    assert!(save(&mut ran) == parent, "the same stream writes the parent's bytes");
+
+    let mut loaded = new();
+    loaded.restore_state(parent).expect("a parent-written checkpoint loads");
+    assert_eq!(loaded.sig_gauges(), ran.sig_gauges());
+    assert_eq!(loaded.counters(), ran.counters());
+    assert!(save(&mut loaded) == parent, "and re-saves byte for byte");
+
+    // Both halves' occupancy as the parent wrote it: region 0's write
+    // half past the sparse limit (768), its read half under it.
+    let occupied = |at: usize| u64::from_le_bytes(parent[at + 20..at + 28].try_into().unwrap());
+    let read_len = u32::from_le_bytes(parent[..4].try_into().unwrap()) as usize;
+    assert_eq!((occupied(0), occupied(4 + read_len)), (493, 1007));
+}
+
 // ---------------------------------------------------------------------
 // Router statistics across versions: the blob layout outlives the map.
 // ---------------------------------------------------------------------

@@ -155,11 +155,12 @@ fn parallel_snapshot_carries_aggregated_gauges() {
 
 /// `bytes` is what the signatures hold now: next to nothing before the
 /// first access, more with every new address while regions are sparse,
-/// and at saturation the two slot arrays — the ceiling `--slots` names —
-/// plus their directories, with no trace of the regions' earlier tables.
+/// and at saturation the two slot arrays — the ceiling `--slots` names,
+/// held as one array of read/write pairs — plus its one directory, with
+/// no trace of the regions' earlier tables.
 #[test]
 fn bytes_rise_with_occupancy_to_the_dense_ceiling() {
-    use depprof::sig::AccessStore;
+    use depprof::sig::{PairStore, SigPair};
     use depprof::types::{loc::loc, MemAccess};
     const SLOTS: usize = 5_000; // one full region and a short one
     let gauges_after = |addrs: u64| {
@@ -175,9 +176,9 @@ fn bytes_rise_with_occupancy_to_the_dense_ceiling() {
     if !empty.enabled {
         return;
     }
-    let directories = 2 * Signature::<ExtendedSlot>::new(SLOTS).bytes_held() as u64;
-    assert_eq!(empty.signatures.bytes, directories);
-    assert!(directories < 2 * 16 * SLOTS as u64 / 100);
+    let directory = SigPair::<ExtendedSlot>::new(SLOTS).bytes_held() as u64;
+    assert_eq!(empty.signatures.bytes, directory);
+    assert!(directory < 2 * 16 * SLOTS as u64 / 100);
 
     let mut last = empty.signatures;
     for addrs in [50, 200, 600, 2_000, 40_000] {
@@ -188,5 +189,5 @@ fn bytes_rise_with_occupancy_to_the_dense_ceiling() {
         last = g;
     }
     assert_eq!(last.occupied_slots, 2 * SLOTS as u64, "40 000 addresses saturate 5 000 slots");
-    assert_eq!(last.bytes, 2 * 16 * SLOTS as u64 + directories);
+    assert_eq!(last.bytes, 2 * 16 * SLOTS as u64 + directory);
 }

@@ -985,16 +985,15 @@ pub fn chaos_goodput(cfg: &ExpConfig) -> Output {
     std::fs::create_dir_all(&ckpt).expect("e18 checkpoint dir");
 
     // (label, reset the connection every N written frames, harsh extras).
-    // Frames, not chunks: loop events ride in their own frames, so the
-    // per-connection budget is what a flaky link would actually allow.
+    // A frame is a 64-event chunk or a Sync: ~2 800 frames at full scale.
     let severities: &[(&str, Option<u64>, bool)] = if cfg.quick {
-        &[("clean", None, false), ("reset/512", Some(512), false)]
+        &[("clean", None, false), ("reset/16", Some(16), false)]
     } else {
         &[
             ("clean", None, false),
-            ("reset/4096", Some(4096), false),
-            ("reset/1024", Some(1024), false),
-            ("reset/256+dup", Some(256), true),
+            ("reset/128", Some(128), false),
+            ("reset/32", Some(32), false),
+            ("reset/8+dup", Some(8), true),
         ]
     };
 

@@ -236,7 +236,7 @@ pub fn served(spec: &SessionSpec, events: &[TraceEvent], names: Vec<String>) -> 
     assert!(matches!(ack, Frame::HelloAck { resume_from: 0, .. }));
     let mut chunker = FrameChunker::new(64);
     for ev in events {
-        for frame in chunker.push(*ev) {
+        if let Some(frame) = chunker.push(*ev) {
             engine.handle(frame).expect("event frame");
         }
     }
@@ -247,7 +247,7 @@ pub fn served(spec: &SessionSpec, events: &[TraceEvent], names: Vec<String>) -> 
 }
 
 /// Replays events through the service engine while issuing live
-/// `Query` frames every few chunks, and checks the analysis-equivalence
+/// `Query` frames every few events, and checks the analysis-equivalence
 /// bar: the final query's snapshot — serialized from the engine's
 /// incremental loop/comm/race state — must equal the post-hoc
 /// [`dp_analysis::posthoc_report`] over the finished profile,
@@ -269,23 +269,19 @@ pub fn online_equivalence(
     };
     let (mut engine, ack) = SessionEngine::open(&hello, 1, None, 0).expect("hello");
     assert!(matches!(ack, Frame::HelloAck { resume_from: 0, .. }));
-    let mut chunker = FrameChunker::new(64);
-    let mut chunks = 0u64;
+    // Mid-stream queries make the incremental state fold from many
+    // partial deltas, not one big catch-up — the verdict below proves
+    // interval boundaries don't change the answer. One falls every
+    // `QUERY_EVERY` events, wherever the loop events lie.
+    const QUERY_EVERY: u64 = 12;
+    let mut chunker = FrameChunker::new(4);
     let mut id = 0u64;
     for ev in events {
-        for frame in chunker.push(*ev) {
-            let is_chunk = matches!(frame, Frame::Chunk { .. });
-            engine.handle(frame).expect("event frame");
-            // Mid-stream queries make the incremental state fold from
-            // many partial deltas, not one big catch-up — the verdict
-            // below proves interval boundaries don't change the answer.
-            if is_chunk {
-                chunks += 1;
-                if chunks.is_multiple_of(5) {
-                    id += 1;
-                    engine.handle(Frame::Query { id, kind: query_kind::ALL }).expect("query");
-                }
-            }
+        let Some(frame) = chunker.push(*ev) else { continue };
+        engine.handle(frame).expect("event frame");
+        if engine.position().is_multiple_of(QUERY_EVERY) {
+            id += 1;
+            engine.handle(Frame::Query { id, kind: query_kind::ALL }).expect("query");
         }
     }
     if let Some(frame) = chunker.flush() {

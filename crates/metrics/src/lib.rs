@@ -579,7 +579,9 @@ pub struct SessionMetrics {
     pub syncs: u64,
     /// Live-analysis `Query` frames answered.
     pub queries: u64,
-    /// Payload bytes received across all frames.
+    /// Payload bytes of every frame received over the wire after
+    /// `Hello`, counted once per frame as it arrives. Frames handed to
+    /// the in-process `SessionEngine::handle` add nothing.
     pub bytes_in: u64,
     /// Events the session skipped because a checkpoint already covered
     /// them (resume position handed to the client in `HelloAck`).

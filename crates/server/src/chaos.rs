@@ -13,8 +13,8 @@
 //! The write side carries a tiny DPSV frame parser (preamble, then
 //! `tag len payload checksum`), which is what makes frame-offset kills
 //! and last-frame duplication exact: a reset lands on a frame boundary,
-//! and only completed client data frames (`Chunk`/`LoopEvent`/`Sync`)
-//! are ever re-delivered — the faults a real flaky network plus a
+//! and only completed client data frames (`Chunk`/`Sync`) are ever
+//! re-delivered — the faults a real flaky network plus a
 //! naively retrying middlebox would produce.
 
 use std::io::{self, Read, Write};
@@ -22,7 +22,7 @@ use std::io::{self, Read, Write};
 /// Tags of the client data-plane frames `ChaosStream` may duplicate.
 /// Control frames (`Hello`, replies) are never duplicated: a duplicated
 /// `Hello` is a different session, not a transport fault.
-const DUP_TAGS: [u8; 3] = [3, 4, 5]; // Chunk, LoopEvent, Sync
+const DUP_TAGS: [u8; 2] = [3, 5]; // Chunk, Sync
 
 /// A deterministic network-fault schedule.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -357,14 +357,14 @@ impl<S: Read + Write> Write for ChaosStream<S> {
 mod tests {
     use super::*;
     use dp_types::protocol::{self, Frame, MAX_FRAME_BYTES};
-    use dp_types::{loc::loc, MemAccess};
+    use dp_types::{loc::loc, MemAccess, TraceEvent};
     use std::io::Cursor;
 
     fn chunk(base: u64, n: u64) -> Frame {
         Frame::Chunk {
             base,
-            accesses: (0..n)
-                .map(|i| MemAccess::read(0x100 + i * 8, i + 1, loc(1, 1), 0, 0))
+            events: (0..n)
+                .map(|i| TraceEvent::Access(MemAccess::read(0x100 + i * 8, i + 1, loc(1, 1), 0, 0)))
                 .collect(),
         }
     }
@@ -430,7 +430,7 @@ mod tests {
         let mut wire = Vec::new();
         protocol::write_preamble(&mut wire).unwrap();
         for f in &frames {
-            f.encode_into(&mut wire).unwrap();
+            f.encode_into(&mut wire);
         }
         let delivered = |plan: NetFaultPlan| {
             let mut s = ChaosStream::new(Cursor::new(Vec::new()), plan);

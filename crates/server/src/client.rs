@@ -25,7 +25,7 @@ pub struct PushOptions {
     pub spec: SessionSpec,
     /// Ask the server to checkpoint every N events (0 = server default).
     pub checkpoint_every: u64,
-    /// Accesses per `Chunk` frame.
+    /// Events of every kind per `Chunk` frame.
     pub chunk_events: usize,
     /// Sleep this long between chunk frames (throttles the stream so
     /// tests can interrupt a push mid-session deterministically).
@@ -159,73 +159,41 @@ fn read_reply_skipping_acks(conn: &mut impl Read) -> Result<Frame, ClientError> 
     }
 }
 
-/// Encoded bytes a [`FrameSender`] holds back before writing them out.
-/// Loop-dense streams (~40-byte frames) want it large, to pay the socket
-/// once per few hundred frames; a full 512-access `Chunk` is ~14 KiB and
-/// must still leave promptly, so the server profiles one chunk while the
-/// client encodes the next. Measured on both served depbench workloads
-/// at 8, 16, 32 and 64 KiB: `cost_x` differs by less than its run-to-run
-/// spread across all four, so the smallest size that already amortises
-/// the sparse case a hundredfold is kept — dense chunks leave in pairs.
-const SEND_BUFFER_BYTES: usize = 16 << 10;
-
-/// The sending end of a frame stream: frames are encoded into one buffer
-/// that is written out — one `write_all` — once it passes a fixed size,
-/// and whenever the caller [`flush`](FrameSender::flush)es.
-///
-/// The rule that keeps a coalescing sender safe: **flush before every
-/// point where you block on the peer or the clock** (reading a reply,
-/// sleeping, ending the stream). Frames are positional and acked by
-/// watermark, so holding some back delays them but cannot reorder,
-/// duplicate or lose them.
+/// The sending end of a frame stream: each frame is encoded into one
+/// reused buffer and written out with one `write_all`.
 #[derive(Debug, Default)]
 pub struct FrameSender {
     buf: Vec<u8>,
-    /// Events carried by the frames in `buf`.
-    events_held: u64,
     events_written: u64,
 }
 
 impl FrameSender {
-    /// A sender holding nothing.
+    /// A sender with nothing written.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Queues `frame`, writing the buffer out if it is now large enough.
+    /// Writes `frame` out.
     pub fn send(&mut self, conn: &mut impl Write, frame: &Frame) -> Result<(), ProtocolError> {
-        frame.encode_into(&mut self.buf)?;
-        self.events_held += match frame {
-            Frame::Chunk { accesses, .. } => accesses.len() as u64,
-            Frame::LoopEvent { .. } => 1,
-            _ => 0,
-        };
-        if self.buf.len() >= SEND_BUFFER_BYTES {
-            self.write_out(conn)?;
+        self.buf.clear();
+        frame.encode_into(&mut self.buf);
+        conn.write_all(&self.buf)?;
+        if let Frame::Chunk { events, .. } = frame {
+            self.events_written += events.len() as u64;
         }
         Ok(())
     }
 
-    /// Writes out everything held back and flushes the transport.
+    /// Flushes the transport.
     pub fn flush(&mut self, conn: &mut impl Write) -> Result<(), ProtocolError> {
-        self.write_out(conn)?;
         conn.flush()?;
         Ok(())
     }
 
-    /// Events carried by `Chunk`/`LoopEvent` frames in buffers the
-    /// transport accepted whole — what a retry loop may count as sent.
+    /// Events carried by `Chunk` frames the transport accepted whole —
+    /// what a retry loop may count as sent.
     pub fn events_written(&self) -> u64 {
         self.events_written
-    }
-
-    fn write_out(&mut self, conn: &mut impl Write) -> Result<(), ProtocolError> {
-        if !self.buf.is_empty() {
-            conn.write_all(&self.buf)?;
-            self.buf.clear();
-            self.events_written += std::mem::take(&mut self.events_held);
-        }
-        Ok(())
     }
 }
 
@@ -318,44 +286,39 @@ fn push_once(
             skipped += 1;
             continue;
         }
-        for frame in chunker.push(ev) {
-            out.send(conn, &frame)?;
-            if !matches!(frame, Frame::Chunk { .. }) {
-                continue;
+        let Some(frame) = chunker.push(ev) else { continue };
+        out.send(conn, &frame)?;
+        chunks_since_sync += 1;
+        if let Some(ms) = opts.watch_ms {
+            if last_watch.elapsed().as_millis() as u64 >= ms {
+                queries += 1;
+                last_query_json = Some(watch_query(out, conn, &opts.session, queries)?);
+                last_watch = Instant::now();
             }
-            chunks_since_sync += 1;
-            if let Some(ms) = opts.watch_ms {
-                if last_watch.elapsed().as_millis() as u64 >= ms {
-                    queries += 1;
-                    last_query_json = Some(watch_query(out, conn, &opts.session, queries)?);
-                    last_watch = Instant::now();
-                }
-            }
-            if opts.throttle_ms > 0 {
-                out.flush(conn)?;
-                std::thread::sleep(std::time::Duration::from_millis(opts.throttle_ms));
-            }
-            if opts.sync_every_chunks > 0 && chunks_since_sync >= opts.sync_every_chunks {
-                chunks_since_sync = 0;
-                sync_nonce += 1;
-                out.send(conn, &Frame::Sync { nonce: sync_nonce })?;
-                out.flush(conn)?;
-                // Wait for this probe's ack (skipping acks of any
-                // duplicated earlier probes): everything sent so far
-                // is consumed — a durable watermark.
-                loop {
-                    match read_reply(conn)? {
-                        Frame::SyncAck { nonce, .. } if nonce == sync_nonce => break,
-                        Frame::SyncAck { .. } => continue,
-                        _ => return Err(ClientError::Unexpected("wanted SyncAck")),
-                    }
+        }
+        if opts.throttle_ms > 0 {
+            out.flush(conn)?;
+            std::thread::sleep(std::time::Duration::from_millis(opts.throttle_ms));
+        }
+        if opts.sync_every_chunks > 0 && chunks_since_sync >= opts.sync_every_chunks {
+            chunks_since_sync = 0;
+            sync_nonce += 1;
+            out.send(conn, &Frame::Sync { nonce: sync_nonce })?;
+            out.flush(conn)?;
+            // Wait for this probe's ack (skipping acks of any duplicated
+            // earlier probes): everything sent so far is consumed — a
+            // durable watermark.
+            loop {
+                match read_reply(conn)? {
+                    Frame::SyncAck { nonce, .. } if nonce == sync_nonce => break,
+                    Frame::SyncAck { .. } => continue,
+                    _ => return Err(ClientError::Unexpected("wanted SyncAck")),
                 }
             }
         }
     }
-    // End of stream: the trailing partial chunk and whatever the sender
-    // still holds go out before the stats/finish exchange — a throttled
-    // or lightly loaded connection must not sit on unsent events.
+    // End of stream: the trailing partial chunk goes out before the
+    // stats/finish exchange.
     if let Some(frame) = chunker.flush() {
         out.send(conn, &frame)?;
     }

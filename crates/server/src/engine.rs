@@ -11,9 +11,9 @@ use dp_analysis::OnlineAnalysis;
 use dp_core::{report, CheckpointStore, ProfileResult, ProfileSession, SessionSpec};
 use dp_metrics::SessionMetrics;
 use dp_types::protocol::{
-    error_code, query_kind, ChunkView, Frame, Hello, ProtocolError, ACCESS_WIRE_BYTES, TAG_CHUNK,
+    error_code, query_kind, ChunkView, Frame, Hello, ProtocolError, TAG_CHUNK,
 };
-use dp_types::{Interner, MemAccess, TraceEvent};
+use dp_types::{Interner, TraceEvent};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -85,9 +85,9 @@ pub struct SessionEngine {
     /// first `Query` frame — sessions that never query carry no delta
     /// tracking and pay nothing for the subsystem.
     online: Option<OnlineAnalysis>,
-    /// The un-skipped suffix of the chunk being fed, decoded once so the
-    /// engine sees it as one slice; kept for its allocation.
-    suffix: Vec<TraceEvent>,
+    /// The wire chunk being fed, decoded once so the engine sees it as
+    /// one slice; kept for its allocation.
+    decoded: Vec<TraceEvent>,
     finished: bool,
 }
 
@@ -155,7 +155,7 @@ impl SessionEngine {
                 ..SessionMetrics::default()
             },
             online: None,
-            suffix: Vec::new(),
+            decoded: Vec::new(),
             finished: false,
         };
         let ack = Frame::HelloAck { session_id, resume_from: engine.events_fed };
@@ -177,20 +177,7 @@ impl SessionEngine {
                 Err(SessionError::OutOfOrder("server-to-client frame sent by client"))
             }
             Frame::Error { .. } => Err(SessionError::OutOfOrder("Error frame sent by client")),
-            Frame::Chunk { base, accesses } => {
-                self.feed_chunk(base, accesses.len(), accesses.into_iter())
-            }
-            Frame::LoopEvent { seq, ev } => {
-                if seq > self.events_fed {
-                    return Err(SessionError::OutOfOrder("event beyond the stream watermark"));
-                }
-                if seq < self.events_fed {
-                    self.metrics.events_skipped_on_resume += 1;
-                    return Ok(Vec::new());
-                }
-                self.feed(std::slice::from_ref(&ev))?;
-                Ok(Vec::new())
-            }
+            Frame::Chunk { base, events } => self.feed_chunk(base, &events),
             Frame::Sync { nonce } => {
                 // Handling is synchronous: every earlier frame on this
                 // connection has been fed by the time we reply, so the
@@ -221,17 +208,24 @@ impl SessionEngine {
 
     /// [`SessionEngine::handle`] for a frame still on the wire: the
     /// checksum-verified `(tag, payload)` a
-    /// [`FrameReader`](dp_types::protocol::FrameReader) hands out. A
-    /// `Chunk` is fed straight from the borrowed payload, validated whole
-    /// first so a malformed one feeds nothing; every other frame is
-    /// decoded and handled as usual.
+    /// [`FrameReader`](dp_types::protocol::FrameReader) hands out, and the
+    /// one place the payload counts into `bytes_in`. A `Chunk` is fed
+    /// straight from the borrowed payload, validated whole first so a
+    /// malformed one feeds nothing; every other frame is decoded and
+    /// handled as usual.
     pub fn handle_wire(&mut self, tag: u8, payload: &[u8]) -> Result<Vec<Frame>, SessionError> {
+        self.metrics.bytes_in += payload.len() as u64;
         if tag != TAG_CHUNK {
             return self.handle(Frame::decode(tag, payload).map_err(SessionError::Malformed)?);
         }
         let chunk = ChunkView::parse(payload).map_err(|e| SessionError::Malformed(e.into()))?;
         self.admit_frame()?;
-        self.feed_chunk(chunk.base(), chunk.len(), chunk.accesses())
+        let mut decoded = std::mem::take(&mut self.decoded);
+        decoded.clear();
+        chunk.decode_into(&mut decoded);
+        let fed = self.feed_chunk(chunk.base(), &decoded);
+        self.decoded = decoded;
+        fed
     }
 
     fn admit_frame(&mut self) -> Result<(), SessionError> {
@@ -242,30 +236,19 @@ impl SessionEngine {
         Ok(())
     }
 
-    /// Feeds the part of a chunk of `len` accesses starting at stream
-    /// position `base` that lies at or past the watermark.
-    fn feed_chunk(
-        &mut self,
-        base: u64,
-        len: usize,
-        accesses: impl Iterator<Item = MemAccess>,
-    ) -> Result<Vec<Frame>, SessionError> {
+    /// Feeds the part of a chunk starting at stream position `base` that
+    /// lies at or past the watermark.
+    fn feed_chunk(&mut self, base: u64, events: &[TraceEvent]) -> Result<Vec<Frame>, SessionError> {
         self.metrics.chunks += 1;
-        self.metrics.bytes_in += (len * ACCESS_WIRE_BYTES) as u64;
         if base > self.events_fed {
             return Err(SessionError::OutOfOrder("chunk beyond the stream watermark"));
         }
         // Everything below the watermark was already profiled (resend
         // overlap after a reconnect, or a duplicated frame): skip it
         // exactly, feed only the new suffix.
-        let skip = (self.events_fed - base).min(len as u64) as usize;
+        let skip = (self.events_fed - base).min(events.len() as u64) as usize;
         self.metrics.events_skipped_on_resume += skip as u64;
-        let mut suffix = std::mem::take(&mut self.suffix);
-        suffix.clear();
-        suffix.extend(accesses.skip(skip).map(TraceEvent::Access));
-        let fed = self.feed(&suffix);
-        self.suffix = suffix;
-        fed.map(|()| Vec::new())
+        self.feed(&events[skip..]).map(|()| Vec::new())
     }
 
     /// Feeds `evs` to the engine whole, cut only where a periodic
@@ -422,7 +405,7 @@ impl SessionEngine {
 mod tests {
     use super::*;
     use dp_types::loc::loc;
-    use dp_types::MemAccess;
+    use dp_types::{event, MemAccess};
 
     fn hello(session: &str, checkpoint_every: u64) -> Hello {
         Hello {
@@ -433,24 +416,48 @@ mod tests {
         }
     }
 
-    fn accesses(range: std::ops::Range<u64>) -> Vec<MemAccess> {
-        range
-            .map(|i| {
-                let a = 0x100 + (i % 9) * 8;
-                if i % 4 == 0 {
-                    MemAccess::write(a, i + 1, loc(1, 1), 1, 0)
-                } else {
-                    MemAccess::read(a, i + 1, loc(1, 2), 1, 0)
-                }
-            })
-            .collect()
+    fn access(i: u64) -> TraceEvent {
+        let a = 0x100 + (i % 9) * 8;
+        TraceEvent::Access(if i.is_multiple_of(4) {
+            MemAccess::write(a, i + 1, loc(1, 1), 1, 0)
+        } else {
+            MemAccess::read(a, i + 1, loc(1, 2), 1, 0)
+        })
+    }
+
+    fn accesses(range: std::ops::Range<u64>) -> Vec<TraceEvent> {
+        range.map(access).collect()
+    }
+
+    /// A six-iteration loop of five accesses an iteration, each event
+    /// stamped with its stream position plus one: `LoopBegin` at
+    /// position 0, the `LoopIter`s at 1, 7, 13, ..., `LoopEnd` last.
+    fn looped() -> Vec<TraceEvent> {
+        let mut evs = vec![TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 3), thread: 0, ts: 1 }];
+        for iter in 0..6 {
+            let ts = evs.len() as u64 + 1;
+            evs.push(TraceEvent::LoopIter { loop_id: 1, iter, thread: 0, ts });
+            for _ in 0..5 {
+                evs.push(access(evs.len() as u64));
+            }
+        }
+        let ts = evs.len() as u64 + 1;
+        evs.push(TraceEvent::LoopEnd { loop_id: 1, loc: loc(1, 9), iters: 6, thread: 0, ts });
+        evs
+    }
+
+    fn deps(r: &ProfileResult) -> Vec<String> {
+        let mut v: Vec<String> =
+            r.deps.dependences().map(|(d, val)| format!("{d:?}={val:?}")).collect();
+        v.sort();
+        v
     }
 
     #[test]
     fn session_profiles_and_reports() {
         let (mut s, ack) = SessionEngine::open(&hello("t", 0), 1, None, 0).unwrap();
         assert_eq!(ack, Frame::HelloAck { session_id: 1, resume_from: 0 });
-        assert!(s.handle(Frame::Chunk { base: 0, accesses: accesses(0..50) }).unwrap().is_empty());
+        assert!(s.handle(Frame::Chunk { base: 0, events: accesses(0..50) }).unwrap().is_empty());
         let replies = s.handle(Frame::Sync { nonce: 99 }).unwrap();
         assert_eq!(replies, vec![Frame::SyncAck { nonce: 99, position: 50 }]);
         let replies = s.handle(Frame::StatsRequest).unwrap();
@@ -469,13 +476,13 @@ mod tests {
 
         // Reference: one uninterrupted session.
         let (mut all, _) = SessionEngine::open(&hello("ref", 0), 1, None, 0).unwrap();
-        all.handle(Frame::Chunk { base: 0, accesses: evs.clone() }).unwrap();
+        all.handle(Frame::Chunk { base: 0, events: evs.clone() }).unwrap();
         let reference = all.finish_result().unwrap();
 
         // Interrupted: feed 60, checkpoint (emergency), drop the engine.
         let (mut first, ack) = SessionEngine::open(&hello("job", 10), 2, Some(&base), 0).unwrap();
         assert_eq!(ack, Frame::HelloAck { session_id: 2, resume_from: 0 });
-        first.handle(Frame::Chunk { base: 0, accesses: evs[..60].to_vec() }).unwrap();
+        first.handle(Frame::Chunk { base: 0, events: evs[..60].to_vec() }).unwrap();
         first.write_checkpoint().unwrap();
         drop(first);
 
@@ -486,20 +493,54 @@ mod tests {
         assert_eq!(ack, Frame::HelloAck { session_id: 3, resume_from: 60 });
         assert_eq!(second.metrics().resumed_from, 60);
         assert_eq!(second.metrics().rehydrated, 1);
-        second.handle(Frame::Chunk { base: 40, accesses: evs[40..].to_vec() }).unwrap();
+        second.handle(Frame::Chunk { base: 40, events: evs[40..].to_vec() }).unwrap();
         assert_eq!(second.metrics().events_skipped_on_resume, 20);
         assert_eq!(second.position(), 100);
         let resumed = second.finish_result().unwrap();
         assert_eq!(resumed.metrics.service.events_skipped_on_resume, 20);
 
         assert_eq!(reference.stats.accesses, resumed.stats.accesses);
-        let deps = |r: &ProfileResult| {
-            let mut v: Vec<String> =
-                r.deps.dependences().map(|(d, val)| format!("{d:?}={val:?}")).collect();
-            v.sort();
-            v
-        };
         assert_eq!(deps(&reference), deps(&resumed));
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A resent mixed chunk whose overlap ends just after a loop event:
+    /// the skip covers loop events and accesses alike, position for
+    /// position, and the resumed session classifies the loop exactly as
+    /// an uninterrupted one.
+    #[test]
+    fn resume_watermark_inside_a_mixed_chunk_skips_loop_events_exactly() {
+        let base = std::env::temp_dir().join(format!("dpsv-engine-mixed-{}", std::process::id()));
+        let evs = looped();
+        let (mut all, _) = SessionEngine::open(&hello("ref", 0), 1, None, 0).unwrap();
+        all.handle(Frame::Chunk { base: 0, events: evs.clone() }).unwrap();
+        let reference = all.finish_result().unwrap();
+        assert!(
+            deps(&reference).iter().any(|d| d.contains("carrier: Some(1)")),
+            "no carried dependence"
+        );
+
+        // Watermarks just after the LoopBegin and just after the second
+        // LoopIter; the resend restarts up to three events before them.
+        for (watermark, resend_from) in [(1u64, 0u64), (8, 5)] {
+            let _ = std::fs::remove_dir_all(&base);
+            let (mut first, _) = SessionEngine::open(&hello("job", 10), 2, Some(&base), 0).unwrap();
+            let fed = evs[..watermark as usize].to_vec();
+            first.handle(Frame::Chunk { base: 0, events: fed }).unwrap();
+            first.write_checkpoint().unwrap();
+            drop(first);
+
+            let (mut second, ack) =
+                SessionEngine::open(&hello("job", 10), 3, Some(&base), 0).unwrap();
+            assert_eq!(ack, Frame::HelloAck { session_id: 3, resume_from: watermark });
+            let resent = evs[resend_from as usize..].to_vec();
+            second.handle(Frame::Chunk { base: resend_from, events: resent }).unwrap();
+            let skipped = watermark - resend_from;
+            assert_eq!(second.metrics().events_skipped_on_resume, skipped, "at {watermark}");
+            assert_eq!(second.position(), evs.len() as u64);
+            let resumed = second.finish_result().unwrap();
+            assert_eq!(deps(&reference), deps(&resumed), "resumed at {watermark}");
+        }
         let _ = std::fs::remove_dir_all(&base);
     }
 
@@ -508,7 +549,7 @@ mod tests {
         let base = std::env::temp_dir().join(format!("dpsv-engine-clear-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
         let (mut s, _) = SessionEngine::open(&hello("a b/c", 5), 1, Some(&base), 0).unwrap();
-        s.handle(Frame::Chunk { base: 0, accesses: accesses(0..20) }).unwrap();
+        s.handle(Frame::Chunk { base: 0, events: accesses(0..20) }).unwrap();
         assert!(base.join("a_b_c").exists(), "sanitized checkpoint dir");
         s.handle(Frame::Finish).unwrap();
         assert!(!base.join("a_b_c").exists(), "spent checkpoints are removed");
@@ -519,49 +560,58 @@ mod tests {
     fn duplicate_and_gap_frames_are_handled_positionally() {
         let evs = accesses(0..30);
         let (mut s, _) = SessionEngine::open(&hello("dup", 0), 1, None, 0).unwrap();
-        s.handle(Frame::Chunk { base: 0, accesses: evs[..20].to_vec() }).unwrap();
+        s.handle(Frame::Chunk { base: 0, events: evs[..20].to_vec() }).unwrap();
         // Exact duplicate delivery of the last frame: fully skipped.
-        s.handle(Frame::Chunk { base: 0, accesses: evs[..20].to_vec() }).unwrap();
+        s.handle(Frame::Chunk { base: 0, events: evs[..20].to_vec() }).unwrap();
         assert_eq!(s.position(), 20);
         assert_eq!(s.metrics().events_skipped_on_resume, 20);
-        // A gap is a protocol violation, not silent data loss.
-        let err = s.handle(Frame::Chunk { base: 25, accesses: evs[25..].to_vec() }).unwrap_err();
+        // A gap is a protocol violation, not silent data loss, whatever
+        // the chunk holds.
+        let err = s.handle(Frame::Chunk { base: 25, events: evs[25..].to_vec() }).unwrap_err();
         assert!(matches!(err, SessionError::OutOfOrder(_)));
-        let err = s
-            .handle(Frame::LoopEvent {
-                seq: 25,
-                ev: TraceEvent::CallBegin { func: 1, thread: 0, ts: 1 },
-            })
-            .unwrap_err();
+        let call = |func| TraceEvent::CallBegin { func, thread: 0, ts: 1 };
+        let mixed = vec![call(1), evs[21], TraceEvent::CallEnd { func: 1, thread: 0, ts: 2 }];
+        let err = s.handle(Frame::Chunk { base: 21, events: mixed }).unwrap_err();
         assert!(matches!(err, SessionError::OutOfOrder(_)));
+        assert_eq!(s.position(), 20);
     }
 
     #[test]
     fn malformed_wire_chunk_feeds_nothing() {
         let (mut s, _) = SessionEngine::open(&hello("atomic", 0), 1, None, 0).unwrap();
-        let payload_of = |base: u64, range: std::ops::Range<u64>| {
+        let payload_of = |base: u64, events: Vec<TraceEvent>| {
             let mut wire = Vec::new();
-            Frame::Chunk { base, accesses: accesses(range) }.encode_into(&mut wire).unwrap();
+            Frame::Chunk { base, events }.encode_into(&mut wire);
             wire[5..wire.len() - 1].to_vec()
         };
-        s.handle_wire(TAG_CHUNK, &payload_of(0, 0..10)).unwrap();
+        s.handle_wire(TAG_CHUNK, &payload_of(0, accesses(0..10))).unwrap();
         assert_eq!(s.position(), 10);
 
-        // Nine good accesses, then one whose kind byte is neither read
-        // nor write: the chunk is rejected whole.
-        let mut bad = payload_of(10, 10..20);
-        let last_kind = bad.len() - ACCESS_WIRE_BYTES;
+        // Nine good accesses, then one whose kind byte is a loop begin's:
+        // the bodies no longer tile the payload.
+        let mut bad = payload_of(10, accesses(10..20));
+        let last_kind = bad.len() - event::ACCESS_WIRE_BYTES;
         bad[last_kind] = 2;
-        let err = s.handle_wire(TAG_CHUNK, &bad).unwrap_err();
-        assert!(matches!(err, SessionError::Malformed(_)), "{err}");
-        assert_eq!(s.position(), 10, "no access of a rejected chunk is fed");
-        assert_eq!(s.metrics().events, 10);
+        // Mixed chunks whose last body is a `Dealloc` past the address
+        // space, or carries a tag no event has.
+        let loop_begin = TraceEvent::LoopBegin { loop_id: 2, loc: loc(1, 7), thread: 0, ts: 11 };
+        let dealloc = TraceEvent::Dealloc { base: u64::MAX - 7, len: 1, thread: 0, ts: 12 };
+        let overflowing = payload_of(10, vec![loop_begin, access(11), dealloc]);
+        let mut undefined = payload_of(10, vec![loop_begin, access(11), access(12)]);
+        let last_tag = undefined.len() - event::ACCESS_WIRE_BYTES;
+        undefined[last_tag] = 0x77;
+        for bad in [bad, overflowing, undefined] {
+            let err = s.handle_wire(TAG_CHUNK, &bad).unwrap_err();
+            assert!(matches!(err, SessionError::Malformed(_)), "{err}");
+            assert_eq!(s.position(), 10, "no event of a rejected chunk is fed");
+            assert_eq!(s.metrics().events, 10);
+        }
 
         // The wire entrance and the frame entrance are one feed body: the
         // same overlap is skipped, the same suffix fed.
-        s.handle_wire(TAG_CHUNK, &payload_of(5, 5..20)).unwrap();
+        s.handle_wire(TAG_CHUNK, &payload_of(5, accesses(5..20))).unwrap();
         assert_eq!((s.position(), s.metrics().events_skipped_on_resume), (20, 5));
-        s.handle(Frame::Chunk { base: 15, accesses: accesses(15..30) }).unwrap();
+        s.handle(Frame::Chunk { base: 15, events: accesses(15..30) }).unwrap();
         assert_eq!((s.position(), s.metrics().events_skipped_on_resume), (30, 10));
     }
 
@@ -572,14 +622,14 @@ mod tests {
         let evs = accesses(0..80);
 
         let (mut all, _) = SessionEngine::open(&hello("ref", 0), 1, None, 0).unwrap();
-        all.handle(Frame::Chunk { base: 0, accesses: evs.clone() }).unwrap();
+        all.handle(Frame::Chunk { base: 0, events: evs.clone() }).unwrap();
         let reference = all.finish_result().unwrap();
 
         // Hibernate mid-stream: even without a periodic checkpoint
         // interval the store is created on demand.
         let (mut idle, _) = SessionEngine::open(&hello("nap", 0), 2, Some(&base), 0).unwrap();
         assert!(idle.durable());
-        idle.handle(Frame::Chunk { base: 0, accesses: evs[..50].to_vec() }).unwrap();
+        idle.handle(Frame::Chunk { base: 0, events: evs[..50].to_vec() }).unwrap();
         idle.hibernate().unwrap();
         assert_eq!(idle.metrics().hibernated, 1);
         drop(idle);
@@ -587,7 +637,7 @@ mod tests {
         let (mut woken, ack) = SessionEngine::open(&hello("nap", 0), 3, Some(&base), 0).unwrap();
         assert_eq!(ack, Frame::HelloAck { session_id: 3, resume_from: 50 });
         assert_eq!(woken.metrics().rehydrated, 1);
-        woken.handle(Frame::Chunk { base: 50, accesses: evs[50..].to_vec() }).unwrap();
+        woken.handle(Frame::Chunk { base: 50, events: evs[50..].to_vec() }).unwrap();
         let resumed = woken.finish_result().unwrap();
         assert_eq!(reference.stats.accesses, resumed.stats.accesses);
         let _ = std::fs::remove_dir_all(&base);
@@ -615,7 +665,7 @@ mod tests {
                 names: vec!["*".into(), "x".into()],
             };
             let (mut s, _) = SessionEngine::open(&h, 1, None, 0).unwrap();
-            s.handle(Frame::Chunk { base: 0, accesses: accesses(0..30) }).unwrap();
+            s.handle(Frame::Chunk { base: 0, events: accesses(0..30) }).unwrap();
             // Mid-stream query: answered without stalling or finishing.
             let replies =
                 s.handle(Frame::Query { id: 5, kind: dp_types::protocol::query_kind::ALL });
@@ -624,7 +674,7 @@ mod tests {
             };
             assert!(json.contains("\"position\":30"), "{json}");
             assert!(json.contains("\"loops\":"), "{json}");
-            s.handle(Frame::Chunk { base: 30, accesses: accesses(30..60) }).unwrap();
+            s.handle(Frame::Chunk { base: 30, events: accesses(30..60) }).unwrap();
             // Section-selected query.
             let replies =
                 s.handle(Frame::Query { id: 6, kind: dp_types::protocol::query_kind::COMM });

@@ -342,7 +342,7 @@ fn dispatch_conn<S: Conn>(s: S, shared: &Shared, stop: &AtomicBool) {
 fn send(s: &mut impl Write, frames: &[Frame]) -> Result<(), ProtocolError> {
     let mut buf = Vec::new();
     for f in frames {
-        f.encode_into(&mut buf)?;
+        f.encode_into(&mut buf);
     }
     s.write_all(&buf)?;
     s.flush()?;

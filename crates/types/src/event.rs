@@ -10,8 +10,8 @@
 //!
 //! This module also owns the one byte layout of an event ([`BODY_LEN`],
 //! [`TraceEvent::encode_into`], [`TraceEvent::decode`]): what a DPTR
-//! record carries before its checksum byte, and a DPSV `Chunk` /
-//! `LoopEvent` frame after its `base` / `seq` prefix.
+//! record carries before its checksum byte, and what a DPSV `Chunk`
+//! carries, body after body, past its `base` and count.
 
 use crate::access::{AccessKind, MemAccess};
 use crate::ids::{Address, LoopId, ThreadId, Timestamp};
@@ -153,7 +153,7 @@ pub const BODY_LEN: [u8; 8] = [
     1 + 8 + 8 + 2 + 8,     // dealloc: base, len, thread, ts
 ];
 
-/// Bytes of an access's wire body, as one lies in a `Chunk` payload.
+/// Bytes of an access's wire body, the longest of any event's.
 pub const ACCESS_WIRE_BYTES: usize = BODY_LEN[TAG_READ as usize] as usize;
 
 /// One little-endian field at a constant offset of a fixed-size array.
@@ -166,7 +166,7 @@ macro_rules! get {
 }
 
 /// Appends an access's wire body: the access arm of
-/// [`TraceEvent::encode_into`], for a `Chunk` of nothing but accesses.
+/// [`TraceEvent::encode_into`].
 #[inline]
 pub fn encode_access(a: &MemAccess, out: &mut Vec<u8>) {
     out.push(if a.kind.is_write() { TAG_WRITE } else { TAG_READ });
@@ -346,6 +346,8 @@ mod tests {
         }
         assert_eq!(TraceEvent::decode(&[8; 27]), None);
         assert_eq!(TraceEvent::decode(&[]), None);
+        // A `Chunk` reserves this much per event before encoding.
+        assert_eq!(BODY_LEN.iter().max().map(|&n| n as usize), Some(ACCESS_WIRE_BYTES));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `DPSV` version 2 — the length-prefixed, checksummed frame protocol the
+//! `DPSV` version 3 — the length-prefixed, checksummed frame protocol the
 //! networked profiling service speaks.
 //!
 //! The paper's pipeline decouples event production from dependence
@@ -17,12 +17,17 @@
 //! ```text
 //! preamble := "DPSV" version:u8
 //! frame    := tag:u8 len:u32 payload[len] checksum:u8
+//! chunk    := base:u64 count:u32 body[count]
 //! ```
 //!
 //! with the checksum being [`xor_fold`] over tag
 //! and payload. Sharing the framing unit means a torn, bit-flipped or
 //! truncated frame corrupts — and is detected — exactly like a damaged
-//! checkpoint section, and one property-test suite covers both.
+//! checkpoint section, and one property-test suite covers both. A
+//! `Chunk` body is one event's wire body ([`TraceEvent::encode_into`]):
+//! its first byte is the event's tag, and [`event::BODY_LEN`] gives its
+//! length, so events of every kind lie back to back with no further
+//! framing.
 //!
 //! ## Frames
 //!
@@ -30,8 +35,7 @@
 //! |-----|--------------|-----------|---------|
 //! | 1   | `Hello`      | C → S     | session name, opaque engine spec, checkpoint interval, variable-name table |
 //! | 2   | `HelloAck`   | S → C     | session id, resume position |
-//! | 3   | `Chunk`      | C → S     | absolute stream position of the first access + batched memory accesses |
-//! | 4   | `LoopEvent`  | C → S     | absolute stream position + one non-access trace event |
+//! | 3   | `Chunk`      | C → S     | absolute stream position of the first event + batched events of every kind |
 //! | 5   | `Sync`       | C → S     | client-chosen nonce; the server answers with `SyncAck` |
 //! | 6   | `Finish`     | C → S     | empty; server finalizes and replies `Report` |
 //! | 7   | `StatsRequest` | C → S   | empty; server replies `Stats` |
@@ -43,36 +47,38 @@
 //! | 13  | `Query`      | C → S     | ask for a live analysis snapshot: correlation id + [`query_kind`] selector |
 //! | 14  | `QueryResult`| S → C     | the snapshot: echoed id + kind, JSON report answered from incremental state |
 //!
+//! Tag 4 is unassigned: up to v2 it framed a single non-access event,
+//! which a v3 `Chunk` carries in line with the accesses around it.
+//!
 //! `Query` (new in v2) may arrive at any point between `HelloAck` and
 //! `Finish`; the server answers from the online analysis state it folds
 //! as chunks merge, so a query never stalls the feed behind a full
 //! re-analysis. The first `Query` of a session lazily enables delta
 //! tracking — sessions that never query pay nothing.
 //!
-//! `Chunk` and `LoopEvent` frames are *positional*: they carry the
-//! absolute index of their first event in the session's logical event
-//! stream. A server that already profiled `N` events skips anything
-//! below `N` exactly — resend overlap after a reconnect and wire-level
-//! duplicate delivery both dedupe to exactly-once profiling.
+//! `Chunk` frames are *positional*: event `i` of a chunk is event
+//! `base + i` of the session's logical event stream. A server that
+//! already profiled `N` events skips anything below `N` exactly — resend
+//! overlap after a reconnect and wire-level duplicate delivery both
+//! dedupe to exactly-once profiling.
 //!
 //! The engine spec inside `Hello` is an opaque blob by design: this crate
 //! cannot see the profiler's configuration types, so the spec is encoded
 //! and decoded by `dp-core` and merely carried here — the same pattern
 //! the checkpoint container uses for its CONFIG section.
 
-use crate::access::MemAccess;
-pub use crate::event::ACCESS_WIRE_BYTES;
-use crate::event::{self, TraceEvent};
+use crate::event::{self, TraceEvent, ACCESS_WIRE_BYTES};
 use crate::wire::{xor_fold, ByteReader, ByteWriter, WireError};
 use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Connection preamble magic.
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"DPSV";
-/// Current protocol version. v2 added the `Query`/`QueryResult` frames
-/// (live analysis snapshots); everything a v1 peer could say is
-/// unchanged.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// Current protocol version. v3 lets a `Chunk` carry events of every
+/// kind and retires the one-event frame (tag 4); an all-access `Chunk`
+/// is byte for byte what v2 sent. v2 added the `Query`/`QueryResult`
+/// frames.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Default upper bound on a frame's payload length. A frame header
 /// announcing more than this is rejected before any allocation — the
@@ -85,7 +91,6 @@ const TAG_HELLO_ACK: u8 = 2;
 /// Wire tag of [`Frame::Chunk`] — public so a receiver can route a raw
 /// `(tag, payload)` pair to [`ChunkView`] without building a [`Frame`].
 pub const TAG_CHUNK: u8 = 3;
-const TAG_LOOP_EVENT: u8 = 4;
 const TAG_SYNC: u8 = 5;
 const TAG_FINISH: u8 = 6;
 const TAG_STATS_REQUEST: u8 = 7;
@@ -220,22 +225,14 @@ pub enum Frame {
         /// (restored from a checkpoint); the client skips this many.
         resume_from: u64,
     },
-    /// A batch of memory accesses — the bulk of the stream.
+    /// A batch of consecutive events of every kind — the whole stream.
     Chunk {
-        /// Absolute index of the first access in the session's logical
+        /// Absolute index of the first event in the session's logical
         /// event stream. The server skips any prefix it has already
         /// profiled, so resends and duplicates dedupe exactly.
         base: u64,
-        /// The batched accesses.
-        accesses: Vec<MemAccess>,
-    },
-    /// One non-access event (loop boundary, call boundary, dealloc),
-    /// in-order relative to surrounding chunks.
-    LoopEvent {
-        /// Absolute index of this event in the session's logical stream.
-        seq: u64,
-        /// The event itself (never [`TraceEvent::Access`]).
-        ev: TraceEvent,
+        /// The batched events, in stream order.
+        events: Vec<TraceEvent>,
     },
     /// Watermark probe: the server answers with [`Frame::SyncAck`] once
     /// every frame before it has been consumed.
@@ -300,52 +297,103 @@ pub enum Frame {
     },
 }
 
-/// A `Chunk` payload validated in place: the access count matches the
-/// payload size and every kind byte is 0 or 1, so [`ChunkView::accesses`]
-/// decodes straight from the borrowed bytes and cannot fail part-way —
+/// A `Chunk` payload validated in place: every body starts with a
+/// defined event tag, the bodies number `count` and fill the payload
+/// exactly, and every non-access body decodes, so
+/// [`ChunkView::decode_into`] decodes straight from the borrowed bytes
+/// and cannot fail part-way —
 /// a receiver either feeds the whole chunk or rejects it untouched.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkView<'a> {
     base: u64,
+    len: usize,
     body: &'a [u8],
 }
 
 impl<'a> ChunkView<'a> {
-    /// Validates a `Chunk` frame's payload without copying it.
+    /// Validates a `Chunk` frame's payload without copying it, in one
+    /// walk over its bodies.
     pub fn parse(payload: &'a [u8]) -> Result<Self, WireError> {
+        const MISCOUNTED: WireError = WireError::Invalid("event count does not match payload size");
         let mut r = ByteReader::new(payload);
         let base = r.u64()?;
-        let n = r.u32()? as usize;
+        let len = r.u32()? as usize;
         let body = r.take(r.remaining())?;
-        if n.checked_mul(ACCESS_WIRE_BYTES) != Some(body.len()) {
-            return Err(WireError::Invalid("access count does not match payload size"));
+        // Tags 0 and 1 are the accesses, whose every body decodes.
+        let decodes = |ev: &[u8]| ev[0] <= 1 || TraceEvent::decode(ev).is_some();
+        if Self::uniform(len, body) {
+            // No body is longer than an access's, so `count` bodies that
+            // fill `count` access-sized slots are all that long: the
+            // common all-access chunk is checked at a fixed stride.
+            if !body.chunks_exact(ACCESS_WIRE_BYTES).all(decodes) {
+                return Err(WireError::Invalid("event body does not decode"));
+            }
+            return Ok(ChunkView { base, len, body });
         }
-        if body.chunks_exact(ACCESS_WIRE_BYTES).any(|a| a[0] > 1) {
-            return Err(WireError::Invalid("access kind byte must be 0 or 1"));
+        let mut rest = body;
+        for _ in 0..len {
+            let &tag = rest.first().ok_or(MISCOUNTED)?;
+            let n = *event::BODY_LEN
+                .get(tag as usize)
+                .ok_or(WireError::Invalid("undefined event tag in chunk"))?;
+            let (ev, tail) = rest.split_at_checked(n as usize).ok_or(MISCOUNTED)?;
+            if !decodes(ev) {
+                return Err(WireError::Invalid("event body does not decode"));
+            }
+            rest = tail;
         }
-        Ok(ChunkView { base, body })
+        if !rest.is_empty() {
+            return Err(MISCOUNTED);
+        }
+        Ok(ChunkView { base, len, body })
     }
 
-    /// Absolute stream index of the first access.
+    /// True when every body of the chunk is access-sized.
+    fn uniform(len: usize, body: &[u8]) -> bool {
+        len.checked_mul(ACCESS_WIRE_BYTES) == Some(body.len())
+    }
+
+    /// Absolute stream index of the first event.
     pub fn base(&self) -> u64 {
         self.base
     }
 
-    /// Number of accesses in the chunk.
+    /// Number of events in the chunk.
     pub fn len(&self) -> usize {
-        self.body.len() / ACCESS_WIRE_BYTES
+        self.len
     }
 
-    /// True for a chunk carrying no accesses.
+    /// True for a chunk carrying no events.
     pub fn is_empty(&self) -> bool {
-        self.body.is_empty()
+        self.len == 0
     }
 
-    /// The accesses, decoded one at a time from the borrowed payload.
-    pub fn accesses(&self) -> impl Iterator<Item = MemAccess> + 'a {
-        self.body
-            .chunks_exact(ACCESS_WIRE_BYTES)
-            .map(|a| event::decode_access(a.try_into().expect("chunks_exact yields 27 bytes")))
+    /// Appends the chunk's events to `out`, decoded from the borrowed
+    /// payload.
+    pub fn decode_into(&self, out: &mut Vec<TraceEvent>) {
+        out.reserve(self.len);
+        if Self::uniform(self.len, self.body) {
+            // A fixed stride keeps the next body's offset off the load of
+            // this one's tag.
+            out.extend(self.body.chunks_exact(ACCESS_WIRE_BYTES).map(decode_checked));
+            return;
+        }
+        let mut rest = self.body;
+        while let Some(&tag) = rest.first() {
+            let (body, tail) = rest.split_at(event::BODY_LEN[tag as usize] as usize);
+            out.push(decode_checked(body));
+            rest = tail;
+        }
+    }
+}
+
+/// Decodes one body [`ChunkView::parse`] checked; accesses take the small
+/// specialised decoder.
+#[inline]
+fn decode_checked(body: &[u8]) -> TraceEvent {
+    match body.try_into() {
+        Ok(access) if body[0] <= 1 => TraceEvent::Access(event::decode_access(access)),
+        _ => TraceEvent::decode(body).expect("parse checked every body"),
     }
 }
 
@@ -360,7 +408,6 @@ impl Frame {
             Frame::Hello(_) => TAG_HELLO,
             Frame::HelloAck { .. } => TAG_HELLO_ACK,
             Frame::Chunk { .. } => TAG_CHUNK,
-            Frame::LoopEvent { .. } => TAG_LOOP_EVENT,
             Frame::Sync { .. } => TAG_SYNC,
             Frame::Finish => TAG_FINISH,
             Frame::StatsRequest => TAG_STATS_REQUEST,
@@ -378,31 +425,25 @@ impl Frame {
     /// to `out` in place: the length is patched once the payload is
     /// written and the checksum folded over the bytes just appended, so
     /// encoding into a buffer with spare capacity allocates nothing.
-    /// Fails only for a [`Frame::LoopEvent`] holding an access, leaving
-    /// `out` as it was.
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
-        if let Frame::Chunk { accesses, .. } = self {
-            // header + base + count + accesses + checksum, in one growth
-            out.reserve(FRAME_OVERHEAD_BYTES + 8 + 4 + accesses.len() * ACCESS_WIRE_BYTES);
+        if let Frame::Chunk { events, .. } = self {
+            // header + base + count + bodies + checksum, in one growth: no
+            // event body is longer than an access's
+            out.reserve(FRAME_OVERHEAD_BYTES + 8 + 4 + events.len() * ACCESS_WIRE_BYTES);
         }
         let mut w = ByteWriter::from_bytes(std::mem::take(out));
         w.u8(self.tag());
         w.u32(0);
-        let written = self.put_payload(&mut w);
+        self.put_payload(&mut w);
         *out = w.into_bytes();
-        if let Err(e) = written {
-            out.truncate(start);
-            return Err(e);
-        }
         let payload_at = start + FRAME_HEADER_BYTES;
         let len = (out.len() - payload_at) as u32;
         out[start + 1..payload_at].copy_from_slice(&len.to_le_bytes());
         out.push(xor_fold(self.tag(), &out[payload_at..]));
-        Ok(())
     }
 
-    fn put_payload(&self, w: &mut ByteWriter) -> Result<(), WireError> {
+    fn put_payload(&self, w: &mut ByteWriter) {
         match self {
             Frame::Hello(h) => {
                 w.blob(h.session.as_bytes());
@@ -417,21 +458,12 @@ impl Frame {
                 w.u64(*session_id);
                 w.u64(*resume_from);
             }
-            Frame::Chunk { base, accesses } => {
+            Frame::Chunk { base, events } => {
                 w.u64(*base);
-                w.u32(accesses.len() as u32);
-                for a in accesses {
-                    event::encode_access(a, w.buf());
+                w.u32(events.len() as u32);
+                for ev in events {
+                    ev.encode_into(w.buf());
                 }
-            }
-            Frame::LoopEvent { seq, ev } => {
-                if ev.as_access().is_some() {
-                    return Err(WireError::Invalid(
-                        "accesses travel in Chunk frames, not LoopEvent",
-                    ));
-                }
-                w.u64(*seq);
-                ev.encode_into(w.buf());
             }
             Frame::Sync { nonce } => w.u64(*nonce),
             Frame::Finish | Frame::StatsRequest => {}
@@ -456,7 +488,6 @@ impl Frame {
                 w.blob(json.as_bytes());
             }
         }
-        Ok(())
     }
 
     /// Decodes a frame from its tag and payload. Every malformation is a
@@ -485,22 +516,9 @@ impl Frame {
             TAG_HELLO_ACK => Frame::HelloAck { session_id: r.u64()?, resume_from: r.u64()? },
             TAG_CHUNK => {
                 let chunk = ChunkView::parse(payload)?;
-                return Ok(Frame::Chunk {
-                    base: chunk.base(),
-                    accesses: chunk.accesses().collect(),
-                });
-            }
-            TAG_LOOP_EVENT => {
-                let seq = r.u64()?;
-                // Any event body but an access (tags 0 and 1).
-                let tag = r.clone().u8()?;
-                let n = match event::BODY_LEN.get(tag as usize) {
-                    Some(&n) if tag > 1 => n as usize,
-                    _ => return Err(WireError::Invalid("unknown LoopEvent sub-tag").into()),
-                };
-                let ev = TraceEvent::decode(r.take(n)?)
-                    .ok_or(WireError::Invalid("LoopEvent body does not decode"))?;
-                Frame::LoopEvent { seq, ev }
+                let mut events = Vec::new();
+                chunk.decode_into(&mut events);
+                return Ok(Frame::Chunk { base: chunk.base(), events });
             }
             TAG_SYNC => Frame::Sync { nonce: r.u64()? },
             TAG_FINISH => Frame::Finish,
@@ -560,7 +578,7 @@ pub fn read_preamble(r: &mut impl Read) -> Result<(), ProtocolError> {
 /// buffer, one `write_all`.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), ProtocolError> {
     let mut buf = Vec::with_capacity(64);
-    frame.encode_into(&mut buf)?;
+    frame.encode_into(&mut buf);
     w.write_all(&buf)?;
     Ok(())
 }
@@ -724,7 +742,27 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::MemAccess;
     use crate::loc::loc;
+
+    fn access(i: u64) -> TraceEvent {
+        TraceEvent::Access(MemAccess::read(8 * i, i, loc(1, 1), 0, 0))
+    }
+
+    /// One event of every kind, accesses between them.
+    fn mixed_events() -> Vec<TraceEvent> {
+        vec![
+            TraceEvent::Access(MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 1)),
+            TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
+            TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 },
+            TraceEvent::Access(MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 2)),
+            TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 10, thread: 0, ts: 3 },
+            TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 },
+            TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 },
+            TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 },
+            access(7),
+        ]
+    }
 
     fn sample_frames() -> Vec<Frame> {
         vec![
@@ -735,37 +773,9 @@ mod tests {
                 names: vec!["*".into(), "alpha".into()],
             }),
             Frame::HelloAck { session_id: 42, resume_from: 12_345 },
-            Frame::Chunk {
-                base: 1_000_000,
-                accesses: vec![
-                    MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 1),
-                    MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 2),
-                ],
-            },
-            Frame::LoopEvent {
-                seq: 11,
-                ev: TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
-            },
-            Frame::LoopEvent {
-                seq: 12,
-                ev: TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 },
-            },
-            Frame::LoopEvent {
-                seq: 13,
-                ev: TraceEvent::LoopEnd {
-                    loop_id: 3,
-                    loc: loc(1, 20),
-                    iters: 10,
-                    thread: 0,
-                    ts: 3,
-                },
-            },
-            Frame::LoopEvent { seq: 14, ev: TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 } },
-            Frame::LoopEvent { seq: 15, ev: TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 } },
-            Frame::LoopEvent {
-                seq: 16,
-                ev: TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 },
-            },
+            Frame::Chunk { base: 1_000_000, events: (0..3).map(access).collect() },
+            Frame::Chunk { base: 11, events: mixed_events() },
+            Frame::Chunk { base: 20, events: Vec::new() },
             Frame::Sync { nonce: 7 },
             Frame::Finish,
             Frame::StatsRequest,
@@ -802,6 +812,11 @@ mod tests {
             read_preamble(&mut &b"DPSV\x09"[..]),
             Err(ProtocolError::UnsupportedVersion(9))
         ));
+        // A v2 peer would send its loop events in frames v3 no longer has.
+        assert!(matches!(
+            read_preamble(&mut &b"DPSV\x02"[..]),
+            Err(ProtocolError::UnsupportedVersion(2))
+        ));
         assert!(matches!(
             read_preamble(&mut &b"DP"[..]),
             Err(ProtocolError::Wire(WireError::Truncated))
@@ -833,8 +848,7 @@ mod tests {
     #[test]
     fn bit_flips_fail_checksum_or_typed() {
         let mut clean = Vec::new();
-        let chunk =
-            Frame::Chunk { base: 0, accesses: vec![MemAccess::read(8, 1, loc(1, 1), 0, 0)] };
+        let chunk = Frame::Chunk { base: 0, events: mixed_events() };
         write_frame(&mut clean, &chunk).unwrap();
         for i in 0..clean.len() {
             let mut bad = clean.clone();
@@ -854,10 +868,7 @@ mod tests {
 
     #[test]
     fn reader_compacts_and_grows_only_for_a_single_large_frame() {
-        let chunk = |base: u64, n: u64| Frame::Chunk {
-            base,
-            accesses: (0..n).map(|i| MemAccess::read(8 * i, i, loc(1, 1), 0, 0)).collect(),
-        };
+        let chunk = |base: u64, n: u64| Frame::Chunk { base, events: (0..n).map(access).collect() };
         // ~27 KB frames straddle the 64 KiB buffer's end (compaction); the
         // ~108 KB one exceeds it (growth); the Sync after it must survive.
         let mut frames: Vec<Frame> = (0..10).map(|i| chunk(i * 1000, 1000)).collect();
@@ -865,7 +876,7 @@ mod tests {
         frames.push(Frame::Sync { nonce: 1 });
         let mut wire = Vec::new();
         for f in &frames {
-            f.encode_into(&mut wire).unwrap();
+            f.encode_into(&mut wire);
         }
         let mut src = &wire[..];
         let mut reader = FrameReader::new(MAX_FRAME_BYTES);
@@ -890,38 +901,29 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn access_in_loop_event_is_rejected() {
-        let f = Frame::LoopEvent {
-            seq: 0,
-            ev: TraceEvent::Access(MemAccess::read(8, 1, loc(1, 1), 0, 0)),
-        };
-        let mut out = vec![0xAA];
-        assert!(f.encode_into(&mut out).is_err());
-        assert_eq!(out, [0xAA], "a rejected frame leaves the buffer as it was");
-    }
-
     /// A `Dealloc` whose range runs past the end of the address space is
     /// refused like any other malformed event body, never handed to an
-    /// engine that would wrap around while clearing it.
+    /// engine that would wrap around while clearing it; so is a body
+    /// whose tag no event has.
     #[test]
     fn dealloc_past_the_address_space_is_a_malformed_body() {
         let wire = |ev: TraceEvent| {
             let mut out = Vec::new();
-            Frame::LoopEvent { seq: 3, ev }.encode_into(&mut out).unwrap();
+            Frame::Chunk { base: 3, events: vec![access(1), ev] }.encode_into(&mut out);
             out
         };
         let dealloc = |base, len| TraceEvent::Dealloc { base, len, thread: 0, ts: 9 };
         let fits = wire(dealloc(u64::MAX - 15, 1));
         assert!(read_frame(&mut &fits[..], MAX_FRAME_BYTES).is_ok());
-        let mut unknown_sub_tag = fits.clone();
-        unknown_sub_tag[FRAME_HEADER_BYTES + 8] = 0x77;
-        let payload_len = unknown_sub_tag.len() - FRAME_OVERHEAD_BYTES;
-        let at = unknown_sub_tag.len() - 1;
-        unknown_sub_tag[at] =
-            xor_fold(TAG_LOOP_EVENT, &unknown_sub_tag[FRAME_HEADER_BYTES..][..payload_len]);
+        let mut undefined_tag = fits.clone();
+        let last_body = undefined_tag.len() - 1 - event::BODY_LEN[7] as usize;
+        undefined_tag[last_body] = 0x77;
+        let payload_len = undefined_tag.len() - FRAME_OVERHEAD_BYTES;
+        let at = undefined_tag.len() - 1;
+        undefined_tag[at] =
+            xor_fold(TAG_CHUNK, &undefined_tag[FRAME_HEADER_BYTES..][..payload_len]);
         for bad in
-            [wire(dealloc(u64::MAX - 7, 1)), wire(dealloc(0x100, u64::MAX / 8)), unknown_sub_tag]
+            [wire(dealloc(u64::MAX - 7, 1)), wire(dealloc(0x100, u64::MAX / 8)), undefined_tag]
         {
             let got = read_frame(&mut &bad[..], MAX_FRAME_BYTES);
             assert!(matches!(got, Err(ProtocolError::Wire(WireError::Invalid(_)))), "{got:?}");
@@ -929,11 +931,37 @@ mod tests {
     }
 
     #[test]
+    fn chunk_count_must_match_its_bodies() {
+        let mut payload = Vec::new();
+        Frame::Chunk { base: 0, events: mixed_events() }.encode_into(&mut payload);
+        let payload = payload[FRAME_HEADER_BYTES..payload.len() - 1].to_vec();
+        let n = mixed_events().len() as u32;
+        for count in [0, n - 1, n + 1, u32::MAX] {
+            let mut bad = payload.clone();
+            bad[8..12].copy_from_slice(&count.to_le_bytes());
+            assert!(ChunkView::parse(&bad).is_err(), "count {count}");
+        }
+        // One byte short, or one byte over: the bodies no longer tile it.
+        assert!(ChunkView::parse(&payload[..payload.len() - 1]).is_err());
+        assert!(ChunkView::parse(&[&payload[..], &[0]].concat()).is_err());
+        let view = ChunkView::parse(&payload).unwrap();
+        let mut events = Vec::new();
+        view.decode_into(&mut events);
+        assert_eq!((view.len(), events), (n as usize, mixed_events()));
+    }
+
+    #[test]
     fn unknown_tag_is_typed() {
-        let mut out = ByteWriter::new();
-        crate::wire::write_section(&mut out, 200, b"whatever");
-        let got = read_frame(&mut &out.into_bytes()[..], MAX_FRAME_BYTES);
-        assert!(matches!(got, Err(ProtocolError::UnknownFrame { tag: 200 })), "{got:?}");
+        // Tag 4 is the retired one-event frame.
+        for tag in [4, 200] {
+            let mut out = ByteWriter::new();
+            crate::wire::write_section(&mut out, tag, b"whatever");
+            let got = read_frame(&mut &out.into_bytes()[..], MAX_FRAME_BYTES);
+            assert!(
+                matches!(got, Err(ProtocolError::UnknownFrame { tag: t }) if t == tag),
+                "{got:?}"
+            );
+        }
     }
 
     #[test]

@@ -17,8 +17,8 @@ use depprof::server::{
     push_with_retry, ChaosStream, NetFaultPlan, PushOptions, RetryPolicy, Server, ServerConfig,
 };
 use depprof::trace::workloads::synth;
-use depprof::trace::{Interp, TraceReader, TraceWriter};
-use depprof::types::TraceEvent;
+use depprof::trace::{FrameChunker, Interp, TraceReader, TraceWriter};
+use depprof::types::{protocol::Frame, TraceEvent};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::io::{self, Read, Write};
@@ -27,11 +27,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Events per `Chunk` in every push below. Loop events ride in line with
+/// the accesses, so only small chunks make the 182-event stream cross
+/// over 100 frame boundaries (116: 91 chunks, 22 `Sync`s, `Hello`,
+/// `StatsRequest` and `Finish`).
+const CHUNK_EVENTS: usize = 2;
+
 /// Records the synthetic workload both the clean and the interrupted
 /// pushes stream: small enough that a per-frame sweep stays fast, big
-/// enough to span many frames and several Sync probes. Loop iteration
-/// markers ride in their own frames, so even this short stream crosses
-/// ~100 frame boundaries.
+/// enough to span many frames and several Sync probes.
 fn record() -> (Vec<TraceEvent>, Vec<String>) {
     let w = synth::uniform(64, 120);
     let mut wtr = TraceWriter::with_names(Vec::new(), &w.program.interner).unwrap();
@@ -108,7 +112,7 @@ fn opts(session: &str, spec: &SessionSpec) -> PushOptions {
     PushOptions {
         session: session.to_string(),
         spec: *spec,
-        chunk_events: 64,
+        chunk_events: CHUNK_EVENTS,
         sync_every_chunks: 4,
         request_stats: true,
         ..PushOptions::default()
@@ -127,6 +131,16 @@ fn policy() -> RetryPolicy {
 /// every resumed run reproduces the clean report byte for byte.
 fn kill_at_every_frame(tag: &str, spec: &SessionSpec, stop: &'static AtomicBool) {
     let (events, names) = record();
+    // Some cut lands between a loop event and an access of one frame.
+    let mut chunker = FrameChunker::new(CHUNK_EVENTS);
+    let mixed = events.iter().filter_map(|ev| chunker.push(*ev)).any(|f| match f {
+        Frame::Chunk { events, .. } => {
+            events.iter().any(|e| e.as_access().is_some())
+                && events.iter().any(|e| e.as_access().is_none())
+        }
+        _ => false,
+    });
+    assert!(mixed, "no frame mixes accesses with loop events");
     let dir = tmpdir(tag);
     let (addr, server) = start_server(dir.clone(), stop);
 
@@ -151,6 +165,7 @@ fn kill_at_every_frame(tag: &str, spec: &SessionSpec, stop: &'static AtomicBool)
     assert_eq!(clean.reconnects, 0, "clean run must not retry");
     let total = total_frames.load(Ordering::SeqCst);
     assert!(total > 20, "workload too small to be a meaningful sweep: {total} frames");
+    assert!(total >= 100, "{total} frame boundaries: fewer than the sweep is sized for");
 
     let mut resumed_runs = 0u64;
     for cut in 0..total {

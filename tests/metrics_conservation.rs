@@ -211,15 +211,14 @@ fn service_counters_balance_the_resume_ledger() {
     use depprof::trace::FrameChunker;
     use depprof::types::protocol::{Frame, Hello};
 
+    // Every tenth event a dealloc, so chunks mix event kinds.
     let evs: Vec<TraceEvent> = (0..150u64)
         .map(|i| {
-            TraceEvent::Access(MemAccess::write(
-                0x1000 + (i % 48) * 8,
-                i + 1,
-                loc(1, 1 + (i % 30) as u32),
-                1,
-                0,
-            ))
+            let addr = 0x1000 + (i % 48) * 8;
+            if i % 10 == 9 {
+                return TraceEvent::Dealloc { base: addr, len: 1, thread: 0, ts: i + 1 };
+            }
+            TraceEvent::Access(MemAccess::write(addr, i + 1, loc(1, 1 + (i % 30) as u32), 1, 0))
         })
         .collect();
     let frames: Vec<Frame> = {
@@ -229,8 +228,7 @@ fn service_counters_balance_the_resume_ledger() {
         out
     };
     let delivered = |f: &Frame| match f {
-        Frame::Chunk { accesses, .. } => accesses.len() as u64,
-        Frame::LoopEvent { .. } => 1,
+        Frame::Chunk { events, .. } => events.len() as u64,
         _ => 0,
     };
     let hello = |names: Vec<String>| Hello {
@@ -302,6 +300,83 @@ fn service_counters_balance_the_resume_ledger() {
     assert_eq!(result.metrics.service.rehydrated, 1);
     assert_eq!(result.metrics.service.events_skipped_on_resume, 0);
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A connection that keeps a copy of every byte written through it.
+struct Recorded {
+    conn: std::net::TcpStream,
+    sent: Vec<u8>,
+}
+
+impl std::io::Read for Recorded {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.conn.read(buf)
+    }
+}
+
+impl std::io::Write for Recorded {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.conn.write(buf)?;
+        self.sent.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.conn.flush()
+    }
+}
+
+/// `bytes_in` counts the payload of every frame that reaches the session
+/// over the wire — chunks of every kind, `Sync`, `Query` and the
+/// `StatsRequest` that reads it — not only the accesses.
+#[test]
+fn served_bytes_in_is_the_payload_of_every_frame_after_hello() {
+    use depprof::server::{push_events, PushOptions, Server, ServerConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    static STOP: AtomicBool = AtomicBool::new(false);
+
+    let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run(&STOP).unwrap());
+
+    let mut evs = vec![TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 2), thread: 0, ts: 1 }];
+    for i in 0..100u64 {
+        if i % 5 == 0 {
+            evs.push(TraceEvent::LoopIter { loop_id: 1, iter: i / 5, thread: 0, ts: i + 2 });
+        }
+        evs.push(TraceEvent::Access(MemAccess::write(0x100 + (i % 7) * 8, i + 2, loc(1, 3), 1, 0)));
+    }
+    evs.push(TraceEvent::LoopEnd { loop_id: 1, loc: loc(1, 9), iters: 20, thread: 0, ts: 200 });
+    let opts = PushOptions {
+        session: "bytes-in".into(),
+        chunk_events: 16,
+        sync_every_chunks: 3,
+        // No mid-stream query; one after the last event.
+        watch_ms: Some(u64::MAX),
+        request_stats: true,
+        ..PushOptions::default()
+    };
+    let mut conn = Recorded { conn: std::net::TcpStream::connect(addr).unwrap(), sent: Vec::new() };
+    let out = push_events(&mut conn, vec!["*".into(), "x".into()], evs, &opts).unwrap();
+    let stats = out.stats_json.expect("stats were requested");
+
+    // Walk the frames the client wrote, past the preamble and `Hello`.
+    let (mut at, mut kinds, mut payload_bytes) = (5, Vec::new(), 0u64);
+    while at < conn.sent.len() {
+        let tag = conn.sent[at];
+        let len = u32::from_le_bytes(conn.sent[at + 1..at + 5].try_into().unwrap()) as u64;
+        if tag != 1 {
+            kinds.push(tag);
+            payload_bytes += len;
+        }
+        at += 6 + len as usize;
+    }
+    for (tag, what) in [(3, "Chunk"), (5, "Sync"), (13, "Query"), (7, "StatsRequest")] {
+        assert!(kinds.contains(&tag), "the push sent no {what}: {kinds:?}");
+    }
+    assert!(stats.contains(&format!("\"bytes_in\": {payload_bytes},")), "{stats}");
+
+    STOP.store(true, Ordering::SeqCst);
+    handle.join().unwrap();
 }
 
 /// The panic path attributes losses per worker: the dead worker's queue

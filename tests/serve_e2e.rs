@@ -121,7 +121,8 @@ fn sigterm_mid_session_then_checkpointed_resume() {
         start_serve(&dir, &["--checkpoint-dir", ckpt_s, "--checkpoint-every", "500"]);
 
     // A throttled push gives the server time to checkpoint; the server
-    // is SIGTERM'd mid-session, so this push must fail.
+    // is SIGTERM'd mid-session, so this push must fail. Left to finish,
+    // it would take about 55 s: 2 743 chunks of 16 events, 20 ms apart.
     let mut push = Command::new(env!("CARGO_BIN_EXE_depprof"))
         .args([
             "push",
@@ -131,9 +132,9 @@ fn sigterm_mid_session_then_checkpointed_resume() {
             "--session",
             "cg",
             "--chunk-events",
-            "128",
+            "16",
             "--throttle-ms",
-            "4",
+            "20",
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::null())

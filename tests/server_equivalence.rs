@@ -78,7 +78,7 @@ fn served(spec: &SessionSpec, events: &[TraceEvent], names: Vec<String>) -> Prof
     assert!(matches!(ack, Frame::HelloAck { resume_from: 0, .. }));
     let mut chunker = FrameChunker::new(64);
     for ev in events {
-        for frame in chunker.push(*ev) {
+        if let Some(frame) = chunker.push(*ev) {
             engine.handle(frame).unwrap();
         }
     }
@@ -225,8 +225,8 @@ fn two_chunk_stream(spec: &SessionSpec) -> (Vec<TraceEvent>, Vec<String>, String
 }
 
 /// The server reads ahead but acts frame by frame: a whole session
-/// arriving in one write — preamble, `Hello`, `Chunk`, `LoopEvent`,
-/// `Sync`, `Chunk`, `Finish` in one TCP segment — is handled
+/// arriving in one write — preamble, `Hello`, a `Chunk` ending in a loop
+/// event, `Sync`, `Chunk`, `Finish` in one TCP segment — is handled
 /// completely, the replies come back in order, and the report is the
 /// offline one byte for byte.
 #[test]
@@ -250,6 +250,7 @@ fn one_segment_holding_a_whole_session_is_handled_in_order() {
     for ev in &events[..41] {
         frames.extend(chunker.push(*ev));
     }
+    frames.extend(chunker.flush());
     frames.push(Frame::Sync { nonce: 77 });
     for ev in &events[41..] {
         frames.extend(chunker.push(*ev));
@@ -257,9 +258,9 @@ fn one_segment_holding_a_whole_session_is_handled_in_order() {
     frames.extend(chunker.flush());
     frames.push(Frame::Finish);
     let kinds: Vec<u8> = frames.iter().map(Frame::tag).collect();
-    assert_eq!(kinds, [1, 3, 4, 5, 3, 6], "Hello Chunk LoopEvent Sync Chunk Finish");
+    assert_eq!(kinds, [1, 3, 5, 3, 6], "Hello Chunk Sync Chunk Finish");
     for f in &frames {
-        f.encode_into(&mut segment).unwrap();
+        f.encode_into(&mut segment);
     }
 
     let mut conn = std::net::TcpStream::connect(addr).unwrap();
@@ -305,12 +306,13 @@ fn client_stalled_mid_frame_does_not_hang_shutdown() {
 
     let spec = SessionSpec { slots: 1 << 12, ..SessionSpec::default() };
     let (events, names, _) = two_chunk_stream(&spec);
-    let mut chunker = FrameChunker::new(512);
+    // The second chunk opens with the loop event.
+    let mut chunker = FrameChunker::new(40);
     let mut frames: Vec<Frame> = events.iter().flat_map(|ev| chunker.push(*ev)).collect();
     frames.extend(chunker.flush());
-    let [first, loop_event, ..] = &frames[..] else { panic!("chunk, loop event, chunk") };
-    let Frame::Chunk { accesses, .. } = first else { panic!("stream starts with a chunk") };
-    let first_len = accesses.len() as u64;
+    let [first, second, ..] = &frames[..] else { panic!("at least two chunks") };
+    let Frame::Chunk { events, .. } = first else { panic!("stream starts with a chunk") };
+    let first_len = events.len() as u64;
 
     let mut conn = std::net::TcpStream::connect(addr).unwrap();
     conn.set_nodelay(true).unwrap();
@@ -320,10 +322,10 @@ fn client_stalled_mid_frame_does_not_hang_shutdown() {
     // written is an emergency one.
     let hello =
         Hello { session: "stall".into(), spec: spec.encode(), checkpoint_every: 1000, names };
-    Frame::Hello(hello).encode_into(&mut out).unwrap();
-    first.encode_into(&mut out).unwrap();
+    Frame::Hello(hello).encode_into(&mut out);
+    first.encode_into(&mut out);
     // The Sync's ack proves the chunk was consumed before anything below.
-    Frame::Sync { nonce: 1 }.encode_into(&mut out).unwrap();
+    Frame::Sync { nonce: 1 }.encode_into(&mut out);
     conn.write_all(&out).unwrap();
     protocol::read_preamble(&mut conn).unwrap();
     let reply = || protocol::read_frame(&mut &conn, MAX_FRAME_BYTES).unwrap();
@@ -333,7 +335,7 @@ fn client_stalled_mid_frame_does_not_hang_shutdown() {
     // Seven bytes of the next frame — its header and two of payload —
     // then silence.
     let mut next = Vec::new();
-    loop_event.encode_into(&mut next).unwrap();
+    second.encode_into(&mut next);
     (&conn).write_all(&next[..7]).unwrap();
     // Not needed to pass: it lets the server take the bytes in, the state
     // in which a handler that finishes frames with blocking reads hangs.

@@ -1,7 +1,7 @@
 //! Robustness property tests for the two on-the-wire framings that
 //! share `wire::{write_section, read_section}`: the DPSV network frame
 //! protocol and the DPCK checkpoint container — and the pin on the one
-//! event byte layout the DPSV frames share with the DPTR trace file.
+//! event byte layout DPSV `Chunk`s share with the DPTR trace file.
 //!
 //! The contract under test: **malformed bytes produce typed errors,
 //! never a panic, a hang, or an unbounded allocation.** Truncations,
@@ -42,7 +42,8 @@ fn arb_access() -> impl Strategy<Value = MemAccess> {
     )
 }
 
-/// Every frame kind the protocol defines, with arbitrary payloads.
+/// Every frame kind the protocol defines, with arbitrary payloads:
+/// all-access chunks, and chunks mixing events of every kind.
 fn arb_frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
         (arb_string(12), prop::collection::vec(arb_string(8), 0..4), 0u64..1 << 16).prop_map(
@@ -57,14 +58,11 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         ),
         (any::<u64>(), any::<u64>())
             .prop_map(|(session_id, resume_from)| Frame::HelloAck { session_id, resume_from }),
-        (0u64..1 << 40, prop::collection::vec(arb_access(), 0..32))
-            .prop_map(|(base, accesses)| Frame::Chunk { base, accesses }),
-        (0u64..1 << 40, 1u32..1 << 16, 0u64..1 << 10, 0u16..8).prop_map(
-            |(seq, loop_id, ts, thread)| Frame::LoopEvent {
-                seq,
-                ev: TraceEvent::LoopBegin { loop_id, loc: loc(1, 1), thread, ts },
-            }
-        ),
+        (0u64..1 << 40, prop::collection::vec(arb_access(), 0..32)).prop_map(|(base, accesses)| {
+            Frame::Chunk { base, events: accesses.into_iter().map(TraceEvent::Access).collect() }
+        }),
+        (0u64..1 << 40, prop::collection::vec(arb_event(), 0..32))
+            .prop_map(|(base, events)| Frame::Chunk { base, events }),
         any::<u64>().prop_map(|nonce| Frame::Sync { nonce }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(nonce, position)| Frame::SyncAck { nonce, position }),
@@ -202,49 +200,51 @@ fn encoding_matches_the_recorded_wire_bytes() {
         (
             Frame::Chunk {
                 base: 1_000_000,
-                accesses: vec![
-                    MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 1),
-                    MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 2),
+                events: vec![
+                    TraceEvent::Access(MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 1)),
+                    TraceEvent::Access(MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 2)),
                 ],
             },
             "034200000040420f00000000000200000001efbeadde0000000003000000000000003c00000207000000010000efbeadde0000000004000000000000003d00000207000000020008",
         ),
-        (Frame::Chunk { base: 5, accesses: vec![] }, "030c00000005000000000000000000000006"),
+        (Frame::Chunk { base: 5, events: vec![] }, "030c00000005000000000000000000000006"),
+        // One-event chunks: each body is the one the retired tag-4 frame
+        // carried after its position, now behind a count of 1.
         (
-            Frame::LoopEvent {
-                seq: 11,
-                ev: TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
+            Frame::Chunk {
+                base: 11,
+                events: vec![TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 }],
             },
-            "041b0000000b0000000000000002030000000a0000010000010000000000000004",
+            "031f0000000b000000000000000100000002030000000a0000010000010000000000000002",
         ),
         (
-            Frame::LoopEvent {
-                seq: 12,
-                ev: TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 },
+            Frame::Chunk {
+                base: 12,
+                events: vec![TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 }],
             },
-            "041f0000000c00000000000000030300000009000000000000000000020000000000000003",
+            "03230000000c0000000000000001000000030300000009000000000000000000020000000000000005",
         ),
         (
-            Frame::LoopEvent {
-                seq: 13,
-                ev: TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 10, thread: 0, ts: 3 },
+            Frame::Chunk {
+                base: 13,
+                events: vec![TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 10, thread: 0, ts: 3 }],
             },
-            "04230000000d000000000000000403000000140000010a000000000000000000030000000000000012",
+            "03270000000d00000000000000010000000403000000140000010a000000000000000000030000000000000014",
         ),
         (
-            Frame::LoopEvent { seq: 14, ev: TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 } },
-            "04170000000e000000000000000505000000010004000000000000000f",
+            Frame::Chunk { base: 14, events: vec![TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 }] },
+            "031b0000000e000000000000000100000005050000000100040000000000000009",
         ),
         (
-            Frame::LoopEvent { seq: 15, ev: TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 } },
-            "04170000000f000000000000000605000000010005000000000000000c",
+            Frame::Chunk { base: 15, events: vec![TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 }] },
+            "031b0000000f00000000000000010000000605000000010005000000000000000a",
         ),
         (
-            Frame::LoopEvent {
-                seq: 16,
-                ev: TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 },
+            Frame::Chunk {
+                base: 16,
+                events: vec![TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 }],
             },
-            "0423000000100000000000000007000100000000000040000000000000000000060000000000000054",
+            "032700000010000000000000000100000007000100000000000040000000000000000000060000000000000052",
         ),
         (Frame::Sync { nonce: 7 }, "0508000000070000000000000002"),
         (Frame::Finish, "060000000006"),
@@ -263,7 +263,7 @@ fn encoding_matches_the_recorded_wire_bytes() {
     let mut expect = String::new();
     for (frame, want) in &golden {
         assert_eq!(hex(&encode_frame(frame)), *want, "write_frame({frame:?})");
-        frame.encode_into(&mut stream).expect("well-formed frame encodes");
+        frame.encode_into(&mut stream);
         expect.push_str(want);
         assert_eq!(hex(&stream), expect, "encode_into appended {frame:?}");
     }
@@ -330,7 +330,8 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
         3 => TraceEvent::LoopEnd { loop_id: id, loc: loc(2, line), iters: n, thread, ts },
         4 => TraceEvent::CallBegin { func: id, thread, ts },
         5 => TraceEvent::CallEnd { func: id, thread, ts },
-        _ => TraceEvent::Dealloc { base: n, len: u64::from(id), thread, ts },
+        // A range that fits the address space, as a chunk requires.
+        _ => TraceEvent::Dealloc { base: n >> 4, len: u64::from(id), thread, ts },
     })
 }
 
@@ -383,27 +384,24 @@ proptest! {
         prop_assert_eq!(read_all_ways(&buf, MAX_FRAME_BYTES), (vec![f], None));
     }
 
-    /// A stream cut anywhere strictly inside a frame is a typed error;
-    /// cut before the frame starts it is a clean end-of-stream.
     /// What the shared layout rests on: a DPTR record is the event's
-    /// DPSV body (a `Chunk` access past `base` and the count, a
-    /// `LoopEvent` body past `seq`) followed by the XOR of its bytes.
+    /// body in a DPSV `Chunk` (past `base` and the count) followed by the
+    /// XOR of its bytes.
     #[test]
     fn a_trace_record_is_the_frame_body_and_its_checksum(ev in arb_event()) {
         let header = record_trace(&Interner::new(), &[]).len();
         let record = record_trace(&Interner::new(), &[ev])[header..].to_vec();
-        let frame = encode_frame(&match ev {
-            TraceEvent::Access(a) => Frame::Chunk { base: 0, accesses: vec![a] },
-            ev => Frame::LoopEvent { seq: 0, ev },
-        });
-        // tag, length prefix, then base + count or seq; checksum last.
-        let prefix = 1 + 4 + if ev.as_access().is_some() { 8 + 4 } else { 8 };
+        let frame = encode_frame(&Frame::Chunk { base: 0, events: vec![ev] });
+        // tag, length prefix, base, count; checksum last.
+        let prefix = 1 + 4 + 8 + 4;
         let body = &frame[prefix..frame.len() - 1];
         let (last, rest) = record.split_last().expect("a record is never empty");
         prop_assert_eq!(rest, body);
         prop_assert_eq!(*last, body.iter().fold(0, |x, b| x ^ b));
     }
 
+    /// A stream cut anywhere strictly inside a frame is a typed error;
+    /// cut before the frame starts it is a clean end-of-stream.
     #[test]
     fn truncated_frames_are_typed((f, raw) in (arb_frame(), any::<u64>())) {
         let buf = encode_frame(&f);
@@ -418,8 +416,8 @@ proptest! {
     }
 
     /// A single bit flip anywhere outside the (unchecksummed) length
-    /// prefix is always caught — checksum mismatch, bad sub-tag, or a
-    /// payload that no longer decodes. Flips inside the length prefix
+    /// prefix is always caught — checksum mismatch, undefined event tag,
+    /// or a payload that no longer decodes. Flips inside the length prefix
     /// must still parse without panicking (typed error or, in the
     /// astronomically rare folding coincidence, a different frame) —
     /// the readers running to completion, in agreement, is the property.
@@ -450,10 +448,11 @@ proptest! {
         prop_assert_eq!(read_all_ways(&buf, max), (vec![], Some(format!("{want:?}"))));
     }
 
-    /// Unknown frame tags (15+ — v2 tops out at QueryResult = 14) are a
-    /// typed protocol error, not a desync.
+    /// Unknown frame tags (the retired 4, and 15+ — v3 tops out at
+    /// QueryResult = 14) are a typed protocol error, not a desync.
     #[test]
-    fn unknown_tags_are_typed((tag, payload) in (15u8..=255, prop::collection::vec(any::<u8>(), 0..64))) {
+    fn unknown_tags_are_typed((tag, payload) in (14u8..=255, prop::collection::vec(any::<u8>(), 0..64))) {
+        let tag = if tag == 14 { 4 } else { tag };
         let mut w = depprof::types::ByteWriter::new();
         depprof::types::write_section(&mut w, tag, &payload);
         let buf = w.into_bytes();
@@ -471,7 +470,7 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         for f in &frames {
-            f.encode_into(&mut buf).expect("well-formed frame encodes");
+            f.encode_into(&mut buf);
         }
         prop_assert_eq!(read_all_ways(&buf, MAX_FRAME_BYTES), (frames.clone(), None));
 

@@ -742,42 +742,35 @@ pub fn ablate_redist(cfg: &ExpConfig) -> Output {
     Output::passed(text)
 }
 
-/// E13c — compact (4 B) vs. extended (16 B) slots.
+/// E13c — compact (4 B) vs. epoch (8 B) vs. extended (16 B) slots.
 pub fn ablate_slots(cfg: &ExpConfig) -> Output {
+    fn run<S: dp_sig::Slot>(events: &[TraceEvent], m: usize) -> Timed<ProfileResult> {
+        replay(
+            events,
+            SequentialProfiler::with_stores(Signature::<S>::new(m), Signature::<S>::new(m)),
+        )
+    }
     let w = &starbench_suite(cfg.wl_scale())[5]; // rotate
     let events = record_events(w);
     let m = cfg.perf_slots();
-    let compact = replay(
-        &events,
-        SequentialProfiler::with_stores(
-            Signature::<dp_sig::CompactSlot>::new(m),
-            Signature::<dp_sig::CompactSlot>::new(m),
-        ),
-    );
-    let extended = replay(
-        &events,
-        SequentialProfiler::with_stores(
-            Signature::<ExtendedSlot>::new(m),
-            Signature::<ExtendedSlot>::new(m),
-        ),
-    );
     let mut t = Table::new(&["slot layout", "time ms", "sig memory MB", "carried info"]);
-    t.row(&[
-        "compact (4 B)".into(),
-        format!("{:.1}", compact.elapsed.as_secs_f64() * 1e3),
-        mb(compact.value.memory.signatures),
-        "no".into(),
-    ]);
-    t.row(&[
-        "extended (16 B)".into(),
-        format!("{:.1}", extended.elapsed.as_secs_f64() * 1e3),
-        mb(extended.value.memory.signatures),
-        "yes".into(),
-    ]);
+    for (layout, r, carried) in [
+        ("compact (4 B)", run::<dp_sig::CompactSlot>(&events, m), "no"),
+        ("epoch (8 B)", run::<dp_sig::EpochSlot>(&events, m), "yes"),
+        ("extended (16 B)", run::<ExtendedSlot>(&events, m), "yes"),
+    ] {
+        t.row(&[
+            layout.into(),
+            format!("{:.1}", r.elapsed.as_secs_f64() * 1e3),
+            mb(r.value.memory.signatures),
+            carried.into(),
+        ]);
+    }
     let text = format!(
         "Slot-layout ablation (E13c) on rotate: the paper's 4-byte slots vs. the\n\
-         extended slots required for thread ids, loop-carried classification and\n\
-         race detection\n\n{}",
+         8-byte epoch slots of the serial and parallel engines (loop-carried\n\
+         classification) and the extended slots the multi-threaded engine needs\n\
+         for thread ids and race detection\n\n{}",
         t.render()
     );
     Output::passed(text)

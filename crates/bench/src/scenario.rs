@@ -148,7 +148,7 @@ pub const REGISTRY: &[Scenario] = &[
     Scenario {
         id: "ablate-slots",
         exp: "E13c",
-        title: "Compact vs extended slot layout",
+        title: "Compact vs epoch vs extended slot layout",
         scale: 0.25,
         quick_scale: 0.02,
         run: exp::ablate_slots,

@@ -26,6 +26,9 @@
 //! as one [`PairStore`] and an access is one probe of it
 //! ([`PairStore::record`]): both entries come back, and the side the
 //! access writes is stored in place.
+//!
+//! An entry's clock is its timestamp or, in a store of 8-byte
+//! [`EpochSlot`](dp_sig::EpochSlot)s, its epoch (DESIGN.md "Epoch clock").
 
 use crate::exectree::{ExecNodeKind, ExecTree};
 use crate::loops::{CarrierInfo, LoopTracker};
@@ -34,7 +37,7 @@ use dp_metrics::SigGauges;
 use dp_sig::{AccessStore, PairStore, Side, SigEntry};
 use dp_types::{
     AccessKind, ByteReader, ByteWriter, DepFlags, DepType, LoopId, MemAccess, SinkKey, SourceLoc,
-    TraceEvent, WireError,
+    Timestamp, TraceEvent, WireError,
 };
 
 /// Counters every engine reports (merged into
@@ -109,6 +112,10 @@ fn gauge_fpr_pct(m: usize, occupied: usize) -> f64 {
 /// by the sweep recorded in DESIGN.md "Lookahead feed".
 pub(crate) const LOOKAHEAD: usize = 8;
 
+/// The largest epoch before the clock is renumbered; 8 bits in this
+/// crate's tests, so that their streams renumber.
+const EPOCH_LIMIT: u32 = if cfg!(test) { u8::MAX as u32 } else { u32::MAX };
+
 #[inline]
 fn coarsen(loc: SourceLoc, shift: u8) -> SourceLoc {
     if shift == 0 {
@@ -128,6 +135,8 @@ pub struct AlgoState<S: AccessStore> {
     /// The local dynamic execution tree (Section VIII representation).
     pub exec_tree: ExecTree,
     loops: LoopTracker,
+    /// Loop boundaries seen, renumbered: the clock of an epoch store.
+    epoch: u32,
     counters: AlgoCounters,
     track_carried: bool,
     check_reversal: bool,
@@ -136,6 +145,9 @@ pub struct AlgoState<S: AccessStore> {
 }
 
 impl<S: AccessStore> AlgoState<S> {
+    /// Whether entries and loop marks carry epochs, not timestamps.
+    const EPOCHS: bool = S::HAS_CLOCK && !S::HAS_TS;
+
     /// Creates the state from the two signatures, joined into one pair
     /// store ([`AccessStore::pair`]).
     pub fn new(sig_read: S, sig_write: S, opts: AlgoOptions) -> Self {
@@ -144,8 +156,9 @@ impl<S: AccessStore> AlgoState<S> {
             store: DepStore::new(),
             exec_tree: ExecTree::new(),
             loops: LoopTracker::new(),
+            epoch: 0,
             counters: AlgoCounters::default(),
-            track_carried: opts.track_carried && S::HAS_TS,
+            track_carried: opts.track_carried && S::HAS_CLOCK,
             check_reversal: opts.check_reversal && S::HAS_TS,
             record_loops: opts.record_loops,
             section_shift: opts.section_shift,
@@ -191,13 +204,15 @@ impl<S: AccessStore> AlgoState<S> {
         match *ev {
             TraceEvent::Access(ref a) => self.on_access(a),
             TraceEvent::LoopBegin { loop_id, loc, thread, ts } => {
-                self.loops.begin(thread, loop_id, loc, ts);
+                let mark = self.mark(ts);
+                self.loops.begin(thread, loop_id, loc, mark);
                 if self.record_loops {
                     self.exec_tree.enter(thread, ExecNodeKind::Loop(loop_id));
                 }
             }
             TraceEvent::LoopIter { loop_id, thread, ts, .. } => {
-                self.loops.iter(thread, loop_id, ts);
+                let mark = self.mark(ts);
+                self.loops.iter(thread, loop_id, mark);
             }
             TraceEvent::LoopEnd { loop_id, loc, iters, thread, .. } => {
                 if let Some((begin, _seen)) = self.loops.end(thread, loop_id, loc) {
@@ -230,10 +245,26 @@ impl<S: AccessStore> AlgoState<S> {
         }
     }
 
+    /// The clock a loop boundary at `ts` marks: `ts`, or the next epoch,
+    /// renumbered first once the last is spent.
+    fn mark(&mut self, ts: Timestamp) -> Timestamp {
+        if !Self::EPOCHS {
+            return ts;
+        }
+        if self.epoch == EPOCH_LIMIT {
+            let (rank, top) = self.loops.renumber();
+            self.sigs.reclock(&rank);
+            self.epoch = top as u32;
+        }
+        self.epoch += 1;
+        self.epoch.into()
+    }
+
     #[inline]
     fn on_access(&mut self, a: &MemAccess) {
         self.counters.accesses += 1;
-        let entry = SigEntry::new(a.loc, a.thread, a.ts);
+        let clock = if Self::EPOCHS { self.epoch.into() } else { a.ts };
+        let entry = SigEntry::new(a.loc, a.thread, clock);
         match a.kind {
             AccessKind::Write => {
                 self.counters.writes += 1;
@@ -376,13 +407,15 @@ impl<S: AccessStore> AlgoState<S> {
     /// Restores state previously produced by [`AlgoState::save_state`] on
     /// an identically-configured state (same store dimensions and
     /// [`AlgoOptions`]).
+    /// An epoch store renumbers what it loads by the saved loop stacks
+    /// ([`LoopTracker::renumber`]), which also converts a blob of timestamps.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = ByteReader::new(bytes);
         let sig_r = r.blob()?;
         let sig_w = r.blob()?;
         let store = DepStore::load(r.blob()?)?;
         let exec_tree = ExecTree::load(r.blob()?)?;
-        let loops = LoopTracker::load(r.blob()?)?;
+        let mut loops = LoopTracker::load(r.blob()?)?;
         let counters = AlgoCounters {
             events: r.u64()?,
             accesses: r.u64()?,
@@ -394,7 +427,13 @@ impl<S: AccessStore> AlgoState<S> {
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after algorithm state"));
         }
-        self.sigs.restore_state(sig_r, sig_w)?;
+        if Self::EPOCHS {
+            let (rank, top) = loops.renumber();
+            self.sigs.restore_state(sig_r, sig_w, &rank)?;
+            self.epoch = top as u32;
+        } else {
+            self.sigs.restore_state(sig_r, sig_w, &|ts| ts)?;
+        }
         self.store = store;
         self.exec_tree = exec_tree;
         self.loops = loops;
@@ -425,8 +464,9 @@ impl<S: AccessStore> AlgoState<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_sig::{ExtendedSlot, PerfectSignature, Signature};
+    use dp_sig::{EpochSlot, ExtendedSlot, PerfectSignature, Signature};
     use dp_types::loc::loc;
+    use proptest::prelude::*;
 
     type Perfect = AlgoState<PerfectSignature>;
 
@@ -749,5 +789,92 @@ mod tests {
         b.on_event(&acc(AccessKind::Read, 0x8, 3, 12));
         let d = deps_of(&b);
         assert!(d.contains(&(DepType::Raw, 12, 10)), "{d:?}");
+    }
+
+    /// A random single-thread loop nest, at most four deep, in program
+    /// order: half its events are loop boundaries, so a stream of 800
+    /// or more passes this build's `EPOCH_LIMIT` and renumbers.
+    fn arb_nest() -> impl Strategy<Value = Vec<TraceEvent>> {
+        let step = (0u8..10, 0u64..24, 1u32..30);
+        prop::collection::vec(step, 800..1400).prop_map(|steps| {
+            let (mut evs, mut open, mut ts) = (Vec::new(), Vec::new(), 0u64);
+            for (op, addr, line) in steps {
+                ts += 1;
+                let (thread, loc) = (0, loc(2, line));
+                let ev = match (op, open.last().copied()) {
+                    (0..=3, _) | (9, None) => {
+                        let kind = if line % 2 == 0 { AccessKind::Write } else { AccessKind::Read };
+                        let a = MemAccess { addr: addr * 8, ts, loc, var: 1, thread, kind };
+                        TraceEvent::Access(a)
+                    }
+                    (9, Some(loop_id)) => {
+                        open.pop();
+                        TraceEvent::LoopEnd { loop_id, loc, iters: 0, thread, ts }
+                    }
+                    (4..=5, _) | (_, None) if open.len() < 4 => {
+                        open.push(line % 5);
+                        TraceEvent::LoopBegin { loop_id: line % 5, loc, thread, ts }
+                    }
+                    (_, top) => {
+                        let loop_id = top.expect("a loop is open");
+                        TraceEvent::LoopIter { loop_id, iter: 0, thread, ts }
+                    }
+                };
+                evs.push(ev);
+            }
+            evs
+        })
+    }
+
+    fn sig_algo<T: dp_sig::Slot>() -> AlgoState<Signature<T>> {
+        AlgoState::new(Signature::new(256), Signature::new(256), AlgoOptions::default())
+    }
+
+    fn saved<S: AccessStore>(s: &mut AlgoState<S>) -> Vec<u8> {
+        let mut out = ByteWriter::new();
+        assert!(s.save_state(&mut out));
+        out.into_bytes()
+    }
+
+    /// The dependence store's bytes and the counters: what a report reads.
+    fn outcome<S: AccessStore>(mut s: AlgoState<S>) -> (Vec<u8>, AlgoCounters) {
+        let mut out = ByteWriter::new();
+        s.store.seal();
+        s.store.save(&mut out);
+        (out.into_bytes(), s.counters)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Epochs classify every dependence as timestamps do, across the
+        /// renumberings of this build's 8-bit clock; and a checkpoint of
+        /// either clock, taken anywhere and loaded into an epoch engine,
+        /// resumes to the same store.
+        #[test]
+        fn epoch_classification_equals_timestamp_classification(
+            evs in arb_nest(),
+            raw_cut in 0usize..1_000_000,
+        ) {
+            let boundaries = evs.iter().filter(|e| {
+                matches!(e, TraceEvent::LoopBegin { .. } | TraceEvent::LoopIter { .. })
+            });
+            prop_assert!(boundaries.count() > EPOCH_LIMIT as usize);
+            let cut = raw_cut % (evs.len() + 1);
+            let (mut epochs, mut stamps) = (sig_algo::<EpochSlot>(), sig_algo::<ExtendedSlot>());
+            epochs.on_chunk(&evs[..cut]);
+            stamps.on_chunk(&evs[..cut]);
+            let (mut from_epochs, mut from_stamps) = (sig_algo::<EpochSlot>(), sig_algo::<EpochSlot>());
+            from_epochs.restore_state(&saved(&mut epochs)).unwrap();
+            from_stamps.restore_state(&saved(&mut stamps)).unwrap();
+            for s in [&mut from_epochs, &mut from_stamps, &mut epochs] {
+                s.on_chunk(&evs[cut..]);
+            }
+            stamps.on_chunk(&evs[cut..]);
+            let want = outcome(stamps);
+            prop_assert_eq!(&outcome(epochs), &want, "uninterrupted");
+            prop_assert_eq!(&outcome(from_epochs), &want, "resumed at {}", cut);
+            prop_assert_eq!(&outcome(from_stamps), &want, "converted at {}", cut);
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! from the latest valid generation and replays the remaining trace
 //! records, producing the same result an uninterrupted run would.
 //!
-//! ## File format (`DPCK` version 1)
+//! ## File format (`DPCK` version 2)
 //!
 //! ```text
 //! magic "DPCK" | version u8 | section*
@@ -22,6 +22,12 @@
 //! 1: generation, trace position, worker count), CONFIG (2: an opaque
 //! engine/CLI configuration blob), ROUTER (3), LEDGER (4), WORKER (5,
 //! one per worker in index order).
+//!
+//! Version 2 is version 1 with the serial and parallel engines' worker
+//! blobs holding loop epochs where version 1 held timestamps (DESIGN.md
+//! "Epoch clock"). Both load: the engine ranks either clock against the
+//! blob's own loop stacks. A build that reads only version 1 refuses a
+//! version-2 file rather than take its epochs for timestamps.
 //!
 //! ## Durability: two generations, atomic renames
 //!
@@ -40,8 +46,8 @@ use std::path::{Path, PathBuf};
 
 /// File magic of a checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DPCK";
-/// Current container version.
-pub const CHECKPOINT_VERSION: u8 = 1;
+/// Current container version; version 1 still loads.
+pub const CHECKPOINT_VERSION: u8 = 2;
 
 const TAG_META: u8 = 1;
 const TAG_CONFIG: u8 = 2;
@@ -102,7 +108,7 @@ impl CheckpointData {
         if r.take(4)? != CHECKPOINT_MAGIC {
             return Err(WireError::Invalid("not a checkpoint file (bad magic)"));
         }
-        if r.u8()? != CHECKPOINT_VERSION {
+        if !(1..=CHECKPOINT_VERSION).contains(&r.u8()?) {
             return Err(WireError::Invalid("unsupported checkpoint version"));
         }
         let mut meta: Option<(u64, u64, u32)> = None;
@@ -293,6 +299,17 @@ mod tests {
         assert_eq!(CheckpointData::decode(&bytes).unwrap(), data);
         // Deterministic encoding.
         assert_eq!(sample(7).encode(), bytes);
+    }
+
+    /// A version-1 container decodes as before; a version past this
+    /// build's does not.
+    #[test]
+    fn decode_takes_version_1_and_refuses_later_versions() {
+        let mut bytes = sample(3).encode();
+        bytes[4] = 1;
+        assert_eq!(CheckpointData::decode(&bytes).unwrap(), sample(3));
+        bytes[4] = CHECKPOINT_VERSION + 1;
+        assert!(CheckpointData::decode(&bytes).is_err());
     }
 
     #[test]

@@ -77,16 +77,6 @@ impl ExecNode {
             self.children.entry(*k).or_default().merge_from(v);
         }
     }
-
-    /// Total nodes beneath (and including) this node.
-    pub fn size(&self) -> usize {
-        1 + self.children.values().map(ExecNode::size).sum::<usize>()
-    }
-
-    /// Maximum nesting depth beneath this node.
-    pub fn depth(&self) -> usize {
-        1 + self.children.values().map(ExecNode::depth).max().unwrap_or(0)
-    }
 }
 
 /// Per-thread dynamic execution trees with the live recording stacks.
@@ -194,8 +184,8 @@ impl ExecTree {
         let mut stacks = BTreeMap::new();
         for _ in 0..nstacks {
             let t = r.u16()?;
-            let depth = r.u32()?;
-            let mut stack = Vec::with_capacity(depth as usize);
+            let depth = r.count()?;
+            let mut stack = Vec::with_capacity(depth);
             for _ in 0..depth {
                 stack.push(load_kind(&mut r)?);
             }
@@ -238,8 +228,8 @@ mod tests {
         let l = &root.children[&ExecNodeKind::Loop(1)];
         assert_eq!(l.count, 3);
         assert_eq!(l.children[&ExecNodeKind::Call(2)].count, 3);
-        assert_eq!(root.size(), 3);
-        assert_eq!(root.depth(), 3);
+        assert_eq!(l.children.len(), 1);
+        assert!(l.children[&ExecNodeKind::Call(2)].children.is_empty());
     }
 
     #[test]
@@ -315,6 +305,19 @@ mod tests {
         assert!(ExecTree::load(&bytes[..bytes.len() - 1]).is_err());
         bytes.push(0);
         assert!(ExecTree::load(&bytes).is_err());
+    }
+
+    /// A stack depth no blob of this size can hold is an error, not an
+    /// allocation of `u32::MAX` entries.
+    #[test]
+    fn load_rejects_an_oversized_stack_depth() {
+        let mut out = ByteWriter::new();
+        out.u32(0); // no roots
+        out.u32(1); // one stack, of thread 0
+        out.u16(0);
+        out.u32(u32::MAX);
+        out.bytes(&[0; 40]);
+        assert!(ExecTree::load(&out.into_bytes()).is_err());
     }
 
     #[test]

@@ -71,6 +71,7 @@ pub use seq::SequentialProfiler;
 pub use session::{ProfileSession, SessionSpec};
 pub use store::{AnalysisDelta, DeltaEdge, DeltaLoop, DepStore, EdgeVal, LoopRecord};
 
-/// Convenience alias: the default signature store (extended slots: source
-/// location + thread + timestamp).
-pub type DefaultSig = dp_sig::Signature<dp_sig::ExtendedSlot>;
+/// The signature store of the serial and parallel engines: epoch slots
+/// (source location + loop epoch, 8 bytes). [`MtProfiler`] keeps 16-byte
+/// [`ExtendedSlot`](dp_sig::ExtendedSlot)s.
+pub type DefaultSig = dp_sig::Signature<dp_sig::EpochSlot>;

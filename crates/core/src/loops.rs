@@ -18,6 +18,9 @@
 //!   **loop-carried** with carrier `L` (innermost such `L` wins);
 //! - `s < begin_ts(L)` for every active `L` → the dependence enters the
 //!   loop nest from outside and constrains no loop.
+//!
+//! `s` and the marks are in the clock the engine's slots carry: the
+//! timestamp, or the epoch (DESIGN.md "Epoch clock").
 
 use dp_types::{ByteReader, ByteWriter, LoopId, SourceLoc, ThreadId, Timestamp, WireError};
 
@@ -131,9 +134,19 @@ impl LoopTracker {
         }
     }
 
-    /// Depth of the active loop nest on thread `t` (diagnostics).
-    pub fn depth(&self, t: ThreadId) -> usize {
-        self.stacks.get(t as usize).map_or(0, Vec::len)
+    /// Renumbers the active marks by `rank(x) = #{active marks ≤ x}`, which
+    /// keeps every comparison [`LoopTracker::classify`] makes, and returns
+    /// `rank`, for the entries in the same clock, with its largest value.
+    pub fn renumber(&mut self) -> (impl Fn(Timestamp) -> Timestamp, Timestamp) {
+        let mut marks: Vec<Timestamp> =
+            self.stacks.iter().flatten().flat_map(|l| [l.begin_ts, l.iter_start_ts]).collect();
+        marks.sort_unstable();
+        let top = marks.len() as Timestamp;
+        let rank = move |x| marks.partition_point(|&m| m <= x) as Timestamp;
+        for l in self.stacks.iter_mut().flatten() {
+            (l.begin_ts, l.iter_start_ts) = (rank(l.begin_ts), rank(l.iter_start_ts));
+        }
+        (rank, top)
     }
 
     /// Serializes every thread's active-loop stack for a checkpoint, so
@@ -157,11 +170,11 @@ impl LoopTracker {
     /// Rebuilds a tracker previously produced by [`LoopTracker::save`].
     pub fn load(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = ByteReader::new(bytes);
-        let nthreads = r.u32()?;
-        let mut stacks = Vec::with_capacity(nthreads as usize);
+        let nthreads = r.count()?;
+        let mut stacks = Vec::with_capacity(nthreads);
         for _ in 0..nthreads {
-            let depth = r.u32()?;
-            let mut stack = Vec::with_capacity(depth as usize);
+            let depth = r.count()?;
+            let mut stack = Vec::with_capacity(depth);
             for _ in 0..depth {
                 stack.push(ActiveLoop {
                     loop_id: r.u32()?,
@@ -213,7 +226,7 @@ mod tests {
         let (begin, iters) = t.end(0, 0, loc(1, 20)).unwrap();
         assert_eq!(begin, loc(1, 10));
         assert_eq!(iters, 2);
-        assert_eq!(t.depth(0), 0);
+        assert_eq!(t.stacks[0].len(), 0);
     }
 
     #[test]
@@ -255,8 +268,8 @@ mod tests {
         t.iter(0, 0, 9);
         assert_eq!(t.classify(0, 4), CarrierInfo::Carried(0));
         assert_eq!(t.classify(3, 6), CarrierInfo::IntraIteration);
-        assert_eq!(t.depth(0), 1);
-        assert_eq!(t.depth(3), 1);
+        assert_eq!(t.stacks[0].len(), 1);
+        assert_eq!(t.stacks[3].len(), 1);
     }
 
     #[test]
@@ -271,7 +284,7 @@ mod tests {
         t.save(&mut out);
         let bytes = out.into_bytes();
         let mut u = LoopTracker::load(&bytes).unwrap();
-        assert_eq!(u.depth(0), 2);
+        assert_eq!(u.stacks[0].len(), 2);
         for ts in [5u64, 11, 14, 21] {
             assert_eq!(u.classify(0, ts), t.classify(0, ts), "ts {ts}");
         }
@@ -293,11 +306,46 @@ mod tests {
         assert!(LoopTracker::load(&bytes[..bytes.len() - 2]).is_err());
     }
 
+    /// A count no blob of this size can hold is an error, not an
+    /// allocation of `u32::MAX` stacks or loops.
+    #[test]
+    fn load_rejects_an_oversized_count() {
+        let mut threads = ByteWriter::new();
+        threads.u32(u32::MAX);
+        assert!(LoopTracker::load(&threads.into_bytes()).is_err());
+        let mut depth = ByteWriter::new();
+        depth.u32(1);
+        depth.u32(u32::MAX);
+        depth.bytes(&[0; 36]);
+        assert!(LoopTracker::load(&depth.into_bytes()).is_err());
+    }
+
+    /// Renumbered marks classify every renumbered clock value as the
+    /// marks before classified the value before, on two threads' nests.
+    #[test]
+    fn renumbering_keeps_every_classification() {
+        let mut t = LoopTracker::new();
+        t.begin(0, 0, loc(1, 1), 10);
+        t.iter(0, 0, 14);
+        t.begin(0, 1, loc(1, 2), 14);
+        t.iter(0, 1, 30);
+        t.begin(2, 5, loc(1, 9), 3);
+        t.iter(2, 5, 22);
+        let before: Vec<_> = (0..40).map(|x| (t.classify(0, x), t.classify(2, x))).collect();
+        let (rank, top) = t.renumber();
+        assert_eq!(top, 6);
+        for x in 0..40 {
+            let after = (t.classify(0, rank(x)), t.classify(2, rank(x)));
+            assert_eq!(after, before[x as usize], "clock {x} renumbered to {}", rank(x));
+            assert!(rank(x) <= top);
+        }
+    }
+
     #[test]
     fn mismatched_end_is_ignored() {
         let mut t = LoopTracker::new();
         t.begin(0, 0, loc(1, 1), 1);
         assert!(t.end(0, 99, loc(1, 2)).is_none());
-        assert_eq!(t.depth(0), 1);
+        assert_eq!(t.stacks[0].len(), 1);
     }
 }

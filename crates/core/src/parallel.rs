@@ -30,10 +30,12 @@
 //! receives an `Extract` message (positioned after all of the address's
 //! earlier accesses — queue FIFO guarantees this), the rule that names
 //! the new owner goes in, the router waits for the slot contents on the
-//! response queue and forwards them in an `Inject` to the new owner. The
-//! router routes nothing while it waits, so every later access of the
-//! address queues up behind the `Inject` and per-address temporal order
-//! holds across the move with nothing in flight once the check returns.
+//! response queue and forwards them in an `Inject` to the new owner,
+//! behind every event routed to it so far (so an epoch means the same at
+//! both ends). The router routes nothing while it waits, so every later
+//! access of the address queues up behind the `Inject` and per-address
+//! temporal order holds across the move with nothing in flight once the
+//! check returns.
 //! Rounds are rare (the paper: "costly, at most 20×/run"), which is what
 //! lets the wait be synchronous.
 //!
@@ -347,8 +349,7 @@ impl ParallelProfiler {
     /// [`Self::append`] with the routing verdict: a diverted copy is
     /// counted rerouted once, here, and marked in its chunk so the
     /// enqueue/drop/consume taps exclude it downstream. A filled chunk is
-    /// flushed, and the balance check runs here once it falls due — the
-    /// one trigger, which no flush inside a round can re-enter.
+    /// flushed.
     #[inline]
     fn append_routed(&mut self, wid: usize, ev: TraceEvent, diverted: bool) {
         self.pending[wid].push(ev);
@@ -358,10 +359,6 @@ impl ParallelProfiler {
         }
         if self.pending[wid].is_full() {
             self.flush(wid);
-            if self.cfg.redistribution && self.chunks_pushed >= self.balance_due {
-                self.maybe_redistribute();
-                self.balance_due = self.next_balance();
-            }
         }
     }
 
@@ -455,12 +452,13 @@ impl ParallelProfiler {
         self.dispose_strays(strays);
         // No answer (a dead or silent source, a lost reply) or no way to
         // hand it on (the target died or stalled meanwhile): cancelled.
-        let injected = match state {
-            Some((read, write)) => self
-                .deliver(new, WorkerMsg::Inject { addr, read, write }, self.cfg.drop_after())
-                .is_ok(),
-            None => false,
-        };
+        // The target takes the state behind every event routed so far, as
+        // the source gave it up: only there does its epoch mean the same.
+        let injected = state.is_some_and(|(read, write)| {
+            self.flush(new);
+            let inject = WorkerMsg::Inject { addr, read, write };
+            self.deliver(new, inject, self.cfg.drop_after()).is_ok()
+        });
         self.cancelled_migrations += !injected as u64;
         true
     }
@@ -709,9 +707,11 @@ impl Tracer for ParallelProfiler {
             }
             TraceEvent::LoopBegin { .. }
             | TraceEvent::LoopIter { .. }
-            | TraceEvent::LoopEnd { .. } => {
+            | TraceEvent::LoopEnd { .. }
+            | TraceEvent::Dealloc { .. } => {
                 // Loop context is needed by every worker for carried
-                // classification.
+                // classification, and every worker forgets a freed range
+                // (removing an address a worker never owned is a no-op).
                 for wid in 0..self.pending.len() {
                     if !self.is_dead(wid) {
                         self.append(wid, ev);
@@ -726,15 +726,13 @@ impl Tracer for ParallelProfiler {
                 let wid = if self.is_dead(0) { self.next_live(0).unwrap_or(0) } else { 0 };
                 self.append(wid, ev);
             }
-            TraceEvent::Dealloc { .. } => {
-                // Every worker forgets the range (removing an address a
-                // worker never owned is a harmless no-op).
-                for wid in 0..self.pending.len() {
-                    if !self.is_dead(wid) {
-                        self.append(wid, ev);
-                    }
-                }
-            }
+        }
+        // The balance check, once due, runs between events (never inside a
+        // round's own flushes): a broadcast has reached every worker, so a
+        // moved entry's two ends have seen the same boundaries and frees.
+        if self.cfg.redistribution && self.chunks_pushed >= self.balance_due {
+            self.maybe_redistribute();
+            self.balance_due = self.next_balance();
         }
     }
 
@@ -994,6 +992,87 @@ mod tests {
             assert_eq!(edges, want_edges, "{kind:?}");
             assert!(!edges.is_empty());
             assert_eq!(loops, want_loops, "{kind:?}");
+            assert_eq!(owned_deps(&r), owned_deps(&serial.finish()), "{kind:?}");
+        }
+    }
+
+    /// An address moves while the boundary that renumbers the epoch clock
+    /// (the 256th, in this build) is routed but still queued for its new
+    /// owner: the old owner has renumbered, the new one has not. The
+    /// write the address carries, made in the current outer iteration,
+    /// must still read as that iteration's inside the inner loop the
+    /// boundary opens, on every transport, as in the serial engine.
+    #[test]
+    fn a_move_across_a_renumbering_keeps_the_epoch() {
+        for kind in TRANSPORTS {
+            let c = cfg(2).with_slots(1 << 12).with_transport(kind);
+            let slots = c.slots_per_worker();
+            let mut p = ParallelProfiler::new(c, move || crate::DefaultSig::new(slots));
+            let mut serial = crate::seq::SequentialProfiler::perfect();
+            let (x, y) = (0x100, (0x108..).step_by(8).find(|&a| p.owner(a) != p.owner(0x100)));
+            let (old, new) = (p.owner(x), p.owner(y.unwrap()));
+            let mut ts = 0;
+            let mut feed = |p: &mut ParallelProfiler, ev: TraceEvent| {
+                p.event(ev);
+                serial.on_event(&ev);
+            };
+            // One access of the new owner's first, so its queue does not
+            // flush on the 256th boundary.
+            feed(&mut p, acc(AccessKind::Write, y.unwrap(), 0, 1));
+            feed(&mut p, TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 2), thread: 0, ts });
+            for iter in 0..254 {
+                ts += 1;
+                feed(&mut p, TraceEvent::LoopIter { loop_id: 1, iter, thread: 0, ts });
+            }
+            feed(&mut p, acc(AccessKind::Write, x, ts + 1, 10));
+            ts += 2;
+            feed(&mut p, TraceEvent::LoopBegin { loop_id: 2, loc: loc(1, 3), thread: 0, ts });
+            assert!(!p.pending[new].is_empty(), "the renumbering boundary is still queued");
+            assert!(p.migrate(x, old, new));
+            feed(&mut p, acc(AccessKind::Read, x, ts + 1, 11));
+            for (loop_id, loc) in [(2, loc(1, 4)), (1, loc(1, 5))] {
+                ts += 2;
+                feed(&mut p, TraceEvent::LoopEnd { loop_id, loc, iters: 1, thread: 0, ts });
+            }
+            let r = p.finish();
+            assert_eq!((r.stats.cancelled_migrations, r.stats.redistributed_addrs), (0, 1));
+            let raw = r.deps.dependences().find(|(d, _)| d.edge.dtype == DepType::Raw);
+            let (_, v) = raw.expect("the read of the moved address builds a RAW");
+            assert!(v.carriers.is_empty() && v.flags.contains(DepFlags::INTRA_ITERATION), "{v:?}");
+            assert_eq!(owned_deps(&r), owned_deps(&serial.finish()), "{kind:?}");
+        }
+    }
+
+    /// Worker 0's chunk fills on a `Dealloc` broadcast while the two
+    /// hottest addresses, B and A, are both worker 1's, so the balance
+    /// check that falls due moves B to worker 0. It must run once the
+    /// broadcast has reached worker 1 too: B's write is freed on both
+    /// sides of the move, and the read after it builds nothing.
+    #[test]
+    fn a_balance_check_waits_for_a_broadcast_to_reach_every_worker() {
+        for kind in TRANSPORTS {
+            let mut c = cfg(2).with_redistribution(true).with_transport(kind);
+            c.redistribute_every = 1;
+            c.top_k = 2;
+            let mut p = ParallelProfiler::new(c, PerfectSignature::new);
+            let mut serial = crate::seq::SequentialProfiler::perfect();
+            let addrs = |p: &ParallelProfiler, wid| {
+                (0x100..).step_by(8).filter(move |&a| p.owner(a) == wid).take(7).collect::<Vec<_>>()
+            };
+            let (on_1, on_0) = (addrs(&p, 1), addrs(&p, 0));
+            let (b, a) = (on_1[0], on_1[1]);
+            let mut evs = vec![acc(AccessKind::Write, b, 1, 1), acc(AccessKind::Write, a, 2, 2)];
+            evs.extend((3..6).map(|ts| acc(AccessKind::Read, b, ts, 3)));
+            evs.extend((6..8).map(|ts| acc(AccessKind::Read, a, ts, 4)));
+            evs.extend(on_0.iter().zip(8..).map(|(&c, ts)| acc(AccessKind::Write, c, ts, 5)));
+            evs.push(TraceEvent::Dealloc { base: b, len: 1, thread: 0, ts: 20 });
+            evs.push(acc(AccessKind::Read, b, 21, 6));
+            for ev in evs {
+                p.event(ev);
+                serial.on_event(&ev);
+            }
+            let r = p.finish();
+            assert_eq!((r.stats.redistributions, r.stats.cancelled_migrations), (1, 0));
             assert_eq!(owned_deps(&r), owned_deps(&serial.finish()), "{kind:?}");
         }
     }

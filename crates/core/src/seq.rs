@@ -8,7 +8,7 @@
 use crate::algo::{AlgoOptions, AlgoState, LOOKAHEAD};
 use crate::checkpoint::{CheckpointData, CheckpointError};
 use crate::result::{MemoryReport, ProfileResult, ProfileStats};
-use dp_sig::{AccessStore, ExtendedSlot, PerfectSignature, Signature};
+use dp_sig::{AccessStore, PerfectSignature, Signature};
 use dp_types::TraceEvent;
 
 /// The last `LOOKAHEAD` events fed one at a time, oldest at `head`: a
@@ -64,8 +64,8 @@ pub struct SequentialProfiler<S: AccessStore> {
     delayed: DelayLine,
 }
 
-impl SequentialProfiler<Signature<ExtendedSlot>> {
-    /// Default engine: extended-slot read and write signatures of
+impl SequentialProfiler<crate::DefaultSig> {
+    /// Default engine: epoch-slot read and write signatures of
     /// `nslots` slots each (not split between the two — the paper sizes
     /// each signature at the stated slot count), held as one table of
     /// `nslots` read/write slot pairs ([`SigPair`](dp_sig::SigPair)) under
@@ -319,12 +319,12 @@ mod tests {
     }
 
     /// Signature memory follows occupancy up to the paper's figure — two
-    /// arrays of `nslots` 16-byte slots — and stops there: never more
+    /// arrays of `nslots` 8-byte slots — and stops there: never more
     /// than that plus the directories and one region in transit each.
     #[test]
     fn signature_engine_has_bounded_signature_memory() {
         const SLOTS: usize = 3 << 12;
-        let arrays = 2 * SLOTS * 16;
+        let arrays = 2 * SLOTS * 8;
         let run = |addrs: u64| {
             let mut p = SequentialProfiler::with_signature(SLOTS);
             for i in 0..addrs {
@@ -344,7 +344,7 @@ mod tests {
         let (few, some, saturated) = (run(100), run(1_500), run(200_000));
         assert!(untouched < few && few < some && some < saturated);
         assert!(some < arrays / 2, "{some} bytes at an eighth full");
-        let slack = 2 * ((1 << 12) * 16 + 1024);
+        let slack = 2 * ((1 << 12) * 8 + 1024);
         assert!((arrays..arrays + slack).contains(&saturated), "{saturated}");
     }
 }

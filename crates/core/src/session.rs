@@ -56,11 +56,11 @@ impl Default for SessionSpec {
 /// the process (a `Hello` frame, a checkpoint), and each worker is a
 /// thread.
 const MAX_SPEC_WORKERS: usize = 256;
-/// Most signature slots a decoded spec may ask for (4 GiB of 16-byte
-/// slots; the paper's 10⁸ total fits). Slots are allocated as regions
-/// fill, not up front; this is the ceiling a `Hello` may commit the
-/// server to, and the directory that is allocated at once (56 bytes per
-/// 4 096 slots) is then 3.5 MiB a signature.
+/// Most signature slots a decoded spec may ask for (2 GiB of 8-byte slots
+/// a signature; the paper's 10⁸ total fits). Slots are allocated as
+/// regions fill, not up front; this is the ceiling a `Hello` may commit
+/// the server to, and the directory that is allocated at once (56 bytes
+/// per 4 096 slots) is then 3.5 MiB a signature.
 const MAX_SPEC_SLOTS: u64 = 1 << 28;
 
 impl SessionSpec {

@@ -30,6 +30,9 @@ pub enum SessionError {
     OutOfOrder(&'static str),
     /// Checkpoint store I/O failed.
     Io(std::io::Error),
+    /// The event at this stream position is an access by a thread other
+    /// than 0: a session profiles a sequential target.
+    ForeignThread(u64),
 }
 
 impl fmt::Display for SessionError {
@@ -39,6 +42,7 @@ impl fmt::Display for SessionError {
             SessionError::Malformed(e) => write!(f, "{e}"),
             SessionError::OutOfOrder(what) => write!(f, "frame out of protocol order: {what}"),
             SessionError::Io(e) => write!(f, "session checkpoint I/O failed: {e}"),
+            SessionError::ForeignThread(at) => write!(f, "event {at} is an access off thread 0"),
         }
     }
 }
@@ -237,7 +241,7 @@ impl SessionEngine {
     }
 
     /// Feeds the part of a chunk starting at stream position `base` that
-    /// lies at or past the watermark.
+    /// lies at or past the watermark; none of it if an access is off thread 0.
     fn feed_chunk(&mut self, base: u64, events: &[TraceEvent]) -> Result<Vec<Frame>, SessionError> {
         self.metrics.chunks += 1;
         if base > self.events_fed {
@@ -247,8 +251,13 @@ impl SessionEngine {
         // overlap after a reconnect, or a duplicated frame): skip it
         // exactly, feed only the new suffix.
         let skip = (self.events_fed - base).min(events.len() as u64) as usize;
+        let fresh = &events[skip..];
+        let foreign = |e: &TraceEvent| matches!(e, TraceEvent::Access(a) if a.thread != 0);
+        if let Some(i) = fresh.iter().position(foreign) {
+            return Err(SessionError::ForeignThread(self.events_fed + i as u64));
+        }
         self.metrics.events_skipped_on_resume += skip as u64;
-        self.feed(&events[skip..]).map(|()| Vec::new())
+        self.feed(fresh).map(|()| Vec::new())
     }
 
     /// Feeds `evs` to the engine whole, cut only where a periodic

@@ -16,9 +16,10 @@
 //! - [`Signature`] — the fixed-length, single-hash signature, stored
 //!   region by region (sparse until a region fills), with
 //!   [`CompactSlot`] (4 B/slot, matching the paper's evaluation
-//!   configuration) and [`ExtendedSlot`] (16 B/slot; adds the thread id and
-//!   timestamp needed for multi-threaded targets and loop-carried
-//!   classification) layouts, and its pair form [`SigPair`] — the read and
+//!   configuration), [`EpochSlot`] (8 B/slot; adds the loop epoch that
+//!   loop-carried classification of a sequential target reads) and
+//!   [`ExtendedSlot`] (16 B/slot; adds the thread id and timestamp needed
+//!   for multi-threaded targets) layouts, and its pair form [`SigPair`] — the read and
 //!   the write signature as one table of `{read, write}` slot pairs;
 //! - [`PerfectSignature`] — the exact baseline used to quantify false
 //!   positive/negative rates (Section VI-A), with its pair form
@@ -48,7 +49,7 @@ pub mod signature;
 pub mod store;
 pub mod stride;
 
-pub use entry::{CompactSlot, ExtendedSlot, SigEntry, Slot};
+pub use entry::{CompactSlot, EpochSlot, ExtendedSlot, SigEntry, Slot};
 pub use fpr::{predicted_fpr, recommended_slots};
 pub use hash::SigHash;
 pub use hashhist::HashHistory;

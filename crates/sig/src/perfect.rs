@@ -9,7 +9,7 @@
 
 use crate::entry::SigEntry;
 use crate::store::{AccessStore, Last, PairStore, Side};
-use dp_types::{Address, ByteReader, ByteWriter, FxHashMap, SourceLoc, WireError};
+use dp_types::{Address, ByteReader, ByteWriter, FxHashMap, SourceLoc, Timestamp, WireError};
 
 /// Exact per-address access store.
 #[derive(Debug, Default, Clone)]
@@ -250,14 +250,32 @@ impl PairStore for PerfectPair {
         true
     }
 
-    fn restore_state(&mut self, read: &[u8], write: &[u8]) -> Result<(), WireError> {
+    fn restore_state(
+        &mut self,
+        read: &[u8],
+        write: &[u8],
+        clock: &dyn Fn(Timestamp) -> Timestamp,
+    ) -> Result<(), WireError> {
         let loaded = [load(read)?, load(write)?];
         *self = PerfectPair::default();
         for (side, (evictions, entries)) in loaded.into_iter().enumerate() {
             self.evictions[side] = evictions;
-            self.fill(side, entries);
+            self.fill(
+                side,
+                entries.into_iter().map(|(a, e)| (a, SigEntry { ts: clock(e.ts), ..e })),
+            );
         }
         Ok(())
+    }
+
+    fn reclock(&mut self, clock: &dyn Fn(Timestamp) -> Timestamp) {
+        for both in self.map.values_mut() {
+            for side in 0..2 {
+                if both.held[side] {
+                    both.ts[side] = clock(both.ts[side]);
+                }
+            }
+        }
     }
 }
 
@@ -360,12 +378,34 @@ mod tests {
             assert!(saved(&|out| pair.save_state(side, out)) == halves[side as usize]);
         }
         let mut restored = PerfectPair::default();
-        restored.restore_state(&halves[0], &halves[1]).unwrap();
+        restored.restore_state(&halves[0], &halves[1], &|ts| ts).unwrap();
         for side in Side::BOTH {
             assert!(saved(&|out| restored.save_state(side, out)) == halves[side as usize]);
         }
         let joined = PerfectSignature::pair(read, write);
         assert!(saved(&|out| joined.save_state(Side::Write, out)) == halves[1]);
+    }
+
+    /// The clock map reaches every held entry, on restore and in place,
+    /// and leaves a vacant side vacant.
+    #[test]
+    fn pair_reclocks_held_entries() {
+        let at = |line, ts| SigEntry::new(loc(1, line), 0, ts);
+        let mut pair = PerfectPair::default();
+        pair.put(Side::Write, 0x8, at(1, 10));
+        pair.put(Side::Read, 0x10, at(2, 20));
+        pair.reclock(&|ts| ts / 10);
+        assert_eq!(pair.get(0x8), [None, Some(at(1, 1))]);
+        assert_eq!(pair.get(0x10), [Some(at(2, 2)), None]);
+        let halves = Side::BOTH.map(|side| {
+            let mut out = ByteWriter::new();
+            assert!(pair.save_state(side, &mut out));
+            out.into_bytes()
+        });
+        let mut restored = PerfectPair::default();
+        restored.restore_state(&halves[0], &halves[1], &|ts| ts + 5).unwrap();
+        assert_eq!(restored.get(0x8), [None, Some(at(1, 6))]);
+        assert_eq!(restored.get(0x10), [Some(at(2, 7)), None]);
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //!   1 536 of a pair region's 8 192, for both slot layouts), the region
 //!   becomes that array (*dense*) and is from then on the paper's
 //!   structure behind one directory load. The array starts on a cache
-//!   line, so no cell — a 16-byte slot, a 32-byte pair — straddles two.
+//!   line, so no cell — an 8- or 16-byte slot, a 16- or 32-byte pair —
+//!   straddles two. With [`EpochSlot`](crate::EpochSlot) a sparse cell
+//!   is 10 bytes and a dense pair region 64 KiB; with
+//!   [`ExtendedSlot`](crate::ExtendedSlot), 18 bytes and 128 KiB.
 //!
 //! Conversion is one-way (a region that filled once is expected to stay
 //! full, and a table that can shrink needs a second threshold and
@@ -36,7 +39,7 @@
 use crate::entry::{SigEntry, Slot};
 use crate::hash::SigHash;
 use crate::store::{AccessStore, Last, PairStore, Side};
-use dp_types::{Address, ByteReader, ByteWriter, WireError};
+use dp_types::{Address, ByteReader, ByteWriter, Timestamp, WireError};
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::mem::size_of;
 use std::ops::{Deref, DerefMut};
@@ -541,8 +544,12 @@ impl<S: Slot, const SIDES: usize> Signature<S, SIDES> {
     }
 
     /// Replaces every side's entries and counters by what `save_side`
-    /// wrote for it.
-    fn restore_sides(&mut self, blobs: [&[u8]; SIDES]) -> Result<(), WireError> {
+    /// wrote for it, each entry's clock passed through `clock`.
+    fn restore_sides(
+        &mut self,
+        blobs: [&[u8]; SIDES],
+        clock: &dyn Fn(Timestamp) -> Timestamp,
+    ) -> Result<(), WireError> {
         self.reset();
         for (side, bytes) in blobs.into_iter().enumerate() {
             let mut r = ByteReader::new(bytes);
@@ -559,7 +566,7 @@ impl<S: Slot, const SIDES: usize> Signature<S, SIDES> {
                 }
                 let loc = dp_types::SourceLoc::unpack(r.u32()?);
                 let thread = r.u16()?;
-                let ts = r.u64()?;
+                let ts = clock(r.u64()?);
                 self.set_slot(idx, side, S::encode(SigEntry { loc, thread, ts }));
             }
             if !r.is_done() {
@@ -585,6 +592,7 @@ impl<S: Slot, const SIDES: usize> Signature<S, SIDES> {
 
 impl<S: Slot> AccessStore for Signature<S> {
     const HAS_TS: bool = S::HAS_TS;
+    const HAS_CLOCK: bool = S::HAS_CLOCK;
 
     type Pair = SigPair<S>;
 
@@ -647,7 +655,7 @@ impl<S: Slot> AccessStore for Signature<S> {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        self.restore_sides([bytes])
+        self.restore_sides([bytes], &|ts| ts)
     }
 }
 
@@ -674,7 +682,7 @@ impl<S: Slot> SigPair<S> {
 
 impl<S: Slot> PairStore for SigPair<S> {
     /// One hash, one directory load and, once the region is dense, one
-    /// 32-byte cell: both entries come out of the cell the store goes
+    /// pair cell: both entries come out of the cell the store goes
     /// into. They are decoded in place, field by field, before the store:
     /// copied out whole, a slot that the access before stored field by
     /// field (a read, then a write, of one address) is a 16-byte load
@@ -763,15 +771,31 @@ impl<S: Slot> PairStore for SigPair<S> {
         true
     }
 
-    fn restore_state(&mut self, read: &[u8], write: &[u8]) -> Result<(), WireError> {
-        self.restore_sides([read, write])
+    fn restore_state(
+        &mut self,
+        read: &[u8],
+        write: &[u8],
+        clock: &dyn Fn(Timestamp) -> Timestamp,
+    ) -> Result<(), WireError> {
+        self.restore_sides([read, write], clock)
+    }
+
+    /// Rewrites every slot in place, a table cell left vacant too (it is
+    /// never read).
+    fn reclock(&mut self, clock: &dyn Fn(Timestamp) -> Timestamp) {
+        let cells = self.dense.iter_mut().flat_map(|dense| dense.iter_mut().flatten());
+        for slot in cells.chain(self.tables.iter_mut().flat_map(|table| table.slots.iter_mut())) {
+            if let Some(e) = slot.decode() {
+                *slot = S::encode(SigEntry { ts: clock(e.ts), ..e });
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::{CompactSlot, ExtendedSlot};
+    use crate::entry::{CompactSlot, EpochSlot, ExtendedSlot};
     use dp_types::loc::loc;
 
     fn e(line: u32, thread: u16, ts: u64) -> SigEntry {
@@ -1034,6 +1058,42 @@ mod tests {
             [PairStore::occupied(&s, Side::Read), PairStore::occupied(&s, Side::Write)],
             [767, 768]
         );
+    }
+
+    /// With epoch slots a pair region's table cell is 10 bytes and its
+    /// dense form 4 096 16-byte pairs, past the same 1 536 entries; a
+    /// reclock rewrites every held clock in either form, and a reclocked
+    /// restore fits timestamps no epoch slot holds.
+    #[test]
+    fn epoch_pair_region_halves_the_bytes_and_reclocks() {
+        let mut s: SigPair<EpochSlot> = SigPair::new(2 * REGION_SLOTS);
+        let vacant = s.bytes_held();
+        let addrs = addrs_by_slot(&s);
+        for (i, &addr) in addrs[..768].iter().enumerate() {
+            s.record(Side::Write, addr, e(1, 0, 2 * i as u64 + 1));
+            s.record(Side::Read, addr, e(2, 0, 2 * i as u64 + 2));
+        }
+        assert_eq!(s.bytes_held() - vacant, 2048 * 10, "still a table");
+        s.reclock(&|ts| ts + 5);
+        assert_eq!(s.get(addrs[3]), [Some(e(2, 0, 13)), Some(e(1, 0, 12))]);
+        s.record(Side::Write, addrs[768], e(4, 0, 10_000));
+        assert_eq!(s.bytes_held() - vacant, REGION_SLOTS * 16, "dense");
+        assert_eq!(s.dense[0].as_ptr() as usize % 64, 0);
+        s.reclock(&|ts| ts / 2);
+        assert_eq!(s.get(addrs[3]), [Some(e(2, 0, 6)), Some(e(1, 0, 6))]);
+        assert_eq!(s.get(addrs[768]), [None, Some(e(4, 0, 5_000))]);
+
+        let mut wide: SigPair<ExtendedSlot> = SigPair::new(2 * REGION_SLOTS);
+        wide.put(Side::Write, addrs[1], e(1, 0, 7 << 32));
+        wide.put(Side::Read, addrs[1], e(2, 0, 9 << 32));
+        let blobs = Side::BOTH.map(|side| {
+            let mut out = ByteWriter::new();
+            assert!(PairStore::save_state(&wide, side, &mut out));
+            out.into_bytes()
+        });
+        s.restore_state(&blobs[0], &blobs[1], &|ts| ts >> 32).unwrap();
+        assert_eq!(s.get(addrs[1]), [Some(e(2, 0, 9)), Some(e(1, 0, 7))]);
+        assert_eq!(s.get(addrs[3]), [None, None]);
     }
 
     /// Two signatures joined into a pair keep their entries and counters,

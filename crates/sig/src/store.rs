@@ -1,7 +1,7 @@
 //! The access-store abstraction every profiling engine is generic over.
 
 use crate::entry::SigEntry;
-use dp_types::{Address, ByteWriter, WireError};
+use dp_types::{Address, ByteWriter, Timestamp, WireError};
 
 /// Remembers the most recent access entry per address.
 ///
@@ -16,6 +16,10 @@ pub trait AccessStore: Send + Sized {
     /// Whether entries preserve timestamps (see
     /// [`Slot::HAS_TS`](crate::Slot::HAS_TS)).
     const HAS_TS: bool;
+    /// Whether entries keep a clock loop-carried classification can read
+    /// (see [`Slot::HAS_CLOCK`](crate::Slot::HAS_CLOCK)): the timestamp,
+    /// or an epoch when [`AccessStore::HAS_TS`] is false.
+    const HAS_CLOCK: bool = Self::HAS_TS;
 
     /// The read store and the write store of one address space as one.
     type Pair: PairStore;
@@ -166,8 +170,20 @@ pub trait PairStore: Send {
     /// side.
     fn save_state(&self, side: Side, out: &mut ByteWriter) -> bool;
 
-    /// Restores both sides from what [`PairStore::save_state`] wrote.
-    fn restore_state(&mut self, read: &[u8], write: &[u8]) -> Result<(), WireError>;
+    /// Restores both sides from what [`PairStore::save_state`] wrote, each
+    /// entry's clock passed through `clock` on its way in: how an engine
+    /// whose entries hold epochs renumbers a checkpoint's clocks before
+    /// they must fit its slots. A timestamp engine passes the identity.
+    fn restore_state(
+        &mut self,
+        read: &[u8],
+        write: &[u8],
+        clock: &dyn Fn(Timestamp) -> Timestamp,
+    ) -> Result<(), WireError>;
+
+    /// Passes every held entry's clock through `clock`, in place: an
+    /// epoch engine's renumbering.
+    fn reclock(&mut self, clock: &dyn Fn(Timestamp) -> Timestamp);
 }
 
 /// Two stores behind the pair interface, probed one after the other as
@@ -234,8 +250,22 @@ impl<S: AccessStore> PairStore for Halves<S> {
         self.0[side as usize].save_state(out)
     }
 
-    fn restore_state(&mut self, read: &[u8], write: &[u8]) -> Result<(), WireError> {
+    /// Refuses a store whose entries hold epochs: its halves restore
+    /// only as saved.
+    fn restore_state(
+        &mut self,
+        read: &[u8],
+        write: &[u8],
+        _: &dyn Fn(Timestamp) -> Timestamp,
+    ) -> Result<(), WireError> {
+        if S::HAS_CLOCK && !S::HAS_TS {
+            return Err(WireError::Invalid("per-side halves cannot renumber epochs"));
+        }
         self.0[0].restore_state(read)?;
         self.0[1].restore_state(write)
+    }
+
+    fn reclock(&mut self, _: &dyn Fn(Timestamp) -> Timestamp) {
+        panic!("per-side halves cannot renumber epochs");
     }
 }

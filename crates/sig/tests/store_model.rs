@@ -7,8 +7,8 @@
 
 use dp_sig::signature::REGION_SLOTS;
 use dp_sig::{
-    AccessStore, CompactSlot, ExtendedSlot, HashHistory, Last, PairStore, PerfectSignature,
-    ShadowMemory, Side, SigEntry, SigHash, SigPair, Signature, Slot, StrideStore,
+    AccessStore, CompactSlot, EpochSlot, ExtendedSlot, HashHistory, Last, PairStore,
+    PerfectSignature, ShadowMemory, Side, SigEntry, SigHash, SigPair, Signature, Slot, StrideStore,
 };
 use dp_types::loc::loc;
 use dp_types::ByteWriter;
@@ -619,7 +619,7 @@ fn check_pair_against_flat<S: Slot>(pool: &Pool, ops: &[PairOp]) -> Result<(), T
             PairOp::Reload => {
                 let [read, write] = Side::BOTH.map(|side| save_half(&pair, side));
                 pair = SigPair::new(n);
-                pair.restore_state(&read, &write).expect("own bytes restore");
+                pair.restore_state(&read, &write, &|ts| ts).expect("own bytes restore");
             }
         }
         for side in Side::BOTH {
@@ -647,6 +647,7 @@ proptest! {
     fn signature_pair_equals_two_flat_arrays(size in 0usize..SIZES.len(), ops in pair_ops()) {
         check_pair_against_flat::<ExtendedSlot>(&pools()[size], &ops)?;
         check_pair_against_flat::<CompactSlot>(&pools()[size], &ops)?;
+        check_pair_against_flat::<EpochSlot>(&pools()[size], &ops)?;
     }
 }
 
@@ -685,5 +686,6 @@ fn pair_region_at_the_conversion_threshold_equals_two_flat_arrays() {
         assert_eq!(pair.bytes_held() - vacant, REGION_SLOTS * 32, "and one more makes it dense");
         check_pair_against_flat::<ExtendedSlot>(pool, &walk).unwrap();
         check_pair_against_flat::<CompactSlot>(pool, &walk).unwrap();
+        check_pair_against_flat::<EpochSlot>(pool, &walk).unwrap();
     }
 }

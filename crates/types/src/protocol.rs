@@ -500,13 +500,7 @@ impl Frame {
                 let session = get_string(&mut r)?;
                 let spec = r.blob()?.to_vec();
                 let checkpoint_every = r.u64()?;
-                let n = r.u32()? as usize;
-                if n > payload.len() {
-                    // Each name costs at least a length prefix, so a count
-                    // beyond the payload size is impossible — reject before
-                    // reserving anything.
-                    return Err(WireError::Invalid("name count exceeds payload size").into());
-                }
+                let n = r.count()?;
                 let mut names = Vec::with_capacity(n);
                 for _ in 0..n {
                     names.push(get_string(&mut r)?);

@@ -180,6 +180,16 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Reads a `u32` element count, refused above the bytes left (every
+    /// element takes one at least) before anything is reserved for it.
+    pub fn count(&mut self) -> Result<usize, WireError> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() {
+            return Err(WireError::Invalid("element count exceeds the bytes left"));
+        }
+        Ok(n)
+    }
+
     /// Reads a length-prefixed (`u32`) byte string written by
     /// [`ByteWriter::blob`].
     pub fn blob(&mut self) -> Result<&'a [u8], WireError> {

@@ -187,7 +187,7 @@ fn checkpoint_written_mid_run_resumes_to_the_parents_report() {
     let mut collected = depprof::trace::CollectTracer::new();
     depprof::trace::Interp::new(&rgbyuv.program).run_seq(&mut collected);
     let evs = collected.events;
-    let report = |p: SequentialProfiler<Signature<ExtendedSlot>>| {
+    let report = |p: SequentialProfiler<depprof::core::DefaultSig>| {
         depprof::core::report::render(&p.finish(), &rgbyuv.program.interner, false)
     };
 
@@ -281,6 +281,77 @@ fn engine_checkpoint_of_the_two_table_engine_loads_and_resaves() {
     let occupied = |at: usize| u64::from_le_bytes(parent[at + 20..at + 28].try_into().unwrap());
     let read_len = u32::from_le_bytes(parent[..4].try_into().unwrap()) as usize;
     assert_eq!((occupied(0), occupied(4 + read_len)), (493, 1007));
+}
+
+/// What follows [`pinned_stream`] in its loop: the address its last
+/// iteration wrote read again in that iteration, then 40 more iterations
+/// over its first 600 addresses, then the loop's end.
+fn pinned_continuation(last: &[TraceEvent]) -> Vec<TraceEvent> {
+    let access = |addr, ts, line, kind| {
+        TraceEvent::Access(MemAccess { addr, ts, loc: loc(1, line), var: 1, thread: 0, kind })
+    };
+    let latest = last.iter().rev().find_map(TraceEvent::as_access).expect("it has accesses");
+    let mut ts = latest.ts + 1;
+    let mut evs = vec![access(latest.addr, ts, 40, AccessKind::Read)];
+    for iter in 150..190u64 {
+        ts += 1;
+        evs.push(TraceEvent::LoopIter { loop_id: 3, iter, thread: 0, ts });
+        for k in 0..30u64 {
+            ts += 1;
+            let kind = if k % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
+            let addr = 0x5000_0000 + (iter * 31 + k * 17) % 600 * 8;
+            evs.push(access(addr, ts, 41 + (k % 7) as u32, kind));
+        }
+    }
+    evs.push(TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 2), iters: 190, thread: 0, ts });
+    evs
+}
+
+/// The same blob holds timestamps; an engine of 8-byte epoch slots loads
+/// it through the converter (every timestamp ranked against the blob's
+/// own loop marks) and resumes to the report and the dependence store,
+/// carried flags and carriers included, of an uninterrupted run — which
+/// are the timestamp engine's too.
+#[test]
+fn engine_checkpoint_of_the_two_table_engine_resumes_on_epoch_slots() {
+    use depprof::core::{AlgoOptions, AlgoState, ProfileStats};
+    use depprof::sig::{EpochSlot, Slot};
+    use depprof::types::ByteWriter;
+    fn new<S: Slot>() -> AlgoState<Signature<S>> {
+        let sig = || Signature::new(PINNED_SLOTS);
+        AlgoState::new(sig(), sig(), AlgoOptions::default())
+    }
+    /// The report, the sealed store's bytes and its carried edges.
+    fn outcome<S: Slot>(algo: AlgoState<Signature<S>>) -> (String, Vec<u8>, usize) {
+        let (mut deps, exec_tree, counters, _) = algo.finish();
+        deps.seal();
+        let mut store = ByteWriter::new();
+        deps.save(&mut store);
+        let carried = deps.dependences().filter(|(_, v)| !v.carriers.is_empty()).count();
+        let mut stats = ProfileStats::default();
+        stats.absorb(counters);
+        stats.deps_built = deps.deps_built();
+        stats.deps_merged = deps.merged_len();
+        let result = ProfileResult { deps, exec_tree, stats, ..ProfileResult::default() };
+        let text = depprof::core::report::render(&result, &depprof::types::Interner::new(), false);
+        (text, store.into_bytes(), carried)
+    }
+    let pinned = pinned_stream();
+    let rest = pinned_continuation(&pinned);
+    let mut whole = new::<EpochSlot>();
+    whole.on_chunk(&pinned);
+    whole.on_chunk(&rest);
+    let uninterrupted = outcome(whole);
+    assert!(uninterrupted.2 > 100, "{} carried edges", uninterrupted.2);
+    let mut stamped = new::<ExtendedSlot>();
+    stamped.on_chunk(&pinned);
+    stamped.on_chunk(&rest);
+    assert!(outcome(stamped) == uninterrupted, "epochs classify as timestamps do");
+
+    let mut resumed = new::<EpochSlot>();
+    resumed.restore_state(include_bytes!("golden/algo_two_tables.bin")).expect("it converts");
+    resumed.on_chunk(&rest);
+    assert!(outcome(resumed) == uninterrupted, "resumed from the timestamp engine's blob");
 }
 
 // ---------------------------------------------------------------------

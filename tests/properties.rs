@@ -4,7 +4,7 @@ use depprof::core::{
     AlgoOptions, AlgoState, ParallelProfiler, ProfileResult, ProfileStats, ProfilerConfig,
     SequentialProfiler, SessionSpec, SigGauges, TransportKind,
 };
-use depprof::sig::{ExtendedSlot, PerfectSignature, Signature};
+use depprof::sig::{EpochSlot, ExtendedSlot, PerfectSignature, Signature, Slot};
 use depprof::types::{loc::loc, AccessKind, DepType, MemAccess, TraceEvent};
 use proptest::prelude::*;
 
@@ -158,11 +158,11 @@ fn outcome(result: ProfileResult, gauges: SigGauges) -> Outcome {
 /// Few enough slots that the 48 addresses collide and evict.
 const TIGHT_SLOTS: usize = 64;
 
-fn tight_algo() -> AlgoState<Signature<ExtendedSlot>> {
+fn tight_algo<S: Slot>() -> AlgoState<Signature<S>> {
     AlgoState::new(Signature::new(TIGHT_SLOTS), Signature::new(TIGHT_SLOTS), AlgoOptions::default())
 }
 
-fn algo_outcome(algo: AlgoState<Signature<ExtendedSlot>>) -> Outcome {
+fn algo_outcome<S: Slot>(algo: AlgoState<Signature<S>>) -> Outcome {
     let gauges = algo.sig_gauges();
     let (mut deps, exec_tree, counters, _) = algo.finish();
     deps.seal();
@@ -237,20 +237,30 @@ proptest! {
     /// engine over any split (empty and one-event chunks included), the
     /// serial profiler's delay line, and a session checkpointed with
     /// events still in the delay line and resumed, all leave the same
-    /// store bytes, counters, gauges and report.
+    /// store bytes, counters, gauges and report. Nor does the clock: an
+    /// engine that keeps timestamps leaves all of it but the bytes.
     #[test]
     fn every_feed_path_leaves_the_same_state(
         evs in arb_structured_stream(300),
         splits in prop::collection::vec(0usize..12, 1..24),
         raw_cut in 0usize..1_000_000,
     ) {
-        let mut immediate = tight_algo();
+        let mut immediate = tight_algo::<EpochSlot>();
         for ev in &evs {
             immediate.on_event(ev);
         }
         let want = algo_outcome(immediate);
 
-        let mut chunked = tight_algo();
+        let mut timestamped = tight_algo::<ExtendedSlot>();
+        for ev in &evs {
+            timestamped.on_event(ev);
+        }
+        let mut timestamped = algo_outcome(timestamped);
+        prop_assert!(timestamped.gauges.bytes >= want.gauges.bytes);
+        timestamped.gauges.bytes = want.gauges.bytes;
+        prop_assert_eq!(&timestamped, &want, "timestamp slots");
+
+        let mut chunked = tight_algo::<EpochSlot>();
         let mut rest = &evs[..];
         for len in splits.iter().cycle() {
             if rest.is_empty() {

@@ -11,7 +11,7 @@
 //! streams from `dp-trace::workloads`.
 
 use depprof::core::SequentialProfiler;
-use depprof::sig::{ExtendedSlot, Signature};
+use depprof::sig::{EpochSlot, ExtendedSlot, Signature};
 use depprof::trace::workloads::{starbench_suite, Scale};
 use depprof::trace::Interp;
 use depprof::types::{FxHashSet, TraceEvent, Tracer};
@@ -176,9 +176,9 @@ fn bytes_rise_with_occupancy_to_the_dense_ceiling() {
     if !empty.enabled {
         return;
     }
-    let directory = SigPair::<ExtendedSlot>::new(SLOTS).bytes_held() as u64;
+    let directory = SigPair::<EpochSlot>::new(SLOTS).bytes_held() as u64;
     assert_eq!(empty.signatures.bytes, directory);
-    assert!(directory < 2 * 16 * SLOTS as u64 / 100);
+    assert!(directory < 2 * 8 * SLOTS as u64 / 100);
 
     let mut last = empty.signatures;
     for addrs in [50, 200, 600, 2_000, 40_000] {
@@ -189,5 +189,5 @@ fn bytes_rise_with_occupancy_to_the_dense_ceiling() {
         last = g;
     }
     assert_eq!(last.occupied_slots, 2 * SLOTS as u64, "40 000 addresses saturate 5 000 slots");
-    assert_eq!(last.bytes, 2 * 16 * SLOTS as u64 + directory);
+    assert_eq!(last.bytes, 2 * 8 * SLOTS as u64 + directory);
 }

@@ -273,6 +273,52 @@ fn encoding_matches_the_recorded_wire_bytes() {
 }
 
 // ---------------------------------------------------------------------
+// A session profiles a sequential target
+// ---------------------------------------------------------------------
+
+/// A chunk holding an access off thread 0 is refused whole, decoded or
+/// still on the wire, with the stream position of that access; the
+/// session keeps what it had and goes on from there.
+#[test]
+fn a_session_refuses_a_chunk_with_an_access_off_thread_zero() {
+    use depprof::core::SessionSpec;
+    use depprof::server::{SessionEngine, SessionError};
+    let spec = SessionSpec { slots: 1 << 12, ..SessionSpec::default() };
+    let hello =
+        Hello { session: "seq".into(), spec: spec.encode(), checkpoint_every: 0, names: vec![] };
+    let (mut engine, _) = SessionEngine::open(&hello, 1, None, 0).expect("a serial session");
+    let write = TraceEvent::Access(MemAccess::write(0x10, 1, loc(1, 1), 1, 0));
+    let off_thread = TraceEvent::Access(MemAccess::read(0x10, 2, loc(1, 2), 1, 3));
+    let position = |engine: &mut SessionEngine| match engine.handle(Frame::Sync { nonce: 7 }) {
+        Ok(reply) => match reply[..] {
+            [Frame::SyncAck { position, .. }] => position,
+            _ => panic!("{reply:?}"),
+        },
+        Err(e) => panic!("{e}"),
+    };
+    engine.handle(Frame::Chunk { base: 0, events: vec![write; 2] }).expect("thread 0 is fed");
+    let chunk = Frame::Chunk { base: 1, events: vec![write, write, off_thread, write] };
+    let wire = encode_frame(&chunk);
+    let refusals = [engine.handle(chunk), engine.handle_wire(wire[0], &wire[5..wire.len() - 1])];
+    for refused in refusals {
+        match refused {
+            Err(e @ SessionError::ForeignThread(3)) => {
+                let Frame::Error { message, .. } = e.to_frame() else { unreachable!() };
+                assert!(message.contains("event 3"), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+    assert_eq!(position(&mut engine), 2, "a refused chunk feeds nothing");
+    assert_eq!(engine.metrics().events_skipped_on_resume, 0, "nor counts its overlap as skipped");
+    engine
+        .handle(Frame::Chunk { base: 1, events: vec![write; 2] })
+        .expect("and the stream goes on");
+    assert_eq!(position(&mut engine), 3);
+    assert_eq!(engine.metrics().events_skipped_on_resume, 1, "the accepted resend's overlap, once");
+}
+
+// ---------------------------------------------------------------------
 // DPTR: the same event bytes, a checksum byte after each
 // ---------------------------------------------------------------------
 

@@ -146,8 +146,7 @@ pub struct ProfilerConfig {
     /// hanging `finish()` forever.
     pub drain_deadline_ms: u64,
     /// Deterministic fault-injection script (testing only;
-    /// [`FaultPlan::none()`] — the default — injects nothing and the
-    /// hooks compile out unless the `fault-inject` feature is on).
+    /// [`FaultPlan::none()`] — the default — injects nothing).
     pub fault_plan: FaultPlan,
 }
 

@@ -33,7 +33,6 @@
 //! is the honest choice.
 
 use crate::algo::{AlgoOptions, AlgoState};
-use crate::checkpoint::{CheckpointData, CheckpointError};
 use crate::config::ProfilerConfig;
 use crate::result::ProfileResult;
 use crate::workers::{WorkerCtx, WorkerMsg, Workers};
@@ -56,8 +55,6 @@ struct MtShared {
     stalled: Vec<AtomicBool>,
     /// Events dropped per destination worker (dead or stalled).
     dropped: Vec<AtomicU64>,
-    /// Checkpoint replies that missed their window: counted, never fatal.
-    spurious_replies: AtomicU64,
     /// [`ProfilerConfig::drop_after`], for event chunks.
     drop_after: Option<Duration>,
 }
@@ -105,12 +102,6 @@ impl MtShared {
                 }
             }
         }
-    }
-
-    /// Replies nobody is waiting for any more (a worker that answered a
-    /// `Checkpoint` after its deadline): counted and dropped.
-    fn count_stray_replies(&self) {
-        self.spurious_replies.fetch_add(self.ctx.stale_replies().len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -231,56 +222,15 @@ impl MtProfiler {
             chunks_pushed: AtomicU64::new(0),
             stalled: (0..w).map(|_| AtomicBool::new(false)).collect(),
             dropped: (0..w).map(|_| AtomicU64::new(0)).collect(),
-            spurious_replies: AtomicU64::new(0),
             drop_after: cfg.drop_after(),
         });
         MtProfiler { shared, workers }
     }
 
     /// Monotone progress value for a run watchdog: events pushed by the
-    /// target threads plus events consumed by the workers. Constant 0
-    /// when the `metrics` feature is off.
+    /// target threads plus events consumed by the workers.
     pub fn heartbeat(&self) -> u64 {
         self.shared.ctx.metrics.heartbeat()
-    }
-
-    /// Captures a checkpoint of every worker's extraction state plus the
-    /// conservation ledger.
-    ///
-    /// Call only at a global sync point of the target program: every
-    /// target thread must have passed [`Tracer::sync_point`] (flushing
-    /// its chunk buffers) with no new events produced since, so the
-    /// queue contents ahead of the barrier fully determine worker
-    /// state. The MT engine supports *writing* checkpoints (an
-    /// emergency snapshot a later sequential replay can inspect);
-    /// resuming an MT run is not supported — there is no single trace
-    /// position to seek multiple free-running target threads to.
-    pub fn checkpoint_data(
-        &self,
-        generation: u64,
-        records_read: u64,
-        config: Vec<u8>,
-    ) -> Result<CheckpointData, CheckpointError> {
-        let sh = &*self.shared;
-        // An answer to an earlier barrier must not pass for one to this.
-        sh.count_stray_replies();
-        for wid in 0..sh.senders.len() {
-            if sh.deliver(wid, WorkerMsg::Checkpoint, Some(self.workers.drain())).is_err() {
-                return Err(CheckpointError::WorkerUnavailable(wid));
-            }
-        }
-        let (workers, strays) = self.workers.checkpoint_states();
-        sh.spurious_replies.fetch_add(strays.len() as u64, Ordering::Relaxed);
-        Ok(CheckpointData {
-            generation,
-            records_read,
-            config,
-            // The MT router is distributed across target threads: no
-            // central statistics to capture.
-            router: Vec::new(),
-            ledger: sh.ctx.metrics.save(),
-            workers: workers?,
-        })
     }
 
     /// Drains the pipeline, joins the workers and merges their results —
@@ -299,8 +249,8 @@ impl MtProfiler {
         // no central hot-address table to report.
         let chunks_pushed = sh.chunks_pushed.load(Ordering::Relaxed);
         let mut r = self.workers.finish(&shutdown_ok, chunks_pushed, dropped, Vec::new());
-        sh.count_stray_replies();
-        r.stats.spurious_replies = sh.spurious_replies.load(Ordering::Relaxed);
+        // Replies nobody is waiting for: counted and dropped, never fatal.
+        r.stats.spurious_replies = sh.ctx.stale_replies().len() as u64;
         r.memory.queues = sh.senders.iter().map(|s| s.memory_usage()).sum();
         r
     }
@@ -388,69 +338,24 @@ mod tests {
         assert_eq!(rec.instances, 1);
     }
 
-    /// At a global sync point the MT engine can snapshot every worker's
-    /// extraction state plus a conserved ledger.
+    /// A reply still on the queue at `finish` — an answer that missed
+    /// its window — is counted in `spurious_replies`, not mistaken for a
+    /// current one and not fatal.
     #[test]
-    fn mt_checkpoint_captures_all_workers() {
-        let prof = MtProfiler::new(cfg(2).with_drain_deadline_ms(2000));
-        let mut t1 = prof.tracer(1);
-        t1.event(acc(AccessKind::Write, 0x80, 1, 5, 1));
-        t1.event(acc(AccessKind::Write, 0x88, 2, 6, 1));
-        t1.sync_point();
-        let data = prof.checkpoint_data(0, 2, b"mt".to_vec()).unwrap();
-        assert_eq!(data.workers.len(), 2);
-        assert!(data.workers.iter().all(|w| !w.is_empty()));
-        assert!(data.router.is_empty(), "MT has no central router state");
-        if dp_metrics::ENABLED {
-            assert!(!data.ledger.is_empty());
-        }
-        // The engine keeps running after the snapshot.
-        t1.event(acc(AccessKind::Read, 0x80, 3, 7, 1));
-        prof.join(1, t1);
-        let r = prof.finish();
-        assert!(!r.degraded(), "{:?}", r.stats);
-        assert!(r.deps.dependences().any(|(d, _)| d.edge.dtype == DepType::Raw));
-    }
-
-    /// The checkpoint comes back over the reply queue the pipeline uses,
-    /// each blob restores into a fresh state and saves to the same bytes,
-    /// and an answer that missed its barrier's deadline — arriving before
-    /// the next barrier, or before `finish` — is counted, not mistaken for
-    /// a current one and not fatal.
-    #[test]
-    fn mt_checkpoint_round_trips_and_counts_late_replies() {
+    fn mt_stale_reply_at_finish_is_counted_not_fatal() {
         use crate::workers::Reply;
-        let late = || Reply::CheckpointState { worker: 0, state: Some(vec![0xEE]) };
         let prof = MtProfiler::new(cfg(2).with_slots(1 << 10).with_drain_deadline_ms(2000));
         let mut t1 = prof.tracer(1);
         for i in 0..6u64 {
             t1.event(acc(AccessKind::Write, 0x80 + i * 8, 2 * i + 1, 5, 1));
             t1.event(acc(AccessKind::Read, 0x80 + i * 8, 2 * i + 2, 6, 1));
         }
-        t1.sync_point();
-        assert!(prof.shared.ctx.resp.push(late()).is_ok());
-        let data = prof.checkpoint_data(3, 12, Vec::new()).unwrap();
-        assert_eq!(data.workers.len(), 2);
-        for blob in &data.workers {
-            assert_ne!(blob, &[0xEE], "a stale reply passed for this barrier's");
-            let sig = || dp_sig::Signature::<dp_sig::ExtendedSlot>::new(1 << 9);
-            let opts = AlgoOptions {
-                track_carried: false,
-                check_reversal: true,
-                record_loops: false,
-                section_shift: 0,
-            };
-            let mut algo = AlgoState::new(sig(), sig(), opts);
-            algo.restore_state(blob).unwrap();
-            let mut again = dp_types::ByteWriter::new();
-            assert!(algo.save_state(&mut again));
-            assert_eq!(&again.into_bytes(), blob);
-        }
-        assert!(prof.shared.ctx.resp.push(late()).is_ok());
+        let late = Reply::CheckpointState { worker: 0, state: Some(vec![0xEE]) };
+        assert!(prof.shared.ctx.resp.push(late).is_ok());
         prof.join(1, t1);
         let r = prof.finish();
         assert!(!r.degraded(), "{:?}", r.stats);
-        assert_eq!(r.stats.spurious_replies, 2);
+        assert_eq!(r.stats.spurious_replies, 1);
         assert_eq!(r.stats.accesses, 12);
     }
 
@@ -458,7 +363,6 @@ mod tests {
     /// worker that stops consuming is abandoned after the drain deadline,
     /// wakes, and hands over what it had — an `Unresponsive` record with
     /// its partial results salvaged, not a hang.
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn mt_stalled_worker_is_salvaged_as_unresponsive() {
         use crate::result::FailureCause;
@@ -482,15 +386,12 @@ mod tests {
         // totals, the one behind the stall is in flight, none vanished.
         assert_eq!(r.per_worker_events, [2, 1]);
         assert!(r.deps.dependences().any(|(d, _)| d.edge.dtype == DepType::Raw));
-        if dp_metrics::ENABLED {
-            let c = r.metrics.conservation;
-            assert_eq!(c.in_flight_at_shutdown, 1);
-            assert_eq!(c.pushed, c.consumed + c.dropped + c.rerouted + c.in_flight_at_shutdown);
-        }
+        let c = r.metrics.conservation;
+        assert_eq!(c.in_flight_at_shutdown, 1);
+        assert_eq!(c.pushed, c.consumed + c.dropped + c.rerouted + c.in_flight_at_shutdown);
     }
 
     /// A panicking MT worker degrades the run; survivors are salvaged.
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn mt_worker_panic_degrades_instead_of_aborting() {
         use crate::result::FailureCause;

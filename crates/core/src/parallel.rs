@@ -656,9 +656,7 @@ impl ParallelProfiler {
     /// Monotone progress heartbeat for the run watchdog, piggybacked on
     /// the conservation ledger: events the router has pushed plus
     /// events the workers have consumed, so progress on either side of
-    /// the queues moves the value. Constant 0 when the `metrics`
-    /// feature is off — callers then track feed-side progress
-    /// themselves.
+    /// the queues moves the value.
     pub fn heartbeat(&self) -> u64 {
         self.workers.ctx.metrics.heartbeat()
     }
@@ -1124,7 +1122,6 @@ mod tests {
     /// An injected worker panic must degrade the profile, not abort the
     /// process: the supervisor salvages every surviving worker's
     /// dependences and records which residue class died.
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn worker_panic_degrades_instead_of_aborting() {
         use crate::result::FailureCause;
@@ -1163,7 +1160,6 @@ mod tests {
 
     /// A chaotic transport (seeded spurious full/empty) is lossless, so
     /// the profile must be bit-identical to a clean run.
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn chaotic_transport_profile_is_exact() {
         use dp_queue::{FailingTransport, FaultPlan};
@@ -1240,16 +1236,14 @@ mod tests {
             assert_eq!(r_ref.deps.loop_record(3), r2.deps.loop_record(3), "{kind:?}");
             // The restored ledger keeps the conservation law across the
             // resume: the resumed snapshot accounts for *all* events.
-            if dp_metrics::ENABLED {
-                assert_eq!(
-                    r_ref.metrics.conservation.pushed, r2.metrics.conservation.pushed,
-                    "{kind:?}"
-                );
-                assert_eq!(
-                    r_ref.metrics.conservation.consumed, r2.metrics.conservation.consumed,
-                    "{kind:?}"
-                );
-            }
+            assert_eq!(
+                r_ref.metrics.conservation.pushed, r2.metrics.conservation.pushed,
+                "{kind:?}"
+            );
+            assert_eq!(
+                r_ref.metrics.conservation.consumed, r2.metrics.conservation.consumed,
+                "{kind:?}"
+            );
         }
     }
 
@@ -1330,9 +1324,7 @@ mod tests {
             p.event(acc(AccessKind::Write, i * 8, i + 1, 1));
         }
         p.flush_all();
-        if dp_metrics::ENABLED {
-            assert!(p.heartbeat() > before, "heartbeat must move with traffic");
-        }
+        assert!(p.heartbeat() > before, "heartbeat must move with traffic");
         p.finish();
     }
 }

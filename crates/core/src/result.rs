@@ -150,9 +150,8 @@ pub struct ProfileResult {
     /// Section IV-A (redistribution) and the imbalance discussion of
     /// Section VI-B1. Empty for the in-line serial engine.
     pub per_worker_events: Vec<u64>,
-    /// Pipeline observability counters (all-zero with `enabled: false`
-    /// when the `metrics` feature is off — the struct itself is always
-    /// present so `--stats` output has a stable shape).
+    /// Pipeline observability counters (present on every result so
+    /// `--stats` output has a stable shape).
     pub metrics: MetricsSnapshot,
 }
 

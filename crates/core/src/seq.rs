@@ -211,20 +211,15 @@ impl<S: AccessStore> SequentialProfiler<S> {
         // "consumed" at the same program point, so the conservation law
         // holds trivially — but the snapshot is still populated so
         // `--stats` reports signature gauges for serial runs too.
-        let metrics = if dp_metrics::ENABLED {
-            dp_metrics::MetricsSnapshot {
-                enabled: true,
-                workers: 0,
-                conservation: dp_metrics::Conservation {
-                    pushed: stats.events,
-                    consumed: stats.events,
-                    ..dp_metrics::Conservation::default()
-                },
-                signatures: gauges,
-                ..dp_metrics::MetricsSnapshot::default()
-            }
-        } else {
-            dp_metrics::MetricsSnapshot::default()
+        let metrics = dp_metrics::MetricsSnapshot {
+            workers: 0,
+            conservation: dp_metrics::Conservation {
+                pushed: stats.events,
+                consumed: stats.events,
+                ..dp_metrics::Conservation::default()
+            },
+            signatures: gauges,
+            ..dp_metrics::MetricsSnapshot::default()
         };
         ProfileResult {
             deps: store,

@@ -131,8 +131,7 @@ enum WorkerExit {
 /// marked in their chunk ([`Chunk::mark_rerouted`]), and every downstream
 /// tap (enqueue, drop, consume) excludes the marks, keeping the law's
 /// columns disjoint (the MT engine never diverts, so its `rerouted` stays
-/// zero). All counters are `dp-metrics` primitives — relaxed atomics with
-/// the `metrics` feature, zero-sized no-ops without it.
+/// zero). All counters are `dp-metrics` primitives (relaxed atomics).
 pub(crate) struct EngineMetrics {
     /// Events in every chunk flushed towards a queue (counted once per
     /// chunk, not per event: the counter is a cache line every producer
@@ -173,14 +172,12 @@ impl EngineMetrics {
 
     /// Monotone progress value for a run watchdog: events pushed plus
     /// events consumed, so progress on either side of the queues moves
-    /// it. Constant 0 when the `metrics` feature is off.
+    /// it.
     pub(crate) fn heartbeat(&self) -> u64 {
         self.pushed.get() + self.consumed.iter().map(Counter::get).sum::<u64>()
     }
 
-    /// Serializes the ledger for a checkpoint. With the `metrics`
-    /// feature off the counters are no-ops and the blob records zeros —
-    /// the snapshot is all-zero in that build anyway.
+    /// Serializes the ledger for a checkpoint.
     pub(crate) fn save(&self) -> Vec<u8> {
         let mut out = ByteWriter::new();
         out.u64(self.pushed.get());
@@ -235,12 +232,8 @@ pub(crate) struct WorkerCtx {
     abandon: Vec<AtomicBool>,
     pub(crate) metrics: EngineMetrics,
     /// The fault-injection script, and the counter that makes "drop the
-    /// *n*-th Extracted reply" global across workers. Read only by the
-    /// `fault-inject` hooks; kept unconditionally so nothing else needs a
-    /// feature gate.
-    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
+    /// *n*-th Extracted reply" global across workers.
     plan: FaultPlan,
-    #[cfg_attr(not(feature = "fault-inject"), allow(dead_code))]
     extract_replies: AtomicU64,
 }
 
@@ -473,17 +466,13 @@ impl Workers {
     }
 
     /// Assembles the final [`MetricsSnapshot`] from the ledger and the
-    /// channel taps. The all-zero default when the `metrics` feature is
-    /// off.
+    /// channel taps.
     fn snapshot(
         &self,
         signatures: SigGauges,
         chunks_pushed: u64,
         hot_addresses: Vec<HotAddress>,
     ) -> MetricsSnapshot {
-        if !dp_metrics::ENABLED {
-            return MetricsSnapshot::default();
-        }
         let m = &self.ctx.metrics;
         let w = m.enqueued.len();
         let mut conservation = Conservation {
@@ -528,7 +517,6 @@ impl Workers {
         };
         let drain_nanos = self.timer.elapsed_nanos();
         MetricsSnapshot {
-            enabled: true,
             workers: w,
             // The chaos seed is a run-level fact the CLI stamps on the
             // snapshot; engines report 0.
@@ -597,7 +585,6 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 /// Injected panic/stall hook, called at the top of every worker-loop
 /// iteration. Returns true when an (injected) stalled worker has been
 /// abandoned and should exit so its partial results can be salvaged.
-#[cfg(feature = "fault-inject")]
 fn fault_pause_or_panic(wid: usize, chunks_done: u64, ctx: &WorkerCtx) -> bool {
     if let Some(f) = ctx.plan.panic_worker {
         if f.worker == wid && chunks_done >= f.after_chunks {
@@ -618,26 +605,13 @@ fn fault_pause_or_panic(wid: usize, chunks_done: u64, ctx: &WorkerCtx) -> bool {
     false
 }
 
-#[cfg(not(feature = "fault-inject"))]
-#[inline(always)]
-fn fault_pause_or_panic(_: usize, _: u64, _: &WorkerCtx) -> bool {
-    false
-}
-
 /// Injected reply-loss hook: true when this `Extracted` reply is the one
 /// the plan says to swallow.
-#[cfg(feature = "fault-inject")]
 fn fault_drop_reply(ctx: &WorkerCtx) -> bool {
     match ctx.plan.drop_nth_extract_reply {
         Some(n) => ctx.extract_replies.fetch_add(1, Ordering::Relaxed) == n,
         None => false,
     }
-}
-
-#[cfg(not(feature = "fault-inject"))]
-#[inline(always)]
-fn fault_drop_reply(_: &WorkerCtx) -> bool {
-    false
 }
 
 /// Supervised entry point of a worker thread: contains panics (flagging

@@ -622,7 +622,7 @@ pub fn check_program(prog: &Program, cfg: &OracleConfig) -> Result<OracleOutcome
 /// Live fork-join leg for multi-threaded programs (the trace recorder is
 /// sequential, so MT targets cannot take the replay legs). Structural
 /// invariants only: the run completes, traces accesses, loses no worker,
-/// and conserves events when metrics are compiled in.
+/// and conserves events.
 fn check_mt(prog: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, Box<Divergence>> {
     let pcfg = ProfilerConfig::default().with_workers(cfg.workers).with_slots(cfg.base_slots);
     let prof = MtProfiler::new(pcfg);
@@ -637,7 +637,7 @@ fn check_mt(prog: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, Box<Div
             detail: format!("lost workers: {:?}", r.stats.worker_failures),
         }));
     }
-    if r.metrics.enabled && !r.metrics.conservation.holds() {
+    if !r.metrics.conservation.holds() {
         return Err(Box::new(Divergence {
             leg: "mt",
             detail: format!("conservation violated: {:?}", r.metrics.conservation),

@@ -169,13 +169,13 @@ pub fn webscale_check(cfg: &WebscaleConfig) -> Result<WebscaleOutcome, String> {
     // The stress must actually have saturated the signatures.
     let evictions_serial = serial.metrics.signatures.evictions;
     let evictions_parallel = par.metrics.signatures.evictions;
-    if serial.metrics.enabled && evictions_serial == 0 {
+    if evictions_serial == 0 {
         return Err(format!(
             "no serial evictions at load factor {:.2} — stress did not bite",
             distinct as f64 / cfg.slots as f64
         ));
     }
-    if par.metrics.enabled && evictions_parallel == 0 {
+    if evictions_parallel == 0 {
         return Err("no parallel evictions — stress did not bite".to_string());
     }
 

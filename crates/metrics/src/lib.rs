@@ -8,9 +8,8 @@
 //! visible:
 //!
 //! - [`Counter`], [`MaxGauge`], [`Stopwatch`] — the instrumentation
-//!   primitives. With the `enabled` feature they are relaxed atomics and
-//!   monotonic clocks; without it they are zero-sized no-ops, so the
-//!   instrumented hot paths cost literally nothing in a disabled build.
+//!   primitives: relaxed atomics and monotonic clocks, always compiled;
+//!   what they cost on the hot paths is measured by depbench.
 //! - [`MetricsSnapshot`] — the frozen end-of-run picture: the
 //!   event-conservation ledger ([`Conservation`]), chunk/queue stats,
 //!   signature gauges, hot-address top-K, per-worker rows and per-phase
@@ -28,35 +27,24 @@
 
 use std::fmt::Write as _;
 
-/// True when the crate was built with the `enabled` feature — i.e. when
-/// the primitives below actually count. [`MetricsSnapshot::enabled`]
-/// mirrors this so consumers of an exported snapshot can tell zeros from
-/// "not measured".
-pub const ENABLED: bool = cfg!(feature = "enabled");
-
 // ---------------------------------------------------------------------------
-// Instrumentation primitives (cfg-switched; everything downstream of them
-// is plain data, so no other crate needs feature-conditional code).
+// Instrumentation primitives.
 // ---------------------------------------------------------------------------
 
 /// A monotonically increasing counter, incremented from any thread.
 ///
-/// `Relaxed` atomics when the `enabled` feature is on; a zero-sized no-op
-/// otherwise. No ordering is implied between counters — snapshots are
-/// taken after the counted threads are joined.
-#[cfg(feature = "enabled")]
+/// `Relaxed` atomics: no ordering is implied between counters —
+/// snapshots are taken after the counted threads are joined.
 #[derive(Debug, Default)]
 pub struct Counter(std::sync::atomic::AtomicU64);
 
-#[cfg(feature = "enabled")]
 impl Counter {
     /// A counter at zero.
     pub const fn new() -> Self {
         Counter(std::sync::atomic::AtomicU64::new(0))
     }
 
-    /// Adds one; returns the new value (0 in a disabled build, where
-    /// nothing is counted).
+    /// Adds one; returns the new value.
     #[inline]
     pub fn inc(&self) -> u64 {
         self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1
@@ -68,54 +56,18 @@ impl Counter {
         self.0.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Current value (0 in a disabled build).
+    /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
-/// A monotonically increasing counter, incremented from any thread.
-///
-/// `Relaxed` atomics when the `enabled` feature is on; a zero-sized no-op
-/// otherwise. No ordering is implied between counters — snapshots are
-/// taken after the counted threads are joined.
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Counter;
-
-#[cfg(not(feature = "enabled"))]
-impl Counter {
-    /// A counter at zero.
-    pub const fn new() -> Self {
-        Counter
-    }
-
-    /// Adds one; returns the new value (0 in a disabled build, where
-    /// nothing is counted).
-    #[inline(always)]
-    pub fn inc(&self) -> u64 {
-        0
-    }
-
-    /// Adds `n`.
-    #[inline(always)]
-    pub fn add(&self, _n: u64) {}
-
-    /// Current value (0 in a disabled build).
-    #[inline(always)]
-    pub fn get(&self) -> u64 {
-        0
-    }
-}
-
 /// A gauge that remembers the maximum value ever recorded (queue
-/// high-water marks). Same zero-cost story as [`Counter`].
-#[cfg(feature = "enabled")]
+/// high-water marks), as a relaxed atomic like [`Counter`].
 #[derive(Debug, Default)]
 pub struct MaxGauge(std::sync::atomic::AtomicU64);
 
-#[cfg(feature = "enabled")]
 impl MaxGauge {
     /// A gauge at zero.
     pub const fn new() -> Self {
@@ -128,79 +80,31 @@ impl MaxGauge {
         self.0.fetch_max(v, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// Largest value recorded so far (0 in a disabled build).
+    /// Largest value recorded so far.
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
-/// A gauge that remembers the maximum value ever recorded (queue
-/// high-water marks). Same zero-cost story as [`Counter`].
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MaxGauge;
-
-#[cfg(not(feature = "enabled"))]
-impl MaxGauge {
-    /// A gauge at zero.
-    pub const fn new() -> Self {
-        MaxGauge
-    }
-
-    /// Raises the maximum to `v` if `v` exceeds it.
-    #[inline(always)]
-    pub fn record(&self, _v: u64) {}
-
-    /// Largest value recorded so far (0 in a disabled build).
-    #[inline(always)]
-    pub fn get(&self) -> u64 {
-        0
-    }
-}
-
-/// A wall-clock stopwatch for phase timings. Reads the monotonic clock
-/// when the `enabled` feature is on; a zero-sized no-op otherwise.
-#[cfg(feature = "enabled")]
+/// A wall-clock stopwatch for phase timings, on the monotonic clock.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(std::time::Instant);
 
-#[cfg(feature = "enabled")]
 impl Stopwatch {
     /// Starts timing now.
     pub fn start() -> Self {
         Stopwatch(std::time::Instant::now())
     }
 
-    /// Nanoseconds since [`Stopwatch::start`] (0 in a disabled build).
+    /// Nanoseconds since [`Stopwatch::start`].
     pub fn elapsed_nanos(&self) -> u64 {
         self.0.elapsed().as_nanos() as u64
     }
 }
 
-/// A wall-clock stopwatch for phase timings. Reads the monotonic clock
-/// when the `enabled` feature is on; a zero-sized no-op otherwise.
-#[cfg(not(feature = "enabled"))]
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch;
-
-#[cfg(not(feature = "enabled"))]
-impl Stopwatch {
-    /// Starts timing now.
-    #[inline(always)]
-    pub fn start() -> Self {
-        Stopwatch
-    }
-
-    /// Nanoseconds since [`Stopwatch::start`] (0 in a disabled build).
-    #[inline(always)]
-    pub fn elapsed_nanos(&self) -> u64 {
-        0
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Snapshot data model (always-present plain data; zeros when disabled).
+// Snapshot data model (plain data).
 // ---------------------------------------------------------------------------
 
 /// The event-conservation ledger. Every event the router pushes into the
@@ -365,13 +269,9 @@ pub struct PhaseTimings {
 }
 
 /// The frozen end-of-run metrics picture, attached to every
-/// `ProfileResult`. All-zero (with `enabled == false`) when the metrics
-/// feature is compiled out.
+/// `ProfileResult`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Whether the counters were compiled in (distinguishes zeros from
-    /// "not measured").
-    pub enabled: bool,
     /// Worker count of the run.
     pub workers: usize,
     /// Effective chaos/fault-injection seed of the run (0 when no fault
@@ -406,7 +306,6 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"enabled\": {},", self.enabled);
         let _ = writeln!(s, "  \"workers\": {},", self.workers);
         let _ = writeln!(s, "  \"chaos_seed\": {},", self.chaos_seed);
         s.push_str("  \"conservation\": {\n");
@@ -485,7 +384,6 @@ impl MetricsSnapshot {
     /// the JSON form).
     pub fn to_text(&self) -> String {
         let mut s = String::with_capacity(512);
-        let _ = writeln!(s, "metrics: {}", if self.enabled { "enabled" } else { "disabled" });
         let _ = writeln!(s, "workers: {}", self.workers);
         if self.chaos_seed != 0 {
             let _ = writeln!(s, "chaos seed: {}", self.chaos_seed);
@@ -565,8 +463,7 @@ impl MetricsSnapshot {
 /// Per-session counters for the networked profiling service: what one
 /// client connection pushed and what the server did with it. Unlike the
 /// hot-path [`Counter`]s these are plain fields — they tick once per
-/// *frame*, not per access, so they stay compiled in even when the
-/// `enabled` feature is off.
+/// *frame*, not per access, on the one thread that owns the session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionMetrics {
     /// Frames received (all kinds).
@@ -630,17 +527,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_matches_build_mode() {
+    fn counter_counts_every_increment() {
         let c = Counter::new();
         let v = c.inc();
         c.add(4);
-        if ENABLED {
-            assert_eq!(v, 1);
-            assert_eq!(c.get(), 5);
-        } else {
-            assert_eq!(v, 0);
-            assert_eq!(c.get(), 0);
-        }
+        assert_eq!(v, 1);
+        assert_eq!(c.get(), 5);
     }
 
     #[test]
@@ -649,7 +541,7 @@ mod tests {
         g.record(3);
         g.record(7);
         g.record(5);
-        assert_eq!(g.get(), if ENABLED { 7 } else { 0 });
+        assert_eq!(g.get(), 7);
     }
 
     #[test]
@@ -658,9 +550,6 @@ mod tests {
         let a = w.elapsed_nanos();
         let b = w.elapsed_nanos();
         assert!(b >= a);
-        if !ENABLED {
-            assert_eq!(b, 0);
-        }
     }
 
     #[test]
@@ -680,7 +569,6 @@ mod tests {
     #[test]
     fn json_has_stable_key_order() {
         let snap = MetricsSnapshot {
-            enabled: true,
             workers: 2,
             hot_addresses: vec![HotAddress { addr: 0x1000, count: 9 }],
             per_worker: vec![WorkerMetrics { worker: 0, ..Default::default() }],
@@ -688,7 +576,6 @@ mod tests {
         };
         let j = snap.to_json();
         let keys = [
-            "\"enabled\"",
             "\"workers\"",
             "\"conservation\"",
             "\"chunks\"",
@@ -722,7 +609,7 @@ mod tests {
 
     #[test]
     fn checkpoint_metrics_render_in_both_forms() {
-        let mut snap = MetricsSnapshot { enabled: true, ..Default::default() };
+        let mut snap = MetricsSnapshot::default();
         // A fresh run with no checkpoints keeps the text form quiet but
         // the JSON keys stable.
         assert!(!snap.to_text().contains("checkpoints:"));
@@ -743,7 +630,7 @@ mod tests {
 
     #[test]
     fn service_metrics_render_in_both_forms() {
-        let mut snap = MetricsSnapshot { enabled: true, ..Default::default() };
+        let mut snap = MetricsSnapshot::default();
         // Offline runs keep the text form quiet but the JSON keys stable.
         assert!(!snap.to_text().contains("service:"));
         assert!(snap.to_json().contains("\"service\": { \"reconnects\": 0"));
@@ -781,7 +668,7 @@ mod tests {
 
     #[test]
     fn text_reports_violations() {
-        let mut snap = MetricsSnapshot { enabled: true, ..Default::default() };
+        let mut snap = MetricsSnapshot::default();
         snap.conservation.pushed = 5;
         assert!(snap.to_text().contains("LAW VIOLATED"));
         snap.conservation.consumed = 5;

@@ -16,7 +16,7 @@
 //!   first migration reply"). The profiling engines consult the plan at
 //!   well-defined points in their worker loops; with [`FaultPlan::none`]
 //!   (the default) every hook is a branch on a `None`.
-//! - [`FailingTransport`] — a [`Transport`](crate::traits::Transport)
+//! - [`FailingTransport`] — a [`Transport`]
 //!   decorator that injects *queue-level* chaos: seeded spurious push
 //!   failures (the channel claims to be full when it is not) and
 //!   spurious empty pops (the channel claims to be empty when it is
@@ -25,10 +25,11 @@
 //!   correct engine must produce bit-identical dependence sets through
 //!   any seed, which is exactly what the chaos suite asserts.
 //!
-//! The engine hooks and the transport decorator are compiled behind the
-//! `fault-inject` cargo feature (on by default so the test suites run
-//! everywhere; production builds that want the hooks gone compile
-//! `dp-queue`/`dp-core` with `--no-default-features`).
+//! Both are always compiled: an inert plan costs a branch per hook, and
+//! the decorator costs nothing unless a caller wraps a transport in it.
+
+use crate::traits::{Transport, TransportReceiver, TransportSender};
+use std::cell::Cell;
 
 /// One worker-targeted fault: trigger on worker `worker` after it has
 /// processed `after_chunks` event chunks (0 = before the first chunk).
@@ -149,120 +150,110 @@ pub fn chaos_seeds(defaults: &[u64]) -> Vec<u64> {
     }
 }
 
-#[cfg(feature = "fault-inject")]
-pub use gated::{FailingReceiver, FailingSender, FailingTransport};
+/// xorshift64*: tiny, fast, and plenty for fault scheduling.
+fn xorshift(state: &Cell<u64>) -> u64 {
+    let mut x = state.get();
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    state.set(x);
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
 
-#[cfg(feature = "fault-inject")]
-mod gated {
-    use super::FaultPlan;
-    use crate::traits::{Transport, TransportReceiver, TransportSender};
-    use std::cell::Cell;
+fn stream_seed(seed: u64, wid: usize, salt: u64) -> u64 {
+    // SplitMix-style mixing; never zero (xorshift's absorbing state).
+    let mut z = seed ^ (wid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) | 1
+}
 
-    /// xorshift64*: tiny, fast, and plenty for fault scheduling.
-    fn xorshift(state: &Cell<u64>) -> u64 {
-        let mut x = state.get();
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        state.set(x);
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+/// A [`Transport`] decorator injecting seeded, deterministic
+/// queue-level chaos (spurious full/empty results). Messages are
+/// never lost, duplicated or reordered: any engine that is correct
+/// over this transport under one seed is correct under all of them,
+/// and its dependence output must be bit-identical to the plain
+/// transport's.
+pub struct FailingTransport<X> {
+    inner: X,
+    plan: FaultPlan,
+}
+
+impl<X> FailingTransport<X> {
+    /// Wraps `inner`, injecting the transport-level faults of `plan`.
+    pub fn new(inner: X, plan: FaultPlan) -> Self {
+        FailingTransport { inner, plan }
+    }
+}
+
+impl<X: Default> Default for FailingTransport<X> {
+    fn default() -> Self {
+        FailingTransport::new(X::default(), FaultPlan::none())
+    }
+}
+
+/// Sender half of a [`FailingTransport`] channel.
+pub struct FailingSender<S> {
+    inner: S,
+    rng: Cell<u64>,
+    fail_pct: u8,
+}
+
+/// Receiver half of a [`FailingTransport`] channel.
+pub struct FailingReceiver<R> {
+    inner: R,
+    rng: Cell<u64>,
+    empty_pct: u8,
+}
+
+impl<T, X: Transport<T>> Transport<T> for FailingTransport<X> {
+    type Sender = FailingSender<X::Sender>;
+    type Receiver = FailingReceiver<X::Receiver>;
+
+    fn channel(&self, wid: usize, cap: usize) -> (Self::Sender, Self::Receiver) {
+        let (tx, rx) = self.inner.channel(wid, cap);
+        (
+            FailingSender {
+                inner: tx,
+                rng: Cell::new(stream_seed(self.plan.seed, wid, 0xA5)),
+                fail_pct: self.plan.spurious_send_fail_pct,
+            },
+            FailingReceiver {
+                inner: rx,
+                rng: Cell::new(stream_seed(self.plan.seed, wid, 0x5A)),
+                empty_pct: self.plan.spurious_recv_empty_pct,
+            },
+        )
     }
 
-    fn stream_seed(seed: u64, wid: usize, salt: u64) -> u64 {
-        // SplitMix-style mixing; never zero (xorshift's absorbing state).
-        let mut z = seed ^ (wid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) | 1
+    fn kind() -> &'static str {
+        "failing"
     }
+}
 
-    /// A [`Transport`] decorator injecting seeded, deterministic
-    /// queue-level chaos (spurious full/empty results). Messages are
-    /// never lost, duplicated or reordered: any engine that is correct
-    /// over this transport under one seed is correct under all of them,
-    /// and its dependence output must be bit-identical to the plain
-    /// transport's.
-    pub struct FailingTransport<X> {
-        inner: X,
-        plan: FaultPlan,
-    }
-
-    impl<X> FailingTransport<X> {
-        /// Wraps `inner`, injecting the transport-level faults of `plan`.
-        pub fn new(inner: X, plan: FaultPlan) -> Self {
-            FailingTransport { inner, plan }
+impl<T, S: TransportSender<T>> TransportSender<T> for FailingSender<S> {
+    fn push(&self, value: T) -> Result<(), T> {
+        if self.fail_pct > 0 && (xorshift(&self.rng) % 100) < self.fail_pct as u64 {
+            return Err(value); // spurious "full"; the value is intact
         }
+        self.inner.push(value)
     }
 
-    impl<X: Default> Default for FailingTransport<X> {
-        fn default() -> Self {
-            FailingTransport::new(X::default(), FaultPlan::none())
-        }
+    fn memory_usage(&self) -> usize {
+        self.inner.memory_usage()
     }
 
-    /// Sender half of a [`FailingTransport`] channel.
-    pub struct FailingSender<S> {
-        inner: S,
-        rng: Cell<u64>,
-        fail_pct: u8,
+    fn is_closed(&self) -> bool {
+        self.inner.is_closed()
     }
+}
 
-    /// Receiver half of a [`FailingTransport`] channel.
-    pub struct FailingReceiver<R> {
-        inner: R,
-        rng: Cell<u64>,
-        empty_pct: u8,
-    }
-
-    impl<T, X: Transport<T>> Transport<T> for FailingTransport<X> {
-        type Sender = FailingSender<X::Sender>;
-        type Receiver = FailingReceiver<X::Receiver>;
-
-        fn channel(&self, wid: usize, cap: usize) -> (Self::Sender, Self::Receiver) {
-            let (tx, rx) = self.inner.channel(wid, cap);
-            (
-                FailingSender {
-                    inner: tx,
-                    rng: Cell::new(stream_seed(self.plan.seed, wid, 0xA5)),
-                    fail_pct: self.plan.spurious_send_fail_pct,
-                },
-                FailingReceiver {
-                    inner: rx,
-                    rng: Cell::new(stream_seed(self.plan.seed, wid, 0x5A)),
-                    empty_pct: self.plan.spurious_recv_empty_pct,
-                },
-            )
+impl<T, R: TransportReceiver<T>> TransportReceiver<T> for FailingReceiver<R> {
+    fn pop(&self) -> Option<T> {
+        if self.empty_pct > 0 && (xorshift(&self.rng) % 100) < self.empty_pct as u64 {
+            return None; // spurious "empty"; nothing is consumed
         }
-
-        fn kind() -> &'static str {
-            "failing"
-        }
-    }
-
-    impl<T, S: TransportSender<T>> TransportSender<T> for FailingSender<S> {
-        fn push(&self, value: T) -> Result<(), T> {
-            if self.fail_pct > 0 && (xorshift(&self.rng) % 100) < self.fail_pct as u64 {
-                return Err(value); // spurious "full"; the value is intact
-            }
-            self.inner.push(value)
-        }
-
-        fn memory_usage(&self) -> usize {
-            self.inner.memory_usage()
-        }
-
-        fn is_closed(&self) -> bool {
-            self.inner.is_closed()
-        }
-    }
-
-    impl<T, R: TransportReceiver<T>> TransportReceiver<T> for FailingReceiver<R> {
-        fn pop(&self) -> Option<T> {
-            if self.empty_pct > 0 && (xorshift(&self.rng) % 100) < self.empty_pct as u64 {
-                return None; // spurious "empty"; nothing is consumed
-            }
-            self.inner.pop()
-        }
+        self.inner.pop()
     }
 }
 
@@ -305,7 +296,6 @@ mod tests {
         assert_eq!(WorkerFault::parse("x@y"), None);
     }
 
-    #[cfg(feature = "fault-inject")]
     mod transport {
         use super::super::*;
         use crate::traits::{Transport, TransportReceiver, TransportSender};

@@ -31,8 +31,7 @@
 //! - [`MeteredSender`] / [`MeteredReceiver`] / [`ChannelTap`] — the
 //!   observability taps: endpoint decorators counting pushes, pops,
 //!   full-queue bounces, empty polls and the depth high-water mark into
-//!   `dp-metrics` counters (zero-sized no-ops unless the `metrics`
-//!   feature is on), uniformly across all three transports.
+//!   `dp-metrics` counters, uniformly across all three transports.
 
 #![warn(missing_docs)]
 
@@ -47,9 +46,7 @@ pub mod traits;
 
 pub use backoff::Backoff;
 pub use chunk::{Chunk, ChunkPool};
-#[cfg(feature = "fault-inject")]
-pub use fault::FailingTransport;
-pub use fault::{chaos_seeds, FaultPlan, WorkerFault};
+pub use fault::{chaos_seeds, FailingTransport, FaultPlan, WorkerFault};
 pub use lockq::LockQueue;
 pub use metered::{ChannelTap, MeteredReceiver, MeteredSender};
 pub use mpmc::MpmcQueue;

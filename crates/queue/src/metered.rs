@@ -6,9 +6,7 @@
 //! into a shared [`ChannelTap`] — so the SPSC fast path, the lock-free
 //! MPMC queue and the lock-based comparator report identical metrics
 //! without any queue touching a counter itself. The counters are
-//! `dp-metrics` primitives: relaxed atomics when the `metrics` feature is
-//! on, zero-sized no-ops otherwise, so a disabled build pays nothing for
-//! the wrapping.
+//! `dp-metrics` primitives: relaxed atomics, one per tap per event kind.
 
 use crate::traits::{TransportReceiver, TransportSender};
 use dp_metrics::{Counter, MaxGauge};
@@ -152,17 +150,12 @@ mod tests {
         assert!(tx.memory_usage() > 0);
         assert!(!tx.is_closed());
 
-        if dp_metrics::ENABLED {
-            assert_eq!(tap.pushes.get(), 2, "{}", X::kind());
-            assert_eq!(tap.push_fulls.get(), 1);
-            assert_eq!(tap.pops.get(), 2);
-            assert_eq!(tap.empty_pops.get(), 1);
-            assert_eq!(tap.high_water.get(), 2);
-            assert_eq!(tap.depth(), 0);
-        } else {
-            assert_eq!(tap.pushes.get(), 0);
-            assert_eq!(tap.high_water.get(), 0);
-        }
+        assert_eq!(tap.pushes.get(), 2, "{}", X::kind());
+        assert_eq!(tap.push_fulls.get(), 1);
+        assert_eq!(tap.pops.get(), 2);
+        assert_eq!(tap.empty_pops.get(), 1);
+        assert_eq!(tap.high_water.get(), 2);
+        assert_eq!(tap.depth(), 0);
     }
 
     #[test]

@@ -424,11 +424,8 @@ fn router_blob_of_the_previous_build_loads_and_new_blobs_are_a_fixed_point() {
     let pairs_at = 44 + 3 * 8;
     assert_eq!(folded[..pairs_at], old[..pairs_at], "scalars and drop vector");
     assert_eq!(folded[folded.len() - 60..], old[old.len() - 60..], "rules");
-    if r.metrics.enabled {
-        let hot: Vec<(u64, u64)> =
-            r.metrics.hot_addresses.iter().map(|h| (h.addr, h.count)).collect();
-        assert_eq!(hot, vec![(0x2018, 33), (0x2030, 29), (0x2000, 28), (0x2048, 21)]);
-    }
+    let hot: Vec<(u64, u64)> = r.metrics.hot_addresses.iter().map(|h| (h.addr, h.count)).collect();
+    assert_eq!(hot, vec![(0x2018, 33), (0x2030, 29), (0x2000, 28), (0x2048, 21)]);
     // What this build writes, it reloads to the same bytes.
     let (again, _) = reload(folded.clone());
     assert_eq!(again, folded);

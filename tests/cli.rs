@@ -211,8 +211,8 @@ fn readme_command_line_matches_help() {
     let help = String::from_utf8(depprof(&["--help"]).stderr).unwrap();
     assert!(readme.contains(help.trim_end()), "README.md's synopsis is not `depprof --help`'s");
     // Flags of cargo, dp-bench and depbench that the README also spells.
-    let foreign = "--all-targets --bin --check --example --manifest-path --no-default-features \
-                   --offline --release --smoke --workspace";
+    let foreign =
+        "--all-targets --bin --check --example --manifest-path --offline --release --smoke --workspace";
     let mut known: Vec<String> =
         help_synopses().into_iter().flat_map(|s| s.flags).map(|(flag, _)| flag).collect();
     known.push("--help".into());

@@ -14,10 +14,6 @@
 //! seeded spurious send/receive failures. In every case the ledger must
 //! balance and the metrics-side drop count must agree exactly with the
 //! engine's own `dropped_events` statistic.
-//!
-//! The assertions are live when the `metrics` feature (default) is on;
-//! with metrics compiled out the snapshot is all-zero and the suite
-//! degenerates to a crash test of the same fault matrix.
 
 use depprof::core::ParallelProfiler;
 use depprof::core::{
@@ -78,9 +74,6 @@ fn arb_stream() -> impl Strategy<Value = Vec<TraceEvent>> {
 /// survivors' chunks are delivered, not dropped).
 fn assert_conserved(r: &ProfileResult, ctx: &str) -> Result<(), TestCaseError> {
     let m: &MetricsSnapshot = &r.metrics;
-    if !m.enabled {
-        return Ok(()); // metrics feature off: nothing to prove
-    }
     prop_assert!(m.conservation.holds(), "{ctx}: conservation violated: {:?}", m.conservation);
     prop_assert_eq!(
         m.conservation.dropped,
@@ -136,7 +129,7 @@ proptest! {
             }
             let r = p.finish();
             assert_conserved(&r, &format!("{kind:?}/{plan:?}/w{workers}"))?;
-            if plan == PlanKind::Inert && r.metrics.enabled {
+            if plan == PlanKind::Inert {
                 // A healthy run loses nothing: everything pushed was
                 // consumed and the queues drained empty.
                 prop_assert_eq!(r.metrics.conservation.pushed, evs.len() as u64);
@@ -182,9 +175,6 @@ fn conservation_holds_under_chaotic_transport_seeds() {
         }
         let r = p.finish();
         assert!(!r.degraded(), "seed {seed}: {:?}", r.stats.worker_failures);
-        if !r.metrics.enabled {
-            continue;
-        }
         let c = &r.metrics.conservation;
         assert!(c.holds(), "seed {seed}: conservation violated: {c:?}");
         assert_eq!(c.pushed, evs.len() as u64, "seed {seed}");
@@ -382,7 +372,6 @@ fn served_bytes_in_is_the_payload_of_every_frame_after_hello() {
 /// The panic path attributes losses per worker: the dead worker's queue
 /// residue shows up as `dropped` + `in_flight_at_shutdown`, never as a
 /// silent imbalance, and the surviving workers' ledgers stay clean.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn panic_losses_are_attributed_not_silent() {
     const WORKERS: usize = 4;
@@ -418,9 +407,6 @@ fn panic_losses_are_attributed_not_silent() {
     }
     let r = p.finish();
     assert!(r.degraded());
-    if !r.metrics.enabled {
-        return;
-    }
     let c = &r.metrics.conservation;
     assert!(c.holds(), "conservation violated: {c:?}");
     assert_eq!(c.dropped, r.stats.dropped_events);

@@ -277,9 +277,6 @@ proptest! {
             delayed.on_event(ev);
         }
         let delayed = delayed.finish();
-        if !delayed.metrics.enabled {
-            return Ok(()); // no gauges in the result without the metrics feature
-        }
         prop_assert_eq!(&engine_outcome(delayed), &want, "per-event delay line");
 
         let spec = SessionSpec { slots: TIGHT_SLOTS, ..SessionSpec::default() };

@@ -59,9 +59,6 @@ fn huge_signature_gauges_match_perfect_ground_truth() {
         ),
         &evs,
     );
-    if !perfect.metrics.enabled {
-        return; // metrics compiled out: gauges are all zero by design
-    }
     let p = &perfect.metrics.signatures;
     let h = &huge.metrics.signatures;
 
@@ -107,9 +104,6 @@ fn tiny_signature_reports_strictly_more_evictions_and_higher_fpr() {
         ),
         &evs,
     );
-    if !perfect.metrics.enabled {
-        return;
-    }
     let p = &perfect.metrics.signatures;
     let t = &tiny.metrics.signatures;
     assert_eq!(t.total_slots, 128);
@@ -142,9 +136,6 @@ fn parallel_snapshot_carries_aggregated_gauges() {
         p.event(*e);
     }
     let r = p.finish();
-    if !r.metrics.enabled {
-        return;
-    }
     let g = &r.metrics.signatures;
     // 4 workers × 2 stores × slots_per_worker slots.
     assert_eq!(g.total_slots, 4 * 2 * ((1u64 << 16) / 4));
@@ -173,9 +164,6 @@ fn bytes_rise_with_occupancy_to_the_dense_ceiling() {
         p.finish().metrics
     };
     let empty = gauges_after(0);
-    if !empty.enabled {
-        return;
-    }
     let directory = SigPair::<EpochSlot>::new(SLOTS).bytes_held() as u64;
     assert_eq!(empty.signatures.bytes, directory);
     assert!(directory < 2 * 8 * SLOTS as u64 / 100);

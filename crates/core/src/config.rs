@@ -146,7 +146,10 @@ pub struct ProfilerConfig {
     /// hanging `finish()` forever.
     pub drain_deadline_ms: u64,
     /// Deterministic fault-injection script (testing only;
-    /// [`FaultPlan::none()`] — the default — injects nothing).
+    /// [`FaultPlan::none()`] — the default — injects nothing). Both
+    /// engines read all of it: the worker faults in their worker loop,
+    /// the seeded spurious full/empty answers on every worker queue,
+    /// whatever [`ProfilerConfig::transport`] says.
     pub fault_plan: FaultPlan,
 }
 

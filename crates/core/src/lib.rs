@@ -22,8 +22,9 @@
 //!   Figure 4, and timestamp-reversal detection flagging potential data
 //!   races.
 //! - [`workers`] — what the two pipelines share behind their queues: the
-//!   supervised worker threads, their messages and message loop, the
-//!   conservation ledger and the end-of-run harvest.
+//!   supervised worker threads, their messages and message loop, the one
+//!   way a message reaches a worker, the conservation ledger and the
+//!   end-of-run harvest.
 //! - [`store`] — the merged dependence store (identical dependences are
 //!   counted, not duplicated — the 10⁵× output reduction of Section
 //!   III-B).

@@ -24,85 +24,29 @@
 //!
 //! Behind the queues it is the same supervised worker pool as the
 //! sequential pipeline's (see [`workers`](crate::workers)): one worker
-//! loop, one failure model, one end-of-run harvest. What stays here is
-//! what many producers change: per-thread tracers, a `deliver` that any
-//! thread may call (a timed-out producer marks the worker `stalled` so the
-//! others fail fast), and no diversion of a dead worker's traffic to
-//! survivors — with many producers there is no single point that could
-//! preserve per-address order across the switch, so dropping-and-accounting
-//! is the honest choice.
+//! loop, one failure model, one end-of-run harvest, one delivery routine
+//! (its stall clock is the worker's, so a deadline one target thread paid
+//! makes the others fail fast). What stays here is what many producers
+//! change: per-thread tracers over `Arc<MpmcQueue>` senders, and no
+//! diversion of a dead worker's traffic to survivors — with many
+//! producers there is no single point that could preserve per-address
+//! order across the switch, so dropping-and-accounting is the honest
+//! choice.
 
 use crate::algo::{AlgoOptions, AlgoState};
 use crate::config::ProfilerConfig;
 use crate::result::ProfileResult;
-use crate::workers::{WorkerCtx, WorkerMsg, Workers};
-use dp_queue::{Backoff, Chunk, MeteredSender, MpmcQueue, Shared, TransportSender};
+use crate::workers::{shared, WorkerCtx, WorkerMsg, Workers};
+use dp_queue::{Chunk, MpmcQueue, TransportSender};
 use dp_sig::AccessStore;
 use dp_types::{ThreadId, TraceEvent, Tracer, TracerFactory};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 struct MtShared {
     /// MPMC whatever [`ProfilerConfig::transport`] says: every target
     /// thread pushes.
-    senders: Vec<MeteredSender<Arc<MpmcQueue<WorkerMsg>>>>,
+    senders: Vec<Arc<MpmcQueue<WorkerMsg>>>,
     ctx: Arc<WorkerCtx>,
-    chunks_pushed: AtomicU64,
-    /// `stalled[w]`: a producer timed out delivering to `w` under
-    /// [`OverflowPolicy::Drop`](crate::config::OverflowPolicy); later producers fail fast until a push
-    /// succeeds again.
-    stalled: Vec<AtomicBool>,
-    /// Events dropped per destination worker (dead or stalled).
-    dropped: Vec<AtomicU64>,
-    /// [`ProfilerConfig::drop_after`], for event chunks.
-    drop_after: Option<Duration>,
-}
-
-impl MtShared {
-    /// Delivers `msg` to `wid`, spinning with backoff while the queue is
-    /// full; gives the message back when the worker is dead, or — with
-    /// `drop_after` set — full past the deadline (the worker is then
-    /// marked stalled so other producers fail fast).
-    fn deliver(
-        &self,
-        wid: usize,
-        mut msg: WorkerMsg,
-        drop_after: Option<Duration>,
-    ) -> Result<(), WorkerMsg> {
-        let mut backoff = Backoff::new();
-        let mut deadline: Option<Instant> = None;
-        let mut waited_since: Option<Instant> = None;
-        loop {
-            if self.ctx.is_dead(wid) {
-                return Err(msg);
-            }
-            match self.senders[wid].push(msg) {
-                Ok(()) => {
-                    self.stalled[wid].store(false, Ordering::Relaxed);
-                    if let Some(since) = waited_since {
-                        self.ctx.metrics.stall[wid].add(since.elapsed().as_nanos() as u64);
-                    }
-                    return Ok(());
-                }
-                Err(back) => {
-                    msg = back;
-                    waited_since.get_or_insert_with(Instant::now);
-                    if let Some(limit) = drop_after {
-                        if self.stalled[wid].load(Ordering::Acquire) {
-                            return Err(msg);
-                        }
-                        let d = *deadline.get_or_insert_with(|| Instant::now() + limit);
-                        if Instant::now() >= d {
-                            self.stalled[wid].store(true, Ordering::Release);
-                            return Err(msg);
-                        }
-                    }
-                    backoff.snooze();
-                }
-            }
-        }
-    }
 }
 
 /// Per-target-thread tracer: buffers events per worker, flushing full
@@ -127,21 +71,7 @@ impl MtThreadTracer {
         }
         let sh = &*self.shared;
         let chunk = std::mem::replace(&mut self.pending[wid], sh.ctx.pool.acquire());
-        let len = chunk.len() as u64;
-        // Once per chunk: every target thread shares this counter's line.
-        sh.ctx.metrics.pushed.add(len);
-        match sh.deliver(wid, WorkerMsg::Events(chunk), sh.drop_after) {
-            Ok(()) => {
-                sh.chunks_pushed.fetch_add(1, Ordering::Relaxed);
-                sh.ctx.metrics.enqueued[wid].add(len);
-            }
-            Err(WorkerMsg::Events(chunk)) => {
-                sh.dropped[wid].fetch_add(len, Ordering::Relaxed);
-                sh.ctx.metrics.dropped[wid].add(len);
-                sh.ctx.pool.release(chunk);
-            }
-            Err(_) => unreachable!("deliver returns the message it was given"),
-        }
+        sh.ctx.send_chunk(wid, &sh.senders[wid], chunk);
     }
 }
 
@@ -210,20 +140,10 @@ impl MtProfiler {
             section_shift: 0,
         };
         let algos = (0..w).map(|wid| AlgoState::new(make_store(), make_store(), opts(wid)));
-        let (senders, workers) = Workers::spawn(
-            &Shared::<MpmcQueue<WorkerMsg>>::default(),
-            &cfg,
-            w * cfg.queue_chunks * 4,
-            algos.collect(),
-        );
-        let shared = Arc::new(MtShared {
-            senders,
-            ctx: workers.ctx.clone(),
-            chunks_pushed: AtomicU64::new(0),
-            stalled: (0..w).map(|_| AtomicBool::new(false)).collect(),
-            dropped: (0..w).map(|_| AtomicU64::new(0)).collect(),
-            drop_after: cfg.drop_after(),
-        });
+        let pool = w * cfg.queue_chunks * 4;
+        let (senders, workers) =
+            Workers::spawn(&cfg, pool, algos.collect(), |cap| shared(MpmcQueue::new(cap)));
+        let shared = Arc::new(MtShared { senders, ctx: workers.ctx.clone() });
         MtProfiler { shared, workers }
     }
 
@@ -241,14 +161,12 @@ impl MtProfiler {
         self.workers.begin_drain();
         let sh = &*self.shared;
         let drain = self.workers.drain();
-        let shutdown_ok: Vec<bool> = (0..sh.senders.len())
-            .map(|wid| sh.deliver(wid, WorkerMsg::Shutdown, Some(drain)).is_ok())
+        let shutdown_ok: Vec<bool> = (sh.senders.iter().enumerate())
+            .map(|(wid, tx)| sh.ctx.deliver(wid, tx, WorkerMsg::Shutdown, Some(drain)).is_ok())
             .collect();
-        let dropped = sh.dropped.iter().map(|d| d.load(Ordering::Relaxed)).collect();
         // The MT router is distributed across target threads, so there is
         // no central hot-address table to report.
-        let chunks_pushed = sh.chunks_pushed.load(Ordering::Relaxed);
-        let mut r = self.workers.finish(&shutdown_ok, chunks_pushed, dropped, Vec::new());
+        let mut r = self.workers.finish(&shutdown_ok, Vec::new());
         // Replies nobody is waiting for: counted and dropped, never fatal.
         r.stats.spurious_replies = sh.ctx.stale_replies().len() as u64;
         r.memory.queues = sh.senders.iter().map(|s| s.memory_usage()).sum();
@@ -275,7 +193,9 @@ impl TracerFactory for MtProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dp_queue::FaultPlan;
     use dp_types::{loc::loc, AccessKind, DepFlags, DepType, MemAccess};
+    use std::time::{Duration, Instant};
 
     fn cfg(workers: usize) -> ProfilerConfig {
         ProfilerConfig::default().with_workers(workers).with_chunk_capacity(4)
@@ -366,7 +286,6 @@ mod tests {
     #[test]
     fn mt_stalled_worker_is_salvaged_as_unresponsive() {
         use crate::result::FailureCause;
-        use dp_queue::FaultPlan;
         let c =
             cfg(2).with_fault_plan(FaultPlan::none().with_stall(1, 1)).with_drain_deadline_ms(300);
         let prof = MtProfiler::new(c);
@@ -395,7 +314,6 @@ mod tests {
     #[test]
     fn mt_worker_panic_degrades_instead_of_aborting() {
         use crate::result::FailureCause;
-        use dp_queue::FaultPlan;
         let c =
             cfg(2).with_fault_plan(FaultPlan::none().with_panic(1, 0)).with_drain_deadline_ms(500);
         let prof = MtProfiler::new(c);
@@ -412,5 +330,36 @@ mod tests {
         assert!(matches!(r.stats.worker_failures[0].cause, FailureCause::Panic(_)));
         // The surviving worker's RAW is present.
         assert!(r.deps.dependences().any(|(d, _)| d.edge.dtype == DepType::Raw));
+    }
+
+    /// The config's plan reaches the MT engine's queues too: target
+    /// threads pushing concurrently meet seeded spurious "full" answers
+    /// and the workers spurious "empty" ones, and neither loses, degrades
+    /// or miscounts anything.
+    #[test]
+    fn mt_spurious_queue_chaos_is_lossless() {
+        let plan = FaultPlan::none().with_seed(9).with_spurious(30, 30);
+        let prof = MtProfiler::new(cfg(3).with_fault_plan(plan));
+        std::thread::scope(|s| {
+            for tid in 1..=3u16 {
+                let mut t = prof.tracer(tid);
+                s.spawn(move || {
+                    for i in 0..200u64 {
+                        let addr = 0x1000 + (i % 24) * 8 + tid as u64 * 0x1000;
+                        t.event(acc(AccessKind::Write, addr, 2 * i + 1, 5, tid));
+                        t.event(acc(AccessKind::Read, addr, 2 * i + 2, 6, tid));
+                    }
+                    t.sync_point();
+                });
+            }
+        });
+        let r = prof.finish();
+        assert!(!r.degraded(), "{:?}", r.stats);
+        assert_eq!(r.stats.accesses, 1200);
+        let c = r.metrics.conservation;
+        assert!(c.holds(), "{c:?}");
+        assert_eq!((c.pushed, c.consumed, c.dropped), (1200, 1200, 0));
+        let chunks = r.metrics.chunks;
+        assert!(chunks.push_retries > 0 && chunks.empty_pops > 0, "{chunks:?}");
     }
 }

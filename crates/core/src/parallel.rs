@@ -64,15 +64,16 @@
 //!
 //! The per-worker channel is chosen once, at construction, from
 //! [`ProfilerConfig::transport`]: the SPSC fast path
-//! ([`dp_queue::SpscTransport`], the default — a sequential target has
+//! ([`dp_queue::spsc_ring`], the default — a sequential target has
 //! exactly one producing thread), the lock-free MPMC build
 //! ([`dp_queue::MpmcQueue`]) or the lock-based comparator of Figure 5
 //! ([`dp_queue::LockQueue`]). The router holds each sending end as a
 //! boxed [`TransportSender`] and pays the indirect call once per chunk;
-//! everything else is shared, so measured differences are attributable to
-//! the transport alone. Fault-injection tests hand in a
-//! [`dp_queue::FailingTransport`] through
-//! [`ParallelProfiler::with_transport`].
+//! every message reaches its worker through the one delivery routine of
+//! the shared worker pool, so measured differences are attributable to
+//! the queue alone. A [`FaultPlan`](dp_queue::FaultPlan) in
+//! [`ProfilerConfig::fault_plan`] injects its seeded queue chaos there,
+//! whichever queue is chosen.
 
 use crate::algo::{AlgoOptions, AlgoState};
 use crate::checkpoint::{CheckpointData, CheckpointError};
@@ -80,15 +81,12 @@ use crate::config::{ProfilerConfig, TransportKind};
 use crate::hot::HotTable;
 use crate::result::ProfileResult;
 use crate::store::AnalysisDelta;
-use crate::workers::{Reply, WorkerMsg, Workers};
+use crate::workers::{shared, Reply, WorkerMsg, Workers};
 use dp_metrics::HotAddress;
-use dp_queue::{
-    Backoff, Chunk, LockQueue, MpmcQueue, Shared, SpscTransport, Transport, TransportSender,
-};
+use dp_queue::{spsc_ring, Chunk, LockQueue, MpmcQueue, TransportSender};
 use dp_sig::AccessStore;
 use dp_types::{Address, ByteReader, ByteWriter, FxHashMap, TraceEvent, Tracer, WireError};
-use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The parallel profiler. Implements [`Tracer`], so the instrumented
 /// program pushes events into it directly; call
@@ -126,11 +124,6 @@ pub struct ParallelProfiler {
     /// The `chunks_pushed` at which the next balance check falls due.
     balance_due: u64,
     redistributions: u64,
-    /// Router-side drop accounting, per destination worker.
-    dropped: Vec<u64>,
-    /// Continuously-full-since marker per worker queue; `None` while the
-    /// last push succeeded. The basis of stall detection.
-    full_since: Vec<Option<Instant>>,
     rerouted_events: u64,
     cancelled_migrations: u64,
     spurious_replies: u64,
@@ -161,6 +154,13 @@ fn worker_algos<S: AccessStore>(
         .collect()
 }
 
+/// A channel with its sending end boxed, as the router holds it.
+fn boxed<Tx: TransportSender<WorkerMsg> + 'static, R>(
+    (tx, rx): (Tx, R),
+) -> (Box<dyn TransportSender<WorkerMsg>>, R) {
+    (Box::new(tx), rx)
+}
+
 impl ParallelProfiler {
     /// Starts `cfg.workers` worker threads over the transport named by
     /// `cfg.transport`, building each worker's two signatures with
@@ -168,19 +168,6 @@ impl ParallelProfiler {
     pub fn new<S: AccessStore + 'static>(cfg: ProfilerConfig, make_store: impl Fn() -> S) -> Self {
         let algos = worker_algos(&cfg, make_store);
         Self::spawn(cfg, algos)
-    }
-
-    /// Like [`ParallelProfiler::new`], but over an explicit transport
-    /// instance (`cfg.transport` is ignored) — the entry point for
-    /// fault-injection tests, which pass a [`dp_queue::FailingTransport`]
-    /// carrying a seeded chaos plan.
-    pub fn with_transport<S: AccessStore + 'static, X: Transport<WorkerMsg>>(
-        transport: X,
-        cfg: ProfilerConfig,
-        make_store: impl Fn() -> S,
-    ) -> Self {
-        let algos = worker_algos(&cfg, make_store);
-        Self::spawn_over(&transport, cfg, algos)
     }
 
     /// Rebuilds a profiler from a checkpoint: every worker's signatures,
@@ -212,26 +199,19 @@ impl ParallelProfiler {
 
     /// The one place the transport is chosen.
     fn spawn<S: AccessStore + 'static>(cfg: ProfilerConfig, algos: Vec<AlgoState<S>>) -> Self {
-        match cfg.transport {
-            TransportKind::Spsc => Self::spawn_over(&SpscTransport, cfg, algos),
+        let w = algos.len();
+        let pool = w * cfg.queue_chunks * 2;
+        let (senders, workers) = match cfg.transport {
+            TransportKind::Spsc => Workers::spawn(&cfg, pool, algos, |cap| boxed(spsc_ring(cap))),
             TransportKind::Mpmc => {
-                Self::spawn_over(&Shared::<MpmcQueue<WorkerMsg>>::default(), cfg, algos)
+                Workers::spawn(&cfg, pool, algos, |cap| boxed(shared(MpmcQueue::new(cap))))
             }
             TransportKind::Lock => {
-                Self::spawn_over(&Shared::<LockQueue<WorkerMsg>>::default(), cfg, algos)
+                Workers::spawn(&cfg, pool, algos, |cap| boxed(shared(LockQueue::new(cap))))
             }
-        }
-    }
-
-    fn spawn_over<S: AccessStore + 'static, X: Transport<WorkerMsg>>(
-        transport: &X,
-        cfg: ProfilerConfig,
-        algos: Vec<AlgoState<S>>,
-    ) -> Self {
-        let w = algos.len();
-        let (senders, workers) = Workers::spawn(transport, &cfg, w * cfg.queue_chunks * 2, algos);
+        };
         ParallelProfiler {
-            senders: senders.into_iter().map(|tx| Box::new(tx) as _).collect(),
+            senders,
             pending: (0..w).map(|_| workers.ctx.pool.acquire()).collect(),
             workers,
             hot: HotTable::new(),
@@ -239,8 +219,6 @@ impl ParallelProfiler {
             chunks_pushed: 0,
             balance_due: cfg.redistribute_every,
             redistributions: 0,
-            dropped: vec![0; w],
-            full_since: vec![None; w],
             rerouted_events: 0,
             cancelled_migrations: 0,
             spurious_replies: 0,
@@ -289,56 +267,15 @@ impl ParallelProfiler {
                 self.rerouted_events += 1;
                 (f, true)
             }
-            // Every worker is dead; deliver() will drop and account.
+            // Every worker is dead; the send will drop and account.
             None => (wid, false),
         }
     }
 
-    /// Delivers `msg` to `wid`, spinning with backoff while the queue is
-    /// full. Gives the message back instead of blocking forever when the
-    /// worker is dead (flagged or observed via a closed endpoint), or —
-    /// with `drop_after` set — when the queue has been continuously full
-    /// for that long: the deadline runs from when the queue *became* full
-    /// (`full_since`), so after one paid deadline further sends to a
-    /// still-stalled worker fail at once.
-    fn deliver(
-        &mut self,
-        wid: usize,
-        mut msg: WorkerMsg,
-        drop_after: Option<Duration>,
-    ) -> Result<(), WorkerMsg> {
-        let mut backoff = Backoff::new();
-        loop {
-            if self.is_dead(wid) {
-                return Err(msg);
-            }
-            match self.senders[wid].push(msg) {
-                Ok(()) => {
-                    if let Some(since) = self.full_since[wid].take() {
-                        // The queue had been continuously full: the wait
-                        // just ended, charge it to this worker's stall
-                        // account.
-                        self.workers.ctx.metrics.stall[wid].add(since.elapsed().as_nanos() as u64);
-                    }
-                    return Ok(());
-                }
-                Err(back) => {
-                    msg = back;
-                    if self.senders[wid].is_closed() {
-                        self.workers.ctx.dead[wid].store(true, Ordering::Release);
-                        return Err(msg);
-                    }
-                    let now = Instant::now();
-                    let since = *self.full_since[wid].get_or_insert(now);
-                    if let Some(limit) = drop_after {
-                        if now.duration_since(since) >= limit {
-                            return Err(msg);
-                        }
-                    }
-                    backoff.snooze();
-                }
-            }
-        }
+    /// Delivers a control message to `wid` through the pool's one
+    /// delivery routine; false when it was given back.
+    fn send(&self, wid: usize, msg: WorkerMsg, drop_after: Option<Duration>) -> bool {
+        self.workers.ctx.deliver(wid, &*self.senders[wid], msg, drop_after).is_ok()
     }
 
     #[inline]
@@ -372,24 +309,9 @@ impl ParallelProfiler {
         if self.pending[wid].is_empty() {
             return;
         }
-        let chunk = std::mem::replace(&mut self.pending[wid], self.workers.ctx.pool.acquire());
-        self.workers.ctx.metrics.pushed.add(chunk.len() as u64);
-        // Rerouted copies were already accounted at routing time.
-        let unmarked = (chunk.len() - chunk.rerouted()) as u64;
-        match self.deliver(wid, WorkerMsg::Events(chunk), self.cfg.drop_after()) {
-            Ok(()) => {
-                self.chunks_pushed += 1;
-                self.workers.ctx.metrics.enqueued[wid].add(unmarked);
-            }
-            Err(WorkerMsg::Events(chunk)) => {
-                // Dead or stalled worker: account for every lost event so
-                // the degraded profile quantifies exactly what is missing.
-                self.dropped[wid] += chunk.len() as u64;
-                self.workers.ctx.metrics.dropped[wid].add(unmarked);
-                self.workers.ctx.pool.release(chunk);
-            }
-            Err(_) => unreachable!("deliver returns the message it was given"),
-        }
+        let ctx = &self.workers.ctx;
+        let chunk = std::mem::replace(&mut self.pending[wid], ctx.pool.acquire());
+        self.chunks_pushed += ctx.send_chunk(wid, &*self.senders[wid], chunk) as u64;
     }
 
     fn flush_all(&mut self) {
@@ -434,7 +356,7 @@ impl ParallelProfiler {
         self.dispose_strays(self.workers.ctx.stale_replies());
         // Order: everything routed so far must precede Extract.
         self.flush(old);
-        if self.deliver(old, WorkerMsg::Extract { addr }, self.cfg.drop_after()).is_err() {
+        if !self.send(old, WorkerMsg::Extract { addr }, self.workers.ctx.drop_after) {
             self.cancelled_migrations += 1;
             return false;
         }
@@ -457,7 +379,7 @@ impl ParallelProfiler {
         let injected = state.is_some_and(|(read, write)| {
             self.flush(new);
             let inject = WorkerMsg::Inject { addr, read, write };
-            self.deliver(new, inject, self.cfg.drop_after()).is_ok()
+            self.send(new, inject, self.workers.ctx.drop_after)
         });
         self.cancelled_migrations += !injected as u64;
         true
@@ -504,7 +426,7 @@ impl ParallelProfiler {
         // hold their next balance check at the same chunk.
         self.balance_due = self.next_balance();
         for wid in 0..self.senders.len() {
-            if self.deliver(wid, WorkerMsg::Checkpoint, Some(self.workers.drain())).is_err() {
+            if !self.send(wid, WorkerMsg::Checkpoint, Some(self.workers.drain())) {
                 return Err(CheckpointError::WorkerUnavailable(wid));
             }
         }
@@ -531,9 +453,10 @@ impl ParallelProfiler {
         out.u64(self.rerouted_events);
         out.u64(self.cancelled_migrations);
         out.u64(self.spurious_replies);
-        out.u32(self.dropped.len() as u32);
-        for d in &self.dropped {
-            out.u64(*d);
+        let dropped = &self.workers.ctx.dropped_events;
+        out.u32(dropped.len() as u32);
+        for d in dropped {
+            out.u64(d.get());
         }
         let mut counts: Vec<(Address, u64)> = self.hot.entries().collect();
         counts.sort_unstable_by_key(|&(a, _)| a);
@@ -559,12 +482,14 @@ impl ParallelProfiler {
         self.rerouted_events = r.u64()?;
         self.cancelled_migrations = r.u64()?;
         self.spurious_replies = r.u64()?;
-        let nd = r.u32()? as usize;
-        if nd != self.dropped.len() {
+        // Into the fresh pipeline's zeroed counters, as the ledger is.
+        let ctx = &self.workers.ctx;
+        ctx.chunks_pushed.add(self.chunks_pushed);
+        if r.u32()? as usize != ctx.dropped_events.len() {
             return Err(WireError::Invalid("router drop-vector length differs from checkpoint"));
         }
-        for d in self.dropped.iter_mut() {
-            *d = r.u64()?;
+        for d in &ctx.dropped_events {
+            d.add(r.u64()?);
         }
         // Folded in file order, which is address order. A blob this build
         // wrote holds at most one address per bucket and reloads to the
@@ -610,7 +535,7 @@ impl ParallelProfiler {
             if !self.is_dead(wid) {
                 // A dead or stalled worker just misses the enable; its
                 // dependences surface when its store merges at finish.
-                let _ = self.deliver(wid, WorkerMsg::EnableDelta, self.cfg.drop_after());
+                self.send(wid, WorkerMsg::EnableDelta, self.workers.ctx.drop_after);
             }
         }
     }
@@ -636,7 +561,7 @@ impl ParallelProfiler {
         self.flush_all();
         let drain = self.workers.drain();
         let mut expect: Vec<bool> = (0..self.senders.len())
-            .map(|wid| self.deliver(wid, WorkerMsg::DeltaFlush, Some(drain)).is_ok())
+            .map(|wid| self.send(wid, WorkerMsg::DeltaFlush, Some(drain)))
             .collect();
         // Replies from an earlier window count too: deltas compose in any
         // order (counts add, flags OR, carriers union).
@@ -672,15 +597,14 @@ impl ParallelProfiler {
         self.dispose_strays(self.workers.ctx.stale_replies());
         self.flush_all();
         let shutdown_ok: Vec<bool> = (0..self.senders.len())
-            .map(|wid| self.deliver(wid, WorkerMsg::Shutdown, Some(drain)).is_ok())
+            .map(|wid| self.send(wid, WorkerMsg::Shutdown, Some(drain)))
             .collect();
         // Top-k hottest addresses from the Section IV-A statistics, count
         // descending with the address as deterministic tie-break.
         let hot_addresses = (self.hot.top(self.cfg.top_k).into_iter())
             .map(|(addr, count)| HotAddress { addr, count })
             .collect();
-        let mut r =
-            self.workers.finish(&shutdown_ok, self.chunks_pushed, self.dropped, hot_addresses);
+        let mut r = self.workers.finish(&shutdown_ok, hot_addresses);
         r.stats.redistributions = self.redistributions;
         r.stats.redistributed_addrs = self.rules.len() as u64;
         r.stats.rerouted_events = self.rerouted_events;
@@ -1158,22 +1082,26 @@ mod tests {
         }
     }
 
-    /// A chaotic transport (seeded spurious full/empty) is lossless, so
-    /// the profile must be bit-identical to a clean run.
+    /// Queue chaos from the config's plan (seeded spurious full/empty)
+    /// is lossless on every transport, so the profile must be
+    /// bit-identical to a clean run.
     #[test]
     fn chaotic_transport_profile_is_exact() {
-        use dp_queue::{FailingTransport, FaultPlan};
+        use dp_queue::FaultPlan;
         let plan = FaultPlan::none().with_seed(42).with_spurious(20, 20);
-        let transport = FailingTransport::new(SpscTransport, plan);
-        let mut p = ParallelProfiler::with_transport(transport, cfg(3), PerfectSignature::new);
-        for i in 0..64u64 {
-            p.event(acc(AccessKind::Write, i * 8, i * 2 + 1, 1));
-            p.event(acc(AccessKind::Read, i * 8, i * 2 + 2, 2));
+        for kind in TRANSPORTS {
+            let c = cfg(3).with_fault_plan(plan.clone()).with_transport(kind);
+            let mut p = ParallelProfiler::new(c, PerfectSignature::new);
+            for i in 0..64u64 {
+                p.event(acc(AccessKind::Write, i * 8, i * 2 + 1, 1));
+                p.event(acc(AccessKind::Read, i * 8, i * 2 + 2, 2));
+            }
+            let r = p.finish();
+            assert!(!r.degraded(), "{kind:?}: {:?}", r.stats);
+            assert_eq!(r.stats.deps_merged, 2, "{kind:?}");
+            assert_eq!(r.stats.accesses, 128, "{kind:?}");
+            assert!(r.metrics.chunks.push_retries > 0, "{kind:?}: the plan must reach the queue");
         }
-        let r = p.finish();
-        assert!(!r.degraded(), "{:?}", r.stats);
-        assert_eq!(r.stats.deps_merged, 2);
-        assert_eq!(r.stats.accesses, 128);
     }
 
     /// A small but varied stream: 13 addresses, writes and reads, a loop

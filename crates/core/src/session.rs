@@ -88,18 +88,24 @@ impl SessionSpec {
             .ok_or(WireError::Invalid("unknown overflow code in session spec"))?;
         let redistribution = r.u8()? != 0;
         let workers = r.u32()? as usize;
-        let slots = r.u64()?;
+        let slots = r.u64()? as usize;
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after session spec"));
         }
-        if slots == 0 || (parallel && workers == 0) {
+        SessionSpec { parallel, transport, overflow, redistribution, workers, slots }.checked()
+    }
+
+    /// The spec, if an engine should be built at its sizes: every decoder
+    /// of a spec that arrived from outside the process passes it through
+    /// here.
+    pub fn checked(self) -> Result<Self, WireError> {
+        if self.slots == 0 || (self.parallel && self.workers == 0) {
             return Err(WireError::Invalid("session spec with zero slots or workers"));
         }
-        if workers > MAX_SPEC_WORKERS || slots > MAX_SPEC_SLOTS {
+        if self.workers > MAX_SPEC_WORKERS || self.slots as u64 > MAX_SPEC_SLOTS {
             return Err(WireError::Invalid("session spec asks for too many workers or slots"));
         }
-        let slots = slots as usize;
-        Ok(SessionSpec { parallel, transport, overflow, redistribution, workers, slots })
+        Ok(self)
     }
 
     /// The [`ProfilerConfig`] this spec describes (parallel engine only).

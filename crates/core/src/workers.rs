@@ -7,9 +7,11 @@
 //! flags, the fault hooks, the conservation ledger (`EngineMetrics`),
 //! and the end of a run — join every worker within the drain deadline,
 //! salvage what the survivors hold, merge it, and assemble the
-//! [`MetricsSnapshot`]. [`parallel`](crate::parallel) and
-//! [`mt`](crate::mt) differ only in who produces and how a message is
-//! delivered.
+//! [`MetricsSnapshot`] — and the one way to reach a worker:
+//! `WorkerCtx::deliver` and the chunk send built on it, whatever queue
+//! is behind the sending end. [`parallel`](crate::parallel) and
+//! [`mt`](crate::mt) differ only in who produces and which queue carries
+//! the messages.
 //!
 //! ## Failure model
 //!
@@ -32,8 +34,8 @@ use dp_metrics::{
     Stopwatch, WorkerMetrics,
 };
 use dp_queue::{
-    Backoff, ChannelTap, Chunk, ChunkPool, FaultPlan, MeteredReceiver, MeteredSender, MpmcQueue,
-    Transport, TransportReceiver,
+    Backoff, ChannelTap, Chunk, ChunkPool, FaultPlan, MpmcQueue, Spurious, TransportReceiver,
+    TransportSender,
 };
 use dp_sig::{AccessStore, SigEntry};
 use dp_types::{Address, ByteReader, ByteWriter, WireError};
@@ -151,8 +153,9 @@ pub(crate) struct EngineMetrics {
     pub(crate) consumed: Vec<Counter>,
     /// Per worker: event chunks popped off the queue.
     pub(crate) consumed_chunks: Vec<Counter>,
-    /// Per worker: nanoseconds a producer spent blocked on the worker's
-    /// continuously-full queue.
+    /// Per worker: nanoseconds its queue stayed continuously full while
+    /// producers waited on it, charged once an episode however many
+    /// waited.
     pub(crate) stall: Vec<Counter>,
 }
 
@@ -231,16 +234,153 @@ pub(crate) struct WorkerCtx {
     /// hook is) exits so its partial results can be salvaged.
     abandon: Vec<AtomicBool>,
     pub(crate) metrics: EngineMetrics,
-    /// The fault-injection script, and the counter that makes "drop the
-    /// *n*-th Extracted reply" global across workers.
+    /// Event chunks delivered, to any worker.
+    pub(crate) chunks_pushed: Counter,
+    /// Per worker: events in chunks that could not be delivered, rerouted
+    /// marks included ([`ProfileStats::dropped_per_worker`]).
+    pub(crate) dropped_events: Vec<Counter>,
+    /// Per worker: its channel's push/pop counters.
+    taps: Vec<ChannelTap>,
+    /// Per worker: when its queue became continuously full, as
+    /// [`WorkerCtx::clock`] read then; 0 while the last push went in. One
+    /// clock a worker whoever pushes, so a full-queue episode is charged
+    /// to the worker's stall account once, and a deadline one producer
+    /// paid is paid for all.
+    full_since: Vec<AtomicU64>,
+    epoch: Instant,
+    /// [`ProfilerConfig::drop_after`]: what a full queue may cost a send.
+    pub(crate) drop_after: Option<Duration>,
+    /// The fault-injection script, its spurious-"full" schedule per
+    /// worker channel, and the counter that makes "drop the *n*-th
+    /// Extracted reply" global across workers.
     plan: FaultPlan,
+    spurious_full: Vec<Spurious>,
     extract_replies: AtomicU64,
 }
 
 impl WorkerCtx {
+    /// The context of `w` workers, its clock started now.
+    fn new(cfg: &ProfilerConfig, w: usize, pool_chunks: usize) -> Self {
+        let flags = || (0..w).map(|_| AtomicBool::new(false)).collect();
+        WorkerCtx {
+            pool: ChunkPool::new(pool_chunks, cfg.chunk_capacity),
+            resp: MpmcQueue::new((cfg.top_k * 4).max(64).max(w)),
+            dead: flags(),
+            abandon: flags(),
+            metrics: EngineMetrics::new(w),
+            chunks_pushed: Counter::new(),
+            dropped_events: (0..w).map(|_| Counter::new()).collect(),
+            taps: (0..w).map(|_| ChannelTap::default()).collect(),
+            full_since: (0..w).map(|_| AtomicU64::new(0)).collect(),
+            epoch: Instant::now(),
+            drop_after: cfg.drop_after(),
+            plan: cfg.fault_plan.clone(),
+            spurious_full: (0..w).map(|wid| cfg.fault_plan.spurious_full(wid)).collect(),
+            extract_replies: AtomicU64::new(0),
+        }
+    }
+
     #[inline]
     pub(crate) fn is_dead(&self, wid: usize) -> bool {
         self.dead[wid].load(Ordering::Acquire)
+    }
+
+    /// Nanoseconds since the engine started, plus one, so that no reading
+    /// is 0.
+    fn clock(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64 + 1
+    }
+
+    /// Delivers `msg` to worker `wid` through `tx`, its channel's sending
+    /// end, backing off while the queue is full. Gives the message back
+    /// instead of blocking forever when the worker is dead (flagged, or
+    /// seen through a closed endpoint, which flags it), or — with
+    /// `drop_after` set — once the queue has been continuously full that
+    /// long. The deadline runs from when the queue *became* full,
+    /// whichever producer was pushing, so after one paid deadline every
+    /// later send to a still-stalled worker fails at once. The fault
+    /// plan's spurious "full" answers are injected here, inside the tap,
+    /// for every queue alike.
+    pub(crate) fn deliver<S: TransportSender<WorkerMsg> + ?Sized>(
+        &self,
+        wid: usize,
+        tx: &S,
+        mut msg: WorkerMsg,
+        drop_after: Option<Duration>,
+    ) -> Result<(), WorkerMsg> {
+        let full_since = &self.full_since[wid];
+        let mut backoff = Backoff::new();
+        loop {
+            if self.is_dead(wid) {
+                return Err(msg);
+            }
+            let pushed = if self.spurious_full[wid].fires() { Err(msg) } else { tx.push(msg) };
+            self.taps[wid].on_push(pushed.is_ok());
+            match pushed {
+                Ok(()) => {
+                    // The push that ends a full-queue episode charges its
+                    // wait to the worker's stall account (a plain load
+                    // first: most pushes end none, and need no RMW).
+                    if full_since.load(Ordering::Relaxed) != 0 {
+                        let since = full_since.swap(0, Ordering::Relaxed);
+                        if since != 0 {
+                            self.metrics.stall[wid].add(self.clock().saturating_sub(since));
+                        }
+                    }
+                    return Ok(());
+                }
+                Err(back) => {
+                    msg = back;
+                    if tx.is_closed() {
+                        self.dead[wid].store(true, Ordering::Release);
+                        return Err(msg);
+                    }
+                    // The first push to find the queue full starts the clock.
+                    let now = self.clock();
+                    let cas =
+                        full_since.compare_exchange(0, now, Ordering::Relaxed, Ordering::Relaxed);
+                    let since = cas.err().unwrap_or(now);
+                    if drop_after.is_some_and(|d| now.saturating_sub(since) >= d.as_nanos() as u64)
+                    {
+                        return Err(msg);
+                    }
+                    backoff.snooze();
+                }
+            }
+        }
+    }
+
+    /// Sends a filled chunk to worker `wid` under
+    /// [`WorkerCtx::drop_after`] and ledgers it: pushed, then
+    /// enqueued — or, when the worker is dead or stalled, dropped, with
+    /// the chunk back in the pool. True when it was delivered.
+    pub(crate) fn send_chunk<S: TransportSender<WorkerMsg> + ?Sized>(
+        &self,
+        wid: usize,
+        tx: &S,
+        chunk: Chunk,
+    ) -> bool {
+        let len = chunk.len() as u64;
+        // Rerouted copies were already accounted at routing time.
+        let unmarked = (chunk.len() - chunk.rerouted()) as u64;
+        // Once per chunk: every producer shares this counter's line.
+        self.metrics.pushed.add(len);
+        match self.deliver(wid, tx, WorkerMsg::Events(chunk), self.drop_after) {
+            Ok(()) => {
+                self.chunks_pushed.inc();
+                self.metrics.enqueued[wid].add(unmarked);
+                true
+            }
+            Err(WorkerMsg::Events(chunk)) => {
+                // Account for every lost event, so the degraded profile
+                // quantifies exactly what is missing.
+                self.dropped_events[wid].add(len);
+                self.metrics.dropped[wid].add(unmarked);
+                self.pool.release(chunk);
+                false
+            }
+            Err(_) => unreachable!("deliver returns the message it was given"),
+        }
     }
 
     /// Empties the reply queue of answers that missed their window, so
@@ -250,12 +390,15 @@ impl WorkerCtx {
     }
 }
 
+/// A shared queue's channel: one `Arc` on each side.
+pub(crate) fn shared<Q>(queue: Q) -> (Arc<Q>, Arc<Q>) {
+    let q = Arc::new(queue);
+    (q.clone(), q)
+}
+
 /// The worker threads of one engine, owned by its supervisor.
 pub(crate) struct Workers {
     pub(crate) ctx: Arc<WorkerCtx>,
-    /// Per-worker channel taps (push/pop/depth counters shared with the
-    /// metered endpoints).
-    taps: Vec<Arc<ChannelTap>>,
     handles: Vec<JoinHandle<WorkerExit>>,
     drain_deadline_ms: u64,
     /// Started at spawn, restarted by [`Workers::begin_drain`].
@@ -265,41 +408,28 @@ pub(crate) struct Workers {
 
 impl Workers {
     /// Starts one supervised worker thread per element of `algos`, each
-    /// behind its own metered channel of `transport`, and returns the
-    /// sending ends. Every worker state is built (and, on resume,
-    /// restored) by the caller before any thread exists.
-    pub(crate) fn spawn<S: AccessStore + 'static, X: Transport<WorkerMsg>>(
-        transport: &X,
+    /// behind its own channel from `channel` (called with the capacity,
+    /// [`ProfilerConfig::queue_chunks`]), and returns the sending ends.
+    /// Every worker state is built (and, on resume, restored) by the
+    /// caller before any thread exists.
+    pub(crate) fn spawn<S: AccessStore + 'static, Tx, R: TransportReceiver<WorkerMsg> + 'static>(
         cfg: &ProfilerConfig,
         pool_chunks: usize,
         algos: Vec<AlgoState<S>>,
-    ) -> (Vec<MeteredSender<X::Sender>>, Workers) {
+        channel: impl Fn(usize) -> (Tx, R),
+    ) -> (Vec<Tx>, Workers) {
         let w = algos.len();
-        let flags = || (0..w).map(|_| AtomicBool::new(false)).collect();
-        let ctx = Arc::new(WorkerCtx {
-            pool: ChunkPool::new(pool_chunks, cfg.chunk_capacity),
-            resp: MpmcQueue::new((cfg.top_k * 4).max(64).max(w)),
-            dead: flags(),
-            abandon: flags(),
-            metrics: EngineMetrics::new(w),
-            plan: cfg.fault_plan.clone(),
-            extract_replies: AtomicU64::new(0),
-        });
+        let ctx = Arc::new(WorkerCtx::new(cfg, w, pool_chunks));
         let mut senders = Vec::with_capacity(w);
-        let mut taps = Vec::with_capacity(w);
         let mut handles = Vec::with_capacity(w);
         for (wid, algo) in algos.into_iter().enumerate() {
-            let (tx, rx) = transport.channel(wid, cfg.queue_chunks);
-            let tap = ChannelTap::shared();
-            senders.push(MeteredSender::new(tx, tap.clone()));
-            let rx = MeteredReceiver::new(rx, tap.clone());
-            taps.push(tap);
+            let (tx, rx) = channel(cfg.queue_chunks);
+            senders.push(tx);
             let ctx = ctx.clone();
             handles.push(std::thread::spawn(move || worker_entry(wid, rx, algo, &ctx)));
         }
         let workers = Workers {
             ctx,
-            taps,
             handles,
             drain_deadline_ms: cfg.drain_deadline_ms,
             timer: Stopwatch::start(),
@@ -386,8 +516,6 @@ impl Workers {
     pub(crate) fn finish(
         mut self,
         shutdown_ok: &[bool],
-        chunks_pushed: u64,
-        dropped: Vec<u64>,
         hot_addresses: Vec<HotAddress>,
     ) -> ProfileResult {
         let w = self.handles.len();
@@ -447,7 +575,8 @@ impl Workers {
         }
         stats.deps_built = deps.deps_built();
         stats.deps_merged = deps.merged_len();
-        stats.chunks_pushed = chunks_pushed;
+        stats.chunks_pushed = self.ctx.chunks_pushed.get();
+        let dropped: Vec<u64> = self.ctx.dropped_events.iter().map(Counter::get).collect();
         stats.dropped_events = dropped.iter().sum();
         if stats.dropped_events > 0 {
             stats.dropped_per_worker = dropped;
@@ -461,7 +590,7 @@ impl Workers {
             dep_store,
             ..MemoryReport::default()
         };
-        let metrics = self.snapshot(gauges, chunks_pushed, hot_addresses);
+        let metrics = self.snapshot(gauges, stats.chunks_pushed, hot_addresses);
         ProfileResult { deps, exec_tree, stats, memory, workers: w, per_worker_events, metrics }
     }
 
@@ -508,12 +637,13 @@ impl Workers {
                 stall_nanos,
             });
         }
+        let taps = &self.ctx.taps;
         let chunks = ChunkStats {
             pushed: chunks_pushed,
             consumed: chunks_consumed,
-            queue_highwater: self.taps.iter().map(|t| t.high_water.get()).max().unwrap_or(0),
-            push_retries: self.taps.iter().map(|t| t.push_fulls.get()).sum(),
-            empty_pops: self.taps.iter().map(|t| t.empty_pops.get()).sum(),
+            queue_highwater: taps.iter().map(|t| t.high_water.get()).max().unwrap_or(0),
+            push_retries: taps.iter().map(|t| t.push_fulls.get()).sum(),
+            empty_pops: taps.iter().map(|t| t.empty_pops.get()).sum(),
         };
         let drain_nanos = self.timer.elapsed_nanos();
         MetricsSnapshot {
@@ -647,13 +777,18 @@ fn run_worker<S: AccessStore, R: TransportReceiver<WorkerMsg>>(
             std::thread::yield_now();
         }
     };
+    // The worker counts its own pops, and takes the fault plan's spurious
+    // "empty" answers, inside the tap.
+    let (tap, spurious_empty) = (&ctx.taps[wid], ctx.plan.spurious_empty(wid));
     let mut backoff = Backoff::new();
     let mut chunks_done = 0u64;
     loop {
         if fault_pause_or_panic(wid, chunks_done, ctx) {
             break;
         }
-        match q.pop() {
+        let msg = if spurious_empty.fires() { None } else { q.pop() };
+        tap.on_pop(msg.is_some());
+        match msg {
             Some(WorkerMsg::Events(chunk)) => {
                 // Consumed means *off the queue*: count at pop (the
                 // counters live in the shared ledger, so they survive a
@@ -688,4 +823,61 @@ fn run_worker<S: AccessStore, R: TransportReceiver<WorkerMsg>>(
     let gauges = algo.sig_gauges();
     let (store, exec_tree, counters, sig_mem) = algo.finish();
     WorkerOutput { store, exec_tree, counters, sig_mem, gauges }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::OverflowPolicy;
+    use std::time::Duration;
+
+    type Queue = Arc<MpmcQueue<WorkerMsg>>;
+
+    /// A one-worker context with no worker thread, and the two ends of
+    /// that worker's queue, already full: nothing drains it unless the
+    /// test does.
+    fn stalled(limit: Duration) -> (WorkerCtx, Queue, Queue) {
+        let cfg = ProfilerConfig::default().with_overflow(OverflowPolicy::Drop);
+        let ctx = WorkerCtx::new(&cfg, 1, 4);
+        let (tx, rx) = shared(MpmcQueue::new(1));
+        while tx.push(WorkerMsg::EnableDelta).is_ok() {}
+        // The engine is older than the limit before the queue fills, so a
+        // deadline counted from the engine's start would already be spent.
+        std::thread::sleep(limit + limit / 2);
+        (ctx, tx, rx)
+    }
+
+    #[test]
+    fn full_queue_deadline_runs_from_the_episode_start() {
+        let limit = Duration::from_millis(60);
+        let (ctx, tx, _rx) = stalled(limit);
+        let t = Instant::now();
+        assert!(ctx.deliver(0, &tx, WorkerMsg::Shutdown, Some(limit)).is_err());
+        assert!(t.elapsed() >= limit, "gave up before the {limit:?} limit");
+        assert!(!ctx.is_dead(0));
+        // The episode's clock is shared: the next producer pays no second
+        // deadline for the same stall.
+        let t = Instant::now();
+        assert!(ctx.deliver(0, &tx, WorkerMsg::Shutdown, Some(limit)).is_err());
+        assert!(t.elapsed() < limit);
+    }
+
+    #[test]
+    fn briefly_full_queue_in_an_old_run_still_takes_the_message() {
+        let limit = Duration::from_millis(200);
+        let (ctx, tx, rx) = stalled(limit);
+        let consumer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            let popped = rx.pop().is_some();
+            (popped, rx)
+        });
+        assert!(ctx.deliver(0, &tx, WorkerMsg::Shutdown, Some(limit)).is_ok());
+        let (popped, rx) = consumer.join().unwrap();
+        assert!(popped);
+        assert!(matches!(std::iter::from_fn(|| rx.pop()).last(), Some(WorkerMsg::Shutdown)));
+        // The episode ended with the push, and was charged to the stall
+        // account once.
+        assert!(ctx.metrics.stall[0].get() > 0);
+        assert_eq!(ctx.full_since[0].load(Ordering::Relaxed), 0);
+    }
 }

@@ -9,27 +9,23 @@
 //! this module makes every failure mode *schedulable*, so the recovery
 //! paths run under seeded, reproducible tests.
 //!
-//! Two layers:
+//! [`FaultPlan`] is a declarative script of faults for one profiling run,
+//! carried in the engine's configuration and read at well-defined points:
 //!
-//! - [`FaultPlan`] — a declarative script of engine-level faults ("panic
-//!   worker 2 after 5 chunks", "stall worker 1 from chunk 0", "drop the
-//!   first migration reply"). The profiling engines consult the plan at
-//!   well-defined points in their worker loops; with [`FaultPlan::none`]
-//!   (the default) every hook is a branch on a `None`.
-//! - [`FailingTransport`] — a [`Transport`]
-//!   decorator that injects *queue-level* chaos: seeded spurious push
-//!   failures (the channel claims to be full when it is not) and
-//!   spurious empty pops (the channel claims to be empty when it is
-//!   not). Both are pure
-//!   performance faults — no message is ever lost or reordered — so a
+//! - engine-level faults in the worker loop ("panic worker 2 after 5
+//!   chunks", "stall worker 1 from chunk 0", "drop the first migration
+//!   reply");
+//! - queue-level chaos on every worker channel, whatever the queue: seeded
+//!   [`Spurious`] push failures (the channel claims to be full when it is
+//!   not) and empty pops (it claims to be empty when it is not). Both are
+//!   pure performance faults — no message is ever lost or reordered — so a
 //!   correct engine must produce bit-identical dependence sets through
-//!   any seed, which is exactly what the chaos suite asserts.
+//!   any seed, which is exactly what the chaos suites assert.
 //!
-//! Both are always compiled: an inert plan costs a branch per hook, and
-//! the decorator costs nothing unless a caller wraps a transport in it.
+//! Always compiled: with [`FaultPlan::none`] (the default) every hook is a
+//! branch on a `None` or a zero percentage.
 
-use crate::traits::{Transport, TransportReceiver, TransportSender};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One worker-targeted fault: trigger on worker `worker` after it has
 /// processed `after_chunks` event chunks (0 = before the first chunk).
@@ -53,9 +49,10 @@ impl WorkerFault {
 /// profiling run. See the [module docs](self) for the philosophy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Seed for the [`FailingTransport`] RNG streams (each endpoint
-    /// derives its own stream from `seed` and its worker id, so runs are
-    /// reproducible regardless of thread interleaving).
+    /// Seed of the [`Spurious`] schedules: the push side and the pop side
+    /// of each worker's channel derive their own stream from `seed` and
+    /// the worker id, so a single-producer run fails the same attempts
+    /// whatever the thread interleaving.
     pub seed: u64,
     /// Panic worker *k* after *n* chunks (inside its worker loop, where
     /// the supervisor's `catch_unwind` contains it).
@@ -69,11 +66,11 @@ pub struct FaultPlan {
     /// the router's in-flight entry must be resolved by the drain
     /// deadline, not by the reply.
     pub drop_nth_extract_reply: Option<u64>,
-    /// [`FailingTransport`]: percentage (0–100) of pushes that spuriously
+    /// Percentage (0–100) of pushes to a worker's channel that spuriously
     /// report "full".
     pub spurious_send_fail_pct: u8,
-    /// [`FailingTransport`]: percentage (0–100) of pops that spuriously
-    /// report "empty".
+    /// Percentage (0–100) of a worker's pops that spuriously report
+    /// "empty".
     pub spurious_recv_empty_pct: u8,
 }
 
@@ -116,11 +113,22 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: seeded spurious transport failures (percentages 0–100).
+    /// Builder: seeded spurious channel failures (percentages 0–100).
     pub fn with_spurious(mut self, send_fail_pct: u8, recv_empty_pct: u8) -> Self {
         self.spurious_send_fail_pct = send_fail_pct.min(100);
         self.spurious_recv_empty_pct = recv_empty_pct.min(100);
         self
+    }
+
+    /// The schedule of spurious "full" answers to pushes into worker
+    /// `wid`'s channel.
+    pub fn spurious_full(&self, wid: usize) -> Spurious {
+        Spurious::new(self.seed, wid, 0xA5, self.spurious_send_fail_pct)
+    }
+
+    /// The schedule of spurious "empty" answers to worker `wid`'s pops.
+    pub fn spurious_empty(&self, wid: usize) -> Spurious {
+        Spurious::new(self.seed, wid, 0x5A, self.spurious_recv_empty_pct)
     }
 }
 
@@ -150,110 +158,45 @@ pub fn chaos_seeds(defaults: &[u64]) -> Vec<u64> {
     }
 }
 
-/// xorshift64*: tiny, fast, and plenty for fault scheduling.
-fn xorshift(state: &Cell<u64>) -> u64 {
-    let mut x = state.get();
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    state.set(x);
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+/// A seeded schedule of spurious queue failures for one end of one
+/// worker's channel: pushes answer "full", or pops "empty", on the
+/// attempts the schedule picks ([`FaultPlan::spurious_full`],
+/// [`FaultPlan::spurious_empty`]). Nothing is consumed by a spurious
+/// answer and the caller retries, so messages are never lost, duplicated
+/// or reordered: any engine that is correct under one seed is correct
+/// under all of them, with bit-identical dependence output.
+#[derive(Debug)]
+pub struct Spurious {
+    state: AtomicU64,
+    pct: u8,
 }
 
-fn stream_seed(seed: u64, wid: usize, salt: u64) -> u64 {
-    // SplitMix-style mixing; never zero (xorshift's absorbing state).
-    let mut z = seed ^ (wid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) | 1
-}
-
-/// A [`Transport`] decorator injecting seeded, deterministic
-/// queue-level chaos (spurious full/empty results). Messages are
-/// never lost, duplicated or reordered: any engine that is correct
-/// over this transport under one seed is correct under all of them,
-/// and its dependence output must be bit-identical to the plain
-/// transport's.
-pub struct FailingTransport<X> {
-    inner: X,
-    plan: FaultPlan,
-}
-
-impl<X> FailingTransport<X> {
-    /// Wraps `inner`, injecting the transport-level faults of `plan`.
-    pub fn new(inner: X, plan: FaultPlan) -> Self {
-        FailingTransport { inner, plan }
-    }
-}
-
-impl<X: Default> Default for FailingTransport<X> {
-    fn default() -> Self {
-        FailingTransport::new(X::default(), FaultPlan::none())
-    }
-}
-
-/// Sender half of a [`FailingTransport`] channel.
-pub struct FailingSender<S> {
-    inner: S,
-    rng: Cell<u64>,
-    fail_pct: u8,
-}
-
-/// Receiver half of a [`FailingTransport`] channel.
-pub struct FailingReceiver<R> {
-    inner: R,
-    rng: Cell<u64>,
-    empty_pct: u8,
-}
-
-impl<T, X: Transport<T>> Transport<T> for FailingTransport<X> {
-    type Sender = FailingSender<X::Sender>;
-    type Receiver = FailingReceiver<X::Receiver>;
-
-    fn channel(&self, wid: usize, cap: usize) -> (Self::Sender, Self::Receiver) {
-        let (tx, rx) = self.inner.channel(wid, cap);
-        (
-            FailingSender {
-                inner: tx,
-                rng: Cell::new(stream_seed(self.plan.seed, wid, 0xA5)),
-                fail_pct: self.plan.spurious_send_fail_pct,
-            },
-            FailingReceiver {
-                inner: rx,
-                rng: Cell::new(stream_seed(self.plan.seed, wid, 0x5A)),
-                empty_pct: self.plan.spurious_recv_empty_pct,
-            },
-        )
+impl Spurious {
+    fn new(seed: u64, wid: usize, salt: u64, pct: u8) -> Self {
+        // SplitMix-style mixing; never zero (xorshift's absorbing state).
+        let mut z = seed ^ (wid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        Spurious { state: AtomicU64::new((z ^ (z >> 31)) | 1), pct }
     }
 
-    fn kind() -> &'static str {
-        "failing"
-    }
-}
-
-impl<T, S: TransportSender<T>> TransportSender<T> for FailingSender<S> {
-    fn push(&self, value: T) -> Result<(), T> {
-        if self.fail_pct > 0 && (xorshift(&self.rng) % 100) < self.fail_pct as u64 {
-            return Err(value); // spurious "full"; the value is intact
+    /// True when this attempt must fail spuriously. At 0 % it is never
+    /// true and touches no shared state; otherwise each call advances an
+    /// xorshift64* stream, atomically, so producers on several threads
+    /// draw from one schedule.
+    pub fn fires(&self) -> bool {
+        if self.pct == 0 {
+            return false;
         }
-        self.inner.push(value)
-    }
-
-    fn memory_usage(&self) -> usize {
-        self.inner.memory_usage()
-    }
-
-    fn is_closed(&self) -> bool {
-        self.inner.is_closed()
-    }
-}
-
-impl<T, R: TransportReceiver<T>> TransportReceiver<T> for FailingReceiver<R> {
-    fn pop(&self) -> Option<T> {
-        if self.empty_pct > 0 && (xorshift(&self.rng) % 100) < self.empty_pct as u64 {
-            return None; // spurious "empty"; nothing is consumed
-        }
-        self.inner.pop()
+        let step = |mut x: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let prev = self.state.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |x| Some(step(x)));
+        let x = step(prev.expect("the step never declines to update"));
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D) % 100 < self.pct as u64
     }
 }
 
@@ -296,72 +239,22 @@ mod tests {
         assert_eq!(WorkerFault::parse("x@y"), None);
     }
 
+    /// Queue-level chaos: the spurious-failure schedules.
     mod transport {
         use super::super::*;
-        use crate::traits::{Transport, TransportReceiver, TransportSender};
-        use crate::{MpmcQueue, Shared, SpscTransport};
-
-        /// Spurious failures must not lose, duplicate or reorder values.
-        fn chaos_preserves_fifo<X: Transport<u64> + Default>(seed: u64) {
-            let plan = FaultPlan::none().with_seed(seed).with_spurious(30, 30);
-            let t = FailingTransport::new(X::default(), plan);
-            let (tx, rx) = t.channel(0, 8);
-            let mut next_pop = 0u64;
-            for i in 0..10_000u64 {
-                let mut v = i;
-                loop {
-                    match tx.push(v) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            v = back;
-                            // Drain a little so real fullness clears.
-                            if let Some(got) = rx.pop() {
-                                assert_eq!(got, next_pop);
-                                next_pop += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            while next_pop < 10_000 {
-                if let Some(got) = rx.pop() {
-                    assert_eq!(got, next_pop);
-                    next_pop += 1;
-                }
-            }
-            assert!(rx.pop().is_none() || rx.pop().is_none(), "queue must end empty");
-        }
-
-        #[test]
-        fn chaos_is_lossless_over_every_inner_transport() {
-            for seed in [1, 42, 0xDEAD_BEEF] {
-                chaos_preserves_fifo::<SpscTransport>(seed);
-                chaos_preserves_fifo::<Shared<MpmcQueue<u64>>>(seed);
-                chaos_preserves_fifo::<Shared<crate::LockQueue<u64>>>(seed);
-            }
-        }
 
         #[test]
         fn same_seed_same_schedule() {
             let mk = |seed| {
-                let t = FailingTransport::new(
-                    SpscTransport,
-                    FaultPlan::none().with_seed(seed).with_spurious(50, 0),
-                );
-                let (tx, _rx) = t.channel(3, 64);
-                (0..64u64).map(|i| tx.push(i).is_ok()).collect::<Vec<_>>()
+                let s = FaultPlan::none().with_seed(seed).with_spurious(50, 0).spurious_full(3);
+                (0..64).map(|_| s.fires()).collect::<Vec<_>>()
             };
             assert_eq!(mk(7), mk(7), "same seed must fail the same pushes");
             assert_ne!(mk(7), mk(8), "different seeds must differ (w.h.p.)");
-        }
-
-        #[test]
-        fn closed_detection_passes_through() {
-            let t = FailingTransport::new(SpscTransport, FaultPlan::none());
-            let (tx, rx) = Transport::<u64>::channel(&t, 0, 4);
-            assert!(!tx.is_closed());
-            drop(rx);
-            assert!(tx.is_closed());
+            assert!(mk(7).contains(&true) && mk(7).contains(&false));
+            // The pop side has its own percentage: 0 never fires.
+            let quiet = FaultPlan::none().with_seed(7).with_spurious(50, 0).spurious_empty(3);
+            assert!((0..64).all(|_| !quiet.fires()));
         }
     }
 }

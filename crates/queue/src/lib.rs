@@ -21,17 +21,20 @@
 //!   1.6×/1.3× faster on NAS/Starbench).
 //! - [`Chunk`] / [`ChunkPool`] — fixed-capacity event chunks with lock-free
 //!   recycling ("Empty chunks are recycled and can be reused").
-//! - [`WorkerQueue`] — the trait the profiling engines are generic over,
-//!   so the lock-free and lock-based pipelines share all other code.
+//! - [`TransportSender`] / [`TransportReceiver`] — the two endpoint
+//!   traits every queue's channel ends implement (the SPSC ring's halves,
+//!   an `Arc` of a shared queue on each side), so the lock-free and
+//!   lock-based pipelines share all other code.
 //! - [`Backoff`] — bounded exponential spin/yield backoff for the
 //!   producer-full and consumer-empty paths.
 //! - [`FaultPlan`] / [`fault`] — deterministic fault injection (worker
-//!   panics, stalls, dropped migration replies, seeded transport chaos)
-//!   so every recovery path is exercised by reproducible tests.
-//! - [`MeteredSender`] / [`MeteredReceiver`] / [`ChannelTap`] — the
-//!   observability taps: endpoint decorators counting pushes, pops,
-//!   full-queue bounces, empty polls and the depth high-water mark into
-//!   `dp-metrics` counters, uniformly across all three transports.
+//!   panics, stalls, dropped migration replies, seeded [`Spurious`]
+//!   full/empty answers on every queue) so every recovery path is
+//!   exercised by reproducible tests.
+//! - [`ChannelTap`] — the observability tap: per-channel counters of
+//!   pushes, pops, full-queue bounces, empty polls and the depth
+//!   high-water mark, counted by the engines uniformly across all three
+//!   queues.
 
 #![warn(missing_docs)]
 
@@ -46,14 +49,12 @@ pub mod traits;
 
 pub use backoff::Backoff;
 pub use chunk::{Chunk, ChunkPool};
-pub use fault::{chaos_seeds, FailingTransport, FaultPlan, WorkerFault};
+pub use fault::{chaos_seeds, FaultPlan, Spurious, WorkerFault};
 pub use lockq::LockQueue;
-pub use metered::{ChannelTap, MeteredReceiver, MeteredSender};
+pub use metered::ChannelTap;
 pub use mpmc::MpmcQueue;
 pub use spsc::{spsc_ring, SpscConsumer, SpscProducer};
-pub use traits::{
-    Shared, SpscTransport, Transport, TransportReceiver, TransportSender, WorkerQueue,
-};
+pub use traits::{TransportReceiver, TransportSender};
 
 /// Pads a value to a cache line to prevent false sharing between the
 /// producer and consumer indices of the queues.

@@ -1,93 +1,25 @@
-//! The queue and transport abstractions the profiling engines are
-//! generic over.
+//! The two endpoint traits a worker's channel is reached through.
 //!
-//! Two layers:
-//!
-//! - [`WorkerQueue`] — a *shared* bounded queue: one object, safe to push
-//!   and pop from any thread. The lock-free pipeline instantiates the
-//!   engine with [`MpmcQueue`]; the lock-based comparator (Figure 5)
-//!   instantiates the *same* engine with [`LockQueue`]. Nothing else
-//!   differs between the two builds, so the measured gap is attributable
-//!   to the queues — the claim of Section IV.
-//! - [`Transport`] — a factory for *split* per-worker channels, each a
-//!   ([`TransportSender`], [`TransportReceiver`]) pair. This is what the
-//!   engine is actually generic over. Shared queues lift into it via
-//!   [`Shared`] (sender = receiver = `Arc<Q>`); the single-producer
-//!   fast path for sequential targets is [`SpscTransport`], whose
-//!   endpoint handles are the `!Sync` SPSC ring halves — the type system
-//!   itself enforces that only one thread feeds each worker, which is
-//!   exactly the situation of Figure 2 (one instrumented thread, W
-//!   workers).
+//! Every queue hands out a producing and a consuming end: the SPSC ring
+//! its two `!Sync` halves ([`spsc_ring`](crate::spsc_ring)), the shared queues
+//! ([`MpmcQueue`], [`LockQueue`]) one `Arc` on each side. The profiling
+//! engines keep the senders and move each receiver into its worker
+//! through these traits, so the SPSC, MPMC and lock-based pipelines share
+//! every other line of code and a measured gap is attributable to the
+//! queue alone — the claim of Section IV. For the SPSC ring the type
+//! system itself enforces that one thread feeds each worker, which is
+//! exactly the situation of Figure 2 (one instrumented thread, W
+//! workers).
 
-use crate::spsc::{spsc_ring, SpscConsumer, SpscProducer};
+use crate::spsc::{SpscConsumer, SpscProducer};
 use crate::{LockQueue, MpmcQueue};
-use std::marker::PhantomData;
 use std::sync::Arc;
-
-/// A bounded multi-producer queue usable as a worker's inbox.
-pub trait WorkerQueue<T>: Send + Sync {
-    /// Creates a queue with room for at least `cap` elements.
-    fn with_capacity(cap: usize) -> Self;
-    /// Attempts to enqueue; gives the value back when full (the caller
-    /// backs off, applying backpressure to the instrumented program).
-    fn push(&self, value: T) -> Result<(), T>;
-    /// Attempts to dequeue; `None` when currently empty.
-    fn pop(&self) -> Option<T>;
-    /// Bytes attributable to the queue (memory accounting, Figures 7/8).
-    fn memory_usage(&self) -> usize;
-    /// Short human-readable name for reports ("lock-free", "lock-based").
-    fn kind() -> &'static str;
-}
-
-impl<T: Send> WorkerQueue<T> for MpmcQueue<T> {
-    fn with_capacity(cap: usize) -> Self {
-        MpmcQueue::new(cap)
-    }
-
-    fn push(&self, value: T) -> Result<(), T> {
-        MpmcQueue::push(self, value)
-    }
-
-    fn pop(&self) -> Option<T> {
-        MpmcQueue::pop(self)
-    }
-
-    fn memory_usage(&self) -> usize {
-        MpmcQueue::memory_usage(self)
-    }
-
-    fn kind() -> &'static str {
-        "lock-free"
-    }
-}
-
-impl<T: Send> WorkerQueue<T> for LockQueue<T> {
-    fn with_capacity(cap: usize) -> Self {
-        LockQueue::new(cap)
-    }
-
-    fn push(&self, value: T) -> Result<(), T> {
-        LockQueue::push(self, value)
-    }
-
-    fn pop(&self) -> Option<T> {
-        LockQueue::pop(self)
-    }
-
-    fn memory_usage(&self) -> usize {
-        LockQueue::memory_usage(self)
-    }
-
-    fn kind() -> &'static str {
-        "lock-based"
-    }
-}
 
 /// The producing endpoint of a per-worker channel, held by the router.
 ///
 /// `Send` but deliberately **not** required to be `Sync`: a sender is
-/// owned by exactly one routing thread. Transports whose sender *is*
-/// shareable (the [`Shared`] adapter) simply don't exercise the freedom.
+/// owned by exactly one routing thread. A shared queue's `Arc` sender
+/// *is* shareable; the multi-threaded-target engine relies on that.
 pub trait TransportSender<T>: Send {
     /// Attempts to enqueue; gives the value back when the channel is full
     /// (the caller backs off, applying backpressure to the instrumented
@@ -111,101 +43,6 @@ pub trait TransportReceiver<T>: Send {
     fn pop(&self) -> Option<T>;
 }
 
-/// A factory for per-worker channels; the profiling engine is generic
-/// over this, so the SPSC, MPMC and lock-based builds share every other
-/// line of code.
-///
-/// Channel creation is an *instance* method so a transport can carry
-/// per-run state — the fault-injection wrapper
-/// ([`FailingTransport`](crate::fault::FailingTransport)) carries a
-/// [`FaultPlan`](crate::fault::FaultPlan) and derives each endpoint's
-/// seeded behaviour from the worker id it is built for. The plain
-/// transports are stateless unit values ([`Default`]).
-pub trait Transport<T>: 'static {
-    /// Endpoint kept by the router (the instrumented program's thread).
-    type Sender: TransportSender<T> + 'static;
-    /// Endpoint moved into the worker thread.
-    type Receiver: TransportReceiver<T> + 'static;
-
-    /// Creates the channel feeding worker `wid`, with room for at least
-    /// `cap` elements.
-    fn channel(&self, wid: usize, cap: usize) -> (Self::Sender, Self::Receiver);
-
-    /// Short human-readable name for reports ("spsc", "lock-free",
-    /// "lock-based").
-    fn kind() -> &'static str;
-}
-
-/// Lifts any shared [`WorkerQueue`] into a [`Transport`] by handing both
-/// endpoints the same `Arc<Q>`.
-pub struct Shared<Q>(PhantomData<Q>);
-
-impl<Q> Default for Shared<Q> {
-    fn default() -> Self {
-        Shared(PhantomData)
-    }
-}
-
-impl<T: Send, Q: WorkerQueue<T> + 'static> Transport<T> for Shared<Q> {
-    type Sender = Arc<Q>;
-    type Receiver = Arc<Q>;
-
-    fn channel(&self, _wid: usize, cap: usize) -> (Arc<Q>, Arc<Q>) {
-        let q = Arc::new(Q::with_capacity(cap));
-        (q.clone(), q)
-    }
-
-    fn kind() -> &'static str {
-        Q::kind()
-    }
-}
-
-impl<T: Send, Q: WorkerQueue<T>> TransportSender<T> for Arc<Q> {
-    fn push(&self, value: T) -> Result<(), T> {
-        WorkerQueue::push(&**self, value)
-    }
-
-    fn memory_usage(&self) -> usize {
-        WorkerQueue::memory_usage(&**self)
-    }
-
-    fn is_closed(&self) -> bool {
-        // Exactly two clones exist per channel (sender, receiver); when
-        // the worker thread ends its clone drops and only ours remains.
-        Arc::strong_count(self) <= 1
-    }
-}
-
-impl<T: Send, Q: WorkerQueue<T>> TransportReceiver<T> for Arc<Q> {
-    fn pop(&self) -> Option<T> {
-        WorkerQueue::pop(&**self)
-    }
-}
-
-/// The single-producer single-consumer fast path (Section IV applied to
-/// Figure 2's sequential-target shape: exactly one producer exists, so
-/// the per-worker channel can drop all multi-producer synchronization —
-/// one relaxed load plus one release store per operation).
-///
-/// Only sound when a single thread feeds all workers; the endpoints are
-/// the `!Sync`, `!Clone` SPSC ring halves, so misuse is a compile error,
-/// not a data race.
-#[derive(Default)]
-pub struct SpscTransport;
-
-impl<T: Send + 'static> Transport<T> for SpscTransport {
-    type Sender = SpscProducer<T>;
-    type Receiver = SpscConsumer<T>;
-
-    fn channel(&self, _wid: usize, cap: usize) -> (SpscProducer<T>, SpscConsumer<T>) {
-        spsc_ring(cap)
-    }
-
-    fn kind() -> &'static str {
-        "spsc"
-    }
-}
-
 impl<T: Send> TransportSender<T> for SpscProducer<T> {
     fn push(&self, value: T) -> Result<(), T> {
         SpscProducer::push(self, value)
@@ -226,47 +63,63 @@ impl<T: Send> TransportReceiver<T> for SpscConsumer<T> {
     }
 }
 
+/// Both ends of a shared queue's channel are clones of one `Arc`.
+macro_rules! shared_endpoints {
+    ($($queue:ident),*) => {$(
+        impl<T: Send> TransportSender<T> for Arc<$queue<T>> {
+            fn push(&self, value: T) -> Result<(), T> {
+                $queue::push(self, value)
+            }
+
+            fn memory_usage(&self) -> usize {
+                $queue::memory_usage(self)
+            }
+
+            fn is_closed(&self) -> bool {
+                // One clone per side: when the worker thread ends, its
+                // clone drops and only the sender's remains.
+                Arc::strong_count(self) <= 1
+            }
+        }
+
+        impl<T: Send> TransportReceiver<T> for Arc<$queue<T>> {
+            fn pop(&self) -> Option<T> {
+                $queue::pop(self)
+            }
+        }
+    )*};
+}
+
+shared_endpoints!(MpmcQueue, LockQueue);
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spsc_ring;
 
-    fn exercise<Q: WorkerQueue<u32>>() {
-        let q = Q::with_capacity(4);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        assert!(q.memory_usage() > 0);
-        assert!(!Q::kind().is_empty());
+    fn shared<Q>(queue: Q) -> (Arc<Q>, Arc<Q>) {
+        let q = Arc::new(queue);
+        (q.clone(), q)
     }
 
-    #[test]
-    fn both_impls_conform() {
-        exercise::<MpmcQueue<u32>>();
-        exercise::<LockQueue<u32>>();
-    }
-
-    fn exercise_transport<X: Transport<u32> + Default>() {
-        let (tx, rx) = X::default().channel(0, 4);
+    fn exercise<S: TransportSender<u32>, R: TransportReceiver<u32> + 'static>((tx, rx): (S, R)) {
         tx.push(1).unwrap();
         tx.push(2).unwrap();
         assert_eq!(rx.pop(), Some(1));
         assert!(tx.memory_usage() > 0);
-        assert!(!X::kind().is_empty());
         assert!(!tx.is_closed(), "receiver is still alive");
         // The receiver works from another thread (the worker).
         let h = std::thread::spawn(move || rx.pop());
         assert_eq!(h.join().unwrap(), Some(2));
         // The worker thread exited and dropped its endpoint: the sender
         // must observe the closure (this is how dead workers are found).
-        assert!(tx.is_closed(), "{}: closed channel not detected", X::kind());
+        assert!(tx.is_closed(), "closed channel not detected");
     }
 
     #[test]
     fn all_transports_conform() {
-        exercise_transport::<Shared<MpmcQueue<u32>>>();
-        exercise_transport::<Shared<LockQueue<u32>>>();
-        exercise_transport::<SpscTransport>();
+        exercise(spsc_ring(4));
+        exercise(shared(MpmcQueue::new(4)));
+        exercise(shared(LockQueue::new(4)));
     }
 }

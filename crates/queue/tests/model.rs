@@ -4,12 +4,10 @@
 //! unit suites; these pin the sequential semantics the pipeline builds
 //! on: FIFO order, capacity behaviour, emptiness).
 
-use dp_queue::{
-    spsc_ring, FailingTransport, FaultPlan, LockQueue, MpmcQueue, Shared, SpscTransport, Transport,
-    TransportReceiver, TransportSender, WorkerQueue,
-};
+use dp_queue::{spsc_ring, FaultPlan, LockQueue, MpmcQueue, TransportReceiver, TransportSender};
 use proptest::prelude::*;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -24,14 +22,24 @@ fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn check_against_model<Q: WorkerQueue<u32>>(cap_pow2: usize, ops: &[Op]) {
-    let q = Q::with_capacity(cap_pow2);
+/// A shared queue's channel: one `Arc` on each side.
+fn shared<Q>(queue: Q) -> (Arc<Q>, Arc<Q>) {
+    let q = Arc::new(queue);
+    (q.clone(), q)
+}
+
+fn check_against_model(
+    cap_pow2: usize,
+    ops: &[Op],
+    push: impl Fn(u32) -> Result<(), u32>,
+    pop: impl Fn() -> Option<u32>,
+) {
     let mut model: VecDeque<u32> = VecDeque::new();
     for &op in ops {
         match op {
             Op::Push(v) => {
                 let model_full = model.len() >= cap_pow2;
-                match q.push(v) {
+                match push(v) {
                     Ok(()) => {
                         assert!(!model_full, "queue accepted a push beyond capacity");
                         model.push_back(v);
@@ -43,62 +51,46 @@ fn check_against_model<Q: WorkerQueue<u32>>(cap_pow2: usize, ops: &[Op]) {
                 }
             }
             Op::Pop => {
-                assert_eq!(q.pop(), model.pop_front(), "FIFO order diverged");
+                assert_eq!(pop(), model.pop_front(), "FIFO order diverged");
             }
         }
     }
     // Drain: remaining contents must match exactly.
     while let Some(expect) = model.pop_front() {
-        assert_eq!(q.pop(), Some(expect));
+        assert_eq!(pop(), Some(expect));
     }
-    assert_eq!(q.pop(), None);
+    assert_eq!(pop(), None);
 }
 
-/// The same model check, phrased against the split-endpoint [`Transport`]
-/// abstraction the engine is actually generic over. Capacities are powers
-/// of two so the SPSC ring's round-up doesn't change the bound.
-fn check_transport_model<X: Transport<u32>>(transport: &X, cap_pow2: usize, ops: &[Op]) {
-    let (tx, rx) = transport.channel(0, cap_pow2);
-    let mut model: VecDeque<u32> = VecDeque::new();
-    for &op in ops {
-        match op {
-            Op::Push(v) => {
-                let model_full = model.len() >= cap_pow2;
-                match tx.push(v) {
-                    Ok(()) => {
-                        assert!(!model_full, "{}: push accepted beyond capacity", X::kind());
-                        model.push_back(v);
-                    }
-                    Err(back) => {
-                        assert_eq!(back, v, "{}: rejected push must return the value", X::kind());
-                        assert!(model_full, "{}: push rejected below capacity", X::kind());
-                    }
-                }
-            }
-            Op::Pop => {
-                assert_eq!(rx.pop(), model.pop_front(), "{}: FIFO order diverged", X::kind());
-            }
-        }
-    }
-    while let Some(expect) = model.pop_front() {
-        assert_eq!(rx.pop(), Some(expect));
-    }
-    assert_eq!(rx.pop(), None);
+/// The same model check, phrased against the endpoint traits the engine
+/// reaches a worker through. Capacities are powers of two so the rings'
+/// round-up doesn't change the bound.
+fn check_transport_model<S: TransportSender<u32>, R: TransportReceiver<u32>>(
+    (tx, rx): (S, R),
+    cap_pow2: usize,
+    ops: &[Op],
+) {
+    check_against_model(cap_pow2, ops, |v| tx.push(v), || rx.pop());
     assert!(tx.memory_usage() >= cap_pow2 * std::mem::size_of::<u32>());
 }
 
 /// The pipeline's shutdown protocol: the router pushes its backlog and a
 /// sentinel, the worker (another thread) drains until the sentinel. Every
-/// transport must deliver the full backlog, in order, across the thread
-/// boundary.
-fn check_shutdown_drain<X: Transport<u32>>(transport: &X) {
+/// queue must deliver the full backlog, in order, across the thread
+/// boundary — also when `plan` makes both sides fail spuriously on its
+/// seeded schedule and retry, as the engines do.
+fn check_shutdown_drain<S, R>((tx, rx): (S, R), plan: &FaultPlan)
+where
+    S: TransportSender<u32>,
+    R: TransportReceiver<u32> + 'static,
+{
     const N: u32 = 10_000;
     const SHUTDOWN: u32 = u32::MAX;
-    let (tx, rx) = transport.channel(0, 16);
+    let (full, empty) = (plan.spurious_full(0), plan.spurious_empty(0));
     let worker = std::thread::spawn(move || {
         let mut got = Vec::new();
         loop {
-            match rx.pop() {
+            match if empty.fires() { None } else { rx.pop() } {
                 Some(SHUTDOWN) => break,
                 Some(v) => got.push(v),
                 None => std::thread::yield_now(),
@@ -106,28 +98,23 @@ fn check_shutdown_drain<X: Transport<u32>>(transport: &X) {
         }
         got
     });
-    for i in 0..N {
-        let mut v = i;
-        while let Err(back) = tx.push(v) {
+    for mut v in (0..N).chain([SHUTDOWN]) {
+        while let Err(back) = if full.fires() { Err(v) } else { tx.push(v) } {
             v = back;
             std::thread::yield_now();
         }
     }
-    let mut s = SHUTDOWN;
-    while let Err(back) = tx.push(s) {
-        s = back;
-        std::thread::yield_now();
-    }
     let got = worker.join().unwrap();
-    assert_eq!(got.len() as u32, N, "{}: events lost before shutdown", X::kind());
-    assert!(got.iter().copied().eq(0..N), "{}: drain order diverged", X::kind());
+    assert_eq!(got.len() as u32, N, "events lost before shutdown");
+    assert!(got.iter().copied().eq(0..N), "drain order diverged");
 }
 
 #[test]
 fn all_transports_drain_on_shutdown() {
-    check_shutdown_drain(&Shared::<MpmcQueue<u32>>::default());
-    check_shutdown_drain(&Shared::<LockQueue<u32>>::default());
-    check_shutdown_drain(&SpscTransport);
+    let plan = FaultPlan::none();
+    check_shutdown_drain(shared(MpmcQueue::new(16)), &plan);
+    check_shutdown_drain(shared(LockQueue::new(16)), &plan);
+    check_shutdown_drain(spsc_ring(16), &plan);
 }
 
 /// The shutdown-drain protocol must also survive queue-level chaos: with
@@ -137,8 +124,9 @@ fn all_transports_drain_on_shutdown() {
 fn chaotic_transports_still_drain_on_shutdown() {
     for seed in [3u64, 17, 99] {
         let plan = FaultPlan::none().with_seed(seed).with_spurious(25, 25);
-        check_shutdown_drain(&FailingTransport::new(SpscTransport, plan.clone()));
-        check_shutdown_drain(&FailingTransport::new(Shared::<MpmcQueue<u32>>::default(), plan));
+        check_shutdown_drain(spsc_ring(16), &plan);
+        check_shutdown_drain(shared(MpmcQueue::new(16)), &plan);
+        check_shutdown_drain(shared(LockQueue::new(16)), &plan);
     }
 }
 
@@ -147,26 +135,22 @@ proptest! {
 
     #[test]
     fn mpmc_matches_model(ops in ops(300), cap_shift in 1u32..6) {
-        check_against_model::<MpmcQueue<u32>>(1 << cap_shift, &ops);
+        let q = MpmcQueue::new(1 << cap_shift);
+        check_against_model(1 << cap_shift, &ops, |v| q.push(v), || q.pop());
     }
 
     #[test]
     fn transports_match_model(ops in ops(300), cap_shift in 1u32..6) {
-        check_transport_model(&Shared::<MpmcQueue<u32>>::default(), 1 << cap_shift, &ops);
-        check_transport_model(&Shared::<LockQueue<u32>>::default(), 1 << cap_shift, &ops);
-        check_transport_model(&SpscTransport, 1 << cap_shift, &ops);
-        // A FailingTransport with no scheduled faults is transparent: it
-        // must satisfy the very same bounded-queue model.
-        check_transport_model(
-            &FailingTransport::new(SpscTransport, FaultPlan::none()),
-            1 << cap_shift,
-            &ops,
-        );
+        let cap = 1 << cap_shift;
+        check_transport_model(shared(MpmcQueue::new(cap)), cap, &ops);
+        check_transport_model(shared(LockQueue::new(cap)), cap, &ops);
+        check_transport_model(spsc_ring(cap), cap, &ops);
     }
 
     #[test]
     fn lockqueue_matches_model(ops in ops(300), cap_shift in 1u32..6) {
-        check_against_model::<LockQueue<u32>>(1 << cap_shift, &ops);
+        let q = LockQueue::new(1 << cap_shift);
+        check_against_model(1 << cap_shift, &ops, |v| q.push(v), || q.pop());
     }
 
     #[test]
@@ -204,7 +188,6 @@ proptest! {
 /// soundness rests on).
 #[test]
 fn mpmc_per_producer_fifo_under_concurrency() {
-    use std::sync::Arc;
     const PER: u64 = 20_000;
     let q = Arc::new(MpmcQueue::<u64>::new(128));
     let mut handles = Vec::new();

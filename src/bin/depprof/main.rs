@@ -179,7 +179,7 @@ impl ReplayConfig {
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after replay config"));
         }
-        Ok(ReplayConfig { trace_path, spec, checkpoint_every })
+        Ok(ReplayConfig { trace_path, spec: spec.checked()?, checkpoint_every })
     }
 }
 

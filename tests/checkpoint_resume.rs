@@ -615,3 +615,53 @@ fn cli_watchdog_exits_with_code_6_on_stall() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("watchdog"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A checkpoint's CONFIG section comes from disk, so `replay --resume`
+/// holds its engine sizes to the bounds a `Hello` spec meets: a section
+/// (in `ReplayConfig`'s layout) asking for sizes no engine should be
+/// built at exits 4 ("unreadable"), not with a panic or an allocation
+/// abort.
+fn resume_with_sizes_exits_4(tag: &str, parallel: bool, workers: u32, slots: u64) {
+    use depprof::core::{CheckpointData, CheckpointStore};
+    use depprof::types::wire::ByteWriter;
+    let dir = scratch(tag);
+    let trace = record_trace(&dir);
+    let mut config = ByteWriter::new();
+    config.blob(trace.as_bytes());
+    config.u8(parallel as u8);
+    config.u8(TransportKind::Spsc.code());
+    config.u32(workers);
+    config.u64(slots);
+    config.u64(2000);
+    config.u8(0);
+    let data = CheckpointData {
+        generation: 0,
+        records_read: 0,
+        config: config.into_bytes(),
+        router: Vec::new(),
+        ledger: Vec::new(),
+        workers: Vec::new(),
+    };
+    let ckpt = dir.join("run.ckpt");
+    CheckpointStore::create(&ckpt).unwrap().write(&data).unwrap();
+    let out = depprof(&["replay", "--resume", ckpt.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{err}");
+    assert!(err.contains("checkpoint config section is unreadable"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cli_resume_rejects_zero_slots() {
+    resume_with_sizes_exits_4("zero-slots", false, 8, 0);
+}
+
+#[test]
+fn cli_resume_rejects_oversized_slots() {
+    resume_with_sizes_exits_4("huge-slots", false, 8, 1 << 62);
+}
+
+#[test]
+fn cli_resume_rejects_oversized_worker_count() {
+    resume_with_sizes_exits_4("huge-workers", true, 3_000_000_000, 4096);
+}

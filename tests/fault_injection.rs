@@ -4,8 +4,7 @@
 //! seeded, reproducible fault script: a worker panic mid-run, a stalled
 //! worker under the `drop` overflow policy, a lost migration reply, a
 //! migration whose source or target died,
-//! torn/corrupted trace files, and a transport that injects spurious
-//! failures. The invariants are the ones DESIGN.md's failure model
+//! torn/corrupted trace files, and queues that fail spuriously. The invariants are the ones DESIGN.md's failure model
 //! promises: no fault ever aborts the process, losses are counted
 //! exactly, and a fault plan that never fires changes nothing.
 
@@ -15,7 +14,6 @@ use depprof::core::{
     FailureCause, FaultPlan, OverflowPolicy, ParallelProfiler, ProfileResult, ProfilerConfig,
     SequentialProfiler, TransportKind,
 };
-use depprof::queue::{FailingTransport, SpscTransport};
 use depprof::sig::PerfectSignature;
 use depprof::trace::tracefile::TraceFileError;
 use depprof::trace::{TraceReader, TraceWriter};
@@ -378,10 +376,10 @@ fn every_transport_equals_serial_with_inert_fault_plan() {
     }
 }
 
-/// A transport that spuriously fails sends and receives (seeded, so
-/// reproducible) only costs retries: the dependence set stays exact and
-/// the run is NOT degraded. Several seeds, so CI sweeps distinct
-/// interleavings of the injected failures.
+/// Queues that spuriously fail sends and receives (seeded by the config's
+/// plan, so reproducible) only cost retries, on every transport: the
+/// dependence set stays exact and the run is NOT degraded. Several seeds,
+/// so CI sweeps distinct interleavings of the injected failures.
 #[test]
 fn chaotic_transport_stays_exact_across_seeds() {
     let evs = per_worker_stream();
@@ -390,15 +388,20 @@ fn chaotic_transport_stays_exact_across_seeds() {
     // instead of silently running nothing (or panicking the sweep).
     let seeds = depprof::queue::chaos_seeds(&[1, 7, 42, 1234]);
     for seed in seeds {
-        let plan = FaultPlan::none().with_seed(seed).with_spurious(25, 25);
-        let transport = FailingTransport::new(SpscTransport, plan);
-        let cfg = ProfilerConfig::default().with_workers(3).with_chunk_capacity(8);
-        let mut p = ParallelProfiler::with_transport(transport, cfg, PerfectSignature::new);
-        for e in &evs {
-            p.event(*e);
+        for kind in [TransportKind::Spsc, TransportKind::Mpmc, TransportKind::Lock] {
+            let plan = FaultPlan::none().with_seed(seed).with_spurious(25, 25);
+            let cfg = ProfilerConfig::default()
+                .with_workers(3)
+                .with_chunk_capacity(8)
+                .with_transport(kind)
+                .with_fault_plan(plan);
+            let mut p = ParallelProfiler::new(cfg, PerfectSignature::new);
+            for e in &evs {
+                p.event(*e);
+            }
+            let r = p.finish();
+            assert!(!r.degraded(), "seed {seed}, {kind:?}: {:?}", r.stats.worker_failures);
+            assert_eq!(expected, idents(&r), "seed {seed}, {kind:?}");
         }
-        let r = p.finish();
-        assert!(!r.degraded(), "seed {seed}: {:?}", r.stats.worker_failures);
-        assert_eq!(expected, idents(&r), "seed {seed}");
     }
 }

@@ -10,18 +10,18 @@
 //! The suite drives random event streams through every transport kind
 //! (SPSC fast path, lock-free MPMC, lock-based comparator) under random
 //! fault plans — inert, worker panic, worker stall under the `drop`
-//! overflow policy — plus a chaos sweep over a transport that injects
-//! seeded spurious send/receive failures. In every case the ledger must
+//! overflow policy — plus a chaos sweep in which the config's plan makes
+//! every queue fail sends and receives spuriously on a seeded schedule,
+//! in both engines. In every case the ledger must
 //! balance and the metrics-side drop count must agree exactly with the
 //! engine's own `dropped_events` statistic.
 
-use depprof::core::ParallelProfiler;
 use depprof::core::{
-    FaultPlan, MetricsSnapshot, OverflowPolicy, ProfileResult, ProfilerConfig, TransportKind,
+    FaultPlan, MetricsSnapshot, MtProfiler, OverflowPolicy, ParallelProfiler, ProfileResult,
+    ProfilerConfig, TransportKind,
 };
-use depprof::queue::{FailingTransport, SpscTransport};
 use depprof::sig::PerfectSignature;
-use depprof::types::{loc::loc, AccessKind, MemAccess, TraceEvent, Tracer};
+use depprof::types::{loc::loc, AccessKind, MemAccess, TraceEvent, Tracer, TracerFactory};
 use proptest::prelude::*;
 
 /// What the generated fault plan does, so the config can be shaped to
@@ -121,7 +121,7 @@ proptest! {
         plan in arb_plan(),
         workers in 2usize..5,
     ) {
-        for kind in [TransportKind::Spsc, TransportKind::Mpmc, TransportKind::Lock] {
+        for kind in TRANSPORTS {
             let cfg = cfg_for(plan, workers).with_transport(kind);
             let mut p = ParallelProfiler::new(cfg, PerfectSignature::new);
             for e in &evs {
@@ -141,10 +141,13 @@ proptest! {
     }
 }
 
-/// Chaos sweep: a transport that injects seeded spurious send failures
-/// and empty receives only costs retries — the ledger still balances,
-/// nothing is dropped, and the snapshot records the retry traffic. Eight
-/// seeds by default; `DEPPROF_CHAOS_SEED` pins one for reproduction.
+const TRANSPORTS: [TransportKind; 3] =
+    [TransportKind::Spsc, TransportKind::Mpmc, TransportKind::Lock];
+
+/// Chaos sweep: seeded spurious send failures and empty receives on every
+/// transport only cost retries — the ledger still balances and nothing is
+/// dropped. Eight seeds by default; `DEPPROF_CHAOS_SEED` pins one for
+/// reproduction.
 #[test]
 fn conservation_holds_under_chaotic_transport_seeds() {
     let evs: Vec<TraceEvent> = (0..400u64)
@@ -162,25 +165,63 @@ fn conservation_holds_under_chaotic_transport_seeds() {
     // instead of silently running nothing (or panicking the sweep).
     let seeds = depprof::queue::chaos_seeds(&[1, 7, 42, 1234, 2025, 31337, 86243, 216091]);
     for seed in seeds {
-        let plan = FaultPlan::none().with_seed(seed).with_spurious(25, 25);
-        let transport = FailingTransport::new(SpscTransport, plan);
-        let mut cfg = ProfilerConfig::default()
-            .with_workers(3)
-            .with_chunk_capacity(8)
-            .with_redistribution(false);
-        cfg.queue_chunks = 4;
-        let mut p = ParallelProfiler::with_transport(transport, cfg, PerfectSignature::new);
-        for e in &evs {
-            p.event(*e);
+        for kind in TRANSPORTS {
+            let plan = FaultPlan::none().with_seed(seed).with_spurious(25, 25);
+            let mut cfg = ProfilerConfig::default()
+                .with_workers(3)
+                .with_chunk_capacity(8)
+                .with_redistribution(false)
+                .with_transport(kind)
+                .with_fault_plan(plan);
+            cfg.queue_chunks = 4;
+            let mut p = ParallelProfiler::new(cfg, PerfectSignature::new);
+            for e in &evs {
+                p.event(*e);
+            }
+            let r = p.finish();
+            let ctx = format!("seed {seed}, {kind:?}");
+            assert!(!r.degraded(), "{ctx}: {:?}", r.stats.worker_failures);
+            let c = &r.metrics.conservation;
+            assert!(c.holds(), "{ctx}: conservation violated: {c:?}");
+            assert_eq!(c.pushed, evs.len() as u64, "{ctx}");
+            assert_eq!(c.consumed, evs.len() as u64, "{ctx}");
+            assert_eq!(c.dropped, 0, "{ctx}");
+            assert_eq!(c.rerouted, 0, "{ctx}");
         }
-        let r = p.finish();
-        assert!(!r.degraded(), "seed {seed}: {:?}", r.stats.worker_failures);
-        let c = &r.metrics.conservation;
-        assert!(c.holds(), "seed {seed}: conservation violated: {c:?}");
-        assert_eq!(c.pushed, evs.len() as u64, "seed {seed}");
-        assert_eq!(c.consumed, evs.len() as u64, "seed {seed}");
-        assert_eq!(c.dropped, 0, "seed {seed}");
-        assert_eq!(c.rerouted, 0, "seed {seed}");
+    }
+}
+
+/// A plan set on the config is what injects the chaos, on every transport
+/// and in the MT engine alike: its spurious "full" answers show up as
+/// push retries and its spurious "empty" ones as empty pops. (Nothing
+/// else makes a push retry here: the queues never fill.)
+#[test]
+fn a_config_plan_reaches_every_queue() {
+    let evs: Vec<TraceEvent> = (0..64u64)
+        .map(|i| TraceEvent::Access(MemAccess::write(0x1000 + i * 8, i + 1, loc(1, 1), 1, 0)))
+        .collect();
+    let plan = FaultPlan::none().with_seed(5).with_spurious(40, 40);
+    let cfg = || ProfilerConfig::default().with_workers(2).with_chunk_capacity(4);
+    let mut runs: Vec<(String, ProfileResult)> = TRANSPORTS
+        .into_iter()
+        .map(|kind| {
+            let cfg = cfg().with_transport(kind).with_fault_plan(plan.clone());
+            let mut p = ParallelProfiler::new(cfg, PerfectSignature::new);
+            evs.iter().for_each(|e| p.event(*e));
+            (format!("{kind:?}"), p.finish())
+        })
+        .collect();
+    let mt = MtProfiler::new(cfg().with_fault_plan(plan));
+    let mut t = mt.tracer(1);
+    evs.iter().for_each(|e| t.event(*e));
+    mt.join(1, t);
+    runs.push(("mt".into(), mt.finish()));
+    for (what, r) in runs {
+        let chunks = &r.metrics.chunks;
+        assert!(chunks.push_retries > 0, "{what}: no spurious full reached a queue: {chunks:?}");
+        assert!(chunks.empty_pops > 0, "{what}: {chunks:?}");
+        assert!(!r.degraded() && r.metrics.conservation.holds(), "{what}: {:?}", r.stats);
+        assert_eq!(r.metrics.conservation.consumed, evs.len() as u64, "{what}");
     }
 }
 

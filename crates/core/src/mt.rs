@@ -70,8 +70,8 @@ impl MtThreadTracer {
             return;
         }
         let sh = &*self.shared;
-        let chunk = std::mem::replace(&mut self.pending[wid], sh.ctx.pool.acquire());
-        sh.ctx.send_chunk(wid, &sh.senders[wid], chunk);
+        sh.ctx.send_chunk(wid, &sh.senders[wid], std::mem::take(&mut self.pending[wid]));
+        self.pending[wid] = sh.ctx.pool.acquire();
     }
 }
 
@@ -185,8 +185,12 @@ impl TracerFactory for MtProfiler {
         }
     }
 
-    fn join(&self, _tid: ThreadId, mut tracer: MtThreadTracer) {
-        tracer.sync_point();
+    fn join(&self, _tid: ThreadId, tracer: MtThreadTracer) {
+        // The thread is done: none replaces the chunks it hands on.
+        let sh = &*self.shared;
+        for (wid, chunk) in tracer.pending.into_iter().enumerate() {
+            sh.ctx.send_chunk(wid, &sh.senders[wid], chunk);
+        }
     }
 }
 
@@ -330,6 +334,43 @@ mod tests {
         assert!(matches!(r.stats.worker_failures[0].cause, FailureCause::Panic(_)));
         // The surviving worker's RAW is present.
         assert!(r.deps.dependences().any(|(d, _)| d.edge.dtype == DepType::Raw));
+    }
+
+    /// Returns once every worker has consumed what was sent before and
+    /// handed its chunks back: each answers a message queued behind them.
+    fn quiesce(prof: &MtProfiler) {
+        use crate::workers::Reply;
+        let sh = &*prof.shared;
+        let mut expect: Vec<bool> = (sh.senders.iter().enumerate())
+            .map(|(wid, tx)| sh.ctx.deliver(wid, tx, WorkerMsg::DeltaFlush, None).is_ok())
+            .collect();
+        let strays = prof.workers.await_replies(&mut expect, |msg| match msg {
+            Reply::Delta { worker, .. } => Ok(worker),
+            other => Err(other),
+        });
+        assert!(strays.is_empty() && !expect.contains(&true));
+    }
+
+    /// A joined thread's chunks go back to the pool, so fork–join rounds
+    /// reuse them: the pool's peak after 32 rounds is the one after 1.
+    #[test]
+    fn joins_hand_every_chunk_back() {
+        let chunk_bytes = |rounds: u64| {
+            let prof = MtProfiler::new(cfg(2).with_chunk_capacity(16));
+            for round in 0..rounds {
+                let mut t = prof.tracer(1);
+                for i in 0..10u64 {
+                    t.event(acc(AccessKind::Write, 0x80 + i * 8, round * 10 + i + 1, 5, 1));
+                }
+                prof.join(1, t);
+                quiesce(&prof);
+            }
+            let r = prof.finish();
+            assert!(!r.degraded() && r.metrics.conservation.holds(), "{:?}", r.stats);
+            assert_eq!(r.metrics.conservation.consumed, rounds * 10);
+            r.memory.chunks
+        };
+        assert_eq!(chunk_bytes(1), chunk_bytes(32));
     }
 
     /// The config's plan reaches the MT engine's queues too: target

@@ -125,6 +125,11 @@ impl<T> SpscConsumer<T> {
         Some(value)
     }
 
+    /// Capacity of the ring.
+    pub fn capacity(&self) -> usize {
+        self.inner.mask + 1
+    }
+
     /// Bytes attributable to this ring (counted once, on the consumer side).
     pub fn memory_usage(&self) -> usize {
         (self.inner.mask + 1) * std::mem::size_of::<T>() + std::mem::size_of::<Inner<T>>()

@@ -41,6 +41,8 @@ pub trait TransportSender<T>: Send {
 pub trait TransportReceiver<T>: Send {
     /// Attempts to dequeue; `None` when currently empty.
     fn pop(&self) -> Option<T>;
+    /// Messages the channel holds at most.
+    fn capacity(&self) -> usize;
 }
 
 impl<T: Send> TransportSender<T> for SpscProducer<T> {
@@ -60,6 +62,10 @@ impl<T: Send> TransportSender<T> for SpscProducer<T> {
 impl<T: Send> TransportReceiver<T> for SpscConsumer<T> {
     fn pop(&self) -> Option<T> {
         SpscConsumer::pop(self)
+    }
+
+    fn capacity(&self) -> usize {
+        SpscConsumer::capacity(self)
     }
 }
 
@@ -86,6 +92,10 @@ macro_rules! shared_endpoints {
             fn pop(&self) -> Option<T> {
                 $queue::pop(self)
             }
+
+            fn capacity(&self) -> usize {
+                $queue::capacity(self)
+            }
         }
     )*};
 }
@@ -105,6 +115,7 @@ mod tests {
     fn exercise<S: TransportSender<u32>, R: TransportReceiver<u32> + 'static>((tx, rx): (S, R)) {
         tx.push(1).unwrap();
         tx.push(2).unwrap();
+        assert_eq!(rx.capacity(), 4);
         assert_eq!(rx.pop(), Some(1));
         assert!(tx.memory_usage() > 0);
         assert!(!tx.is_closed(), "receiver is still alive");

@@ -27,17 +27,18 @@
 //! ([`PairStore::record`]): both entries come back, and the side the
 //! access writes is stored in place.
 //!
-//! An entry's clock is its timestamp or, in a store of 8-byte
-//! [`EpochSlot`](dp_sig::EpochSlot)s, its epoch (DESIGN.md "Epoch clock").
+//! An entry's clock is its timestamp or its epoch: in a store of 8-byte
+//! [`EpochSlot`](dp_sig::EpochSlot)s and in a parallel worker (DESIGN.md "Epoch clock").
 
 use crate::exectree::{ExecNodeKind, ExecTree};
 use crate::loops::{CarrierInfo, LoopTracker};
 use crate::store::DepStore;
 use dp_metrics::SigGauges;
+use dp_queue::EventRun;
 use dp_sig::{AccessStore, PairStore, Side, SigEntry};
 use dp_types::{
-    AccessKind, ByteReader, ByteWriter, DepFlags, DepType, LoopId, MemAccess, SinkKey, SourceLoc,
-    Timestamp, TraceEvent, WireError,
+    AccessKind, Address, ByteReader, ByteWriter, DepFlags, DepType, LoopId, MemAccess, SinkKey,
+    SourceLoc, Timestamp, TraceEvent, WireError,
 };
 
 /// Counters every engine reports (merged into
@@ -76,6 +77,9 @@ pub struct AlgoOptions {
     /// The paper names this as a way to trade generality for speed and
     /// balance; 0 = full statement-level detail (the paper's choice).
     pub section_shift: u8,
+    /// Run the epoch clock on a store that keeps timestamps too: the
+    /// parallel pipeline's workers read queued records, which carry none.
+    pub epoch_clock: bool,
 }
 
 impl Default for AlgoOptions {
@@ -85,6 +89,7 @@ impl Default for AlgoOptions {
             check_reversal: false,
             record_loops: true,
             section_shift: 0,
+            epoch_clock: false,
         }
     }
 }
@@ -112,9 +117,9 @@ fn gauge_fpr_pct(m: usize, occupied: usize) -> f64 {
 /// by the sweep recorded in DESIGN.md "Lookahead feed".
 pub(crate) const LOOKAHEAD: usize = 8;
 
-/// The largest epoch before the clock is renumbered; 8 bits in this
-/// crate's tests, so that their streams renumber.
-const EPOCH_LIMIT: u32 = if cfg!(test) { u8::MAX as u32 } else { u32::MAX };
+/// The epoch at which the clock of a store without timestamps (32-bit
+/// epochs) is renumbered; 8 bits in this crate's tests, so that they do.
+const EPOCH_LIMIT: u64 = if cfg!(test) { u8::MAX as u64 } else { u32::MAX as u64 };
 
 #[inline]
 fn coarsen(loc: SourceLoc, shift: u8) -> SourceLoc {
@@ -135,8 +140,10 @@ pub struct AlgoState<S: AccessStore> {
     /// The local dynamic execution tree (Section VIII representation).
     pub exec_tree: ExecTree,
     loops: LoopTracker,
-    /// Loop boundaries seen, renumbered: the clock of an epoch store.
-    epoch: u32,
+    /// [`AlgoOptions::epoch_clock`].
+    epoch_clock: bool,
+    /// Loop boundaries seen, renumbered: the epoch clock.
+    epoch: u64,
     counters: AlgoCounters,
     track_carried: bool,
     check_reversal: bool,
@@ -145,9 +152,6 @@ pub struct AlgoState<S: AccessStore> {
 }
 
 impl<S: AccessStore> AlgoState<S> {
-    /// Whether entries and loop marks carry epochs, not timestamps.
-    const EPOCHS: bool = S::HAS_CLOCK && !S::HAS_TS;
-
     /// Creates the state from the two signatures, joined into one pair
     /// store ([`AccessStore::pair`]).
     pub fn new(sig_read: S, sig_write: S, opts: AlgoOptions) -> Self {
@@ -156,13 +160,20 @@ impl<S: AccessStore> AlgoState<S> {
             store: DepStore::new(),
             exec_tree: ExecTree::new(),
             loops: LoopTracker::new(),
+            epoch_clock: opts.epoch_clock,
             epoch: 0,
             counters: AlgoCounters::default(),
             track_carried: opts.track_carried && S::HAS_CLOCK,
-            check_reversal: opts.check_reversal && S::HAS_TS,
+            check_reversal: opts.check_reversal && S::HAS_TS && !opts.epoch_clock,
             record_loops: opts.record_loops,
             section_shift: opts.section_shift,
         }
+    }
+
+    /// Entries and loop marks carry epochs (a constant without timestamps).
+    #[inline]
+    fn epochs(&self) -> bool {
+        S::HAS_CLOCK && (!S::HAS_TS || self.epoch_clock)
     }
 
     /// Counter snapshot.
@@ -170,28 +181,32 @@ impl<S: AccessStore> AlgoState<S> {
         self.counters
     }
 
-    /// Processes a run of events strictly in order, touching the signature
-    /// cell of event `i + 8` (`LOOKAHEAD`) while it retires event `i`, so the
-    /// slot array's cache miss overlaps the work on the events before it.
-    /// Same state afterwards as [`AlgoState::on_event`] on each in turn.
-    pub fn on_chunk(&mut self, evs: &[TraceEvent]) {
-        for ev in evs.iter().take(LOOKAHEAD) {
-            self.prefetch(ev);
+    /// Processes a run of events (a queued chunk, each record read where it
+    /// lies, or a slice) strictly in order, touching the signature cell of
+    /// event `i + 8` (`LOOKAHEAD`) while it retires event `i`, so the slot
+    /// array's cache miss overlaps the work on the events before it. Same
+    /// state afterwards as [`AlgoState::on_event`] on each in turn.
+    pub fn on_chunk<R: EventRun + ?Sized>(&mut self, run: &R) {
+        let n = run.len();
+        for i in 0..n.min(LOOKAHEAD) {
+            self.prefetch(run.access_addr(i));
         }
-        for (i, ev) in evs.iter().enumerate() {
-            if let Some(ahead) = evs.get(i + LOOKAHEAD) {
-                self.prefetch(ahead);
+        for i in 0..n {
+            if i + LOOKAHEAD < n {
+                self.prefetch(run.access_addr(i + LOOKAHEAD));
             }
-            self.on_event(ev);
+            match run.access(i) {
+                Some(a) => self.on_access(&a),
+                None => self.on_event(&run.event(i)),
+            }
         }
     }
 
-    /// Starts loading the signature cell `ev` will probe, if it is an
-    /// access; a hint only (see [`PairStore::prefetch`]).
+    /// Starts loading the signature cell of an access's `addr`; a hint ([`PairStore::prefetch`]).
     #[inline]
-    pub(crate) fn prefetch(&self, ev: &TraceEvent) {
-        if let TraceEvent::Access(a) = ev {
-            self.sigs.prefetch(a.addr);
+    pub(crate) fn prefetch(&self, addr: Option<Address>) {
+        if let Some(addr) = addr {
+            self.sigs.prefetch(addr);
         }
     }
 
@@ -200,9 +215,8 @@ impl<S: AccessStore> AlgoState<S> {
     /// lookahead lives in [`AlgoState::on_chunk`] and in the callers that
     /// buffer, never here.
     pub fn on_event(&mut self, ev: &TraceEvent) {
-        self.counters.events += 1;
         match *ev {
-            TraceEvent::Access(ref a) => self.on_access(a),
+            TraceEvent::Access(ref a) => return self.on_access(a),
             TraceEvent::LoopBegin { loop_id, loc, thread, ts } => {
                 let mark = self.mark(ts);
                 self.loops.begin(thread, loop_id, loc, mark);
@@ -226,16 +240,13 @@ impl<S: AccessStore> AlgoState<S> {
                     self.exec_tree.exit(thread, ExecNodeKind::Loop(loop_id));
                 }
             }
-            TraceEvent::CallBegin { func, thread, .. } => {
-                if self.record_loops {
-                    self.exec_tree.enter(thread, ExecNodeKind::Call(func));
-                }
+            TraceEvent::CallBegin { func, thread, .. } if self.record_loops => {
+                self.exec_tree.enter(thread, ExecNodeKind::Call(func))
             }
-            TraceEvent::CallEnd { func, thread, .. } => {
-                if self.record_loops {
-                    self.exec_tree.exit(thread, ExecNodeKind::Call(func));
-                }
+            TraceEvent::CallEnd { func, thread, .. } if self.record_loops => {
+                self.exec_tree.exit(thread, ExecNodeKind::Call(func))
             }
+            TraceEvent::CallBegin { .. } | TraceEvent::CallEnd { .. } => {}
             TraceEvent::Dealloc { base, len, .. } => {
                 for i in 0..len {
                     self.sigs.remove(base + i * 8);
@@ -243,27 +254,29 @@ impl<S: AccessStore> AlgoState<S> {
                 self.counters.lifetime_removals += len;
             }
         }
+        self.counters.events += 1;
     }
 
     /// The clock a loop boundary at `ts` marks: `ts`, or the next epoch,
     /// renumbered first once the last is spent.
     fn mark(&mut self, ts: Timestamp) -> Timestamp {
-        if !Self::EPOCHS {
+        if !self.epochs() {
             return ts;
         }
-        if self.epoch == EPOCH_LIMIT {
+        if self.epoch == EPOCH_LIMIT && !S::HAS_TS {
             let (rank, top) = self.loops.renumber();
             self.sigs.reclock(&rank);
-            self.epoch = top as u32;
+            self.epoch = top;
         }
         self.epoch += 1;
-        self.epoch.into()
+        self.epoch
     }
 
-    #[inline]
+    #[inline(always)]
     fn on_access(&mut self, a: &MemAccess) {
+        self.counters.events += 1;
         self.counters.accesses += 1;
-        let clock = if Self::EPOCHS { self.epoch.into() } else { a.ts };
+        let clock = if self.epochs() { self.epoch } else { a.ts };
         let entry = SigEntry::new(a.loc, a.thread, clock);
         match a.kind {
             AccessKind::Write => {
@@ -427,10 +440,10 @@ impl<S: AccessStore> AlgoState<S> {
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after algorithm state"));
         }
-        if Self::EPOCHS {
+        if self.epochs() {
             let (rank, top) = loops.renumber();
             self.sigs.restore_state(sig_r, sig_w, &rank)?;
-            self.epoch = top as u32;
+            self.epoch = top;
         } else {
             self.sigs.restore_state(sig_r, sig_w, &|ts| ts)?;
         }
@@ -607,12 +620,7 @@ mod tests {
         let mut s: AlgoState<PerfectSignature> = AlgoState::new(
             PerfectSignature::new(),
             PerfectSignature::new(),
-            AlgoOptions {
-                track_carried: false,
-                check_reversal: true,
-                record_loops: true,
-                section_shift: 0,
-            },
+            AlgoOptions { track_carried: false, check_reversal: true, ..AlgoOptions::default() },
         );
         // Write arrives with ts 10, then a read with *smaller* ts 5 —
         // the events were pushed out of order: potential race.
@@ -631,12 +639,7 @@ mod tests {
         let mut s = AlgoState::new(
             sig(),
             sig(),
-            AlgoOptions {
-                track_carried: false,
-                check_reversal: false,
-                record_loops: false,
-                section_shift: 0,
-            },
+            AlgoOptions { track_carried: false, record_loops: false, ..AlgoOptions::default() },
         );
         for i in 0..100u64 {
             s.on_event(&acc(AccessKind::Write, 0x1000 + i * 8, i * 2 + 1, 1));
@@ -830,6 +833,19 @@ mod tests {
         AlgoState::new(Signature::new(256), Signature::new(256), AlgoOptions::default())
     }
 
+    fn perfect_on(epoch_clock: bool) -> Perfect {
+        let opts = AlgoOptions { epoch_clock, ..AlgoOptions::default() };
+        AlgoState::new(PerfectSignature::new(), PerfectSignature::new(), opts)
+    }
+
+    /// `evs` as a parallel worker reads them: queued records, no
+    /// timestamps.
+    fn queued(evs: &[TraceEvent]) -> dp_queue::Chunk {
+        let mut chunk = dp_queue::Chunk::new(evs.len());
+        evs.iter().for_each(|&ev| chunk.push(ev));
+        chunk
+    }
+
     fn saved<S: AccessStore>(s: &mut AlgoState<S>) -> Vec<u8> {
         let mut out = ByteWriter::new();
         assert!(s.save_state(&mut out));
@@ -875,6 +891,24 @@ mod tests {
             prop_assert_eq!(&outcome(epochs), &want, "uninterrupted");
             prop_assert_eq!(&outcome(from_epochs), &want, "resumed at {}", cut);
             prop_assert_eq!(&outcome(from_stamps), &want, "converted at {}", cut);
+
+            // A store that keeps timestamps, run on epochs as a parallel
+            // worker runs it: from records without timestamps, and resumed
+            // from a blob of either clock.
+            let (mut epochs, mut stamps) = (perfect_on(true), perfect_on(false));
+            epochs.on_chunk(&queued(&evs[..cut]));
+            stamps.on_chunk(&evs[..cut]);
+            let (mut from_epochs, mut from_stamps) = (perfect_on(true), perfect_on(true));
+            from_epochs.restore_state(&saved(&mut epochs)).unwrap();
+            from_stamps.restore_state(&saved(&mut stamps)).unwrap();
+            for s in [&mut from_epochs, &mut from_stamps, &mut epochs] {
+                s.on_chunk(&queued(&evs[cut..]));
+            }
+            stamps.on_chunk(&evs[cut..]);
+            let want = outcome(stamps);
+            prop_assert_eq!(&outcome(epochs), &want, "perfect, uninterrupted");
+            prop_assert_eq!(&outcome(from_epochs), &want, "perfect, resumed at {}", cut);
+            prop_assert_eq!(&outcome(from_stamps), &want, "perfect, converted at {}", cut);
         }
     }
 }

@@ -37,7 +37,7 @@ use crate::algo::{AlgoOptions, AlgoState};
 use crate::config::ProfilerConfig;
 use crate::result::ProfileResult;
 use crate::workers::{shared, WorkerCtx, WorkerMsg, Workers};
-use dp_queue::{Chunk, MpmcQueue, TransportSender};
+use dp_queue::{Chunk, ChunkPool, MpmcQueue, Record, TransportSender};
 use dp_sig::AccessStore;
 use dp_types::{ThreadId, TraceEvent, Tracer, TracerFactory};
 use std::sync::Arc;
@@ -51,50 +51,50 @@ struct MtShared {
 
 /// Per-target-thread tracer: buffers events per worker, flushing full
 /// chunks eagerly and partial chunks at every sync point (lock release,
-/// barrier, thread exit).
+/// barrier, thread exit), and holding a chunk for a worker only from its
+/// first event for it on.
 pub struct MtThreadTracer {
     shared: Arc<MtShared>,
     pending: Vec<Chunk>,
 }
 
 impl MtThreadTracer {
-    fn append(&mut self, wid: usize, ev: TraceEvent) {
-        self.pending[wid].push(ev);
+    fn append(&mut self, wid: usize, rec: Record) {
+        self.shared.ctx.pool.ready(&mut self.pending[wid]).push_record(rec);
         if self.pending[wid].is_full() {
             self.flush(wid);
         }
     }
 
     fn flush(&mut self, wid: usize) {
-        if self.pending[wid].is_empty() {
-            return;
+        if !self.pending[wid].is_empty() {
+            let sh = &*self.shared;
+            sh.ctx.send_chunk(wid, &sh.senders[wid], std::mem::take(&mut self.pending[wid]));
         }
-        let sh = &*self.shared;
-        sh.ctx.send_chunk(wid, &sh.senders[wid], std::mem::take(&mut self.pending[wid]));
-        self.pending[wid] = sh.ctx.pool.acquire();
     }
 }
 
 impl Tracer for MtThreadTracer {
     fn event(&mut self, ev: TraceEvent) {
+        let rec = Record::pack(&ev);
         match ev {
             // Formula 1 with the 8-byte alignment shifted out (see
             // `ParallelProfiler::owner`).
             TraceEvent::Access(a) => {
-                self.append(((a.addr >> 3) % self.pending.len() as u64) as usize, ev)
+                self.append(((a.addr >> 3) % self.pending.len() as u64) as usize, rec)
             }
             // Structural events (loop records + execution tree) all go to
             // worker 0 so per-thread nesting stays coherent.
             TraceEvent::LoopBegin { .. }
             | TraceEvent::LoopEnd { .. }
             | TraceEvent::CallBegin { .. }
-            | TraceEvent::CallEnd { .. } => self.append(0, ev),
+            | TraceEvent::CallEnd { .. } => self.append(0, rec),
             // Iteration boundaries are only needed for carried
             // classification, which is off for multi-threaded targets.
             TraceEvent::LoopIter { .. } => {}
             TraceEvent::Dealloc { .. } => {
                 for wid in 0..self.pending.len() {
-                    self.append(wid, ev);
+                    self.append(wid, rec);
                 }
             }
         }
@@ -137,10 +137,10 @@ impl MtProfiler {
             check_reversal: true,
             // Structural events are routed to worker 0 only.
             record_loops: wid == 0,
-            section_shift: 0,
+            ..AlgoOptions::default()
         };
         let algos = (0..w).map(|wid| AlgoState::new(make_store(), make_store(), opts(wid)));
-        let pool = w * cfg.queue_chunks * 4;
+        let pool = ChunkPool::stamped(w * cfg.queue_chunks * 4, cfg.chunk_capacity);
         let (senders, workers) =
             Workers::spawn(&cfg, pool, algos.collect(), |cap| shared(MpmcQueue::new(cap)));
         let shared = Arc::new(MtShared { senders, ctx: workers.ctx.clone() });
@@ -181,7 +181,7 @@ impl TracerFactory for MtProfiler {
         let sh = &self.shared;
         MtThreadTracer {
             shared: sh.clone(),
-            pending: (0..sh.senders.len()).map(|_| sh.ctx.pool.acquire()).collect(),
+            pending: (0..sh.senders.len()).map(|_| Chunk::default()).collect(),
         }
     }
 

@@ -83,7 +83,7 @@ use crate::result::ProfileResult;
 use crate::store::AnalysisDelta;
 use crate::workers::{shared, Reply, WorkerMsg, Workers};
 use dp_metrics::HotAddress;
-use dp_queue::{spsc_ring, Chunk, LockQueue, MpmcQueue, TransportSender};
+use dp_queue::{spsc_ring, Chunk, ChunkPool, LockQueue, MpmcQueue, Record, TransportSender};
 use dp_sig::AccessStore;
 use dp_types::{Address, ByteReader, ByteWriter, FxHashMap, TraceEvent, Tracer, WireError};
 use std::time::Duration;
@@ -136,18 +136,18 @@ pub struct ParallelProfiler {
 }
 
 /// One extraction state per worker, each with two stores from
-/// `make_store`.
+/// `make_store`, on the epoch clock: the queued records carry no
+/// timestamps.
 fn worker_algos<S: AccessStore>(
     cfg: &ProfilerConfig,
     make_store: impl Fn() -> S,
 ) -> Vec<AlgoState<S>> {
     let opts = |wid| AlgoOptions {
-        track_carried: true,
-        check_reversal: false,
         // Loop events are broadcast; only worker 0 records them, so
         // iteration counts stay exact.
         record_loops: wid == 0,
-        section_shift: 0,
+        epoch_clock: true,
+        ..AlgoOptions::default()
     };
     (0..cfg.workers.max(1))
         .map(|wid| AlgoState::new(make_store(), make_store(), opts(wid)))
@@ -200,7 +200,7 @@ impl ParallelProfiler {
     /// The one place the transport is chosen.
     fn spawn<S: AccessStore + 'static>(cfg: ProfilerConfig, algos: Vec<AlgoState<S>>) -> Self {
         let w = algos.len();
-        let pool = w * (cfg.queue_chunks + 2);
+        let pool = ChunkPool::new(w * (cfg.queue_chunks + 2), cfg.chunk_capacity);
         let (senders, workers) = match cfg.transport {
             TransportKind::Spsc => Workers::spawn(&cfg, pool, algos, |cap| boxed(spsc_ring(cap))),
             TransportKind::Mpmc => {
@@ -278,12 +278,12 @@ impl ParallelProfiler {
         self.workers.ctx.deliver(wid, &*self.senders[wid], msg, drop_after).is_ok()
     }
 
-    /// Appends `ev` to `wid`'s chunk and flushes a filled one. A diverted
+    /// Appends `rec` to `wid`'s chunk and flushes a filled one. A diverted
     /// copy is counted rerouted once, here, and marked in its chunk so the
     /// enqueue/drop/consume taps exclude it downstream.
     #[inline]
-    fn append(&mut self, wid: usize, ev: TraceEvent, diverted: bool) {
-        self.pending[wid].push(ev);
+    fn append(&mut self, wid: usize, rec: Record, diverted: bool) {
+        self.pending[wid].push_record(rec);
         if diverted {
             self.workers.ctx.metrics.rerouted.inc();
             self.pending[wid].mark_rerouted();
@@ -302,13 +302,12 @@ impl ParallelProfiler {
     /// Sends `wid`'s pending chunk and only then acquires the next, so a
     /// worker's live chunks are its queue's, the one it works on and this.
     fn flush(&mut self, wid: usize) {
-        if self.pending[wid].is_empty() {
-            return;
+        if !self.pending[wid].is_empty() {
+            let ctx = &self.workers.ctx;
+            let chunk = std::mem::take(&mut self.pending[wid]);
+            self.chunks_pushed += ctx.send_chunk(wid, &*self.senders[wid], chunk) as u64;
+            self.pending[wid] = ctx.pool.acquire();
         }
-        let ctx = &self.workers.ctx;
-        let chunk = std::mem::take(&mut self.pending[wid]);
-        self.chunks_pushed += ctx.send_chunk(wid, &*self.senders[wid], chunk) as u64;
-        self.pending[wid] = ctx.pool.acquire();
     }
 
     fn flush_all(&mut self) {
@@ -617,14 +616,16 @@ impl ParallelProfiler {
 }
 
 impl Tracer for ParallelProfiler {
+    /// Routes one event of thread 0, packed once ([`Record`]) for every worker it goes to.
     fn event(&mut self, ev: TraceEvent) {
+        let rec = Record::pack(&ev);
         match ev {
             TraceEvent::Access(a) => {
                 // Access statistics, updated on every access (Section
                 // IV-A: "updated every time a memory access occurs").
                 self.hot.add(a.addr, 1);
                 let (wid, diverted) = self.route(a.addr);
-                self.append(wid, ev, diverted);
+                self.append(wid, rec, diverted);
             }
             TraceEvent::LoopBegin { .. }
             | TraceEvent::LoopIter { .. }
@@ -635,7 +636,7 @@ impl Tracer for ParallelProfiler {
                 // (removing an address a worker never owned is a no-op).
                 for wid in 0..self.pending.len() {
                     if !self.is_dead(wid) {
-                        self.append(wid, ev, false);
+                        self.append(wid, rec, false);
                     }
                 }
             }
@@ -645,7 +646,7 @@ impl Tracer for ParallelProfiler {
                 // what the degraded run lost; the divert below just keeps
                 // delivery from blocking.)
                 let wid = if self.is_dead(0) { self.next_live(0).unwrap_or(0) } else { 0 };
-                self.append(wid, ev, false);
+                self.append(wid, rec, false);
             }
         }
         // The balance check, once due, runs between events (never inside a
@@ -665,7 +666,6 @@ impl Tracer for ParallelProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_queue::ChunkPool;
     use dp_sig::PerfectSignature;
     use dp_types::{
         loc::loc, AccessKind, DepFlags, DepType, LoopId, MemAccess, SinkKey, SourceLoc,
@@ -1108,7 +1108,7 @@ mod tests {
     /// `memory.chunks`, its free list's own bytes left out.
     fn chunks_held(r: &ProfileResult, c: &ProfilerConfig) -> usize {
         let free_list = ChunkPool::new(r.workers * (c.queue_chunks + 2), c.chunk_capacity);
-        let chunk_bytes = c.chunk_capacity * std::mem::size_of::<TraceEvent>();
+        let chunk_bytes = c.chunk_capacity * free_list.event_bytes();
         (r.memory.chunks - free_list.memory_usage()) / chunk_bytes
     }
 

@@ -99,7 +99,7 @@ impl<S: AccessStore> SequentialProfiler<S> {
     /// the event that arrived eight (`LOOKAHEAD`) events ago.
     #[inline]
     pub fn on_event(&mut self, ev: &TraceEvent) {
-        self.algo.prefetch(ev);
+        self.algo.prefetch(ev.as_access().map(|a| a.addr));
         if self.delayed.is_full() {
             self.retire_oldest();
         }

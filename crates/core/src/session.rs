@@ -16,7 +16,7 @@ use crate::parallel::ParallelProfiler;
 use crate::result::ProfileResult;
 use crate::seq::SequentialProfiler;
 use crate::DefaultSig;
-use dp_types::{ByteReader, ByteWriter, TraceEvent, WireError};
+use dp_types::{ByteReader, ByteWriter, TraceEvent, Tracer, WireError};
 
 /// Which engine a session runs and how it is sized — everything needed
 /// to rebuild an identically-configured engine elsewhere (on a server,
@@ -172,10 +172,7 @@ impl ProfileSession {
     pub fn on_event(&mut self, ev: TraceEvent) {
         match self {
             ProfileSession::Serial(p) => p.on_event(&ev),
-            ProfileSession::Parallel(p) => {
-                use dp_types::Tracer;
-                p.event(ev)
-            }
+            ProfileSession::Parallel(p) => p.event(ev),
         }
     }
 
@@ -185,12 +182,7 @@ impl ProfileSession {
     pub fn on_chunk(&mut self, evs: &[TraceEvent]) {
         match self {
             ProfileSession::Serial(p) => p.on_chunk(evs),
-            ProfileSession::Parallel(p) => {
-                use dp_types::Tracer;
-                for ev in evs {
-                    p.event(*ev);
-                }
-            }
+            ProfileSession::Parallel(p) => evs.iter().for_each(|&ev| p.event(ev)),
         }
     }
 
@@ -227,12 +219,7 @@ impl ProfileSession {
     pub fn collect_deltas(&mut self) -> Vec<crate::store::AnalysisDelta> {
         match self {
             ProfileSession::Serial(p) => {
-                let d = p.take_delta();
-                if d.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![d]
-                }
+                Vec::from_iter(Some(p.take_delta()).filter(|d| !d.is_empty()))
             }
             ProfileSession::Parallel(p) => p.collect_deltas(),
         }

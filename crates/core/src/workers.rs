@@ -259,12 +259,12 @@ pub(crate) struct WorkerCtx {
 }
 
 impl WorkerCtx {
-    /// The context of a worker per queue capacity, its clock started now.
-    fn new(cfg: &ProfilerConfig, queue_caps: &[usize], pool_chunks: usize) -> Self {
+    /// The context of a worker per queue capacity over `pool`, its clock started now.
+    fn new(cfg: &ProfilerConfig, queue_caps: &[usize], pool: Arc<ChunkPool>) -> Self {
         let w = queue_caps.len();
         let flags = || (0..w).map(|_| AtomicBool::new(false)).collect();
         WorkerCtx {
-            pool: ChunkPool::new(pool_chunks, cfg.chunk_capacity),
+            pool,
             resp: MpmcQueue::new((cfg.top_k * 4).max(64).max(w)),
             dead: flags(),
             abandon: flags(),
@@ -415,19 +415,19 @@ pub(crate) struct Workers {
 impl Workers {
     /// Starts one supervised worker thread per element of `algos`, each
     /// behind its own channel from `channel` (called with the capacity,
-    /// [`ProfilerConfig::queue_chunks`]), and returns the sending ends.
-    /// Every worker state is built (and, on resume, restored) by the
-    /// caller before any thread exists.
+    /// [`ProfilerConfig::queue_chunks`]), and returns the sending ends; the
+    /// producers take their chunks from `pool`. Every worker state is built
+    /// (and, on resume, restored) by the caller before any thread exists.
     pub(crate) fn spawn<S: AccessStore + 'static, Tx, R: TransportReceiver<WorkerMsg> + 'static>(
         cfg: &ProfilerConfig,
-        pool_chunks: usize,
+        pool: Arc<ChunkPool>,
         algos: Vec<AlgoState<S>>,
         channel: impl Fn(usize) -> (Tx, R),
     ) -> (Vec<Tx>, Workers) {
         let (senders, receivers): (Vec<Tx>, Vec<R>) =
             algos.iter().map(|_| channel(cfg.queue_chunks)).unzip();
         let caps: Vec<usize> = receivers.iter().map(|rx| rx.capacity()).collect();
-        let ctx = Arc::new(WorkerCtx::new(cfg, &caps, pool_chunks));
+        let ctx = Arc::new(WorkerCtx::new(cfg, &caps, pool));
         let handles = (algos.into_iter().zip(receivers).enumerate())
             .map(|(wid, (algo, rx))| {
                 let ctx = ctx.clone();
@@ -801,7 +801,7 @@ fn run_worker<S: AccessStore, R: TransportReceiver<WorkerMsg>>(
                 // mid-chunk panic) with rerouted marks excluded.
                 ctx.metrics.consumed[wid].add((chunk.len() - chunk.rerouted()) as u64);
                 ctx.metrics.consumed_chunks[wid].inc();
-                algo.on_chunk(chunk.events());
+                algo.on_chunk(&chunk);
                 ctx.pool.release(chunk);
                 chunks_done += 1;
                 backoff.reset();
@@ -845,7 +845,7 @@ mod tests {
     fn stalled(limit: Duration) -> (WorkerCtx, Queue, Queue) {
         let cfg = ProfilerConfig::default().with_overflow(OverflowPolicy::Drop);
         let (tx, rx) = shared(MpmcQueue::new(1));
-        let ctx = WorkerCtx::new(&cfg, &[rx.capacity()], 4);
+        let ctx = WorkerCtx::new(&cfg, &[rx.capacity()], ChunkPool::new(4, cfg.chunk_capacity));
         while tx.push(WorkerMsg::EnableDelta).is_ok() {}
         // The engine is older than the limit before the queue fills, so a
         // deadline counted from the engine's start would already be spent.

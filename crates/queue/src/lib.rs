@@ -19,7 +19,8 @@
 //! - [`LockQueue`] — the mutex-protected comparator used for the
 //!   lock-based-vs-lock-free experiment (Figure 5: the lock-free design is
 //!   1.6×/1.3× faster on NAS/Starbench).
-//! - [`Chunk`] / [`ChunkPool`] — fixed-capacity event chunks with lock-free
+//! - [`Chunk`] / [`ChunkPool`] — fixed-capacity chunks of packed event
+//!   [`Record`]s (a tag and a 16-byte body each) with lock-free
 //!   recycling ("Empty chunks are recycled and can be reused").
 //! - [`TransportSender`] / [`TransportReceiver`] — the two endpoint
 //!   traits every queue's channel ends implement (the SPSC ring's halves,
@@ -48,7 +49,7 @@ pub mod spsc;
 pub mod traits;
 
 pub use backoff::Backoff;
-pub use chunk::{Chunk, ChunkPool};
+pub use chunk::{Chunk, ChunkPool, EventRun, Record};
 pub use fault::{chaos_seeds, FaultPlan, Spurious, WorkerFault};
 pub use lockq::LockQueue;
 pub use metered::ChannelTap;

@@ -30,8 +30,8 @@ pub enum SessionError {
     OutOfOrder(&'static str),
     /// Checkpoint store I/O failed.
     Io(std::io::Error),
-    /// The event at this stream position is an access by a thread other
-    /// than 0: a session profiles a sequential target.
+    /// The event at this stream position, of any kind, is by a thread
+    /// other than 0: a session profiles a sequential target.
     ForeignThread(u64),
 }
 
@@ -42,7 +42,7 @@ impl fmt::Display for SessionError {
             SessionError::Malformed(e) => write!(f, "{e}"),
             SessionError::OutOfOrder(what) => write!(f, "frame out of protocol order: {what}"),
             SessionError::Io(e) => write!(f, "session checkpoint I/O failed: {e}"),
-            SessionError::ForeignThread(at) => write!(f, "event {at} is an access off thread 0"),
+            SessionError::ForeignThread(at) => write!(f, "event {at} is off thread 0"),
         }
     }
 }
@@ -241,7 +241,7 @@ impl SessionEngine {
     }
 
     /// Feeds the part of a chunk starting at stream position `base` that
-    /// lies at or past the watermark; none of it if an access is off thread 0.
+    /// lies at or past the watermark; none of it if an event is off thread 0.
     fn feed_chunk(&mut self, base: u64, events: &[TraceEvent]) -> Result<Vec<Frame>, SessionError> {
         self.metrics.chunks += 1;
         if base > self.events_fed {
@@ -252,8 +252,7 @@ impl SessionEngine {
         // exactly, feed only the new suffix.
         let skip = (self.events_fed - base).min(events.len() as u64) as usize;
         let fresh = &events[skip..];
-        let foreign = |e: &TraceEvent| matches!(e, TraceEvent::Access(a) if a.thread != 0);
-        if let Some(i) = fresh.iter().position(foreign) {
+        if let Some(i) = fresh.iter().position(|e| e.thread() != 0) {
             return Err(SessionError::ForeignThread(self.events_fed + i as u64));
         }
         self.metrics.events_skipped_on_resume += skip as u64;

@@ -317,12 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn event_is_compact() {
-        // Events flow through queues in chunks; keep them cache-friendly.
-        assert!(std::mem::size_of::<TraceEvent>() <= 40);
-    }
-
-    #[test]
     fn every_kind_round_trips_at_the_tabled_length() {
         let kinds = [
             TraceEvent::Access(MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 2)),

@@ -85,6 +85,31 @@ fn record_then_replay_roundtrips() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// A recording is of a sequential target: a trace holding an event off
+/// thread 0 is refused, exit 4 with that event's position, by the serial
+/// engine and the pipeline alike.
+#[test]
+fn replay_refuses_an_event_off_thread_zero() {
+    use depprof::types::{loc::loc, MemAccess, TraceEvent, Tracer};
+    let dir = std::env::temp_dir().join("depprof-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join(format!("off-thread-{}.dptr", std::process::id()));
+    let file = std::fs::File::create(&trace).unwrap();
+    let mut w = depprof::trace::TraceWriter::new(file).unwrap();
+    w.event(TraceEvent::Access(MemAccess::write(0x10, 1, loc(1, 1), 1, 0)));
+    w.event(TraceEvent::Access(MemAccess::read(0x10, 2, loc(1, 2), 1, 0)));
+    w.event(TraceEvent::Access(MemAccess::read(0x10, 3, loc(1, 3), 1, 3)));
+    w.event(TraceEvent::Access(MemAccess::write(0x10, 4, loc(1, 4), 1, 0)));
+    w.finish().unwrap();
+    for engine in ["serial", "parallel"] {
+        let out = depprof(&["replay", trace.to_str().unwrap(), "--engine", engine]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "{engine}: {err}");
+        assert!(err.contains("event 2 is off thread 0"), "{engine}: {err}");
+    }
+    std::fs::remove_file(&trace).ok();
+}
+
 #[test]
 fn unknown_workload_fails_cleanly() {
     let out = depprof(&["profile", "nonexistent"]);

@@ -318,6 +318,43 @@ fn a_session_refuses_a_chunk_with_an_access_off_thread_zero() {
     assert_eq!(engine.metrics().events_skipped_on_resume, 1, "the accepted resend's overlap, once");
 }
 
+/// Every event kind off thread 0 is refused, not only an access, by a
+/// serial session and a parallel one alike: the pipeline's queued records
+/// keep no thread, so the two would disagree on such a stream.
+#[test]
+fn a_session_refuses_every_event_kind_off_thread_zero() {
+    use depprof::core::SessionSpec;
+    use depprof::server::{SessionEngine, SessionError};
+    let write = TraceEvent::Access(MemAccess::write(0x10, 1, loc(1, 1), 1, 0));
+    let foreign = [
+        TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 3), thread: 2, ts: 2 },
+        TraceEvent::LoopIter { loop_id: 1, iter: 0, thread: 2, ts: 2 },
+        TraceEvent::LoopEnd { loop_id: 1, loc: loc(1, 4), iters: 1, thread: 2, ts: 2 },
+        TraceEvent::CallBegin { func: 1, thread: 2, ts: 2 },
+        TraceEvent::CallEnd { func: 1, thread: 2, ts: 2 },
+        TraceEvent::Dealloc { base: 0x10, len: 1, thread: 2, ts: 2 },
+    ];
+    for parallel in [false, true] {
+        let spec = SessionSpec { parallel, workers: 2, slots: 1 << 12, ..SessionSpec::default() };
+        let hello = Hello {
+            session: "seq".into(),
+            spec: spec.encode(),
+            checkpoint_every: 0,
+            names: vec![],
+        };
+        let (mut engine, _) = SessionEngine::open(&hello, 1, None, 0).expect("a session");
+        for ev in foreign {
+            match engine.handle(Frame::Chunk { base: 0, events: vec![write, ev] }) {
+                Err(SessionError::ForeignThread(1)) => {}
+                other => panic!("parallel {parallel}, {ev:?}: {other:?}"),
+            }
+        }
+        engine.handle(Frame::Chunk { base: 0, events: vec![write] }).expect("thread 0 is fed");
+        let report = engine.handle(Frame::Finish).expect("the session finishes");
+        assert!(matches!(report[..], [Frame::Report { .. }]), "{report:?}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // DPTR: the same event bytes, a checksum byte after each
 // ---------------------------------------------------------------------

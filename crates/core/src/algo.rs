@@ -115,7 +115,7 @@ fn gauge_fpr_pct(m: usize, occupied: usize) -> f64 {
 /// prefetched: far enough to cover a miss into a slot array of tens of
 /// MiB, near enough that the lines are still in L1 when retired. Chosen
 /// by the sweep recorded in DESIGN.md "Lookahead feed".
-pub(crate) const LOOKAHEAD: usize = 8;
+const LOOKAHEAD: usize = 8;
 
 /// The epoch at which the clock of a store without timestamps (32-bit
 /// epochs) is renumbered; 8 bits in this crate's tests, so that they do.
@@ -204,7 +204,7 @@ impl<S: AccessStore> AlgoState<S> {
 
     /// Starts loading the signature cell of an access's `addr`; a hint ([`PairStore::prefetch`]).
     #[inline]
-    pub(crate) fn prefetch(&self, addr: Option<Address>) {
+    fn prefetch(&self, addr: Option<Address>) {
         if let Some(addr) = addr {
             self.sigs.prefetch(addr);
         }
@@ -212,8 +212,7 @@ impl<S: AccessStore> AlgoState<S> {
 
     /// Processes one event, immediately: when this returns, every reader
     /// of the state (`store`, gauges, checkpoints) sees the event. The
-    /// lookahead lives in [`AlgoState::on_chunk`] and in the callers that
-    /// buffer, never here.
+    /// lookahead lives in [`AlgoState::on_chunk`], never here.
     pub fn on_event(&mut self, ev: &TraceEvent) {
         match *ev {
             TraceEvent::Access(ref a) => return self.on_access(a),

@@ -235,10 +235,12 @@ proptest! {
 
     /// Lookahead never shows: the immediate per-event engine, the chunked
     /// engine over any split (empty and one-event chunks included), the
-    /// serial profiler's delay line, and a session checkpointed with
-    /// events still in the delay line and resumed, all leave the same
-    /// store bytes, counters, gauges and report. Nor does the clock: an
-    /// engine that keeps timestamps leaves all of it but the bytes.
+    /// serial profiler fed one event at a time (held in a run), and a
+    /// session checkpointed with events still held and resumed, all leave
+    /// the same store bytes, counters, gauges and report. Nor does the
+    /// clock: an engine that keeps timestamps leaves all of it but the
+    /// bytes. `seq.rs`'s `every_flush_point_retires_the_run` reaches each
+    /// flush point on both sides of a run boundary.
     #[test]
     fn every_feed_path_leaves_the_same_state(
         evs in arb_structured_stream(300),
@@ -272,12 +274,12 @@ proptest! {
         }
         prop_assert_eq!(&algo_outcome(chunked), &want, "on_chunk over splits {:?}", splits);
 
-        let mut delayed = SequentialProfiler::with_signature(TIGHT_SLOTS);
+        let mut held = SequentialProfiler::with_signature(TIGHT_SLOTS);
         for ev in &evs {
-            delayed.on_event(ev);
+            held.on_event(ev);
         }
-        let delayed = delayed.finish();
-        prop_assert_eq!(&engine_outcome(delayed), &want, "per-event delay line");
+        let held = held.finish();
+        prop_assert_eq!(&engine_outcome(held), &want, "per-event run");
 
         let spec = SessionSpec { slots: TIGHT_SLOTS, ..SessionSpec::default() };
         let cut = raw_cut % (evs.len() + 1);

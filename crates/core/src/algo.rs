@@ -34,7 +34,7 @@ use crate::exectree::{ExecNodeKind, ExecTree};
 use crate::loops::{CarrierInfo, LoopTracker};
 use crate::store::DepStore;
 use dp_metrics::SigGauges;
-use dp_queue::EventRun;
+use dp_queue::Chunk;
 use dp_sig::{AccessStore, PairStore, Side, SigEntry};
 use dp_types::{
     AccessKind, Address, ByteReader, ByteWriter, DepFlags, DepType, LoopId, MemAccess, SinkKey,
@@ -181,12 +181,12 @@ impl<S: AccessStore> AlgoState<S> {
         self.counters
     }
 
-    /// Processes a run of events (a queued chunk, each record read where it
-    /// lies, or a slice) strictly in order, touching the signature cell of
-    /// event `i + 8` (`LOOKAHEAD`) while it retires event `i`, so the slot
-    /// array's cache miss overlaps the work on the events before it. Same
-    /// state afterwards as [`AlgoState::on_event`] on each in turn.
-    pub fn on_chunk<R: EventRun + ?Sized>(&mut self, run: &R) {
+    /// Processes a chunk of events strictly in order, each record read
+    /// where it lies, touching the signature cell of event `i + 8`
+    /// (`LOOKAHEAD`) while it retires event `i`, so the slot array's cache
+    /// miss overlaps the work on the events before it. Same state
+    /// afterwards as [`AlgoState::on_event`] on each in turn.
+    pub fn on_chunk(&mut self, run: &Chunk) {
         let n = run.len();
         for i in 0..n.min(LOOKAHEAD) {
             self.prefetch(run.access_addr(i));
@@ -877,15 +877,15 @@ mod tests {
             prop_assert!(boundaries.count() > EPOCH_LIMIT as usize);
             let cut = raw_cut % (evs.len() + 1);
             let (mut epochs, mut stamps) = (sig_algo::<EpochSlot>(), sig_algo::<ExtendedSlot>());
-            epochs.on_chunk(&evs[..cut]);
-            stamps.on_chunk(&evs[..cut]);
+            evs[..cut].iter().for_each(|ev| epochs.on_event(ev));
+            evs[..cut].iter().for_each(|ev| stamps.on_event(ev));
             let (mut from_epochs, mut from_stamps) = (sig_algo::<EpochSlot>(), sig_algo::<EpochSlot>());
             from_epochs.restore_state(&saved(&mut epochs)).unwrap();
             from_stamps.restore_state(&saved(&mut stamps)).unwrap();
             for s in [&mut from_epochs, &mut from_stamps, &mut epochs] {
-                s.on_chunk(&evs[cut..]);
+                evs[cut..].iter().for_each(|ev| s.on_event(ev));
             }
-            stamps.on_chunk(&evs[cut..]);
+            evs[cut..].iter().for_each(|ev| stamps.on_event(ev));
             let want = outcome(stamps);
             prop_assert_eq!(&outcome(epochs), &want, "uninterrupted");
             prop_assert_eq!(&outcome(from_epochs), &want, "resumed at {}", cut);
@@ -896,14 +896,14 @@ mod tests {
             // from a blob of either clock.
             let (mut epochs, mut stamps) = (perfect_on(true), perfect_on(false));
             epochs.on_chunk(&queued(&evs[..cut]));
-            stamps.on_chunk(&evs[..cut]);
+            evs[..cut].iter().for_each(|ev| stamps.on_event(ev));
             let (mut from_epochs, mut from_stamps) = (perfect_on(true), perfect_on(true));
             from_epochs.restore_state(&saved(&mut epochs)).unwrap();
             from_stamps.restore_state(&saved(&mut stamps)).unwrap();
             for s in [&mut from_epochs, &mut from_stamps, &mut epochs] {
                 s.on_chunk(&queued(&evs[cut..]));
             }
-            stamps.on_chunk(&evs[cut..]);
+            evs[cut..].iter().for_each(|ev| stamps.on_event(ev));
             let want = outcome(stamps);
             prop_assert_eq!(&outcome(epochs), &want, "perfect, uninterrupted");
             prop_assert_eq!(&outcome(from_epochs), &want, "perfect, resumed at {}", cut);

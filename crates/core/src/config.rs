@@ -137,9 +137,10 @@ pub struct ProfilerConfig {
     /// What to do when a worker queue stays full past the stall deadline.
     pub overflow: OverflowPolicy,
     /// How long a queue must be *continuously* full before the owner is
-    /// presumed stalled (milliseconds). Under [`OverflowPolicy::Drop`]
-    /// this bounds the producer's wait; under `Block` it is only
-    /// consulted when delivering `Shutdown` at the end of a run.
+    /// presumed stalled (milliseconds). Only [`OverflowPolicy::Drop`]
+    /// reads it, to bound the producer's wait; `Block` never does.
+    /// `Shutdown` at the end of a run is bounded by
+    /// [`ProfilerConfig::drain_deadline_ms`] under either policy.
     pub stall_deadline_ms: u64,
     /// Upper bound on the end-of-run drain (in-flight migrations,
     /// worker joins) in milliseconds. Past it, pending migrations are

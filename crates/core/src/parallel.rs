@@ -120,11 +120,9 @@ pub struct ParallelProfiler {
     /// Section IV-A access statistics, in bounded memory.
     hot: HotTable,
     rules: FxHashMap<Address, usize>,
-    chunks_pushed: u64,
     /// The `chunks_pushed` at which the next balance check falls due.
     balance_due: u64,
     redistributions: u64,
-    rerouted_events: u64,
     cancelled_migrations: u64,
     spurious_replies: u64,
     /// Online analysis enabled (workers track dependence-map movement).
@@ -216,10 +214,8 @@ impl ParallelProfiler {
             workers,
             hot: HotTable::new(),
             rules: FxHashMap::default(),
-            chunks_pushed: 0,
             balance_due: cfg.redistribute_every,
             redistributions: 0,
-            rerouted_events: 0,
             cancelled_migrations: 0,
             spurious_replies: 0,
             online: false,
@@ -263,10 +259,7 @@ impl ParallelProfiler {
             return (wid, false);
         }
         match self.next_live(wid) {
-            Some(f) => {
-                self.rerouted_events += 1;
-                (f, true)
-            }
+            Some(f) => (f, true),
             // Every worker is dead; the send will drop and account.
             None => (wid, false),
         }
@@ -293,10 +286,15 @@ impl ParallelProfiler {
         }
     }
 
+    /// Event chunks delivered so far, the clock of the balance check.
+    fn chunks_pushed(&self) -> u64 {
+        self.workers.ctx.chunks_pushed.get()
+    }
+
     /// The next multiple of `redistribute_every` above `chunks_pushed`.
     fn next_balance(&self) -> u64 {
         let every = self.cfg.redistribute_every.max(1);
-        (self.chunks_pushed / every + 1) * every
+        (self.chunks_pushed() / every + 1) * every
     }
 
     /// Sends `wid`'s pending chunk and only then acquires the next, so a
@@ -305,7 +303,7 @@ impl ParallelProfiler {
         if !self.pending[wid].is_empty() {
             let ctx = &self.workers.ctx;
             let chunk = std::mem::take(&mut self.pending[wid]);
-            self.chunks_pushed += ctx.send_chunk(wid, &*self.senders[wid], chunk) as u64;
+            ctx.send_chunk(wid, &*self.senders[wid], chunk);
             self.pending[wid] = ctx.pool.acquire();
         }
     }
@@ -444,9 +442,9 @@ impl ParallelProfiler {
     /// number of `(addr, count)` pairs.
     fn save_router(&self) -> Vec<u8> {
         let mut out = ByteWriter::new();
-        out.u64(self.chunks_pushed);
+        out.u64(self.chunks_pushed());
         out.u64(self.redistributions);
-        out.u64(self.rerouted_events);
+        out.u64(self.workers.ctx.metrics.rerouted.get());
         out.u64(self.cancelled_migrations);
         out.u64(self.spurious_replies);
         let dropped = &self.workers.ctx.dropped_events;
@@ -473,14 +471,14 @@ impl ParallelProfiler {
 
     fn restore_router(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         let mut r = ByteReader::new(bytes);
-        self.chunks_pushed = r.u64()?;
-        self.redistributions = r.u64()?;
-        self.rerouted_events = r.u64()?;
-        self.cancelled_migrations = r.u64()?;
-        self.spurious_replies = r.u64()?;
         // Into the fresh pipeline's zeroed counters, as the ledger is.
         let ctx = &self.workers.ctx;
-        ctx.chunks_pushed.add(self.chunks_pushed);
+        ctx.chunks_pushed.add(r.u64()?);
+        self.redistributions = r.u64()?;
+        // The ledger's own copy, which it restores.
+        r.u64()?;
+        self.cancelled_migrations = r.u64()?;
+        self.spurious_replies = r.u64()?;
         if r.u32()? as usize != ctx.dropped_events.len() {
             return Err(WireError::Invalid("router drop-vector length differs from checkpoint"));
         }
@@ -605,7 +603,7 @@ impl ParallelProfiler {
         let mut r = self.workers.finish(&shutdown_ok, hot_addresses);
         r.stats.redistributions = self.redistributions;
         r.stats.redistributed_addrs = self.rules.len() as u64;
-        r.stats.rerouted_events = self.rerouted_events;
+        r.stats.rerouted_events = r.metrics.conservation.rerouted;
         r.stats.cancelled_migrations = self.cancelled_migrations;
         r.stats.spurious_replies = self.spurious_replies;
         let entry = std::mem::size_of::<(Address, u64)>() + 1;
@@ -652,7 +650,7 @@ impl Tracer for ParallelProfiler {
         // The balance check, once due, runs between events (never inside a
         // round's own flushes): a broadcast has reached every worker, so a
         // moved entry's two ends have seen the same boundaries and frees.
-        if self.cfg.redistribution && self.chunks_pushed >= self.balance_due {
+        if self.cfg.redistribution && self.chunks_pushed() >= self.balance_due {
             self.maybe_redistribute();
             self.balance_due = self.next_balance();
         }

@@ -8,23 +8,24 @@
 use crate::algo::{AlgoOptions, AlgoState};
 use crate::checkpoint::{CheckpointData, CheckpointError};
 use crate::result::{MemoryReport, ProfileResult, ProfileStats};
+use dp_queue::{Chunk, Record};
 use dp_sig::{AccessStore, PerfectSignature, Signature};
 use dp_types::TraceEvent;
 
-/// Events fed one at a time that are held and handed to
-/// [`AlgoState::on_chunk`] as one run. Chosen by the sweep recorded in
-/// DESIGN.md "Lookahead feed".
+/// Events held and handed to [`AlgoState::on_chunk`] as one run. Chosen
+/// by the sweep recorded in DESIGN.md "Lookahead feed".
 const RUN: usize = 64;
 
 /// In-line profiler; implements the trace substrate's `Tracer` contract.
 ///
-/// Events fed one at a time are held in a run of up to `RUN` and retired
-/// through [`AlgoState::on_chunk`], strictly in order, when the run
-/// fills. Every method that reads or moves engine state retires the run
-/// first, so no caller can observe the wait.
+/// Events are packed into a run of up to `RUN` — a stamped [`Chunk`], so
+/// each keeps its thread and timestamp — and retired through
+/// [`AlgoState::on_chunk`], strictly in order, when the run fills. Every
+/// method that reads or moves engine state retires the run first, so no
+/// caller can observe the wait.
 pub struct SequentialProfiler<S: AccessStore> {
     algo: AlgoState<S>,
-    run: Vec<TraceEvent>,
+    run: Chunk,
 }
 
 impl SequentialProfiler<crate::DefaultSig> {
@@ -55,30 +56,23 @@ impl<S: AccessStore> SequentialProfiler<S> {
     /// Engine with explicit [`AlgoOptions`] (e.g. the set-based profiling
     /// mode of Section VI-B1 via `section_shift`).
     pub fn with_options(read: S, write: S, opts: AlgoOptions) -> Self {
-        SequentialProfiler { algo: AlgoState::new(read, write, opts), run: Vec::with_capacity(RUN) }
+        SequentialProfiler { algo: AlgoState::new(read, write, opts), run: Chunk::stamped(RUN) }
     }
 
     /// Takes one instrumentation event; retires the run once it holds
     /// `RUN` events.
     #[inline]
     pub fn on_event(&mut self, ev: &TraceEvent) {
-        self.run.push(*ev);
-        if self.run.len() == RUN {
+        self.run.push_record(Record::pack(ev));
+        if self.run.is_full() {
             self.retire_run();
         }
     }
 
-    /// Takes a run of events the caller already holds, looking ahead
-    /// inside the run (see [`AlgoState::on_chunk`]).
-    pub fn on_chunk(&mut self, evs: &[TraceEvent]) {
-        self.retire_run();
-        self.algo.on_chunk(evs);
-    }
-
     /// Retires every event held in the run, in order.
     fn retire_run(&mut self) {
-        self.algo.on_chunk(self.run.as_slice());
-        self.run.clear();
+        self.algo.on_chunk(&self.run);
+        self.run.reset();
     }
 
     /// Turns on online analysis: the in-line store starts tracking
@@ -376,16 +370,6 @@ mod tests {
         let evs = mixed_stream(2 * RUN + 77);
         for cut in [RUN - 1, RUN, RUN + 1] {
             let (head, tail) = evs.split_at(cut);
-
-            let mut p = fed(head, false);
-            p.on_chunk(&tail[..5]);
-            assert_eq!(
-                state(&mut p.algo),
-                state(&mut immediate(&evs[..cut + 5], false)),
-                "on_chunk at {cut}"
-            );
-            tail[5..].iter().for_each(|ev| p.on_event(ev));
-            assert_finishes_as(p, immediate(&evs, false), &format!("on_chunk at {cut}"));
 
             let mut p = fed(head, false);
             p.enable_online();

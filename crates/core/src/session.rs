@@ -176,16 +176,6 @@ impl ProfileSession {
         }
     }
 
-    /// Feeds a run of events the caller holds whole (a decoded frame, a
-    /// popped chunk): the serial engine looks ahead inside the run; the
-    /// pipeline routes event by event, its workers look ahead in theirs.
-    pub fn on_chunk(&mut self, evs: &[TraceEvent]) {
-        match self {
-            ProfileSession::Serial(p) => p.on_chunk(evs),
-            ProfileSession::Parallel(p) => evs.iter().for_each(|&ev| p.event(ev)),
-        }
-    }
-
     /// Monotone downstream-progress value. The serial engine consumes
     /// in-line, so the feed counter alone describes its progress.
     pub fn heartbeat(&self) -> u64 {

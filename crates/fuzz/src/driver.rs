@@ -72,6 +72,8 @@ pub struct FuzzReport {
     pub seeds: u64,
     /// Sequential programs among them.
     pub sequential: u64,
+    /// Oracle legs each sequential program ran.
+    pub sequential_legs: usize,
     /// Multi-threaded programs among them.
     pub mt: u64,
     /// Total accesses across all reference runs.
@@ -187,7 +189,7 @@ pub fn run_fuzz(opts: &FuzzOpts, log: &mut dyn FnMut(String)) -> FuzzReport {
     for i in 0..opts.seeds {
         let seed = opts.start_seed + i;
         // Every fourth program is a fork-join MT target; the rest take
-        // the full eight-leg replay oracle.
+        // every replay leg of the oracle.
         let mut cfg = if opts.quick { FuzzConfig::quick() } else { FuzzConfig::default() };
         cfg.mt = seed % 4 == 3;
         let prog = generate(seed, &cfg);
@@ -197,6 +199,7 @@ pub fn run_fuzz(opts: &FuzzOpts, log: &mut dyn FnMut(String)) -> FuzzReport {
                     report.mt += 1;
                 } else {
                     report.sequential += 1;
+                    report.sequential_legs = out.legs;
                 }
                 report.total_accesses += out.accesses;
                 if let Some(s) = out.accuracy {

@@ -1,7 +1,7 @@
 //! The differential oracle: one program, every engine, one verdict.
 //!
 //! For a sequential program the oracle records its trace once and feeds
-//! the identical event stream to thirteen legs:
+//! the identical event stream to twelve engine legs:
 //!
 //! 1. serial in-line engine (the reference),
 //! 2. parallel pipeline, SPSC transport,
@@ -19,15 +19,13 @@
 //!     its incremental analysis state (serial engine) — the *final*
 //!     snapshot must equal the post-hoc loop/comm/race passes over the
 //!     finished profile,
-//! 12. the same online-analysis equivalence over the parallel pipeline,
-//! 13. serial engine fed in chunks of seeded random length (empty and
-//!     one-event chunks included), so the lookahead feed is held to the
-//!     per-event one.
+//! 12. the same online-analysis equivalence over the parallel pipeline.
 //!
 //! All legs must produce the same dependence multiset, and the serial
 //! result must additionally show zero false positives and zero false
-//! negatives against the perfect-signature baseline. Both comparisons
-//! are exact, not statistical: [`injective_slots`] grows the signature
+//! negatives against the perfect-signature baseline, a thirteenth leg
+//! in [`OracleOutcome::legs`]. Both comparisons are exact, not
+//! statistical: [`injective_slots`] grows the signature
 //! until the multiply-shift hash is injective on the program's actual
 //! address footprint (checked for the serial slot count *and* the
 //! per-worker slot count), at which point the approximate signature is
@@ -207,23 +205,6 @@ pub fn offline(spec: &SessionSpec, events: &[TraceEvent]) -> ProfileResult {
     let mut session = spec.build();
     for ev in events {
         session.on_event(*ev);
-    }
-    session.finish()
-}
-
-/// Replays events through a fresh engine built from `spec` in chunks of
-/// seeded random length, 0 to 40 events each.
-pub fn offline_chunked(spec: &SessionSpec, events: &[TraceEvent], seed: u64) -> ProfileResult {
-    let mut session = spec.build();
-    let mut x = seed | 1;
-    let mut rest = events;
-    while !rest.is_empty() {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let (now, later) = rest.split_at((x % 41).min(rest.len() as u64) as usize);
-        session.on_chunk(now);
-        rest = later;
     }
     session.finish()
 }
@@ -505,12 +486,6 @@ pub fn check_program(prog: &Program, cfg: &OracleConfig) -> Result<OracleOutcome
     let want = dep_map(&reference);
     let mut legs = 1usize;
 
-    // Varies per program, so chunk lengths and (below) the flaky
-    // transport's cut land differently across a campaign.
-    let leg_seed = (events.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    expect_equal("serial-chunked", &want, &offline_chunked(&serial_spec, &events, leg_seed))?;
-    legs += 1;
-
     // Parallel transports. The SPSC leg is where a hand-injected
     // corruption lands, so the harness can prove divergences are caught.
     let spsc_events: Vec<TraceEvent> = match &cfg.corruption {
@@ -542,7 +517,9 @@ pub fn check_program(prog: &Program, cfg: &OracleConfig) -> Result<OracleOutcome
     legs += 1;
 
     // Flaky transport: seeded mid-stream disconnect + reconnect with
-    // resend overlap, every frame delivered twice.
+    // resend overlap, every frame delivered twice. The seed varies per
+    // program, so the cut lands differently across a campaign.
+    let leg_seed = (events.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     expect_equal(
         "flaky-served-serial",
         &want,

@@ -485,15 +485,8 @@ pub struct SessionMetrics {
     pub resumed_from: u64,
     /// Checkpoint generations written for this session.
     pub checkpoint_generations: u64,
-    /// Times a client re-`Hello`ed into this session name.
-    pub reconnects: u64,
-    /// Times this session was hibernated to the checkpoint store.
-    pub hibernated: u64,
-    /// Times this session was rehydrated from a checkpoint on `Hello`.
-    pub rehydrated: u64,
-    /// Events discarded because their positions were below the
-    /// already-profiled watermark (resend overlap, duplicate frames).
-    pub events_skipped_on_resume: u64,
+    /// What the session survived, as its result's snapshot reports it.
+    pub service: ServiceMetrics,
 }
 
 impl SessionMetrics {
@@ -514,10 +507,10 @@ impl SessionMetrics {
             self.bytes_in,
             self.resumed_from,
             self.checkpoint_generations,
-            self.reconnects,
-            self.hibernated,
-            self.rehydrated,
-            self.events_skipped_on_resume
+            self.service.reconnects,
+            self.service.hibernated,
+            self.service.rehydrated,
+            self.service.events_skipped_on_resume
         )
     }
 }
@@ -649,10 +642,12 @@ mod tests {
     #[test]
     fn session_metrics_json_carries_resilience_counters() {
         let m = SessionMetrics {
-            reconnects: 3,
-            hibernated: 1,
-            rehydrated: 2,
-            events_skipped_on_resume: 77,
+            service: ServiceMetrics {
+                reconnects: 3,
+                hibernated: 1,
+                rehydrated: 2,
+                events_skipped_on_resume: 77,
+            },
             ..Default::default()
         };
         let j = m.to_json();

@@ -17,10 +17,11 @@
 //! event's id, location and count; a deallocation's base and length — and
 //! no thread or timestamp: the sequential pipeline's events are all
 //! thread 0, and its workers keep the epoch clock, not timestamps. A
-//! queued sequential event costs 17 bytes. A *stamped* chunk, the
-//! multi-threaded engine's, adds a thread and a timestamp column (27
-//! bytes an event). The tag has a column of its own because no 16-byte
-//! record holds every event: an access alone needs 129 bits.
+//! queued sequential event costs 17 bytes. A *stamped* chunk — the
+//! multi-threaded engine's, and the serial engine's run — adds a thread
+//! and a timestamp column (27 bytes an event). The tag has a column of
+//! its own because no 16-byte record holds every event: an access alone
+//! needs 129 bits.
 
 use crate::mpmc::MpmcQueue;
 use dp_types::{AccessKind, Address, MemAccess, SourceLoc, ThreadId, Timestamp, TraceEvent};
@@ -119,52 +120,6 @@ impl Record {
             DEALLOC => TraceEvent::Dealloc { base: a, len: b, thread, ts },
             _ => unreachable!("tag {tag} was never packed"),
         }
-    }
-}
-
-/// A run of events in stream order, each read where it lies: what a
-/// worker's `AlgoState::on_chunk` consumes — a chunk's columns, or a
-/// slice of events the caller already holds.
-pub trait EventRun {
-    /// Number of events.
-    fn len(&self) -> usize;
-
-    /// True if there are none.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Event `i`, as a value on the caller's stack.
-    fn event(&self, i: usize) -> TraceEvent;
-
-    /// The address event `i` accesses, if it is an access: what a
-    /// consumer prefetches ahead of retiring it.
-    fn access_addr(&self, i: usize) -> Option<Address>;
-
-    /// Event `i`, if it is an access: the consumer's fast path, which
-    /// builds no [`TraceEvent`].
-    fn access(&self, i: usize) -> Option<MemAccess>;
-}
-
-impl EventRun for [TraceEvent] {
-    #[inline]
-    fn len(&self) -> usize {
-        <[TraceEvent]>::len(self)
-    }
-
-    #[inline]
-    fn event(&self, i: usize) -> TraceEvent {
-        self[i]
-    }
-
-    #[inline]
-    fn access_addr(&self, i: usize) -> Option<Address> {
-        self[i].as_access().map(|a| a.addr)
-    }
-
-    #[inline]
-    fn access(&self, i: usize) -> Option<MemAccess> {
-        self[i].as_access().copied()
     }
 }
 
@@ -299,27 +254,25 @@ impl Chunk {
         self.len = 0;
         self.rerouted = 0;
     }
-}
 
-impl EventRun for Chunk {
+    /// Event `i`, as a value on the caller's stack.
     #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    fn event(&self, i: usize) -> TraceEvent {
+    pub fn event(&self, i: usize) -> TraceEvent {
         let (thread, ts) = self.stamp(i);
         Record::unpack(self.tags[i], self.bodies[i], thread, ts)
     }
 
+    /// The address event `i` accesses, if it is an access: what a
+    /// consumer prefetches ahead of retiring it.
     #[inline]
-    fn access_addr(&self, i: usize) -> Option<Address> {
+    pub fn access_addr(&self, i: usize) -> Option<Address> {
         (self.tags[i] <= WRITE).then(|| self.bodies[i][0])
     }
 
+    /// Event `i`, if it is an access: the consumer's fast path, which
+    /// builds no [`TraceEvent`].
     #[inline]
-    fn access(&self, i: usize) -> Option<MemAccess> {
+    pub fn access(&self, i: usize) -> Option<MemAccess> {
         let tag = self.tags[i];
         (tag <= WRITE).then(|| {
             let (thread, ts) = self.stamp(i);
@@ -498,7 +451,7 @@ mod tests {
             TraceEvent::Dealloc { base: 0, len: u64::MAX / 8, thread: 0, ts: 0 },
         ];
         assert_eq!(round_trip(&mut Chunk::new(evs.len()), &evs), evs);
-        let addrs: Vec<_> = (0..evs.len()).filter_map(|i| evs[..].access_addr(i)).collect();
+        let addrs: Vec<_> = evs.iter().filter_map(|ev| ev.as_access().map(|a| a.addr)).collect();
         let mut chunk = Chunk::new(evs.len());
         round_trip(&mut chunk, &evs);
         assert_eq!((0..evs.len()).filter_map(|i| chunk.access_addr(i)).collect::<Vec<_>>(), addrs);

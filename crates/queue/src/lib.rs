@@ -49,7 +49,7 @@ pub mod spsc;
 pub mod traits;
 
 pub use backoff::Backoff;
-pub use chunk::{Chunk, ChunkPool, EventRun, Record};
+pub use chunk::{Chunk, ChunkPool, Record};
 pub use fault::{chaos_seeds, FaultPlan, Spurious, WorkerFault};
 pub use lockq::LockQueue;
 pub use metered::ChannelTap;

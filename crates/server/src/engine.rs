@@ -9,7 +9,7 @@
 use dp_analysis::incremental::json_string;
 use dp_analysis::OnlineAnalysis;
 use dp_core::{report, CheckpointStore, ProfileResult, ProfileSession, SessionSpec};
-use dp_metrics::SessionMetrics;
+use dp_metrics::{ServiceMetrics, SessionMetrics};
 use dp_types::protocol::{
     error_code, query_kind, ChunkView, Frame, Hello, ProtocolError, TAG_CHUNK,
 };
@@ -89,8 +89,8 @@ pub struct SessionEngine {
     /// first `Query` frame — sessions that never query carry no delta
     /// tracking and pay nothing for the subsystem.
     online: Option<OnlineAnalysis>,
-    /// The wire chunk being fed, decoded once so the engine sees it as
-    /// one slice; kept for its allocation.
+    /// The wire chunk being fed, decoded whole so that its thread check
+    /// runs before any of it is fed; kept for its allocation.
     decoded: Vec<TraceEvent>,
     finished: bool,
 }
@@ -155,7 +155,10 @@ impl SessionEngine {
             events_fed,
             metrics: SessionMetrics {
                 resumed_from: events_fed,
-                rehydrated: rehydrated as u64,
+                service: ServiceMetrics {
+                    rehydrated: rehydrated as u64,
+                    ..ServiceMetrics::default()
+                },
                 ..SessionMetrics::default()
             },
             online: None,
@@ -255,12 +258,12 @@ impl SessionEngine {
         if let Some(i) = fresh.iter().position(|e| e.thread() != 0) {
             return Err(SessionError::ForeignThread(self.events_fed + i as u64));
         }
-        self.metrics.events_skipped_on_resume += skip as u64;
+        self.metrics.service.events_skipped_on_resume += skip as u64;
         self.feed(fresh).map(|()| Vec::new())
     }
 
-    /// Feeds `evs` to the engine whole, cut only where a periodic
-    /// checkpoint falls due, so checkpoints land on exact multiples of
+    /// Feeds `evs` to the engine, cut only where a periodic checkpoint
+    /// falls due, so checkpoints land on exact multiples of
     /// `checkpoint_every` however the stream was framed.
     fn feed(&mut self, mut evs: &[TraceEvent]) -> Result<(), SessionError> {
         while !evs.is_empty() {
@@ -270,7 +273,7 @@ impl SessionEngine {
             };
             let (now, later) = evs.split_at(until_due.min(evs.len() as u64) as usize);
             let session = self.session.as_mut().expect("unfinished session has an engine");
-            session.on_chunk(now);
+            now.iter().for_each(|&ev| session.on_event(ev));
             self.metrics.events += now.len() as u64;
             self.events_fed += now.len() as u64;
             if self.checkpoint_every > 0 && self.events_fed.is_multiple_of(self.checkpoint_every) {
@@ -348,7 +351,7 @@ impl SessionEngine {
             self.store = Some(CheckpointStore::create(dir).map_err(SessionError::Io)?);
         }
         self.write_checkpoint()?;
-        self.metrics.hibernated += 1;
+        self.metrics.service.hibernated += 1;
         self.session = None;
         self.finished = true;
         Ok(())
@@ -363,7 +366,7 @@ impl SessionEngine {
     /// Records how many times a client re-`Hello`ed into this session
     /// name (tracked by the server across connections).
     pub fn set_reconnects(&mut self, reconnects: u64) {
-        self.metrics.reconnects = reconnects;
+        self.metrics.service.reconnects = reconnects;
     }
 
     /// Finishes the engine in-process and returns the raw result —
@@ -372,13 +375,10 @@ impl SessionEngine {
     /// resilience counters are stamped into the result's snapshot.
     pub fn finish_result(mut self) -> Option<ProfileResult> {
         self.finished = true;
-        let m = self.metrics;
+        let service = self.metrics.service;
         self.session.take().map(|s| {
             let mut result = s.finish();
-            result.metrics.service.reconnects = m.reconnects;
-            result.metrics.service.hibernated = m.hibernated;
-            result.metrics.service.rehydrated = m.rehydrated;
-            result.metrics.service.events_skipped_on_resume = m.events_skipped_on_resume;
+            result.metrics.service = service;
             result
         })
     }
@@ -500,9 +500,9 @@ mod tests {
         let (mut second, ack) = SessionEngine::open(&hello("job", 10), 3, Some(&base), 0).unwrap();
         assert_eq!(ack, Frame::HelloAck { session_id: 3, resume_from: 60 });
         assert_eq!(second.metrics().resumed_from, 60);
-        assert_eq!(second.metrics().rehydrated, 1);
+        assert_eq!(second.metrics().service.rehydrated, 1);
         second.handle(Frame::Chunk { base: 40, events: evs[40..].to_vec() }).unwrap();
-        assert_eq!(second.metrics().events_skipped_on_resume, 20);
+        assert_eq!(second.metrics().service.events_skipped_on_resume, 20);
         assert_eq!(second.position(), 100);
         let resumed = second.finish_result().unwrap();
         assert_eq!(resumed.metrics.service.events_skipped_on_resume, 20);
@@ -544,7 +544,11 @@ mod tests {
             let resent = evs[resend_from as usize..].to_vec();
             second.handle(Frame::Chunk { base: resend_from, events: resent }).unwrap();
             let skipped = watermark - resend_from;
-            assert_eq!(second.metrics().events_skipped_on_resume, skipped, "at {watermark}");
+            assert_eq!(
+                second.metrics().service.events_skipped_on_resume,
+                skipped,
+                "at {watermark}"
+            );
             assert_eq!(second.position(), evs.len() as u64);
             let resumed = second.finish_result().unwrap();
             assert_eq!(deps(&reference), deps(&resumed), "resumed at {watermark}");
@@ -572,7 +576,7 @@ mod tests {
         // Exact duplicate delivery of the last frame: fully skipped.
         s.handle(Frame::Chunk { base: 0, events: evs[..20].to_vec() }).unwrap();
         assert_eq!(s.position(), 20);
-        assert_eq!(s.metrics().events_skipped_on_resume, 20);
+        assert_eq!(s.metrics().service.events_skipped_on_resume, 20);
         // A gap is a protocol violation, not silent data loss, whatever
         // the chunk holds.
         let err = s.handle(Frame::Chunk { base: 25, events: evs[25..].to_vec() }).unwrap_err();
@@ -618,9 +622,9 @@ mod tests {
         // The wire entrance and the frame entrance are one feed body: the
         // same overlap is skipped, the same suffix fed.
         s.handle_wire(TAG_CHUNK, &payload_of(5, accesses(5..20))).unwrap();
-        assert_eq!((s.position(), s.metrics().events_skipped_on_resume), (20, 5));
+        assert_eq!((s.position(), s.metrics().service.events_skipped_on_resume), (20, 5));
         s.handle(Frame::Chunk { base: 15, events: accesses(15..30) }).unwrap();
-        assert_eq!((s.position(), s.metrics().events_skipped_on_resume), (30, 10));
+        assert_eq!((s.position(), s.metrics().service.events_skipped_on_resume), (30, 10));
     }
 
     #[test]
@@ -639,12 +643,12 @@ mod tests {
         assert!(idle.durable());
         idle.handle(Frame::Chunk { base: 0, events: evs[..50].to_vec() }).unwrap();
         idle.hibernate().unwrap();
-        assert_eq!(idle.metrics().hibernated, 1);
+        assert_eq!(idle.metrics().service.hibernated, 1);
         drop(idle);
 
         let (mut woken, ack) = SessionEngine::open(&hello("nap", 0), 3, Some(&base), 0).unwrap();
         assert_eq!(ack, Frame::HelloAck { session_id: 3, resume_from: 50 });
-        assert_eq!(woken.metrics().rehydrated, 1);
+        assert_eq!(woken.metrics().service.rehydrated, 1);
         woken.handle(Frame::Chunk { base: 50, events: evs[50..].to_vec() }).unwrap();
         let resumed = woken.finish_result().unwrap();
         assert_eq!(reference.stats.accesses, resumed.stats.accesses);

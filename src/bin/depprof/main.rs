@@ -28,7 +28,7 @@
 //! monitor that forces an emergency checkpoint and exits with code `6`
 //! when the pipeline stops making progress.
 //!
-//! `serve` runs the profiler as a network service speaking the DPSV v1
+//! `serve` runs the profiler as a network service speaking the DPSV v3
 //! frame protocol; `push` streams a recorded trace to it and prints the
 //! report the server sends back. Each push names a *session*; a server
 //! started with `--checkpoint-dir` checkpoints its sessions, and a push
@@ -432,7 +432,7 @@ fn run_replay(args: &Args) -> Cli {
 }
 
 /// `depprof serve` — run the profiler as a long-lived network service.
-/// Listens for DPSV v1 connections, one profiling session per client,
+/// Listens for DPSV v3 connections, one profiling session per client,
 /// until SIGINT/SIGTERM; in-flight sessions are emergency-checkpointed
 /// on shutdown and resumed when their clients reconnect.
 fn run_serve(args: &Args) -> Cli {
@@ -494,10 +494,11 @@ fn run_fuzz(args: &Args) -> Cli {
     let start = Instant::now();
     let report = depprof::fuzz::run_fuzz(&opts, &mut |line| eprintln!("{line}"));
     eprintln!(
-        "fuzz: {} seeds ({} sequential x 13 legs, {} multi-threaded), {} accesses, \
+        "fuzz: {} seeds ({} sequential x {} legs, {} multi-threaded), {} accesses, \
          {} webscale streams, {:.1}s",
         report.seeds,
         report.sequential,
+        report.sequential_legs,
         report.mt,
         report.total_accesses,
         report.webscale_runs,

@@ -267,7 +267,7 @@ fn engine_checkpoint_of_the_two_table_engine_loads_and_resaves() {
     };
     let parent = include_bytes!("golden/algo_two_tables.bin");
     let mut ran = new();
-    ran.on_chunk(&pinned_stream()[..]);
+    pinned_stream().iter().for_each(|ev| ran.on_event(ev));
     assert!(save(&mut ran) == parent, "the same stream writes the parent's bytes");
 
     let mut loaded = new();
@@ -339,18 +339,16 @@ fn engine_checkpoint_of_the_two_table_engine_resumes_on_epoch_slots() {
     let pinned = pinned_stream();
     let rest = pinned_continuation(&pinned);
     let mut whole = new::<EpochSlot>();
-    whole.on_chunk(&pinned[..]);
-    whole.on_chunk(&rest[..]);
+    pinned.iter().chain(&rest).for_each(|ev| whole.on_event(ev));
     let uninterrupted = outcome(whole);
     assert!(uninterrupted.2 > 100, "{} carried edges", uninterrupted.2);
     let mut stamped = new::<ExtendedSlot>();
-    stamped.on_chunk(&pinned[..]);
-    stamped.on_chunk(&rest[..]);
+    pinned.iter().chain(&rest).for_each(|ev| stamped.on_event(ev));
     assert!(outcome(stamped) == uninterrupted, "epochs classify as timestamps do");
 
     let mut resumed = new::<EpochSlot>();
     resumed.restore_state(include_bytes!("golden/algo_two_tables.bin")).expect("it converts");
-    resumed.on_chunk(&rest[..]);
+    rest.iter().for_each(|ev| resumed.on_event(ev));
     assert!(outcome(resumed) == uninterrupted, "resumed from the timestamp engine's blob");
 }
 

@@ -288,9 +288,13 @@ fn service_counters_balance_the_resume_ledger() {
         }
     }
     let m1 = *one.metrics();
-    assert_eq!(m1.rehydrated, 0);
-    assert_eq!(delivered_1, m1.events + m1.events_skipped_on_resume, "incarnation 1 ledger");
-    assert_eq!(m1.events_skipped_on_resume, m1.events, "every frame was delivered twice");
+    assert_eq!(m1.service.rehydrated, 0);
+    assert_eq!(
+        delivered_1,
+        m1.events + m1.service.events_skipped_on_resume,
+        "incarnation 1 ledger"
+    );
+    assert_eq!(m1.service.events_skipped_on_resume, m1.events, "every frame was delivered twice");
     let watermark = one.position();
     one.write_checkpoint().unwrap();
     drop(one);
@@ -305,12 +309,16 @@ fn service_counters_balance_the_resume_ledger() {
         two.handle(f.clone()).unwrap();
     }
     let m2 = *two.metrics();
-    assert_eq!(m2.rehydrated, 1, "incarnation 2 must count its rehydration");
-    assert_eq!(delivered_2, m2.events + m2.events_skipped_on_resume, "incarnation 2 ledger");
-    assert_eq!(m2.events_skipped_on_resume, watermark, "resent prefix is skipped exactly");
+    assert_eq!(m2.service.rehydrated, 1, "incarnation 2 must count its rehydration");
+    assert_eq!(
+        delivered_2,
+        m2.events + m2.service.events_skipped_on_resume,
+        "incarnation 2 ledger"
+    );
+    assert_eq!(m2.service.events_skipped_on_resume, watermark, "resent prefix is skipped exactly");
     assert_eq!(two.position(), evs.len() as u64);
     two.hibernate().unwrap();
-    assert_eq!(two.metrics().hibernated, 1, "hibernation must be counted");
+    assert_eq!(two.metrics().service.hibernated, 1, "hibernation must be counted");
 
     // Incarnation 3: rehydrates from the hibernation checkpoint with
     // nothing left to feed; profiled totals across incarnations must
@@ -318,7 +326,7 @@ fn service_counters_balance_the_resume_ledger() {
     let (mut three, ack) = SessionEngine::open(&hello(Vec::new()), 3, Some(&base), 0).unwrap();
     assert!(matches!(ack, Frame::HelloAck { resume_from, .. } if resume_from == evs.len() as u64));
     let m3 = *three.metrics();
-    assert_eq!(m3.rehydrated, 1, "incarnation 3 must count its rehydration");
+    assert_eq!(m3.service.rehydrated, 1, "incarnation 3 must count its rehydration");
     assert_eq!(
         m1.events + m2.events + m3.events,
         evs.len() as u64,

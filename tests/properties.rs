@@ -4,7 +4,8 @@ use depprof::core::{
     AlgoOptions, AlgoState, ParallelProfiler, ProfileResult, ProfileStats, ProfilerConfig,
     SequentialProfiler, SessionSpec, SigGauges, TransportKind,
 };
-use depprof::sig::{EpochSlot, ExtendedSlot, PerfectSignature, Signature, Slot};
+use depprof::queue::Chunk;
+use depprof::sig::{AccessStore, EpochSlot, ExtendedSlot, PerfectSignature, Signature, Slot};
 use depprof::types::{loc::loc, AccessKind, DepType, MemAccess, TraceEvent};
 use proptest::prelude::*;
 
@@ -105,6 +106,36 @@ fn arb_structured_stream(max_len: usize) -> impl Strategy<Value = Vec<TraceEvent
     })
 }
 
+/// `evs` spread over the threads `picks` names in turn: an access or a
+/// deallocation on any of them, a loop or call event on the thread its
+/// outermost frame opened on, so each thread's frames stay well nested.
+fn on_threads(evs: &[TraceEvent], picks: &[u16]) -> Vec<TraceEvent> {
+    let (mut depth, mut frame_thread) = (0usize, 0);
+    let mut pick = picks.iter().copied().cycle();
+    let retag = |mut ev: TraceEvent| {
+        let t = pick.next().expect("picks is not empty");
+        match &mut ev {
+            TraceEvent::Access(MemAccess { thread, .. }) | TraceEvent::Dealloc { thread, .. } => {
+                *thread = t
+            }
+            TraceEvent::LoopBegin { thread, .. } | TraceEvent::CallBegin { thread, .. } => {
+                if depth == 0 {
+                    frame_thread = t;
+                }
+                depth += 1;
+                *thread = frame_thread;
+            }
+            TraceEvent::LoopIter { thread, .. } => *thread = frame_thread,
+            TraceEvent::LoopEnd { thread, .. } | TraceEvent::CallEnd { thread, .. } => {
+                depth -= 1;
+                *thread = frame_thread;
+            }
+        }
+        ev
+    };
+    evs.iter().copied().map(retag).collect()
+}
+
 /// Everything a feed path leaves behind that a user can see: the sealed
 /// dependence store's bytes, the counters, the signature gauges and the
 /// rendered report.
@@ -162,7 +193,7 @@ fn tight_algo<S: Slot>() -> AlgoState<Signature<S>> {
     AlgoState::new(Signature::new(TIGHT_SLOTS), Signature::new(TIGHT_SLOTS), AlgoOptions::default())
 }
 
-fn algo_outcome<S: Slot>(algo: AlgoState<Signature<S>>) -> Outcome {
+fn algo_outcome<S: AccessStore>(algo: AlgoState<S>) -> Outcome {
     let gauges = algo.sig_gauges();
     let (mut deps, exec_tree, counters, _) = algo.finish();
     deps.seal();
@@ -234,18 +265,23 @@ proptest! {
     }
 
     /// Lookahead never shows: the immediate per-event engine, the chunked
-    /// engine over any split (empty and one-event chunks included), the
-    /// serial profiler fed one event at a time (held in a run), and a
-    /// session checkpointed with events still held and resumed, all leave
-    /// the same store bytes, counters, gauges and report. Nor does the
-    /// clock: an engine that keeps timestamps leaves all of it but the
-    /// bytes. `seq.rs`'s `every_flush_point_retires_the_run` reaches each
-    /// flush point on both sides of a run boundary.
+    /// engine over chunks of any lengths (empty and one-event chunks
+    /// included), the serial profiler fed one event at a time (held in a
+    /// run), and a session checkpointed with events still held and
+    /// resumed, all leave the same store bytes, counters, gauges and
+    /// report. Nor does the clock: an engine that keeps timestamps leaves
+    /// all of it but the bytes. Nor does packing: the run keeps each
+    /// event's thread and timestamp, so a serial profiler over a perfect
+    /// or a timestamp-slot store, fed events of threads 0–3, leaves what
+    /// the immediate engine over the same stores leaves. `seq.rs`'s
+    /// `every_flush_point_retires_the_run` reaches each flush point on
+    /// both sides of a run boundary.
     #[test]
     fn every_feed_path_leaves_the_same_state(
         evs in arb_structured_stream(300),
         splits in prop::collection::vec(0usize..12, 1..24),
         raw_cut in 0usize..1_000_000,
+        picks in prop::collection::vec(0u16..4, 1..16),
     ) {
         let mut immediate = tight_algo::<EpochSlot>();
         for ev in &evs {
@@ -269,7 +305,9 @@ proptest! {
                 break;
             }
             let (now, later) = rest.split_at((*len).min(rest.len()));
-            chunked.on_chunk(now);
+            let mut chunk = Chunk::stamped(now.len());
+            now.iter().for_each(|&ev| chunk.push(ev));
+            chunked.on_chunk(&chunk);
             rest = later;
         }
         prop_assert_eq!(&algo_outcome(chunked), &want, "on_chunk over splits {:?}", splits);
@@ -280,6 +318,22 @@ proptest! {
         }
         let held = held.finish();
         prop_assert_eq!(&engine_outcome(held), &want, "per-event run");
+
+        let threaded = on_threads(&evs, &picks);
+        fn held_as_fed<S: AccessStore>(new: impl Fn() -> S, evs: &[TraceEvent]) -> [Outcome; 2] {
+            let mut immediate = AlgoState::new(new(), new(), AlgoOptions::default());
+            let mut held = SequentialProfiler::with_stores(new(), new());
+            for ev in evs {
+                immediate.on_event(ev);
+                held.on_event(ev);
+            }
+            [engine_outcome(held.finish()), algo_outcome(immediate)]
+        }
+        let [held, immediate] = held_as_fed(PerfectSignature::new, &threaded);
+        prop_assert_eq!(&held, &immediate, "perfect, threads {:?}", picks);
+        let [held, immediate] =
+            held_as_fed(|| Signature::<ExtendedSlot>::new(TIGHT_SLOTS), &threaded);
+        prop_assert_eq!(&held, &immediate, "timestamp slots, threads {:?}", picks);
 
         let spec = SessionSpec { slots: TIGHT_SLOTS, ..SessionSpec::default() };
         let cut = raw_cut % (evs.len() + 1);

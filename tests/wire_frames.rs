@@ -310,12 +310,20 @@ fn a_session_refuses_a_chunk_with_an_access_off_thread_zero() {
         }
     }
     assert_eq!(position(&mut engine), 2, "a refused chunk feeds nothing");
-    assert_eq!(engine.metrics().events_skipped_on_resume, 0, "nor counts its overlap as skipped");
+    assert_eq!(
+        engine.metrics().service.events_skipped_on_resume,
+        0,
+        "nor counts its overlap as skipped"
+    );
     engine
         .handle(Frame::Chunk { base: 1, events: vec![write; 2] })
         .expect("and the stream goes on");
     assert_eq!(position(&mut engine), 3);
-    assert_eq!(engine.metrics().events_skipped_on_resume, 1, "the accepted resend's overlap, once");
+    assert_eq!(
+        engine.metrics().service.events_skipped_on_resume,
+        1,
+        "the accepted resend's overlap, once"
+    );
 }
 
 /// Every event kind off thread 0 is refused, not only an access, by a

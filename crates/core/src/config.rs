@@ -122,7 +122,7 @@ pub struct ProfilerConfig {
     /// scalability").
     pub chunk_capacity: usize,
     /// Chunks each worker queue can buffer before the producer backs off
-    /// (DESIGN.md "In-flight window" has the depth sweep behind 16).
+    /// (DESIGN.md "In-flight window" has the depth sweeps behind 8).
     pub queue_chunks: usize,
     /// Enable hot-address redistribution (Section IV-A).
     pub redistribution: bool,
@@ -161,7 +161,7 @@ impl Default for ProfilerConfig {
             total_slots: 1 << 20,
             workers: 8,
             chunk_capacity: 1024,
-            queue_chunks: 16,
+            queue_chunks: 8,
             redistribution: true,
             redistribute_every: 50_000,
             top_k: 10,

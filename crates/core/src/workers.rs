@@ -40,7 +40,7 @@ use dp_queue::{
 use dp_sig::{AccessStore, SigEntry};
 use dp_types::{Address, ByteReader, ByteWriter, WireError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -233,6 +233,9 @@ pub(crate) struct WorkerCtx {
     /// worker that is still responsive to this flag (the injected-stall
     /// hook is) exits so its partial results can be salvaged.
     abandon: Vec<AtomicBool>,
+    /// `exited[w]`: worker `w`'s thread has left its code, whichever way;
+    /// the condvar wakes the supervisor waiting for that in `finish`.
+    exited: (Mutex<Vec<bool>>, Condvar),
     pub(crate) metrics: EngineMetrics,
     /// Event chunks delivered, to any worker.
     pub(crate) chunks_pushed: Counter,
@@ -268,6 +271,7 @@ impl WorkerCtx {
             resp: MpmcQueue::new((cfg.top_k * 4).max(64).max(w)),
             dead: flags(),
             abandon: flags(),
+            exited: (Mutex::new(vec![false; w]), Condvar::new()),
             metrics: EngineMetrics::new(w),
             chunks_pushed: Counter::new(),
             dropped_events: (0..w).map(|_| Counter::new()).collect(),
@@ -428,10 +432,12 @@ impl Workers {
             algos.iter().map(|_| channel(cfg.queue_chunks)).unzip();
         let caps: Vec<usize> = receivers.iter().map(|rx| rx.capacity()).collect();
         let ctx = Arc::new(WorkerCtx::new(cfg, &caps, pool));
+        // Workers that cannot each have a CPU beside a producer run below it.
+        let defer = algos.len() >= std::thread::available_parallelism().map_or(1, |n| n.get());
         let handles = (algos.into_iter().zip(receivers).enumerate())
             .map(|(wid, (algo, rx))| {
                 let ctx = ctx.clone();
-                std::thread::spawn(move || worker_entry(wid, rx, algo, &ctx))
+                std::thread::spawn(move || worker_entry(wid, rx, algo, &ctx, defer))
             })
             .collect();
         let workers = Workers {
@@ -544,7 +550,7 @@ impl Workers {
             // the producers have stopped, so such a worker gets only the
             // grace period.
             let wait = if shutdown_ok[wid] { drain } else { grace };
-            let (exit, abandoned) = join_within(h, &self.ctx.abandon[wid], wait, grace);
+            let (exit, abandoned) = join_within(h, wid, &self.ctx, wait, grace);
             let mut fail = |cause| {
                 stats.worker_failures.push(WorkerFailure { worker: wid, workers: w, cause })
             };
@@ -676,33 +682,33 @@ impl Workers {
     }
 }
 
-/// Waits for a worker thread to end, escalating rather than blocking:
-/// poll for `wait`, then raise the abandon flag and poll for `grace`
-/// more, then give up and leave the thread detached. Returns the exit
-/// (None if the thread never finished) and whether it was abandoned.
+/// Waits for worker `wid`'s thread to end, escalating rather than
+/// blocking: wait up to `wait` for its exit signal, then raise the abandon
+/// flag and wait up to `grace` more, then give up and leave the thread
+/// detached. Returns the exit (None if the thread never finished) and
+/// whether it was abandoned.
 fn join_within(
     h: JoinHandle<WorkerExit>,
-    abandon: &AtomicBool,
+    wid: usize,
+    ctx: &WorkerCtx,
     wait: Duration,
     grace: Duration,
 ) -> (Option<WorkerExit>, bool) {
+    let (abandon, (exited, signal)) = (&ctx.abandon[wid], &ctx.exited);
+    // Nothing panics holding the lock, so it is never poisoned.
+    let exited_within = |t| signal.wait_timeout_while(exited.lock().unwrap(), t, |e| !e[wid]);
     let mut abandoned = abandon.load(Ordering::Acquire);
-    let end = Instant::now() + wait;
-    while !h.is_finished() && Instant::now() < end {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    if !h.is_finished() && !abandoned {
+    let mut exited = exited_within(wait).unwrap().0[wid];
+    if !exited && !abandoned {
         abandon.store(true, Ordering::Release);
         abandoned = true;
-        let end = Instant::now() + grace;
-        while !h.is_finished() && Instant::now() < end {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        exited = exited_within(grace).unwrap().0[wid];
     }
-    if !h.is_finished() {
+    if !exited && !h.is_finished() {
         return (None, abandoned);
     }
-    // `Err` is a panic that somehow escaped the worker's catch_unwind.
+    // `join` waits out the thread's teardown after its exit signal. `Err`
+    // is a panic that somehow escaped the worker's catch_unwind.
     let exit = h.join().unwrap_or_else(|p| WorkerExit::Panicked(panic_message(&*p)));
     (Some(exit), abandoned)
 }
@@ -758,14 +764,40 @@ fn worker_entry<S: AccessStore, R: TransportReceiver<WorkerMsg>>(
     q: R,
     algo: AlgoState<S>,
     ctx: &WorkerCtx,
+    defer: bool,
 ) -> WorkerExit {
+    if defer {
+        defer_to_producers();
+    }
     let run = std::panic::AssertUnwindSafe(move || run_worker(wid, q, algo, ctx));
-    match std::panic::catch_unwind(run) {
+    let exit = match std::panic::catch_unwind(run) {
         Ok(out) => WorkerExit::Finished(Box::new(out)),
         Err(payload) => {
             ctx.dead[wid].store(true, Ordering::Release);
             WorkerExit::Panicked(panic_message(&*payload))
         }
+    };
+    ctx.exited.0.lock().unwrap()[wid] = true;
+    ctx.exited.1.notify_all();
+    exit
+}
+
+/// Drops the calling worker thread below the threads that feed it: nice
+/// 10 and `SCHED_BATCH`, so that on a host with fewer CPUs than pipeline
+/// threads a runnable worker does not take its producer's CPU (DESIGN.md
+/// "In-flight window"). A refused call changes nothing; the bounded
+/// queues still pace the producer.
+fn defer_to_producers() {
+    #[cfg(target_os = "linux")]
+    unsafe {
+        extern "C" {
+            // setpriority(2) and sched_setscheduler(2), provided by libc;
+            // with `who`/`pid` 0 both act on the calling thread only.
+            fn setpriority(which: i32, who: u32, prio: i32) -> i32;
+            fn sched_setscheduler(pid: i32, policy: i32, param: *const i32) -> i32;
+        }
+        setpriority(0, 0, 10); // PRIO_PROCESS
+        sched_setscheduler(0, 3, &0); // SCHED_BATCH, priority 0
     }
 }
 
@@ -866,6 +898,25 @@ mod tests {
         let t = Instant::now();
         assert!(ctx.deliver(0, &tx, WorkerMsg::Shutdown, Some(limit)).is_err());
         assert!(t.elapsed() < limit);
+    }
+
+    /// The calling thread, and only it, drops to nice 10 and
+    /// `SCHED_BATCH`: fields 19 and 41 of `/proc/thread-self/stat`.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_deferred_worker_runs_below_its_producer() {
+        let nice_and_policy = || {
+            let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+            let fields: Vec<&str> = stat.rsplit_once(')').unwrap().1.split_whitespace().collect();
+            (fields[16].to_string(), fields[38].to_string())
+        };
+        let before = nice_and_policy();
+        let worker = std::thread::spawn(move || {
+            defer_to_producers();
+            nice_and_policy()
+        });
+        assert_eq!(worker.join().unwrap(), ("10".to_string(), "3".to_string()));
+        assert_eq!(nice_and_policy(), before, "the producer's thread kept its priority");
     }
 
     #[test]

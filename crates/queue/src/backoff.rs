@@ -1,9 +1,13 @@
 //! Bounded exponential backoff for lock-free retry loops.
 //!
 //! Modeled on crossbeam's `Backoff`: start with `spin_loop` hints, escalate
-//! to `yield_now` once spinning is clearly not helping. Producers use it
-//! when a worker queue is full (applying backpressure on the instrumented
-//! program); workers use it when their queue runs empty.
+//! to `yield_now` once spinning is clearly not helping. Producers (the
+//! router, or any target thread of a multi-threaded target) use it on a
+//! full worker queue, applying backpressure on the instrumented program;
+//! workers use it when their queue runs empty. Neither blocks. Where the
+//! workers outnumber the CPUs they run below their producers' scheduling
+//! priority, so a yielding producer gets its CPU back first (`dp_core`'s
+//! workers module).
 
 /// Exponential spin/yield backoff.
 #[derive(Debug, Default)]

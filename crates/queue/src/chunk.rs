@@ -299,6 +299,10 @@ impl Chunk {
 /// of `T` target threads fills its own chunk for every worker, so a
 /// worker's window there is the depth plus `1 + T`.
 ///
+/// Nobody waits on the pool: `acquire` never blocks. The wait that keeps
+/// the window is the producer's, on its worker's full queue
+/// ([`Backoff`](crate::Backoff)).
+///
 /// What is bounded is retention, not reuse: the free list may report
 /// empty while a preempted `release` holds a slot it has not published
 /// yet, and each such miss allocates. So with `t` threads each holding at

@@ -106,18 +106,18 @@ pub fn communication_matrix(result: &ProfileResult, nthreads: usize) -> CommMatr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_core::SequentialProfiler;
-    use dp_types::{loc::loc, MemAccess, TraceEvent, Tracer};
+    use crate::tests::mt_profile;
+    use dp_types::{loc::loc, MemAccess, TraceEvent};
 
     #[test]
     fn producer_consumer_counted() {
-        let mut p = SequentialProfiler::perfect();
         // thread 1 writes, thread 2 reads, 5 times
-        for i in 0..5u64 {
-            p.event(TraceEvent::Access(MemAccess::write(0x8, i * 2 + 1, loc(1, 1), 1, 1)));
-            p.event(TraceEvent::Access(MemAccess::read(0x8, i * 2 + 2, loc(1, 2), 1, 2)));
-        }
-        let r = p.finish();
+        let r = mt_profile((0..5u64).flat_map(|i| {
+            [
+                TraceEvent::Access(MemAccess::write(0x8, i * 2 + 1, loc(1, 1), 1, 1)),
+                TraceEvent::Access(MemAccess::read(0x8, i * 2 + 2, loc(1, 2), 1, 2)),
+            ]
+        }));
         let m = communication_matrix(&r, 4);
         assert_eq!(m.get(1, 2), 5);
         assert_eq!(m.get(2, 1), 0);
@@ -126,24 +126,24 @@ mod tests {
 
     #[test]
     fn self_communication_excluded() {
-        let mut p = SequentialProfiler::perfect();
-        p.event(TraceEvent::Access(MemAccess::write(0x8, 1, loc(1, 1), 1, 1)));
-        p.event(TraceEvent::Access(MemAccess::read(0x8, 2, loc(1, 2), 1, 1)));
-        let r = p.finish();
+        let r = mt_profile([
+            TraceEvent::Access(MemAccess::write(0x8, 1, loc(1, 1), 1, 1)),
+            TraceEvent::Access(MemAccess::read(0x8, 2, loc(1, 2), 1, 1)),
+        ]);
         let m = communication_matrix(&r, 2);
         assert_eq!(m.total(), 0);
     }
 
     #[test]
     fn ascii_rendering_shades() {
-        let mut p = SequentialProfiler::perfect();
+        let mut evs = Vec::new();
         for i in 0..10u64 {
-            p.event(TraceEvent::Access(MemAccess::write(0x8, i * 2 + 1, loc(1, 1), 1, 0)));
-            p.event(TraceEvent::Access(MemAccess::read(0x8, i * 2 + 2, loc(1, 2), 1, 1)));
+            evs.push(TraceEvent::Access(MemAccess::write(0x8, i * 2 + 1, loc(1, 1), 1, 0)));
+            evs.push(TraceEvent::Access(MemAccess::read(0x8, i * 2 + 2, loc(1, 2), 1, 1)));
         }
-        p.event(TraceEvent::Access(MemAccess::write(0x10, 100, loc(1, 3), 1, 1)));
-        p.event(TraceEvent::Access(MemAccess::read(0x10, 101, loc(1, 4), 1, 0)));
-        let r = p.finish();
+        evs.push(TraceEvent::Access(MemAccess::write(0x10, 100, loc(1, 3), 1, 1)));
+        evs.push(TraceEvent::Access(MemAccess::read(0x10, 101, loc(1, 4), 1, 0)));
+        let r = mt_profile(evs);
         let m = communication_matrix(&r, 2);
         let art = m.render_ascii();
         assert!(art.contains('█'), "{art}");

@@ -492,7 +492,9 @@ pub fn full_delta(result: &ProfileResult) -> AnalysisDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_core::{DepStore, SequentialProfiler};
+    use crate::tests::mt_profile;
+    use dp_core::{AlgoOptions, AlgoState, DepStore, ProfileStats, SequentialProfiler};
+    use dp_sig::PerfectSignature;
     use dp_types::{loc::loc, MemAccess, TraceEvent, Tracer};
 
     fn fold_result(result: &ProfileResult) -> OnlineAnalysis {
@@ -501,32 +503,43 @@ mod tests {
         online
     }
 
+    /// Loop classification and threads in one profile: what
+    /// `AlgoState::on_event` leaves, which keeps each event's thread,
+    /// sealed as a serial engine's `finish` seals it.
     fn mixed_profile() -> ProfileResult {
-        let mut p = SequentialProfiler::perfect();
+        let opts = AlgoOptions::default();
+        let mut algo = AlgoState::new(PerfectSignature::new(), PerfectSignature::new(), opts);
+        let mut p = |ev| algo.on_event(&ev);
         // doall loop 0
-        p.event(TraceEvent::LoopBegin { loop_id: 0, loc: loc(1, 1), thread: 0, ts: 1 });
+        p(TraceEvent::LoopBegin { loop_id: 0, loc: loc(1, 1), thread: 0, ts: 1 });
         for it in 0..4u64 {
             let t = 10 + it * 10;
-            p.event(TraceEvent::LoopIter { loop_id: 0, iter: it, thread: 0, ts: t });
-            p.event(TraceEvent::Access(MemAccess::write(0x100 + it * 8, t + 1, loc(1, 2), 1, 0)));
-            p.event(TraceEvent::Access(MemAccess::read(0x100 + it * 8, t + 2, loc(1, 3), 1, 0)));
+            p(TraceEvent::LoopIter { loop_id: 0, iter: it, thread: 0, ts: t });
+            p(TraceEvent::Access(MemAccess::write(0x100 + it * 8, t + 1, loc(1, 2), 1, 0)));
+            p(TraceEvent::Access(MemAccess::read(0x100 + it * 8, t + 2, loc(1, 3), 1, 0)));
         }
-        p.event(TraceEvent::LoopEnd { loop_id: 0, loc: loc(1, 4), iters: 4, thread: 0, ts: 99 });
+        p(TraceEvent::LoopEnd { loop_id: 0, loc: loc(1, 4), iters: 4, thread: 0, ts: 99 });
         // reduction loop 1
-        p.event(TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 5), thread: 0, ts: 100 });
+        p(TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 5), thread: 0, ts: 100 });
         for it in 0..4u64 {
             let t = 110 + it * 10;
-            p.event(TraceEvent::LoopIter { loop_id: 1, iter: it, thread: 0, ts: t });
-            p.event(TraceEvent::Access(MemAccess::read(0x900, t + 1, loc(1, 6), 2, 0)));
-            p.event(TraceEvent::Access(MemAccess::write(0x900, t + 2, loc(1, 6), 2, 0)));
+            p(TraceEvent::LoopIter { loop_id: 1, iter: it, thread: 0, ts: t });
+            p(TraceEvent::Access(MemAccess::read(0x900, t + 1, loc(1, 6), 2, 0)));
+            p(TraceEvent::Access(MemAccess::write(0x900, t + 2, loc(1, 6), 2, 0)));
         }
-        p.event(TraceEvent::LoopEnd { loop_id: 1, loc: loc(1, 7), iters: 4, thread: 0, ts: 999 });
+        p(TraceEvent::LoopEnd { loop_id: 1, loc: loc(1, 7), iters: 4, thread: 0, ts: 999 });
         // cross-thread producer/consumer
         for i in 0..5u64 {
-            p.event(TraceEvent::Access(MemAccess::write(0x2000, 2000 + i * 2, loc(2, 1), 3, 1)));
-            p.event(TraceEvent::Access(MemAccess::read(0x2000, 2001 + i * 2, loc(2, 2), 3, 2)));
+            p(TraceEvent::Access(MemAccess::write(0x2000, 2000 + i * 2, loc(2, 1), 3, 1)));
+            p(TraceEvent::Access(MemAccess::read(0x2000, 2001 + i * 2, loc(2, 2), 3, 2)));
         }
-        p.finish()
+        let (mut deps, exec_tree, counters, _) = algo.finish();
+        let mut stats = ProfileStats::default();
+        stats.absorb(counters);
+        stats.deps_built = deps.deps_built();
+        stats.deps_merged = deps.merged_len();
+        deps.seal();
+        ProfileResult { deps, exec_tree, stats, ..ProfileResult::default() }
     }
 
     #[test]
@@ -656,10 +669,10 @@ mod tests {
 
     #[test]
     fn comm_matrix_dim_tracks_observed_threads() {
-        let mut p = SequentialProfiler::perfect();
-        p.event(TraceEvent::Access(MemAccess::write(0x8, 1, loc(1, 1), 1, 3)));
-        p.event(TraceEvent::Access(MemAccess::read(0x8, 2, loc(1, 2), 1, 5)));
-        let r = p.finish();
+        let r = mt_profile([
+            TraceEvent::Access(MemAccess::write(0x8, 1, loc(1, 1), 1, 3)),
+            TraceEvent::Access(MemAccess::read(0x8, 2, loc(1, 2), 1, 5)),
+        ]);
         let mut online = fold_result(&r);
         let report = online.report();
         assert_eq!(report.comm.dim(), 6);

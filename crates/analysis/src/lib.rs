@@ -91,8 +91,19 @@ pub fn text_sections(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_core::SequentialProfiler;
-    use dp_types::{loc::loc, MemAccess, TraceEvent, Tracer};
+    use dp_core::{MtProfiler, ProfilerConfig, SequentialProfiler};
+    use dp_types::{loc::loc, MemAccess, TraceEvent, Tracer, TracerFactory};
+
+    /// `evs`, of any threads, profiled in order by the multi-threaded
+    /// target's engine over perfect signatures: one tracer, one worker.
+    pub(crate) fn mt_profile(evs: impl IntoIterator<Item = TraceEvent>) -> ProfileResult {
+        let cfg = ProfilerConfig::default().with_workers(1);
+        let prof = MtProfiler::with_store_factory(cfg, dp_sig::PerfectSignature::new);
+        let mut tracer = prof.tracer(0);
+        evs.into_iter().for_each(|ev| tracer.event(ev));
+        prof.join(0, tracer);
+        prof.finish()
+    }
 
     #[test]
     fn text_sections_are_the_five_analyses_in_order() {

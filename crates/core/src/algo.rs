@@ -27,8 +27,8 @@
 //! ([`PairStore::record`]): both entries come back, and the side the
 //! access writes is stored in place.
 //!
-//! An entry's clock is its timestamp or its epoch: in a store of 8-byte
-//! [`EpochSlot`](dp_sig::EpochSlot)s and in a parallel worker (DESIGN.md "Epoch clock").
+//! An entry's clock is its epoch, and its timestamp only in an engine that
+//! checks reversal on a store that keeps timestamps (DESIGN.md "Epoch clock").
 
 use crate::exectree::{ExecNodeKind, ExecTree};
 use crate::loops::{CarrierInfo, LoopTracker};
@@ -62,10 +62,10 @@ pub struct AlgoCounters {
 /// Behaviour switches for [`AlgoState`].
 #[derive(Debug, Clone, Copy)]
 pub struct AlgoOptions {
-    /// Enable loop-carried classification (requires a timestamped store).
+    /// Enable loop-carried classification (requires [`Slot::HAS_CLOCK`](dp_sig::Slot::HAS_CLOCK)).
     pub track_carried: bool,
-    /// Enable the Section V-B timestamp-reversal race signal
-    /// (multi-threaded targets only).
+    /// Enable the Section V-B timestamp-reversal race signal (multi-threaded
+    /// targets only): the one setting that keeps a store's timestamps.
     pub check_reversal: bool,
     /// Record loop BGN/END/iteration statistics. In the parallel engine
     /// loop events are broadcast to every worker for carried
@@ -77,9 +77,6 @@ pub struct AlgoOptions {
     /// The paper names this as a way to trade generality for speed and
     /// balance; 0 = full statement-level detail (the paper's choice).
     pub section_shift: u8,
-    /// Run the epoch clock on a store that keeps timestamps too: the
-    /// parallel pipeline's workers read queued records, which carry none.
-    pub epoch_clock: bool,
 }
 
 impl Default for AlgoOptions {
@@ -89,7 +86,6 @@ impl Default for AlgoOptions {
             check_reversal: false,
             record_loops: true,
             section_shift: 0,
-            epoch_clock: false,
         }
     }
 }
@@ -140,8 +136,6 @@ pub struct AlgoState<S: AccessStore> {
     /// The local dynamic execution tree (Section VIII representation).
     pub exec_tree: ExecTree,
     loops: LoopTracker,
-    /// [`AlgoOptions::epoch_clock`].
-    epoch_clock: bool,
     /// Loop boundaries seen, renumbered: the epoch clock.
     epoch: u64,
     counters: AlgoCounters,
@@ -160,20 +154,19 @@ impl<S: AccessStore> AlgoState<S> {
             store: DepStore::new(),
             exec_tree: ExecTree::new(),
             loops: LoopTracker::new(),
-            epoch_clock: opts.epoch_clock,
             epoch: 0,
             counters: AlgoCounters::default(),
             track_carried: opts.track_carried && S::HAS_CLOCK,
-            check_reversal: opts.check_reversal && S::HAS_TS && !opts.epoch_clock,
+            check_reversal: opts.check_reversal && S::HAS_TS,
             record_loops: opts.record_loops,
             section_shift: opts.section_shift,
         }
     }
 
-    /// Entries and loop marks carry epochs (a constant without timestamps).
+    /// Entries and loop marks carry epochs unless reversal is checked on timestamps.
     #[inline]
     fn epochs(&self) -> bool {
-        S::HAS_CLOCK && (!S::HAS_TS || self.epoch_clock)
+        S::HAS_CLOCK && !(S::HAS_TS && self.check_reversal)
     }
 
     /// Counter snapshot.
@@ -828,13 +821,18 @@ mod tests {
         })
     }
 
-    fn sig_algo<T: dp_sig::Slot>() -> AlgoState<Signature<T>> {
-        AlgoState::new(Signature::new(256), Signature::new(256), AlgoOptions::default())
+    /// The one configuration that keeps timestamps, on a store that holds
+    /// them: the timestamp side of every check against epochs.
+    fn stamping() -> AlgoOptions {
+        AlgoOptions { check_reversal: true, ..AlgoOptions::default() }
     }
 
-    fn perfect_on(epoch_clock: bool) -> Perfect {
-        let opts = AlgoOptions { epoch_clock, ..AlgoOptions::default() };
-        AlgoState::new(PerfectSignature::new(), PerfectSignature::new(), opts)
+    fn sig_algo<T: dp_sig::Slot>(opts: AlgoOptions) -> AlgoState<Signature<T>> {
+        AlgoState::new(Signature::new(256), Signature::new(256), opts)
+    }
+
+    fn stamped_perfect() -> Perfect {
+        AlgoState::new(PerfectSignature::new(), PerfectSignature::new(), stamping())
     }
 
     /// `evs` as a parallel worker reads them: queued records, no
@@ -876,10 +874,11 @@ mod tests {
             });
             prop_assert!(boundaries.count() > EPOCH_LIMIT as usize);
             let cut = raw_cut % (evs.len() + 1);
-            let (mut epochs, mut stamps) = (sig_algo::<EpochSlot>(), sig_algo::<ExtendedSlot>());
+            let epoch_algo = || sig_algo::<EpochSlot>(AlgoOptions::default());
+            let (mut epochs, mut stamps) = (epoch_algo(), sig_algo::<ExtendedSlot>(stamping()));
             evs[..cut].iter().for_each(|ev| epochs.on_event(ev));
             evs[..cut].iter().for_each(|ev| stamps.on_event(ev));
-            let (mut from_epochs, mut from_stamps) = (sig_algo::<EpochSlot>(), sig_algo::<EpochSlot>());
+            let (mut from_epochs, mut from_stamps) = (epoch_algo(), epoch_algo());
             from_epochs.restore_state(&saved(&mut epochs)).unwrap();
             from_stamps.restore_state(&saved(&mut stamps)).unwrap();
             for s in [&mut from_epochs, &mut from_stamps, &mut epochs] {
@@ -891,13 +890,13 @@ mod tests {
             prop_assert_eq!(&outcome(from_epochs), &want, "resumed at {}", cut);
             prop_assert_eq!(&outcome(from_stamps), &want, "converted at {}", cut);
 
-            // A store that keeps timestamps, run on epochs as a parallel
-            // worker runs it: from records without timestamps, and resumed
-            // from a blob of either clock.
-            let (mut epochs, mut stamps) = (perfect_on(true), perfect_on(false));
+            // A store that keeps timestamps, run on epochs as every engine
+            // but the reversal check runs it: from records without
+            // timestamps, and resumed from a blob of either clock.
+            let (mut epochs, mut stamps) = (perfect(), stamped_perfect());
             epochs.on_chunk(&queued(&evs[..cut]));
             evs[..cut].iter().for_each(|ev| stamps.on_event(ev));
-            let (mut from_epochs, mut from_stamps) = (perfect_on(true), perfect_on(true));
+            let (mut from_epochs, mut from_stamps) = (perfect(), perfect());
             from_epochs.restore_state(&saved(&mut epochs)).unwrap();
             from_stamps.restore_state(&saved(&mut stamps)).unwrap();
             for s in [&mut from_epochs, &mut from_stamps, &mut epochs] {

@@ -144,7 +144,6 @@ fn worker_algos<S: AccessStore>(
         // Loop events are broadcast; only worker 0 records them, so
         // iteration counts stay exact.
         record_loops: wid == 0,
-        epoch_clock: true,
         ..AlgoOptions::default()
     };
     (0..cfg.workers.max(1))

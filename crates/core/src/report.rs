@@ -208,35 +208,30 @@ mod tests {
 
     #[test]
     fn figure3_style_output_with_threads() {
+        use crate::{MtProfiler, ProfilerConfig};
+        use dp_types::{AccessKind, Tracer, TracerFactory};
         let mut interner = Interner::new();
         let iter = interner.intern("iter");
-        let mut p = SequentialProfiler::perfect();
-        p.on_event(&TraceEvent::Access(MemAccess {
-            addr: 0x10,
-            ts: 1,
-            loc: loc(4, 77),
-            var: iter,
-            thread: 2,
-            kind: dp_types::AccessKind::Read,
-        }));
-        p.on_event(&TraceEvent::Access(MemAccess {
-            addr: 0x10,
-            ts: 2,
-            loc: loc(4, 58),
-            var: iter,
-            thread: 2,
-            kind: dp_types::AccessKind::Write,
-        }));
+        // A multi-threaded target's records carry threads: the MT engine's.
+        let cfg = ProfilerConfig::default().with_workers(1);
+        let prof = MtProfiler::with_store_factory(cfg, dp_sig::PerfectSignature::new);
+        let mut t2 = prof.tracer(2);
+        let access = |ts, line, kind| {
+            TraceEvent::Access(MemAccess {
+                addr: 0x10,
+                ts,
+                loc: loc(4, line),
+                var: iter,
+                thread: 2,
+                kind,
+            })
+        };
+        t2.event(access(1, 77, AccessKind::Read));
+        t2.event(access(2, 58, AccessKind::Write));
         // Write with empty write-sig is INIT; write again for WAR/WAW.
-        p.on_event(&TraceEvent::Access(MemAccess {
-            addr: 0x10,
-            ts: 3,
-            loc: loc(4, 58),
-            var: iter,
-            thread: 2,
-            kind: dp_types::AccessKind::Write,
-        }));
-        let r = p.finish();
+        t2.event(access(3, 58, AccessKind::Write));
+        prof.join(2, t2);
+        let r = prof.finish();
         let text = render(&r, &interner, true);
         assert!(text.contains("4:58|2 NOM"), "{text}");
         assert!(text.contains("{WAR 4:77|2|iter}"), "{text}");

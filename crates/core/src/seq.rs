@@ -16,10 +16,10 @@ use dp_types::TraceEvent;
 /// by the sweep recorded in DESIGN.md "Lookahead feed".
 const RUN: usize = 64;
 
-/// In-line profiler; implements the trace substrate's `Tracer` contract.
-///
-/// Events are packed into a run of up to `RUN` — a stamped [`Chunk`], so
-/// each keeps its thread and timestamp — and retired through
+/// In-line profiler of thread-0 streams; implements the trace substrate's
+/// `Tracer` contract. Events are packed into a run of up to `RUN` — an
+/// unstamped [`Chunk`], 17 bytes an event and no thread or timestamp, so
+/// every store runs the epoch clock — and retired through
 /// [`AlgoState::on_chunk`], strictly in order, when the run fills. Every
 /// method that reads or moves engine state retires the run first, so no
 /// caller can observe the wait.
@@ -56,11 +56,11 @@ impl<S: AccessStore> SequentialProfiler<S> {
     /// Engine with explicit [`AlgoOptions`] (e.g. the set-based profiling
     /// mode of Section VI-B1 via `section_shift`).
     pub fn with_options(read: S, write: S, opts: AlgoOptions) -> Self {
-        SequentialProfiler { algo: AlgoState::new(read, write, opts), run: Chunk::stamped(RUN) }
+        SequentialProfiler { algo: AlgoState::new(read, write, opts), run: Chunk::new(RUN) }
     }
 
-    /// Takes one instrumentation event; retires the run once it holds
-    /// `RUN` events.
+    /// Takes one instrumentation event, of thread 0 (debug-asserted);
+    /// retires the run once it holds `RUN` events.
     #[inline]
     pub fn on_event(&mut self, ev: &TraceEvent) {
         self.run.push_record(Record::pack(ev));

@@ -15,13 +15,13 @@
 //! per event ([`Record`]). A body holds exactly what the workers read of
 //! its kind — an access's address, packed location and variable; a loop
 //! event's id, location and count; a deallocation's base and length — and
-//! no thread or timestamp: the sequential pipeline's events are all
-//! thread 0, and its workers keep the epoch clock, not timestamps. A
-//! queued sequential event costs 17 bytes. A *stamped* chunk — the
-//! multi-threaded engine's, and the serial engine's run — adds a thread
-//! and a timestamp column (27 bytes an event). The tag has a column of
-//! its own because no 16-byte record holds every event: an access alone
-//! needs 129 bits.
+//! no thread or timestamp: the serial engine's run and the parallel
+//! pipeline's chunks hold thread-0 events only, and their engines keep
+//! the epoch clock, not timestamps. A queued sequential event costs 17
+//! bytes. A *stamped* chunk — the multi-threaded engine's alone
+//! ([`ChunkPool::stamped`]) — adds a thread and a timestamp column (27
+//! bytes an event). The tag has a column of its own because no 16-byte
+//! record holds every event: an access alone needs 129 bits.
 
 use crate::mpmc::MpmcQueue;
 use dp_types::{AccessKind, Address, MemAccess, SourceLoc, ThreadId, Timestamp, TraceEvent};
@@ -38,9 +38,9 @@ const CALL_END: u8 = 6;
 const DEALLOC: u8 = 7;
 
 /// One event as a chunk holds it: the tag, the 16-byte body, and the
-/// thread and timestamp only a stamped chunk keeps. Packed once per
-/// event, so a broadcast event is copied, not packed again, into each
-/// worker's chunk.
+/// thread and timestamp only a stamped (multi-threaded) chunk keeps.
+/// Packed once per event, so a broadcast event is copied, not packed
+/// again, into each worker's chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record {
     tag: u8,
@@ -144,12 +144,6 @@ impl Chunk {
     /// without their timestamps.
     pub fn new(cap: usize) -> Self {
         Self::with(cap, false)
-    }
-
-    /// Creates an empty chunk that holds up to `cap` events with their
-    /// threads and timestamps.
-    pub fn stamped(cap: usize) -> Self {
-        Self::with(cap, true)
     }
 
     fn with(cap: usize, stamped: bool) -> Self {
@@ -326,8 +320,9 @@ impl ChunkPool {
         Self::with(pool_cap, chunk_cap, false)
     }
 
-    /// Creates a pool recycling up to `pool_cap` stamped chunks
-    /// ([`Chunk::stamped`]) of `chunk_cap` events each.
+    /// Creates a pool recycling up to `pool_cap` stamped chunks of
+    /// `chunk_cap` events each, which keep every event's thread and
+    /// timestamp: the one way to make such a chunk.
     pub fn stamped(pool_cap: usize, chunk_cap: usize) -> Arc<Self> {
         Self::with(pool_cap, chunk_cap, true)
     }
@@ -469,7 +464,7 @@ mod tests {
             }
             other => other,
         });
-        assert_eq!(round_trip(&mut Chunk::stamped(evs.len()), &stamped), stamped);
+        assert_eq!(round_trip(&mut Chunk::with(evs.len(), true), &stamped), stamped);
     }
 
     /// Any event a source could send: every field drawn from its whole
@@ -523,7 +518,7 @@ mod tests {
                 }
             }).collect();
             prop_assert_eq!(round_trip(&mut Chunk::new(seq.len()), &seq), unstamped);
-            prop_assert_eq!(round_trip(&mut Chunk::stamped(mt.len()), &mt), mt);
+            prop_assert_eq!(round_trip(&mut Chunk::with(mt.len(), true), &mt), mt);
         }
     }
 

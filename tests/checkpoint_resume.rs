@@ -251,14 +251,15 @@ fn pinned_stream() -> Vec<TraceEvent> {
 /// read/write table) wrote for [`pinned_stream`]: the read-half blob,
 /// then the write-half blob, then the rest. The fused engine writes the
 /// same bytes for the same stream, loads the blob and re-saves it byte
-/// for byte.
+/// for byte. The blob holds timestamps, so the engine is built the one
+/// way that keeps them: checking reversal.
 #[test]
 fn engine_checkpoint_of_the_two_table_engine_loads_and_resaves() {
     use depprof::core::{AlgoOptions, AlgoState};
     use depprof::types::ByteWriter;
     let new = || {
         let sig = || Signature::<ExtendedSlot>::new(PINNED_SLOTS);
-        AlgoState::new(sig(), sig(), AlgoOptions::default())
+        AlgoState::new(sig(), sig(), AlgoOptions { check_reversal: true, ..AlgoOptions::default() })
     };
     let save = |algo: &mut AlgoState<Signature<ExtendedSlot>>| {
         let mut out = ByteWriter::new();
@@ -317,9 +318,9 @@ fn engine_checkpoint_of_the_two_table_engine_resumes_on_epoch_slots() {
     use depprof::core::{AlgoOptions, AlgoState, ProfileStats};
     use depprof::sig::{EpochSlot, Slot};
     use depprof::types::ByteWriter;
-    fn new<S: Slot>() -> AlgoState<Signature<S>> {
+    fn new<S: Slot>(opts: AlgoOptions) -> AlgoState<Signature<S>> {
         let sig = || Signature::new(PINNED_SLOTS);
-        AlgoState::new(sig(), sig(), AlgoOptions::default())
+        AlgoState::new(sig(), sig(), opts)
     }
     /// The report, the sealed store's bytes and its carried edges.
     fn outcome<S: Slot>(algo: AlgoState<Signature<S>>) -> (String, Vec<u8>, usize) {
@@ -338,15 +339,17 @@ fn engine_checkpoint_of_the_two_table_engine_resumes_on_epoch_slots() {
     }
     let pinned = pinned_stream();
     let rest = pinned_continuation(&pinned);
-    let mut whole = new::<EpochSlot>();
+    let mut whole = new::<EpochSlot>(AlgoOptions::default());
     pinned.iter().chain(&rest).for_each(|ev| whole.on_event(ev));
     let uninterrupted = outcome(whole);
     assert!(uninterrupted.2 > 100, "{} carried edges", uninterrupted.2);
-    let mut stamped = new::<ExtendedSlot>();
+    // Checking reversal is the one configuration that keeps timestamps.
+    let mut stamped =
+        new::<ExtendedSlot>(AlgoOptions { check_reversal: true, ..AlgoOptions::default() });
     pinned.iter().chain(&rest).for_each(|ev| stamped.on_event(ev));
     assert!(outcome(stamped) == uninterrupted, "epochs classify as timestamps do");
 
-    let mut resumed = new::<EpochSlot>();
+    let mut resumed = new::<EpochSlot>(AlgoOptions::default());
     resumed.restore_state(include_bytes!("golden/algo_two_tables.bin")).expect("it converts");
     rest.iter().for_each(|ev| resumed.on_event(ev));
     assert!(outcome(resumed) == uninterrupted, "resumed from the timestamp engine's blob");

@@ -106,36 +106,6 @@ fn arb_structured_stream(max_len: usize) -> impl Strategy<Value = Vec<TraceEvent
     })
 }
 
-/// `evs` spread over the threads `picks` names in turn: an access or a
-/// deallocation on any of them, a loop or call event on the thread its
-/// outermost frame opened on, so each thread's frames stay well nested.
-fn on_threads(evs: &[TraceEvent], picks: &[u16]) -> Vec<TraceEvent> {
-    let (mut depth, mut frame_thread) = (0usize, 0);
-    let mut pick = picks.iter().copied().cycle();
-    let retag = |mut ev: TraceEvent| {
-        let t = pick.next().expect("picks is not empty");
-        match &mut ev {
-            TraceEvent::Access(MemAccess { thread, .. }) | TraceEvent::Dealloc { thread, .. } => {
-                *thread = t
-            }
-            TraceEvent::LoopBegin { thread, .. } | TraceEvent::CallBegin { thread, .. } => {
-                if depth == 0 {
-                    frame_thread = t;
-                }
-                depth += 1;
-                *thread = frame_thread;
-            }
-            TraceEvent::LoopIter { thread, .. } => *thread = frame_thread,
-            TraceEvent::LoopEnd { thread, .. } | TraceEvent::CallEnd { thread, .. } => {
-                depth -= 1;
-                *thread = frame_thread;
-            }
-        }
-        ev
-    };
-    evs.iter().copied().map(retag).collect()
-}
-
 /// Everything a feed path leaves behind that a user can see: the sealed
 /// dependence store's bytes, the counters, the signature gauges and the
 /// rendered report.
@@ -191,6 +161,12 @@ const TIGHT_SLOTS: usize = 64;
 
 fn tight_algo<S: Slot>() -> AlgoState<Signature<S>> {
     AlgoState::new(Signature::new(TIGHT_SLOTS), Signature::new(TIGHT_SLOTS), AlgoOptions::default())
+}
+
+/// The one configuration that keeps timestamps, on a store that holds
+/// them: the timestamp side of every check against epochs.
+fn stamping() -> AlgoOptions {
+    AlgoOptions { check_reversal: true, ..AlgoOptions::default() }
 }
 
 fn algo_outcome<S: AccessStore>(algo: AlgoState<S>) -> Outcome {
@@ -270,10 +246,11 @@ proptest! {
     /// run), and a session checkpointed with events still held and
     /// resumed, all leave the same store bytes, counters, gauges and
     /// report. Nor does the clock: an engine that keeps timestamps leaves
-    /// all of it but the bytes. Nor does packing: the run keeps each
-    /// event's thread and timestamp, so a serial profiler over a perfect
-    /// or a timestamp-slot store, fed events of threads 0–3, leaves what
-    /// the immediate engine over the same stores leaves. `seq.rs`'s
+    /// all of it but the bytes. Nor do timestamps at all on the serial
+    /// path: its run keeps none, so a serial profiler over a perfect or a
+    /// timestamp-slot store, fed the stream with every timestamp zeroed,
+    /// leaves what the timestamp engine over the same stores leaves on
+    /// the stream as it was. `seq.rs`'s
     /// `every_flush_point_retires_the_run` reaches each flush point on
     /// both sides of a run boundary.
     #[test]
@@ -281,7 +258,6 @@ proptest! {
         evs in arb_structured_stream(300),
         splits in prop::collection::vec(0usize..12, 1..24),
         raw_cut in 0usize..1_000_000,
-        picks in prop::collection::vec(0u16..4, 1..16),
     ) {
         let mut immediate = tight_algo::<EpochSlot>();
         for ev in &evs {
@@ -289,7 +265,11 @@ proptest! {
         }
         let want = algo_outcome(immediate);
 
-        let mut timestamped = tight_algo::<ExtendedSlot>();
+        let mut timestamped = AlgoState::new(
+            Signature::<ExtendedSlot>::new(TIGHT_SLOTS),
+            Signature::<ExtendedSlot>::new(TIGHT_SLOTS),
+            stamping(),
+        );
         for ev in &evs {
             timestamped.on_event(ev);
         }
@@ -305,7 +285,7 @@ proptest! {
                 break;
             }
             let (now, later) = rest.split_at((*len).min(rest.len()));
-            let mut chunk = Chunk::stamped(now.len());
+            let mut chunk = Chunk::new(now.len());
             now.iter().for_each(|&ev| chunk.push(ev));
             chunked.on_chunk(&chunk);
             rest = later;
@@ -319,21 +299,26 @@ proptest! {
         let held = held.finish();
         prop_assert_eq!(&engine_outcome(held), &want, "per-event run");
 
-        let threaded = on_threads(&evs, &picks);
-        fn held_as_fed<S: AccessStore>(new: impl Fn() -> S, evs: &[TraceEvent]) -> [Outcome; 2] {
-            let mut immediate = AlgoState::new(new(), new(), AlgoOptions::default());
+        // An unstamped chunk gives each event back with its timestamp 0.
+        let mut unstamped = Chunk::new(evs.len());
+        evs.iter().for_each(|&ev| unstamped.push(ev));
+        let zeroed: Vec<_> = (0..unstamped.len()).map(|i| unstamped.event(i)).collect();
+        fn held_as_stamped<S: AccessStore>(
+            new: impl Fn() -> S,
+            evs: &[TraceEvent],
+            zeroed: &[TraceEvent],
+        ) -> [Outcome; 2] {
+            let mut stamped = AlgoState::new(new(), new(), stamping());
+            evs.iter().for_each(|ev| stamped.on_event(ev));
             let mut held = SequentialProfiler::with_stores(new(), new());
-            for ev in evs {
-                immediate.on_event(ev);
-                held.on_event(ev);
-            }
-            [engine_outcome(held.finish()), algo_outcome(immediate)]
+            zeroed.iter().for_each(|ev| held.on_event(ev));
+            [engine_outcome(held.finish()), algo_outcome(stamped)]
         }
-        let [held, immediate] = held_as_fed(PerfectSignature::new, &threaded);
-        prop_assert_eq!(&held, &immediate, "perfect, threads {:?}", picks);
-        let [held, immediate] =
-            held_as_fed(|| Signature::<ExtendedSlot>::new(TIGHT_SLOTS), &threaded);
-        prop_assert_eq!(&held, &immediate, "timestamp slots, threads {:?}", picks);
+        let [held, stamped] = held_as_stamped(PerfectSignature::new, &evs, &zeroed);
+        prop_assert_eq!(&held, &stamped, "perfect, timestamps zeroed");
+        let [held, stamped] =
+            held_as_stamped(|| Signature::<ExtendedSlot>::new(TIGHT_SLOTS), &evs, &zeroed);
+        prop_assert_eq!(&held, &stamped, "timestamp slots, timestamps zeroed");
 
         let spec = SessionSpec { slots: TIGHT_SLOTS, ..SessionSpec::default() };
         let cut = raw_cut % (evs.len() + 1);

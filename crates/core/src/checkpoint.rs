@@ -62,8 +62,8 @@ const TAG_WORKER: u8 = 5;
 pub struct CheckpointData {
     /// Monotonic checkpoint number within the run (1-based).
     pub generation: u64,
-    /// Input-trace position at the barrier
-    /// (`TraceReader::records_read`): resume seeks here.
+    /// Input-trace position at the barrier, in events fed
+    /// (`TraceReader::records_read`): resume skips to here.
     pub records_read: u64,
     /// Opaque engine/CLI configuration blob (engine kind, worker count,
     /// slots, trace path, ... — whatever the writer needs to rebuild an

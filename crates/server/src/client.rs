@@ -9,7 +9,7 @@
 //! disconnect — the client half of the exactly-once contract.
 
 use dp_core::SessionSpec;
-use dp_trace::FrameChunker;
+use dp_trace::stream::{FrameChunker, DEFAULT_CHUNK_EVENTS};
 use dp_types::protocol::{self, error_code, Frame, Hello, ProtocolError, MAX_FRAME_BYTES};
 use dp_types::TraceEvent;
 use std::fmt;
@@ -49,7 +49,7 @@ impl Default for PushOptions {
             session: "default".into(),
             spec: SessionSpec::default(),
             checkpoint_every: 0,
-            chunk_events: 512,
+            chunk_events: DEFAULT_CHUNK_EVENTS,
             throttle_ms: 0,
             request_stats: false,
             sync_every_chunks: 0,

@@ -10,10 +10,11 @@ use dp_analysis::incremental::json_string;
 use dp_analysis::OnlineAnalysis;
 use dp_core::{report, CheckpointStore, ProfileResult, ProfileSession, SessionSpec};
 use dp_metrics::{ServiceMetrics, SessionMetrics};
+use dp_trace::stream::intern_names;
 use dp_types::protocol::{
     error_code, query_kind, ChunkView, Frame, Hello, ProtocolError, TAG_CHUNK,
 };
-use dp_types::{Interner, TraceEvent};
+use dp_types::{Interner, TraceEvent, WireError};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -22,7 +23,7 @@ use std::path::{Path, PathBuf};
 #[derive(Debug)]
 pub enum SessionError {
     /// The `Hello` frame's engine spec did not decode.
-    BadSpec(dp_types::WireError),
+    BadSpec(WireError),
     /// A frame's payload did not decode.
     Malformed(ProtocolError),
     /// A frame arrived that the session's state does not allow (a
@@ -107,10 +108,8 @@ impl SessionEngine {
         checkpoint_base: Option<&Path>,
         default_checkpoint_every: u64,
     ) -> Result<(SessionEngine, Frame), SessionError> {
-        let mut interner = Interner::new();
-        for n in &hello.names {
-            interner.intern(n);
-        }
+        let interner = intern_names(&hello.names)
+            .map_err(|why| SessionError::Malformed(WireError::Invalid(why).into()))?;
         let checkpoint_every = if hello.checkpoint_every > 0 {
             hello.checkpoint_every
         } else {
@@ -586,6 +585,25 @@ mod tests {
         let err = s.handle(Frame::Chunk { base: 21, events: mixed }).unwrap_err();
         assert!(matches!(err, SessionError::OutOfOrder(_)));
         assert_eq!(s.position(), 20);
+    }
+
+    /// Events name their variable by position in the `Hello`'s table: a
+    /// name listed twice would shift every later id, so the session is
+    /// refused as a trace file's reader refuses it.
+    #[test]
+    fn a_hello_listing_a_name_twice_is_refused() {
+        let names = |names: &[&str]| Hello {
+            names: names.iter().map(|&n| n.into()).collect(),
+            ..hello("names", 0)
+        };
+        assert!(SessionEngine::open(&names(&["*", "a", "b"]), 1, None, 0).is_ok());
+        let Err(err) = SessionEngine::open(&names(&["*", "a", "a", "b"]), 1, None, 0) else {
+            panic!("a duplicate name opened a session");
+        };
+        assert!(matches!(err, SessionError::Malformed(_)), "{err}");
+        let Frame::Error { code, message } = err.to_frame() else { unreachable!() };
+        assert_eq!(code, error_code::BAD_FRAME);
+        assert!(message.contains("duplicate name"), "{message}");
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Bridging a recorded event stream onto the DPSV wire: batches
-//! consecutive events of every kind into `Chunk` frames, in order.
+//! Bridging an event stream onto the DPSV wire: batches consecutive
+//! events of every kind into `Chunk` frames, in order.
 //!
-//! This is what lets `depprof push` replay any recorded `.dptr` file
-//! over the network: the trace reader yields [`TraceEvent`]s one at a
-//! time, and the chunker packs them into `Chunk` frames of up to
+//! Both producers of DPSV frames chunk here: `depprof push`, which
+//! replays a recorded `.dptr` file over the network, and the trace file
+//! itself, which is a DPSV session on disk ([`crate::tracefile`]). The
+//! chunker packs [`TraceEvent`]s into `Chunk` frames of up to
 //! `chunk_events` events each. Loop, call and dealloc events ride in line
 //! with the accesses around them, so the 6-byte frame overhead is paid
-//! once per chunk however loop-dense the stream, and the server feeds its
+//! once per chunk however loop-dense the stream, and a reader feeds its
 //! engine in exactly the recorded order.
 //!
 //! Every frame is *positional*: a `Chunk` carries the absolute stream
@@ -16,7 +17,27 @@
 //! exactly.
 
 use dp_types::protocol::Frame;
-use dp_types::TraceEvent;
+use dp_types::{Interner, TraceEvent};
+
+/// Events per `Chunk` frame unless a caller says otherwise: what a trace
+/// file holds per frame and what `depprof push` sends.
+pub const DEFAULT_CHUNK_EVENTS: usize = 512;
+
+/// Interns a `Hello`'s variable-name table. Events name their variable
+/// by position in the table, so a repeated name, which would intern to
+/// its first position and shift every later variable down by one, is
+/// refused; only the leading `"*"` every [`Interner`] starts with may be
+/// listed again.
+pub fn intern_names(names: &[String]) -> Result<Interner, &'static str> {
+    let mut interner = Interner::new();
+    for (id, name) in names.iter().enumerate() {
+        let fresh = interner.len();
+        if interner.intern(name) as usize != fresh && !(id == 0 && name == "*") {
+            return Err("duplicate name");
+        }
+    }
+    Ok(interner)
+}
 
 /// Batches [`TraceEvent`]s into DPSV `Chunk` frames, preserving order.
 #[derive(Debug)]

@@ -1,92 +1,49 @@
-//! Binary trace recording and replay.
-//!
-//! The paper's toolchain separates instrumentation from analysis: the
-//! instrumented run can write its event stream to disk and analyses run
-//! offline (and repeatedly — e.g. one recording feeding the accuracy
-//! comparison of Table I at several signature sizes without re-executing
-//! the program). [`TraceWriter`] is a [`Tracer`] that streams events to
-//! any `Write` sink in a compact fixed-width binary format;
-//! [`TraceReader`] replays them as an iterator.
-//!
-//! Format (little-endian): magic `DPTR`, a version byte, a variable-name
-//! table (so replayed reports resolve names without the original
-//! program), then one record per event: a tag byte, the fixed-width
-//! fields of that variant, and a checksum byte (XOR of tag and fields).
-//! Accesses — the overwhelming majority — encode in 28 bytes.
-//!
-//! The reader fails typed, not loose: [`TraceFileError`] distinguishes a
-//! file that isn't a trace, an unsupported version, a corrupted record
-//! (checksum mismatch, with its byte offset), an unknown tag, and — the
-//! case that matters for crashed recordings — a *torn final record*
-//! (EOF mid-record) from a clean EOF at a record boundary.
+//! Binary trace recording and replay, so one instrumented run feeds many
+//! offline analyses. A trace file is a recorded DPSV session
+//! ([`dp_types::protocol`]): the preamble, a `Hello` carrying the
+//! variable-name table, `Chunk` frames of [`DEFAULT_CHUNK_EVENTS`] events
+//! and a closing `Finish`. The reader fails typed ([`TraceFileError`]) and
+//! keeps every whole frame before the damage; a file without its `Finish`
+//! is torn.
 
+use crate::stream::{intern_names, FrameChunker, DEFAULT_CHUNK_EVENTS};
 use crate::tracer::Tracer;
 use dp_types::event::BODY_LEN;
+use dp_types::protocol::{self, ChunkView, Frame, FrameReader, Hello, ProtocolError};
+use dp_types::protocol::{FRAME_OVERHEAD_BYTES, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_CHUNK};
 use dp_types::{Interner, TraceEvent};
 use std::fmt;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
+use TraceFileError::{BadNameTable, Checksum, NotATrace, TornRecord, UnsupportedVersion};
 
-const MAGIC: &[u8; 4] = b"DPTR";
-const VERSION: u8 = 2;
-
-/// Whole size of a record: the event body `dp_types::event` lays out
-/// (tag byte, fixed-width fields) and the checksum byte after it.
-fn record_len(tag: u8) -> Option<usize> {
-    BODY_LEN.get(tag as usize).map(|&n| n as usize + 1)
-}
-
-const MAX_RECORD: usize = 28;
-
-// The per-record checksum is the same XOR fold the checkpoint container
-// uses (one shared definition in `dp_types::wire`), so a trace record
-// and a checkpoint section corrupt and verify identically.
-use dp_types::wire::xor_fold;
+/// Bytes of the preamble: the offset of the `Hello` frame.
+const PREAMBLE: u64 = 5;
 
 /// Why a trace file could not be read.
-///
-/// Replay is an offline workflow on files that may have been produced by
-/// a run that crashed mid-recording, copied over a flaky link, or handed
-/// in by mistake; each of those deserves a distinct, reportable error
-/// rather than a generic `InvalidData`.
 #[derive(Debug)]
 pub enum TraceFileError {
-    /// The underlying reader failed (not an EOF classified below).
+    /// The underlying reader failed.
     Io(io::Error),
-    /// The file does not start with the `DPTR` magic (or is shorter than
-    /// a header) — it is not a depprof trace at all.
+    /// The file does not start with a trace preamble.
     NotATrace,
-    /// The file is a depprof trace of a format version this build does
-    /// not understand.
+    /// A trace version this build does not read (an old `DPTR` file's own).
     UnsupportedVersion(u8),
-    /// The variable-name table in the header is malformed.
+    /// The first frame is not a `Hello`, or its name table is malformed.
     BadNameTable(&'static str),
-    /// A record starts with a tag byte the format does not define; the
-    /// offset is where the record starts.
-    UnknownTag {
-        /// The undefined tag byte.
-        tag: u8,
-        /// Byte offset of the record.
-        offset: u64,
-    },
-    /// A record's checksum byte does not match its contents, or its body
-    /// does not decode (a `Dealloc` range past the end of the address
-    /// space) — the file was corrupted in place or written by something
-    /// else; the offset is where the record starts.
+    /// The frame at `offset` fails its checksum, or is neither the `Chunk`
+    /// at the reader's position nor the `Finish`: the file is corrupt.
     Checksum {
-        /// Byte offset of the record.
+        /// Byte offset of the frame.
         offset: u64,
-        /// Records that replayed cleanly before the corrupt one — the
-        /// salvageable prefix a caller can keep.
+        /// Events read before it: the salvageable prefix.
         records_read: u64,
     },
-    /// The file ends in the middle of a record — the recording was cut
-    /// off (crash, full disk, truncated copy). Everything before the
-    /// offset replayed cleanly.
+    /// The file ends inside the frame at `offset`, before its `Finish`:
+    /// the recording was cut off (crash, full disk, truncated copy).
     TornRecord {
-        /// Byte offset of the incomplete final record.
+        /// Byte offset of the incomplete frame.
         offset: u64,
-        /// Records that replayed cleanly before the tear — the
-        /// salvageable prefix a caller can keep.
+        /// Events read before it: the salvageable prefix.
         records_read: u64,
     },
 }
@@ -95,40 +52,22 @@ impl fmt::Display for TraceFileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceFileError::Io(e) => write!(f, "trace i/o error: {e}"),
-            TraceFileError::NotATrace => write!(f, "not a depprof trace (bad magic)"),
-            TraceFileError::UnsupportedVersion(v) => {
-                write!(f, "unsupported trace version {v} (this build reads version {VERSION})")
+            NotATrace => write!(f, "not a depprof trace (bad magic)"),
+            UnsupportedVersion(v) => {
+                write!(f, "unsupported trace version {v} (this build reads {PROTOCOL_VERSION})")
             }
-            TraceFileError::BadNameTable(why) => write!(f, "bad variable-name table: {why}"),
-            TraceFileError::UnknownTag { tag, offset } => {
-                write!(f, "unknown event tag {tag} at byte {offset}")
+            BadNameTable(why) => write!(f, "bad variable-name table: {why}"),
+            Checksum { offset, records_read: n } => {
+                write!(f, "corrupted frame at byte {offset} ({n} records read cleanly before it)")
             }
-            TraceFileError::Checksum { offset, records_read } => {
-                write!(
-                    f,
-                    "checksum mismatch in record at byte {offset} (corrupted trace; \
-                     {records_read} records read cleanly before it)"
-                )
-            }
-            TraceFileError::TornRecord { offset, records_read } => {
-                write!(
-                    f,
-                    "trace ends mid-record at byte {offset} (truncated recording; \
-                     {records_read} records read cleanly before it)"
-                )
+            TornRecord { offset, records_read: n } => {
+                write!(f, "trace truncated at byte {offset} ({n} records read cleanly before it)")
             }
         }
     }
 }
 
-impl std::error::Error for TraceFileError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceFileError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for TraceFileError {}
 
 impl From<io::Error> for TraceFileError {
     fn from(e: io::Error) -> Self {
@@ -136,141 +75,104 @@ impl From<io::Error> for TraceFileError {
     }
 }
 
-/// Streams trace events to a byte sink.
+/// Streams trace events to a byte sink as a DPSV session.
 pub struct TraceWriter<W: Write> {
-    out: BufWriter<W>,
-    rec: Vec<u8>,
-    events: u64,
+    sink: W,
+    chunker: FrameChunker,
     error: Option<io::Error>,
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Creates a writer with no variable-name table (names resolve to
-    /// ids on replay).
+    /// Creates a writer with no variable-name table (names resolve to ids).
     pub fn new(sink: W) -> io::Result<Self> {
         Self::with_names(sink, &Interner::new())
     }
 
-    /// Creates a writer, embedding the interner's variable names so
-    /// replayed reports are fully resolved.
-    pub fn with_names(sink: W, interner: &Interner) -> io::Result<Self> {
-        let mut out = BufWriter::new(sink);
-        out.write_all(MAGIC)?;
-        out.write_all(&[VERSION])?;
-        let n = interner.len() as u32;
-        out.write_all(&n.to_le_bytes())?;
-        for id in 0..n {
-            let name = interner.resolve(id).as_bytes();
-            out.write_all(&(name.len() as u32).to_le_bytes())?;
-            out.write_all(name)?;
-        }
-        Ok(TraceWriter { out, rec: Vec::with_capacity(MAX_RECORD), events: 0, error: None })
+    /// Creates a writer, embedding the interner's names for replayed reports.
+    pub fn with_names(mut sink: W, interner: &Interner) -> io::Result<Self> {
+        protocol::write_preamble(&mut sink)?;
+        let chunker = FrameChunker::new(DEFAULT_CHUNK_EVENTS);
+        let mut w = TraceWriter { sink, chunker, error: None };
+        let names = (0..interner.len() as u32).map(|id| interner.resolve(id).into()).collect();
+        w.write(&Frame::Hello(Hello { names, ..Hello::default() }))?;
+        Ok(w)
     }
 
     /// Events written so far.
     pub fn events(&self) -> u64 {
-        self.events
+        self.chunker.position()
     }
 
-    /// Flushes and returns the sink; surfaces any deferred I/O error.
+    /// Writes the last `Chunk` and the `Finish`, flushes and returns the
+    /// sink; surfaces any deferred I/O error.
     pub fn finish(mut self) -> io::Result<W> {
         if let Some(e) = self.error.take() {
             return Err(e);
         }
-        self.out.flush()?;
-        self.out.into_inner().map_err(|e| e.into_error())
+        for frame in self.chunker.flush().into_iter().chain([Frame::Finish]) {
+            self.write(&frame)?;
+        }
+        self.sink.flush()?;
+        Ok(self.sink)
     }
 
-    fn emit(&mut self, ev: &TraceEvent) -> io::Result<()> {
-        // Records are staged in a scratch buffer so the trailing checksum
-        // byte covers exactly the bytes written.
-        let r = &mut self.rec;
-        r.clear();
-        ev.encode_into(r);
-        let ck = xor_fold(r[0], &r[1..]);
-        r.push(ck);
-        self.out.write_all(r)?;
-        self.events += 1;
-        Ok(())
+    fn write(&mut self, frame: &Frame) -> io::Result<()> {
+        let mut buf = Vec::new();
+        frame.encode_into(&mut buf);
+        self.sink.write_all(&buf)
     }
 }
 
 impl<W: Write> Tracer for TraceWriter<W> {
     fn event(&mut self, ev: TraceEvent) {
-        if self.error.is_none() {
-            if let Err(e) = self.emit(&ev) {
-                self.error = Some(e);
-            }
+        if let Some(chunk) = self.chunker.push(ev).filter(|_| self.error.is_none()) {
+            self.error = self.write(&chunk).err();
         }
     }
 }
 
 /// Replays a recorded trace as an iterator of events.
 pub struct TraceReader<R: Read> {
-    input: BufReader<R>,
+    input: R,
+    frames: FrameReader,
     interner: Interner,
-    /// Bytes consumed so far — the offset reported in record errors.
+    /// Byte offset of the next frame.
     offset: u64,
-    /// Records decoded successfully so far — reported in record errors
-    /// so callers know how much of a damaged trace is salvageable.
+    /// Events handed out or skipped so far.
     records: u64,
+    /// The current chunk's event bodies, checked by `ChunkView::parse`,
+    /// and where the next one to hand out starts.
+    bodies: Vec<u8>,
+    next: usize,
+    /// The `Finish` was read, or reading failed.
     done: bool,
 }
 
 impl<R: Read> TraceReader<R> {
-    /// Opens a trace, validating the header and loading the name table.
-    pub fn new(source: R) -> Result<Self, TraceFileError> {
-        let mut input = BufReader::new(source);
-        let mut hdr = [0u8; 5];
-        match input.read_exact(&mut hdr) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(TraceFileError::NotATrace)
-            }
-            Err(e) => return Err(e.into()),
+    /// Opens a trace, validating the preamble and loading the name table.
+    pub fn new(mut input: R) -> Result<Self, TraceFileError> {
+        let mut pre = [0u8; PREAMBLE as usize];
+        match input.read_exact(&mut pre).map(|()| protocol::read_preamble(&mut &pre[..])) {
+            Ok(Ok(())) => {}
+            Ok(Err(ProtocolError::UnsupportedVersion(v))) => return Err(UnsupportedVersion(v)),
+            Ok(Err(_)) if pre.starts_with(b"DPTR") => return Err(UnsupportedVersion(pre[4])),
+            Err(e) if e.kind() != io::ErrorKind::UnexpectedEof => return Err(e.into()),
+            _ => return Err(NotATrace),
         }
-        if &hdr[..4] != MAGIC {
-            return Err(TraceFileError::NotATrace);
-        }
-        if hdr[4] != VERSION {
-            return Err(TraceFileError::UnsupportedVersion(hdr[4]));
-        }
-        let mut offset = 5u64;
-        let mut cnt = [0u8; 4];
-        input.read_exact(&mut cnt).map_err(Self::name_table_eof)?;
-        offset += 4;
-        let n = u32::from_le_bytes(cnt);
-        let mut interner = Interner::new();
-        for id in 0..n {
-            let mut len = [0u8; 4];
-            input.read_exact(&mut len).map_err(Self::name_table_eof)?;
-            let len = u32::from_le_bytes(len) as usize;
-            if len > 1 << 20 {
-                return Err(TraceFileError::BadNameTable("name longer than 1 MiB"));
-            }
-            let mut buf = vec![0u8; len];
-            input.read_exact(&mut buf).map_err(Self::name_table_eof)?;
-            offset += 4 + len as u64;
-            let name = String::from_utf8(buf)
-                .map_err(|_| TraceFileError::BadNameTable("name is not valid UTF-8"))?;
-            // Records name their variable by position in this table. A
-            // repeated name would intern to its first position and shift
-            // every later variable down by one; only the recorder's own
-            // leading "*" is expected to be there already.
-            let known = interner.len();
-            interner.intern(&name);
-            if interner.len() == known && !(id == 0 && name == "*") {
-                return Err(TraceFileError::BadNameTable("duplicate name"));
-            }
-        }
-        Ok(TraceReader { input, interner, offset, records: 0, done: false })
-    }
-
-    fn name_table_eof(e: io::Error) -> TraceFileError {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            TraceFileError::BadNameTable("truncated name table")
-        } else {
-            TraceFileError::Io(e)
+        let (frames, interner) = (FrameReader::new(MAX_FRAME_BYTES), Interner::new());
+        let mut r = TraceReader {
+            input,
+            frames,
+            interner,
+            offset: PREAMBLE,
+            records: 0,
+            bodies: Vec::new(),
+            next: 0,
+            done: false,
+        };
+        match r.read_frame(0) {
+            Err(TornRecord { .. }) => Err(BadNameTable("truncated name table")),
+            read => read.map(|()| r),
         }
     }
 
@@ -279,111 +181,93 @@ impl<R: Read> TraceReader<R> {
         &self.interner
     }
 
-    /// Records decoded successfully so far (the salvageable prefix when
-    /// iteration stopped on a [`TraceFileError::TornRecord`] or
-    /// [`TraceFileError::Checksum`]).
+    /// Events handed out or skipped so far: the reader's position, and
+    /// the salvageable prefix once iteration stopped on an error.
     pub fn records_read(&self) -> u64 {
         self.records
     }
 
-    fn read_event(&mut self) -> Result<Option<TraceEvent>, TraceFileError> {
-        let rec_off = self.offset;
-        let unknown = |tag| TraceFileError::UnknownTag { tag, offset: rec_off };
-        // A record lying whole in the read-ahead buffer is decoded where it
-        // lies; one that straddles a refill (or follows one) is assembled
-        // in `scratch` by two exact reads, which is also where EOF is told
-        // apart: at a record boundary the trace ends, inside one it is torn.
-        let mut scratch = [0u8; MAX_RECORD];
-        let buffered = self.input.buffer();
-        let whole = match buffered.first() {
-            Some(&tag) => {
-                Some(record_len(tag).ok_or_else(|| unknown(tag))?).filter(|&n| n <= buffered.len())
+    /// Moves the reader to event `n`, as a resume does: whole frames that
+    /// end at or below `n` are dropped undecoded, and so are the first
+    /// `n − base` events of the frame that straddles it. A trace that
+    /// ends before `n` is [`TraceFileError::TornRecord`].
+    pub fn skip_to(&mut self, n: u64) -> Result<(), TraceFileError> {
+        while self.records < n {
+            if let Some(&tag) = self.bodies.get(self.next) {
+                self.next += BODY_LEN[tag as usize] as usize;
+                self.records += 1;
+            } else if self.done {
+                return Err(TornRecord { offset: self.offset, records_read: self.records });
+            } else {
+                self.read_frame(n)?;
             }
-            None => None,
-        };
-        let (ev, n, in_place) = match whole {
-            Some(n) => (decode_record(&buffered[..n]), n, true),
-            None => {
-                match self.input.read_exact(&mut scratch[..1]) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-                    Err(e) => return Err(e.into()),
-                }
-                let tag = scratch[0];
-                let n = record_len(tag).ok_or_else(|| unknown(tag))?;
-                match self.input.read_exact(&mut scratch[1..n]) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                        return Err(TraceFileError::TornRecord {
-                            offset: rec_off,
-                            records_read: self.records,
-                        })
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-                (decode_record(&scratch[..n]), n, false)
-            }
-        };
-        let ev =
-            ev.ok_or(TraceFileError::Checksum { offset: rec_off, records_read: self.records })?;
-        if in_place {
-            self.input.consume(n);
         }
-        self.offset += n as u64;
-        Ok(Some(ev))
+        Ok(())
     }
-}
 
-/// Verifies and decodes one whole record — event body, checksum byte,
-/// exactly as long as its tag says. `None` when the checksum does not
-/// match or the body does not decode (see [`TraceEvent::decode`]).
-#[inline]
-fn decode_record(rec: &[u8]) -> Option<TraceEvent> {
-    /// The checksum byte closes the XOR of the whole record to zero.
-    /// Every record length is a multiple of four, so the fold — what
-    /// [`xor_fold`] computes a byte at a time — runs over the whole words
-    /// of a fixed-size array.
-    #[inline(always)]
-    fn sound<const N: usize>(rec: &[u8]) -> bool {
-        const { assert!(N.is_multiple_of(4)) };
-        let rec: &[u8; N] = rec.try_into().expect("record length follows from its tag");
-        let mut x = 0u32;
-        for word in rec.chunks_exact(4) {
-            x ^= u32::from_le_bytes(word.try_into().expect("chunks_exact(4)"));
+    /// Reads the next frame: the `Hello` first, then `Chunk`s, each at
+    /// the reader's position, up to the `Finish`. A `Chunk` that ends at
+    /// or below `keep_from` only moves the position.
+    fn read_frame(&mut self, keep_from: u64) -> Result<(), TraceFileError> {
+        let (at, pos) = (self.offset, self.records);
+        let corrupt = || Checksum { offset: at, records_read: pos };
+        self.done = true;
+        loop {
+            let (tag, payload) = match self.frames.next_frame() {
+                Ok(Some(frame)) => frame,
+                Err(_) => return Err(corrupt()),
+                Ok(None) => match self.frames.fill(&mut self.input) {
+                    Ok(0) => return Err(TornRecord { offset: at, records_read: pos }),
+                    Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e.into()),
+                    _ => continue,
+                },
+            };
+            self.offset += (payload.len() + FRAME_OVERHEAD_BYTES) as u64;
+            if tag == TAG_CHUNK && at > PREAMBLE {
+                let chunk = ChunkView::parse(payload).ok().filter(|c| c.base() == pos);
+                let chunk = chunk.ok_or_else(corrupt)?;
+                self.bodies.clear();
+                self.next = 0;
+                match pos + chunk.len() as u64 {
+                    // The bodies follow the chunk's base and count.
+                    end if end > keep_from => self.bodies.extend_from_slice(&payload[12..]),
+                    end => self.records = end,
+                }
+                self.done = false;
+                return Ok(());
+            }
+            match (Frame::decode(tag, payload), at == PREAMBLE) {
+                (Ok(Frame::Hello(hello)), true) => {
+                    self.interner = intern_names(&hello.names).map_err(BadNameTable)?;
+                }
+                (_, true) => return Err(BadNameTable("first frame is not a Hello")),
+                (Ok(Frame::Finish), _) => return Ok(()),
+                _ => return Err(corrupt()),
+            }
+            self.done = false;
+            return Ok(());
         }
-        x ^= x >> 16;
-        x ^= x >> 8;
-        x as u8 == 0
     }
-    let closes = match rec.len() {
-        16 => sound::<16>(rec),
-        20 => sound::<20>(rec),
-        24 => sound::<24>(rec),
-        28 => sound::<28>(rec),
-        n => unreachable!("no record is {n} bytes long"),
-    };
-    closes.then(|| TraceEvent::decode(&rec[..rec.len() - 1])).flatten()
 }
 
 impl<R: Read> Iterator for TraceReader<R> {
     type Item = Result<TraceEvent, TraceFileError>;
 
     fn next(&mut self) -> Option<Result<TraceEvent, TraceFileError>> {
-        if self.done {
-            return None;
-        }
-        match self.read_event() {
-            Ok(Some(ev)) => {
+        loop {
+            if let Some(&tag) = self.bodies.get(self.next) {
+                let body = &self.bodies[self.next..][..BODY_LEN[tag as usize] as usize];
+                self.next += body.len();
                 self.records += 1;
-                Some(Ok(ev))
+                return Some(Ok(
+                    TraceEvent::decode(body).expect("ChunkView::parse checked every body")
+                ));
             }
-            Ok(None) => {
-                self.done = true;
-                None
+            if self.done {
+                return None;
             }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
+            if let Err(e) = self.read_frame(self.records) {
+                return Some(Err(e));
             }
         }
     }
@@ -395,6 +279,7 @@ mod tests {
     use crate::builder::{c, ProgramBuilder};
     use crate::interp::Interp;
     use crate::tracer::CollectTracer;
+    use dp_types::wire::xor_fold;
     use dp_types::{loc::loc, MemAccess};
 
     fn sample_events() -> Vec<TraceEvent> {
@@ -418,6 +303,20 @@ mod tests {
         w.finish().unwrap()
     }
 
+    /// Bytes of a recording before its first `Chunk`: preamble and `Hello`.
+    fn header_len() -> usize {
+        record(&[]).len() - FRAME_OVERHEAD_BYTES
+    }
+
+    /// A frame of `tag` around `payload`, checksum and all.
+    fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = vec![tag];
+        out.extend((payload.len() as u32).to_le_bytes());
+        out.extend(payload);
+        out.push(xor_fold(tag, payload));
+        out
+    }
+
     #[test]
     fn roundtrip_every_variant() {
         let bytes = record(&sample_events());
@@ -428,12 +327,16 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_and_version() {
-        assert!(matches!(TraceReader::new(&b"NOPE\x02rest"[..]), Err(TraceFileError::NotATrace)));
-        assert!(matches!(TraceReader::new(&b"DP"[..]), Err(TraceFileError::NotATrace)));
-        assert!(matches!(
-            TraceReader::new(&b"DPTR\x01"[..]),
-            Err(TraceFileError::UnsupportedVersion(1))
-        ));
+        assert!(matches!(TraceReader::new(&b"NOPE\x03rest"[..]), Err(NotATrace)));
+        assert!(matches!(TraceReader::new(&b"DP"[..]), Err(NotATrace)));
+        // An old DPTR file, or a DPSV stream of another version, is
+        // refused by the version it names — never misread.
+        for (file, v) in [(&b"DPTR\x01"[..], 1), (b"DPTR\x02\x00\x00", 2), (b"DPSV\x02", 2)] {
+            assert!(
+                matches!(TraceReader::new(file), Err(UnsupportedVersion(got)) if got == v),
+                "{file:?}"
+            );
+        }
     }
 
     #[test]
@@ -454,36 +357,45 @@ mod tests {
     #[test]
     fn truncated_name_table_is_typed() {
         let full = record(&[]);
-        // Cut inside the header's name-table count.
-        assert!(matches!(
-            TraceReader::new(&full[..7]),
-            Err(TraceFileError::BadNameTable("truncated name table"))
-        ));
+        // Any cut inside the `Hello` frame.
+        for cut in PREAMBLE as usize..header_len() {
+            assert!(
+                matches!(TraceReader::new(&full[..cut]), Err(BadNameTable("truncated name table"))),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]
     fn duplicate_name_in_table_is_typed() {
         let table = |names: &[&str]| {
-            let mut bytes = b"DPTR\x02".to_vec();
-            bytes.extend((names.len() as u32).to_le_bytes());
-            for n in names {
-                bytes.extend((n.len() as u32).to_le_bytes());
-                bytes.extend(n.as_bytes());
-            }
+            let mut bytes = Vec::new();
+            protocol::write_preamble(&mut bytes).unwrap();
+            let names = names.iter().map(|&n| n.into()).collect();
+            Frame::Hello(Hello { names, ..Hello::default() }).encode_into(&mut bytes);
             bytes
         };
         let good = table(&["*", "a", "b"]);
         assert_eq!(TraceReader::new(&good[..]).unwrap().interner().resolve(2), "b");
         assert!(matches!(
             TraceReader::new(&table(&["*", "a", "a", "b"])[..]),
-            Err(TraceFileError::BadNameTable("duplicate name"))
+            Err(BadNameTable("duplicate name"))
         ));
         assert!(matches!(
             TraceReader::new(&table(&["*", "a", "*"])[..]),
-            Err(TraceFileError::BadNameTable("duplicate name"))
+            Err(BadNameTable("duplicate name"))
+        ));
+        // The first frame must be the `Hello`.
+        let mut chunk_first = table(&[])[..PREAMBLE as usize].to_vec();
+        Frame::Chunk { base: 0, events: sample_events() }.encode_into(&mut chunk_first);
+        assert!(matches!(
+            TraceReader::new(&chunk_first[..]),
+            Err(BadNameTable("first frame is not a Hello"))
         ));
     }
 
+    /// A recording ends with its `Finish`: cut anywhere before that,
+    /// even exactly between two frames, it is torn, never a clean end.
     #[test]
     fn torn_final_record_is_distinguished_from_clean_eof() {
         let bytes = record(&sample_events()[2..3]);
@@ -491,83 +403,113 @@ mod tests {
         let items: Vec<_> = TraceReader::new(&bytes[..]).unwrap().collect();
         assert_eq!(items.len(), 1);
         assert!(items[0].is_ok());
-        // Any cut inside the record is a torn record, never a clean EOF.
-        let header = bytes.len() - (1 + 26 + 1);
-        for cut in header + 1..bytes.len() {
+        let header = header_len();
+        let finish = bytes.len() - FRAME_OVERHEAD_BYTES;
+        for cut in header..bytes.len() {
             let items: Vec<_> = TraceReader::new(&bytes[..cut]).unwrap().collect();
-            assert_eq!(items.len(), 1, "cut at {cut}");
+            // Inside the chunk nothing is kept; past it, its one event.
+            let (kept, offset) = if cut < finish { (0, header) } else { (1, finish) };
+            assert_eq!(items.len(), kept + 1, "cut at {cut}");
             assert!(
                 matches!(
-                    items[0],
-                    Err(TraceFileError::TornRecord { offset, records_read: 0 })
-                        if offset == header as u64
+                    items[kept],
+                    Err(TornRecord { offset: o, records_read: r })
+                        if o == offset as u64 && r == kept as u64
                 ),
                 "cut at {cut}: {:?}",
-                items[0]
+                items[kept]
             );
         }
-        // Cut exactly at the record boundary: zero events, no error.
-        let items: Vec<_> = TraceReader::new(&bytes[..header]).unwrap().collect();
-        assert!(items.is_empty());
     }
 
     #[test]
     fn corrupted_record_fails_checksum_with_offset() {
-        let evs = sample_events();
-        let clean = record(&evs);
-        // Locate the first record by recording nothing.
-        let header = record(&[]).len();
-        // Flip one payload bit in the *second* record (the first — a
-        // LoopBegin — is tag + 18-byte payload + checksum = 20 bytes).
-        let second = header + 20;
+        let (evs, offsets, clean) = long_recording();
+        // Flip one payload bit in the *second* frame: the whole first
+        // frame replays, the second not at all.
+        let second = offsets[1];
         let mut bad = clean.clone();
-        bad[second + 3] ^= 0x40;
+        bad[second + 20] ^= 0x40;
         let items: Vec<_> = TraceReader::new(&bad[..]).unwrap().collect();
-        assert!(items[0].is_ok(), "first record untouched");
+        let n = DEFAULT_CHUNK_EVENTS;
+        assert_eq!(items.len(), n + 1, "iteration stops at the corrupt frame");
+        assert!(items[..n].iter().zip(&evs).all(|(got, ev)| got.as_ref().ok() == Some(ev)));
         assert!(
             matches!(
-                items[1],
-                Err(TraceFileError::Checksum { offset, records_read: 1 })
-                    if offset == second as u64
+                items[n],
+                Err(Checksum { offset, records_read }) if offset == second as u64
+                    && records_read == n as u64
             ),
             "{:?}",
-            items[1]
+            items[n]
         );
-        assert_eq!(items.len(), 2, "iteration stops at the corrupt record");
 
-        // A flipped tag lands outside the defined tag range: UnknownTag.
-        let mut bad = clean;
-        bad[header] = 0x77;
-        let items: Vec<_> = TraceReader::new(&bad[..]).unwrap().collect();
-        assert!(
-            matches!(
-                items[0],
-                Err(TraceFileError::UnknownTag { tag: 0x77, offset }) if offset == header as u64
-            ),
-            "{:?}",
-            items[0]
-        );
+        // A flipped frame tag, or an event tag no event has under a
+        // checksum that closes: the same corrupt frame.
+        let mut retagged = clean.clone();
+        retagged[second] = 0x77;
+        let mut undefined = clean[..second].to_vec();
+        let mut payload = clean[second + 5..offsets[2] - 1].to_vec();
+        payload[12] = 0x77;
+        undefined.extend(frame(TAG_CHUNK, &payload));
+        for bad in [retagged, undefined] {
+            let items: Vec<_> = TraceReader::new(&bad[..]).unwrap().collect();
+            assert!(
+                matches!(items[n], Err(Checksum { offset, .. }) if offset == second as u64),
+                "{:?}",
+                items[n]
+            );
+        }
     }
 
-    /// A record whose checksum closes but whose `Dealloc` range runs past
+    /// A frame that checksums but is neither the `Chunk` at the reader's
+    /// position nor an empty `Finish` is refused like a corrupted one.
+    #[test]
+    fn misplaced_and_foreign_frames_are_corrupt() {
+        let bytes = record(&sample_events());
+        let header = header_len();
+        let with_frame = |f: Frame| {
+            let mut out = bytes[..header].to_vec();
+            f.encode_into(&mut out);
+            out
+        };
+        let events = sample_events();
+        for bad in [
+            with_frame(Frame::Chunk { base: 1, events: events.clone() }),
+            with_frame(Frame::Sync { nonce: 0 }),
+            with_frame(Frame::Hello(Hello::default())),
+            with_frame(Frame::Chunk { base: 0, events })
+                .into_iter()
+                .chain(frame(6, &[0]))
+                .collect(),
+        ] {
+            let items: Vec<_> = TraceReader::new(&bad[..]).unwrap().collect();
+            let kept = items.len() - 1;
+            assert!(
+                matches!(
+                    items[kept],
+                    Err(Checksum { records_read, .. }) if records_read == kept as u64
+                ),
+                "{:?}",
+                items[kept]
+            );
+        }
+    }
+
+    /// A chunk whose checksum closes but whose `Dealloc` range runs past
     /// the end of the address space is refused like a corrupted one, with
-    /// the clean prefix counted — an engine never sees the range.
+    /// the clean prefix counted — an engine never sees any of it.
     #[test]
     fn dealloc_past_the_address_space_is_refused_like_a_corrupt_record() {
         let mut evs = sample_events();
-        let header = record(&[]).len();
-        // LoopBegin (20 B) + LoopIter (24 B) precede the third record.
-        let third = header + 20 + 24;
         evs.insert(2, TraceEvent::Dealloc { base: u64::MAX - 7, len: 1, thread: 0, ts: 3 });
         let items: Vec<_> = TraceReader::new(&record(&evs)[..]).unwrap().collect();
-        assert_eq!(items.len(), 3);
+        assert_eq!(items.len(), 1);
+        let header = header_len() as u64;
         assert!(
-            matches!(
-                items[2],
-                Err(TraceFileError::Checksum { records_read: 2, offset }) if offset == third as u64
-            ),
+            matches!(items[0], Err(Checksum { records_read: 0, offset }) if offset == header),
             "{:?}",
-            items[2]
+            items[0]
         );
         evs[2] = TraceEvent::Dealloc { base: u64::MAX - 15, len: 1, thread: 0, ts: 3 };
         let items: Vec<_> = TraceReader::new(&record(&evs)[..]).unwrap().collect();
@@ -576,59 +518,57 @@ mod tests {
 
     #[test]
     fn error_messages_name_the_failure() {
-        let torn = TraceFileError::TornRecord { offset: 9, records_read: 4 };
+        let torn = TornRecord { offset: 9, records_read: 4 };
         assert!(torn.to_string().contains("truncated"));
         assert!(torn.to_string().contains("4 records"), "{torn}");
-        let bad = TraceFileError::Checksum { offset: 9, records_read: 2 };
+        let bad = Checksum { offset: 9, records_read: 2 };
         assert!(bad.to_string().contains("corrupted"));
         assert!(bad.to_string().contains("2 records"), "{bad}");
-        assert!(TraceFileError::UnsupportedVersion(1).to_string().contains("version 1"));
-        assert!(TraceFileError::NotATrace.to_string().contains("not a depprof trace"));
+        assert!(UnsupportedVersion(1).to_string().contains("version 1"));
+        assert!(NotATrace.to_string().contains("not a depprof trace"));
     }
 
-    /// Regression: record errors carry the count of records decoded
-    /// before the failure, and it matches both what the iterator yielded
-    /// and the reader's own counter — so a caller salvaging the prefix
-    /// of a damaged trace knows exactly how much it kept.
+    /// Regression: errors carry the count of events read before the
+    /// failure, and it matches both what the iterator yielded and the
+    /// reader's own counter — so a caller salvaging the prefix of a
+    /// damaged trace knows exactly how much it kept: every whole frame.
     #[test]
     fn damaged_trace_errors_report_salvageable_prefix() {
-        let evs = sample_events();
-        let clean = record(&evs);
-        // Torn mid-final-record: all 7 earlier records read cleanly.
-        let cut = &clean[..clean.len() - 3];
+        let (evs, offsets, clean) = long_recording();
+        // Torn mid-final-chunk: every earlier whole frame reads cleanly.
+        let last = offsets.len() - 2;
+        let cut = &clean[..offsets[last + 1] - 3];
         let mut r = TraceReader::new(cut).unwrap();
         let mut ok = 0u64;
         let mut torn_records = None;
         for item in &mut r {
             match item {
                 Ok(_) => ok += 1,
-                Err(TraceFileError::TornRecord { records_read, .. }) => {
-                    torn_records = Some(records_read)
-                }
+                Err(TornRecord { records_read, .. }) => torn_records = Some(records_read),
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
-        assert_eq!(ok, evs.len() as u64 - 1);
+        assert_eq!(ok, (last * DEFAULT_CHUNK_EVENTS) as u64);
+        assert!(ok < evs.len() as u64);
         assert_eq!(torn_records, Some(ok), "error must carry the salvageable prefix");
         assert_eq!(r.records_read(), ok);
 
-        // Corrupted third record: two records salvage.
-        let header = record(&[]).len();
+        // Corrupted third chunk: two chunks salvage.
         let mut bad = clean.clone();
-        // LoopBegin (20 B) + LoopIter (24 B) precede the first access.
-        let third = header + 20 + 24;
-        bad[third + 2] ^= 0x10;
+        bad[offsets[2] + 30] ^= 0x10;
         let items: Vec<_> = TraceReader::new(&bad[..]).unwrap().collect();
-        assert_eq!(items.len(), 3);
+        let salvaged = 2 * DEFAULT_CHUNK_EVENTS;
+        assert_eq!(items.len(), salvaged + 1);
         assert!(matches!(
-            items[2],
-            Err(TraceFileError::Checksum { records_read: 2, offset }) if offset == third as u64
+            items[salvaged],
+            Err(Checksum { records_read, offset })
+                if records_read == salvaged as u64 && offset == offsets[2] as u64
         ));
     }
 
-    /// Hands out 1–7 bytes per call, so the read-ahead buffer almost
-    /// never holds a whole record and nearly every one is assembled by
-    /// the exact-read path.
+    /// Hands out 1–7 bytes per call, so the frame reader almost never
+    /// holds a whole frame after one read, and is interrupted (to be
+    /// retried, as `read_exact` would) every fifth call.
     struct Dribble<'a> {
         data: &'a [u8],
         calls: usize,
@@ -637,6 +577,9 @@ mod tests {
     impl Read for Dribble<'_> {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             self.calls += 1;
+            if self.calls.is_multiple_of(5) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
             let n = (self.calls % 7 + 1).min(buf.len()).min(self.data.len());
             buf[..n].copy_from_slice(&self.data[..n]);
             self.data = &self.data[n..];
@@ -644,11 +587,11 @@ mod tests {
         }
     }
 
-    /// Every record kind in rotation, long enough to cross the reader's
-    /// 8 KiB buffer three times; returns the events and each record's
-    /// byte offset in the recording.
+    /// Every event kind in rotation, long enough to cross the frame
+    /// reader's 64 KiB buffer; returns the events, each frame's byte
+    /// offset in the recording (the `Finish`'s last) and the recording.
     fn long_recording() -> (Vec<TraceEvent>, Vec<usize>, Vec<u8>) {
-        let evs: Vec<TraceEvent> = (0..1200u64)
+        let evs: Vec<TraceEvent> = (0..4000u64)
             .map(|i| {
                 let mut ev = sample_events()[(i % 8) as usize];
                 if let TraceEvent::Access(a) = &mut ev {
@@ -658,20 +601,15 @@ mod tests {
                 ev
             })
             .collect();
-        let mut at = record(&[]).len();
-        let offsets = evs
-            .iter()
-            .map(|ev| {
-                let start = at;
-                let mut body = Vec::new();
-                ev.encode_into(&mut body);
-                at += body.len() + 1;
-                start
-            })
-            .collect();
         let bytes = record(&evs);
-        assert_eq!(bytes.len(), at);
-        assert!(at > 3 * 8192);
+        let mut offsets = vec![header_len()];
+        while let Some(&at) = offsets.last().filter(|&&at| at < bytes.len()) {
+            let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+            offsets.push(at + len + FRAME_OVERHEAD_BYTES);
+        }
+        offsets.pop();
+        assert_eq!(offsets.len(), evs.len().div_ceil(DEFAULT_CHUNK_EVENTS) + 1);
+        assert!(bytes.len() > 64 << 10);
         (evs, offsets, bytes)
     }
 
@@ -700,35 +638,62 @@ mod tests {
             assert_eq!(ok + 1, items.len(), "exactly one error, and it ends the iteration");
             (ok, format!("{:?}", items.last().unwrap().as_ref().unwrap_err()))
         };
-        // The last record wholly before the first refill edge, the one
-        // lying across it, and the first wholly after it.
-        let across = offsets.iter().rposition(|&o| o < 8192).unwrap();
-        assert!(offsets[across + 1] > 8192, "no record straddles the edge");
+        // The last frame wholly inside the reader's first 64 KiB, the one
+        // lying across that edge, and the first wholly after it.
+        let across = offsets.iter().rposition(|&o| o < 64 << 10).unwrap();
+        assert!(offsets[across + 1] > 64 << 10, "no frame straddles the edge");
         for victim in [across - 1, across, across + 1] {
-            let at = offsets[victim];
+            let (at, before) = (offsets[victim], victim * DEFAULT_CHUNK_EVENTS);
             let mut flipped = clean.clone();
-            flipped[at + 3] ^= 0x20;
-            let mut retagged = clean.clone();
-            retagged[at] = 0x77;
-            // Cut two bytes short of the record's end: for the straddling
-            // record that is past the edge, so its head is buffered and
-            // its tail is not.
+            flipped[at + 30] ^= 0x20;
+            // Cut two bytes short of the frame's end: for the straddling
+            // frame that is past the edge, so its head is buffered and its
+            // tail is not.
             let torn = &clean[..offsets[victim + 1] - 2];
-            let damaged: [(&[u8], String); 3] = [
-                (&flipped, format!("Checksum {{ offset: {at}, records_read: {victim} }}")),
-                (&retagged, format!("UnknownTag {{ tag: 119, offset: {at} }}")),
-                (torn, format!("TornRecord {{ offset: {at}, records_read: {victim} }}")),
+            let damaged: [(&[u8], String); 2] = [
+                (&flipped, format!("Checksum {{ offset: {at}, records_read: {before} }}")),
+                (torn, format!("TornRecord {{ offset: {at}, records_read: {before} }}")),
             ];
             for (bytes, want) in damaged {
                 for dribble in [false, true] {
                     assert_eq!(
                         last_error(bytes, dribble),
-                        (victim, want.clone()),
-                        "record {victim} at byte {at}, dribble {dribble}"
+                        (before, want.clone()),
+                        "frame {victim} at byte {at}, dribble {dribble}"
                     );
                 }
             }
         }
+    }
+
+    /// `skip_to` lands on the event it names wherever that lies: the
+    /// start, a frame's first, middle or last event, the end; past the
+    /// end is a torn trace.
+    #[test]
+    fn skip_to_lands_on_the_named_event() {
+        fn rest_after(mut r: TraceReader<impl Read>, to: u64) -> Vec<TraceEvent> {
+            r.skip_to(to).unwrap();
+            assert_eq!(r.records_read(), to);
+            r.map(Result::unwrap).collect()
+        }
+        let (evs, _, bytes) = long_recording();
+        let n = DEFAULT_CHUNK_EVENTS as u64;
+        for to in [0, n, n + 100, 2 * n - 1, evs.len() as u64] {
+            let rest = &evs[to as usize..];
+            assert_eq!(rest_after(TraceReader::new(&bytes[..]).unwrap(), to), rest, "to {to}");
+            let dribble = TraceReader::new(Dribble { data: &bytes, calls: 0 }).unwrap();
+            assert_eq!(rest_after(dribble, to), rest, "to {to}, dribbled");
+        }
+        // Skipping on from part-way through, and past the end.
+        let mut r = TraceReader::new(&bytes[..]).unwrap();
+        r.by_ref().take(10).for_each(drop);
+        r.skip_to(n + 1).unwrap();
+        assert_eq!(r.next().unwrap().unwrap(), evs[n as usize + 1]);
+        let end = evs.len() as u64;
+        assert!(
+            matches!(r.skip_to(end + 1), Err(TornRecord { records_read, .. }) if records_read == end),
+            "past the end"
+        );
     }
 
     #[test]
@@ -754,7 +719,7 @@ mod tests {
         let replayed: Vec<TraceEvent> =
             TraceReader::new(&bytes[..]).unwrap().map(Result::unwrap).collect();
         assert_eq!(replayed, live.events);
-        // ~28 bytes per access event on this workload
+        // ~26 bytes per access event on this workload
         assert!(bytes.len() < live.events.len() * 33);
     }
 }

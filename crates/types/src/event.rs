@@ -9,9 +9,9 @@
 //! variable-lifetime analysis of Section III-B.
 //!
 //! This module also owns the one byte layout of an event ([`BODY_LEN`],
-//! [`TraceEvent::encode_into`], [`TraceEvent::decode`]): what a DPTR
-//! record carries before its checksum byte, and what a DPSV `Chunk`
-//! carries, body after body, past its `base` and count.
+//! [`TraceEvent::encode_into`], [`TraceEvent::decode`]): what a DPSV
+//! `Chunk` carries, body after body, past its `base` and count, on a
+//! socket and in a trace file alike.
 
 use crate::access::{AccessKind, MemAccess};
 use crate::ids::{Address, LoopId, ThreadId, Timestamp};

@@ -538,7 +538,7 @@ impl Frame {
 /// Bytes before a frame's payload: tag + length prefix.
 const FRAME_HEADER_BYTES: usize = 1 + 4;
 /// Bytes a frame adds around its payload: header + checksum.
-const FRAME_OVERHEAD_BYTES: usize = FRAME_HEADER_BYTES + 1;
+pub const FRAME_OVERHEAD_BYTES: usize = FRAME_HEADER_BYTES + 1;
 
 /// Writes the connection preamble (`DPSV` + version).
 pub fn write_preamble(w: &mut impl Write) -> io::Result<()> {
@@ -600,8 +600,8 @@ fn verify_checksum(tag: u8, payload: &[u8], sum: u8) -> Result<(), WireError> {
 ///
 /// Returns `Ok(None)` on a clean end-of-stream (EOF at a frame
 /// boundary); EOF inside a frame is a typed
-/// [`WireError::Truncated`] — the network analogue of the trace
-/// format's torn-record classification.
+/// [`WireError::Truncated`]. (A trace file, which must end with its
+/// `Finish`, reads any earlier end as torn.)
 pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> Result<Option<Frame>, ProtocolError> {
     let mut head = [0u8; FRAME_HEADER_BYTES];
     match r.read_exact(&mut head[..1]) {

@@ -1,11 +1,11 @@
-//! Minimal binary wire codec shared by the trace format and the
+//! Minimal binary wire codec shared by the DPSV frame protocol and the
 //! checkpoint format.
 //!
-//! Both on-disk formats of this repository — trace files (`dp-trace`,
-//! format v2) and checkpoint files (`dp-core::checkpoint`, `DPCK` v1) —
-//! use the same primitives: little-endian fixed-width integers, a
-//! per-record XOR checksum byte ([`xor_fold`]), and crash-safe file
-//! replacement ([`atomic_write`]). They live here because `dp-types` is
+//! Both on-disk formats of this repository — trace files (`dp-trace`, a
+//! recorded DPSV session) and checkpoint files (`dp-core::checkpoint`,
+//! `DPCK` v1) — use the same primitives: little-endian fixed-width
+//! integers, one XOR checksum byte per section or frame ([`xor_fold`]),
+//! and crash-safe file replacement ([`atomic_write`]). They live here because `dp-types` is
 //! the one crate everything else already depends on (`dp-sig` cannot see
 //! `dp-core`, and `dp-core` only dev-depends on `dp-trace`).
 
@@ -13,10 +13,10 @@ use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
 
-/// Folds a record body into its one-byte XOR checksum, seeded with the
-/// record tag so a tag/body swap cannot cancel out. This is exactly the
-/// checksum trace format v2 stores after every record; checkpoint
-/// sections reuse it unchanged.
+/// Folds a payload into its one-byte XOR checksum, seeded with the tag
+/// so a tag/payload swap cannot cancel out: the checksum after every
+/// DPSV frame (and so every frame of a trace file) and every checkpoint
+/// section.
 #[inline]
 pub fn xor_fold(tag: u8, body: &[u8]) -> u8 {
     body.iter().fold(tag, |x, b| x ^ b)

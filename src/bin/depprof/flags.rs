@@ -134,7 +134,7 @@ impl Args {
             spec: SessionSpec { workers, ..SessionSpec::default() },
             scale: 0.25,
             max_sessions: 16,
-            chunk_events: 512,
+            chunk_events: depprof::trace::stream::DEFAULT_CHUNK_EVENTS,
             retries: 5,
             retry_delay_ms: 100,
             busy_retry_ms: 200,

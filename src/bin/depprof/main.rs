@@ -255,28 +255,15 @@ fn run_replay(args: &Args) -> Cli {
     };
     let path = &rc.trace_path;
 
-    // Open the trace; on resume, skip the records the interrupted run
+    // Open the trace; on resume, skip the events the interrupted run
     // already profiled (the checkpoint records the reader position).
     let mut reader = open_trace(path)?;
     let interner = reader.interner().clone();
     if let Some(d) = &resume_data {
-        while reader.records_read() < d.records_read {
-            let Some(rec) = reader.next() else {
-                return Err(fail(
-                    EXIT_CORRUPT,
-                    format!(
-                        "checkpoint was taken {} records in, but '{path}' ends after {}",
-                        d.records_read,
-                        reader.records_read()
-                    ),
-                ));
-            };
-            rec.or_fail(EXIT_CORRUPT, format_args!("'{path}'"))?;
-        }
-        eprintln!(
-            "resuming from checkpoint generation {} at record {}",
-            d.generation, d.records_read
-        );
+        let at = d.records_read;
+        let what = format!("'{path}': checkpoint was taken {at} records in");
+        reader.skip_to(at).or_fail(EXIT_CORRUPT, what)?;
+        eprintln!("resuming from checkpoint generation {} at record {at}", d.generation);
     }
 
     // Build (or restore) the engine.
@@ -663,7 +650,7 @@ fn run_push(args: &Args) -> Cli {
 }
 
 /// `depprof record` — run a sequential workload and write its event
-/// stream as a DPTR trace.
+/// stream as a trace file (a recorded DPSV session).
 fn run_record(args: &Args) -> Cli {
     let path = args.out.as_deref().unwrap_or("trace.dptr");
     let w = find_workload(&args.input, Scale(args.scale))?;
@@ -685,9 +672,16 @@ fn run_record(args: &Args) -> Cli {
             .map_err(|e| format!("cannot write trace header to '{tmp}': {e}"))?;
         depprof::trace::Interp::new(&w.program).run_seq(&mut wtr);
         let events = wtr.events();
-        wtr.finish().map_err(|e| format!("cannot flush trace to '{tmp}': {e}"))?;
+        let file = wtr.finish().map_err(|e| format!("cannot flush trace to '{tmp}': {e}"))?;
+        file.sync_all().map_err(|e| format!("cannot sync trace to '{tmp}': {e}"))?;
         std::fs::rename(&tmp, path)
             .map_err(|e| format!("cannot move finished trace into place at '{path}': {e}"))?;
+        // Persist the rename itself, as `atomic_write` does: the data is
+        // durable already, only the directory entry may lag.
+        let dir = Path::new(path).parent().filter(|d| !d.as_os_str().is_empty());
+        if let Ok(dir) = File::open(dir.unwrap_or(Path::new("."))) {
+            let _ = dir.sync_all();
+        }
         Ok(events)
     };
     let events = write().map_err(|message| {

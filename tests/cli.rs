@@ -110,6 +110,28 @@ fn replay_refuses_an_event_off_thread_zero() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// A trace ends with its `Finish` frame: one cut off right before it is
+/// torn, exit 4, and the message says how many events read cleanly.
+#[test]
+fn replay_of_a_trace_without_its_finish_is_torn() {
+    use depprof::types::{loc::loc, MemAccess, TraceEvent, Tracer};
+    let dir = std::env::temp_dir().join("depprof-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join(format!("no-finish-{}.dptr", std::process::id()));
+    let mut w = depprof::trace::TraceWriter::new(Vec::new()).unwrap();
+    for i in 0..600 {
+        w.event(TraceEvent::Access(MemAccess::write(0x10 + 8 * (i % 7), i, loc(1, 1), 0, 0)));
+    }
+    let bytes = w.finish().unwrap();
+    // The `Finish` frame: tag, an empty payload's length, checksum.
+    std::fs::write(&trace, &bytes[..bytes.len() - 6]).unwrap();
+    let out = depprof(&["replay", trace.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{err}");
+    assert!(err.contains("truncated") && err.contains("600 records"), "{err}");
+    std::fs::remove_file(&trace).ok();
+}
+
 #[test]
 fn unknown_workload_fails_cleanly() {
     let out = depprof(&["profile", "nonexistent"]);

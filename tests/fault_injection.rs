@@ -15,6 +15,7 @@ use depprof::core::{
     SequentialProfiler, TransportKind,
 };
 use depprof::sig::PerfectSignature;
+use depprof::trace::stream::DEFAULT_CHUNK_EVENTS;
 use depprof::trace::tracefile::TraceFileError;
 use depprof::trace::{TraceReader, TraceWriter};
 use depprof::types::{loc::loc, MemAccess, TraceEvent, Tracer};
@@ -318,40 +319,89 @@ fn migration_round_skips_a_dead_target() {
     assert!(r.stats.rerouted_events > 0, "{:?}", r.stats);
 }
 
+/// Two frames' worth of the per-worker stream, recorded.
+fn two_frame_recording() -> (Vec<TraceEvent>, Vec<u8>) {
+    let stream: Vec<TraceEvent> = per_worker_stream().into_iter().cycle().take(600).collect();
+    let mut w = TraceWriter::new(Vec::new()).unwrap();
+    for e in &stream {
+        w.event(*e);
+    }
+    (stream, w.finish().unwrap())
+}
+
 /// ISSUE scenario: a truncated or corrupted trace is rejected with the
-/// right typed error, never a panic or a silent partial replay.
+/// right typed error, never a panic or a silent partial replay; what
+/// replays before the damage is every whole frame.
 #[test]
 fn damaged_traces_fail_typed() {
-    let mut w = TraceWriter::new(Vec::new()).unwrap();
-    for e in per_worker_stream() {
-        w.event(e);
-    }
-    let clean = w.finish().unwrap();
+    let (stream, clean) = two_frame_recording();
+    let whole = DEFAULT_CHUNK_EVENTS;
+    assert!(stream.len() > whole);
 
     // Whole file replays.
     let n = TraceReader::new(&clean[..]).unwrap().map(Result::unwrap).count();
-    assert_eq!(n, per_worker_stream().len());
+    assert_eq!(n, stream.len());
 
-    // Truncated mid-record: everything before the tear replays, then a
-    // TornRecord — not a clean end, not an io::Error.
+    // Truncated inside the last chunk (the `Finish` is the last 6
+    // bytes): the first chunk replays, then a TornRecord — not a clean
+    // end, not an io::Error.
     let cut = &clean[..clean.len() - 7];
     let items: Vec<_> = TraceReader::new(cut).unwrap().collect();
-    assert_eq!(items.len(), n);
-    assert!(items[..n - 1].iter().all(Result::is_ok));
-    assert!(matches!(items[n - 1], Err(TraceFileError::TornRecord { .. })), "{:?}", items[n - 1]);
+    assert_eq!(items.len(), whole + 1);
+    assert!(items[..whole].iter().all(Result::is_ok));
+    assert!(
+        matches!(items[whole], Err(TraceFileError::TornRecord { records_read, .. }) if records_read == whole as u64),
+        "{:?}",
+        items[whole]
+    );
 
-    // One flipped payload bit: the record's checksum catches it.
+    // One flipped payload bit in the last chunk: its checksum catches it.
     let mut corrupt = clean.clone();
-    let last_record = corrupt.len() - 10;
-    corrupt[last_record] ^= 0x01;
+    let last_chunk = corrupt.len() - 10;
+    corrupt[last_chunk] ^= 0x01;
     let items: Vec<_> = TraceReader::new(&corrupt[..]).unwrap().collect();
-    assert!(matches!(items.last().unwrap(), Err(TraceFileError::Checksum { .. })));
+    assert_eq!(items.len(), whole + 1);
+    assert!(
+        matches!(items[whole], Err(TraceFileError::Checksum { records_read, .. }) if records_read == whole as u64),
+        "{:?}",
+        items[whole]
+    );
 
     // Not a trace at all.
     assert!(matches!(
         TraceReader::new(&b"PNG\x89 definitely not"[..]),
         Err(TraceFileError::NotATrace)
     ));
+}
+
+/// A recording ends with its `Finish` frame, so a cut anywhere past its
+/// header, between two frames included, reads as torn or corrupt, never
+/// as a clean, shorter trace; and the error counts exactly the events
+/// handed out before it.
+#[test]
+fn every_cut_of_a_recording_is_torn() {
+    let (_, clean) = two_frame_recording();
+    let mut header = Vec::new();
+    drop(TraceWriter::new(&mut header).unwrap());
+    for cut in header.len()..clean.len() {
+        let mut r = TraceReader::new(&clean[..cut]).unwrap();
+        let mut yielded = 0;
+        let end = loop {
+            match r.next() {
+                Some(Ok(_)) => yielded += 1,
+                other => break other,
+            }
+        };
+        let Some(Err(
+            TraceFileError::TornRecord { records_read, .. }
+            | TraceFileError::Checksum { records_read, .. },
+        )) = end
+        else {
+            panic!("cut at {cut} of {}: {end:?} after {yielded} events", clean.len());
+        };
+        assert_eq!(records_read, yielded, "cut at {cut}");
+        assert_eq!(r.records_read(), yielded, "cut at {cut}");
+    }
 }
 
 /// A fault plan that never fires must change nothing: every transport

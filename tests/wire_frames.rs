@@ -1,7 +1,7 @@
 //! Robustness property tests for the two on-the-wire framings that
 //! share `wire::{write_section, read_section}`: the DPSV network frame
-//! protocol and the DPCK checkpoint container — and the pin on the one
-//! event byte layout DPSV `Chunk`s share with the DPTR trace file.
+//! protocol and the DPCK checkpoint container — and the pin on the trace
+//! file, which is a DPSV session on disk.
 //!
 //! The contract under test: **malformed bytes produce typed errors,
 //! never a panic, a hang, or an unbounded allocation.** Truncations,
@@ -11,7 +11,8 @@
 //! code path.
 
 use depprof::core::checkpoint::CheckpointData;
-use depprof::trace::{TraceReader, TraceWriter};
+use depprof::trace::stream::DEFAULT_CHUNK_EVENTS;
+use depprof::trace::{FrameChunker, TraceReader, TraceWriter};
 use depprof::types::protocol::{self, Frame, FrameReader, Hello, ProtocolError, MAX_FRAME_BYTES};
 use depprof::types::{loc::loc, AccessKind, Interner, MemAccess, TraceEvent, Tracer};
 use proptest::prelude::*;
@@ -364,7 +365,7 @@ fn a_session_refuses_every_event_kind_off_thread_zero() {
 }
 
 // ---------------------------------------------------------------------
-// DPTR: the same event bytes, a checksum byte after each
+// Trace files: a recorded DPSV session
 // ---------------------------------------------------------------------
 
 fn record_trace(names: &Interner, events: &[TraceEvent]) -> Vec<u8> {
@@ -375,19 +376,25 @@ fn record_trace(names: &Interner, events: &[TraceEvent]) -> Vec<u8> {
     w.finish().expect("in-memory sink")
 }
 
-/// A recording of a two-name header and one record of every kind, as the
-/// commit before the event layout moved into `dp_types::event` wrote it.
+/// A recording of a two-name table and one event of every kind: the
+/// preamble, the `Hello`, one `Chunk` whose bodies are byte for byte what
+/// the DPTR records of the same events carried before their checksum
+/// bytes, and the `Finish`.
 #[test]
 fn trace_file_matches_the_recorded_bytes() {
-    let golden = "445054520202000000010000002a05000000616c706861\
-        00efbeadde0000000004000000000000003d0000020100000002001a\
-        01efbeadde0000000003000000000000003c0000020100000001001e\
-        02030000000a000001000001000000000000000b\
-        03030000000900000000000000000002000000000000000b\
-        0403000000140000010a00000000000000000003000000000000001b\
-        05050000000100040000000000000005\
-        06050000000100050000000000000007\
-        07000100000000000040000000000000000000060000000000000040";
+    let golden = "4450535603\
+        01220000000000000000000000000000000000000002000000010000002a05000000616c70686159\
+        03c0000000000000000000000008000000\
+        00efbeadde0000000004000000000000003d000002010000000200\
+        01efbeadde0000000003000000000000003c000002010000000100\
+        02030000000a00000100000100000000000000\
+        0303000000090000000000000000000200000000000000\
+        0403000000140000010a0000000000000000000300000000000000\
+        050500000001000400000000000000\
+        060500000001000500000000000000\
+        070001000000000000400000000000000000000600000000000000\
+        56\
+        060000000006";
     let bytes: Vec<u8> = (0..golden.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&golden[i..i + 2], 16).expect("hex"))
@@ -475,20 +482,32 @@ proptest! {
         prop_assert_eq!(read_all_ways(&buf, MAX_FRAME_BYTES), (vec![f], None));
     }
 
-    /// What the shared layout rests on: a DPTR record is the event's
-    /// body in a DPSV `Chunk` (past `base` and the count) followed by the
-    /// XOR of its bytes.
+    /// A trace file is a DPSV stream by construction: the preamble, a
+    /// `Hello` carrying the name table, the `Chunk` frames a
+    /// `FrameChunker` of the default size makes, and the `Finish`.
     #[test]
-    fn a_trace_record_is_the_frame_body_and_its_checksum(ev in arb_event()) {
-        let header = record_trace(&Interner::new(), &[]).len();
-        let record = record_trace(&Interner::new(), &[ev])[header..].to_vec();
-        let frame = encode_frame(&Frame::Chunk { base: 0, events: vec![ev] });
-        // tag, length prefix, base, count; checksum last.
-        let prefix = 1 + 4 + 8 + 4;
-        let body = &frame[prefix..frame.len() - 1];
-        let (last, rest) = record.split_last().expect("a record is never empty");
-        prop_assert_eq!(rest, body);
-        prop_assert_eq!(*last, body.iter().fold(0, |x, b| x ^ b));
+    fn a_trace_file_is_a_dpsv_stream(
+        (names, events) in (
+            prop::collection::vec(arb_string(12), 0..6),
+            prop::collection::vec(arb_event(), 0..1200),
+        )
+    ) {
+        let mut interner = Interner::new();
+        for n in &names {
+            interner.intern(n);
+        }
+        let mut expect = Vec::new();
+        protocol::write_preamble(&mut expect).expect("in-memory sink");
+        let names = (0..interner.len() as u32).map(|id| interner.resolve(id).into()).collect();
+        let mut frames = vec![Frame::Hello(Hello { names, ..Hello::default() })];
+        let mut chunker = FrameChunker::new(DEFAULT_CHUNK_EVENTS);
+        frames.extend(events.iter().filter_map(|ev| chunker.push(*ev)));
+        frames.extend(chunker.flush());
+        frames.push(Frame::Finish);
+        for f in &frames {
+            f.encode_into(&mut expect);
+        }
+        prop_assert_eq!(record_trace(&interner, &events), expect);
     }
 
     /// A stream cut anywhere strictly inside a frame is a typed error;

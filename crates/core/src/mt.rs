@@ -37,9 +37,9 @@ use crate::algo::{AlgoOptions, AlgoState};
 use crate::config::ProfilerConfig;
 use crate::result::ProfileResult;
 use crate::workers::{shared, WorkerCtx, WorkerMsg, Workers};
-use dp_queue::{Chunk, ChunkPool, MpmcQueue, Record, TransportSender};
+use dp_queue::{Chunk, ChunkPool, MpmcQueue, TransportSender};
 use dp_sig::AccessStore;
-use dp_types::{ThreadId, TraceEvent, Tracer, TracerFactory};
+use dp_types::{Record, ThreadId, Timestamp, TraceEvent, Tracer, TracerFactory};
 use std::sync::Arc;
 
 struct MtShared {
@@ -59,8 +59,8 @@ pub struct MtThreadTracer {
 }
 
 impl MtThreadTracer {
-    fn append(&mut self, wid: usize, rec: Record) {
-        self.shared.ctx.pool.ready(&mut self.pending[wid]).push_record(rec);
+    fn append(&mut self, wid: usize, rec: Record, (thread, ts): (ThreadId, Timestamp)) {
+        self.shared.ctx.pool.ready(&mut self.pending[wid]).push_stamped(rec, thread, ts);
         if self.pending[wid].is_full() {
             self.flush(wid);
         }
@@ -76,25 +76,25 @@ impl MtThreadTracer {
 
 impl Tracer for MtThreadTracer {
     fn event(&mut self, ev: TraceEvent) {
-        let rec = Record::pack(&ev);
+        let (rec, stamp) = (Record::pack(&ev), (ev.thread(), ev.ts()));
         match ev {
             // Formula 1 with the 8-byte alignment shifted out (see
             // `ParallelProfiler::owner`).
             TraceEvent::Access(a) => {
-                self.append(((a.addr >> 3) % self.pending.len() as u64) as usize, rec)
+                self.append(((a.addr >> 3) % self.pending.len() as u64) as usize, rec, stamp)
             }
             // Structural events (loop records + execution tree) all go to
             // worker 0 so per-thread nesting stays coherent.
             TraceEvent::LoopBegin { .. }
             | TraceEvent::LoopEnd { .. }
             | TraceEvent::CallBegin { .. }
-            | TraceEvent::CallEnd { .. } => self.append(0, rec),
+            | TraceEvent::CallEnd { .. } => self.append(0, rec, stamp),
             // Iteration boundaries are only needed for carried
             // classification, which is off for multi-threaded targets.
             TraceEvent::LoopIter { .. } => {}
             TraceEvent::Dealloc { .. } => {
                 for wid in 0..self.pending.len() {
-                    self.append(wid, rec);
+                    self.append(wid, rec, stamp);
                 }
             }
         }

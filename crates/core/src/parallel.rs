@@ -83,9 +83,10 @@ use crate::result::ProfileResult;
 use crate::store::AnalysisDelta;
 use crate::workers::{shared, Reply, WorkerMsg, Workers};
 use dp_metrics::HotAddress;
-use dp_queue::{spsc_ring, Chunk, ChunkPool, LockQueue, MpmcQueue, Record, TransportSender};
+use dp_queue::{spsc_ring, Chunk, ChunkPool, LockQueue, MpmcQueue, TransportSender};
 use dp_sig::AccessStore;
-use dp_types::{Address, ByteReader, ByteWriter, FxHashMap, TraceEvent, Tracer, WireError};
+use dp_types::{Address, ByteReader, ByteWriter, EventKind, FxHashMap, Record, TraceEvent};
+use dp_types::{Tracer, WireError};
 use std::time::Duration;
 
 /// The parallel profiler. Implements [`Tracer`], so the instrumented
@@ -610,24 +611,23 @@ impl ParallelProfiler {
         r.memory.stats_maps = self.hot.memory_usage() + self.rules.capacity() * entry;
         r
     }
-}
 
-impl Tracer for ParallelProfiler {
-    /// Routes one event of thread 0, packed once ([`Record`]) for every worker it goes to.
-    fn event(&mut self, ev: TraceEvent) {
-        let rec = Record::pack(&ev);
-        match ev {
-            TraceEvent::Access(a) => {
+    /// Routes one packed event of thread 0, copied as it is to every
+    /// worker it goes to.
+    pub fn on_record(&mut self, rec: Record) {
+        match rec.kind {
+            EventKind::Read | EventKind::Write => {
                 // Access statistics, updated on every access (Section
                 // IV-A: "updated every time a memory access occurs").
-                self.hot.add(a.addr, 1);
-                let (wid, diverted) = self.route(a.addr);
+                let addr = rec.body[0];
+                self.hot.add(addr, 1);
+                let (wid, diverted) = self.route(addr);
                 self.append(wid, rec, diverted);
             }
-            TraceEvent::LoopBegin { .. }
-            | TraceEvent::LoopIter { .. }
-            | TraceEvent::LoopEnd { .. }
-            | TraceEvent::Dealloc { .. } => {
+            EventKind::LoopBegin
+            | EventKind::LoopIter
+            | EventKind::LoopEnd
+            | EventKind::Dealloc => {
                 // Loop context is needed by every worker for carried
                 // classification, and every worker forgets a freed range
                 // (removing an address a worker never owned is a no-op).
@@ -637,7 +637,7 @@ impl Tracer for ParallelProfiler {
                     }
                 }
             }
-            TraceEvent::CallBegin { .. } | TraceEvent::CallEnd { .. } => {
+            EventKind::CallBegin | EventKind::CallEnd => {
                 // Structural events feed the execution tree, recorded by
                 // worker 0 only. (If worker 0 died the tree is part of
                 // what the degraded run lost; the divert below just keeps
@@ -653,6 +653,13 @@ impl Tracer for ParallelProfiler {
             self.maybe_redistribute();
             self.balance_due = self.next_balance();
         }
+    }
+}
+
+impl Tracer for ParallelProfiler {
+    /// Routes one event of thread 0, packed once.
+    fn event(&mut self, ev: TraceEvent) {
+        self.on_record(Record::pack(&ev));
     }
 
     fn sync_point(&mut self) {

@@ -8,9 +8,9 @@
 use crate::algo::{AlgoOptions, AlgoState};
 use crate::checkpoint::{CheckpointData, CheckpointError};
 use crate::result::{MemoryReport, ProfileResult, ProfileStats};
-use dp_queue::{Chunk, Record};
+use dp_queue::Chunk;
 use dp_sig::{AccessStore, PerfectSignature, Signature};
-use dp_types::TraceEvent;
+use dp_types::{Record, TraceEvent};
 
 /// Events held and handed to [`AlgoState::on_chunk`] as one run. Chosen
 /// by the sweep recorded in DESIGN.md "Lookahead feed".
@@ -59,11 +59,16 @@ impl<S: AccessStore> SequentialProfiler<S> {
         SequentialProfiler { algo: AlgoState::new(read, write, opts), run: Chunk::new(RUN) }
     }
 
-    /// Takes one instrumentation event, of thread 0 (debug-asserted);
-    /// retires the run once it holds `RUN` events.
+    /// Takes one instrumentation event, of thread 0.
     #[inline]
     pub fn on_event(&mut self, ev: &TraceEvent) {
-        self.run.push_record(Record::pack(ev));
+        self.on_record(Record::pack(ev));
+    }
+
+    /// Takes one packed event; retires the run once it holds `RUN` events.
+    #[inline]
+    pub fn on_record(&mut self, rec: Record) {
+        self.run.push_record(rec);
         if self.run.is_full() {
             self.retire_run();
         }

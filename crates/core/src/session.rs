@@ -16,7 +16,7 @@ use crate::parallel::ParallelProfiler;
 use crate::result::ProfileResult;
 use crate::seq::SequentialProfiler;
 use crate::DefaultSig;
-use dp_types::{ByteReader, ByteWriter, TraceEvent, Tracer, WireError};
+use dp_types::{ByteReader, ByteWriter, Record, TraceEvent, WireError};
 
 /// Which engine a session runs and how it is sized — everything needed
 /// to rebuild an identically-configured engine elsewhere (on a server,
@@ -167,12 +167,18 @@ pub enum ProfileSession {
 }
 
 impl ProfileSession {
-    /// Feeds one event.
+    /// Feeds one event of thread 0.
     #[inline]
     pub fn on_event(&mut self, ev: TraceEvent) {
+        self.on_record(Record::pack(&ev));
+    }
+
+    /// Feeds one packed event.
+    #[inline]
+    pub fn on_record(&mut self, rec: Record) {
         match self {
-            ProfileSession::Serial(p) => p.on_event(&ev),
-            ProfileSession::Parallel(p) => p.event(ev),
+            ProfileSession::Serial(p) => p.on_record(rec),
+            ProfileSession::Parallel(p) => p.on_record(rec),
         }
     }
 

@@ -11,117 +11,20 @@
 //!
 //! ## Queued record
 //!
-//! A chunk holds its events as columns: one tag byte and one 16-byte body
-//! per event ([`Record`]). A body holds exactly what the workers read of
-//! its kind — an access's address, packed location and variable; a loop
-//! event's id, location and count; a deallocation's base and length — and
-//! no thread or timestamp: the serial engine's run and the parallel
-//! pipeline's chunks hold thread-0 events only, and their engines keep
-//! the epoch clock, not timestamps. A queued sequential event costs 17
-//! bytes. A *stamped* chunk — the multi-threaded engine's alone
-//! ([`ChunkPool::stamped`]) — adds a thread and a timestamp column (27
-//! bytes an event). The tag has a column of its own because no 16-byte
-//! record holds every event: an access alone needs 129 bits.
+//! A chunk holds its events as columns of [`Record`]s, the one event
+//! layout of dp-types: a kind tag and a 16-byte body, no thread and no
+//! timestamp — the serial engine's run and the parallel pipeline's chunks
+//! hold thread-0 events only, and their engines keep the epoch clock, not
+//! timestamps. A queued sequential event costs 17 bytes. A *stamped*
+//! chunk — the multi-threaded engine's alone ([`ChunkPool::stamped`]) —
+//! keeps a thread and a timestamp column beside the records
+//! ([`Chunk::push_stamped`]), 27 bytes an event.
 
 use crate::mpmc::MpmcQueue;
-use dp_types::{AccessKind, Address, MemAccess, SourceLoc, ThreadId, Timestamp, TraceEvent};
+use dp_types::record::RECORD_BYTES;
+use dp_types::{Address, EventKind, MemAccess, Record, ThreadId, Timestamp, TraceEvent};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-const READ: u8 = 0;
-const WRITE: u8 = 1;
-const LOOP_BEGIN: u8 = 2;
-const LOOP_ITER: u8 = 3;
-const LOOP_END: u8 = 4;
-const CALL_BEGIN: u8 = 5;
-const CALL_END: u8 = 6;
-const DEALLOC: u8 = 7;
-
-/// One event as a chunk holds it: the tag, the 16-byte body, and the
-/// thread and timestamp only a stamped (multi-threaded) chunk keeps.
-/// Packed once per event, so a broadcast event is copied, not packed
-/// again, into each worker's chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Record {
-    tag: u8,
-    body: [u64; 2],
-    thread: ThreadId,
-    ts: Timestamp,
-}
-
-/// Two 32-bit fields in one body word, the first in the low half.
-#[inline]
-fn halves(lo: u32, hi: u32) -> u64 {
-    lo as u64 | (hi as u64) << 32
-}
-
-impl Record {
-    /// Packs `ev`. Locations are packed as on the wire
-    /// ([`SourceLoc::pack`]).
-    #[inline]
-    pub fn pack(ev: &TraceEvent) -> Record {
-        let (tag, body, thread, ts) = match *ev {
-            TraceEvent::Access(a) => {
-                let tag = if a.kind.is_write() { WRITE } else { READ };
-                (tag, [a.addr, halves(a.loc.pack(), a.var)], a.thread, a.ts)
-            }
-            TraceEvent::LoopBegin { loop_id, loc, thread, ts } => {
-                (LOOP_BEGIN, [halves(loop_id, loc.pack()), 0], thread, ts)
-            }
-            TraceEvent::LoopIter { loop_id, iter, thread, ts } => {
-                (LOOP_ITER, [loop_id.into(), iter], thread, ts)
-            }
-            TraceEvent::LoopEnd { loop_id, loc, iters, thread, ts } => {
-                (LOOP_END, [halves(loop_id, loc.pack()), iters], thread, ts)
-            }
-            TraceEvent::CallBegin { func, thread, ts } => {
-                (CALL_BEGIN, [func.into(), 0], thread, ts)
-            }
-            TraceEvent::CallEnd { func, thread, ts } => (CALL_END, [func.into(), 0], thread, ts),
-            TraceEvent::Dealloc { base, len, thread, ts } => (DEALLOC, [base, len], thread, ts),
-        };
-        Record { tag, body, thread, ts }
-    }
-
-    /// The access packed as a read or write record.
-    #[inline]
-    fn unpack_access(tag: u8, [addr, b]: [u64; 2], thread: ThreadId, ts: Timestamp) -> MemAccess {
-        let kind = if tag == WRITE { AccessKind::Write } else { AccessKind::Read };
-        MemAccess {
-            addr,
-            ts,
-            loc: SourceLoc::unpack(b as u32),
-            var: (b >> 32) as u32,
-            thread,
-            kind,
-        }
-    }
-
-    /// The event packed, with the thread and timestamp a chunk kept (0
-    /// for both in an unstamped one).
-    #[inline]
-    fn unpack(tag: u8, [a, b]: [u64; 2], thread: ThreadId, ts: Timestamp) -> TraceEvent {
-        let (lo, hi) = (a as u32, (a >> 32) as u32);
-        match tag {
-            READ | WRITE => TraceEvent::Access(Self::unpack_access(tag, [a, b], thread, ts)),
-            LOOP_BEGIN => {
-                TraceEvent::LoopBegin { loop_id: lo, loc: SourceLoc::unpack(hi), thread, ts }
-            }
-            LOOP_ITER => TraceEvent::LoopIter { loop_id: lo, iter: b, thread, ts },
-            LOOP_END => TraceEvent::LoopEnd {
-                loop_id: lo,
-                loc: SourceLoc::unpack(hi),
-                iters: b,
-                thread,
-                ts,
-            },
-            CALL_BEGIN => TraceEvent::CallBegin { func: lo, thread, ts },
-            CALL_END => TraceEvent::CallEnd { func: lo, thread, ts },
-            DEALLOC => TraceEvent::Dealloc { base: a, len: b, thread, ts },
-            _ => unreachable!("tag {tag} was never packed"),
-        }
-    }
-}
 
 /// A fixed-capacity buffer of trace events, held as [`Record`] columns
 /// (see "Queued record" above). The default is a capacity-0 chunk that
@@ -129,12 +32,11 @@ impl Record {
 /// it is sending used to be.
 #[derive(Debug, Default)]
 pub struct Chunk {
-    tags: Box<[u8]>,
+    kinds: Box<[EventKind]>,
     bodies: Box<[[u64; 2]]>,
     /// A stamped chunk's thread and timestamp columns; empty otherwise.
     threads: Box<[ThreadId]>,
     stamps: Box<[Timestamp]>,
-    stamped: bool,
     len: usize,
     rerouted: usize,
 }
@@ -149,11 +51,10 @@ impl Chunk {
     fn with(cap: usize, stamped: bool) -> Self {
         let stamp_cap = if stamped { cap } else { 0 };
         Chunk {
-            tags: vec![0; cap].into(),
+            kinds: vec![EventKind::Read; cap].into(),
             bodies: vec![[0; 2]; cap].into(),
             threads: vec![0; stamp_cap].into(),
             stamps: vec![0; stamp_cap].into(),
-            stamped,
             len: 0,
             rerouted: 0,
         }
@@ -161,41 +62,43 @@ impl Chunk {
 
     /// Bytes the columns of a chunk hold per event of capacity.
     pub const fn event_bytes(stamped: bool) -> usize {
-        let record = std::mem::size_of::<u8>() + std::mem::size_of::<[u64; 2]>();
         if stamped {
-            record + std::mem::size_of::<ThreadId>() + std::mem::size_of::<Timestamp>()
+            RECORD_BYTES + std::mem::size_of::<ThreadId>() + std::mem::size_of::<Timestamp>()
         } else {
-            record
+            RECORD_BYTES
         }
     }
 
-    /// Appends an event. Callers check [`Chunk::is_full`] first; pushing
-    /// past capacity is a logic error, and panics.
+    /// Appends an event of thread 0 (debug-asserted) to an unstamped
+    /// chunk. Callers check [`Chunk::is_full`] first; pushing past
+    /// capacity is a logic error, and panics.
     #[inline]
     pub fn push(&mut self, ev: TraceEvent) {
+        debug_assert_eq!(ev.thread(), 0, "an unstamped chunk holds thread 0's events");
         self.push_record(Record::pack(&ev));
     }
 
-    /// Appends a packed event. An unstamped chunk keeps no thread, so the
-    /// event must be thread 0 (debug-asserted); the entry points that take
-    /// events from outside refuse any other before it gets here.
+    /// Appends a packed event of thread 0.
     #[inline]
     pub fn push_record(&mut self, r: Record) {
         let n = self.len;
-        self.tags[n] = r.tag;
+        self.kinds[n] = r.kind;
         self.bodies[n] = r.body;
-        if self.stamped {
-            (self.threads[n], self.stamps[n]) = (r.thread, r.ts);
-        } else {
-            debug_assert_eq!(r.thread, 0, "an unstamped chunk holds thread 0's events");
-        }
         self.len = n + 1;
+    }
+
+    /// Appends a packed event with the thread and timestamp a stamped
+    /// chunk keeps beside it.
+    #[inline]
+    pub fn push_stamped(&mut self, r: Record, thread: ThreadId, ts: Timestamp) {
+        (self.threads[self.len], self.stamps[self.len]) = (thread, ts);
+        self.push_record(r);
     }
 
     /// True once `capacity` events are buffered.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.len >= self.tags.len()
+        self.len >= self.kinds.len()
     }
 
     /// Number of buffered events.
@@ -213,7 +116,7 @@ impl Chunk {
     /// Configured capacity.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.tags.len()
+        self.kinds.len()
     }
 
     /// Marks the most recently pushed event as *rerouted*: a copy
@@ -236,11 +139,17 @@ impl Chunk {
     /// Event `i`'s thread and timestamp: 0 and 0 in an unstamped chunk.
     #[inline]
     fn stamp(&self, i: usize) -> (ThreadId, Timestamp) {
-        if self.stamped {
-            (self.threads[i], self.stamps[i])
-        } else {
+        if self.threads.is_empty() {
             (0, 0)
+        } else {
+            (self.threads[i], self.stamps[i])
         }
+    }
+
+    /// Record `i`.
+    #[inline]
+    fn record(&self, i: usize) -> Record {
+        Record { kind: self.kinds[i], body: self.bodies[i] }
     }
 
     /// Empties the chunk for reuse, keeping its allocation.
@@ -253,24 +162,23 @@ impl Chunk {
     #[inline]
     pub fn event(&self, i: usize) -> TraceEvent {
         let (thread, ts) = self.stamp(i);
-        Record::unpack(self.tags[i], self.bodies[i], thread, ts)
+        self.record(i).unpack(thread, ts)
     }
 
     /// The address event `i` accesses, if it is an access: what a
     /// consumer prefetches ahead of retiring it.
     #[inline]
     pub fn access_addr(&self, i: usize) -> Option<Address> {
-        (self.tags[i] <= WRITE).then(|| self.bodies[i][0])
+        self.record(i).as_access().map(|a| a.addr)
     }
 
     /// Event `i`, if it is an access: the consumer's fast path, which
     /// builds no [`TraceEvent`].
     #[inline]
     pub fn access(&self, i: usize) -> Option<MemAccess> {
-        let tag = self.tags[i];
-        (tag <= WRITE).then(|| {
+        self.record(i).as_access().map(|a| {
             let (thread, ts) = self.stamp(i);
-            Record::unpack_access(tag, self.bodies[i], thread, ts)
+            MemAccess { thread, ts, ..a }
         })
     }
 }
@@ -394,13 +302,14 @@ impl ChunkPool {
     }
 }
 
-/// A queued sequential event costs 17 bytes: a tag and a 16-byte body.
+/// A queued sequential event costs 17 bytes: one record.
 const _: () = assert!(Chunk::event_bytes(false) == 17 && Chunk::event_bytes(true) == 27);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dp_types::loc::{loc, MAX_LINE};
+    use dp_types::{AccessKind, SourceLoc};
     use proptest::prelude::*;
 
     fn ev(i: u64) -> TraceEvent {
@@ -425,10 +334,16 @@ mod tests {
         assert_eq!(c.rerouted(), 0, "reset clears the rerouted marks");
     }
 
-    /// Every event back as it went in, thread and timestamp 0.
+    /// Every event back as it went in: with its thread and timestamp in
+    /// a stamped chunk, thread and timestamp 0 in another.
     fn round_trip(chunk: &mut Chunk, evs: &[TraceEvent]) -> Vec<TraceEvent> {
         chunk.reset();
-        evs.iter().for_each(|&ev| chunk.push(ev));
+        for &ev in evs {
+            match chunk.threads.is_empty() {
+                true => chunk.push(ev),
+                false => chunk.push_stamped(Record::pack(&ev), ev.thread(), ev.ts()),
+            }
+        }
         (0..chunk.len()).map(|i| chunk.event(i)).collect()
     }
 
@@ -473,19 +388,19 @@ mod tests {
         let words = (0u8..8, any::<u64>(), any::<u64>());
         let rest = (any::<u32>(), any::<u32>().prop_map(SourceLoc::unpack), thread, any::<u64>());
         (words, rest).prop_map(|((tag, a, b), (n, loc, thread, ts))| match tag {
-            READ | WRITE => TraceEvent::Access(MemAccess {
+            0 | 1 => TraceEvent::Access(MemAccess {
                 addr: a,
                 ts,
                 loc,
                 var: n,
                 thread,
-                kind: if tag == READ { AccessKind::Read } else { AccessKind::Write },
+                kind: if tag == 0 { AccessKind::Read } else { AccessKind::Write },
             }),
-            LOOP_BEGIN => TraceEvent::LoopBegin { loop_id: n, loc, thread, ts },
-            LOOP_ITER => TraceEvent::LoopIter { loop_id: n, iter: a, thread, ts },
-            LOOP_END => TraceEvent::LoopEnd { loop_id: n, loc, iters: a, thread, ts },
-            CALL_BEGIN => TraceEvent::CallBegin { func: n, thread, ts },
-            CALL_END => TraceEvent::CallEnd { func: n, thread, ts },
+            2 => TraceEvent::LoopBegin { loop_id: n, loc, thread, ts },
+            3 => TraceEvent::LoopIter { loop_id: n, iter: a, thread, ts },
+            4 => TraceEvent::LoopEnd { loop_id: n, loc, iters: a, thread, ts },
+            5 => TraceEvent::CallBegin { func: n, thread, ts },
+            6 => TraceEvent::CallEnd { func: n, thread, ts },
             _ => TraceEvent::Dealloc { base: a, len: b, thread, ts },
         })
     }

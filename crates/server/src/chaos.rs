@@ -357,14 +357,15 @@ impl<S: Read + Write> Write for ChaosStream<S> {
 mod tests {
     use super::*;
     use dp_types::protocol::{self, Frame, MAX_FRAME_BYTES};
-    use dp_types::{loc::loc, MemAccess, TraceEvent};
+    use dp_types::{loc::loc, MemAccess, Record, TraceEvent};
     use std::io::Cursor;
 
     fn chunk(base: u64, n: u64) -> Frame {
         Frame::Chunk {
             base,
             events: (0..n)
-                .map(|i| TraceEvent::Access(MemAccess::read(0x100 + i * 8, i + 1, loc(1, 1), 0, 0)))
+                .map(|i| TraceEvent::Access(MemAccess::read(0x100 + i * 8, 0, loc(1, 1), 0, 0)))
+                .map(|ev| Record::pack(&ev))
                 .collect(),
         }
     }

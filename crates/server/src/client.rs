@@ -9,7 +9,8 @@
 //! disconnect — the client half of the exactly-once contract.
 
 use dp_core::SessionSpec;
-use dp_trace::stream::{FrameChunker, DEFAULT_CHUNK_EVENTS};
+use dp_trace::stream::{FrameChunker, OffThread, DEFAULT_CHUNK_EVENTS};
+use dp_types::protocol::MAX_CHUNK_EVENTS;
 use dp_types::protocol::{self, error_code, Frame, Hello, ProtocolError, MAX_FRAME_BYTES};
 use dp_types::TraceEvent;
 use std::fmt;
@@ -25,7 +26,8 @@ pub struct PushOptions {
     pub spec: SessionSpec,
     /// Ask the server to checkpoint every N events (0 = server default).
     pub checkpoint_every: u64,
-    /// Events of every kind per `Chunk` frame.
+    /// Events of every kind per `Chunk` frame, at most
+    /// [`MAX_CHUNK_EVENTS`].
     pub chunk_events: usize,
     /// Sleep this long between chunk frames (throttles the stream so
     /// tests can interrupt a push mid-session deterministically).
@@ -97,6 +99,10 @@ pub enum ClientError {
     /// The server sent a well-formed frame the client did not expect
     /// in this state.
     Unexpected(&'static str),
+    /// `chunk_events` over [`MAX_CHUNK_EVENTS`], refused before any I/O.
+    ChunkTooLarge(usize),
+    /// An event off thread 0, refused before the chunk that holds it.
+    OffThread(OffThread),
 }
 
 impl fmt::Display for ClientError {
@@ -110,6 +116,10 @@ impl fmt::Display for ClientError {
                 write!(f, "server busy (retry after {retry_after_ms}ms)")
             }
             ClientError::Unexpected(what) => write!(f, "unexpected server frame: {what}"),
+            ClientError::ChunkTooLarge(n) => {
+                write!(f, "{n} events per chunk, over {MAX_CHUNK_EVENTS}")
+            }
+            ClientError::OffThread(e) => write!(f, "{e}"),
         }
     }
 }
@@ -133,7 +143,9 @@ impl ClientError {
             ClientError::Server { code, .. } => {
                 *code == error_code::SHUTDOWN || *code == error_code::HIBERNATED
             }
-            ClientError::Unexpected(_) => false,
+            ClientError::Unexpected(_)
+            | ClientError::ChunkTooLarge(_)
+            | ClientError::OffThread(_) => false,
         }
     }
 }
@@ -235,6 +247,7 @@ fn watch_query(
 /// Runs one full push session over `conn`: preamble, `Hello` carrying
 /// `names` (the trace's variable table, in id order), the event stream
 /// (skipping whatever the server already profiled), `Finish`, report.
+/// The events must be thread 0's.
 pub fn push_events(
     conn: &mut (impl Read + Write),
     names: Vec<String>,
@@ -251,6 +264,9 @@ fn push_once(
     opts: &PushOptions,
     progress: &mut PushProgress,
 ) -> Result<PushOutcome, ClientError> {
+    if opts.chunk_events > MAX_CHUNK_EVENTS {
+        return Err(ClientError::ChunkTooLarge(opts.chunk_events));
+    }
     let PushProgress { out, resumed_from: resume_seen } = progress;
     protocol::write_preamble(conn).map_err(ProtocolError::Io)?;
     conn.flush().map_err(ProtocolError::Io)?;
@@ -286,7 +302,10 @@ fn push_once(
             skipped += 1;
             continue;
         }
-        let Some(frame) = chunker.push(ev) else { continue };
+        let Some(frame) = chunker.push(ev) else {
+            chunker.refused().map_or(Ok(()), |e| Err(ClientError::OffThread(e)))?;
+            continue;
+        };
         out.send(conn, &frame)?;
         chunks_since_sync += 1;
         if let Some(ms) = opts.watch_ms {
@@ -527,5 +546,45 @@ pub fn push_with_retry<C: Read + Write>(
             }
         };
         std::thread::sleep(std::time::Duration::from_millis(delay));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io;
+
+    /// A connection that fails the test on any I/O.
+    struct Untouched;
+
+    impl Read for Untouched {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            panic!("read before the options were checked")
+        }
+    }
+
+    impl Write for Untouched {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            panic!("wrote before the options were checked")
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            panic!("flushed before the options were checked")
+        }
+    }
+
+    /// A chunk larger than any reader takes is refused before the
+    /// connection is used, for good: every reader would refuse the frame,
+    /// and a retry would send it again.
+    #[test]
+    fn chunks_larger_than_a_frame_holds_are_refused_before_any_io() {
+        let opts = PushOptions { chunk_events: MAX_CHUNK_EVENTS + 1, ..PushOptions::default() };
+        let err = push_events(&mut Untouched, vec![], [], &opts).unwrap_err();
+        assert!(matches!(err, ClientError::ChunkTooLarge(n) if n == MAX_CHUNK_EVENTS + 1));
+        assert!(!err.is_retryable());
+        assert!(err.to_string().contains(&MAX_CHUNK_EVENTS.to_string()), "{err}");
+        let policy = RetryPolicy::default();
+        let retried = push_with_retry(|| Ok(Untouched), &[], &[], &opts, &policy);
+        assert!(matches!(retried, Err(ClientError::ChunkTooLarge(_))));
     }
 }

@@ -14,7 +14,7 @@ use dp_trace::stream::intern_names;
 use dp_types::protocol::{
     error_code, query_kind, ChunkView, Frame, Hello, ProtocolError, TAG_CHUNK,
 };
-use dp_types::{Interner, TraceEvent, WireError};
+use dp_types::{Interner, Record, WireError};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -31,9 +31,6 @@ pub enum SessionError {
     OutOfOrder(&'static str),
     /// Checkpoint store I/O failed.
     Io(std::io::Error),
-    /// The event at this stream position, of any kind, is by a thread
-    /// other than 0: a session profiles a sequential target.
-    ForeignThread(u64),
 }
 
 impl fmt::Display for SessionError {
@@ -43,7 +40,6 @@ impl fmt::Display for SessionError {
             SessionError::Malformed(e) => write!(f, "{e}"),
             SessionError::OutOfOrder(what) => write!(f, "frame out of protocol order: {what}"),
             SessionError::Io(e) => write!(f, "session checkpoint I/O failed: {e}"),
-            SessionError::ForeignThread(at) => write!(f, "event {at} is off thread 0"),
         }
     }
 }
@@ -90,9 +86,6 @@ pub struct SessionEngine {
     /// first `Query` frame — sessions that never query carry no delta
     /// tracking and pay nothing for the subsystem.
     online: Option<OnlineAnalysis>,
-    /// The wire chunk being fed, decoded whole so that its thread check
-    /// runs before any of it is fed; kept for its allocation.
-    decoded: Vec<TraceEvent>,
     finished: bool,
 }
 
@@ -161,7 +154,6 @@ impl SessionEngine {
                 ..SessionMetrics::default()
             },
             online: None,
-            decoded: Vec::new(),
             finished: false,
         };
         let ack = Frame::HelloAck { session_id, resume_from: engine.events_fed };
@@ -183,7 +175,7 @@ impl SessionEngine {
                 Err(SessionError::OutOfOrder("server-to-client frame sent by client"))
             }
             Frame::Error { .. } => Err(SessionError::OutOfOrder("Error frame sent by client")),
-            Frame::Chunk { base, events } => self.feed_chunk(base, &events),
+            Frame::Chunk { base, events } => self.feed_chunk(base, events.into_iter()),
             Frame::Sync { nonce } => {
                 // Handling is synchronous: every earlier frame on this
                 // connection has been fed by the time we reply, so the
@@ -216,9 +208,9 @@ impl SessionEngine {
     /// checksum-verified `(tag, payload)` a
     /// [`FrameReader`](dp_types::protocol::FrameReader) hands out, and the
     /// one place the payload counts into `bytes_in`. A `Chunk` is fed
-    /// straight from the borrowed payload, validated whole first so a
-    /// malformed one feeds nothing; every other frame is decoded and
-    /// handled as usual.
+    /// its records straight from the borrowed payload, validated whole
+    /// first so a malformed one feeds nothing; every other frame is
+    /// decoded and handled as usual.
     pub fn handle_wire(&mut self, tag: u8, payload: &[u8]) -> Result<Vec<Frame>, SessionError> {
         self.metrics.bytes_in += payload.len() as u64;
         if tag != TAG_CHUNK {
@@ -226,12 +218,7 @@ impl SessionEngine {
         }
         let chunk = ChunkView::parse(payload).map_err(|e| SessionError::Malformed(e.into()))?;
         self.admit_frame()?;
-        let mut decoded = std::mem::take(&mut self.decoded);
-        decoded.clear();
-        chunk.decode_into(&mut decoded);
-        let fed = self.feed_chunk(chunk.base(), &decoded);
-        self.decoded = decoded;
-        fed
+        self.feed_chunk(chunk.base(), chunk.records())
     }
 
     fn admit_frame(&mut self) -> Result<(), SessionError> {
@@ -242,9 +229,15 @@ impl SessionEngine {
         Ok(())
     }
 
-    /// Feeds the part of a chunk starting at stream position `base` that
-    /// lies at or past the watermark; none of it if an event is off thread 0.
-    fn feed_chunk(&mut self, base: u64, events: &[TraceEvent]) -> Result<Vec<Frame>, SessionError> {
+    /// Feeds the records of a chunk starting at stream position `base`
+    /// that lie at or past the watermark, cut only where a periodic
+    /// checkpoint falls due, so checkpoints land on exact multiples of
+    /// `checkpoint_every` however the stream was framed.
+    fn feed_chunk(
+        &mut self,
+        base: u64,
+        records: impl ExactSizeIterator<Item = Record>,
+    ) -> Result<Vec<Frame>, SessionError> {
         self.metrics.chunks += 1;
         if base > self.events_fed {
             return Err(SessionError::OutOfOrder("chunk beyond the stream watermark"));
@@ -252,35 +245,24 @@ impl SessionEngine {
         // Everything below the watermark was already profiled (resend
         // overlap after a reconnect, or a duplicated frame): skip it
         // exactly, feed only the new suffix.
-        let skip = (self.events_fed - base).min(events.len() as u64) as usize;
-        let fresh = &events[skip..];
-        if let Some(i) = fresh.iter().position(|e| e.thread() != 0) {
-            return Err(SessionError::ForeignThread(self.events_fed + i as u64));
-        }
+        let skip = (self.events_fed - base).min(records.len() as u64) as usize;
         self.metrics.service.events_skipped_on_resume += skip as u64;
-        self.feed(fresh).map(|()| Vec::new())
-    }
-
-    /// Feeds `evs` to the engine, cut only where a periodic checkpoint
-    /// falls due, so checkpoints land on exact multiples of
-    /// `checkpoint_every` however the stream was framed.
-    fn feed(&mut self, mut evs: &[TraceEvent]) -> Result<(), SessionError> {
-        while !evs.is_empty() {
+        let mut fresh = records.skip(skip);
+        while fresh.len() > 0 {
             let until_due = match self.checkpoint_every {
                 0 => u64::MAX,
                 every => every - self.events_fed % every,
             };
-            let (now, later) = evs.split_at(until_due.min(evs.len() as u64) as usize);
+            let now = until_due.min(fresh.len() as u64);
             let session = self.session.as_mut().expect("unfinished session has an engine");
-            now.iter().for_each(|&ev| session.on_event(ev));
-            self.metrics.events += now.len() as u64;
-            self.events_fed += now.len() as u64;
+            fresh.by_ref().take(now as usize).for_each(|rec| session.on_record(rec));
+            self.metrics.events += now;
+            self.events_fed += now;
             if self.checkpoint_every > 0 && self.events_fed.is_multiple_of(self.checkpoint_every) {
                 self.write_checkpoint()?;
             }
-            evs = later;
         }
-        Ok(())
+        Ok(Vec::new())
     }
 
     /// Answers a `Query` frame from incremental state. The first query
@@ -412,7 +394,7 @@ impl SessionEngine {
 mod tests {
     use super::*;
     use dp_types::loc::loc;
-    use dp_types::{event, MemAccess};
+    use dp_types::{MemAccess, TraceEvent};
 
     fn hello(session: &str, checkpoint_every: u64) -> Hello {
         Hello {
@@ -423,34 +405,31 @@ mod tests {
         }
     }
 
-    fn access(i: u64) -> TraceEvent {
+    fn access(i: u64) -> Record {
         let a = 0x100 + (i % 9) * 8;
-        TraceEvent::Access(if i.is_multiple_of(4) {
-            MemAccess::write(a, i + 1, loc(1, 1), 1, 0)
+        Record::pack(&TraceEvent::Access(if i.is_multiple_of(4) {
+            MemAccess::write(a, 0, loc(1, 1), 1, 0)
         } else {
-            MemAccess::read(a, i + 1, loc(1, 2), 1, 0)
-        })
+            MemAccess::read(a, 0, loc(1, 2), 1, 0)
+        }))
     }
 
-    fn accesses(range: std::ops::Range<u64>) -> Vec<TraceEvent> {
+    fn accesses(range: std::ops::Range<u64>) -> Vec<Record> {
         range.map(access).collect()
     }
 
-    /// A six-iteration loop of five accesses an iteration, each event
-    /// stamped with its stream position plus one: `LoopBegin` at
+    /// A six-iteration loop of five accesses an iteration: `LoopBegin` at
     /// position 0, the `LoopIter`s at 1, 7, 13, ..., `LoopEnd` last.
-    fn looped() -> Vec<TraceEvent> {
-        let mut evs = vec![TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 3), thread: 0, ts: 1 }];
+    fn looped() -> Vec<Record> {
+        let mut evs = vec![TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 3), thread: 0, ts: 0 }];
         for iter in 0..6 {
-            let ts = evs.len() as u64 + 1;
-            evs.push(TraceEvent::LoopIter { loop_id: 1, iter, thread: 0, ts });
+            evs.push(TraceEvent::LoopIter { loop_id: 1, iter, thread: 0, ts: 0 });
             for _ in 0..5 {
-                evs.push(access(evs.len() as u64));
+                evs.push(access(evs.len() as u64).unpack(0, 0));
             }
         }
-        let ts = evs.len() as u64 + 1;
-        evs.push(TraceEvent::LoopEnd { loop_id: 1, loc: loc(1, 9), iters: 6, thread: 0, ts });
-        evs
+        evs.push(TraceEvent::LoopEnd { loop_id: 1, loc: loc(1, 9), iters: 6, thread: 0, ts: 0 });
+        evs.iter().map(Record::pack).collect()
     }
 
     fn deps(r: &ProfileResult) -> Vec<String> {
@@ -580,8 +559,9 @@ mod tests {
         // the chunk holds.
         let err = s.handle(Frame::Chunk { base: 25, events: evs[25..].to_vec() }).unwrap_err();
         assert!(matches!(err, SessionError::OutOfOrder(_)));
-        let call = |func| TraceEvent::CallBegin { func, thread: 0, ts: 1 };
-        let mixed = vec![call(1), evs[21], TraceEvent::CallEnd { func: 1, thread: 0, ts: 2 }];
+        let call = |func| Record::pack(&TraceEvent::CallBegin { func, thread: 0, ts: 0 });
+        let end = Record::pack(&TraceEvent::CallEnd { func: 1, thread: 0, ts: 0 });
+        let mixed = vec![call(1), evs[21], end];
         let err = s.handle(Frame::Chunk { base: 21, events: mixed }).unwrap_err();
         assert!(matches!(err, SessionError::OutOfOrder(_)));
         assert_eq!(s.position(), 20);
@@ -609,7 +589,7 @@ mod tests {
     #[test]
     fn malformed_wire_chunk_feeds_nothing() {
         let (mut s, _) = SessionEngine::open(&hello("atomic", 0), 1, None, 0).unwrap();
-        let payload_of = |base: u64, events: Vec<TraceEvent>| {
+        let payload_of = |base: u64, events: Vec<Record>| {
             let mut wire = Vec::new();
             Frame::Chunk { base, events }.encode_into(&mut wire);
             wire[5..wire.len() - 1].to_vec()
@@ -617,19 +597,18 @@ mod tests {
         s.handle_wire(TAG_CHUNK, &payload_of(0, accesses(0..10))).unwrap();
         assert_eq!(s.position(), 10);
 
-        // Nine good accesses, then one whose kind byte is a loop begin's:
-        // the bodies no longer tile the payload.
+        // Nine good accesses, then one whose kind byte is a loop begin's,
+        // which leaves its body's second word 0.
         let mut bad = payload_of(10, accesses(10..20));
-        let last_kind = bad.len() - event::ACCESS_WIRE_BYTES;
-        bad[last_kind] = 2;
-        // Mixed chunks whose last body is a `Dealloc` past the address
+        bad[12 + 9] = 2;
+        // Mixed chunks whose last record is a `Dealloc` past the address
         // space, or carries a tag no event has.
-        let loop_begin = TraceEvent::LoopBegin { loop_id: 2, loc: loc(1, 7), thread: 0, ts: 11 };
-        let dealloc = TraceEvent::Dealloc { base: u64::MAX - 7, len: 1, thread: 0, ts: 12 };
+        let loop_begin = TraceEvent::LoopBegin { loop_id: 2, loc: loc(1, 7), thread: 0, ts: 0 };
+        let dealloc = TraceEvent::Dealloc { base: u64::MAX - 7, len: 1, thread: 0, ts: 0 };
+        let (loop_begin, dealloc) = (Record::pack(&loop_begin), Record::pack(&dealloc));
         let overflowing = payload_of(10, vec![loop_begin, access(11), dealloc]);
         let mut undefined = payload_of(10, vec![loop_begin, access(11), access(12)]);
-        let last_tag = undefined.len() - event::ACCESS_WIRE_BYTES;
-        undefined[last_tag] = 0x77;
+        undefined[12 + 2] = 0x77;
         for bad in [bad, overflowing, undefined] {
             let err = s.handle_wire(TAG_CHUNK, &bad).unwrap_err();
             assert!(matches!(err, SessionError::Malformed(_)), "{err}");

@@ -39,7 +39,7 @@ pub mod workloads;
 pub use builder::ProgramBuilder;
 pub use interp::Interp;
 pub use ir::{ArrayId, Expr, FuncId, LocalId, Program, ScalarId, Stmt};
-pub use stream::FrameChunker;
+pub use stream::{FrameChunker, OffThread};
 pub use traced::{TracedCell, TracedVec, TracerHandle};
 pub use tracefile::{TraceFileError, TraceReader, TraceWriter};
 pub use tracer::{CollectFactory, CollectTracer, NullFactory, NullTracer, Tracer, TracerFactory};

@@ -1,14 +1,16 @@
-//! Bridging an event stream onto the DPSV wire: batches consecutive
-//! events of every kind into `Chunk` frames, in order.
+//! Bridging an event stream onto the DPSV wire: packs consecutive events
+//! of every kind into `Chunk` frames of [`Record`]s, in order.
 //!
-//! Both producers of DPSV frames chunk here: `depprof push`, which
-//! replays a recorded `.dptr` file over the network, and the trace file
-//! itself, which is a DPSV session on disk ([`crate::tracefile`]). The
-//! chunker packs [`TraceEvent`]s into `Chunk` frames of up to
-//! `chunk_events` events each. Loop, call and dealloc events ride in line
-//! with the accesses around them, so the 6-byte frame overhead is paid
-//! once per chunk however loop-dense the stream, and a reader feeds its
-//! engine in exactly the recorded order.
+//! Both producers of DPSV frames chunk here: `depprof push`, which sends
+//! a recorded trace over the network, and the trace file itself, which
+//! is a DPSV session on disk ([`crate::tracefile`]). This is where a
+//! [`TraceEvent`] becomes a wire record, and so the one place a stream is
+//! held to thread 0: a record names no thread, so an event off thread 0
+//! is refused here ([`OffThread`]), never sent as if it were thread 0's.
+//! Loop, call and dealloc events ride in line with the accesses around
+//! them, so the 6-byte frame overhead is paid once per chunk however
+//! loop-dense the stream, and a reader feeds its engine in exactly the
+//! recorded order.
 //!
 //! Every frame is *positional*: a `Chunk` carries the absolute stream
 //! index of its first event, counted from the chunker's base. A resuming
@@ -17,7 +19,8 @@
 //! exactly.
 
 use dp_types::protocol::Frame;
-use dp_types::{Interner, TraceEvent};
+use dp_types::{Interner, Record, ThreadId, TraceEvent};
+use std::fmt;
 
 /// Events per `Chunk` frame unless a caller says otherwise: what a trace
 /// file holds per frame and what `depprof push` sends.
@@ -39,14 +42,35 @@ pub fn intern_names(names: &[String]) -> Result<Interner, &'static str> {
     Ok(interner)
 }
 
-/// Batches [`TraceEvent`]s into DPSV `Chunk` frames, preserving order.
+/// An event a DPSV stream cannot carry: one off thread 0, at this
+/// stream position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OffThread {
+    /// Absolute stream index of the event.
+    pub position: u64,
+    /// The thread it is on.
+    pub thread: ThreadId,
+}
+
+impl fmt::Display for OffThread {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let OffThread { position, thread } = self;
+        write!(f, "event {position} is off thread 0 (on thread {thread}): a stream is thread 0's")
+    }
+}
+
+impl std::error::Error for OffThread {}
+
+/// Packs [`TraceEvent`]s into DPSV `Chunk` frames, preserving order.
 #[derive(Debug)]
 pub struct FrameChunker {
-    pending: Vec<TraceEvent>,
+    pending: Vec<Record>,
     capacity: usize,
     /// Absolute index of `pending[0]` (of the next event pushed while
     /// `pending` is empty).
     base: u64,
+    /// The first event refused; nothing is chunked from it on.
+    refused: Option<OffThread>,
 }
 
 impl FrameChunker {
@@ -61,7 +85,7 @@ impl FrameChunker {
     /// server expects after `HelloAck.resume_from`.
     pub fn with_base(chunk_events: usize, base: u64) -> Self {
         let capacity = chunk_events.max(1);
-        FrameChunker { pending: Vec::with_capacity(capacity), capacity, base }
+        FrameChunker { pending: Vec::with_capacity(capacity), capacity, base, refused: None }
     }
 
     /// Absolute index the next pushed event will occupy.
@@ -69,10 +93,18 @@ impl FrameChunker {
         self.base + self.pending.len() as u64
     }
 
-    /// Accepts one event. Returns the `Chunk` it filled, if any.
+    /// Accepts one event. Returns the `Chunk` it filled, if any. An event
+    /// off thread 0 is refused ([`FrameChunker::refused`]), and from then
+    /// on no frame is made: not the one it would have joined, nor any
+    /// after it.
     #[inline]
     pub fn push(&mut self, ev: TraceEvent) -> Option<Frame> {
-        self.pending.push(ev);
+        if ev.thread() != 0 || self.refused.is_some() {
+            let refusal = OffThread { position: self.position(), thread: ev.thread() };
+            self.refused.get_or_insert(refusal);
+            return None;
+        }
+        self.pending.push(Record::pack(&ev));
         if self.pending.len() >= self.capacity {
             self.flush()
         } else {
@@ -83,7 +115,7 @@ impl FrameChunker {
     /// Flushes any buffered events (call at end of stream, or before a
     /// `Sync`/`Finish`).
     pub fn flush(&mut self) -> Option<Frame> {
-        if self.pending.is_empty() {
+        if self.pending.is_empty() || self.refused.is_some() {
             return None;
         }
         let base = self.base;
@@ -95,6 +127,11 @@ impl FrameChunker {
     /// Events currently buffered.
     pub fn pending(&self) -> usize {
         self.pending.len()
+    }
+
+    /// The first event refused, if one was.
+    pub fn refused(&self) -> Option<OffThread> {
+        self.refused
     }
 }
 
@@ -140,14 +177,15 @@ mod tests {
             })
             .collect();
         assert_eq!(lens, [3, 3, 2]);
-        let roundtrip: Vec<TraceEvent> = frames
+        let roundtrip: Vec<Record> = frames
             .into_iter()
             .flat_map(|f| match f {
                 Frame::Chunk { events, .. } => events,
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(roundtrip, evs, "order preserved exactly");
+        let packed: Vec<Record> = evs.iter().map(Record::pack).collect();
+        assert_eq!(roundtrip, packed, "order preserved exactly");
         assert_eq!(chunker.position(), evs.len() as u64);
     }
 

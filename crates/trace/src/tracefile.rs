@@ -2,16 +2,16 @@
 //! offline analyses. A trace file is a recorded DPSV session
 //! ([`dp_types::protocol`]): the preamble, a `Hello` carrying the
 //! variable-name table, `Chunk` frames of [`DEFAULT_CHUNK_EVENTS`] events
-//! and a closing `Finish`. The reader fails typed ([`TraceFileError`]) and
+//! and a closing `Finish`. It holds thread 0's events as packed records,
+//! without their timestamps. The reader fails typed ([`TraceFileError`]) and
 //! keeps every whole frame before the damage; a file without its `Finish`
 //! is torn.
 
 use crate::stream::{intern_names, FrameChunker, DEFAULT_CHUNK_EVENTS};
 use crate::tracer::Tracer;
-use dp_types::event::BODY_LEN;
 use dp_types::protocol::{self, ChunkView, Frame, FrameReader, Hello, ProtocolError};
 use dp_types::protocol::{FRAME_OVERHEAD_BYTES, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_CHUNK};
-use dp_types::{Interner, TraceEvent};
+use dp_types::{Interner, Record, TraceEvent};
 use std::fmt;
 use std::io::{self, Read, Write};
 use TraceFileError::{BadNameTable, Checksum, NotATrace, TornRecord, UnsupportedVersion};
@@ -75,11 +75,15 @@ impl From<io::Error> for TraceFileError {
     }
 }
 
-/// Streams trace events to a byte sink as a DPSV session.
+/// Streams trace events to a byte sink as a DPSV session. The events
+/// must be thread 0's: [`TraceWriter::finish`] refuses a recording that
+/// holds any other.
 pub struct TraceWriter<W: Write> {
     sink: W,
     chunker: FrameChunker,
     error: Option<io::Error>,
+    /// Each frame is encoded here, then written out whole.
+    buf: Vec<u8>,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -92,7 +96,7 @@ impl<W: Write> TraceWriter<W> {
     pub fn with_names(mut sink: W, interner: &Interner) -> io::Result<Self> {
         protocol::write_preamble(&mut sink)?;
         let chunker = FrameChunker::new(DEFAULT_CHUNK_EVENTS);
-        let mut w = TraceWriter { sink, chunker, error: None };
+        let mut w = TraceWriter { sink, chunker, error: None, buf: Vec::new() };
         let names = (0..interner.len() as u32).map(|id| interner.resolve(id).into()).collect();
         w.write(&Frame::Hello(Hello { names, ..Hello::default() }))?;
         Ok(w)
@@ -104,10 +108,16 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Writes the last `Chunk` and the `Finish`, flushes and returns the
-    /// sink; surfaces any deferred I/O error.
+    /// sink; surfaces any deferred I/O error, and refuses a recording with
+    /// an event off thread 0 as [`io::ErrorKind::InvalidInput`], naming
+    /// the event; the chunk that would have held it, and all after it,
+    /// were never written.
     pub fn finish(mut self) -> io::Result<W> {
         if let Some(e) = self.error.take() {
             return Err(e);
+        }
+        if let Some(refused) = self.chunker.refused() {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, refused));
         }
         for frame in self.chunker.flush().into_iter().chain([Frame::Finish]) {
             self.write(&frame)?;
@@ -117,9 +127,9 @@ impl<W: Write> TraceWriter<W> {
     }
 
     fn write(&mut self, frame: &Frame) -> io::Result<()> {
-        let mut buf = Vec::new();
-        frame.encode_into(&mut buf);
-        self.sink.write_all(&buf)
+        self.buf.clear();
+        frame.encode_into(&mut self.buf);
+        self.sink.write_all(&self.buf)
     }
 }
 
@@ -131,7 +141,8 @@ impl<W: Write> Tracer for TraceWriter<W> {
     }
 }
 
-/// Replays a recorded trace as an iterator of events.
+/// Replays a recorded trace as an iterator of events, each on thread 0
+/// at timestamp 0.
 pub struct TraceReader<R: Read> {
     input: R,
     frames: FrameReader,
@@ -140,9 +151,8 @@ pub struct TraceReader<R: Read> {
     offset: u64,
     /// Events handed out or skipped so far.
     records: u64,
-    /// The current chunk's event bodies, checked by `ChunkView::parse`,
-    /// and where the next one to hand out starts.
-    bodies: Vec<u8>,
+    /// The current chunk's records, and the next one to hand out.
+    chunk: Vec<Record>,
     next: usize,
     /// The `Finish` was read, or reading failed.
     done: bool,
@@ -166,7 +176,7 @@ impl<R: Read> TraceReader<R> {
             interner,
             offset: PREAMBLE,
             records: 0,
-            bodies: Vec::new(),
+            chunk: Vec::new(),
             next: 0,
             done: false,
         };
@@ -193,9 +203,11 @@ impl<R: Read> TraceReader<R> {
     /// ends before `n` is [`TraceFileError::TornRecord`].
     pub fn skip_to(&mut self, n: u64) -> Result<(), TraceFileError> {
         while self.records < n {
-            if let Some(&tag) = self.bodies.get(self.next) {
-                self.next += BODY_LEN[tag as usize] as usize;
-                self.records += 1;
+            let held = (self.chunk.len() - self.next) as u64;
+            if held > 0 {
+                let skip = held.min(n - self.records);
+                self.next += skip as usize;
+                self.records += skip;
             } else if self.done {
                 return Err(TornRecord { offset: self.offset, records_read: self.records });
             } else {
@@ -226,11 +238,10 @@ impl<R: Read> TraceReader<R> {
             if tag == TAG_CHUNK && at > PREAMBLE {
                 let chunk = ChunkView::parse(payload).ok().filter(|c| c.base() == pos);
                 let chunk = chunk.ok_or_else(corrupt)?;
-                self.bodies.clear();
+                self.chunk.clear();
                 self.next = 0;
                 match pos + chunk.len() as u64 {
-                    // The bodies follow the chunk's base and count.
-                    end if end > keep_from => self.bodies.extend_from_slice(&payload[12..]),
+                    end if end > keep_from => self.chunk.extend(chunk.records()),
                     end => self.records = end,
                 }
                 self.done = false;
@@ -255,13 +266,10 @@ impl<R: Read> Iterator for TraceReader<R> {
 
     fn next(&mut self) -> Option<Result<TraceEvent, TraceFileError>> {
         loop {
-            if let Some(&tag) = self.bodies.get(self.next) {
-                let body = &self.bodies[self.next..][..BODY_LEN[tag as usize] as usize];
-                self.next += body.len();
+            if let Some(&rec) = self.chunk.get(self.next) {
+                self.next += 1;
                 self.records += 1;
-                return Some(Ok(
-                    TraceEvent::decode(body).expect("ChunkView::parse checked every body")
-                ));
+                return Some(Ok(rec.unpack(0, 0)));
             }
             if self.done {
                 return None;
@@ -282,17 +290,23 @@ mod tests {
     use dp_types::wire::xor_fold;
     use dp_types::{loc::loc, MemAccess};
 
+    /// One event of every kind, as a reader hands it out: on thread 0,
+    /// at timestamp 0.
     fn sample_events() -> Vec<TraceEvent> {
         vec![
-            TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
-            TraceEvent::LoopIter { loop_id: 3, iter: 0, thread: 0, ts: 2 },
-            TraceEvent::Access(MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 1)),
-            TraceEvent::Access(MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 2)),
-            TraceEvent::CallBegin { func: 9, thread: 1, ts: 5 },
-            TraceEvent::CallEnd { func: 9, thread: 1, ts: 6 },
-            TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 7 },
-            TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 1, thread: 0, ts: 8 },
+            TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 0 },
+            TraceEvent::LoopIter { loop_id: 3, iter: 0, thread: 0, ts: 0 },
+            TraceEvent::Access(MemAccess::write(0xdead_beef, 0, loc(2, 60), 7, 0)),
+            TraceEvent::Access(MemAccess::read(0xdead_beef, 0, loc(2, 61), 7, 0)),
+            TraceEvent::CallBegin { func: 9, thread: 0, ts: 0 },
+            TraceEvent::CallEnd { func: 9, thread: 0, ts: 0 },
+            TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 0 },
+            TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 1, thread: 0, ts: 0 },
         ]
+    }
+
+    fn sample_records() -> Vec<Record> {
+        sample_events().iter().map(Record::pack).collect()
     }
 
     fn record(events: &[TraceEvent]) -> Vec<u8> {
@@ -331,7 +345,9 @@ mod tests {
         assert!(matches!(TraceReader::new(&b"DP"[..]), Err(NotATrace)));
         // An old DPTR file, or a DPSV stream of another version, is
         // refused by the version it names — never misread.
-        for (file, v) in [(&b"DPTR\x01"[..], 1), (b"DPTR\x02\x00\x00", 2), (b"DPSV\x02", 2)] {
+        let old =
+            [(&b"DPTR\x01"[..], 1), (b"DPTR\x02\x00\x00", 2), (b"DPSV\x02", 2), (b"DPSV\x03", 3)];
+        for (file, v) in old {
             assert!(
                 matches!(TraceReader::new(file), Err(UnsupportedVersion(got)) if got == v),
                 "{file:?}"
@@ -387,7 +403,7 @@ mod tests {
         ));
         // The first frame must be the `Hello`.
         let mut chunk_first = table(&[])[..PREAMBLE as usize].to_vec();
-        Frame::Chunk { base: 0, events: sample_events() }.encode_into(&mut chunk_first);
+        Frame::Chunk { base: 0, events: sample_records() }.encode_into(&mut chunk_first);
         assert!(matches!(
             TraceReader::new(&chunk_first[..]),
             Err(BadNameTable("first frame is not a Hello"))
@@ -473,7 +489,7 @@ mod tests {
             f.encode_into(&mut out);
             out
         };
-        let events = sample_events();
+        let events = sample_records();
         for bad in [
             with_frame(Frame::Chunk { base: 1, events: events.clone() }),
             with_frame(Frame::Sync { nonce: 0 }),
@@ -502,7 +518,7 @@ mod tests {
     #[test]
     fn dealloc_past_the_address_space_is_refused_like_a_corrupt_record() {
         let mut evs = sample_events();
-        evs.insert(2, TraceEvent::Dealloc { base: u64::MAX - 7, len: 1, thread: 0, ts: 3 });
+        evs.insert(2, TraceEvent::Dealloc { base: u64::MAX - 7, len: 1, thread: 0, ts: 0 });
         let items: Vec<_> = TraceReader::new(&record(&evs)[..]).unwrap().collect();
         assert_eq!(items.len(), 1);
         let header = header_len() as u64;
@@ -511,7 +527,7 @@ mod tests {
             "{:?}",
             items[0]
         );
-        evs[2] = TraceEvent::Dealloc { base: u64::MAX - 15, len: 1, thread: 0, ts: 3 };
+        evs[2] = TraceEvent::Dealloc { base: u64::MAX - 15, len: 1, thread: 0, ts: 0 };
         let items: Vec<_> = TraceReader::new(&record(&evs)[..]).unwrap().collect();
         assert!(items.iter().all(Result::is_ok), "a range that ends at the top decodes");
     }
@@ -587,16 +603,15 @@ mod tests {
         }
     }
 
-    /// Every event kind in rotation, long enough to cross the frame
-    /// reader's 64 KiB buffer; returns the events, each frame's byte
+    /// Every event kind in rotation, long enough that whole frames lie
+    /// past the frame reader's 64 KiB buffer; returns the events, each frame's byte
     /// offset in the recording (the `Finish`'s last) and the recording.
     fn long_recording() -> (Vec<TraceEvent>, Vec<usize>, Vec<u8>) {
-        let evs: Vec<TraceEvent> = (0..4000u64)
+        let evs: Vec<TraceEvent> = (0..5000u64)
             .map(|i| {
                 let mut ev = sample_events()[(i % 8) as usize];
                 if let TraceEvent::Access(a) = &mut ev {
                     a.addr = 0x1000 + i * 8;
-                    a.ts = i;
                 }
                 ev
             })
@@ -718,8 +733,26 @@ mod tests {
         let bytes = w.finish().unwrap();
         let replayed: Vec<TraceEvent> =
             TraceReader::new(&bytes[..]).unwrap().map(Result::unwrap).collect();
-        assert_eq!(replayed, live.events);
-        // ~26 bytes per access event on this workload
-        assert!(bytes.len() < live.events.len() * 33);
+        let unstamped: Vec<_> =
+            live.events.iter().map(|ev| Record::pack(ev).unpack(0, 0)).collect();
+        assert_eq!(replayed, unstamped);
+        // 17 bytes an event, and the frames around them
+        assert!(bytes.len() < live.events.len() * 18);
+    }
+
+    /// A recording is of thread 0: an event on any other is refused when
+    /// the recording finishes, naming its position, and nothing from it
+    /// on is written.
+    #[test]
+    fn an_event_off_thread_zero_is_refused_at_finish() {
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        for ev in sample_events().into_iter().take(2) {
+            w.event(ev);
+        }
+        w.event(TraceEvent::CallBegin { func: 9, thread: 1, ts: 5 });
+        w.event(sample_events()[3]);
+        let err = w.finish().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("event 2 is off thread 0"), "{err}");
     }
 }

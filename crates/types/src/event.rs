@@ -8,12 +8,11 @@
 //! application (Section VII-A); deallocation events drive the
 //! variable-lifetime analysis of Section III-B.
 //!
-//! This module also owns the one byte layout of an event ([`BODY_LEN`],
-//! [`TraceEvent::encode_into`], [`TraceEvent::decode`]): what a DPSV
-//! `Chunk` carries, body after body, past its `base` and count, on a
-//! socket and in a trace file alike.
+//! An event's one byte layout is its packed [`Record`](crate::Record),
+//! which keeps no thread or timestamp; a stream that leaves the process
+//! carries records, not events.
 
-use crate::access::{AccessKind, MemAccess};
+use crate::access::MemAccess;
 use crate::ids::{Address, LoopId, ThreadId, Timestamp};
 use crate::loc::SourceLoc;
 
@@ -130,174 +129,11 @@ impl TraceEvent {
     }
 }
 
-const TAG_READ: u8 = 0;
-const TAG_WRITE: u8 = 1;
-const TAG_LOOP_BEGIN: u8 = 2;
-const TAG_LOOP_ITER: u8 = 3;
-const TAG_LOOP_END: u8 = 4;
-const TAG_CALL_BEGIN: u8 = 5;
-const TAG_CALL_END: u8 = 6;
-const TAG_DEALLOC: u8 = 7;
-
-/// Bytes of an event's wire body — the tag byte and the fixed-width
-/// fields after it — indexed by tag; tags past the end are not defined.
-/// Tags 0 and 1 are the two access kinds.
-pub const BODY_LEN: [u8; 8] = [
-    1 + 8 + 8 + 4 + 4 + 2, // read: addr, ts, loc, var, thread
-    1 + 8 + 8 + 4 + 4 + 2, // write
-    1 + 4 + 4 + 2 + 8,     // loop begin: loop, loc, thread, ts
-    1 + 4 + 8 + 2 + 8,     // loop iter: loop, iter, thread, ts
-    1 + 4 + 4 + 8 + 2 + 8, // loop end: loop, loc, iters, thread, ts
-    1 + 4 + 2 + 8,         // call begin: func, thread, ts
-    1 + 4 + 2 + 8,         // call end
-    1 + 8 + 8 + 2 + 8,     // dealloc: base, len, thread, ts
-];
-
-/// Bytes of an access's wire body, the longest of any event's.
-pub const ACCESS_WIRE_BYTES: usize = BODY_LEN[TAG_READ as usize] as usize;
-
-/// One little-endian field at a constant offset of a fixed-size array.
-macro_rules! get {
-    ($f:ident, $at:expr, $ty:ty) => {
-        <$ty>::from_le_bytes(
-            $f[$at..$at + std::mem::size_of::<$ty>()].try_into().expect("constant range"),
-        )
-    };
-}
-
-/// Appends an access's wire body: the access arm of
-/// [`TraceEvent::encode_into`].
-#[inline]
-pub fn encode_access(a: &MemAccess, out: &mut Vec<u8>) {
-    out.push(if a.kind.is_write() { TAG_WRITE } else { TAG_READ });
-    out.extend_from_slice(&a.addr.to_le_bytes());
-    out.extend_from_slice(&a.ts.to_le_bytes());
-    out.extend_from_slice(&a.loc.pack().to_le_bytes());
-    out.extend_from_slice(&a.var.to_le_bytes());
-    out.extend_from_slice(&a.thread.to_le_bytes());
-}
-
-/// Reads an access's wire body in place; any tag but 0 is a write.
-#[inline]
-pub fn decode_access(b: &[u8; ACCESS_WIRE_BYTES]) -> MemAccess {
-    MemAccess {
-        addr: get!(b, 1, u64),
-        ts: get!(b, 9, u64),
-        loc: SourceLoc::unpack(get!(b, 17, u32)),
-        var: get!(b, 21, u32),
-        thread: get!(b, 25, u16),
-        kind: if b[0] == TAG_READ { AccessKind::Read } else { AccessKind::Write },
-    }
-}
-
-impl TraceEvent {
-    /// Appends the event's wire body: tag byte, then its fields.
-    #[inline]
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        match *self {
-            TraceEvent::Access(ref a) => encode_access(a, out),
-            TraceEvent::LoopBegin { loop_id, loc, thread, ts } => {
-                out.push(TAG_LOOP_BEGIN);
-                out.extend_from_slice(&loop_id.to_le_bytes());
-                out.extend_from_slice(&loc.pack().to_le_bytes());
-                out.extend_from_slice(&thread.to_le_bytes());
-                out.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::LoopIter { loop_id, iter, thread, ts } => {
-                out.push(TAG_LOOP_ITER);
-                out.extend_from_slice(&loop_id.to_le_bytes());
-                out.extend_from_slice(&iter.to_le_bytes());
-                out.extend_from_slice(&thread.to_le_bytes());
-                out.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::LoopEnd { loop_id, loc, iters, thread, ts } => {
-                out.push(TAG_LOOP_END);
-                out.extend_from_slice(&loop_id.to_le_bytes());
-                out.extend_from_slice(&loc.pack().to_le_bytes());
-                out.extend_from_slice(&iters.to_le_bytes());
-                out.extend_from_slice(&thread.to_le_bytes());
-                out.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::CallBegin { func, thread, ts }
-            | TraceEvent::CallEnd { func, thread, ts } => {
-                let begin = matches!(self, TraceEvent::CallBegin { .. });
-                out.push(if begin { TAG_CALL_BEGIN } else { TAG_CALL_END });
-                out.extend_from_slice(&func.to_le_bytes());
-                out.extend_from_slice(&thread.to_le_bytes());
-                out.extend_from_slice(&ts.to_le_bytes());
-            }
-            TraceEvent::Dealloc { base, len, thread, ts } => {
-                out.push(TAG_DEALLOC);
-                out.extend_from_slice(&base.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
-                out.extend_from_slice(&thread.to_le_bytes());
-                out.extend_from_slice(&ts.to_le_bytes());
-            }
-        }
-    }
-
-    /// Reads one wire body. `None` unless `body` starts with a defined
-    /// tag and is exactly as long as [`BODY_LEN`] says for it, and — for a
-    /// `Dealloc` — `base + 8·len` fits in a `u64`. Each arm
-    /// works on a fixed-size array, so every field is one load at a
-    /// constant offset.
-    #[inline]
-    pub fn decode(body: &[u8]) -> Option<TraceEvent> {
-        Some(match *body.first()? {
-            TAG_READ | TAG_WRITE => TraceEvent::Access(decode_access(body.try_into().ok()?)),
-            TAG_LOOP_BEGIN => {
-                let b: &[u8; 19] = body.try_into().ok()?;
-                TraceEvent::LoopBegin {
-                    loop_id: get!(b, 1, u32),
-                    loc: SourceLoc::unpack(get!(b, 5, u32)),
-                    thread: get!(b, 9, u16),
-                    ts: get!(b, 11, u64),
-                }
-            }
-            TAG_LOOP_ITER => {
-                let b: &[u8; 23] = body.try_into().ok()?;
-                TraceEvent::LoopIter {
-                    loop_id: get!(b, 1, u32),
-                    iter: get!(b, 5, u64),
-                    thread: get!(b, 13, u16),
-                    ts: get!(b, 15, u64),
-                }
-            }
-            TAG_LOOP_END => {
-                let b: &[u8; 27] = body.try_into().ok()?;
-                TraceEvent::LoopEnd {
-                    loop_id: get!(b, 1, u32),
-                    loc: SourceLoc::unpack(get!(b, 5, u32)),
-                    iters: get!(b, 9, u64),
-                    thread: get!(b, 17, u16),
-                    ts: get!(b, 19, u64),
-                }
-            }
-            t @ (TAG_CALL_BEGIN | TAG_CALL_END) => {
-                let b: &[u8; 15] = body.try_into().ok()?;
-                let (func, thread, ts) = (get!(b, 1, u32), get!(b, 5, u16), get!(b, 7, u64));
-                if t == TAG_CALL_BEGIN {
-                    TraceEvent::CallBegin { func, thread, ts }
-                } else {
-                    TraceEvent::CallEnd { func, thread, ts }
-                }
-            }
-            TAG_DEALLOC => {
-                let b: &[u8; 27] = body.try_into().ok()?;
-                let (base, len) = (get!(b, 1, u64), get!(b, 9, u64));
-                // Algorithm 1 clears `base + 8·i` for every `i < len`.
-                len.checked_mul(8).and_then(|bytes| base.checked_add(bytes))?;
-                TraceEvent::Dealloc { base, len, thread: get!(b, 17, u16), ts: get!(b, 19, u64) }
-            }
-            _ => return None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::loc::loc;
+    use crate::record::{Record, RECORD_BYTES};
 
     #[test]
     fn accessors() {
@@ -316,46 +152,53 @@ mod tests {
         assert_eq!(d.ts(), 11);
     }
 
-    #[test]
-    fn every_kind_round_trips_at_the_tabled_length() {
-        let kinds = [
-            TraceEvent::Access(MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 2)),
-            TraceEvent::Access(MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 1)),
-            TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
-            TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 },
-            TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 10, thread: 0, ts: 3 },
-            TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 },
-            TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 },
-            TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 },
-        ];
-        let mut out = Vec::new();
-        for (tag, ev) in kinds.iter().enumerate() {
-            let start = out.len();
-            ev.encode_into(&mut out);
-            let body = &out[start..];
-            assert_eq!((body[0] as usize, body.len()), (tag, BODY_LEN[tag] as usize), "{ev:?}");
-            assert_eq!(TraceEvent::decode(body), Some(*ev));
-            assert_eq!(TraceEvent::decode(&body[..body.len() - 1]), None, "short {ev:?}");
-            assert_eq!(TraceEvent::decode(&[body, &[0]].concat()), None, "long {ev:?}");
-        }
-        assert_eq!(TraceEvent::decode(&[8; 27]), None);
-        assert_eq!(TraceEvent::decode(&[]), None);
-        // A `Chunk` reserves this much per event before encoding.
-        assert_eq!(BODY_LEN.iter().max().map(|&n| n as usize), Some(ACCESS_WIRE_BYTES));
+    /// One event of every kind, in tag order, on thread 0 at timestamp 0.
+    fn kinds() -> [TraceEvent; 8] {
+        [
+            TraceEvent::Access(MemAccess::read(0xdead_beef, 0, loc(2, 61), 7, 0)),
+            TraceEvent::Access(MemAccess::write(0xdead_beef, 0, loc(2, 60), 7, 0)),
+            TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 0 },
+            TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 0 },
+            TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 10, thread: 0, ts: 0 },
+            TraceEvent::CallBegin { func: 5, thread: 0, ts: 0 },
+            TraceEvent::CallEnd { func: 5, thread: 0, ts: 0 },
+            TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 0 },
+        ]
     }
 
+    /// Each kind packs into a record under the tag the record table gives
+    /// it, reads back from the wire as it was packed, and unpacks to the
+    /// event; the thread and timestamp are the caller's.
+    #[test]
+    fn every_kind_round_trips_at_the_tabled_length() {
+        for (tag, ev) in kinds().into_iter().enumerate() {
+            let r = Record::pack(&ev);
+            assert_eq!(r.kind as usize, tag, "{ev:?}");
+            assert_eq!(Record::from_wire(tag as u8, r.body), Some(r), "{ev:?}");
+            assert_eq!(r.unpack(0, 0), ev);
+            assert_eq!(r.as_access().is_some(), tag <= 1);
+            let stamped = r.unpack(3, 9);
+            assert_eq!((Record::pack(&stamped), stamped.thread(), stamped.ts()), (r, 3, 9));
+        }
+        assert_eq!(RECORD_BYTES, 1 + std::mem::size_of::<[u64; 2]>());
+        for tag in 8..=u8::MAX {
+            assert_eq!(Record::from_wire(tag, [0; 2]), None, "tag {tag}");
+        }
+    }
+
+    /// A deallocation whose range runs past the end of the address space
+    /// packs, but no reader takes its record.
     #[test]
     fn dealloc_range_past_the_address_space_does_not_decode() {
-        let body = |base: u64, len: u64| {
-            let mut out = Vec::new();
-            TraceEvent::Dealloc { base, len, thread: 0, ts: 1 }.encode_into(&mut out);
-            out
+        let read = |base, len| {
+            let r = Record::pack(&TraceEvent::Dealloc { base, len, thread: 0, ts: 0 });
+            Record::from_wire(r.kind as u8, r.body)
         };
         let top = u64::MAX - 7;
-        assert!(TraceEvent::decode(&body(top - 8, 1)).is_some(), "ends at the last word");
-        assert_eq!(TraceEvent::decode(&body(top, 1)), None, "one word past it");
-        assert_eq!(TraceEvent::decode(&body(0x100, u64::MAX / 8 + 1)), None, "8·len overflows");
-        assert_eq!(TraceEvent::decode(&body(0x100, u64::MAX / 8 - 0x1f)), None);
-        assert!(TraceEvent::decode(&body(0x100, u64::MAX / 8 - 0x20)).is_some());
+        assert!(read(top - 8, 1).is_some(), "ends at the last word");
+        assert_eq!(read(top, 1), None, "one word past it");
+        assert_eq!(read(0x100, u64::MAX / 8 + 1), None, "8·len overflows");
+        assert_eq!(read(0x100, u64::MAX / 8 - 0x1f), None);
+        assert!(read(0x100, u64::MAX / 8 - 0x20).is_some());
     }
 }

@@ -7,6 +7,8 @@
 //! - [`MemAccess`] / [`AccessKind`] — one instrumented memory access.
 //! - [`TraceEvent`] — the full instrumentation event stream (accesses plus
 //!   the control-flow and lifetime events of Section III).
+//! - [`Record`] — an event's one packed layout, from the producer to the
+//!   worker: what the DPSV wire, a trace file and a queued chunk hold.
 //! - [`DepType`] / [`Dependence`] — profiled data dependences in the
 //!   `<sink, type, source>` triple representation of Section III-A.
 //! - [`Interner`] — variable-name interning so accesses carry a cheap
@@ -23,6 +25,7 @@ pub mod ids;
 pub mod interner;
 pub mod loc;
 pub mod protocol;
+pub mod record;
 pub mod sink;
 pub mod wire;
 
@@ -34,6 +37,7 @@ pub use ids::{Address, LoopId, MutexId, ThreadId, Timestamp, VarId};
 pub use interner::Interner;
 pub use loc::SourceLoc;
 pub use protocol::{Frame, Hello, ProtocolError};
+pub use record::{EventKind, Record};
 pub use sink::{Tracer, TracerFactory};
 pub use wire::{
     atomic_write, read_section, write_section, xor_fold, ByteReader, ByteWriter, WireError,

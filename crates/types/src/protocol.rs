@@ -1,4 +1,4 @@
-//! `DPSV` version 3 — the length-prefixed, checksummed frame protocol the
+//! `DPSV` version 4 — the length-prefixed, checksummed frame protocol the
 //! networked profiling service speaks.
 //!
 //! The paper's pipeline decouples event production from dependence
@@ -17,17 +17,18 @@
 //! ```text
 //! preamble := "DPSV" version:u8
 //! frame    := tag:u8 len:u32 payload[len] checksum:u8
-//! chunk    := base:u64 count:u32 body[count]
+//! chunk    := base:u64 count:u32 tag:u8[count] body:(u64 u64)[count]
 //! ```
 //!
 //! with the checksum being [`xor_fold`] over tag
-//! and payload. Sharing the framing unit means a torn, bit-flipped or
-//! truncated frame corrupts — and is detected — exactly like a damaged
-//! checkpoint section, and one property-test suite covers both. A
-//! `Chunk` body is one event's wire body ([`TraceEvent::encode_into`]):
-//! its first byte is the event's tag, and [`event::BODY_LEN`] gives its
-//! length, so events of every kind lie back to back with no further
-//! framing.
+//! and payload, and every integer little-endian. Sharing the framing unit
+//! means a torn, bit-flipped or truncated frame corrupts — and is
+//! detected — exactly like a damaged checkpoint section, and one
+//! property-test suite covers both. A `Chunk` carries its events as
+//! [`Record`]s, the one layout an event has from the producer to the
+//! worker: all the tags, then all the 16-byte bodies, so a chunk of
+//! `count` events is exactly `12 + 17·count` bytes whatever its mix, and
+//! no event names a thread or a timestamp.
 //!
 //! ## Frames
 //!
@@ -48,7 +49,13 @@
 //! | 14  | `QueryResult`| S → C     | the snapshot: echoed id + kind, JSON report answered from incremental state |
 //!
 //! Tag 4 is unassigned: up to v2 it framed a single non-access event,
-//! which a v3 `Chunk` carries in line with the accesses around it.
+//! which a `Chunk` since v3 carries in line with the accesses around it.
+//!
+//! Versions: v2 added `Query`/`QueryResult`; v3 let a `Chunk` carry
+//! events of every kind, each in a body of its own length with its thread
+//! and timestamp; v4 carries [`Record`]s, 17 bytes an event, and no
+//! thread. A peer or a trace file of another version is refused by the
+//! version it names ([`ProtocolError::UnsupportedVersion`]).
 //!
 //! `Query` (new in v2) may arrive at any point between `HelloAck` and
 //! `Finish`; the server answers from the online analysis state it folds
@@ -67,24 +74,28 @@
 //! and decoded by `dp-core` and merely carried here — the same pattern
 //! the checkpoint container uses for its CONFIG section.
 
-use crate::event::{self, TraceEvent, ACCESS_WIRE_BYTES};
+use crate::record::{EventKind, Record, RECORD_BYTES};
 use crate::wire::{xor_fold, ByteReader, ByteWriter, WireError};
 use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Connection preamble magic.
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"DPSV";
-/// Current protocol version. v3 lets a `Chunk` carry events of every
-/// kind and retires the one-event frame (tag 4); an all-access `Chunk`
-/// is byte for byte what v2 sent. v2 added the `Query`/`QueryResult`
-/// frames.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// Current protocol version: v4, whose `Chunk` carries [`Record`]s.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Default upper bound on a frame's payload length. A frame header
 /// announcing more than this is rejected before any allocation — the
 /// bounded read buffer that keeps a malicious or corrupt length prefix
 /// from ballooning server memory.
 pub const MAX_FRAME_BYTES: usize = 4 << 20;
+
+/// Most events one `Chunk` can carry and stay within [`MAX_FRAME_BYTES`]:
+/// its base and count, then [`RECORD_BYTES`] an event.
+pub const MAX_CHUNK_EVENTS: usize = (MAX_FRAME_BYTES - CHUNK_HEADER_BYTES) / RECORD_BYTES;
+
+/// Bytes of a `Chunk` payload before its records: base and count.
+const CHUNK_HEADER_BYTES: usize = 8 + 4;
 
 const TAG_HELLO: u8 = 1;
 const TAG_HELLO_ACK: u8 = 2;
@@ -231,8 +242,8 @@ pub enum Frame {
         /// event stream. The server skips any prefix it has already
         /// profiled, so resends and duplicates dedupe exactly.
         base: u64,
-        /// The batched events, in stream order.
-        events: Vec<TraceEvent>,
+        /// The batched events, packed, in stream order.
+        events: Vec<Record>,
     },
     /// Watermark probe: the server answers with [`Frame::SyncAck`] once
     /// every frame before it has been consumed.
@@ -297,60 +308,32 @@ pub enum Frame {
     },
 }
 
-/// A `Chunk` payload validated in place: every body starts with a
-/// defined event tag, the bodies number `count` and fill the payload
-/// exactly, and every non-access body decodes, so
-/// [`ChunkView::decode_into`] decodes straight from the borrowed bytes
-/// and cannot fail part-way —
-/// a receiver either feeds the whole chunk or rejects it untouched.
+/// A `Chunk` payload validated in place, whole, before any of it is
+/// read: it is exactly as long as its count says, and every record
+/// passes [`Record::from_wire`]. A receiver so either feeds the whole
+/// chunk, straight from the borrowed bytes, or refuses it untouched.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkView<'a> {
     base: u64,
-    len: usize,
-    body: &'a [u8],
+    tags: &'a [u8],
+    bodies: &'a [u8],
 }
 
 impl<'a> ChunkView<'a> {
-    /// Validates a `Chunk` frame's payload without copying it, in one
-    /// walk over its bodies.
+    /// Validates a `Chunk` frame's payload without copying it.
     pub fn parse(payload: &'a [u8]) -> Result<Self, WireError> {
-        const MISCOUNTED: WireError = WireError::Invalid("event count does not match payload size");
         let mut r = ByteReader::new(payload);
         let base = r.u64()?;
         let len = r.u32()? as usize;
-        let body = r.take(r.remaining())?;
-        // Tags 0 and 1 are the accesses, whose every body decodes.
-        let decodes = |ev: &[u8]| ev[0] <= 1 || TraceEvent::decode(ev).is_some();
-        if Self::uniform(len, body) {
-            // No body is longer than an access's, so `count` bodies that
-            // fill `count` access-sized slots are all that long: the
-            // common all-access chunk is checked at a fixed stride.
-            if !body.chunks_exact(ACCESS_WIRE_BYTES).all(decodes) {
-                return Err(WireError::Invalid("event body does not decode"));
-            }
-            return Ok(ChunkView { base, len, body });
+        if r.remaining() as u64 != len as u64 * RECORD_BYTES as u64 {
+            return Err(WireError::Invalid("event count does not match payload size"));
         }
-        let mut rest = body;
-        for _ in 0..len {
-            let &tag = rest.first().ok_or(MISCOUNTED)?;
-            let n = *event::BODY_LEN
-                .get(tag as usize)
-                .ok_or(WireError::Invalid("undefined event tag in chunk"))?;
-            let (ev, tail) = rest.split_at_checked(n as usize).ok_or(MISCOUNTED)?;
-            if !decodes(ev) {
-                return Err(WireError::Invalid("event body does not decode"));
-            }
-            rest = tail;
+        let (tags, bodies) = r.take(r.remaining())?.split_at(len);
+        let view = ChunkView { base, tags, bodies };
+        if !(0..len).all(|i| Record::from_wire(tags[i], view.body(i)).is_some()) {
+            return Err(WireError::Invalid("event record does not decode"));
         }
-        if !rest.is_empty() {
-            return Err(MISCOUNTED);
-        }
-        Ok(ChunkView { base, len, body })
-    }
-
-    /// True when every body of the chunk is access-sized.
-    fn uniform(len: usize, body: &[u8]) -> bool {
-        len.checked_mul(ACCESS_WIRE_BYTES) == Some(body.len())
+        Ok(view)
     }
 
     /// Absolute stream index of the first event.
@@ -360,40 +343,28 @@ impl<'a> ChunkView<'a> {
 
     /// Number of events in the chunk.
     pub fn len(&self) -> usize {
-        self.len
+        self.tags.len()
     }
 
     /// True for a chunk carrying no events.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.tags.is_empty()
     }
 
-    /// Appends the chunk's events to `out`, decoded from the borrowed
-    /// payload.
-    pub fn decode_into(&self, out: &mut Vec<TraceEvent>) {
-        out.reserve(self.len);
-        if Self::uniform(self.len, self.body) {
-            // A fixed stride keeps the next body's offset off the load of
-            // this one's tag.
-            out.extend(self.body.chunks_exact(ACCESS_WIRE_BYTES).map(decode_checked));
-            return;
-        }
-        let mut rest = self.body;
-        while let Some(&tag) = rest.first() {
-            let (body, tail) = rest.split_at(event::BODY_LEN[tag as usize] as usize);
-            out.push(decode_checked(body));
-            rest = tail;
-        }
+    /// Record `i`'s body words.
+    #[inline]
+    fn body(&self, i: usize) -> [u64; 2] {
+        let word = |at: usize| u64::from_le_bytes(self.bodies[at..at + 8].try_into().expect("8"));
+        [word(16 * i), word(16 * i + 8)]
     }
-}
 
-/// Decodes one body [`ChunkView::parse`] checked; accesses take the small
-/// specialised decoder.
-#[inline]
-fn decode_checked(body: &[u8]) -> TraceEvent {
-    match body.try_into() {
-        Ok(access) if body[0] <= 1 => TraceEvent::Access(event::decode_access(access)),
-        _ => TraceEvent::decode(body).expect("parse checked every body"),
+    /// The chunk's records, in stream order.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = Record> + 'a {
+        let view = *self;
+        (0..self.len()).map(move |i| Record {
+            kind: EventKind::from_tag(view.tags[i]).expect("parse checked every tag"),
+            body: view.body(i),
+        })
     }
 }
 
@@ -428,9 +399,8 @@ impl Frame {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let start = out.len();
         if let Frame::Chunk { events, .. } = self {
-            // header + base + count + bodies + checksum, in one growth: no
-            // event body is longer than an access's
-            out.reserve(FRAME_OVERHEAD_BYTES + 8 + 4 + events.len() * ACCESS_WIRE_BYTES);
+            // header + base + count + records + checksum, in one growth
+            out.reserve(FRAME_OVERHEAD_BYTES + CHUNK_HEADER_BYTES + events.len() * RECORD_BYTES);
         }
         let mut w = ByteWriter::from_bytes(std::mem::take(out));
         w.u8(self.tag());
@@ -461,8 +431,11 @@ impl Frame {
             Frame::Chunk { base, events } => {
                 w.u64(*base);
                 w.u32(events.len() as u32);
-                for ev in events {
-                    ev.encode_into(w.buf());
+                let out = w.buf();
+                out.extend(events.iter().map(|r| r.kind as u8));
+                for r in events {
+                    out.extend_from_slice(&r.body[0].to_le_bytes());
+                    out.extend_from_slice(&r.body[1].to_le_bytes());
                 }
             }
             Frame::Sync { nonce } => w.u64(*nonce),
@@ -510,9 +483,7 @@ impl Frame {
             TAG_HELLO_ACK => Frame::HelloAck { session_id: r.u64()?, resume_from: r.u64()? },
             TAG_CHUNK => {
                 let chunk = ChunkView::parse(payload)?;
-                let mut events = Vec::new();
-                chunk.decode_into(&mut events);
-                return Ok(Frame::Chunk { base: chunk.base(), events });
+                return Ok(Frame::Chunk { base: chunk.base(), events: chunk.records().collect() });
             }
             TAG_SYNC => Frame::Sync { nonce: r.u64()? },
             TAG_FINISH => Frame::Finish,
@@ -624,7 +595,7 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> Result<Option<Frame>, 
 }
 
 /// Initial size of a [`FrameReader`]'s buffer: what one `read` can bring
-/// in. Several full 512-access chunks, or ~900 two-access ones.
+/// in. Several full 512-event chunks, or ~1 200 two-event ones.
 const READ_AHEAD_BYTES: usize = 64 << 10;
 
 /// The receiving end of a frame stream: one read-ahead buffer, filled
@@ -737,15 +708,16 @@ impl FrameReader {
 mod tests {
     use super::*;
     use crate::access::MemAccess;
+    use crate::event::TraceEvent;
     use crate::loc::loc;
 
-    fn access(i: u64) -> TraceEvent {
-        TraceEvent::Access(MemAccess::read(8 * i, i, loc(1, 1), 0, 0))
+    fn access(i: u64) -> Record {
+        Record::pack(&TraceEvent::Access(MemAccess::read(8 * i, i, loc(1, 1), 0, 0)))
     }
 
     /// One event of every kind, accesses between them.
-    fn mixed_events() -> Vec<TraceEvent> {
-        vec![
+    fn mixed_events() -> Vec<Record> {
+        [
             TraceEvent::Access(MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 1)),
             TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
             TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 },
@@ -754,8 +726,11 @@ mod tests {
             TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 },
             TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 },
             TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 },
-            access(7),
         ]
+        .iter()
+        .map(Record::pack)
+        .chain([access(7)])
+        .collect()
     }
 
     fn sample_frames() -> Vec<Frame> {
@@ -783,6 +758,13 @@ mod tests {
         ]
     }
 
+    /// The payload of `frame`'s wire form.
+    fn payload(frame: &Frame) -> Vec<u8> {
+        let mut wire = Vec::new();
+        frame.encode_into(&mut wire);
+        wire[FRAME_HEADER_BYTES..wire.len() - 1].to_vec()
+    }
+
     #[test]
     fn every_frame_roundtrips() {
         let mut buf = Vec::new();
@@ -802,15 +784,14 @@ mod tests {
     #[test]
     fn preamble_rejects_wrong_magic_and_version() {
         assert!(matches!(read_preamble(&mut &b"DPCK\x01"[..]), Err(ProtocolError::BadMagic)));
-        assert!(matches!(
-            read_preamble(&mut &b"DPSV\x09"[..]),
-            Err(ProtocolError::UnsupportedVersion(9))
-        ));
-        // A v2 peer would send its loop events in frames v3 no longer has.
-        assert!(matches!(
-            read_preamble(&mut &b"DPSV\x02"[..]),
-            Err(ProtocolError::UnsupportedVersion(2))
-        ));
+        // A v2 peer would send its loop events in frames v3 no longer has,
+        // a v3 peer its events in bodies of another layout.
+        for v in [2, 3, 9] {
+            assert!(matches!(
+                read_preamble(&mut &[b'D', b'P', b'S', b'V', v][..]),
+                Err(ProtocolError::UnsupportedVersion(got)) if got == v
+            ));
+        }
         assert!(matches!(
             read_preamble(&mut &b"DP"[..]),
             Err(ProtocolError::Wire(WireError::Truncated))
@@ -824,6 +805,17 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let got = read_frame(&mut &buf[..], 1024);
         assert!(matches!(got, Err(ProtocolError::FrameTooLarge { max: 1024, .. })), "{got:?}");
+    }
+
+    /// The largest chunk is exactly as long as its count says, whatever
+    /// its mix: `MAX_CHUNK_EVENTS` events fit the frame bound, one more
+    /// does not.
+    #[test]
+    fn the_largest_chunk_fits_the_frame_bound() {
+        let events = vec![access(1); MAX_CHUNK_EVENTS];
+        let fits = payload(&Frame::Chunk { base: 0, events });
+        assert!(fits.len() <= MAX_FRAME_BYTES && fits.len() + RECORD_BYTES > MAX_FRAME_BYTES);
+        assert_eq!(MAX_CHUNK_EVENTS, 246_723);
     }
 
     #[test]
@@ -863,8 +855,8 @@ mod tests {
     #[test]
     fn reader_compacts_and_grows_only_for_a_single_large_frame() {
         let chunk = |base: u64, n: u64| Frame::Chunk { base, events: (0..n).map(access).collect() };
-        // ~27 KB frames straddle the 64 KiB buffer's end (compaction); the
-        // ~108 KB one exceeds it (growth); the Sync after it must survive.
+        // ~17 KB frames straddle the 64 KiB buffer's end (compaction); the
+        // ~68 KB one exceeds it (growth); the Sync after it must survive.
         let mut frames: Vec<Frame> = (0..10).map(|i| chunk(i * 1000, 1000)).collect();
         frames.push(chunk(10_000, 4000));
         frames.push(Frame::Sync { nonce: 1 });
@@ -891,57 +883,79 @@ mod tests {
         small.fill(&mut &wire[..]).unwrap();
         assert!(matches!(
             small.next_frame(),
-            Err(ProtocolError::FrameTooLarge { len: 27_012, max: 1024 })
+            Err(ProtocolError::FrameTooLarge { len: 17_012, max: 1024 })
         ));
     }
 
+    /// Record `i` of a chunk payload with its tag set to `tag` and `flip`
+    /// XORed into its body.
+    fn tampered(payload: &[u8], i: usize, tag: u8, flip: [u64; 2]) -> Vec<u8> {
+        let mut bad = payload.to_vec();
+        let n = u32::from_le_bytes(bad[8..12].try_into().unwrap()) as usize;
+        bad[CHUNK_HEADER_BYTES + i] = tag;
+        let body = CHUNK_HEADER_BYTES + n + 16 * i;
+        for (w, f) in flip.iter().enumerate() {
+            let at = body + 8 * w;
+            let word = u64::from_le_bytes(bad[at..at + 8].try_into().unwrap()) ^ f;
+            bad[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        }
+        bad
+    }
+
     /// A `Dealloc` whose range runs past the end of the address space is
-    /// refused like any other malformed event body, never handed to an
-    /// engine that would wrap around while clearing it; so is a body
-    /// whose tag no event has.
+    /// refused like any other malformed record, never handed to an engine
+    /// that would wrap around while clearing it; so is a record whose tag
+    /// no event has.
     #[test]
     fn dealloc_past_the_address_space_is_a_malformed_body() {
-        let wire = |ev: TraceEvent| {
-            let mut out = Vec::new();
-            Frame::Chunk { base: 3, events: vec![access(1), ev] }.encode_into(&mut out);
-            out
+        let wire = |base, len| {
+            let dealloc = TraceEvent::Dealloc { base, len, thread: 0, ts: 9 };
+            payload(&Frame::Chunk { base: 3, events: vec![access(1), Record::pack(&dealloc)] })
         };
-        let dealloc = |base, len| TraceEvent::Dealloc { base, len, thread: 0, ts: 9 };
-        let fits = wire(dealloc(u64::MAX - 15, 1));
-        assert!(read_frame(&mut &fits[..], MAX_FRAME_BYTES).is_ok());
-        let mut undefined_tag = fits.clone();
-        let last_body = undefined_tag.len() - 1 - event::BODY_LEN[7] as usize;
-        undefined_tag[last_body] = 0x77;
-        let payload_len = undefined_tag.len() - FRAME_OVERHEAD_BYTES;
-        let at = undefined_tag.len() - 1;
-        undefined_tag[at] =
-            xor_fold(TAG_CHUNK, &undefined_tag[FRAME_HEADER_BYTES..][..payload_len]);
+        let fits = wire(u64::MAX - 15, 1);
+        assert!(ChunkView::parse(&fits).is_ok());
         for bad in
-            [wire(dealloc(u64::MAX - 7, 1)), wire(dealloc(0x100, u64::MAX / 8)), undefined_tag]
+            [wire(u64::MAX - 7, 1), wire(0x100, u64::MAX / 8), tampered(&fits, 1, 0x77, [0; 2])]
         {
-            let got = read_frame(&mut &bad[..], MAX_FRAME_BYTES);
+            let got = Frame::decode(TAG_CHUNK, &bad);
             assert!(matches!(got, Err(ProtocolError::Wire(WireError::Invalid(_)))), "{got:?}");
         }
     }
 
+    /// Every tag past 7, and every body bit a kind leaves unused, makes a
+    /// chunk no reader accepts; what it does accept re-encodes byte for
+    /// byte.
+    #[test]
+    fn a_record_outside_the_layout_is_refused_whole() {
+        let clean = payload(&Frame::Chunk { base: 0, events: mixed_events() });
+        for tag in 8..=u8::MAX {
+            assert!(ChunkView::parse(&tampered(&clean, 4, tag, [0; 2])).is_err(), "tag {tag}");
+        }
+        // The first bit each kind leaves 0: word 1 of a loop begin or a
+        // call, the high half of word 0 of a loop iteration or a call.
+        for (i, flip) in [(1, [0, 1]), (2, [1 << 32, 0]), (5, [1 << 63, 0]), (6, [0, 1 << 40])] {
+            assert!(ChunkView::parse(&tampered(&clean, i, clean[12 + i], flip)).is_err(), "{i}");
+        }
+        let view = ChunkView::parse(&clean).unwrap();
+        let again = Frame::Chunk { base: view.base(), events: view.records().collect() };
+        assert_eq!(payload(&again), clean);
+    }
+
     #[test]
     fn chunk_count_must_match_its_bodies() {
-        let mut payload = Vec::new();
-        Frame::Chunk { base: 0, events: mixed_events() }.encode_into(&mut payload);
-        let payload = payload[FRAME_HEADER_BYTES..payload.len() - 1].to_vec();
+        let payload = payload(&Frame::Chunk { base: 0, events: mixed_events() });
         let n = mixed_events().len() as u32;
         for count in [0, n - 1, n + 1, u32::MAX] {
             let mut bad = payload.clone();
             bad[8..12].copy_from_slice(&count.to_le_bytes());
             assert!(ChunkView::parse(&bad).is_err(), "count {count}");
         }
-        // One byte short, or one byte over: the bodies no longer tile it.
+        // One byte short, or one byte over: the records no longer fill it.
         assert!(ChunkView::parse(&payload[..payload.len() - 1]).is_err());
         assert!(ChunkView::parse(&[&payload[..], &[0]].concat()).is_err());
+        assert_eq!(payload.len(), CHUNK_HEADER_BYTES + n as usize * RECORD_BYTES);
         let view = ChunkView::parse(&payload).unwrap();
-        let mut events = Vec::new();
-        view.decode_into(&mut events);
-        assert_eq!((view.len(), events), (n as usize, mixed_events()));
+        assert_eq!((view.len(), view.records().collect::<Vec<_>>()), (n as usize, mixed_events()));
     }
 
     #[test]

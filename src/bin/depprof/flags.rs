@@ -229,7 +229,7 @@ const FLAGS: &[Flag] = &[
     flag("--inject-kill-after", &[Replay], "N", to!(inject_kill_after, number)),
     flag("--busy-retry-ms", &[Serve], "MS", to!(busy_retry_ms, number)),
     flag("--hibernate-after", &[Serve], "MS", to!(hibernate_after_ms, positive)),
-    flag("--chunk-events", &[Push], "N", to!(chunk_events, positive)),
+    flag("--chunk-events", &[Push], "N", to!(chunk_events, chunk_events)),
     flag("--throttle-ms", &[Push], "MS", to!(throttle_ms, number)),
     flag("--retries", &[Push], "N", to!(retries, positive)),
     flag("--retry-delay-ms", &[Push], "MS", to!(retry_delay_ms, number)),
@@ -253,6 +253,14 @@ fn number<T: FromStr>(v: &str) -> Result<T, String> {
 
 fn positive<T: FromStr + PartialOrd + Default>(v: &str) -> Result<T, String> {
     number(v).ok().filter(|n| *n > T::default()).ok_or_else(|| "not a positive integer".into())
+}
+
+fn chunk_events(v: &str) -> Result<usize, String> {
+    let max = depprof::types::protocol::MAX_CHUNK_EVENTS;
+    positive(v).and_then(|n| match n {
+        n if n > max => Err(format!("more events than a frame holds (at most {max})")),
+        n => Ok(n),
+    })
 }
 
 fn text(v: &str) -> Result<Option<String>, String> {

@@ -357,12 +357,6 @@ fn run_replay(args: &Args) -> Cli {
     let mut fed: u64 = 0;
     while let Some(rec) = reader.next() {
         let ev = rec.or_fail(EXIT_CORRUPT, format_args!("'{path}'"))?;
-        // A recording is of a sequential target: both engines profile
-        // thread 0's events only.
-        if ev.thread() != 0 {
-            let at = reader.records_read() - 1;
-            return Err(fail(EXIT_CORRUPT, format!("'{path}': event {at} is off thread 0")));
-        }
         engine.on_event(ev);
         fed += 1;
         if shutdown_flag().load(Ordering::SeqCst) {

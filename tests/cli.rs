@@ -85,11 +85,12 @@ fn record_then_replay_roundtrips() {
     std::fs::remove_file(&trace).ok();
 }
 
-/// A recording is of a sequential target: a trace holding an event off
-/// thread 0 is refused, exit 4 with that event's position, by the serial
-/// engine and the pipeline alike.
+/// A recording is of a sequential target: the writer refuses an event
+/// off thread 0, naming its position, and writes nothing from it on — so
+/// no trace of it replays as thread 0's, by the serial engine or the
+/// pipeline.
 #[test]
-fn replay_refuses_an_event_off_thread_zero() {
+fn recording_refuses_an_event_off_thread_zero() {
     use depprof::types::{loc::loc, MemAccess, TraceEvent, Tracer};
     let dir = std::env::temp_dir().join("depprof-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -100,14 +101,34 @@ fn replay_refuses_an_event_off_thread_zero() {
     w.event(TraceEvent::Access(MemAccess::read(0x10, 2, loc(1, 2), 1, 0)));
     w.event(TraceEvent::Access(MemAccess::read(0x10, 3, loc(1, 3), 1, 3)));
     w.event(TraceEvent::Access(MemAccess::write(0x10, 4, loc(1, 4), 1, 0)));
-    w.finish().unwrap();
+    let err = w.finish().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("event 2 is off thread 0"), "{err}");
     for engine in ["serial", "parallel"] {
         let out = depprof(&["replay", trace.to_str().unwrap(), "--engine", engine]);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(4), "{engine}: {err}");
-        assert!(err.contains("event 2 is off thread 0"), "{engine}: {err}");
+        assert!(err.contains("truncated") && err.contains("0 records"), "{engine}: {err}");
     }
     std::fs::remove_file(&trace).ok();
+}
+
+/// `--chunk-events` stops at the most events one frame holds: a larger
+/// chunk would be refused by every reader, so the flag refuses it first,
+/// naming the maximum.
+#[test]
+fn chunk_events_past_what_a_frame_holds_is_a_usage_error() {
+    let max = depprof::types::protocol::MAX_CHUNK_EVENTS.to_string();
+    let over = (depprof::types::protocol::MAX_CHUNK_EVENTS + 1).to_string();
+    for n in [over.as_str(), "200000000"] {
+        let out = depprof(&["push", "no-such.dptr", "--unix", "x.sock", "--chunk-events", n]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{n}: {err}");
+        assert!(err.contains(&format!("at most {max}")), "{n}: {err}");
+    }
+    // The maximum itself is taken: the run gets as far as its input.
+    let out = depprof(&["push", "no-such.dptr", "--unix", "x.sock", "--chunk-events", &max]);
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 /// A trace ends with its `Finish` frame: one cut off right before it is

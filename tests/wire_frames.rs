@@ -11,10 +11,12 @@
 //! code path.
 
 use depprof::core::checkpoint::CheckpointData;
+use depprof::server::{push_events, ClientError, PushOptions};
 use depprof::trace::stream::DEFAULT_CHUNK_EVENTS;
-use depprof::trace::{FrameChunker, TraceReader, TraceWriter};
-use depprof::types::protocol::{self, Frame, FrameReader, Hello, ProtocolError, MAX_FRAME_BYTES};
-use depprof::types::{loc::loc, AccessKind, Interner, MemAccess, TraceEvent, Tracer};
+use depprof::trace::{FrameChunker, OffThread, TraceReader, TraceWriter};
+use depprof::types::protocol::{self, ChunkView, Frame, FrameReader, Hello, ProtocolError};
+use depprof::types::protocol::{MAX_FRAME_BYTES, TAG_CHUNK};
+use depprof::types::{loc::loc, AccessKind, Interner, MemAccess, Record, TraceEvent, Tracer};
 use proptest::prelude::*;
 use std::io::{self, Read};
 
@@ -30,17 +32,46 @@ fn arb_string(max: usize) -> impl Strategy<Value = String> {
         .prop_map(|v| String::from_utf8_lossy(&v).into_owned())
 }
 
+/// An access of thread 0: a stream holds no other.
 fn arb_access() -> impl Strategy<Value = MemAccess> {
-    ((any::<bool>(), 0u64..1 << 20, 0u64..1 << 16), (1u32..200, 0u32..64, 0u16..8)).prop_map(
-        |((w, addr, ts), (line, var, thread))| MemAccess {
+    ((any::<bool>(), 0u64..1 << 20, 0u64..1 << 16), (1u32..200, 0u32..64)).prop_map(
+        |((w, addr, ts), (line, var))| MemAccess {
             addr: 0x1000 + addr,
             ts,
             loc: loc(1, line),
             var,
-            thread,
+            thread: 0,
             kind: if w { AccessKind::Write } else { AccessKind::Read },
         },
     )
+}
+
+fn packed(events: &[TraceEvent]) -> Vec<Record> {
+    events.iter().map(Record::pack).collect()
+}
+
+/// `ev` on `thread` at `ts`.
+fn restamped(ev: TraceEvent, thread: u16, ts: u64) -> TraceEvent {
+    match ev {
+        TraceEvent::Access(a) => TraceEvent::Access(MemAccess { thread, ts, ..a }),
+        TraceEvent::LoopBegin { loop_id, loc, .. } => {
+            TraceEvent::LoopBegin { loop_id, loc, thread, ts }
+        }
+        TraceEvent::LoopIter { loop_id, iter, .. } => {
+            TraceEvent::LoopIter { loop_id, iter, thread, ts }
+        }
+        TraceEvent::LoopEnd { loop_id, loc, iters, .. } => {
+            TraceEvent::LoopEnd { loop_id, loc, iters, thread, ts }
+        }
+        TraceEvent::CallBegin { func, .. } => TraceEvent::CallBegin { func, thread, ts },
+        TraceEvent::CallEnd { func, .. } => TraceEvent::CallEnd { func, thread, ts },
+        TraceEvent::Dealloc { base, len, .. } => TraceEvent::Dealloc { base, len, thread, ts },
+    }
+}
+
+/// What a reader hands back of `ev`: the event at timestamp 0.
+fn unstamped(ev: &TraceEvent) -> TraceEvent {
+    restamped(*ev, 0, 0)
 }
 
 /// Every frame kind the protocol defines, with arbitrary payloads:
@@ -60,10 +91,11 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         (any::<u64>(), any::<u64>())
             .prop_map(|(session_id, resume_from)| Frame::HelloAck { session_id, resume_from }),
         (0u64..1 << 40, prop::collection::vec(arb_access(), 0..32)).prop_map(|(base, accesses)| {
-            Frame::Chunk { base, events: accesses.into_iter().map(TraceEvent::Access).collect() }
+            let events = accesses.into_iter().map(TraceEvent::Access).collect::<Vec<_>>();
+            Frame::Chunk { base, events: packed(&events) }
         }),
         (0u64..1 << 40, prop::collection::vec(arb_event(), 0..32))
-            .prop_map(|(base, events)| Frame::Chunk { base, events }),
+            .prop_map(|(base, events)| Frame::Chunk { base, events: packed(&events) }),
         any::<u64>().prop_map(|nonce| Frame::Sync { nonce }),
         (any::<u64>(), any::<u64>())
             .prop_map(|(nonce, position)| Frame::SyncAck { nonce, position }),
@@ -182,9 +214,11 @@ fn read_all_ways(bytes: &[u8], max: usize) -> Outcome {
     expect
 }
 
-/// `write_frame`'s output for one frame of every kind, recorded at the
-/// commit before `encode_into` existed: the wire format is pinned, not
-/// merely self-consistent.
+/// `write_frame`'s output for one frame of every kind. The frames other
+/// than `Chunk` are as recorded at the commit before `encode_into`
+/// existed; the `Chunk`s are v4's, laid out as the table of
+/// `depprof::types::record` says: the wire format is pinned, not merely
+/// self-consistent.
 #[test]
 fn encoding_matches_the_recorded_wire_bytes() {
     let golden: Vec<(Frame, &str)> = vec![
@@ -201,52 +235,16 @@ fn encoding_matches_the_recorded_wire_bytes() {
         (
             Frame::Chunk {
                 base: 1_000_000,
-                events: vec![
-                    TraceEvent::Access(MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 1)),
-                    TraceEvent::Access(MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 2)),
-                ],
+                events: packed(&[
+                    TraceEvent::Access(MemAccess::write(0xdead_beef, 3, loc(2, 60), 7, 0)),
+                    TraceEvent::Access(MemAccess::read(0xdead_beef, 4, loc(2, 61), 7, 0)),
+                ]),
             },
-            "034200000040420f00000000000200000001efbeadde0000000003000000000000003c00000207000000010000efbeadde0000000004000000000000003d00000207000000020008",
+            "032e00000040420f0000000000020000000100efbeadde000000003c00000207000000efbeadde000000003d000002070000000c",
         ),
         (Frame::Chunk { base: 5, events: vec![] }, "030c00000005000000000000000000000006"),
-        // One-event chunks: each body is the one the retired tag-4 frame
-        // carried after its position, now behind a count of 1.
-        (
-            Frame::Chunk {
-                base: 11,
-                events: vec![TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 }],
-            },
-            "031f0000000b000000000000000100000002030000000a0000010000010000000000000002",
-        ),
-        (
-            Frame::Chunk {
-                base: 12,
-                events: vec![TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 }],
-            },
-            "03230000000c0000000000000001000000030300000009000000000000000000020000000000000005",
-        ),
-        (
-            Frame::Chunk {
-                base: 13,
-                events: vec![TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 10, thread: 0, ts: 3 }],
-            },
-            "03270000000d00000000000000010000000403000000140000010a000000000000000000030000000000000014",
-        ),
-        (
-            Frame::Chunk { base: 14, events: vec![TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 }] },
-            "031b0000000e000000000000000100000005050000000100040000000000000009",
-        ),
-        (
-            Frame::Chunk { base: 15, events: vec![TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 }] },
-            "031b0000000f00000000000000010000000605000000010005000000000000000a",
-        ),
-        (
-            Frame::Chunk {
-                base: 16,
-                events: vec![TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 }],
-            },
-            "032700000010000000000000000100000007000100000000000040000000000000000000060000000000000052",
-        ),
+        // Every kind in one chunk: all the tags, then all the bodies.
+        (Frame::Chunk { base: 11, events: packed(&mixed_events()) }, "03940000000b00000000000000080000000001020304050607efbeadde000000003d00000201000000efbeadde000000003c00000201000000030000000a00000100000000000000000300000000000000090000000000000003000000140000010a000000000000000500000000000000000000000000000005000000000000000000000000000000000100000000000040000000000000005e"),
         (Frame::Sync { nonce: 7 }, "0508000000070000000000000002"),
         (Frame::Finish, "060000000006"),
         (Frame::StatsRequest, "070000000007"),
@@ -273,95 +271,151 @@ fn encoding_matches_the_recorded_wire_bytes() {
     assert_eq!(end, None);
 }
 
-// ---------------------------------------------------------------------
-// A session profiles a sequential target
-// ---------------------------------------------------------------------
-
-/// A chunk holding an access off thread 0 is refused whole, decoded or
-/// still on the wire, with the stream position of that access; the
-/// session keeps what it had and goes on from there.
-#[test]
-fn a_session_refuses_a_chunk_with_an_access_off_thread_zero() {
-    use depprof::core::SessionSpec;
-    use depprof::server::{SessionEngine, SessionError};
-    let spec = SessionSpec { slots: 1 << 12, ..SessionSpec::default() };
-    let hello =
-        Hello { session: "seq".into(), spec: spec.encode(), checkpoint_every: 0, names: vec![] };
-    let (mut engine, _) = SessionEngine::open(&hello, 1, None, 0).expect("a serial session");
-    let write = TraceEvent::Access(MemAccess::write(0x10, 1, loc(1, 1), 1, 0));
-    let off_thread = TraceEvent::Access(MemAccess::read(0x10, 2, loc(1, 2), 1, 3));
-    let position = |engine: &mut SessionEngine| match engine.handle(Frame::Sync { nonce: 7 }) {
-        Ok(reply) => match reply[..] {
-            [Frame::SyncAck { position, .. }] => position,
-            _ => panic!("{reply:?}"),
-        },
-        Err(e) => panic!("{e}"),
-    };
-    engine.handle(Frame::Chunk { base: 0, events: vec![write; 2] }).expect("thread 0 is fed");
-    let chunk = Frame::Chunk { base: 1, events: vec![write, write, off_thread, write] };
-    let wire = encode_frame(&chunk);
-    let refusals = [engine.handle(chunk), engine.handle_wire(wire[0], &wire[5..wire.len() - 1])];
-    for refused in refusals {
-        match refused {
-            Err(e @ SessionError::ForeignThread(3)) => {
-                let Frame::Error { message, .. } = e.to_frame() else { unreachable!() };
-                assert!(message.contains("event 3"), "{message}");
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-    assert_eq!(position(&mut engine), 2, "a refused chunk feeds nothing");
-    assert_eq!(
-        engine.metrics().service.events_skipped_on_resume,
-        0,
-        "nor counts its overlap as skipped"
-    );
-    engine
-        .handle(Frame::Chunk { base: 1, events: vec![write; 2] })
-        .expect("and the stream goes on");
-    assert_eq!(position(&mut engine), 3);
-    assert_eq!(
-        engine.metrics().service.events_skipped_on_resume,
-        1,
-        "the accepted resend's overlap, once"
-    );
+/// One event of every kind, on thread 0.
+fn mixed_events() -> Vec<TraceEvent> {
+    vec![
+        TraceEvent::Access(MemAccess::read(0xdead_beef, 4, loc(2, 61), 1, 0)),
+        TraceEvent::Access(MemAccess::write(0xdead_beef, 3, loc(2, 60), 1, 0)),
+        TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
+        TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 },
+        TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 10, thread: 0, ts: 3 },
+        TraceEvent::CallBegin { func: 5, thread: 0, ts: 4 },
+        TraceEvent::CallEnd { func: 5, thread: 0, ts: 5 },
+        TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 },
+    ]
 }
 
-/// Every event kind off thread 0 is refused, not only an access, by a
-/// serial session and a parallel one alike: the pipeline's queued records
-/// keep no thread, so the two would disagree on such a stream.
+// ---------------------------------------------------------------------
+// A stream is a sequential target's
+// ---------------------------------------------------------------------
+
+/// `mixed_events` with the event at `at` moved to `thread`.
+fn off_thread(at: usize, thread: u16) -> Vec<TraceEvent> {
+    let mut evs = mixed_events();
+    evs[at] = restamped(evs[at], thread, evs[at].ts());
+    evs
+}
+
+/// A record names no thread, so the chunker — where every event becomes
+/// one — refuses an event of any kind off thread 0, naming its stream
+/// position, and makes no frame from it on: neither the one it would
+/// have joined nor any later one.
 #[test]
-fn a_session_refuses_every_event_kind_off_thread_zero() {
-    use depprof::core::SessionSpec;
-    use depprof::server::{SessionEngine, SessionError};
-    let write = TraceEvent::Access(MemAccess::write(0x10, 1, loc(1, 1), 1, 0));
-    let foreign = [
-        TraceEvent::LoopBegin { loop_id: 1, loc: loc(1, 3), thread: 2, ts: 2 },
-        TraceEvent::LoopIter { loop_id: 1, iter: 0, thread: 2, ts: 2 },
-        TraceEvent::LoopEnd { loop_id: 1, loc: loc(1, 4), iters: 1, thread: 2, ts: 2 },
-        TraceEvent::CallBegin { func: 1, thread: 2, ts: 2 },
-        TraceEvent::CallEnd { func: 1, thread: 2, ts: 2 },
-        TraceEvent::Dealloc { base: 0x10, len: 1, thread: 2, ts: 2 },
-    ];
-    for parallel in [false, true] {
-        let spec = SessionSpec { parallel, workers: 2, slots: 1 << 12, ..SessionSpec::default() };
-        let hello = Hello {
-            session: "seq".into(),
-            spec: spec.encode(),
-            checkpoint_every: 0,
-            names: vec![],
-        };
-        let (mut engine, _) = SessionEngine::open(&hello, 1, None, 0).expect("a session");
-        for ev in foreign {
-            match engine.handle(Frame::Chunk { base: 0, events: vec![write, ev] }) {
-                Err(SessionError::ForeignThread(1)) => {}
-                other => panic!("parallel {parallel}, {ev:?}: {other:?}"),
-            }
-        }
-        engine.handle(Frame::Chunk { base: 0, events: vec![write] }).expect("thread 0 is fed");
-        let report = engine.handle(Frame::Finish).expect("the session finishes");
-        assert!(matches!(report[..], [Frame::Report { .. }]), "{report:?}");
+fn a_chunker_refuses_every_event_kind_off_thread_zero() {
+    for at in 0..mixed_events().len() {
+        let evs = off_thread(at, 3);
+        let mut chunker = FrameChunker::with_base(3, 100);
+        let frames: Vec<Frame> = evs.iter().filter_map(|ev| chunker.push(*ev)).collect();
+        let refused = OffThread { position: 100 + at as u64, thread: 3 };
+        assert_eq!(chunker.refused(), Some(refused), "{:?}", evs[at]);
+        assert!(chunker.flush().is_none(), "{:?}", evs[at]);
+        let sent: Vec<Record> = frames
+            .into_iter()
+            .flat_map(|f| match f {
+                Frame::Chunk { events, .. } => events,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(sent, packed(&evs[..at / 3 * 3]), "only whole chunks before it");
+        assert!(refused.to_string().contains(&format!("event {} is off thread 0", 100 + at)));
     }
+}
+
+/// A connection that answers with `replies` and keeps what is written.
+struct Scripted {
+    replies: io::Cursor<Vec<u8>>,
+    written: Vec<u8>,
+}
+
+impl Scripted {
+    /// A server's preamble and `HelloAck`, resuming at `resume_from`.
+    fn resuming_at(resume_from: u64) -> Self {
+        let mut replies = Vec::new();
+        protocol::write_preamble(&mut replies).unwrap();
+        Frame::HelloAck { session_id: 1, resume_from }.encode_into(&mut replies);
+        Scripted { replies: io::Cursor::new(replies), written: Vec::new() }
+    }
+
+    /// The `Chunk` frames written.
+    fn chunks(&self) -> Vec<Frame> {
+        let (frames, _) = read_by_frame(&self.written[5..], MAX_FRAME_BYTES);
+        frames.into_iter().filter(|f| matches!(f, Frame::Chunk { .. })).collect()
+    }
+}
+
+impl Read for Scripted {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.replies.read(buf)
+    }
+}
+
+impl io::Write for Scripted {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.written.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `push_events` refuses a stream with an event of any kind off thread 0
+/// before it sends the chunk that would carry it, naming the event's
+/// position in the session, and is not to be retried.
+#[test]
+fn push_events_refuses_every_event_kind_off_thread_zero() {
+    let opts = PushOptions { chunk_events: 3, ..PushOptions::default() };
+    // A resumed session: the first event sent is stream position 1.
+    for at in 1..mixed_events().len() {
+        let mut conn = Scripted::resuming_at(1);
+        let evs = off_thread(at, 7);
+        match push_events(&mut conn, vec![], evs.iter().copied(), &opts) {
+            Err(e @ ClientError::OffThread(OffThread { position, thread: 7 })) => {
+                assert_eq!(position, at as u64, "{:?}", evs[at]);
+                assert!(!e.is_retryable());
+                assert!(e.to_string().contains(&format!("event {at} is off thread 0")), "{e}");
+            }
+            other => panic!("{:?}: {other:?}", evs[at]),
+        }
+        let whole = (at - 1) / 3 * 3;
+        let want: Vec<Frame> = (1..1 + whole)
+            .step_by(3)
+            .map(|b| Frame::Chunk { base: b as u64, events: packed(&evs[b..b + 3]) })
+            .collect();
+        assert_eq!(conn.chunks(), want, "{:?}", evs[at]);
+    }
+}
+
+/// A peer of protocol v3, whose chunks carry another layout, is refused
+/// by the version it names: on a socket and in a file.
+#[test]
+fn a_v3_peer_or_file_is_refused_by_its_version() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        io::Write::write_all(&mut conn, b"DPSV\x03").unwrap();
+        let mut rest = Vec::new();
+        let _ = conn.read_to_end(&mut rest);
+    });
+    let mut conn = std::net::TcpStream::connect(addr).unwrap();
+    let pushed = push_events(&mut conn, vec![], mixed_events(), &PushOptions::default());
+    assert!(
+        matches!(pushed, Err(ClientError::Protocol(ProtocolError::UnsupportedVersion(3)))),
+        "{pushed:?}"
+    );
+    drop(conn);
+    peer.join().unwrap();
+
+    let mut v3 = record_trace(&Interner::new(), &mixed_events());
+    v3[4] = 3;
+    let read = TraceReader::new(&v3[..]);
+    assert!(
+        matches!(read, Err(depprof::trace::TraceFileError::UnsupportedVersion(3))),
+        "{:?}",
+        read.err()
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -377,23 +431,23 @@ fn record_trace(names: &Interner, events: &[TraceEvent]) -> Vec<u8> {
 }
 
 /// A recording of a two-name table and one event of every kind: the
-/// preamble, the `Hello`, one `Chunk` whose bodies are byte for byte what
-/// the DPTR records of the same events carried before their checksum
-/// bytes, and the `Finish`.
+/// preamble, the `Hello`, one `Chunk` of the events' records — their
+/// tags, then their bodies, 17 bytes an event — and the `Finish`.
 #[test]
 fn trace_file_matches_the_recorded_bytes() {
-    let golden = "4450535603\
+    let golden = "4450535604\
         01220000000000000000000000000000000000000002000000010000002a05000000616c70686159\
-        03c0000000000000000000000008000000\
-        00efbeadde0000000004000000000000003d000002010000000200\
-        01efbeadde0000000003000000000000003c000002010000000100\
-        02030000000a00000100000100000000000000\
-        0303000000090000000000000000000200000000000000\
-        0403000000140000010a0000000000000000000300000000000000\
-        050500000001000400000000000000\
-        060500000001000500000000000000\
-        070001000000000000400000000000000000000600000000000000\
-        56\
+        0394000000000000000000000008000000\
+        0001020304050607\
+        efbeadde000000003d00000201000000\
+        efbeadde000000003c00000201000000\
+        030000000a0000010000000000000000\
+        03000000000000000900000000000000\
+        03000000140000010a00000000000000\
+        05000000000000000000000000000000\
+        05000000000000000000000000000000\
+        00010000000000004000000000000000\
+        55\
         060000000006";
     let bytes: Vec<u8> = (0..golden.len())
         .step_by(2)
@@ -403,25 +457,14 @@ fn trace_file_matches_the_recorded_bytes() {
     let names = reader.interner().clone();
     assert_eq!((names.len(), names.resolve(1)), (2, "alpha"));
     let events: Vec<TraceEvent> = reader.map(|ev| ev.expect("golden record")).collect();
-    assert_eq!(
-        events,
-        [
-            TraceEvent::Access(MemAccess::read(0xdead_beef, 4, loc(2, 61), 1, 2)),
-            TraceEvent::Access(MemAccess::write(0xdead_beef, 3, loc(2, 60), 1, 1)),
-            TraceEvent::LoopBegin { loop_id: 3, loc: loc(1, 10), thread: 0, ts: 1 },
-            TraceEvent::LoopIter { loop_id: 3, iter: 9, thread: 0, ts: 2 },
-            TraceEvent::LoopEnd { loop_id: 3, loc: loc(1, 20), iters: 10, thread: 0, ts: 3 },
-            TraceEvent::CallBegin { func: 5, thread: 1, ts: 4 },
-            TraceEvent::CallEnd { func: 5, thread: 1, ts: 5 },
-            TraceEvent::Dealloc { base: 0x100, len: 64, thread: 0, ts: 6 },
-        ]
-    );
-    assert_eq!(record_trace(&names, &events), bytes);
+    assert_eq!(events, mixed_events().iter().map(unstamped).collect::<Vec<_>>());
+    assert_eq!(record_trace(&names, &mixed_events()), bytes);
 }
 
+/// An event of thread 0, of any kind.
 fn arb_event() -> impl Strategy<Value = TraceEvent> {
-    let fields = (any::<u32>(), 1u32..1 << 20, any::<u64>(), any::<u16>(), any::<u64>());
-    (0u8..7, arb_access(), fields).prop_map(|(kind, a, (id, line, n, thread, ts))| match kind {
+    let (fields, thread) = ((any::<u32>(), 1u32..1 << 20, any::<u64>(), any::<u64>()), 0);
+    (0u8..7, arb_access(), fields).prop_map(move |(kind, a, (id, line, n, ts))| match kind {
         0 => TraceEvent::Access(a),
         1 => TraceEvent::LoopBegin { loop_id: id, loc: loc(1, line), thread, ts },
         2 => TraceEvent::LoopIter { loop_id: id, iter: n, thread, ts },
@@ -508,6 +551,59 @@ proptest! {
             f.encode_into(&mut expect);
         }
         prop_assert_eq!(record_trace(&interner, &events), expect);
+    }
+
+    /// A record keeps all of a thread-0 event but its timestamp: any such
+    /// events, chunked, encoded and read back, are themselves once their
+    /// timestamps are 0.
+    #[test]
+    fn thread_zero_events_round_trip_but_for_their_timestamps(
+        events in prop::collection::vec(arb_event(), 0..64)
+    ) {
+        let mut chunker = FrameChunker::new(7);
+        let mut frames: Vec<Frame> = events.iter().filter_map(|ev| chunker.push(*ev)).collect();
+        frames.extend(chunker.flush());
+        let mut wire = Vec::new();
+        frames.iter().for_each(|f| f.encode_into(&mut wire));
+        let (read, end) = read_all_ways(&wire, MAX_FRAME_BYTES);
+        prop_assert_eq!(end, None);
+        let back: Vec<TraceEvent> = read
+            .into_iter()
+            .flat_map(|f| match f {
+                Frame::Chunk { events, .. } => events,
+                _ => Vec::new(),
+            })
+            .map(|r| r.unpack(0, 0))
+            .collect();
+        prop_assert_eq!(back, events.iter().map(unstamped).collect::<Vec<_>>());
+    }
+
+    /// Whatever `Chunk` payload a reader accepts re-encodes to the same
+    /// bytes, so no two payloads read as one chunk. Tags run past 7 and
+    /// each body word is whole, its low half or 0, so most chunks hold
+    /// records both kinds of reader decision meet.
+    #[test]
+    fn an_accepted_chunk_re_encodes_byte_for_byte(
+        (base, records) in (
+            any::<u64>(),
+            prop::collection::vec((0u8..10, (any::<u64>(), 0u8..3), (any::<u64>(), 0u8..3)), 0..6),
+        )
+    ) {
+        let word = |(w, keep): (u64, u8)| [w, w & u64::from(u32::MAX), 0][keep as usize];
+        let mut payload = base.to_le_bytes().to_vec();
+        payload.extend((records.len() as u32).to_le_bytes());
+        payload.extend(records.iter().map(|r| r.0));
+        for &(_, w0, w1) in &records {
+            payload.extend(word(w0).to_le_bytes());
+            payload.extend(word(w1).to_le_bytes());
+        }
+        let decoded = Frame::decode(TAG_CHUNK, &payload);
+        prop_assert_eq!(decoded.is_ok(), ChunkView::parse(&payload).is_ok());
+        if let Ok(chunk) = decoded {
+            let mut wire = Vec::new();
+            chunk.encode_into(&mut wire);
+            prop_assert_eq!(&wire[5..wire.len() - 1], &payload[..]);
+        }
     }
 
     /// A stream cut anywhere strictly inside a frame is a typed error;

@@ -6,9 +6,10 @@
 //! parallelizable?" until `Finish`. This module maintains the same
 //! answers *while chunks merge*: the engine drains
 //! [`AnalysisDelta`]s from its dependence stores (see
-//! [`DepStore::enable_delta`](dp_core::DepStore::enable_delta)) and
-//! folds them into an [`OnlineAnalysis`], which can snapshot an
-//! [`OnlineReport`] at any moment without stalling the feed.
+//! [`DepStore::take_delta`](dp_core::DepStore::take_delta); the first
+//! drain starts tracking and ships the catch-up) and folds them into an
+//! [`OnlineAnalysis`], which can snapshot an [`OnlineReport`] at any
+//! moment without stalling the feed.
 //!
 //! Three invariants make this sound:
 //!
@@ -484,9 +485,7 @@ pub fn posthoc_report(result: &ProfileResult) -> OnlineReport {
 /// and every edge an analysis reads, as one delta (tests and depbench
 /// fold a finished result through it in one step).
 pub fn full_delta(result: &ProfileResult) -> AnalysisDelta {
-    let mut mirror = result.deps.clone();
-    mirror.enable_delta();
-    mirror.take_delta()
+    result.deps.clone().take_delta()
 }
 
 #[cfg(test)]
@@ -554,7 +553,6 @@ mod tests {
         // Feed the same program in two halves, draining between them:
         // the folded end state must match the one-shot fold.
         let mut p = SequentialProfiler::perfect();
-        p.enable_online();
         let mut online = OnlineAnalysis::new();
         p.event(TraceEvent::LoopBegin { loop_id: 2, loc: loc(1, 8), thread: 0, ts: 1 });
         for it in 0..2u64 {
@@ -605,7 +603,6 @@ mod tests {
         // First interval: loop looks DOALL. Second interval: a carried
         // RAW arrives and demotes it to sequential.
         let mut store = DepStore::new();
-        store.enable_delta();
         store.record_loop(5, loc(1, 1), loc(1, 9), 4);
         store.add(
             SinkKey { loc: loc(1, 3), thread: 0 },

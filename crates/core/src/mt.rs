@@ -147,12 +147,6 @@ impl MtProfiler {
         MtProfiler { shared, workers }
     }
 
-    /// Monotone progress value for a run watchdog: events pushed by the
-    /// target threads plus events consumed by the workers.
-    pub fn heartbeat(&self) -> u64 {
-        self.shared.ctx.metrics.heartbeat()
-    }
-
     /// Drains the pipeline, joins the workers and merges their results —
     /// salvaging survivors and bounding every wait by the drain deadline
     /// when a worker was lost. Call only after the target program has

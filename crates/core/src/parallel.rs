@@ -126,8 +126,6 @@ pub struct ParallelProfiler {
     redistributions: u64,
     cancelled_migrations: u64,
     spurious_replies: u64,
-    /// Online analysis enabled (workers track dependence-map movement).
-    online: bool,
     /// Delta replies that arrived outside a collect window; handed to
     /// the next [`ParallelProfiler::collect_deltas`] caller.
     pending_deltas: Vec<AnalysisDelta>,
@@ -218,7 +216,6 @@ impl ParallelProfiler {
             redistributions: 0,
             cancelled_migrations: 0,
             spurious_replies: 0,
-            online: false,
             pending_deltas: Vec::new(),
             cfg,
         }
@@ -514,44 +511,20 @@ impl ParallelProfiler {
         Ok(())
     }
 
-    /// Turns on online analysis: every live worker starts tracking
-    /// dependence-map movement
-    /// ([`DepStore::enable_delta`](crate::store::DepStore::enable_delta)).
-    /// The worker-side enable marks a catch-up at a zero baseline, so
-    /// the first [`ParallelProfiler::collect_deltas`] ships every edge an
-    /// analysis reads no matter how late this is called. Idempotent.
-    pub fn enable_online(&mut self) {
-        if self.online {
-            return;
-        }
-        self.online = true;
-        for wid in 0..self.senders.len() {
-            if !self.is_dead(wid) {
-                // A dead or stalled worker just misses the enable; its
-                // dependences surface when its store merges at finish.
-                self.send(wid, WorkerMsg::EnableDelta, self.workers.ctx.drop_after);
-            }
-        }
-    }
-
-    /// True once [`ParallelProfiler::enable_online`] has run.
-    pub fn online_enabled(&self) -> bool {
-        self.online
-    }
-
     /// Flushes pending chunks and drains every live worker's dirty set
-    /// into [`AnalysisDelta`]s (plus any parked late replies). Best
+    /// into [`AnalysisDelta`]s (plus any parked late replies). A worker
+    /// starts tracking at the first `DeltaFlush` it receives, whose
+    /// reply is its catch-up
+    /// ([`DepStore::take_delta`](crate::store::DepStore::take_delta)). Best
     /// effort under chaos: a worker that stays silent past the drain
     /// deadline is skipped — its movement is parked by `dispose_strays`
-    /// when the reply finally lands, so nothing is lost, merely late.
+    /// when the reply finally lands, and one that never got the flush
+    /// catches up at the next it gets, so nothing is lost, merely late.
     /// With a quiet pipeline (every fed event consumed, as at the final
     /// query of a session) the folded deltas reproduce what the
     /// analyses read of the workers' stores exactly.
     pub fn collect_deltas(&mut self) -> Vec<AnalysisDelta> {
         let mut out = std::mem::take(&mut self.pending_deltas);
-        if !self.online {
-            return out;
-        }
         self.flush_all();
         let drain = self.workers.drain();
         let mut expect: Vec<bool> = (0..self.senders.len())
@@ -785,8 +758,7 @@ mod tests {
             p.event(acc(AccessKind::Write, 0x1000 + (i % 9) * 8, next(), 10));
             p.event(acc(AccessKind::Read, 0x1000 + (i % 9) * 8, next(), 11));
         }
-        // Enable mid-run: the first collection must catch up on history.
-        p.enable_online();
+        // The first collection, mid-run, must catch up on history.
         fold(&mut edges, &mut loops, p.collect_deltas());
         for i in 0..40u64 {
             p.event(TraceEvent::LoopIter { loop_id: 3, iter: 40 + i, thread: 0, ts: next() });
@@ -897,10 +869,9 @@ mod tests {
                     feed(&mut p, acc(AccessKind::Write, base + k * 0x100, ts, 10 + k as u32));
                 }
                 if i == 60 {
-                    assert!(p.redistributions > 0, "{kind:?}: enable after the first round");
-                    p.enable_online();
+                    assert!(p.redistributions > 0, "{kind:?}: first drain after the first round");
                 }
-                if i >= 60 && i % 45 == 0 {
+                if i == 60 || i % 45 == 0 && i > 60 {
                     fold(&mut edges, &mut loops, p.collect_deltas());
                 }
             }

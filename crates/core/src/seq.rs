@@ -80,22 +80,9 @@ impl<S: AccessStore> SequentialProfiler<S> {
         self.run.reset();
     }
 
-    /// Turns on online analysis: the in-line store starts tracking
-    /// dependence-map movement (see
-    /// [`DepStore::enable_delta`](crate::store::DepStore::enable_delta)).
-    /// Idempotent; a late enable catches up on the first drain.
-    pub fn enable_online(&mut self) {
-        self.retire_run();
-        self.algo.store.enable_delta();
-    }
-
-    /// True once [`SequentialProfiler::enable_online`] has run.
-    pub fn online_enabled(&self) -> bool {
-        self.algo.store.delta_enabled()
-    }
-
-    /// Drains the movement since the previous drain (empty when online
-    /// analysis is off or nothing moved).
+    /// Drains the movement since the previous drain; the first drain
+    /// starts tracking and ships the catch-up (see
+    /// [`DepStore::take_delta`](crate::store::DepStore::take_delta)).
     pub fn take_delta(&mut self) -> crate::store::AnalysisDelta {
         self.retire_run();
         self.algo.store.take_delta()
@@ -313,22 +300,24 @@ mod tests {
         evs
     }
 
-    /// `AlgoState::on_event` applied to each event in turn.
+    /// `AlgoState::on_event` applied to each event in turn; `online`
+    /// drains the store first, so it tracks from the start.
     fn immediate(evs: &[TraceEvent], online: bool) -> AlgoState<crate::DefaultSig> {
         let mut algo =
             AlgoState::new(Signature::new(SLOTS), Signature::new(SLOTS), AlgoOptions::default());
         if online {
-            algo.store.enable_delta();
+            algo.store.take_delta();
         }
         evs.iter().for_each(|ev| algo.on_event(ev));
         algo
     }
 
-    /// The profiler, fed each event through `on_event`.
+    /// The profiler, fed each event through `on_event`; `online` drains
+    /// it first, so it tracks from the start.
     fn fed(evs: &[TraceEvent], online: bool) -> SequentialProfiler<crate::DefaultSig> {
         let mut p = SequentialProfiler::with_signature(SLOTS);
         if online {
-            p.enable_online();
+            p.take_delta();
         }
         evs.iter().for_each(|ev| p.on_event(ev));
         p
@@ -376,23 +365,19 @@ mod tests {
         for cut in [RUN - 1, RUN, RUN + 1] {
             let (head, tail) = evs.split_at(cut);
 
-            let mut p = fed(head, false);
-            p.enable_online();
-            let mut want = immediate(head, false);
-            want.store.enable_delta();
-            assert_eq!(state(&mut p.algo), state(&mut want), "enable_online at {cut}");
-            tail.iter().for_each(|ev| p.on_event(ev));
-            tail.iter().for_each(|ev| want.on_event(ev));
-            assert_eq!(p.take_delta(), want.store.take_delta(), "enable_online at {cut}");
-            assert_finishes_as(p, want, &format!("enable_online at {cut}"));
-
-            let mut p = fed(head, true);
-            let mut want = immediate(head, true);
-            assert_eq!(p.take_delta(), want.store.take_delta(), "take_delta at {cut}");
-            tail.iter().for_each(|ev| p.on_event(ev));
-            tail.iter().for_each(|ev| want.on_event(ev));
-            assert_eq!(p.take_delta(), want.store.take_delta(), "take_delta after {cut}");
-            assert_finishes_as(p, want, &format!("take_delta at {cut}"));
+            // A first drain at the cut ships the catch-up; a later one
+            // ships the dirty list.
+            for online in [false, true] {
+                let at = format!("take_delta at {cut}, tracking from the start: {online}");
+                let mut p = fed(head, online);
+                let mut want = immediate(head, online);
+                assert_eq!(p.take_delta(), want.store.take_delta(), "{at}");
+                assert_eq!(state(&mut p.algo), state(&mut want), "{at}");
+                tail.iter().for_each(|ev| p.on_event(ev));
+                tail.iter().for_each(|ev| want.on_event(ev));
+                assert_eq!(p.take_delta(), want.store.take_delta(), "after {at}");
+                assert_finishes_as(p, want, &at);
+            }
 
             let data = fed(head, false).checkpoint_data(1, cut as u64, Vec::new()).unwrap();
             assert!(data.workers[0] == state(&mut immediate(head, false)).0, "checkpoint at {cut}");

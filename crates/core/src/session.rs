@@ -8,7 +8,9 @@
 //! it into a [`ProfileResult`]. [`SessionSpec`] is that choice in
 //! serializable form (it travels in a `Hello` frame and in the
 //! checkpoint CONFIG section), and [`ProfileSession`] is the running
-//! engine behind a uniform event/heartbeat/checkpoint surface.
+//! engine behind a uniform event/heartbeat/checkpoint surface. Online
+//! analysis reads it through one call,
+//! [`ProfileSession::collect_deltas`]: the first call starts tracking.
 
 use crate::checkpoint::{CheckpointData, CheckpointError};
 use crate::config::{OverflowPolicy, ProfilerConfig, TransportKind};
@@ -191,27 +193,9 @@ impl ProfileSession {
         }
     }
 
-    /// Turns on online analysis: the engine's dependence stores start
-    /// tracking movement so [`ProfileSession::collect_deltas`] can feed
-    /// the live analysis state. Idempotent; a late enable catches up by
-    /// shipping every edge an analysis reads on the first collection.
-    pub fn enable_online(&mut self) {
-        match self {
-            ProfileSession::Serial(p) => p.enable_online(),
-            ProfileSession::Parallel(p) => p.enable_online(),
-        }
-    }
-
-    /// True once [`ProfileSession::enable_online`] has run.
-    pub fn online_enabled(&self) -> bool {
-        match self {
-            ProfileSession::Serial(p) => p.online_enabled(),
-            ProfileSession::Parallel(p) => p.online_enabled(),
-        }
-    }
-
     /// Drains the dependence-map movement since the previous drain (one
-    /// delta per store that moved; empty when online analysis is off).
+    /// delta per store that moved). The first drain starts tracking and
+    /// ships every edge an analysis reads, however old.
     pub fn collect_deltas(&mut self) -> Vec<crate::store::AnalysisDelta> {
         match self {
             ProfileSession::Serial(p) => {

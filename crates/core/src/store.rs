@@ -12,6 +12,11 @@
 //! set of loops the dependence was observed carried for. `deps_built`
 //! counts every pre-merge record, so the merge factor of experiment E9 is
 //! `deps_built / merged_len`.
+//!
+//! Online analysis reads the store through one call,
+//! [`DepStore::take_delta`]: the first drain starts tracking and ships
+//! everything an analysis reads, each later one the movement since the
+//! one before. A store that is never drained tracks nothing.
 
 use dp_types::{
     ByteReader, ByteWriter, DepEdge, DepFlags, DepType, Dependence, FxHashMap, LoopId, SinkKey,
@@ -96,12 +101,8 @@ impl AnalysisDelta {
 /// Dirty-list bookkeeping for delta tracking: which relevant edges (and
 /// loops) were touched since the last drain, with the counters already
 /// shipped, so the drain ships exact movement without cloning the store.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct DeltaTrack {
-    /// Set by [`DepStore::enable_delta`], cleared by the first drain:
-    /// that drain ships every relevant edge at a zero baseline, so
-    /// nothing is listed (and no dirty bit set) while it is pending.
-    catch_up: bool,
     /// `(arena index, count already shipped)` of every record whose
     /// [`DIRTY`] bit is set, in touch order: the count before the first
     /// touch of this interval, or 0 when that touch made it relevant.
@@ -305,7 +306,8 @@ pub struct DepStore {
     spill: FxHashMap<Ident, Vec<LoopId>>,
     loops: BTreeMap<LoopId, LoopRecord>,
     deps_built: u64,
-    /// `Some` once delta tracking is enabled ([`DepStore::enable_delta`]).
+    /// `Some` from the first [`DepStore::take_delta`] on: a store that
+    /// is never drained tracks nothing.
     delta: Option<DeltaTrack>,
 }
 
@@ -399,7 +401,7 @@ impl DepStore {
     fn bump(&mut self, i: usize, count: u64, flags: DepFlags, carriers: &[LoopId]) {
         let rec = &mut self.arena[i];
         if let Some(track) = self.delta.as_mut() {
-            if !track.catch_up && rec.state & DIRTY == 0 {
+            if rec.state & DIRTY == 0 {
                 let shipped = rec.relevant();
                 if shipped || flags.contains(DepFlags::REVERSED) || !carriers.is_empty() {
                     rec.state |= DIRTY;
@@ -459,48 +461,29 @@ impl DepStore {
         r.total_iters += iters;
     }
 
-    /// Turns on delta tracking. The first [`DepStore::take_delta`] after
-    /// it ships every relevant edge the store holds at a zero baseline —
-    /// the catch-up that lets online analysis be enabled lazily
-    /// mid-session (or after a checkpoint rehydration) without missing
-    /// history — so enabling costs nothing per edge.
-    /// Idempotent: enabling twice does not reset in-flight baselines.
-    pub fn enable_delta(&mut self) {
-        if self.delta.is_some() {
-            return;
-        }
-        self.delta = Some(DeltaTrack {
-            catch_up: true,
-            dirty: Vec::new(),
-            loops: self.loops.keys().map(|id| (*id, (0, 0))).collect(),
-        });
-    }
-
-    /// True once [`DepStore::enable_delta`] has run.
-    pub fn delta_enabled(&self) -> bool {
-        self.delta.is_some()
-    }
-
     /// Drains the dirty list into an [`AnalysisDelta`] describing every
-    /// loop and every *relevant* edge touched since the previous drain
-    /// (or since [`DepStore::enable_delta`]). An edge is relevant when it
-    /// has a carrier, carries `REVERSED` or is a cross-thread RAW — what
-    /// loop classification, race hints and the communication matrix
-    /// read; any other edge stays out of every delta, and one that turns
-    /// relevant late ships its whole count then. Returns an empty delta
-    /// when tracking is off or nothing relevant moved.
+    /// loop and every *relevant* edge touched since the previous drain.
+    /// An edge is relevant when it has a carrier, carries `REVERSED` or
+    /// is a cross-thread RAW — what loop classification, race hints and
+    /// the communication matrix read; any other edge stays out of every
+    /// delta, and one that turns relevant late ships its whole count
+    /// then. The first drain starts tracking and ships the catch-up:
+    /// every relevant edge and every loop record at a zero baseline, so
+    /// online analysis can start mid-session (or after a checkpoint
+    /// rehydration) without missing history, and a store that is never
+    /// drained pays nothing per edge.
     pub fn take_delta(&mut self) -> AnalysisDelta {
-        let Some(track) = self.delta.as_mut() else {
-            return AnalysisDelta::default();
+        let (dirty, dirty_loops) = match self.delta.as_mut() {
+            Some(track) => (std::mem::take(&mut track.dirty), std::mem::take(&mut track.loops)),
+            None => {
+                self.delta = Some(DeltaTrack::default());
+                let relevant = self.arena.iter().zip(0..).filter(|(rec, _)| rec.relevant());
+                let loops = self.loops.keys().map(|id| (*id, (0, 0)));
+                (relevant.map(|(_, i)| (i, 0)).collect(), loops.collect())
+            }
         };
-        let dirty_loops = std::mem::take(&mut track.loops);
-        let dirty = std::mem::take(&mut track.dirty);
-        let mut keyed: Vec<(Ident, u32, u64)> = if std::mem::take(&mut track.catch_up) {
-            let relevant = self.arena.iter().zip(0..).filter(|(rec, _)| rec.relevant());
-            relevant.map(|(rec, i)| (rec.ident(), i, 0)).collect()
-        } else {
-            dirty.iter().map(|&(i, base)| (self.arena[i as usize].ident(), i, base)).collect()
-        };
+        let mut keyed: Vec<(Ident, u32, u64)> =
+            dirty.iter().map(|&(i, base)| (self.arena[i as usize].ident(), i, base)).collect();
         keyed.sort_unstable();
         let mut out = AnalysisDelta::default();
         out.edges.reserve_exact(keyed.len());
@@ -895,7 +878,6 @@ mod tests {
         assert!(s.memory_usage() <= 64 * 100_000, "{} bytes", s.memory_usage());
         // Carrier lists and the dirty list are counted once they exist.
         let before = s.memory_usage();
-        s.enable_delta();
         s.take_delta();
         s.add(sink(1), DepType::Raw, loc(1, 1), 0, 1, DepFlags::empty(), Some(1));
         s.add(sink(1), DepType::Raw, loc(1, 1), 0, 1, DepFlags::empty(), Some(2));
@@ -927,7 +909,6 @@ mod tests {
     #[test]
     fn sealing_sorts_in_place_and_keeps_everything_reachable() {
         let mut s = DepStore::new();
-        s.enable_delta();
         s.take_delta();
         for line in (1..=40).rev() {
             s.add(sink(line), DepType::Raw, loc(1, 1), 0, 1, DepFlags::empty(), Some(line % 3));
@@ -987,8 +968,8 @@ mod tests {
     #[test]
     fn delta_tracks_exact_movement() {
         let mut s = DepStore::new();
-        s.enable_delta();
-        assert!(s.delta_enabled());
+        assert!(s.take_delta().is_empty(), "an empty store catches up on nothing");
+        assert!(s.delta.is_some(), "the first drain starts tracking");
         s.add(sink(1), DepType::Raw, loc(1, 1), 0, 7, DepFlags::INTRA_ITERATION, None);
         s.add(sink(1), DepType::Raw, loc(1, 1), 0, 7, DepFlags::LOOP_CARRIED, Some(3));
         s.record_loop(3, loc(1, 1), loc(1, 9), 10);
@@ -1011,23 +992,49 @@ mod tests {
     }
 
     #[test]
-    fn enable_delta_mid_session_ships_full_catchup() {
+    fn first_drain_ships_the_catchup_at_a_zero_baseline() {
+        let mut s = DepStore::new();
+        for _ in 0..3 {
+            s.add(sink(1), DepType::Raw, loc(1, 1), 0, 7, DepFlags::LOOP_CARRIED, Some(2));
+        }
+        s.add(sink(2), DepType::Waw, loc(1, 2), 1, 7, DepFlags::REVERSED, None);
+        // Read by no analysis: in the store, in no delta.
+        s.add(sink(3), DepType::Waw, loc(1, 3), 0, 7, DepFlags::INTRA_ITERATION, None);
+        s.record_loop(2, loc(1, 1), loc(1, 9), 4);
+        s.record_loop(2, loc(1, 1), loc(1, 9), 5);
+        assert!(s.delta.is_none(), "a store never drained tracks nothing");
+        let d = s.take_delta();
+        let shipped: Vec<_> = d.edges.iter().map(|e| (e.sink, e.count_delta)).collect();
+        assert_eq!(shipped, vec![(sink(1), 3), (sink(2), 1)]);
+        assert_eq!(d.edges[0].carriers.iter().copied().collect::<Vec<_>>(), vec![2]);
+        assert!(d.edges[1].flags.contains(DepFlags::REVERSED));
+        let l = &d.loops[..];
+        assert_eq!((l.len(), l[0].id, l[0].instances_delta, l[0].iters_delta), (1, 2, 2, 9));
+        // From here on, only movement ships.
+        s.add(sink(1), DepType::Raw, loc(1, 1), 0, 7, DepFlags::empty(), None);
+        s.add(sink(3), DepType::Waw, loc(1, 3), 0, 7, DepFlags::empty(), None);
+        let d = s.take_delta();
+        assert_eq!(d.edges.len(), 1);
+        assert_eq!((d.edges[0].sink, d.edges[0].count_delta), (sink(1), 1));
+        assert!(d.loops.is_empty());
+    }
+
+    #[test]
+    fn first_drain_mid_session_ships_full_catchup() {
         let mut s = DepStore::new();
         s.add(sink(1), DepType::Raw, loc(1, 1), 0, 7, DepFlags::LOOP_CARRIED, Some(2));
         s.add(sink(1), DepType::Raw, loc(1, 1), 0, 7, DepFlags::empty(), None);
         // Read by no analysis: in the store, in no delta.
         s.add(sink(3), DepType::Waw, loc(1, 3), 0, 7, DepFlags::INTRA_ITERATION, None);
         s.record_loop(2, loc(1, 1), loc(1, 9), 4);
-        s.enable_delta(); // late enable: relevant history must still be shipped
         s.add(sink(2), DepType::Raw, loc(1, 5), 1, 8, DepFlags::empty(), None);
+        // A late first drain: relevant history must still be shipped.
         let mut mirror = DepStore::new();
         fold(&mut mirror, &s.take_delta());
         assert_eq!(snapshot(&mirror), relevant(&s));
         assert_eq!((mirror.merged_len(), s.merged_len()), (2, 3));
-        // enable_delta is idempotent: re-enabling keeps pending baselines.
         s.add(sink(2), DepType::Raw, loc(1, 5), 1, 8, DepFlags::empty(), None);
         s.add(sink(3), DepType::Waw, loc(1, 3), 0, 7, DepFlags::empty(), None);
-        s.enable_delta();
         let d = s.take_delta();
         assert_eq!(d.edges.len(), 1);
         assert_eq!(d.edges[0].count_delta, 1);
@@ -1047,7 +1054,6 @@ mod tests {
             }
         };
         busy(&mut s);
-        s.enable_delta();
         assert!(s.take_delta().is_empty(), "a catch-up over irrelevant edges ships nothing");
         busy(&mut s);
         s.seal();
@@ -1068,7 +1074,7 @@ mod tests {
         // Deltas taken across merges of other stores (the parallel
         // engine's final merge) still fold into an identical mirror.
         let mut s = DepStore::new();
-        s.enable_delta();
+        s.take_delta();
         s.add(sink(1), DepType::Raw, loc(1, 1), 0, 7, DepFlags::empty(), None);
         let mut mirror = DepStore::new();
         fold(&mut mirror, &s.take_delta());
@@ -1085,12 +1091,16 @@ mod tests {
     #[test]
     fn delta_is_not_persisted_by_save() {
         let mut s = DepStore::new();
-        s.enable_delta();
+        s.add(sink(1), DepType::Raw, loc(1, 1), 0, 7, DepFlags::LOOP_CARRIED, Some(1));
+        s.take_delta();
         s.add(sink(1), DepType::Raw, loc(1, 1), 0, 7, DepFlags::empty(), None);
         let mut out = ByteWriter::new();
         s.save(&mut out);
-        let t = DepStore::load(&out.into_bytes()).unwrap();
-        assert!(!t.delta_enabled(), "tracking restarts from enable_delta after rehydration");
+        let mut t = DepStore::load(&out.into_bytes()).unwrap();
+        assert!(t.delta.is_none(), "a rehydrated store tracks nothing until drained");
+        // Its first drain is a catch-up; the original ships only movement.
+        assert_eq!(t.take_delta().edges[0].count_delta, 2);
+        assert_eq!(s.take_delta().edges[0].count_delta, 1);
     }
 
     #[test]

@@ -68,9 +68,6 @@ pub enum WorkerMsg {
     /// this message when it replies, so the blob captures a consistent
     /// cut of the run.
     Checkpoint,
-    /// Online analysis: start tracking dependence-map movement
-    /// ([`DepStore::enable_delta`]) in this worker's store.
-    EnableDelta,
     /// Online analysis: drain the worker's dirty set and reply with an
     /// [`AnalysisDelta`] on the response queue. FIFO order makes the
     /// delta cover exactly the events routed before this message.
@@ -850,7 +847,6 @@ fn run_worker<S: AccessStore, R: TransportReceiver<WorkerMsg>>(
                 let state = algo.save_state(&mut out).then(|| out.into_bytes());
                 reply(Reply::CheckpointState { worker: wid, state });
             }
-            Some(WorkerMsg::EnableDelta) => algo.store.enable_delta(),
             Some(WorkerMsg::DeltaFlush) => {
                 reply(Reply::Delta { worker: wid, delta: algo.store.take_delta() });
             }
@@ -878,7 +874,7 @@ mod tests {
         let cfg = ProfilerConfig::default().with_overflow(OverflowPolicy::Drop);
         let (tx, rx) = shared(MpmcQueue::new(1));
         let ctx = WorkerCtx::new(&cfg, &[rx.capacity()], ChunkPool::new(4, cfg.chunk_capacity));
-        while tx.push(WorkerMsg::EnableDelta).is_ok() {}
+        while tx.push(WorkerMsg::DeltaFlush).is_ok() {}
         // The engine is older than the limit before the queue fills, so a
         // deadline counted from the engine's start would already be spent.
         std::thread::sleep(limit + limit / 2);

@@ -53,18 +53,26 @@ impl SessionError {
     }
 }
 
-/// Restricts a session name to filesystem-safe characters for its
-/// checkpoint subdirectory (anything else becomes `_`).
-fn sanitize(name: &str) -> String {
-    let mut s: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-        .collect();
-    if s.is_empty() {
-        s.push('_');
+/// Longest session name a `Hello` may carry, in bytes.
+const MAX_SESSION_NAME: usize = 64;
+
+/// Names a session's checkpoint subdirectory, one name to one directory:
+/// `[a-z0-9-]` stay, every other byte (uppercase too, for filesystems
+/// that ignore case) becomes `_` and two lowercase hex digits, and the
+/// empty name is `_`.
+fn dir_name(name: &str) -> String {
+    if name.is_empty() {
+        return "_".into();
     }
-    s.truncate(64);
-    s
+    let mut dir = String::with_capacity(name.len());
+    for b in name.bytes() {
+        if b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' {
+            dir.push(b as char);
+        } else {
+            dir.push_str(&format!("_{b:02x}"));
+        }
+    }
+    dir
 }
 
 /// One client session: engine + interner + checkpoint state + counters.
@@ -82,9 +90,10 @@ pub struct SessionEngine {
     /// of this session (restored + fed).
     events_fed: u64,
     metrics: SessionMetrics,
-    /// Live analysis state, folded from engine deltas. `None` until the
-    /// first `Query` frame — sessions that never query carry no delta
-    /// tracking and pay nothing for the subsystem.
+    /// Live analysis state of this incarnation, folded from engine
+    /// deltas. `None` until the first `Query` frame, whose drain starts
+    /// the engine's delta tracking: sessions that never query pay
+    /// nothing for the subsystem.
     online: Option<OnlineAnalysis>,
     finished: bool,
 }
@@ -101,6 +110,10 @@ impl SessionEngine {
         checkpoint_base: Option<&Path>,
         default_checkpoint_every: u64,
     ) -> Result<(SessionEngine, Frame), SessionError> {
+        if hello.session.len() > MAX_SESSION_NAME {
+            let why = "session name is longer than 64 bytes";
+            return Err(SessionError::Malformed(WireError::Invalid(why).into()));
+        }
         let interner = intern_names(&hello.names)
             .map_err(|why| SessionError::Malformed(WireError::Invalid(why).into()))?;
         let checkpoint_every = if hello.checkpoint_every > 0 {
@@ -108,7 +121,7 @@ impl SessionEngine {
         } else {
             default_checkpoint_every
         };
-        let store_dir = checkpoint_base.map(|b| b.join(sanitize(&hello.session)));
+        let store_dir = checkpoint_base.map(|b| b.join(dir_name(&hello.session)));
 
         // A valid checkpoint under this session's name wins over the
         // Hello's spec: the resumed engine must match the state it
@@ -267,16 +280,12 @@ impl SessionEngine {
 
     /// Answers a `Query` frame from incremental state. The first query
     /// of a session (or of a rehydrated incarnation — delta tracking is
-    /// not persisted) enables delta tracking on the engine; the
-    /// catch-up delta then ships every edge the analyses read, however
-    /// old, so late enabling loses nothing. Unknown selector values
-    /// answer like [`query_kind::ALL`], echoing the kind byte.
+    /// not persisted) starts delta tracking on the engine: its drain is
+    /// the catch-up, every edge the analyses read, however old, so a
+    /// late start loses nothing. Unknown selector values answer like
+    /// [`query_kind::ALL`], echoing the kind byte.
     fn answer_query(&mut self, kind: u8) -> String {
         let session = self.session.as_mut().expect("unfinished session has an engine");
-        if !session.online_enabled() {
-            session.enable_online();
-            self.online = Some(OnlineAnalysis::new());
-        }
         let online = self.online.get_or_insert_with(OnlineAnalysis::new);
         for delta in session.collect_deltas() {
             online.fold(&delta);
@@ -540,10 +549,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&base);
         let (mut s, _) = SessionEngine::open(&hello("a b/c", 5), 1, Some(&base), 0).unwrap();
         s.handle(Frame::Chunk { base: 0, events: accesses(0..20) }).unwrap();
-        assert!(base.join("a_b_c").exists(), "sanitized checkpoint dir");
+        assert!(base.join("a_20b_2fc").exists(), "escaped checkpoint dir");
         s.handle(Frame::Finish).unwrap();
-        assert!(!base.join("a_b_c").exists(), "spent checkpoints are removed");
+        assert!(!base.join("a_20b_2fc").exists(), "spent checkpoints are removed");
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn names_that_differ_never_share_a_checkpoint_dir() {
+        let base = std::env::temp_dir().join(format!("dpsv-engine-alias-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let (mut first, _) = SessionEngine::open(&hello("km.1", 10), 1, Some(&base), 0).unwrap();
+        first.handle(Frame::Chunk { base: 0, events: accesses(0..30) }).unwrap();
+        drop(first);
+        for name in ["km_1", "KM.1", "km_2e1"] {
+            let (_, ack) = SessionEngine::open(&hello(name, 10), 2, Some(&base), 0).unwrap();
+            assert_eq!(ack, Frame::HelloAck { session_id: 2, resume_from: 0 }, "{name}");
+        }
+        let (_, ack) = SessionEngine::open(&hello("km.1", 10), 3, Some(&base), 0).unwrap();
+        assert_eq!(ack, Frame::HelloAck { session_id: 3, resume_from: 30 });
+        assert_eq!(dir_name(""), "_");
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn a_name_over_64_bytes_is_refused() {
+        let longest = "k".repeat(MAX_SESSION_NAME);
+        assert!(SessionEngine::open(&hello(&longest, 0), 1, None, 0).is_ok());
+        let long = format!("{longest}!");
+        let err = SessionEngine::open(&hello(&long, 0), 1, None, 0).err().expect("refused");
+        assert!(matches!(err, SessionError::Malformed(_)), "{err}");
+        let Frame::Error { code, message } = err.to_frame() else { panic!("an Error frame") };
+        assert_eq!(code, error_code::BAD_FRAME);
+        assert!(message.contains("64 bytes"), "{message}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's pipeline (Section IV, Figure 2) decouples event
 //! production from dependence analysis; this crate carries that
 //! decoupling across a socket. A [`Server`] listens on TCP (and/or a
-//! Unix socket), speaks the `DPSV` v1 frame protocol
+//! Unix socket), speaks the `DPSV` v4 frame protocol
 //! ([`dp_types::protocol`]), and runs one profiling engine per client
 //! session:
 //!

@@ -175,8 +175,9 @@ struct Shared {
     cfg: ServerConfig,
     active: Arc<AtomicUsize>,
     next_id: AtomicU64,
-    /// `Hello` count per session name across the server's lifetime —
-    /// the second `Hello` under a name is the first reconnect.
+    /// `Hello` count per unfinished session name — the second `Hello`
+    /// under a name is the first reconnect. A name's entry goes when its
+    /// session finishes ([`Shared::forget_name`]).
     hellos: Mutex<HashMap<String, u64>>,
     /// Session names with a live engine. A reconnect can land before
     /// the dead connection's thread has noticed the EOF and written its
@@ -231,6 +232,12 @@ impl Shared {
         let n = map.entry(session.to_string()).or_insert(0);
         *n += 1;
         *n - 1
+    }
+
+    /// Drops a finished session's `Hello` count: a later push under the
+    /// name is a new session, not a reconnect.
+    fn forget_name(&self, session: &str) {
+        self.hellos.lock().expect("hello registry poisoned").remove(session);
     }
 }
 
@@ -456,6 +463,7 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
                         return;
                     }
                     if done {
+                        shared.forget_name(engine.name());
                         eprintln!(
                             "session {} '{}' finished ({} events)",
                             engine.session_id(),
@@ -580,5 +588,35 @@ mod tests {
         let _held = patient.claim_name("s", &stop).expect("free");
         stop.store(true, Ordering::SeqCst);
         assert!(patient.claim_name("s", &stop).is_none(), "a stopping server does not wait");
+    }
+
+    /// Serves one connection that sends the preamble and `frames`, then
+    /// closes its sending half; returns once the server side has.
+    #[cfg(unix)]
+    fn converse(shared: &Shared, frames: &[Frame]) {
+        let (mut client, conn) = UnixStream::pair().expect("a socket pair");
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| serve_conn(conn, shared, &stop));
+            protocol::write_preamble(&mut client).expect("preamble");
+            frames.iter().for_each(|f| protocol::write_frame(&mut client, f).expect("frame"));
+            client.shutdown(std::net::Shutdown::Write).expect("half-close");
+            io::copy(&mut client, &mut io::sink()).expect("the replies");
+        });
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_finished_session_name_is_forgotten() {
+        let shared = shared(20);
+        let spec = dp_core::SessionSpec { slots: 1 << 12, ..Default::default() }.encode();
+        let hello =
+            Frame::Hello(protocol::Hello { session: "s".into(), spec, ..Default::default() });
+        converse(&shared, std::slice::from_ref(&hello));
+        converse(&shared, &[hello.clone(), Frame::Finish]);
+        assert!(shared.hellos.lock().unwrap().is_empty(), "the finished name's count is gone");
+        // Dropped unfinished (as a hibernated session is): the count stays.
+        converse(&shared, &[hello]);
+        assert_eq!(shared.count_hello("s"), 1, "the next Hello is the first reconnect");
     }
 }

@@ -128,7 +128,8 @@ pub mod query_kind {
 
 /// Error codes carried by [`Frame::Error`].
 pub mod error_code {
-    /// The server is at its concurrent-session cap.
+    /// No longer sent: a server at its concurrent-session cap answers
+    /// `Busy`. The code stays reserved so it is never reused.
     pub const AT_CAPACITY: u16 = 1;
     /// A frame arrived malformed or out of protocol order.
     pub const BAD_FRAME: u16 = 2;

@@ -28,7 +28,7 @@
 //! monitor that forces an emergency checkpoint and exits with code `6`
 //! when the pipeline stops making progress.
 //!
-//! `serve` runs the profiler as a network service speaking the DPSV v3
+//! `serve` runs the profiler as a network service speaking the DPSV v4
 //! frame protocol; `push` streams a recorded trace to it and prints the
 //! report the server sends back. Each push names a *session*; a server
 //! started with `--checkpoint-dir` checkpoints its sessions, and a push
@@ -87,7 +87,7 @@ const EXIT_WATCHDOG: i32 = 6;
 /// emergency checkpoint (`serve` and `replay`).
 const EXIT_SIGNAL: i32 = depprof::server::SIGTERM_EXIT;
 /// `push`: the server refused the session with typed backpressure
-/// (`Busy`/`AT_CAPACITY`) and every retry budgeted for it was spent.
+/// (`Busy`) and every retry budgeted for it was spent.
 /// The session was *not* profiled; rerun the push once load drops.
 const EXIT_BUSY: i32 = 8;
 
@@ -413,7 +413,7 @@ fn run_replay(args: &Args) -> Cli {
 }
 
 /// `depprof serve` — run the profiler as a long-lived network service.
-/// Listens for DPSV v3 connections, one profiling session per client,
+/// Listens for DPSV v4 connections, one profiling session per client,
 /// until SIGINT/SIGTERM; in-flight sessions are emergency-checkpointed
 /// on shutdown and resumed when their clients reconnect.
 fn run_serve(args: &Args) -> Cli {
@@ -593,24 +593,15 @@ fn run_push(args: &Args) -> Cli {
         // Backpressure is not a failure of the push, it is the server
         // asking us to come back later — give scripts a distinct code
         // and a concrete retry hint.
-        let busy_hint = match &e {
-            ClientError::Busy { retry_after_ms } => Some(*retry_after_ms),
-            ClientError::Server { code, .. }
-                if *code == depprof::types::protocol::error_code::AT_CAPACITY =>
-            {
-                Some(args.busy_retry_ms)
-            }
-            _ => None,
-        };
-        match busy_hint {
-            Some(after_ms) => fail(
+        match &e {
+            ClientError::Busy { retry_after_ms } => fail(
                 EXIT_BUSY,
                 format!(
-                    "push refused: {e}\nserver is at capacity; retry in ~{after_ms}ms or raise \
-                     its --max-sessions (exit code {EXIT_BUSY})"
+                    "push refused: {e}\nserver is at capacity; retry in ~{retry_after_ms}ms or \
+                     raise its --max-sessions (exit code {EXIT_BUSY})"
                 ),
             ),
-            None => fail(1, format!("push failed: {e}")),
+            _ => fail(1, format!("push failed: {e}")),
         }
     })?;
     let out = &r.outcome;

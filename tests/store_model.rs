@@ -14,8 +14,7 @@
 //! table still resume after it.
 //!
 //! A second property folds the deltas of random sequences — edges that
-//! turn relevant late, late enables, drains during a pending catch-up,
-//! two worker stores — into an `OnlineAnalysis` and holds its report
+//! turn relevant late, late first drains, two worker stores — into an `OnlineAnalysis` and holds its report
 //! equal to the post-hoc passes' over the finished store.
 
 use depprof::analysis::{posthoc_report, OnlineAnalysis, OnlineReport};
@@ -96,7 +95,7 @@ mod oracle {
         loops: BTreeMap<LoopId, LoopRecord>,
         deps_built: u64,
         distinct: u64,
-        /// `Some` once delta tracking is enabled ([`DepStore::enable_delta`]).
+        /// `Some` from the first [`DepStore::take_delta`] on.
         delta: Option<DeltaTrack>,
     }
 
@@ -150,16 +149,9 @@ mod oracle {
             r.total_iters += iters;
         }
 
-        /// Turns on delta tracking. Every relevant edge already in the store
-        /// is seeded into the dirty set at a zero baseline, so the first
-        /// [`DepStore::take_delta`] ships all of them — the catch-up that
-        /// lets online analysis be enabled lazily mid-session (or after a
-        /// checkpoint rehydration) without missing history.
-        /// Idempotent: enabling twice does not reset in-flight baselines.
-        pub fn enable_delta(&mut self) {
-            if self.delta.is_some() {
-                return;
-            }
+        /// Every relevant edge and every loop record at a zero baseline:
+        /// the dirty set of a store that starts tracking.
+        fn catch_up(&self) -> DeltaTrack {
             let mut track = DeltaTrack::default();
             for (sink, edges) in &self.deps {
                 for (key, _) in edges.iter().filter(|(key, val)| relevant(sink, key, val)) {
@@ -169,26 +161,19 @@ mod oracle {
             for id in self.loops.keys() {
                 track.loops.insert(*id, (0, 0));
             }
-            self.delta = Some(track);
-        }
-
-        /// True once [`DepStore::enable_delta`] has run.
-        pub fn delta_enabled(&self) -> bool {
-            self.delta.is_some()
+            track
         }
 
         /// Drains the dirty set into an [`AnalysisDelta`] describing every
-        /// edge and loop touched since the previous drain (or since
-        /// [`DepStore::enable_delta`]). Returns an empty delta when tracking
-        /// is off or nothing moved.
+        /// edge and loop touched since the previous drain. The first drain
+        /// starts tracking and ships the catch-up, so online analysis can
+        /// start mid-session (or after a checkpoint rehydration) without
+        /// missing history.
         pub fn take_delta(&mut self) -> AnalysisDelta {
-            let Some(track) = self.delta.as_mut() else {
-                return AnalysisDelta::default();
-            };
-            let dirty_edges = std::mem::take(&mut track.edges);
-            let dirty_loops = std::mem::take(&mut track.loops);
+            let track = self.delta.take().unwrap_or_else(|| self.catch_up());
+            self.delta = Some(DeltaTrack::default());
             let mut out = AnalysisDelta::default();
-            for ((sink, key), baseline) in dirty_edges {
+            for ((sink, key), baseline) in track.edges {
                 let Some(val) = self.deps.get(&sink).and_then(|m| m.get(&key)) else {
                     continue;
                 };
@@ -200,7 +185,7 @@ mod oracle {
                     carriers: val.carriers.clone(),
                 });
             }
-            for (id, (base_inst, base_iters)) in dirty_loops {
+            for (id, (base_inst, base_iters)) in track.loops {
                 let Some(r) = self.loops.get(&id) else { continue };
                 out.loops.push(DeltaLoop {
                     id,
@@ -434,7 +419,6 @@ enum Op {
     RecordLoop(LoopId, u64),
     /// Build a second store from these occurrences and merge it in.
     Merge(Vec<Occurrence>, Option<LoopId>),
-    EnableDelta,
     TakeDelta,
     Seal,
     /// `save` → `load`, continuing on the loaded store.
@@ -467,7 +451,6 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
         2 => (0u32..4, 0u64..9).prop_map(|(id, iters)| Op::RecordLoop(id, iters)),
         2 => (prop::collection::vec(arb_occurrence(), 0..12), 0u32..8)
             .prop_map(|(occ, l)| Op::Merge(occ, (l < 4).then_some(l))),
-        1 => Just(Op::EnableDelta),
         3 => Just(Op::TakeDelta),
         2 => Just(Op::Seal),
         1 => Just(Op::Reload),
@@ -558,34 +541,28 @@ impl Pair {
                 self.new.merge(new);
                 self.old.merge(old);
             }
-            Op::EnableDelta => {
-                self.new.enable_delta();
-                self.old.enable_delta();
-            }
             Op::TakeDelta => {
                 let delta = self.new.take_delta();
                 assert_eq!(delta, self.old.take_delta(), "same movement, same order");
                 let ids: Vec<_> = delta.edges.iter().map(|e| (e.sink, e.key)).collect();
                 assert!(ids.windows(2).all(|w| w[0] < w[1]), "edges in (sink, key) order");
                 self.mirror.apply_delta(&delta);
-                if self.new.delta_enabled() {
-                    let (mut edges, loops, ..) = contents(&self.new);
-                    edges.retain(|(sink, key, _, flags, carriers)| {
-                        !carriers.is_empty()
-                            || flags.contains(DepFlags::REVERSED)
-                            || (key.0 == DepType::Raw && key.2 != sink.thread)
-                    });
-                    let (folded, folded_loops, ..) = oracle_contents(&self.mirror);
-                    assert_eq!(folded, edges, "deltas fold back into the relevant sub-store");
-                    assert_eq!(folded_loops, loops);
-                }
+                let (mut edges, loops, ..) = contents(&self.new);
+                edges.retain(|(sink, key, _, flags, carriers)| {
+                    !carriers.is_empty()
+                        || flags.contains(DepFlags::REVERSED)
+                        || (key.0 == DepType::Raw && key.2 != sink.thread)
+                });
+                let (folded, folded_loops, ..) = oracle_contents(&self.mirror);
+                assert_eq!(folded, edges, "deltas fold back into the relevant sub-store");
+                assert_eq!(folded_loops, loops);
             }
             Op::Seal => self.new.seal(),
             Op::Reload => {
                 let bytes = saved(|out| self.new.save(out));
                 self.new = DepStore::load(&bytes).expect("own checkpoint loads");
                 self.old = oracle::DepStore::load(&bytes).expect("the oracle reads it too");
-                // Tracking is not persisted: a later enable ships the
+                // Tracking is not persisted: the next drain ships the
                 // relevant part of the store again, so the mirror starts over.
                 self.mirror = oracle::DepStore::new();
             }
@@ -594,7 +571,6 @@ impl Pair {
 
     fn check(&self) {
         assert_eq!(contents(&self.new), oracle_contents(&self.old));
-        assert_eq!(self.new.delta_enabled(), self.old.delta_enabled());
         assert_eq!(saved(|out| self.new.save(out)), saved(|out| self.old.save(out)));
     }
 }
@@ -625,7 +601,6 @@ enum Step {
     RecordLoop(LoopId, u64, bool),
     Merge(Vec<Occurrence>, bool),
     Seal(bool),
-    Enable,
     Drain,
 }
 
@@ -664,7 +639,6 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
         1 => (prop::collection::vec(arb_engine_occurrence(), 0..8), any::<bool>())
             .prop_map(|(occ, w)| Step::Merge(occ, w)),
         1 => any::<bool>().prop_map(Step::Seal),
-        1 => Just(Step::Enable),
         2 => Just(Step::Drain),
     ];
     prop::collection::vec(step, 1..160)
@@ -678,8 +652,8 @@ fn add(store: &mut DepStore, occ: &Occurrence) {
 /// Runs `steps` over `workers` stores, folding every drained delta into
 /// one [`OnlineAnalysis`] as a session does, and returns its last report
 /// beside the post-hoc passes' over the merged stores. Tracking starts at
-/// the first [`Step::Enable`] (`early`: before the first step), so the
-/// drains before it ship nothing and the one after it is the catch-up.
+/// the first [`Step::Drain`], whose delta is the catch-up (`early`: a
+/// drain before the first step, so the stores track from the start).
 ///
 /// An edge some occurrence flags `REVERSED` keeps to worker 0. Race
 /// hints read its *count*, and a store that holds the edge but never saw
@@ -708,7 +682,7 @@ fn folded_and_posthoc(steps: &[Step], workers: usize, early: bool) -> (OnlineRep
         }
     };
     if early {
-        stores.iter_mut().for_each(DepStore::enable_delta);
+        drain(&mut stores);
     }
     for step in steps {
         match step {
@@ -728,11 +702,9 @@ fn folded_and_posthoc(steps: &[Step], workers: usize, early: bool) -> (OnlineRep
                 }
             }
             Step::Seal(w) => stores[worker(*w, None)].seal(),
-            Step::Enable => stores.iter_mut().for_each(DepStore::enable_delta),
             Step::Drain => drain(&mut stores),
         }
     }
-    stores.iter_mut().for_each(DepStore::enable_delta);
     drain(&mut stores);
     let mut deps = DepStore::new();
     for store in stores {
@@ -748,14 +720,14 @@ proptest! {
     /// Deltas hold only the edges an analysis reads, and still the folded
     /// report — race occurrences, communication cells, blockers, loop
     /// rows — is the post-hoc passes' over the finished store: with
-    /// tracking on from the start or enabled late, on one store or split
+    /// tracking on from the start or started late, on one store or split
     /// over two workers.
     #[test]
     fn folded_deltas_answer_like_the_posthoc_passes(steps in arb_steps()) {
         for workers in [1, 2] {
             for early in [true, false] {
                 let (folded, posthoc) = folded_and_posthoc(&steps, workers, early);
-                prop_assert_eq!(folded, posthoc, "{} workers, early enable: {}", workers, early);
+                prop_assert_eq!(folded, posthoc, "{} workers, early first drain: {}", workers, early);
             }
         }
     }
@@ -770,9 +742,9 @@ fn an_edge_that_turns_relevant_late_ships_every_occurrence() {
     let (raced, carried) = ((DepType::War, loc(1, 2), 0, 1), (DepType::Raw, loc(1, 1), 0, 1));
     let mut steps = vec![Step::RecordLoop(2, 30, false)];
     steps.extend((0..30).flat_map(|_| [plain(raced), plain(carried)]));
-    // Tracking goes on over 60 occurrences of two edges nothing reads,
-    // and a drain ships nothing of them.
-    steps.extend([Step::Enable, Step::Drain]);
+    // Tracking starts over 60 occurrences of two edges nothing reads,
+    // and its catch-up ships nothing of them.
+    steps.push(Step::Drain);
     steps.extend((0..10).flat_map(|_| [plain(raced), plain(carried)]));
     steps.push(Step::Drain);
     // The 41st occurrence of each is the first an analysis cares about;
@@ -787,12 +759,9 @@ fn an_edge_that_turns_relevant_late_ships_every_occurrence() {
         assert_eq!(folded.races[0].occurrences, 42);
         assert_eq!(folded.loops[0].blockers, [(loc(1, 3), loc(1, 1), 1)]);
     }
-    // Enabled with the relevant occurrences already in, just before the
-    // last occurrence and the last drain: the catch-up is still pending
-    // when that one arrives, and ships all 42 once.
-    let at = steps.iter().position(|s| matches!(s, Step::Enable)).expect("an enable");
-    let enable = steps.remove(at);
-    steps.insert(steps.len() - 2, enable);
+    // Never drained until the end, with the relevant occurrences long
+    // in: the one catch-up ships all 42 once.
+    steps.retain(|s| !matches!(s, Step::Drain));
     let (folded, posthoc) = folded_and_posthoc(&steps, 1, false);
     assert_eq!(folded, posthoc);
     assert_eq!(folded.races[0].occurrences, 42);

@@ -42,6 +42,7 @@
 
 use dp_types::{atomic_write, read_section, write_section, ByteReader, ByteWriter, WireError};
 use std::fmt;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// File magic of a checkpoint.
@@ -222,7 +223,7 @@ impl CheckpointStore {
         Ok(CheckpointStore { dir })
     }
 
-    /// Opens an existing checkpoint directory without creating it.
+    /// Names a checkpoint directory without creating it.
     pub fn open(dir: impl Into<PathBuf>) -> Self {
         CheckpointStore { dir: dir.into() }
     }
@@ -245,7 +246,7 @@ impl CheckpointStore {
     pub fn write(&self, data: &CheckpointData) -> std::io::Result<CheckpointStats> {
         let t = std::time::Instant::now();
         let bytes = data.encode();
-        atomic_write(&self.generation_path(data.generation), &bytes)?;
+        atomic_write(&self.generation_path(data.generation), |f| f.write_all(&bytes))?;
         Ok(CheckpointStats {
             generation: data.generation,
             bytes: bytes.len() as u64,

@@ -1,5 +1,6 @@
 //! The fuzz campaign loop: generate, check, shrink, persist, aggregate.
 
+use std::io::Write;
 use std::path::PathBuf;
 
 use dp_trace::fuzz::{generate, minimize, print_program, stmt_count, FuzzConfig};
@@ -163,7 +164,7 @@ fn shrink_and_save(
             print_program(&min)
         );
         std::fs::create_dir_all(dir).ok()?;
-        atomic_write(&path, body.as_bytes()).ok()?;
+        atomic_write(&path, |f| f.write_all(body.as_bytes())).ok()?;
         Some(path)
     });
     FoundDivergence {

@@ -16,7 +16,7 @@ use dp_types::protocol::{
 };
 use dp_types::{Interner, Record, WireError};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Why a session could not be opened or continued. The server converts
 /// these into `Error` frames; in-process drivers get them typed.
@@ -82,8 +82,9 @@ pub struct SessionEngine {
     session: Option<ProfileSession>,
     spec: SessionSpec,
     interner: Interner,
+    /// The session's checkpoint directory: present exactly when the
+    /// server has a checkpoint base, which is what makes it durable.
     store: Option<CheckpointStore>,
-    store_dir: Option<PathBuf>,
     checkpoint_every: u64,
     generation: u64,
     /// Absolute stream position: events profiled across all incarnations
@@ -95,7 +96,6 @@ pub struct SessionEngine {
     /// the engine's delta tracking: sessions that never query pay
     /// nothing for the subsystem.
     online: Option<OnlineAnalysis>,
-    finished: bool,
 }
 
 impl SessionEngine {
@@ -121,14 +121,15 @@ impl SessionEngine {
         } else {
             default_checkpoint_every
         };
-        let store_dir = checkpoint_base.map(|b| b.join(dir_name(&hello.session)));
+        let store =
+            checkpoint_base.map(|b| CheckpointStore::open(b.join(dir_name(&hello.session))));
 
         // A valid checkpoint under this session's name wins over the
         // Hello's spec: the resumed engine must match the state it
         // restores, and the checkpoint's CONFIG section records exactly
         // that spec.
-        let resumed = store_dir.as_ref().and_then(|dir| {
-            let data = CheckpointStore::open(dir.clone()).load_latest().ok()?;
+        let resumed = store.as_ref().and_then(|store| {
+            let data = store.load_latest().ok()?;
             let spec = SessionSpec::decode(&data.config).ok()?;
             let session = spec.resume(&data).ok()?;
             Some((spec, session, data.generation, data.records_read))
@@ -143,10 +144,6 @@ impl SessionEngine {
                 (spec, spec.build(), 1, 0)
             }
         };
-        let store = match (&store_dir, checkpoint_every > 0 || events_fed > 0) {
-            (Some(dir), true) => Some(CheckpointStore::create(dir).map_err(SessionError::Io)?),
-            _ => None,
-        };
         let engine = SessionEngine {
             name: hello.session.clone(),
             session_id,
@@ -154,7 +151,6 @@ impl SessionEngine {
             spec,
             interner,
             store,
-            store_dir,
             checkpoint_every,
             generation,
             events_fed,
@@ -167,7 +163,6 @@ impl SessionEngine {
                 ..SessionMetrics::default()
             },
             online: None,
-            finished: false,
         };
         let ack = Frame::HelloAck { session_id, resume_from: engine.events_fed };
         Ok((engine, ack))
@@ -203,14 +198,13 @@ impl SessionEngine {
                 Ok(vec![Frame::QueryResult { id, kind, json }])
             }
             Frame::Finish => {
-                self.finished = true;
                 let session = self.session.take().expect("unfinished session has an engine");
                 let result = session.finish();
                 let text = report::render(&result, &self.interner, false);
                 // The session completed: its checkpoints are spent, and
                 // a future session under this name starts fresh.
-                if let Some(dir) = &self.store_dir {
-                    let _ = std::fs::remove_dir_all(dir);
+                if let Some(store) = &self.store {
+                    let _ = std::fs::remove_dir_all(store.dir());
                 }
                 Ok(vec![Frame::Report { text }])
             }
@@ -235,7 +229,7 @@ impl SessionEngine {
     }
 
     fn admit_frame(&mut self) -> Result<(), SessionError> {
-        if self.finished {
+        if self.finished() {
             return Err(SessionError::OutOfOrder("frame after Finish"));
         }
         self.metrics.frames += 1;
@@ -308,18 +302,21 @@ impl SessionEngine {
     }
 
     /// Writes a checkpoint at the current stream position (periodic or
-    /// emergency). A no-op without a checkpoint store or after finish.
-    pub fn write_checkpoint(&mut self) -> Result<(), SessionError> {
+    /// emergency), making the session's directory on the first write.
+    /// Returns whether a generation was written: none is for a session
+    /// that is not durable or no longer holds an engine.
+    pub fn write_checkpoint(&mut self) -> Result<bool, SessionError> {
         let (Some(store), Some(session)) = (&self.store, self.session.as_mut()) else {
-            return Ok(());
+            return Ok(false);
         };
         let data = session
             .checkpoint_data(self.generation, self.events_fed, self.spec.encode())
             .map_err(|e| SessionError::Io(std::io::Error::other(format!("cannot quiesce: {e}"))))?;
+        std::fs::create_dir_all(store.dir()).map_err(SessionError::Io)?;
         store.write(&data).map_err(SessionError::Io)?;
         self.generation += 1;
         self.metrics.checkpoint_generations += 1;
-        Ok(())
+        Ok(true)
     }
 
     /// Hibernates an idle session: checkpoint the engine to the store
@@ -328,29 +325,18 @@ impl SessionEngine {
     /// rehydrates from the checkpoint and resumes exactly. Only durable
     /// sessions (a checkpoint base was configured) can hibernate.
     pub fn hibernate(&mut self) -> Result<(), SessionError> {
-        if self.finished {
-            return Err(SessionError::OutOfOrder("hibernate after Finish"));
+        if !self.write_checkpoint()? {
+            return Err(SessionError::OutOfOrder("hibernate of a finished or non-durable session"));
         }
-        if self.store.is_none() {
-            // A session below its first periodic checkpoint has no store
-            // yet — create it on demand so idle eviction still works.
-            let dir = self
-                .store_dir
-                .as_ref()
-                .ok_or(SessionError::OutOfOrder("hibernate without a checkpoint dir"))?;
-            self.store = Some(CheckpointStore::create(dir).map_err(SessionError::Io)?);
-        }
-        self.write_checkpoint()?;
         self.metrics.service.hibernated += 1;
         self.session = None;
-        self.finished = true;
         Ok(())
     }
 
     /// True when the session can survive engine eviction (a checkpoint
     /// directory was configured for it).
     pub fn durable(&self) -> bool {
-        self.store_dir.is_some()
+        self.store.is_some()
     }
 
     /// Records how many times a client re-`Hello`ed into this session
@@ -364,7 +350,6 @@ impl SessionEngine {
     /// dependence against an offline replay. The session's service
     /// resilience counters are stamped into the result's snapshot.
     pub fn finish_result(mut self) -> Option<ProfileResult> {
-        self.finished = true;
         let service = self.metrics.service;
         self.session.take().map(|s| {
             let mut result = s.finish();
@@ -388,9 +373,10 @@ impl SessionEngine {
         self.events_fed
     }
 
-    /// True once `Finish` was handled.
+    /// True once the session let go of its engine: `Finish` was handled,
+    /// or it hibernated.
     pub fn finished(&self) -> bool {
-        self.finished
+        self.session.is_none()
     }
 
     /// The session's counters.
@@ -543,6 +529,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
+    /// A durable session with no periodic interval still writes its
+    /// emergency checkpoint, and only then makes its directory.
+    #[test]
+    fn emergency_checkpoint_is_written_without_a_periodic_interval() {
+        let base = std::env::temp_dir().join(format!("dpsv-engine-every0-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let (mut first, _) = SessionEngine::open(&hello("job", 0), 1, Some(&base), 0).unwrap();
+        first.handle(Frame::Chunk { base: 0, events: accesses(0..50) }).unwrap();
+        assert!(!base.join("job").exists(), "no directory before the first checkpoint");
+        assert!(first.write_checkpoint().unwrap(), "a durable session writes a generation");
+        assert_eq!(first.metrics().checkpoint_generations, 1);
+        drop(first);
+        let (_, ack) = SessionEngine::open(&hello("job", 0), 2, Some(&base), 0).unwrap();
+        assert_eq!(ack, Frame::HelloAck { session_id: 2, resume_from: 50 });
+        let _ = std::fs::remove_dir_all(&base);
+
+        let (mut ephemeral, _) = SessionEngine::open(&hello("e", 0), 3, None, 0).unwrap();
+        ephemeral.handle(Frame::Chunk { base: 0, events: accesses(0..50) }).unwrap();
+        assert!(!ephemeral.write_checkpoint().unwrap(), "nothing is saved without a store");
+    }
+
     #[test]
     fn finish_clears_the_checkpoint_dir() {
         let base = std::env::temp_dir().join(format!("dpsv-engine-clear-{}", std::process::id()));
@@ -672,8 +679,7 @@ mod tests {
         all.handle(Frame::Chunk { base: 0, events: evs.clone() }).unwrap();
         let reference = all.finish_result().unwrap();
 
-        // Hibernate mid-stream: even without a periodic checkpoint
-        // interval the store is created on demand.
+        // Hibernate mid-stream, with no periodic checkpoint interval.
         let (mut idle, _) = SessionEngine::open(&hello("nap", 0), 2, Some(&base), 0).unwrap();
         assert!(idle.durable());
         idle.handle(Frame::Chunk { base: 0, events: evs[..50].to_vec() }).unwrap();

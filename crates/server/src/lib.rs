@@ -13,9 +13,10 @@
 //!   pipeline) and feeds it the streamed events. A global concurrent-
 //!   session cap bounds server load; clients past the cap receive a
 //!   typed `Error` frame instead of a hang.
-//! - **Durability** — long-running sessions are checkpointed through
-//!   the two-generation [`CheckpointStore`](dp_core::CheckpointStore);
-//!   a killed server resumes an in-flight session when its client
+//! - **Durability** — a server with a checkpoint directory checkpoints
+//!   every session through the two-generation
+//!   [`CheckpointStore`](dp_core::CheckpointStore), at every unfinished
+//!   exit too; a killed server resumes an in-flight session when its client
 //!   reconnects under the same name, handing back the resume position
 //!   in `HelloAck` so the client skips what was already profiled.
 //! - **Graceful shutdown** — a SIGINT/SIGTERM sets a process-wide flag

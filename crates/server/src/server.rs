@@ -22,11 +22,14 @@ pub struct ServerConfig {
     /// Concurrent-session cap; a client past it receives a typed
     /// `Busy{retry_after_ms}` instead of queueing invisibly.
     pub max_sessions: usize,
-    /// Base directory for per-session checkpoints (`<dir>/<session>`);
-    /// `None` disables durability.
+    /// Base directory for per-session checkpoints (`<dir>/<session>`,
+    /// made at the session's first checkpoint). Every session of a
+    /// server with one is durable; `None` makes none durable.
     pub checkpoint_dir: Option<PathBuf>,
     /// Default checkpoint interval (events) for sessions whose `Hello`
-    /// leaves it at 0. 0 = only emergency checkpoints.
+    /// leaves it at 0. 0 = no periodic checkpoints: a durable session
+    /// still writes its emergency checkpoint when its connection ends
+    /// unfinished or the server shuts down.
     pub checkpoint_every: u64,
     /// How often blocked reads wake up to observe the shutdown flag.
     pub poll_interval_ms: u64,
@@ -513,9 +516,8 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
                 return;
             }
             Ok(Wait::Shutdown) => {
-                checkpoint_on_exit(&mut engine, "shutdown");
-                let message = "server shutting down; session checkpointed".into();
-                send_error(&mut s, error_code::SHUTDOWN, message);
+                let saved = checkpoint_on_exit(&mut engine, "shutdown");
+                send_error(&mut s, error_code::SHUTDOWN, format!("server shutting down; {saved}"));
                 return;
             }
             Ok(Wait::Eof) => {
@@ -530,23 +532,16 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     }
 }
 
-fn checkpoint_on_exit(engine: &mut SessionEngine, why: &str) {
-    if engine.finished() {
-        return;
-    }
-    match engine.write_checkpoint() {
-        Ok(()) => eprintln!(
-            "session {} '{}': {why}; emergency checkpoint at event {}",
-            engine.session_id(),
-            engine.name(),
-            engine.position()
-        ),
-        Err(e) => eprintln!(
-            "session {} '{}': {why}; emergency checkpoint failed: {e}",
-            engine.session_id(),
-            engine.name()
-        ),
-    }
+/// Writes the emergency checkpoint of a session whose connection ends
+/// unfinished, logs what became of it, and returns that in words.
+fn checkpoint_on_exit(engine: &mut SessionEngine, why: &str) -> String {
+    let saved = match engine.write_checkpoint() {
+        Ok(true) => format!("emergency checkpoint at event {}", engine.position()),
+        Ok(false) => "not durable, nothing saved".into(),
+        Err(e) => format!("emergency checkpoint failed: {e}"),
+    };
+    eprintln!("session {} '{}': {why}; {saved}", engine.session_id(), engine.name());
+    saved
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! `dp-core`, and `dp-core` only dev-depends on `dp-trace`).
 
 use std::fmt;
-use std::io::Write as _;
+use std::fs::File;
 use std::path::Path;
 
 /// Folds a payload into its one-byte XOR checksum, seeded with the tag
@@ -227,40 +227,41 @@ pub fn read_section<'a>(r: &mut ByteReader<'a>) -> Result<(u8, &'a [u8]), WireEr
     Ok((tag, payload))
 }
 
-/// Writes `bytes` to `path` crash-safely: the data goes to a sibling
-/// temporary file first (same directory, so the rename cannot cross a
-/// filesystem), is fsynced, and is then atomically renamed over `path`.
-/// A crash at any instant leaves either the complete old file or the
-/// complete new file — never a torn mixture.
+/// Writes `path` crash-safely: `write` fills a sibling temporary file
+/// `.NAME.tmp.PID` (same directory, so the rename cannot cross a
+/// filesystem), which is fsynced and then atomically renamed over
+/// `path`, and the directory (`.` for a bare name) is synced after. A
+/// crash at any instant leaves either the complete old file or the
+/// complete new file — never a torn mixture; when `write` fails, the
+/// temporary file is removed and `path` is left as it was. Returns what
+/// `write` returned.
 ///
-/// Every file-bound artifact of the CLI (checkpoints, `--stats` output,
-/// reports, BENCH json) goes through this helper.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+/// Every file-bound artifact (checkpoints, trace recordings, `--stats`
+/// output, reports, fuzz repros) goes through this helper.
+pub fn atomic_write<T>(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> std::io::Result<T>,
+) -> std::io::Result<T> {
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
     let file_name = path.file_name().ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
     })?;
     let mut tmp_name = std::ffi::OsString::from(".");
     tmp_name.push(file_name);
     tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
+    let tmp = dir.join(tmp_name);
     let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        let mut f = File::create(&tmp)?;
+        let value = write(&mut f)?;
         f.sync_all()?;
         drop(f);
         std::fs::rename(&tmp, path)?;
         // Persist the rename itself; failures here are non-fatal (the
         // data is already durable, only the directory entry may lag).
-        if let Some(d) = dir {
-            if let Ok(dh) = std::fs::File::open(d) {
-                let _ = dh.sync_all();
-            }
+        if let Ok(dh) = File::open(dir) {
+            let _ = dh.sync_all();
         }
-        Ok(())
+        Ok(value)
     })();
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
@@ -271,6 +272,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     #[test]
     fn roundtrip_all_widths() {
@@ -357,9 +359,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dp-wire-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.bin");
-        atomic_write(&path, b"first").unwrap();
+        atomic_write(&path, |f| f.write_all(b"first")).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        atomic_write(&path, b"second generation").unwrap();
+        let len = atomic_write(&path, |f| f.write_all(b"second generation").map(|()| 17)).unwrap();
+        assert_eq!(len, 17, "the closure's value is handed back");
         assert_eq!(std::fs::read(&path).unwrap(), b"second generation");
         // No temp residue.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -368,6 +371,25 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A writer that fails half-way leaves nothing behind: neither its
+    /// temporary file nor a target file.
+    #[test]
+    fn a_failed_write_leaves_no_file() {
+        let dir = std::env::temp_dir().join(format!("dp-wire-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = atomic_write(&dir.join("out.bin"), |f| {
+            f.write_all(b"half a recording")?;
+            Err::<(), _>(std::io::Error::other("the writer gave up"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "the writer gave up");
+        let left: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert!(left.is_empty(), "{left:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

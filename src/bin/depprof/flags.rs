@@ -39,7 +39,6 @@ pub enum Engine {
     #[default]
     Serial,
     Parallel,
-    LockBased,
     Perfect,
 }
 
@@ -79,9 +78,13 @@ pub struct Args {
     pub out: Option<String>,
     pub inject_panic: Option<WorkerFault>,
     pub inject_stall: Option<WorkerFault>,
-    /// Checkpoint every N records (`replay`) or events (`serve`, `push`); 0 = off.
+    /// Checkpoint every N records (`replay`) or events (`serve`, `push`);
+    /// 0 = no periodic checkpoints.
     pub checkpoint_every: u64,
-    /// Default `<trace>.ckpt` for `replay`; none for `serve`.
+    /// Where checkpoints go; a `replay` or `serve` with one is durable and
+    /// writes an emergency checkpoint when stopped. `replay` defaults it to
+    /// `<trace>.ckpt` when `--checkpoint-every` or `--watchdog-deadline`
+    /// asks for checkpoints; `serve` has none unless given.
     pub checkpoint_dir: Option<String>,
     pub resume: Option<String>,
     /// Run-watchdog no-progress deadline (0 = off).
@@ -203,7 +206,7 @@ macro_rules! to {
 const ENGINE: &[Verb] = &[Profile, Replay, Push];
 
 const FLAGS: &[Flag] = &[
-    flag("--engine", ENGINE, "serial|parallel|lock-based|perfect", set_engine),
+    flag("--engine", ENGINE, "serial|parallel|perfect", set_engine),
     flag("--transport", ENGINE, "spsc|mpmc|lock", to!(spec.transport, transport)),
     flag("--overflow", ENGINE, "block|drop", to!(spec.overflow, overflow)),
     flag("--workers", &[Profile, Replay, Push, Fuzz], "N", to!(spec.workers, positive)),
@@ -299,11 +302,10 @@ fn set_engine(a: &mut Args, v: &str) -> Result<(), String> {
     a.engine = match v {
         "serial" => Engine::Serial,
         "parallel" => Engine::Parallel,
-        "lock-based" if a.verb == Profile => Engine::LockBased,
         "perfect" if a.verb == Profile => Engine::Perfect,
         _ => return Err("unknown engine".into()),
     };
-    a.spec.parallel = matches!(a.engine, Engine::Parallel | Engine::LockBased);
+    a.spec.parallel = a.engine == Engine::Parallel;
     Ok(())
 }
 

@@ -17,11 +17,14 @@
 //! synthetic: racy-counter locked-counter). Parallel (pthread-style)
 //! targets are profiled with the multi-threaded engine automatically.
 //!
-//! `replay --checkpoint-every N` makes the run *durable*: every N trace
-//! records the pipeline is quiesced and its full state (signatures,
-//! dependence maps, router statistics, queue ledger) is written to a
-//! two-generation checkpoint directory with an atomic temp-file + rename
-//! protocol — a kill at any instant leaves a valid generation on disk.
+//! A replay with a checkpoint directory is *durable*: `--checkpoint-dir`
+//! names one, `--resume` reuses its own, and `--checkpoint-every N` or
+//! `--watchdog-deadline` default it to `<trace>.ckpt`. Every N trace
+//! records (and once more on SIGINT/SIGTERM or a watchdog stop) the
+//! pipeline is quiesced and its full state (signatures, dependence maps,
+//! router statistics, queue ledger) is written to the two-generation
+//! directory with an atomic temp-file + rename protocol — a kill at any
+//! instant leaves a valid generation on disk.
 //! `replay --resume <dir>` picks up the latest valid generation, seeks
 //! the trace to the recorded position and continues; the final profile is
 //! identical to an uninterrupted run. `--watchdog-deadline MS` arms a
@@ -183,21 +186,24 @@ impl ReplayConfig {
     }
 }
 
-/// Writes a CLI artifact: to stdout by default, or atomically (hidden
-/// temp file + fsync + rename) to `path` — a crash mid-write can never
-/// leave a torn or half-written artifact behind.
+/// Writes a CLI artifact and a newline: to stdout by default, or
+/// atomically (hidden temp file + fsync + rename) to `path` — a crash
+/// mid-write can never leave a torn or half-written artifact behind. A
+/// closed stdout is a reader that stopped reading, not a failure.
 fn emit(path: Option<&str>, content: &str) -> Cli {
+    let write = |w: &mut dyn Write| writeln!(w, "{content}").and_then(|()| w.flush());
     match path {
-        None => println!("{content}"),
+        None => match write(&mut std::io::stdout().lock()) {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+            written => written.or_fail(EXIT_INPUT, "cannot write to stdout"),
+        },
         Some(p) => {
-            let mut bytes = content.as_bytes().to_vec();
-            bytes.push(b'\n');
-            atomic_write(Path::new(p), &bytes)
+            atomic_write(Path::new(p), |f| write(f))
                 .or_fail(EXIT_INPUT, format_args!("cannot write '{p}'"))?;
-            eprintln!("wrote {} bytes to {p}", bytes.len());
+            eprintln!("wrote {} bytes to {p}", content.len() + 1);
+            Ok(())
         }
     }
-    Ok(())
 }
 
 /// The tail `profile` and `replay` share: `--stats` replaces the report
@@ -284,16 +290,18 @@ fn run_replay(args: &Args) -> Cli {
     };
     let mut engine = rc.spec.open(cfg, resume_data.as_ref()).or_fail(EXIT_CORRUPT, what)?;
 
-    // A checkpoint store is needed for periodic checkpoints and for the
-    // watchdog's emergency checkpoint. Resumed runs keep writing into the
-    // directory they resumed from, preserving the two-generation rotation.
-    let create = || {
-        let dir = args.resume.clone().or_else(|| args.checkpoint_dir.clone());
-        CheckpointStore::create(dir.unwrap_or_else(|| format!("{path}.ckpt")))
-            .or_fail(EXIT_INPUT, "cannot create checkpoint directory")
+    // A run with a checkpoint directory is durable: it writes periodic
+    // checkpoints when asked to, and an emergency one when a signal or
+    // the watchdog stops it. Resumed runs keep writing into the directory
+    // they resumed from, preserving the two-generation rotation; asking
+    // for checkpoints without naming a directory gets `<trace>.ckpt`.
+    let asked = rc.checkpoint_every > 0 || args.watchdog_deadline_ms > 0;
+    let dir = args.resume.clone().or_else(|| args.checkpoint_dir.clone());
+    let dir = dir.or_else(|| asked.then(|| format!("{path}.ckpt")));
+    let create = |dir| {
+        CheckpointStore::create(dir).or_fail(EXIT_INPUT, "cannot create checkpoint directory")
     };
-    let durable = rc.checkpoint_every > 0 || args.watchdog_deadline_ms > 0;
-    let store = durable.then(create).transpose()?;
+    let store = dir.map(create).transpose()?;
 
     let mut generation = resume_data.as_ref().map_or(0, |d| d.generation + 1);
     let mut ck = CheckpointMetrics {
@@ -361,7 +369,7 @@ fn run_replay(args: &Args) -> Cli {
         fed += 1;
         if shutdown_flag().load(Ordering::SeqCst) {
             if store.is_none() {
-                eprintln!("signal: terminating (checkpointing is off, nothing to save)");
+                eprintln!("signal: terminating (not durable, nothing saved)");
             }
             checkpoint(&mut engine, generation, reader.records_read(), "signal: ");
             return Err(fail(EXIT_SIGNAL, ""));
@@ -447,7 +455,11 @@ fn run_serve(args: &Args) -> Cli {
     server.run(shutdown_flag()).or_fail(EXIT_INPUT, "server accept loop failed")?;
     // run() only returns once the stop flag is raised and every
     // connection thread has written its emergency checkpoint.
-    Err(fail(EXIT_SIGNAL, "signal: server stopped; in-flight sessions checkpointed"))
+    let saved = match args.checkpoint_dir {
+        Some(_) => "in-flight sessions checkpointed",
+        None => "not durable, nothing saved",
+    };
+    Err(fail(EXIT_SIGNAL, format!("signal: server stopped; {saved}")))
 }
 
 /// `depprof fuzz` — run the differential fuzz campaign: seeded MiniVM
@@ -622,7 +634,7 @@ fn run_push(args: &Args) -> Cli {
     }
     if let Some(dump) = args.watch_dump.as_deref() {
         match &out.last_query_json {
-            Some(json) => std::fs::write(dump, json)
+            Some(json) => atomic_write(Path::new(dump), |f| f.write_all(json.as_bytes()))
                 .or_fail(1, format_args!("cannot write --watch-dump '{dump}'"))?,
             None => eprintln!(
                 "--watch-dump '{dump}': no QueryResult captured (pass --watch to enable \
@@ -646,33 +658,17 @@ fn run_record(args: &Args) -> Cli {
              is schedule-dependent); profile them live with `depprof profile`",
         ));
     }
-    // Stream to a sibling temp file and rename at the end, so an
-    // interrupted recording never leaves a truncated trace under the
-    // final name (a previous complete recording survives untouched).
-    let tmp = format!("{path}.tmp.{}", std::process::id());
-    let file =
-        File::create(&tmp).or_fail(EXIT_INPUT, format_args!("cannot create trace file '{tmp}'"))?;
-    let write = || -> Result<u64, String> {
-        let mut wtr = depprof::trace::TraceWriter::with_names(file, &w.program.interner)
-            .map_err(|e| format!("cannot write trace header to '{tmp}': {e}"))?;
+    // Streamed through `atomic_write`, so an interrupted recording never
+    // leaves a truncated trace under the final name (a previous complete
+    // recording survives untouched).
+    let events = atomic_write(Path::new(path), |file| {
+        let mut wtr = depprof::trace::TraceWriter::with_names(file, &w.program.interner)?;
         depprof::trace::Interp::new(&w.program).run_seq(&mut wtr);
         let events = wtr.events();
-        let file = wtr.finish().map_err(|e| format!("cannot flush trace to '{tmp}': {e}"))?;
-        file.sync_all().map_err(|e| format!("cannot sync trace to '{tmp}': {e}"))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("cannot move finished trace into place at '{path}': {e}"))?;
-        // Persist the rename itself, as `atomic_write` does: the data is
-        // durable already, only the directory entry may lag.
-        let dir = Path::new(path).parent().filter(|d| !d.as_os_str().is_empty());
-        if let Ok(dir) = File::open(dir.unwrap_or(Path::new("."))) {
-            let _ = dir.sync_all();
-        }
+        wtr.finish()?;
         Ok(events)
-    };
-    let events = write().map_err(|message| {
-        let _ = std::fs::remove_file(&tmp);
-        fail(EXIT_INPUT, message)
-    })?;
+    })
+    .or_fail(EXIT_INPUT, format_args!("cannot write trace file '{path}'"))?;
     eprintln!("recorded {events} events of {} to {path}", w.meta.name);
     Ok(())
 }
@@ -723,10 +719,6 @@ fn run_profile(args: &Args) -> Cli {
             );
             depprof::profile_parallel(&w.program, cfg)
         }
-        Engine::LockBased => {
-            eprintln!("profiling {name} with the lock-based pipeline, {workers} workers ...");
-            depprof::profile_parallel(&w.program, cfg.with_transport(TransportKind::Lock))
-        }
     };
 
     result.metrics.chaos_seed = chaos_seed;
@@ -759,14 +751,15 @@ fn run_profile(args: &Args) -> Cli {
     })
 }
 
-fn run_list() {
-    println!("NAS:       BT SP LU IS EP CG MG FT");
-    println!(
-        "Starbench: c-ray kmeans md5 ray-rot rgbyuv rotate rot-cc streamcluster \
-         tinyjpeg bodytrack h264dec"
-    );
-    println!("SPLASH:    water-spatial (8 target threads)");
-    println!("synthetic: racy-counter locked-counter (4 target threads)");
+fn run_list() -> Cli {
+    emit(
+        None,
+        "NAS:       BT SP LU IS EP CG MG FT\n\
+         Starbench: c-ray kmeans md5 ray-rot rgbyuv rotate rot-cc streamcluster tinyjpeg \
+         bodytrack h264dec\n\
+         SPLASH:    water-spatial (8 target threads)\n\
+         synthetic: racy-counter locked-counter (4 target threads)",
+    )
 }
 
 fn run() -> Cli {
@@ -776,7 +769,7 @@ fn run() -> Cli {
         fail(EXIT_USAGE, error + &flags::usage())
     })?;
     match args.verb {
-        Verb::List => run_list(),
+        Verb::List => run_list()?,
         Verb::Profile => run_profile(&args)?,
         Verb::Record => run_record(&args)?,
         Verb::Replay => run_replay(&args)?,

@@ -153,6 +153,27 @@ fn replay_of_a_trace_without_its_finish_is_torn() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// A reader that stops reading is not a failure: with stdout's read end
+/// closed before anything is written, a verb ends with exit 0 and no
+/// panic.
+#[test]
+fn a_closed_stdout_ends_the_run_cleanly() {
+    use std::process::Stdio;
+    for args in [&["list"][..], &["profile", "kmeans", "--scale", "0.05"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_depprof"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn depprof");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn unknown_workload_fails_cleanly() {
     let out = depprof(&["profile", "nonexistent"]);

@@ -190,41 +190,77 @@ fn sigterm_mid_session_then_checkpointed_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A replay with a checkpoint directory is durable: SIGINT mid-run writes
+/// an emergency checkpoint and exits 7, and the resumed run reports what
+/// an uninterrupted one does — with periodic checkpoints effectively off,
+/// and with none asked for at all.
 #[test]
 fn replay_sigint_writes_emergency_checkpoint_and_exits_7() {
+    use std::io::Write;
     let dir = tmpdir("replay-signal");
     let trace = dir.join("ep.dptr");
     let trace_s = trace.to_str().unwrap();
     let rec = depprof(&["record", "EP", "--scale", "0.4", "--out", trace_s]);
     assert!(rec.status.success(), "{}", String::from_utf8_lossy(&rec.stderr));
+    let offline = dir.join("offline.txt");
+    let rep = depprof(&["replay", trace_s, "--report-out", offline.to_str().unwrap()]);
+    assert!(rep.status.success(), "{}", String::from_utf8_lossy(&rep.stderr));
+    let bytes = std::fs::read(&trace).unwrap();
 
-    let ckpt = dir.join("ck");
-    let replay = Command::new(env!("CARGO_BIN_EXE_depprof"))
-        .args([
+    for (i, every) in [&["--checkpoint-every", "1000000000"][..], &[]].into_iter().enumerate() {
+        // The replay reads its trace from a pipe and is signalled while
+        // it waits for the second half, so the signal always lands
+        // mid-run however fast the machine.
+        let pipe = dir.join(format!("ep{i}.dptr"));
+        assert!(Command::new("mkfifo").arg(&pipe).status().unwrap().success());
+        let ckpt = dir.join(format!("ck{i}"));
+        let mut replay = Command::new(env!("CARGO_BIN_EXE_depprof"))
+            .args(["replay", pipe.to_str().unwrap(), "--checkpoint-dir", ckpt.to_str().unwrap()])
+            .args(every)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // Opening a pipe's write end waits for its reader.
+        let opener = {
+            let pipe = pipe.clone();
+            std::thread::spawn(move || std::fs::OpenOptions::new().write(true).open(pipe))
+        };
+        while !opener.is_finished() {
+            assert!(replay.try_wait().unwrap().is_none(), "replay exited before opening its trace");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut feed = opener.join().unwrap().unwrap();
+        // Once the first half is in the pipe, most of it has been read:
+        // the replay is in its feed loop, signal handlers installed.
+        feed.write_all(&bytes[..bytes.len() / 2]).unwrap();
+        let _ = Command::new("kill").args(["-INT", &replay.id().to_string()]).status();
+        // The next record shows the replay the flag; it stops reading
+        // there, so the rest of the stream may not all go in.
+        let _ = feed.write_all(&bytes[bytes.len() / 2..]);
+        drop(feed);
+        let out = replay.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(7), "{every:?} stderr:\n{stderr}");
+        assert!(stderr.contains("emergency checkpoint"), "{every:?} stderr:\n{stderr}");
+
+        // The checkpoint names the trace by the pipe's path.
+        std::fs::remove_file(&pipe).unwrap();
+        std::fs::copy(&trace, &pipe).unwrap();
+        let resumed_out = dir.join(format!("resumed{i}.txt"));
+        let resumed = depprof(&[
             "replay",
-            trace_s,
-            "--checkpoint-every",
-            "1000000000", // periodic checkpoints effectively off: the signal writes it
-            "--checkpoint-dir",
+            "--resume",
             ckpt.to_str().unwrap(),
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    // Give the replay a moment to get into its feed loop, then SIGINT.
-    std::thread::sleep(Duration::from_millis(150));
-    let _ = Command::new("kill").args(["-INT", &replay.id().to_string()]).status();
-    let out = replay.wait_with_output().unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    if out.status.code() == Some(0) {
-        // The replay can legitimately finish before the signal lands on
-        // a fast machine; only a *signalled* run owes the contract.
-        return;
+            "--report-out",
+            resumed_out.to_str().unwrap(),
+        ]);
+        assert!(resumed.status.success(), "{}", String::from_utf8_lossy(&resumed.stderr));
+        assert_eq!(
+            std::fs::read(&offline).unwrap(),
+            std::fs::read(&resumed_out).unwrap(),
+            "{every:?}: resumed report differs from an uninterrupted replay"
+        );
     }
-    assert_eq!(out.status.code(), Some(7), "stderr:\n{stderr}");
-    assert!(stderr.contains("emergency checkpoint"), "stderr:\n{stderr}");
-    let resumed = depprof(&["replay", "--resume", ckpt.to_str().unwrap()]);
-    assert!(resumed.status.success(), "{}", String::from_utf8_lossy(&resumed.stderr));
     let _ = std::fs::remove_dir_all(&dir);
 }

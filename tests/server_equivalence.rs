@@ -280,7 +280,9 @@ fn one_segment_holding_a_whole_session_is_handled_in_order() {
 /// A client that sends half a frame and goes silent must not pin its
 /// connection thread: on shutdown the session is checkpointed at the
 /// last whole frame, the partial one is dropped, and `Server::run`
-/// returns.
+/// returns. Whether the session's interval is longer than the stream or
+/// 0 (no periodic checkpoints), every checkpoint written is an emergency
+/// one, and a durable session writes it.
 #[test]
 fn client_stalled_mid_frame_does_not_hang_shutdown() {
     use depprof::core::CheckpointStore;
@@ -289,69 +291,75 @@ fn client_stalled_mid_frame_does_not_hang_shutdown() {
     use std::time::Duration;
     static STOP: AtomicBool = AtomicBool::new(false);
 
-    let dir = std::env::temp_dir().join(format!("dpsv-stall-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = ServerConfig {
-        checkpoint_dir: Some(dir.clone()),
-        poll_interval_ms: 5,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind_tcp("127.0.0.1:0", cfg).unwrap();
-    let addr = server.local_addr().unwrap();
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        server.run(&STOP).unwrap();
-        let _ = done_tx.send(());
-    });
+    for checkpoint_every in [1000, 0] {
+        STOP.store(false, Ordering::SeqCst);
+        let dir = std::env::temp_dir()
+            .join(format!("dpsv-stall-{checkpoint_every}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServerConfig {
+            checkpoint_dir: Some(dir.clone()),
+            poll_interval_ms: 5,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind_tcp("127.0.0.1:0", cfg).unwrap();
+        let addr = server.local_addr().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            server.run(&STOP).unwrap();
+            let _ = done_tx.send(());
+        });
 
-    let spec = SessionSpec { slots: 1 << 12, ..SessionSpec::default() };
-    let (events, names, _) = two_chunk_stream(&spec);
-    // The second chunk opens with the loop event.
-    let mut chunker = FrameChunker::new(40);
-    let mut frames: Vec<Frame> = events.iter().flat_map(|ev| chunker.push(*ev)).collect();
-    frames.extend(chunker.flush());
-    let [first, second, ..] = &frames[..] else { panic!("at least two chunks") };
-    let Frame::Chunk { events, .. } = first else { panic!("stream starts with a chunk") };
-    let first_len = events.len() as u64;
+        let spec = SessionSpec { slots: 1 << 12, ..SessionSpec::default() };
+        let (events, names, _) = two_chunk_stream(&spec);
+        // The second chunk opens with the loop event.
+        let mut chunker = FrameChunker::new(40);
+        let mut frames: Vec<Frame> = events.iter().flat_map(|ev| chunker.push(*ev)).collect();
+        frames.extend(chunker.flush());
+        let [first, second, ..] = &frames[..] else { panic!("at least two chunks") };
+        let Frame::Chunk { events, .. } = first else { panic!("stream starts with a chunk") };
+        let first_len = events.len() as u64;
 
-    let mut conn = std::net::TcpStream::connect(addr).unwrap();
-    conn.set_nodelay(true).unwrap();
-    let mut out = Vec::new();
-    protocol::write_preamble(&mut out).unwrap();
-    // An interval longer than the stream: durable, but every checkpoint
-    // written is an emergency one.
-    let hello =
-        Hello { session: "stall".into(), spec: spec.encode(), checkpoint_every: 1000, names };
-    Frame::Hello(hello).encode_into(&mut out);
-    first.encode_into(&mut out);
-    // The Sync's ack proves the chunk was consumed before anything below.
-    Frame::Sync { nonce: 1 }.encode_into(&mut out);
-    conn.write_all(&out).unwrap();
-    protocol::read_preamble(&mut conn).unwrap();
-    let reply = || protocol::read_frame(&mut &conn, MAX_FRAME_BYTES).unwrap();
-    assert!(matches!(reply(), Some(Frame::HelloAck { .. })));
-    assert_eq!(reply(), Some(Frame::SyncAck { nonce: 1, position: first_len }));
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        conn.set_nodelay(true).unwrap();
+        let mut out = Vec::new();
+        protocol::write_preamble(&mut out).unwrap();
+        let hello = Hello { session: "stall".into(), spec: spec.encode(), checkpoint_every, names };
+        Frame::Hello(hello).encode_into(&mut out);
+        first.encode_into(&mut out);
+        // The Sync's ack proves the chunk was consumed before anything below.
+        Frame::Sync { nonce: 1 }.encode_into(&mut out);
+        conn.write_all(&out).unwrap();
+        protocol::read_preamble(&mut conn).unwrap();
+        let reply = || protocol::read_frame(&mut &conn, MAX_FRAME_BYTES).unwrap();
+        assert!(matches!(reply(), Some(Frame::HelloAck { .. })));
+        assert_eq!(reply(), Some(Frame::SyncAck { nonce: 1, position: first_len }));
 
-    // Seven bytes of the next frame — its header and two of payload —
-    // then silence.
-    let mut next = Vec::new();
-    second.encode_into(&mut next);
-    (&conn).write_all(&next[..7]).unwrap();
-    // Not needed to pass: it lets the server take the bytes in, the state
-    // in which a handler that finishes frames with blocking reads hangs.
-    std::thread::sleep(Duration::from_millis(50));
+        // Seven bytes of the next frame — its header and two of payload —
+        // then silence.
+        let mut next = Vec::new();
+        second.encode_into(&mut next);
+        (&conn).write_all(&next[..7]).unwrap();
+        // Not needed to pass: it lets the server take the bytes in, the
+        // state in which a handler that finishes frames with blocking
+        // reads hangs.
+        std::thread::sleep(Duration::from_millis(50));
 
-    STOP.store(true, Ordering::SeqCst);
-    done_rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("Server::run must return while a client sits mid-frame");
-    handle.join().unwrap();
-    assert!(matches!(
-        reply(),
-        Some(Frame::Error { code: depprof::types::protocol::error_code::SHUTDOWN, .. })
-    ));
+        STOP.store(true, Ordering::SeqCst);
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("Server::run must return while a client sits mid-frame");
+        handle.join().unwrap();
+        assert!(matches!(
+            reply(),
+            Some(Frame::Error { code: depprof::types::protocol::error_code::SHUTDOWN, .. })
+        ));
 
-    let checkpoint = CheckpointStore::open(dir.join("stall")).load_latest().unwrap();
-    assert_eq!(checkpoint.records_read, first_len, "checkpointed at the last whole frame");
-    let _ = std::fs::remove_dir_all(&dir);
+        let checkpoint = CheckpointStore::open(dir.join("stall")).load_latest();
+        let checkpoint = checkpoint.unwrap_or_else(|e| panic!("every {checkpoint_every}: {e}"));
+        assert_eq!(
+            checkpoint.records_read, first_len,
+            "every {checkpoint_every}: checkpointed at the last whole frame"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -5,7 +5,7 @@
 //! trace position, every worker's serialized extraction state
 //! ([`AlgoState::save_state`](crate::AlgoState::save_state)), the
 //! router's hot-address statistics and redistribution rules, and the
-//! event-conservation ledger. `depprof --resume` rebuilds the engine
+//! event-conservation ledger. `depprof replay --resume` rebuilds the engine
 //! from the latest valid generation and replays the remaining trace
 //! records, producing the same result an uninterrupted run would.
 //!
@@ -16,9 +16,10 @@
 //! section := tag u8 | len u32 | payload[len] | checksum u8
 //! ```
 //!
-//! The per-section checksum is the same XOR fold the trace format v2
-//! uses for its records ([`dp_types::xor_fold`] over tag + payload), so
-//! a torn or bit-flipped file is detected on load. Sections: META (tag
+//! A section is a unit of [`dp_types::wire`], the codec a DPSV frame is
+//! written with too ([`write_section`], [`read_section`]), checksummed
+//! the same way, so a torn or bit-flipped file is detected on load; a
+//! section, unlike a frame, has no length bound. Sections: META (tag
 //! 1: generation, trace position, worker count), CONFIG (2: an opaque
 //! engine/CLI configuration blob), ROUTER (3), LEDGER (4), WORKER (5,
 //! one per worker in index order).
@@ -40,6 +41,7 @@
 //! generation, silently falling back past a torn or corrupt newer one —
 //! loss is bounded by one checkpoint interval.
 
+use dp_types::wire::write_unit;
 use dp_types::{atomic_write, read_section, write_section, ByteReader, ByteWriter, WireError};
 use std::fmt;
 use std::io::Write;
@@ -61,7 +63,8 @@ const TAG_WORKER: u8 = 5;
 /// that wrote them interprets them on resume.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckpointData {
-    /// Monotonic checkpoint number within the run (1-based).
+    /// Monotonic checkpoint number within the run (`depprof replay`
+    /// numbers its first 0).
     pub generation: u64,
     /// Input-trace position at the barrier, in events fed
     /// (`TraceReader::records_read`): resume skips to here.
@@ -85,19 +88,19 @@ impl CheckpointData {
         let mut out = ByteWriter::new();
         out.bytes(&CHECKPOINT_MAGIC);
         out.u8(CHECKPOINT_VERSION);
-        let mut meta = ByteWriter::new();
-        meta.u64(self.generation);
-        meta.u64(self.records_read);
-        meta.u32(self.workers.len() as u32);
-        write_section(&mut out, TAG_META, &meta.into_bytes());
+        write_unit(&mut out, TAG_META, |meta| {
+            meta.u64(self.generation);
+            meta.u64(self.records_read);
+            meta.u32(self.workers.len() as u32);
+        });
         write_section(&mut out, TAG_CONFIG, &self.config);
         write_section(&mut out, TAG_ROUTER, &self.router);
         write_section(&mut out, TAG_LEDGER, &self.ledger);
         for (i, w) in self.workers.iter().enumerate() {
-            let mut p = ByteWriter::new();
-            p.u32(i as u32);
-            p.bytes(w);
-            write_section(&mut out, TAG_WORKER, &p.into_bytes());
+            write_unit(&mut out, TAG_WORKER, |p| {
+                p.u32(i as u32);
+                p.bytes(w);
+            });
         }
         out.into_bytes()
     }
@@ -115,8 +118,6 @@ impl CheckpointData {
         let mut meta: Option<(u64, u64, u32)> = None;
         let mut data = CheckpointData::default();
         while !r.is_done() {
-            // Section framing (and thus the corruption model) is shared
-            // with the DPSV network protocol via `wire::read_section`.
             let (tag, payload) = read_section(&mut r)?;
             match tag {
                 TAG_META => {

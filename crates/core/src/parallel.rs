@@ -1218,6 +1218,28 @@ mod tests {
         }
     }
 
+    /// Two runs fed the same stream write the same checkpoint bytes at
+    /// the same position, however long their producers waited on full
+    /// queues: the stall clocks are not profile state.
+    #[test]
+    fn identical_runs_write_identical_checkpoints() {
+        let evs = ckpt_stream(2_000);
+        let plan = dp_queue::FaultPlan::none().with_seed(7).with_spurious(30, 0);
+        let c = cfg(2).with_fault_plan(plan);
+        let encoded = || {
+            let mut p = ParallelProfiler::new(c.clone(), PerfectSignature::new);
+            for ev in &evs[..1_000] {
+                p.event(*ev);
+            }
+            let data = p.checkpoint_data(0, 1_000, b"cfg".to_vec()).unwrap();
+            let stalled: u64 = p.workers.ctx.metrics.stall.iter().map(|s| s.get()).sum();
+            assert!(stalled > 0, "the spurious full answers were waited out");
+            drop(p.finish());
+            data.encode()
+        };
+        assert_eq!(encoded(), encoded());
+    }
+
     #[test]
     fn checkpoint_resume_with_redistribution_is_deterministic() {
         // Hot addresses all map to worker 0, forcing migrations; the

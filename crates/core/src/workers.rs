@@ -177,7 +177,9 @@ impl EngineMetrics {
         self.pushed.get() + self.consumed.iter().map(Counter::get).sum::<u64>()
     }
 
-    /// Serializes the ledger for a checkpoint.
+    /// Serializes the ledger for a checkpoint. The stall clocks are wall
+    /// time, not profile state, and stay out of it, as the phase timings
+    /// do: two runs that reach the same state write the same bytes.
     pub(crate) fn save(&self) -> Vec<u8> {
         let mut out = ByteWriter::new();
         out.u64(self.pushed.get());
@@ -188,7 +190,6 @@ impl EngineMetrics {
             out.u64(self.dropped[wid].get());
             out.u64(self.consumed[wid].get());
             out.u64(self.consumed_chunks[wid].get());
-            out.u64(self.stall[wid].get());
         }
         out.into_bytes()
     }
@@ -209,7 +210,6 @@ impl EngineMetrics {
             self.dropped[wid].add(r.u64()?);
             self.consumed[wid].add(r.u64()?);
             self.consumed_chunks[wid].add(r.u64()?);
-            self.stall[wid].add(r.u64()?);
         }
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after ledger state"));

@@ -126,9 +126,11 @@ pub struct Conservation {
     pub pushed: u64,
     /// Events popped and analyzed by worker threads.
     pub consumed: u64,
-    /// Events dropped by the `drop` overflow policy or lost with a failed
-    /// worker's undrained queue contents at shutdown. Matches
-    /// `ProfileStats::dropped_events`.
+    /// Events the router could not deliver: dropped by the `drop`
+    /// overflow policy, or sent to a worker that had died. Rerouted
+    /// copies in such a chunk are left out (they count in `rerouted`), so
+    /// `ProfileStats::dropped_events`, which counts them, can be larger;
+    /// what a failed worker left in its queue is `in_flight_at_shutdown`.
     pub dropped: u64,
     /// Event copies diverted to a substitute worker because their owner
     /// was already dead when they were routed.

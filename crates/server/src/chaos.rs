@@ -10,19 +10,22 @@
 //! connection in `depprof push --chaos`, an accepted connection in
 //! `depprof serve --chaos`, or an in-memory stream in tests.
 //!
-//! The write side carries a tiny DPSV frame parser (preamble, then
-//! `tag len payload checksum`), which is what makes frame-offset kills
-//! and last-frame duplication exact: a reset lands on a frame boundary,
-//! and only completed client data frames (`Chunk`/`Sync`) are ever
-//! re-delivered — the faults a real flaky network plus a
-//! naively retrying middlebox would produce.
+//! The write side follows the DPSV stream's frame boundaries (the
+//! preamble, then each frame's length as its header gives it,
+//! [`wire::unit_len`]), which is what makes frame-offset kills and
+//! last-frame duplication exact: a reset lands on a frame boundary, and
+//! only completed client data frames (`Chunk`/`Sync`) are ever
+//! re-delivered — the faults a real flaky network plus a naively
+//! retrying middlebox would produce.
 
+use dp_types::protocol::{PREAMBLE_BYTES, TAG_CHUNK, TAG_SYNC};
+use dp_types::wire::{self, UNIT_HEADER_BYTES};
 use std::io::{self, Read, Write};
 
 /// Tags of the client data-plane frames `ChaosStream` may duplicate.
 /// Control frames (`Hello`, replies) are never duplicated: a duplicated
 /// `Hello` is a different session, not a transport fault.
-const DUP_TAGS: [u8; 2] = [3, 5]; // Chunk, Sync
+const DUP_TAGS: [u8; 2] = [TAG_CHUNK, TAG_SYNC];
 
 /// A deterministic network-fault schedule.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -92,13 +95,11 @@ impl NetFaultPlan {
 
     /// True when any fault is scheduled.
     pub fn is_active(&self) -> bool {
-        *self != NetFaultPlan::default() && {
-            self.reset_at_bytes.is_some()
-                || self.reset_at_frames.is_some()
-                || self.short_io
-                || (self.stall_every > 0 && self.stall_ms > 0)
-                || self.dup_every.is_some()
-        }
+        self.reset_at_bytes.is_some()
+            || self.reset_at_frames.is_some()
+            || self.short_io
+            || (self.stall_every > 0 && self.stall_ms > 0)
+            || self.dup_every.is_some()
     }
 
     /// Parses the CLI spec: comma-separated directives out of
@@ -135,17 +136,6 @@ impl NetFaultPlan {
     }
 }
 
-/// Where the write-side frame parser is within the byte stream.
-#[derive(Debug)]
-enum WireState {
-    /// Counting down the 5 preamble bytes.
-    Preamble(usize),
-    /// Collecting the 5-byte frame header (tag + length).
-    Header,
-    /// Collecting `remaining` payload+checksum bytes of the frame.
-    Body { remaining: usize },
-}
-
 /// A `Read + Write` wrapper executing a [`NetFaultPlan`] against the
 /// wrapped transport. Deterministic: the same plan over the same
 /// traffic produces the same faults at the same offsets.
@@ -158,8 +148,9 @@ pub struct ChaosStream<S> {
     out_bytes: u64,
     /// Complete frames written so far.
     out_frames: u64,
-    state: WireState,
-    /// Bytes of the in-progress frame (header + body), for duplication.
+    /// Preamble bytes not yet written.
+    pre_left: usize,
+    /// Bytes of the frame in progress, for its length and duplication.
     cur: Vec<u8>,
     /// Once a reset fired every later operation fails the same way.
     tripped: bool,
@@ -175,7 +166,7 @@ impl<S> ChaosStream<S> {
             rng,
             out_bytes: 0,
             out_frames: 0,
-            state: WireState::Preamble(5),
+            pre_left: PREAMBLE_BYTES,
             cur: Vec::new(),
             tripped: false,
         }
@@ -213,43 +204,31 @@ impl<S> ChaosStream<S> {
 }
 
 impl<S: Read + Write> ChaosStream<S> {
-    /// Advances the frame parser over `chunk` (bytes actually written),
-    /// firing frame-boundary faults (duplication, stalls, frame-offset
-    /// resets arm for the *next* write so the boundary frame itself is
-    /// delivered intact).
-    fn account_written(&mut self, chunk: &[u8]) -> io::Result<()> {
-        let mut i = 0;
-        while i < chunk.len() {
-            match self.state {
-                WireState::Preamble(ref mut left) => {
-                    let take = (*left).min(chunk.len() - i);
-                    *left -= take;
-                    i += take;
-                    if *left == 0 {
-                        self.state = WireState::Header;
-                    }
-                }
-                WireState::Header => {
-                    self.cur.push(chunk[i]);
-                    i += 1;
-                    self.out_bytes += 1;
-                    if self.cur.len() == 5 {
-                        let len = u32::from_le_bytes(self.cur[1..5].try_into().unwrap()) as usize;
-                        // payload + trailing checksum byte
-                        self.state = WireState::Body { remaining: len + 1 };
-                    }
-                }
-                WireState::Body { ref mut remaining } => {
-                    let take = (*remaining).min(chunk.len() - i);
-                    self.cur.extend_from_slice(&chunk[i..i + take]);
-                    *remaining -= take;
-                    i += take;
-                    self.out_bytes += take as u64;
-                    if *remaining == 0 {
-                        self.frame_complete()?;
-                        self.state = WireState::Header;
-                    }
-                }
+    /// Bytes to the end of the unit in progress: the preamble, else the
+    /// frame in `cur` as its header gives it (the header, until it is in).
+    fn unit_left(&self) -> usize {
+        if self.pre_left > 0 {
+            return self.pre_left;
+        }
+        wire::unit_len(&self.cur).unwrap_or(UNIT_HEADER_BYTES) - self.cur.len()
+    }
+
+    /// Follows the frame boundaries over `written` (bytes actually
+    /// written), firing frame-boundary faults (duplication, stalls,
+    /// frame-offset resets arm for the *next* write so the boundary frame
+    /// itself is delivered intact).
+    fn account_written(&mut self, mut written: &[u8]) -> io::Result<()> {
+        while !written.is_empty() {
+            let (unit, rest) = written.split_at(self.unit_left().min(written.len()));
+            written = rest;
+            if self.pre_left > 0 {
+                self.pre_left -= unit.len();
+                continue;
+            }
+            self.cur.extend_from_slice(unit);
+            self.out_bytes += unit.len() as u64;
+            if self.unit_left() == 0 {
+                self.frame_complete()?;
             }
         }
         Ok(())
@@ -300,20 +279,14 @@ impl<S: Read + Write> Write for ChaosStream<S> {
             return Ok(0);
         }
         let mut cap = buf.len();
-        // Preamble bytes still owed, and bytes to the end of the unit in
-        // progress (preamble, frame header, frame body).
-        let (pre_left, unit_left) = match self.state {
-            WireState::Preamble(left) => (left, left),
-            WireState::Header => (0, 5 - self.cur.len()),
-            WireState::Body { remaining } => (0, remaining),
-        };
+        let pre_left = self.pre_left;
         // A sender may coalesce hundreds of frames into one write. Under
         // an active plan each inner write stops at the end of the unit in
         // progress, so every fault below lands on the exact frame it
         // names however the bytes were batched, and a duplicate follows
         // its original directly.
         if self.plan.is_active() {
-            cap = cap.min(unit_left);
+            cap = cap.min(self.unit_left());
         }
         // A frame-offset reset arms once the boundary frame completed:
         // that frame is delivered intact, the next write dies. The

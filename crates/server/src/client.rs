@@ -10,11 +10,11 @@
 
 use dp_core::SessionSpec;
 use dp_trace::stream::{FrameChunker, OffThread, DEFAULT_CHUNK_EVENTS};
-use dp_types::protocol::MAX_CHUNK_EVENTS;
-use dp_types::protocol::{self, error_code, Frame, Hello, ProtocolError, MAX_FRAME_BYTES};
+use dp_types::protocol::{self, error_code, Frame, FrameSender, Hello, ProtocolError};
+use dp_types::protocol::{MAX_CHUNK_EVENTS, MAX_FRAME_BYTES};
 use dp_types::TraceEvent;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::time::Instant;
 
 /// How a push streams its session.
@@ -132,6 +132,12 @@ impl From<ProtocolError> for ClientError {
     }
 }
 
+impl From<io::Error> for ClientError {
+    fn from(e: io::Error) -> Self {
+        ClientError::Protocol(ProtocolError::Io(e))
+    }
+}
+
 impl ClientError {
     /// True for failures a reconnect can cure: transport errors, typed
     /// backpressure, and the server-side conditions (`SHUTDOWN`,
@@ -171,44 +177,6 @@ fn read_reply_skipping_acks(conn: &mut impl Read) -> Result<Frame, ClientError> 
     }
 }
 
-/// The sending end of a frame stream: each frame is encoded into one
-/// reused buffer and written out with one `write_all`.
-#[derive(Debug, Default)]
-pub struct FrameSender {
-    buf: Vec<u8>,
-    events_written: u64,
-}
-
-impl FrameSender {
-    /// A sender with nothing written.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Writes `frame` out.
-    pub fn send(&mut self, conn: &mut impl Write, frame: &Frame) -> Result<(), ProtocolError> {
-        self.buf.clear();
-        frame.encode_into(&mut self.buf);
-        conn.write_all(&self.buf)?;
-        if let Frame::Chunk { events, .. } = frame {
-            self.events_written += events.len() as u64;
-        }
-        Ok(())
-    }
-
-    /// Flushes the transport.
-    pub fn flush(&mut self, conn: &mut impl Write) -> Result<(), ProtocolError> {
-        conn.flush()?;
-        Ok(())
-    }
-
-    /// Events carried by `Chunk` frames the transport accepted whole —
-    /// what a retry loop may count as sent.
-    pub fn events_written(&self) -> u64 {
-        self.events_written
-    }
-}
-
 /// In-flight progress of one connection attempt, visible to the retry
 /// loop even when the attempt dies mid-stream — this is what makes the
 /// duplicated-work accounting exact.
@@ -230,17 +198,14 @@ fn watch_query(
     session: &str,
     id: u64,
 ) -> Result<String, ClientError> {
-    out.send(conn, &Frame::Query { id, kind: protocol::query_kind::ALL })?;
-    out.flush(conn)?;
-    loop {
-        match read_reply(conn)? {
-            Frame::QueryResult { json, .. } => {
-                eprintln!("[watch {session}] {json}");
-                return Ok(json);
-            }
-            Frame::SyncAck { .. } => continue,
-            _ => return Err(ClientError::Unexpected("wanted QueryResult")),
+    out.send(conn, [&Frame::Query { id, kind: protocol::query_kind::ALL }])?;
+    conn.flush()?;
+    match read_reply_skipping_acks(conn)? {
+        Frame::QueryResult { json, .. } => {
+            eprintln!("[watch {session}] {json}");
+            Ok(json)
         }
+        _ => Err(ClientError::Unexpected("wanted QueryResult")),
     }
 }
 
@@ -257,7 +222,33 @@ pub fn push_events(
     push_once(conn, names, events, opts, &mut PushProgress::default())
 }
 
+/// [`push_session`], reporting the server's last word: a write that
+/// finds the server gone may have crossed the `Error` it sent before
+/// closing (a shutdown, say), and that, read from what is left of the
+/// connection, is the failure to report rather than the broken pipe.
 fn push_once(
+    conn: &mut (impl Read + Write),
+    names: Vec<String>,
+    events: impl IntoIterator<Item = TraceEvent>,
+    opts: &PushOptions,
+    progress: &mut PushProgress,
+) -> Result<PushOutcome, ClientError> {
+    use io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset};
+    let err = match push_session(conn, names, events, opts, progress) {
+        Err(ClientError::Protocol(ProtocolError::Io(e)))
+            if matches!(e.kind(), BrokenPipe | ConnectionReset | ConnectionAborted) =>
+        {
+            e
+        }
+        done => return done,
+    };
+    match protocol::read_frame(conn, MAX_FRAME_BYTES) {
+        Ok(Some(Frame::Error { code, message })) => Err(ClientError::Server { code, message }),
+        _ => Err(err.into()),
+    }
+}
+
+fn push_session(
     conn: &mut (impl Read + Write),
     names: Vec<String>,
     events: impl IntoIterator<Item = TraceEvent>,
@@ -268,19 +259,17 @@ fn push_once(
         return Err(ClientError::ChunkTooLarge(opts.chunk_events));
     }
     let PushProgress { out, resumed_from: resume_seen } = progress;
-    protocol::write_preamble(conn).map_err(ProtocolError::Io)?;
-    conn.flush().map_err(ProtocolError::Io)?;
+    protocol::write_preamble(conn)?;
+    conn.flush()?;
     protocol::read_preamble(conn)?;
-    out.send(
-        conn,
-        &Frame::Hello(Hello {
-            session: opts.session.clone(),
-            spec: opts.spec.encode(),
-            checkpoint_every: opts.checkpoint_every,
-            names,
-        }),
-    )?;
-    out.flush(conn)?;
+    let hello = Hello {
+        session: opts.session.clone(),
+        spec: opts.spec.encode(),
+        checkpoint_every: opts.checkpoint_every,
+        names,
+    };
+    out.send(conn, [&Frame::Hello(hello)])?;
+    conn.flush()?;
     let resumed_from = match read_reply(conn)? {
         Frame::HelloAck { resume_from, .. } => resume_from,
         _ => return Err(ClientError::Unexpected("wanted HelloAck")),
@@ -306,7 +295,7 @@ fn push_once(
             chunker.refused().map_or(Ok(()), |e| Err(ClientError::OffThread(e)))?;
             continue;
         };
-        out.send(conn, &frame)?;
+        out.send(conn, [&frame])?;
         chunks_since_sync += 1;
         if let Some(ms) = opts.watch_ms {
             if last_watch.elapsed().as_millis() as u64 >= ms {
@@ -316,14 +305,14 @@ fn push_once(
             }
         }
         if opts.throttle_ms > 0 {
-            out.flush(conn)?;
+            conn.flush()?;
             std::thread::sleep(std::time::Duration::from_millis(opts.throttle_ms));
         }
         if opts.sync_every_chunks > 0 && chunks_since_sync >= opts.sync_every_chunks {
             chunks_since_sync = 0;
             sync_nonce += 1;
-            out.send(conn, &Frame::Sync { nonce: sync_nonce })?;
-            out.flush(conn)?;
+            out.send(conn, [&Frame::Sync { nonce: sync_nonce }])?;
+            conn.flush()?;
             // Wait for this probe's ack (skipping acks of any duplicated
             // earlier probes): everything sent so far is consumed — a
             // durable watermark.
@@ -338,10 +327,8 @@ fn push_once(
     }
     // End of stream: the trailing partial chunk goes out before the
     // stats/finish exchange.
-    if let Some(frame) = chunker.flush() {
-        out.send(conn, &frame)?;
-    }
-    out.flush(conn)?;
+    out.send(conn, chunker.flush().iter())?;
+    conn.flush()?;
 
     // Watch mode always ends with one query after the last event: the
     // complete live report, which must equal the post-hoc passes.
@@ -351,8 +338,8 @@ fn push_once(
     }
 
     let stats_json = if opts.request_stats {
-        out.send(conn, &Frame::StatsRequest)?;
-        out.flush(conn)?;
+        out.send(conn, [&Frame::StatsRequest])?;
+        conn.flush()?;
         match read_reply_skipping_acks(conn)? {
             Frame::Stats { json } => Some(json),
             _ => return Err(ClientError::Unexpected("wanted Stats")),
@@ -361,8 +348,8 @@ fn push_once(
         None
     };
 
-    out.send(conn, &Frame::Finish)?;
-    out.flush(conn)?;
+    out.send(conn, [&Frame::Finish])?;
+    conn.flush()?;
     let report = match read_reply_skipping_acks(conn)? {
         Frame::Report { text } => text,
         _ => return Err(ClientError::Unexpected("wanted Report")),
@@ -586,5 +573,62 @@ mod tests {
         let policy = RetryPolicy::default();
         let retried = push_with_retry(|| Ok(Untouched), &[], &[], &opts, &policy);
         assert!(matches!(retried, Err(ClientError::ChunkTooLarge(_))));
+    }
+
+    /// A server that answered the handshake, then sent its last word and
+    /// closed: every write past the `Hello` breaks the pipe, and the read
+    /// side holds what the server said.
+    struct Hungup {
+        replies: io::Cursor<Vec<u8>>,
+        writes_left: usize,
+    }
+
+    impl Read for Hungup {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.replies.read(buf)
+        }
+    }
+
+    impl Write for Hungup {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.writes_left == 0 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            self.writes_left -= 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A push whose write finds the server gone reports the `Error` the
+    /// server sent before it closed, not the broken pipe; without one, the
+    /// broken pipe it is.
+    #[test]
+    fn a_broken_pipe_reports_the_servers_last_word() {
+        let push = |last: Option<Frame>| {
+            let mut replies = Vec::new();
+            protocol::write_preamble(&mut replies).unwrap();
+            let ack = Frame::HelloAck { session_id: 1, resume_from: 0 };
+            [ack].iter().chain(&last).for_each(|f| f.encode_into(&mut replies));
+            // The preamble's magic and version, then the `Hello`.
+            let mut conn = Hungup { replies: io::Cursor::new(replies), writes_left: 3 };
+            let ev = TraceEvent::CallBegin { func: 1, thread: 0, ts: 0 };
+            let opts = PushOptions { chunk_events: 1, ..PushOptions::default() };
+            push_events(&mut conn, vec![], [ev], &opts).unwrap_err()
+        };
+        let message = "server shutting down; not durable, nothing saved";
+        let said = push(Some(Frame::Error { code: error_code::SHUTDOWN, message: message.into() }));
+        assert!(
+            matches!(&said, ClientError::Server { code: error_code::SHUTDOWN, message: m } if m == message),
+            "{said}"
+        );
+        let silent = push(None);
+        assert!(
+            matches!(&silent, ClientError::Protocol(ProtocolError::Io(e)) if e.kind() == io::ErrorKind::BrokenPipe),
+            "{silent}"
+        );
     }
 }

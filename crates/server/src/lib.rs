@@ -54,8 +54,8 @@ pub mod shutdown;
 
 pub use chaos::{ChaosStream, NetFaultPlan};
 pub use client::{
-    backoff_delay_ms, push_events, push_with_retry, ClientError, FrameSender, PushOptions,
-    PushOutcome, RetryOutcome, RetryPolicy,
+    backoff_delay_ms, push_events, push_with_retry, ClientError, PushOptions, PushOutcome,
+    RetryOutcome, RetryPolicy,
 };
 pub use engine::{SessionEngine, SessionError};
 pub use server::{Server, ServerConfig};

@@ -3,9 +3,8 @@
 
 use crate::chaos::{ChaosStream, NetFaultPlan};
 use crate::engine::{SessionEngine, SessionError};
-use dp_types::protocol::{
-    self, error_code, Frame, FrameReader, ProtocolError, MAX_FRAME_BYTES, PROTOCOL_VERSION,
-};
+use dp_types::protocol::{self, error_code, Frame, FrameReader, FrameSender, ProtocolError};
+use dp_types::protocol::{MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -348,42 +347,29 @@ fn dispatch_conn<S: Conn>(s: S, shared: &Shared, stop: &AtomicBool) {
     }
 }
 
-/// Sends `frames` as one write.
-fn send(s: &mut impl Write, frames: &[Frame]) -> Result<(), ProtocolError> {
-    let mut buf = Vec::new();
-    for f in frames {
-        f.encode_into(&mut buf);
-    }
-    s.write_all(&buf)?;
-    s.flush()?;
-    Ok(())
-}
-
-fn send_error(s: &mut impl Write, code: u16, message: String) {
-    let _ = send(s, &[Frame::Error { code, message }]);
-}
-
 /// Drives one connection to completion. Every exit path below either
 /// completed the session (`Finish` handled) or wrote its emergency
 /// checkpoint first.
 ///
 /// The connection is read ahead — one `read` brings in as many frames as
 /// the peer had in flight — but acted on frame by frame: every buffered
-/// frame is handled, and its replies sent, before the next `read`.
+/// frame is handled, and its replies sent with one write, before the
+/// next `read`. The socket is unbuffered: a write needs no flush.
 fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     let _ = s.set_read_timeout_ms(Some(shared.cfg.poll_interval_ms.max(1)));
     // Preamble, both directions: we announce first (so clients can
     // fail fast on version skew), then validate theirs.
-    if protocol::write_preamble(&mut s).is_err() || s.flush().is_err() {
+    if protocol::write_preamble(&mut s).is_err() {
         return;
     }
-    let mut reader = FrameReader::new(MAX_FRAME_BYTES);
+    let (mut reader, mut out) = (FrameReader::new(MAX_FRAME_BYTES), FrameSender::new());
+    let error = |code, message| Frame::Error { code, message };
     match read_step(&mut reader, &mut s, stop, |r| Ok(r.preamble()?.then_some(()))) {
         Ok(Some(())) => {}
         Ok(None) => return,
         Err(_) => {
             let message = format!("bad preamble (expected DPSV v{PROTOCOL_VERSION})");
-            send_error(&mut s, error_code::BAD_FRAME, message);
+            let _ = out.send(&mut s, [&error(error_code::BAD_FRAME, message)]);
             return;
         }
     }
@@ -395,7 +381,8 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     }) {
         Ok(Some(Frame::Hello(h))) => h,
         Ok(Some(_)) => {
-            send_error(&mut s, error_code::BAD_FRAME, "first frame must be Hello".into());
+            let _ = out
+                .send(&mut s, [&error(error_code::BAD_FRAME, "first frame must be Hello".into())]);
             return;
         }
         _ => return,
@@ -410,7 +397,7 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
         // Typed backpressure: the client gets a machine-readable retry
         // hint instead of a flat refusal, and `push_with_retry` honors
         // it — overload shows up as latency, not failure.
-        let _ = send(&mut s, &[Frame::Busy { retry_after_ms: shared.cfg.busy_retry_ms }]);
+        let _ = out.send(&mut s, [&Frame::Busy { retry_after_ms: shared.cfg.busy_retry_ms }]);
         return;
     }
     let _slot = SessionSlot(Arc::clone(&shared.active));
@@ -419,7 +406,7 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     // waits for that teardown, and past the wait falls back on the same
     // typed backpressure as capacity.
     let Some(_name) = shared.claim_name(&hello.session, stop) else {
-        let _ = send(&mut s, &[Frame::Busy { retry_after_ms: shared.cfg.busy_retry_ms }]);
+        let _ = out.send(&mut s, [&Frame::Busy { retry_after_ms: shared.cfg.busy_retry_ms }]);
         return;
     };
     let session_id = shared.next_id.fetch_add(1, Ordering::SeqCst);
@@ -431,12 +418,12 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     ) {
         Ok(v) => v,
         Err(e) => {
-            let _ = send(&mut s, &[e.to_frame()]);
+            let _ = out.send(&mut s, [&e.to_frame()]);
             return;
         }
     };
     engine.set_reconnects(shared.count_hello(engine.name()));
-    if send(&mut s, &[ack]).is_err() {
+    if out.send(&mut s, [&ack]).is_err() {
         checkpoint_on_exit(&mut engine, "client lost before HelloAck");
         return;
     }
@@ -461,7 +448,7 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
             match handled {
                 Ok(replies) => {
                     let done = engine.finished();
-                    if !replies.is_empty() && send(&mut s, &replies).is_err() && !done {
+                    if !replies.is_empty() && out.send(&mut s, &replies).is_err() && !done {
                         checkpoint_on_exit(&mut engine, "client lost mid-reply");
                         return;
                     }
@@ -482,7 +469,7 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
                         _ => "protocol misuse",
                     };
                     checkpoint_on_exit(&mut engine, why);
-                    let _ = send(&mut s, &[e.to_frame()]);
+                    let _ = out.send(&mut s, [&e.to_frame()]);
                     return;
                 }
             }
@@ -506,18 +493,19 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
                             "session hibernated after {}ms idle; reconnect to resume",
                             shared.cfg.hibernate_after_ms
                         );
-                        send_error(&mut s, error_code::HIBERNATED, message);
+                        let _ = out.send(&mut s, [&error(error_code::HIBERNATED, message)]);
                     }
                     Err(e) => {
                         checkpoint_on_exit(&mut engine, "hibernate failed");
-                        send_error(&mut s, error_code::ENGINE, e.to_string());
+                        let _ = out.send(&mut s, [&error(error_code::ENGINE, e.to_string())]);
                     }
                 }
                 return;
             }
             Ok(Wait::Shutdown) => {
                 let saved = checkpoint_on_exit(&mut engine, "shutdown");
-                send_error(&mut s, error_code::SHUTDOWN, format!("server shutting down; {saved}"));
+                let message = format!("server shutting down; {saved}");
+                let _ = out.send(&mut s, [&error(error_code::SHUTDOWN, message)]);
                 return;
             }
             Ok(Wait::Eof) => {

@@ -9,15 +9,16 @@
 
 use crate::stream::{intern_names, FrameChunker, DEFAULT_CHUNK_EVENTS};
 use crate::tracer::Tracer;
-use dp_types::protocol::{self, ChunkView, Frame, FrameReader, Hello, ProtocolError};
-use dp_types::protocol::{FRAME_OVERHEAD_BYTES, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_CHUNK};
+use dp_types::protocol::{self, ChunkView, Frame, FrameReader, FrameSender, Hello, ProtocolError};
+use dp_types::protocol::{MAX_FRAME_BYTES, PREAMBLE_BYTES, PROTOCOL_VERSION, TAG_CHUNK};
+use dp_types::wire::UNIT_OVERHEAD_BYTES;
 use dp_types::{Interner, Record, TraceEvent};
 use std::fmt;
 use std::io::{self, Read, Write};
 use TraceFileError::{BadNameTable, Checksum, NotATrace, TornRecord, UnsupportedVersion};
 
-/// Bytes of the preamble: the offset of the `Hello` frame.
-const PREAMBLE: u64 = 5;
+/// Byte offset of the `Hello` frame: the first past the preamble.
+const HELLO_AT: u64 = PREAMBLE_BYTES as u64;
 
 /// Why a trace file could not be read.
 #[derive(Debug)]
@@ -82,8 +83,7 @@ pub struct TraceWriter<W: Write> {
     sink: W,
     chunker: FrameChunker,
     error: Option<io::Error>,
-    /// Each frame is encoded here, then written out whole.
-    buf: Vec<u8>,
+    out: FrameSender,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -95,11 +95,11 @@ impl<W: Write> TraceWriter<W> {
     /// Creates a writer, embedding the interner's names for replayed reports.
     pub fn with_names(mut sink: W, interner: &Interner) -> io::Result<Self> {
         protocol::write_preamble(&mut sink)?;
-        let chunker = FrameChunker::new(DEFAULT_CHUNK_EVENTS);
-        let mut w = TraceWriter { sink, chunker, error: None, buf: Vec::new() };
         let names = (0..interner.len() as u32).map(|id| interner.resolve(id).into()).collect();
-        w.write(&Frame::Hello(Hello { names, ..Hello::default() }))?;
-        Ok(w)
+        let mut out = FrameSender::new();
+        out.send(&mut sink, [&Frame::Hello(Hello { names, ..Hello::default() })])?;
+        let chunker = FrameChunker::new(DEFAULT_CHUNK_EVENTS);
+        Ok(TraceWriter { sink, chunker, error: None, out })
     }
 
     /// Events written so far.
@@ -119,24 +119,17 @@ impl<W: Write> TraceWriter<W> {
         if let Some(refused) = self.chunker.refused() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, refused));
         }
-        for frame in self.chunker.flush().into_iter().chain([Frame::Finish]) {
-            self.write(&frame)?;
-        }
+        let last = self.chunker.flush();
+        self.out.send(&mut self.sink, last.iter().chain([&Frame::Finish]))?;
         self.sink.flush()?;
         Ok(self.sink)
-    }
-
-    fn write(&mut self, frame: &Frame) -> io::Result<()> {
-        self.buf.clear();
-        frame.encode_into(&mut self.buf);
-        self.sink.write_all(&self.buf)
     }
 }
 
 impl<W: Write> Tracer for TraceWriter<W> {
     fn event(&mut self, ev: TraceEvent) {
         if let Some(chunk) = self.chunker.push(ev).filter(|_| self.error.is_none()) {
-            self.error = self.write(&chunk).err();
+            self.error = self.out.send(&mut self.sink, [&chunk]).err();
         }
     }
 }
@@ -161,7 +154,7 @@ pub struct TraceReader<R: Read> {
 impl<R: Read> TraceReader<R> {
     /// Opens a trace, validating the preamble and loading the name table.
     pub fn new(mut input: R) -> Result<Self, TraceFileError> {
-        let mut pre = [0u8; PREAMBLE as usize];
+        let mut pre = [0u8; PREAMBLE_BYTES];
         match input.read_exact(&mut pre).map(|()| protocol::read_preamble(&mut &pre[..])) {
             Ok(Ok(())) => {}
             Ok(Err(ProtocolError::UnsupportedVersion(v))) => return Err(UnsupportedVersion(v)),
@@ -174,7 +167,7 @@ impl<R: Read> TraceReader<R> {
             input,
             frames,
             interner,
-            offset: PREAMBLE,
+            offset: HELLO_AT,
             records: 0,
             chunk: Vec::new(),
             next: 0,
@@ -234,8 +227,8 @@ impl<R: Read> TraceReader<R> {
                     _ => continue,
                 },
             };
-            self.offset += (payload.len() + FRAME_OVERHEAD_BYTES) as u64;
-            if tag == TAG_CHUNK && at > PREAMBLE {
+            self.offset += (payload.len() + UNIT_OVERHEAD_BYTES) as u64;
+            if tag == TAG_CHUNK && at > HELLO_AT {
                 let chunk = ChunkView::parse(payload).ok().filter(|c| c.base() == pos);
                 let chunk = chunk.ok_or_else(corrupt)?;
                 self.chunk.clear();
@@ -247,7 +240,7 @@ impl<R: Read> TraceReader<R> {
                 self.done = false;
                 return Ok(());
             }
-            match (Frame::decode(tag, payload), at == PREAMBLE) {
+            match (Frame::decode(tag, payload), at == HELLO_AT) {
                 (Ok(Frame::Hello(hello)), true) => {
                     self.interner = intern_names(&hello.names).map_err(BadNameTable)?;
                 }
@@ -287,7 +280,7 @@ mod tests {
     use crate::builder::{c, ProgramBuilder};
     use crate::interp::Interp;
     use crate::tracer::CollectTracer;
-    use dp_types::wire::xor_fold;
+    use dp_types::wire::{unit_len, write_unit, ByteWriter};
     use dp_types::{loc::loc, MemAccess};
 
     /// One event of every kind, as a reader hands it out: on thread 0,
@@ -319,16 +312,14 @@ mod tests {
 
     /// Bytes of a recording before its first `Chunk`: preamble and `Hello`.
     fn header_len() -> usize {
-        record(&[]).len() - FRAME_OVERHEAD_BYTES
+        record(&[]).len() - UNIT_OVERHEAD_BYTES
     }
 
     /// A frame of `tag` around `payload`, checksum and all.
     fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
-        let mut out = vec![tag];
-        out.extend((payload.len() as u32).to_le_bytes());
-        out.extend(payload);
-        out.push(xor_fold(tag, payload));
-        out
+        let mut out = ByteWriter::new();
+        write_unit(&mut out, tag, |w| w.bytes(payload));
+        out.into_bytes()
     }
 
     #[test]
@@ -374,7 +365,7 @@ mod tests {
     fn truncated_name_table_is_typed() {
         let full = record(&[]);
         // Any cut inside the `Hello` frame.
-        for cut in PREAMBLE as usize..header_len() {
+        for cut in PREAMBLE_BYTES..header_len() {
             assert!(
                 matches!(TraceReader::new(&full[..cut]), Err(BadNameTable("truncated name table"))),
                 "cut at {cut}"
@@ -402,7 +393,7 @@ mod tests {
             Err(BadNameTable("duplicate name"))
         ));
         // The first frame must be the `Hello`.
-        let mut chunk_first = table(&[])[..PREAMBLE as usize].to_vec();
+        let mut chunk_first = table(&[])[..PREAMBLE_BYTES].to_vec();
         Frame::Chunk { base: 0, events: sample_records() }.encode_into(&mut chunk_first);
         assert!(matches!(
             TraceReader::new(&chunk_first[..]),
@@ -420,7 +411,7 @@ mod tests {
         assert_eq!(items.len(), 1);
         assert!(items[0].is_ok());
         let header = header_len();
-        let finish = bytes.len() - FRAME_OVERHEAD_BYTES;
+        let finish = bytes.len() - UNIT_OVERHEAD_BYTES;
         for cut in header..bytes.len() {
             let items: Vec<_> = TraceReader::new(&bytes[..cut]).unwrap().collect();
             // Inside the chunk nothing is kept; past it, its one event.
@@ -619,8 +610,7 @@ mod tests {
         let bytes = record(&evs);
         let mut offsets = vec![header_len()];
         while let Some(&at) = offsets.last().filter(|&&at| at < bytes.len()) {
-            let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
-            offsets.push(at + len + FRAME_OVERHEAD_BYTES);
+            offsets.push(at + unit_len(&bytes[at..]).unwrap());
         }
         offsets.pop();
         assert_eq!(offsets.len(), evs.len().div_ceil(DEFAULT_CHUNK_EVENTS) + 1);

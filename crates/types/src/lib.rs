@@ -39,6 +39,4 @@ pub use loc::SourceLoc;
 pub use protocol::{Frame, Hello, ProtocolError};
 pub use record::{EventKind, Record};
 pub use sink::{Tracer, TracerFactory};
-pub use wire::{
-    atomic_write, read_section, write_section, xor_fold, ByteReader, ByteWriter, WireError,
-};
+pub use wire::{atomic_write, read_section, write_section, ByteReader, ByteWriter, WireError};

@@ -9,10 +9,10 @@
 //!
 //! ## Wire layout
 //!
-//! Each direction of a connection starts with a 5-byte preamble — the
-//! magic `DPSV` and a version byte — followed by a sequence of frames.
-//! A frame is exactly the section unit the `DPCK` checkpoint container
-//! uses ([`crate::wire::write_section`]):
+//! Each direction of a connection starts with a [`PREAMBLE_BYTES`]-byte
+//! preamble — the magic `DPSV` and a version byte — followed by a
+//! sequence of frames. A frame is a unit of [`crate::wire`], the codec
+//! a `DPCK` checkpoint section is written with too:
 //!
 //! ```text
 //! preamble := "DPSV" version:u8
@@ -20,11 +20,12 @@
 //! chunk    := base:u64 count:u32 tag:u8[count] body:(u64 u64)[count]
 //! ```
 //!
-//! with the checksum being [`xor_fold`] over tag
-//! and payload, and every integer little-endian. Sharing the framing unit
-//! means a torn, bit-flipped or truncated frame corrupts — and is
-//! detected — exactly like a damaged checkpoint section, and one
-//! property-test suite covers both. A `Chunk` carries its events as
+//! every integer little-endian. [`Frame::encode_into`] writes a frame
+//! with [`write_unit`]; [`read_frame`] and [`FrameReader`] take one off
+//! with [`split_unit`], which verifies its checksum and here bounds its
+//! payload at [`MAX_FRAME_BYTES`] (a checkpoint section has no bound). A
+//! torn, bit-flipped or truncated frame so fails exactly like a damaged
+//! checkpoint section. A `Chunk` carries its events as
 //! [`Record`]s, the one layout an event has from the producer to the
 //! worker: all the tags, then all the 16-byte bodies, so a chunk of
 //! `count` events is exactly `12 + 17·count` bytes whatever its mix, and
@@ -75,7 +76,8 @@
 //! the checkpoint container uses for its CONFIG section.
 
 use crate::record::{EventKind, Record, RECORD_BYTES};
-use crate::wire::{xor_fold, ByteReader, ByteWriter, WireError};
+use crate::wire::{split_unit, write_unit, ByteReader, ByteWriter, Split, WireError};
+use crate::wire::{UNIT_HEADER_BYTES, UNIT_OVERHEAD_BYTES};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -83,6 +85,8 @@ use std::io::{self, Read, Write};
 pub const PROTOCOL_MAGIC: [u8; 4] = *b"DPSV";
 /// Current protocol version: v4, whose `Chunk` carries [`Record`]s.
 pub const PROTOCOL_VERSION: u8 = 4;
+/// Bytes of the preamble: the magic and the version.
+pub const PREAMBLE_BYTES: usize = PROTOCOL_MAGIC.len() + 1;
 
 /// Default upper bound on a frame's payload length. A frame header
 /// announcing more than this is rejected before any allocation — the
@@ -102,7 +106,8 @@ const TAG_HELLO_ACK: u8 = 2;
 /// Wire tag of [`Frame::Chunk`] — public so a receiver can route a raw
 /// `(tag, payload)` pair to [`ChunkView`] without building a [`Frame`].
 pub const TAG_CHUNK: u8 = 3;
-const TAG_SYNC: u8 = 5;
+/// Wire tag of [`Frame::Sync`].
+pub const TAG_SYNC: u8 = 5;
 const TAG_FINISH: u8 = 6;
 const TAG_STATS_REQUEST: u8 = 7;
 const TAG_STATS: u8 = 8;
@@ -149,7 +154,8 @@ pub enum ProtocolError {
     /// The underlying stream failed.
     Io(io::Error),
     /// A frame or payload was structurally damaged (truncated mid-frame,
-    /// checksum mismatch, impossible field value).
+    /// checksum mismatch, impossible field value), or announced a payload
+    /// over the reader's bound, after which the stream must close.
     Wire(WireError),
     /// The peer's preamble does not start with `DPSV`.
     BadMagic,
@@ -159,14 +165,6 @@ pub enum ProtocolError {
     UnknownFrame {
         /// The undefined tag byte.
         tag: u8,
-    },
-    /// A frame header announced a payload longer than the reader's
-    /// bound; the stream cannot be resynchronized and must close.
-    FrameTooLarge {
-        /// Announced payload length.
-        len: usize,
-        /// The reader's configured maximum.
-        max: usize,
     },
 }
 
@@ -180,9 +178,6 @@ impl fmt::Display for ProtocolError {
                 write!(f, "unsupported DPSV version {v} (this build speaks {PROTOCOL_VERSION})")
             }
             ProtocolError::UnknownFrame { tag } => write!(f, "unknown frame tag {tag}"),
-            ProtocolError::FrameTooLarge { len, max } => {
-                write!(f, "frame payload of {len} bytes exceeds the {max}-byte bound")
-            }
         }
     }
 }
@@ -394,24 +389,16 @@ impl Frame {
     }
 
     /// Appends the frame's wire form — `tag | len | payload | checksum` —
-    /// to `out` in place: the length is patched once the payload is
-    /// written and the checksum folded over the bytes just appended, so
-    /// encoding into a buffer with spare capacity allocates nothing.
+    /// to `out` in place ([`write_unit`]), so encoding into a buffer with
+    /// spare capacity allocates nothing.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
         if let Frame::Chunk { events, .. } = self {
             // header + base + count + records + checksum, in one growth
-            out.reserve(FRAME_OVERHEAD_BYTES + CHUNK_HEADER_BYTES + events.len() * RECORD_BYTES);
+            out.reserve(UNIT_OVERHEAD_BYTES + CHUNK_HEADER_BYTES + events.len() * RECORD_BYTES);
         }
         let mut w = ByteWriter::from_bytes(std::mem::take(out));
-        w.u8(self.tag());
-        w.u32(0);
-        self.put_payload(&mut w);
+        write_unit(&mut w, self.tag(), |w| self.put_payload(w));
         *out = w.into_bytes();
-        let payload_at = start + FRAME_HEADER_BYTES;
-        let len = (out.len() - payload_at) as u32;
-        out[start + 1..payload_at].copy_from_slice(&len.to_le_bytes());
-        out.push(xor_fold(self.tag(), &out[payload_at..]));
     }
 
     fn put_payload(&self, w: &mut ByteWriter) {
@@ -507,11 +494,6 @@ impl Frame {
     }
 }
 
-/// Bytes before a frame's payload: tag + length prefix.
-const FRAME_HEADER_BYTES: usize = 1 + 4;
-/// Bytes a frame adds around its payload: header + checksum.
-pub const FRAME_OVERHEAD_BYTES: usize = FRAME_HEADER_BYTES + 1;
-
 /// Writes the connection preamble (`DPSV` + version).
 pub fn write_preamble(w: &mut impl Write) -> io::Result<()> {
     w.write_all(&PROTOCOL_MAGIC)?;
@@ -529,7 +511,7 @@ fn eof_is_torn(e: io::Error) -> ProtocolError {
 
 /// Reads and validates the peer's preamble.
 pub fn read_preamble(r: &mut impl Read) -> Result<(), ProtocolError> {
-    let mut hdr = [0u8; 5];
+    let mut hdr = [0u8; PREAMBLE_BYTES];
     r.read_exact(&mut hdr).map_err(eof_is_torn)?;
     if hdr[..4] != PROTOCOL_MAGIC {
         return Err(ProtocolError::BadMagic);
@@ -540,29 +522,14 @@ pub fn read_preamble(r: &mut impl Read) -> Result<(), ProtocolError> {
     Ok(())
 }
 
-/// Writes one frame to the stream: [`Frame::encode_into`] a scratch
-/// buffer, one `write_all`.
+/// Writes one frame to the stream: a [`FrameSender`] of one frame.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), ProtocolError> {
-    let mut buf = Vec::with_capacity(64);
-    frame.encode_into(&mut buf);
-    w.write_all(&buf)?;
-    Ok(())
+    Ok(FrameSender::new().send(w, [frame])?)
 }
 
 /// The reader's effective payload bound for a configured `max_bytes`.
 fn payload_bound(max_bytes: usize) -> usize {
     MAX_FRAME_BYTES.min(max_bytes.max(1))
-}
-
-/// Checks a frame's trailing checksum byte against its tag and payload —
-/// the same fold, and the same typed error, as a damaged checkpoint
-/// section ([`crate::wire::read_section`]).
-fn verify_checksum(tag: u8, payload: &[u8], sum: u8) -> Result<(), WireError> {
-    if xor_fold(tag, payload) == sum {
-        Ok(())
-    } else {
-        Err(WireError::Checksum { offset: 0 })
-    }
 }
 
 /// Reads exactly one frame from the stream, bounding the payload at
@@ -575,24 +542,67 @@ fn verify_checksum(tag: u8, payload: &[u8], sum: u8) -> Result<(), WireError> {
 /// [`WireError::Truncated`]. (A trace file, which must end with its
 /// `Finish`, reads any earlier end as torn.)
 pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> Result<Option<Frame>, ProtocolError> {
-    let mut head = [0u8; FRAME_HEADER_BYTES];
-    match r.read_exact(&mut head[..1]) {
+    // Room for a small reply; a larger frame grows it once its header is in.
+    let mut buf = Vec::with_capacity(64);
+    buf.resize(1, 0);
+    match r.read_exact(&mut buf) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e.into()),
     }
-    r.read_exact(&mut head[1..]).map_err(eof_is_torn)?;
-    let tag = head[0];
-    let len = u32::from_le_bytes(head[1..].try_into().expect("four length bytes")) as usize;
-    let max = payload_bound(max_bytes);
-    if len > max {
-        return Err(ProtocolError::FrameTooLarge { len, max });
+    loop {
+        match split_unit(&buf, payload_bound(max_bytes))? {
+            Split::Unit(tag, payload, _) => return Frame::decode(tag, payload).map(Some),
+            Split::Need(total) => {
+                let have = buf.len();
+                buf.resize(total, 0);
+                r.read_exact(&mut buf[have..]).map_err(eof_is_torn)?;
+            }
+        }
     }
-    let mut body = vec![0u8; len + 1]; // payload + checksum byte
-    r.read_exact(&mut body).map_err(eof_is_torn)?;
-    let (payload, sum) = body.split_at(len);
-    verify_checksum(tag, payload, sum[0])?;
-    Frame::decode(tag, payload).map(Some)
+}
+
+/// The sending end of a frame stream, and the one frame writer: frames
+/// are encoded into one reused buffer and written out with one
+/// `write_all` a batch, unflushed.
+#[derive(Debug, Default)]
+pub struct FrameSender {
+    buf: Vec<u8>,
+    events_written: u64,
+}
+
+impl FrameSender {
+    /// A sender with nothing written.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Writes `frames` out with one `write_all`.
+    pub fn send<'f>(
+        &mut self,
+        w: &mut impl Write,
+        frames: impl IntoIterator<Item = &'f Frame>,
+    ) -> io::Result<()> {
+        self.buf.clear();
+        // A small frame encodes without regrowing the buffer.
+        self.buf.reserve(64);
+        let mut events = 0;
+        for frame in frames {
+            frame.encode_into(&mut self.buf);
+            if let Frame::Chunk { events: chunk, .. } = frame {
+                events += chunk.len() as u64;
+            }
+        }
+        w.write_all(&self.buf)?;
+        self.events_written += events;
+        Ok(())
+    }
+
+    /// Events carried by `Chunk` frames the transport accepted whole —
+    /// what a retry loop may count as sent.
+    pub fn events_written(&self) -> u64 {
+        self.events_written
+    }
 }
 
 /// Initial size of a [`FrameReader`]'s buffer: what one `read` can bring
@@ -630,7 +640,7 @@ impl FrameReader {
             buf: vec![0; READ_AHEAD_BYTES],
             start: 0,
             end: 0,
-            need: FRAME_HEADER_BYTES,
+            need: UNIT_HEADER_BYTES,
             max: payload_bound(max_frame_bytes),
         }
     }
@@ -661,17 +671,17 @@ impl FrameReader {
         Ok(n)
     }
 
-    /// Consumes the connection preamble once its five bytes are
-    /// buffered. `Ok(false)` means more bytes are needed.
+    /// Consumes the connection preamble once it is buffered. `Ok(false)`
+    /// means more bytes are needed.
     pub fn preamble(&mut self) -> Result<bool, ProtocolError> {
         let avail = &self.buf[self.start..self.end];
-        if avail.len() < PROTOCOL_MAGIC.len() + 1 {
-            self.need = PROTOCOL_MAGIC.len() + 1;
+        if avail.len() < PREAMBLE_BYTES {
+            self.need = PREAMBLE_BYTES;
             return Ok(false);
         }
         read_preamble(&mut &avail[..])?;
-        self.start += PROTOCOL_MAGIC.len() + 1;
-        self.need = FRAME_HEADER_BYTES;
+        self.start += PREAMBLE_BYTES;
+        self.need = UNIT_HEADER_BYTES;
         Ok(true)
     }
 
@@ -681,27 +691,17 @@ impl FrameReader {
     /// length prefix is rejected as soon as the header is in, before any
     /// room is made for the payload.
     pub fn next_frame(&mut self) -> Result<Option<(u8, &[u8])>, ProtocolError> {
-        let avail = &self.buf[self.start..self.end];
-        if avail.len() < FRAME_HEADER_BYTES {
-            self.need = FRAME_HEADER_BYTES;
-            return Ok(None);
+        match split_unit(&self.buf[self.start..self.end], self.max)? {
+            Split::Unit(tag, payload, total) => {
+                self.start += total;
+                self.need = UNIT_HEADER_BYTES;
+                Ok(Some((tag, payload)))
+            }
+            Split::Need(total) => {
+                self.need = total;
+                Ok(None)
+            }
         }
-        let tag = avail[0];
-        let len = u32::from_le_bytes(avail[1..FRAME_HEADER_BYTES].try_into().expect("four bytes"))
-            as usize;
-        if len > self.max {
-            return Err(ProtocolError::FrameTooLarge { len, max: self.max });
-        }
-        let total = len + FRAME_OVERHEAD_BYTES;
-        if avail.len() < total {
-            self.need = total;
-            return Ok(None);
-        }
-        let payload = &avail[FRAME_HEADER_BYTES..total - 1];
-        verify_checksum(tag, payload, avail[total - 1])?;
-        self.start += total;
-        self.need = FRAME_HEADER_BYTES;
-        Ok(Some((tag, payload)))
     }
 }
 
@@ -763,7 +763,7 @@ mod tests {
     fn payload(frame: &Frame) -> Vec<u8> {
         let mut wire = Vec::new();
         frame.encode_into(&mut wire);
-        wire[FRAME_HEADER_BYTES..wire.len() - 1].to_vec()
+        wire[UNIT_HEADER_BYTES..wire.len() - 1].to_vec()
     }
 
     #[test]
@@ -805,7 +805,7 @@ mod tests {
         buf.push(TAG_CHUNK);
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let got = read_frame(&mut &buf[..], 1024);
-        assert!(matches!(got, Err(ProtocolError::FrameTooLarge { max: 1024, .. })), "{got:?}");
+        assert!(matches!(got, Err(ProtocolError::Wire(WireError::TooLarge(_, 1024)))), "{got:?}");
     }
 
     /// The largest chunk is exactly as long as its count says, whatever
@@ -884,7 +884,7 @@ mod tests {
         small.fill(&mut &wire[..]).unwrap();
         assert!(matches!(
             small.next_frame(),
-            Err(ProtocolError::FrameTooLarge { len: 17_012, max: 1024 })
+            Err(ProtocolError::Wire(WireError::TooLarge(17_012, 1024)))
         ));
     }
 

@@ -1,24 +1,25 @@
-//! Minimal binary wire codec shared by the DPSV frame protocol and the
-//! checkpoint format.
-//!
-//! Both on-disk formats of this repository — trace files (`dp-trace`, a
-//! recorded DPSV session) and checkpoint files (`dp-core::checkpoint`,
-//! `DPCK` v1) — use the same primitives: little-endian fixed-width
-//! integers, one XOR checksum byte per section or frame ([`xor_fold`]),
-//! and crash-safe file replacement ([`atomic_write`]). They live here because `dp-types` is
-//! the one crate everything else already depends on (`dp-sig` cannot see
-//! `dp-core`, and `dp-core` only dev-depends on `dp-trace`).
+//! The byte codec every format here is built from: little-endian
+//! integers ([`ByteWriter`], [`ByteReader`]), the checksummed *unit*
+//! `tag u8 | len u32 | payload[len] | checksum u8` ([`write_unit`],
+//! [`split_unit`]) and crash-safe file replacement ([`atomic_write`]).
+//! A unit is a DPSV frame ([`crate::protocol`]: a socket's, or a trace
+//! file's) and a `DPCK` checkpoint section ([`write_section`]), so the
+//! two share one checksum and one corruption model. This lives in
+//! `dp-types`, the one crate everything else depends on.
 
 use std::fmt;
 use std::fs::File;
 use std::path::Path;
 
+/// Bytes before a unit's payload: its tag and its `u32` length.
+pub const UNIT_HEADER_BYTES: usize = 1 + 4;
+/// Bytes a unit adds around its payload: its header and its checksum.
+pub const UNIT_OVERHEAD_BYTES: usize = UNIT_HEADER_BYTES + 1;
+
 /// Folds a payload into its one-byte XOR checksum, seeded with the tag
-/// so a tag/payload swap cannot cancel out: the checksum after every
-/// DPSV frame (and so every frame of a trace file) and every checkpoint
-/// section.
+/// so a tag/payload swap cannot cancel out: the checksum of every unit.
 #[inline]
-pub fn xor_fold(tag: u8, body: &[u8]) -> u8 {
+fn xor_fold(tag: u8, body: &[u8]) -> u8 {
     body.iter().fold(tag, |x, b| x ^ b)
 }
 
@@ -34,6 +35,9 @@ pub enum WireError {
     },
     /// A structurally valid buffer holds an impossible value.
     Invalid(&'static str),
+    /// A unit's header announced a payload longer than the reader's
+    /// bound: the length, then the bound.
+    TooLarge(usize, usize),
 }
 
 impl fmt::Display for WireError {
@@ -44,6 +48,7 @@ impl fmt::Display for WireError {
                 write!(f, "checksum mismatch at byte offset {offset}")
             }
             WireError::Invalid(what) => write!(f, "invalid field: {what}"),
+            WireError::TooLarge(len, max) => write!(f, "payload of {len} bytes over {max}"),
         }
     }
 }
@@ -198,33 +203,79 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Appends one tagged, checksummed section to `out`:
-/// `tag u8 | len u32 | payload[len] | checksum u8`, where the checksum is
-/// [`xor_fold`] over tag and payload. This is the framing unit shared by
-/// the `DPCK` checkpoint container and the `DPSV` network protocol — one
-/// writer, one reader, one corruption model.
-pub fn write_section(out: &mut ByteWriter, tag: u8, payload: &[u8]) {
-    out.u8(tag);
-    out.u32(payload.len() as u32);
-    out.bytes(payload);
-    out.u8(xor_fold(tag, payload));
+/// Appends one unit to `w` in place: the header, then what `payload`
+/// writes, then the length patched and the checksum folded over the
+/// bytes just written — so writing into a buffer with spare capacity
+/// allocates nothing.
+pub fn write_unit(w: &mut ByteWriter, tag: u8, payload: impl FnOnce(&mut ByteWriter)) {
+    let start = w.len();
+    w.u8(tag);
+    w.u32(0);
+    payload(w);
+    let at = start + UNIT_HEADER_BYTES;
+    let len = u32::try_from(w.len() - at).expect("a unit payload fits its u32 length");
+    w.buf[start + 1..at].copy_from_slice(&len.to_le_bytes());
+    let sum = xor_fold(tag, &w.buf[at..]);
+    w.u8(sum);
 }
 
-/// Reads one section written by [`write_section`], validating its
-/// checksum. Returns the tag and a borrowed payload slice. Fails typed:
-/// [`WireError::Truncated`] when the buffer ends inside the section,
-/// [`WireError::Checksum`] (with the section's byte offset) when the
-/// payload was damaged.
-pub fn read_section<'a>(r: &mut ByteReader<'a>) -> Result<(u8, &'a [u8]), WireError> {
-    let offset = r.pos();
-    let tag = r.u8()?;
-    let len = r.u32()? as usize;
-    let payload = r.take(len)?;
-    let sum = r.u8()?;
-    if xor_fold(tag, payload) != sum {
-        return Err(WireError::Checksum { offset });
+/// Bytes the unit that starts `head` spans in all, once its header is
+/// in; `None` while `head` is shorter than a header.
+pub fn unit_len(head: &[u8]) -> Option<usize> {
+    let len = head.get(1..UNIT_HEADER_BYTES)?.try_into().expect("four length bytes");
+    Some(u32::from_le_bytes(len) as usize + UNIT_OVERHEAD_BYTES)
+}
+
+/// What [`split_unit`] found at the start of a buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Split<'a> {
+    /// A whole unit, its checksum verified: its tag, its payload and the
+    /// bytes of the buffer it spans.
+    Unit(u8, &'a [u8], usize),
+    /// The buffer ends inside a unit that spans at least this many bytes.
+    Need(usize),
+}
+
+/// Splits the unit at the start of `buf` off. A header announcing a
+/// payload over `max` is refused as soon as it is in, before anyone makes
+/// room for the payload; a payload that fails its checksum is
+/// [`WireError::Checksum`] at offset 0, the unit's first byte.
+pub fn split_unit(buf: &[u8], max: usize) -> Result<Split<'_>, WireError> {
+    let Some(total) = unit_len(buf) else { return Ok(Split::Need(UNIT_HEADER_BYTES)) };
+    let len = total - UNIT_OVERHEAD_BYTES;
+    if len > max {
+        return Err(WireError::TooLarge(len, max));
     }
-    Ok((tag, payload))
+    if buf.len() < total {
+        return Ok(Split::Need(total));
+    }
+    let (tag, payload) = (buf[0], &buf[UNIT_HEADER_BYTES..total - 1]);
+    if xor_fold(tag, payload) != buf[total - 1] {
+        return Err(WireError::Checksum { offset: 0 });
+    }
+    Ok(Split::Unit(tag, payload, total))
+}
+
+/// Appends one `DPCK` section: a [`write_unit`] of `payload`.
+pub fn write_section(out: &mut ByteWriter, tag: u8, payload: &[u8]) {
+    write_unit(out, tag, |w| w.bytes(payload));
+}
+
+/// Reads one section written by [`write_section`], of any length: a
+/// [`split_unit`] at the reader's position. Fails typed:
+/// [`WireError::Truncated`] when the buffer ends inside the section,
+/// [`WireError::Checksum`] (at the section's offset) when it is damaged.
+pub fn read_section<'a>(r: &mut ByteReader<'a>) -> Result<(u8, &'a [u8]), WireError> {
+    let (buf, offset) = (r.buf, r.pos);
+    match split_unit(&buf[offset..], usize::MAX) {
+        Ok(Split::Unit(tag, payload, total)) => {
+            r.pos += total;
+            Ok((tag, payload))
+        }
+        Ok(Split::Need(_)) => Err(WireError::Truncated),
+        // The one error a split without a bound has.
+        Err(_) => Err(WireError::Checksum { offset }),
+    }
 }
 
 /// Writes `path` crash-safely: `write` fills a sibling temporary file

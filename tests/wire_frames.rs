@@ -1,24 +1,26 @@
-//! Robustness property tests for the two on-the-wire framings that
-//! share `wire::{write_section, read_section}`: the DPSV network frame
-//! protocol and the DPCK checkpoint container — and the pin on the trace
-//! file, which is a DPSV session on disk.
+//! Robustness property tests for the one frame codec, the unit
+//! `tag | len | payload | checksum` of `dp_types::wire`, in the formats
+//! built on it: the DPSV network frame protocol (and so the trace file,
+//! a DPSV session on disk) and the DPCK checkpoint container.
 //!
 //! The contract under test: **malformed bytes produce typed errors,
 //! never a panic, a hang, or an unbounded allocation.** Truncations,
 //! bit flips, oversized length prefixes and unknown tags are each
-//! driven through both parsers. One suite covers both framings because
-//! the framing (and thus the corruption model) is literally the same
-//! code path.
+//! driven through both parsers. One suite covers both formats because
+//! both write a unit with `wire::write_unit` and take one off with
+//! `wire::split_unit`, which checks its checksum: one corruption model.
+//! What differs is the bound: a DPSV reader refuses a payload over
+//! `MAX_FRAME_BYTES`, while a DPCK section has none.
 
 use depprof::core::checkpoint::CheckpointData;
-use depprof::server::{push_events, ClientError, PushOptions};
+use depprof::server::{push_events, ChaosStream, ClientError, NetFaultPlan, PushOptions};
 use depprof::trace::stream::DEFAULT_CHUNK_EVENTS;
 use depprof::trace::{FrameChunker, OffThread, TraceReader, TraceWriter};
 use depprof::types::protocol::{self, ChunkView, Frame, FrameReader, Hello, ProtocolError};
 use depprof::types::protocol::{MAX_FRAME_BYTES, TAG_CHUNK};
 use depprof::types::{loc::loc, AccessKind, Interner, MemAccess, Record, TraceEvent, Tracer};
 use proptest::prelude::*;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 
 // ---------------------------------------------------------------------
 // Strategies
@@ -650,7 +652,7 @@ proptest! {
         // No payload follows: if the bound check were missing, the
         // parser would try to read (and first allocate) `len` bytes.
         let max = 64 * 1024;
-        let want = ProtocolError::FrameTooLarge { len: len as usize, max };
+        let want = ProtocolError::Wire(depprof::types::WireError::TooLarge(len as usize, max));
         prop_assert_eq!(read_all_ways(&buf, max), (vec![], Some(format!("{want:?}"))));
     }
 
@@ -735,5 +737,53 @@ proptest! {
                 ),
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The chaos wrapper splits a stream where the reader does
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `ChaosStream` finds frame boundaries by itself, to land its faults
+    /// on them. Under a plan of short writes only, fed in writes of random
+    /// sizes, it counts exactly the frames a `FrameReader` reads from what
+    /// it passed on — a `Chunk` larger than the reader's 64 KiB buffer
+    /// among them — and passes every one on intact.
+    #[test]
+    fn the_chaos_wrapper_counts_the_frames_the_reader_reads(
+        (mut frames, at, seed, sizes) in (
+            prop::collection::vec(arb_frame(), 0..8),
+            any::<usize>(),
+            any::<u64>(),
+            prop::collection::vec(1usize..20_000, 1..16),
+        )
+    ) {
+        let big = (0..4_000).map(|i| TraceEvent::Access(MemAccess::read(8 * i, 0, loc(1, 1), 0, 0)));
+        let big = Frame::Chunk { base: 7, events: packed(&big.collect::<Vec<_>>()) };
+        frames.insert(at % (frames.len() + 1), big);
+        let mut wire = Vec::new();
+        protocol::write_preamble(&mut wire).unwrap();
+        frames.iter().for_each(|f| f.encode_into(&mut wire));
+
+        let plan = NetFaultPlan::new().with_short_io().with_seed(seed);
+        let mut chaos = ChaosStream::new(io::Cursor::new(Vec::new()), plan);
+        let (mut written, mut sizes) = (0, sizes.iter().cycle());
+        while written < wire.len() {
+            let end = wire.len().min(written + sizes.next().unwrap());
+            chaos.write_all(&wire[written..end]).unwrap();
+            written = end;
+        }
+        let counted = chaos.frames_written();
+        let passed = chaos.into_inner().into_inner();
+        prop_assert_eq!(&passed, &wire);
+        let mut src = &passed[..];
+        protocol::read_preamble(&mut src).unwrap();
+        let (got, end) = read_ahead(&mut src, MAX_FRAME_BYTES);
+        prop_assert_eq!(end, None);
+        prop_assert_eq!(counted, got.len() as u64);
+        prop_assert_eq!(got, frames);
     }
 }

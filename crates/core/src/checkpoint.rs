@@ -30,22 +30,28 @@
 //! blob's own loop stacks. A build that reads only version 1 refuses a
 //! version-2 file rather than take its epochs for timestamps.
 //!
-//! ## Durability: two generations, atomic renames
+//! ## Durability: one store a run, two generations, atomic renames
 //!
 //! Generation `g` is written to `checkpoint-{g % 2}.dpck` via
-//! [`dp_types::atomic_write`] (temp file + fsync + rename). A kill at
-//! *any* instant therefore leaves at least one complete previous
-//! generation on disk: the rename either happened (new generation
-//! valid) or it didn't (old generation untouched). [`CheckpointStore::
-//! load_latest`] validates both slots and picks the highest valid
-//! generation, silently falling back past a torn or corrupt newer one —
-//! loss is bounded by one checkpoint interval.
+//! [`dp_types::atomic_write`] (temp file + fsync + rename), so a kill at
+//! *any* instant leaves a complete previous generation on disk, and
+//! [`CheckpointStore::load_latest`] picks the highest valid generation,
+//! falling back past a torn newer one: loss is bounded by one interval.
+//! One rule, for `depprof replay` and a served session alike, lives in
+//! [`CheckpointStore`]: a fresh run owns its directory (discards what an
+//! earlier run left) and numbers its first generation 0; a resumed run
+//! keeps the directory and continues at `g + 1`; periodic checkpoints
+//! fall at multiples of the interval of the absolute stream position;
+//! every generation written counts into the store's [`CheckpointMetrics`].
 
+use crate::ProfileSession;
+use dp_metrics::CheckpointMetrics;
 use dp_types::wire::write_unit;
 use dp_types::{atomic_write, read_section, write_section, ByteReader, ByteWriter, WireError};
 use std::fmt;
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// File magic of a checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DPCK";
@@ -63,8 +69,8 @@ const TAG_WORKER: u8 = 5;
 /// that wrote them interprets them on resume.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckpointData {
-    /// Monotonic checkpoint number within the run (`depprof replay`
-    /// numbers its first 0).
+    /// Monotonic checkpoint number within the run: a fresh run's first
+    /// is 0, in `depprof replay` and a served session alike.
     pub generation: u64,
     /// Input-trace position at the barrier, in events fed
     /// (`TraceReader::records_read`): resume skips to here.
@@ -153,18 +159,6 @@ impl CheckpointData {
     }
 }
 
-/// Per-checkpoint accounting, surfaced through `MetricsSnapshot` and
-/// `--stats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckpointStats {
-    /// Generation number written.
-    pub generation: u64,
-    /// Encoded size in bytes.
-    pub bytes: u64,
-    /// Wall time of encode + durable write.
-    pub write_nanos: u64,
-}
-
 /// What went wrong writing or loading a checkpoint.
 #[derive(Debug)]
 pub enum CheckpointError {
@@ -210,23 +204,34 @@ impl From<WireError> for CheckpointError {
     }
 }
 
-/// The two-generation on-disk checkpoint store.
-#[derive(Debug, Clone)]
+/// The two-generation on-disk store of one run: the generations it owns,
+/// their numbers, when the next periodic one falls due, what it wrote.
+#[derive(Debug)]
 pub struct CheckpointStore {
     dir: PathBuf,
+    every: u64,
+    /// The number the next generation written gets.
+    generation: u64,
+    metrics: CheckpointMetrics,
 }
 
 impl CheckpointStore {
-    /// Opens (creating if needed) the checkpoint directory.
-    pub fn create(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(CheckpointStore { dir })
-    }
-
-    /// Names a checkpoint directory without creating it.
-    pub fn open(dir: impl Into<PathBuf>) -> Self {
-        CheckpointStore { dir: dir.into() }
+    /// The store of a run checkpointing into `dir` every `every` events
+    /// (0: emergency checkpoints only). A run resumed from `resumed`
+    /// (loaded from `dir`) keeps what is there and continues at the next
+    /// generation; a fresh run discards what an earlier run left and
+    /// starts at 0. The directory is made at the first write, not here.
+    pub fn open(dir: PathBuf, every: u64, resumed: Option<&CheckpointData>) -> io::Result<Self> {
+        for old in (0..2).map(|parity| slot(&dir, parity)).filter(|_| resumed.is_none()) {
+            match std::fs::remove_file(old) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+        }
+        let (generation, resumed_from) =
+            resumed.map_or((0, 0), |d| (d.generation + 1, d.records_read));
+        let metrics = CheckpointMetrics { resumed_from, ..CheckpointMetrics::default() };
+        Ok(CheckpointStore { dir, every, generation, metrics })
     }
 
     /// The directory this store writes into.
@@ -234,43 +239,64 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// The slot file generation `g` lands in: generations alternate
-    /// between two files, so the write of generation `g` never touches
-    /// the file holding `g − 1`.
-    pub fn generation_path(&self, generation: u64) -> PathBuf {
-        self.dir.join(format!("checkpoint-{}.dpck", generation % 2))
+    /// What this run has written, and where it resumed from.
+    pub fn metrics(&self) -> CheckpointMetrics {
+        self.metrics
     }
 
-    /// Durably writes one checkpoint generation: encode, temp file,
-    /// fsync, atomic rename over the generation's slot. A kill at any
-    /// point leaves the other slot's prior generation intact.
-    pub fn write(&self, data: &CheckpointData) -> std::io::Result<CheckpointStats> {
-        let t = std::time::Instant::now();
+    /// Events from stream position `position` to the next periodic
+    /// checkpoint (`u64::MAX` without an interval).
+    pub fn until_due(&self, position: u64) -> u64 {
+        position.checked_rem(self.every).map_or(u64::MAX, |rem| self.every - rem)
+    }
+
+    /// Whether a periodic checkpoint falls due at stream position
+    /// `position`: a multiple of `every`, wherever the run resumed.
+    pub fn due(&self, position: u64) -> bool {
+        self.every > 0 && position.is_multiple_of(self.every)
+    }
+
+    /// Quiesces `session` and writes its state at stream position
+    /// `records_read` as the run's next generation, returning its number.
+    /// [`CheckpointError::Io`] is a failed write, any other a failed quiesce.
+    pub fn save(
+        &mut self,
+        session: &mut ProfileSession,
+        records_read: u64,
+        config: Vec<u8>,
+    ) -> Result<u64, CheckpointError> {
+        let started = Instant::now();
+        let data = session.checkpoint_data(self.generation, records_read, config)?;
         let bytes = data.encode();
-        atomic_write(&self.generation_path(data.generation), |f| f.write_all(&bytes))?;
-        Ok(CheckpointStats {
-            generation: data.generation,
-            bytes: bytes.len() as u64,
-            write_nanos: t.elapsed().as_nanos() as u64,
-        })
+        std::fs::create_dir_all(&self.dir)?;
+        atomic_write(&slot(&self.dir, self.generation), |f| f.write_all(&bytes))?;
+        self.metrics.generations += 1;
+        self.metrics.last_bytes = bytes.len() as u64;
+        self.metrics.write_nanos += started.elapsed().as_nanos() as u64;
+        self.generation += 1;
+        Ok(self.generation - 1)
     }
 
-    /// Loads the newest valid checkpoint, falling back to the other
-    /// generation slot when the newer one is torn, truncated or
-    /// corrupt. Errors with [`CheckpointError::NoCheckpoint`] when
-    /// neither slot decodes.
-    pub fn load_latest(&self) -> Result<CheckpointData, CheckpointError> {
+    /// Loads the newest valid checkpoint in `dir`, falling back to the
+    /// other slot when the newer one is torn, truncated or corrupt;
+    /// [`CheckpointError::NoCheckpoint`] when neither slot decodes.
+    pub fn load_latest(dir: &Path) -> Result<CheckpointData, CheckpointError> {
         let mut best: Option<CheckpointData> = None;
-        for parity in 0..2u64 {
-            let path = self.dir.join(format!("checkpoint-{parity}.dpck"));
-            let Ok(bytes) = std::fs::read(&path) else { continue };
+        for parity in 0..2 {
+            let Ok(bytes) = std::fs::read(slot(dir, parity)) else { continue };
             let Ok(data) = CheckpointData::decode(&bytes) else { continue };
             if best.as_ref().is_none_or(|b| data.generation > b.generation) {
                 best = Some(data);
             }
         }
-        best.ok_or_else(|| CheckpointError::NoCheckpoint(self.dir.clone()))
+        best.ok_or_else(|| CheckpointError::NoCheckpoint(dir.to_path_buf()))
     }
+}
+
+/// The slot file of generation `g`: the write of `g` never touches the
+/// file holding `g − 1`.
+fn slot(dir: &Path, generation: u64) -> PathBuf {
+    dir.join(format!("checkpoint-{}.dpck", generation % 2))
 }
 
 #[cfg(test)]
@@ -325,43 +351,89 @@ mod tests {
         }
     }
 
+    /// A fresh store over `dir` and the small serial session it saved
+    /// `generations` generations of, numbered from 0, the `g`th at
+    /// stream position `g`.
+    fn written(dir: &Path, generations: u64) -> (CheckpointStore, ProfileSession) {
+        let mut store = CheckpointStore::open(dir.to_path_buf(), 0, None).unwrap();
+        let mut session = crate::SessionSpec { slots: 1 << 10, ..Default::default() }.build();
+        for g in 0..generations {
+            assert_eq!(store.save(&mut session, g, Vec::new()).unwrap(), g);
+        }
+        (store, session)
+    }
+
     #[test]
     fn store_alternates_generations_and_loads_latest() {
         let dir = tmpdir("alt");
-        let store = CheckpointStore::create(&dir).unwrap();
-        let s1 = store.write(&sample(1)).unwrap();
-        assert_eq!(s1.generation, 1);
-        assert!(s1.bytes > 0);
-        assert_eq!(store.load_latest().unwrap().generation, 1);
-        store.write(&sample(2)).unwrap();
-        assert_eq!(store.load_latest().unwrap().generation, 2);
-        assert_ne!(store.generation_path(1), store.generation_path(2));
-        assert_eq!(store.generation_path(1), store.generation_path(3));
-        // Generation 3 overwrites generation 1's slot only.
-        store.write(&sample(3)).unwrap();
-        assert_eq!(store.load_latest().unwrap().generation, 3);
+        let (mut store, mut session) = written(&dir, 1);
+        assert!(store.metrics().last_bytes > 0);
+        assert_eq!(CheckpointStore::load_latest(&dir).unwrap().generation, 0);
+        store.save(&mut session, 1, Vec::new()).unwrap();
+        assert_eq!(CheckpointStore::load_latest(&dir).unwrap().generation, 1);
+        assert_ne!(slot(&dir, 1), slot(&dir, 2));
+        assert_eq!(slot(&dir, 1), slot(&dir, 3));
+        // Generation 2 overwrites generation 0's slot only.
+        store.save(&mut session, 2, Vec::new()).unwrap();
+        assert_eq!(CheckpointStore::load_latest(&dir).unwrap().generation, 2);
+        assert_eq!(store.metrics().generations, 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A resumed run's store continues the numbering and keeps the
+    /// generations there; a fresh run's store over the same directory
+    /// discards them, so a resume cannot pick up another run's state.
+    #[test]
+    fn a_fresh_store_owns_its_directory_and_a_resumed_one_continues_it() {
+        let dir = tmpdir("own");
+        let (_, mut session) = written(&dir, 2);
+        let latest = CheckpointStore::load_latest(&dir).unwrap();
+        let mut resumed = CheckpointStore::open(dir.clone(), 0, Some(&latest)).unwrap();
+        assert_eq!(resumed.metrics().resumed_from, 1);
+        assert_eq!(CheckpointStore::load_latest(&dir).unwrap(), latest, "kept");
+        assert_eq!(resumed.save(&mut session, 2, Vec::new()).unwrap(), 2);
+        CheckpointStore::open(dir.clone(), 0, None).unwrap();
+        assert!(matches!(
+            CheckpointStore::load_latest(&dir),
+            Err(CheckpointError::NoCheckpoint(_))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Periodic checkpoints fall due at multiples of the interval of the
+    /// absolute stream position, wherever the run started.
+    #[test]
+    fn the_interval_counts_from_the_stream_start() {
+        let store = CheckpointStore::open(tmpdir("due"), 5_000, None).unwrap();
+        assert_eq!(store.until_due(0), 5_000);
+        assert_eq!(store.until_due(12_345), 2_655);
+        assert_eq!(store.until_due(15_000), 5_000);
+        assert!(store.due(15_000) && !store.due(17_345));
+        let never = CheckpointStore::open(tmpdir("due0"), 0, None).unwrap();
+        assert_eq!(never.until_due(12_345), u64::MAX);
+        assert!(!never.due(15_000));
     }
 
     #[test]
     fn torn_newer_generation_falls_back_to_previous() {
         let dir = tmpdir("torn");
-        let store = CheckpointStore::create(&dir).unwrap();
-        store.write(&sample(1)).unwrap();
-        store.write(&sample(2)).unwrap();
-        // Tear generation 2: truncate its file mid-section.
-        let p2 = store.generation_path(2);
-        let bytes = std::fs::read(&p2).unwrap();
-        std::fs::write(&p2, &bytes[..bytes.len() / 2]).unwrap();
-        let got = store.load_latest().unwrap();
-        assert_eq!(got.generation, 1, "fallback to the intact prior generation");
-        // Corrupt generation 1 too: now nothing is loadable.
-        let p1 = store.generation_path(1);
-        let mut b1 = std::fs::read(&p1).unwrap();
-        let mid = b1.len() / 2;
-        b1[mid] ^= 0xFF;
-        std::fs::write(&p1, &b1).unwrap();
-        assert!(matches!(store.load_latest(), Err(CheckpointError::NoCheckpoint(_))));
+        written(&dir, 2);
+        // Tear generation 1: truncate its file mid-section.
+        let p1 = slot(&dir, 1);
+        let bytes = std::fs::read(&p1).unwrap();
+        std::fs::write(&p1, &bytes[..bytes.len() / 2]).unwrap();
+        let got = CheckpointStore::load_latest(&dir).unwrap();
+        assert_eq!(got.generation, 0, "fallback to the intact prior generation");
+        // Corrupt generation 0 too: now nothing is loadable.
+        let p0 = slot(&dir, 0);
+        let mut b0 = std::fs::read(&p0).unwrap();
+        let mid = b0.len() / 2;
+        b0[mid] ^= 0xFF;
+        std::fs::write(&p0, &b0).unwrap();
+        assert!(matches!(
+            CheckpointStore::load_latest(&dir),
+            Err(CheckpointError::NoCheckpoint(_))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -369,8 +441,10 @@ mod tests {
     fn empty_dir_reports_no_checkpoint() {
         let dir = tmpdir("empty");
         std::fs::create_dir_all(&dir).unwrap();
-        let store = CheckpointStore::open(&dir);
-        assert!(matches!(store.load_latest(), Err(CheckpointError::NoCheckpoint(_))));
+        assert!(matches!(
+            CheckpointStore::load_latest(&dir),
+            Err(CheckpointError::NoCheckpoint(_))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -52,8 +52,7 @@ pub mod workers;
 
 pub use algo::{AlgoOptions, AlgoState};
 pub use checkpoint::{
-    CheckpointData, CheckpointError, CheckpointStats, CheckpointStore, CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
+    CheckpointData, CheckpointError, CheckpointStore, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 pub use config::{OverflowPolicy, ProfilerConfig, TransportKind};
 pub use exectree::{ExecNode, ExecNodeKind, ExecTree};

@@ -576,7 +576,6 @@ impl ParallelProfiler {
         let mut r = self.workers.finish(&shutdown_ok, hot_addresses);
         r.stats.redistributions = self.redistributions;
         r.stats.redistributed_addrs = self.rules.len() as u64;
-        r.stats.rerouted_events = r.metrics.conservation.rerouted;
         r.stats.cancelled_migrations = self.cancelled_migrations;
         r.stats.spurious_replies = self.spurious_replies;
         let entry = std::mem::size_of::<(Address, u64)>() + 1;

@@ -102,8 +102,6 @@ pub struct ProfileStats {
     /// Per-worker breakdown of `dropped_events` (indexed by the worker
     /// the events were destined for). Empty when nothing was dropped.
     pub dropped_per_worker: Vec<u64>,
-    /// Events re-routed away from a dead worker to a surviving one.
-    pub rerouted_events: u64,
     /// In-flight migrations cancelled because a participant died or the
     /// drain deadline expired.
     pub cancelled_migrations: u64,

@@ -42,12 +42,6 @@ impl Watchdog {
         Watchdog { progress, fired, stop, handle: Some(handle) }
     }
 
-    /// Records one unit of progress (cheap: a relaxed increment).
-    #[inline]
-    pub fn tick(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// The shared counter, for feeding progress from another thread.
     pub fn progress_handle(&self) -> Arc<AtomicU64> {
         self.progress.clone()
@@ -59,23 +53,15 @@ impl Watchdog {
     pub fn fired(&self) -> bool {
         self.fired.load(Ordering::Acquire)
     }
+}
 
+impl Drop for Watchdog {
     /// Stops the monitor thread and joins it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -135,11 +121,11 @@ mod tests {
         });
         let end = Instant::now() + Duration::from_millis(250);
         while Instant::now() < end {
-            wd.tick();
+            wd.progress_handle().fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(!wd.fired());
-        wd.stop();
+        drop(wd);
         assert!(!hard.load(Ordering::SeqCst));
     }
 
@@ -150,7 +136,7 @@ mod tests {
         let wd = Watchdog::spawn(Duration::from_millis(40), move || {
             h.store(true, Ordering::SeqCst);
         });
-        wd.tick();
+        wd.progress_handle().fetch_add(1, Ordering::Relaxed);
         // First deadline: fired flag.
         let end = Instant::now() + Duration::from_secs(2);
         while !wd.fired() && Instant::now() < end {
@@ -180,12 +166,12 @@ mod tests {
         // Resume progress: the sticky flag stays, the escalation stops.
         let end = Instant::now() + Duration::from_millis(200);
         while Instant::now() < end {
-            wd.tick();
+            wd.progress_handle().fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(wd.fired(), "fired flag is sticky");
         assert!(!hard.load(Ordering::SeqCst), "hard timeout must disarm on progress");
-        wd.stop();
+        drop(wd);
     }
 
     #[test]
@@ -193,7 +179,7 @@ mod tests {
         let wd = Watchdog::spawn(Duration::from_millis(30), || {
             panic!("hard timeout after stop");
         });
-        wd.stop();
+        drop(wd);
         std::thread::sleep(Duration::from_millis(120));
     }
 }

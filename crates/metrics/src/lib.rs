@@ -186,11 +186,10 @@ pub struct SigGauges {
 }
 
 /// Durability counters: checkpoints written during the run and, for
-/// resumed runs, the trace position the run picked up from. Filled in by
-/// the driver (the CLI's checkpoint loop), not the engines — the engines
-/// only produce checkpoint blobs on demand and never touch the disk
-/// themselves.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// resumed runs, the trace position the run picked up from. Kept by the
+/// run's checkpoint store, not the engines — the engines only produce
+/// checkpoint blobs on demand and never touch the disk themselves.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointMetrics {
     /// Checkpoints successfully written by this run.
     pub generations: u64,
@@ -482,11 +481,9 @@ pub struct SessionMetrics {
     /// `Hello`, counted once per frame as it arrives. Frames handed to
     /// the in-process `SessionEngine::handle` add nothing.
     pub bytes_in: u64,
-    /// Events the session skipped because a checkpoint already covered
-    /// them (resume position handed to the client in `HelloAck`).
-    pub resumed_from: u64,
-    /// Checkpoint generations written for this session.
-    pub checkpoint_generations: u64,
+    /// The session's checkpoint store's counters: its `resumed_from` is
+    /// the resume position handed to the client in `HelloAck`.
+    pub checkpoints: CheckpointMetrics,
     /// What the session survived, as its result's snapshot reports it.
     pub service: ServiceMetrics,
 }
@@ -507,8 +504,8 @@ impl SessionMetrics {
             self.syncs,
             self.queries,
             self.bytes_in,
-            self.resumed_from,
-            self.checkpoint_generations,
+            self.checkpoints.resumed_from,
+            self.checkpoints.generations,
             self.service.reconnects,
             self.service.hibernated,
             self.service.rehydrated,

@@ -392,9 +392,7 @@ impl Default for RetryPolicy {
 pub struct RetryOutcome {
     /// The successful push.
     pub outcome: PushOutcome,
-    /// Connection attempts used (1 = no faults encountered).
-    pub attempts: u32,
-    /// Reconnects after a mid-stream failure (`attempts - 1`).
+    /// Reconnects after a failure (connection attempts used, less one).
     pub reconnects: u32,
     /// `Busy` refusals honored (waited and retried).
     pub busy_waits: u32,
@@ -444,6 +442,9 @@ pub fn push_with_retry<C: Read + Write>(
     let mut stalled_attempts = 0u32;
     let mut last_watermark = 0u64;
     let mut watch_resets = 0u32;
+    // The last `Error` a server sent (a shutdown saying whether it saved
+    // the session) outranks the refused connections after it.
+    let mut last_word: Option<ClientError> = None;
     // A reconnect in watch mode that is handed `resume_from: 0` after
     // events were already delivered landed in a FRESH session: the
     // server was not keeping this session durable (no checkpoint dir,
@@ -483,7 +484,6 @@ pub fn push_with_retry<C: Read + Write>(
                             (events.len() as u64).saturating_sub(first_resume.unwrap_or(0));
                         return Ok(RetryOutcome {
                             outcome,
-                            attempts,
                             reconnects: attempts - 1,
                             busy_waits,
                             events_resent: sent_total.saturating_sub(unique),
@@ -514,7 +514,8 @@ pub fn push_with_retry<C: Read + Write>(
         }
         stalled_attempts += 1;
         if !err.is_retryable() || stalled_attempts >= max_attempts {
-            return Err(err);
+            let transport = matches!(err, ClientError::Protocol(_));
+            return Err(last_word.filter(|_| transport).unwrap_or(err));
         }
         first_failure.get_or_insert_with(Instant::now);
         let delay = match err {
@@ -532,6 +533,9 @@ pub fn push_with_retry<C: Read + Write>(
                 )
             }
         };
+        if matches!(err, ClientError::Server { .. }) {
+            last_word = Some(err);
+        }
         std::thread::sleep(std::time::Duration::from_millis(delay));
     }
 }
@@ -630,5 +634,34 @@ mod tests {
             matches!(&silent, ClientError::Protocol(ProtocolError::Io(e)) if e.kind() == io::ErrorKind::BrokenPipe),
             "{silent}"
         );
+    }
+
+    /// A server that says it is shutting down, then stays down: the push
+    /// whose reconnects are all refused reports what the server last
+    /// said, not the refusals.
+    #[test]
+    fn a_push_out_of_retries_reports_the_servers_last_word() {
+        let message = "server shutting down; emergency checkpoint at event 3008";
+        let mut attempts = 0;
+        let connect = || {
+            attempts += 1;
+            if attempts > 1 {
+                return Err(io::ErrorKind::ConnectionRefused.into());
+            }
+            let mut replies = Vec::new();
+            protocol::write_preamble(&mut replies).unwrap();
+            let shutdown = Frame::Error { code: error_code::SHUTDOWN, message: message.into() };
+            shutdown.encode_into(&mut replies);
+            Ok(Hungup { replies: io::Cursor::new(replies), writes_left: usize::MAX })
+        };
+        let ev = TraceEvent::CallBegin { func: 1, thread: 0, ts: 0 };
+        let policy = RetryPolicy { max_attempts: 3, base_delay_ms: 1, max_delay_ms: 1, seed: 0 };
+        let err = push_with_retry(connect, &[], &[ev], &PushOptions::default(), &policy)
+            .expect_err("the server stays down");
+        assert!(
+            matches!(&err, ClientError::Server { code: error_code::SHUTDOWN, message: m } if m == message),
+            "{err}"
+        );
+        assert_eq!(attempts, 3);
     }
 }

@@ -8,7 +8,10 @@
 
 use dp_analysis::incremental::json_string;
 use dp_analysis::OnlineAnalysis;
-use dp_core::{report, CheckpointStore, ProfileResult, ProfileSession, SessionSpec};
+use dp_core::{
+    report, CheckpointError, CheckpointMetrics, CheckpointStore, ProfileResult, ProfileSession,
+    SessionSpec,
+};
 use dp_metrics::{ServiceMetrics, SessionMetrics};
 use dp_trace::stream::intern_names;
 use dp_types::protocol::{
@@ -29,8 +32,8 @@ pub enum SessionError {
     /// A frame arrived that the session's state does not allow (a
     /// second `Hello`, events after `Finish`, ...).
     OutOfOrder(&'static str),
-    /// Checkpoint store I/O failed.
-    Io(std::io::Error),
+    /// The session's checkpoint could not be quiesced or written.
+    Checkpoint(CheckpointError),
 }
 
 impl fmt::Display for SessionError {
@@ -39,7 +42,7 @@ impl fmt::Display for SessionError {
             SessionError::BadSpec(e) => write!(f, "session spec is malformed: {e}"),
             SessionError::Malformed(e) => write!(f, "{e}"),
             SessionError::OutOfOrder(what) => write!(f, "frame out of protocol order: {what}"),
-            SessionError::Io(e) => write!(f, "session checkpoint I/O failed: {e}"),
+            SessionError::Checkpoint(e) => write!(f, "session checkpoint failed: {e}"),
         }
     }
 }
@@ -82,11 +85,9 @@ pub struct SessionEngine {
     session: Option<ProfileSession>,
     spec: SessionSpec,
     interner: Interner,
-    /// The session's checkpoint directory: present exactly when the
-    /// server has a checkpoint base, which is what makes it durable.
+    /// The session's checkpoint store: present exactly when the server
+    /// has a checkpoint base, which is what makes it durable.
     store: Option<CheckpointStore>,
-    checkpoint_every: u64,
-    generation: u64,
     /// Absolute stream position: events profiled across all incarnations
     /// of this session (restored + fed).
     events_fed: u64,
@@ -116,34 +117,32 @@ impl SessionEngine {
         }
         let interner = intern_names(&hello.names)
             .map_err(|why| SessionError::Malformed(WireError::Invalid(why).into()))?;
-        let checkpoint_every = if hello.checkpoint_every > 0 {
-            hello.checkpoint_every
-        } else {
-            default_checkpoint_every
+        let every = match hello.checkpoint_every {
+            0 => default_checkpoint_every,
+            every => every,
         };
-        let store =
-            checkpoint_base.map(|b| CheckpointStore::open(b.join(dir_name(&hello.session))));
+        let dir = checkpoint_base.map(|b| b.join(dir_name(&hello.session)));
 
         // A valid checkpoint under this session's name wins over the
         // Hello's spec: the resumed engine must match the state it
         // restores, and the checkpoint's CONFIG section records exactly
-        // that spec.
-        let resumed = store.as_ref().and_then(|store| {
-            let data = store.load_latest().ok()?;
+        // that spec. Anything else opens a fresh run, whose store
+        // discards what the directory held.
+        let resumed = dir.as_deref().and_then(|dir| {
+            let data = CheckpointStore::load_latest(dir).ok()?;
             let spec = SessionSpec::decode(&data.config).ok()?;
-            let session = spec.resume(&data).ok()?;
-            Some((spec, session, data.generation, data.records_read))
+            Some((spec, spec.resume(&data).ok()?, data))
         });
-        let rehydrated = resumed.is_some();
-        let (spec, session, generation, events_fed) = match resumed {
-            Some((spec, session, generation, records_read)) => {
-                (spec, session, generation + 1, records_read)
-            }
+        let (spec, session, data) = match resumed {
+            Some((spec, session, data)) => (spec, session, Some(data)),
             None => {
                 let spec = SessionSpec::decode(&hello.spec).map_err(SessionError::BadSpec)?;
-                (spec, spec.build(), 1, 0)
+                (spec, spec.build(), None)
             }
         };
+        let open = |dir| CheckpointStore::open(dir, every, data.as_ref());
+        let store = dir.map(open).transpose().map_err(|e| SessionError::Checkpoint(e.into()))?;
+        let service = ServiceMetrics { rehydrated: data.is_some() as u64, ..Default::default() };
         let engine = SessionEngine {
             name: hello.session.clone(),
             session_id,
@@ -151,17 +150,8 @@ impl SessionEngine {
             spec,
             interner,
             store,
-            checkpoint_every,
-            generation,
-            events_fed,
-            metrics: SessionMetrics {
-                resumed_from: events_fed,
-                service: ServiceMetrics {
-                    rehydrated: rehydrated as u64,
-                    ..ServiceMetrics::default()
-                },
-                ..SessionMetrics::default()
-            },
+            events_fed: data.map_or(0, |d| d.records_read),
+            metrics: SessionMetrics { service, ..SessionMetrics::default() },
             online: None,
         };
         let ack = Frame::HelloAck { session_id, resume_from: engine.events_fed };
@@ -191,7 +181,7 @@ impl SessionEngine {
                 self.metrics.syncs += 1;
                 Ok(vec![Frame::SyncAck { nonce, position: self.events_fed }])
             }
-            Frame::StatsRequest => Ok(vec![Frame::Stats { json: self.metrics.to_json() }]),
+            Frame::StatsRequest => Ok(vec![Frame::Stats { json: self.metrics().to_json() }]),
             Frame::Query { id, kind } => {
                 self.metrics.queries += 1;
                 let json = self.answer_query(kind);
@@ -237,9 +227,9 @@ impl SessionEngine {
     }
 
     /// Feeds the records of a chunk starting at stream position `base`
-    /// that lie at or past the watermark, cut only where a periodic
-    /// checkpoint falls due, so checkpoints land on exact multiples of
-    /// `checkpoint_every` however the stream was framed.
+    /// that lie at or past the watermark, cut only where the store has a
+    /// periodic checkpoint fall due, so checkpoints land on the same
+    /// positions however the stream was framed.
     fn feed_chunk(
         &mut self,
         base: u64,
@@ -256,16 +246,13 @@ impl SessionEngine {
         self.metrics.service.events_skipped_on_resume += skip as u64;
         let mut fresh = records.skip(skip);
         while fresh.len() > 0 {
-            let until_due = match self.checkpoint_every {
-                0 => u64::MAX,
-                every => every - self.events_fed % every,
-            };
+            let until_due = self.store.as_ref().map_or(u64::MAX, |s| s.until_due(self.events_fed));
             let now = until_due.min(fresh.len() as u64);
             let session = self.session.as_mut().expect("unfinished session has an engine");
             fresh.by_ref().take(now as usize).for_each(|rec| session.on_record(rec));
             self.metrics.events += now;
             self.events_fed += now;
-            if self.checkpoint_every > 0 && self.events_fed.is_multiple_of(self.checkpoint_every) {
+            if now == until_due {
                 self.write_checkpoint()?;
             }
         }
@@ -302,20 +289,15 @@ impl SessionEngine {
     }
 
     /// Writes a checkpoint at the current stream position (periodic or
-    /// emergency), making the session's directory on the first write.
-    /// Returns whether a generation was written: none is for a session
-    /// that is not durable or no longer holds an engine.
+    /// emergency); the store makes the session's directory on the first
+    /// write. Returns whether a generation was written: none is for a
+    /// session that is not durable or no longer holds an engine.
     pub fn write_checkpoint(&mut self) -> Result<bool, SessionError> {
-        let (Some(store), Some(session)) = (&self.store, self.session.as_mut()) else {
+        let (Some(store), Some(session)) = (self.store.as_mut(), self.session.as_mut()) else {
             return Ok(false);
         };
-        let data = session
-            .checkpoint_data(self.generation, self.events_fed, self.spec.encode())
-            .map_err(|e| SessionError::Io(std::io::Error::other(format!("cannot quiesce: {e}"))))?;
-        std::fs::create_dir_all(store.dir()).map_err(SessionError::Io)?;
-        store.write(&data).map_err(SessionError::Io)?;
-        self.generation += 1;
-        self.metrics.checkpoint_generations += 1;
+        let config = self.spec.encode();
+        store.save(session, self.events_fed, config).map_err(SessionError::Checkpoint)?;
         Ok(true)
     }
 
@@ -333,12 +315,6 @@ impl SessionEngine {
         Ok(())
     }
 
-    /// True when the session can survive engine eviction (a checkpoint
-    /// directory was configured for it).
-    pub fn durable(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// Records how many times a client re-`Hello`ed into this session
     /// name (tracked by the server across connections).
     pub fn set_reconnects(&mut self, reconnects: u64) {
@@ -348,12 +324,14 @@ impl SessionEngine {
     /// Finishes the engine in-process and returns the raw result —
     /// the handle the equivalence tests compare dependence-for-
     /// dependence against an offline replay. The session's service
-    /// resilience counters are stamped into the result's snapshot.
+    /// resilience counters and its store's checkpoint counters are
+    /// stamped into the result's snapshot.
     pub fn finish_result(mut self) -> Option<ProfileResult> {
-        let service = self.metrics.service;
+        let metrics = self.metrics();
         self.session.take().map(|s| {
             let mut result = s.finish();
-            result.metrics.service = service;
+            result.metrics.service = metrics.service;
+            result.metrics.checkpoints = metrics.checkpoints;
             result
         })
     }
@@ -379,9 +357,11 @@ impl SessionEngine {
         self.session.is_none()
     }
 
-    /// The session's counters.
-    pub fn metrics(&self) -> &SessionMetrics {
-        &self.metrics
+    /// The session's counters, its store's among them.
+    pub fn metrics(&self) -> SessionMetrics {
+        let checkpoints =
+            self.store.as_ref().map_or_else(CheckpointMetrics::default, |s| s.metrics());
+        SessionMetrics { checkpoints, ..self.metrics }
     }
 }
 
@@ -472,7 +452,7 @@ mod tests {
         // dedupes positionally instead of double-counting.
         let (mut second, ack) = SessionEngine::open(&hello("job", 10), 3, Some(&base), 0).unwrap();
         assert_eq!(ack, Frame::HelloAck { session_id: 3, resume_from: 60 });
-        assert_eq!(second.metrics().resumed_from, 60);
+        assert_eq!(second.metrics().checkpoints.resumed_from, 60);
         assert_eq!(second.metrics().service.rehydrated, 1);
         second.handle(Frame::Chunk { base: 40, events: evs[40..].to_vec() }).unwrap();
         assert_eq!(second.metrics().service.events_skipped_on_resume, 20);
@@ -539,7 +519,7 @@ mod tests {
         first.handle(Frame::Chunk { base: 0, events: accesses(0..50) }).unwrap();
         assert!(!base.join("job").exists(), "no directory before the first checkpoint");
         assert!(first.write_checkpoint().unwrap(), "a durable session writes a generation");
-        assert_eq!(first.metrics().checkpoint_generations, 1);
+        assert_eq!(first.metrics().checkpoints.generations, 1);
         drop(first);
         let (_, ack) = SessionEngine::open(&hello("job", 0), 2, Some(&base), 0).unwrap();
         assert_eq!(ack, Frame::HelloAck { session_id: 2, resume_from: 50 });
@@ -548,6 +528,31 @@ mod tests {
         let (mut ephemeral, _) = SessionEngine::open(&hello("e", 0), 3, None, 0).unwrap();
         ephemeral.handle(Frame::Chunk { base: 0, events: accesses(0..50) }).unwrap();
         assert!(!ephemeral.write_checkpoint().unwrap(), "nothing is saved without a store");
+    }
+
+    /// A durable session numbers its generations from 0, writes them at
+    /// multiples of its interval of the stream position, and its result
+    /// counts them; a rehydrated one continues both.
+    #[test]
+    fn the_result_counts_the_generations_the_session_wrote() {
+        let base = std::env::temp_dir().join(format!("dpsv-engine-count-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let (mut first, _) = SessionEngine::open(&hello("job", 10), 1, Some(&base), 0).unwrap();
+        first.handle(Frame::Chunk { base: 0, events: accesses(0..25) }).unwrap();
+        first.write_checkpoint().unwrap();
+        let latest = CheckpointStore::load_latest(&base.join("job")).unwrap();
+        assert_eq!((latest.generation, latest.records_read), (2, 25));
+        let result = first.finish_result().unwrap();
+        assert_eq!(result.metrics.checkpoints.generations, 3);
+
+        let (mut second, _) = SessionEngine::open(&hello("job", 10), 2, Some(&base), 0).unwrap();
+        second.handle(Frame::Chunk { base: 25, events: accesses(25..35) }).unwrap();
+        let latest = CheckpointStore::load_latest(&base.join("job")).unwrap();
+        assert_eq!((latest.generation, latest.records_read), (3, 30));
+        let result = second.finish_result().unwrap();
+        assert_eq!(result.metrics.checkpoints.generations, 1);
+        assert_eq!(result.metrics.checkpoints.resumed_from, 25);
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]
@@ -681,7 +686,6 @@ mod tests {
 
         // Hibernate mid-stream, with no periodic checkpoint interval.
         let (mut idle, _) = SessionEngine::open(&hello("nap", 0), 2, Some(&base), 0).unwrap();
-        assert!(idle.durable());
         idle.handle(Frame::Chunk { base: 0, events: evs[..50].to_vec() }).unwrap();
         idle.hibernate().unwrap();
         assert_eq!(idle.metrics().service.hibernated, 1);
@@ -697,7 +701,6 @@ mod tests {
 
         // Sessions without a checkpoint dir cannot hibernate.
         let (mut ephemeral, _) = SessionEngine::open(&hello("e", 0), 4, None, 0).unwrap();
-        assert!(!ephemeral.durable());
         assert!(ephemeral.hibernate().is_err());
     }
 

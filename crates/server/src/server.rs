@@ -292,39 +292,18 @@ impl Server {
         while !stop.load(Ordering::SeqCst) {
             let mut accepted = false;
             if let Some(tcp) = &self.tcp {
-                match tcp.accept() {
-                    Ok((s, _)) => {
-                        accepted = true;
-                        // Replies are small frames (HelloAck, SyncAck);
-                        // Nagle + delayed ACK would stall every sync
-                        // roundtrip by tens of milliseconds.
-                        let _ = s.set_nodelay(true);
-                        let shared = Arc::clone(&self.shared);
-                        threads.push(std::thread::spawn(move || {
-                            if s.set_nonblocking(false).is_ok() {
-                                dispatch_conn(s, &shared, stop);
-                            }
-                        }));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    Err(e) => return Err(e),
-                }
+                accepted |= self.spawn_conn(tcp.accept(), &mut threads, stop, |s| {
+                    // Replies are small frames (HelloAck, SyncAck); Nagle
+                    // + delayed ACK would stall every sync roundtrip by
+                    // tens of milliseconds.
+                    let _ = s.set_nodelay(true);
+                    s.set_nonblocking(false)
+                })?;
             }
             #[cfg(unix)]
             if let Some(unix) = &self.unix {
-                match unix.accept() {
-                    Ok((s, _)) => {
-                        accepted = true;
-                        let shared = Arc::clone(&self.shared);
-                        threads.push(std::thread::spawn(move || {
-                            if s.set_nonblocking(false).is_ok() {
-                                dispatch_conn(s, &shared, stop);
-                            }
-                        }));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    Err(e) => return Err(e),
-                }
+                let blocking = |s: &UnixStream| s.set_nonblocking(false);
+                accepted |= self.spawn_conn(unix.accept(), &mut threads, stop, blocking)?;
             }
             if !accepted {
                 std::thread::sleep(poll);
@@ -334,6 +313,30 @@ impl Server {
             let _ = t.join();
         }
         Ok(())
+    }
+
+    /// Serves what one non-blocking `accept` returned on a thread of its
+    /// own, once `blocking` has made its reads block; `Ok(false)` when no
+    /// client was waiting.
+    fn spawn_conn<S: Conn + 'static, A>(
+        &self,
+        accepted: io::Result<(S, A)>,
+        threads: &mut Vec<std::thread::JoinHandle<()>>,
+        stop: &'static AtomicBool,
+        blocking: fn(&S) -> io::Result<()>,
+    ) -> io::Result<bool> {
+        let s = match accepted {
+            Ok((s, _)) => s,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) => return Err(e),
+        };
+        let shared = Arc::clone(&self.shared);
+        threads.push(std::thread::spawn(move || {
+            if blocking(&s).is_ok() {
+                dispatch_conn(s, &shared, stop);
+            }
+        }));
+        Ok(true)
     }
 }
 
@@ -436,7 +439,7 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
 
     // A durable session idling past the hibernation deadline is
     // checkpointed and evicted so its slot can serve live traffic.
-    let idle_after = (shared.cfg.hibernate_after_ms > 0 && engine.durable())
+    let idle_after = (shared.cfg.hibernate_after_ms > 0 && shared.cfg.checkpoint_dir.is_some())
         .then(|| Duration::from_millis(shared.cfg.hibernate_after_ms));
     loop {
         loop {

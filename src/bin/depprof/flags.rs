@@ -91,10 +91,6 @@ pub struct Args {
     pub watchdog_deadline_ms: u64,
     /// SIGKILL the process after feeding N records this run (0 = never).
     pub inject_kill_after: u64,
-    /// Overrides the supervisor's stall deadline, so a test can pit the
-    /// run watchdog against a wedged pipeline before per-worker
-    /// supervision recovers it.
-    pub stall_deadline_ms: Option<u64>,
     pub listen: Option<String>,
     pub unix_sock: Option<String>,
     pub connect: Option<String>,
@@ -215,7 +211,6 @@ const FLAGS: &[Flag] = &[
     flag("--scale", &[Profile, Record], "F", to!(scale, number)),
     flag("--inject-panic", &[Profile], "W@N", to!(inject_panic, fault)),
     flag("--inject-stall", &[Profile, Replay], "W@N", to!(inject_stall, fault)),
-    flag("--stall-deadline", &[Replay], "MS", to!(stall_deadline_ms, some_number)),
     flag("--report", &[Profile], "", to!(output = Output::Report)),
     flag("--analyze", &[Profile], "", to!(output = Output::Analyze)),
     flag("--dot", &[Profile], "", to!(output = Output::Dot)),

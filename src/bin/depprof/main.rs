@@ -19,12 +19,13 @@
 //!
 //! A replay with a checkpoint directory is *durable*: `--checkpoint-dir`
 //! names one, `--resume` reuses its own, and `--checkpoint-every N` or
-//! `--watchdog-deadline` default it to `<trace>.ckpt`. Every N trace
-//! records (and once more on SIGINT/SIGTERM or a watchdog stop) the
-//! pipeline is quiesced and its full state (signatures, dependence maps,
-//! router statistics, queue ledger) is written to the two-generation
-//! directory with an atomic temp-file + rename protocol — a kill at any
-//! instant leaves a valid generation on disk.
+//! `--watchdog-deadline` default it to `<trace>.ckpt`. At every multiple
+//! of N of the trace position (and once more on SIGINT/SIGTERM or a
+//! watchdog stop) the pipeline is quiesced and its full state
+//! (signatures, dependence maps, router statistics, queue ledger) is
+//! written to the two-generation directory with an atomic temp-file +
+//! rename protocol — a kill at any instant leaves a valid generation on
+//! disk. A fresh run discards what an earlier run left in the directory.
 //! `replay --resume <dir>` picks up the latest valid generation, seeks
 //! the trace to the recorded position and continues; the final profile is
 //! identical to an uninterrupted run. `--watchdog-deadline MS` arms a
@@ -57,7 +58,7 @@ mod flags;
 
 use depprof::analysis::{degradation, text_sections, LoopMeta};
 use depprof::core::{
-    report, CheckpointMetrics, CheckpointStore, FaultPlan, ProfileResult, ProfileSession,
+    report, CheckpointError, CheckpointStore, FaultPlan, ProfileResult, ProfileSession,
     ProfilerConfig, SessionSpec, TransportKind, Watchdog,
 };
 use depprof::server::{
@@ -242,7 +243,7 @@ fn run_replay(args: &Args) -> Cli {
     // Resolve the run configuration: a fresh run takes it from the flags,
     // a resumed run from the checkpoint's own CONFIG section.
     let load = |dir: &String| {
-        let latest = CheckpointStore::open(dir.clone()).load_latest();
+        let latest = CheckpointStore::load_latest(Path::new(dir));
         latest.or_fail(EXIT_CORRUPT, format_args!("cannot resume from '{dir}'"))
     };
     let resume_data = args.resume.as_ref().map(load).transpose()?;
@@ -280,9 +281,6 @@ fn run_replay(args: &Args) -> Cli {
             FaultPlan::none().with_seed(chaos_seed).with_stall(f.worker, f.after_chunks),
         );
     }
-    if let Some(ms) = args.stall_deadline_ms {
-        cfg = cfg.with_stall_deadline_ms(ms);
-    }
     let what = if rc.spec.parallel {
         "cannot resume the parallel pipeline"
     } else {
@@ -293,21 +291,17 @@ fn run_replay(args: &Args) -> Cli {
     // A run with a checkpoint directory is durable: it writes periodic
     // checkpoints when asked to, and an emergency one when a signal or
     // the watchdog stops it. Resumed runs keep writing into the directory
-    // they resumed from, preserving the two-generation rotation; asking
-    // for checkpoints without naming a directory gets `<trace>.ckpt`.
+    // they resumed from; a fresh run's store discards what its directory
+    // held. Asking for checkpoints without naming a directory gets
+    // `<trace>.ckpt`.
     let asked = rc.checkpoint_every > 0 || args.watchdog_deadline_ms > 0;
     let dir = args.resume.clone().or_else(|| args.checkpoint_dir.clone());
     let dir = dir.or_else(|| asked.then(|| format!("{path}.ckpt")));
-    let create = |dir| {
-        CheckpointStore::create(dir).or_fail(EXIT_INPUT, "cannot create checkpoint directory")
+    let open = |dir: String| {
+        CheckpointStore::open(dir.into(), rc.checkpoint_every, resume_data.as_ref())
+            .or_fail(EXIT_INPUT, "cannot open checkpoint directory")
     };
-    let store = dir.map(create).transpose()?;
-
-    let mut generation = resume_data.as_ref().map_or(0, |d| d.generation + 1);
-    let mut ck = CheckpointMetrics {
-        resumed_from: resume_data.as_ref().map_or(0, |d| d.records_read),
-        ..CheckpointMetrics::default()
-    };
+    let mut store = dir.map(open).transpose()?;
 
     // The watchdog escalates in two stages: after one deadline without
     // progress it sets the sticky `fired` flag, which the feed loop turns
@@ -330,37 +324,30 @@ fn run_replay(args: &Args) -> Cli {
 
     // Quiesce → write → report, for all three reasons a replay checkpoints.
     // `reason` prefixes an emergency checkpoint's messages; the periodic
-    // checkpoint passes none and speaks only when it fails. `None` also
-    // when checkpointing is off.
-    let checkpoint =
-        |engine: &mut ProfileSession, generation: u64, records_read: u64, reason: &str| {
-            let store = store.as_ref()?;
-            let periodic = reason.is_empty();
-            let data = match engine.checkpoint_data(generation, records_read, rc.encode()) {
-                Ok(data) => data,
-                Err(e) if periodic => {
-                    eprintln!("WARNING: checkpoint skipped: {e}");
-                    return None;
-                }
-                Err(e) => {
-                    eprintln!("{reason}cannot quiesce for emergency checkpoint: {e}");
-                    return None;
-                }
-            };
-            match store.write(&data) {
-                Ok(st) if periodic => return Some(st),
-                Ok(st) => eprintln!(
-                    "{reason}emergency checkpoint generation {} ({} bytes) written to '{}'{}",
-                    st.generation,
-                    st.bytes,
-                    store.dir().display(),
-                    if reason.starts_with("signal") { "; resume with --resume" } else { "" }
-                ),
-                Err(e) if periodic => eprintln!("WARNING: checkpoint write failed: {e}"),
-                Err(e) => eprintln!("{reason}emergency checkpoint failed: {e}"),
+    // checkpoint passes none and speaks only when it fails. Nothing
+    // happens when checkpointing is off.
+    let checkpoint = |store: &mut Option<CheckpointStore>,
+                      engine: &mut ProfileSession,
+                      records_read: u64,
+                      reason: &str| {
+        let Some(store) = store else { return };
+        let periodic = reason.is_empty();
+        match store.save(engine, records_read, rc.encode()) {
+            Ok(_) if periodic => {}
+            Ok(generation) => eprintln!(
+                "{reason}emergency checkpoint generation {generation} ({} bytes) written to '{}'{}",
+                store.metrics().last_bytes,
+                store.dir().display(),
+                if reason.starts_with("signal") { "; resume with --resume" } else { "" }
+            ),
+            Err(CheckpointError::Io(e)) if periodic => {
+                eprintln!("WARNING: checkpoint write failed: {e}")
             }
-            None
-        };
+            Err(CheckpointError::Io(e)) => eprintln!("{reason}emergency checkpoint failed: {e}"),
+            Err(e) if periodic => eprintln!("WARNING: checkpoint skipped: {e}"),
+            Err(e) => eprintln!("{reason}cannot quiesce for emergency checkpoint: {e}"),
+        }
+    };
 
     let mut fed: u64 = 0;
     while let Some(rec) = reader.next() {
@@ -371,24 +358,18 @@ fn run_replay(args: &Args) -> Cli {
             if store.is_none() {
                 eprintln!("signal: terminating (not durable, nothing saved)");
             }
-            checkpoint(&mut engine, generation, reader.records_read(), "signal: ");
+            checkpoint(&mut store, &mut engine, reader.records_read(), "signal: ");
             return Err(fail(EXIT_SIGNAL, ""));
         }
         if let Some(p) = &wd_progress {
             p.store(fed + engine.heartbeat(), Ordering::Relaxed);
         }
         if watchdog.as_ref().is_some_and(|w| w.fired()) {
-            checkpoint(&mut engine, generation, reader.records_read(), "watchdog: stalled; ");
+            checkpoint(&mut store, &mut engine, reader.records_read(), "watchdog: stalled; ");
             return Err(fail(EXIT_WATCHDOG, ""));
         }
-        if rc.checkpoint_every > 0 && fed.is_multiple_of(rc.checkpoint_every) {
-            let t0 = Instant::now();
-            if let Some(st) = checkpoint(&mut engine, generation, reader.records_read(), "") {
-                ck.generations += 1;
-                ck.last_bytes = st.bytes;
-                ck.write_nanos += t0.elapsed().as_nanos() as u64;
-                generation += 1;
-            }
+        if store.as_ref().is_some_and(|s| s.due(reader.records_read())) {
+            checkpoint(&mut store, &mut engine, reader.records_read(), "");
         }
         // The kill point sits at a record boundary *after* any checkpoint
         // due at it — deterministic, and it exercises the worst case
@@ -407,13 +388,10 @@ fn run_replay(args: &Args) -> Cli {
             std::process::abort(); // non-unix fallback; unreachable on unix
         }
     }
-    drop(wd_progress);
-    if let Some(w) = watchdog {
-        w.stop();
-    }
+    drop((wd_progress, watchdog));
 
     let mut result = engine.finish();
-    result.metrics.checkpoints = ck;
+    result.metrics.checkpoints = store.map(|s| s.metrics()).unwrap_or_default();
     result.metrics.chaos_seed = chaos_seed;
 
     eprintln!("{}", report::summary(&result));

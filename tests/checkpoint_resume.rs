@@ -589,9 +589,10 @@ fn cli_watchdog_exits_with_code_6_on_stall() {
     // kmeans at this scale pushes well past the stalled worker's second
     // chunk, so the periodic checkpoint quiesces against a worker that
     // will never reply and waits out the 2 s drain deadline — a hard
-    // no-progress window the 150 ms watchdog must fire inside. The huge
-    // stall deadline keeps the per-worker supervision from recovering
-    // the worker first: this test is about the watchdog backstop.
+    // no-progress window the 150 ms watchdog must fire inside. Under the
+    // default `--overflow block` no stall deadline applies, so per-worker
+    // supervision never recovers the worker first: this test is about
+    // the watchdog backstop.
     let trace = dir.join("km.dptr");
     let trace_s = trace.to_str().unwrap().to_string();
     let rec = depprof(&["record", "kmeans", "--scale", "0.05", "--out", &trace_s]);
@@ -605,8 +606,6 @@ fn cli_watchdog_exits_with_code_6_on_stall() {
         "2",
         "--inject-stall",
         "0@2",
-        "--stall-deadline",
-        "600000",
         "--checkpoint-every",
         "5000",
         "--watchdog-deadline",
@@ -617,34 +616,122 @@ fn cli_watchdog_exits_with_code_6_on_stall() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A CONFIG section in `depprof replay`'s layout.
+fn replay_config(trace: &str, parallel: bool, workers: u32, slots: u64, every: u64) -> Vec<u8> {
+    let mut config = depprof::types::wire::ByteWriter::new();
+    config.blob(trace.as_bytes());
+    config.u8(parallel as u8);
+    config.u8(TransportKind::Spsc.code());
+    config.u32(workers);
+    config.u64(slots);
+    config.u64(every);
+    config.u8(0);
+    config.into_bytes()
+}
+
+/// A fresh run owns its checkpoint directory: a replay killed after its
+/// first generation, in a directory an earlier run of another trace left
+/// generations in, resumes itself, not the other run.
+#[test]
+fn cli_resume_continues_the_run_that_wrote_the_directory() {
+    let dir = scratch("stale");
+    let other = record_trace(&dir);
+    let cg = dir.join("cg.dptr");
+    let cg_s = cg.to_str().unwrap();
+    let rec = depprof(&["record", "CG", "--scale", "0.05", "--out", cg_s]);
+    assert!(rec.status.success(), "{}", String::from_utf8_lossy(&rec.stderr));
+    let ckpt = dir.join("run.ckpt");
+    let ckpt_s = ckpt.to_str().unwrap();
+
+    let earlier =
+        depprof(&["replay", &other, "--checkpoint-every", "1000", "--checkpoint-dir", ckpt_s]);
+    assert!(earlier.status.success(), "{}", String::from_utf8_lossy(&earlier.stderr));
+    let clean = depprof(&["replay", cg_s]);
+    assert!(clean.status.success(), "{}", String::from_utf8_lossy(&clean.stderr));
+    let killed = depprof(&[
+        "replay",
+        cg_s,
+        "--checkpoint-every",
+        "2000",
+        "--checkpoint-dir",
+        ckpt_s,
+        "--inject-kill-after",
+        "3000",
+    ]);
+    assert!(!killed.status.success(), "the injected kill must abort the process");
+
+    let resumed = depprof(&["replay", "--resume", ckpt_s]);
+    let err = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "{err}");
+    assert!(err.contains("resuming from checkpoint generation 0 at record 2000"), "{err}");
+    assert_eq!(
+        String::from_utf8_lossy(&clean.stdout),
+        String::from_utf8_lossy(&resumed.stdout),
+        "the resumed run is the killed one"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Periodic checkpoints fall at multiples of the interval of the trace
+/// position, not of the records a resumed run has fed: a run resumed at
+/// record 2 500 with an interval of 2 000 writes its next generation at
+/// 4 000, and resuming that one still ends in the uninterrupted report.
+#[test]
+fn cli_resumed_run_keeps_the_absolute_checkpoint_schedule() {
+    use depprof::core::{CheckpointStore, SessionSpec};
+    let dir = scratch("schedule");
+    let trace = record_trace(&dir);
+    let clean = depprof(&["replay", &trace]);
+    assert!(clean.status.success(), "{}", String::from_utf8_lossy(&clean.stderr));
+
+    // A checkpoint at record 2 500, as an emergency one would be.
+    let spec = SessionSpec::default();
+    let mut session = spec.build();
+    let file = std::fs::File::open(&trace).unwrap();
+    let reader = depprof::trace::TraceReader::new(file).unwrap();
+    reader.take(2500).for_each(|ev| session.on_event(ev.unwrap()));
+    let config = replay_config(&trace, false, spec.workers as u32, spec.slots as u64, 2000);
+    let data = session.checkpoint_data(0, 2500, config).unwrap();
+    let ckpt = dir.join("run.ckpt");
+    std::fs::create_dir_all(&ckpt).unwrap();
+    std::fs::write(ckpt.join("checkpoint-0.dpck"), data.encode()).unwrap();
+
+    let ckpt_s = ckpt.to_str().unwrap();
+    let killed = depprof(&["replay", "--resume", ckpt_s, "--inject-kill-after", "2000"]);
+    assert!(!killed.status.success(), "the injected kill must abort the process");
+    let next = CheckpointStore::load_latest(&ckpt).unwrap();
+    assert_eq!((next.generation, next.records_read), (1, 4000));
+
+    let resumed = depprof(&["replay", "--resume", ckpt_s]);
+    assert!(resumed.status.success(), "{}", String::from_utf8_lossy(&resumed.stderr));
+    assert_eq!(
+        String::from_utf8_lossy(&clean.stdout),
+        String::from_utf8_lossy(&resumed.stdout),
+        "resumed twice, the profile still matches the uninterrupted run"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A checkpoint's CONFIG section comes from disk, so `replay --resume`
 /// holds its engine sizes to the bounds a `Hello` spec meets: a section
 /// (in `ReplayConfig`'s layout) asking for sizes no engine should be
 /// built at exits 4 ("unreadable"), not with a panic or an allocation
 /// abort.
 fn resume_with_sizes_exits_4(tag: &str, parallel: bool, workers: u32, slots: u64) {
-    use depprof::core::{CheckpointData, CheckpointStore};
-    use depprof::types::wire::ByteWriter;
+    use depprof::core::CheckpointData;
     let dir = scratch(tag);
     let trace = record_trace(&dir);
-    let mut config = ByteWriter::new();
-    config.blob(trace.as_bytes());
-    config.u8(parallel as u8);
-    config.u8(TransportKind::Spsc.code());
-    config.u32(workers);
-    config.u64(slots);
-    config.u64(2000);
-    config.u8(0);
     let data = CheckpointData {
         generation: 0,
         records_read: 0,
-        config: config.into_bytes(),
+        config: replay_config(&trace, parallel, workers, slots, 2000),
         router: Vec::new(),
         ledger: Vec::new(),
         workers: Vec::new(),
     };
     let ckpt = dir.join("run.ckpt");
-    CheckpointStore::create(&ckpt).unwrap().write(&data).unwrap();
+    std::fs::create_dir_all(&ckpt).unwrap();
+    std::fs::write(ckpt.join("checkpoint-0.dpck"), data.encode()).unwrap();
     let out = depprof(&["replay", "--resume", ckpt.to_str().unwrap()]);
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(4), "{err}");

@@ -316,7 +316,7 @@ fn migration_round_skips_a_dead_target() {
     assert_degraded_exactly(&r, &serial, 1, started.elapsed());
     assert!(r.stats.redistributions > 0, "{:?}", r.stats);
     assert_eq!(r.stats.cancelled_migrations, 0, "{:?}", r.stats);
-    assert!(r.stats.rerouted_events > 0, "{:?}", r.stats);
+    assert!(r.metrics.conservation.rerouted > 0, "{:?}", r.metrics.conservation);
 }
 
 /// Two frames' worth of the per-worker stream, recorded.

@@ -287,7 +287,7 @@ fn service_counters_balance_the_resume_ledger() {
             one.handle(f.clone()).unwrap();
         }
     }
-    let m1 = *one.metrics();
+    let m1 = one.metrics();
     assert_eq!(m1.service.rehydrated, 0);
     assert_eq!(
         delivered_1,
@@ -308,7 +308,7 @@ fn service_counters_balance_the_resume_ledger() {
         delivered_2 += delivered(f);
         two.handle(f.clone()).unwrap();
     }
-    let m2 = *two.metrics();
+    let m2 = two.metrics();
     assert_eq!(m2.service.rehydrated, 1, "incarnation 2 must count its rehydration");
     assert_eq!(
         delivered_2,
@@ -325,7 +325,7 @@ fn service_counters_balance_the_resume_ledger() {
     // cover the stream exactly once.
     let (mut three, ack) = SessionEngine::open(&hello(Vec::new()), 3, Some(&base), 0).unwrap();
     assert!(matches!(ack, Frame::HelloAck { resume_from, .. } if resume_from == evs.len() as u64));
-    let m3 = *three.metrics();
+    let m3 = three.metrics();
     assert_eq!(m3.service.rehydrated, 1, "incarnation 3 must count its rehydration");
     assert_eq!(
         m1.events + m2.events + m3.events,

@@ -190,6 +190,57 @@ fn sigterm_mid_session_then_checkpointed_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A durable session idle past `--hibernate-after` is checkpointed and
+/// evicted; the push, told so, reconnects and the session rehydrates
+/// where it stopped. Pauses longer than the deadline between every chunk
+/// make it happen several times in one push, and the report is still
+/// byte-identical to an offline replay.
+#[test]
+fn idle_sessions_hibernate_and_rehydrate_exactly() {
+    let dir = tmpdir("hibernate");
+    let trace = dir.join("cg.dptr");
+    let trace_s = trace.to_str().unwrap();
+    let rec = depprof(&["record", "CG", "--scale", "0.02", "--out", trace_s]);
+    assert!(rec.status.success(), "{}", String::from_utf8_lossy(&rec.stderr));
+    let offline = dir.join("offline.txt");
+    let rep = depprof(&["replay", trace_s, "--report-out", offline.to_str().unwrap()]);
+    assert!(rep.status.success(), "{}", String::from_utf8_lossy(&rep.stderr));
+
+    let ckpt = dir.join("ckpts");
+    let (mut serve, addr) = start_serve(
+        &dir,
+        &["--checkpoint-dir", ckpt.to_str().unwrap(), "--hibernate-after", "100"],
+    );
+    let served = dir.join("served.txt");
+    let push = depprof(&[
+        "push",
+        trace_s,
+        "--connect",
+        &addr,
+        "--session",
+        "nap",
+        "--chunk-events",
+        "1000",
+        "--throttle-ms",
+        "300",
+        "--report-out",
+        served.to_str().unwrap(),
+    ]);
+    sigterm(&serve);
+    assert_eq!(serve.wait().unwrap().code(), Some(7));
+    let log = std::fs::read_to_string(dir.join(format!("serve-{}.log", std::process::id())))
+        .unwrap_or_default();
+    assert!(push.status.success(), "{}\n{log}", String::from_utf8_lossy(&push.stderr));
+    let naps = log.matches("hibernated at event").count();
+    assert!(naps >= 2, "the session hibernated {naps} times:\n{log}");
+    assert_eq!(
+        std::fs::read(&offline).unwrap(),
+        std::fs::read(&served).unwrap(),
+        "a hibernated session's report differs from offline replay"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A replay with a checkpoint directory is durable: SIGINT mid-run writes
 /// an emergency checkpoint and exits 7, and the resumed run reports what
 /// an uninterrupted one does — with periodic checkpoints effectively off,

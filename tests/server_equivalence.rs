@@ -354,7 +354,7 @@ fn client_stalled_mid_frame_does_not_hang_shutdown() {
             Some(Frame::Error { code: depprof::types::protocol::error_code::SHUTDOWN, .. })
         ));
 
-        let checkpoint = CheckpointStore::open(dir.join("stall")).load_latest();
+        let checkpoint = CheckpointStore::load_latest(&dir.join("stall"));
         let checkpoint = checkpoint.unwrap_or_else(|e| panic!("every {checkpoint_every}: {e}"));
         assert_eq!(
             checkpoint.records_read, first_len,

@@ -34,9 +34,11 @@ pub struct PushOptions {
     pub throttle_ms: u64,
     /// Request the per-session metrics snapshot before finishing.
     pub request_stats: bool,
-    /// Send a `Sync` watermark probe every N chunks and wait for its
-    /// `SyncAck` (0 = never) — applicative backpressure plus a durable
-    /// high-water mark for duplicated-work accounting.
+    /// Send a `Sync` watermark probe every N chunks (0 = never), keeping
+    /// one window in flight: after writing `Sync{n+1}` the push waits for
+    /// `SyncAck{n}`, so the server works through one window while the
+    /// next is built, and at most `2N` chunks are ever unacknowledged —
+    /// applicative backpressure plus a durable high-water mark.
     pub sync_every_chunks: u64,
     /// Watch mode: issue a live-analysis `Query` whenever this many
     /// milliseconds have elapsed since the last one (0 = after every
@@ -156,25 +158,25 @@ impl ClientError {
     }
 }
 
-fn read_reply(conn: &mut impl Read) -> Result<Frame, ClientError> {
-    match protocol::read_frame(conn, MAX_FRAME_BYTES)? {
-        Some(Frame::Error { code, message }) => Err(ClientError::Server { code, message }),
-        Some(Frame::Busy { retry_after_ms }) => Err(ClientError::Busy { retry_after_ms }),
-        Some(f) => Ok(f),
-        None => Err(ClientError::Protocol(ProtocolError::Wire(dp_types::WireError::Truncated))),
-    }
-}
-
-/// Like [`read_reply`], but skips stray `SyncAck` frames — a duplicated
-/// `Sync` on a chaotic link produces an extra ack that would otherwise
-/// land where `Stats` or `Report` is expected.
-fn read_reply_skipping_acks(conn: &mut impl Read) -> Result<Frame, ClientError> {
-    loop {
-        match read_reply(conn)? {
-            Frame::SyncAck { .. } => continue,
-            f => return Ok(f),
+/// Reads replies up to the next one that is not a `SyncAck`, or until
+/// `acked` reaches `until` (`None`). Every ack read raises `acked` to its
+/// nonce: it counts toward the window wait wherever it is read, and a
+/// duplicated one (a `Sync` a chaotic link delivered twice) is harmless.
+fn read_reply(
+    conn: &mut impl Read,
+    acked: &mut u64,
+    until: u64,
+) -> Result<Option<Frame>, ClientError> {
+    while *acked < until {
+        let frame = protocol::read_frame(conn, MAX_FRAME_BYTES)?;
+        match frame.ok_or(ProtocolError::Wire(dp_types::WireError::Truncated))? {
+            Frame::SyncAck { nonce, .. } => *acked = nonce.max(*acked),
+            Frame::Error { code, message } => return Err(ClientError::Server { code, message }),
+            Frame::Busy { retry_after_ms } => return Err(ClientError::Busy { retry_after_ms }),
+            f => return Ok(Some(f)),
         }
     }
+    Ok(None)
 }
 
 /// In-flight progress of one connection attempt, visible to the retry
@@ -190,18 +192,19 @@ struct PushProgress {
     resumed_from: Option<u64>,
 }
 
-/// Issues one `Query(ALL)` round-trip, skipping stray `SyncAck`s, and
-/// prints the snapshot to stderr (the watch stream).
+/// Issues one `Query(ALL)` round-trip, counting the acks ahead of its
+/// answer, and prints the snapshot to stderr (the watch stream).
 fn watch_query(
     out: &mut FrameSender,
     conn: &mut (impl Read + Write),
+    acked: &mut u64,
     session: &str,
     id: u64,
 ) -> Result<String, ClientError> {
     out.send(conn, [&Frame::Query { id, kind: protocol::query_kind::ALL }])?;
     conn.flush()?;
-    match read_reply_skipping_acks(conn)? {
-        Frame::QueryResult { json, .. } => {
+    match read_reply(conn, acked, u64::MAX)? {
+        Some(Frame::QueryResult { json, .. }) => {
             eprintln!("[watch {session}] {json}");
             Ok(json)
         }
@@ -225,7 +228,7 @@ pub fn push_events(
 /// [`push_session`], reporting the server's last word: a write that
 /// finds the server gone may have crossed the `Error` it sent before
 /// closing (a shutdown, say), and that, read from what is left of the
-/// connection, is the failure to report rather than the broken pipe.
+/// connection past any acks, is the failure to report, not the pipe.
 fn push_once(
     conn: &mut (impl Read + Write),
     names: Vec<String>,
@@ -242,8 +245,8 @@ fn push_once(
         }
         done => return done,
     };
-    match protocol::read_frame(conn, MAX_FRAME_BYTES) {
-        Ok(Some(Frame::Error { code, message })) => Err(ClientError::Server { code, message }),
+    match read_reply(conn, &mut 0, u64::MAX) {
+        Err(said @ ClientError::Server { .. }) => Err(said),
         _ => Err(err.into()),
     }
 }
@@ -270,8 +273,10 @@ fn push_session(
     };
     out.send(conn, [&Frame::Hello(hello)])?;
     conn.flush()?;
-    let resumed_from = match read_reply(conn)? {
-        Frame::HelloAck { resume_from, .. } => resume_from,
+    // The highest `SyncAck` nonce read so far.
+    let mut acked: u64 = 0;
+    let resumed_from = match read_reply(conn, &mut acked, u64::MAX)? {
+        Some(Frame::HelloAck { resume_from, .. }) => resume_from,
         _ => return Err(ClientError::Unexpected("wanted HelloAck")),
     };
     *resume_seen = Some(resumed_from);
@@ -280,27 +285,21 @@ fn push_session(
     // watermark so every frame says exactly where it belongs, and the
     // server can drop any overlap without double-counting.
     let mut chunker = FrameChunker::with_base(opts.chunk_events.max(1), resumed_from);
-    let mut skipped: u64 = 0;
-    let mut chunks_since_sync: u64 = 0;
-    let mut sync_nonce: u64 = 0;
+    let mut chunks: u64 = 0;
     let mut queries: u64 = 0;
     let mut last_query_json: Option<String> = None;
     let mut last_watch = Instant::now();
-    for ev in events {
-        if skipped < resumed_from {
-            skipped += 1;
-            continue;
-        }
+    for ev in events.into_iter().skip(resumed_from as usize) {
         let Some(frame) = chunker.push(ev) else {
             chunker.refused().map_or(Ok(()), |e| Err(ClientError::OffThread(e)))?;
             continue;
         };
         out.send(conn, [&frame])?;
-        chunks_since_sync += 1;
+        chunks += 1;
         if let Some(ms) = opts.watch_ms {
             if last_watch.elapsed().as_millis() as u64 >= ms {
                 queries += 1;
-                last_query_json = Some(watch_query(out, conn, &opts.session, queries)?);
+                last_query_json = Some(watch_query(out, conn, &mut acked, &opts.session, queries)?);
                 last_watch = Instant::now();
             }
         }
@@ -308,20 +307,15 @@ fn push_session(
             conn.flush()?;
             std::thread::sleep(std::time::Duration::from_millis(opts.throttle_ms));
         }
-        if opts.sync_every_chunks > 0 && chunks_since_sync >= opts.sync_every_chunks {
-            chunks_since_sync = 0;
-            sync_nonce += 1;
-            out.send(conn, [&Frame::Sync { nonce: sync_nonce }])?;
+        if opts.sync_every_chunks > 0 && chunks.is_multiple_of(opts.sync_every_chunks) {
+            let nonce = chunks / opts.sync_every_chunks;
+            out.send(conn, [&Frame::Sync { nonce }])?;
             conn.flush()?;
-            // Wait for this probe's ack (skipping acks of any duplicated
-            // earlier probes): everything sent so far is consumed — a
-            // durable watermark.
-            loop {
-                match read_reply(conn)? {
-                    Frame::SyncAck { nonce, .. } if nonce == sync_nonce => break,
-                    Frame::SyncAck { .. } => continue,
-                    _ => return Err(ClientError::Unexpected("wanted SyncAck")),
-                }
+            // One window in flight: wait for the previous probe's ack
+            // (everything sent ahead of it is consumed), and let the
+            // server work through this window while the next is built.
+            if read_reply(conn, &mut acked, nonce - 1)?.is_some() {
+                return Err(ClientError::Unexpected("wanted SyncAck"));
             }
         }
     }
@@ -334,14 +328,14 @@ fn push_session(
     // complete live report, which must equal the post-hoc passes.
     if opts.watch_ms.is_some() {
         queries += 1;
-        last_query_json = Some(watch_query(out, conn, &opts.session, queries)?);
+        last_query_json = Some(watch_query(out, conn, &mut acked, &opts.session, queries)?);
     }
 
     let stats_json = if opts.request_stats {
         out.send(conn, [&Frame::StatsRequest])?;
         conn.flush()?;
-        match read_reply_skipping_acks(conn)? {
-            Frame::Stats { json } => Some(json),
+        match read_reply(conn, &mut acked, u64::MAX)? {
+            Some(Frame::Stats { json }) => Some(json),
             _ => return Err(ClientError::Unexpected("wanted Stats")),
         }
     } else {
@@ -350,8 +344,8 @@ fn push_session(
 
     out.send(conn, [&Frame::Finish])?;
     conn.flush()?;
-    let report = match read_reply_skipping_acks(conn)? {
-        Frame::Report { text } => text,
+    let report = match read_reply(conn, &mut acked, u64::MAX)? {
+        Some(Frame::Report { text }) => text,
         _ => return Err(ClientError::Unexpected("wanted Report")),
     };
     Ok(PushOutcome {
@@ -634,6 +628,136 @@ mod tests {
             matches!(&silent, ClientError::Protocol(ProtocolError::Io(e)) if e.kind() == io::ErrorKind::BrokenPipe),
             "{silent}"
         );
+    }
+
+    /// A server that holds every `SyncAck` back: `SyncAck{n}` goes out
+    /// once it has read `Sync{n+1}`, or ahead of its answer to the next
+    /// `Query`, `StatsRequest` or `Finish`. It notes, at every `Sync` the
+    /// client writes, how many earlier `Sync`s the client has read no ack
+    /// for.
+    #[derive(Default)]
+    struct Laggard {
+        replies: Vec<u8>,
+        /// Bytes of `replies` the client has read.
+        read: usize,
+        preamble_left: usize,
+        held: Vec<u64>,
+        /// Released acks: the nonce and where its frame ends in `replies`.
+        released: Vec<(u64, usize)>,
+        unacked_at_sync: Vec<u64>,
+    }
+
+    impl Laggard {
+        fn new() -> Self {
+            let mut replies = Vec::new();
+            protocol::write_preamble(&mut replies).unwrap();
+            Laggard { replies, preamble_left: protocol::PREAMBLE_BYTES, ..Laggard::default() }
+        }
+
+        fn reply(&mut self, frame: Frame) {
+            frame.encode_into(&mut self.replies);
+        }
+
+        fn release_below(&mut self, bound: u64) {
+            for nonce in std::mem::take(&mut self.held) {
+                if nonce < bound {
+                    self.reply(Frame::SyncAck { nonce, position: 0 });
+                    self.released.push((nonce, self.replies.len()));
+                } else {
+                    self.held.push(nonce);
+                }
+            }
+        }
+
+        fn answer(&mut self, frame: Frame) {
+            match frame {
+                Frame::Hello(_) => self.reply(Frame::HelloAck { session_id: 1, resume_from: 0 }),
+                Frame::Chunk { .. } => {}
+                Frame::Sync { nonce } => {
+                    let read = self.released.iter().filter(|&&(_, end)| end <= self.read);
+                    let acks_read = read.map(|&(n, _)| n).max().unwrap_or(0);
+                    self.unacked_at_sync.push(nonce - 1 - acks_read);
+                    self.release_below(nonce);
+                    self.held.push(nonce);
+                }
+                Frame::Query { id, kind } => {
+                    self.release_below(u64::MAX);
+                    self.reply(Frame::QueryResult { id, kind, json: "{}".into() });
+                }
+                Frame::StatsRequest => {
+                    self.release_below(u64::MAX);
+                    self.reply(Frame::Stats { json: "{}".into() });
+                }
+                Frame::Finish => {
+                    self.release_below(u64::MAX);
+                    self.reply(Frame::Report { text: "report".into() });
+                }
+                other => panic!("client sent {other:?}"),
+            }
+        }
+    }
+
+    impl Read for Laggard {
+        /// Nothing left to read is the end of the stream: a client that
+        /// waits for an ack the server holds back fails, not hangs.
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = (&self.replies[self.read..]).read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Laggard {
+        /// Every write past the preamble is whole frames (one
+        /// `FrameSender::send`).
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let skip = self.preamble_left.min(buf.len());
+            self.preamble_left -= skip;
+            let mut frames = &buf[skip..];
+            while let Some(frame) = protocol::read_frame(&mut frames, MAX_FRAME_BYTES).unwrap() {
+                self.answer(frame);
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn calls(n: u32) -> Vec<TraceEvent> {
+        (0..n).map(|func| TraceEvent::CallBegin { func, thread: 0, ts: 0 }).collect()
+    }
+
+    /// The push streams on past each `Sync` and waits only for the ack
+    /// of the one before it: a server that acks a window once the next
+    /// one has been announced is served, with one `Sync` unacknowledged
+    /// whenever the client writes another.
+    #[test]
+    fn a_sync_window_stays_in_flight() {
+        let mut conn = Laggard::new();
+        let opts = PushOptions { chunk_events: 1, sync_every_chunks: 2, ..PushOptions::default() };
+        let outcome = push_events(&mut conn, vec![], calls(13), &opts).expect("push completes");
+        assert_eq!((outcome.report.as_str(), outcome.events_sent), ("report", 13));
+        assert_eq!(conn.unacked_at_sync, [0, 1, 1, 1, 1, 1]);
+    }
+
+    /// Acks read ahead of a `QueryResult` or `Stats` count toward the
+    /// window wait: a push that dropped them would wait for an ack the
+    /// server already sent.
+    #[test]
+    fn acks_read_ahead_of_other_answers_count() {
+        let mut conn = Laggard::new();
+        let opts = PushOptions {
+            chunk_events: 1,
+            sync_every_chunks: 1,
+            watch_ms: Some(0),
+            request_stats: true,
+            ..PushOptions::default()
+        };
+        let outcome = push_events(&mut conn, vec![], calls(6), &opts).expect("push completes");
+        assert_eq!((outcome.queries, outcome.stats_json.as_deref()), (7, Some("{}")));
+        assert_eq!(conn.unacked_at_sync, [0; 6]);
     }
 
     /// A server that says it is shutting down, then stays down: the push

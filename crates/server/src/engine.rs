@@ -50,9 +50,13 @@ impl fmt::Display for SessionError {
 impl std::error::Error for SessionError {}
 
 impl SessionError {
-    /// The `Error` frame this failure maps to on the wire.
+    /// The `Error` frame this failure maps to on the wire: a failed
+    /// checkpoint is the server's storage at fault (`ENGINE`), anything
+    /// else the client's frames (`BAD_FRAME`).
     pub fn to_frame(&self) -> Frame {
-        Frame::Error { code: error_code::BAD_FRAME, message: self.to_string() }
+        let server = matches!(self, SessionError::Checkpoint(_));
+        let code = if server { error_code::ENGINE } else { error_code::BAD_FRAME };
+        Frame::Error { code, message: self.to_string() }
     }
 }
 
@@ -758,6 +762,32 @@ mod tests {
                  ...{expected}"
             );
         }
+    }
+
+    /// A checkpoint the server cannot write is answered as the server's
+    /// fault; malformed and out-of-order frames as the client's.
+    #[test]
+    fn a_checkpoint_fault_is_the_servers_and_a_bad_frame_the_clients() {
+        let code = |err: SessionError| match err.to_frame() {
+            Frame::Error { code, .. } => code,
+            other => panic!("{other:?}"),
+        };
+        let file = std::env::temp_dir().join(format!("dpsv-engine-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let Err(err) = SessionEngine::open(&hello("job", 10), 1, Some(&file.join("sub")), 0) else {
+            panic!("a checkpoint directory under a file opened a session");
+        };
+        assert!(matches!(err, SessionError::Checkpoint(_)), "{err}");
+        assert_eq!(code(err), error_code::ENGINE);
+        let _ = std::fs::remove_file(&file);
+
+        let (mut s, _) = SessionEngine::open(&hello("x", 0), 1, None, 0).unwrap();
+        let malformed = s.handle_wire(TAG_CHUNK, &[1, 2, 3]).unwrap_err();
+        assert!(matches!(malformed, SessionError::Malformed(_)), "{malformed}");
+        assert_eq!(code(malformed), error_code::BAD_FRAME);
+        let gap = s.handle(Frame::Chunk { base: 5, events: accesses(5..9) }).unwrap_err();
+        assert!(matches!(gap, SessionError::OutOfOrder(_)), "{gap}");
+        assert_eq!(code(gap), error_code::BAD_FRAME);
     }
 
     #[test]

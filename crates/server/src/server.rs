@@ -469,6 +469,7 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
                 Err(e) => {
                     let why = match e {
                         SessionError::Malformed(_) => "malformed frame",
+                        SessionError::Checkpoint(_) => "checkpoint failure",
                         _ => "protocol misuse",
                     };
                     checkpoint_on_exit(&mut engine, why);

@@ -48,6 +48,9 @@ struct Ctx<'t, T: Tracer> {
     rng: u64,
     tracer: &'t mut T,
     barrier: Option<Arc<Barrier>>,
+    /// A sequential run's own timestamp counter: one thread stamps, so
+    /// it needs no locked add. `None` stamps from the shared counter.
+    clock: Option<u64>,
 }
 
 impl<'p> Interp<'p> {
@@ -98,9 +101,11 @@ impl<'p> Interp<'p> {
             rng: self.prog.seed | 1,
             tracer,
             barrier: None,
+            clock: Some(self.ts.load(Ordering::Relaxed)),
         };
         self.exec::<T, NoSpawn>(&mut ctx, &self.prog.funcs[self.prog.entry as usize], None);
         ctx.tracer.sync_point();
+        self.ts.store(ctx.clock.expect("a sequential run keeps its clock"), Ordering::Relaxed);
     }
 
     /// Runs a (possibly multi-threaded) program. The main function executes
@@ -116,6 +121,7 @@ impl<'p> Interp<'p> {
                 rng: self.prog.seed | 1,
                 tracer: &mut tracer,
                 barrier: None,
+                clock: None,
             };
             self.exec::<_, F>(&mut ctx, &self.prog.funcs[self.prog.entry as usize], Some(factory));
             ctx.tracer.sync_point();
@@ -124,8 +130,14 @@ impl<'p> Interp<'p> {
     }
 
     #[inline]
-    fn next_ts(&self) -> u64 {
-        self.ts.fetch_add(1, Ordering::Relaxed)
+    fn next_ts(&self, clock: &mut Option<u64>) -> u64 {
+        match clock {
+            Some(ts) => {
+                *ts += 1;
+                *ts - 1
+            }
+            None => self.ts.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
     fn exec<T: Tracer, F: TracerFactory>(
@@ -141,7 +153,13 @@ impl<'p> Interp<'p> {
                     self.scalars[*s as usize].store(v, Ordering::Relaxed);
                     if ctx.tracer.enabled() {
                         let d = &self.prog.scalars[*s as usize];
-                        let ev = MemAccess::write(d.addr, self.next_ts(), *l, d.name, ctx.tid);
+                        let ev = MemAccess::write(
+                            d.addr,
+                            self.next_ts(&mut ctx.clock),
+                            *l,
+                            d.name,
+                            ctx.tid,
+                        );
                         ctx.tracer.event(TraceEvent::Access(ev));
                     }
                 }
@@ -154,7 +172,7 @@ impl<'p> Interp<'p> {
                         let d = &self.prog.arrays[*a as usize];
                         let ev = MemAccess::write(
                             d.base + i as u64 * 8,
-                            self.next_ts(),
+                            self.next_ts(&mut ctx.clock),
                             *l,
                             d.name,
                             ctx.tid,
@@ -174,7 +192,7 @@ impl<'p> Interp<'p> {
                             loop_id: *loop_id,
                             loc: info.begin,
                             thread: ctx.tid,
-                            ts: self.next_ts(),
+                            ts: self.next_ts(&mut ctx.clock),
                         });
                     }
                     let mut iters = 0u64;
@@ -185,7 +203,7 @@ impl<'p> Interp<'p> {
                                 loop_id: *loop_id,
                                 iter: iters,
                                 thread: ctx.tid,
-                                ts: self.next_ts(),
+                                ts: self.next_ts(&mut ctx.clock),
                             });
                         }
                         ctx.locals[*var as usize] = i;
@@ -199,7 +217,7 @@ impl<'p> Interp<'p> {
                             loc: info.end,
                             iters,
                             thread: ctx.tid,
-                            ts: self.next_ts(),
+                            ts: self.next_ts(&mut ctx.clock),
                         });
                     }
                 }
@@ -215,7 +233,7 @@ impl<'p> Interp<'p> {
                         ctx.tracer.event(TraceEvent::CallBegin {
                             func: *f,
                             thread: ctx.tid,
-                            ts: self.next_ts(),
+                            ts: self.next_ts(&mut ctx.clock),
                         });
                     }
                     self.exec::<T, F>(ctx, &self.prog.funcs[*f as usize], factory);
@@ -223,7 +241,7 @@ impl<'p> Interp<'p> {
                         ctx.tracer.event(TraceEvent::CallEnd {
                             func: *f,
                             thread: ctx.tid,
-                            ts: self.next_ts(),
+                            ts: self.next_ts(&mut ctx.clock),
                         });
                     }
                 }
@@ -262,7 +280,7 @@ impl<'p> Interp<'p> {
                             base: d.base,
                             len: d.len,
                             thread: ctx.tid,
-                            ts: self.next_ts(),
+                            ts: self.next_ts(&mut ctx.clock),
                         });
                         let _ = l;
                     }
@@ -289,12 +307,13 @@ impl<'p> Interp<'p> {
                             rng: (self.prog.seed ^ (t as u64).wrapping_mul(0x9e37_79b9)) | 1,
                             tracer: &mut tracer,
                             barrier: Some(barrier),
+                            clock: None,
                         };
                         if ctx.tracer.enabled() {
                             ctx.tracer.event(TraceEvent::CallBegin {
                                 func,
                                 thread: tid,
-                                ts: self.next_ts(),
+                                ts: self.next_ts(&mut ctx.clock),
                             });
                         }
                         self.exec::<_, F>(&mut ctx, &self.prog.funcs[func as usize], Some(factory));
@@ -302,7 +321,7 @@ impl<'p> Interp<'p> {
                             ctx.tracer.event(TraceEvent::CallEnd {
                                 func,
                                 thread: tid,
-                                ts: self.next_ts(),
+                                ts: self.next_ts(&mut ctx.clock),
                             });
                         }
                         ctx.tracer.sync_point();
@@ -321,7 +340,8 @@ impl<'p> Interp<'p> {
                 let v = self.scalars[*s as usize].load(Ordering::Relaxed);
                 if ctx.tracer.enabled() {
                     let d = &self.prog.scalars[*s as usize];
-                    let ev = MemAccess::read(d.addr, self.next_ts(), *l, d.name, ctx.tid);
+                    let ev =
+                        MemAccess::read(d.addr, self.next_ts(&mut ctx.clock), *l, d.name, ctx.tid);
                     ctx.tracer.event(TraceEvent::Access(ev));
                 }
                 v
@@ -332,8 +352,13 @@ impl<'p> Interp<'p> {
                 let v = arr[i].load(Ordering::Relaxed);
                 if ctx.tracer.enabled() {
                     let d = &self.prog.arrays[*a as usize];
-                    let ev =
-                        MemAccess::read(d.base + i as u64 * 8, self.next_ts(), *l, d.name, ctx.tid);
+                    let ev = MemAccess::read(
+                        d.base + i as u64 * 8,
+                        self.next_ts(&mut ctx.clock),
+                        *l,
+                        d.name,
+                        ctx.tid,
+                    );
                     ctx.tracer.event(TraceEvent::Access(ev));
                 }
                 v
@@ -466,9 +491,11 @@ mod tests {
         });
         let vm = Interp::new(&p);
         let mut t = CollectTracer::new();
+        // A second run without a reset continues the first one's clock.
+        vm.run_seq(&mut t);
         vm.run_seq(&mut t);
         let ts: Vec<_> = t.events.iter().map(|e| e.ts()).collect();
-        assert!(ts.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ts, (1..=ts.len() as u64).collect::<Vec<_>>());
     }
 
     #[test]

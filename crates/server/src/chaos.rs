@@ -182,11 +182,6 @@ impl<S> ChaosStream<S> {
         self.inner
     }
 
-    /// The wrapped transport.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
     fn next_rand(&mut self) -> u64 {
         // xorshift64* — tiny, seedable, good enough to vary chop sizes.
         let mut x = self.rng;

@@ -12,7 +12,7 @@
 //!   server builds the matching engine (serial in-line or the parallel
 //!   pipeline) and feeds it the streamed events. A global concurrent-
 //!   session cap bounds server load; clients past the cap receive a
-//!   typed `Error` frame instead of a hang.
+//!   typed `Busy{retry_after_ms}` frame instead of a hang.
 //! - **Durability** — a server with a checkpoint directory checkpoints
 //!   every session through the two-generation
 //!   [`CheckpointStore`](dp_core::CheckpointStore), at every unfinished
@@ -59,6 +59,4 @@ pub use client::{
 };
 pub use engine::{SessionEngine, SessionError};
 pub use server::{Server, ServerConfig};
-pub use shutdown::{
-    install_signal_handlers, request_shutdown, shutdown_flag, SIGINT_EXIT, SIGTERM_EXIT,
-};
+pub use shutdown::{install_signal_handlers, request_shutdown, shutdown_flag, SIGTERM_EXIT};

@@ -7,12 +7,12 @@ use dp_types::protocol::{self, error_code, Frame, FrameReader, FrameSender, Prot
 use dp_types::protocol::{MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Server-wide policy knobs.
@@ -60,32 +60,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// A socket stream the connection handler can drive: both `TcpStream`
-/// and `UnixStream`, behind read timeouts so the handler can poll the
-/// shutdown flag between frames.
-pub(crate) trait Conn: Read + Write + Send {
-    fn set_read_timeout_ms(&self, ms: Option<u64>) -> io::Result<()>;
-}
-
-impl Conn for TcpStream {
-    fn set_read_timeout_ms(&self, ms: Option<u64>) -> io::Result<()> {
-        self.set_read_timeout(ms.map(Duration::from_millis))
-    }
-}
-
-#[cfg(unix)]
-impl Conn for UnixStream {
-    fn set_read_timeout_ms(&self, ms: Option<u64>) -> io::Result<()> {
-        self.set_read_timeout(ms.map(Duration::from_millis))
-    }
-}
-
-impl<S: Conn> Conn for ChaosStream<S> {
-    fn set_read_timeout_ms(&self, ms: Option<u64>) -> io::Result<()> {
-        self.get_ref().set_read_timeout_ms(ms)
-    }
-}
-
 /// Why [`wait_for_bytes`] returned.
 enum Wait {
     /// The reader holds new bytes.
@@ -101,7 +75,7 @@ enum Wait {
 /// partial frame already buffered stays buffered across ticks, so a
 /// peer that stalls mid-frame neither tears the frame nor pins the
 /// thread: on `Shutdown`/`Idle` the caller drops it with the reader.
-fn wait_for_bytes<S: Conn>(
+fn wait_for_bytes<S: Read>(
     reader: &mut FrameReader,
     s: &mut S,
     stop: &AtomicBool,
@@ -133,7 +107,7 @@ fn wait_for_bytes<S: Conn>(
 /// Runs one parse `step` of the handshake against `reader`, reading
 /// more bytes whenever it asks for them. `Ok(None)` means the connection
 /// ended (or the server is stopping) first.
-fn read_step<T, S: Conn>(
+fn read_step<T, S: Read>(
     reader: &mut FrameReader,
     s: &mut S,
     stop: &AtomicBool,
@@ -149,97 +123,98 @@ fn read_step<T, S: Conn>(
     }
 }
 
-/// Decrements the active-session gauge when a session ends, however it
-/// ends.
-struct SessionSlot(Arc<AtomicUsize>);
+/// Every admission fact, behind one lock ([`Shared::registry`]).
+#[derive(Default)]
+struct Registry {
+    /// Slots taken: live sessions, and reconnects waiting for their name.
+    active: usize,
+    /// The id of the last session admitted (ids start at 1).
+    last_id: u64,
+    /// Session names with a live engine. A reconnect can land before
+    /// the dead connection's thread has noticed the EOF and written its
+    /// emergency checkpoint; admitting it would put two engines on one
+    /// checkpoint store and lose the resume watermark, so the second
+    /// `Hello` waits for the name's release ([`Shared::admit`]).
+    live: HashSet<String>,
+    /// Opened-`Hello` count per unfinished session name — the second is
+    /// the first reconnect. A name's entry goes when its session
+    /// finishes ([`Lease::finish`]).
+    hellos: HashMap<String, u64>,
+}
 
-impl Drop for SessionSlot {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+/// An admitted session's slot, name and id, given back however its
+/// connection ends.
+struct Lease<'a> {
+    shared: &'a Shared,
+    name: String,
+    id: u64,
+}
+
+impl Lease<'_> {
+    /// Counts the `Hello` of a session whose engine opened, returning the
+    /// name's reconnects: the opened `Hello`s before it.
+    fn opened(&self) -> u64 {
+        let mut reg = self.shared.registry.lock().expect("registry poisoned");
+        let n = reg.hellos.entry(self.name.clone()).or_insert(0);
+        *n += 1;
+        *n - 1
+    }
+
+    /// Releases a finished session: a later push under the name is a new
+    /// session, not a reconnect.
+    fn finish(&self) {
+        self.shared.registry.lock().expect("registry poisoned").hellos.remove(&self.name);
     }
 }
 
-/// Exclusive claim on a session name for the lifetime of its
-/// connection, released however the connection ends.
-struct NameLease<'a> {
-    shared: &'a Shared,
-    name: String,
-}
-
-impl Drop for NameLease<'_> {
+impl Drop for Lease<'_> {
     fn drop(&mut self) {
-        self.shared.live_names.lock().expect("name registry poisoned").remove(&self.name);
-        self.shared.name_released.notify_all();
+        // No panic in drop: every registry update is one step, so it is whole.
+        let mut reg = self.shared.registry.lock().unwrap_or_else(PoisonError::into_inner);
+        reg.active -= 1;
+        reg.live.remove(&self.name);
+        drop(reg);
+        self.shared.released.notify_all();
     }
 }
 
 struct Shared {
     cfg: ServerConfig,
-    active: Arc<AtomicUsize>,
-    next_id: AtomicU64,
-    /// `Hello` count per unfinished session name — the second `Hello`
-    /// under a name is the first reconnect. A name's entry goes when its
-    /// session finishes ([`Shared::forget_name`]).
-    hellos: Mutex<HashMap<String, u64>>,
-    /// Session names with a live engine. A reconnect can land before
-    /// the dead connection's thread has noticed the EOF and written its
-    /// emergency checkpoint; admitting it would put two engines on one
-    /// checkpoint store and lose the resume watermark. The second
-    /// `Hello` waits for the name's release ([`Shared::claim_name`]).
-    live_names: Mutex<HashSet<String>>,
-    /// Signalled whenever a [`NameLease`] is dropped.
-    name_released: Condvar,
+    registry: Mutex<Registry>,
+    /// Signalled whenever a [`Lease`] is dropped.
+    released: Condvar,
 }
 
 impl Shared {
     fn new(cfg: ServerConfig) -> Arc<Shared> {
-        Arc::new(Shared {
-            cfg,
-            active: Arc::new(AtomicUsize::new(0)),
-            next_id: AtomicU64::new(1),
-            hellos: Mutex::new(HashMap::new()),
-            live_names: Mutex::new(HashSet::new()),
-            name_released: Condvar::new(),
-        })
+        Arc::new(Shared { cfg, registry: Mutex::default(), released: Condvar::new() })
     }
 
-    /// Claims `session` for a new engine. While a dying connection still
-    /// holds the name, waits for its lease to be released — a handoff,
-    /// not a retry clock — for at most `busy_retry_ms`, waking every
-    /// poll interval to observe `stop`. `None` means the name is still
-    /// taken and the caller answers `Busy`.
-    fn claim_name<'a>(&'a self, session: &str, stop: &AtomicBool) -> Option<NameLease<'a>> {
+    /// Admits a `Hello` for `session`: a slot if one is free, then the
+    /// name, then the next id. While a dying connection still holds the
+    /// name, waits for its lease to be released — a handoff, not a retry
+    /// clock — keeping the slot, for at most `busy_retry_ms`, waking
+    /// every poll interval to observe `stop`. `None` means no slot or the
+    /// name still taken, and the caller answers `Busy`.
+    fn admit<'a>(&'a self, session: &str, stop: &AtomicBool) -> Option<Lease<'a>> {
         let deadline = Instant::now() + Duration::from_millis(self.cfg.busy_retry_ms);
         let tick = Duration::from_millis(self.cfg.poll_interval_ms.max(1));
-        let mut live = self.live_names.lock().expect("name registry poisoned");
-        while live.contains(session) {
+        let mut reg = self.registry.lock().expect("registry poisoned");
+        if reg.active >= self.cfg.max_sessions {
+            return None;
+        }
+        reg.active += 1;
+        while reg.live.contains(session) {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() || stop.load(Ordering::SeqCst) {
+                reg.active -= 1;
                 return None;
             }
-            live = self
-                .name_released
-                .wait_timeout(live, left.min(tick))
-                .expect("name registry poisoned")
-                .0;
+            reg = self.released.wait_timeout(reg, left.min(tick)).expect("registry poisoned").0;
         }
-        live.insert(session.to_string());
-        Some(NameLease { shared: self, name: session.to_string() })
-    }
-
-    /// Registers one more `Hello` for `session`, returning how many
-    /// reconnects (re-`Hello`s after the first) the name has seen.
-    fn count_hello(&self, session: &str) -> u64 {
-        let mut map = self.hellos.lock().expect("hello registry poisoned");
-        let n = map.entry(session.to_string()).or_insert(0);
-        *n += 1;
-        *n - 1
-    }
-
-    /// Drops a finished session's `Hello` count: a later push under the
-    /// name is a new session, not a reconnect.
-    fn forget_name(&self, session: &str) {
-        self.hellos.lock().expect("hello registry poisoned").remove(session);
+        reg.live.insert(session.to_string());
+        reg.last_id += 1;
+        Some(Lease { shared: self, name: session.to_string(), id: reg.last_id })
     }
 }
 
@@ -292,18 +267,21 @@ impl Server {
         while !stop.load(Ordering::SeqCst) {
             let mut accepted = false;
             if let Some(tcp) = &self.tcp {
-                accepted |= self.spawn_conn(tcp.accept(), &mut threads, stop, |s| {
+                accepted |= self.spawn_conn(tcp.accept(), &mut threads, stop, move |s| {
                     // Replies are small frames (HelloAck, SyncAck); Nagle
                     // + delayed ACK would stall every sync roundtrip by
                     // tens of milliseconds.
                     let _ = s.set_nodelay(true);
-                    s.set_nonblocking(false)
+                    s.set_nonblocking(false)?;
+                    s.set_read_timeout(Some(poll))
                 })?;
             }
             #[cfg(unix)]
             if let Some(unix) = &self.unix {
-                let blocking = |s: &UnixStream| s.set_nonblocking(false);
-                accepted |= self.spawn_conn(unix.accept(), &mut threads, stop, blocking)?;
+                accepted |= self.spawn_conn(unix.accept(), &mut threads, stop, move |s| {
+                    s.set_nonblocking(false)?;
+                    s.set_read_timeout(Some(poll))
+                })?;
             }
             if !accepted {
                 std::thread::sleep(poll);
@@ -316,14 +294,15 @@ impl Server {
     }
 
     /// Serves what one non-blocking `accept` returned on a thread of its
-    /// own, once `blocking` has made its reads block; `Ok(false)` when no
-    /// client was waiting.
-    fn spawn_conn<S: Conn + 'static, A>(
+    /// own, through the chaos wrapper (an empty plan passes bytes through),
+    /// once `prepare` has made its reads block for at most a poll interval;
+    /// `Ok(false)` when no client was waiting.
+    fn spawn_conn<S: Read + Write + Send + 'static, A>(
         &self,
         accepted: io::Result<(S, A)>,
         threads: &mut Vec<std::thread::JoinHandle<()>>,
         stop: &'static AtomicBool,
-        blocking: fn(&S) -> io::Result<()>,
+        prepare: impl FnOnce(&S) -> io::Result<()> + Send + 'static,
     ) -> io::Result<bool> {
         let s = match accepted {
             Ok((s, _)) => s,
@@ -332,21 +311,12 @@ impl Server {
         };
         let shared = Arc::clone(&self.shared);
         threads.push(std::thread::spawn(move || {
-            if blocking(&s).is_ok() {
-                dispatch_conn(s, &shared, stop);
+            if prepare(&s).is_ok() {
+                let s = ChaosStream::new(s, shared.cfg.fault_plan.clone());
+                serve_conn(s, &shared, stop);
             }
         }));
         Ok(true)
-    }
-}
-
-/// Routes an accepted connection through the chaos wrapper when a fault
-/// plan is configured, otherwise serves it directly.
-fn dispatch_conn<S: Conn>(s: S, shared: &Shared, stop: &AtomicBool) {
-    if shared.cfg.fault_plan.is_active() {
-        serve_conn(ChaosStream::new(s, shared.cfg.fault_plan.clone()), shared, stop);
-    } else {
-        serve_conn(s, shared, stop);
     }
 }
 
@@ -358,8 +328,7 @@ fn dispatch_conn<S: Conn>(s: S, shared: &Shared, stop: &AtomicBool) {
 /// the peer had in flight — but acted on frame by frame: every buffered
 /// frame is handled, and its replies sent with one write, before the
 /// next `read`. The socket is unbuffered: a write needs no flush.
-fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
-    let _ = s.set_read_timeout_ms(Some(shared.cfg.poll_interval_ms.max(1)));
+fn serve_conn<S: Read + Write>(mut s: S, shared: &Shared, stop: &AtomicBool) {
     // Preamble, both directions: we announce first (so clients can
     // fail fast on version skew), then validate theirs.
     if protocol::write_preamble(&mut s).is_err() {
@@ -390,52 +359,28 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
         }
         _ => return,
     };
-    let claimed = shared
-        .active
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-            (n < shared.cfg.max_sessions).then_some(n + 1)
-        })
-        .is_ok();
-    if !claimed {
-        // Typed backpressure: the client gets a machine-readable retry
-        // hint instead of a flat refusal, and `push_with_retry` honors
-        // it — overload shows up as latency, not failure.
-        let _ = out.send(&mut s, [&Frame::Busy { retry_after_ms: shared.cfg.busy_retry_ms }]);
-        return;
-    }
-    let _slot = SessionSlot(Arc::clone(&shared.active));
-    // One engine per name: a reconnect that beats the dead connection's
-    // teardown would race it over the session's checkpoint store, so it
-    // waits for that teardown, and past the wait falls back on the same
-    // typed backpressure as capacity.
-    let Some(_name) = shared.claim_name(&hello.session, stop) else {
+    // Typed backpressure, past the cap or the name's wait: the client
+    // gets a retry hint instead of a flat refusal, and `push_with_retry`
+    // honors it — overload shows up as latency, not failure.
+    let Some(lease) = shared.admit(&hello.session, stop) else {
         let _ = out.send(&mut s, [&Frame::Busy { retry_after_ms: shared.cfg.busy_retry_ms }]);
         return;
     };
-    let session_id = shared.next_id.fetch_add(1, Ordering::SeqCst);
-    let (mut engine, ack) = match SessionEngine::open(
-        &hello,
-        session_id,
-        shared.cfg.checkpoint_dir.as_deref(),
-        shared.cfg.checkpoint_every,
-    ) {
+    let (dir, every) = (shared.cfg.checkpoint_dir.as_deref(), shared.cfg.checkpoint_every);
+    let (mut engine, ack) = match SessionEngine::open(&hello, lease.id, dir, every) {
         Ok(v) => v,
         Err(e) => {
+            eprintln!("session {} '{}': refused at Hello; {e}", lease.id, hello.session);
             let _ = out.send(&mut s, [&e.to_frame()]);
             return;
         }
     };
-    engine.set_reconnects(shared.count_hello(engine.name()));
+    engine.set_reconnects(lease.opened());
     if out.send(&mut s, [&ack]).is_err() {
         checkpoint_on_exit(&mut engine, "client lost before HelloAck");
         return;
     }
-    eprintln!(
-        "session {} '{}' opened (resume_from={})",
-        engine.session_id(),
-        engine.name(),
-        engine.position()
-    );
+    eprintln!("{} opened (resume_from={})", who(&engine), engine.position());
 
     // A durable session idling past the hibernation deadline is
     // checkpointed and evicted so its slot can serve live traffic.
@@ -456,13 +401,8 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
                         return;
                     }
                     if done {
-                        shared.forget_name(engine.name());
-                        eprintln!(
-                            "session {} '{}' finished ({} events)",
-                            engine.session_id(),
-                            engine.name(),
-                            engine.metrics().events
-                        );
+                        lease.finish();
+                        eprintln!("{} finished ({} events)", who(&engine), engine.metrics().events);
                         return;
                     }
                 }
@@ -487,12 +427,8 @@ fn serve_conn<S: Conn>(mut s: S, shared: &Shared, stop: &AtomicBool) {
             Ok(Wait::Idle) => {
                 match engine.hibernate() {
                     Ok(()) => {
-                        eprintln!(
-                            "session {} '{}' hibernated at event {} (idle)",
-                            engine.session_id(),
-                            engine.name(),
-                            engine.position()
-                        );
+                        let at = engine.position();
+                        eprintln!("{} hibernated at event {at} (idle)", who(&engine));
                         let message = format!(
                             "session hibernated after {}ms idle; reconnect to resume",
                             shared.cfg.hibernate_after_ms
@@ -532,13 +468,20 @@ fn checkpoint_on_exit(engine: &mut SessionEngine, why: &str) -> String {
         Ok(false) => "not durable, nothing saved".into(),
         Err(e) => format!("emergency checkpoint failed: {e}"),
     };
-    eprintln!("session {} '{}': {why}; {saved}", engine.session_id(), engine.name());
+    eprintln!("{}: {why}; {saved}", who(engine));
     saved
+}
+
+/// How the log names a session: `session <id> '<name>'`.
+fn who(engine: &SessionEngine) -> String {
+    format!("session {} '{}'", engine.session_id(), engine.name())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(unix)]
+    use std::os::unix::net::UnixStream;
     use std::sync::mpsc;
 
     fn shared(busy_retry_ms: u64) -> Arc<Shared> {
@@ -549,38 +492,39 @@ mod tests {
     fn a_hello_waits_for_the_name_to_be_released() {
         let shared = shared(60_000);
         let stop = AtomicBool::new(false);
-        let held = shared.claim_name("s", &stop).expect("a free name is claimed at once");
+        let held = shared.admit("s", &stop).expect("a free name is claimed at once");
         let (about_to_claim, claiming) = mpsc::channel();
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {
                 about_to_claim.send(()).expect("the test is listening");
-                shared.claim_name("s", &stop).is_some()
+                shared.admit("s", &stop).is_some()
             });
             claiming.recv().expect("the waiter runs");
             drop(held);
             assert!(waiter.join().expect("the waiter returns"), "handed over, not refused");
         });
-        assert!(shared.claim_name("s", &stop).is_some(), "and released again by the waiter");
+        assert!(shared.admit("s", &stop).is_some(), "and released again by the waiter");
     }
 
     #[test]
     fn the_wait_is_bounded_and_honours_stop() {
         let stop = AtomicBool::new(false);
         let brief = shared(20);
-        let _held = brief.claim_name("s", &stop).expect("free");
-        assert!(brief.claim_name("s", &stop).is_none(), "Busy after busy_retry_ms");
-        assert!(brief.claim_name("other", &stop).is_some(), "other names are not held up");
+        let _held = brief.admit("s", &stop).expect("free");
+        assert!(brief.admit("s", &stop).is_none(), "Busy after busy_retry_ms");
+        assert!(brief.admit("other", &stop).is_some(), "other names are not held up");
 
         let patient = shared(60_000);
-        let _held = patient.claim_name("s", &stop).expect("free");
+        let _held = patient.admit("s", &stop).expect("free");
         stop.store(true, Ordering::SeqCst);
-        assert!(patient.claim_name("s", &stop).is_none(), "a stopping server does not wait");
+        assert!(patient.admit("s", &stop).is_none(), "a stopping server does not wait");
     }
 
     /// Serves one connection that sends the preamble and `frames`, then
-    /// closes its sending half; returns once the server side has.
+    /// closes its sending half; returns the server's first reply once the
+    /// server side has closed too.
     #[cfg(unix)]
-    fn converse(shared: &Shared, frames: &[Frame]) {
+    fn converse(shared: &Shared, frames: &[Frame]) -> Option<Frame> {
         let (mut client, conn) = UnixStream::pair().expect("a socket pair");
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -588,8 +532,11 @@ mod tests {
             protocol::write_preamble(&mut client).expect("preamble");
             frames.iter().for_each(|f| protocol::write_frame(&mut client, f).expect("frame"));
             client.shutdown(std::net::Shutdown::Write).expect("half-close");
+            protocol::read_preamble(&mut client).expect("the server's preamble");
+            let first = protocol::read_frame(&mut client, MAX_FRAME_BYTES).expect("a reply");
             io::copy(&mut client, &mut io::sink()).expect("the replies");
-        });
+            first
+        })
     }
 
     #[cfg(unix)]
@@ -601,9 +548,34 @@ mod tests {
             Frame::Hello(protocol::Hello { session: "s".into(), spec, ..Default::default() });
         converse(&shared, std::slice::from_ref(&hello));
         converse(&shared, &[hello.clone(), Frame::Finish]);
-        assert!(shared.hellos.lock().unwrap().is_empty(), "the finished name's count is gone");
+        assert!(
+            shared.registry.lock().unwrap().hellos.is_empty(),
+            "the finished name's count is gone"
+        );
         // Dropped unfinished (as a hibernated session is): the count stays.
         converse(&shared, &[hello]);
-        assert_eq!(shared.count_hello("s"), 1, "the next Hello is the first reconnect");
+        let stop = AtomicBool::new(false);
+        let next = shared.admit("s", &stop).expect("the name is free");
+        assert_eq!(next.opened(), 1, "the next Hello is the first reconnect");
+    }
+
+    /// A `Hello` the engine refuses gives its slot and name back at once
+    /// and is not a reconnect: the next `Hello` under the name is the first.
+    #[cfg(unix)]
+    #[test]
+    fn a_refused_hello_frees_its_slot_and_is_not_counted() {
+        let cfg = ServerConfig { max_sessions: 1, busy_retry_ms: 20, ..ServerConfig::default() };
+        let shared = Shared::new(cfg);
+        let hello = |spec| {
+            Frame::Hello(protocol::Hello { session: "s".into(), spec, ..Default::default() })
+        };
+        let refused = converse(&shared, &[hello(vec![0xff])]);
+        let bad_spec = matches!(refused, Some(Frame::Error { code: error_code::BAD_FRAME, .. }));
+        assert!(bad_spec, "{refused:?}");
+        let spec = dp_core::SessionSpec { slots: 1 << 12, ..Default::default() }.encode();
+        let admitted = converse(&shared, &[hello(spec)]);
+        assert!(matches!(admitted, Some(Frame::HelloAck { .. })), "not Busy: {admitted:?}");
+        let hellos = shared.registry.lock().unwrap().hellos.clone();
+        assert_eq!(hellos.get("s"), Some(&1), "only the opened Hello is counted");
     }
 }

@@ -11,10 +11,8 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Exit code for "terminated by signal after a clean shutdown"
-/// (SIGINT or SIGTERM; emergency checkpoints were written first).
-pub const SIGINT_EXIT: i32 = 7;
-/// Same code for SIGTERM — one documented code for both signals.
+/// Exit code for "terminated by signal after a clean shutdown": one code
+/// for SIGTERM and SIGINT alike (emergency checkpoints were written first).
 pub const SIGTERM_EXIT: i32 = 7;
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -80,7 +78,6 @@ mod tests {
     #[test]
     fn request_sets_the_flag() {
         install_signal_handlers();
-        assert_eq!(SIGINT_EXIT, SIGTERM_EXIT);
         request_shutdown();
         assert!(shutdown_flag().load(Ordering::SeqCst));
         // Reset for other tests in this process (the flag is static).

@@ -241,6 +241,34 @@ fn idle_sessions_hibernate_and_rehydrate_exactly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `Hello` the server cannot open is refused with the server's own
+/// error code, and the server's log says which session and why: here the
+/// checkpoint directory lies under a file.
+#[test]
+fn a_refused_hello_is_logged() {
+    let dir = tmpdir("refused");
+    let trace = dir.join("cg.dptr");
+    let trace_s = trace.to_str().unwrap();
+    let rec = depprof(&["record", "CG", "--scale", "0.02", "--out", trace_s]);
+    assert!(rec.status.success(), "{}", String::from_utf8_lossy(&rec.stderr));
+    let file = dir.join("F");
+    std::fs::write(&file, b"").unwrap();
+
+    let ckpt = file.join("sub");
+    let (mut serve, addr) = start_serve(&dir, &["--checkpoint-dir", ckpt.to_str().unwrap()]);
+    let push = depprof(&["push", trace_s, "--connect", &addr, "--session", "cg"]);
+    sigterm(&serve);
+    assert_eq!(serve.wait().unwrap().code(), Some(7));
+    let log = std::fs::read_to_string(dir.join(format!("serve-{}.log", std::process::id())))
+        .unwrap_or_default();
+    let stderr = String::from_utf8_lossy(&push.stderr);
+    assert!(!push.status.success(), "the push succeeded:\n{stderr}");
+    assert!(stderr.contains("server error 4"), "push stderr:\n{stderr}");
+    let line = "session 1 'cg': refused at Hello; session checkpoint failed: ";
+    assert!(log.contains(line), "no refusal in the server log:\n{log}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A replay with a checkpoint directory is durable: SIGINT mid-run writes
 /// an emergency checkpoint and exits 7, and the resumed run reports what
 /// an uninterrupted one does — with periodic checkpoints effectively off,

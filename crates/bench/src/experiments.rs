@@ -9,12 +9,13 @@
 //! ~10⁻² in addresses; signature sizes are scaled by the same ~10⁻² so
 //! Formula 2's load factor matches the paper's).
 
+use crate::baselines::{HashHistory, ShadowMemory, StrideStore};
 use crate::fmt::{mb, times, Table};
 use crate::measure::{slowdown, time, Timed};
 use dp_core::{
     MtProfiler, ParallelProfiler, ProfileResult, ProfilerConfig, SequentialProfiler, TransportKind,
 };
-use dp_sig::{predicted_fpr, AccessStore, ExtendedSlot, HashHistory, ShadowMemory, Signature};
+use dp_sig::{predicted_fpr, AccessStore, ExtendedSlot, Signature};
 use dp_trace::workloads::{
     nas_suite, splash, starbench_parallel_suite, starbench_suite, synth, Scale, Workload,
 };
@@ -842,7 +843,6 @@ pub fn ablate_sections(cfg: &ExpConfig) -> Output {
 /// walks and degenerates on irregular access, and it gives up timestamps
 /// (no loop-carried classification / race detection).
 pub fn ablate_sd3(cfg: &ExpConfig) -> Output {
-    use dp_sig::StrideStore;
     let mut t =
         Table::new(&["workload", "store", "time ms", "store memory KB", "dep FPR %", "dep FNR %"]);
     let strided = &starbench_suite(cfg.wl_scale())[5]; // rotate: affine walks

@@ -12,8 +12,8 @@
 //! attributes to the approach: hash + chase + compare, plus allocation for
 //! chain nodes. It is exact (never confuses addresses).
 
-use crate::entry::SigEntry;
-use crate::store::{AccessStore, Halves};
+use crate::baselines::Halves;
+use dp_sig::{AccessStore, SigEntry};
 use dp_types::Address;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;

@@ -8,6 +8,9 @@
 //! * [`scenario`] — the registry: one `const` table of experiments with
 //!   their full and `--quick` scales;
 //! * [`experiments`] — the measurement code, one function per entry;
+//! * [`baselines`] — the comparator stores the signature is measured
+//!   against (shadow memory, hash table, SD3-style stride compression),
+//!   one file each;
 //! * [`runner`] — runs scenarios and maps failed checks to the exit code.
 //!
 //! The `dp-bench` binary (`src/bin/dp_bench.rs`) wires these into
@@ -16,8 +19,12 @@
 
 #![warn(missing_docs)]
 
+pub mod baselines;
 pub mod experiments;
 pub mod fmt;
+mod hashhist;
 pub mod measure;
 pub mod runner;
 pub mod scenario;
+mod shadow;
+mod stride;

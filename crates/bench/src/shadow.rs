@@ -10,8 +10,8 @@
 //! *extent* of touched pages, which is what the "Naive" bars of Figures 7/8
 //! report.
 
-use crate::entry::SigEntry;
-use crate::store::{AccessStore, Halves};
+use crate::baselines::Halves;
+use dp_sig::{AccessStore, SigEntry};
 use dp_types::{Address, FxHashMap, SourceLoc, ThreadId, Timestamp};
 
 /// log2 of granules per page.
@@ -19,7 +19,7 @@ const PAGE_BITS: u32 = 12; // 4096 granules = 32 KiB of target memory per page
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
 /// One packed shadow record (same information as
-/// [`ExtendedSlot`](crate::ExtendedSlot)).
+/// [`ExtendedSlot`](dp_sig::ExtendedSlot)).
 #[derive(Clone, Copy)]
 struct Cell {
     loc: u32,
@@ -55,11 +55,6 @@ impl ShadowMemory {
     fn split(addr: Address) -> (u64, usize) {
         let granule = addr >> 3;
         (granule >> PAGE_BITS, (granule as usize) & (PAGE_SIZE - 1))
-    }
-
-    /// Number of materialized pages (diagnostic; drives memory accounting).
-    pub fn pages(&self) -> usize {
-        self.pages.len()
     }
 }
 

@@ -21,8 +21,8 @@
 //! run with the most recent activity wins, not necessarily the most
 //! recent toucher of that address). Experiment E14 quantifies both sides.
 
-use crate::entry::SigEntry;
-use crate::store::{AccessStore, Halves};
+use crate::baselines::Halves;
+use dp_sig::{AccessStore, SigEntry};
 use dp_types::{Address, FxHashMap, FxHashSet, SourceLoc, ThreadId, Timestamp};
 
 const BUCKET_SHIFT: u32 = 12; // 4 KiB spatial buckets

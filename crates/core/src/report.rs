@@ -16,7 +16,6 @@
 //! ```
 
 use crate::result::ProfileResult;
-use crate::store::EdgeKey;
 use dp_types::{DepEdge, DepType, Interner, SourceLoc, ThreadId};
 use std::fmt::Write as _;
 
@@ -99,57 +98,6 @@ pub fn summary(result: &ProfileResult) -> String {
         result.workers,
         result.memory.total(),
     )
-}
-
-/// Convenience: the `EdgeKey` type re-exported for callers that format
-/// edges themselves.
-pub type Edge = EdgeKey;
-
-/// Per-variable digest: for each variable, how many distinct dependences
-/// of each type involve it and whether any is loop-carried — the
-/// variable-centric view parallelization assistants present next to the
-/// statement-centric report.
-pub fn variables(result: &ProfileResult, interner: &Interner) -> String {
-    use dp_types::DepFlags;
-    use std::collections::BTreeMap;
-    #[derive(Default)]
-    struct Row {
-        raw: u64,
-        war: u64,
-        waw: u64,
-        carried: bool,
-    }
-    let mut per: BTreeMap<&str, Row> = BTreeMap::new();
-    for (d, _) in result.deps.dependences() {
-        if d.edge.dtype == DepType::Init {
-            continue;
-        }
-        let name = interner.get(d.edge.var).unwrap_or("?");
-        let row = per.entry(name).or_default();
-        match d.edge.dtype {
-            DepType::Raw => row.raw += 1,
-            DepType::War => row.war += 1,
-            DepType::Waw => row.waw += 1,
-            DepType::Init => {}
-        }
-        row.carried |= d.edge.flags.contains(DepFlags::LOOP_CARRIED);
-    }
-    let mut out = format!(
-        "{:<20} {:>6} {:>6} {:>6}  carried
-",
-        "variable", "RAW", "WAR", "WAW"
-    );
-    for (name, r) in per {
-        let _ = writeln!(
-            out,
-            "{name:<20} {:>6} {:>6} {:>6}  {}",
-            r.raw,
-            r.war,
-            r.waw,
-            if r.carried { "yes" } else { "no" }
-        );
-    }
-    out
 }
 
 /// Machine-readable CSV export of the merged dependences:
@@ -235,22 +183,6 @@ mod tests {
         let text = render(&r, &interner, true);
         assert!(text.contains("4:58|2 NOM"), "{text}");
         assert!(text.contains("{WAR 4:77|2|iter}"), "{text}");
-    }
-
-    #[test]
-    fn variable_digest_counts_types() {
-        let mut interner = Interner::new();
-        let x = interner.intern("x");
-        let y = interner.intern("y");
-        let mut p = SequentialProfiler::perfect();
-        p.on_event(&TraceEvent::Access(MemAccess::write(0x8, 1, loc(1, 1), x, 0)));
-        p.on_event(&TraceEvent::Access(MemAccess::read(0x8, 2, loc(1, 2), x, 0)));
-        p.on_event(&TraceEvent::Access(MemAccess::write(0x10, 3, loc(1, 3), y, 0)));
-        p.on_event(&TraceEvent::Access(MemAccess::write(0x10, 4, loc(1, 4), y, 0)));
-        let r = p.finish();
-        let v = variables(&r, &interner);
-        assert!(v.lines().any(|l| l.starts_with('x') && l.contains(" 1 ")), "{v}");
-        assert!(v.lines().any(|l| l.starts_with('y')), "{v}");
     }
 
     #[test]

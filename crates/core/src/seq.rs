@@ -91,7 +91,7 @@ impl<S: AccessStore> SequentialProfiler<S> {
     /// Captures the full profiler state as a checkpoint: one worker blob
     /// (the in-line engine *is* its single worker), no router, no queue
     /// ledger. Returns `Unsupported` for access stores that cannot
-    /// serialize themselves (shadow memory, hash history).
+    /// serialize themselves (dp-bench's comparators).
     pub fn checkpoint_data(
         &mut self,
         generation: u64,
@@ -392,16 +392,6 @@ mod tests {
                 &format!("finish at {cut}"),
             );
         }
-    }
-
-    #[test]
-    fn serial_checkpoint_unsupported_store_is_an_error() {
-        let mut p = SequentialProfiler::with_stores(
-            dp_sig::ShadowMemory::new(),
-            dp_sig::ShadowMemory::new(),
-        );
-        let err = p.checkpoint_data(0, 0, Vec::new()).expect_err("shadow memory cannot save");
-        assert!(matches!(err, CheckpointError::Unsupported(_)), "{err}");
     }
 
     /// Signature memory follows occupancy up to the paper's figure — two

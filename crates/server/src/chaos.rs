@@ -7,8 +7,10 @@
 //! [`NetFaultPlan`] is the builder (mirroring `dp-queue`'s engine-level
 //! `FaultPlan` style, but aimed at the socket rather than the worker
 //! pool); [`ChaosStream`] wraps any `Read + Write` transport — a client
-//! connection in `depprof push --chaos`, an accepted connection in
-//! `depprof serve --chaos`, or an in-memory stream in tests.
+//! connection in `depprof push --chaos`, or an in-memory stream in tests
+//! and E18. The harness is client-side only: the server serves every
+//! accepted socket as it is, and a stream that nothing wrapped pays
+//! nothing for it.
 //!
 //! The write side follows the DPSV stream's frame boundaries (the
 //! preamble, then each frame's length as its header gives it,
@@ -138,7 +140,9 @@ impl NetFaultPlan {
 
 /// A `Read + Write` wrapper executing a [`NetFaultPlan`] against the
 /// wrapped transport. Deterministic: the same plan over the same
-/// traffic produces the same faults at the same offsets.
+/// traffic produces the same faults at the same offsets. It copies every
+/// byte it writes to find frame boundaries, so a connection goes through
+/// it only when a plan is given.
 #[derive(Debug)]
 pub struct ChaosStream<S> {
     inner: S,

@@ -35,10 +35,11 @@
 //!   the server reports in `HelloAck.resume_from`. Frames are
 //!   positional, so resend overlap and duplicated delivery dedupe
 //!   exactly — at-least-once transport, exactly-once profiling. A
-//!   seeded [`ChaosStream`] fault injector ([`NetFaultPlan`]) proves
-//!   the path under adversarial networks, and idle durable sessions
-//!   hibernate to the checkpoint store so `max_sessions` bounds live
-//!   engines rather than named sessions.
+//!   seeded [`ChaosStream`] fault injector ([`NetFaultPlan`]) wraps a
+//!   client's connection to prove the path under adversarial networks
+//!   (the server serves what it accepts unwrapped), and idle durable
+//!   sessions hibernate to the checkpoint store so `max_sessions` bounds
+//!   live engines rather than named sessions.
 //!
 //! The session state machine itself ([`SessionEngine`]) is socket-free:
 //! it maps incoming frames to reply frames, which is what the
@@ -59,4 +60,4 @@ pub use client::{
 };
 pub use engine::{SessionEngine, SessionError};
 pub use server::{Server, ServerConfig};
-pub use shutdown::{install_signal_handlers, request_shutdown, shutdown_flag, SIGTERM_EXIT};
+pub use shutdown::{install_signal_handlers, shutdown_flag, SIGTERM_EXIT};

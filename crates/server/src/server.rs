@@ -1,7 +1,6 @@
 //! The socket front-end: accept loop, per-connection threads, the
 //! global session cap, and shutdown/disconnect handling.
 
-use crate::chaos::{ChaosStream, NetFaultPlan};
 use crate::engine::{SessionEngine, SessionError};
 use dp_types::protocol::{self, error_code, Frame, FrameReader, FrameSender, ProtocolError};
 use dp_types::protocol::{MAX_FRAME_BYTES, PROTOCOL_VERSION};
@@ -41,9 +40,6 @@ pub struct ServerConfig {
     /// The client is told with `Error{HIBERNATED}` and a re-`Hello`
     /// rehydrates the session exactly where it stopped.
     pub hibernate_after_ms: u64,
-    /// Seeded network-fault injection applied to every accepted
-    /// connection (inactive by default; `depprof serve --chaos`).
-    pub fault_plan: NetFaultPlan,
 }
 
 impl Default for ServerConfig {
@@ -55,7 +51,6 @@ impl Default for ServerConfig {
             poll_interval_ms: 50,
             busy_retry_ms: 200,
             hibernate_after_ms: 0,
-            fault_plan: NetFaultPlan::default(),
         }
     }
 }
@@ -294,9 +289,8 @@ impl Server {
     }
 
     /// Serves what one non-blocking `accept` returned on a thread of its
-    /// own, through the chaos wrapper (an empty plan passes bytes through),
-    /// once `prepare` has made its reads block for at most a poll interval;
-    /// `Ok(false)` when no client was waiting.
+    /// own, once `prepare` has made its reads block for at most a poll
+    /// interval; `Ok(false)` when no client was waiting.
     fn spawn_conn<S: Read + Write + Send + 'static, A>(
         &self,
         accepted: io::Result<(S, A)>,
@@ -312,7 +306,6 @@ impl Server {
         let shared = Arc::clone(&self.shared);
         threads.push(std::thread::spawn(move || {
             if prepare(&s).is_ok() {
-                let s = ChaosStream::new(s, shared.cfg.fault_plan.clone());
                 serve_conn(s, &shared, stop);
             }
         }));

@@ -9,7 +9,7 @@
 //! checkpoints, and exit with a documented code — instead of dying
 //! mid-checkpoint-write.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 
 /// Exit code for "terminated by signal after a clean shutdown": one code
 /// for SIGTERM and SIGINT alike (emergency checkpoints were written first).
@@ -18,15 +18,9 @@ pub const SIGTERM_EXIT: i32 = 7;
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// The process-wide shutdown flag. `true` once a SIGINT/SIGTERM was
-/// received (or [`request_shutdown`] was called).
+/// received.
 pub fn shutdown_flag() -> &'static AtomicBool {
     &SHUTDOWN
-}
-
-/// Sets the flag directly — lets tests and in-process servers trigger
-/// the same path a signal would.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
 #[cfg(unix)]
@@ -68,19 +62,4 @@ mod imp {
 /// timeouts rather than waiting for an `EINTR` that may never surface.
 pub fn install_signal_handlers() {
     imp::install();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::Ordering;
-
-    #[test]
-    fn request_sets_the_flag() {
-        install_signal_handlers();
-        request_shutdown();
-        assert!(shutdown_flag().load(Ordering::SeqCst));
-        // Reset for other tests in this process (the flag is static).
-        shutdown_flag().store(false, Ordering::SeqCst);
-    }
 }

@@ -24,37 +24,28 @@
 //! - [`PerfectSignature`] — the exact baseline used to quantify false
 //!   positive/negative rates (Section VI-A), with its pair form
 //!   [`PerfectPair`];
-//! - [`ShadowMemory`] — the classical two-level shadow-memory baseline;
-//! - [`HashHistory`] — the "hash table" baseline the paper measures as
-//!   1.5–3.7× slower than signatures;
-//! - [`StrideStore`] — an SD3-style stride-compressed store (the paper's
-//!   primary comparator compresses strided accesses with an FSM);
 //! - [`predicted_fpr`] — Formula 2, the analytical false-positive model.
 //!
-//! All stores implement [`AccessStore`], so every profiling engine in
+//! Both stores implement [`AccessStore`], so every profiling engine in
 //! `dp-core` is generic over the tracking policy; an engine probes the
 //! read and the write store of an address together through their
-//! [`PairStore`] ([`Halves`] for the stores without a pair form of their
-//! own).
+//! [`PairStore`]. The comparators of the paper's evaluation (shadow
+//! memory, a hash table, SD3-style stride compression) implement the
+//! same contract in `dp-bench`, beside the experiments that measure
+//! them.
 
 #![warn(missing_docs)]
 
 pub mod entry;
 pub mod fpr;
 pub mod hash;
-pub mod hashhist;
 pub mod perfect;
-pub mod shadow;
 pub mod signature;
 pub mod store;
-pub mod stride;
 
 pub use entry::{CompactSlot, EpochSlot, ExtendedSlot, SigEntry, Slot};
 pub use fpr::{predicted_fpr, recommended_slots};
 pub use hash::SigHash;
-pub use hashhist::HashHistory;
 pub use perfect::{PerfectPair, PerfectSignature};
-pub use shadow::ShadowMemory;
 pub use signature::{SigPair, Signature};
-pub use store::{AccessStore, Halves, Last, PairStore, Side};
-pub use stride::StrideStore;
+pub use store::{AccessStore, Last, PairStore, Side};

@@ -10,8 +10,8 @@ use dp_types::{Address, ByteWriter, Timestamp, WireError};
 /// `AccessStore` itself: it joins the two with [`AccessStore::pair`] and
 /// holds the [`PairStore`] that returns. Implementations may be
 /// approximate ([`Signature`](crate::Signature)) or exact
-/// ([`PerfectSignature`](crate::PerfectSignature),
-/// [`ShadowMemory`](crate::ShadowMemory), [`HashHistory`](crate::HashHistory)).
+/// ([`PerfectSignature`](crate::PerfectSignature)); the comparator stores
+/// of the paper's evaluation implement it in `dp-bench`.
 pub trait AccessStore: Send + Sized {
     /// Whether entries preserve timestamps (see
     /// [`Slot::HAS_TS`](crate::Slot::HAS_TS)).
@@ -25,8 +25,8 @@ pub trait AccessStore: Send + Sized {
     type Pair: PairStore;
 
     /// Joins a read store and a write store of the same configuration,
-    /// entries and counters included. A store with no pair form of its
-    /// own answers [`Halves`].
+    /// entries and counters included. A store with no fused pair form
+    /// answers one that probes its two stores one after the other.
     fn pair(read: Self, write: Self) -> Self::Pair;
 
     /// The membership check: the last recorded entry for `addr`, if any.
@@ -184,88 +184,4 @@ pub trait PairStore: Send {
     /// Passes every held entry's clock through `clock`, in place: an
     /// epoch engine's renumbering.
     fn reclock(&mut self, clock: &dyn Fn(Timestamp) -> Timestamp);
-}
-
-/// Two stores behind the pair interface, probed one after the other as
-/// Algorithm 1 did before the signatures were fused: the pair form of
-/// every store without one of its own.
-pub struct Halves<S>([S; 2]);
-
-impl<S: AccessStore> Halves<S> {
-    /// Joins a read store and a write store.
-    pub fn new(read: S, write: S) -> Self {
-        Halves([read, write])
-    }
-}
-
-impl<S: AccessStore> PairStore for Halves<S> {
-    #[inline]
-    fn record(&mut self, side: Side, addr: Address, entry: SigEntry) -> Last {
-        let [read, write] = &self.0;
-        let last = Last {
-            write: write.get(addr),
-            read: if side == Side::Write { read.get(addr) } else { None },
-        };
-        self.0[side as usize].put(addr, entry);
-        last
-    }
-
-    fn get(&self, addr: Address) -> [Option<SigEntry>; 2] {
-        self.0.each_ref().map(|half| half.get(addr))
-    }
-
-    fn put(&mut self, side: Side, addr: Address, entry: SigEntry) {
-        self.0[side as usize].put(addr, entry);
-    }
-
-    fn remove(&mut self, addr: Address) {
-        self.0.iter_mut().for_each(|half| half.remove(addr));
-    }
-
-    fn clear(&mut self) {
-        self.0.iter_mut().for_each(S::clear);
-    }
-
-    fn occupied(&self, side: Side) -> usize {
-        self.0[side as usize].occupied()
-    }
-
-    fn evictions(&self, side: Side) -> u64 {
-        self.0[side as usize].evictions()
-    }
-
-    fn slot_capacity(&self) -> usize {
-        self.0[0].slot_capacity()
-    }
-
-    fn memory_usage(&self) -> usize {
-        self.0.iter().map(S::memory_usage).sum()
-    }
-
-    fn bytes_held(&self) -> usize {
-        self.0.iter().map(S::bytes_held).sum()
-    }
-
-    fn save_state(&self, side: Side, out: &mut ByteWriter) -> bool {
-        self.0[side as usize].save_state(out)
-    }
-
-    /// Refuses a store whose entries hold epochs: its halves restore
-    /// only as saved.
-    fn restore_state(
-        &mut self,
-        read: &[u8],
-        write: &[u8],
-        _: &dyn Fn(Timestamp) -> Timestamp,
-    ) -> Result<(), WireError> {
-        if S::HAS_CLOCK && !S::HAS_TS {
-            return Err(WireError::Invalid("per-side halves cannot renumber epochs"));
-        }
-        self.0[0].restore_state(read)?;
-        self.0[1].restore_state(write)
-    }
-
-    fn reclock(&mut self, _: &dyn Fn(Timestamp) -> Timestamp) {
-        panic!("per-side halves cannot renumber epochs");
-    }
 }

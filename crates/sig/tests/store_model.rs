@@ -1,65 +1,22 @@
 //! Model-based property tests for the access stores: the *exact* stores
-//! must agree with a hash-map model on arbitrary operation sequences, the
-//! approximate stores must satisfy their documented contracts, the
+//! must agree with a hash-map model (`model/`, which dp-bench's
+//! comparator tests share) on arbitrary operation sequences, the
 //! regioned [`Signature`] must be indistinguishable from the flat slot
 //! array it is specified by, and its pair form [`SigPair`] from two such
 //! arrays under one hash.
 
 use dp_sig::signature::REGION_SLOTS;
 use dp_sig::{
-    AccessStore, CompactSlot, EpochSlot, ExtendedSlot, HashHistory, Last, PairStore,
-    PerfectSignature, ShadowMemory, Side, SigEntry, SigHash, SigPair, Signature, Slot, StrideStore,
+    AccessStore, CompactSlot, EpochSlot, ExtendedSlot, Last, PairStore, PerfectSignature, Side,
+    SigEntry, SigHash, SigPair, Signature, Slot,
 };
 use dp_types::loc::loc;
 use dp_types::ByteWriter;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Put { slot: u8, line: u16 },
-    Remove { slot: u8 },
-    Get { slot: u8 },
-}
-
-fn ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            4 => (any::<u8>(), 1u16..1000).prop_map(|(slot, line)| Op::Put { slot, line }),
-            1 => any::<u8>().prop_map(|slot| Op::Remove { slot }),
-            3 => any::<u8>().prop_map(|slot| Op::Get { slot }),
-        ],
-        1..max,
-    )
-}
-
-fn addr(slot: u8) -> u64 {
-    0x10_0000 + slot as u64 * 8
-}
-
-fn check_exact<S: AccessStore>(mut store: S, ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut model: HashMap<u64, u32> = HashMap::new();
-    let mut ts = 0u64;
-    for &op in ops {
-        match op {
-            Op::Put { slot, line } => {
-                ts += 1;
-                store.put(addr(slot), SigEntry::new(loc(1, line as u32), 0, ts));
-                model.insert(addr(slot), line as u32);
-            }
-            Op::Remove { slot } => {
-                store.remove(addr(slot));
-                model.remove(&addr(slot));
-            }
-            Op::Get { slot } => {
-                let got = store.get(addr(slot)).map(|e| e.loc.line);
-                prop_assert_eq!(got, model.get(&addr(slot)).copied());
-            }
-        }
-    }
-    prop_assert_eq!(store.occupied(), model.len());
-    Ok(())
-}
+mod model;
+use model::{addr, check_exact, ops};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -69,18 +26,6 @@ proptest! {
         check_exact(PerfectSignature::new(), &ops)?;
     }
 
-    #[test]
-    fn shadow_matches_model(ops in ops(300)) {
-        check_exact(ShadowMemory::new(), &ops)?;
-    }
-
-    #[test]
-    fn hash_history_matches_model(ops in ops(300), buckets in 1usize..64) {
-        check_exact(HashHistory::new(buckets), &ops)?;
-    }
-
-    /// A signature big enough that the 256 possible addresses cannot
-    /// collide behaves exactly like the model too.
     #[test]
     fn oversized_signature_matches_model(ops in ops(300)) {
         // 2^22 slots for 256 addresses: collision would need two of the
@@ -93,37 +38,6 @@ proptest! {
             prop_assume!(seen.insert(sig.slot_of(a)));
         }
         check_exact(sig, &ops)?;
-    }
-
-    /// StrideStore contract: an address that was `put` and not removed is
-    /// either reported with *some* line (possibly another line's run —
-    /// the documented approximation) or not at all; a removed address is
-    /// never reported; memory stays below per-address storage on a
-    /// strided workload.
-    #[test]
-    fn stride_store_contract(ops in ops(300)) {
-        let mut store = StrideStore::new();
-        let mut present = std::collections::HashSet::new();
-        let mut ts = 0u64;
-        for &op in &ops {
-            match op {
-                Op::Put { slot, line } => {
-                    ts += 1;
-                    store.put(addr(slot), SigEntry::new(loc(1, line as u32), 0, ts));
-                    present.insert(addr(slot));
-                }
-                Op::Remove { slot } => {
-                    store.remove(addr(slot));
-                    present.remove(&addr(slot));
-                }
-                Op::Get { slot } => {
-                    let got = store.get(addr(slot));
-                    if !present.contains(&addr(slot)) {
-                        prop_assert!(got.is_none(), "removed/absent address reported");
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -3,8 +3,7 @@
 //! Same construction as the fault-injection harness in `dp-queue`: a
 //! SplitMix-style seed scramble (so nearby seeds produce unrelated
 //! streams) feeding an xorshift64* generator. No external crates, fully
-//! deterministic, and forkable so independent generation decisions get
-//! independent streams.
+//! deterministic.
 
 /// A seeded xorshift64* stream.
 #[derive(Debug, Clone)]
@@ -17,13 +16,6 @@ impl FuzzRng {
     /// the scramble guarantees a non-zero internal state).
     pub fn new(seed: u64) -> Self {
         FuzzRng { state: scramble(seed) }
-    }
-
-    /// Derives an independent child stream. `salt` distinguishes
-    /// multiple forks taken at the same point.
-    pub fn fork(&mut self, salt: u64) -> FuzzRng {
-        let mixed = self.next_u64() ^ scramble(salt);
-        FuzzRng { state: mixed | 1 }
     }
 
     /// Next raw 64-bit value.
@@ -133,14 +125,5 @@ mod tests {
         // Log-uniform puts far more than 10% of the mass in the first
         // decile of ranks.
         assert!(head > 5_000, "head draws: {head}");
-    }
-
-    #[test]
-    fn forks_are_independent() {
-        let mut r = FuzzRng::new(11);
-        let mut a = r.fork(1);
-        let mut b = r.fork(2);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
     }
 }

@@ -151,13 +151,6 @@ pub struct LoopInfo {
     pub omp: bool,
 }
 
-impl LoopInfo {
-    /// True if `l` lies within the loop's body lines (inclusive).
-    pub fn contains_line(&self, l: SourceLoc) -> bool {
-        l.file == self.begin.file && l.line >= self.begin.line && l.line <= self.end.line
-    }
-}
-
 /// Static description of one global array.
 #[derive(Debug, Clone)]
 pub struct ArrayDecl {
@@ -215,22 +208,5 @@ impl Program {
     /// Loops annotated parallel in the OpenMP ground truth.
     pub fn omp_loops(&self) -> impl Iterator<Item = &LoopInfo> {
         self.loops.iter().filter(|l| l.omp)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dp_types::loc::loc;
-
-    #[test]
-    fn loop_contains_line() {
-        let li =
-            LoopInfo { id: 0, name: "l".into(), begin: loc(1, 10), end: loc(1, 20), omp: false };
-        assert!(li.contains_line(loc(1, 10)));
-        assert!(li.contains_line(loc(1, 15)));
-        assert!(li.contains_line(loc(1, 20)));
-        assert!(!li.contains_line(loc(1, 21)));
-        assert!(!li.contains_line(loc(2, 15)));
     }
 }

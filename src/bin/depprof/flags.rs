@@ -232,7 +232,7 @@ const FLAGS: &[Flag] = &[
     flag("--retries", &[Push], "N", to!(retries, positive)),
     flag("--retry-delay-ms", &[Push], "MS", to!(retry_delay_ms, number)),
     flag("--sync-every", &[Push], "N", to!(sync_every, number)),
-    flag("--chaos", &[Serve, Push], "SPEC", to!(chaos_plan, chaos)),
+    flag("--chaos", &[Push], "SPEC", to!(chaos_plan, chaos)),
     flag("--watch", &[Push], "[=MS]", to!(watch, watch_interval)),
     flag("--watch-dump", &[Push], "PATH", to!(watch_dump, text)),
     flag("--seeds", &[Fuzz], "N", to!(seeds, positive)),

@@ -46,9 +46,9 @@
 //! answers with a typed `Busy{retry_after_ms}` hint (`--busy-retry-ms`)
 //! the client honors; `--hibernate-after MS` evicts idle durable
 //! sessions to the checkpoint store so the cap bounds live engines, not
-//! named sessions. `--chaos SPEC` (both sides) injects deterministic
-//! network faults — `seed=N,reset-bytes=N,reset-frames=N,short-io,`
-//! `stall=EVERYxMS,dup=N` — for drills and tests.
+//! named sessions. `push --chaos SPEC` wraps the client's socket in a
+//! deterministic network-fault injector — `seed=N,reset-bytes=N,`
+//! `reset-frames=N,short-io,stall=EVERYxMS,dup=N` — for drills and tests.
 //!
 //! Exit codes are distinct so scripts and CI can react to each failure
 //! class: they are the `EXIT_*` constants below, and every failure
@@ -409,12 +409,8 @@ fn run_serve(args: &Args) -> Cli {
         checkpoint_every: args.checkpoint_every,
         busy_retry_ms: args.busy_retry_ms,
         hibernate_after_ms: args.hibernate_after_ms,
-        fault_plan: args.chaos_plan.clone().unwrap_or_default(),
         ..ServerConfig::default()
     };
-    if let Some(plan) = &args.chaos_plan {
-        eprintln!("chaos: injecting network faults on every accepted connection: {plan:?}");
-    }
     let addr = args.listen.as_deref().unwrap_or("127.0.0.1:7077");
     let (server, bound) = match &args.unix_sock {
         #[cfg(unix)]
@@ -567,12 +563,16 @@ fn run_push(args: &Args) -> Cli {
             _ => unreachable!("the parser requires --connect or --unix"),
         }
     };
-    // The chaos wrapper is always in the path; an empty plan is a
-    // transparent passthrough, so the clean case pays only the frame
-    // accounting.
-    let plan = args.chaos_plan.clone().unwrap_or_default();
+    // Only a fault plan puts the chaos wrapper in the path: it copies
+    // every byte it writes to find frame boundaries.
     let pushed = push_with_retry(
-        || connect().map(|c| ChaosStream::new(c, plan.clone())),
+        || -> std::io::Result<Box<dyn Socket>> {
+            let c = connect()?;
+            Ok(match &args.chaos_plan {
+                Some(plan) => Box::new(ChaosStream::new(c, plan.clone())),
+                None => c,
+            })
+        },
         &names,
         &events,
         &opts,

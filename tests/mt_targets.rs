@@ -96,20 +96,6 @@ fn mt_profile_counts_all_accesses() {
 }
 
 #[test]
-fn shadow_store_mt_engine_works_too() {
-    use depprof::core::MtProfiler;
-    use depprof::sig::ShadowMemory;
-    use depprof::trace::Interp;
-    let w = synth::locked_counter(Scale(0.05), 2);
-    let vm = Interp::new(&w.program);
-    let prof = MtProfiler::with_store_factory(cfg(2), ShadowMemory::new);
-    vm.run_mt(&prof);
-    let r = prof.finish();
-    assert!(r.stats.deps_merged > 0);
-    assert!(r.memory.signatures > 0);
-}
-
-#[test]
 fn water_spatial_is_race_free() {
     // All of water-spatial's sharing is ordered by fork, barriers and a
     // lock — the profiler must not flag any of it.

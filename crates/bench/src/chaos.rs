@@ -1,16 +1,17 @@
 //! Seeded network-fault injection for the DPSV service: a stream
-//! wrapper that kills, stutters, stalls and duplicates traffic at
+//! wrapper that kills, stutters and duplicates traffic at
 //! *deterministic* points, so every recovery path the retry/resume
 //! machinery claims to handle can be exercised on demand and replayed
 //! from a seed.
 //!
 //! [`NetFaultPlan`] is the builder (mirroring `dp-queue`'s engine-level
 //! `FaultPlan` style, but aimed at the socket rather than the worker
-//! pool); [`ChaosStream`] wraps any `Read + Write` transport — a client
-//! connection in `depprof push --chaos`, or an in-memory stream in tests
-//! and E18. The harness is client-side only: the server serves every
-//! accepted socket as it is, and a stream that nothing wrapped pays
-//! nothing for it.
+//! pool); [`ChaosStream`] wraps any `Read + Write` transport — the client
+//! connection of E18 ([`chaos_goodput`](crate::experiments::chaos_goodput))
+//! and of the kill-at-any-frame suite, or an in-memory stream in tests.
+//! It lives beside its users, not in the service: the server serves
+//! every accepted socket as it is, and `depprof push` sends through the
+//! bare socket.
 //!
 //! The write side follows the DPSV stream's frame boundaries (the
 //! preamble, then each frame's length as its header gives it,
@@ -42,11 +43,6 @@ pub struct NetFaultPlan {
     pub reset_at_frames: Option<u64>,
     /// Fragment reads and writes into small random pieces.
     pub short_io: bool,
-    /// Stall for [`NetFaultPlan::stall_ms`] every this many written
-    /// frames (0 = never).
-    pub stall_every: u64,
-    /// Stall duration, milliseconds.
-    pub stall_ms: u64,
     /// Re-deliver every Nth completed data frame (duplicate delivery of
     /// the last unacked frame, as a retransmitting network would).
     pub dup_every: Option<u64>,
@@ -82,13 +78,6 @@ impl NetFaultPlan {
         self
     }
 
-    /// Stalls `ms` milliseconds every `every` written frames.
-    pub fn with_stall(mut self, every: u64, ms: u64) -> Self {
-        self.stall_every = every;
-        self.stall_ms = ms;
-        self
-    }
-
     /// Duplicates every `n`th completed data frame.
     pub fn with_dup_every(mut self, n: u64) -> Self {
         self.dup_every = Some(n);
@@ -100,49 +89,14 @@ impl NetFaultPlan {
         self.reset_at_bytes.is_some()
             || self.reset_at_frames.is_some()
             || self.short_io
-            || (self.stall_every > 0 && self.stall_ms > 0)
             || self.dup_every.is_some()
-    }
-
-    /// Parses the CLI spec: comma-separated directives out of
-    /// `seed=N`, `reset-bytes=N`, `reset-frames=N`, `short-io`,
-    /// `stall=EVERYxMS`, `dup=N`. Example:
-    /// `seed=7,reset-frames=12,short-io,stall=8x2,dup=5`.
-    pub fn parse(spec: &str) -> Result<NetFaultPlan, String> {
-        let mut plan = NetFaultPlan::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, val) = part.split_once('=').unwrap_or((part, ""));
-            let num = |what: &str| -> Result<u64, String> {
-                val.parse().map_err(|_| format!("--chaos {what}: not a number: '{val}'"))
-            };
-            match key {
-                "seed" => plan.seed = num("seed")?,
-                "reset-bytes" => plan.reset_at_bytes = Some(num("reset-bytes")?),
-                "reset-frames" => plan.reset_at_frames = Some(num("reset-frames")?),
-                "short-io" => plan.short_io = true,
-                "dup" => plan.dup_every = Some(num("dup")?.max(1)),
-                "stall" => {
-                    let (every, ms) = val
-                        .split_once('x')
-                        .ok_or_else(|| format!("--chaos stall: expected EVERYxMS, got '{val}'"))?;
-                    plan.stall_every = every
-                        .parse()
-                        .map_err(|_| format!("--chaos stall: not a number: '{every}'"))?;
-                    plan.stall_ms =
-                        ms.parse().map_err(|_| format!("--chaos stall: not a number: '{ms}'"))?;
-                }
-                other => return Err(format!("--chaos: unknown directive '{other}'")),
-            }
-        }
-        Ok(plan)
     }
 }
 
 /// A `Read + Write` wrapper executing a [`NetFaultPlan`] against the
 /// wrapped transport. Deterministic: the same plan over the same
 /// traffic produces the same faults at the same offsets. It copies every
-/// byte it writes to find frame boundaries, so a connection goes through
-/// it only when a plan is given.
+/// byte it writes to find frame boundaries.
 #[derive(Debug)]
 pub struct ChaosStream<S> {
     inner: S,
@@ -213,9 +167,9 @@ impl<S: Read + Write> ChaosStream<S> {
     }
 
     /// Follows the frame boundaries over `written` (bytes actually
-    /// written), firing frame-boundary faults (duplication, stalls,
-    /// frame-offset resets arm for the *next* write so the boundary frame
-    /// itself is delivered intact).
+    /// written), firing frame-boundary faults (duplication; frame-offset
+    /// resets arm for the *next* write so the boundary frame itself is
+    /// delivered intact).
     fn account_written(&mut self, mut written: &[u8]) -> io::Result<()> {
         while !written.is_empty() {
             let (unit, rest) = written.split_at(self.unit_left().min(written.len()));
@@ -243,12 +197,6 @@ impl<S: Read + Write> ChaosStream<S> {
                 // the receiver must dedupe it positionally.
                 self.inner.write_all(&frame)?;
             }
-        }
-        if self.plan.stall_every > 0
-            && self.plan.stall_ms > 0
-            && self.out_frames.is_multiple_of(self.plan.stall_every)
-        {
-            std::thread::sleep(std::time::Duration::from_millis(self.plan.stall_ms));
         }
         Ok(())
     }
@@ -290,7 +238,7 @@ impl<S: Read + Write> Write for ChaosStream<S> {
         // A frame-offset reset arms once the boundary frame completed:
         // that frame is delivered intact, the next write dies. The
         // preamble is handshake, not a frame — it always goes through
-        // (so a `reset-frames=0` plan still yields a recognizable DPSV
+        // (so a `with_reset_at_frames(0)` plan still yields a recognizable DPSV
         // connection that dies before its first frame).
         if let Some(limit) = self.plan.reset_at_frames {
             if self.out_frames >= limit {
@@ -355,23 +303,6 @@ mod tests {
             Ok(())
         })();
         (s.into_inner().into_inner(), run)
-    }
-
-    #[test]
-    fn parse_round_trips_every_directive() {
-        let plan =
-            NetFaultPlan::parse("seed=7,reset-frames=12,reset-bytes=4096,short-io,stall=8x2,dup=5")
-                .unwrap();
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.reset_at_frames, Some(12));
-        assert_eq!(plan.reset_at_bytes, Some(4096));
-        assert!(plan.short_io);
-        assert_eq!((plan.stall_every, plan.stall_ms), (8, 2));
-        assert_eq!(plan.dup_every, Some(5));
-        assert!(plan.is_active());
-        assert!(!NetFaultPlan::parse("").unwrap().is_active());
-        assert!(NetFaultPlan::parse("bogus=1").is_err());
-        assert!(NetFaultPlan::parse("stall=8").is_err());
     }
 
     #[test]

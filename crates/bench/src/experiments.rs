@@ -406,6 +406,14 @@ pub fn fig6(cfg: &ExpConfig) -> Output {
 
 /// E5 / Figure 7 — memory consumption, sequential targets: shadow-memory
 /// naive baseline vs. lock-free signatures at two worker counts.
+///
+/// The shadow column and the footprint sweep are deterministic; the 8T
+/// and 16T lock-free MB columns are not. `MemoryReport::total` of the
+/// parallel engine counts two terms that follow thread scheduling: the
+/// chunk pool's high-water mark and the workers' peak local dependence
+/// stores. Two runs of one build have read rotate 16T 1.2 vs. 1.8 MB, so
+/// a single run cannot show a memory regression; compare medians of
+/// several runs.
 pub fn fig7(cfg: &ExpConfig) -> Output {
     let slots = cfg.perf_slots();
     let (w1, w2) = PAPER_WORKERS;
@@ -953,7 +961,7 @@ pub fn spsc(cfg: &ExpConfig) -> Output {
 
 /// E18: goodput under an adversarial network — `push_with_retry`
 /// against a checkpointing server while a seeded client-side
-/// [`ChaosStream`](dp_server::ChaosStream) kills the connection every N
+/// [`ChaosStream`](crate::chaos::ChaosStream) kills the connection every N
 /// frames (and, at the harshest point, also duplicates every data frame
 /// and fragments I/O). Each severity reports goodput (unique events
 /// profiled per wall second), duplicated work (events resent across
@@ -962,9 +970,8 @@ pub fn spsc(cfg: &ExpConfig) -> Output {
 /// measured end to end; a severity where it is not is a failed
 /// `report_identical_to_clean` check.
 pub fn chaos_goodput(cfg: &ExpConfig) -> Output {
-    use dp_server::{
-        push_with_retry, ChaosStream, NetFaultPlan, PushOptions, RetryPolicy, Server, ServerConfig,
-    };
+    use crate::chaos::{ChaosStream, NetFaultPlan};
+    use dp_server::{push_with_retry, PushOptions, RetryPolicy, Server, ServerConfig};
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let w = &starbench_suite(cfg.wl_scale())[0];

@@ -11,6 +11,8 @@
 //! * [`baselines`] — the comparator stores the signature is measured
 //!   against (shadow memory, hash table, SD3-style stride compression),
 //!   one file each;
+//! * [`chaos`] — the seeded network-fault harness E18 and the
+//!   kill-at-any-frame suite wrap a client's socket in;
 //! * [`runner`] — runs scenarios and maps failed checks to the exit code.
 //!
 //! The `dp-bench` binary (`src/bin/dp_bench.rs`) wires these into
@@ -20,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
+pub mod chaos;
 pub mod experiments;
 pub mod fmt;
 mod hashhist;

@@ -404,9 +404,8 @@ pub struct RetryOutcome {
 
 /// Bounded exponential backoff with deterministic downward jitter:
 /// `base * 2^attempt`, capped at `max`, minus a seed-derived slice of
-/// up to a quarter of the delay. Shared by the service client and the
-/// CLI's connect loop.
-pub fn backoff_delay_ms(base_ms: u64, max_ms: u64, attempt: u32, seed: u64) -> u64 {
+/// up to a quarter of the delay.
+fn backoff_delay_ms(base_ms: u64, max_ms: u64, attempt: u32, seed: u64) -> u64 {
     let exp = base_ms.max(1).saturating_mul(1u64 << attempt.min(20));
     let capped = exp.min(max_ms.max(base_ms.max(1)));
     let jitter = (seed ^ u64::from(attempt + 1).wrapping_mul(7919)) % (capped / 4 + 1);

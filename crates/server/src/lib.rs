@@ -2,8 +2,8 @@
 //!
 //! The paper's pipeline (Section IV, Figure 2) decouples event
 //! production from dependence analysis; this crate carries that
-//! decoupling across a socket. A [`Server`] listens on TCP (and/or a
-//! Unix socket), speaks the `DPSV` v4 frame protocol
+//! decoupling across a socket. A [`Server`] listens on TCP (or a Unix
+//! socket), speaks the `DPSV` v4 frame protocol
 //! ([`dp_types::protocol`]), and runs one profiling engine per client
 //! session:
 //!
@@ -34,12 +34,10 @@
 //!   jittered backoff, re-`Hello` the same session, and skip the prefix
 //!   the server reports in `HelloAck.resume_from`. Frames are
 //!   positional, so resend overlap and duplicated delivery dedupe
-//!   exactly — at-least-once transport, exactly-once profiling. A
-//!   seeded [`ChaosStream`] fault injector ([`NetFaultPlan`]) wraps a
-//!   client's connection to prove the path under adversarial networks
-//!   (the server serves what it accepts unwrapped), and idle durable
-//!   sessions hibernate to the checkpoint store so `max_sessions` bounds
-//!   live engines rather than named sessions.
+//!   exactly — at-least-once transport, exactly-once profiling (E18
+//!   drills it with `dp_bench::chaos`). Idle durable sessions hibernate
+//!   to the checkpoint store so `max_sessions` bounds live engines
+//!   rather than named sessions.
 //!
 //! The session state machine itself ([`SessionEngine`]) is socket-free:
 //! it maps incoming frames to reply frames, which is what the
@@ -47,16 +45,13 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod client;
 pub mod engine;
 pub mod server;
 pub mod shutdown;
 
-pub use chaos::{ChaosStream, NetFaultPlan};
 pub use client::{
-    backoff_delay_ms, push_events, push_with_retry, ClientError, PushOptions, PushOutcome,
-    RetryOutcome, RetryPolicy,
+    push_events, push_with_retry, ClientError, PushOptions, PushOutcome, RetryOutcome, RetryPolicy,
 };
 pub use engine::{SessionEngine, SessionError};
 pub use server::{Server, ServerConfig};

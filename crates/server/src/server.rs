@@ -213,12 +213,17 @@ impl Shared {
     }
 }
 
+/// The one listener a [`Server`] was bound to.
+enum Listener {
+    Tcp(TcpListener),
+    #[cfg(unix)]
+    Unix(UnixListener),
+}
+
 /// The profiling service: accept loop + per-connection threads.
 pub struct Server {
     shared: Arc<Shared>,
-    tcp: Option<TcpListener>,
-    #[cfg(unix)]
-    unix: Option<UnixListener>,
+    listener: Listener,
 }
 
 impl Server {
@@ -227,28 +232,31 @@ impl Server {
     pub fn bind_tcp(addr: impl ToSocketAddrs, cfg: ServerConfig) -> io::Result<Server> {
         let tcp = TcpListener::bind(addr)?;
         tcp.set_nonblocking(true)?;
-        Ok(Server {
-            shared: Shared::new(cfg),
-            tcp: Some(tcp),
-            #[cfg(unix)]
-            unix: None,
-        })
+        Ok(Server { shared: Shared::new(cfg), listener: Listener::Tcp(tcp) })
     }
 
-    /// Binds a Unix-socket listener (unix only). An existing socket
-    /// file at `path` is removed first.
+    /// Binds a Unix-socket listener (unix only). A socket left at `path`
+    /// (by a server that did not remove it) is replaced; any other file
+    /// there makes the bind fail and is left as it is.
     #[cfg(unix)]
     pub fn bind_unix(path: impl Into<PathBuf>, cfg: ServerConfig) -> io::Result<Server> {
+        use std::os::unix::fs::FileTypeExt;
         let path = path.into();
-        let _ = std::fs::remove_file(&path);
+        if std::fs::symlink_metadata(&path).is_ok_and(|m| m.file_type().is_socket()) {
+            std::fs::remove_file(&path)?;
+        }
         let unix = UnixListener::bind(&path)?;
         unix.set_nonblocking(true)?;
-        Ok(Server { shared: Shared::new(cfg), tcp: None, unix: Some(unix) })
+        Ok(Server { shared: Shared::new(cfg), listener: Listener::Unix(unix) })
     }
 
     /// The bound TCP address, when TCP-bound.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.tcp.as_ref().and_then(|l| l.local_addr().ok())
+        match &self.listener {
+            Listener::Tcp(l) => l.local_addr().ok(),
+            #[cfg(unix)]
+            Listener::Unix(_) => None,
+        }
     }
 
     /// Runs the accept loop until `stop` becomes true, then joins every
@@ -260,24 +268,21 @@ impl Server {
         let mut threads = Vec::new();
         let poll = Duration::from_millis(self.shared.cfg.poll_interval_ms.max(1));
         while !stop.load(Ordering::SeqCst) {
-            let mut accepted = false;
-            if let Some(tcp) = &self.tcp {
-                accepted |= self.spawn_conn(tcp.accept(), &mut threads, stop, move |s| {
+            let accepted = match &self.listener {
+                Listener::Tcp(l) => self.spawn_conn(l.accept(), &mut threads, stop, move |s| {
                     // Replies are small frames (HelloAck, SyncAck); Nagle
                     // + delayed ACK would stall every sync roundtrip by
                     // tens of milliseconds.
                     let _ = s.set_nodelay(true);
                     s.set_nonblocking(false)?;
                     s.set_read_timeout(Some(poll))
-                })?;
-            }
-            #[cfg(unix)]
-            if let Some(unix) = &self.unix {
-                accepted |= self.spawn_conn(unix.accept(), &mut threads, stop, move |s| {
+                })?,
+                #[cfg(unix)]
+                Listener::Unix(l) => self.spawn_conn(l.accept(), &mut threads, stop, move |s| {
                     s.set_nonblocking(false)?;
                     s.set_read_timeout(Some(poll))
-                })?;
-            }
+                })?,
+            };
             if !accepted {
                 std::thread::sleep(poll);
             }
@@ -511,6 +516,28 @@ mod tests {
         let _held = patient.admit("s", &stop).expect("free");
         stop.store(true, Ordering::SeqCst);
         assert!(patient.admit("s", &stop).is_none(), "a stopping server does not wait");
+    }
+
+    /// `bind_unix` replaces only a socket: a regular file at the path
+    /// fails the bind and keeps its bytes, while the socket a dropped
+    /// server left behind gives way to the new listener.
+    #[cfg(unix)]
+    #[test]
+    fn bind_unix_replaces_a_left_socket_and_nothing_else() {
+        let dir = std::env::temp_dir().join(format!("dpsv-bind-unix-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("a scratch directory");
+        let notes = dir.join("notes.txt");
+        std::fs::write(&notes, b"keep me").expect("a regular file");
+        assert!(Server::bind_unix(&notes, ServerConfig::default()).is_err(), "not a socket");
+        assert_eq!(std::fs::read(&notes).expect("still there"), b"keep me");
+
+        let sock = dir.join("s.sock");
+        drop(Server::bind_unix(&sock, ServerConfig::default()).expect("a fresh path binds"));
+        assert!(sock.exists(), "a dropped server leaves its socket file");
+        let _again = Server::bind_unix(&sock, ServerConfig::default()).expect("replaced");
+        UnixStream::connect(&sock).expect("the new listener takes connections");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     /// Serves one connection that sends the preamble and `frames`, then

@@ -5,7 +5,6 @@
 //! of [`VERBS`] plus its name in the rows of the flags it takes.
 
 use depprof::core::{OverflowPolicy, SessionSpec, TransportKind, WorkerFault};
-use depprof::server::NetFaultPlan;
 use std::str::FromStr;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,7 +114,6 @@ pub struct Args {
     pub busy_retry_ms: u64,
     /// Hibernate idle durable sessions after this long (0 = never).
     pub hibernate_after_ms: u64,
-    pub chaos_plan: Option<NetFaultPlan>,
     pub seeds: u64,
     /// First seed (shards campaigns across CI jobs).
     pub start_seed: u64,
@@ -232,7 +230,6 @@ const FLAGS: &[Flag] = &[
     flag("--retries", &[Push], "N", to!(retries, positive)),
     flag("--retry-delay-ms", &[Push], "MS", to!(retry_delay_ms, number)),
     flag("--sync-every", &[Push], "N", to!(sync_every, number)),
-    flag("--chaos", &[Push], "SPEC", to!(chaos_plan, chaos)),
     flag("--watch", &[Push], "[=MS]", to!(watch, watch_interval)),
     flag("--watch-dump", &[Push], "PATH", to!(watch_dump, text)),
     flag("--seeds", &[Fuzz], "N", to!(seeds, positive)),
@@ -287,10 +284,6 @@ fn overflow(v: &str) -> Result<OverflowPolicy, String> {
 
 fn fault(v: &str) -> Result<Option<WorkerFault>, String> {
     WorkerFault::parse(v).map(Some).ok_or_else(|| "bad spec (e.g. 2@5)".into())
-}
-
-fn chaos(v: &str) -> Result<Option<NetFaultPlan>, String> {
-    NetFaultPlan::parse(v).map(Some)
 }
 
 fn set_engine(a: &mut Args, v: &str) -> Result<(), String> {

@@ -46,9 +46,8 @@
 //! answers with a typed `Busy{retry_after_ms}` hint (`--busy-retry-ms`)
 //! the client honors; `--hibernate-after MS` evicts idle durable
 //! sessions to the checkpoint store so the cap bounds live engines, not
-//! named sessions. `push --chaos SPEC` wraps the client's socket in a
-//! deterministic network-fault injector — `seed=N,reset-bytes=N,`
-//! `reset-frames=N,short-io,stall=EVERYxMS,dup=N` — for drills and tests.
+//! named sessions. E18 (`dp-bench run chaos`) drills this path under
+//! seeded network faults.
 //!
 //! Exit codes are distinct so scripts and CI can react to each failure
 //! class: they are the `EXIT_*` constants below, and every failure
@@ -62,8 +61,8 @@ use depprof::core::{
     ProfilerConfig, SessionSpec, TransportKind, Watchdog,
 };
 use depprof::server::{
-    install_signal_handlers, push_with_retry, shutdown_flag, ChaosStream, ClientError, PushOptions,
-    RetryPolicy, Server, ServerConfig,
+    install_signal_handlers, push_with_retry, shutdown_flag, ClientError, PushOptions, RetryPolicy,
+    Server, ServerConfig,
 };
 use depprof::trace::workloads::{nas_suite, splash, starbench_suite, synth, Scale, Workload};
 use depprof::trace::TraceReader;
@@ -563,21 +562,7 @@ fn run_push(args: &Args) -> Cli {
             _ => unreachable!("the parser requires --connect or --unix"),
         }
     };
-    // Only a fault plan puts the chaos wrapper in the path: it copies
-    // every byte it writes to find frame boundaries.
-    let pushed = push_with_retry(
-        || -> std::io::Result<Box<dyn Socket>> {
-            let c = connect()?;
-            Ok(match &args.chaos_plan {
-                Some(plan) => Box::new(ChaosStream::new(c, plan.clone())),
-                None => c,
-            })
-        },
-        &names,
-        &events,
-        &opts,
-        &policy,
-    );
+    let pushed = push_with_retry(connect, &names, &events, &opts, &policy);
 
     let r = pushed.map_err(|e| {
         // Backpressure is not a failure of the push, it is the server

@@ -13,12 +13,11 @@
 //! duplicate delivery and short reads/writes.
 
 use depprof::core::SessionSpec;
-use depprof::server::{
-    push_with_retry, ChaosStream, NetFaultPlan, PushOptions, RetryPolicy, Server, ServerConfig,
-};
+use depprof::server::{push_with_retry, PushOptions, RetryPolicy, Server, ServerConfig};
 use depprof::trace::workloads::synth;
 use depprof::trace::{FrameChunker, Interp, TraceReader, TraceWriter};
 use depprof::types::{protocol::Frame, TraceEvent};
+use dp_bench::chaos::{ChaosStream, NetFaultPlan};
 use proptest::prelude::*;
 use std::cell::Cell;
 use std::io::{self, Read, Write};

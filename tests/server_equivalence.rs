@@ -126,7 +126,9 @@ fn served_equals_offline_parallel() {
 
 /// Loopback TCP, concurrent sessions: N clients push different
 /// workloads at the same time; every returned report must be byte-
-/// identical to the offline render of that workload.
+/// identical to the offline render of that workload. One more client
+/// pushes its workload to a Unix-socket server meanwhile, so both accept
+/// paths serve a session.
 #[test]
 fn concurrent_tcp_sessions_match_offline_reports() {
     static STOP: AtomicBool = AtomicBool::new(false);
@@ -137,11 +139,18 @@ fn concurrent_tcp_sessions_match_offline_reports() {
     )
     .unwrap();
     let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || server.run(&STOP).unwrap());
+    let sock = std::env::temp_dir().join(format!("dpsv-equiv-{}.sock", std::process::id()));
+    let unix = Server::bind_unix(&sock, ServerConfig::default()).unwrap();
+    let handles = [
+        std::thread::spawn(move || server.run(&STOP).unwrap()),
+        std::thread::spawn(move || unix.run(&STOP).unwrap()),
+    ];
 
-    let workloads: Vec<Workload> = sequential_workloads().into_iter().take(4).collect();
+    let mut workloads: Vec<Workload> = sequential_workloads().into_iter().take(5).collect();
+    let over_unix = workloads.pop().unwrap();
     let mut clients = Vec::new();
-    for w in workloads {
+    for (w, unix_leg) in workloads.into_iter().map(|w| (w, false)).chain([(over_unix, true)]) {
+        let sock = sock.clone();
         clients.push(std::thread::spawn(move || {
             let (events, interner, names) = record(&w);
             let spec = SessionSpec { slots: 1 << 16, ..SessionSpec::default() };
@@ -149,7 +158,6 @@ fn concurrent_tcp_sessions_match_offline_reports() {
                 let r = offline(&spec, &events);
                 report::render(&r, &interner, false)
             };
-            let mut conn = std::net::TcpStream::connect(addr).unwrap();
             let opts = PushOptions {
                 session: format!("conc-{}", w.meta.name),
                 spec,
@@ -157,7 +165,13 @@ fn concurrent_tcp_sessions_match_offline_reports() {
                 request_stats: true,
                 ..PushOptions::default()
             };
-            let out = push_events(&mut conn, names, events, &opts).unwrap();
+            let out = if unix_leg {
+                let mut conn = std::os::unix::net::UnixStream::connect(&sock).unwrap();
+                push_events(&mut conn, names, events, &opts).unwrap()
+            } else {
+                let mut conn = std::net::TcpStream::connect(addr).unwrap();
+                push_events(&mut conn, names, events, &opts).unwrap()
+            };
             assert_eq!(out.report, expected, "report bytes differ for {}", w.meta.name);
             let stats = out.stats_json.expect("stats were requested");
             assert!(stats.contains("\"events\""), "stats json: {stats}");
@@ -168,7 +182,8 @@ fn concurrent_tcp_sessions_match_offline_reports() {
     }
 
     STOP.store(true, Ordering::SeqCst);
-    handle.join().unwrap();
+    handles.into_iter().for_each(|h| h.join().unwrap());
+    let _ = std::fs::remove_file(&sock);
 }
 
 /// The capacity cap is enforced with a typed error, not a hang: with

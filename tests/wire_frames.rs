@@ -13,12 +13,13 @@
 //! `MAX_FRAME_BYTES`, while a DPCK section has none.
 
 use depprof::core::checkpoint::CheckpointData;
-use depprof::server::{push_events, ChaosStream, ClientError, NetFaultPlan, PushOptions};
+use depprof::server::{push_events, ClientError, PushOptions};
 use depprof::trace::stream::DEFAULT_CHUNK_EVENTS;
 use depprof::trace::{FrameChunker, OffThread, TraceReader, TraceWriter};
 use depprof::types::protocol::{self, ChunkView, Frame, FrameReader, Hello, ProtocolError};
 use depprof::types::protocol::{MAX_FRAME_BYTES, TAG_CHUNK};
 use depprof::types::{loc::loc, AccessKind, Interner, MemAccess, Record, TraceEvent, Tracer};
+use dp_bench::chaos::{ChaosStream, NetFaultPlan};
 use proptest::prelude::*;
 use std::io::{self, Read, Write};
 

@@ -31,20 +31,12 @@ impl Accuracy {
     /// False positive rate in percent (of reported dependences), as in
     /// Table I.
     pub fn fpr(&self) -> f64 {
-        if self.profiled == 0 {
-            0.0
-        } else {
-            100.0 * self.false_positives as f64 / self.profiled as f64
-        }
+        100.0 * self.false_positives as f64 / self.profiled.max(1) as f64
     }
 
     /// False negative rate in percent (of baseline dependences).
     pub fn fnr(&self) -> f64 {
-        if self.baseline == 0 {
-            0.0
-        } else {
-            100.0 * self.false_negatives as f64 / self.baseline as f64
-        }
+        100.0 * self.false_negatives as f64 / self.baseline.max(1) as f64
     }
 }
 
@@ -76,18 +68,6 @@ pub struct Degradation {
 }
 
 impl Degradation {
-    /// Extracts the degradation report from a run.
-    pub fn from_result(r: &ProfileResult) -> Self {
-        Degradation {
-            observed_events: r.stats.events,
-            dropped_events: r.stats.dropped_events,
-            rerouted_events: r.metrics.conservation.rerouted,
-            in_flight_at_shutdown: r.metrics.conservation.in_flight_at_shutdown,
-            failed_workers: r.stats.worker_failures.iter().map(|f| f.worker).collect(),
-            workers: r.workers,
-        }
-    }
-
     /// True when anything was lost.
     pub fn degraded(&self) -> bool {
         self.dropped_events > 0 || !self.failed_workers.is_empty()
@@ -97,11 +77,7 @@ impl Degradation {
     /// (dropped / (observed + dropped)).
     pub fn loss_rate(&self) -> f64 {
         let offered = self.observed_events + self.dropped_events;
-        if offered == 0 {
-            0.0
-        } else {
-            100.0 * self.dropped_events as f64 / offered as f64
-        }
+        100.0 * self.dropped_events as f64 / offered.max(1) as f64
     }
 
     /// Formula-2-style estimate of the false-negative rate the loss
@@ -163,9 +139,16 @@ pub fn compare(baseline: &ProfileResult, profiled: &ProfileResult) -> Accuracy {
     Accuracy { baseline: base.len(), profiled: prof.len(), false_positives, false_negatives }
 }
 
-/// Convenience: the degradation report of a run (see [`Degradation`]).
+/// The degradation report of a run (see [`Degradation`]).
 pub fn degradation(r: &ProfileResult) -> Degradation {
-    Degradation::from_result(r)
+    Degradation {
+        observed_events: r.stats.events,
+        dropped_events: r.stats.dropped_events,
+        rerouted_events: r.metrics.conservation.rerouted,
+        in_flight_at_shutdown: r.metrics.conservation.in_flight_at_shutdown,
+        failed_workers: r.stats.worker_failures.iter().map(|f| f.worker).collect(),
+        workers: r.workers,
+    }
 }
 
 #[cfg(test)]

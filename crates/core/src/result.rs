@@ -157,17 +157,11 @@ impl ProfileResult {
     /// Load imbalance across workers: max/mean of per-worker event
     /// counts (1.0 = perfectly balanced; meaningless for serial runs).
     pub fn load_imbalance(&self) -> f64 {
-        if self.per_worker_events.is_empty() {
-            return 1.0;
-        }
-        let max = *self.per_worker_events.iter().max().unwrap() as f64;
-        let mean =
-            self.per_worker_events.iter().sum::<u64>() as f64 / self.per_worker_events.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
+        let events = &self.per_worker_events;
+        let max = events.iter().max().map_or(0.0, |&m| m as f64);
+        let mean = events.iter().sum::<u64>() as f64 / events.len().max(1) as f64;
+        // max >= mean; with no events 0/0 is NaN, which `max` takes to 1.
+        (max / mean).max(1.0)
     }
 
     /// True when the run lost a worker or dropped events; see

@@ -461,41 +461,26 @@ pub fn push_with_retry<C: Read + Write>(
     loop {
         attempts += 1;
         let mut progress = PushProgress::default();
-        let err = match connect() {
-            Ok(mut conn) => {
-                match push_once(
-                    &mut conn,
-                    names.to_vec(),
-                    events.iter().cloned(),
-                    opts,
-                    &mut progress,
-                ) {
-                    Ok(outcome) => {
-                        watch_resets += note_watch_reset(&progress, attempts, sent_total > 0);
-                        sent_total += progress.out.events_written();
-                        let unique =
-                            (events.len() as u64).saturating_sub(first_resume.unwrap_or(0));
-                        return Ok(RetryOutcome {
-                            outcome,
-                            reconnects: attempts - 1,
-                            busy_waits,
-                            events_resent: sent_total.saturating_sub(unique),
-                            recovery_ms_total: first_failure
-                                .map(|t| t.elapsed().as_millis() as u64)
-                                .unwrap_or(0),
-                            watch_resets,
-                        });
-                    }
-                    Err(e) => e,
-                }
-            }
-            Err(e) => ClientError::Protocol(ProtocolError::Io(e)),
-        };
+        let pushed = connect().map_err(ClientError::from).and_then(|mut conn| {
+            push_once(&mut conn, names.to_vec(), events.iter().cloned(), opts, &mut progress)
+        });
         watch_resets += note_watch_reset(&progress, attempts, sent_total > 0);
         sent_total += progress.out.events_written();
-        if first_resume.is_none() {
-            first_resume = progress.resumed_from;
-        }
+        first_resume = first_resume.or(progress.resumed_from);
+        let err = match pushed {
+            Ok(outcome) => {
+                let unique = (events.len() as u64).saturating_sub(first_resume.unwrap_or(0));
+                return Ok(RetryOutcome {
+                    outcome,
+                    reconnects: attempts - 1,
+                    busy_waits,
+                    events_resent: sent_total.saturating_sub(unique),
+                    recovery_ms_total: first_failure.map_or(0, |t| t.elapsed().as_millis() as u64),
+                    watch_resets,
+                });
+            }
+            Err(e) => e,
+        };
         // The budget bounds attempts WITHOUT progress: a reconnect that
         // finds the watermark advanced proves the previous connection
         // delivered events durably, so the loop is converging.

@@ -71,15 +71,8 @@ fn dir_name(name: &str) -> String {
     if name.is_empty() {
         return "_".into();
     }
-    let mut dir = String::with_capacity(name.len());
-    for b in name.bytes() {
-        if b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' {
-            dir.push(b as char);
-        } else {
-            dir.push_str(&format!("_{b:02x}"));
-        }
-    }
-    dir
+    let keep = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-';
+    name.bytes().map(|b| if keep(b) { (b as char).into() } else { format!("_{b:02x}") }).collect()
 }
 
 /// One client session: engine + interner + checkpoint state + counters.

@@ -12,6 +12,7 @@ use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Server-wide policy knobs.
@@ -29,7 +30,8 @@ pub struct ServerConfig {
     /// still writes its emergency checkpoint when its connection ends
     /// unfinished or the server shuts down.
     pub checkpoint_every: u64,
-    /// How often blocked reads wake up to observe the shutdown flag.
+    /// How long the accept loop's wait and each read block before they
+    /// look at the shutdown flag again; no client waits on it.
     pub poll_interval_ms: u64,
     /// The reconnect-delay hint handed to refused clients in `Busy`; also
     /// how long a `Hello` waits for a dying connection to release its
@@ -217,7 +219,7 @@ impl Shared {
 enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
-    Unix(UnixListener),
+    Unix(UnixListener, PathBuf),
 }
 
 /// The profiling service: accept loop + per-connection threads.
@@ -236,8 +238,8 @@ impl Server {
     }
 
     /// Binds a Unix-socket listener (unix only). A socket left at `path`
-    /// (by a server that did not remove it) is replaced; any other file
-    /// there makes the bind fail and is left as it is.
+    /// (by a server dropped without [`Server::run`]) is replaced; any
+    /// other file there makes the bind fail and is left as it is.
     #[cfg(unix)]
     pub fn bind_unix(path: impl Into<PathBuf>, cfg: ServerConfig) -> io::Result<Server> {
         use std::os::unix::fs::FileTypeExt;
@@ -247,7 +249,7 @@ impl Server {
         }
         let unix = UnixListener::bind(&path)?;
         unix.set_nonblocking(true)?;
-        Ok(Server { shared: Shared::new(cfg), listener: Listener::Unix(unix) })
+        Ok(Server { shared: Shared::new(cfg), listener: Listener::Unix(unix, path) })
     }
 
     /// The bound TCP address, when TCP-bound.
@@ -255,16 +257,31 @@ impl Server {
         match &self.listener {
             Listener::Tcp(l) => l.local_addr().ok(),
             #[cfg(unix)]
-            Listener::Unix(_) => None,
+            Listener::Unix(..) => None,
         }
     }
 
-    /// Runs the accept loop until `stop` becomes true, then joins every
-    /// connection thread (each of which writes its session's emergency
-    /// checkpoint before exiting). Pass
-    /// [`shutdown_flag()`](crate::shutdown::shutdown_flag) to tie the
-    /// loop to SIGINT/SIGTERM.
+    /// Runs the accept loop until `stop` becomes true, then removes a
+    /// Unix socket's file and joins every connection thread (each of
+    /// which writes its session's emergency checkpoint before exiting).
+    /// Pass [`shutdown_flag()`](crate::shutdown::shutdown_flag) to tie
+    /// the loop to SIGINT/SIGTERM.
     pub fn run(&self, stop: &'static AtomicBool) -> io::Result<()> {
+        let threads = self.accept_until(stop);
+        #[cfg(unix)]
+        if let Listener::Unix(_, path) = &self.listener {
+            let _ = std::fs::remove_file(path);
+        }
+        for t in threads? {
+            let _ = t.join();
+        }
+        Ok(())
+    }
+
+    /// Accepts every waiting client, then waits on the listener for the
+    /// next, until `stop`: a client is accepted as it connects, and the
+    /// poll interval only bounds how long a raised `stop` goes unseen.
+    fn accept_until(&self, stop: &'static AtomicBool) -> io::Result<Vec<JoinHandle<()>>> {
         let mut threads = Vec::new();
         let poll = Duration::from_millis(self.shared.cfg.poll_interval_ms.max(1));
         while !stop.load(Ordering::SeqCst) {
@@ -274,23 +291,25 @@ impl Server {
                     // + delayed ACK would stall every sync roundtrip by
                     // tens of milliseconds.
                     let _ = s.set_nodelay(true);
-                    s.set_nonblocking(false)?;
-                    s.set_read_timeout(Some(poll))
+                    s.set_nonblocking(false).and_then(|()| s.set_read_timeout(Some(poll)))
                 })?,
                 #[cfg(unix)]
-                Listener::Unix(l) => self.spawn_conn(l.accept(), &mut threads, stop, move |s| {
-                    s.set_nonblocking(false)?;
-                    s.set_read_timeout(Some(poll))
-                })?,
+                Listener::Unix(l, _) => {
+                    self.spawn_conn(l.accept(), &mut threads, stop, move |s| {
+                        s.set_nonblocking(false).and_then(|()| s.set_read_timeout(Some(poll)))
+                    })?
+                }
             };
             if !accepted {
-                std::thread::sleep(poll);
+                use crate::shutdown::imp::wait_readable;
+                match &self.listener {
+                    Listener::Tcp(l) => wait_readable(l, poll),
+                    #[cfg(unix)]
+                    Listener::Unix(l, _) => wait_readable(l, poll),
+                }
             }
         }
-        for t in threads {
-            let _ = t.join();
-        }
-        Ok(())
+        Ok(threads)
     }
 
     /// Serves what one non-blocking `accept` returned on a thread of its
@@ -299,7 +318,7 @@ impl Server {
     fn spawn_conn<S: Read + Write + Send + 'static, A>(
         &self,
         accepted: io::Result<(S, A)>,
-        threads: &mut Vec<std::thread::JoinHandle<()>>,
+        threads: &mut Vec<JoinHandle<()>>,
         stop: &'static AtomicBool,
         prepare: impl FnOnce(&S) -> io::Result<()> + Send + 'static,
     ) -> io::Result<bool> {
@@ -541,10 +560,10 @@ mod tests {
     }
 
     /// Serves one connection that sends the preamble and `frames`, then
-    /// closes its sending half; returns the server's first reply once the
+    /// closes its sending half; returns the server's replies once the
     /// server side has closed too.
     #[cfg(unix)]
-    fn converse(shared: &Shared, frames: &[Frame]) -> Option<Frame> {
+    fn converse(shared: &Shared, frames: &[Frame]) -> Vec<Frame> {
         let (mut client, conn) = UnixStream::pair().expect("a socket pair");
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -553,19 +572,27 @@ mod tests {
             frames.iter().for_each(|f| protocol::write_frame(&mut client, f).expect("frame"));
             client.shutdown(std::net::Shutdown::Write).expect("half-close");
             protocol::read_preamble(&mut client).expect("the server's preamble");
-            let first = protocol::read_frame(&mut client, MAX_FRAME_BYTES).expect("a reply");
-            io::copy(&mut client, &mut io::sink()).expect("the replies");
-            first
+            let mut replies = Vec::new();
+            while let Some(f) = protocol::read_frame(&mut client, MAX_FRAME_BYTES).expect("reply") {
+                replies.push(f);
+            }
+            replies
         })
+    }
+
+    fn hello(spec: Vec<u8>) -> Frame {
+        Frame::Hello(protocol::Hello { session: "s".into(), spec, ..Default::default() })
+    }
+
+    fn small_spec() -> Vec<u8> {
+        dp_core::SessionSpec { slots: 1 << 12, ..Default::default() }.encode()
     }
 
     #[cfg(unix)]
     #[test]
     fn a_finished_session_name_is_forgotten() {
         let shared = shared(20);
-        let spec = dp_core::SessionSpec { slots: 1 << 12, ..Default::default() }.encode();
-        let hello =
-            Frame::Hello(protocol::Hello { session: "s".into(), spec, ..Default::default() });
+        let hello = hello(small_spec());
         converse(&shared, std::slice::from_ref(&hello));
         converse(&shared, &[hello.clone(), Frame::Finish]);
         assert!(
@@ -586,16 +613,62 @@ mod tests {
     fn a_refused_hello_frees_its_slot_and_is_not_counted() {
         let cfg = ServerConfig { max_sessions: 1, busy_retry_ms: 20, ..ServerConfig::default() };
         let shared = Shared::new(cfg);
-        let hello = |spec| {
-            Frame::Hello(protocol::Hello { session: "s".into(), spec, ..Default::default() })
-        };
         let refused = converse(&shared, &[hello(vec![0xff])]);
-        let bad_spec = matches!(refused, Some(Frame::Error { code: error_code::BAD_FRAME, .. }));
+        let bad_spec = matches!(refused[..], [Frame::Error { code: error_code::BAD_FRAME, .. }]);
         assert!(bad_spec, "{refused:?}");
-        let spec = dp_core::SessionSpec { slots: 1 << 12, ..Default::default() }.encode();
-        let admitted = converse(&shared, &[hello(spec)]);
-        assert!(matches!(admitted, Some(Frame::HelloAck { .. })), "not Busy: {admitted:?}");
+        let admitted = converse(&shared, &[hello(small_spec())]);
+        assert!(matches!(admitted[..], [Frame::HelloAck { .. }]), "not Busy: {admitted:?}");
         let hellos = shared.registry.lock().unwrap().hellos.clone();
         assert_eq!(hellos.get("s"), Some(&1), "only the opened Hello is counted");
+    }
+
+    /// A `Chunk` whose `Dealloc` frees 2⁴⁰ words is refused as malformed
+    /// before any of it is fed, not worked through one word at a time
+    /// (which the `Finish` behind it would force).
+    #[cfg(unix)]
+    #[test]
+    fn a_dealloc_past_the_bound_is_refused_at_once() {
+        use dp_types::{Record, TraceEvent};
+        let dealloc = TraceEvent::Dealloc { base: 0, len: 1 << 40, thread: 0, ts: 0 };
+        let chunk = Frame::Chunk { base: 0, events: vec![Record::pack(&dealloc)] };
+        let (shared, (replied, replies)) = (shared(20), mpsc::channel());
+        let frames = [hello(small_spec()), chunk, Frame::Finish];
+        let served = std::thread::spawn(move || replied.send(converse(&shared, &frames)));
+        let replies = replies.recv_timeout(Duration::from_secs(10)).expect("answered in 10 s");
+        served.join().expect("the connection ends").expect("the test is listening");
+        let malformed = matches!(replies[..], [Frame::HelloAck { .. }, Frame::Error { code, .. }]
+            if code == error_code::BAD_FRAME);
+        assert!(malformed, "{replies:?}");
+    }
+
+    /// A client that connects while `run` waits on its listener is served
+    /// then, not when the wait times out; a raised `stop` ends the wait
+    /// within one poll interval. (Off unix the loop sleeps instead.)
+    #[cfg(unix)]
+    #[test]
+    fn a_client_is_accepted_as_it_connects() {
+        static STOP: AtomicBool = AtomicBool::new(false);
+        let interval = Duration::from_millis(2_000);
+        let cfg = ServerConfig { poll_interval_ms: 2_000, ..ServerConfig::default() };
+        let server = Server::bind_tcp("127.0.0.1:0", cfg).expect("bind");
+        let addr = server.local_addr().expect("a TCP address");
+        let running = std::thread::spawn(move || server.run(&STOP));
+        // Long enough for `run` to find no client and begin its wait.
+        std::thread::sleep(Duration::from_millis(200));
+        let connected = Instant::now();
+        let mut client = std::net::TcpStream::connect(addr).expect("connect");
+        protocol::write_preamble(&mut client).expect("preamble");
+        protocol::write_frame(&mut client, &hello(small_spec())).expect("Hello");
+        protocol::read_preamble(&mut client).expect("the server's preamble");
+        let ack = protocol::read_frame(&mut client, MAX_FRAME_BYTES).expect("a reply");
+        let waited = connected.elapsed();
+        assert!(matches!(ack, Some(Frame::HelloAck { .. })), "{ack:?}");
+        assert!(waited < Duration::from_millis(500), "HelloAck after {waited:?}");
+        drop(client);
+        let stopping = Instant::now();
+        STOP.store(true, Ordering::SeqCst);
+        running.join().expect("run returns").expect("run ends cleanly");
+        let took = stopping.elapsed();
+        assert!(took < interval + Duration::from_millis(500), "stopped after {took:?}");
     }
 }

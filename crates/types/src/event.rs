@@ -199,6 +199,7 @@ mod tests {
         assert_eq!(read(top, 1), None, "one word past it");
         assert_eq!(read(0x100, u64::MAX / 8 + 1), None, "8·len overflows");
         assert_eq!(read(0x100, u64::MAX / 8 - 0x1f), None);
-        assert!(read(0x100, u64::MAX / 8 - 0x20).is_some());
+        // A range that fits, but longer than any reader takes.
+        assert_eq!(read(0x100, u64::MAX / 8 - 0x20), None, "over MAX_DEALLOC_WORDS");
     }
 }

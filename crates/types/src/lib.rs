@@ -37,6 +37,6 @@ pub use ids::{Address, LoopId, MutexId, ThreadId, Timestamp, VarId};
 pub use interner::Interner;
 pub use loc::SourceLoc;
 pub use protocol::{Frame, Hello, ProtocolError};
-pub use record::{EventKind, Record};
+pub use record::{EventKind, Record, MAX_DEALLOC_WORDS};
 pub use sink::{Tracer, TracerFactory};
 pub use wire::{atomic_write, read_section, write_section, ByteReader, ByteWriter, WireError};

@@ -71,6 +71,12 @@ const USED: [[u64; 2]; 8] = {
     [[all, all], [all, all], [all, 0], [low, all], [all, all], [low, 0], [low, 0], [all, all]]
 };
 
+/// The most 8-byte words a `Dealloc` read from outside the process may
+/// free: 2³⁶ (512 GiB). MiniVM's `Free` and `TracedVec::free` only name
+/// arrays the traced process held, 8 bytes a word. Algorithm 1 clears a
+/// slot per word (≈ 6 ns): 2³⁶ take minutes, 2⁶¹ would take centuries.
+pub const MAX_DEALLOC_WORDS: u64 = 1 << 36;
+
 /// One event as every stream of thread 0's events holds it (see the
 /// module docs). Packed once per event, so a broadcast event is copied,
 /// not packed again, into each worker's chunk.
@@ -114,8 +120,8 @@ impl Record {
 
     /// A record read from outside the process: `None` unless `tag` names a
     /// kind, every body bit the kind does not use is 0 — so what is
-    /// accepted re-encodes to the same bytes — and, for a `Dealloc`,
-    /// `base + 8·len` fits in a `u64`.
+    /// accepted re-encodes to the same bytes — and, for a `Dealloc`, `len`
+    /// is at most [`MAX_DEALLOC_WORDS`] and `base + 8·len` fits in a `u64`.
     #[inline]
     pub fn from_wire(tag: u8, body: [u64; 2]) -> Option<Record> {
         let kind = EventKind::from_tag(tag)?;
@@ -124,7 +130,7 @@ impl Record {
         // Algorithm 1 clears `base + 8·i` for every `i < len`.
         let [base, len] = body;
         let fits = kind != EventKind::Dealloc
-            || len.checked_mul(8).and_then(|bytes| base.checked_add(bytes)).is_some();
+            || len <= MAX_DEALLOC_WORDS && base.checked_add(len * 8).is_some();
         (unused == 0 && fits).then_some(Record { kind, body })
     }
 
@@ -184,6 +190,17 @@ mod tests {
                 let read = Record::from_wire(kind as u8, body);
                 assert_eq!(read.is_some(), used, "{kind:?}, bit {bit}");
             }
+        }
+    }
+
+    /// A deallocation of [`MAX_DEALLOC_WORDS`] decodes; one word more
+    /// does not, wherever it starts.
+    #[test]
+    fn a_dealloc_longer_than_the_bound_does_not_decode() {
+        let dealloc = EventKind::Dealloc as u8;
+        for base in [0, 0x1000] {
+            assert!(Record::from_wire(dealloc, [base, MAX_DEALLOC_WORDS]).is_some(), "{base}");
+            assert_eq!(Record::from_wire(dealloc, [base, MAX_DEALLOC_WORDS + 1]), None, "{base}");
         }
     }
 }

@@ -417,14 +417,15 @@ fn run_serve(args: &Args) -> Cli {
         _ => (Server::bind_tcp(addr, cfg), addr.to_owned()),
     };
     let server = server.or_fail(EXIT_INPUT, format_args!("cannot bind {bound}"))?;
+    // Handlers first: a script may signal the server as soon as it reads
+    // the banner below.
+    install_signal_handlers();
     // Print the *bound* address: `--listen 127.0.0.1:0` picks an
     // ephemeral port, and scripts parse this line to find it.
     match server.local_addr() {
         Some(a) => eprintln!("serving DPSV on {a}"),
         None => eprintln!("serving DPSV on {bound}"),
     }
-
-    install_signal_handlers();
     server.run(shutdown_flag()).or_fail(EXIT_INPUT, "server accept loop failed")?;
     // run() only returns once the stop flag is raised and every
     // connection thread has written its emergency checkpoint.

@@ -95,8 +95,9 @@ fn start_server(
             max_sessions: 8,
             checkpoint_dir: Some(ckpt),
             checkpoint_every: 256,
-            // The sweep reconnects constantly; a tight accept poll keeps
-            // it about the protocol, not the server's idle sleep.
+            // The accept loop takes each of the sweep's constant
+            // reconnects as it arrives; the 1 ms tick only makes the
+            // server's stop prompt.
             poll_interval_ms: 1,
             ..ServerConfig::default()
         },

@@ -103,6 +103,23 @@ fn served_report_is_byte_identical_to_replay() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A SIGTERM'd `serve --unix` exits with the signal code and removes its
+/// socket file.
+#[test]
+fn a_sigtermed_unix_server_removes_its_socket() {
+    let dir = tmpdir("unix");
+    let sock = dir.join("dpsv.sock");
+    let sock_s = sock.to_str().unwrap();
+    // `--unix` takes the place of the `--listen` that start_serve passes.
+    let (mut serve, bound) = start_serve(&dir, &["--unix", sock_s]);
+    assert_eq!(bound, sock_s);
+    assert!(sock.exists(), "no socket file at {sock_s}");
+    sigterm(&serve);
+    assert_eq!(serve.wait().unwrap().code(), Some(7));
+    assert!(!sock.exists(), "the socket file outlived its server");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sigterm_mid_session_then_checkpointed_resume() {
     let dir = tmpdir("resume");

@@ -9,10 +9,12 @@
 //! The matrix is indexed `[producer][consumer]`; each cross-thread RAW
 //! dependence contributes its dynamic occurrence count. The ASCII
 //! rendering shades cells by intensity, darkest = strongest, like the
-//! squares of Figure 9.
+//! squares of Figure 9. The analysis fold builds it
+//! ([`report_for`](crate::report_for)); thread ids index it directly, so
+//! its dimension must exceed the largest thread id (main = 0, spawned =
+//! 1..).
 
-use dp_core::ProfileResult;
-use dp_types::{DepType, ThreadId};
+use dp_types::ThreadId;
 
 /// A producer × consumer communication-intensity matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,15 +24,13 @@ pub struct CommMatrix {
 }
 
 impl CommMatrix {
-    /// Empty matrix of dimension `n` — the starting point for
-    /// incremental construction (see `dp_analysis::incremental`).
+    /// Empty matrix of dimension `n`, filled by [`add`](Self::add).
     pub fn zero(n: usize) -> Self {
         CommMatrix { n, counts: vec![0; n * n] }
     }
 
     /// Adds `count` occurrences to the `producer -> consumer` cell.
-    /// Out-of-range or self-communication contributions are ignored,
-    /// mirroring [`communication_matrix`]'s filter.
+    /// Out-of-range or self-communication contributions are ignored.
     pub fn add(&mut self, producer: ThreadId, consumer: ThreadId, count: u64) {
         let (p, c) = (producer as usize, consumer as usize);
         if p != c && p < self.n && c < self.n {
@@ -85,29 +85,16 @@ impl CommMatrix {
     }
 }
 
-/// Builds the communication matrix from cross-thread RAW dependences.
-/// Thread ids are used as matrix indices directly; `nthreads` must exceed
-/// the largest thread id observed (main = 0, spawned = 1..).
-pub fn communication_matrix(result: &ProfileResult, nthreads: usize) -> CommMatrix {
-    let mut m = CommMatrix { n: nthreads, counts: vec![0; nthreads * nthreads] };
-    for (d, val) in result.deps.dependences() {
-        if d.edge.dtype != DepType::Raw {
-            continue;
-        }
-        let (prod, cons) = (d.edge.source_thread as usize, d.sink.thread as usize);
-        if prod == cons || prod >= nthreads || cons >= nthreads {
-            continue;
-        }
-        m.counts[prod * nthreads + cons] += val.count;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::mt_profile;
+    use dp_core::ProfileResult;
     use dp_types::{loc::loc, MemAccess, TraceEvent};
+
+    fn matrix(r: &ProfileResult, dim: usize) -> CommMatrix {
+        crate::report_for(r, &[], dim).comm
+    }
 
     #[test]
     fn producer_consumer_counted() {
@@ -118,7 +105,7 @@ mod tests {
                 TraceEvent::Access(MemAccess::read(0x8, i * 2 + 2, loc(1, 2), 1, 2)),
             ]
         }));
-        let m = communication_matrix(&r, 4);
+        let m = matrix(&r, 4);
         assert_eq!(m.get(1, 2), 5);
         assert_eq!(m.get(2, 1), 0);
         assert_eq!(m.total(), 5);
@@ -130,7 +117,7 @@ mod tests {
             TraceEvent::Access(MemAccess::write(0x8, 1, loc(1, 1), 1, 1)),
             TraceEvent::Access(MemAccess::read(0x8, 2, loc(1, 2), 1, 1)),
         ]);
-        let m = communication_matrix(&r, 2);
+        let m = matrix(&r, 2);
         assert_eq!(m.total(), 0);
     }
 
@@ -144,7 +131,7 @@ mod tests {
         evs.push(TraceEvent::Access(MemAccess::write(0x10, 100, loc(1, 3), 1, 1)));
         evs.push(TraceEvent::Access(MemAccess::read(0x10, 101, loc(1, 4), 1, 0)));
         let r = mt_profile(evs);
-        let m = communication_matrix(&r, 2);
+        let m = matrix(&r, 2);
         let art = m.render_ascii();
         assert!(art.contains('█'), "{art}");
         assert!(art.contains('·'), "{art}");

@@ -1,40 +1,34 @@
-//! Online (incremental) analysis state — live loop-parallelism,
-//! communication and race reports over a still-running profile.
+//! The one analysis: loop parallelism, communication and race hints,
+//! folded from [`AnalysisDelta`]s, live or over a finished profile.
 //!
-//! Every pass in this crate runs post-hoc over the merged dependence
-//! map; a long-lived DPSV session could not answer "is this loop
-//! parallelizable?" until `Finish`. This module maintains the same
-//! answers *while chunks merge*: the engine drains
-//! [`AnalysisDelta`]s from its dependence stores (see
-//! [`DepStore::take_delta`](dp_core::DepStore::take_delta); the first
-//! drain starts tracking and ships the catch-up) and folds them into an
-//! [`OnlineAnalysis`], which can snapshot an [`OnlineReport`] at any
-//! moment without stalling the feed.
+//! A session answers "is this loop parallelizable?" before `Finish`: the
+//! engine drains deltas from its stores while chunks merge (see
+//! [`DepStore::take_delta`](dp_core::DepStore::take_delta)) and folds
+//! them into an [`OnlineAnalysis`], which snapshots an [`OnlineReport`]
+//! at any moment without stalling the feed. A finished profile is one
+//! fold of its store's catch-up ([`full_delta`]), rendered against a
+//! program's static loop table ([`report_for`]: `--analyze`, Table II,
+//! Figure 9) or the loops the profile alone shows ([`posthoc_report`]).
 //!
-//! Three invariants make this sound:
+//! - **Deltas compose by the merge rules.** Counts add, flags OR,
+//!   carrier sets union — as [`DepStore::merge`](dp_core::DepStore::merge)
+//!   combines worker maps — so deltas from any workers and intervals fold
+//!   in any order, and the last fold equals one fold of the catch-up.
+//! - **A delta holds what the fold reads, and nothing else:** edges with
+//!   a carrier (loop verdicts), `REVERSED` (race hints) or a cross-thread
+//!   RAW (the matrix), each whole count first. A new reader widens that
+//!   predicate.
+//! - **Monotone demotion.** A loop's blocker set only grows, so its
+//!   verdict only demotes (DOALL → reduction → sequential); debug builds
+//!   assert it.
 //!
-//! - **Delta composition follows the merge rules.** Occurrence counts
-//!   add, qualifier flags OR, carrier sets union — exactly how
-//!   [`DepStore::merge`](dp_core::DepStore::merge) combines worker
-//!   maps, so deltas from different workers and different intervals
-//!   fold in any order.
-//! - **A delta holds what the passes read, and nothing else.** An edge
-//!   enters the deltas, whole count first, once it has a carrier
-//!   ([`classify_loops`], [`observed_loop_metas`]), carries `REVERSED`
-//!   ([`find_races`]) or is a cross-thread RAW ([`communication_matrix`],
-//!   [`observed_comm_dim`]); a new kind of reader widens that predicate.
-//! - **Monotone demotion.** Dependence evidence only accumulates: a
-//!   loop's blocker set only grows, so its verdict can only be demoted
-//!   (DOALL → reduction → sequential), never promoted. The fold
-//!   asserts this in debug builds.
-//! - **Final-state equivalence.** Once every chunk has been folded,
-//!   [`OnlineAnalysis::report`] equals [`posthoc_report`] over the
-//!   finished [`ProfileResult`] — dependence for dependence. The fuzz
-//!   oracle and the engine tests hold this bar on every workload.
+//! The reference implementation — separate passes over the merged
+//! dependence map — is `dp_fuzz::oracle::posthoc_passes`; the fuzz legs,
+//! the store model and every built-in workload hold the fold equal to it.
 
-use crate::comm::{communication_matrix, CommMatrix};
-use crate::parallelism::{classify_loops, LoopClass, LoopMeta};
-use crate::races::{find_races, RaceHint};
+use crate::comm::CommMatrix;
+use crate::parallelism::{LoopClass, LoopMeta};
+use crate::races::RaceHint;
 use dp_core::{AnalysisDelta, ProfileResult};
 use dp_types::{DepFlags, DepType, Interner, LoopId, SinkKey, SourceLoc, ThreadId, VarId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,6 +50,31 @@ struct IncLoop {
     blockers: BTreeSet<(SourceLoc, SourceLoc, VarId)>,
 }
 
+impl IncLoop {
+    /// The loop's row: not run without a record, DOALL without blockers,
+    /// a reduction when each is an accumulator's self-dependence.
+    fn row(&self, id: LoopId, name: String, omp: bool) -> OnlineLoopRow {
+        let class = if !self.executed {
+            LoopClass::NotExecuted
+        } else if self.blockers.is_empty() {
+            LoopClass::Doall
+        } else if self.blockers.iter().all(|&(sink, src, _)| sink == src) {
+            LoopClass::Reduction
+        } else {
+            LoopClass::Sequential
+        };
+        OnlineLoopRow {
+            id,
+            name,
+            omp,
+            class,
+            instances: self.instances,
+            iterations: self.iterations,
+            blockers: self.blockers.iter().copied().collect(),
+        }
+    }
+}
+
 /// Live analysis state, fed by [`AnalysisDelta`]s.
 ///
 /// Memory is proportional to the *merged* dependence map (small, per
@@ -72,9 +91,6 @@ pub struct OnlineAnalysis {
     loops: BTreeMap<LoopId, IncLoop>,
     /// Cross-thread RAW volume per `(producer, consumer)` pair.
     comm: BTreeMap<(ThreadId, ThreadId), u64>,
-    /// Largest thread id observed on a cross-thread RAW, driving the
-    /// matrix dimension exactly like [`observed_comm_dim`].
-    max_comm_thread: Option<ThreadId>,
     /// Deltas folded (diagnostics).
     deltas_folded: u64,
     /// Last reported class rank per loop, for the monotone-demotion
@@ -114,8 +130,6 @@ impl OnlineAnalysis {
             }
             if dtype == DepType::Raw && source_thread != e.sink.thread {
                 *self.comm.entry((source_thread, e.sink.thread)).or_insert(0) += e.count_delta;
-                let hi = source_thread.max(e.sink.thread);
-                self.max_comm_thread = Some(self.max_comm_thread.map_or(hi, |m| m.max(hi)));
             }
         }
         for l in &delta.loops {
@@ -126,52 +140,34 @@ impl OnlineAnalysis {
         }
     }
 
-    /// Snapshots the current report. Verdicts follow the post-hoc
-    /// classifier exactly; the monotone-demotion rule (a verdict's
-    /// rank never increases once the loop has executed) is asserted in
-    /// debug builds and recorded for the next snapshot.
+    /// Snapshots the report over what the deltas alone show: a `loop#<id>`
+    /// row per loop seen, the matrix sized by the largest communicating
+    /// thread. Debug builds assert that no executed verdict is promoted.
     pub fn report(&mut self) -> OnlineReport {
-        let loops = self
-            .loops
-            .iter()
-            .map(|(&id, st)| {
-                let all_self = st.blockers.iter().all(|&(sink, src, _)| sink == src);
-                let class = if !st.executed {
-                    LoopClass::NotExecuted
-                } else if st.blockers.is_empty() {
-                    LoopClass::Doall
-                } else if all_self {
-                    LoopClass::Reduction
-                } else {
-                    LoopClass::Sequential
-                };
-                #[cfg(debug_assertions)]
-                if let Some(prev) = self.prev_rank.insert(id, class_rank(class)) {
-                    let rank = class_rank(class);
-                    assert!(
-                        rank <= prev || prev == class_rank(LoopClass::NotExecuted),
-                        "loop {id} promoted {prev} -> {rank}: verdicts must only demote"
-                    );
-                }
-                OnlineLoopRow {
-                    id,
-                    name: format!("loop#{id}"),
-                    omp: false,
-                    class,
-                    instances: st.instances,
-                    iterations: st.iterations,
-                    blockers: st.blockers.iter().copied().collect(),
-                }
-            })
-            .collect::<Vec<_>>();
-        let dim = self.max_comm_thread.map_or(0, |m| m as usize + 1);
+        let loops: Vec<OnlineLoopRow> =
+            self.loops.iter().map(|(&id, st)| st.row(id, format!("loop#{id}"), false)).collect();
+        #[cfg(debug_assertions)]
+        for row in &loops {
+            let rank = class_rank(row.class);
+            if let Some(prev) = self.prev_rank.insert(row.id, rank) {
+                assert!(
+                    rank <= prev || prev == class_rank(LoopClass::NotExecuted),
+                    "loop {} promoted {prev} -> {rank}: verdicts must only demote",
+                    row.id
+                );
+            }
+        }
+        let dim = self.comm.keys().map(|&(p, c)| p.max(c) as usize + 1).max().unwrap_or(0);
+        self.render(loops, dim)
+    }
+
+    /// The report with these rows and a `dim`-wide matrix.
+    fn render(&self, loops: Vec<OnlineLoopRow>, dim: usize) -> OnlineReport {
         let mut comm = CommMatrix::zero(dim);
         for (&(p, c), &count) in &self.comm {
             comm.add(p, c, count);
         }
-        // Same base order as `DepStore::dependences` (the totals map is
-        // keyed identically), so the stable sort reproduces
-        // `find_races` exactly.
+        // Ties stay in the store's `(sink, edge)` order, the totals' key.
         let mut races: Vec<RaceHint> = self
             .totals
             .iter()
@@ -226,17 +222,18 @@ pub struct OnlineLoopRow {
 /// The analysis report: loop classification, communication matrix and
 /// race hints, built live ([`OnlineAnalysis::report`]) or from a finished
 /// profile ([`report_for`]). Two reports over the same dependence
-/// evidence compare equal ([`PartialEq`]), which is how the incremental
-/// == post-hoc bar is enforced everywhere. [`to_json`](Self::to_json)
-/// renders it for the wire, [`to_text`](Self::to_text) for a terminal.
+/// evidence compare equal ([`PartialEq`]), which is how the fold is held
+/// to the oracle's passes. [`to_json`](Self::to_json) renders it for the
+/// wire, [`to_text`](Self::to_text) for a terminal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OnlineReport {
-    /// One row per observed loop, in id order.
+    /// One row per loop: in id order over the observed loops, or in
+    /// static-table order ([`report_for`]).
     pub loops: Vec<OnlineLoopRow>,
     /// Producer × consumer matrix over cross-thread RAW dependences,
-    /// sized by the largest communicating thread id.
+    /// sized by the largest communicating thread id or by the caller.
     pub comm: CommMatrix,
-    /// Reversal-flagged dependences, in [`find_races`] order.
+    /// Reversal-flagged dependences, sorted by `(sink, source)`.
     pub races: Vec<RaceHint>,
 }
 
@@ -423,69 +420,36 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// Loop metadata observable from a profile alone: every loop that left
-/// a record or appears in a carrier set, with synthetic `loop#<id>`
-/// names. This is what a session-side analysis can know without the
-/// program's static loop table — and what [`OnlineAnalysis`] mirrors.
-pub fn observed_loop_metas(result: &ProfileResult) -> Vec<LoopMeta> {
-    let mut ids: BTreeSet<LoopId> = result.deps.loops().map(|(&id, _)| id).collect();
-    for (_, val) in result.deps.dependences() {
-        ids.extend(val.carriers.iter().copied());
-    }
-    ids.into_iter().map(|id| LoopMeta { id, name: format!("loop#{id}"), omp: false }).collect()
-}
-
-/// Communication-matrix dimension observable from a profile: one past
-/// the largest thread id participating in a cross-thread RAW (0 when
-/// there is no cross-thread communication).
-pub fn observed_comm_dim(result: &ProfileResult) -> usize {
-    result
-        .deps
-        .dependences()
-        .filter(|(d, _)| d.edge.dtype == DepType::Raw && d.edge.source_thread != d.sink.thread)
-        .map(|(d, _)| d.edge.source_thread.max(d.sink.thread) as usize + 1)
-        .max()
-        .unwrap_or(0)
-}
-
-/// Runs the post-hoc passes ([`classify_loops`],
-/// [`communication_matrix`], [`find_races`]) over a finished result and
-/// joins each verdict with its loop record — the one place that does.
-/// `metas` names the loops to report (a program's static loop table, or
-/// [`observed_loop_metas`]); `comm_dim` sizes the matrix.
+/// A finished profile's analysis over a static loop table: a row per
+/// `metas` entry in order (not-run, no instances, for a loop the profile
+/// never ran) and a `comm_dim`-wide matrix, out-of-range cells dropped.
 pub fn report_for(result: &ProfileResult, metas: &[LoopMeta], comm_dim: usize) -> OnlineReport {
-    let loops = classify_loops(result, metas)
-        .into_iter()
-        .map(|v| {
-            let rec = result.deps.loop_record(v.meta.id);
-            let blockers: BTreeSet<(SourceLoc, SourceLoc, VarId)> =
-                v.blockers.iter().copied().collect();
-            OnlineLoopRow {
-                id: v.meta.id,
-                name: v.meta.name,
-                omp: v.meta.omp,
-                class: v.class,
-                instances: rec.map_or(0, |r| r.instances),
-                iterations: v.iterations,
-                blockers: blockers.into_iter().collect(),
-            }
-        })
+    let online = folded(result);
+    let idle = IncLoop::default();
+    let loops = metas
+        .iter()
+        .map(|m| online.loops.get(&m.id).unwrap_or(&idle).row(m.id, m.name.clone(), m.omp))
         .collect();
-    OnlineReport { loops, comm: communication_matrix(result, comm_dim), races: find_races(result) }
+    online.render(loops, comm_dim)
 }
 
-/// The post-hoc twin of [`OnlineAnalysis::report`]: [`report_for`] over
-/// what the profile alone shows. The equivalence bar everywhere is
-/// `online.report() == posthoc_report(&final_result)`.
+/// [`OnlineAnalysis::report`] of a finished profile, which a session's
+/// last snapshot equals.
 pub fn posthoc_report(result: &ProfileResult) -> OnlineReport {
-    report_for(result, &observed_loop_metas(result), observed_comm_dim(result))
+    folded(result).report()
 }
 
-/// Builds the catch-up delta of a finished store: every loop record
-/// and every edge an analysis reads, as one delta (tests and depbench
-/// fold a finished result through it in one step).
+/// A fresh analysis with `result`'s catch-up folded in.
+fn folded(result: &ProfileResult) -> OnlineAnalysis {
+    let mut online = OnlineAnalysis::new();
+    online.fold(&full_delta(result));
+    online
+}
+
+/// Every loop record and every edge the fold reads, as one delta, drained
+/// before or not ([`DepStore::catch_up`](dp_core::DepStore::catch_up)).
 pub fn full_delta(result: &ProfileResult) -> AnalysisDelta {
-    result.deps.clone().take_delta()
+    result.deps.catch_up()
 }
 
 #[cfg(test)]
@@ -541,11 +505,18 @@ mod tests {
         ProfileResult { deps, exec_tree, stats, ..ProfileResult::default() }
     }
 
+    /// The observed-table report and the static-table render are one
+    /// fold: over the table the profile shows, they agree row for row.
     #[test]
     fn folded_report_equals_posthoc() {
         let r = mixed_profile();
-        let mut online = fold_result(&r);
-        assert_eq!(online.report(), posthoc_report(&r));
+        let report = posthoc_report(&r);
+        let observed: Vec<LoopMeta> =
+            (0..2).map(|id| LoopMeta { id, name: format!("loop#{id}"), omp: false }).collect();
+        assert_eq!(report, report_for(&r, &observed, 3));
+        let classes: Vec<_> = report.loops.iter().map(|l| l.class).collect();
+        assert_eq!(classes, [LoopClass::Doall, LoopClass::Reduction]);
+        assert_eq!((report.comm.get(1, 2), report.comm.total()), (5, 5));
     }
 
     #[test]
@@ -656,12 +627,18 @@ mod tests {
             None,
         );
         let result = ProfileResult { deps: store, ..Default::default() };
-        let mut online = fold_result(&result);
-        let report = online.report();
-        assert_eq!(report.races, find_races(&result));
-        assert_eq!(report.races.len(), 3);
-        assert_eq!(report.races[0].occurrences, 3, "merged occurrences preserved");
-        assert_eq!(report, posthoc_report(&result));
+        let report = fold_result(&result).report();
+        let order: Vec<_> =
+            report.races.iter().map(|r| (r.dtype, r.source.0, r.occurrences)).collect();
+        // Sorted by (sink, source), ties in the store's order, merged
+        // occurrences kept.
+        let want = [
+            (DepType::War, loc(3, 1), 3),
+            (DepType::Raw, loc(3, 5), 1),
+            (DepType::Waw, loc(3, 5), 1),
+        ];
+        assert_eq!(order, want);
+        assert_eq!(report, report_for(&result, &[], 3));
     }
 
     #[test]
@@ -670,11 +647,13 @@ mod tests {
             TraceEvent::Access(MemAccess::write(0x8, 1, loc(1, 1), 1, 3)),
             TraceEvent::Access(MemAccess::read(0x8, 2, loc(1, 2), 1, 5)),
         ]);
-        let mut online = fold_result(&r);
-        let report = online.report();
+        let report = fold_result(&r).report();
         assert_eq!(report.comm.dim(), 6);
         assert_eq!(report.comm.get(3, 5), 1);
-        assert_eq!(report, posthoc_report(&r));
+        assert_eq!(report, report_for(&r, &[], 6));
+        // A caller's smaller matrix drops the cells it cannot hold.
+        let small = report_for(&r, &[], 4).comm;
+        assert_eq!((small.dim(), small.total()), (4, 0));
         // A purely sequential profile has a zero-dimension matrix.
         let mut p = SequentialProfiler::perfect();
         p.event(TraceEvent::Access(MemAccess::write(0x8, 1, loc(1, 1), 1, 0)));
@@ -682,7 +661,7 @@ mod tests {
         let r = p.finish();
         let report = fold_result(&r).report();
         assert_eq!(report.comm.dim(), 0);
-        assert_eq!(report, posthoc_report(&r));
+        assert_eq!(report, report_for(&r, &[], 0));
     }
 
     fn result_with_loop() -> ProfileResult {

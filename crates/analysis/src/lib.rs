@@ -1,25 +1,20 @@
 //! Dependence-based program analyses on top of the profiler.
 //!
-//! The paper's thesis is that one generic dependence profiler can serve
-//! many analyses. This crate holds the analyses used in its evaluation,
-//! each a plain function over a [`ProfileResult`]:
+//! The paper's thesis is that one generic dependence profile can serve
+//! many analyses. This crate holds the analyses used in its evaluation:
 //!
 //! - [`accuracy`] — false-positive/false-negative rates of profiled
 //!   dependences against the perfect-signature baseline (Table I).
-//! - [`parallelism`] — loop classification / parallelism discovery, the
-//!   DiscoPoP use case (Table II, Section VII-A).
-//! - [`comm`] — producer/consumer communication matrices from cross-thread
-//!   RAW dependences (Figure 9, Section VII-B).
-//! - [`races`] — potential data races from timestamp-reversal flags
-//!   (Section V-B).
+//! - [`incremental`] — the one analysis fold ([`OnlineAnalysis`]): loop
+//!   classification (Table II), the communication matrix (Figure 9) and
+//!   race hints (Section V-B) as one [`OnlineReport`], live from a
+//!   session's deltas or over a finished profile ([`report_for`],
+//!   [`posthoc_report`]). Its reference passes live in `dp_fuzz::oracle`.
+//! - [`parallelism`], [`comm`], [`races`] — the report's vocabulary (loop
+//!   classes, the matrix and its heatmap, race hints) and the
+//!   privatization pass.
 //! - [`graph`] — the dependence graph: Graphviz export and a RAW-depth
 //!   critical-path proxy.
-//! - [`incremental`] — the one report those analyses are joined into
-//!   ([`OnlineReport`], with a JSON and a text renderer), built post-hoc
-//!   ([`report_for`]) or live, folded from
-//!   [`AnalysisDelta`](dp_core::AnalysisDelta)s while the profile is still
-//!   running ([`OnlineAnalysis`]). The two are equal once the stream ends;
-//!   the post-hoc passes are the oracle the live one is checked against.
 //!
 //! [`text_sections`] is what `depprof profile --analyze` prints.
 
@@ -33,17 +28,11 @@ pub mod parallelism;
 pub mod races;
 
 pub use accuracy::{compare, degradation, Accuracy, Degradation};
-pub use comm::{communication_matrix, CommMatrix};
+pub use comm::CommMatrix;
 pub use graph::DepGraph;
-pub use incremental::{
-    observed_comm_dim, observed_loop_metas, posthoc_report, report_for, OnlineAnalysis,
-    OnlineLoopRow, OnlineReport,
-};
-pub use parallelism::{
-    classify_loops, privatization_candidates, LoopClass, LoopMeta, LoopVerdict,
-    PrivatizationCandidate,
-};
-pub use races::{find_races, RaceHint};
+pub use incremental::{posthoc_report, report_for, OnlineAnalysis, OnlineLoopRow, OnlineReport};
+pub use parallelism::{privatization_candidates, LoopClass, LoopMeta, PrivatizationCandidate};
+pub use races::RaceHint;
 
 use dp_core::{ExecNodeKind, ProfileResult};
 use dp_types::Interner;

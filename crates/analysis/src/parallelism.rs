@@ -9,9 +9,13 @@
 //! clause but, by dependence evidence alone, not DOALL. This is exactly
 //! why DiscoPoP identifies 136 of the 147 annotated NAS loops: the gap is
 //! reductions and data-dependent updates (IS, CG, FT).
+//!
+//! The verdict ladder itself lives in the one analysis fold
+//! ([`report_for`](crate::report_for)); this module holds its vocabulary
+//! and the privatization pass.
 
 use dp_core::ProfileResult;
-use dp_types::{DepFlags, DepType, LoopId, SourceLoc, VarId};
+use dp_types::{DepFlags, DepType, LoopId};
 
 /// Static loop metadata the analysis needs (decoupled from the trace
 /// substrate; build it from `Program::loops`).
@@ -28,7 +32,7 @@ pub struct LoopMeta {
 /// Dependence-test verdict for one loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoopClass {
-    /// No loop-carried RAW: parallelizable (identified).
+    /// No loop-carried RAW: parallelizable ("identified" in Table II).
     Doall,
     /// Carried RAW only via accumulator self-dependences: an OpenMP
     /// `reduction` candidate, but not identified by the dependence test.
@@ -37,62 +41,6 @@ pub enum LoopClass {
     Sequential,
     /// The loop never executed in this profile.
     NotExecuted,
-}
-
-/// Analysis outcome for one loop.
-#[derive(Debug, Clone)]
-pub struct LoopVerdict {
-    /// The loop.
-    pub meta: LoopMeta,
-    /// Classification.
-    pub class: LoopClass,
-    /// Carried RAW `(sink, source, variable)` records that block DOALL
-    /// (resolve the variable through the program's interner).
-    pub blockers: Vec<(SourceLoc, SourceLoc, VarId)>,
-    /// Iterations observed (summed over instances).
-    pub iterations: u64,
-}
-
-impl LoopVerdict {
-    /// "Identified as parallelizable" in Table II terms.
-    pub fn identified(&self) -> bool {
-        self.class == LoopClass::Doall
-    }
-}
-
-/// Classifies every loop in `loops` against a profiling result.
-pub fn classify_loops(result: &ProfileResult, loops: &[LoopMeta]) -> Vec<LoopVerdict> {
-    loops
-        .iter()
-        .map(|m| {
-            let mut blockers = Vec::new();
-            let mut all_self = true;
-            for (d, val) in result.deps.dependences() {
-                if d.edge.dtype != DepType::Raw
-                    || !d.edge.flags.contains(DepFlags::LOOP_CARRIED)
-                    || !val.carriers.contains(&m.id)
-                {
-                    continue;
-                }
-                blockers.push((d.sink.loc, d.edge.source_loc, d.edge.var));
-                if d.sink.loc != d.edge.source_loc {
-                    all_self = false;
-                }
-            }
-            let rec = result.deps.loop_record(m.id);
-            let iterations = rec.map_or(0, |r| r.total_iters);
-            let class = if rec.is_none() {
-                LoopClass::NotExecuted
-            } else if blockers.is_empty() {
-                LoopClass::Doall
-            } else if all_self {
-                LoopClass::Reduction
-            } else {
-                LoopClass::Sequential
-            };
-            LoopVerdict { meta: m.clone(), class, blockers, iterations }
-        })
-        .collect()
 }
 
 /// A variable blocking a loop only through carried WAR/WAW dependences:
@@ -147,11 +95,14 @@ pub fn privatization_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OnlineLoopRow;
     use dp_core::SequentialProfiler;
     use dp_types::{loc::loc, MemAccess, TraceEvent, Tracer};
 
-    fn meta(id: LoopId, omp: bool) -> LoopMeta {
-        LoopMeta { id, name: format!("loop{id}"), omp }
+    /// Loop `id`'s row of the analysis over a one-loop table.
+    fn row(r: &ProfileResult, id: LoopId, omp: bool) -> OnlineLoopRow {
+        let meta = LoopMeta { id, name: format!("loop{id}"), omp };
+        crate::report_for(r, &[meta], 0).loops.remove(0)
     }
 
     /// doall loop: each iteration touches its own address.
@@ -218,35 +169,31 @@ mod tests {
 
     #[test]
     fn doall_identified() {
-        let r = profile(&doall_events());
-        let v = classify_loops(&r, &[meta(0, true)]);
-        assert_eq!(v[0].class, LoopClass::Doall);
-        assert!(v[0].identified());
-        assert_eq!(v[0].iterations, 4);
+        let v = row(&profile(&doall_events()), 0, true);
+        assert_eq!(v.class, LoopClass::Doall);
+        assert!(v.omp);
+        assert_eq!((v.instances, v.iterations), (1, 4));
     }
 
     #[test]
     fn reduction_not_identified() {
-        let r = profile(&reduction_events());
-        let v = classify_loops(&r, &[meta(1, true)]);
-        assert_eq!(v[0].class, LoopClass::Reduction);
-        assert!(!v[0].identified());
-        assert!(!v[0].blockers.is_empty());
+        let v = row(&profile(&reduction_events()), 1, true);
+        assert_eq!(v.class, LoopClass::Reduction);
+        assert_eq!(v.blockers, [(loc(1, 6), loc(1, 6), 2)]);
     }
 
     #[test]
     fn recurrence_sequential() {
-        let evs = recurrence_events();
-        let r = profile(&evs);
-        let v = classify_loops(&r, &[meta(2, false)]);
-        assert_eq!(v[0].class, LoopClass::Sequential);
+        let v = row(&profile(&recurrence_events()), 2, false);
+        assert_eq!(v.class, LoopClass::Sequential);
+        assert_eq!(v.blockers, [(loc(1, 9), loc(1, 10), 3)]);
     }
 
     #[test]
     fn unexecuted_loop_reported() {
-        let r = profile(&doall_events());
-        let v = classify_loops(&r, &[meta(9, true)]);
-        assert_eq!(v[0].class, LoopClass::NotExecuted);
+        let v = row(&profile(&doall_events()), 9, true);
+        assert_eq!(v.class, LoopClass::NotExecuted);
+        assert_eq!((v.name.as_str(), v.instances, v.iterations), ("loop9", 0, 0));
     }
 }
 
@@ -292,8 +239,8 @@ mod privatization_tests {
         assert!(cands[0].waw > 0, "{cands:?}"); // write of next iter vs write of prev
                                                 // And the loop itself is NOT DOALL (carried WAW) but also not
                                                 // blocked by RAW — classify still says DOALL because only RAW blocks:
-        let v = classify_loops(&r, &metas);
-        assert_eq!(v[0].class, LoopClass::Doall);
+        let v = crate::report_for(&r, &metas, 0);
+        assert_eq!(v.loops[0].class, LoopClass::Doall);
     }
 
     /// A reduction's accumulator must NOT be a privatization candidate

@@ -4,9 +4,11 @@
 //! is violated can only happen if there are no synchronization mechanisms
 //! in place to keep the two accesses to \[the\] memory location mutually
 //! exclusive. ... its absence definitely exposes a potential data race."
+//!
+//! Every `REVERSED`-flagged dependence is one hint; the analysis fold
+//! lists them ([`report_for`](crate::report_for)).
 
-use dp_core::ProfileResult;
-use dp_types::{DepFlags, DepType, SourceLoc, ThreadId, VarId};
+use dp_types::{DepType, SourceLoc, ThreadId, VarId};
 
 /// One potential race: a dependence observed with reversed timestamps.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,29 +26,15 @@ pub struct RaceHint {
     pub occurrences: u64,
 }
 
-/// Extracts all REVERSED-flagged dependences.
-pub fn find_races(result: &ProfileResult) -> Vec<RaceHint> {
-    let mut out: Vec<RaceHint> = result
-        .deps
-        .dependences()
-        .filter(|(d, _)| d.edge.flags.contains(DepFlags::REVERSED))
-        .map(|(d, v)| RaceHint {
-            var: d.edge.var,
-            dtype: d.edge.dtype,
-            sink: (d.sink.loc, d.sink.thread),
-            source: (d.edge.source_loc, d.edge.source_thread),
-            occurrences: v.count,
-        })
-        .collect();
-    out.sort_by_key(|r| (r.sink, r.source));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_core::{MtProfiler, ProfilerConfig};
+    use dp_core::{MtProfiler, ProfileResult, ProfilerConfig};
     use dp_types::{loc::loc, MemAccess, TraceEvent, Tracer, TracerFactory};
+
+    fn races(r: &ProfileResult) -> Vec<RaceHint> {
+        crate::report_for(r, &[], 0).races
+    }
 
     #[test]
     fn reversed_dep_surfaces_as_race_hint() {
@@ -60,7 +48,7 @@ mod tests {
         prof.join(1, t1);
         prof.join(2, t2);
         let r = prof.finish();
-        let races = find_races(&r);
+        let races = races(&r);
         assert_eq!(races.len(), 1);
         assert_eq!(races[0].dtype, DepType::Raw);
         assert_eq!(races[0].sink.1, 2);
@@ -79,6 +67,6 @@ mod tests {
         prof.join(1, t1);
         prof.join(2, t2);
         let r = prof.finish();
-        assert!(find_races(&r).is_empty());
+        assert!(races(&r).is_empty());
     }
 }

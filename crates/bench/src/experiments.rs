@@ -535,13 +535,13 @@ pub fn table2(cfg: &ExpConfig) -> Output {
         let dp = replay(&events, SequentialProfiler::perfect()).value;
         // sig column: our signature profiler, sufficiently large.
         let sig = replay(&events, SequentialProfiler::with_signature(1 << 20)).value;
-        let vd = dp_analysis::classify_loops(&dp, &metas);
-        let vs = dp_analysis::classify_loops(&sig, &metas);
         let omp = metas.iter().filter(|m| m.omp).count();
-        let id_dp: Vec<_> =
-            vd.iter().filter(|v| v.meta.omp && v.identified()).map(|v| v.meta.id).collect();
-        let id_sig: Vec<_> =
-            vs.iter().filter(|v| v.meta.omp && v.identified()).map(|v| v.meta.id).collect();
+        let identified = |r| {
+            let loops = dp_analysis::report_for(r, &metas, 0).loops.into_iter();
+            loops.filter(|l| l.omp && l.class == dp_analysis::LoopClass::Doall).map(|l| l.id)
+        };
+        let id_dp: Vec<_> = identified(&dp).collect();
+        let id_sig: Vec<_> = identified(&sig).collect();
         let missed = id_dp.iter().filter(|i| !id_sig.contains(i)).count();
         tot[0] += omp;
         tot[1] += id_dp.len();
@@ -578,7 +578,7 @@ pub fn fig9(cfg: &ExpConfig) -> Output {
     // produce dependences without false positives and false negatives."
     let ample = (w.program.address_footprint() as usize * 64).next_power_of_two();
     let r = mt_profile(&w, perf_cfg(8, ample));
-    let m = dp_analysis::communication_matrix(&r.value, nthreads as usize + 1);
+    let m = dp_analysis::report_for(&r.value, &[], nthreads as usize + 1).comm;
     let mut detail = String::new();
     for p in 1..=nthreads as u16 {
         for c in 1..=nthreads as u16 {
@@ -688,7 +688,7 @@ pub fn races(cfg: &ExpConfig) -> Output {
     let mut t = Table::new(&["program", "reversed deps", "race hints", "accesses"]);
     for w in [synth::locked_counter(cfg.wl_scale(), 4), synth::racy_counter(cfg.wl_scale(), 4)] {
         let r = mt_profile(&w, perf_cfg(4, cfg.perf_slots()));
-        let hints = dp_analysis::find_races(&r.value);
+        let hints = dp_analysis::report_for(&r.value, &[], 0).races;
         t.row(&[
             w.meta.name.clone(),
             r.value.stats.reversed.to_string(),
@@ -797,7 +797,7 @@ pub fn comm_suite(cfg: &ExpConfig) -> Output {
     for w in splash::comm_suite(cfg.wl_scale(), nthreads) {
         let ample = (w.program.address_footprint() as usize * 64).next_power_of_two();
         let r = mt_profile(&w, perf_cfg(8, ample));
-        let m = dp_analysis::communication_matrix(&r.value, nthreads as usize + 1);
+        let m = dp_analysis::report_for(&r.value, &[], nthreads as usize + 1).comm;
         out.push_str(&format!(
             "== {} (total cross-thread volume {}) ==\n{}\n",
             w.meta.name,

@@ -16,7 +16,8 @@
 //! Online analysis reads the store through one call,
 //! [`DepStore::take_delta`]: the first drain starts tracking and ships
 //! everything an analysis reads, each later one the movement since the
-//! one before. A store that is never drained tracks nothing.
+//! one before; [`DepStore::catch_up`] is the first without the tracking.
+//! A store that is never drained tracks nothing.
 
 use dp_types::{
     ByteReader, ByteWriter, DepEdge, DepFlags, DepType, Dependence, FxHashMap, LoopId, SinkKey,
@@ -467,28 +468,38 @@ impl DepStore {
     /// is a cross-thread RAW — what loop classification, race hints and
     /// the communication matrix read; any other edge stays out of every
     /// delta, and one that turns relevant late ships its whole count
-    /// then. The first drain starts tracking and ships the catch-up:
-    /// every relevant edge and every loop record at a zero baseline, so
-    /// online analysis can start mid-session (or after a checkpoint
-    /// rehydration) without missing history, and a store that is never
-    /// drained pays nothing per edge.
+    /// then. The first drain starts tracking and ships the
+    /// [`catch_up`](Self::catch_up), so online analysis can start
+    /// mid-session (or after a checkpoint rehydration) without missing
+    /// history, and a store that is never drained pays nothing per edge.
     pub fn take_delta(&mut self) -> AnalysisDelta {
-        let (dirty, dirty_loops) = match self.delta.as_mut() {
-            Some(track) => (std::mem::take(&mut track.dirty), std::mem::take(&mut track.loops)),
-            None => {
-                self.delta = Some(DeltaTrack::default());
-                let relevant = self.arena.iter().zip(0..).filter(|(rec, _)| rec.relevant());
-                let loops = self.loops.keys().map(|id| (*id, (0, 0)));
-                (relevant.map(|(_, i)| (i, 0)).collect(), loops.collect())
-            }
+        let Some(track) = self.delta.as_mut() else {
+            self.delta = Some(DeltaTrack::default());
+            return self.catch_up();
         };
+        let (dirty, loops) = (std::mem::take(&mut track.dirty), std::mem::take(&mut track.loops));
+        for &(i, _) in &dirty {
+            self.arena[i as usize].state &= !DIRTY;
+        }
+        self.ship(dirty, loops)
+    }
+
+    /// What a first drain ships, without starting tracking: a finished
+    /// store's whole analysis input, drained before or not.
+    pub fn catch_up(&self) -> AnalysisDelta {
+        let relevant = self.arena.iter().zip(0..).filter(|(rec, _)| rec.relevant());
+        let loops = self.loops.keys().map(|id| (*id, (0, 0)));
+        self.ship(relevant.map(|(_, i)| (i, 0)).collect(), loops.collect())
+    }
+
+    /// The listed records and loops less what was shipped of each.
+    fn ship(&self, dirty: Vec<(u32, u64)>, loops: BTreeMap<LoopId, (u64, u64)>) -> AnalysisDelta {
         let mut keyed: Vec<(Ident, u32, u64)> =
             dirty.iter().map(|&(i, base)| (self.arena[i as usize].ident(), i, base)).collect();
         keyed.sort_unstable();
         let mut out = AnalysisDelta::default();
         out.edges.reserve_exact(keyed.len());
         for (_, i, baseline) in keyed {
-            self.arena[i as usize].state &= !DIRTY;
             let rec = &self.arena[i as usize];
             out.edges.push(DeltaEdge {
                 sink: rec.sink(),
@@ -498,7 +509,7 @@ impl DepStore {
                 carriers: self.carriers(rec).iter().copied().collect(),
             });
         }
-        for (id, (base_inst, base_iters)) in dirty_loops {
+        for (id, (base_inst, base_iters)) in loops {
             let Some(r) = self.loops.get(&id) else { continue };
             out.loops.push(DeltaLoop {
                 id,
@@ -1098,8 +1109,10 @@ mod tests {
         s.save(&mut out);
         let mut t = DepStore::load(&out.into_bytes()).unwrap();
         assert!(t.delta.is_none(), "a rehydrated store tracks nothing until drained");
-        // Its first drain is a catch-up; the original ships only movement.
-        assert_eq!(t.take_delta().edges[0].count_delta, 2);
+        // Its first drain is a catch-up; the original ships only movement,
+        // though its catch-up, drained or not, is whole.
+        assert_eq!(s.catch_up(), t.take_delta());
+        assert_eq!(s.catch_up().edges[0].count_delta, 2);
         assert_eq!(s.take_delta().edges[0].count_delta, 1);
     }
 

@@ -12,7 +12,7 @@
 //!   Equality is made deterministic (never flaky) by sizing the
 //!   signature so its hash is injective on the program's footprint — an
 //!   injective signature *is* a perfect table, so any divergence is a
-//!   real bug, not a hash collision.
+//!   real bug, not a hash collision. Also the reference analysis passes.
 //! - [`driver`] — the fuzz campaign loop: generate N seeded programs,
 //!   check each, shrink any failure to a minimal repro and write it to
 //!   a corpus directory, and validate measured FPR/FNR of deliberately

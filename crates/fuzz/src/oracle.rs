@@ -17,8 +17,8 @@
 //! 10. parallel pipeline checkpointed mid-stream and resumed,
 //! 11. the service engine answering live `Query` frames mid-stream from
 //!     its incremental analysis state (serial engine) — the *final*
-//!     snapshot must equal the post-hoc loop/comm/race passes over the
-//!     finished profile,
+//!     snapshot must equal [`posthoc_passes`], the reference loop/comm/race
+//!     passes, over the finished profile,
 //! 12. the same online-analysis equivalence over the parallel pipeline.
 //!
 //! All legs must produce the same dependence multiset, and the serial
@@ -38,11 +38,13 @@
 //! Multi-threaded programs cannot be replayed from a recorded trace (the
 //! recorder is sequential), so they run live under the fork-join
 //! profiler with structural invariants: the run completes, traces
-//! accesses, loses no worker and conserves events.
+//! accesses, loses no worker and conserves events; and the product's
+//! analysis of them equals [`posthoc_passes`], the reference passes.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use dp_analysis::compare;
+use dp_analysis::{compare, report_for, CommMatrix, LoopClass, LoopMeta};
+use dp_analysis::{OnlineLoopRow, OnlineReport, RaceHint};
 use dp_core::{
     MtProfiler, ProfileResult, ProfilerConfig, SequentialProfiler, SessionSpec, TransportKind,
 };
@@ -52,7 +54,7 @@ use dp_trace::fuzz::is_mt;
 use dp_trace::ir::Program;
 use dp_trace::{FrameChunker, Interp, TraceReader, TraceWriter};
 use dp_types::protocol::{Frame, Hello};
-use dp_types::{Interner, TraceEvent};
+use dp_types::{DepFlags, DepType, Interner, LoopId, SourceLoc, TraceEvent, VarId};
 
 /// How the oracle sizes and drives its legs.
 #[derive(Debug, Clone)]
@@ -227,13 +229,114 @@ pub fn served(spec: &SessionSpec, events: &[TraceEvent], names: Vec<String>) -> 
     engine.finish_result().expect("engine still live before Finish")
 }
 
+/// The reference analysis: Table II's loop test, Figure 9's matrix and the
+/// race hints, each a pass over the merged dependences, joined into the
+/// report `dp_analysis::report_for(result, metas, comm_dim)` must equal.
+pub fn posthoc_passes(result: &ProfileResult, metas: &[LoopMeta], comm_dim: usize) -> OnlineReport {
+    OnlineReport {
+        loops: classify_loops(result, metas),
+        comm: communication_matrix(result, comm_dim),
+        races: find_races(result),
+    }
+}
+
+/// A row per `metas` entry: its blockers are the carried RAWs whose
+/// carriers hold it; none is DOALL, only self-dependences a reduction.
+fn classify_loops(result: &ProfileResult, metas: &[LoopMeta]) -> Vec<OnlineLoopRow> {
+    metas
+        .iter()
+        .map(|m| {
+            let blockers: BTreeSet<(SourceLoc, SourceLoc, VarId)> = result
+                .deps
+                .dependences()
+                .filter(|(d, val)| {
+                    d.edge.dtype == DepType::Raw
+                        && d.edge.flags.contains(DepFlags::LOOP_CARRIED)
+                        && val.carriers.contains(&m.id)
+                })
+                .map(|(d, _)| (d.sink.loc, d.edge.source_loc, d.edge.var))
+                .collect();
+            let rec = result.deps.loop_record(m.id);
+            let class = if rec.is_none() {
+                LoopClass::NotExecuted
+            } else if blockers.is_empty() {
+                LoopClass::Doall
+            } else if blockers.iter().all(|&(sink, src, _)| sink == src) {
+                LoopClass::Reduction
+            } else {
+                LoopClass::Sequential
+            };
+            OnlineLoopRow {
+                id: m.id,
+                name: m.name.clone(),
+                omp: m.omp,
+                class,
+                instances: rec.map_or(0, |r| r.instances),
+                iterations: rec.map_or(0, |r| r.total_iters),
+                blockers: blockers.into_iter().collect(),
+            }
+        })
+        .collect()
+}
+
+/// Every cross-thread RAW adds its count to `[producer][consumer]`;
+/// threads at or past `nthreads` are left out.
+fn communication_matrix(result: &ProfileResult, nthreads: usize) -> CommMatrix {
+    let mut m = CommMatrix::zero(nthreads);
+    for (d, val) in result.deps.dependences() {
+        let (prod, cons) = (d.edge.source_thread, d.sink.thread);
+        if d.edge.dtype == DepType::Raw && prod != cons && (prod.max(cons) as usize) < nthreads {
+            m.add(prod, cons, val.count);
+        }
+    }
+    m
+}
+
+/// Every `REVERSED`-flagged dependence, sorted by `(sink, source)`.
+fn find_races(result: &ProfileResult) -> Vec<RaceHint> {
+    let mut out: Vec<RaceHint> = result
+        .deps
+        .dependences()
+        .filter(|(d, _)| d.edge.flags.contains(DepFlags::REVERSED))
+        .map(|(d, v)| RaceHint {
+            var: d.edge.var,
+            dtype: d.edge.dtype,
+            sink: (d.sink.loc, d.sink.thread),
+            source: (d.edge.source_loc, d.edge.source_thread),
+            occurrences: v.count,
+        })
+        .collect();
+    out.sort_by_key(|r| (r.sink, r.source));
+    out
+}
+
+/// The loop table a profile alone shows, as a session sees it: each loop
+/// with a record or in a carrier set, named `loop#<id>`.
+pub fn observed_loop_metas(result: &ProfileResult) -> Vec<LoopMeta> {
+    let mut ids: BTreeSet<LoopId> = result.deps.loops().map(|(&id, _)| id).collect();
+    for (_, val) in result.deps.dependences() {
+        ids.extend(val.carriers.iter().copied());
+    }
+    ids.into_iter().map(|id| LoopMeta { id, name: format!("loop#{id}"), omp: false }).collect()
+}
+
+/// One past the largest thread id on a cross-thread RAW (0 without one).
+pub fn observed_comm_dim(result: &ProfileResult) -> usize {
+    result
+        .deps
+        .dependences()
+        .filter(|(d, _)| d.edge.dtype == DepType::Raw && d.edge.source_thread != d.sink.thread)
+        .map(|(d, _)| d.edge.source_thread.max(d.sink.thread) as usize + 1)
+        .max()
+        .unwrap_or(0)
+}
+
 /// Replays events through the service engine while issuing live
 /// `Query` frames every few events, and checks the analysis-equivalence
 /// bar: the final query's snapshot — serialized from the engine's
-/// incremental loop/comm/race state — must equal the post-hoc
-/// [`dp_analysis::posthoc_report`] over the finished profile,
-/// dependence for dependence (same loop verdicts, same communication
-/// matrix, same race hints, serialized identically).
+/// incremental loop/comm/race state — must equal [`posthoc_passes`] over
+/// the finished profile's observed loops and threads, serialized
+/// identically.
 pub fn online_equivalence(
     leg: &'static str,
     spec: &SessionSpec,
@@ -280,7 +383,8 @@ pub fn online_equivalence(
     for n in &names {
         interner.intern(n);
     }
-    let expected = dp_analysis::posthoc_report(&result).to_json(&interner, true, true, true);
+    let passes = posthoc_passes(&result, &observed_loop_metas(&result), observed_comm_dim(&result));
+    let expected = passes.to_json(&interner, true, true, true);
     // The live snapshot wraps the report body in session/position/deltas
     // metadata; the report itself must match byte for byte.
     if json.ends_with(&expected[1..]) {
@@ -289,7 +393,7 @@ pub fn online_equivalence(
         Err(Box::new(Divergence {
             leg,
             detail: format!(
-                "incremental snapshot diverged from post-hoc analysis\n live: {json}\n post: \
+                "incremental snapshot diverged from the reference passes\n live: {json}\n passes: \
                  {expected}"
             ),
         }))
@@ -598,8 +702,9 @@ pub fn check_program(prog: &Program, cfg: &OracleConfig) -> Result<OracleOutcome
 
 /// Live fork-join leg for multi-threaded programs (the trace recorder is
 /// sequential, so MT targets cannot take the replay legs). Structural
-/// invariants only: the run completes, traces accesses, loses no worker,
-/// and conserves events.
+/// invariants: the run completes, traces accesses, loses no worker, and
+/// conserves events; and the analysis over the program's loop table
+/// equals [`posthoc_passes`].
 fn check_mt(prog: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, Box<Divergence>> {
     let pcfg = ProfilerConfig::default().with_workers(cfg.workers).with_slots(cfg.base_slots);
     let prof = MtProfiler::new(pcfg);
@@ -618,6 +723,19 @@ fn check_mt(prog: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, Box<Div
         return Err(Box::new(Divergence {
             leg: "mt",
             detail: format!("conservation violated: {:?}", r.metrics.conservation),
+        }));
+    }
+    let metas: Vec<LoopMeta> = prog
+        .loops
+        .iter()
+        .map(|l| LoopMeta { id: l.id, name: l.name.clone(), omp: l.omp })
+        .collect();
+    let dim = observed_comm_dim(&r);
+    let (fold, passes) = (report_for(&r, &metas, dim), posthoc_passes(&r, &metas, dim));
+    if fold != passes {
+        return Err(Box::new(Divergence {
+            leg: "mt-analysis",
+            detail: format!("fold diverged from the passes\n fold: {fold:?}\n passes: {passes:?}"),
         }));
     }
     Ok(OracleOutcome { legs: 1, accesses: r.stats.accesses, slots: cfg.base_slots, accuracy: None })

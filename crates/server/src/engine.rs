@@ -704,8 +704,9 @@ mod tests {
     #[test]
     fn queries_answer_from_incremental_state() {
         // The live-analysis bar: a Query after the last chunk must match
-        // the post-hoc passes over the finished result — for the serial
-        // engine and the parallel pipeline alike.
+        // one fold of the finished result — for the serial engine and the
+        // parallel pipeline alike. (The fuzz oracle holds both to the
+        // reference passes.)
         let specs = [
             SessionSpec { slots: 1 << 12, ..SessionSpec::default() },
             SessionSpec { parallel: true, workers: 2, slots: 1 << 12, ..SessionSpec::default() },
@@ -751,7 +752,7 @@ mod tests {
                 dp_analysis::posthoc_report(&result).to_json(&interner, true, true, true);
             assert!(
                 final_json.ends_with(&expected[1..]),
-                "incremental answer diverged from post-hoc passes:\n got {final_json}\nwant \
+                "incremental answer diverged from the finished store's:\n got {final_json}\nwant \
                  ...{expected}"
             );
         }

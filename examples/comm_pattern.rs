@@ -10,7 +10,6 @@
 //! RAW dependences. Expect near-neighbour banding: each spatial box reads
 //! the boundary molecules of its ring neighbours.
 
-use depprof::analysis::communication_matrix;
 use depprof::prelude::*;
 use depprof::trace::workloads::splash;
 use depprof::trace::workloads::Scale;
@@ -29,7 +28,7 @@ fn main() {
         result.stats.deps_merged
     );
 
-    let m = communication_matrix(&result, nthreads as usize + 1);
+    let m = report_for(&result, &[], nthreads as usize + 1).comm;
     println!("communication matrix (producers on rows, thread 0 = main):\n");
     println!("{}", m.render_ascii());
     println!("total cross-thread communication events: {}", m.total());

@@ -11,7 +11,6 @@
 //! reversal can be reported; the racy variant usually produces reversed
 //! dependences, each a potential data race.
 
-use depprof::analysis::find_races;
 use depprof::prelude::*;
 use depprof::trace::workloads::{synth, Scale};
 
@@ -20,7 +19,7 @@ fn main() {
     for w in [synth::locked_counter(Scale(1.0), 4), synth::racy_counter(Scale(1.0), 4)] {
         println!("== {} ==", w.meta.name);
         let result = depprof::profile_mt(&w.program, cfg());
-        let races = find_races(&result);
+        let races = report_for(&result, &[], w.meta.nthreads as usize + 1).races;
         println!(
             "  {} accesses, {} dependences, {} reversal events",
             result.stats.accesses, result.stats.deps_merged, result.stats.reversed

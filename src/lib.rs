@@ -62,8 +62,7 @@ use dp_trace::{Interp, Program};
 /// Commonly used items, one `use` away.
 pub mod prelude {
     pub use dp_analysis::{
-        classify_loops, communication_matrix, compare, find_races, privatization_candidates,
-        DepGraph, LoopMeta,
+        compare, privatization_candidates, report_for, DepGraph, LoopMeta, OnlineReport,
     };
     pub use dp_core::{
         DepStore, MtProfiler, ProfileResult, ProfilerConfig, SequentialProfiler, TransportKind,

@@ -2,7 +2,7 @@
 //! (not ground truth): the Figure 9 method must recover each kernel's
 //! known topology from cross-thread RAW records alone.
 
-use depprof::analysis::communication_matrix;
+use depprof::analysis::report_for;
 use depprof::core::ProfilerConfig;
 use depprof::trace::workloads::{splash, Scale};
 
@@ -18,7 +18,7 @@ fn profile(w: &depprof::trace::workloads::Workload) -> depprof::core::ProfileRes
 fn fft_matrix_is_dense_all_to_all() {
     let t = 4u32;
     let w = splash::fft(Scale(0.1), t);
-    let m = communication_matrix(&profile(&w), t as usize + 1);
+    let m = report_for(&profile(&w), &[], t as usize + 1).comm;
     for p in 1..=t as u16 {
         for c in 1..=t as u16 {
             if p != c {
@@ -32,7 +32,7 @@ fn fft_matrix_is_dense_all_to_all() {
 fn lu_matrix_shows_rotating_broadcast() {
     let t = 3u32;
     let w = splash::lu_contig(Scale(0.1), t);
-    let m = communication_matrix(&profile(&w), t as usize + 1);
+    let m = report_for(&profile(&w), &[], t as usize + 1).comm;
     for p in 1..=t as u16 {
         let consumers = (1..=t as u16).filter(|&c| c != p && m.get(p, c) > 0).count();
         assert_eq!(
@@ -49,7 +49,7 @@ fn ocean_matrix_is_grid_banded() {
     let t = 6u32; // 2 x 3 grid
     let cols = 3i64;
     let w = splash::ocean(Scale(0.1), t);
-    let m = communication_matrix(&profile(&w), t as usize + 1);
+    let m = report_for(&profile(&w), &[], t as usize + 1).comm;
     let (mut nb, mut far) = (0u64, 0u64);
     for p in 1..=t as u16 {
         for c in 1..=t as u16 {

@@ -1,7 +1,7 @@
 //! Multi-threaded-target profiling (Section V): thread-aware records,
 //! lock-region ordering guarantees, race hints, communication patterns.
 
-use depprof::analysis::{communication_matrix, find_races};
+use depprof::analysis::report_for;
 use depprof::prelude::*;
 use depprof::trace::workloads::{splash, starbench_parallel_suite, synth, Scale};
 
@@ -18,7 +18,7 @@ fn locked_counter_never_reports_races() {
         let w = synth::locked_counter(Scale(0.2), 4);
         let r = depprof::profile_mt(&w.program, cfg(4));
         assert_eq!(r.stats.reversed, 0, "locked program flagged reversals");
-        assert!(find_races(&r).is_empty());
+        assert!(report_for(&r, &[], 5).races.is_empty());
     }
 }
 
@@ -53,7 +53,7 @@ fn water_spatial_matrix_is_neighbour_banded() {
     let n = 6u32;
     let w = splash::water_spatial(Scale(0.1), n);
     let r = depprof::profile_mt(&w.program, cfg(8));
-    let m = communication_matrix(&r, n as usize + 1);
+    let m = report_for(&r, &[], n as usize + 1).comm;
     // Workers are tids 1..=n arranged in a ring; every worker must
     // communicate with its ring neighbours and the neighbour volume must
     // dominate non-neighbour worker-to-worker traffic.
@@ -102,5 +102,5 @@ fn water_spatial_is_race_free() {
     let w = splash::water_spatial(Scale(0.05), 4);
     let r = depprof::profile_mt(&w.program, cfg(4));
     assert_eq!(r.stats.reversed, 0);
-    assert!(find_races(&r).is_empty());
+    assert!(report_for(&r, &[], 5).races.is_empty());
 }

@@ -1,7 +1,7 @@
 //! End-to-end checks of the paper's headline claims on the miniature
 //! workloads (scaled; see DESIGN.md for the fidelity argument).
 
-use depprof::analysis::{classify_loops, compare, LoopMeta};
+use depprof::analysis::{compare, report_for, LoopClass, LoopMeta};
 use depprof::core::SequentialProfiler;
 use depprof::prelude::*;
 use depprof::sig::{predicted_fpr, ExtendedSlot, Signature};
@@ -53,9 +53,9 @@ fn table2_reproduces_exactly() {
                 "perfect" => replay(&evs, SequentialProfiler::perfect()),
                 _ => replay(&evs, SequentialProfiler::with_signature(1 << 20)),
             };
-            let v = classify_loops(&r, &metas);
-            let got_omp = v.iter().filter(|x| x.meta.omp).count();
-            let got_id = v.iter().filter(|x| x.meta.omp && x.identified()).count();
+            let v = report_for(&r, &metas, 0).loops;
+            let got_omp = v.iter().filter(|x| x.omp).count();
+            let got_id = v.iter().filter(|x| x.omp && x.class == LoopClass::Doall).count();
             assert_eq!((got_omp, got_id), (omp, ident), "{name} via {engine}");
         }
     }

@@ -15,11 +15,12 @@
 //!
 //! A second property folds the deltas of random sequences — edges that
 //! turn relevant late, late first drains, two worker stores — into an `OnlineAnalysis` and holds its report
-//! equal to the post-hoc passes' over the finished store.
+//! equal to the reference passes' (`depprof::fuzz::oracle::posthoc_passes`) over the finished store.
 
-use depprof::analysis::{posthoc_report, OnlineAnalysis, OnlineReport};
+use depprof::analysis::{OnlineAnalysis, OnlineReport};
 use depprof::core::store::EdgeKey;
 use depprof::core::{AnalysisDelta, DeltaEdge, DeltaLoop, DepStore, LoopRecord, ProfileResult};
+use depprof::fuzz::oracle::{observed_comm_dim, observed_loop_metas, posthoc_passes};
 use depprof::types::{
     loc::loc, ByteWriter, DepFlags, DepType, LoopId, SinkKey, SourceLoc, ThreadId, VarId,
 };
@@ -651,7 +652,8 @@ fn add(store: &mut DepStore, occ: &Occurrence) {
 
 /// Runs `steps` over `workers` stores, folding every drained delta into
 /// one [`OnlineAnalysis`] as a session does, and returns its last report
-/// beside the post-hoc passes' over the merged stores. Tracking starts at
+/// beside the reference passes' over the merged stores' observed loops
+/// and threads. Tracking starts at
 /// the first [`Step::Drain`], whose delta is the catch-up (`early`: a
 /// drain before the first step, so the stores track from the start).
 ///
@@ -711,7 +713,11 @@ fn folded_and_posthoc(steps: &[Step], workers: usize, early: bool) -> (OnlineRep
         deps.merge(store);
     }
     deps.seal();
-    (online.report(), posthoc_report(&ProfileResult { deps, ..Default::default() }))
+    let result = ProfileResult { deps, ..Default::default() };
+    (
+        online.report(),
+        posthoc_passes(&result, &observed_loop_metas(&result), observed_comm_dim(&result)),
+    )
 }
 
 proptest! {

@@ -391,7 +391,7 @@ fn var_name(interner: &Interner, v: VarId) -> String {
 
 /// Stable class names used in reports and JSON (the loop-table
 /// vocabulary).
-pub fn class_name(class: LoopClass) -> &'static str {
+fn class_name(class: LoopClass) -> &'static str {
     match class {
         LoopClass::Doall => "DOALL",
         LoopClass::Reduction => "reduction",

@@ -3,12 +3,12 @@
 use std::io::Write;
 use std::path::PathBuf;
 
-use dp_trace::fuzz::{generate, minimize, print_program, stmt_count, FuzzConfig};
 use dp_trace::ir::Program;
 use dp_types::wire::atomic_write;
 
 use crate::oracle::{check_program, AccuracySample, Divergence, OracleConfig};
 use crate::webscale::{webscale_check, WebscaleConfig};
+use crate::{generate, minimize, print_program, stmt_count, FuzzConfig};
 
 /// Campaign knobs — the CLI's `depprof fuzz` flags in struct form.
 #[derive(Debug, Clone)]
@@ -287,7 +287,7 @@ mod tests {
             assert!(d.stmts <= 20, "repro not minimal: {} statements", d.stmts);
             let path = d.corpus_path.as_ref().expect("repro written");
             let text = std::fs::read_to_string(path).unwrap();
-            let back = dp_trace::fuzz::parse_program(&text).expect("repro parses");
+            let back = crate::parse_program(&text).expect("repro parses");
             assert_eq!(format!("{:?}", back.funcs), format!("{:?}", d.program.funcs));
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -24,7 +24,7 @@
 //! every seed cheap enough to drive the full differential oracle.
 
 use super::rng::FuzzRng;
-use crate::ir::{ArrayDecl, BinOp, Expr, FuncId, LoopInfo, Program, ScalarDecl, Stmt};
+use dp_trace::ir::{ArrayDecl, BinOp, Expr, FuncId, LoopInfo, Program, ScalarDecl, Stmt};
 use dp_types::{Interner, LoopId, SourceLoc};
 
 /// Shape knobs for the generator. All bounds are inclusive maxima.
@@ -646,8 +646,8 @@ fn count_loads(e: &Expr) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::Interp;
-    use crate::tracer::CollectTracer;
+    use dp_trace::interp::Interp;
+    use dp_trace::tracer::CollectTracer;
 
     fn run_count(prog: &Program) -> usize {
         let mut t = CollectTracer::default();
@@ -760,7 +760,7 @@ mod tests {
         for seed in 0..12 {
             let prog = generate(seed, &cfg);
             if is_mt(&prog) {
-                let fac = crate::tracer::CollectFactory::default();
+                let fac = dp_trace::tracer::CollectFactory::default();
                 Interp::new(&prog).run_mt(&fac);
                 assert!(!fac.events.lock().is_empty(), "seed {seed}: empty MT trace");
             } else {

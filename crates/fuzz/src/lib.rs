@@ -22,18 +22,42 @@
 //!   Table I, stressing eviction and router redistribution paths that
 //!   small programs never reach.
 //!
-//! The program generator, corpus text format and minimizer live in
-//! `dp_trace::fuzz`; this crate owns everything that needs the engines.
+//!
+//! The program side of the fuzzer sits here too, over `dp_trace`'s IR:
+//!
+//! - [`gen`] — a *seeded, reproducible* random program generator. The same
+//!   `(seed, FuzzConfig)` pair always yields the same program, so a failure
+//!   reported by CI is reproducible from the seed in the log alone.
+//!   Generated programs exercise the constructs hand-written workloads
+//!   under-cover: deep loop nests, indirection `A[B[i]]`, reductions,
+//!   conditional accesses, lock regions and fork-join thread sections.
+//! - [`text`] — a printable/parsable corpus format. Failing programs are
+//!   committed as *programs*, not as seeds, so a corpus repro keeps
+//!   reproducing the original bug even after the generator itself evolves.
+//! - [`minimize()`] — a predicate-driven shrinker that reduces a failing
+//!   program to a minimal statement count while the predicate (usually
+//!   "the differential oracle still diverges") keeps holding.
+//! - [`rng`] — the generator's own randomness, a self-contained
+//!   xorshift64* stream (no external RNG crates, mirroring the
+//!   fault-injection harness in `dp-queue`).
 
 #![warn(missing_docs)]
 
 pub mod driver;
+pub mod gen;
+pub mod minimize;
 pub mod oracle;
+pub mod rng;
+pub mod text;
 pub mod webscale;
 
 pub use driver::{run_fuzz, FoundDivergence, FuzzOpts, FuzzReport};
+pub use gen::{generate, is_mt, FuzzConfig};
+pub use minimize::{minimize, stmt_count};
 pub use oracle::{
     check_program, dep_map, offline, perfect, record, resumed, served, AccuracySample, Corruption,
     Divergence, OracleConfig, OracleOutcome,
 };
+pub use rng::FuzzRng;
+pub use text::{parse_program, print_program};
 pub use webscale::{webscale_check, webscale_events, WebscaleConfig, WebscaleOutcome};

@@ -15,7 +15,7 @@
 //! lock/unlock pairing intact (the interpreter's raw-mutex unlock is
 //! only sound on a held lock).
 
-use crate::ir::{Expr, FuncId, Program, Stmt};
+use dp_trace::ir::{Expr, FuncId, Program, Stmt};
 
 /// One interior descent into a nested block.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -262,13 +262,13 @@ fn locate<'p>(prog: &'p mut Program, path: &Path) -> Option<(&'p mut Vec<Stmt>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzz::gen::{generate, FuzzConfig};
+    use crate::gen::{generate, FuzzConfig};
 
     #[test]
     fn always_true_predicate_minimizes_to_nothing() {
         let prog = generate(17, &FuzzConfig::default());
         let min = minimize(&prog, 100_000, &mut |_| true);
-        assert_eq!(stmt_count(&min), 0, "got:\n{}", crate::fuzz::text::print_program(&min));
+        assert_eq!(stmt_count(&min), 0, "got:\n{}", crate::text::print_program(&min));
     }
 
     #[test]
@@ -295,7 +295,7 @@ mod tests {
                 stmt_count(&min) <= 2,
                 "seed {seed}: {} stmts:\n{}",
                 stmt_count(&min),
-                crate::fuzz::text::print_program(&min)
+                crate::text::print_program(&min)
             );
         }
     }
@@ -348,8 +348,8 @@ mod tests {
     fn minimized_programs_still_roundtrip() {
         let prog = generate(23, &FuzzConfig::default());
         let min = minimize(&prog, 5_000, &mut |p| stmt_count(p) > 3);
-        let text = crate::fuzz::text::print_program(&min);
-        let back = crate::fuzz::text::parse_program(&text).unwrap();
+        let text = crate::text::print_program(&min);
+        let back = crate::text::parse_program(&text).unwrap();
         assert_eq!(format!("{:?}", min.funcs), format!("{:?}", back.funcs));
     }
 }

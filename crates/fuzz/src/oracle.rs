@@ -43,6 +43,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
+use crate::is_mt;
 use dp_analysis::{compare, report_for, CommMatrix, LoopClass, LoopMeta};
 use dp_analysis::{OnlineLoopRow, OnlineReport, RaceHint};
 use dp_core::{
@@ -50,7 +51,6 @@ use dp_core::{
 };
 use dp_server::SessionEngine;
 use dp_sig::{predicted_fpr, SigHash};
-use dp_trace::fuzz::is_mt;
 use dp_trace::ir::Program;
 use dp_trace::{FrameChunker, Interp, TraceReader, TraceWriter};
 use dp_types::protocol::{Frame, Hello};
@@ -744,7 +744,7 @@ fn check_mt(prog: &Program, cfg: &OracleConfig) -> Result<OracleOutcome, Box<Div
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_trace::fuzz::{generate, FuzzConfig};
+    use crate::{generate, FuzzConfig};
 
     #[test]
     fn injectivity_search_terminates_and_is_injective() {
@@ -760,9 +760,8 @@ mod tests {
         let cfg = OracleConfig::default();
         for seed in 0..8u64 {
             let prog = generate(seed, &FuzzConfig::quick());
-            let out = check_program(&prog, &cfg).unwrap_or_else(|d| {
-                panic!("seed {seed}: {d}\n{}", dp_trace::fuzz::print_program(&prog))
-            });
+            let out = check_program(&prog, &cfg)
+                .unwrap_or_else(|d| panic!("seed {seed}: {d}\n{}", crate::print_program(&prog)));
             assert!(out.legs >= 13, "seed {seed} ran only {} legs", out.legs);
         }
     }

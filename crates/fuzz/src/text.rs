@@ -15,7 +15,7 @@
 //! and full range validation (a stale corpus file can fail to parse, but
 //! it can never crash the interpreter with an out-of-range id).
 
-use crate::ir::{ArrayDecl, BinOp, Expr, LoopInfo, Program, ScalarDecl, Stmt};
+use dp_trace::ir::{ArrayDecl, BinOp, Expr, LoopInfo, Program, ScalarDecl, Stmt};
 use dp_types::{Interner, SourceLoc};
 use std::fmt::Write as _;
 
@@ -701,9 +701,9 @@ fn check_local(prog: &Program, id: u32) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzz::gen::{generate, FuzzConfig};
-    use crate::interp::Interp;
-    use crate::tracer::CollectTracer;
+    use crate::gen::{generate, FuzzConfig};
+    use dp_trace::interp::Interp;
+    use dp_trace::tracer::CollectTracer;
 
     #[test]
     fn roundtrip_preserves_programs_and_traces() {
@@ -726,7 +726,7 @@ mod tests {
                 assert_eq!(prog.interner.resolve(id), back.interner.resolve(id));
             }
             // Same trace, event for event (sequential programs only).
-            if !crate::fuzz::gen::is_mt(&prog) {
+            if !crate::gen::is_mt(&prog) {
                 let mut t1 = CollectTracer::default();
                 Interp::new(&prog).run_seq(&mut t1);
                 let mut t2 = CollectTracer::default();

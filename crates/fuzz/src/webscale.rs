@@ -22,12 +22,12 @@
 //! and the engines counted evictions.
 
 use dp_core::{SessionSpec, TransportKind};
-use dp_trace::fuzz::FuzzRng;
 use dp_types::loc::loc;
 use dp_types::{MemAccess, TraceEvent};
 use std::collections::HashSet;
 
 use crate::oracle::{dep_map, offline, resumed, served};
+use crate::FuzzRng;
 
 /// Shape of one web-scale stress stream.
 #[derive(Debug, Clone, Copy)]

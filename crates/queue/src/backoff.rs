@@ -43,12 +43,6 @@ impl Backoff {
             self.step += 1;
         }
     }
-
-    /// True once spinning has escalated past the spin phase; callers that
-    /// can block (e.g. the lock-based queue) may switch strategy then.
-    pub fn is_completed(&self) -> bool {
-        self.step > YIELD_LIMIT
-    }
 }
 
 #[cfg(test)]
@@ -58,12 +52,11 @@ mod tests {
     #[test]
     fn escalates_and_saturates() {
         let mut b = Backoff::new();
-        assert!(!b.is_completed());
         for _ in 0..YIELD_LIMIT + 2 {
             b.snooze();
         }
-        assert!(b.is_completed());
+        assert_eq!(b.step, YIELD_LIMIT + 1);
         b.reset();
-        assert!(!b.is_completed());
+        assert_eq!(b.step, 0);
     }
 }

@@ -19,16 +19,14 @@
 //!   exit too; a killed server resumes an in-flight session when its client
 //!   reconnects under the same name, handing back the resume position
 //!   in `HelloAck` so the client skips what was already profiled.
-//! - **Graceful shutdown** — a SIGINT/SIGTERM sets a process-wide flag
-//!   ([`shutdown`]); the accept loop and every connection thread
-//!   observe it on every read tick, write a final emergency checkpoint per
-//!   in-flight session, and notify clients with `Error{SHUTDOWN}`.
+//! - **Graceful shutdown** — a SIGINT/SIGTERM, or an `accept` error
+//!   the server does not retry, sets the stop flag ([`shutdown`]); every
+//!   connection thread sees it within a read tick, writes a final
+//!   emergency checkpoint and notifies its client with `Error{SHUTDOWN}`.
 //! - **Backpressure** — frames are bounded (`MAX_FRAME_BYTES`) and the
 //!   server reads a connection only as fast as its engine consumes, so
 //!   a `Block`-policy session exerts natural TCP backpressure while a
-//!   `Drop`-policy session sheds load inside the engine with the PR 2
-//!   overflow accounting.
-//!
+//!   `Drop`-policy session sheds load inside the engine, counted.
 //! - **Resilience** — the client side ships a [`push_with_retry`] loop
 //!   that survives mid-stream disconnects: reconnect with bounded
 //!   jittered backoff, re-`Hello` the same session, and skip the prefix

@@ -265,77 +265,86 @@ impl Server {
     /// Unix socket's file and joins every connection thread (each of
     /// which writes its session's emergency checkpoint before exiting).
     /// Pass [`shutdown_flag()`](crate::shutdown::shutdown_flag) to tie
-    /// the loop to SIGINT/SIGTERM.
+    /// the loop to SIGINT/SIGTERM. An `accept` error the loop does not
+    /// retry stops the connections too, and is returned after the joins.
     pub fn run(&self, stop: &'static AtomicBool) -> io::Result<()> {
-        let threads = self.accept_until(stop);
-        #[cfg(unix)]
-        if let Listener::Unix(_, path) = &self.listener {
-            let _ = std::fs::remove_file(path);
-        }
-        for t in threads? {
-            let _ = t.join();
-        }
-        Ok(())
-    }
-
-    /// Accepts every waiting client, then waits on the listener for the
-    /// next, until `stop`: a client is accepted as it connects, and the
-    /// poll interval only bounds how long a raised `stop` goes unseen.
-    fn accept_until(&self, stop: &'static AtomicBool) -> io::Result<Vec<JoinHandle<()>>> {
-        let mut threads = Vec::new();
+        use crate::shutdown::imp::wait_readable;
         let poll = Duration::from_millis(self.shared.cfg.poll_interval_ms.max(1));
-        while !stop.load(Ordering::SeqCst) {
-            let accepted = match &self.listener {
-                Listener::Tcp(l) => self.spawn_conn(l.accept(), &mut threads, stop, move |s| {
+        let (threads, ended) = match &self.listener {
+            Listener::Tcp(l) => {
+                let (accept, wait) = (|| l.accept(), || wait_readable(l, poll));
+                self.accept_until(stop, poll, accept, wait, move |s| {
                     // Replies are small frames (HelloAck, SyncAck); Nagle
                     // + delayed ACK would stall every sync roundtrip by
                     // tens of milliseconds.
                     let _ = s.set_nodelay(true);
                     s.set_nonblocking(false).and_then(|()| s.set_read_timeout(Some(poll)))
-                })?,
-                #[cfg(unix)]
-                Listener::Unix(l, _) => {
-                    self.spawn_conn(l.accept(), &mut threads, stop, move |s| {
-                        s.set_nonblocking(false).and_then(|()| s.set_read_timeout(Some(poll)))
-                    })?
-                }
-            };
-            if !accepted {
-                use crate::shutdown::imp::wait_readable;
-                match &self.listener {
-                    Listener::Tcp(l) => wait_readable(l, poll),
-                    #[cfg(unix)]
-                    Listener::Unix(l, _) => wait_readable(l, poll),
-                }
+                })
             }
+            #[cfg(unix)]
+            Listener::Unix(l, path) => {
+                let (accept, wait) = (|| l.accept(), || wait_readable(l, poll));
+                let accepted = self.accept_until(stop, poll, accept, wait, move |s| {
+                    s.set_nonblocking(false).and_then(|()| s.set_read_timeout(Some(poll)))
+                });
+                let _ = std::fs::remove_file(path);
+                accepted
+            }
+        };
+        stop.store(true, Ordering::SeqCst); // set already, unless `accept` failed
+        for t in threads {
+            let _ = t.join();
         }
-        Ok(threads)
+        ended
     }
 
-    /// Serves what one non-blocking `accept` returned on a thread of its
-    /// own, once `prepare` has made its reads block for at most a poll
-    /// interval; `Ok(false)` when no client was waiting.
-    fn spawn_conn<S: Read + Write + Send + 'static, A>(
+    /// Accepts each client as it connects (`wait` blocks until one is
+    /// waiting or `poll` passes) and serves it on a thread of its own once
+    /// `prepare` has made its reads block for at most `poll`, until `stop`.
+    /// [`TRANSIENT_ACCEPT`] errors are logged once until the next client
+    /// and retried after `poll`: the listener stays readable meanwhile.
+    fn accept_until<S: Read + Write + Send + 'static, A>(
         &self,
-        accepted: io::Result<(S, A)>,
-        threads: &mut Vec<JoinHandle<()>>,
         stop: &'static AtomicBool,
-        prepare: impl FnOnce(&S) -> io::Result<()> + Send + 'static,
-    ) -> io::Result<bool> {
-        let s = match accepted {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-            Err(e) => return Err(e),
-        };
-        let shared = Arc::clone(&self.shared);
-        threads.push(std::thread::spawn(move || {
-            if prepare(&s).is_ok() {
-                serve_conn(s, &shared, stop);
+        poll: Duration,
+        accept: impl Fn() -> io::Result<(S, A)>,
+        wait: impl Fn(),
+        prepare: impl Fn(&S) -> io::Result<()> + Copy + Send + 'static,
+    ) -> (Vec<JoinHandle<()>>, io::Result<()>) {
+        let (mut threads, mut retrying) = (Vec::new(), false);
+        while !stop.load(Ordering::SeqCst) {
+            match accept() {
+                Ok((s, _)) => {
+                    retrying = false;
+                    let shared = Arc::clone(&self.shared);
+                    threads.push(std::thread::spawn(move || {
+                        if prepare(&s).is_ok() {
+                            serve_conn(s, &shared, stop);
+                        }
+                    }));
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait(),
+                Err(e) if e.raw_os_error().is_some_and(|n| TRANSIENT_ACCEPT.contains(&n)) => {
+                    if !std::mem::replace(&mut retrying, true) {
+                        eprintln!("accept failed: {e}; retrying every {}ms", poll.as_millis());
+                    }
+                    std::thread::sleep(poll);
+                }
+                Err(e) => return (threads, Err(e)),
             }
-        }));
-        Ok(true)
+        }
+        (threads, Ok(()))
     }
 }
+
+/// `accept(2)` errors of one pending connection or a passing shortage,
+/// which the server retries: EPERM, EINTR, ENOMEM, ENFILE, EMFILE and, as
+/// Linux numbers them, ENONET, EPROTO, ENOPROTOOPT, EOPNOTSUPP, ENETDOWN,
+/// ENETUNREACH, ECONNABORTED, ENOBUFS, EHOSTDOWN and EHOSTUNREACH.
+#[cfg(target_os = "linux")]
+const TRANSIENT_ACCEPT: &[i32] = &[1, 4, 12, 23, 24, 64, 71, 92, 95, 100, 101, 103, 105, 112, 113];
+#[cfg(not(target_os = "linux"))]
+const TRANSIENT_ACCEPT: &[i32] = &[1, 4, 12, 23, 24];
 
 /// Drives one connection to completion. Every exit path below either
 /// completed the session (`Finish` handled) or wrote its emergency

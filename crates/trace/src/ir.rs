@@ -204,9 +204,4 @@ impl Program {
     pub fn address_footprint(&self) -> u64 {
         self.arrays.iter().map(|a| a.len).sum::<u64>() + self.scalars.len() as u64
     }
-
-    /// Loops annotated parallel in the OpenMP ground truth.
-    pub fn omp_loops(&self) -> impl Iterator<Item = &LoopInfo> {
-        self.loops.iter().filter(|l| l.omp)
-    }
 }

@@ -16,8 +16,6 @@
 //! - [`tracer`] — the [`Tracer`]/[`TracerFactory`] abstraction the
 //!   profiling engines implement; plus null/collecting tracers.
 //! - [`interp`] — sequential and multi-threaded interpreters.
-//! - [`traced`] — a direct instrumentation API ([`TracedVec`],
-//!   [`TracedCell`]) for profiling native Rust kernels without the IR.
 //! - [`tracefile`] — binary trace recording and offline replay
 //!   ([`TraceWriter`]/[`TraceReader`]), so one instrumented run can feed
 //!   many analyses.
@@ -27,11 +25,9 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod fuzz;
 pub mod interp;
 pub mod ir;
 pub mod stream;
-pub mod traced;
 pub mod tracefile;
 pub mod tracer;
 pub mod workloads;
@@ -40,7 +36,6 @@ pub use builder::ProgramBuilder;
 pub use interp::Interp;
 pub use ir::{ArrayId, Expr, FuncId, LocalId, Program, ScalarId, Stmt};
 pub use stream::{FrameChunker, OffThread};
-pub use traced::{TracedCell, TracedVec, TracerHandle};
 pub use tracefile::{TraceFileError, TraceReader, TraceWriter};
 pub use tracer::{CollectFactory, CollectTracer, NullFactory, NullTracer, Tracer, TracerFactory};
 pub use workloads::{Workload, WorkloadMeta};

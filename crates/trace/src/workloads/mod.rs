@@ -153,7 +153,7 @@ mod tests {
         let mut total = 0;
         for (w, (name, omp)) in suite.iter().zip(expected) {
             assert_eq!(w.meta.name, name);
-            let got = w.program.omp_loops().count();
+            let got = w.program.loops.iter().filter(|l| l.omp).count();
             assert_eq!(got, omp, "{name}: {got} OMP loops, expected {omp}");
             total += got;
         }

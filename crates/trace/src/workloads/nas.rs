@@ -369,7 +369,7 @@ mod tests {
     #[test]
     fn ep_single_omp_loop() {
         let w = ep(Scale(0.01));
-        assert_eq!(w.program.omp_loops().count(), 1);
+        assert_eq!(w.program.loops.iter().filter(|l| l.omp).count(), 1);
         assert_eq!(w.program.loops.iter().filter(|l| !l.omp).count(), 2);
     }
 

@@ -131,11 +131,10 @@ pub mod query_kind {
     pub const RACES: u8 = 3;
 }
 
-/// Error codes carried by [`Frame::Error`].
+/// Error codes carried by [`Frame::Error`]. Code 1 ("at capacity") is no
+/// longer sent, since a server at its concurrent-session cap answers
+/// `Busy`; it stays reserved so it is never reused.
 pub mod error_code {
-    /// No longer sent: a server at its concurrent-session cap answers
-    /// `Busy`. The code stays reserved so it is never reused.
-    pub const AT_CAPACITY: u16 = 1;
     /// A frame arrived malformed or out of protocol order.
     pub const BAD_FRAME: u16 = 2;
     /// The server is shutting down (signal); in-flight sessions were
@@ -751,7 +750,7 @@ mod tests {
             Frame::StatsRequest,
             Frame::Stats { json: "{\"events\":1}".into() },
             Frame::Report { text: "BGN loop ...".into() },
-            Frame::Error { code: error_code::AT_CAPACITY, message: "server full".into() },
+            Frame::Error { code: error_code::ENGINE, message: "engine failed".into() },
             Frame::SyncAck { nonce: 7, position: 1_000_002 },
             Frame::Busy { retry_after_ms: 250 },
             Frame::Query { id: 9, kind: query_kind::ALL },

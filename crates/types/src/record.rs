@@ -72,8 +72,8 @@ const USED: [[u64; 2]; 8] = {
 };
 
 /// The most 8-byte words a `Dealloc` read from outside the process may
-/// free: 2³⁶ (512 GiB). MiniVM's `Free` and `TracedVec::free` only name
-/// arrays the traced process held, 8 bytes a word. Algorithm 1 clears a
+/// free: 2³⁶ (512 GiB). MiniVM's `Free` only names arrays the traced
+/// process held, 8 bytes a word. Algorithm 1 clears a
 /// slot per word (≈ 6 ns): 2³⁶ take minutes, 2⁶¹ would take centuries.
 pub const MAX_DEALLOC_WORDS: u64 = 1 << 36;
 

@@ -1,11 +1,10 @@
-//! The tracer contract between instrumentation front-ends and profiling
-//! engines.
+//! The tracer contract between the instrumentation front end and the
+//! profiling engines.
 //!
-//! Front-ends (the MiniVM interpreter, the `TracedVec` API) call
-//! [`Tracer::event`] for every instrumented action; engines (serial,
-//! parallel, multi-threaded) implement it. The trait lives here, in the
-//! shared vocabulary crate, so substrates and engines need not depend on
-//! each other.
+//! The front end (the MiniVM interpreter) calls [`Tracer::event`] for
+//! every instrumented action; engines (serial, parallel, multi-threaded)
+//! implement it. The trait lives here, in the shared vocabulary crate, so
+//! substrates and engines need not depend on each other.
 
 use crate::event::TraceEvent;
 use crate::ids::ThreadId;
@@ -45,21 +44,4 @@ pub trait TracerFactory: Sync {
 
     /// Returns a thread's tracer when the thread finishes (flush point).
     fn join(&self, tid: ThreadId, tracer: Self::Tracer);
-}
-
-impl<T: Tracer + ?Sized> Tracer for &mut T {
-    #[inline]
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-
-    #[inline]
-    fn event(&mut self, ev: TraceEvent) {
-        (**self).event(ev)
-    }
-
-    #[inline]
-    fn sync_point(&mut self) {
-        (**self).sync_point()
-    }
 }

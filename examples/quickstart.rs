@@ -1,63 +1,50 @@
-//! Quickstart: profile a native Rust kernel with the `TracedVec` API.
+//! Quickstart: build a small MiniVM kernel and profile it.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 //!
-//! Every `get`/`set` on the traced containers is an instrumented memory
-//! access (the source line is captured automatically), the serial profiler
-//! consumes the stream in-line, and the report comes out in the paper's
-//! Figure 1 format — with the line numbers of *this file*.
+//! `ProgramBuilder` plays the compiler front end: every load and store of
+//! the program is an instrumented memory access stamped with its
+//! statement's line. The serial profiler consumes the interpreter's event
+//! stream in-line, and the report comes out in the paper's Figure 1 format.
 
-use depprof::core::{report, SequentialProfiler};
+use depprof::core::report;
 use depprof::prelude::*;
+use depprof::trace::builder::div;
+use depprof::types::DepFlags;
 
 fn main() {
-    // The profiling engine doubles as the tracer.
-    let handle = TracerHandle::new(SequentialProfiler::with_signature(1 << 16));
-
     // An instrumented kernel: a little smoothing pass over a vector.
-    let mut data = TracedVec::new(&handle, "data", 64);
-    let mut acc = TracedCell::new(&handle, "acc", 0);
+    let mut b = ProgramBuilder::new("quickstart");
+    let data = b.array("data", 64);
+    let acc = b.scalar("acc");
+    let program = b.main(|f| {
+        f.for_loop("init", true, c(0), c(64), |f, i| f.store(data, i.clone(), i * c(3)));
+        f.for_loop("smooth", false, c(0), c(63), |f, i| {
+            let here = f.ld(data, i.clone());
+            let next = f.ld(data, i.clone() + c(1));
+            f.store(data, i, div(here + next, c(2)));
+        });
+        // A reduction: loop-carried RAW on `acc` — the dependence that
+        // makes this loop non-DOALL.
+        f.for_loop("sum", false, c(0), c(64), |f, i| {
+            let sum = f.lds(acc) + f.ld(data, i);
+            f.store_scalar(acc, sum);
+        });
+    });
 
-    let init = handle.loop_begin();
-    for i in 0..64 {
-        handle.loop_iter(init, i);
-        data.set(i as usize, i as i64 * 3);
-    }
-    handle.loop_end(init, 64);
-
-    let smooth = handle.loop_begin();
-    for i in 0..63 {
-        handle.loop_iter(smooth, i);
-        let here = data.get(i as usize);
-        let next = data.get(i as usize + 1);
-        data.set(i as usize, (here + next) / 2);
-    }
-    handle.loop_end(smooth, 63);
-
-    // A reduction: loop-carried RAW on `acc` — the dependence that makes
-    // this loop non-DOALL.
-    let sum = handle.loop_begin();
-    for i in 0..64 {
-        handle.loop_iter(sum, i);
-        acc.set(acc.get() + data.get(i as usize));
-    }
-    handle.loop_end(sum, 64);
-
-    let (prof, interner) = handle.finish();
-    let result = prof.finish();
+    let result = depprof::profile_sequential(&program, 1 << 16);
+    let interner = &program.interner;
 
     println!("== profile summary ==");
     println!("{}\n", report::summary(&result));
-    println!("== dependences (Figure 1 format; locations are lines of this file) ==");
-    println!("{}", report::render(&result, &interner, false));
+    println!("== dependences (Figure 1 format; locations are the builder's statement lines) ==");
+    println!("{}", report::render(&result, interner, false));
 
     println!("== what a parallelism-discovery tool would see ==");
     for (d, v) in result.deps.dependences() {
-        if d.edge.flags.contains(depprof::types::DepFlags::LOOP_CARRIED)
-            && d.edge.dtype == DepType::Raw
-        {
+        if d.edge.flags.contains(DepFlags::LOOP_CARRIED) && d.edge.dtype == DepType::Raw {
             println!(
                 "loop-carried RAW at line {} <- line {} on '{}' ({} occurrences): blocks DOALL",
                 d.sink.loc.line,

@@ -70,8 +70,7 @@ pub mod prelude {
     pub use dp_sig::{predicted_fpr, AccessStore, PerfectSignature, Signature};
     pub use dp_trace::builder::{c, lv, nthreads, rnd, tid};
     pub use dp_trace::{
-        Interp, NullTracer, ProgramBuilder, TraceFileError, TraceReader, TraceWriter, TracedCell,
-        TracedVec, TracerHandle,
+        Interp, NullTracer, ProgramBuilder, TraceFileError, TraceReader, TraceWriter,
     };
     pub use dp_types::{DepType, Tracer, TracerFactory};
 }

@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 
 use depprof::fuzz::{check_program, run_fuzz, Corruption, FuzzOpts, OracleConfig};
-use depprof::trace::fuzz::{parse_program, stmt_count};
+use depprof::fuzz::{parse_program, stmt_count};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fuzz/corpus")

@@ -8,7 +8,7 @@
 //! handful of statements.
 
 use depprof::fuzz::{check_program, run_fuzz, Corruption, FuzzOpts, OracleConfig};
-use depprof::trace::fuzz::{parse_program, print_program, stmt_count};
+use depprof::fuzz::{parse_program, print_program, stmt_count};
 
 fn quiet() -> impl FnMut(String) {
     |_line| {}

@@ -22,12 +22,18 @@ fn tmpdir(name: &str) -> PathBuf {
 /// Starts `depprof serve --listen 127.0.0.1:0 ...` and waits for the
 /// "serving DPSV on <addr>" banner to learn the ephemeral port.
 /// Every caller SIGTERMs and `wait()`s the returned child.
-#[allow(clippy::zombie_processes)]
 fn start_serve(dir: &Path, extra: &[&str]) -> (Child, String) {
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_depprof"));
+    serve.args(["serve", "--listen", "127.0.0.1:0"]).args(extra);
+    spawn_serve(serve, dir)
+}
+
+/// Spawns a server command with its stderr in `dir`'s log and waits for
+/// its banner, as [`start_serve`] does.
+#[allow(clippy::zombie_processes)]
+fn spawn_serve(mut serve: Command, dir: &Path) -> (Child, String) {
     let log = dir.join(format!("serve-{}.log", std::process::id()));
-    let mut child = Command::new(env!("CARGO_BIN_EXE_depprof"))
-        .args(["serve", "--listen", "127.0.0.1:0"])
-        .args(extra)
+    let mut child = serve
         .stderr(Stdio::from(std::fs::File::create(&log).unwrap()))
         .spawn()
         .expect("spawn serve");
@@ -117,6 +123,55 @@ fn a_sigtermed_unix_server_removes_its_socket() {
     sigterm(&serve);
     assert_eq!(serve.wait().unwrap().code(), Some(7));
     assert!(!sock.exists(), "the socket file outlived its server");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A server out of file descriptors keeps its sessions and its listener:
+/// with 16 descriptors, 20 idle clients outnumber what it can accept, so
+/// `accept` fails with EMFILE until some of them leave. It logs that,
+/// retries, serves the next push exactly, and still exits on SIGTERM.
+#[test]
+fn a_server_out_of_descriptors_retries_its_accept() {
+    let dir = tmpdir("emfile");
+    let trace = dir.join("is.dptr");
+    let trace_s = trace.to_str().unwrap();
+    let rec = depprof(&["record", "IS", "--scale", "0.02", "--out", trace_s]);
+    assert!(rec.status.success(), "{}", String::from_utf8_lossy(&rec.stderr));
+    let offline = dir.join("offline.txt");
+    let rep = depprof(&["replay", trace_s, "--report-out", offline.to_str().unwrap()]);
+    assert!(rep.status.success(), "{}", String::from_utf8_lossy(&rep.stderr));
+
+    let mut serve = Command::new("sh");
+    let script = r#"ulimit -n 16 && exec "$0" serve --listen 127.0.0.1:0"#;
+    serve.args(["-c", script, env!("CARGO_BIN_EXE_depprof")]);
+    let (mut serve, addr) = spawn_serve(serve, &dir);
+    let log_path = dir.join(format!("serve-{}.log", std::process::id()));
+    let log = || std::fs::read_to_string(&log_path).unwrap_or_default();
+    let idle: Vec<_> =
+        (0..20).map(|_| std::net::TcpStream::connect(&addr).expect("connect")).collect();
+    // Hold them until `accept` has run out of descriptors and said so.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !log().contains("accept failed: ") {
+        if Instant::now() >= deadline || serve.try_wait().unwrap().is_some() {
+            let _ = serve.kill();
+            let status = serve.wait().unwrap();
+            panic!("the server never retried an accept ({status}):\n{}", log());
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(idle);
+
+    let served = dir.join("served.txt");
+    let push =
+        depprof(&["push", trace_s, "--connect", &addr, "--report-out", served.to_str().unwrap()]);
+    assert!(push.status.success(), "{}", String::from_utf8_lossy(&push.stderr));
+    sigterm(&serve);
+    assert_eq!(serve.wait().unwrap().code(), Some(7), "serve log:\n{}", log());
+    assert_eq!(
+        std::fs::read(&offline).unwrap(),
+        std::fs::read(&served).unwrap(),
+        "served report differs from offline replay"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

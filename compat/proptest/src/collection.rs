@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::TestRng;
 use std::ops::Range;
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: Range<usize>,

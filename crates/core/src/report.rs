@@ -19,71 +19,73 @@ use crate::result::ProfileResult;
 use dp_types::{DepEdge, DepType, Interner, SourceLoc, ThreadId};
 use std::fmt::Write as _;
 
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-enum RowKind {
-    Begin,
-    Nom(ThreadId),
-    End(u64),
-}
-
 /// Renders the dependence report. `show_threads` selects the Figure 3
 /// format (thread ids on sinks and sources).
+///
+/// Rows are in `(loc, BGN < NOM < END)` order, END rows by iteration count.
+/// Dependences arrive in that order, one NOM row per run of equal sinks;
+/// the sorted loop rows are merged in before the NOM rows they precede.
 pub fn render(result: &ProfileResult, interner: &Interner, show_threads: bool) -> String {
-    let mut rows: Vec<(SourceLoc, RowKind, String)> = Vec::new();
-
-    for (_, rec) in result.deps.loops() {
-        rows.push((rec.begin, RowKind::Begin, String::new()));
-        rows.push((rec.end, RowKind::End(rec.total_iters), String::new()));
+    // Row keys: (loc, BGN 0 < NOM 1 < END 2, sink thread or iterations).
+    let mut loops = Vec::new();
+    for (_, r) in result.deps.loops() {
+        loops.push(((r.begin, 0, 0), format!("{} BGN loop\n", r.begin)));
+        loops.push(((r.end, 2, r.total_iters), format!("{} END loop {}\n", r.end, r.total_iters)));
     }
-
-    // Dependences arrive in `(sink, key)` order: one row per run of
-    // equal sinks.
-    let mut sink = None;
-    for (d, _) in result.deps.dependences() {
-        if sink != Some(d.sink) {
-            sink = Some(d.sink);
-            rows.push((d.sink.loc, RowKind::Nom(d.sink.thread), String::new()));
+    loops.sort_unstable(); // rows with equal keys print equal text
+    let mut loops = loops.into_iter().peekable();
+    let mut out = Vec::with_capacity(result.deps.merged_len() as usize * 16);
+    let mut deps = result.deps.dependences().peekable();
+    while let Some((d, _)) = deps.next() {
+        // Every row ends its line, every edge with `}`: a new row starts here.
+        if out.last().is_none_or(|&b| b == b'\n') {
+            let row = (d.sink.loc, 1, d.sink.thread.into());
+            while let Some((_, text)) = loops.next_if(|(r, _)| *r < row) {
+                out.extend_from_slice(text.as_bytes());
+            }
+            put_loc(&mut out, d.sink.loc, show_threads.then_some(d.sink.thread));
+            out.extend_from_slice(b" NOM");
         }
-        let line = &mut rows.last_mut().expect("the sink's row was just pushed").2;
-        line.push(' ');
-        fmt_edge(line, &d.edge, interner, show_threads);
-    }
-
-    rows.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-
-    let mut out = String::new();
-    for (loc, kind, payload) in rows {
-        match kind {
-            RowKind::Begin => {
-                let _ = writeln!(out, "{loc} BGN loop");
-            }
-            RowKind::Nom(thread) => {
-                if show_threads {
-                    let _ = writeln!(out, "{loc}|{thread} NOM{payload}");
-                } else {
-                    let _ = writeln!(out, "{loc} NOM{payload}");
-                }
-            }
-            RowKind::End(iters) => {
-                let _ = writeln!(out, "{loc} END loop {iters}");
-            }
+        let DepEdge { dtype, source_loc, source_thread, var, .. } = d.edge;
+        out.extend_from_slice(match dtype {
+            DepType::Raw => b" {RAW ",
+            DepType::War => b" {WAR ",
+            DepType::Waw => b" {WAW ",
+            DepType::Init => b" {INIT *}",
+        });
+        if dtype != DepType::Init {
+            put_loc(&mut out, source_loc, show_threads.then_some(source_thread));
+            out.push(b'|');
+            out.extend_from_slice(interner.get(var).unwrap_or("?").as_bytes());
+            out.push(b'}');
+        }
+        if deps.peek().is_none_or(|(next, _)| next.sink != d.sink) {
+            out.push(b'\n');
         }
     }
-    out
+    loops.for_each(|(_, text)| out.extend_from_slice(text.as_bytes()));
+    String::from_utf8(out).expect("names are UTF-8 and the rest is ASCII")
 }
 
-fn fmt_edge(out: &mut String, edge: &DepEdge, interner: &Interner, show_threads: bool) {
-    let DepEdge { dtype, source_loc, source_thread, .. } = *edge;
-    if dtype == DepType::Init {
-        out.push_str("{INIT *}");
-        return;
+/// `file:line`, as [`SourceLoc`]'s `Display` writes it, then `|thread`.
+fn put_loc(out: &mut Vec<u8>, loc: SourceLoc, thread: Option<ThreadId>) {
+    put_uint(out, loc.file.into());
+    out.push(b':');
+    put_uint(out, loc.line.into());
+    if let Some(t) = thread {
+        out.push(b'|');
+        put_uint(out, t.into());
     }
-    let name = interner.get(edge.var).unwrap_or("?");
-    if show_threads {
-        let _ = write!(out, "{{{dtype} {source_loc}|{source_thread}|{name}}}");
-    } else {
-        let _ = write!(out, "{{{dtype} {source_loc}|{name}}}");
+}
+
+fn put_uint(out: &mut Vec<u8>, mut n: u64) {
+    let (mut digits, mut at) = ([0u8; 20], 20);
+    while at == 20 || n > 0 {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
     }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Renders a compact summary header (program, counts, memory) used by the
@@ -128,7 +130,133 @@ pub fn to_csv(result: &ProfileResult, interner: &Interner) -> String {
 mod tests {
     use super::*;
     use crate::seq::SequentialProfiler;
-    use dp_types::{loc::loc, MemAccess, TraceEvent};
+    use crate::store::DepStore;
+    use dp_types::{loc::loc, DepFlags, MemAccess, TraceEvent};
+    use proptest::prelude::*;
+
+    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    enum RowKind {
+        Begin,
+        Nom(ThreadId),
+        End(u64),
+    }
+
+    /// The report as a stable sort of formatted rows writes it: the
+    /// reference the one-pass [`render`] is held to byte for byte.
+    fn render_by_row_sort(result: &ProfileResult, interner: &Interner, threads: bool) -> String {
+        let mut rows: Vec<(SourceLoc, RowKind, String)> = Vec::new();
+        for (_, rec) in result.deps.loops() {
+            rows.push((rec.begin, RowKind::Begin, String::new()));
+            rows.push((rec.end, RowKind::End(rec.total_iters), String::new()));
+        }
+        let mut sink = None;
+        for (d, _) in result.deps.dependences() {
+            if sink != Some(d.sink) {
+                sink = Some(d.sink);
+                rows.push((d.sink.loc, RowKind::Nom(d.sink.thread), String::new()));
+            }
+            let line = &mut rows.last_mut().expect("the sink's row was just pushed").2;
+            let DepEdge { dtype, source_loc, source_thread, var, .. } = d.edge;
+            let name = interner.get(var).unwrap_or("?");
+            let _ = match (dtype, threads) {
+                (DepType::Init, _) => write!(line, " {{INIT *}}"),
+                (_, true) => write!(line, " {{{dtype} {source_loc}|{source_thread}|{name}}}"),
+                (_, false) => write!(line, " {{{dtype} {source_loc}|{name}}}"),
+            };
+        }
+        rows.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        let mut out = String::new();
+        for (loc, kind, payload) in rows {
+            let _ = match kind {
+                RowKind::Begin => writeln!(out, "{loc} BGN loop"),
+                RowKind::Nom(thread) if threads => writeln!(out, "{loc}|{thread} NOM{payload}"),
+                RowKind::Nom(_) => writeln!(out, "{loc} NOM{payload}"),
+                RowKind::End(iters) => writeln!(out, "{loc} END loop {iters}"),
+            };
+        }
+        out
+    }
+
+    /// Names for variables 1..=3; 0 is `*` and 4.. are unknown (`?`).
+    fn names() -> Interner {
+        let mut interner = Interner::new();
+        for name in ["a", "bb", "temp1"] {
+            interner.intern(name);
+        }
+        interner
+    }
+
+    /// An edge `(sink file, sink line, sink thread, type, source line,
+    /// source thread, var)` and a loop `(id, begin line, end line, iters)`,
+    /// all on a few lines of two files so that rows meet at one location.
+    type Edge = (u8, u32, u16, u8, u32, u16, u32);
+    type Loop = (u32, u32, u32, u64);
+
+    fn store(edges: &[Edge], loops: &[Loop], seal: bool) -> ProfileResult {
+        let mut deps = DepStore::new();
+        for &(file, line, thread, dtype, source, source_thread, var) in edges {
+            let sink = dp_types::SinkKey { loc: loc(file, line), thread };
+            let dtype = [DepType::Raw, DepType::War, DepType::Waw, DepType::Init][dtype as usize];
+            let source = loc(file, source);
+            deps.add(sink, dtype, source, source_thread, var, DepFlags::empty(), None);
+        }
+        for &(id, begin, end, iters) in loops {
+            deps.record_loop(id, loc(1, begin), loc(1, end), iters);
+        }
+        if seal {
+            deps.seal();
+        }
+        ProfileResult { deps, ..ProfileResult::default() }
+    }
+
+    #[test]
+    fn rows_meeting_at_one_location_keep_the_row_sort_order() {
+        let edges = [
+            (1, 5, 0, 0, 3, 0, 1), // a sink on a loop's BGN line
+            (1, 5, 2, 1, 4, 1, 9), // an MT sink there, on a var nobody named
+            (1, 9, 0, 3, 9, 0, 0), // INIT on the END line
+            (2, 1, 0, 2, 1, 0, 3), // another file
+        ];
+        // Two END rows at 1:9, the larger count last; the BGN row at 1:5
+        // comes before the NOM rows there, the END rows at 1:9 after them.
+        let loops = [(0, 5, 9, 30), (1, 5, 9, 7), (2, 2, 5, 1)];
+        let r = store(&edges, &loops, true);
+        let text = render(&r, &names(), false);
+        let want = "1:2 BGN loop\n1:5 BGN loop\n1:5 BGN loop\n1:5 NOM {RAW 1:3|a}\n\
+                    1:5 NOM {WAR 1:4|?}\n1:5 END loop 1\n1:9 NOM {INIT *}\n\
+                    1:9 END loop 7\n1:9 END loop 30\n2:1 NOM {WAW 2:1|temp1}\n";
+        assert_eq!(text, want);
+        let threads = render(&r, &names(), true);
+        assert!(threads.contains("1:5|2 NOM {WAR 1:4|1|?}\n"), "{threads}");
+        for show in [false, true] {
+            assert_eq!(render(&r, &names(), show), render_by_row_sort(&r, &names(), show));
+        }
+        assert_eq!(render(&ProfileResult::default(), &names(), false), "");
+    }
+
+    fn arb_edge() -> impl Strategy<Value = Edge> {
+        let sink = (1u8..3, 1u32..8, 0u16..3);
+        let edge = (0u8..4, 1u32..8, 0u16..3, 0u32..6);
+        (sink, edge).prop_map(|((f, l, t), (d, s, st, v))| (f, l, t, d, s, st, v))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The one-pass writer writes what sorting formatted rows wrote,
+        /// sealed store or not, with thread ids or without.
+        #[test]
+        fn render_equals_the_row_sort(
+            edges in prop::collection::vec(arb_edge(), 0..40),
+            loops in prop::collection::vec((0u32..4, 1u32..8, 1u32..8, 0u64..3), 0..6),
+            seal in any::<bool>(),
+        ) {
+            let r = store(&edges, &loops, seal);
+            for show in [false, true] {
+                prop_assert_eq!(render(&r, &names(), show), render_by_row_sort(&r, &names(), show));
+            }
+        }
+    }
 
     #[test]
     fn figure1_style_output() {

@@ -149,8 +149,19 @@ const SPILLED: u8 = 1 << 1;
 /// `EdgeRec::state`: the record is on [`DeltaTrack::dirty`].
 const DIRTY: u8 = 1 << 2;
 
-/// Free slot of [`DepStore::index`].
+/// Free slot of [`DepStore::index`]. No entry equals it: positions stay below `cap·5/8`.
 const EMPTY: u32 = u32::MAX;
+
+/// Position bits of a `cap`-slot index entry: the low `log2(cap)`, all 32 from `cap = 2³²`.
+fn pos_mask(cap: usize) -> u32 {
+    (cap - 1) as u32 // a power of two: past 2³², `cap - 1` truncates to all ones
+}
+
+/// The tag beside the position: bits 32 and up of [`EdgeRec::hash`] in the bits
+/// [`pos_mask`] leaves. `entry ^ tag` is the position if the tags agree, else above the mask.
+fn tag_of(hash: u64, cap: usize) -> u32 {
+    (hash >> 32) as u32 & !pos_mask(cap)
+}
 
 /// The `(sink, edge)` identity of a record, packed so that the derived
 /// order is the `(SinkKey, EdgeKey)` order of the report and the
@@ -215,12 +226,6 @@ impl EdgeRec {
         }
     }
 
-    /// This record's identity with nothing merged into it.
-    #[inline]
-    fn blank(&self) -> Self {
-        EdgeRec { count: 0, carrier: 0, flags: 0, state: 0, ..*self }
-    }
-
     #[inline]
     fn same_edge(&self, o: &EdgeRec) -> bool {
         self.sink_loc == o.sink_loc
@@ -229,11 +234,6 @@ impl EdgeRec {
             && self.sink_thread == o.sink_thread
             && self.source_thread == o.source_thread
             && self.dtype == o.dtype
-    }
-
-    #[inline]
-    fn same_sink(&self, o: &EdgeRec) -> bool {
-        self.sink_loc == o.sink_loc && self.sink_thread == o.sink_thread
     }
 
     /// True when an analysis reads this edge ([`DepStore::take_delta`]).
@@ -259,13 +259,13 @@ impl EdgeRec {
     /// words that hold everything but the type, which picks one of four
     /// scattered offsets from there.
     #[inline]
-    fn hash(&self) -> usize {
+    fn hash(&self) -> u64 {
         let a = (self.sink_loc as u64) << 32 | self.source_loc as u64;
         let b =
             (self.var as u64) << 32 | (self.sink_thread as u64) << 16 | self.source_thread as u64;
         let p = ((a ^ 0x9e37_79b9_7f4a_7c15) as u128) * ((b ^ 0xd1b5_4a32_d192_ed03) as u128);
         let t = (self.dtype as u64).wrapping_mul(0x8cb9_2ba7_2f3d_8dd7);
-        ((p as u64) ^ ((p >> 64) as u64) ^ t) as usize
+        (p as u64) ^ ((p >> 64) as u64) ^ t
     }
 
     #[inline]
@@ -294,9 +294,9 @@ fn index_cap(n: usize) -> usize {
 #[derive(Debug, Clone, Default)]
 pub struct DepStore {
     arena: Vec<EdgeRec>,
-    /// Arena positions hashed by [`EdgeRec::hash`], linear probing,
-    /// power-of-two length. Empty while nothing has been inserted since
-    /// the last [`DepStore::seal`]; rebuilt by the next insert.
+    /// `position | tag` entries ([`tag_of`]) hashed by [`EdgeRec::hash`],
+    /// linear probing, power-of-two length. Empty while nothing has been
+    /// inserted since the last [`DepStore::seal`]; rebuilt by the next insert.
     index: Vec<u32>,
     /// Length of the arena's leading run known to lie in `(sink, key)`
     /// order; the whole arena, once sealed or while records happen to
@@ -343,26 +343,28 @@ impl DepStore {
         if self.index.is_empty() {
             self.reindex(index_cap(self.arena.len() + 1));
         }
-        let mask = self.index.len() - 1;
-        let mut at = probe.hash() & mask;
+        let (cap, hash) = (self.index.len(), probe.hash());
+        let (pos, tag) = (pos_mask(cap), tag_of(hash, cap));
+        let mut at = hash as usize & (cap - 1);
         loop {
-            let i = self.index[at];
-            if i == EMPTY {
-                return self.append(at, probe);
+            let entry = self.index[at];
+            if entry == EMPTY {
+                return self.append(at, probe, tag);
             }
-            if self.arena[i as usize].same_edge(&probe) {
+            let i = entry ^ tag;
+            if i <= pos && self.arena[i as usize].same_edge(&probe) {
                 return i as usize;
             }
-            at = (at + 1) & mask;
+            at = (at + 1) & (cap - 1);
         }
     }
 
-    /// Appends `rec` and enters it into the index at free slot `at`.
-    /// The arena grows by a quarter, not by doubling: it is the bulk of
-    /// the store and its slack is counted in
+    /// Appends `rec` and enters it, tagged `tag`, into the index at free
+    /// slot `at`. The arena grows by a quarter, not by doubling: it is the
+    /// bulk of the store and its slack is counted in
     /// [`DepStore::memory_usage`].
     #[cold]
-    fn append(&mut self, at: usize, rec: EdgeRec) -> usize {
+    fn append(&mut self, at: usize, rec: EdgeRec, tag: u32) -> usize {
         let i = self.arena.len();
         assert!(i < EMPTY as usize, "dependence store is limited to u32::MAX - 1 edges");
         if i == self.sorted_len && self.arena.last().is_none_or(|last| last.ident() < rec.ident()) {
@@ -372,10 +374,9 @@ impl DepStore {
             self.arena.reserve_exact((i / 4).max(4));
         }
         self.arena.push(rec);
+        self.index[at] = i as u32 | tag;
         if (i + 1) * 8 > self.index.len() * 5 {
             self.reindex(self.index.len() * 2);
-        } else {
-            self.index[at] = i as u32;
         }
         i
     }
@@ -385,11 +386,12 @@ impl DepStore {
         let mask = cap - 1;
         let mut index = vec![EMPTY; cap];
         for (i, rec) in self.arena.iter().enumerate() {
-            let mut at = rec.hash() & mask;
+            let hash = rec.hash();
+            let mut at = hash as usize & mask;
             while index[at] != EMPTY {
                 at = (at + 1) & mask;
             }
-            index[at] = i as u32;
+            index[at] = i as u32 | tag_of(hash, cap);
         }
         self.index = index;
     }
@@ -497,29 +499,23 @@ impl DepStore {
         let mut keyed: Vec<(Ident, u32, u64)> =
             dirty.iter().map(|&(i, base)| (self.arena[i as usize].ident(), i, base)).collect();
         keyed.sort_unstable();
-        let mut out = AnalysisDelta::default();
-        out.edges.reserve_exact(keyed.len());
-        for (_, i, baseline) in keyed {
+        let edges = keyed.into_iter().map(|(_, i, baseline)| {
             let rec = &self.arena[i as usize];
-            out.edges.push(DeltaEdge {
+            DeltaEdge {
                 sink: rec.sink(),
                 key: rec.key(),
                 count_delta: rec.count - baseline,
                 flags: DepFlags::from_bits_truncate(rec.flags),
                 carriers: self.carriers(rec).iter().copied().collect(),
-            });
-        }
-        for (id, (base_inst, base_iters)) in loops {
-            let Some(r) = self.loops.get(&id) else { continue };
-            out.loops.push(DeltaLoop {
-                id,
-                begin: r.begin,
-                end: r.end,
-                instances_delta: r.instances - base_inst,
-                iters_delta: r.total_iters - base_iters,
-            });
-        }
-        out
+            }
+        });
+        let loops = loops.into_iter().filter_map(|(id, (base_inst, base_iters))| {
+            let r = self.loops.get(&id)?;
+            let (instances_delta, iters_delta) =
+                (r.instances - base_inst, r.total_iters - base_iters);
+            Some(DeltaLoop { id, begin: r.begin, end: r.end, instances_delta, iters_delta })
+        });
+        AnalysisDelta { edges: edges.collect(), loops: loops.collect() }
     }
 
     /// Total dynamic dependences recorded (pre-merge) — the numerator of
@@ -564,22 +560,16 @@ impl DepStore {
         }
     }
 
-    /// The permutation that reads the arena in `(sink, key)` order, or
-    /// `None` when it already lies in that order.
-    fn order(&self) -> Option<Vec<u32>> {
-        (!self.is_sorted()).then(|| {
-            // Sorted beside their keys: a sort that fetches each key
-            // through the arena misses the cache on every comparison.
+    /// The records in `(sink, key)` order: as they lie once sealed, else
+    /// through a permutation sorted beside their keys (a sort that fetches
+    /// each key through the arena misses the cache on every comparison).
+    fn in_order(&self) -> impl Iterator<Item = &EdgeRec> + '_ {
+        let order = (!self.is_sorted()).then(|| {
             let mut keyed: Vec<(Ident, u32)> =
                 self.arena.iter().zip(0..).map(|(rec, i)| (rec.ident(), i)).collect();
             keyed.sort_unstable();
-            keyed.into_iter().map(|(_, i)| i).collect()
-        })
-    }
-
-    /// The records in `(sink, key)` order.
-    fn in_order(&self) -> impl Iterator<Item = &EdgeRec> + '_ {
-        let order = self.order();
+            keyed.into_iter().map(|(_, i)| i).collect::<Vec<u32>>()
+        });
         (0..self.arena.len()).map(move |n| &self.arena[order.as_ref().map_or(n, |o| o[n] as usize)])
     }
 
@@ -623,7 +613,7 @@ impl DepStore {
     /// maps are free of duplicates").
     pub fn merge(&mut self, other: DepStore) {
         for rec in &other.arena {
-            let i = self.slot(rec.blank());
+            let i = self.slot(EdgeRec { count: 0, carrier: 0, flags: 0, state: 0, ..*rec });
             let flags = DepFlags::from_bits_truncate(rec.flags);
             self.bump(i, rec.count, flags, other.carriers(rec));
         }
@@ -639,7 +629,8 @@ impl DepStore {
     /// serialize to identical bytes.
     pub fn save(&self, out: &mut ByteWriter) {
         let recs: Vec<&EdgeRec> = self.in_order().collect();
-        let by_sink = || recs.chunk_by(|a, b| a.same_sink(b));
+        let by_sink =
+            || recs.chunk_by(|a, b| (a.sink_loc, a.sink_thread) == (b.sink_loc, b.sink_thread));
         out.u64(self.deps_built);
         out.u64(recs.len() as u64);
         out.u64(by_sink().count() as u64);
@@ -904,10 +895,11 @@ mod tests {
             let at = SinkKey { loc: loc(1, n % 300 + 1), thread: 0 };
             s.add(at, DepType::Raw, loc(1, n / 300 + 1), 0, 7, DepFlags::empty(), None);
         }
-        let mask = s.index.len() - 1;
+        let (mask, pos) = (s.index.len() - 1, pos_mask(s.index.len()));
+        let home = |entry: u32| s.arena[(entry & pos) as usize].hash() as usize;
         let displaced: usize = (0..s.index.len())
             .filter(|&at| s.index[at] != EMPTY)
-            .map(|at| at.wrapping_sub(s.arena[s.index[at] as usize].hash()) & mask)
+            .map(|at| at.wrapping_sub(home(s.index[at])) & mask)
             .sum();
         // Linear probing at load ≤ 5/8 displaces under one slot on average.
         assert!(
@@ -1114,6 +1106,58 @@ mod tests {
         assert_eq!(s.catch_up(), t.take_delta());
         assert_eq!(s.catch_up().edges[0].count_delta, 2);
         assert_eq!(s.take_delta().edges[0].count_delta, 1);
+    }
+
+    #[test]
+    fn an_entry_splits_into_position_and_tag() {
+        let hash = 0xdead_beef_0123_4567;
+        assert_eq!((pos_mask(8), tag_of(hash, 8)), (7, 0xdead_bee8));
+        let mid = 1 << 18;
+        assert_eq!((pos_mask(mid), tag_of(hash, mid)), (0x3_ffff, 0xdeac_0000));
+        // From 2³² slots on the position takes every bit and the tag none.
+        for cap in [1 << 32, 1 << 33] {
+            assert_eq!((pos_mask(cap), tag_of(hash, cap)), (u32::MAX, 0));
+        }
+        // The last position a load of 5/8 reaches, under the fullest tag,
+        // is still not EMPTY (past 2³² slots `append`'s limit holds it).
+        for cap in [8, mid, 1 << 32] {
+            assert_ne!((cap * 5 / 8 - 1) as u32 | tag_of(u64::MAX, cap), EMPTY);
+        }
+    }
+
+    #[test]
+    fn edges_that_share_a_tag_keep_their_own_records() {
+        // Planted: bits 35 and up of the two hashes agree, so the pair has
+        // one tag at every index size, and so do bits 0–2, the home slot
+        // at 8 slots; the identities differ in both lines.
+        let (a, b) = ((sink(414), loc(1, 1029)), (sink(592), loc(1, 904)));
+        let hash = |(at, source)| EdgeRec::new(at, (DepType::Raw, source, 0, 7)).hash();
+        let (ha, hb) = (hash(a), hash(b));
+        assert_eq!((ha >> 35, ha & 7), (hb >> 35, hb & 7), "the pair collides");
+        let add = |s: &mut DepStore, (at, source)| {
+            s.add(at, DepType::Raw, source, 0, 7, DepFlags::empty(), None);
+        };
+        let count = |s: &DepStore, (at, source): (SinkKey, SourceLoc)| {
+            let mut own =
+                s.dependences().filter(|(d, _)| (d.sink, d.edge.source_loc) == (at, source));
+            own.next().expect("the edge has a record").1.count
+        };
+        let mut s = DepStore::new();
+        for _ in 0..2 {
+            add(&mut s, a);
+            add(&mut s, b);
+        }
+        assert_eq!((s.index.len(), s.merged_len()), (8, 2));
+        // Through six reindexes: the tags stay equal, the records apart.
+        for n in 1..=500 {
+            s.add(sink(3000), DepType::War, loc(2, n), 0, 1, DepFlags::empty(), None);
+        }
+        assert_eq!(s.index.len(), 1024);
+        assert_eq!(tag_of(ha, 1024), tag_of(hb, 1024));
+        add(&mut s, b);
+        add(&mut s, a);
+        assert_eq!(s.merged_len(), 502);
+        assert_eq!((count(&s, a), count(&s, b)), (3, 3));
     }
 
     #[test]

@@ -270,10 +270,11 @@ impl Server {
     pub fn run(&self, stop: &'static AtomicBool) -> io::Result<()> {
         use crate::shutdown::imp::wait_readable;
         let poll = Duration::from_millis(self.shared.cfg.poll_interval_ms.max(1));
+        let spawn = |serve: Box<dyn FnOnce() + Send>| std::thread::Builder::new().spawn(serve);
         let (threads, ended) = match &self.listener {
             Listener::Tcp(l) => {
                 let (accept, wait) = (|| l.accept(), || wait_readable(l, poll));
-                self.accept_until(stop, poll, accept, wait, move |s| {
+                self.accept_until(stop, poll, accept, wait, spawn, move |s| {
                     // Replies are small frames (HelloAck, SyncAck); Nagle
                     // + delayed ACK would stall every sync roundtrip by
                     // tens of milliseconds.
@@ -284,7 +285,7 @@ impl Server {
             #[cfg(unix)]
             Listener::Unix(l, path) => {
                 let (accept, wait) = (|| l.accept(), || wait_readable(l, poll));
-                let accepted = self.accept_until(stop, poll, accept, wait, move |s| {
+                let accepted = self.accept_until(stop, poll, accept, wait, spawn, move |s| {
                     s.set_nonblocking(false).and_then(|()| s.set_read_timeout(Some(poll)))
                 });
                 let _ = std::fs::remove_file(path);
@@ -299,29 +300,35 @@ impl Server {
     }
 
     /// Accepts each client as it connects (`wait` blocks until one is
-    /// waiting or `poll` passes) and serves it on a thread of its own once
+    /// waiting or `poll` passes) and serves it on a `spawn`ed thread once
     /// `prepare` has made its reads block for at most `poll`, until `stop`.
     /// [`TRANSIENT_ACCEPT`] errors are logged once until the next client
-    /// and retried after `poll`: the listener stays readable meanwhile.
+    /// and retried after `poll`: the listener stays readable meanwhile. A
+    /// client no thread starts for is dropped; each accept joins ended threads.
     fn accept_until<S: Read + Write + Send + 'static, A>(
         &self,
         stop: &'static AtomicBool,
         poll: Duration,
         accept: impl Fn() -> io::Result<(S, A)>,
         wait: impl Fn(),
+        spawn: impl Fn(Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>,
         prepare: impl Fn(&S) -> io::Result<()> + Copy + Send + 'static,
     ) -> (Vec<JoinHandle<()>>, io::Result<()>) {
-        let (mut threads, mut retrying) = (Vec::new(), false);
+        let (mut threads, mut retrying) = (Vec::<JoinHandle<()>>::new(), false);
         while !stop.load(Ordering::SeqCst) {
             match accept() {
                 Ok((s, _)) => {
                     retrying = false;
+                    threads.extract_if(.., |t| t.is_finished()).for_each(|t| drop(t.join()));
                     let shared = Arc::clone(&self.shared);
-                    threads.push(std::thread::spawn(move || {
+                    match spawn(Box::new(move || {
                         if prepare(&s).is_ok() {
                             serve_conn(s, &shared, stop);
                         }
-                    }));
+                    })) {
+                        Ok(t) => threads.push(t),
+                        Err(e) => eprintln!("cannot serve client: {e}"),
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait(),
                 Err(e) if e.raw_os_error().is_some_and(|n| TRANSIENT_ACCEPT.contains(&n)) => {
@@ -648,6 +655,61 @@ mod tests {
         let malformed = matches!(replies[..], [Frame::HelloAck { .. }, Frame::Error { code, .. }]
             if code == error_code::BAD_FRAME);
         assert!(malformed, "{replies:?}");
+    }
+
+    /// The accept loop over scripted clients: `clients` connections whose
+    /// peer sends nothing, then `stop`. `spawn` stands in for the OS.
+    fn accept_scripted(
+        stop: &'static AtomicBool,
+        clients: usize,
+        spawn: impl Fn(Box<dyn FnOnce() + Send>) -> io::Result<JoinHandle<()>>,
+    ) -> (Vec<JoinHandle<()>>, io::Result<()>, usize) {
+        let server = Server::bind_tcp("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let accepted = std::cell::Cell::new(0);
+        let accept = || {
+            if accepted.get() == clients {
+                stop.store(true, Ordering::SeqCst);
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            accepted.set(accepted.get() + 1);
+            Ok((io::Cursor::new(Vec::new()), ()))
+        };
+        let poll = Duration::from_millis(1);
+        let (threads, ended) = server.accept_until(stop, poll, accept, || {}, spawn, |_| Ok(()));
+        (threads, ended, accepted.get())
+    }
+
+    /// A client no thread can be started for is dropped and the loop
+    /// accepts the next; no real thread is asked for.
+    #[test]
+    fn a_client_without_a_thread_is_dropped_and_accepting_goes_on() {
+        static STOP: AtomicBool = AtomicBool::new(false);
+        let refused = std::cell::Cell::new(0);
+        let (threads, ended, accepted) = accept_scripted(&STOP, 3, |_serve| {
+            refused.set(refused.get() + 1);
+            Err(io::Error::other("no thread for you"))
+        });
+        assert!(ended.is_ok(), "{ended:?}");
+        assert!(threads.is_empty());
+        assert_eq!((accepted, refused.get()), (3, 3));
+    }
+
+    /// A long-lived accept loop holds the threads of live sessions only:
+    /// each accept joins the sessions that have ended.
+    #[test]
+    fn ended_sessions_are_joined_at_the_next_accept() {
+        static STOP: AtomicBool = AtomicBool::new(false);
+        // Each session runs to its end before the next client connects.
+        let (threads, ended, accepted) = accept_scripted(&STOP, 50, |serve| {
+            let t = std::thread::Builder::new().spawn(serve)?;
+            while !t.is_finished() {
+                std::thread::yield_now();
+            }
+            Ok(t)
+        });
+        assert!(ended.is_ok(), "{ended:?}");
+        assert_eq!(accepted, 50);
+        assert!(threads.len() <= 2, "{} handles held", threads.len());
     }
 
     /// A client that connects while `run` waits on its listener is served

@@ -250,12 +250,6 @@ impl CheckpointStore {
         position.checked_rem(self.every).map_or(u64::MAX, |rem| self.every - rem)
     }
 
-    /// Whether a periodic checkpoint falls due at stream position
-    /// `position`: a multiple of `every`, wherever the run resumed.
-    pub fn due(&self, position: u64) -> bool {
-        self.every > 0 && position.is_multiple_of(self.every)
-    }
-
     /// Quiesces `session` and writes its state at stream position
     /// `records_read` as the run's next generation, returning its number.
     /// [`CheckpointError::Io`] is a failed write, any other a failed quiesce.
@@ -408,10 +402,9 @@ mod tests {
         assert_eq!(store.until_due(0), 5_000);
         assert_eq!(store.until_due(12_345), 2_655);
         assert_eq!(store.until_due(15_000), 5_000);
-        assert!(store.due(15_000) && !store.due(17_345));
         let never = CheckpointStore::open(tmpdir("due0"), 0, None).unwrap();
         assert_eq!(never.until_due(12_345), u64::MAX);
-        assert!(!never.due(15_000));
+        assert_eq!(never.until_due(0), u64::MAX);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! it into a [`ProfileResult`]. [`SessionSpec`] is that choice in
 //! serializable form (it travels in a `Hello` frame and in the
 //! checkpoint CONFIG section), and [`ProfileSession`] is the running
-//! engine behind a uniform event/heartbeat/checkpoint surface. Online
+//! engine behind a uniform event/checkpoint surface. Online
 //! analysis reads it through one call,
 //! [`ProfileSession::collect_deltas`]: the first call starts tracking.
 
@@ -94,20 +94,15 @@ impl SessionSpec {
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after session spec"));
         }
-        SessionSpec { parallel, transport, overflow, redistribution, workers, slots }.checked()
-    }
-
-    /// The spec, if an engine should be built at its sizes: every decoder
-    /// of a spec that arrived from outside the process passes it through
-    /// here.
-    pub fn checked(self) -> Result<Self, WireError> {
-        if self.slots == 0 || (self.parallel && self.workers == 0) {
+        // Every spec decoded arrived from outside the process: refuse
+        // sizes no engine should be built at.
+        if slots == 0 || (parallel && workers == 0) {
             return Err(WireError::Invalid("session spec with zero slots or workers"));
         }
-        if self.workers > MAX_SPEC_WORKERS || self.slots as u64 > MAX_SPEC_SLOTS {
+        if workers > MAX_SPEC_WORKERS || slots as u64 > MAX_SPEC_SLOTS {
             return Err(WireError::Invalid("session spec asks for too many workers or slots"));
         }
-        Ok(self)
+        Ok(SessionSpec { parallel, transport, overflow, redistribution, workers, slots })
     }
 
     /// The [`ProfilerConfig`] this spec describes (parallel engine only).
@@ -158,8 +153,7 @@ impl SessionSpec {
 }
 
 /// A running engine — serial or parallel — behind the uniform surface a
-/// stream feeder needs: events in, heartbeat out, checkpointable,
-/// finishable.
+/// stream feeder needs: events in, checkpointable, finishable.
 #[allow(clippy::large_enum_variant)]
 pub enum ProfileSession {
     /// The in-line serial profiler.
@@ -181,15 +175,6 @@ impl ProfileSession {
         match self {
             ProfileSession::Serial(p) => p.on_record(rec),
             ProfileSession::Parallel(p) => p.on_record(rec),
-        }
-    }
-
-    /// Monotone downstream-progress value. The serial engine consumes
-    /// in-line, so the feed counter alone describes its progress.
-    pub fn heartbeat(&self) -> u64 {
-        match self {
-            ProfileSession::Serial(_) => 0,
-            ProfileSession::Parallel(p) => p.heartbeat(),
         }
     }
 

@@ -3,7 +3,7 @@
 //! A background thread watches a shared progress counter that the feed
 //! loop bumps as records flow. When the counter stands still for a full
 //! deadline, the watchdog *fires*: it sets a sticky flag the feed loop
-//! polls between records, giving it the chance to write an emergency
+//! polls between chunks, giving it the chance to write an emergency
 //! checkpoint and exit with the documented watchdog exit code. If the
 //! feed loop never reacts — it is the thing that is stuck — a second
 //! unheeded deadline triggers the hard-timeout action supplied by the
@@ -48,7 +48,7 @@ impl Watchdog {
     }
 
     /// Whether the watchdog has fired (sticky). The feed loop polls
-    /// this between records and, when set, writes an emergency
+    /// this between chunks and, when set, writes an emergency
     /// checkpoint and exits.
     pub fn fired(&self) -> bool {
         self.fired.load(Ordering::Acquire)

@@ -1,10 +1,12 @@
 //! The socket-free session state machine: frames in, frames out.
 //!
 //! One [`SessionEngine`] owns one profiling engine
-//! ([`ProfileSession`]) and the session's durability state. Both
-//! socket front-ends (TCP and Unix) and the in-process equivalence
-//! tests drive it the same way: [`SessionEngine::open`] on the `Hello`
-//! frame, [`SessionEngine::handle`] for everything after.
+//! ([`ProfileSession`]) and the session's durability state: the stream
+//! position, the resume skip and the periodic checkpoint cuts. Three
+//! drivers feed it: both socket front-ends and the in-process equivalence
+//! tests ([`SessionEngine::open`] on the `Hello` frame,
+//! [`SessionEngine::handle`] for everything after), and `depprof replay`
+//! ([`SessionEngine::new`], then [`SessionEngine::feed`] per trace chunk).
 
 use dp_analysis::incremental::json_string;
 use dp_analysis::OnlineAnalysis;
@@ -80,7 +82,8 @@ pub struct SessionEngine {
     name: String,
     session_id: u64,
     session: Option<ProfileSession>,
-    spec: SessionSpec,
+    /// The CONFIG section of every checkpoint the session writes.
+    config: Vec<u8>,
     interner: Interner,
     /// The session's checkpoint store: present exactly when the server
     /// has a checkpoint base, which is what makes it durable.
@@ -139,20 +142,35 @@ impl SessionEngine {
         };
         let open = |dir| CheckpointStore::open(dir, every, data.as_ref());
         let store = dir.map(open).transpose().map_err(|e| SessionError::Checkpoint(e.into()))?;
-        let service = ServiceMetrics { rehydrated: data.is_some() as u64, ..Default::default() };
-        let engine = SessionEngine {
-            name: hello.session.clone(),
+        let (name, at) = (hello.session.clone(), data.map(|d| d.records_read));
+        let ack = Frame::HelloAck { session_id, resume_from: at.unwrap_or(0) };
+        Ok((SessionEngine::new(name, session_id, interner, session, store, at, spec.encode()), ack))
+    }
+
+    /// A session around an engine its caller built, fresh or restored at
+    /// stream position `resumed`; a `store` makes it durable, and its
+    /// checkpoints carry `config` as their CONFIG section.
+    pub fn new(
+        name: String,
+        session_id: u64,
+        interner: Interner,
+        session: ProfileSession,
+        store: Option<CheckpointStore>,
+        resumed: Option<u64>,
+        config: Vec<u8>,
+    ) -> SessionEngine {
+        let service = ServiceMetrics { rehydrated: resumed.is_some() as u64, ..Default::default() };
+        SessionEngine {
+            name,
             session_id,
             session: Some(session),
-            spec,
+            config,
             interner,
             store,
-            events_fed: data.map_or(0, |d| d.records_read),
+            events_fed: resumed.unwrap_or(0),
             metrics: SessionMetrics { service, ..SessionMetrics::default() },
             online: None,
-        };
-        let ack = Frame::HelloAck { session_id, resume_from: engine.events_fed };
-        Ok((engine, ack))
+        }
     }
 
     /// Handles one post-`Hello` frame, returning the reply frames to
@@ -170,7 +188,7 @@ impl SessionEngine {
                 Err(SessionError::OutOfOrder("server-to-client frame sent by client"))
             }
             Frame::Error { .. } => Err(SessionError::OutOfOrder("Error frame sent by client")),
-            Frame::Chunk { base, events } => self.feed_chunk(base, events.into_iter()),
+            Frame::Chunk { base, events } => self.feed(base, events.into_iter()).map(|()| vec![]),
             Frame::Sync { nonce } => {
                 // Handling is synchronous: every earlier frame on this
                 // connection has been fed by the time we reply, so the
@@ -212,7 +230,7 @@ impl SessionEngine {
         }
         let chunk = ChunkView::parse(payload).map_err(|e| SessionError::Malformed(e.into()))?;
         self.admit_frame()?;
-        self.feed_chunk(chunk.base(), chunk.records())
+        self.feed(chunk.base(), chunk.records()).map(|()| vec![])
     }
 
     fn admit_frame(&mut self) -> Result<(), SessionError> {
@@ -223,15 +241,16 @@ impl SessionEngine {
         Ok(())
     }
 
-    /// Feeds the records of a chunk starting at stream position `base`
-    /// that lie at or past the watermark, cut only where the store has a
-    /// periodic checkpoint fall due, so checkpoints land on the same
-    /// positions however the stream was framed.
-    fn feed_chunk(
+    /// Feeds an unfinished session the records of a chunk starting at
+    /// stream position `base` that lie at or past the watermark, cut only
+    /// where the store has a periodic checkpoint fall due, so checkpoints
+    /// land on the same positions however the stream was framed; a failed
+    /// checkpoint is returned once the whole chunk is fed.
+    pub fn feed(
         &mut self,
         base: u64,
         records: impl ExactSizeIterator<Item = Record>,
-    ) -> Result<Vec<Frame>, SessionError> {
+    ) -> Result<(), SessionError> {
         self.metrics.chunks += 1;
         if base > self.events_fed {
             return Err(SessionError::OutOfOrder("chunk beyond the stream watermark"));
@@ -242,6 +261,7 @@ impl SessionEngine {
         let skip = (self.events_fed - base).min(records.len() as u64) as usize;
         self.metrics.service.events_skipped_on_resume += skip as u64;
         let mut fresh = records.skip(skip);
+        let mut failed = None;
         while fresh.len() > 0 {
             let until_due = self.store.as_ref().map_or(u64::MAX, |s| s.until_due(self.events_fed));
             let now = until_due.min(fresh.len() as u64);
@@ -250,10 +270,11 @@ impl SessionEngine {
             self.metrics.events += now;
             self.events_fed += now;
             if now == until_due {
-                self.write_checkpoint()?;
+                let written = self.write_checkpoint();
+                failed = failed.or(written.err());
             }
         }
-        Ok(Vec::new())
+        failed.map_or(Ok(()), Err)
     }
 
     /// Answers a `Query` frame from incremental state. The first query
@@ -287,15 +308,14 @@ impl SessionEngine {
 
     /// Writes a checkpoint at the current stream position (periodic or
     /// emergency); the store makes the session's directory on the first
-    /// write. Returns whether a generation was written: none is for a
-    /// session that is not durable or no longer holds an engine.
-    pub fn write_checkpoint(&mut self) -> Result<bool, SessionError> {
+    /// write. Returns the generation written, or `None` for a session
+    /// that is not durable or no longer holds an engine.
+    pub fn write_checkpoint(&mut self) -> Result<Option<u64>, SessionError> {
         let (Some(store), Some(session)) = (self.store.as_mut(), self.session.as_mut()) else {
-            return Ok(false);
+            return Ok(None);
         };
-        let config = self.spec.encode();
-        store.save(session, self.events_fed, config).map_err(SessionError::Checkpoint)?;
-        Ok(true)
+        let saved = store.save(session, self.events_fed, self.config.clone());
+        saved.map(Some).map_err(SessionError::Checkpoint)
     }
 
     /// Hibernates an idle session: checkpoint the engine to the store
@@ -304,7 +324,7 @@ impl SessionEngine {
     /// rehydrates from the checkpoint and resumes exactly. Only durable
     /// sessions (a checkpoint base was configured) can hibernate.
     pub fn hibernate(&mut self) -> Result<(), SessionError> {
-        if !self.write_checkpoint()? {
+        if self.write_checkpoint()?.is_none() {
             return Err(SessionError::OutOfOrder("hibernate of a finished or non-durable session"));
         }
         self.metrics.service.hibernated += 1;
@@ -515,7 +535,11 @@ mod tests {
         let (mut first, _) = SessionEngine::open(&hello("job", 0), 1, Some(&base), 0).unwrap();
         first.handle(Frame::Chunk { base: 0, events: accesses(0..50) }).unwrap();
         assert!(!base.join("job").exists(), "no directory before the first checkpoint");
-        assert!(first.write_checkpoint().unwrap(), "a durable session writes a generation");
+        assert_eq!(
+            first.write_checkpoint().unwrap(),
+            Some(0),
+            "a durable session writes a generation"
+        );
         assert_eq!(first.metrics().checkpoints.generations, 1);
         drop(first);
         let (_, ack) = SessionEngine::open(&hello("job", 0), 2, Some(&base), 0).unwrap();
@@ -524,7 +548,7 @@ mod tests {
 
         let (mut ephemeral, _) = SessionEngine::open(&hello("e", 0), 3, None, 0).unwrap();
         ephemeral.handle(Frame::Chunk { base: 0, events: accesses(0..50) }).unwrap();
-        assert!(!ephemeral.write_checkpoint().unwrap(), "nothing is saved without a store");
+        assert_eq!(ephemeral.write_checkpoint().unwrap(), None, "nothing is saved without a store");
     }
 
     /// A durable session numbers its generations from 0, writes them at

@@ -497,8 +497,8 @@ fn serve_conn<S: Read + Write>(mut s: S, shared: &Shared, stop: &AtomicBool) {
 /// unfinished, logs what became of it, and returns that in words.
 fn checkpoint_on_exit(engine: &mut SessionEngine, why: &str) -> String {
     let saved = match engine.write_checkpoint() {
-        Ok(true) => format!("emergency checkpoint at event {}", engine.position()),
-        Ok(false) => "not durable, nothing saved".into(),
+        Ok(Some(_)) => format!("emergency checkpoint at event {}", engine.position()),
+        Ok(None) => "not durable, nothing saved".into(),
         Err(e) => format!("emergency checkpoint failed: {e}"),
     };
     eprintln!("{}: {why}; {saved}", who(engine));

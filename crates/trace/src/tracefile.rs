@@ -6,6 +6,15 @@
 //! without their timestamps. The reader fails typed ([`TraceFileError`]) and
 //! keeps every whole frame before the damage; a file without its `Finish`
 //! is torn.
+//!
+//! [`TraceReader`] hands the stream out two ways: as events, one at a
+//! time (its [`Iterator`]), or as the session it is, one `Chunk` at a
+//! time ([`TraceReader::next_chunk`]): the chunk's stream position and
+//! its packed records, borrowed from the reader. `depprof replay` feeds
+//! those chunks to the same session engine a served connection feeds, so
+//! a resumed replay reads the trace from its start and the engine skips
+//! what lies below its watermark, as it skips a reconnecting client's
+//! resent prefix.
 
 use crate::stream::{intern_names, FrameChunker, DEFAULT_CHUNK_EVENTS};
 use crate::tracer::Tracer;
@@ -142,7 +151,7 @@ pub struct TraceReader<R: Read> {
     interner: Interner,
     /// Byte offset of the next frame.
     offset: u64,
-    /// Events handed out or skipped so far.
+    /// Events handed out so far.
     records: u64,
     /// The current chunk's records, and the next one to hand out.
     chunk: Vec<Record>,
@@ -173,7 +182,7 @@ impl<R: Read> TraceReader<R> {
             next: 0,
             done: false,
         };
-        match r.read_frame(0) {
+        match r.read_frame() {
             Err(TornRecord { .. }) => Err(BadNameTable("truncated name table")),
             read => read.map(|()| r),
         }
@@ -184,36 +193,32 @@ impl<R: Read> TraceReader<R> {
         &self.interner
     }
 
-    /// Events handed out or skipped so far: the reader's position, and
+    /// Events handed out so far: the reader's position, and
     /// the salvageable prefix once iteration stopped on an error.
     pub fn records_read(&self) -> u64 {
         self.records
     }
 
-    /// Moves the reader to event `n`, as a resume does: whole frames that
-    /// end at or below `n` are dropped undecoded, and so are the first
-    /// `n − base` events of the frame that straddles it. A trace that
-    /// ends before `n` is [`TraceFileError::TornRecord`].
-    pub fn skip_to(&mut self, n: u64) -> Result<(), TraceFileError> {
-        while self.records < n {
-            let held = (self.chunk.len() - self.next) as u64;
-            if held > 0 {
-                let skip = held.min(n - self.records);
-                self.next += skip as usize;
-                self.records += skip;
-            } else if self.done {
-                return Err(TornRecord { offset: self.offset, records_read: self.records });
-            } else {
-                self.read_frame(n)?;
+    /// The next `Chunk`'s stream position and records, or the rest of
+    /// the chunk the event iterator stopped inside; `None` after the
+    /// `Finish` (and after an error, which is returned once). The records
+    /// count as read.
+    pub fn next_chunk(&mut self) -> Result<Option<(u64, &[Record])>, TraceFileError> {
+        while self.next == self.chunk.len() {
+            if self.done {
+                return Ok(None);
             }
+            self.read_frame()?;
         }
-        Ok(())
+        let (base, from) = (self.records, self.next);
+        self.records += (self.chunk.len() - from) as u64;
+        self.next = self.chunk.len();
+        Ok(Some((base, &self.chunk[from..])))
     }
 
     /// Reads the next frame: the `Hello` first, then `Chunk`s, each at
-    /// the reader's position, up to the `Finish`. A `Chunk` that ends at
-    /// or below `keep_from` only moves the position.
-    fn read_frame(&mut self, keep_from: u64) -> Result<(), TraceFileError> {
+    /// the reader's position, up to the `Finish`.
+    fn read_frame(&mut self) -> Result<(), TraceFileError> {
         let (at, pos) = (self.offset, self.records);
         let corrupt = || Checksum { offset: at, records_read: pos };
         self.done = true;
@@ -233,10 +238,7 @@ impl<R: Read> TraceReader<R> {
                 let chunk = chunk.ok_or_else(corrupt)?;
                 self.chunk.clear();
                 self.next = 0;
-                match pos + chunk.len() as u64 {
-                    end if end > keep_from => self.chunk.extend(chunk.records()),
-                    end => self.records = end,
-                }
+                self.chunk.extend(chunk.records());
                 self.done = false;
                 return Ok(());
             }
@@ -267,7 +269,7 @@ impl<R: Read> Iterator for TraceReader<R> {
             if self.done {
                 return None;
             }
-            if let Err(e) = self.read_frame(self.records) {
+            if let Err(e) = self.read_frame() {
                 return Some(Err(e));
             }
         }
@@ -671,34 +673,43 @@ mod tests {
         }
     }
 
-    /// `skip_to` lands on the event it names wherever that lies: the
-    /// start, a frame's first, middle or last event, the end; past the
-    /// end is a torn trace.
+    /// `next_chunk` hands out each frame at its stream position, the rest
+    /// of a frame the iterator stopped inside first, and the same events
+    /// the iterator does.
     #[test]
-    fn skip_to_lands_on_the_named_event() {
-        fn rest_after(mut r: TraceReader<impl Read>, to: u64) -> Vec<TraceEvent> {
-            r.skip_to(to).unwrap();
-            assert_eq!(r.records_read(), to);
-            r.map(Result::unwrap).collect()
-        }
-        let (evs, _, bytes) = long_recording();
-        let n = DEFAULT_CHUNK_EVENTS as u64;
-        for to in [0, n, n + 100, 2 * n - 1, evs.len() as u64] {
-            let rest = &evs[to as usize..];
-            assert_eq!(rest_after(TraceReader::new(&bytes[..]).unwrap(), to), rest, "to {to}");
-            let dribble = TraceReader::new(Dribble { data: &bytes, calls: 0 }).unwrap();
-            assert_eq!(rest_after(dribble, to), rest, "to {to}, dribbled");
-        }
-        // Skipping on from part-way through, and past the end.
-        let mut r = TraceReader::new(&bytes[..]).unwrap();
+    fn next_chunk_hands_out_each_frame_at_its_position() {
+        let (evs, offsets, bytes) = long_recording();
+        let n = DEFAULT_CHUNK_EVENTS;
+        let mut r = TraceReader::new(Dribble { data: &bytes, calls: 0 }).unwrap();
         r.by_ref().take(10).for_each(drop);
-        r.skip_to(n + 1).unwrap();
-        assert_eq!(r.next().unwrap().unwrap(), evs[n as usize + 1]);
-        let end = evs.len() as u64;
-        assert!(
-            matches!(r.skip_to(end + 1), Err(TornRecord { records_read, .. }) if records_read == end),
-            "past the end"
-        );
+        let mut chunks = Vec::new();
+        while let Some((base, records)) = r.next_chunk().unwrap() {
+            let end = base + records.len() as u64;
+            chunks.push((base, records.to_vec()));
+            assert_eq!(r.records_read(), end);
+        }
+        let bases: Vec<u64> = chunks.iter().map(|c| c.0).collect();
+        let want: Vec<u64> =
+            [10].into_iter().chain((1..evs.len().div_ceil(n)).map(|i| (i * n) as u64)).collect();
+        assert_eq!(bases, want);
+        let records: Vec<Record> = chunks.into_iter().flat_map(|c| c.1).collect();
+        let packed: Vec<Record> = evs[10..].iter().map(Record::pack).collect();
+        assert_eq!(records, packed);
+        assert!(r.next_chunk().unwrap().is_none(), "the Finish ends the stream");
+
+        // Damage is returned once, with the salvageable prefix: a cut
+        // inside the last chunk keeps every chunk before it.
+        let cut = &bytes[..offsets[offsets.len() - 1] - 3];
+        let mut r = TraceReader::new(cut).unwrap();
+        let end = loop {
+            match r.next_chunk() {
+                Ok(Some(_)) => continue,
+                end => break end.err(),
+            }
+        };
+        let whole = (evs.len() / n * n) as u64;
+        assert!(matches!(end, Some(TornRecord { records_read, .. }) if records_read == whole));
+        assert!(r.next_chunk().unwrap().is_none());
     }
 
     #[test]

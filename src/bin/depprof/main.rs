@@ -26,9 +26,9 @@
 //! written to the two-generation directory with an atomic temp-file +
 //! rename protocol — a kill at any instant leaves a valid generation on
 //! disk. A fresh run discards what an earlier run left in the directory.
-//! `replay --resume <dir>` picks up the latest valid generation, seeks
-//! the trace to the recorded position and continues; the final profile is
-//! identical to an uninterrupted run. `--watchdog-deadline MS` arms a
+//! `replay --resume <dir>` restores the latest valid generation and reads
+//! the trace from its start, skipping what was profiled; the final profile
+//! is identical to an uninterrupted run. `--watchdog-deadline MS` arms a
 //! monitor that forces an emergency checkpoint and exits with code `6`
 //! when the pipeline stops making progress.
 //!
@@ -57,12 +57,12 @@ mod flags;
 
 use depprof::analysis::{degradation, text_sections, LoopMeta};
 use depprof::core::{
-    report, CheckpointError, CheckpointStore, FaultPlan, ProfileResult, ProfileSession,
-    ProfilerConfig, SessionSpec, TransportKind, Watchdog,
+    report, CheckpointError, CheckpointStore, FaultPlan, ProfileResult, ProfilerConfig,
+    SessionSpec, Watchdog,
 };
 use depprof::server::{
     install_signal_handlers, push_with_retry, shutdown_flag, ClientError, PushOptions, RetryPolicy,
-    Server, ServerConfig,
+    Server, ServerConfig, SessionEngine, SessionError,
 };
 use depprof::trace::workloads::{nas_suite, splash, starbench_suite, synth, Scale, Workload};
 use depprof::trace::TraceReader;
@@ -141,9 +141,10 @@ fn open_trace(path: &str) -> Cli<TraceReader<File>> {
 
 /// Everything a resumed run needs to rebuild the engine exactly as the
 /// interrupted run configured it. Serialized into the checkpoint's CONFIG
-/// section, so `depprof replay --resume <dir>` takes no other flags.
-/// Fault-injection levers (the overflow policy among them) are not
-/// persisted: a resumed run is healthy unless its own flags say otherwise.
+/// section (`blob(trace path) | u64 interval | blob(SessionSpec)`), so
+/// `depprof replay --resume <dir>` takes no other flags. Fault-injection
+/// levers (the overflow policy among them) are not taken from it: a
+/// resumed run is healthy unless its own flags say otherwise.
 #[derive(Debug, PartialEq)]
 struct ReplayConfig {
     trace_path: String,
@@ -155,12 +156,8 @@ impl ReplayConfig {
     fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.blob(self.trace_path.as_bytes());
-        w.u8(self.spec.parallel as u8);
-        w.u8(self.spec.transport.code());
-        w.u32(self.spec.workers as u32);
-        w.u64(self.spec.slots as u64);
         w.u64(self.checkpoint_every);
-        w.u8(!self.spec.redistribution as u8);
+        w.blob(&self.spec.encode());
         w.into_bytes()
     }
 
@@ -168,21 +165,12 @@ impl ReplayConfig {
         let mut r = ByteReader::new(bytes);
         let trace_path = String::from_utf8(r.blob()?.to_vec())
             .map_err(|_| WireError::Invalid("trace path in checkpoint is not UTF-8"))?;
-        // Field expressions run in the order written: the wire order.
-        let spec = SessionSpec {
-            parallel: r.u8()? != 0,
-            transport: TransportKind::from_code(r.u8()?)
-                .ok_or(WireError::Invalid("unknown transport code in checkpoint"))?,
-            workers: r.u32()? as usize,
-            slots: r.u64()? as usize,
-            ..SessionSpec::default()
-        };
         let checkpoint_every = r.u64()?;
-        let spec = SessionSpec { redistribution: r.u8()? == 0, ..spec };
+        let spec = SessionSpec::decode(r.blob()?)?;
         if !r.is_done() {
             return Err(WireError::Invalid("trailing bytes after replay config"));
         }
-        Ok(ReplayConfig { trace_path, spec: spec.checked()?, checkpoint_every })
+        Ok(ReplayConfig { trace_path, spec, checkpoint_every })
     }
 }
 
@@ -238,6 +226,9 @@ fn emit_result(args: &Args, result: &ProfileResult, report: impl FnOnce() -> Str
 
 /// `depprof replay` — feed a recorded trace into an engine, with optional
 /// durability: periodic checkpoints, crash resume, and a run watchdog.
+/// The trace's chunks go to a [`SessionEngine`], the one a served
+/// connection feeds: it keeps the position, skips what a resumed run
+/// already profiled and cuts where a periodic checkpoint falls due.
 fn run_replay(args: &Args) -> Cli {
     // Resolve the run configuration: a fresh run takes it from the flags,
     // a resumed run from the checkpoint's own CONFIG section.
@@ -260,16 +251,12 @@ fn run_replay(args: &Args) -> Cli {
         },
     };
     let path = &rc.trace_path;
-
-    // Open the trace; on resume, skip the events the interrupted run
-    // already profiled (the checkpoint records the reader position).
     let mut reader = open_trace(path)?;
-    let interner = reader.interner().clone();
     if let Some(d) = &resume_data {
-        let at = d.records_read;
-        let what = format!("'{path}': checkpoint was taken {at} records in");
-        reader.skip_to(at).or_fail(EXIT_CORRUPT, what)?;
-        eprintln!("resuming from checkpoint generation {} at record {at}", d.generation);
+        eprintln!(
+            "resuming from checkpoint generation {} at record {}",
+            d.generation, d.records_read
+        );
     }
 
     // Build (or restore) the engine.
@@ -285,7 +272,7 @@ fn run_replay(args: &Args) -> Cli {
     } else {
         "cannot restore the serial engine"
     };
-    let mut engine = rc.spec.open(cfg, resume_data.as_ref()).or_fail(EXIT_CORRUPT, what)?;
+    let session = rc.spec.open(cfg, resume_data.as_ref()).or_fail(EXIT_CORRUPT, what)?;
 
     // A run with a checkpoint directory is durable: it writes periodic
     // checkpoints when asked to, and an emergency one when a signal or
@@ -296,16 +283,20 @@ fn run_replay(args: &Args) -> Cli {
     let asked = rc.checkpoint_every > 0 || args.watchdog_deadline_ms > 0;
     let dir = args.resume.clone().or_else(|| args.checkpoint_dir.clone());
     let dir = dir.or_else(|| asked.then(|| format!("{path}.ckpt")));
-    let open = |dir: String| {
+    let open = |dir: &String| {
         CheckpointStore::open(dir.into(), rc.checkpoint_every, resume_data.as_ref())
             .or_fail(EXIT_INPUT, "cannot open checkpoint directory")
     };
-    let mut store = dir.map(open).transpose()?;
+    let store = dir.as_ref().map(open).transpose()?;
+    let at = resume_data.as_ref().map(|d| d.records_read);
+    let interner = reader.interner().clone();
+    let mut engine = SessionEngine::new(path.clone(), 0, interner, session, store, at, rc.encode());
+    let start = engine.position();
 
     // The watchdog escalates in two stages: after one deadline without
     // progress it sets the sticky `fired` flag, which the feed loop turns
-    // into an emergency checkpoint + exit at the next record boundary;
-    // if the feed loop itself is wedged (blocked on a full queue behind a
+    // into an emergency checkpoint + exit at the next chunk boundary; if
+    // the feed loop itself is wedged (blocked on a full queue behind a
     // stalled worker) and a second deadline passes, the hard-timeout
     // callback exits directly — the previous on-disk generation survives.
     let watchdog = (args.watchdog_deadline_ms > 0).then(|| {
@@ -318,62 +309,53 @@ fn run_replay(args: &Args) -> Cli {
 
     // SIGINT/SIGTERM become a final emergency checkpoint + exit code 7
     // instead of a death mid-write: the handler only sets a flag, which
-    // the feed loop observes at the next record boundary.
+    // the feed loop observes at the next chunk boundary.
     install_signal_handlers();
 
-    // Quiesce → write → report, for all three reasons a replay checkpoints.
-    // `reason` prefixes an emergency checkpoint's messages; the periodic
-    // checkpoint passes none and speaks only when it fails. Nothing
-    // happens when checkpointing is off.
-    let checkpoint = |store: &mut Option<CheckpointStore>,
-                      engine: &mut ProfileSession,
-                      records_read: u64,
-                      reason: &str| {
-        let Some(store) = store else { return };
-        let periodic = reason.is_empty();
-        match store.save(engine, records_read, rc.encode()) {
-            Ok(_) if periodic => {}
-            Ok(generation) => eprintln!(
-                "{reason}emergency checkpoint generation {generation} ({} bytes) written to '{}'{}",
-                store.metrics().last_bytes,
-                store.dir().display(),
-                if reason.starts_with("signal") { "; resume with --resume" } else { "" }
-            ),
-            Err(CheckpointError::Io(e)) if periodic => {
-                eprintln!("WARNING: checkpoint write failed: {e}")
-            }
-            Err(CheckpointError::Io(e)) => eprintln!("{reason}emergency checkpoint failed: {e}"),
-            Err(e) if periodic => eprintln!("WARNING: checkpoint skipped: {e}"),
-            Err(e) => eprintln!("{reason}cannot quiesce for emergency checkpoint: {e}"),
+    // The emergency checkpoint a signal or the watchdog stops the run
+    // with; `reason` prefixes its messages.
+    let emergency = |engine: &mut SessionEngine, reason: &str| match engine.write_checkpoint() {
+        Ok(Some(generation)) => eprintln!(
+            "{reason}emergency checkpoint generation {generation} ({} bytes) written to '{}'{}",
+            engine.metrics().checkpoints.last_bytes,
+            dir.as_deref().unwrap_or_default(),
+            if reason.starts_with("signal") { "; resume with --resume" } else { "" }
+        ),
+        Ok(None) => eprintln!("{reason}terminating (not durable, nothing saved)"),
+        Err(SessionError::Checkpoint(CheckpointError::Io(e))) => {
+            eprintln!("{reason}emergency checkpoint failed: {e}")
         }
+        Err(e) => eprintln!("{reason}cannot quiesce for emergency checkpoint: {e}"),
     };
 
-    let mut fed: u64 = 0;
-    while let Some(rec) = reader.next() {
-        let ev = rec.or_fail(EXIT_CORRUPT, format_args!("'{path}'"))?;
-        engine.on_event(ev);
-        fed += 1;
-        if shutdown_flag().load(Ordering::SeqCst) {
-            if store.is_none() {
-                eprintln!("signal: terminating (not durable, nothing saved)");
+    while let Some((base, records)) =
+        reader.next_chunk().or_fail(EXIT_CORRUPT, format_args!("'{path}'"))?
+    {
+        // A periodic checkpoint that fails costs durability, not the run.
+        match engine.feed(base, records.iter().copied()) {
+            Err(SessionError::Checkpoint(CheckpointError::Io(e))) => {
+                eprintln!("WARNING: checkpoint write failed: {e}")
             }
-            checkpoint(&mut store, &mut engine, reader.records_read(), "signal: ");
+            Err(SessionError::Checkpoint(e)) => eprintln!("WARNING: checkpoint skipped: {e}"),
+            fed => fed.or_fail(EXIT_CORRUPT, format_args!("'{path}'"))?,
+        }
+        if shutdown_flag().load(Ordering::SeqCst) {
+            emergency(&mut engine, "signal: ");
             return Err(fail(EXIT_SIGNAL, ""));
         }
         if let Some(p) = &wd_progress {
-            p.store(fed + engine.heartbeat(), Ordering::Relaxed);
+            p.store(reader.records_read(), Ordering::Relaxed);
         }
         if watchdog.as_ref().is_some_and(|w| w.fired()) {
-            checkpoint(&mut store, &mut engine, reader.records_read(), "watchdog: stalled; ");
+            emergency(&mut engine, "watchdog: stalled; ");
             return Err(fail(EXIT_WATCHDOG, ""));
         }
-        if store.as_ref().is_some_and(|s| s.due(reader.records_read())) {
-            checkpoint(&mut store, &mut engine, reader.records_read(), "");
-        }
-        // The kill point sits at a record boundary *after* any checkpoint
-        // due at it — deterministic, and it exercises the worst case
-        // (death immediately after a successful checkpoint write).
-        if args.inject_kill_after == fed {
+        // The kill point sits at the first chunk boundary at or past N
+        // records fed by this run, *after* any checkpoint due inside the
+        // chunk — deterministic, and it exercises the worst case (death
+        // immediately after a successful checkpoint write).
+        let fed = engine.position() - start;
+        if args.inject_kill_after > 0 && fed >= args.inject_kill_after {
             eprintln!("fault injection: killing the process after {fed} records");
             // A real SIGKILL (not abort/panic): nothing runs after it — no
             // destructors, no atexit — which is exactly the crash model the
@@ -388,13 +370,16 @@ fn run_replay(args: &Args) -> Cli {
         }
     }
     drop((wd_progress, watchdog));
+    let (at, ends) = (engine.position(), reader.records_read());
+    if ends < at {
+        let why = format!("'{path}': checkpoint was taken {at} records in; the trace has {ends}");
+        return Err(fail(EXIT_CORRUPT, why));
+    }
 
-    let mut result = engine.finish();
-    result.metrics.checkpoints = store.map(|s| s.metrics()).unwrap_or_default();
+    let mut result = engine.finish_result().expect("a replay's session holds its engine");
     result.metrics.chaos_seed = chaos_seed;
-
     eprintln!("{}", report::summary(&result));
-    emit_result(args, &result, || report::render(&result, &interner, false))
+    emit_result(args, &result, || report::render(&result, reader.interner(), false))
 }
 
 /// `depprof serve` — run the profiler as a long-lived network service.
@@ -760,21 +745,24 @@ fn main() {
 mod tests {
     use super::*;
 
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    }
+
     /// A replay checkpoint's CONFIG section is an on-disk format: this
-    /// blob was written by `replay km.dptr --engine parallel --transport
-    /// mpmc --workers 3 --slots 4096 --no-redistribution
-    /// --checkpoint-every 5000` and must decode and re-encode unchanged.
+    /// blob is what `replay km.dptr --engine parallel --transport mpmc
+    /// --workers 3 --slots 4096 --no-redistribution --checkpoint-every
+    /// 5000` writes, the trace path, the interval and the engine's
+    /// `SessionSpec` bytes, and must decode and re-encode unchanged. The
+    /// earlier layout, the spec's fields copied one by one, is refused.
     #[test]
     fn replay_config_bytes_are_pinned() {
-        let hex = "070000006b6d2e647074720101030000000010000000000000881300000000000001";
-        let blob: Vec<u8> = (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-            .collect();
+        let blob =
+            unhex("070000006b6d2e6470747288130000000000001000000001010000030000000010000000000000");
         let rc = ReplayConfig::decode(&blob).unwrap();
         let spec = SessionSpec {
             parallel: true,
-            transport: TransportKind::Mpmc,
+            transport: depprof::core::TransportKind::Mpmc,
             workers: 3,
             slots: 4096,
             redistribution: false,
@@ -783,5 +771,7 @@ mod tests {
         assert_eq!(rc, ReplayConfig { trace_path: "km.dptr".into(), spec, checkpoint_every: 5000 });
         assert_eq!(rc.encode(), blob);
         assert!(ReplayConfig::decode(&blob[..blob.len() - 1]).is_err(), "truncated");
+        let earlier = unhex("070000006b6d2e647074720101030000000010000000000000881300000000000001");
+        assert!(ReplayConfig::decode(&earlier).is_err(), "the earlier layout");
     }
 }

@@ -616,16 +616,15 @@ fn cli_watchdog_exits_with_code_6_on_stall() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A CONFIG section in `depprof replay`'s layout.
+/// A CONFIG section in `depprof replay`'s layout: the trace path, the
+/// interval, and the engine's `SessionSpec` bytes.
 fn replay_config(trace: &str, parallel: bool, workers: u32, slots: u64, every: u64) -> Vec<u8> {
+    let (workers, slots) = (workers as usize, slots as usize);
+    let spec = depprof::core::SessionSpec { parallel, workers, slots, ..Default::default() };
     let mut config = depprof::types::wire::ByteWriter::new();
     config.blob(trace.as_bytes());
-    config.u8(parallel as u8);
-    config.u8(TransportKind::Spsc.code());
-    config.u32(workers);
-    config.u64(slots);
     config.u64(every);
-    config.u8(0);
+    config.blob(&spec.encode());
     config.into_bytes()
 }
 
@@ -752,4 +751,88 @@ fn cli_resume_rejects_oversized_slots() {
 #[test]
 fn cli_resume_rejects_oversized_worker_count() {
     resume_with_sizes_exits_4("huge-workers", true, 3_000_000_000, 4096);
+}
+
+/// Writes `config` as generation 0 of a checkpoint directory under `dir`,
+/// taken `at` records into `trace` by a default serial engine.
+fn checkpoint_at(dir: &std::path::Path, trace: &str, at: usize, config: Vec<u8>) -> PathBuf {
+    let mut session = depprof::core::SessionSpec::default().build();
+    let reader = depprof::trace::TraceReader::new(std::fs::File::open(trace).unwrap()).unwrap();
+    reader.take(at).for_each(|ev| session.on_event(ev.unwrap()));
+    let data = session.checkpoint_data(0, at as u64, config).unwrap();
+    let ckpt = dir.join("run.ckpt");
+    std::fs::create_dir_all(&ckpt).unwrap();
+    std::fs::write(ckpt.join("checkpoint-0.dpck"), data.encode()).unwrap();
+    ckpt
+}
+
+/// A replay checkpoint whose CONFIG section is in the layout before the
+/// engine spec travelled as `SessionSpec` bytes (its fields one by one,
+/// the interval after them) is refused, not misread.
+#[test]
+fn cli_resume_refuses_the_earlier_config_layout() {
+    let dir = scratch("old-config");
+    let trace = record_trace(&dir);
+    let mut config = depprof::types::wire::ByteWriter::new();
+    config.blob(trace.as_bytes());
+    config.u8(0);
+    config.u8(TransportKind::Spsc.code());
+    config.u32(8);
+    config.u64(1 << 20);
+    config.u64(2000);
+    config.u8(0);
+    let ckpt = checkpoint_at(&dir, &trace, 0, config.into_bytes());
+    let out = depprof(&["replay", "--resume", ckpt.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{err}");
+    assert!(err.contains("checkpoint config section is unreadable"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint taken further into its trace than the trace reaches
+/// cannot be resumed against it: a complete trace of 2 000 events and a
+/// checkpoint at record 2 500 exit 4 and name the checkpoint's position.
+#[test]
+fn cli_resume_past_the_end_of_the_trace_exits_4() {
+    let dir = scratch("short");
+    let trace = record_trace(&dir);
+    let short = dir.join("short.dptr");
+    let short_s = short.to_str().unwrap();
+    let reader = depprof::trace::TraceReader::new(std::fs::File::open(&trace).unwrap()).unwrap();
+    let file = std::fs::File::create(&short).unwrap();
+    let mut writer = depprof::trace::TraceWriter::with_names(file, reader.interner()).unwrap();
+    reader.take(2000).for_each(|ev| writer.event(ev.unwrap()));
+    writer.finish().unwrap();
+
+    let ckpt = checkpoint_at(&dir, &trace, 2500, replay_config(short_s, false, 8, 1 << 20, 0));
+    let out = depprof(&["replay", "--resume", ckpt.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{err}");
+    assert!(err.contains("checkpoint was taken 2500 records in"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A periodic checkpoint that cannot be written costs the run its
+/// durability, not its result: the replay warns, goes on and writes the
+/// uninterrupted report. The checkpoint directory is a dangling symlink,
+/// so opening the store succeeds (there is nothing to discard) and every
+/// write fails where it makes the directory.
+#[cfg(unix)]
+#[test]
+fn cli_failed_periodic_checkpoint_warns_and_goes_on() {
+    let dir = scratch("unwritable");
+    let trace = record_trace(&dir);
+    let clean = depprof(&["replay", &trace]);
+    assert!(clean.status.success(), "{}", String::from_utf8_lossy(&clean.stderr));
+    let ckpt = dir.join("run.ckpt");
+    std::os::unix::fs::symlink(dir.join("nowhere"), &ckpt).unwrap();
+    let ckpt_s = ckpt.to_str().unwrap();
+    let out =
+        depprof(&["replay", &trace, "--checkpoint-every", "2000", "--checkpoint-dir", ckpt_s]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.contains("WARNING: checkpoint write failed"), "{err}");
+    assert!(out.stdout == clean.stdout, "the report is the uninterrupted run's");
+    assert!(!dir.join("nowhere").exists(), "no generation was written");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,32 +9,10 @@
 use depprof::core::{
     ParallelProfiler, ProfileResult, ProfilerConfig, SequentialProfiler, TransportKind,
 };
+use depprof::fuzz::oracle::dep_map;
 use depprof::sig::PerfectSignature;
 use depprof::trace::workloads::{nas_suite, starbench_suite, synth, Scale};
 use depprof::trace::Interp;
-use std::collections::BTreeMap;
-
-type DepMap = BTreeMap<String, u64>;
-
-fn dep_map(r: &ProfileResult) -> DepMap {
-    r.deps
-        .dependences()
-        .map(|(d, v)| {
-            (
-                format!(
-                    "{:?} {}|{} <- {}|{} var{}",
-                    d.edge.dtype,
-                    d.sink.loc,
-                    d.sink.thread,
-                    d.edge.source_loc,
-                    d.edge.source_thread,
-                    d.edge.var
-                ),
-                v.count,
-            )
-        })
-        .collect()
-}
 
 fn serial(program: &depprof::trace::Program) -> ProfileResult {
     let vm = Interp::new(program);
